@@ -249,7 +249,6 @@ def explain(
         analyze_driver = driver
     relations = driver.compile(query)
     ltj = LTJEngine(relations, ordering=driver._ordering(query))
-    context = ltj._context({})
 
     graph = ConstraintGraph(query)
     if graph.is_acyclic():
@@ -296,7 +295,7 @@ def explain(
         variables=ltj.variables,
         lonely=tuple(query.lonely_variables()),
         similarity_variables=tuple(sorted(ltj.stats.sim_variables)),
-        initial_estimates=context.estimates,
+        initial_estimates=ltj.initial_estimates(),
         constraint_class=constraint_class,
         wco_guarantee=wco,
         safe=query.is_safe(),

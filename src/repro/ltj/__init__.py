@@ -3,7 +3,10 @@
 The engine performs variable elimination: an ordering strategy picks the
 next variable, a leapfrog intersection over all atoms containing it
 enumerates its candidate values, and each candidate is bound in every
-such atom before recursing. Atoms are :class:`LeapRelation` adapters:
+such atom before recursing. The query is compiled once into a
+:class:`JoinPlan` (variables as int slots, fixed per-slot atom lists,
+incrementally kept ``l_x``), which the orderings read as a
+:class:`SlotState`. Atoms are :class:`LeapRelation` adapters:
 
 * :class:`RingTripleRelation` — a triple pattern over the Ring;
 * :class:`KnnClauseRelation` — a clause ``x <|_k y`` over the succinct
@@ -24,8 +27,10 @@ from repro.ltj.ordering import (
     FixedOrdering,
     MinCandidatesOrdering,
     OrderingStrategy,
+    SlotState,
     TopologicalOrdering,
 )
+from repro.ltj.plan import JoinPlan
 from repro.ltj.relation import LeapRelation
 from repro.ltj.sixperm_relation import SixPermTripleRelation
 from repro.ltj.stats import EvaluationStats
@@ -38,6 +43,8 @@ __all__ = [
     "KnnClauseRelation",
     "DistanceClauseRelation",
     "LTJEngine",
+    "JoinPlan",
+    "SlotState",
     "EvaluationStats",
     "OrderingStrategy",
     "MinCandidatesOrdering",

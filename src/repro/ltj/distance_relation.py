@@ -13,34 +13,36 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.knn.distance_index import DistanceRangeIndex
-from repro.query.model import DistClause, Var, is_var
-from repro.utils.errors import StructureError
+from repro.ltj.relation import LeapRelation
+from repro.query.model import DistClause, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 
-class DistanceClauseRelation:
-    """A clause ``dist(x, y) <= d`` viewed as a leapfrog relation."""
+class DistanceClauseRelation(LeapRelation):
+    """A clause ``dist(x, y) <= d`` viewed as a leapfrog relation.
+
+    Position 0 is the ``x`` side, position 1 the ``y`` side.
+    """
 
     def __init__(self, index: DistanceRangeIndex, clause: DistClause) -> None:
         self._index = index
         self._clause = clause
         self._d = float(clause.d)
+        self.terms = (clause.x, clause.y)
         self.obs: RelationCounters | None = None
         """Optional :class:`repro.obs.trace.RelationCounters`; detail
         keys name the distance-index primitive used per call."""
-        self._values: dict[str, int | None] = {"x": None, "y": None}
-        self._undo: list[str] = []
+        self._values: list[int | None] = [
+            None if isinstance(term, Var) else term for term in self.terms
+        ]
+        self._depth = 0
         self._failed_depth: int | None = None
-        if not is_var(clause.x):
-            self._values["x"] = clause.x
-        if not is_var(clause.y):
-            self._values["y"] = clause.y
-        if self._values["x"] is not None and self._values["y"] is not None:
-            if not index.contains(self._values["x"], self._values["y"], self._d):
-                self._failed_depth = 0
+        x, y = self._values
+        if x is not None and y is not None and not index.contains(x, y, self._d):
+            self._failed_depth = 0
 
     @property
     def clause(self) -> DistClause:
@@ -50,38 +52,13 @@ class DistanceClauseRelation:
         """Trees touched by this relation (engine memo hook)."""
         return (self._index.D,)
 
-    @property
-    def variables(self) -> frozenset[Var]:
-        return frozenset(self._clause.variables)
-
-    @property
-    def free_variables(self) -> frozenset[Var]:
-        bound = {self._term(side) for side in self._undo}
-        return frozenset(v for v in self._clause.variables if v not in bound)
-
-    def _term(self, side: str) -> Var | int:
-        return self._clause.x if side == "x" else self._clause.y
-
     def is_empty(self) -> bool:
         return self._failed_depth is not None
 
-    def _side_of(self, var: Var) -> str:
-        if is_var(self._clause.x) and var == self._clause.x:
-            return "x"
-        if is_var(self._clause.y) and var == self._clause.y:
-            return "y"
-        raise StructureError(f"{var!r} does not occur in {self._clause!r}")
-
-    def _other(self, side: str) -> str:
-        return "y" if side == "x" else "x"
-
-    def leap(self, var: Var, lower: int) -> int | None:
+    def leap(self, pos: int, lower: int) -> int | None:
         if self._failed_depth is not None:
             return None
-        side = self._side_of(var)
-        if self._values[side] is not None:
-            raise StructureError(f"{var!r} is already bound")
-        anchor = self._values[self._other(side)]
+        anchor = self._values[1 - pos]
         obs = self.obs
         if obs is not None:
             obs.leaps += 1
@@ -93,11 +70,10 @@ class DistanceClauseRelation:
             obs.bump("leap_member")
         return self._index.next_member(lower)
 
-    def bind(self, var: Var, value: int) -> bool:
-        side = self._side_of(var)
-        anchor = self._values[self._other(side)]
-        self._values[side] = value
-        self._undo.append(side)
+    def bind(self, pos: int, value: int) -> bool:
+        anchor = self._values[1 - pos]
+        self._values[pos] = value
+        self._depth += 1
         obs = self.obs
         if self._failed_depth is not None:
             if obs is not None:
@@ -112,7 +88,7 @@ class DistanceClauseRelation:
                 obs.bump("contains")
             ok = self._index.contains(anchor, value, self._d)
         if not ok:
-            self._failed_depth = len(self._undo)
+            self._failed_depth = self._depth
         if obs is not None:
             if ok:
                 obs.binds += 1
@@ -120,24 +96,20 @@ class DistanceClauseRelation:
                 obs.failed_binds += 1
         return ok
 
-    def unbind(self, var: Var) -> None:
-        side = self._side_of(var)
-        if not self._undo or self._undo[-1] != side:
-            raise StructureError(f"unbind({var!r}) out of order")
-        self._undo.pop()
+    def unbind(self, pos: int) -> None:
+        self._depth -= 1
         if self.obs is not None:
             self.obs.unbinds += 1
-        self._values[side] = None
-        if self._failed_depth is not None and self._failed_depth > len(self._undo):
+        self._values[pos] = None
+        if self._failed_depth is not None and self._failed_depth > self._depth:
             self._failed_depth = None
 
-    def estimate(self, var: Var) -> int:
+    def estimate(self, pos: int) -> int:
         """Per-binding candidate count (the data-dependent ``k`` the
         paper notes the algorithm knows and can use for ordering)."""
         if self.obs is not None:
             self.obs.estimates += 1
-        side = self._side_of(var)
-        anchor = self._values[self._other(side)]
+        anchor = self._values[1 - pos]
         if anchor is not None:
             return self._index.count_within(anchor, self._d)
         return int(self._index.members.size)

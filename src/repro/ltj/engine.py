@@ -7,18 +7,28 @@ candidate streams of every atom containing it, and each intersection
 member is bound in those atoms before recursing. Similarity clauses thus
 participate in the very same intersections as triple patterns, which is
 the core idea of Sec. 3.3.
+
+The query is compiled once, into a :class:`~repro.ltj.plan.JoinPlan`;
+the loop below only leaps, binds and asks the ordering.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.ltj.ordering import MinCandidatesOrdering, OrderingContext, OrderingStrategy
+from repro.ltj.ordering import MinCandidatesOrdering, OrderingStrategy
+from repro.ltj.plan import Atom, JoinPlan
+from repro.ltj.relation import LeapRelation
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import Var
 from repro.utils.errors import QueryError
 from repro.utils.timing import Stopwatch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import QueryTrace, VarCounters
 
 # How many candidate attempts between timeout polls.
 _TIMEOUT_CHECK_INTERVAL = 256
@@ -42,12 +52,11 @@ class LTJEngine:
 
     def __init__(
         self,
-        relations: Sequence[object],
+        relations: Sequence[LeapRelation],
         ordering: OrderingStrategy | None = None,
         timeout: float | None = None,
         limit: int | None = None,
-        intersection: str = "leapfrog",
-        trace: object | None = None,
+        trace: QueryTrace | None = None,
     ) -> None:
         """Set up an evaluation.
 
@@ -58,118 +67,99 @@ class LTJEngine:
             timeout: optional wall-clock budget in seconds. On expiry the
                 run stops and ``stats.timed_out`` is set (no exception).
             limit: optional cap on the number of solutions.
-            intersection: ``"leapfrog"`` (Veldhuizen's algorithm: always
-                advance the atom with the smallest candidate to the
-                largest one) or ``"roundrobin"`` (repeated passes until a
-                fixpoint). Both are correct; leapfrog issues fewer
-                ``leap`` calls on skewed intersections.
             trace: optional :class:`repro.obs.trace.QueryTrace` recording
                 per-variable leap/candidate/binding counters and ordering
                 decisions. ``None`` (default) disables tracing; every
                 recording site is guarded by a single ``is not None``
                 test so the disabled path stays hot-loop cheap.
         """
-        if not relations:
-            raise QueryError("LTJ requires at least one relation")
-        if intersection not in ("leapfrog", "roundrobin"):
-            raise QueryError(
-                f"unknown intersection strategy {intersection!r}"
-            )
-        self._relations = list(relations)
+        self._plan = JoinPlan(relations)
+        self._variables = self._plan.state.variables
         self._ordering = ordering or MinCandidatesOrdering()
+        self._ordering.prepare(self._variables)
         self._timeout = timeout
         self._limit = limit
-        self._intersection = intersection
         self._trace = trace
-        self._variables: tuple[Var, ...] = self._collect_variables()
-        self._atom_count = {
-            v: sum(1 for r in self._relations if v in r.variables)
-            for v in self._variables
-        }
-        self._lonely = frozenset(
-            v for v, count in self._atom_count.items() if count == 1
-        )
-        self.stats = EvaluationStats()
-        self.stats.sim_variables = frozenset(
-            v
-            for r in self._relations
-            if self._is_similarity(r)
-            for v in r.variables
-        )
-
-    @staticmethod
-    def _is_similarity(relation: object) -> bool:
+        self._stopwatch = Stopwatch(timeout)
         # Duck-typed: clause relations carry a `clause` attribute.
-        return hasattr(relation, "clause")
-
-    def _collect_variables(self) -> tuple[Var, ...]:
-        seen: list[Var] = []
-        for relation in self._relations:
-            for var in sorted(relation.variables):
-                if var not in seen:
-                    seen.append(var)
-        return tuple(seen)
+        self._sim_variables = frozenset(
+            v for r in relations if hasattr(r, "clause") for v in r.variables
+        )
+        # Deduplicated wavelet trees reachable from the relations.
+        self._trees = list(
+            {id(t): t for r in relations for t in r.wavelet_trees()}.values()
+        )
+        # variable -> value along the current branch, in binding order.
+        self._assignment: dict[Var, int] = {}
+        self.stats = EvaluationStats(sim_variables=self._sim_variables)
 
     @property
     def variables(self) -> tuple[Var, ...]:
         return self._variables
 
+    def initial_estimates(self) -> dict[Var, int]:
+        """``l_x`` of every variable before anything is bound — what the
+        ordering sees at depth 0."""
+        return dict(zip(self._variables, self._plan.state.lx))
+
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+    @contextmanager
+    def _evaluation(self, finish_trace: bool = True) -> Iterator[bool]:
+        """The prologue and epilogue every entry point shares.
+
+        Resets ``stats``, starts the budget and, for the duration of the
+        block, attaches a per-query memo to every wavelet tree reachable
+        through a relation's ``wavelet_trees()`` hook (see
+        :meth:`WaveletTree.begin_query_memo`): backtracking repeats many
+        identical rank/leap traversals, and the trees are immutable, so
+        caching them within one evaluation is free of staleness. The
+        memo changes only the cost of operations — logical op counts
+        (and therefore traces) are unchanged. Yields whether there is
+        anything to search: no atom is statically empty and the budget
+        is not spent already. A budget expiring inside the block ends it
+        with ``stats.timed_out`` set; stats are finalized on every way
+        out, including a consumer abandoning the generator the block
+        runs in.
+        """
+        self._stopwatch = Stopwatch(self._timeout)
+        self.stats = EvaluationStats(sim_variables=self._sim_variables)
+        for tree in self._trees:
+            tree.begin_query_memo()
+        try:
+            if self._stopwatch.expired():
+                self.stats.timed_out = True
+                yield False
+            else:
+                yield not any(r.is_empty() for r in self._plan.relations)
+        except _Expired:
+            self.stats.timed_out = True
+        finally:
+            for tree in self._trees:
+                tree.end_query_memo()
+            self.stats.elapsed = self._stopwatch.elapsed()
+            if self._trace is not None:
+                if finish_trace:
+                    self._trace.finish(self.stats)
+
     def run(self) -> Iterator[dict[Var, int]]:
         """Enumerate solutions as variable -> constant dictionaries.
 
         Stops early (without raising) when the timeout expires or the
-        solution limit is reached; check ``self.stats`` afterwards.
-        Stats are finalized in a ``finally`` block, so they are valid
-        even when the consumer abandons the generator before exhaustion
-        (early ``break``, ``close()``, garbage collection).
-
-        For the duration of the run, every wavelet tree reachable through
-        a relation's ``wavelet_trees()`` hook gets a per-query memo
-        attached (see :meth:`WaveletTree.begin_query_memo`): backtracking
-        repeats many identical rank/leap traversals, and the trees are
-        immutable, so caching them within one evaluation is free of
-        staleness. The memo changes only the cost of operations — logical
-        op counts (and therefore traces) are unchanged.
+        solution limit is reached; check ``self.stats`` afterwards —
+        they are valid even when the consumer abandons the generator
+        before exhaustion (early ``break``, ``close()``, garbage
+        collection).
         """
-        stopwatch = Stopwatch(self._timeout)
-        self.stats = EvaluationStats()
-        self.stats.sim_variables = frozenset(
-            v
-            for r in self._relations
-            if self._is_similarity(r)
-            for v in r.variables
-        )
-        trees = self._memo_trees()
-        for tree in trees:
-            tree.begin_query_memo()
-        try:
-            if not any(r.is_empty() for r in self._relations):
-                assignment: dict[Var, int] = {}
-                yield from self._search(
-                    assignment, stopwatch, first_descent=True
-                )
-        except _Expired:
-            self.stats.timed_out = True
-        finally:
-            for tree in trees:
-                tree.end_query_memo()
-            self.stats.elapsed = stopwatch.elapsed()
-            if self._trace is not None:
-                self._trace.finish(self.stats)
-
-    def _memo_trees(self) -> list[object]:
-        """Deduplicated wavelet trees reachable from the relations."""
-        trees: dict[int, object] = {}
-        for relation in self._relations:
-            hook = getattr(relation, "wavelet_trees", None)
-            if hook is None:
-                continue
-            for tree in hook():
-                trees[id(tree)] = tree
-        return list(trees.values())
+        with self._evaluation() as searchable:
+            if not searchable:
+                return
+            if self._variables:
+                yield from self._search(first_descent=True)
+            else:
+                self.stats.solutions += 1
+                yield {}
 
     def evaluate(self) -> list[dict[Var, int]]:
         """Collect all solutions into a list (see :meth:`run`)."""
@@ -195,60 +185,21 @@ class LTJEngine:
         exactly, for any partition.
 
         The trace (if any) is *not* finished here: the caller merges the
-        workers' counters first and finalizes the trace itself.
+        workers' counters first and finalizes the trace itself. On an
+        expired budget the candidates found so far are returned.
         """
         if not self._variables:
             raise QueryError(
                 "first_level requires at least one variable to shard on"
             )
-        stopwatch = Stopwatch(self._timeout)
-        self.stats = EvaluationStats()
-        self.stats.sim_variables = frozenset(
-            v
-            for r in self._relations
-            if self._is_similarity(r)
-            for v in r.variables
-        )
-        trees = self._memo_trees()
-        for tree in trees:
-            tree.begin_query_memo()
-        try:
-            if any(r.is_empty() for r in self._relations):
-                return FirstLevelPlan(None, ())
-            context = self._context({})
-            var = self._ordering.choose(context)
-            self.stats.first_descent_order.append(var)
-            atoms = [r for r in self._relations if var in r.free_variables]
-            vc = None
-            if self._trace is not None:
-                self._trace.record_decision(
-                    0,
-                    var,
-                    context.estimates,
-                    self._ordering.describe(context, var),
-                )
-                vc = self._trace.var(var)
-                vc.fanout = max(vc.fanout, len(atoms))
-            candidates: list[int] = []
-            candidate = 0
-            while True:
-                found = self._leapfrog(atoms, var, candidate, vc)
-                if found is None:
-                    break
-                self.stats.attempts += 1
-                if vc is not None:
-                    vc.candidates += 1
-                candidates.append(found)
-                if self.stats.attempts % _TIMEOUT_CHECK_INTERVAL == 0:
-                    if stopwatch.expired():
-                        self.stats.timed_out = True
-                        break
-                candidate = found + 1
-            return FirstLevelPlan(var, tuple(candidates))
-        finally:
-            for tree in trees:
-                tree.end_query_memo()
-            self.stats.elapsed = stopwatch.elapsed()
+        variable = None
+        candidates: list[int] = []
+        with self._evaluation(finish_trace=False) as searchable:
+            if searchable:
+                slot, vc = self._choose(first_descent=True)
+                variable = self._variables[slot]
+                candidates.extend(self._candidates(slot, vc))
+        return FirstLevelPlan(variable, tuple(candidates))
 
     def run_prebound(
         self, var: Var, candidates: Sequence[int]
@@ -268,242 +219,138 @@ class LTJEngine:
         """
         if var not in self._variables:
             raise QueryError(f"unknown first variable {var!r}")
-        stopwatch = Stopwatch(self._timeout)
-        self.stats = EvaluationStats()
-        self.stats.sim_variables = frozenset(
-            v
-            for r in self._relations
-            if self._is_similarity(r)
-            for v in r.variables
-        )
-        trees = self._memo_trees()
-        for tree in trees:
-            tree.begin_query_memo()
-        try:
-            if not any(r.is_empty() for r in self._relations):
-                atoms = [
-                    r for r in self._relations if var in r.free_variables
-                ]
-                vc = (
-                    self._trace.var(var)
-                    if self._trace is not None
-                    else None
-                )
-                assignment: dict[Var, int] = {}
-                first_descent = True
-                polled = 0
-                for candidate in candidates:
-                    polled += 1
-                    if polled % _TIMEOUT_CHECK_INTERVAL == 0:
-                        if stopwatch.expired():
-                            raise _Expired()
-                    ok = True
-                    bound_atoms = []
-                    for relation in atoms:
-                        bound_atoms.append(relation)
-                        if not relation.bind(var, candidate):
-                            ok = False
-                            break
-                    if vc is not None:
-                        if ok:
-                            vc.bindings += 1
-                        else:
-                            vc.failed_bindings += 1
-                    if ok:
-                        self.stats.bindings += 1
-                        assignment[var] = candidate
-                        yield from self._search(
-                            assignment, stopwatch, first_descent
-                        )
-                        first_descent = False
-                        del assignment[var]
-                        if (
-                            self._limit is not None
-                            and self.stats.solutions >= self._limit
-                        ):
-                            for relation in reversed(bound_atoms):
-                                relation.unbind(var)
-                            return
-                    for relation in reversed(bound_atoms):
-                        relation.unbind(var)
-        except _Expired:
-            self.stats.timed_out = True
-        finally:
-            for tree in trees:
-                tree.end_query_memo()
-            self.stats.elapsed = stopwatch.elapsed()
-            if self._trace is not None:
-                self._trace.finish(self.stats)
+        slot = self._variables.index(var)
+        vc = self._trace.var(var) if self._trace is not None else None
+        with self._evaluation() as searchable:
+            if searchable:
+                yield from self._descend(slot, candidates, vc, True)
 
     # ------------------------------------------------------------------
-    def _search(
-        self,
-        assignment: dict[Var, int],
-        stopwatch: Stopwatch,
-        first_descent: bool,
-    ) -> Iterator[dict[Var, int]]:
-        if len(assignment) == len(self._variables):
-            self.stats.solutions += 1
-            yield dict(assignment)
-            return
-        context = self._context(assignment)
-        var = self._ordering.choose(context)
+    def _choose(self, first_descent: bool) -> tuple[int, VarCounters | None]:
+        """Ask the ordering for the next slot and record the decision."""
+        state = self._plan.state
+        slot = self._ordering.choose(state)
+        var = self._variables[slot]
         if first_descent:
             self.stats.first_descent_order.append(var)
-        atoms = [r for r in self._relations if var in r.free_variables]
-        vc = None
-        if self._trace is not None:
-            self._trace.record_decision(
-                len(assignment),
-                var,
-                context.estimates,
-                self._ordering.describe(context, var),
-            )
-            vc = self._trace.var(var)
-            vc.fanout = max(vc.fanout, len(atoms))
-        candidate = 0
-        while True:
-            candidate = self._leapfrog(atoms, var, candidate, vc)
-            if candidate is None:
-                return
-            self.stats.attempts += 1
+        if self._trace is None:
+            return slot, None
+        self._trace.record_decision(
+            len(self._assignment),
+            var,
+            {
+                v: state.lx[s]
+                for s, v in enumerate(self._variables)
+                if state.unbound >> s & 1
+            },
+            self._ordering.describe(state, slot),
+        )
+        vc = self._trace.var(var)
+        vc.fanout = max(vc.fanout, len(self._plan.atoms[slot]))
+        return slot, vc
+
+    def _search(self, first_descent: bool) -> Iterator[dict[Var, int]]:
+        """One elimination step: choose, intersect, bind and descend."""
+        slot, vc = self._choose(first_descent)
+        return self._descend(
+            slot, self._candidates(slot, vc), vc, first_descent
+        )
+
+    def _candidates(self, slot: int, vc: VarCounters | None) -> Iterator[int]:
+        """The leapfrog intersection of ``slot``'s atoms under the current
+        bindings, in increasing order. The consumer may bind ``slot``
+        between two candidates as long as it unbinds it again."""
+        atoms = self._plan.atoms[slot]
+        stats = self.stats
+        candidate = self._leapfrog(atoms, 0, vc)
+        while candidate is not None:
+            stats.attempts += 1
             if vc is not None:
                 vc.candidates += 1
-            if self.stats.attempts % _TIMEOUT_CHECK_INTERVAL == 0:
-                if stopwatch.expired():
+            if stats.attempts % _TIMEOUT_CHECK_INTERVAL == 0:
+                if self._stopwatch.expired():
                     raise _Expired()
-            ok = True
-            bound_atoms = []
-            for relation in atoms:
-                bound_atoms.append(relation)
-                if not relation.bind(var, candidate):
-                    ok = False
-                    break
+            yield candidate
+            candidate = self._leapfrog(atoms, candidate + 1, vc)
+
+    def _descend(
+        self,
+        slot: int,
+        candidates: Iterable[int],
+        vc: VarCounters | None,
+        first_descent: bool,
+    ) -> Iterator[dict[Var, int]]:
+        """Bind each candidate of ``slot`` and search below it; with no
+        variable left below, the binding itself is the solution."""
+        plan = self._plan
+        stats = self.stats
+        assignment = self._assignment
+        var = self._variables[slot]
+        limit = self._limit
+        for candidate in candidates:
+            ok = plan.bind(slot, candidate)
             if vc is not None:
                 if ok:
                     vc.bindings += 1
                 else:
                     vc.failed_bindings += 1
-            if ok:
-                self.stats.bindings += 1
-                assignment[var] = candidate
-                yield from self._search(assignment, stopwatch, first_descent)
-                first_descent = False
-                del assignment[var]
-                if (
-                    self._limit is not None
-                    and self.stats.solutions >= self._limit
-                ):
-                    for relation in reversed(bound_atoms):
-                        relation.unbind(var)
-                    return
-            for relation in reversed(bound_atoms):
-                relation.unbind(var)
-            candidate += 1
+            if not ok:
+                continue
+            stats.bindings += 1
+            assignment[var] = candidate
+            if plan.state.unbound:
+                yield from self._search(first_descent)
+            else:
+                stats.solutions += 1
+                yield dict(assignment)
+            first_descent = False
+            del assignment[var]
+            plan.unbind(slot)
+            if limit is not None and stats.solutions >= limit:
+                return
 
     def _leapfrog(
-        self,
-        atoms: list[object],
-        var: Var,
-        lower: int,
-        vc: object | None = None,
+        self, atoms: list[Atom], lower: int, vc: VarCounters | None
     ) -> int | None:
-        """Smallest value ``>= lower`` admitted by every atom, or None."""
-        if not atoms:
-            raise QueryError(f"variable {var!r} occurs in no relation")
-        if self._intersection == "leapfrog":
-            return self._leapfrog_sorted(atoms, var, lower, vc)
-        return self._leapfrog_roundrobin(atoms, var, lower, vc)
+        """Smallest value ``>= lower`` admitted by every atom, or None.
 
-    def _leapfrog_roundrobin(
-        self,
-        atoms: list[object],
-        var: Var,
-        lower: int,
-        vc: object | None = None,
-    ) -> int | None:
-        """Repeated passes over all atoms until a full pass agrees."""
-        candidate = lower
-        while True:
-            advanced = False
-            for relation in atoms:
-                self.stats.leap_calls += 1
-                if vc is not None:
-                    vc.leaps += 1
-                value = relation.leap(var, candidate)
-                if value is None:
-                    return None
-                if value > candidate:
-                    candidate = value
-                    advanced = True
-            if not advanced:
-                return candidate
-
-    def _leapfrog_sorted(
-        self,
-        atoms: list[object],
-        var: Var,
-        lower: int,
-        vc: object | None = None,
-    ) -> int | None:
-        """Veldhuizen's leapfrog: keep the atoms' current candidates and
-        repeatedly leap the *smallest* one to the largest, until all
-        candidates coincide."""
-        candidates: list[int] = []
-        for relation in atoms:
-            self.stats.leap_calls += 1
+        Veldhuizen's leapfrog: keep the atoms' current candidates and
+        repeatedly leap the *smallest* one (the earliest atom among
+        equals) to the largest, until all candidates coincide. ``order``
+        holds the atoms sorted that way; a leaped atom lands on the new
+        largest value, so it is re-seated from the back instead of
+        rescanning for the extremes."""
+        stats = self.stats
+        values: list[int] = []
+        for relation, pos in atoms:
+            stats.leap_calls += 1
             if vc is not None:
                 vc.leaps += 1
-            value = relation.leap(var, lower)
+            value = relation.leap(pos, lower)
             if value is None:
                 return None
-            candidates.append(value)
-        if len(atoms) == 1:
-            return candidates[0]
-        while True:
-            largest = max(candidates)
-            smallest_idx = min(
-                range(len(candidates)), key=candidates.__getitem__
-            )
-            if candidates[smallest_idx] == largest:
-                return largest
-            self.stats.leap_calls += 1
+            values.append(value)
+        if len(values) == 1:
+            return values[0]
+        order = sorted(range(len(atoms)), key=values.__getitem__)
+        largest = values[order[-1]]
+        while values[order[0]] != largest:
+            index = order.pop(0)
+            relation, pos = atoms[index]
+            stats.leap_calls += 1
             if vc is not None:
                 vc.leaps += 1
-            value = atoms[smallest_idx].leap(var, largest)
+            value = relation.leap(pos, largest)
             if value is None:
                 return None
-            candidates[smallest_idx] = value
-
-    def _context(self, assignment: dict[Var, int]) -> OrderingContext:
-        unbound = tuple(v for v in self._variables if v not in assignment)
-        estimates: dict[Var, int] = {}
-        for var in unbound:
-            best = None
-            for relation in self._relations:
-                if var in relation.free_variables:
-                    est = relation.estimate(var)
-                    if best is None or est < best:
-                        best = est
-            estimates[var] = best if best is not None else 0
-        edges: list[tuple[Var, Var]] = []
-        unbound_set = set(unbound)
-        for relation in self._relations:
-            clause = getattr(relation, "clause", None)
-            if clause is None:
-                continue
-            x, y = clause.x, clause.y
-            if x in unbound_set and y in unbound_set:
-                edges.append((x, y))
-                if not hasattr(clause, "k"):
-                    # Distance clauses are symmetric: both directions.
-                    edges.append((y, x))
-        return OrderingContext(
-            unbound=unbound,
-            estimates=estimates,
-            lonely=self._lonely,
-            constraint_edges=tuple(edges),
-        )
+            values[index] = largest = value
+            seat = len(order)
+            while seat and (values[order[seat - 1]], order[seat - 1]) > (
+                value, index
+            ):
+                seat -= 1
+            order.insert(seat, index)
+        return largest
 
 
 class _Expired(Exception):

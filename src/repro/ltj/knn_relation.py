@@ -13,39 +13,40 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.knn.succinct import KnnRing
-from repro.query.model import SimClause, Var, is_var
-from repro.utils.errors import StructureError
+from repro.ltj.relation import LeapRelation
+from repro.query.model import SimClause, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 
-class KnnClauseRelation:
-    """A clause ``x <|_k y`` viewed as a leapfrog relation."""
+class KnnClauseRelation(LeapRelation):
+    """A clause ``x <|_k y`` viewed as a leapfrog relation.
+
+    Position 0 is the ``x`` side, position 1 the ``y`` side.
+    """
 
     def __init__(self, knn: KnnRing, clause: SimClause) -> None:
         self._knn = knn
         self._clause = clause
         self._k = clause.k
+        self.terms = (clause.x, clause.y)
         self.obs: RelationCounters | None = None
         """Optional :class:`repro.obs.trace.RelationCounters`; detail
         keys name the kNN-ring primitive used per call (e.g.
         ``leap_forward_S`` for a descent of the simulated trie T_xy)."""
         # Current bindings of the two sides (None = unbound). Constants
-        # are bound immediately and never pushed on the undo stack.
-        self._x_value: int | None = None
-        self._y_value: int | None = None
-        self._undo: list[str] = []
+        # are bound immediately and never count towards the depth.
+        self._values: list[int | None] = [
+            None if isinstance(term, Var) else term for term in self.terms
+        ]
+        self._depth = 0
         self._failed_depth: int | None = None
-        if not is_var(clause.x):
-            self._x_value = clause.x
-        if not is_var(clause.y):
-            self._y_value = clause.y
-        if self._x_value is not None and self._y_value is not None:
+        x, y = self._values
+        if x is not None and y is not None and not knn.contains(x, y, self._k):
             # Fully constant clause: a static filter.
-            if not knn.contains(self._x_value, self._y_value, self._k):
-                self._failed_depth = 0
+            self._failed_depth = 0
 
     # ------------------------------------------------------------------
     @property
@@ -56,99 +57,65 @@ class KnnClauseRelation:
         """Trees touched by this relation (engine memo hook)."""
         return self._knn.wavelet_trees()
 
-    @property
-    def variables(self) -> frozenset[Var]:
-        return frozenset(self._clause.variables)
-
-    @property
-    def free_variables(self) -> frozenset[Var]:
-        free = set()
-        if is_var(self._clause.x) and self._clause.x not in self._bound_vars():
-            free.add(self._clause.x)
-        if is_var(self._clause.y) and self._clause.y not in self._bound_vars():
-            free.add(self._clause.y)
-        return frozenset(free)
-
-    def _bound_vars(self) -> set[Var]:
-        return {
-            self._clause.x if side == "x" else self._clause.y
-            for side in self._undo
-        }
-
     def is_empty(self) -> bool:
         return self._failed_depth is not None
 
-    def _side_of(self, var: Var) -> str:
-        if is_var(self._clause.x) and var == self._clause.x:
-            return "x"
-        if is_var(self._clause.y) and var == self._clause.y:
-            return "y"
-        raise StructureError(f"{var!r} does not occur in {self._clause!r}")
-
     # ------------------------------------------------------------------
-    def leap(self, var: Var, lower: int) -> int | None:
+    def leap(self, pos: int, lower: int) -> int | None:
         if self._failed_depth is not None:
             return None
-        side = self._side_of(var)
-        if side == "x" and self._x_value is not None:
-            raise StructureError(f"{var!r} is already bound")
-        if side == "y" and self._y_value is not None:
-            raise StructureError(f"{var!r} is already bound")
         obs = self.obs
         if obs is not None:
             obs.leaps += 1
-        if side == "y":
-            if self._x_value is not None:
+        anchor = self._values[1 - pos]
+        if pos:
+            if anchor is not None:
                 # Descend T_xy: range S[(x-1)K+1 .. (x-1)K+k] (Lemma 2b).
                 if obs is not None:
                     obs.bump("leap_forward_S")
-                return self._knn.leap_forward(self._x_value, self._k, lower)
+                return self._knn.leap_forward(anchor, self._k, lower)
             # Root of T_yx: any member with a non-empty reverse range.
             if obs is not None:
                 obs.bump("leap_root_reverse")
             return self._knn.next_reverse_nonempty(self._k, lower)
-        if self._y_value is not None:
+        if anchor is not None:
             # Descend T_yx: range S'[p_y(1) .. p_y(k+1)-1] (Lemma 2c).
             if obs is not None:
                 obs.bump("leap_backward_Sprime")
-            return self._knn.leap_backward(self._y_value, self._k, lower)
+            return self._knn.leap_backward(anchor, self._k, lower)
         # Root of T_xy: every member has k forward neighbors.
         if obs is not None:
             obs.bump("leap_root_member")
         return self._knn.next_member(lower)
 
-    def bind(self, var: Var, value: int) -> bool:
-        side = self._side_of(var)
-        if self._failed_depth is not None:
-            # Already failed; push a no-op frame to keep unbind symmetric.
-            self._undo.append(side)
-            self._set(side, value)
-            if self.obs is not None:
-                self.obs.failed_binds += 1
-            return False
-        other_bound = self._y_value if side == "x" else self._x_value
-        self._set(side, value)
-        self._undo.append(side)
+    def bind(self, pos: int, value: int) -> bool:
+        values = self._values
+        anchor = values[1 - pos]
+        values[pos] = value
+        self._depth += 1
         obs = self.obs
-        ok: bool
-        if other_bound is None:
-            # First side bound: non-emptiness = the range is non-empty.
-            if side == "x":
-                if obs is not None:
-                    obs.bump("count_forward")
-                ok = self._knn.forward_count(value, self._k) > 0
-            else:
-                if obs is not None:
-                    obs.bump("count_backward")
-                ok = self._knn.backward_count(value, self._k) > 0
-        else:
+        if self._failed_depth is not None:
+            # Already failed; the push only keeps unbind symmetric.
+            if obs is not None:
+                obs.failed_binds += 1
+            return False
+        if anchor is not None:
             if obs is not None:
                 obs.bump("contains")
             ok = self._knn.contains(
-                self._x_value, self._y_value, self._k  # type: ignore[arg-type]
+                anchor if pos else value, value if pos else anchor, self._k
             )
+        elif pos:
+            # First side bound: non-emptiness = the range is non-empty.
+            if obs is not None:
+                obs.bump("count_backward")
+            ok = self._knn.backward_count(value, self._k) > 0
+        else:
+            if obs is not None:
+                obs.bump("count_forward")
+            ok = self._knn.forward_count(value, self._k) > 0
         if not ok:
-            self._failed_depth = len(self._undo)
+            self._failed_depth = self._depth
         if obs is not None:
             if ok:
                 obs.binds += 1
@@ -156,37 +123,26 @@ class KnnClauseRelation:
                 obs.failed_binds += 1
         return ok
 
-    def unbind(self, var: Var) -> None:
-        side = self._side_of(var)
-        if not self._undo or self._undo[-1] != side:
-            raise StructureError(f"unbind({var!r}) out of order")
-        self._undo.pop()
+    def unbind(self, pos: int) -> None:
+        self._depth -= 1
         if self.obs is not None:
             self.obs.unbinds += 1
-        self._set(side, None)
-        if self._failed_depth is not None and self._failed_depth > len(self._undo):
+        self._values[pos] = None
+        if self._failed_depth is not None and self._failed_depth > self._depth:
             self._failed_depth = None
 
-    def _set(self, side: str, value: int | None) -> None:
-        if side == "x":
-            self._x_value = value
-        else:
-            self._y_value = value
-
-    def estimate(self, var: Var) -> int:
+    def estimate(self, pos: int) -> int:
         """Exact candidate counts from the S/S' ranges (Sec. 5): ``k``
         when ``x`` is bound, the reverse-range size when ``y`` is bound,
         the member count when neither is."""
         if self.obs is not None:
             self.obs.estimates += 1
-        side = self._side_of(var)
-        if side == "y":
-            if self._x_value is not None:
-                return self._knn.forward_count(self._x_value, self._k)
+        anchor = self._values[1 - pos]
+        if anchor is None:
             return self._knn.num_members
-        if self._y_value is not None:
-            return self._knn.backward_count(self._y_value, self._k)
-        return self._knn.num_members
+        if pos:
+            return self._knn.forward_count(anchor, self._k)
+        return self._knn.backward_count(anchor, self._k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KnnClauseRelation({self._clause!r})"

@@ -1,9 +1,9 @@
 """Variable-ordering strategies (Secs. 4 and 5 of the paper).
 
 All strategies are *adaptive*: :meth:`OrderingStrategy.choose` is called
-once per elimination step with the current state, so "after binding the
-first variable x with each value c, the next variable to bind may differ
-on each Q[x -> c]" (Sec. 5).
+once per elimination step with the current :class:`SlotState`, so "after
+binding the first variable x with each value c, the next variable to
+bind may differ on each Q[x -> c]" (Sec. 5).
 
 * :class:`MinCandidatesOrdering` — the plain Ring rule used by
   **Ring-KNN-S** (Sec. 5.1): minimum ``l_x``, lonely variables last.
@@ -27,62 +27,92 @@ from repro.query.model import Var
 from repro.utils.errors import QueryError
 
 
-@dataclass(frozen=True)
-class OrderingContext:
-    """Snapshot handed to a strategy at each elimination step."""
+@dataclass(slots=True)
+class SlotState:
+    """What a strategy decides on: the engine's plan and search state.
 
-    unbound: tuple[Var, ...]
-    """Variables still to eliminate, in stable query order."""
+    Variables are dense int *slots* in stable query order, sets of them
+    are bitmasks (bit ``i`` = slot ``i``). The first three fields are
+    fixed when the plan is built; the engine updates ``unbound`` and
+    ``lx`` as it binds and unbinds, so consulting the state costs no
+    rebuilding.
+    """
 
-    estimates: dict[Var, int]
-    """``l_x`` per unbound variable: min candidate-count over its atoms."""
+    variables: tuple[Var, ...]
+    """Slot -> variable."""
 
-    lonely: frozenset[Var]
-    """Variables appearing in a single atom (bound last, Sec. 5)."""
+    lonely: int
+    """Mask of variables appearing in a single atom (bound last, Sec. 5)."""
 
-    constraint_edges: tuple[tuple[Var, Var], ...]
-    """Edges ``x -> y`` of the *current* constraint graph: one per clause
-    ``x <|_k y`` whose two sides are both unbound variables (distance
-    clauses contribute both directions)."""
+    edges: tuple[tuple[int, int], ...]
+    """Static constraint edges ``x -> y`` as slot pairs: one per clause
+    ``x <|_k y`` between two variables (distance clauses contribute both
+    directions). An edge is *current* while both ends are unbound."""
+
+    unbound: int
+    """Mask of the variables still to eliminate."""
+
+    lx: list[int]
+    """``l_x`` per slot: min candidate-count estimate over the atoms of
+    that variable (meaningful for unbound slots only)."""
+
+    def targets(self, edges: tuple[tuple[int, int], ...]) -> int:
+        """Mask of the ``y`` ends of the ``edges`` that are current."""
+        unbound = self.unbound
+        marked = 0
+        for x, y in edges:
+            if unbound >> x & 1 and unbound >> y & 1:
+                marked |= 1 << y
+        return marked
+
+    def regular(self) -> int:
+        """The pool to choose from: non-lonely unbound variables, or the
+        lonely ones once nothing else is left."""
+        return self.unbound & ~self.lonely or self.unbound
+
+    def argmin(self, pool: int) -> int:
+        """Slot of ``pool`` with the smallest ``l_x``; ties go to the
+        earliest in query order."""
+        lx = self.lx
+        best = -1
+        for slot in range(pool.bit_length()):
+            if pool >> slot & 1 and (best < 0 or lx[slot] < lx[best]):
+                best = slot
+        return best
 
 
 class OrderingStrategy(abc.ABC):
     """Strategy deciding the next variable to eliminate."""
 
-    @abc.abstractmethod
-    def choose(self, context: OrderingContext) -> Var:
-        """Pick the next variable among ``context.unbound``."""
+    def prepare(self, variables: tuple[Var, ...]) -> None:
+        """Called once per plan, before any :meth:`choose`: strategies
+        configured with ``Var`` objects translate them to slots here."""
 
-    def describe(self, context: OrderingContext, chosen: Var) -> str:
+    @abc.abstractmethod
+    def choose(self, state: SlotState) -> int:
+        """Pick the next slot among ``state.unbound`` (non-empty)."""
+
+    def describe(self, state: SlotState, chosen: int) -> str:
         """Why :meth:`choose` picked ``chosen`` (for query traces).
 
         Only called when tracing is on, so subclasses may recompute
         cheap classification work here instead of threading it out of
         :meth:`choose`.
         """
-        parts = [f"l_x={context.estimates.get(chosen, 0)}"]
-        if chosen in context.lonely:
+        parts = [f"l_x={state.lx[chosen]}"]
+        if state.lonely >> chosen & 1:
             parts.append("lonely (all regular variables bound)")
         return "; ".join(parts)
-
-    @staticmethod
-    def _min_estimate(candidates: list[Var], context: OrderingContext) -> Var:
-        """Smallest ``l_x``; ties broken by position in ``unbound``."""
-        return min(candidates, key=lambda v: (context.estimates[v],
-                                              context.unbound.index(v)))
 
 
 class MinCandidatesOrdering(OrderingStrategy):
     """Adaptive min-``l_x`` with lonely variables last (Ring-KNN-S)."""
 
-    def choose(self, context: OrderingContext) -> Var:
-        regular = [v for v in context.unbound if v not in context.lonely]
-        if regular:
-            return self._min_estimate(regular, context)
-        return self._min_estimate(list(context.unbound), context)
+    def choose(self, state: SlotState) -> int:
+        return state.argmin(state.regular())
 
-    def describe(self, context: OrderingContext, chosen: Var) -> str:
-        base = super().describe(context, chosen)
+    def describe(self, state: SlotState, chosen: int) -> str:
+        base = super().describe(state, chosen)
         return f"min-l_x (unrestricted): {base}"
 
 
@@ -95,25 +125,24 @@ class ConstraintAwareOrdering(OrderingStrategy):
     marked non-lonely minimum, with lonely variables still last.
     """
 
-    def choose(self, context: OrderingContext) -> Var:
-        marked = {y for _x, y in context.constraint_edges}
-        regular = [v for v in context.unbound if v not in context.lonely]
-        pool = regular if regular else list(context.unbound)
-        unmarked = [v for v in pool if v not in marked]
-        if unmarked:
-            return self._min_estimate(unmarked, context)
-        return self._min_estimate(pool, context)
+    def choose(self, state: SlotState) -> int:
+        pool = state.regular()
+        return state.argmin(pool & ~state.targets(state.edges) or pool)
 
-    def describe(self, context: OrderingContext, chosen: Var) -> str:
-        marked = {y for _x, y in context.constraint_edges}
-        base = super().describe(context, chosen)
-        if chosen in marked:
+    def describe(self, state: SlotState, chosen: int) -> str:
+        marked = state.targets(state.edges)
+        base = super().describe(state, chosen)
+        if marked >> chosen & 1:
             return (
                 f"constraint-aware: {base}; constraint target chosen "
                 "(every candidate is a target)"
             )
         if marked:
-            skipped = ", ".join(sorted(v.name for v in marked))
+            skipped = ", ".join(sorted(
+                v.name
+                for slot, v in enumerate(state.variables)
+                if marked >> slot & 1
+            ))
             return f"constraint-aware: {base}; targets deferred: {skipped}"
         return f"constraint-aware: {base}; no unresolved constraint edges"
 
@@ -130,6 +159,7 @@ class TopologicalOrdering(OrderingStrategy):
 
     def __init__(self, edges: list[tuple[Var, Var]]) -> None:
         self._edges = tuple(edges)
+        self._slot_edges: tuple[tuple[int, int], ...] = ()
         # Kahn's algorithm to verify acyclicity once.
         nodes = {v for edge in edges for v in edge}
         indeg = {v: 0 for v in sorted(nodes, key=lambda u: u.name)}
@@ -150,17 +180,18 @@ class TopologicalOrdering(OrderingStrategy):
                 "TopologicalOrdering requires an acyclic constraint graph"
             )
 
-    def choose(self, context: OrderingContext) -> Var:
-        unbound = set(context.unbound)
-        blocked = {
-            y for x, y in self._edges if x in unbound and y in unbound
-        }
-        regular = [v for v in context.unbound if v not in context.lonely]
-        pool = regular if regular else list(context.unbound)
-        ready = [v for v in pool if v not in blocked]
-        if not ready:  # pragma: no cover - impossible for acyclic graphs
-            ready = pool
-        return self._min_estimate(ready, context)
+    def prepare(self, variables: tuple[Var, ...]) -> None:
+        self._slot_edges = tuple(
+            (variables.index(x), variables.index(y))
+            for x, y in self._edges
+            if x in variables and y in variables
+        )
+
+    def choose(self, state: SlotState) -> int:
+        pool = state.regular()
+        # `or pool` is unreachable for acyclic graphs: some node of the
+        # pool always has no unbound predecessor.
+        return state.argmin(pool & ~state.targets(self._slot_edges) or pool)
 
 
 class FixedOrdering(OrderingStrategy):
@@ -168,11 +199,21 @@ class FixedOrdering(OrderingStrategy):
 
     def __init__(self, order: list[Var] | tuple[Var, ...]) -> None:
         self._order = tuple(order)
+        self._slots: tuple[int, ...] = ()
 
-    def choose(self, context: OrderingContext) -> Var:
-        for var in self._order:
-            if var in context.unbound:
-                return var
+    def prepare(self, variables: tuple[Var, ...]) -> None:
+        self._slots = tuple(
+            variables.index(v) for v in self._order if v in variables
+        )
+
+    def choose(self, state: SlotState) -> int:
+        for slot in self._slots:
+            if state.unbound >> slot & 1:
+                return slot
+        left = tuple(
+            v for slot, v in enumerate(state.variables)
+            if state.unbound >> slot & 1
+        )
         raise QueryError(
-            f"fixed order {self._order!r} does not cover {context.unbound!r}"
+            f"fixed order {self._order!r} does not cover {left!r}"
         )

@@ -2,8 +2,17 @@
 
 Every atom of an extended BGP (triple pattern, ``x <|_k y`` clause,
 ``dist(x, y) <= d`` clause) is wrapped in a :class:`LeapRelation`. The
-engine only ever calls the five methods below, so adding new atom kinds
+engine only ever calls the methods below, so adding new atom kinds
 (as Sec. 7 of the paper envisions) means writing one more adapter.
+
+Variables are addressed by *position*: each adapter fixes, when it is
+constructed, a tuple :attr:`LeapRelation.terms` and everything a
+position needs (which coordinates, which side of a clause). The engine
+resolves ``Var -> position`` once per query (:meth:`position`) and the
+four navigation methods take that small int — they hash no ``Var``,
+scan nothing and build no sets. They are also *unchecked*: the caller
+keeps binds properly nested and never leaps on a bound position, which
+the engine does by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +20,8 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro.query.model import Var
+from repro.query.model import Term, Var
+from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.succinct.wavelet_tree import WaveletTree
@@ -20,42 +30,47 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LeapRelation(abc.ABC):
     """Backtrackable adapter exposing leapfrog primitives for one atom."""
 
+    terms: tuple[Term, ...]
+    """What sits at each position: a variable, or (clause sides only)
+    the constant that was bound at construction."""
+
     @property
-    @abc.abstractmethod
     def variables(self) -> frozenset[Var]:
         """All variables mentioned by the atom."""
+        return frozenset(t for t in self.terms if isinstance(t, Var))
 
-    @property
-    @abc.abstractmethod
-    def free_variables(self) -> frozenset[Var]:
-        """Variables not yet bound in this relation."""
-
-    @abc.abstractmethod
-    def leap(self, var: Var, lower: int) -> int | None:
-        """Smallest candidate value ``>= lower`` for ``var``, or ``None``.
-
-        ``var`` must be free. The returned value ``c`` must be admissible
-        for this atom alone: binding ``var := c`` leaves the atom
-        non-empty.
-        """
+    def position(self, var: Var) -> int:
+        """The position ``var`` is addressed by in the methods below."""
+        for pos, term in enumerate(self.terms):
+            if term == var:
+                return pos
+        raise StructureError(f"{var!r} does not occur in {self!r}")
 
     @abc.abstractmethod
-    def bind(self, var: Var, value: int) -> bool:
-        """Bind a free variable, returning whether the atom stays
-        non-empty. The state is pushed even when the result is ``False``
-        so that :meth:`unbind` stays symmetric."""
+    def leap(self, pos: int, lower: int) -> int | None:
+        """Smallest candidate value ``>= lower`` for the free variable at
+        ``pos``, or ``None``. The returned value ``c`` is admissible for
+        this atom alone: binding it leaves the atom non-empty."""
 
     @abc.abstractmethod
-    def unbind(self, var: Var) -> None:
-        """Undo the most recent :meth:`bind` of ``var``."""
+    def bind(self, pos: int, value: int) -> bool:
+        """Bind the free variable at ``pos``, returning whether the atom
+        stays non-empty. The state is pushed even when the result is
+        ``False`` so that :meth:`unbind` stays symmetric."""
 
     @abc.abstractmethod
-    def estimate(self, var: Var) -> int:
-        """Upper bound on the number of candidates for ``var`` under the
-        current partial binding — the quantity behind the paper's
-        ``l_x`` (Def. 10 / Sec. 5): triple patterns answer their current
-        range size, similarity clauses their exact range size in
-        ``S``/``S'``."""
+    def unbind(self, pos: int) -> None:
+        """Undo the most recent :meth:`bind`, which was of ``pos``."""
+
+    @abc.abstractmethod
+    def estimate(self, pos: int) -> int:
+        """Upper bound on the number of candidates for the free variable
+        at ``pos`` under the current partial binding — the quantity
+        behind the paper's ``l_x`` (Def. 10 / Sec. 5): triple patterns
+        answer their current range size, similarity clauses their exact
+        range size in ``S``/``S'``. It changes only when a variable of
+        this atom is bound or unbound, which is what lets the engine
+        cache it."""
 
     def is_empty(self) -> bool:
         """Whether the atom admits no completion (default: never)."""

@@ -14,16 +14,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.graph.sixperm import SixPermIndex
-from repro.query.model import TriplePattern, Var, is_var
-from repro.utils.errors import StructureError
+from repro.ltj.relation import LeapRelation
+from repro.query.model import TriplePattern, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 
-class SixPermTripleRelation:
-    """A triple pattern viewed as a leapfrog relation over six tries."""
+class SixPermTripleRelation(LeapRelation):
+    """A triple pattern viewed as a leapfrog relation over six tries.
+
+    Positions index the pattern's distinct variables in ``s, p, o``
+    order, as in :class:`~repro.ltj.triple_relation.RingTripleRelation`.
+    """
 
     def __init__(self, index: SixPermIndex, pattern: TriplePattern) -> None:
         self._index = index
@@ -31,15 +35,13 @@ class SixPermTripleRelation:
         self.obs: RelationCounters | None = None
         """Optional :class:`repro.obs.trace.RelationCounters` (None when
         tracing is off)."""
-        self._coords_of: dict[Var, tuple[str, ...]] = {}
-        self._bound_values: dict[str, int] = {}
-        for coord, term in zip("spo", pattern.terms):
-            if is_var(term):
-                self._coords_of.setdefault(term, ())
-                self._coords_of[term] += (coord,)
-            else:
-                self._bound_values[coord] = term
-        self._bound_vars: list[Var] = []
+        self.terms = pattern.variables
+        self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
+        self._bound_values: dict[str, int] = {
+            coord: term
+            for coord, term in zip("spo", pattern.terms)
+            if not isinstance(term, Var)
+        }
         self._count_cache: int | None = None
 
     @property
@@ -50,16 +52,6 @@ class SixPermTripleRelation:
         """Engine memo hook: the six tries hold no wavelet trees."""
         return ()
 
-    @property
-    def variables(self) -> frozenset[Var]:
-        return frozenset(self._coords_of)
-
-    @property
-    def free_variables(self) -> frozenset[Var]:
-        return frozenset(
-            v for v in self._coords_of if v not in self._bound_vars
-        )
-
     def _count(self) -> int:
         if self._count_cache is None:
             self._count_cache = self._index.count(self._bound_values)
@@ -68,8 +60,8 @@ class SixPermTripleRelation:
     def is_empty(self) -> bool:
         return self._count() == 0
 
-    def leap(self, var: Var, lower: int) -> int | None:
-        coords = self._require_free(var)
+    def leap(self, pos: int, lower: int) -> int | None:
+        coords = self._coords[pos]
         if self.obs is not None:
             self.obs.leaps += 1
         if self._count() == 0:
@@ -78,7 +70,7 @@ class SixPermTripleRelation:
             return self._index.leap(self._bound_values, coords[0], lower)
         # Repeated variable: generate from the first coordinate, verify
         # by counting with all coordinates bound.
-        candidate = lower
+        candidate: int | None = lower
         while True:
             candidate = self._index.leap(
                 self._bound_values, coords[0], candidate
@@ -92,11 +84,9 @@ class SixPermTripleRelation:
                 return candidate
             candidate += 1
 
-    def bind(self, var: Var, value: int) -> bool:
-        coords = self._require_free(var)
-        for coord in coords:
+    def bind(self, pos: int, value: int) -> bool:
+        for coord in self._coords[pos]:
             self._bound_values[coord] = value
-        self._bound_vars.append(var)
         self._count_cache = None
         ok = self._count() > 0
         if self.obs is not None:
@@ -106,31 +96,17 @@ class SixPermTripleRelation:
                 self.obs.failed_binds += 1
         return ok
 
-    def unbind(self, var: Var) -> None:
-        if not self._bound_vars or self._bound_vars[-1] != var:
-            raise StructureError(
-                f"unbind({var!r}) does not match last bound variable"
-            )
-        for coord in self._coords_of[var]:
+    def unbind(self, pos: int) -> None:
+        for coord in self._coords[pos]:
             del self._bound_values[coord]
-        self._bound_vars.pop()
         self._count_cache = None
         if self.obs is not None:
             self.obs.unbinds += 1
 
-    def estimate(self, var: Var) -> int:
-        self._require_free(var)
+    def estimate(self, pos: int) -> int:
         if self.obs is not None:
             self.obs.estimates += 1
         return self._count()
-
-    def _require_free(self, var: Var) -> tuple[str, ...]:
-        coords = self._coords_of.get(var)
-        if coords is None:
-            raise StructureError(f"{var!r} does not occur in {self._pattern!r}")
-        if var in self._bound_vars:
-            raise StructureError(f"{var!r} is already bound")
-        return coords
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SixPermTripleRelation({self._pattern!r})"

@@ -1,7 +1,7 @@
 """LTJ relation adapter for a triple pattern over the Ring.
 
 Wraps a :class:`~repro.ring.pattern.RingPatternState`, translating
-variable-level operations into coordinate-level ones. A variable may
+position-level operations into coordinate-level ones. A variable may
 occupy several coordinates of the same pattern (e.g. ``(?x, p, ?x)``);
 ``bind`` then descends once per coordinate and ``leap`` generates
 candidates from one coordinate while probing the others.
@@ -11,18 +11,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.query.model import TriplePattern, Var, is_var
+from repro.ltj.relation import LeapRelation
+from repro.query.model import TriplePattern, Var
 from repro.ring.index import PREV_COORD, RingIndex
 from repro.ring.pattern import RingPatternState
-from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 
-class RingTripleRelation:
+class RingTripleRelation(LeapRelation):
     """A triple pattern viewed as a leapfrog relation over a Ring.
+
+    Positions index the pattern's distinct variables in ``s, p, o``
+    order; the coordinates each one occupies are resolved here, once.
 
     ``exact_estimates`` switches :meth:`estimate` from the paper's
     range-size heuristic (Sec. 5: "we use the size e - b + 1 of the
@@ -40,16 +43,16 @@ class RingTripleRelation:
         self._ring = ring
         self._exact_estimates = exact_estimates
         self._pattern = pattern
-        self._coords_of: dict[Var, tuple[str, ...]] = {}
-        constants: dict[str, int] = {}
-        for coord, term in zip("spo", pattern.terms):
-            if is_var(term):
-                self._coords_of.setdefault(term, ())
-                self._coords_of[term] += (coord,)
-            else:
-                constants[coord] = term
-        self._state = RingPatternState(ring, constants)
-        self._bound: list[Var] = []
+        self.terms = pattern.variables
+        self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
+        self._state = RingPatternState(
+            ring,
+            {
+                coord: term
+                for coord, term in zip("spo", pattern.terms)
+                if not isinstance(term, Var)
+            },
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -72,14 +75,6 @@ class RingTripleRelation:
         """Trees touched by this relation (engine memo hook)."""
         return self._ring.wavelet_trees()
 
-    @property
-    def variables(self) -> frozenset[Var]:
-        return frozenset(self._coords_of)
-
-    @property
-    def free_variables(self) -> frozenset[Var]:
-        return frozenset(v for v in self._coords_of if v not in self._bound)
-
     def is_empty(self) -> bool:
         return self._state.is_empty()
 
@@ -88,33 +83,32 @@ class RingTripleRelation:
         return self._state.count()
 
     # ------------------------------------------------------------------
-    def leap(self, var: Var, lower: int) -> int | None:
-        coords = self._require_free(var)
-        obs = self._state.obs
+    def leap(self, pos: int, lower: int) -> int | None:
+        coords = self._coords[pos]
+        state = self._state
+        obs = state.obs
         if obs is not None:
             obs.leaps += 1
         if len(coords) == 1:
-            return self._state.leap(coords[0], lower)
+            return state.leap(coords[0], lower)
         # Repeated variable: generate candidates from the first free
         # coordinate and verify that binding *all* of them keeps the
         # pattern non-empty. Each verification is O(log) binds.
-        candidate = lower
+        candidate: int | None = lower
         while True:
-            candidate = self._state.leap(coords[0], candidate)
+            candidate = state.leap(coords[0], candidate)
             if candidate is None:
                 return None
-            probe = {coord: candidate for coord in coords}
-            if self._state.probe(probe):
+            if state.probe({coord: candidate for coord in coords}):
                 return candidate
             candidate += 1
 
-    def bind(self, var: Var, value: int) -> bool:
-        coords = self._require_free(var)
-        for coord in coords:
-            self._state.bind(coord, value)
-        self._bound.append(var)
-        ok = not self._state.is_empty()
-        obs = self._state.obs
+    def bind(self, pos: int, value: int) -> bool:
+        state = self._state
+        for coord in self._coords[pos]:
+            state.bind(coord, value)
+        ok = not state.is_empty()
+        obs = state.obs
         if obs is not None:
             if ok:
                 obs.binds += 1
@@ -122,34 +116,31 @@ class RingTripleRelation:
                 obs.failed_binds += 1
         return ok
 
-    def unbind(self, var: Var) -> None:
-        if not self._bound or self._bound[-1] != var:
-            raise StructureError(
-                f"unbind({var!r}) does not match last bound variable"
-            )
-        for _ in self._coords_of[var]:
-            self._state.unbind()
-        self._bound.pop()
-        if self._state.obs is not None:
-            self._state.obs.unbinds += 1
+    def unbind(self, pos: int) -> None:
+        state = self._state
+        for _ in self._coords[pos]:
+            state.unbind()
+        if state.obs is not None:
+            state.obs.unbinds += 1
 
-    def estimate(self, var: Var) -> int:
-        """Candidate-count estimate for ``var``.
+    def estimate(self, pos: int) -> int:
+        """Candidate-count estimate for the variable at ``pos``.
 
         Default: the size of the pattern's current range (Sec. 5, "we
         use the size e - b + 1 of the range"). With ``exact_estimates``,
-        the distinct-value count of the stored column is used when
-        ``var`` sits exactly there (a single coordinate that is the
+        the distinct-value count of the stored column is used when the
+        variable sits exactly there (a single coordinate that is the
         stored column of the current arc); other positions keep the
         range-size bound, which remains a valid upper estimate.
         """
-        coords = self._require_free(var)
-        if self._state.obs is not None:
-            self._state.obs.estimates += 1
-        count = self._state.count()
+        state = self._state
+        if state.obs is not None:
+            state.obs.estimates += 1
+        count = state.count()
+        coords = self._coords[pos]
         if not self._exact_estimates or len(coords) != 1:
             return count
-        frame = self._state.frame
+        frame = state.frame
         if frame.arc_first is None or len(frame.bound) == 3:
             return count
         if coords[0] != PREV_COORD[frame.arc_first]:
@@ -157,14 +148,6 @@ class RingTripleRelation:
         return self._ring.distinct_in_range(
             frame.arc_first, frame.lo, frame.hi, cap=count
         )
-
-    def _require_free(self, var: Var) -> tuple[str, ...]:
-        coords = self._coords_of.get(var)
-        if coords is None:
-            raise StructureError(f"{var!r} does not occur in {self._pattern!r}")
-        if var in self._bound:
-            raise StructureError(f"{var!r} is already bound")
-        return coords
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingTripleRelation({self._pattern!r})"

@@ -243,7 +243,7 @@ class QueryScheduler:
             )
         estimate = min(
             min(
-                relation.estimate(var)
+                relation.estimate(relation.position(var))
                 for relation in relations
                 if var in relation.variables
             )

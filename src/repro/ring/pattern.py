@@ -27,14 +27,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Frame:
-    """One level of the virtual-trie descent.
+    """One level of the virtual-trie descent (never mutated once pushed).
 
-    ``bound`` maps coordinate letters to values. For 1- and 2-arcs,
-    ``arc_first``/``lo``/``hi`` describe the row range; for the empty
-    binding they are ``None``/full; for a fully bound pattern ``matches``
-    caches the number of matching triples.
+    ``bound`` lists the ``(coordinate, value)`` pairs in bind order. For
+    1- and 2-arcs, ``arc_first``/``lo``/``hi`` describe the row range;
+    for the empty binding they are ``None``/full; for a fully bound
+    pattern they stay those of the 2-arc and ``matches`` is the number
+    of matching triples. Everything ``leap``/``bind`` dispatch on is
+    read off the frame; nothing is rebuilt per call.
     """
 
     bound: tuple[tuple[str, int], ...]
@@ -85,59 +87,59 @@ class RingPatternState:
 
     def count(self) -> int:
         """Number of triples matching the current partial binding."""
-        return self.frame.matches
+        return self._stack[-1].matches
 
     def is_empty(self) -> bool:
-        return self.frame.matches == 0
+        return self._stack[-1].matches == 0
 
     def depth(self) -> int:
         """Number of bound coordinates."""
-        return len(self.frame.bound)
+        return len(self._stack[-1].bound)
 
     # ------------------------------------------------------------------
     # descent / ascent
     # ------------------------------------------------------------------
     def bind(self, coord: str, value: int) -> None:
         """Bind one coordinate and push the refined state."""
-        frame = self.frame
-        bound = dict(frame.bound)
-        if coord in bound:
-            raise StructureError(f"coordinate {coord!r} already bound")
-        bound[coord] = value
-        new_bound = tuple(sorted(bound.items()))
+        frame = self._stack[-1]
+        bound = frame.bound
         ring = self._ring
         obs = self.obs
-        if len(bound) == 1:
+        if not bound:
             if obs is not None:
                 obs.bump("range_1arc")
+            first = coord
             lo, hi = ring.block_range(coord, value)
-            self._stack.append(
-                _Frame(new_bound, coord, lo, hi, max(0, hi - lo + 1))
-            )
-            return
-        if len(bound) == 2:
+            matches = max(0, hi - lo + 1)
+        elif len(bound) == 1:
+            (other, other_value), = bound
+            if coord == other:
+                raise StructureError(f"coordinate {coord!r} already bound")
             if obs is not None:
                 obs.bump("range_2arc")
-            first = ring.arc_start(frozenset(bound))
-            second = NEXT_COORD[first]
-            lo, hi = ring.pair_range(first, bound[first], bound[second])
-            self._stack.append(
-                _Frame(new_bound, first, lo, hi, max(0, hi - lo + 1))
-            )
-            return
-        if len(bound) == 3:
+            # The 2-arc starts at the coordinate whose cyclic successor
+            # is the other one (s -> p -> o -> s).
+            if NEXT_COORD[other] == coord:
+                first = other
+                lo, hi = ring.pair_range(other, other_value, value)
+            else:
+                first = coord
+                lo, hi = ring.pair_range(coord, value, other_value)
+            matches = max(0, hi - lo + 1)
+        elif len(bound) == 2:
+            assert frame.arc_first is not None
+            first = frame.arc_first
+            if coord != PREV_COORD[first]:
+                raise StructureError(f"coordinate {coord!r} already bound")
             if obs is not None:
                 obs.bump("triple_count")
-            if frame.arc_first is None:  # pragma: no cover - defensive
-                raise StructureError("cannot bind third coord without a 2-arc")
-            matches = ring.triple_count(
-                frame.arc_first, frame.lo, frame.hi, value
-            )
-            self._stack.append(
-                _Frame(new_bound, frame.arc_first, frame.lo, frame.hi, matches)
-            )
-            return
-        raise StructureError("triple pattern has only three coordinates")
+            lo, hi = frame.lo, frame.hi
+            matches = ring.triple_count(first, lo, hi, value)
+        else:
+            raise StructureError("triple pattern has only three coordinates")
+        self._stack.append(
+            _Frame(bound + ((coord, value),), first, lo, hi, matches)
+        )
 
     def unbind(self) -> None:
         """Pop the most recent bind (backtracking)."""
@@ -154,38 +156,31 @@ class RingPatternState:
         Dispatches to the Ring primitive matching the coordinate's
         position relative to the current arc (Sec. 2.4 / DESIGN.md).
         """
-        frame = self.frame
-        bound = dict(frame.bound)
-        if coord in bound:
-            raise StructureError(f"leap on bound coordinate {coord!r}")
-        if frame.matches == 0:
-            return None
-        ring = self._ring
+        frame = self._stack[-1]
+        first = frame.arc_first
         obs = self.obs
-        if not bound:
+        if first is None:
+            if frame.matches == 0:
+                return None
             if obs is not None:
                 obs.bump("leap_unbound")
-            return ring.leap_unbound(coord, lower)
-        if len(bound) == 1:
-            (f, value), = bound.items()
-            if coord == PREV_COORD[f]:
-                if obs is not None:
-                    obs.bump("leap_stored")
-                return ring.leap_stored(f, frame.lo, frame.hi, lower)
-            if coord == NEXT_COORD[f]:
-                if obs is not None:
-                    obs.bump("leap_ahead")
-                return ring.leap_ahead(f, value, lower)
-            raise StructureError(  # pragma: no cover - cycle covers all
-                f"coordinate {coord!r} unrelated to arc at {f!r}"
-            )
-        # Two bound coordinates: the free one is the arc's stored column.
-        assert frame.arc_first is not None
-        if coord != PREV_COORD[frame.arc_first]:  # pragma: no cover
-            raise StructureError("free coordinate inconsistent with 2-arc")
-        if obs is not None:
-            obs.bump("leap_stored")
-        return ring.leap_stored(frame.arc_first, frame.lo, frame.hi, lower)
+            return self._ring.leap_unbound(coord, lower)
+        depth = len(frame.bound)
+        if coord == PREV_COORD[first] and depth < 3:
+            # The arc's stored column: the only free coordinate of a
+            # 2-arc, one of the two of a 1-arc.
+            if frame.matches == 0:
+                return None
+            if obs is not None:
+                obs.bump("leap_stored")
+            return self._ring.leap_stored(first, frame.lo, frame.hi, lower)
+        if depth == 1 and coord != first:
+            if frame.matches == 0:
+                return None
+            if obs is not None:
+                obs.bump("leap_ahead")
+            return self._ring.leap_ahead(first, frame.bound[0][1], lower)
+        raise StructureError(f"leap on bound coordinate {coord!r}")
 
     def probe(self, assignments: dict[str, int]) -> bool:
         """Check non-emptiness if the given coords were bound (no state

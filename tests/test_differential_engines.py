@@ -174,3 +174,73 @@ def test_differential_engines_quick(data):
 def test_differential_engines_thorough(data):
     """The full local budget (>= 200 generated queries)."""
     _check_one(data)
+
+
+# ----------------------------------------------------------------------
+# Shapes that stress how the engine's plan shares variables between
+# atoms: a variable occupying two coordinates of one pattern (constant
+# and variable predicate), and two clauses over the same pair of
+# variables. The random generator above hits them only by chance.
+# ----------------------------------------------------------------------
+def _shared_variable_shapes() -> dict[str, ExtendedBGP]:
+    x, y, p = Var("x"), Var("y"), Var("p")
+    return {
+        "loop-const-predicate": ExtendedBGP(
+            [TriplePattern(x, 50, x), TriplePattern(x, 51, y)]
+        ),
+        "loop-var-predicate": ExtendedBGP([TriplePattern(x, p, x)]),
+        "knn-2-cycle": ExtendedBGP(
+            [], [SimClause(x, K, y), SimClause(y, K, x)]
+        ),
+        "loop-inside-knn-2-cycle": ExtendedBGP(
+            [TriplePattern(x, p, x)],
+            [SimClause(x, K, y), SimClause(y, K, x)],
+        ),
+    }
+
+
+def _projected(solutions, variables):
+    return sorted({tuple(s[v] for v in variables) for s in solutions})
+
+
+@pytest.mark.parametrize("shape", sorted(_shared_variable_shapes()))
+def test_shared_variable_shapes(shape):
+    query = _shared_variable_shapes()[shape]
+    x = Var("x")
+    answered = 0
+    for db, graph, knn, distances in _POOL:
+        truth = evaluate_naive(query, graph, knn, distances)
+        expected = canonical(truth)
+        answered += bool(expected)
+        serial = RingKnnEngine(db)
+        everyone = (
+            serial,
+            RingKnnSEngine(db),
+            ClassicSixPermEngine(db),
+            AutoEngine(db),
+            ParallelRingKnnEngine(db, workers=2),
+        )
+        for engine in everyone:
+            assert engine.evaluate(query).sorted_solutions() == expected, (
+                engine.name, shape)
+            # limit: that many genuine answers, no more.
+            cap = max(1, len(expected) // 2)
+            limited = engine.evaluate(query, limit=cap)
+            assert len(limited.solutions) == min(cap, len(expected))
+            assert set(limited.sorted_solutions()) <= set(expected)
+            # timeout=0: a flagged (possibly empty) prefix, never a raise.
+            expired = engine.evaluate(query, timeout=0)
+            assert expired.timed_out, (engine.name, shape)
+            assert set(expired.sorted_solutions()) <= set(expected)
+        for engine in everyone:
+            if isinstance(engine, (ClassicSixPermEngine, AutoEngine)):
+                continue  # no projection surface
+            got = engine.evaluate(query, project=[x], distinct=True)
+            assert _projected(got.solutions, [x]) == _projected(truth, [x])
+            assert len(got.solutions) == len(_projected(truth, [x]))
+        sharded = ParallelRingKnnEngine(db, workers=2)
+        assert (
+            sharded.evaluate(query, limit=2).solutions
+            == serial.evaluate(query, limit=2).solutions
+        )
+    assert answered, f"{shape} has no answer on any pool database"

@@ -18,9 +18,11 @@ class TestExactEstimates:
             small_db.ring, pattern, exact_estimates=True
         )
         matching = small_db.graph.matching(None, 20, None)
-        assert approx.estimate(Var("x")) == len(matching)
-        assert exact.estimate(Var("x")) == len(np.unique(matching[:, 0]))
-        assert exact.estimate(Var("x")) <= approx.estimate(Var("x"))
+        x = approx.position(Var("x"))
+        assert x == exact.position(Var("x"))
+        assert approx.estimate(x) == len(matching)
+        assert exact.estimate(x) == len(np.unique(matching[:, 0]))
+        assert exact.estimate(x) <= approx.estimate(x)
 
     def test_exact_falls_back_off_stored_column(self, small_db):
         # The 'ahead' coordinate (p under arc {s}) keeps the range size.
@@ -30,9 +32,10 @@ class TestExactEstimates:
         )
         matching = small_db.graph.matching(3, None, None)
         # o is the stored column (prev of s): exact distinct count.
-        assert exact.estimate(Var("o")) == len(np.unique(matching[:, 2]))
+        o, p = exact.position(Var("o")), exact.position(Var("p"))
+        assert exact.estimate(o) == len(np.unique(matching[:, 2]))
         # p is the ahead coordinate: falls back to range size.
-        assert exact.estimate(Var("p")) == len(matching)
+        assert exact.estimate(p) == len(matching)
 
     def test_same_answers_either_way(self, small_db):
         for text in (

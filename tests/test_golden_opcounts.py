@@ -15,6 +15,13 @@ Regenerate after an *intentional* algorithmic change with::
 and commit the updated ``tests/golden/figure2_opcounts.json`` alongside
 an explanation of why the counts moved. A kernel optimization that only
 speeds up operations must leave this file byte-identical.
+
+``tests/golden/figure2_decisions.json`` (same switch) pins the variable
+ordering on the same workload: every recorded decision with the ``l_x``
+values it was made from, and each query's first-descent order. It was
+generated on the commit *before* the engine learnt to keep ``l_x``
+incrementally, so it certifies that the cached values are the ones a
+full per-step recomputation produced.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ import pathlib
 
 import pytest
 
-from repro.bench.harness import BenchConfig, _build, collect_opcounts
+from repro.bench.harness import _ENGINES, BenchConfig, _build, collect_opcounts
+from repro.obs import QueryTrace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure2_opcounts.json"
+DECISIONS_PATH = GOLDEN_PATH.with_name("figure2_decisions.json")
 
 # Canonical tiny-scale setup: small enough for the tier-1 suite, large
 # enough that every family issues thousands of wavelet ops. The baseline
@@ -48,9 +57,39 @@ CONFIG = BenchConfig(
 
 
 @pytest.fixture(scope="module")
-def observed() -> dict:
-    db, workload = _build(CONFIG)
+def built():
+    return _build(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def observed(built) -> dict:
+    db, workload = built
     return collect_opcounts(db, workload, CONFIG.engines)
+
+
+def collect_decisions(db, workload, engines: tuple[str, ...]) -> dict[str, list]:
+    """Per ``family/engine`` and query: the ordering's recorded choices
+    ``[depth, variable, estimates]`` (first ``MAX_DECISIONS`` of them)
+    and the first-descent variable order."""
+    out: dict[str, list] = {}
+    for family, queries in sorted(workload.items()):
+        for name in engines:
+            engine = _ENGINES[name](db)
+            per_query = []
+            for query in queries:
+                trace = QueryTrace(query=repr(query), engine=name)
+                result = engine.evaluate(query, timeout=None, trace=trace)
+                per_query.append({
+                    "decisions": [
+                        [d.depth, d.variable, dict(sorted(d.estimates.items()))]
+                        for d in trace.decisions
+                    ],
+                    "first_descent_order": [
+                        v.name for v in result.stats.first_descent_order
+                    ],
+                })
+            out[f"{family}/{name}"] = per_query
+    return out
 
 
 def test_golden_opcounts_match_fixture(observed):
@@ -70,6 +109,26 @@ def test_golden_opcounts_match_fixture(observed):
             f"op counts diverged for {key} — if the algorithm changed "
             f"intentionally, regenerate with REGEN_GOLDEN=1"
         )
+
+
+def test_golden_decisions_match_fixture(built):
+    """The variable ordering is pinned too: same choices, from the same
+    ``l_x`` values, at the same depths — equal op counts alone would not
+    catch two orderings that happen to cost the same."""
+    db, workload = built
+    seen = collect_decisions(db, workload, CONFIG.engines)
+    if os.environ.get("REGEN_GOLDEN"):
+        rows = (
+            f"{json.dumps(key)}: {json.dumps(seen[key], sort_keys=True)}"
+            for key in sorted(seen)
+        )
+        DECISIONS_PATH.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+        pytest.skip(f"regenerated {DECISIONS_PATH}")
+    golden = json.loads(DECISIONS_PATH.read_text())
+    assert seen.keys() == golden.keys()
+    for key in sorted(golden):
+        assert seen[key] == golden[key], f"ordering decisions diverged for {key}"
+    assert all(q["decisions"] for qs in seen.values() for q in qs)
 
 
 def test_golden_counts_are_nontrivial(observed):

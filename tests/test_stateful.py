@@ -95,7 +95,7 @@ class KnnRelationMachine(RuleBasedStateMachine):
     def bind(self, var, value):
         if var in self.values:
             return
-        self.rel.bind(var, value)
+        self.rel.bind(self.rel.position(var), value)
         self.values[var] = value
         self.order.append(var)
 
@@ -103,14 +103,14 @@ class KnnRelationMachine(RuleBasedStateMachine):
     @rule()
     def unbind(self):
         var = self.order.pop()
-        self.rel.unbind(var)
+        self.rel.unbind(self.rel.position(var))
         del self.values[var]
 
     @rule(var=st.sampled_from([X, Y]), lower=st.integers(0, 13))
     def leap_matches_reference(self, var, lower):
         if var in self.values or self.rel.is_empty():
             return
-        got = self.rel.leap(var, lower)
+        got = self.rel.leap(self.rel.position(var), lower)
         if var == Y and X in self.values:
             candidates = [
                 int(v)

@@ -1,0 +1,131 @@
+"""Stateful property test of the compiled join plan (hypothesis).
+
+:class:`~repro.ltj.plan.JoinPlan` caches one candidate-count estimate
+per (atom, variable) and refreshes only the atoms a ``bind`` touched,
+restoring them on ``unbind``. This machine drives random legal
+bind/unbind sequences over triple, K-NN and distance adapters and checks
+after every step that
+
+* every cached estimate equals a fresh ``estimate()`` of the live atom,
+  and ``l_x`` is their minimum;
+* the live atoms answer ``leap`` and ``estimate`` exactly like freshly
+  constructed atoms that replay the same bindings — backtracking left
+  nothing behind.
+"""
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.graph.triples import GraphData
+from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.distance_index import DistanceRangeIndex
+from repro.knn.succinct import KnnRing
+from repro.ltj.distance_relation import DistanceClauseRelation
+from repro.ltj.knn_relation import KnnClauseRelation
+from repro.ltj.plan import JoinPlan
+from repro.ltj.triple_relation import RingTripleRelation
+from repro.query.model import DistClause, SimClause, TriplePattern, Var
+from repro.ring.index import RingIndex
+
+N_NODES = 12
+_RNG = np.random.default_rng(23)
+_RING = RingIndex(
+    GraphData(
+        [
+            (int(_RNG.integers(0, N_NODES)), int(_RNG.choice((50, 51))),
+             int(_RNG.integers(0, N_NODES)))
+            for _ in range(60)
+        ]
+    )
+)
+_POINTS = _RNG.normal(size=(N_NODES, 2))
+_KNN = KnnRing(build_knn_graph_bruteforce(_POINTS, K=4))
+_DIST = DistanceRangeIndex(_POINTS, d_max=1.5)
+
+X, Y, Z, W, P = (Var(name) for name in "xyzwp")
+
+
+def compile_atoms(k: int, exact: bool):
+    """Every adapter kind, sharing variables in every way the plan has
+    to track: two clauses over the same pair, a repeated variable, a
+    variable predicate, a constant clause side, a lonely variable."""
+    return [
+        RingTripleRelation(_RING, TriplePattern(X, 50, Y), exact),
+        RingTripleRelation(_RING, TriplePattern(Y, P, Z), exact),
+        RingTripleRelation(_RING, TriplePattern(Z, 51, Z), exact),
+        KnnClauseRelation(_KNN, SimClause(X, k, Z)),
+        KnnClauseRelation(_KNN, SimClause(Z, k, X)),
+        KnnClauseRelation(_KNN, SimClause(3, k, Y)),
+        DistanceClauseRelation(_DIST, DistClause(Y, 0.9, W)),
+    ]
+
+
+class JoinPlanMachine(RuleBasedStateMachine):
+    @initialize(k=st.integers(1, 4), exact=st.booleans())
+    def setup(self, k, exact):
+        self.fresh = lambda: JoinPlan(compile_atoms(k, exact))
+        self.plan = self.fresh()
+        self.bound: list[tuple[int, int]] = []
+
+    def unbound_slots(self):
+        taken = {slot for slot, _value in self.bound}
+        return [s for s in range(len(self.plan.atoms)) if s not in taken]
+
+    @precondition(lambda self: self.unbound_slots())
+    @rule(pick=st.integers(0, 4), atom=st.integers(0, 3),
+          lower=st.integers(0, N_NODES))
+    def bind(self, pick, atom, lower):
+        slots = self.unbound_slots()
+        slot = slots[pick % len(slots)]
+        atoms = self.plan.atoms[slot]
+        relation, pos = atoms[atom % len(atoms)]
+        # Mostly values one atom admits (deep, successful descents),
+        # sometimes ones nothing admits (failed binds leave no trace).
+        value = relation.leap(pos, lower)
+        if value is None:
+            value = lower
+        if self.plan.bind(slot, value):
+            self.bound.append((slot, value))
+
+    @precondition(lambda self: self.bound)
+    @rule()
+    def unbind(self):
+        slot, _value = self.bound.pop()
+        self.plan.unbind(slot)
+
+    @invariant()
+    def cache_is_current(self):
+        plan = self.plan
+        slots = self.unbound_slots()
+        assert plan.state.unbound == sum(1 << s for s in slots)
+        for slot in slots:
+            live = [rel.estimate(pos) for rel, pos in plan.atoms[slot]]
+            assert plan.estimates(slot) == live, (slot, self.bound)
+            assert plan.state.lx[slot] == min(live), (slot, self.bound)
+
+    @invariant()
+    def replay_on_fresh_atoms_agrees(self):
+        replayed = self.fresh()
+        for slot, value in self.bound:
+            assert replayed.bind(slot, value)
+        for slot in self.unbound_slots():
+            assert replayed.estimates(slot) == self.plan.estimates(slot)
+            pairs = zip(self.plan.atoms[slot], replayed.atoms[slot])
+            for (live, pos), (fresh, fresh_pos) in pairs:
+                assert pos == fresh_pos
+                for lower in (0, N_NODES // 3, N_NODES - 2):
+                    assert live.leap(pos, lower) == fresh.leap(pos, lower)
+
+
+TestJoinPlanMachine = JoinPlanMachine.TestCase
+TestJoinPlanMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
