@@ -33,7 +33,8 @@ from benchmarks.conftest import QUERY_TIMEOUT, write_results
 from repro.bench.harness import usable_cores
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import StructureShm, attach, prime_hot_caches
+from repro.parallel.shm import StructureShm, attach
+from repro.store import prime
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -189,7 +190,7 @@ def test_parallel_attached_leap_parity(benchmark):
     attached_handle = attach(owner.manifest)
     attached = attached_handle.structure
     try:
-        prime_hot_caches(attached)
+        prime(attached)
         d = d_max * 0.75
         _leap_sweep(built, members, d)  # warm both before timing
         _leap_sweep(attached, members, d)

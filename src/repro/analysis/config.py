@@ -175,20 +175,16 @@ ENGINE_RESULT_FACTORIES: frozenset[str] = frozenset(
 # ----------------------------------------------------------------------
 # RPL007 — shm-only index transport in the parallel package.
 #
-# PR-6 replaced pickle-the-index dispatch with the shared-memory
-# flatten/attach registry (``repro.parallel.shm``); the 0.66-0.84x
-# scaling of the pickling transport must not creep back. Inside
-# ``repro.parallel``, serializing an index — importing pickle-family
-# modules, calling their dump/load entry points, or (re)defining the
-# ``__getstate__``-family dunders — is banned; the shm registry is the
-# only sanctioned path for index bytes.
+# PR-6 replaced pickle-the-index dispatch with flatten/attach over
+# shared memory (now ``repro.store.layout``, carried by
+# ``repro.parallel.shm``); the 0.66-0.84x scaling of the pickling
+# transport must not creep back. Inside ``repro.parallel``, serializing
+# an index — importing pickle-family modules, calling their dump/load
+# entry points, or (re)defining the ``__getstate__``-family dunders —
+# is banned; the declared layout is the only sanctioned path for index
+# bytes.
 # ----------------------------------------------------------------------
 PARALLEL_TRANSPORT_PREFIXES: tuple[str, ...] = ("repro.parallel",)
-
-#: The shm registry module itself is the sanctioned transport.
-PARALLEL_TRANSPORT_EXEMPT_MODULES: frozenset[str] = frozenset(
-    {"repro.parallel.shm"}
-)
 
 #: Pickle-family modules whose import (or use) marks a serialization
 #: transport.
@@ -231,14 +227,13 @@ RESOURCE_CALLS: frozenset[str] = frozenset(
         "socket",
         "create_server",
         "IndexStore",
-        "AttachedStore",
+        "Attachment",
         "StructureShm",
-        "AttachedShm",
         "ScratchBuffer",
-        # Multi-value helper returning ``(mapping, size)``; resource-
+        # Multi-value helper returning ``(mapping, header)``; resource-
         # returning helpers put the resource FIRST by convention (the
         # rule tracks the first name of a tuple target).
-        "_map_file",
+        "_open_file",
     }
 )
 

@@ -4,13 +4,13 @@ The PR-5 worker pool shipped the succinct indexes to workers by
 pickling them (directly, or implicitly via fork-less ``Pool`` initargs
 carrying the database through ``__getstate__``), which made the
 parallel executor *slower* than serial at every pool size. PR-6
-replaced that transport with the shared-memory flatten/attach registry
-(:mod:`repro.parallel.shm`): workers rebuild the structures zero-copy
+replaced that transport with flatten/attach over shared memory (the
+declared layout of :mod:`repro.store.layout`, carried by
+:mod:`repro.parallel.shm`): workers rebuild the structures zero-copy
 over segments, and nothing per-dispatch scales with index size.
 
 This rule keeps the pickling transport from creeping back. Inside the
-``repro.parallel`` package (the shm registry module itself exempt),
-it flags:
+``repro.parallel`` package it flags:
 
 * imports of pickle-family modules (``pickle``, ``dill``, ...);
 * calls to their ``dump``/``dumps``/``load``/``loads`` entry points;
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import astutil
 from repro.analysis.config import (
-    PARALLEL_TRANSPORT_EXEMPT_MODULES,
     PARALLEL_TRANSPORT_PREFIXES,
     PICKLE_MODULES,
     STATE_DUNDERS,
@@ -49,14 +48,12 @@ class ShmOnlyTransport(Rule):
     name = "shm-only-transport"
     summary = (
         "repro.parallel must not pickle indexes: no pickle-family "
-        "imports/calls or __getstate__-family dunders (the shm "
-        "registry is the sanctioned transport)"
+        "imports/calls or __getstate__-family dunders (the declared "
+        "layout is the sanctioned transport)"
     )
 
     def check(self, module: "ModuleInfo", project: "Project") -> Iterator["Finding"]:
         if not in_scope(module.name, PARALLEL_TRANSPORT_PREFIXES):
-            return
-        if module.name in PARALLEL_TRANSPORT_EXEMPT_MODULES:
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -67,7 +64,7 @@ class ShmOnlyTransport(Rule):
                             self.code,
                             f"import of '{alias.name}' in the parallel "
                             "package; index transport must go through "
-                            "the repro.parallel.shm registry",
+                            "the repro.store.layout declarations",
                             node,
                         )
             elif isinstance(node, ast.ImportFrom):
@@ -77,7 +74,7 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"import from '{node.module}' in the parallel "
                         "package; index transport must go through the "
-                        "repro.parallel.shm registry",
+                        "repro.store.layout declarations",
                         node,
                     )
             elif isinstance(node, ast.Call):
@@ -94,7 +91,7 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"'{chain}()' serializes an object graph in the "
                         "parallel package; flatten/attach it through "
-                        "the repro.parallel.shm registry instead",
+                        "its declared layout (repro.store.layout) instead",
                         node,
                     )
                 elif segments[-1] in STATE_DUNDERS:
@@ -102,7 +99,8 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"explicit '{segments[-1]}()' call in the "
                         "parallel package; pickle-based index transport "
-                        "is banned (use the repro.parallel.shm registry)",
+                        "is banned (declare the structure's layout for "
+                        "repro.store.layout instead)",
                         node,
                     )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -111,7 +109,7 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"definition of '{node.name}' in the parallel "
                         "package re-introduces pickle-based transport; "
-                        "add a flatten/attach pair to repro.parallel.shm "
-                        "instead",
+                        "declare the structure's persisted fields for "
+                        "repro.store.layout instead",
                         node,
                     )

@@ -4,7 +4,8 @@ The flow-sensitive rules (RPL008-RPL010) prove lifecycle properties
 *statically*; this module is the dynamic half of the same contract. When
 ``REPRO_SANITIZE=1`` is set, :func:`install` swaps the process-wide
 resource primitives the runtime layers acquire — shm segments
-(``repro.parallel.shm``), file mappings (``repro.store.io``), worker
+(``repro.parallel.shm``), their attachments and file mappings
+(``repro.store.io``), worker
 pools (``repro.parallel.executor``), the test server thread
 (``repro.serve.app``) — for instrumented twins that record every
 acquisition with its full allocation stack in a process-local
@@ -225,7 +226,8 @@ def install() -> None:
     import repro.serve.app as app
     import repro.store.io as io
 
-    shm.shared_memory = SimpleNamespace(  # type: ignore[assignment]
+    # Creator side (repro.parallel.shm) and attach side (repro.store.io).
+    shm.shared_memory = io.shared_memory = SimpleNamespace(  # type: ignore[assignment]
         SharedMemory=_SanitizedSharedMemory
     )
     io.mmap = SimpleNamespace(  # type: ignore[assignment]

@@ -60,7 +60,6 @@ class AutoEngine:
         exact_estimates: bool = False,
         workers: int = 1,
         verify: bool = True,
-        prime: bool = False,
     ) -> "AutoEngine":
         """Construct an engine over an mmap-loaded persistent index.
 
@@ -69,7 +68,7 @@ class AutoEngine:
         pools attach their spawn workers directly to the index file —
         warm-up skips the flatten-into-shared-memory step entirely.
         """
-        db = GraphDatabase.from_index(path, verify=verify, prime=prime)
+        db = GraphDatabase.from_index(path, verify=verify)
         engine = cls(db, exact_estimates=exact_estimates, workers=workers)
         engine._owned_store = db.store
         return engine

@@ -22,11 +22,27 @@ from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
 from repro.query.model import DEFAULT_RELATION, ExtendedBGP
 from repro.ring.index import RingIndex
+from repro.succinct.fields import Child, Layout, Transient
 from repro.utils.errors import QueryError, ValidationError
 
 
 class GraphDatabase:
     """A graph database plus (optional) similarity structures."""
+
+    # Only the succinct structures persist: the query path
+    # (validate_query, the Ring engines, the LTJ relations) touches
+    # nothing else. The raw graph/K-NN tables never reach a worker or
+    # an index file; the engines that need them (baseline, classic,
+    # materialize) refuse an attached database.
+    LAYOUT = Layout(
+        "database",
+        Child("ring", RingIndex),
+        Child("knn_rings", KnnRing, "dict"),
+        Child("distance_index", DistanceRangeIndex, "optional"),
+        Transient("graph"),
+        Transient("knn_graphs", {}),
+        Transient("_adjacency", {}),
+    )
 
     def __init__(
         self,
@@ -64,9 +80,7 @@ class GraphDatabase:
     # persistent-store construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_index(
-        cls, path: str, verify: bool = True, prime: bool = False
-    ) -> "GraphDatabase":
+    def from_index(cls, path: str, verify: bool = True) -> "GraphDatabase":
         """Attach a database zero-copy from a persistent index file.
 
         The returned database carries only the succinct structures (the
@@ -80,7 +94,7 @@ class GraphDatabase:
         """
         from repro.store import load
 
-        return load(path, verify=verify, prime=prime).database
+        return load(path, verify=verify).database
 
     @property
     def store(self) -> object | None:

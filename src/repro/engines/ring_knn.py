@@ -28,7 +28,6 @@ from repro.ltj.ordering import (
 )
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
-from repro.parallel.forced import forced_workers
 from repro.query.model import ExtendedBGP
 
 
@@ -90,31 +89,6 @@ class _RingEngineBase:
                 given, per-variable/relation/wavelet counters are
                 recorded and the trace is attached to the result.
         """
-        workers = forced_workers()
-        if (
-            workers
-            and trace is None
-            and timeout is None
-            and limit is None
-            and not project
-            and not distinct
-        ):
-            # CI smoke mode (REPRO_PARALLEL_WORKERS): transparently
-            # domain-shard full enumerations; the merged outcome is
-            # byte-identical to the serial path, so callers can't tell.
-            # Traced/limited runs stay serial — their shapes are the
-            # serial engine's contract, not worth re-deriving here —
-            # and so do timed runs, whose partial answers under a
-            # timeout are a *prefix* of the serial enumeration, which
-            # per-shard budgets cannot reproduce.
-            from repro.parallel.executor import evaluate_parallel
-
-            outcome = evaluate_parallel(self, query, workers=workers)
-            if outcome is not None:
-                result = QueryResult(
-                    self.name, outcome.solutions, outcome.stats
-                )
-                return result
         relations = self.compile(query)
         engine = LTJEngine(
             relations,

@@ -19,14 +19,24 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.succinct.bitvector import BitVector
+from repro.succinct.fields import Array, Child, Layout, LazyMirrors, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
 
-class DistanceRangeIndex:
+class DistanceRangeIndex(LazyMirrors):
     """Succinct index answering ``{v : dist(u, v) <= d}`` as a range."""
+
+    LAYOUT = Layout(
+        "distance_index",
+        Scalar("_d_max", float),
+        Array("_members", "<i8", mirrored=True),
+        Array("_distances", "<f8", mirrored=True),
+        Child("_D", WaveletTree),
+        Child("_B", BitVector),
+    )
 
     def __init__(
         self,
@@ -115,33 +125,6 @@ class DistanceRangeIndex:
         )
         bits[one_positions] = 1
         self._B = BitVector(bits)
-
-    # ------------------------------------------------------------------
-    # pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle without the plain-scalar mirrors (rebuilt lazily)."""
-        state = dict(self.__dict__)
-        state.pop("_members_i", None)
-        state.pop("_distances_i", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._members.setflags(write=False)
-
-    def __getattr__(self, name: str) -> list[int] | list[float]:
-        # Lazy mirror rebuild after unpickling or shm/mmap attachment
-        # (attach_buffer restores only the canonical arrays).
-        if name == "_members_i":
-            members: list[int] = self._members.tolist()
-            self.__dict__[name] = members
-            return members
-        if name == "_distances_i":
-            distances: list[float] = self._distances.tolist()
-            self.__dict__[name] = distances
-            return distances
-        raise AttributeError(name)
 
     @property
     def members(self) -> np.ndarray:

@@ -26,12 +26,23 @@ import numpy as np
 
 from repro.knn.graph import KnnGraph
 from repro.succinct.bitvector import BitVector
+from repro.succinct.fields import Array, Child, Layout, LazyMirrors, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
 
 
-class KnnRing:
+class KnnRing(LazyMirrors):
     """Succinct K-NN index supporting forward and backward k-NN ranges."""
+
+    LAYOUT = Layout(
+        "knn_ring",
+        Scalar("_K"),
+        Array("_members", "<i8", mirrored=True),
+        Array("_s_offsets", "<i8", mirrored=True),
+        Child("_S", WaveletTree),
+        Child("_Sprime", WaveletTree),
+        Child("_B", BitVector),
+    )
 
     def __init__(self, graph: KnnGraph) -> None:
         self._members = graph.members.copy()
@@ -91,36 +102,6 @@ class KnnRing:
         # next_member bisect and forward_range offsets).
         self._members_i: list[int] = self._members.tolist()
         self._s_offsets_i: list[int] = self._s_offsets.tolist()
-
-    # ------------------------------------------------------------------
-    # pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle only the succinct structures and canonical arrays.
-
-        The plain-int bisect mirrors are rebuilt lazily on first use
-        after unpickling (see :meth:`__getattr__`); shipping them would
-        multiply the worker-spawn payload for no information.
-        """
-        state = dict(self.__dict__)
-        state.pop("_members_i", None)
-        state.pop("_s_offsets_i", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        # Re-establish the read-only contract on the fresh buffer.
-        self._members.setflags(write=False)
-
-    def __getattr__(self, name: str) -> list[int]:
-        if name == "_members_i":
-            value: list[int] = self._members.tolist()
-        elif name == "_s_offsets_i":
-            value = self._s_offsets.tolist()
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
 
     # ------------------------------------------------------------------
     # introspection

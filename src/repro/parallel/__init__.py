@@ -10,15 +10,13 @@ Submodules:
   batch via the ``auto`` engine's estimates and multiplex it over the
   same pool.
 * :mod:`repro.parallel.worker` — the code that runs inside pool workers.
-* :mod:`repro.parallel.shm` — shared-memory flatten/attach transport for
-  the succinct indexes (workers rebuild them zero-copy, no pickling).
-* :mod:`repro.parallel.forced` — the ``REPRO_PARALLEL_WORKERS`` /
-  ``REPRO_PARALLEL_START_METHOD`` CI smoke hooks.
+* :mod:`repro.parallel.shm` — the shared-memory segments that carry the
+  flattened indexes (:mod:`repro.store.layout`) to the workers, which
+  rebuild them zero-copy, no pickling.
 
-This package initializer is deliberately import-light: the serial
-engines consult :mod:`repro.parallel.forced` at import time, while the
-executor/scheduler import the engines — eager re-exports here would
-close that cycle. Public names resolve lazily (PEP 562).
+This package initializer is deliberately import-light: the engines
+import the executor, which imports the engines — eager re-exports here
+would close that cycle. Public names resolve lazily (PEP 562).
 """
 
 from __future__ import annotations
@@ -47,16 +45,12 @@ _EXPORTS = {
     "run_query_batch": "repro.parallel.worker",
     "run_shard": "repro.parallel.worker",
     "unpack_solutions": "repro.parallel.worker",
-    "AttachedShm": "repro.parallel.shm",
+    "ENV_START_METHOD": "repro.parallel.executor",
+    "forced_start_method": "repro.parallel.executor",
     "ScratchBuffer": "repro.parallel.shm",
-    "ShmManifest": "repro.parallel.shm",
     "StructureShm": "repro.parallel.shm",
     "active_segments": "repro.parallel.shm",
     "attach": "repro.parallel.shm",
-    "ENV_START_METHOD": "repro.parallel.forced",
-    "ENV_WORKERS": "repro.parallel.forced",
-    "forced_start_method": "repro.parallel.forced",
-    "forced_workers": "repro.parallel.forced",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -34,14 +34,15 @@ Known, documented divergences from the serial engine:
   stats may over-count (shards cap at ``limit`` each, the serial
   engine stops globally).
 
-Full enumerations — the differential/equivalence suites, the forced
-CI smoke mode — are byte-identical.
+Full enumerations — the differential/equivalence suites — are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import queue as queue_mod
 import time
 from collections import OrderedDict
@@ -59,7 +60,6 @@ from repro.obs.trace import (
     instrument_relations,
     wavelet_targets,
 )
-from repro.parallel import forced
 from repro.parallel.shm import ScratchBuffer, StructureShm
 from repro.parallel.worker import (
     QueryBatchTask,
@@ -83,10 +83,23 @@ DEFAULT_WORKERS = 2
 #: load balancing; any split yields the same merged results/counters.
 SHARDS_PER_WORKER = 2
 
+#: Environment variable pinning the pool start method (``fork`` or
+#: ``spawn``). Unset or unrecognized values fall back to the platform
+#: default (fork where available). The CI ``parallel-shm`` job forces
+#: ``spawn`` to prove the shm transport works without copy-on-write
+#: inheritance.
+ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
+
 #: Seconds to wait for an announced-but-missing streamed chunk before
 #: declaring the pool wedged. Generous: chunks are announced only after
 #: they were put on the queue, so this only fires on a dead worker.
 CHUNK_TIMEOUT = 120.0
+
+
+def forced_start_method() -> str | None:
+    """Start method forced via the environment, or ``None``."""
+    raw = os.environ.get(ENV_START_METHOD, "").strip().lower()
+    return raw if raw in ("fork", "spawn") else None
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +122,6 @@ class WorkerPool:
         self.start_method = "unstarted"
         self._pool: Any = None
         self._shm: StructureShm | None = None
-        self._manifest: Any = None
         self._scratch: ScratchBuffer | None = None
         self._chunks: Any = None
         self._chunk_buf: dict[int, dict[int, np.ndarray]] = {}
@@ -122,7 +134,7 @@ class WorkerPool:
 
     def _start(self) -> Any:
         if self._pool is None:
-            method = forced.forced_start_method()
+            method = forced_start_method()
             if method is None:
                 try:
                     multiprocessing.get_context("fork")
@@ -136,16 +148,16 @@ class WorkerPool:
                 # Store-backed database: workers attach the persistent
                 # file's mapping directly — no flatten, no shared
                 # segment, pool warm-up is near-free.
-                self._manifest = store.worker_manifest()
+                manifest = store.manifest
             else:
                 self._shm = StructureShm.create(self._db)
-                self._manifest = self._shm.manifest
+                manifest = self._shm.manifest
             self._scratch = ScratchBuffer()
             self._chunks = ctx.Queue()
             self._pool = ctx.Pool(
                 self.workers,
                 initializer=_init_worker,
-                initargs=(self._manifest, self._chunks),
+                initargs=(manifest, self._chunks),
             )
         return self._pool
 
@@ -257,7 +269,6 @@ class WorkerPool:
         if self._shm is not None:
             self._shm.close()
             self._shm = None
-        self._manifest = None
         self.start_method = "unstarted"
 
 
@@ -274,7 +285,7 @@ def _injected_worker_fault() -> None:
 _POOLS: "OrderedDict[tuple[int, int], WorkerPool]" = OrderedDict()
 
 #: Cached pools (each holds ``workers`` processes). Small LRU so runs
-#: that churn through many databases (forced-mode test suites) do not
+#: that churn through many databases (test suites) do not
 #: accumulate processes or shared segments.
 _MAX_POOLS = 4
 

@@ -1,26 +1,15 @@
-"""Shared-memory transport for the succinct indexes (zero-copy workers).
+"""Shared-memory segments: the anonymous carrier of the index layout.
 
-The worker pool used to ship the database by pickling it into every
-child (or by relying on fork's copy-on-write). This module replaces
-that transport: each succinct structure — :class:`BitVector`,
-:class:`WaveletTree`, :class:`CumulativeCounts`, :class:`KnnRing`,
-:class:`DistanceRangeIndex`, the :class:`RingIndex` and the whole
-:class:`GraphDatabase` — *flattens* into a registry of contiguous
-little-endian arrays packed into one
-:class:`multiprocessing.shared_memory.SharedMemory` segment, plus a
-tiny picklable :class:`ShmManifest` describing where each array lives.
-Workers *attach*: they map the same segment and rebuild the structures
-as zero-copy numpy views over it, dropping the plain-int hot-path
-caches exactly as ``__getstate__`` does today — the caches are rebuilt
-lazily by each structure's ``__getattr__`` on first touch, while the
-canonical buffers are shared pages that cost no per-worker copy.
-
-Layout: arrays are packed back to back at 8-byte-aligned offsets, each
-recorded in the manifest as ``(offset, dtype, shape)`` with an explicit
-little-endian dtype string (``<u8``/``<i8``/``<f8``), so a manifest is
-valid regardless of the attaching interpreter's native byte order. The
-structure tree itself is a nested ``dict`` of plain scalars and array
-indices (``kind`` tags select the attach constructor).
+A worker pool ships its database to the workers as one
+:class:`multiprocessing.shared_memory.SharedMemory` segment holding the
+flattened structure tree (:mod:`repro.store.layout` — the very bytes an
+index file carries behind its header) plus a tiny picklable
+:class:`~repro.store.layout.Manifest` naming the segment. Workers
+:func:`attach`: they map the same segment and rebuild the structures as
+zero-copy numpy views over it, so the canonical buffers are shared
+pages that cost no per-worker copy. This module is the creator's side:
+making the segment, tracking it, unlinking it — and the reusable
+:class:`ScratchBuffer` candidate spans are published through.
 
 Lifecycle: the *creator* (the parent process that owns the pool) is the
 only party that ever ``unlink``\\ s a segment. Creation registers the
@@ -37,42 +26,21 @@ to one entry, removed by the creator's single unlink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.engines.database import GraphDatabase
-from repro.knn.distance_index import DistanceRangeIndex
-from repro.knn.succinct import KnnRing
-from repro.ring.index import RingIndex
-from repro.succinct.arrays import CumulativeCounts
-from repro.succinct.bitvector import BitVector
-from repro.succinct.wavelet_tree import WaveletTree
-from repro.utils.errors import StructureError
+from repro.store.io import attach
+from repro.store.layout import Manifest, SegmentBuilder, flatten
 
 __all__ = [
-    "ShmManifest",
     "StructureShm",
-    "AttachedShm",
     "ScratchBuffer",
     "attach",
-    "attach_buffer",
     "active_segments",
-    "flatten_structure",
-    "flatten_segment",
-    "prime_hot_caches",
 ]
 
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
-# ----------------------------------------------------------------------
-# segment registry (leak-test introspection)
-# ----------------------------------------------------------------------
 # Every segment this process *created* and has not yet unlinked. The
 # lifecycle tests assert this is empty after engines/pools close; the
 # atexit pool shutdown drains it even on abnormal paths.
@@ -84,79 +52,27 @@ def active_segments() -> tuple[str, ...]:
     return tuple(sorted(_CREATED))
 
 
-# ----------------------------------------------------------------------
-# manifest
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShmManifest:
-    """Picklable description of one flattened structure tree.
+class StructureShm:
+    """Creator-side owner of one flattened structure's shared segment."""
 
-    ``entries[i]`` locates array ``i`` inside the segment as
-    ``(byte offset, little-endian dtype string, shape)``; ``root`` is
-    the nested structure meta whose leaves reference arrays by index.
-    """
+    def __init__(self, manifest: Manifest, shm: shared_memory.SharedMemory) -> None:
+        self.manifest = manifest
+        self._shm: shared_memory.SharedMemory | None = shm
+        _CREATED[shm.name] = self
 
-    segment: str
-    entries: tuple[tuple[int, str, tuple[int, ...]], ...]
-    root: dict[str, Any] = field(hash=False)
-
-    @property
-    def nbytes(self) -> int:
-        total = 0
-        for offset, dtype, shape in self.entries:
-            count = 1
-            for dim in shape:
-                count *= dim
-            total = max(total, offset + count * np.dtype(dtype).itemsize)
-        return total
-
-
-class _SegmentBuilder:
-    """Collects arrays during flattening; writes them into one buffer.
-
-    The buffer can be a shared-memory segment (:meth:`build`) or any
-    writable byte sink (:meth:`write`) — the on-disk index store
-    (:mod:`repro.store`) writes the identical layout into a file.
-    """
-
-    def __init__(self) -> None:
-        self._pending: list[tuple[int, np.ndarray]] = []
-        self._entries: list[tuple[int, str, tuple[int, ...]]] = []
-        self._size = 0
-
-    @property
-    def size(self) -> int:
-        """Total segment bytes registered so far."""
-        return self._size
-
-    @property
-    def entries(self) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
-        return tuple(self._entries)
-
-    def put(self, array: np.ndarray, dtype: str) -> int:
-        """Register one canonical array; returns its manifest index."""
-        arr = np.ascontiguousarray(np.asarray(array)).astype(dtype, copy=False)
-        offset = _align8(self._size)
-        self._entries.append((offset, dtype, tuple(arr.shape)))
-        self._pending.append((offset, arr))
-        self._size = offset + arr.nbytes
-        return len(self._entries) - 1
-
-    def write(self, buf: Any, base: int = 0) -> None:
-        """Write every registered array into ``buf`` at its offset."""
-        for offset, arr in self._pending:
-            view = np.frombuffer(
-                buf, dtype=arr.dtype, count=arr.size, offset=base + offset
-            )
-            view[:] = arr.reshape(-1)
-            del view
-
-    def build(self, root: dict[str, Any]) -> tuple[ShmManifest, shared_memory.SharedMemory]:
-        shm = shared_memory.SharedMemory(create=True, size=max(self._size, 1))
+    @classmethod
+    def create(cls, structure: object) -> "StructureShm":
+        """Flatten ``structure`` into a fresh shared segment."""
+        builder = SegmentBuilder()
+        root = flatten(structure, builder)
+        shm = shared_memory.SharedMemory(create=True, size=builder.nbytes)
         try:
-            self.write(shm.buf)
-            manifest = ShmManifest(
-                segment=shm.name, entries=tuple(self._entries), root=root
+            builder.write(shm.buf)
+            manifest = Manifest(
+                entries=builder.entries,
+                root=root,
+                nbytes=builder.nbytes,
+                segment=shm.name,
             )
         except BaseException:
             # A failed flatten must not strand the OS segment: nobody
@@ -165,360 +81,6 @@ class _SegmentBuilder:
             shm.close()
             shm.unlink()
             raise
-        self._pending.clear()
-        return manifest, shm
-
-
-class _SegmentView:
-    """Read-only numpy views over one attached buffer.
-
-    ``buf`` is anything :func:`numpy.frombuffer` accepts — a shared
-    segment's ``.buf`` or a whole memory-mapped index file, in which
-    case ``base`` is the byte offset where the segment starts.
-    """
-
-    def __init__(
-        self,
-        entries: Sequence[tuple[int, str, tuple[int, ...]]],
-        buf: Any,
-        base: int = 0,
-    ) -> None:
-        self._entries = entries
-        self._buf = buf
-        self._base = base
-
-    def get(self, index: int) -> np.ndarray:
-        offset, dtype, shape = self._entries[index]
-        count = 1
-        for dim in shape:
-            count *= dim
-        arr = np.frombuffer(
-            self._buf, dtype=dtype, count=count, offset=self._base + offset
-        )
-        if len(shape) != 1:  # frombuffer is already 1-D
-            arr = arr.reshape(shape)
-        arr.setflags(write=False)
-        return arr
-
-
-# ----------------------------------------------------------------------
-# per-structure flatten / attach
-# ----------------------------------------------------------------------
-def _flatten_bitvector(bv: BitVector, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "bitvector",
-        "n": bv._n,
-        "words": b.put(bv._words, "<u8"),
-        "cum1": b.put(bv._cum1, "<i8"),
-        "cum0": b.put(bv._cum0, "<i8"),
-    }
-
-
-def _attach_bitvector(meta: dict[str, Any], view: _SegmentView) -> BitVector:
-    bv = BitVector.__new__(BitVector)
-    bv._n = int(meta["n"])
-    bv._words = view.get(meta["words"])
-    bv._cum1 = view.get(meta["cum1"])
-    bv._cum0 = view.get(meta["cum0"])
-    # The plain-int caches (_words_i/_cum1_i/_cum0_i) are deliberately
-    # absent — __getattr__ rebuilds them lazily, as after unpickling.
-    return bv
-
-
-def _flatten_wavelet(wt: WaveletTree, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "wavelet",
-        "n": wt._n,
-        "sigma": wt._sigma,
-        "height": wt._height,
-        "levels": [_flatten_bitvector(bv, b) for bv in wt._levels],
-        "counts": b.put(wt._counts, "<i8"),
-    }
-
-
-def _attach_wavelet(meta: dict[str, Any], view: _SegmentView) -> WaveletTree:
-    wt = WaveletTree.__new__(WaveletTree)
-    wt._n = int(meta["n"])
-    wt._sigma = int(meta["sigma"])
-    wt._height = int(meta["height"])
-    wt._levels = [_attach_bitvector(m, view) for m in meta["levels"]]
-    wt._counts = view.get(meta["counts"])
-    # Evaluation-scoped recorder state never crosses the boundary.
-    wt.ops = None
-    wt._memo_users = 0
-    wt._memo_rank = None
-    wt._memo_next = None
-    return wt
-
-
-def _flatten_cumcounts(cc: CumulativeCounts, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "cumcounts",
-        "n": cc._n,
-        "sigma": cc._sigma,
-        "cum": b.put(cc._cum, "<i8"),
-    }
-
-
-def _attach_cumcounts(meta: dict[str, Any], view: _SegmentView) -> CumulativeCounts:
-    cc = CumulativeCounts.__new__(CumulativeCounts)
-    cc._n = int(meta["n"])
-    cc._sigma = int(meta["sigma"])
-    cc._cum = view.get(meta["cum"])
-    return cc
-
-
-def _flatten_knn_ring(ring: KnnRing, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "knn_ring",
-        "K": ring._K,
-        "members": b.put(ring._members, "<i8"),
-        "s_offsets": b.put(ring._s_offsets, "<i8"),
-        "S": _flatten_wavelet(ring._S, b),
-        "Sprime": _flatten_wavelet(ring._Sprime, b),
-        "B": _flatten_bitvector(ring._B, b),
-    }
-
-
-def _attach_knn_ring(meta: dict[str, Any], view: _SegmentView) -> KnnRing:
-    ring = KnnRing.__new__(KnnRing)
-    ring._K = int(meta["K"])
-    ring._members = view.get(meta["members"])
-    ring._s_offsets = view.get(meta["s_offsets"])
-    ring._S = _attach_wavelet(meta["S"], view)
-    ring._Sprime = _attach_wavelet(meta["Sprime"], view)
-    ring._B = _attach_bitvector(meta["B"], view)
-    return ring
-
-
-def _flatten_distance_index(
-    index: DistanceRangeIndex, b: _SegmentBuilder
-) -> dict[str, Any]:
-    return {
-        "kind": "distance_index",
-        "d_max": index._d_max,
-        "members": b.put(index._members, "<i8"),
-        "distances": b.put(index._distances, "<f8"),
-        "D": _flatten_wavelet(index._D, b),
-        "B": _flatten_bitvector(index._B, b),
-    }
-
-
-def _attach_distance_index(
-    meta: dict[str, Any], view: _SegmentView
-) -> DistanceRangeIndex:
-    index = DistanceRangeIndex.__new__(DistanceRangeIndex)
-    index._d_max = float(meta["d_max"])
-    index._members = view.get(meta["members"])
-    index._distances = view.get(meta["distances"])
-    index._D = _attach_wavelet(meta["D"], view)
-    index._B = _attach_bitvector(meta["B"], view)
-    return index
-
-
-def _flatten_ring_index(ring: RingIndex, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "ring_index",
-        "num_edges": ring._num_edges,
-        "domain": ring._domain,
-        "columns": {
-            coord: _flatten_wavelet(ring._columns[coord], b) for coord in "spo"
-        },
-        "blocks": {
-            coord: _flatten_cumcounts(ring._blocks[coord], b) for coord in "spo"
-        },
-    }
-
-
-def _attach_ring_index(meta: dict[str, Any], view: _SegmentView) -> RingIndex:
-    ring = RingIndex.__new__(RingIndex)
-    ring._num_edges = int(meta["num_edges"])
-    ring._domain = int(meta["domain"])
-    ring._columns = {
-        coord: _attach_wavelet(meta["columns"][coord], view) for coord in "spo"
-    }
-    ring._blocks = {
-        coord: _attach_cumcounts(meta["blocks"][coord], view) for coord in "spo"
-    }
-    return ring
-
-
-def _flatten_database(db: GraphDatabase, b: _SegmentBuilder) -> dict[str, Any]:
-    return {
-        "kind": "database",
-        "ring": _flatten_ring_index(db.ring, b),
-        "knn_rings": {
-            name: _flatten_knn_ring(ring, b)
-            for name, ring in sorted(db.knn_rings.items())
-        },
-        "distance_index": (
-            None
-            if db.distance_index is None
-            else _flatten_distance_index(db.distance_index, b)
-        ),
-    }
-
-
-def _attach_database(meta: dict[str, Any], view: _SegmentView) -> GraphDatabase:
-    db = GraphDatabase.__new__(GraphDatabase)
-    # The query path (validate_query, the Ring engines, the LTJ
-    # relations) touches only the succinct structures below. The raw
-    # graph/K-NN tables never travel to workers; engines that need them
-    # (baseline, classic, materialize) are not worker-dispatched.
-    db.graph = None  # type: ignore[assignment]
-    db.knn_graphs = {}
-    db._adjacency = {}
-    db.ring = _attach_ring_index(meta["ring"], view)
-    db.knn_rings = {
-        name: _attach_knn_ring(m, view)
-        for name, m in meta["knn_rings"].items()
-    }
-    db.distance_index = (
-        None
-        if meta["distance_index"] is None
-        else _attach_distance_index(meta["distance_index"], view)
-    )
-    return db
-
-
-_FLATTENERS: tuple[tuple[type, Any], ...] = (
-    (GraphDatabase, _flatten_database),
-    (RingIndex, _flatten_ring_index),
-    (KnnRing, _flatten_knn_ring),
-    (DistanceRangeIndex, _flatten_distance_index),
-    (WaveletTree, _flatten_wavelet),
-    (CumulativeCounts, _flatten_cumcounts),
-    (BitVector, _flatten_bitvector),
-)
-
-_ATTACHERS = {
-    "database": _attach_database,
-    "ring_index": _attach_ring_index,
-    "knn_ring": _attach_knn_ring,
-    "distance_index": _attach_distance_index,
-    "wavelet": _attach_wavelet,
-    "cumcounts": _attach_cumcounts,
-    "bitvector": _attach_bitvector,
-}
-
-
-def flatten_structure(structure: object, builder: _SegmentBuilder) -> dict[str, Any]:
-    """Flatten any supported structure into ``builder``; returns meta."""
-    for cls, flatten in _FLATTENERS:
-        if isinstance(structure, cls):
-            return flatten(structure, builder)
-    raise StructureError(
-        f"no shm flattener for {type(structure).__name__}"
-    )
-
-
-def flatten_segment(
-    structure: object,
-) -> tuple[dict[str, Any], tuple[tuple[int, str, tuple[int, ...]], ...], bytearray]:
-    """Flatten ``structure`` into raw segment bytes.
-
-    Returns ``(root meta, entries, payload)`` — the same layout
-    :class:`StructureShm` writes into a shared segment, rendered into a
-    plain byte buffer so it can be written to disk (:mod:`repro.store`).
-    """
-    builder = _SegmentBuilder()
-    root = flatten_structure(structure, builder)
-    payload = bytearray(max(builder.size, 1))
-    builder.write(payload)
-    return root, builder.entries, payload
-
-
-def attach_buffer(
-    root: dict[str, Any],
-    entries: Sequence[tuple[int, str, tuple[int, ...]]],
-    buf: Any,
-    base: int = 0,
-) -> Any:
-    """Rebuild a flattened structure zero-copy over any buffer.
-
-    ``buf`` may be a shared segment's ``.buf`` or a memory-mapped index
-    file (``base`` locating the segment inside it). The caller owns the
-    buffer's lifetime and must keep it alive while the structure is in
-    use — numpy views into it are handed out, never copies.
-    """
-    return _ATTACHERS[root["kind"]](root, _SegmentView(entries, buf, base))
-
-
-# ----------------------------------------------------------------------
-# attach-boundary cache priming
-# ----------------------------------------------------------------------
-def prime_hot_caches(structure: object) -> None:
-    """Materialize the plain-int hot-path caches of an attached tree.
-
-    Attached structures drop the ``_*_i`` plain-int caches at flatten
-    time and rebuild them lazily (``__getattr__`` → ``.tolist()``) on
-    first touch. Every value in those caches is a plain Python ``int``
-    — ``.tolist()`` is the coercion boundary, so numpy scalars never
-    enter the hot path (asserted by the type-sweep test in
-    ``tests/test_store.py`` and guarded statically by RPL001's
-    canonical-array-subscript check). What lazy rebuild *does* cost is
-    first-query latency: a worker's first evaluation pays the whole
-    ``tolist`` of every structure it touches, mid-query. Calling this
-    at the attach boundary (worker initializer, store warm-up) moves
-    that cost into the explicit one-time warm-up instead.
-
-    Idempotent, and a no-op on built (non-attached) structures whose
-    caches already exist.
-    """
-    if isinstance(structure, GraphDatabase):
-        prime_hot_caches(structure.ring)
-        for ring in structure.knn_rings.values():
-            prime_hot_caches(ring)
-        if structure.distance_index is not None:
-            prime_hot_caches(structure.distance_index)
-    elif isinstance(structure, RingIndex):
-        for coord in "spo":
-            prime_hot_caches(structure._columns[coord])
-            prime_hot_caches(structure._blocks[coord])
-    elif isinstance(structure, KnnRing):
-        structure._members_i
-        structure._s_offsets_i
-        prime_hot_caches(structure._S)
-        prime_hot_caches(structure._Sprime)
-        prime_hot_caches(structure._B)
-    elif isinstance(structure, DistanceRangeIndex):
-        structure._members_i
-        structure._distances_i
-        prime_hot_caches(structure._D)
-        prime_hot_caches(structure._B)
-    elif isinstance(structure, WaveletTree):
-        structure._counts_i
-        for level in structure._levels:
-            prime_hot_caches(level)
-    elif isinstance(structure, CumulativeCounts):
-        structure._cum_i
-    elif isinstance(structure, BitVector):
-        structure._words_i
-        structure._cum1_i
-        structure._cum0_i
-    else:
-        raise StructureError(
-            f"no hot caches to prime for {type(structure).__name__}"
-        )
-
-
-# ----------------------------------------------------------------------
-# creator / attach handles
-# ----------------------------------------------------------------------
-class StructureShm:
-    """Creator-side owner of one flattened structure's shared segment."""
-
-    def __init__(self, manifest: ShmManifest, shm: shared_memory.SharedMemory) -> None:
-        self.manifest = manifest
-        self._shm: shared_memory.SharedMemory | None = shm
-        _CREATED[manifest.segment] = self
-
-    @classmethod
-    def create(cls, structure: object) -> "StructureShm":
-        """Flatten ``structure`` into a fresh shared segment."""
-        builder = _SegmentBuilder()
-        root = flatten_structure(structure, builder)
-        manifest, shm = builder.build(root)
         return cls(manifest, shm)
 
     @property
@@ -536,36 +98,6 @@ class StructureShm:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         _CREATED.pop(self.manifest.segment, None)
-
-
-class AttachedShm:
-    """Attach-side handle: the rebuilt structure plus its mapping."""
-
-    def __init__(self, manifest: ShmManifest) -> None:
-        self._shm = shared_memory.SharedMemory(name=manifest.segment)
-        self.structure = attach_buffer(
-            manifest.root, manifest.entries, self._shm.buf
-        )
-
-    def close(self) -> None:
-        """Drop the rebuilt structure and the mapping.
-
-        Callers must not hold views into the segment past this call
-        (the structure reference is dropped here so CPython refcounting
-        frees the numpy views immediately). Never unlinks — the creator
-        owns the segment's lifetime.
-        """
-        self.structure = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - caller kept views
-            # The process exit unmaps regardless.
-            pass
-
-
-def attach(manifest: ShmManifest) -> AttachedShm:
-    """Rebuild a flattened structure zero-copy over its shared segment."""
-    return AttachedShm(manifest)
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Everything in this module runs inside :mod:`multiprocessing` pool
 workers (or inline in the parent, for pools of one). The pool
-initializer receives only a tiny picklable :class:`ShmManifest` and a
-chunk queue: it attaches the shared-memory segment published by the
-parent and rebuilds the read-only :class:`GraphDatabase` zero-copy over
-it (see :mod:`repro.parallel.shm`) — no index bytes ever cross the pipe,
-under fork *or* spawn.
+initializer receives only a tiny picklable
+:class:`~repro.store.layout.Manifest` and a chunk queue: it attaches the
+carrier the manifest names — the shared-memory segment published by the
+parent, or the index file a store-backed database was loaded from — and
+rebuilds the read-only :class:`GraphDatabase` zero-copy over it (see
+:mod:`repro.store.layout`) — no index bytes ever cross the pipe, under
+fork *or* spawn.
 
 Tasks are descriptors, not payloads: a :class:`ShardTask` carries a
 ``(segment, start, stop)`` span into the parent's scratch buffer rather
@@ -33,14 +35,8 @@ from repro.obs.trace import (
     instrument_relations,
     wavelet_targets,
 )
-from repro.parallel import forced
-from repro.parallel.shm import (
-    AttachedShm,
-    ShmManifest,
-    attach,
-    prime_hot_caches,
-)
 from repro.query.model import ExtendedBGP, Var
+from repro.store import Attachment, Manifest, attach, prime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.database import GraphDatabase
@@ -50,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHUNK_SOLUTIONS = 8192
 
 _WORKER_DB: "GraphDatabase | None" = None
-_WORKER_ATTACHMENT: Any = None
+_WORKER_ATTACHMENT: Attachment | None = None
 _CHUNK_QUEUE: Any = None
 
 #: Worker-side cache of attached scratch (candidate-span) segments,
@@ -60,23 +56,7 @@ _CHUNK_QUEUE: Any = None
 _SCRATCH_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
 
 
-def _attach_manifest(manifest: Any) -> AttachedShm | Any:
-    """Attach whichever transport the manifest describes.
-
-    A :class:`ShmManifest` maps a shared segment; a store manifest
-    (:class:`repro.store.StoreManifest`) maps the persistent index file
-    directly — both yield a ``.structure`` + ``.close()`` handle over
-    the same attach registry. The store import is lazy: the parallel
-    package must not depend on the store package at import time.
-    """
-    if isinstance(manifest, ShmManifest):
-        return attach(manifest)
-    from repro.store import attach_store_manifest
-
-    return attach_store_manifest(manifest)
-
-
-def _init_worker(manifest: Any, chunk_queue: Any) -> None:
+def _init_worker(manifest: Manifest, chunk_queue: Any) -> None:
     """Pool initializer: attach the shared database, keep the mapping.
 
     The attachment is held in a module global for the worker's whole
@@ -88,10 +68,9 @@ def _init_worker(manifest: Any, chunk_queue: Any) -> None:
     never stalls on a lazy ``tolist`` rebuild mid-evaluation.
     """
     global _WORKER_DB, _WORKER_ATTACHMENT, _CHUNK_QUEUE
-    forced.mark_worker_process()
-    _WORKER_ATTACHMENT = _attach_manifest(manifest)
+    _WORKER_ATTACHMENT = attach(manifest)
     _WORKER_DB = _WORKER_ATTACHMENT.structure
-    prime_hot_caches(_WORKER_DB)
+    prime(_WORKER_DB)
     _CHUNK_QUEUE = chunk_queue
 
 

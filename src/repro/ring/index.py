@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.graph.triples import GraphData
 from repro.succinct.arrays import CumulativeCounts
+from repro.succinct.fields import Child, Layout, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StructureError
 
@@ -34,6 +35,14 @@ PREV_COORD = {"s": "o", "p": "s", "o": "p"}
 
 class RingIndex:
     """Succinct triple index supporting LTJ over all six trie orders."""
+
+    LAYOUT = Layout(
+        "ring_index",
+        Scalar("_num_edges"),
+        Scalar("_domain"),
+        Child("_columns", WaveletTree, "dict", keys=("s", "p", "o")),
+        Child("_blocks", CumulativeCounts, "dict", keys=("s", "p", "o")),
+    )
 
     def __init__(self, graph: GraphData) -> None:
         self._num_edges = graph.num_edges

@@ -4,7 +4,7 @@ The Ring + K-NN structures are build-once artifacts: :func:`save`
 writes them to a versioned index file — a fixed header (magic, format
 version, endianness flag, checksum, JSON manifest) followed by the
 *same* 8-byte-aligned little-endian segment the shared-memory worker
-transport produces (:mod:`repro.parallel.shm`) — and :func:`load`
+transport carries (:mod:`repro.store.layout`) — and :func:`load`
 memory-maps that file and rebuilds the structures as read-only numpy
 views over it with zero deserialization. Cold start becomes O(page
 faults) instead of O(index build), and worker pools attach their spawn
@@ -15,28 +15,19 @@ See ``docs/persistence.md`` for the format layout, the versioning
 policy, and the mmap lifecycle rules.
 """
 
-from repro.store.format import (
-    FORMAT_VERSION,
-    HEADER_SIZE,
-    MAGIC,
-    StoreManifest,
-)
-from repro.store.io import (
-    AttachedStore,
-    IndexStore,
-    attach_store_manifest,
-    load,
-    save,
-)
+from repro.store.format import FORMAT_VERSION, HEADER_SIZE, MAGIC
+from repro.store.io import Attachment, IndexStore, attach, load, save
+from repro.store.layout import Manifest, prime
 
 __all__ = [
     "FORMAT_VERSION",
     "HEADER_SIZE",
     "MAGIC",
-    "StoreManifest",
-    "AttachedStore",
+    "Manifest",
+    "Attachment",
     "IndexStore",
-    "attach_store_manifest",
+    "attach",
     "load",
+    "prime",
     "save",
 ]

@@ -15,15 +15,15 @@ An index file is::
     | manifest JSON (UTF-8), zero-padded to an 8-byte boundary     |
     +--------------------------------------------------------------+
     | segment: the 8-byte-aligned array pack of                    |
-    | repro.parallel.shm (identical bytes to a shared segment)     |
+    | repro.store.layout (identical bytes to a shared segment)     |
     +--------------------------------------------------------------+
 
-The manifest JSON carries the same information as a
-:class:`~repro.parallel.shm.ShmManifest` — the ``(offset, dtype,
-shape)`` entry table and the nested structure-tree ``root`` — so
-attaching a file is exactly the shm attach path over a different
-buffer. The segment start is aligned so every array keeps the 8-byte
-alignment the flatten layer guarantees.
+The manifest JSON carries the ``entries`` and ``root`` of a
+:class:`~repro.store.layout.Manifest` — the ``(offset, dtype, shape)``
+entry table and the nested structure tree — so attaching a file is
+exactly the shared-segment attach over a different buffer. The segment
+start is aligned so every array keeps the 8-byte alignment the flatten
+layer guarantees.
 
 Versioning policy: the format is versioned without migration shims. An
 index file is a cache of a deterministic build, so a reader that sees
@@ -44,9 +44,10 @@ import json
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro.store.layout import Entry, _align8
 from repro.utils.errors import (
     StoreEndiannessError,
     StoreFormatError,
@@ -65,10 +66,6 @@ _HEADER = struct.Struct("<8sIIQQII")
 HEADER_SIZE = _HEADER.size
 
 
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
 def require_little_endian_host(action: str) -> None:
     """Refuse to read or write index files on a big-endian host.
 
@@ -85,29 +82,7 @@ def require_little_endian_host(action: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StoreManifest:
-    """Picklable description of one index file's flattened segment.
-
-    The file-backed twin of :class:`~repro.parallel.shm.ShmManifest`:
-    ``entries`` and ``root`` are identical in meaning; ``path`` and
-    ``segment_offset`` locate the segment in the file instead of a
-    shared-memory name. Workers receive this through the pool
-    initializer and attach the file mapping directly — no per-worker
-    copy of the index, not even into shared memory.
-    """
-
-    path: str
-    segment_offset: int
-    segment_len: int
-    entries: tuple[tuple[int, str, tuple[int, ...]], ...]
-    root: dict[str, Any] = field(hash=False)
-
-
-def encode_manifest(
-    entries: tuple[tuple[int, str, tuple[int, ...]], ...],
-    root: dict[str, Any],
-) -> bytes:
+def encode_manifest(entries: tuple[Entry, ...], root: dict[str, Any]) -> bytes:
     """Serialize the entry table + structure tree to manifest JSON."""
     doc = {
         "entries": [
@@ -122,7 +97,7 @@ def encode_manifest(
 
 def decode_manifest(
     raw: bytes, path: str
-) -> tuple[tuple[tuple[int, str, tuple[int, ...]], ...], dict[str, Any]]:
+) -> tuple[tuple[Entry, ...], dict[str, Any]]:
     """Parse manifest JSON back into ``(entries, root)``."""
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -163,10 +138,6 @@ class Header:
     manifest_len: int
     segment_len: int
     checksum: int
-
-    @property
-    def manifest_offset(self) -> int:
-        return HEADER_SIZE
 
     @property
     def segment_offset(self) -> int:

@@ -1,25 +1,28 @@
-"""Save/load of persistent index files and their mmap attachments.
+"""Index files and carrier attachments: save, load, attach.
 
-:func:`save` flattens a structure tree through the shared-memory
-transport's flatten layer (:func:`repro.parallel.shm.flatten_segment`)
-and writes header + manifest + segment atomically (temp file +
-``os.replace``), so a crashed build never leaves a half-written index
+:func:`save` flattens a structure tree (:func:`repro.store.layout.
+flatten`) and writes header + manifest + segment atomically (temp file
++ ``os.replace``), so a crashed build never leaves a half-written index
 at the target path.
 
 :func:`load` validates the header, memory-maps the whole file
 read-only, optionally verifies the payload checksum, and rebuilds the
 structures as zero-copy numpy views over the mapping
-(:func:`repro.parallel.shm.attach_buffer`). Nothing is deserialized:
+(:func:`repro.store.layout.attach_buffer`). Nothing is deserialized:
 until a page is touched, it is not even read.
 
-mmap lifecycle: the returned :class:`IndexStore` owns the mapping. The
-attached structures hold numpy views *into* it, so the mapping must
-outlive every structure reference; :meth:`IndexStore.close` drops the
-store's own structure reference first and tolerates a caller who kept
-views alive (the OS unmaps at process exit regardless — the same
-contract as :class:`repro.parallel.shm.AttachedShm`). Worker processes
-attach the same file through :func:`attach_store_manifest`; an
-already-attached mapping survives even deletion of the file, so a
+:func:`attach` is what a pool worker does with the picklable
+:class:`~repro.store.layout.Manifest` it was started with: open the
+carrier it names — a shared-memory segment or an index file — and
+rebuild the same structures over it.
+
+Lifecycle: an :class:`Attachment` (and so an :class:`IndexStore`) owns
+its mapping. The attached structures hold numpy views *into* it, so the
+mapping must outlive every structure reference; ``close`` drops the
+attachment's own structure reference first and tolerates a caller who
+kept views alive (the OS unmaps at process exit regardless). An attacher
+never unlinks a shared segment — its creator owns that. An
+already-attached file mapping survives even deletion of the file, so a
 parent may rebuild an index while a warm pool is still serving the old
 one.
 """
@@ -28,13 +31,12 @@ from __future__ import annotations
 
 import mmap
 import os
+from multiprocessing import shared_memory
 from typing import Any
 
-from repro.parallel.shm import attach_buffer, flatten_segment, prime_hot_caches
 from repro.store.format import (
     HEADER_SIZE,
     Header,
-    StoreManifest,
     checksum_parts,
     decode_manifest,
     encode_manifest,
@@ -43,33 +45,38 @@ from repro.store.format import (
     require_little_endian_host,
     unpack_header,
 )
+from repro.store.layout import (
+    Manifest,
+    SegmentBuilder,
+    _align8,
+    attach_buffer,
+    flatten,
+)
 from repro.utils.errors import StoreChecksumError, StoreFormatError
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
 
 
 def save(structure: object, path: str) -> int:
     """Write ``structure`` as a versioned index file; returns its size.
 
-    Any structure the shm transport can flatten is accepted — the whole
+    Any structure declaring a layout is accepted — the whole
     :class:`~repro.engines.database.GraphDatabase` for ``repro build``,
     or a single succinct structure in tests. Only the succinct
     structures travel: for a database, the raw graph and K-NN tables
     are not part of the artifact (exactly as with worker attachment).
     """
     require_little_endian_host("write")
-    root, entries, segment = flatten_segment(structure)
-    manifest = encode_manifest(entries, root)
+    builder = SegmentBuilder()
+    root = flatten(structure, builder)
+    segment = bytearray(builder.nbytes)
+    builder.write(segment)
+    manifest = encode_manifest(builder.entries, root)
     pad_len = _align8(HEADER_SIZE + len(manifest)) - HEADER_SIZE - len(manifest)
     pad = b"\0" * pad_len
     checksum = checksum_parts(manifest, pad, segment)
-    header = pack_header(len(manifest), len(segment), checksum)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(header)
+            handle.write(pack_header(len(manifest), len(segment), checksum))
             handle.write(manifest)
             handle.write(pad)
             handle.write(segment)
@@ -82,8 +89,13 @@ def save(structure: object, path: str) -> int:
     return HEADER_SIZE + len(manifest) + len(pad) + len(segment)
 
 
-def _map_file(path: str) -> tuple[mmap.mmap, int]:
-    """Memory-map ``path`` read-only; returns ``(mapping, file size)``."""
+def _open_file(path: str, verify: bool) -> tuple[mmap.mmap, Header]:
+    """Memory-map ``path`` read-only and validate its header.
+
+    Returns ``(mapping, header)``; with ``verify`` the payload checksum
+    is confirmed too. Every failure is a typed store error and leaves
+    nothing mapped.
+    """
     try:
         size = os.path.getsize(path)
     except OSError as exc:
@@ -95,50 +107,74 @@ def _map_file(path: str) -> tuple[mmap.mmap, int]:
         )
     with open(path, "rb") as handle:
         mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        return mapping, size
+        try:
+            header = unpack_header(mapping[:HEADER_SIZE], path)
+            if size < header.total_size:
+                raise StoreFormatError(
+                    f"{path}: truncated index file ({size} bytes, manifest "
+                    f"+ segment need {header.total_size})"
+                )
+            if verify:
+                got = payload_checksum(mapping, HEADER_SIZE, header.total_size)
+                if got != header.checksum:
+                    raise StoreChecksumError(
+                        f"{path}: index payload checksum {got:#010x} != "
+                        f"recorded {header.checksum:#010x}; the file is "
+                        "corrupt — rebuild it with 'repro build'"
+                    )
+        except Exception:
+            mapping.close()
+            raise
+        return mapping, header
 
 
-def _validated_header(
-    path: str, mapping: mmap.mmap, size: int, verify: bool
-) -> Header:
-    header = unpack_header(mapping[:HEADER_SIZE], path)
-    if size < header.total_size:
-        raise StoreFormatError(
-            f"{path}: truncated index file ({size} bytes, manifest + "
-            f"segment need {header.total_size})"
-        )
-    if verify:
-        got = payload_checksum(mapping, HEADER_SIZE, header.total_size)
-        if got != header.checksum:
-            raise StoreChecksumError(
-                f"{path}: index payload checksum {got:#010x} != recorded "
-                f"{header.checksum:#010x}; the file is corrupt — rebuild "
-                "it with 'repro build'"
-            )
-    return header
+class Attachment:
+    """A structure rebuilt zero-copy over a carrier, plus the carrier.
+
+    ``carrier`` is the open mapping (an ``mmap`` or an attached
+    ``SharedMemory``); ``structure`` holds views into it.
+    """
+
+    def __init__(self, manifest: Manifest, structure: Any, carrier: Any) -> None:
+        self.manifest = manifest
+        self.structure = structure
+        self._carrier = carrier
+
+    def close(self) -> None:
+        """Drop the rebuilt structure and the mapping.
+
+        The structure reference is dropped first so CPython refcounting
+        frees the numpy views immediately; a caller who kept a view
+        alive only defers the unmap to process exit.
+        """
+        self.structure = None
+        carrier = self._carrier
+        self._carrier = None
+        if carrier is not None:
+            try:
+                carrier.close()
+            except BufferError:  # pragma: no cover - caller kept views
+                pass
 
 
-class IndexStore:
-    """Owner of one loaded index file: the mapping plus the attachment."""
+class IndexStore(Attachment):
+    """One loaded index file: its attachment plus the file's facts."""
 
     def __init__(
         self,
         path: str,
         header: Header,
+        manifest: Manifest,
+        structure: Any,
         mapping: mmap.mmap,
-        manifest: StoreManifest,
     ) -> None:
+        super().__init__(manifest, structure, mapping)
         self.path = path
         self.header = header
-        self.manifest = manifest
-        self._mmap: mmap.mmap | None = mapping
-        self.structure: Any = attach_buffer(
-            manifest.root, manifest.entries, mapping, base=header.segment_offset
-        )
         if manifest.root.get("kind") == "database":
             # Back-reference so worker pools can detect a store-backed
             # database and attach workers to the file mapping directly.
-            self.structure._store = self
+            structure._store = self
 
     @property
     def database(self) -> Any:
@@ -155,10 +191,6 @@ class IndexStore:
         """Total file size in bytes (header + manifest + segment)."""
         return self.header.total_size
 
-    def worker_manifest(self) -> StoreManifest:
-        """The picklable manifest pool workers attach from."""
-        return self.manifest
-
     def describe(self) -> dict:
         """JSON-friendly summary of the mapped file (``/healthz``, CLI).
 
@@ -172,109 +204,62 @@ class IndexStore:
             "segment_bytes": self.header.segment_len,
             "checksum": f"{self.header.checksum:#010x}",
             "entries": len(self.manifest.entries),
-            "mapped": self._mmap is not None,
+            "mapped": self._carrier is not None,
         }
 
-    def close(self) -> None:
-        """Drop the attachment and the mapping.
 
-        Mirrors ``AttachedShm.close``: the structure reference is
-        dropped so refcounting frees the views; a caller who kept a
-        view alive only defers the unmap to process exit.
-        """
-        self.structure = None
-        mapping = self._mmap
-        self._mmap = None
-        if mapping is not None:
-            try:
-                mapping.close()
-            except BufferError:  # pragma: no cover - caller kept views
-                pass
-
-
-def load(path: str, verify: bool = True, prime: bool = False) -> IndexStore:
+def load(path: str, verify: bool = True) -> IndexStore:
     """Memory-map an index file and attach its structures zero-copy.
 
     With ``verify`` (the default) the payload checksum is confirmed
     before anything is attached — one streaming read of the file, still
     orders of magnitude cheaper than an index build. ``verify=False``
-    skips it for the pure O(page faults) cold start. ``prime``
-    eagerly materializes the plain-int hot-path caches
-    (:func:`repro.parallel.shm.prime_hot_caches`), trading load time
-    for first-query latency.
+    skips it for the pure O(page faults) cold start. The plain-int
+    mirrors stay lazy; :func:`repro.store.layout.prime` materializes
+    them up front for callers that prefer to pay at load time.
     """
     require_little_endian_host("read")
-    mapping, size = _map_file(path)
+    mapping, header = _open_file(path, verify)
     try:
-        header = _validated_header(path, mapping, size, verify)
         entries, root = decode_manifest(
             mapping[HEADER_SIZE : HEADER_SIZE + header.manifest_len], path
         )
-        manifest = StoreManifest(
-            path=os.path.abspath(path),
-            segment_offset=header.segment_offset,
-            segment_len=header.segment_len,
+        manifest = Manifest(
             entries=entries,
             root=root,
+            nbytes=header.segment_len,
+            path=os.path.abspath(path),
+            base=header.segment_offset,
         )
-        store = IndexStore(path, header, mapping, manifest)
+        structure = attach_buffer(manifest, mapping)
     except Exception:
         mapping.close()
         raise
-    if prime:
-        try:
-            prime_hot_caches(store.structure)
-        except Exception:
-            # Priming walks attached views; if the segment data is bad
-            # past header validation, the store (and its mapping) must
-            # not leak on the way out.
-            store.close()
-            raise
-    return store
+    return IndexStore(path, header, manifest, structure, mapping)
 
 
-class AttachedStore:
-    """Worker-side handle over a file-backed mapping.
+def attach(manifest: Manifest) -> Attachment:
+    """Open the carrier ``manifest`` names and rebuild its structure.
 
-    The structural twin of :class:`repro.parallel.shm.AttachedShm`
-    (``.structure`` + ``.close()``), so the pool initializer treats shm
-    and file manifests uniformly. No checksum verification: the parent
-    verified the file when it loaded the store, and worker attach must
-    stay near-free.
+    This is the worker side of both carriers: a shared segment is
+    attached by name, an index file is memory-mapped. No checksum
+    verification — the parent verified the file when it loaded the
+    store, and worker attach must stay near-free; only the cheap
+    structural sanity (magic/version/length) is repeated.
     """
-
-    def __init__(self, manifest: StoreManifest) -> None:
-        mapping, size = _map_file(manifest.path)
-        try:
-            # Cheap structural sanity only (magic/version/length): a
-            # worker never attaches a path the parent did not already
-            # validate.
-            header = _validated_header(
-                manifest.path, mapping, size, verify=False
-            )
-            structure = attach_buffer(
-                manifest.root,
-                manifest.entries,
-                mapping,
-                base=header.segment_offset,
-            )
-        except Exception:
-            # No owner exists yet: a failed attach must close the
-            # mapping here or it leaks with the discarded instance.
-            mapping.close()
-            raise
-        self._mmap = mapping
-        self.structure: Any = structure
-
-    def close(self) -> None:
-        self.structure = None
-        try:
-            self._mmap.close()
-        except BufferError:  # pragma: no cover - caller kept views
-            pass
-
-
-def attach_store_manifest(manifest: StoreManifest) -> AttachedStore:
-    """Attach a worker to an index file described by ``manifest``."""
-    require_little_endian_host("attach")
-    return AttachedStore(manifest)
+    carrier: Any
+    if manifest.path is None:
+        carrier = shared_memory.SharedMemory(name=manifest.segment)
+        buf = carrier.buf
+    else:
+        require_little_endian_host("attach")
+        carrier, _header = _open_file(manifest.path, verify=False)
+        buf = carrier
+    try:
+        structure = attach_buffer(manifest, buf)
+    except Exception:
+        # No owner exists yet: a failed attach must close the mapping
+        # here or it leaks.
+        carrier.close()
+        raise
+    return Attachment(manifest, structure, carrier)

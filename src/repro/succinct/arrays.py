@@ -17,11 +17,19 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.succinct.fields import Array, Layout, LazyMirrors, Scalar
 from repro.utils.errors import ValidationError
 
 
-class CumulativeCounts:
+class CumulativeCounts(LazyMirrors):
     """Cumulative occurrence counts of symbols ``[0, D)`` in a column."""
+
+    LAYOUT = Layout(
+        "cumcounts",
+        Scalar("_n"),
+        Scalar("_sigma"),
+        Array("_cum", "<i8", mirrored=True),
+    )
 
     def __init__(self, column: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
         col = np.asarray(
@@ -54,22 +62,6 @@ class CumulativeCounts:
         obj._n = int(counts.sum())
         obj._sigma = int(counts.size)
         return obj
-
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle without the plain-int mirror (rebuilt lazily)."""
-        state = dict(self.__dict__)
-        state.pop("_cum_i", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getattr__(self, name: str) -> list[int]:
-        if name == "_cum_i":
-            value: list[int] = self._cum.tolist()
-            self.__dict__[name] = value
-            return value
-        raise AttributeError(name)
 
     def __len__(self) -> int:
         return self._n

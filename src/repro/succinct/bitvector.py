@@ -32,18 +32,21 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from repro.succinct.fields import Array, Layout, LazyMirrors, Scalar
 from repro.succinct.tables import select_in_word
 from repro.utils.errors import StructureError, ValidationError
 
-_FULL_WORD = (1 << 64) - 1
 
-# Kept as a module-level alias for callers that imported the historical
-# helper; the table-backed implementation lives in repro.succinct.tables.
-_select_in_word = select_in_word
-
-
-class BitVector:
+class BitVector(LazyMirrors):
     """Immutable bit sequence supporting access, rank and select."""
+
+    LAYOUT = Layout(
+        "bitvector",
+        Scalar("_n"),
+        Array("_words", "<u8", mirrored=True),
+        Array("_cum1", "<i8", mirrored=True),
+        Array("_cum0", "<i8", mirrored=True),
+    )
 
     def __init__(self, bits: Iterable[int] | np.ndarray) -> None:
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
@@ -75,42 +78,6 @@ class BitVector:
         self._words_i: list[int] = self._words.tolist()
         self._cum1_i: list[int] = self._cum1.tolist()
         self._cum0_i: list[int] = self._cum0.tolist()
-
-    # ------------------------------------------------------------------
-    # pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle only the canonical numpy buffers.
-
-        The plain-int word caches several-fold the pickled payload
-        (boxed ints serialize one object each, the numpy words as one
-        contiguous buffer) while being derivable in one ``tolist()``
-        pass; dropping them keeps worker-pool spawn cheap. They are
-        rebuilt lazily on first touch after unpickling (see
-        :meth:`__getattr__`).
-        """
-        state = dict(self.__dict__)
-        for name in ("_words_i", "_cum1_i", "_cum0_i"):
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getattr__(self, name: str) -> list[int]:
-        # Lazily rebuild a cache dropped by __getstate__. Any other miss
-        # must raise AttributeError (pickle/copy protocols probe for
-        # optional dunders and rely on the exception).
-        if name == "_words_i":
-            value: list[int] = self._words.tolist()
-        elif name == "_cum1_i":
-            value = self._cum1.tolist()
-        elif name == "_cum0_i":
-            value = self._cum0.tolist()
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
 
     # ------------------------------------------------------------------
     # basic introspection

@@ -37,6 +37,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.succinct.bitvector import BitVector
+from repro.succinct.fields import (
+    Array,
+    Child,
+    Layout,
+    LazyMirrors,
+    Scalar,
+    Transient,
+)
 from repro.utils.errors import StructureError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,8 +58,23 @@ _MEMO_CAP = 1 << 15
 _MISS = object()
 
 
-class WaveletTree:
+class WaveletTree(LazyMirrors):
     """Immutable wavelet tree over a sequence of ints in ``[0, sigma)``."""
+
+    # The op-counter hook and the per-query memo are evaluation-scoped
+    # recorder state: they never cross a process or file boundary.
+    LAYOUT = Layout(
+        "wavelet",
+        Scalar("_n"),
+        Scalar("_sigma"),
+        Scalar("_height"),
+        Child("_levels", BitVector, "list"),
+        Array("_counts", "<i8", mirrored=True),
+        Transient("ops"),
+        Transient("_memo_users", 0),
+        Transient("_memo_rank"),
+        Transient("_memo_next"),
+    )
 
     def __init__(self, sequence: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
         seq = np.asarray(
@@ -95,34 +118,6 @@ class WaveletTree:
         self._memo_users = 0
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
-
-    # ------------------------------------------------------------------
-    # pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle the levels and the numpy count table only.
-
-        The plain-int count cache is rebuilt lazily after unpickling;
-        the op-counter hook and the per-query memo are evaluation-scoped
-        recorder state that must never travel to a worker process.
-        """
-        state = dict(self.__dict__)
-        state.pop("_counts_i", None)
-        state["ops"] = None
-        state["_memo_users"] = 0
-        state["_memo_rank"] = None
-        state["_memo_next"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getattr__(self, name: str) -> list[int]:
-        if name == "_counts_i":
-            value: list[int] = self._counts.tolist()
-            self.__dict__[name] = value
-            return value
-        raise AttributeError(name)
 
     # ------------------------------------------------------------------
     # introspection

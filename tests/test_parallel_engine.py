@@ -14,7 +14,6 @@ import pytest
 from repro.engines.auto import AutoEngine
 from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
-from repro.parallel import forced
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -96,23 +95,3 @@ def test_auto_routes_through_parallel(small_db):
     assert got.engine == "parallel-knn"
     assert got.solutions == expected.solutions
     assert _stat_tuple(got.stats) == _stat_tuple(expected.stats)
-
-
-def test_forced_env_shards_transparently(small_db, monkeypatch):
-    query = ExtendedBGP([TriplePattern(X, 20, Y), TriplePattern(Y, 21, Z)])
-    expected = RingKnnEngine(small_db).evaluate(query)
-    monkeypatch.setenv(forced.ENV_WORKERS, "2")
-    got = RingKnnEngine(small_db).evaluate(query)
-    # Same engine name, same ordered solutions, same merged counters:
-    # callers cannot observe the sharding.
-    assert got.engine == expected.engine
-    assert got.solutions == expected.solutions
-    assert _stat_tuple(got.stats) == _stat_tuple(expected.stats)
-
-
-def test_forced_env_ignores_invalid_values(monkeypatch):
-    for raw in ("", "0", "1", "-3", "banana"):
-        monkeypatch.setenv(forced.ENV_WORKERS, raw)
-        assert forced.forced_workers() == 0
-    monkeypatch.setenv(forced.ENV_WORKERS, "4")
-    assert forced.forced_workers() == 4

@@ -1,11 +1,9 @@
 """Pool-size-sweep battery for the shared-memory zero-copy transport.
 
-Three layers of acceptance for :mod:`repro.parallel.shm`:
+Two layers of acceptance for :mod:`repro.parallel.shm` (the per-structure
+flatten → attach round trips live in ``tests/test_layout.py``, one
+battery over both carriers):
 
-* **Round trips** — Hypothesis properties per flattened structure
-  (BitVector, WaveletTree, CumulativeCounts, KnnRing,
-  DistanceRangeIndex): flatten → attach → query answers exactly as the
-  original, over a genuinely shared segment.
 * **Golden sweep** — on the Figure-2 workload, solutions and merged
   traced op counts are byte-identical to serial for pool sizes 1, 2, 4
   under *both* fork and spawn start methods (spawn proves the transport
@@ -22,36 +20,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bench.harness import _build
 from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine
-from repro.knn.builders import build_knn_graph_bruteforce
-from repro.knn.distance_index import DistanceRangeIndex
-from repro.knn.succinct import KnnRing
 from repro.obs import QueryTrace, validate_trace
-from repro.parallel import forced
 from repro.parallel.executor import (
+    ENV_START_METHOD,
     close_pools_for,
     pool_for,
     shutdown_pools,
 )
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import (
-    ScratchBuffer,
-    StructureShm,
-    active_segments,
-    attach,
-)
+from repro.parallel.shm import ScratchBuffer, active_segments
 from repro.parallel.worker import ShardTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
-from repro.succinct.arrays import CumulativeCounts
-from repro.succinct.bitvector import BitVector
-from repro.succinct.wavelet_tree import WaveletTree
 from tests.test_golden_opcounts import CONFIG
 
 WORKER_COUNTS = (1, 2, 4)
@@ -67,156 +51,6 @@ def _comparable(trace: QueryTrace) -> dict:
     doc = trace.to_dict()
     validate_trace(doc)
     return {key: doc[key] for key in doc if key not in _EXCLUDED}
-
-
-# ----------------------------------------------------------------------
-# round trips: flatten -> attach -> query == original
-# ----------------------------------------------------------------------
-class _RoundTrip:
-    """Create + attach a structure over a real shared segment, with
-    guaranteed unlink (leak-checked per example).
-
-    Assertions against the attachment run inside :meth:`check` so no
-    test-frame local keeps a numpy view alive when :meth:`close` drops
-    the mapping — a lingering view would turn the close into a leak.
-    """
-
-    def __init__(self, structure: object) -> None:
-        self.handle = StructureShm.create(structure)
-        self.attached = attach(self.handle.manifest)
-
-    def check(self, checker, *args) -> None:
-        checker(self.attached.structure, *args)
-
-    def close(self) -> None:
-        name = self.handle.name
-        self.attached.close()
-        self.handle.close()
-        assert name not in active_segments()
-
-
-def _check_bitvector(got, original, bits):
-    assert isinstance(got, BitVector)
-    assert len(got) == len(original)
-    assert list(got) == list(original)
-    for i in range(len(bits) + 1):
-        assert got.rank1(i) == original.rank1(i)
-        assert got.rank0(i) == original.rank0(i)
-    for j in range(1, original.n_ones + 1):
-        assert got.select1(j) == original.select1(j)
-    for j in range(1, original.n_zeros + 1):
-        assert got.select0(j) == original.select0(j)
-
-
-@settings(max_examples=30, deadline=None)
-@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=160))
-def test_bitvector_roundtrip(bits):
-    original = BitVector(bits)
-    trip = _RoundTrip(original)
-    try:
-        trip.check(_check_bitvector, original, bits)
-    finally:
-        trip.close()
-
-
-def _check_wavelet(got, original, sequence, sigma):
-    assert isinstance(got, WaveletTree)
-    assert len(got) == len(original)
-    assert got.alphabet_size == original.alphabet_size
-    assert got.height == original.height
-    for i in range(len(sequence)):
-        assert got.access(i) == original.access(i)
-    for c in range(sigma):
-        assert got.total_count(c) == original.total_count(c)
-        for i in range(0, len(sequence) + 1, 7):
-            assert got.rank(c, i) == original.rank(c, i)
-        for j in range(1, original.total_count(c) + 1):
-            assert got.select(c, j) == original.select(c, j)
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), sigma=st.integers(1, 12))
-def test_wavelet_tree_roundtrip(data, sigma):
-    sequence = data.draw(
-        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
-    )
-    original = WaveletTree(sequence, sigma)
-    trip = _RoundTrip(original)
-    try:
-        trip.check(_check_wavelet, original, sequence, sigma)
-    finally:
-        trip.close()
-
-
-def _check_cumcounts(got, original, sigma):
-    assert isinstance(got, CumulativeCounts)
-    assert len(got) == len(original)
-    assert got.alphabet_size == original.alphabet_size
-    for c in range(sigma + 1):
-        assert got.before(c) == original.before(c)
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), sigma=st.integers(1, 12))
-def test_cumulative_counts_roundtrip(data, sigma):
-    column = data.draw(
-        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
-    )
-    original = CumulativeCounts(column, sigma)
-    trip = _RoundTrip(original)
-    try:
-        trip.check(_check_cumcounts, original, sigma)
-    finally:
-        trip.close()
-
-
-def _check_knn_ring(got, original):
-    assert isinstance(got, KnnRing)
-    assert got.K == original.K
-    assert np.array_equal(got.members, original.members)
-    for u in original.members.tolist():
-        for k in range(1, original.K + 1):
-            assert got.neighbors_of(u, k) == original.neighbors_of(u, k)
-            assert got.reverse_neighbors_of(
-                u, k
-            ) == original.reverse_neighbors_of(u, k)
-            assert got.forward_count(u, k) == original.forward_count(u, k)
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
-def test_knn_ring_roundtrip(seed, n):
-    points = np.random.default_rng(seed).normal(size=(n, 3))
-    original = KnnRing(build_knn_graph_bruteforce(points, K=3))
-    trip = _RoundTrip(original)
-    try:
-        trip.check(_check_knn_ring, original)
-    finally:
-        trip.close()
-
-
-def _check_distance_index(got, original):
-    assert isinstance(got, DistanceRangeIndex)
-    assert got.d_max == original.d_max
-    assert np.array_equal(got.members, original.members)
-    for u in original.members.tolist():
-        for d in (0.5, 1.25, 2.5):
-            assert got.neighbors_within(u, d) == original.neighbors_within(
-                u, d
-            )
-            assert got.count_within(u, d) == original.count_within(u, d)
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
-def test_distance_range_index_roundtrip(seed, n):
-    points = np.random.default_rng(seed).normal(size=(n, 3))
-    original = DistanceRangeIndex(points, d_max=2.5)
-    trip = _RoundTrip(original)
-    try:
-        trip.check(_check_distance_index, original)
-    finally:
-        trip.close()
 
 
 def test_scratch_buffer_publish_grow_and_reuse():
@@ -272,7 +106,7 @@ def test_sweep_byte_identical_to_serial(
     figure2, monkeypatch, workers, start_method
 ):
     db, queries, expected, _auto_expected = figure2
-    monkeypatch.setenv(forced.ENV_START_METHOD, start_method)
+    monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()  # force a fresh pool under this start method
     try:
         parallel = ParallelRingKnnEngine(db, workers=workers)
@@ -302,7 +136,7 @@ def test_scheduler_batch_byte_identical_both_methods(
     figure2, monkeypatch, start_method
 ):
     db, queries, _expected, auto_expected = figure2
-    monkeypatch.setenv(forced.ENV_START_METHOD, start_method)
+    monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()
     scheduler = QueryScheduler(db, workers=2)
     try:
@@ -426,7 +260,7 @@ def test_no_resource_tracker_warnings_on_exit(start_method):
     env = {
         "PYTHONPATH": str(repo_src),
         "PATH": "/usr/bin:/bin",
-        forced.ENV_START_METHOD: start_method,
+        ENV_START_METHOD: start_method,
     }
     proc = subprocess.run(
         [sys.executable, "-c", _EXIT_SCRIPT],

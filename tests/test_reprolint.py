@@ -96,6 +96,16 @@ class TestRPL001HotPathPurity:
             assert line not in lines
 
 
+    def test_mirrored_attrs_match_the_declared_layouts(self):
+        # The rule's list is config, the truth is each structure's own
+        # declaration: an array declared mirrored must be patrolled.
+        from repro.analysis.config import INT_MIRRORED_ARRAY_ATTRS
+        from repro.store.layout import KINDS
+
+        declared = set().union(*(cls.LAYOUT.mirrored for cls in KINDS.values()))
+        assert declared == INT_MIRRORED_ARRAY_ATTRS
+
+
 class TestRPL002CounterBeforeMemo:
     def test_flags_lookup_before_increment(self):
         result = lint_fixture("rpl002_bad.py", ["RPL002"])
@@ -240,7 +250,7 @@ class TestRPL007ShmOnlyTransport:
             "definition of '__setstate__'" in m for m in messages
         )
         # Every message points at the sanctioned path.
-        assert all("repro.parallel.shm" in m for m in messages)
+        assert all("repro.store.layout" in m for m in messages)
 
     def test_out_of_scope_module_ignored(self, tmp_path):
         source = FIXTURES / "rpl007_bad.py"
@@ -253,9 +263,9 @@ class TestRPL007ShmOnlyTransport:
         result = lint(Project.from_paths([moved]), get_rules(["RPL007"]))
         assert result.ok
 
-    def test_shm_registry_module_is_exempt(self):
-        # The shm module is the sanctioned transport: the whole shipped
-        # parallel package (shm included) must be RPL007-clean.
+    def test_shipped_parallel_package_is_clean(self):
+        # No module is exempt any more: the whole shipped parallel
+        # package (shm included) must be RPL007-clean.
         parallel_dir = PACKAGE_DIR / "parallel"
         result = lint(
             Project.from_paths([parallel_dir]), get_rules(["RPL007"])

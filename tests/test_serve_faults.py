@@ -40,8 +40,7 @@ import pytest
 from repro.engines.database import GraphDatabase
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
-from repro.parallel import forced
-from repro.parallel.executor import shutdown_pools
+from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
 from repro.serve.app import ServeConfig, ServerThread
 from repro.store import save
 
@@ -97,7 +96,7 @@ def start_method(request, monkeypatch):
     method = request.param
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"start method {method!r} unavailable")
-    monkeypatch.setenv(forced.ENV_START_METHOD, method)
+    monkeypatch.setenv(ENV_START_METHOD, method)
     shutdown_pools()
     yield method
     shutdown_pools()
@@ -323,7 +322,7 @@ class TestSigterm:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(repo_root / "src"), env.get("PYTHONPATH", "")]
         ).rstrip(os.pathsep)
-        env[forced.ENV_START_METHOD] = method
+        env[ENV_START_METHOD] = method
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",

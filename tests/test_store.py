@@ -1,10 +1,10 @@
 """Acceptance battery for the persistent on-disk index format.
 
-Mirrors the shared-memory transport's three layers
-(``tests/test_parallel_shm.py``) for :mod:`repro.store`:
+Mirrors the shared-memory transport's layers
+(``tests/test_parallel_shm.py``) for :mod:`repro.store`; the
+per-structure round trips live in ``tests/test_layout.py``, one battery
+over both carriers:
 
-* **Round trips** — Hypothesis properties per structure: save → mmap
-  load → query answers exactly as the original, through a real file.
 * **Failure modes** — truncation, bad magic, version skew, checksum
   corruption, endianness (file flag and host) each raise their typed
   :mod:`repro.utils.errors` exception; ``verify=False`` skips only the
@@ -19,40 +19,39 @@ Mirrors the shared-memory transport's three layers
 from __future__ import annotations
 
 import os
-import shutil
 import struct
 import sys
-import tempfile
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro.store.io as store_io
 from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine
-from repro.knn.builders import build_knn_graph_bruteforce
-from repro.knn.distance_index import DistanceRangeIndex
-from repro.knn.succinct import KnnRing
 from repro.obs import QueryTrace
-from repro.parallel import forced
-from repro.parallel.executor import pool_for, shutdown_pools
+from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
 from repro.parallel.shm import active_segments
 from repro.store import (
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
-    attach_store_manifest,
+    attach,
     load,
+    prime,
     save,
 )
-from repro.succinct.arrays import CumulativeCounts
+from repro.store.format import (
+    checksum_parts,
+    decode_manifest,
+    encode_manifest,
+    pack_header,
+    unpack_header,
+)
 from repro.succinct.bitvector import BitVector
-from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import (
     StoreChecksumError,
     StoreEndiannessError,
@@ -60,104 +59,9 @@ from repro.utils.errors import (
     StoreVersionError,
 )
 from tests.test_golden_opcounts import CONFIG
-from tests.test_parallel_shm import (
-    _check_bitvector,
-    _check_cumcounts,
-    _check_distance_index,
-    _check_knn_ring,
-    _check_wavelet,
-    _comparable,
-)
+from tests.test_parallel_shm import _comparable
 
 START_METHODS = ("fork", "spawn")
-
-
-# ----------------------------------------------------------------------
-# round trips: save -> load -> query == original
-# ----------------------------------------------------------------------
-class _StoreTrip:
-    """Save + mmap-load a structure through a real index file.
-
-    Assertions run inside :meth:`check` so no test-frame local keeps a
-    numpy view into the mapping alive when :meth:`close` drops it.
-    """
-
-    def __init__(self, structure: object) -> None:
-        self._dir = tempfile.mkdtemp(prefix="repro-store-test-")
-        self.path = os.path.join(self._dir, "structure.idx")
-        self.nbytes = save(structure, self.path)
-        self.store = load(self.path)
-
-    def check(self, checker, *args) -> None:
-        checker(self.store.structure, *args)
-
-    def close(self) -> None:
-        self.store.close()
-        shutil.rmtree(self._dir, ignore_errors=True)
-
-
-@settings(max_examples=20, deadline=None)
-@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=160))
-def test_bitvector_roundtrip(bits):
-    original = BitVector(bits)
-    trip = _StoreTrip(original)
-    try:
-        assert trip.nbytes == os.path.getsize(trip.path)
-        trip.check(_check_bitvector, original, bits)
-    finally:
-        trip.close()
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data(), sigma=st.integers(1, 12))
-def test_wavelet_tree_roundtrip(data, sigma):
-    sequence = data.draw(
-        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
-    )
-    original = WaveletTree(sequence, sigma)
-    trip = _StoreTrip(original)
-    try:
-        trip.check(_check_wavelet, original, sequence, sigma)
-    finally:
-        trip.close()
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data(), sigma=st.integers(1, 12))
-def test_cumulative_counts_roundtrip(data, sigma):
-    column = data.draw(
-        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
-    )
-    original = CumulativeCounts(column, sigma)
-    trip = _StoreTrip(original)
-    try:
-        trip.check(_check_cumcounts, original, sigma)
-    finally:
-        trip.close()
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
-def test_knn_ring_roundtrip(seed, n):
-    points = np.random.default_rng(seed).normal(size=(n, 3))
-    original = KnnRing(build_knn_graph_bruteforce(points, K=3))
-    trip = _StoreTrip(original)
-    try:
-        trip.check(_check_knn_ring, original)
-    finally:
-        trip.close()
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
-def test_distance_range_index_roundtrip(seed, n):
-    points = np.random.default_rng(seed).normal(size=(n, 3))
-    original = DistanceRangeIndex(points, d_max=2.5)
-    trip = _StoreTrip(original)
-    try:
-        trip.check(_check_distance_index, original)
-    finally:
-        trip.close()
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +141,7 @@ def test_checksum_mismatch(small_index):
 def test_malformed_manifest_json(small_index):
     # Corrupt the manifest bytes, then re-stamp the checksum so the
     # JSON decode (not the checksum) is what fails.
-    from repro.store.format import payload_checksum, unpack_header
+    from repro.store.format import payload_checksum
 
     with open(small_index, "rb") as handle:
         raw = bytearray(handle.read())
@@ -249,6 +153,97 @@ def test_malformed_manifest_json(small_index):
         handle.write(raw)
     with pytest.raises(StoreFormatError, match="manifest"):
         load(small_index)
+
+
+def _unknown_kind(entries, root):
+    root["kind"] = "hologram"
+
+
+def _array_index_out_of_range(entries, root):
+    root["ring"]["blocks"]["s"]["cum"] = len(entries)
+
+
+def _offset_past_segment(entries, root):
+    _offset, dtype, shape = entries[0]
+    entries[0] = (1 << 40, dtype, shape)
+
+
+def _bad_dtype(entries, root):
+    offset, _dtype, shape = entries[0]
+    entries[0] = (offset, "<x9", shape)
+
+
+def _missing_key(entries, root):
+    del root["ring"]["columns"]["s"]["levels"][0]["cum1"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _unknown_kind,
+        _array_index_out_of_range,
+        _offset_past_segment,
+        _bad_dtype,
+        _missing_key,
+    ],
+)
+def test_structurally_bad_manifest_is_format_error(
+    tmp_path, small_db, monkeypatch, capsys, corrupt
+):
+    """A wrong manifest behind a *valid* checksum is still a typed error.
+
+    The file is rewritten whole (manifest length, padding and checksum
+    all consistent), so nothing but the structural validation of the
+    attach can catch it — and a failed attach must leave no mapping.
+    """
+    path = str(tmp_path / "bad.idx")
+    save(small_db, path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    header = unpack_header(raw[:HEADER_SIZE], path)
+    entries, root = decode_manifest(
+        raw[HEADER_SIZE : HEADER_SIZE + header.manifest_len], path
+    )
+    segment = raw[header.segment_offset : header.total_size]
+    entries = list(entries)
+    corrupt(entries, root)
+    manifest = encode_manifest(tuple(entries), root)
+    pad = b"\0" * (-(HEADER_SIZE + len(manifest)) % 8)
+    with open(path, "wb") as handle:
+        handle.write(
+            pack_header(
+                len(manifest),
+                len(segment),
+                checksum_parts(manifest, pad, segment),
+            )
+        )
+        handle.write(manifest + pad + segment)
+
+    opened = []
+
+    class _RecordingMmap(store_io.mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            opened.append(super().__new__(cls, *args, **kwargs))
+            return opened[-1]
+
+    monkeypatch.setattr(
+        store_io,
+        "mmap",
+        SimpleNamespace(
+            mmap=_RecordingMmap, ACCESS_READ=store_io.mmap.ACCESS_READ
+        ),
+    )
+
+    for verify in (True, False):
+        with pytest.raises(StoreFormatError, match="bad.idx"):
+            load(path, verify=verify)
+    from repro.cli import main
+
+    code = main(["query", "--from-index", path, "--query", "(?x, 20, ?y)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "StoreFormatError" in err and "Traceback" not in err
+    assert len(opened) == 3 and all(mapping.closed for mapping in opened)
 
 
 def test_big_endian_host_guard(small_index, monkeypatch):
@@ -328,7 +323,7 @@ def test_mapped_pool_sweep_byte_identical(
     fig2_store, monkeypatch, workers, start_method
 ):
     queries, expected, _auto_expected, path = fig2_store
-    monkeypatch.setenv(forced.ENV_START_METHOD, start_method)
+    monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()
     store = load(path)
     try:
@@ -353,7 +348,7 @@ def test_mapped_pool_sweep_byte_identical(
 
 def test_mapped_scheduler_batch(fig2_store, monkeypatch):
     queries, _expected, auto_expected, path = fig2_store
-    monkeypatch.setenv(forced.ENV_START_METHOD, "fork")
+    monkeypatch.setenv(ENV_START_METHOD, "fork")
     shutdown_pools()
     store = load(path)
     scheduler = QueryScheduler(store.database, workers=2)
@@ -371,8 +366,9 @@ def test_mapped_scheduler_batch(fig2_store, monkeypatch):
 def test_prime_materializes_hot_caches(fig2_store):
     _queries, _expected, _auto_expected, path = fig2_store
     lazy = load(path)
-    primed = load(path, prime=True)
+    primed = load(path)
     try:
+        prime(primed.structure)
         lazy_bv = lazy.database.knn_ring._B
         primed_bv = primed.database.knn_ring._B
         assert "_words_i" not in vars(lazy_bv)
@@ -424,10 +420,10 @@ def test_attached_ops_return_plain_ints(fig2_store):
         store.close()
 
 
-def test_worker_manifest_attaches_same_answers(fig2_store):
+def test_store_manifest_attaches_same_answers(fig2_store):
     queries, expected, _auto_expected, path = fig2_store
     store = load(path)
-    attached = attach_store_manifest(store.worker_manifest())
+    attached = attach(store.manifest)
     try:
         engine = RingKnnEngine(attached.structure)
         got = engine.evaluate(queries[0])
