@@ -61,6 +61,20 @@ INT_MIRRORED_ARRAY_ATTRS: frozenset[str] = frozenset(
     }
 )
 
+#: Inside the wavelet tree, descents inline the bitvector rank
+#: arithmetic on each level's ``_words_i``/``_cum1_i`` mirrors. The
+#: sanctioned way to reach another object's mirrors from there is the
+#: level view: the functions named in ``LEVEL_VIEW_BUILDERS`` bind them
+#: once per tree (lazily, so an attached tree rebuilds them on first
+#: use) and every descent reads the view. A ``bv._words_i`` anywhere
+#: else in the module is a per-level attribute chase — and a second
+#: place that decides when an attached mirror gets built.
+LEVEL_VIEW_PREFIXES: tuple[str, ...] = ("repro.succinct.wavelet_tree",)
+LEVEL_VIEW_BUILDERS: frozenset[str] = frozenset({"_level_view"})
+BITVECTOR_MIRROR_ATTRS: frozenset[str] = frozenset(
+    {"_words_i", "_cum1_i", "_cum0_i"}
+)
+
 # ----------------------------------------------------------------------
 # RPL002 — counter-before-memo.
 #
@@ -77,6 +91,15 @@ MEMO_ATTR_PREFIX = "_memo_"
 #: Memo attributes that are bookkeeping, not caches (reading them is
 #: not a lookup).
 MEMO_BOOKKEEPING_ATTRS: frozenset[str] = frozenset({"_memo_users"})
+
+#: Private-named methods that are nevertheless entry points: the
+#: counted-but-unchecked twins other modules call with arguments that
+#: are in range by construction (relation adapters leaping in a range
+#: they resolved at bind time). They are judged like public methods —
+#: the bump must precede the memo read in their own body.
+COUNTED_UNCHECKED_ENTRIES: frozenset[str] = frozenset(
+    {"_range_next_value_u"}
+)
 
 # ----------------------------------------------------------------------
 # RPL003 — obs guards.

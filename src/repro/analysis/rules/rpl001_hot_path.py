@@ -15,6 +15,11 @@ Note the banned set is the *BitVector* surface only.
 operations — hot paths are *supposed* to call those (the golden
 Figure-2 fixture counts them); their internals then bottom out in
 ``_*_u`` kernels, which is what this rule verifies.
+
+Inside the wavelet tree itself the descents inline the rank arithmetic
+on each level's plain-int mirrors; there the rule holds every read of a
+BitVector's ``_words_i``/``_cum1_i``/``_cum0_i`` to the level-view
+builder (``config.LEVEL_VIEW_BUILDERS``).
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import astutil
 from repro.analysis.config import (
+    BITVECTOR_MIRROR_ATTRS,
     HOT_PATH_PREFIXES,
     INT_MIRRORED_ARRAY_ATTRS,
+    LEVEL_VIEW_BUILDERS,
+    LEVEL_VIEW_PREFIXES,
     VALIDATED_BITVECTOR_OPS,
     in_scope,
 )
@@ -42,15 +50,20 @@ class HotPathPurity(Rule):
     summary = (
         "hot-path modules must use unchecked _*_u BitVector kernels, "
         "bisect instead of np.searchsorted in loops, and the plain-int "
-        "_i mirrors instead of indexing canonical numpy arrays"
+        "_i mirrors instead of indexing canonical numpy arrays; the "
+        "wavelet tree reaches BitVector mirrors through its level view"
     )
 
     def check(self, module: "ModuleInfo", project: "Project") -> Iterator["Finding"]:
         if not in_scope(module.name, HOT_PATH_PREFIXES):
             return
+        level_views = in_scope(module.name, LEVEL_VIEW_PREFIXES)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Subscript):
                 yield from self._check_subscript(module, node)
+                continue
+            if level_views and isinstance(node, ast.Attribute):
+                yield from self._check_mirror_read(module, node)
                 continue
             if not isinstance(node, ast.Call):
                 continue
@@ -110,6 +123,26 @@ class HotPathPurity(Rule):
         ):
             return haystack.attr
         return None
+
+    def _check_mirror_read(
+        self, module: "ModuleInfo", node: ast.Attribute
+    ) -> Iterator["Finding"]:
+        """Flag reads of another object's BitVector mirrors outside the
+        level-view builder (see ``LEVEL_VIEW_BUILDERS``)."""
+        if node.attr not in BITVECTOR_MIRROR_ATTRS:
+            return
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            return
+        func = astutil.enclosing_function(node)
+        if func is not None and func.name in LEVEL_VIEW_BUILDERS:
+            return
+        yield module.finding(
+            self.code,
+            f"BitVector mirror '.{node.attr}' read outside the level "
+            "view; descents read each level's (words, cum1) pair from "
+            "the view its builder binds once per tree",
+            node,
+        )
 
     def _check_subscript(
         self, module: "ModuleInfo", node: ast.Subscript

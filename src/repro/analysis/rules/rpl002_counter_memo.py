@@ -13,7 +13,10 @@ patrols): inside each class of a memoized module, any public method
 that reads a ``_memo_*`` attribute — directly or via private helpers
 of the same class — must contain an ``ops`` counter increment at an
 earlier source line. ``_memo_users`` and friends are refcounting
-bookkeeping, not caches, and are ignored.
+bookkeeping, not caches, and are ignored. The counted-but-unchecked
+twins that other modules call directly (``COUNTED_UNCHECKED_ENTRIES``)
+are private by name but entry points in fact, and are judged like
+public methods.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import astutil
 from repro.analysis.config import (
+    COUNTED_UNCHECKED_ENTRIES,
     MEMO_ATTR_PREFIX,
     MEMO_BOOKKEEPING_ATTRS,
     MEMOIZED_PREFIXES,
@@ -137,7 +141,7 @@ class CounterBeforeMemo(Rule):
                         changed = True
 
         for name, func in methods.items():
-            if name.startswith("_"):
+            if name.startswith("_") and name not in COUNTED_UNCHECKED_ENTRIES:
                 continue  # private helpers are judged via their callers
             line = exposed.get(name)
             if line is not None:

@@ -423,6 +423,7 @@ def _cache_pass(db, workload, config: BenchConfig) -> dict[str, dict]:
     cache = QueryCache()
     cached_engine = AutoEngine(db, cache=cache)
     fill_entry, _fill_results = sweep(cached_engine)
+    filled = cache.stats()
     warm_entry, warm_results = sweep(cached_engine)
 
     for query, cold, warm in zip(queries, cold_results, warm_results):
@@ -434,11 +435,11 @@ def _cache_pass(db, workload, config: BenchConfig) -> dict[str, dict]:
             )
 
     stats = cache.stats()
-    probes = stats["hits"] + stats["misses"]
+    # The warm sweep's own probes: the fill pass's misses are not its.
+    hits = stats["hits"] - filled["hits"]
+    probes = hits + stats["misses"] - filled["misses"]
     warm_entry["hits"] = sum(int(r.cached) for r in warm_results)
-    warm_entry["hit_rate"] = (
-        stats["hits"] / probes if probes else 0.0
-    )
+    warm_entry["hit_rate"] = hits / probes if probes else 0.0
     warm_entry["speedup_vs_cold"] = (
         cold_entry["total_s"] / warm_entry["total_s"]
         if warm_entry["total_s"] > 0

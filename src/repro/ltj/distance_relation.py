@@ -5,7 +5,8 @@ selects the distance-sorted region of that node in the sequence ``D``
 and binary-searches the prefix within distance ``d``; the resulting
 range participates in leapfrog intersections exactly like a ``S``/``S'``
 range. Because metric distance is symmetric, both sides use the same
-index.
+index. As in :mod:`repro.ltj.knn_relation`, ``bind`` keeps the range it
+resolves and ``leap``/``estimate`` read it back until ``unbind``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ class DistanceClauseRelation(LeapRelation):
         ]
         self._depth = 0
         self._failed_depth: int | None = None
+        # The tree leaps descend and, per position, the closed range of
+        # it they are confined to while the other side is bound.
+        self._tree = index.D
+        self._ranges: list[tuple[int, int] | None] = [
+            None if anchor is None else index.range_within(anchor, self._d)
+            for anchor in reversed(self._values)
+        ]
         x, y = self._values
         if x is not None and y is not None and not index.contains(x, y, self._d):
             self._failed_depth = 0
@@ -50,7 +58,7 @@ class DistanceClauseRelation(LeapRelation):
 
     def wavelet_trees(self) -> tuple[WaveletTree, ...]:
         """Trees touched by this relation (engine memo hook)."""
-        return (self._index.D,)
+        return (self._tree,)
 
     def is_empty(self) -> bool:
         return self._failed_depth is not None
@@ -58,14 +66,17 @@ class DistanceClauseRelation(LeapRelation):
     def leap(self, pos: int, lower: int) -> int | None:
         if self._failed_depth is not None:
             return None
-        anchor = self._values[1 - pos]
         obs = self.obs
         if obs is not None:
             obs.leaps += 1
-        if anchor is not None:
+        span = self._ranges[pos]
+        if span is not None:
             if obs is not None:
                 obs.bump("leap_within")
-            return self._index.leap_within(anchor, self._d, lower)
+            lo, hi = span
+            if lo > hi:
+                return None
+            return self._tree._range_next_value_u(lo, hi, lower)
         if obs is not None:
             obs.bump("leap_member")
         return self._index.next_member(lower)
@@ -82,7 +93,9 @@ class DistanceClauseRelation(LeapRelation):
         if anchor is None:
             if obs is not None:
                 obs.bump("count_within")
-            ok = self._index.count_within(value, self._d) > 0
+            lo, hi = span = self._index.range_within(value, self._d)
+            self._ranges[1 - pos] = span
+            ok = lo <= hi
         else:
             if obs is not None:
                 obs.bump("contains")
@@ -101,6 +114,7 @@ class DistanceClauseRelation(LeapRelation):
         if self.obs is not None:
             self.obs.unbinds += 1
         self._values[pos] = None
+        self._ranges[1 - pos] = None
         if self._failed_depth is not None and self._failed_depth > self._depth:
             self._failed_depth = None
 
@@ -109,9 +123,9 @@ class DistanceClauseRelation(LeapRelation):
         paper notes the algorithm knows and can use for ordering)."""
         if self.obs is not None:
             self.obs.estimates += 1
-        anchor = self._values[1 - pos]
-        if anchor is not None:
-            return self._index.count_within(anchor, self._d)
+        span = self._ranges[pos]
+        if span is not None:
+            return span[1] - span[0] + 1
         return int(self._index.members.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

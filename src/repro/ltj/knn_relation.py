@@ -6,6 +6,11 @@ but the trie nodes are simulated as ranges of the wavelet trees over
 ``S`` (when ``x`` is bound first) or ``S'`` (when ``y`` is bound first),
 per Lemma 2. Leapfrog intersections run through ``range_next_value`` on
 those ranges, never materializing anything.
+
+A side's range depends only on the value bound on the other side, so it
+is resolved there — in ``bind``, which needs it for its emptiness test
+anyway — and every ``leap`` and ``estimate`` until the matching
+``unbind`` reads it back.
 """
 
 from __future__ import annotations
@@ -43,7 +48,14 @@ class KnnClauseRelation(LeapRelation):
         ]
         self._depth = 0
         self._failed_depth: int | None = None
+        # Per position, the tree its leaps descend and, while the other
+        # side is bound, the closed range of it they are confined to.
+        self._trees = (knn.Sprime, knn.S)
         x, y = self._values
+        self._ranges: list[tuple[int, int] | None] = [
+            None if y is None else knn.backward_range(y, self._k),
+            None if x is None else knn.forward_range(x, self._k),
+        ]
         if x is not None and y is not None and not knn.contains(x, y, self._k):
             # Fully constant clause: a static filter.
             self._failed_depth = 0
@@ -67,22 +79,21 @@ class KnnClauseRelation(LeapRelation):
         obs = self.obs
         if obs is not None:
             obs.leaps += 1
-        anchor = self._values[1 - pos]
+        span = self._ranges[pos]
+        if span is not None:
+            # Descend T_xy in S[(x-1)K+1 .. (x-1)K+k] (Lemma 2b), or
+            # T_yx in S'[p_y(1) .. p_y(k+1)-1] (Lemma 2c).
+            if obs is not None:
+                obs.bump("leap_forward_S" if pos else "leap_backward_Sprime")
+            lo, hi = span
+            if lo > hi:
+                return None
+            return self._trees[pos]._range_next_value_u(lo, hi, lower)
         if pos:
-            if anchor is not None:
-                # Descend T_xy: range S[(x-1)K+1 .. (x-1)K+k] (Lemma 2b).
-                if obs is not None:
-                    obs.bump("leap_forward_S")
-                return self._knn.leap_forward(anchor, self._k, lower)
             # Root of T_yx: any member with a non-empty reverse range.
             if obs is not None:
                 obs.bump("leap_root_reverse")
             return self._knn.next_reverse_nonempty(self._k, lower)
-        if anchor is not None:
-            # Descend T_yx: range S'[p_y(1) .. p_y(k+1)-1] (Lemma 2c).
-            if obs is not None:
-                obs.bump("leap_backward_Sprime")
-            return self._knn.leap_backward(anchor, self._k, lower)
         # Root of T_xy: every member has k forward neighbors.
         if obs is not None:
             obs.bump("leap_root_member")
@@ -105,15 +116,19 @@ class KnnClauseRelation(LeapRelation):
             ok = self._knn.contains(
                 anchor if pos else value, value if pos else anchor, self._k
             )
-        elif pos:
-            # First side bound: non-emptiness = the range is non-empty.
-            if obs is not None:
-                obs.bump("count_backward")
-            ok = self._knn.backward_count(value, self._k) > 0
         else:
-            if obs is not None:
-                obs.bump("count_forward")
-            ok = self._knn.forward_count(value, self._k) > 0
+            # First side bound: resolve the other side's range; the atom
+            # stays non-empty exactly when that range is.
+            if pos:
+                if obs is not None:
+                    obs.bump("count_backward")
+                lo, hi = span = self._knn.backward_range(value, self._k)
+            else:
+                if obs is not None:
+                    obs.bump("count_forward")
+                lo, hi = span = self._knn.forward_range(value, self._k)
+            self._ranges[1 - pos] = span
+            ok = lo <= hi
         if not ok:
             self._failed_depth = self._depth
         if obs is not None:
@@ -128,6 +143,7 @@ class KnnClauseRelation(LeapRelation):
         if self.obs is not None:
             self.obs.unbinds += 1
         self._values[pos] = None
+        self._ranges[1 - pos] = None
         if self._failed_depth is not None and self._failed_depth > self._depth:
             self._failed_depth = None
 
@@ -137,12 +153,10 @@ class KnnClauseRelation(LeapRelation):
         the member count when neither is."""
         if self.obs is not None:
             self.obs.estimates += 1
-        anchor = self._values[1 - pos]
-        if anchor is None:
+        span = self._ranges[pos]
+        if span is None:
             return self._knn.num_members
-        if pos:
-            return self._knn.forward_count(anchor, self._k)
-        return self._knn.backward_count(anchor, self._k)
+        return span[1] - span[0] + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KnnClauseRelation({self._clause!r})"

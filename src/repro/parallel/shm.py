@@ -21,7 +21,10 @@ their attachment (and tolerate a late close while views are alive: the
 OS unmaps everything at process exit anyway). POSIX resource-tracker
 accounting stays balanced because registrations are a *set*: the
 creator's register and any number of attach-side registrations collapse
-to one entry, removed by the creator's single unlink.
+to one entry, removed by the creator's single unlink. That holds for a
+segment created before the workers were (they inherit its creator's
+tracker); the scratch buffer can come later, so workers attach it
+untracked (``repro.parallel.worker._attach_untracked``).
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ riding the result pipe whole.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -88,6 +89,32 @@ def _serial_engine(db: "GraphDatabase", name: str, exact_estimates: bool):
     return classes[name](db, exact_estimates=exact_estimates)
 
 
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Attach a segment this process does not own, telling no resource
+    tracker about it.
+
+    Before 3.13 attaching registers the segment just like creating it
+    does. In a worker forked before its parent had a tracker (a
+    store-backed pool creates no segment until its first publish) that
+    starts a tracker of the worker's own, which at the worker's exit
+    reports the parent's scratch segment as leaked and tries to unlink
+    it. Unregistering afterwards is no cure: where the tracker *is*
+    shared (spawn; fork after the parent made a segment) it removes
+    the creator's registration, and the creator's unlink then fails in
+    the tracker. So the registration itself is skipped — ``track=False``
+    where that exists, the call stubbed out for the attach where it does
+    not (a worker runs one task at a time, on one thread).
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
+
+
 def _resolve_span(span: tuple[str, int, int]) -> tuple[int, ...]:
     """Read a candidate span out of the parent's scratch segment."""
     name, start, stop = span
@@ -97,7 +124,7 @@ def _resolve_span(span: tuple[str, int, int]) -> tuple[int, ...]:
         # attachments (the parent unlinked them when it grew).
         for old_name in sorted(_SCRATCH_SEGMENTS):
             _SCRATCH_SEGMENTS.pop(old_name).close()
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _attach_untracked(name)
         _SCRATCH_SEGMENTS[name] = segment
     view = np.frombuffer(
         segment.buf, dtype="<i8", count=stop - start, offset=start * 8

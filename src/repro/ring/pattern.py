@@ -25,6 +25,7 @@ from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
+    from repro.succinct.wavelet_tree import WaveletTree
 
 
 @dataclass(slots=True)
@@ -35,8 +36,11 @@ class _Frame:
     1- and 2-arcs, ``arc_first``/``lo``/``hi`` describe the row range;
     for the empty binding they are ``None``/full; for a fully bound
     pattern they stay those of the 2-arc and ``matches`` is the number
-    of matching triples. Everything ``leap``/``bind`` dispatch on is
-    read off the frame; nothing is rebuilt per call.
+    of matching triples. While a coordinate is still free, ``stored``
+    names the one whose values the row range exposes and ``column`` is
+    its wavelet tree, so a leap on it is ``column``'s
+    ``range_next_value`` over ``[lo, hi]``. Everything ``leap``/``bind``
+    dispatch on is read off the frame; nothing is rebuilt per call.
     """
 
     bound: tuple[tuple[str, int], ...]
@@ -44,6 +48,8 @@ class _Frame:
     lo: int
     hi: int
     matches: int
+    stored: str | None = None
+    column: WaveletTree | None = None
 
 
 class RingPatternState:
@@ -137,8 +143,12 @@ class RingPatternState:
             matches = ring.triple_count(first, lo, hi, value)
         else:
             raise StructureError("triple pattern has only three coordinates")
+        stored = PREV_COORD[first] if len(bound) < 2 else None
         self._stack.append(
-            _Frame(bound + ((coord, value),), first, lo, hi, matches)
+            _Frame(
+                bound + ((coord, value),), first, lo, hi, matches,
+                stored, ring.column(stored) if stored else None,
+            )
         )
 
     def unbind(self) -> None:
@@ -157,24 +167,24 @@ class RingPatternState:
         position relative to the current arc (Sec. 2.4 / DESIGN.md).
         """
         frame = self._stack[-1]
-        first = frame.arc_first
         obs = self.obs
-        if first is None:
-            if frame.matches == 0:
-                return None
-            if obs is not None:
-                obs.bump("leap_unbound")
-            return self._ring.leap_unbound(coord, lower)
-        depth = len(frame.bound)
-        if coord == PREV_COORD[first] and depth < 3:
+        column = frame.column
+        if column is not None and coord == frame.stored:
             # The arc's stored column: the only free coordinate of a
             # 2-arc, one of the two of a 1-arc.
             if frame.matches == 0:
                 return None
             if obs is not None:
                 obs.bump("leap_stored")
-            return self._ring.leap_stored(first, frame.lo, frame.hi, lower)
-        if depth == 1 and coord != first:
+            return column._range_next_value_u(frame.lo, frame.hi, lower)
+        first = frame.arc_first
+        if first is None:
+            if frame.matches == 0:
+                return None
+            if obs is not None:
+                obs.bump("leap_unbound")
+            return self._ring.leap_unbound(coord, lower)
+        if len(frame.bound) == 1 and coord != first:
             if frame.matches == 0:
                 return None
             if obs is not None:

@@ -17,8 +17,9 @@ wavelet tree: the children of a node occupy the node's own position span
 on the next level, zeros before ones.
 
 Hot-path notes (see ``docs/performance.md``): arguments are validated
-once at this public boundary, after which every descent uses the
-bitvectors' unchecked ``_*_u`` kernels; and an optional *per-query memo*
+once at this public boundary, after which every descent is one
+iterative loop over the levels with the bitvector rank arithmetic
+inlined; and an optional *per-query memo*
 (:meth:`begin_query_memo` / :meth:`end_query_memo`, attached by
 :class:`repro.ltj.engine.LTJEngine` for the duration of one evaluation)
 caches ``rank`` and ``range_next_value`` traversals, which leapfrog
@@ -62,7 +63,8 @@ class WaveletTree(LazyMirrors):
     """Immutable wavelet tree over a sequence of ints in ``[0, sigma)``."""
 
     # The op-counter hook and the per-query memo are evaluation-scoped
-    # recorder state: they never cross a process or file boundary.
+    # recorder state, and the level view is rebuilt from the levels'
+    # own mirrors: none of them crosses a process or file boundary.
     LAYOUT = Layout(
         "wavelet",
         Scalar("_n"),
@@ -74,6 +76,7 @@ class WaveletTree(LazyMirrors):
         Transient("_memo_users", 0),
         Transient("_memo_rank"),
         Transient("_memo_next"),
+        Transient("_lv"),
     )
 
     def __init__(self, sequence: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
@@ -118,6 +121,7 @@ class WaveletTree(LazyMirrors):
         self._memo_users = 0
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
+        self._lv: list[tuple[list[int], list[int]]] | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -168,27 +172,56 @@ class WaveletTree(LazyMirrors):
                 self._memo_next = None
 
     # ------------------------------------------------------------------
-    # classic operations
+    # descents
+    #
+    # Every operation below is one iterative walk down the levels that
+    # keeps the current node as a closed span ``[nlo, nhi]`` and ranks
+    # with the arithmetic inlined on the level's plain-int mirrors:
+    # ones before ``i`` are ``cum[i >> 6]`` plus the popcount of word
+    # ``i >> 6`` under ``(1 << (i & 63)) - 1``; ones up to and including
+    # ``i`` use the mask ``(2 << (i & 63)) - 1``. Span starts take the
+    # first form and span ends the second, so both index a word that
+    # exists whenever the span is non-empty — no branch for ``i == n``.
+    # A level costs at most four ranks: the node's two ends, which give
+    # its zero count (where its right child starts), and the query's.
     # ------------------------------------------------------------------
+    def _level_view(self) -> list[tuple[list[int], list[int]]]:
+        """Each level's ``(words, cum1)`` mirrors, top level first.
+
+        Built on first use from the bitvectors' own mirrors (it holds
+        references, not copies) and declared transient: an attached
+        tree starts without it.
+        """
+        view = self._lv = [(bv._words_i, bv._cum1_i) for bv in self._levels]
+        return view
+
     def access(self, i: int) -> int:
         """Return ``S[i]``."""
         if self.ops is not None:
             self.ops.access += 1
         if not 0 <= i < self._n:
             raise ValidationError(f"access index {i} out of range [0, {self._n})")
-        lo, hi = 0, self._n
+        nlo, nhi = 0, self._n - 1
         value = 0
-        for bv in self._levels:
-            bit = bv._access_u(i)
-            value = (value << 1) | bit
-            ones_before_node = bv._rank1_u(lo)
-            zeros_in_node = (hi - lo) - (bv._rank1_u(hi) - ones_before_node)
-            if bit == 0:
-                i = lo + (bv._rank0_u(i) - bv._rank0_u(lo))
-                hi = lo + zeros_in_node
+        for words, cum in self._lv or self._level_view():
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = i >> 6
+            word = words[w]
+            bit = i & 63
+            x = cum[w] + (word & ((1 << bit) - 1)).bit_count() - a
+            if (word >> bit) & 1:
+                value = (value << 1) | 1
+                nlo += zeros
+                i = nlo + x
             else:
-                i = lo + zeros_in_node + (bv._rank1_u(i) - ones_before_node)
-                lo = lo + zeros_in_node
+                value <<= 1
+                nhi = nlo + zeros - 1
+                i -= x
         return value
 
     def rank(self, c: int, i: int) -> int:
@@ -213,22 +246,27 @@ class WaveletTree(LazyMirrors):
         return result
 
     def _rank_u(self, c: int, i: int) -> int:
-        lo, hi = 0, self._n
-        pos = i
-        shift = self._height - 1
-        for bv in self._levels:
-            if pos <= lo:
+        nlo, nhi = 0, self._n - 1
+        shift = self._height
+        for words, cum in self._lv or self._level_view():
+            if i <= nlo:
                 return 0
-            ones_before_node = bv._rank1_u(lo)
-            zeros_in_node = (hi - lo) - (bv._rank1_u(hi) - ones_before_node)
-            if (c >> shift) & 1:
-                pos = lo + zeros_in_node + (bv._rank1_u(pos) - ones_before_node)
-                lo = lo + zeros_in_node
-            else:
-                pos = lo + (bv._rank0_u(pos) - bv._rank0_u(lo))
-                hi = lo + zeros_in_node
             shift -= 1
-        return pos - lo
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = (i - 1) >> 6
+            x = cum[w] + (words[w] & ((2 << ((i - 1) & 63)) - 1)).bit_count() - a
+            if (c >> shift) & 1:
+                nlo += zeros
+                i = nlo + x
+            else:
+                nhi = nlo + zeros - 1
+                i -= x
+        return i - nlo
 
     def rank_range(self, c: int, lo: int, hi: int) -> int:
         """Occurrences of ``c`` in the closed range ``[lo, hi]``."""
@@ -246,28 +284,34 @@ class WaveletTree(LazyMirrors):
             raise StructureError(
                 f"select({c}, {j}) out of range: {self._counts_i[c]} occurrences"
             )
-        # Descend to the leaf to collect node boundaries, then walk back up.
-        nodes: list[tuple[int, int]] = []
-        lo, hi = 0, self._n
-        for level, bv in enumerate(self._levels):
-            nodes.append((lo, hi))
-            bit = (c >> (self._height - 1 - level)) & 1
-            ones_before_node = bv._rank1_u(lo)
-            zeros_in_node = (hi - lo) - (bv._rank1_u(hi) - ones_before_node)
-            if bit == 0:
-                hi = lo + zeros_in_node
+        # Descend to c's leaf noting each node's start and the ones
+        # before it, then map the leaf offset back up with one bitvector
+        # select per level. c occurs, so no node on its path is empty.
+        path: list[tuple[int, int]] = []
+        nlo, nhi = 0, self._n - 1
+        shift = self._height
+        for words, cum in self._lv or self._level_view():
+            shift -= 1
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            path.append((nlo, a))
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            if (c >> shift) & 1:
+                nlo += zeros
             else:
-                lo = lo + zeros_in_node
-        offset = j - 1  # 0-based offset inside the leaf interval
+                nhi = nlo + zeros - 1
+        offset = j - 1  # 0-based offset inside the leaf's span
         for level in range(self._height - 1, -1, -1):
+            nlo, a = path[level]
             bv = self._levels[level]
-            node_lo, _node_hi = nodes[level]
-            bit = (c >> (self._height - 1 - level)) & 1
-            if bit == 0:
-                offset = bv._select0_u(bv._rank0_u(node_lo) + offset + 1) - node_lo
+            if (c >> (self._height - 1 - level)) & 1:
+                offset = bv._select1_u(a + offset + 1) - nlo
             else:
-                offset = bv._select1_u(bv._rank1_u(node_lo) + offset + 1) - node_lo
-        return nodes[0][0] + offset
+                offset = bv._select0_u(nlo - a + offset + 1) - nlo
+        return offset
 
     def select_next(self, c: int, start: int) -> int | None:
         """First position ``>= start`` holding symbol ``c``, or ``None``."""
@@ -287,98 +331,115 @@ class WaveletTree(LazyMirrors):
         Returns ``None`` when no such symbol exists. This is the paper's
         ``range_next_value`` primitive powering ``leap`` (Sec. 2.4).
         """
+        if lo > hi or self._n == 0:
+            lo, hi = 0, -1  # any empty range: counted, answers None
+        elif not (0 <= lo and hi < self._n):
+            raise ValidationError(f"range [{lo}, {hi}] out of [0, {self._n})")
+        return self._range_next_value_u(lo, hi, c)
+
+    def _range_next_value_u(self, lo: int, hi: int, c: int) -> int | None:
+        """Counted, memoized, unchecked :meth:`range_next_value`.
+
+        The entry for callers whose range is in ``[0, n)`` by
+        construction — an atom that resolved it when it was bound.
+        """
         if self.ops is not None:
             self.ops.range_next += 1
-        if lo > hi or self._n == 0:
+        if lo > hi or c >= self._sigma:
             return None
-        if not (0 <= lo and hi < self._n):
-            raise ValidationError(f"range [{lo}, {hi}] out of [0, {self._n})")
-        if c >= self._sigma:
-            return None
-        return self._next_value_cached(lo, hi + 1, c if c > 0 else 0)
-
-    def _next_value_cached(self, lo: int, hi_excl: int, c: int) -> int | None:
-        """Memo wrapper over :meth:`_next_value` (args pre-validated)."""
+        if c < 0:
+            c = 0
         memo = self._memo_next
         if memo is not None:
-            key = (lo, hi_excl, c)
+            key = (lo, hi, c)
             hit = memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
-        result = self._next_value(0, 0, self._n, lo, hi_excl, 0, c)
+        result = self._next_value(lo, hi, c)
         if memo is not None:
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[key] = result
         return result
 
-    def _next_value(
-        self,
-        level: int,
-        node_lo: int,
-        node_hi: int,
-        r_lo: int,
-        r_hi: int,
-        prefix: int,
-        c: int,
-    ) -> int | None:
-        """Recursive helper over node (``[node_lo, node_hi)``, value prefix).
+    def _next_value(self, lo: int, hi: int, c: int) -> int | None:
+        """The descent behind :meth:`range_next_value`, for a non-empty
+        ``[lo, hi]`` and ``0 <= c < sigma``, in two phases.
 
-        ``[r_lo, r_hi)`` is the query range mapped into this node. Finds the
-        minimum symbol >= c within the node's value span intersected with
-        the mapped range.
+        First follow ``c``'s bits. Wherever ``c`` turns left, the right
+        sibling holds only larger symbols; the deepest sibling the range
+        reaches holds the smallest of them, so only that one is kept.
+        Arriving at ``c``'s leaf with the range non-empty means ``c``
+        itself occurs. Otherwise the answer is the minimum of the kept
+        sibling: from there, take the leftmost child the range reaches.
         """
-        if r_lo >= r_hi:
+        levels = self._lv or self._level_view()
+        height = self._height
+        nlo, nhi = 0, self._n - 1
+        sibling = None
+        shift = height
+        for words, cum in levels:
+            shift -= 1
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = lo >> 6
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            w = hi >> 6
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            # x, y: ones of the node before lo and up to hi. The range
+            # maps to [lo - x, hi - y] on the left, [mid + x, mid + y - 1]
+            # on the right, where mid is the right child's start.
+            if (c >> shift) & 1:
+                nlo += zeros
+                lo = nlo + x
+                hi = nlo + y - 1
+            else:
+                if y > x:
+                    mid = nlo + zeros
+                    sibling = (shift, mid, nhi, mid + x, mid + y - 1)
+                nhi = nlo + zeros - 1
+                lo -= x
+                hi -= y
+            if lo > hi:
+                break
+        else:
+            return c
+        if sibling is None:
             return None
-        span_bits = self._height - level
-        node_min = prefix << span_bits
-        if node_min + (1 << span_bits) - 1 < c:
-            return None
-        if level == self._height:
-            return prefix
-        bv = self._levels[level]
-        ones_before_node = bv._rank1_u(node_lo)
-        zeros_node = (node_hi - node_lo) - (bv._rank1_u(node_hi) - ones_before_node)
-        zeros_before_node = bv._rank0_u(node_lo)
-        zeros_before_rlo = bv._rank0_u(r_lo) - zeros_before_node
-        zeros_before_rhi = bv._rank0_u(r_hi) - zeros_before_node
-        ones_before_rlo = (r_lo - node_lo) - zeros_before_rlo
-        ones_before_rhi = (r_hi - node_lo) - zeros_before_rhi
-        left_lo = node_lo
-        left_hi = node_lo + zeros_node
-        right_lo = left_hi
-        if node_min >= c:
-            # Entire node qualifies: return its range minimum.
-            if zeros_before_rhi > zeros_before_rlo:
-                return self._next_value(
-                    level + 1, left_lo, left_hi,
-                    left_lo + zeros_before_rlo, left_lo + zeros_before_rhi,
-                    prefix << 1, c,
-                )
-            return self._next_value(
-                level + 1, right_lo, node_hi,
-                right_lo + ones_before_rlo, right_lo + ones_before_rhi,
-                (prefix << 1) | 1, c,
-            )
-        # Node straddles c: try the left child first, then the right one.
-        found = self._next_value(
-            level + 1, left_lo, left_hi,
-            left_lo + zeros_before_rlo, left_lo + zeros_before_rhi,
-            prefix << 1, c,
-        )
-        if found is not None:
-            return found
-        return self._next_value(
-            level + 1, right_lo, node_hi,
-            right_lo + ones_before_rlo, right_lo + ones_before_rhi,
-            (prefix << 1) | 1, c,
-        )
+        shift, nlo, nhi, lo, hi = sibling
+        value = (c >> shift) | 1
+        for words, cum in levels[height - shift:]:
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = lo >> 6
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            w = hi >> 6
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            if hi - y >= lo - x:
+                value <<= 1
+                nhi = nlo + zeros - 1
+                lo -= x
+                hi -= y
+            else:
+                value = (value << 1) | 1
+                nlo += zeros
+                lo = nlo + x
+                hi = nlo + y - 1
+        return value
 
     def range_count(self, lo: int, hi: int, a: int, b: int) -> int:
         """Occurrences of symbols in ``[a, b]`` within ``S[lo..hi]``.
 
         The classic 2-D dominance counting on a wavelet tree, in
-        ``O(log sigma)``: descend splitting the symbol interval.
+        ``O(log sigma)``: those below ``b + 1`` less those below ``a``.
         """
         if self.ops is not None:
             self.ops.range_count += 1
@@ -390,47 +451,41 @@ class WaveletTree(LazyMirrors):
         b = min(b, self._sigma - 1)
         if a > b:
             return 0
-        return self._range_count(0, 0, self._n, lo, hi + 1, 0, a, b)
+        return self._count_below(lo, hi, b + 1) - self._count_below(lo, hi, a)
 
-    def _range_count(
-        self,
-        level: int,
-        node_lo: int,
-        node_hi: int,
-        r_lo: int,
-        r_hi: int,
-        prefix: int,
-        a: int,
-        b: int,
-    ) -> int:
-        if r_lo >= r_hi:
-            return 0
-        span_bits = self._height - level
-        node_min = prefix << span_bits
-        node_max = node_min + (1 << span_bits) - 1
-        if node_max < a or node_min > b:
-            return 0
-        if a <= node_min and node_max <= b:
-            return r_hi - r_lo
-        bv = self._levels[level]
-        ones_before_node = bv._rank1_u(node_lo)
-        zeros_node = (node_hi - node_lo) - (bv._rank1_u(node_hi) - ones_before_node)
-        zeros_before_node = bv._rank0_u(node_lo)
-        zeros_before_rlo = bv._rank0_u(r_lo) - zeros_before_node
-        zeros_before_rhi = bv._rank0_u(r_hi) - zeros_before_node
-        ones_before_rlo = (r_lo - node_lo) - zeros_before_rlo
-        ones_before_rhi = (r_hi - node_lo) - zeros_before_rhi
-        left_lo = node_lo
-        right_lo = node_lo + zeros_node
-        return self._range_count(
-            level + 1, left_lo, left_lo + zeros_node,
-            left_lo + zeros_before_rlo, left_lo + zeros_before_rhi,
-            prefix << 1, a, b,
-        ) + self._range_count(
-            level + 1, right_lo, node_hi,
-            right_lo + ones_before_rlo, right_lo + ones_before_rhi,
-            (prefix << 1) | 1, a, b,
-        )
+    def _count_below(self, lo: int, hi: int, v: int) -> int:
+        """Positions of a non-empty ``[lo, hi]`` holding a symbol
+        ``< v``, for ``0 <= v <= sigma``: follow ``v``'s bits, taking in
+        the whole left child wherever ``v`` turns right."""
+        if v >> self._height:
+            return hi - lo + 1
+        nlo, nhi = 0, self._n - 1
+        count = 0
+        shift = self._height
+        for words, cum in self._lv or self._level_view():
+            shift -= 1
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = lo >> 6
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            w = hi >> 6
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            if (v >> shift) & 1:
+                count += (hi - y) - (lo - x) + 1
+                nlo += zeros
+                lo = nlo + x
+                hi = nlo + y - 1
+            else:
+                nhi = nlo + zeros - 1
+                lo -= x
+                hi -= y
+            if lo > hi:
+                break
+        return count
 
     def quantile(self, lo: int, hi: int, j: int) -> int:
         """The ``j``-th smallest symbol of ``S[lo..hi]`` (``j`` from 1,
@@ -446,32 +501,31 @@ class WaveletTree(LazyMirrors):
             raise ValidationError(
                 f"quantile index {j} outside [1, {hi - lo + 1}]"
             )
-        node_lo, node_hi = 0, self._n
-        r_lo, r_hi = lo, hi + 1
+        nlo, nhi = 0, self._n - 1
         value = 0
-        for bv in self._levels:
-            ones_before_node = bv._rank1_u(node_lo)
-            zeros_node = (node_hi - node_lo) - (
-                bv._rank1_u(node_hi) - ones_before_node
-            )
-            zeros_before_node = bv._rank0_u(node_lo)
-            zeros_before_rlo = bv._rank0_u(r_lo) - zeros_before_node
-            zeros_before_rhi = bv._rank0_u(r_hi) - zeros_before_node
-            zeros_in_range = zeros_before_rhi - zeros_before_rlo
-            ones_before_rlo = (r_lo - node_lo) - zeros_before_rlo
-            ones_before_rhi = (r_hi - node_lo) - zeros_before_rhi
+        for words, cum in self._lv or self._level_view():
+            w = nlo >> 6
+            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+            w = nhi >> 6
+            zeros = nhi - nlo + 1 + a - cum[w] - (
+                words[w] & ((2 << (nhi & 63)) - 1)
+            ).bit_count()
+            w = lo >> 6
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            w = hi >> 6
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            zeros_in_range = (hi - y) - (lo - x) + 1
             if j <= zeros_in_range:
                 value <<= 1
-                node_hi = node_lo + zeros_node
-                r_lo = node_lo + zeros_before_rlo
-                r_hi = node_lo + zeros_before_rhi
+                nhi = nlo + zeros - 1
+                lo -= x
+                hi -= y
             else:
                 j -= zeros_in_range
                 value = (value << 1) | 1
-                right_lo = node_lo + zeros_node
-                r_lo = right_lo + ones_before_rlo
-                r_hi = right_lo + ones_before_rhi
-                node_lo = right_lo
+                nlo += zeros
+                lo = nlo + x
+                hi = nlo + y - 1
         return value
 
     def count_distinct(self, lo: int, hi: int, cap: int | None = None) -> int:
@@ -495,16 +549,12 @@ class WaveletTree(LazyMirrors):
         if not (0 <= lo and hi < self._n):
             raise ValidationError(f"range [{lo}, {hi}] out of [0, {self._n})")
         c = 0
-        while True:
-            if self.ops is not None:
-                self.ops.range_next += 1
-            value = self._next_value_cached(lo, hi + 1, c)
+        while c < self._sigma:
+            value = self._range_next_value_u(lo, hi, c)
             if value is None:
                 return
             yield value
             c = value + 1
-            if c >= self._sigma:
-                return
 
     def to_array(self) -> np.ndarray:
         """Reconstruct the full sequence (testing aid, O(n log sigma))."""

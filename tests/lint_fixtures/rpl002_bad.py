@@ -8,6 +8,7 @@ class BadMemoTree:
     def __init__(self):
         self.ops = None
         self._memo_rank = None
+        self._memo_next = None
         self._memo_users = 0
 
     def rank(self, c, i):
@@ -29,6 +30,18 @@ class BadMemoTree:
         if memo is None:
             return 0
         return memo.get((c, i), 0)
+
+    def _range_next_value_u(self, lo, hi, c):
+        # Private by name, but the entry other modules call: judged like
+        # a public method, and it reads the memo BEFORE the counter bump.
+        memo = self._memo_next
+        if memo is not None:
+            hit = memo.get((lo, hi, c), _MISS)
+            if hit is not _MISS:
+                return hit
+        if self.ops is not None:
+            self.ops.range_next += 1
+        return None
 
     def good_rank(self, c, i):
         if self.ops is not None:

@@ -151,6 +151,17 @@ def _check_wavelet(got, original, sequence, sigma):
             assert got.rank(c, i) == original.rank(c, i)
         for j in range(1, original.total_count(c) + 1):
             assert got.select(c, j) == original.select(c, j)
+        for lo in range(0, len(sequence), 5):
+            hi = min(lo + 11, len(sequence) - 1)
+            assert got.range_next_value(lo, hi, c) == (
+                original.range_next_value(lo, hi, c)
+            )
+    # The descents above rebuilt the level view, over the attached
+    # tree's own mirrors.
+    assert [words for words, _cum in got._lv] == [
+        level._words_i for level in got._levels
+    ]
+    assert got._lv == original._lv
 
 
 @both_carriers
@@ -161,8 +172,12 @@ def test_wavelet_tree_roundtrip(carrier, data, sigma):
         st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
     )
     original = WaveletTree(sequence, sigma)
-    # A live recorder and memo on the original must not cross the
-    # boundary (the attach contract asserts they arrive reset).
+    # A live recorder, memo and level view on the original must not
+    # cross the boundary (the attach contract asserts that every
+    # declared transient arrives reset).
+    assert "_lv" in {spec.name for spec in WaveletTree.LAYOUT.transients}
+    original.access(0)
+    assert original._lv is not None
     original.ops = object()
     original.begin_query_memo()
     trip = _RoundTrip(original, carrier)

@@ -96,6 +96,21 @@ class TestRPL001HotPathPurity:
             assert line not in lines
 
 
+    def test_flags_bitvector_mirror_reads_around_the_level_view(self):
+        result = lint_fixture("rpl001_level_view_bad.py", ["RPL001"])
+        source = (FIXTURES / "rpl001_level_view_bad.py").read_text()
+        leaky = source[: source.index("def leaky_descent")].count("\n")
+        assert sorted(f.message.split("'")[1] for f in result.findings) == [
+            "._cum1_i", "._words_i",
+        ]
+        assert all(f.line > leaky for f in result.findings)
+
+    def test_level_view_builder_named_in_config_is_the_shipped_one(self):
+        from repro.analysis.config import LEVEL_VIEW_BUILDERS
+        from repro.succinct.wavelet_tree import WaveletTree
+
+        assert all(hasattr(WaveletTree, name) for name in LEVEL_VIEW_BUILDERS)
+
     def test_mirrored_attrs_match_the_declared_layouts(self):
         # The rule's list is config, the truth is each structure's own
         # declaration: an array declared mirrored must be patrolled.
@@ -110,7 +125,28 @@ class TestRPL002CounterBeforeMemo:
     def test_flags_lookup_before_increment(self):
         result = lint_fixture("rpl002_bad.py", ["RPL002"])
         flagged = {f.message.split("'")[1] for f in result.findings}
-        assert flagged == {"BadMemoTree.rank", "BadMemoTree.helper_entry"}
+        assert flagged == {
+            "BadMemoTree.rank",
+            "BadMemoTree.helper_entry",
+            # the counted-unchecked twin is an entry point, not a helper
+            "BadMemoTree._range_next_value_u",
+        }
+
+    def test_patrolled_entry_exists_and_is_called_from_outside(self):
+        # Config names the twin; it must name a real method that other
+        # modules do call, or the patrol guards nothing.
+        from repro.analysis.config import COUNTED_UNCHECKED_ENTRIES
+        from repro.succinct.wavelet_tree import WaveletTree
+
+        for entry in COUNTED_UNCHECKED_ENTRIES:
+            assert callable(getattr(WaveletTree, entry))
+            callers = [
+                path
+                for path in PACKAGE_DIR.rglob("*.py")
+                if path.name != "wavelet_tree.py"
+                and f".{entry}(" in path.read_text()
+            ]
+            assert callers, entry
 
     def test_good_method_not_flagged(self):
         result = lint_fixture("rpl002_bad.py", ["RPL002"])

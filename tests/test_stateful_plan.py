@@ -10,7 +10,11 @@ after every step that
   and ``l_x`` is their minimum;
 * the live atoms answer ``leap`` and ``estimate`` exactly like freshly
   constructed atoms that replay the same bindings — backtracking left
-  nothing behind.
+  nothing behind;
+* what an atom resolved when it was bound — a clause's leap range, a
+  triple pattern's frame — is what the structures' public methods
+  compute from scratch for the same binding, its ``leap`` is their leap,
+  and an ``unbind`` took it away again.
 """
 
 import numpy as np
@@ -34,6 +38,7 @@ from repro.ltj.plan import JoinPlan
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.query.model import DistClause, SimClause, TriplePattern, Var
 from repro.ring.index import RingIndex
+from repro.ring.pattern import RingPatternState
 
 N_NODES = 12
 _RNG = np.random.default_rng(23)
@@ -50,13 +55,16 @@ _POINTS = _RNG.normal(size=(N_NODES, 2))
 _KNN = KnnRing(build_knn_graph_bruteforce(_POINTS, K=4))
 _DIST = DistanceRangeIndex(_POINTS, d_max=1.5)
 
-X, Y, Z, W, P = (Var(name) for name in "xyzwp")
+X, Y, Z, W, P, V, Q = (Var(name) for name in "xyzwpvq")
+LOWERS = (0, N_NODES // 3, N_NODES - 2)
 
 
 def compile_atoms(k: int, exact: bool):
     """Every adapter kind, sharing variables in every way the plan has
     to track: two clauses over the same pair, a repeated variable, a
-    variable predicate, a constant clause side, a lonely variable."""
+    variable predicate, a constant on either side of a clause (one of
+    them no member of the K-NN graph: an empty range), a lonely
+    variable."""
     return [
         RingTripleRelation(_RING, TriplePattern(X, 50, Y), exact),
         RingTripleRelation(_RING, TriplePattern(Y, P, Z), exact),
@@ -64,8 +72,32 @@ def compile_atoms(k: int, exact: bool):
         KnnClauseRelation(_KNN, SimClause(X, k, Z)),
         KnnClauseRelation(_KNN, SimClause(Z, k, X)),
         KnnClauseRelation(_KNN, SimClause(3, k, Y)),
+        KnnClauseRelation(_KNN, SimClause(W, k, 5)),
+        KnnClauseRelation(_KNN, SimClause(50, k, Q)),
         DistanceClauseRelation(_DIST, DistClause(Y, 0.9, W)),
+        DistanceClauseRelation(_DIST, DistClause(2, 0.9, V)),
     ]
+
+
+def slow_clause(relation, pos: int, anchor: int):
+    """The range a clause's ``pos`` side leaps in when the other side
+    holds ``anchor``, and the leap itself, from the public methods."""
+    if isinstance(relation, DistanceClauseRelation):
+        d = relation.clause.d
+        return (
+            _DIST.range_within(anchor, d),
+            lambda lower: _DIST.leap_within(anchor, d, lower),
+        )
+    k = relation.clause.k
+    if pos:
+        return (
+            _KNN.forward_range(anchor, k),
+            lambda lower: _KNN.leap_forward(anchor, k, lower),
+        )
+    return (
+        _KNN.backward_range(anchor, k),
+        lambda lower: _KNN.leap_backward(anchor, k, lower),
+    )
 
 
 class JoinPlanMachine(RuleBasedStateMachine):
@@ -121,8 +153,63 @@ class JoinPlanMachine(RuleBasedStateMachine):
             pairs = zip(self.plan.atoms[slot], replayed.atoms[slot])
             for (live, pos), (fresh, fresh_pos) in pairs:
                 assert pos == fresh_pos
-                for lower in (0, N_NODES // 3, N_NODES - 2):
+                for lower in LOWERS:
                     assert live.leap(pos, lower) == fresh.leap(pos, lower)
+
+    @invariant()
+    def resolved_ranges_are_current(self):
+        variables = self.plan.state.variables
+        values = {variables[slot]: value for slot, value in self.bound}
+
+        def value_of(term):
+            return values.get(term) if isinstance(term, Var) else term
+
+        for relation in self.plan.relations:
+            where = (relation, self.bound)
+            if isinstance(relation, RingTripleRelation):
+                self.check_frame(relation, values, where)
+                continue
+            for pos, term in enumerate(relation.terms):
+                if value_of(term) is not None:
+                    continue
+                anchor = value_of(relation.terms[1 - pos])
+                if anchor is None:
+                    assert relation._ranges[pos] is None, where
+                    continue
+                (lo, hi), slow_leap = slow_clause(relation, pos, anchor)
+                assert relation._ranges[pos] == (lo, hi), where
+                assert relation.estimate(pos) == max(0, hi - lo + 1), where
+                for lower in LOWERS:
+                    assert relation.leap(pos, lower) == slow_leap(lower), where
+
+    def check_frame(self, relation, values, where):
+        """The pattern's frame against a fresh state bound to the same
+        constants and, in the order the machine bound them, variables."""
+        pattern = relation.pattern
+        fresh = RingPatternState(
+            _RING,
+            {
+                coord: term
+                for coord, term in zip("spo", pattern.terms)
+                if not isinstance(term, Var)
+            },
+        )
+        for var, value in values.items():
+            for coord in pattern.coordinates_of(var) if var in relation.terms else ():
+                fresh.bind(coord, value)
+        frame = relation._state.frame
+        assert frame == fresh.frame, where
+        for pos, var in enumerate(relation.terms):
+            coords = pattern.coordinates_of(var)
+            if var in values or len(coords) != 1:
+                continue
+            for lower in LOWERS:
+                found = relation.leap(pos, lower)
+                assert found == fresh.leap(coords[0], lower), where
+                if coords[0] == frame.stored and frame.matches:
+                    assert found == _RING.leap_stored(
+                        frame.arc_first, frame.lo, frame.hi, lower
+                    ), where
 
 
 TestJoinPlanMachine = JoinPlanMachine.TestCase

@@ -473,6 +473,47 @@ def test_cli_build_and_from_index(tmp_path, capsys):
     assert built_out.splitlines()[:-1] == mapped_out.splitlines()[:-1]
 
 
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
+    """A store-backed pool creates its first shared segment (the scratch
+    buffer) after its workers exist. A worker that attached it through a
+    resource tracker of its own made that tracker warn about a 'leaked'
+    segment and try to unlink it at exit; only a fresh process shows it.
+    """
+    import subprocess
+
+    import repro
+
+    bundle = str(tmp_path / "b.npz")
+    index = str(tmp_path / "b.idx")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        ENV_START_METHOD: start_method,
+    }
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert cli(
+        "generate", "--out", bundle, "--entities", "60", "--images", "30",
+        "--misc-triples", "200", "--K", "6",
+    ).returncode == 0
+    assert cli("build", "--data", bundle, "--out", index).returncode == 0
+    done = cli(
+        "query", "--from-index", index, "--engine", "parallel-knn",
+        "--workers", "2", "--query", "(?e, 0, ?img) . knn(?img, ?other, 4)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    # Shards ran: an empty first level would never publish candidates.
+    assert not done.stdout.splitlines()[-1].startswith("0 solutions")
+
+
 def test_cli_from_index_rejects_graph_engines(tmp_path, capsys):
     from repro.cli import main
 

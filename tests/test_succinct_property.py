@@ -8,12 +8,16 @@ kernel change.
 
 Edge cases exercised explicitly (beyond random generation): the empty
 sequence, all-zeros, all-ones, a single-symbol alphabet (``sigma = 1``),
-and lengths that are not multiples of the 64-bit word size.
+and lengths that are not multiples of the 64-bit word size. A
+deterministic battery at the end walks the wavelet tree's iterative
+descents over word and node boundaries at ``sigma`` in ``{1, 2, 2^h,
+2^h + 1}``, with the per-query memo off, cold and warm.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -279,3 +283,105 @@ def test_wavelet_sigma_one_alphabet(seq):
     assert wt.range_next_value(0, n - 1, 0) == 0
     assert wt.range_next_value(0, n - 1, 1) is None
     assert list(wt.distinct_values(0, n - 1)) == [0]
+
+
+# ----------------------------------------------------------------------
+# boundary battery for the iterative descents
+# ----------------------------------------------------------------------
+def _boundary_cases(sigma: int):
+    """Sequences whose spans put the descents' rank arguments on every
+    edge they special-case nowhere: lengths around the 64-bit word, a
+    sorted sequence (a node's span at every level is a run of it, so
+    positions on run boundaries are node boundaries), the largest symbol
+    alone (the rightmost path, whose spans all end at ``n``), and noise.
+    """
+    rng = np.random.default_rng(sigma)
+    for n in (63, 64, 130):
+        noise = rng.integers(0, sigma, n).tolist()
+        yield sorted(noise)
+        yield noise
+        yield [sigma - 1] * n
+        yield [0] * (n - 1) + [sigma - 1]
+
+
+def _edges(seq: list[int]) -> list[int]:
+    """Positions next to a word boundary or an end and, in a sorted
+    sequence, next to a change of symbol."""
+    n = len(seq)
+    marks = {0, 1, n - 2, n - 1}
+    for boundary in (64, 128):
+        marks.update((boundary - 2, boundary - 1, boundary, boundary + 1))
+    if seq == sorted(seq):
+        for i in range(1, n):
+            if seq[i] != seq[i - 1]:
+                marks.update((i - 1, i))
+    return sorted(m for m in marks if 0 <= m < n)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
+def test_wavelet_descents_on_word_and_node_boundaries(sigma):
+    symbols = sorted({-1, 0, 1, sigma // 2, sigma - 1, sigma, sigma + 3})
+    for seq in _boundary_cases(sigma):
+        wt = WaveletTree(seq, sigma)
+        ref = RefSeq(seq)
+        n = len(seq)
+        edges = _edges(seq)
+        assert [wt.access(i) for i in range(n)] == seq
+        for c in range(sigma):
+            for i in edges + [n]:
+                assert wt.rank(c, i) == ref.rank(c, i), (seq, c, i)
+            for j in range(1, seq.count(c) + 1):
+                assert wt.select(c, j) == ref.select(c, j), (seq, c, j)
+        for lo in edges:
+            for hi in edges:
+                if hi < lo:
+                    continue
+                for c in symbols:
+                    assert wt.range_next_value(
+                        lo, hi, c
+                    ) == ref.range_next_value(lo, hi, c), (seq, lo, hi, c)
+                    for b in (c, sigma - 1, sigma + 3):
+                        assert wt.range_count(
+                            lo, hi, c, b
+                        ) == ref.range_count(lo, hi, c, b), (seq, lo, hi, c, b)
+                for j in {1, (hi - lo) // 2 + 1, hi - lo + 1}:
+                    assert wt.quantile(lo, hi, j) == ref.quantile(lo, hi, j)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
+def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
+    """Memo off, memo cold and memo warm give the same answers and bump
+    the same counters, through the public entry and the unchecked one."""
+    from repro.obs.trace import OpCounters
+
+    for seq in _boundary_cases(sigma):
+        wt = WaveletTree(seq, sigma)
+        ref = RefSeq(seq)
+        edges = _edges(seq)
+        queries = [
+            (lo, hi, c)
+            for lo in edges
+            for hi in edges
+            if lo <= hi
+            for c in (-1, 0, sigma - 1, sigma)
+        ]
+
+        def sweep():
+            wt.ops = OpCounters()
+            got = [wt.range_next_value(*q) for q in queries]
+            got += [wt._range_next_value_u(*q) for q in queries]
+            got += [wt.rank(q[2] % sigma, q[1] + 1) for q in queries]
+            counts = wt.ops.as_dict()
+            wt.ops = None
+            return got, counts
+
+        expected = [ref.range_next_value(*q) for q in queries] * 2 + [
+            ref.rank(q[2] % sigma, q[1] + 1) for q in queries
+        ]
+        plain = sweep()
+        wt.begin_query_memo()
+        cold, warm = sweep(), sweep()
+        wt.end_query_memo()
+        assert plain[0] == cold[0] == warm[0] == expected
+        assert plain[1] == cold[1] == warm[1]
+        assert plain[1]["range_next"] == 2 * len(queries)
