@@ -15,7 +15,10 @@ runnable (and seeded, per the RPL004 determinism rule)::
     python examples/query_plans.py       # EXPLAIN / EXPLAIN ANALYZE tour
 
 ``examples/`` also covers multimedia search, social recommendation and
-geo range joins; the public API surface is re-exported below.
+geo range joins; the public API surface is re-exported below. Every
+engine returns a ``QueryResult`` whose ``solutions`` is a ``Solutions``
+— it reads like a list of ``{Var: int}`` dicts and is one int64 row
+matrix (``solutions.variables``, ``solutions.rows``).
 """
 
 from repro.engines import (
@@ -28,6 +31,7 @@ from repro.engines import (
     QueryResult,
     RingKnnEngine,
     RingKnnSEngine,
+    Solutions,
     evaluate_k_star,
 )
 from repro.explain import PlanReport, explain
@@ -72,6 +76,7 @@ __all__ = [
     "symmetric_to_directed",
     "GraphDatabase",
     "QueryResult",
+    "Solutions",
     "RingKnnEngine",
     "RingKnnSEngine",
     "BaselineEngine",

@@ -98,7 +98,7 @@ MEMO_BOOKKEEPING_ATTRS: frozenset[str] = frozenset({"_memo_users"})
 #: they resolved at bind time). They are judged like public methods —
 #: the bump must precede the memo read in their own body.
 COUNTED_UNCHECKED_ENTRIES: frozenset[str] = frozenset(
-    {"_range_next_value_u"}
+    {"_range_next_value_u", "_range_values_u"}
 )
 
 # ----------------------------------------------------------------------

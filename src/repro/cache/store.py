@@ -10,9 +10,9 @@ canonical form of :mod:`repro.cache.canonical`:
   engine name keeps ``ring-knn`` and ``ring-knn-s`` entries apart
   (they enumerate in different orders).
 
-* **Payload** — solutions packed as one little-endian ``int64``
-  matrix (the same representation the shared-memory transport ships
-  between processes), one column per variable in first-seen order,
+* **Payload** — the result's little-endian ``int64`` row matrix (the
+  representation the search loop emits and the worker pipe ships),
+  its columns permuted to the variables' first-seen order,
   plus the :class:`~repro.ltj.stats.EvaluationStats` counters with
   variables recorded as first-seen *ranks* so a hit can rebuild
   byte-identical stats under the probing query's own variable names.
@@ -59,7 +59,7 @@ from repro.cache.canonical import (
     canonicalize,
     first_seen_variables,
 )
-from repro.engines.result import QueryResult
+from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import ExtendedBGP, Var
 
@@ -131,13 +131,6 @@ def database_epoch(db) -> int:
     return int(epoch) if epoch is not None else 0
 
 
-def _pack(solutions: list[dict[Var, int]], variables: tuple[Var, ...]):
-    packed = np.empty((len(solutions), len(variables)), dtype="<i8")
-    for row, solution in enumerate(solutions):
-        packed[row] = [solution[var] for var in variables]
-    return packed
-
-
 class QueryCache:
     """Size-bounded semantic result cache shared across queries."""
 
@@ -207,9 +200,7 @@ class QueryCache:
             entry.last_used = self._tick
             entry.hits += 1
             self._hits += 1
-            rows = entry.packed.tolist()
         variables = form.variables
-        solutions = [dict(zip(variables, row)) for row in rows]
         stats = EvaluationStats()
         (
             stats.solutions,
@@ -231,7 +222,7 @@ class QueryCache:
             meta["engine"] = entry.engine
         return QueryResult(
             engine=entry.engine,
-            solutions=solutions,
+            solutions=Solutions(variables, entry.packed),
             stats=stats,
             phase_seconds={"cache": stats.elapsed},
             cached=True,
@@ -280,12 +271,13 @@ class QueryCache:
             return note(False, "below cost floor")
         variables = form.variables
         try:
-            packed = _pack(result.solutions, variables)
+            packed = result.solutions.columns(variables)
         except KeyError:
             # A projected/partial solution set cannot be replayed.
             with self._lock:
                 self._inadmissible += 1
             return note(False, "unbound variable")
+        packed.flags.writeable = False  # hits hand this very matrix out
         nbytes = int(packed.nbytes) + ENTRY_OVERHEAD_BYTES
         if nbytes > self.config.max_bytes * self.config.max_entry_fraction:
             with self._lock:

@@ -25,12 +25,13 @@ from repro.engines.database import GraphDatabase
 from repro.engines.kstar import KStarResult, evaluate_k_star
 from repro.engines.materialize import MaterializeEngine
 from repro.engines.parallel_knn import ParallelRingKnnEngine
-from repro.engines.result import QueryResult
+from repro.engines.result import QueryResult, Solutions
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 
 __all__ = [
     "GraphDatabase",
     "QueryResult",
+    "Solutions",
     "RingKnnEngine",
     "RingKnnSEngine",
     "BaselineEngine",

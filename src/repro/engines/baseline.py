@@ -101,6 +101,9 @@ class BaselineEngine:
             relations,
             ordering=MinCandidatesOrdering(),
             timeout=timeout,
+            # The clause phase drops and multiplies base solutions, so
+            # the only cap that carries over to this one is "none".
+            limit=0 if limit == 0 else None,
             trace=trace,
         )
         stats = EvaluationStats()

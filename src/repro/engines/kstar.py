@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.query.model import ExtendedBGP, SimClause, Var
+from repro.engines.result import Solutions
+from repro.query.model import ExtendedBGP, SimClause
 from repro.utils.errors import QueryError
 
 
@@ -25,7 +26,7 @@ class KStarResult:
     k: int
     """Smallest k at which at least ``k_star`` solutions exist (or K)."""
 
-    solutions: list[dict[Var, int]]
+    solutions: Solutions
     """The solutions at that k."""
 
     satisfied: bool
@@ -77,7 +78,7 @@ def evaluate_k_star(
         raise QueryError(f"k_star must be >= 1, got {k_star}")
     evaluations = 0
 
-    def solutions_at(k: int) -> list[dict[Var, int]]:
+    def solutions_at(k: int) -> Solutions:
         nonlocal evaluations
         evaluations += 1
         return engine.evaluate(_with_k(query, k), timeout=timeout).solutions
@@ -103,7 +104,7 @@ def evaluate_k_star(
 
     # Doubling phase: find some sufficient k.
     k = 1
-    best: list[dict[Var, int]] | None = None
+    best: Solutions | None = None
     while k <= max_k:
         sols = solutions_at(k)
         if len(sols) >= k_star:

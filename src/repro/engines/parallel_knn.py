@@ -8,8 +8,8 @@ byte-identical ordered solution list the serial engine would produce —
 with merged stats and (when traced) a merged trace whose op counters
 equal the serial counts for any pool size.
 
-Queries the executor cannot shard (no variables) transparently fall back
-to the serial base engine.
+Queries the executor cannot shard (no variables, ``limit=0``)
+transparently fall back to the serial base engine.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class ParallelRingKnnEngine:
             shards_per_worker=self.shards_per_worker,
         )
         if outcome is None:
-            # Unshardable (no variables): serial fallback. The trace, if
-            # any, is recorded by the base engine; keep our name on it.
+            # Nothing to shard: serial fallback. The trace, if any, is
+            # recorded by the base engine; keep our name on it.
             result = self._base.evaluate(
                 query,
                 timeout=timeout,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
-from repro.query.model import Var
+
+__all__ = ["QueryResult", "Solutions"]
 
 
 @dataclass
@@ -15,8 +17,10 @@ class QueryResult:
     engine: str
     """Engine name: ``ring-knn``, ``ring-knn-s``, ``baseline``, ..."""
 
-    solutions: list[dict[Var, int]]
-    """The assignments found (possibly truncated by timeout/limit)."""
+    solutions: Solutions
+    """The assignments found (possibly truncated by timeout/limit): a
+    sequence of ``dict[Var, int]`` over one int64 row matrix. A plain
+    list of dicts passed here is packed on construction."""
 
     stats: EvaluationStats
     """LTJ counters (bindings, attempts, elapsed, timed_out, ...)."""
@@ -32,6 +36,10 @@ class QueryResult:
     """True when this result was served from :mod:`repro.cache` (the
     solutions and counters replay a prior cold run; ``elapsed`` is the
     retrieval time)."""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.solutions, Solutions):
+            self.solutions = Solutions.from_dicts(self.solutions)
 
     @property
     def elapsed(self) -> float:

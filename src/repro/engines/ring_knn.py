@@ -26,6 +26,7 @@ from repro.ltj.ordering import (
     MinCandidatesOrdering,
     OrderingStrategy,
 )
+from repro.ltj.solutions import raw_limit
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
 from repro.query.model import ExtendedBGP
@@ -94,7 +95,7 @@ class _RingEngineBase:
             relations,
             ordering=self._ordering(query),
             timeout=timeout,
-            limit=None if (project and distinct) else limit,
+            limit=raw_limit(limit, project, distinct),
             trace=trace,
         )
         if trace is None:
@@ -108,40 +109,8 @@ class _RingEngineBase:
         with attached:
             timed = nullcontext() if trace is None else trace.phase("evaluate")
             with timed:
-                solutions = self._collect(engine, project, distinct, limit)
+                solutions = engine.evaluate().select(project, distinct, limit)
         return QueryResult(self.name, solutions, engine.stats, trace=trace)
-
-    @staticmethod
-    def _collect(
-        engine: LTJEngine,
-        project: list | None,
-        distinct: bool,
-        limit: int | None,
-    ) -> list[dict]:
-        if not project and not distinct:
-            return engine.evaluate()
-        solutions: list[dict] = []
-        seen: set[tuple] = set()
-        run = engine.run()
-        try:
-            for solution in run:
-                if project:
-                    solution = {v: solution[v] for v in project}
-                if distinct:
-                    key = tuple(
-                        sorted((v.name, c) for v, c in solution.items())
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                solutions.append(solution)
-                if limit is not None and len(solutions) >= limit:
-                    break
-        finally:
-            # Deterministically finalize engine.stats (the generator's
-            # `finally` runs on close, not only on exhaustion).
-            run.close()
-        return solutions
 
 
 class RingKnnEngine(_RingEngineBase):

@@ -3,7 +3,9 @@
 The engine performs variable elimination: an ordering strategy picks the
 next variable, a leapfrog intersection over all atoms containing it
 enumerates its candidate values, and each candidate is bound in every
-such atom before recursing. The query is compiled once into a
+such atom before recursing — except the last variable of a branch,
+whose candidates are solutions as they stand and are appended to the
+row block a :class:`Solutions` wraps. The query is compiled once into a
 :class:`JoinPlan` (variables as int slots, fixed per-slot atom lists,
 incrementally kept ``l_x``), which the orderings read as a
 :class:`SlotState`. Atoms are :class:`LeapRelation` adapters:
@@ -33,6 +35,7 @@ from repro.ltj.ordering import (
 from repro.ltj.plan import JoinPlan
 from repro.ltj.relation import LeapRelation
 from repro.ltj.sixperm_relation import SixPermTripleRelation
+from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.ltj.triple_relation import RingTripleRelation
 
@@ -46,6 +49,7 @@ __all__ = [
     "JoinPlan",
     "SlotState",
     "EvaluationStats",
+    "Solutions",
     "OrderingStrategy",
     "MinCandidatesOrdering",
     "ConstraintAwareOrdering",

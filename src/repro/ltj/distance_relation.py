@@ -11,6 +11,7 @@ resolves and ``leap``/``estimate`` read it back until ``unbind``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.knn.distance_index import DistanceRangeIndex
@@ -80,6 +81,19 @@ class DistanceClauseRelation(LeapRelation):
         if obs is not None:
             obs.bump("leap_member")
         return self._index.next_member(lower)
+
+    def values(self, pos: int) -> Sequence[int]:
+        span = self._ranges[pos]
+        if span is None or self._failed_depth is not None:
+            return super().values(pos)
+        obs = self.obs
+        if obs is not None:
+            obs.leaps += 1
+            obs.bump("leap_within")
+        lo, hi = span
+        if lo > hi:
+            return ()
+        return self._tree._range_values_u(lo, hi)
 
     def bind(self, pos: int, value: int) -> bool:
         anchor = self._values[1 - pos]

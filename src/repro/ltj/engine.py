@@ -9,19 +9,28 @@ participate in the very same intersections as triple patterns, which is
 the core idea of Sec. 3.3.
 
 The query is compiled once, into a :class:`~repro.ltj.plan.JoinPlan`;
-the loop below only leaps, binds and asks the ordering.
+the loop below only leaps, binds and asks the ordering. The last
+variable of a branch is not bound at all: ``leap`` returns only values
+that leave its atom non-empty, so every member of the last intersection
+is a solution, and is appended — the branch's slot-indexed ``row`` — to
+one flat int64 buffer that becomes the :class:`Solutions` matrix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import sys
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.ltj.ordering import MinCandidatesOrdering, OrderingStrategy
 from repro.ltj.plan import Atom, JoinPlan
 from repro.ltj.relation import LeapRelation
+from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import Var
 from repro.utils.errors import QueryError
@@ -89,8 +98,14 @@ class LTJEngine:
         self._trees = list(
             {id(t): t for r in relations for t in r.wavelet_trees()}.values()
         )
-        # variable -> value along the current branch, in binding order.
-        self._assignment: dict[Var, int] = {}
+        # The current branch, slot-indexed (a bound slot's value; an
+        # unbound slot holds whatever it held last).
+        self._row = [0] * len(self._variables)
+        # Emitted rows, flat; the search hands control up whenever it
+        # holds `_block` values (one row for `run`, never for the bulk
+        # entry points, which take everything at once).
+        self._out = array("q")
+        self._block = sys.maxsize
         self.stats = EvaluationStats(sim_variables=self._sim_variables)
 
     @property
@@ -117,14 +132,15 @@ class LTJEngine:
         caching them within one evaluation is free of staleness. The
         memo changes only the cost of operations — logical op counts
         (and therefore traces) are unchanged. Yields whether there is
-        anything to search: no atom is statically empty and the budget
-        is not spent already. A budget expiring inside the block ends it
-        with ``stats.timed_out`` set; stats are finalized on every way
-        out, including a consumer abandoning the generator the block
-        runs in.
+        anything to search: no atom is statically empty, the budget is
+        not spent already and the limit is not zero. A budget expiring
+        inside the block ends it with ``stats.timed_out`` set; stats are
+        finalized on every way out, including a consumer abandoning the
+        generator the block runs in.
         """
         self._stopwatch = Stopwatch(self._timeout)
         self.stats = EvaluationStats(sim_variables=self._sim_variables)
+        self._out = array("q")
         for tree in self._trees:
             tree.begin_query_memo()
         try:
@@ -132,7 +148,9 @@ class LTJEngine:
                 self.stats.timed_out = True
                 yield False
             else:
-                yield not any(r.is_empty() for r in self._plan.relations)
+                yield self._limit != 0 and not any(
+                    r.is_empty() for r in self._plan.relations
+                )
         except _Expired:
             self.stats.timed_out = True
         finally:
@@ -144,7 +162,8 @@ class LTJEngine:
                     self._trace.finish(self.stats)
 
     def run(self) -> Iterator[dict[Var, int]]:
-        """Enumerate solutions as variable -> constant dictionaries.
+        """Enumerate solutions as variable -> constant dictionaries,
+        searching no further than the consumer has asked.
 
         Stops early (without raising) when the timeout expires or the
         solution limit is reached; check ``self.stats`` afterwards —
@@ -152,18 +171,40 @@ class LTJEngine:
         before exhaustion (early ``break``, ``close()``, garbage
         collection).
         """
+        variables = self._variables
+        search = self._search if variables else self._trivial
+        self._block = len(variables)
         with self._evaluation() as searchable:
-            if not searchable:
-                return
-            if self._variables:
-                yield from self._search(first_descent=True)
-            else:
-                self.stats.solutions += 1
-                yield {}
+            if searchable:
+                for _ in search(True):
+                    yield dict(zip(variables, self._out))
+                    del self._out[:]
 
-    def evaluate(self) -> list[dict[Var, int]]:
-        """Collect all solutions into a list (see :meth:`run`)."""
-        return list(self.run())
+    def evaluate(self) -> Solutions:
+        """All solutions (see :meth:`run`), as one row block."""
+        return self._all(self._search if self._variables else self._trivial)
+
+    def _trivial(self, first_descent: bool) -> Iterator[None]:
+        """The search of a query without variables: its atoms hold (none
+        is empty), so the empty assignment is the one solution."""
+        self.stats.solutions += 1
+        yield
+
+    def _all(self, search: Callable[..., Iterator[None]], *start: Any) -> Solutions:
+        """Run ``search(*start, True)`` as one evaluation, taking every
+        row it emits — also those emitted before a budget expired."""
+        self._block = sys.maxsize
+        with self._evaluation() as searchable:
+            if searchable:
+                for _ in search(*start, True):
+                    pass
+        rows = np.frombuffer(self._out, dtype=np.int64)
+        return Solutions(
+            self._variables,
+            rows.astype("<i8", copy=False).reshape(
+                self.stats.solutions, len(self._variables)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # domain-sharded evaluation (see repro.parallel)
@@ -201,9 +242,7 @@ class LTJEngine:
                 candidates.extend(self._candidates(slot, vc))
         return FirstLevelPlan(variable, tuple(candidates))
 
-    def run_prebound(
-        self, var: Var, candidates: Sequence[int]
-    ) -> Iterator[dict[Var, int]]:
+    def run_prebound(self, var: Var, candidates: Sequence[int]) -> Solutions:
         """Resume the search below pre-enumerated first-level candidates.
 
         The worker half of a domain-sharded run: ``var`` is the first
@@ -221,9 +260,7 @@ class LTJEngine:
             raise QueryError(f"unknown first variable {var!r}")
         slot = self._variables.index(var)
         vc = self._trace.var(var) if self._trace is not None else None
-        with self._evaluation() as searchable:
-            if searchable:
-                yield from self._descend(slot, candidates, vc, True)
+        return self._all(self._descend, slot, candidates, vc)
 
     # ------------------------------------------------------------------
     def _choose(self, first_descent: bool) -> tuple[int, VarCounters | None]:
@@ -236,7 +273,7 @@ class LTJEngine:
         if self._trace is None:
             return slot, None
         self._trace.record_decision(
-            len(self._assignment),
+            len(self._variables) - state.unbound.bit_count(),
             var,
             {
                 v: state.lx[s]
@@ -249,7 +286,7 @@ class LTJEngine:
         vc.fanout = max(vc.fanout, len(self._plan.atoms[slot]))
         return slot, vc
 
-    def _search(self, first_descent: bool) -> Iterator[dict[Var, int]]:
+    def _search(self, first_descent: bool) -> Iterator[None]:
         """One elimination step: choose, intersect, bind and descend."""
         slot, vc = self._choose(first_descent)
         return self._descend(
@@ -259,17 +296,35 @@ class LTJEngine:
     def _candidates(self, slot: int, vc: VarCounters | None) -> Iterator[int]:
         """The leapfrog intersection of ``slot``'s atoms under the current
         bindings, in increasing order. The consumer may bind ``slot``
-        between two candidates as long as it unbinds it again."""
+        between two candidates as long as it unbinds it again.
+
+        The last unbound variable, when it sits in one atom, needs no
+        leapfrog: its candidates are that atom's ``values``, one leap.
+        """
         atoms = self._plan.atoms[slot]
         stats = self.stats
-        candidate = self._leapfrog(atoms, 0, vc)
-        while candidate is not None:
+        if len(atoms) == 1 and self._plan.state.unbound == 1 << slot:
+            stats.leap_calls += 1
+            if vc is not None:
+                vc.leaps += 1
+            relation, pos = atoms[0]
+            members: Iterable[int] = relation.values(pos)
+        else:
+            members = self._intersection(atoms, vc)
+        for candidate in members:
             stats.attempts += 1
             if vc is not None:
                 vc.candidates += 1
             if stats.attempts % _TIMEOUT_CHECK_INTERVAL == 0:
                 if self._stopwatch.expired():
                     raise _Expired()
+            yield candidate
+
+    def _intersection(
+        self, atoms: list[Atom], vc: VarCounters | None
+    ) -> Iterator[int]:
+        candidate = self._leapfrog(atoms, 0, vc)
+        while candidate is not None:
             yield candidate
             candidate = self._leapfrog(atoms, candidate + 1, vc)
 
@@ -279,14 +334,30 @@ class LTJEngine:
         candidates: Iterable[int],
         vc: VarCounters | None,
         first_descent: bool,
-    ) -> Iterator[dict[Var, int]]:
+    ) -> Iterator[None]:
         """Bind each candidate of ``slot`` and search below it; with no
-        variable left below, the binding itself is the solution."""
+        variable left below, the candidate completes a solution as it
+        stands (see :meth:`LeapRelation.leap`) and the row is emitted.
+        Yields whenever a block of rows is ready."""
         plan = self._plan
         stats = self.stats
-        assignment = self._assignment
-        var = self._variables[slot]
+        row = self._row
         limit = self._limit
+        if plan.state.unbound == 1 << slot:
+            out = self._out
+            block = self._block
+            for candidate in candidates:
+                stats.bindings += 1
+                stats.solutions += 1
+                if vc is not None:
+                    vc.bindings += 1
+                row[slot] = candidate
+                out.extend(row)
+                if len(out) >= block:
+                    yield
+                if limit is not None and stats.solutions >= limit:
+                    return
+            return
         for candidate in candidates:
             ok = plan.bind(slot, candidate)
             if vc is not None:
@@ -297,14 +368,9 @@ class LTJEngine:
             if not ok:
                 continue
             stats.bindings += 1
-            assignment[var] = candidate
-            if plan.state.unbound:
-                yield from self._search(first_descent)
-            else:
-                stats.solutions += 1
-                yield dict(assignment)
+            row[slot] = candidate
+            yield from self._search(first_descent)
             first_descent = False
-            del assignment[var]
             plan.unbind(slot)
             if limit is not None and stats.solutions >= limit:
                 return

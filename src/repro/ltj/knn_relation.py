@@ -10,11 +10,12 @@ those ranges, never materializing anything.
 A side's range depends only on the value bound on the other side, so it
 is resolved there — in ``bind``, which needs it for its emptiness test
 anyway — and every ``leap`` and ``estimate`` until the matching
-``unbind`` reads it back.
+``unbind`` reads it back — and ``values`` reports it in one traversal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.knn.succinct import KnnRing
@@ -98,6 +99,19 @@ class KnnClauseRelation(LeapRelation):
         if obs is not None:
             obs.bump("leap_root_member")
         return self._knn.next_member(lower)
+
+    def values(self, pos: int) -> Sequence[int]:
+        span = self._ranges[pos]
+        if span is None or self._failed_depth is not None:
+            return super().values(pos)
+        obs = self.obs
+        if obs is not None:
+            obs.leaps += 1
+            obs.bump("leap_forward_S" if pos else "leap_backward_Sprime")
+        lo, hi = span
+        if lo > hi:
+            return ()
+        return self._trees[pos]._range_values_u(lo, hi)
 
     def bind(self, pos: int, value: int) -> bool:
         values = self._values

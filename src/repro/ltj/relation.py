@@ -9,7 +9,7 @@ Variables are addressed by *position*: each adapter fixes, when it is
 constructed, a tuple :attr:`LeapRelation.terms` and everything a
 position needs (which coordinates, which side of a clause). The engine
 resolves ``Var -> position`` once per query (:meth:`position`) and the
-four navigation methods take that small int — they hash no ``Var``,
+five navigation methods take that small int — they hash no ``Var``,
 scan nothing and build no sets. They are also *unchecked*: the caller
 keeps binds properly nested and never leaps on a bound position, which
 the engine does by construction.
@@ -18,12 +18,14 @@ the engine does by construction.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.query.model import Term, Var
 from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 
@@ -33,6 +35,10 @@ class LeapRelation(abc.ABC):
     terms: tuple[Term, ...]
     """What sits at each position: a variable, or (clause sides only)
     the constant that was bound at construction."""
+
+    obs: RelationCounters | None = None
+    """Optional :class:`repro.obs.trace.RelationCounters` (``None`` when
+    tracing is off)."""
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -49,8 +55,29 @@ class LeapRelation(abc.ABC):
     @abc.abstractmethod
     def leap(self, pos: int, lower: int) -> int | None:
         """Smallest candidate value ``>= lower`` for the free variable at
-        ``pos``, or ``None``. The returned value ``c`` is admissible for
-        this atom alone: binding it leaves the atom non-empty."""
+        ``pos``, or ``None``. When ``pos`` is the atom's only free
+        position the returned value is admissible: binding it leaves
+        the atom non-empty. The engine relies on that — a candidate of
+        the last unbound variable is emitted as a solution without being
+        bound. (With another position still free a value may yet be
+        rejected by ``bind``: a distance clause leaps over all members,
+        and one may have nobody within ``d``.)"""
+
+    def values(self, pos: int) -> Sequence[int]:
+        """Every candidate of the free variable at ``pos`` under the
+        current binding, ascending — what leaping from 0 until ``None``
+        returns. An enumeration counts as *one* leap however it is
+        answered; adapters that hold the range of a wavelet tree answer
+        it with one range report, the rest with this loop."""
+        found: list[int] = []
+        value = self.leap(pos, 0)
+        while value is not None:
+            found.append(value)
+            value = self.leap(pos, value + 1)
+        obs = self.obs
+        if obs is not None:
+            obs.leaps -= len(found)  # of the len + 1 leaps, one counts
+        return found
 
     @abc.abstractmethod
     def bind(self, pos: int, value: int) -> bool:

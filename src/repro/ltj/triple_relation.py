@@ -9,6 +9,7 @@ candidates from one coordinate while probing the others.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.ltj.relation import LeapRelation
@@ -102,6 +103,22 @@ class RingTripleRelation(LeapRelation):
             if state.probe({coord: candidate for coord in coords}):
                 return candidate
             candidate += 1
+
+    def values(self, pos: int) -> Sequence[int]:
+        coords = self._coords[pos]
+        frame = self._state.frame
+        if len(coords) != 1 or coords[0] != frame.stored:
+            return super().values(pos)
+        # The arc's stored column (always the case for the last free
+        # coordinate of a pattern): one report over the frame's range.
+        obs = self._state.obs
+        if obs is not None:
+            obs.leaps += 1
+        if frame.matches == 0:
+            return ()
+        if obs is not None:
+            obs.bump("leap_stored")
+        return frame.column._range_values_u(frame.lo, frame.hi)
 
     def bind(self, pos: int, value: int) -> bool:
         state = self._state

@@ -44,7 +44,6 @@ _EXPORTS = {
     "run_query": "repro.parallel.worker",
     "run_query_batch": "repro.parallel.worker",
     "run_shard": "repro.parallel.worker",
-    "unpack_solutions": "repro.parallel.worker",
     "ENV_START_METHOD": "repro.parallel.executor",
     "forced_start_method": "repro.parallel.executor",
     "ScratchBuffer": "repro.parallel.shm",

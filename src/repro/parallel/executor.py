@@ -32,7 +32,8 @@ Known, documented divergences from the serial engine:
   own budgets);
 * under a ``limit``, the returned solutions are identical but the
   stats may over-count (shards cap at ``limit`` each, the serial
-  engine stops globally).
+  engine stops globally) — except ``limit=0``, which searches nothing
+  on either route.
 
 Full enumerations — the differential/equivalence suites — are
 byte-identical.
@@ -53,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.ltj.engine import FirstLevelPlan, LTJEngine
+from repro.ltj.solutions import Solutions, raw_limit
 from repro.ltj.stats import EvaluationStats
 from repro.obs.merge import merge_shard_traces
 from repro.obs.trace import (
@@ -69,7 +71,6 @@ from repro.parallel.worker import (
     _init_worker,
     run_query_batch,
     run_shard,
-    unpack_solutions,
 )
 from repro.query.model import ExtendedBGP, Var
 
@@ -328,7 +329,7 @@ atexit.register(shutdown_pools)
 class ParallelOutcome:
     """Merged outcome of a domain-sharded evaluation."""
 
-    solutions: list[dict[Var, int]]
+    solutions: Solutions
     stats: EvaluationStats
     meta: dict[str, Any] = field(default_factory=dict)
     """Execution shape: workers, start method, per-shard breakdown."""
@@ -344,40 +345,6 @@ def _bounds(n: int, n_shards: int) -> list[tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def _finalize(
-    solutions: list[dict[Var, int]],
-    project: list | None,
-    distinct: bool,
-    limit: int | None,
-) -> list[dict[Var, int]]:
-    """Apply projection/dedup/limit exactly as the serial engines do.
-
-    Mirrors ``_RingEngineBase._collect``: without ``project and
-    distinct`` the serial engine caps the *raw* enumeration at ``limit``
-    (so dedup may return fewer); with both, it dedups the full stream
-    and truncates after. Replicating that shape keeps the parallel
-    output byte-identical.
-    """
-    if limit is not None and not (project and distinct):
-        solutions = solutions[:limit]
-    if not project and not distinct:
-        return solutions
-    out: list[dict[Var, int]] = []
-    seen: set[tuple] = set()
-    for solution in solutions:
-        if project:
-            solution = {v: solution[v] for v in project}
-        if distinct:
-            key = tuple(sorted((v.name, c) for v, c in solution.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(solution)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
 
 
 def evaluate_parallel(
@@ -396,8 +363,9 @@ def evaluate_parallel(
     """Evaluate ``query`` domain-sharded, using ``driver``'s compile
     order and ordering strategy (``driver`` is a serial Ring engine).
 
-    Returns ``None`` when the query cannot be sharded — it has no
-    variables — in which case the caller should evaluate serially.
+    Returns ``None`` when there is nothing to shard — the query has no
+    variables, or ``limit`` is 0 — in which case the caller should
+    evaluate serially.
     The caller owns the trace's ``engine``/``query`` labels; this
     function records counters, shard metadata (``meta["parallel"]``)
     and finalizes the trace from the merged stats.
@@ -418,7 +386,7 @@ def evaluate_parallel(
         timeout=timeout,
         trace=trace,
     )
-    if not engine.variables:
+    if not engine.variables or limit == 0:
         return None
     started = time.perf_counter()
     if trace is None:
@@ -468,7 +436,7 @@ def evaluate_parallel(
     bounds: list[tuple[int, int]] = []
     outcomes: list[ShardOutcome] = []
     mode = "empty"
-    engine_limit = None if (project and distinct) else limit
+    engine_limit = raw_limit(limit, project, distinct)
     if plan.variable is not None and plan.candidates and not parent.timed_out:
         n_shards = min(
             len(plan.candidates), max(1, workers) * max(1, shards_per_worker)
@@ -527,7 +495,7 @@ def evaluate_parallel(
     merged.leap_calls = parent.leap_calls
     merged.timed_out = parent.timed_out
     order: list[Var] = list(parent.first_descent_order)
-    solutions: list[dict[Var, int]] = []
+    blocks: list[np.ndarray] = []
     shards_meta: list[dict[str, Any]] = []
     for outcome in outcomes:
         merged.solutions += outcome.solutions_found
@@ -537,7 +505,7 @@ def evaluate_parallel(
         merged.timed_out = merged.timed_out or outcome.timed_out
         if len(order) == 1 and outcome.first_descent:
             order.extend(Var(name) for name in outcome.first_descent)
-        solutions.extend(unpack_solutions(outcome.var_names, outcome.packed))
+        blocks.append(outcome.packed)
         start, stop = bounds[outcome.index]
         shards_meta.append(
             {
@@ -559,7 +527,11 @@ def evaluate_parallel(
         "candidates": len(plan.candidates),
         "shards": shards_meta,
     }
-    final = _finalize(solutions, project, distinct, limit)
+    # Every shard compiled the same plan, so the blocks share the
+    # parent engine's slot order.
+    width = len(engine.variables)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, width), "<i8")
+    final = Solutions(engine.variables, rows).select(project, distinct, limit)
     if trace is not None:
         merge_shard_traces(
             trace,

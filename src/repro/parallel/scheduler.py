@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.engines.auto import AutoEngine
-from repro.engines.result import QueryResult
+from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.parallel.executor import (
     DEFAULT_WORKERS,
@@ -48,7 +48,6 @@ from repro.parallel.worker import (
     QueryBatchTask,
     QueryOutcome,
     QueryTask,
-    unpack_solutions,
 )
 from repro.query.model import ExtendedBGP, Var
 
@@ -464,6 +463,5 @@ def _result_from_outcome(outcome: QueryOutcome) -> QueryResult:
     stats.leap_calls = outcome.leap_calls
     stats.timed_out = outcome.timed_out
     stats.elapsed = outcome.elapsed
-    solutions = unpack_solutions(outcome.var_names, outcome.packed)
-    result = QueryResult(outcome.engine, solutions, stats)
-    return result
+    solutions = Solutions(map(Var, outcome.var_names), outcome.packed)
+    return QueryResult(outcome.engine, solutions, stats)

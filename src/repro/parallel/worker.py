@@ -13,10 +13,11 @@ fork *or* spawn.
 Tasks are descriptors, not payloads: a :class:`ShardTask` carries a
 ``(segment, start, stop)`` span into the parent's scratch buffer rather
 than the candidate list itself, and a :class:`QueryBatchTask` carries
-many small queries per round trip. Solutions travel back *packed* — a
-fixed variable-name tuple plus an ``int64`` row matrix — and large
-results stream through the chunk queue in fixed-size chunks instead of
-riding the result pipe whole.
+many small queries per round trip. Solutions travel back as the engine
+emitted them — the variable names plus the ``int64`` row matrix of a
+:class:`~repro.ltj.solutions.Solutions` — and large results stream
+through the chunk queue in fixed-size chunks instead of riding the
+result pipe whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -134,36 +135,18 @@ def _resolve_span(span: tuple[str, int, int]) -> tuple[int, ...]:
     return candidates
 
 
-def _pack_solutions(
-    solutions: list[dict[Var, int]], variables: Sequence[Var]
-) -> tuple[tuple[str, ...], "np.ndarray"]:
-    """Pack solutions as (variable names, int64 row matrix).
-
-    Every LTJ solution binds every variable, but the *insertion order*
-    of the binding dicts can differ per subtree under the adaptive
-    orderings — packing against one fixed variable order is what makes
-    the matrix well-defined. Dict equality is order-insensitive, so the
-    parent's rebuilt dicts still compare equal to the serial engine's.
-    """
-    names = tuple(v.name for v in variables)
-    packed = np.empty((len(solutions), len(names)), dtype="<i8")
-    for row, solution in enumerate(solutions):
-        for col, variable in enumerate(variables):
-            packed[row, col] = solution[variable]
-    return names, packed
-
-
 def _emit(
-    uid: int, names: tuple[str, ...], packed: "np.ndarray"
+    uid: int, packed: "np.ndarray", inline: bool
 ) -> tuple["np.ndarray | None", int]:
-    """Return the packed matrix inline, or stream it in fixed chunks.
+    """Return a row matrix inline, or stream it in fixed chunks.
 
     Small results ride the pool's result pipe with the outcome; large
     ones go through the chunk queue in ``CHUNK_SOLUTIONS``-row pieces so
-    no single pipe message carries an unbounded payload. Returns
+    no single pipe message carries an unbounded payload. ``inline``
+    forces the first (execution in the parent process). Returns
     ``(inline payload, number of chunks streamed)``.
     """
-    if _CHUNK_QUEUE is None or len(packed) <= CHUNK_SOLUTIONS:
+    if inline or _CHUNK_QUEUE is None or len(packed) <= CHUNK_SOLUTIONS:
         return packed, 0
     n_chunks = 0
     for start in range(0, len(packed), CHUNK_SOLUTIONS):
@@ -171,16 +154,6 @@ def _emit(
         _CHUNK_QUEUE.put((uid, n_chunks, chunk))
         n_chunks += 1
     return None, n_chunks
-
-
-def unpack_solutions(
-    names: tuple[str, ...], packed: "np.ndarray | None"
-) -> list[dict[Var, int]]:
-    """Rebuild binding dicts from a packed solution matrix."""
-    if packed is None or len(packed) == 0:
-        return []
-    variables = [Var(name) for name in names]
-    return [dict(zip(variables, row)) for row in packed.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +195,10 @@ class ShardOutcome:
 
     uid: int
     index: int
-    var_names: tuple[str, ...]
     packed: "np.ndarray | None"
-    """Inline ``(n, len(var_names))`` int64 solution matrix, or ``None``
-    when the matrix was streamed through the chunk queue."""
+    """Inline int64 solution matrix, one column per variable in the
+    plan's slot order, or ``None`` when the matrix was streamed through
+    the chunk queue."""
 
     n_chunks: int
     solutions_found: int
@@ -272,18 +245,14 @@ def run_shard(
         pairs = wavelet_targets(trace, database, task.query)
         with attach_wavelets(pairs):
             with trace.phase("evaluate"):
-                solutions = list(engine.run_prebound(variable, candidates))
+                solutions = engine.run_prebound(variable, candidates)
     else:
-        solutions = list(engine.run_prebound(variable, candidates))
+        solutions = engine.run_prebound(variable, candidates)
     stats = engine.stats
-    names, matrix = _pack_solutions(solutions, engine.variables)
-    payload, n_chunks = (
-        (matrix, 0) if db is not None else _emit(task.uid, names, matrix)
-    )
+    payload, n_chunks = _emit(task.uid, solutions.rows, db is not None)
     return ShardOutcome(
         uid=task.uid,
         index=task.index,
-        var_names=names,
         packed=payload,
         n_chunks=n_chunks,
         solutions_found=stats.solutions,
@@ -359,19 +328,12 @@ def run_query(
         task.query, timeout=task.timeout, limit=task.limit
     )
     stats = result.stats
-    if result.solutions:
-        variables = sorted(result.solutions[0], key=lambda v: v.name)
-    else:
-        variables = []
-    names, matrix = _pack_solutions(result.solutions, variables)
-    payload, n_chunks = (
-        (matrix, 0) if db is not None else _emit(task.uid, names, matrix)
-    )
+    payload, n_chunks = _emit(task.uid, result.solutions.rows, db is not None)
     return QueryOutcome(
         uid=task.uid,
         index=task.index,
         engine=result.engine,
-        var_names=names,
+        var_names=tuple(v.name for v in result.solutions.variables),
         packed=payload,
         n_chunks=n_chunks,
         solutions_found=stats.solutions,

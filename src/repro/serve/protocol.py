@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs.schema import TRACE_SCHEMA, TraceSchemaError, validate_document
-from repro.query.model import Var
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ltj.solutions import Solutions
 
 #: Engine names a request may pin. ``auto`` (the default) routes through
 #: the scheduler's strategy selection; the two Ring engines force one
@@ -220,23 +222,15 @@ def parse_explain_request(
     )
 
 
-def encode_solutions(
-    solutions: Sequence[Mapping[Var, int]],
-) -> list[dict[str, int]]:
+def encode_solutions(solutions: Solutions) -> list[dict[str, int]]:
     """Solutions as JSON rows, variable names sorted within each row.
 
     The *list* order is preserved exactly — it is the serial engine's
     enumeration order, which the byte-identical contract compares.
     """
-    return [
-        {
-            var.name: int(constant)
-            for var, constant in sorted(
-                solution.items(), key=lambda item: item[0].name
-            )
-        }
-        for solution in solutions
-    ]
+    ordered = sorted(solutions.variables, key=lambda var: var.name)
+    names = [var.name for var in ordered]
+    return [dict(zip(names, row)) for row in solutions.columns(ordered).tolist()]
 
 
 def query_response(

@@ -9,7 +9,8 @@ Supports the operation set of Sec. 2.3 of the paper:
 * ``count_distinct(lo, hi)`` — the ``range_symbols`` operation used to
   bound the number of candidate bindings of a variable;
 * ``distinct_values(lo, hi)`` — enumerate the distinct symbols of a range
-  in increasing order (one ``O(log sigma)`` step per reported symbol).
+  in increasing order (one range-report traversal, visiting only the
+  nodes the range reaches).
 
 The construction performs a stable radix partition level by level, so the
 bits of level ``l`` are laid out exactly as in the textbook pointerless
@@ -22,8 +23,8 @@ iterative loop over the levels with the bitvector rank arithmetic
 inlined; and an optional *per-query memo*
 (:meth:`begin_query_memo` / :meth:`end_query_memo`, attached by
 :class:`repro.ltj.engine.LTJEngine` for the duration of one evaluation)
-caches ``rank`` and ``range_next_value`` traversals, which leapfrog
-intersections repeat heavily while backtracking. The structure is
+caches ``rank``, ``range_next_value`` and range-report traversals, which
+leapfrog intersections repeat heavily while backtracking. The structure is
 immutable, so cached answers can never go stale; the query scoping only
 bounds the memo's memory. Op counters (``self.ops``) count *logical*
 operations and are incremented before any memo lookup, so traced
@@ -76,6 +77,7 @@ class WaveletTree(LazyMirrors):
         Transient("_memo_users", 0),
         Transient("_memo_rank"),
         Transient("_memo_next"),
+        Transient("_memo_values"),
         Transient("_lv"),
     )
 
@@ -121,6 +123,7 @@ class WaveletTree(LazyMirrors):
         self._memo_users = 0
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
+        self._memo_values: dict[tuple[int, int], tuple[int, ...]] | None = None
         self._lv: list[tuple[list[int], list[int]]] | None = None
 
     # ------------------------------------------------------------------
@@ -161,6 +164,7 @@ class WaveletTree(LazyMirrors):
         if self._memo_users == 0:
             self._memo_rank = {}
             self._memo_next = {}
+            self._memo_values = {}
         self._memo_users += 1
 
     def end_query_memo(self) -> None:
@@ -170,6 +174,7 @@ class WaveletTree(LazyMirrors):
             if self._memo_users == 0:
                 self._memo_rank = None
                 self._memo_next = None
+                self._memo_values = None
 
     # ------------------------------------------------------------------
     # descents
@@ -528,33 +533,83 @@ class WaveletTree(LazyMirrors):
                 hi = nlo + y - 1
         return value
 
-    def count_distinct(self, lo: int, hi: int, cap: int | None = None) -> int:
-        """Number of distinct symbols in ``S[lo..hi]`` (closed range).
+    def _range_values_u(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The distinct symbols of ``S[lo..hi]``, ascending: counted (as
+        one ``range_next`` — a whole enumeration is one leap), memoized
+        and unchecked like :meth:`_range_next_value_u`.
 
-        With ``cap`` set, counting stops early once the count reaches
-        ``cap`` (useful for cardinality estimation where only "at least
-        this many" matters).
+        One range-report traversal: depth-first, left child first, over
+        exactly the nodes the range reaches — ``O(d log(sigma / d))``
+        nodes for ``d`` reported symbols, where leaping value by value
+        walks ``d + 1`` root-to-leaf paths.
         """
-        count = 0
-        for _ in self.distinct_values(lo, hi):
-            count += 1
-            if cap is not None and count >= cap:
-                break
-        return count
+        if self.ops is not None:
+            self.ops.range_next += 1
+        if lo > hi:
+            return ()
+        memo = self._memo_values
+        if memo is not None:
+            key = (lo, hi)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        levels = self._lv or self._level_view()
+        height = self._height
+        found: list[int] = []
+        # (level, node start, node end, range start, range end, prefix)
+        stack = [(0, 0, self._n - 1, lo, hi, 0)]
+        while stack:
+            level, nlo, nhi, lo, hi, value = stack.pop()
+            while level < height:
+                words, cum = levels[level]
+                level += 1
+                w = nlo >> 6
+                a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
+                w = nhi >> 6
+                zeros = nhi - nlo + 1 + a - cum[w] - (
+                    words[w] & ((2 << (nhi & 63)) - 1)
+                ).bit_count()
+                w = lo >> 6
+                x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+                w = hi >> 6
+                y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+                value <<= 1
+                mid = nlo + zeros
+                if hi - y >= lo - x:
+                    if y > x:  # the right child waits its turn
+                        stack.append(
+                            (level, mid, nhi, mid + x, mid + y - 1, value | 1)
+                        )
+                    nhi = mid - 1
+                    lo -= x
+                    hi -= y
+                else:
+                    value |= 1
+                    nlo = mid
+                    lo = mid + x
+                    hi = mid + y - 1
+            found.append(value)
+        result = tuple(found)
+        if memo is not None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = result
+        return result
+
+    def count_distinct(self, lo: int, hi: int, cap: int | None = None) -> int:
+        """Number of distinct symbols in ``S[lo..hi]`` (closed range),
+        or ``cap`` if that is smaller (cardinality estimation only needs
+        "at least this many")."""
+        count = len(list(self.distinct_values(lo, hi)))
+        return count if cap is None else min(count, cap)
 
     def distinct_values(self, lo: int, hi: int) -> Iterator[int]:
-        """Yield the distinct symbols of ``S[lo..hi]`` in increasing order."""
+        """The distinct symbols of ``S[lo..hi]`` in increasing order."""
         if lo > hi or self._n == 0:
-            return
-        if not (0 <= lo and hi < self._n):
+            lo, hi = 0, -1  # any empty range: counted, reports nothing
+        elif not (0 <= lo and hi < self._n):
             raise ValidationError(f"range [{lo}, {hi}] out of [0, {self._n})")
-        c = 0
-        while c < self._sigma:
-            value = self._range_next_value_u(lo, hi, c)
-            if value is None:
-                return
-            yield value
-            c = value + 1
+        return iter(self._range_values_u(lo, hi))
 
     def to_array(self) -> np.ndarray:
         """Reconstruct the full sequence (testing aid, O(n log sigma))."""

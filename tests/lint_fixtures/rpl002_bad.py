@@ -9,6 +9,7 @@ class BadMemoTree:
         self.ops = None
         self._memo_rank = None
         self._memo_next = None
+        self._memo_values = None
         self._memo_users = 0
 
     def rank(self, c, i):
@@ -42,6 +43,16 @@ class BadMemoTree:
         if self.ops is not None:
             self.ops.range_next += 1
         return None
+
+    def _range_values_u(self, lo, hi):
+        # The range-report twin: the same entry-point rule, and the same
+        # violation — a memoized report would go uncounted.
+        hit = None if self._memo_values is None else self._memo_values.get((lo, hi))
+        if hit is not None:
+            return hit
+        if self.ops is not None:
+            self.ops.range_next += 1
+        return ()
 
     def good_rank(self, c, i):
         if self.ops is not None:

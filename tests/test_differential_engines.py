@@ -244,3 +244,57 @@ def test_shared_variable_shapes(shape):
             == serial.evaluate(query, limit=2).solutions
         )
     assert answered, f"{shape} has no answer on any pool database"
+
+
+# ----------------------------------------------------------------------
+# Shapes that decide how the last variable of a branch is emitted: it is
+# never bound, so whatever its atoms' ``leap`` (or ``values``) returns
+# goes straight into the answer. One shape per source of candidates —
+# a leapfrog over two atoms, a repeated variable's probe loop, one range
+# report over ``D``, and a query whose first level is its last.
+# ----------------------------------------------------------------------
+def _last_variable_shapes() -> dict[str, ExtendedBGP]:
+    x, y, w = Var("x"), Var("y"), Var("w")
+    return {
+        "last-in-two-atoms": ExtendedBGP(
+            [TriplePattern(x, 50, y)], [SimClause(x, K, y)]
+        ),
+        "last-repeated": ExtendedBGP(
+            [TriplePattern(y, 51, x), TriplePattern(x, 50, x)]
+        ),
+        "last-dist-side": ExtendedBGP(
+            [TriplePattern(x, 50, y)], dist_clauses=[DistClause(y, 0.9, w)]
+        ),
+        "only-variable-triple": ExtendedBGP([TriplePattern(3, 50, x)]),
+        "only-variable-loop": ExtendedBGP([TriplePattern(x, 50, x)]),
+        "only-variable-knn": ExtendedBGP([], [SimClause(5, K, x)]),
+        "only-variable-dist": ExtendedBGP(
+            [], dist_clauses=[DistClause(x, D_MAX, 2)]
+        ),
+    }
+
+
+def _counters(stats):
+    return (stats.solutions, stats.bindings, stats.attempts, stats.leap_calls)
+
+
+@pytest.mark.parametrize("shape", sorted(_last_variable_shapes()))
+def test_last_variable_shapes(shape):
+    query = _last_variable_shapes()[shape]
+    answered = 0
+    for db, graph, knn, distances in _POOL:
+        expected = canonical(evaluate_naive(query, graph, knn, distances))
+        answered += bool(expected)
+        serial = RingKnnEngine(db).evaluate(query)
+        for engine in (RingKnnSEngine(db), ClassicSixPermEngine(db), AutoEngine(db)):
+            assert engine.evaluate(query).sorted_solutions() == expected, (
+                engine.name, shape)
+        assert serial.sorted_solutions() == expected, shape
+        # first_level + run_prebound: the same rows in the same order,
+        # and counters that sum to the serial ones (inline and pooled).
+        for workers in (1, 2):
+            sharded = ParallelRingKnnEngine(db, workers=workers).evaluate(query)
+            assert sharded.solutions == serial.solutions, (shape, workers)
+            assert _counters(sharded.stats) == _counters(serial.stats), (
+                shape, workers)
+    assert answered, f"{shape} has no answer on any pool database"

@@ -4,6 +4,8 @@ Executes the README quickstart and the `repro` package docstring
 example so documentation rot fails CI.
 """
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
@@ -23,7 +25,8 @@ def test_package_docstring_example():
     result = RingKnnEngine(db).evaluate(
         parse_query("(?x, 9, ?y) . knn(?x, ?y, 2)")
     )
-    assert isinstance(result.solutions, list)
+    assert isinstance(result.solutions, Sequence)
+    assert result.solutions == list(result.solutions)
 
 
 def test_readme_quickstart():

@@ -128,8 +128,9 @@ class TestRPL002CounterBeforeMemo:
         assert flagged == {
             "BadMemoTree.rank",
             "BadMemoTree.helper_entry",
-            # the counted-unchecked twin is an entry point, not a helper
+            # the counted-unchecked twins are entry points, not helpers
             "BadMemoTree._range_next_value_u",
+            "BadMemoTree._range_values_u",
         }
 
     def test_patrolled_entry_exists_and_is_called_from_outside(self):

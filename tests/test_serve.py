@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
+from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine
 from repro.obs import QueryTrace
 from repro.parallel.executor import shutdown_pools
@@ -321,6 +322,36 @@ class TestGoldenWorkload:
         assert status == 200, (family, body)
         assert len(body["solutions"]) == 1
         assert body["solutions"][0] == serial_solutions[0]
+
+    def test_limit_zero_is_no_rows_and_no_search_on_every_route(self, golden):
+        family, text, *_rest = max(golden.cases, key=lambda case: len(case[3]))
+        query = parse_query(text)
+        zeros = {"solutions": 0, "bindings": 0, "attempts": 0, "leap_calls": 0}
+        db = GraphDatabase.from_index(golden.store_path)
+        try:
+            engines = (
+                RingKnnEngine(db),
+                ParallelRingKnnEngine(db, workers=1),
+                ParallelRingKnnEngine(db, workers=2),
+            )
+            for engine in engines:
+                for select in ({}, {"project": [query.variables[0]], "distinct": True}):
+                    result = engine.evaluate(query, limit=0, **select)
+                    assert result.solutions == [], (engine.name, family, select)
+                    assert not result.timed_out
+                    stats = result.stats
+                    assert {k: getattr(stats, k) for k in zeros} == zeros, (
+                        engine.name, family, select)
+        finally:
+            db.close()
+        for pinned in ({}, {"engine": "ring-knn"}, {"engine": "ring-knn", "trace": True}):
+            status, _, body = _post(
+                golden.handle, "/query", {"query": text, "limit": 0, **pinned}
+            )
+            assert status == 200, (family, body)
+            protocol.validate_query_response(body)
+            assert body["solutions"] == [] and body["stats"] == zeros, pinned
+            assert body["timed_out"] is False
 
     def test_explain_endpoint_with_analysis(self, golden):
         _family, text, *_rest = golden.cases[0]

@@ -14,7 +14,14 @@ after every step that
 * what an atom resolved when it was bound — a clause's leap range, a
   triple pattern's frame — is what the structures' public methods
   compute from scratch for the same binding, its ``leap`` is their leap,
-  and an ``unbind`` took it away again.
+  and an ``unbind`` took it away again;
+* the contract the engine's last level rests on: whatever ``leap``
+  returns for an atom's last free position, ``bind`` accepts (so a
+  candidate of the last unbound variable is a solution without being
+  bound) — for any free position, in fact, but the root of a distance
+  clause; ``values`` is the ``leap`` loop, for every adapter, dispatch
+  and state, including an atom left failed by a rejected bind; and an
+  enumeration counts as one leap.
 """
 
 import numpy as np
@@ -28,6 +35,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.graph.sixperm import SixPermIndex
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
@@ -35,22 +43,24 @@ from repro.knn.succinct import KnnRing
 from repro.ltj.distance_relation import DistanceClauseRelation
 from repro.ltj.knn_relation import KnnClauseRelation
 from repro.ltj.plan import JoinPlan
+from repro.ltj.sixperm_relation import SixPermTripleRelation
 from repro.ltj.triple_relation import RingTripleRelation
+from repro.obs.trace import RelationCounters
 from repro.query.model import DistClause, SimClause, TriplePattern, Var
 from repro.ring.index import RingIndex
 from repro.ring.pattern import RingPatternState
 
 N_NODES = 12
 _RNG = np.random.default_rng(23)
-_RING = RingIndex(
-    GraphData(
-        [
-            (int(_RNG.integers(0, N_NODES)), int(_RNG.choice((50, 51))),
-             int(_RNG.integers(0, N_NODES)))
-            for _ in range(60)
-        ]
-    )
+_GRAPH = GraphData(
+    [
+        (int(_RNG.integers(0, N_NODES)), int(_RNG.choice((50, 51))),
+         int(_RNG.integers(0, N_NODES)))
+        for _ in range(60)
+    ]
 )
+_RING = RingIndex(_GRAPH)
+_SIX = SixPermIndex(_GRAPH)
 _POINTS = _RNG.normal(size=(N_NODES, 2))
 _KNN = KnnRing(build_knn_graph_bruteforce(_POINTS, K=4))
 _DIST = DistanceRangeIndex(_POINTS, d_max=1.5)
@@ -64,7 +74,8 @@ def compile_atoms(k: int, exact: bool):
     to track: two clauses over the same pair, a repeated variable, a
     variable predicate, a constant on either side of a clause (one of
     them no member of the K-NN graph: an empty range), a lonely
-    variable."""
+    variable, and the six-permutation backend (which reports through
+    the base class's ``leap`` loop) over a loop and a plain pattern."""
     return [
         RingTripleRelation(_RING, TriplePattern(X, 50, Y), exact),
         RingTripleRelation(_RING, TriplePattern(Y, P, Z), exact),
@@ -76,6 +87,8 @@ def compile_atoms(k: int, exact: bool):
         KnnClauseRelation(_KNN, SimClause(50, k, Q)),
         DistanceClauseRelation(_DIST, DistClause(Y, 0.9, W)),
         DistanceClauseRelation(_DIST, DistClause(2, 0.9, V)),
+        SixPermTripleRelation(_SIX, TriplePattern(X, P, X)),
+        SixPermTripleRelation(_SIX, TriplePattern(W, 50, Y)),
     ]
 
 
@@ -169,6 +182,8 @@ class JoinPlanMachine(RuleBasedStateMachine):
             if isinstance(relation, RingTripleRelation):
                 self.check_frame(relation, values, where)
                 continue
+            if isinstance(relation, SixPermTripleRelation):
+                continue  # resolves nothing at bind time
             for pos, term in enumerate(relation.terms):
                 if value_of(term) is not None:
                     continue
@@ -181,6 +196,47 @@ class JoinPlanMachine(RuleBasedStateMachine):
                 assert relation.estimate(pos) == max(0, hi - lo + 1), where
                 for lower in LOWERS:
                     assert relation.leap(pos, lower) == slow_leap(lower), where
+
+    @invariant()
+    def leaps_are_admissible_and_values_is_their_loop(self):
+        variables = self.plan.state.variables
+        free = {variables[slot] for slot in self.unbound_slots()}
+        for slot in self.unbound_slots():
+            for relation, pos in self.plan.atoms[slot]:
+                where = (relation, pos, self.bound)
+                others = [
+                    p for p, term in enumerate(relation.terms)
+                    if p != pos and term in free
+                ]
+                # With a second side free, a distance clause leaps over
+                # all members, and one may have nobody within d.
+                admissible = not (
+                    others and isinstance(relation, DistanceClauseRelation)
+                )
+                self.check_enumeration(relation, pos, admissible, where)
+                # A rejected bind leaves the atom failed until it is
+                # undone: nothing leaps, nothing is reported.
+                if not relation.bind(pos, N_NODES + 7):
+                    for other in others:
+                        assert relation.leap(other, 0) is None, where
+                        assert list(relation.values(other)) == [], where
+                relation.unbind(pos)
+
+    def check_enumeration(self, relation, pos, admissible, where):
+        loop = []
+        value = relation.leap(pos, 0)
+        while value is not None:
+            loop.append(value)
+            assert relation.bind(pos, value) or not admissible, (value, where)
+            relation.unbind(pos)
+            value = relation.leap(pos, value + 1)
+        assert loop == sorted(set(loop)), where
+        relation.obs = counters = RelationCounters("atom", "test")
+        try:
+            assert list(relation.values(pos)) == loop, where
+        finally:
+            relation.obs = None
+        assert counters.leaps == 1, where
 
     def check_frame(self, relation, values, where):
         """The pattern's frame against a fresh state bound to the same

@@ -385,3 +385,46 @@ def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
         assert plain[0] == cold[0] == warm[0] == expected
         assert plain[1] == cold[1] == warm[1]
         assert plain[1]["range_next"] == 2 * len(queries)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
+def test_wavelet_range_report_on_boundaries_with_and_without_memo(sigma):
+    """``_range_values_u`` is the set of the range, ascending — which is
+    what leaping through it value by value finds — on word- and
+    node-boundary ranges and the empty one; memo off, cold and warm
+    give the same tuples, and every report counts as one ``range_next``.
+    """
+    from repro.obs.trace import OpCounters
+
+    for seq in _boundary_cases(sigma):
+        wt = WaveletTree(seq, sigma)
+        edges = _edges(seq)
+        ranges = [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+        ranges.append((edges[-1], edges[0] - 1))  # empty
+
+        def leap_loop(lo, hi):
+            found, c = [], 0
+            while (value := wt.range_next_value(lo, hi, c)) is not None:
+                found.append(value)
+                c = value + 1
+            return tuple(found)
+
+        expected = [tuple(sorted(set(seq[lo : hi + 1]))) for lo, hi in ranges]
+        assert [leap_loop(lo, hi) for lo, hi in ranges] == expected, seq
+
+        def sweep():
+            wt.ops = OpCounters()
+            got = [wt._range_values_u(lo, hi) for lo, hi in ranges]
+            got += [tuple(wt.distinct_values(lo, hi)) for lo, hi in ranges]
+            counts = wt.ops.as_dict()
+            wt.ops = None
+            return got, counts
+
+        plain = sweep()
+        wt.begin_query_memo()
+        cold, warm = sweep(), sweep()
+        wt.end_query_memo()
+        assert plain[0] == cold[0] == warm[0] == expected * 2, seq
+        assert plain[1] == cold[1] == warm[1]
+        assert plain[1]["range_next"] == plain[1]["total"] == 2 * len(ranges)
+        assert wt._memo_values is None

@@ -3,7 +3,9 @@
 Three families:
 
 * counter arithmetic — per-variable leaps bound the intersection
-  members emitted, which bound the bindings; variable counters add up
+  members emitted (unless the variable was enumerated: the last
+  variable of a branch, alone in its atom, gets all its candidates from
+  one leap), which bound the bindings; variable counters add up
   to the engine's :class:`EvaluationStats` totals; every value a
   variable takes in a solution was emitted as a candidate at least
   once;
@@ -43,6 +45,9 @@ MIXED_QUERIES = [
     "(?x, 20, ?y) . (?y, 21, ?z) . knn(?x, ?z, 3)",
     "(?x, 20, ?y) . knn(?x, ?y, 3) . dist(?y, ?z, 1.2)",
     "(?x, 20, ?y) . sim(?x, ?y, 5)",
+    # ?z ends every branch alone in a triple pattern: enumerated, by a
+    # range report (Ring) or the base class's leap loop (six tries).
+    "(?x, 20, ?y) . knn(?x, ?y, 4) . (?y, 21, ?z)",
 ]
 
 
@@ -73,11 +78,13 @@ def _traced(engine_cls, db, text):
 @pytest.mark.parametrize("text", MIXED_QUERIES)
 @pytest.mark.parametrize("engine_cls", TRACED_ENGINES)
 def test_per_variable_counter_ordering(engine_cls, db, text):
-    """leaps >= candidates >= bindings, per variable."""
+    """leaps >= candidates >= bindings, per variable — the first only
+    where no level was enumerated, which takes a single-atom variable;
+    an enumeration is one leap, so a leap per choice is the floor."""
     result, trace = _traced(engine_cls, db, text)
     assert trace.variables, "trace recorded no variables"
     for var, c in trace.variables.items():
-        assert c.leaps >= c.candidates, var
+        assert c.leaps >= (c.candidates if c.fanout > 1 else c.times_chosen), var
         assert c.candidates >= c.bindings, var
         assert c.candidates == c.bindings + c.failed_bindings, var
         assert c.times_chosen >= 1
