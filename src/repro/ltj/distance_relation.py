@@ -11,7 +11,8 @@ resolves and ``leap``/``estimate`` read it back until ``unbind``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.knn.distance_index import DistanceRangeIndex
@@ -81,6 +82,12 @@ class DistanceClauseRelation(LeapRelation):
         if obs is not None:
             obs.bump("leap_member")
         return self._index.next_member(lower)
+
+    def seeker(self, pos: int) -> Callable[[int], int | None]:
+        span = self._ranges[pos]
+        if self.obs is not None or span is None:
+            return super().seeker(pos)
+        return partial(self._tree._range_next_value_u, *span)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]

@@ -4,9 +4,9 @@ Classic variable elimination (Sec. 2.2) generalized to any mix of
 :class:`~repro.ltj.relation.LeapRelation` atoms: at each step an
 ordering strategy picks a variable, the engine leapfrog-intersects the
 candidate streams of every atom containing it, and each intersection
-member is bound in those atoms before recursing. Similarity clauses thus
-participate in the very same intersections as triple patterns, which is
-the core idea of Sec. 3.3.
+member is bound in those of them that keep another variable free before
+recursing. Similarity clauses thus participate in the very same
+intersections as triple patterns, which is the core idea of Sec. 3.3.
 
 The query is compiled once, into a :class:`~repro.ltj.plan.JoinPlan`;
 the loop below only leaps, binds and asks the ordering. The last
@@ -23,6 +23,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import cycle
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -39,8 +40,10 @@ from repro.utils.timing import Stopwatch
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import QueryTrace, VarCounters
 
-# How many candidate attempts between timeout polls.
+# How many candidate attempts, and how many leaps of an intersection
+# (which may produce no candidate at all), between timeout polls.
 _TIMEOUT_CHECK_INTERVAL = 256
+_TIMEOUT_CHECK_LEAPS = 1024
 
 
 @dataclass(frozen=True)
@@ -248,13 +251,15 @@ class LTJEngine:
         The worker half of a domain-sharded run: ``var`` is the first
         variable a :meth:`first_level` call chose (on an identically
         compiled engine) and ``candidates`` a contiguous slice of the
-        candidate list it enumerated. Each candidate is bound in every
-        atom containing ``var`` and the ordinary recursive search
-        continues at depth 1. Depth-0 work — the ordering decision, the
-        candidate attempts, the leapfrog ``leap`` calls — is *not*
-        re-recorded here, because the parent already counted it; what is
-        recorded (bindings, failed bindings, all depth >= 1 counters)
-        is precisely the serial run's share for these candidates.
+        candidate list it enumerated — only values that intersection
+        produced, because an atom with no other variable is not asked
+        about them again. Each candidate is bound as the serial run
+        binds it and the ordinary recursive search continues at depth 1.
+        Depth-0 work — the ordering decision, the candidate attempts,
+        the leapfrog ``leap`` calls — is *not* re-recorded here, because
+        the parent already counted it; what is recorded (bindings,
+        failed bindings, all depth >= 1 counters) is precisely the
+        serial run's share for these candidates.
         """
         if var not in self._variables:
             raise QueryError(f"unknown first variable {var!r}")
@@ -307,7 +312,7 @@ class LTJEngine:
             stats.leap_calls += 1
             if vc is not None:
                 vc.leaps += 1
-            relation, pos = atoms[0]
+            relation, pos, _mask = atoms[0]
             members: Iterable[int] = relation.values(pos)
         else:
             members = self._intersection(atoms, vc)
@@ -323,10 +328,35 @@ class LTJEngine:
     def _intersection(
         self, atoms: list[Atom], vc: VarCounters | None
     ) -> Iterator[int]:
-        candidate = self._leapfrog(atoms, 0, vc)
-        while candidate is not None:
-            yield candidate
-            candidate = self._leapfrog(atoms, candidate + 1, vc)
+        """Veldhuizen's leapfrog search and next as one loop: seek the
+        atoms round-robin to ``bound``, the largest value any of them
+        has returned. ``agree`` counts the atoms in a row that landed on
+        it; a larger value becomes the bound, all ``k`` agreeing make it
+        a member, and the search goes on from the next value with the
+        next atom. Every seek moves its atom forward, so the loop costs
+        at most ``k * (min |atom| + 1)`` leaps, and it polls the budget
+        by leap count — also while nothing is found."""
+        stats = self.stats
+        seeks = [relation.seeker(pos) for relation, pos, _mask in atoms]
+        k = len(seeks)
+        bound = agree = 0
+        for seek in cycle(seeks):
+            leaps = stats.leap_calls = stats.leap_calls + 1
+            if vc is not None:
+                vc.leaps += 1
+            if not leaps % _TIMEOUT_CHECK_LEAPS and self._stopwatch.expired():
+                raise _Expired()
+            value = seek(bound)
+            if value is None:
+                return
+            if value != bound:
+                bound = value
+                agree = 0
+            agree += 1
+            if agree == k:
+                yield bound
+                bound += 1
+                agree = 0
 
     def _descend(
         self,
@@ -374,49 +404,6 @@ class LTJEngine:
             plan.unbind(slot)
             if limit is not None and stats.solutions >= limit:
                 return
-
-    def _leapfrog(
-        self, atoms: list[Atom], lower: int, vc: VarCounters | None
-    ) -> int | None:
-        """Smallest value ``>= lower`` admitted by every atom, or None.
-
-        Veldhuizen's leapfrog: keep the atoms' current candidates and
-        repeatedly leap the *smallest* one (the earliest atom among
-        equals) to the largest, until all candidates coincide. ``order``
-        holds the atoms sorted that way; a leaped atom lands on the new
-        largest value, so it is re-seated from the back instead of
-        rescanning for the extremes."""
-        stats = self.stats
-        values: list[int] = []
-        for relation, pos in atoms:
-            stats.leap_calls += 1
-            if vc is not None:
-                vc.leaps += 1
-            value = relation.leap(pos, lower)
-            if value is None:
-                return None
-            values.append(value)
-        if len(values) == 1:
-            return values[0]
-        order = sorted(range(len(atoms)), key=values.__getitem__)
-        largest = values[order[-1]]
-        while values[order[0]] != largest:
-            index = order.pop(0)
-            relation, pos = atoms[index]
-            stats.leap_calls += 1
-            if vc is not None:
-                vc.leaps += 1
-            value = relation.leap(pos, largest)
-            if value is None:
-                return None
-            values[index] = largest = value
-            seat = len(order)
-            while seat and (values[order[seat - 1]], order[seat - 1]) > (
-                value, index
-            ):
-                seat -= 1
-            order.insert(seat, index)
-        return largest
 
 
 class _Expired(Exception):

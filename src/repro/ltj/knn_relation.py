@@ -15,7 +15,8 @@ anyway — and every ``leap`` and ``estimate`` until the matching
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.knn.succinct import KnnRing
@@ -99,6 +100,12 @@ class KnnClauseRelation(LeapRelation):
         if obs is not None:
             obs.bump("leap_root_member")
         return self._knn.next_member(lower)
+
+    def seeker(self, pos: int) -> Callable[[int], int | None]:
+        span = self._ranges[pos]
+        if self.obs is not None or span is None:
+            return super().seeker(pos)
+        return partial(self._trees[pos]._range_next_value_u, *span)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]

@@ -5,7 +5,9 @@ Variables become dense int slots in stable query order. Per slot the
 plan fixes the atoms containing it — an atom has a variable free exactly
 when the search has not bound it, so nothing is ever asked of the atoms
 about that — and each ``(atom, variable)`` pair owns one cell of a flat
-estimate array. :meth:`JoinPlan.bind` refreshes only the cells of the
+estimate array. :meth:`JoinPlan.bind` passes over the atoms the slot is
+the last free variable of (their ``leap`` already admitted the value and
+nothing will be asked of them below), refreshes only the cells of the
 atoms it touched and recomputes ``l_x`` only for their other variables;
 :meth:`JoinPlan.unbind` puts the previous arrays back. The search loop
 (:mod:`repro.ltj.engine`) and the ordering strategies
@@ -21,9 +23,10 @@ from repro.ltj.relation import LeapRelation
 from repro.query.model import Var
 from repro.utils.errors import QueryError
 
-Atom = tuple[LeapRelation, int]
-"""An atom as seen from one of its variables: the relation and the
-position that variable has in it."""
+Atom = tuple[LeapRelation, int, int]
+"""An atom as seen from one of its variables: the relation, the position
+that variable has in it, and the slot mask of all the atom's
+variables."""
 
 _Refresh = tuple[int, int, list[tuple[LeapRelation, int, int]], list[int]]
 """Work a bind leaves for one neighbouring variable: its bit and slot,
@@ -58,10 +61,11 @@ class JoinPlan:
                 if isinstance(term, Var):
                     slot = slots[term]
                     here.append((slot, pos, len(self._est)))
-                    self.atoms[slot].append((relation, pos))
                     self._cells[slot].append(len(self._est))
                     self._est.append(relation.estimate(pos))
-            for slot, _pos, _cell in here:
+            mask = sum(1 << slot for slot, _pos, _cell in here)
+            for slot, at, _cell in here:
+                self.atoms[slot].append((relation, at, mask))
                 for other, pos, cell in here:
                     if other != slot:
                         shared[slot].setdefault(other, []).append(
@@ -101,20 +105,26 @@ class JoinPlan:
 
     # ------------------------------------------------------------------
     def bind(self, slot: int, value: int) -> bool:
-        """Bind ``slot`` in every atom containing it.
+        """Bind ``slot`` to ``value`` — a member of the intersection of
+        its atoms' leaps — in every atom that keeps another variable
+        free; an atom whose last free variable it is admitted ``value``
+        when it was leaped and is left as it stands.
 
         ``False`` (some atom became empty) leaves the plan as it was.
         On ``True`` the slot is bound, and the cached estimates and
         ``l_x`` of the variables sharing an atom with it are current.
         """
-        atoms = self.atoms[slot]
-        for done, (relation, pos) in enumerate(atoms):
-            if not relation.bind(pos, value):
-                for relation, pos in reversed(atoms[:done + 1]):
-                    relation.unbind(pos)
-                return False
         state = self.state
-        unbound = state.unbound = state.unbound & ~(1 << slot)
+        own = 1 << slot
+        unbound = state.unbound
+        atoms = self.atoms[slot]
+        for done, (relation, pos, mask) in enumerate(atoms):
+            if mask & unbound != own and not relation.bind(pos, value):
+                for relation, pos, mask in reversed(atoms[:done + 1]):
+                    if mask & unbound != own:
+                        relation.unbind(pos)
+                return False
+        unbound = state.unbound = unbound & ~own
         if unbound:  # the last variable leaves nothing to re-estimate
             self._saved.append((self._est, state.lx))
             self._est = est = self._est[:]
@@ -129,9 +139,11 @@ class JoinPlan:
     def unbind(self, slot: int) -> None:
         """Undo the innermost successful :meth:`bind`, which was of
         ``slot``."""
-        for relation, pos in reversed(self.atoms[slot]):
-            relation.unbind(pos)
         state = self.state
+        own = 1 << slot
         if state.unbound:
             self._est, state.lx = self._saved.pop()
-        state.unbound |= 1 << slot
+        unbound = state.unbound = state.unbound | own
+        for relation, pos, mask in reversed(self.atoms[slot]):
+            if mask & unbound != own:
+                relation.unbind(pos)

@@ -9,16 +9,19 @@ Variables are addressed by *position*: each adapter fixes, when it is
 constructed, a tuple :attr:`LeapRelation.terms` and everything a
 position needs (which coordinates, which side of a clause). The engine
 resolves ``Var -> position`` once per query (:meth:`position`) and the
-five navigation methods take that small int — they hash no ``Var``,
-scan nothing and build no sets. They are also *unchecked*: the caller
-keeps binds properly nested and never leaps on a bound position, which
-the engine does by construction.
+navigation methods take that small int — they hash no ``Var``, scan
+nothing and build no sets. They are also *unchecked*: the caller keeps
+binds properly nested, never leaps on a bound position, binds only
+values the atom's own ``leap`` returned and never binds an atom's last
+free position (``leap`` already answered there, and a fully bound atom
+is asked nothing more) — which the engine does by construction.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.query.model import Term, Var
@@ -57,11 +60,22 @@ class LeapRelation(abc.ABC):
         """Smallest candidate value ``>= lower`` for the free variable at
         ``pos``, or ``None``. When ``pos`` is the atom's only free
         position the returned value is admissible: binding it leaves
-        the atom non-empty. The engine relies on that — a candidate of
-        the last unbound variable is emitted as a solution without being
-        bound. (With another position still free a value may yet be
+        the atom non-empty. The engine relies on that: it does not call
+        ``bind`` for an atom's last free position at all, and a candidate
+        of the last unbound variable is emitted as a solution as it
+        stands. (With another position still free a value may yet be
         rejected by ``bind``: a distance clause leaps over all members,
         and one may have nobody within ``d``.)"""
+
+    def seeker(self, pos: int) -> Callable[[int], int | None]:
+        """``leap`` at ``pos`` as a function of ``lower``, with whatever
+        it reads from the current binding resolved once — for the span
+        of one intersection. It answers like ``leap`` while the atom's
+        bindings are those of this call (binds undone again in between
+        do not matter) and is dead after any other bind or unbind.
+        Overrides bypass ``leap`` only while ``obs`` is ``None``, so
+        traced counts stay exact."""
+        return partial(self.leap, pos)
 
     def values(self, pos: int) -> Sequence[int]:
         """Every candidate of the free variable at ``pos`` under the
@@ -83,7 +97,9 @@ class LeapRelation(abc.ABC):
     def bind(self, pos: int, value: int) -> bool:
         """Bind the free variable at ``pos``, returning whether the atom
         stays non-empty. The state is pushed even when the result is
-        ``False`` so that :meth:`unbind` stays symmetric."""
+        ``False`` so that :meth:`unbind` stays symmetric. Never called
+        for the atom's last free position, nor by the engine with a
+        value this atom's ``leap`` did not return."""
 
     @abc.abstractmethod
     def unbind(self, pos: int) -> None:

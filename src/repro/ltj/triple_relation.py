@@ -9,7 +9,8 @@ candidates from one coordinate while probing the others.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.ltj.relation import LeapRelation
@@ -103,6 +104,14 @@ class RingTripleRelation(LeapRelation):
             if state.probe({coord: candidate for coord in coords}):
                 return candidate
             candidate += 1
+
+    def seeker(self, pos: int) -> Callable[[int], int | None]:
+        frame = self._state.frame
+        column = frame.column if self._state.obs is None else None
+        if column is None or self._coords[pos] != (frame.stored,):
+            return super().seeker(pos)
+        # The arc's stored column: a leap is the kernel call itself.
+        return partial(column._range_next_value_u, frame.lo, frame.hi)
 
     def values(self, pos: int) -> Sequence[int]:
         coords = self._coords[pos]

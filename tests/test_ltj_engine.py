@@ -1,5 +1,7 @@
 """Tests for the LTJ engine on plain BGPs (classic behavior, Sec. 2.2)."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
+from repro.ltj import engine as ltj_engine
 from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import FixedOrdering
+from repro.ltj.relation import LeapRelation
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from repro.query.parser import parse_query
@@ -154,3 +158,74 @@ def test_random_bgps_match_naive(triples, data):
     assert canonical(engine.evaluate()) == canonical(
         evaluate_naive(query, graph)
     )
+
+
+class SortedSetRelation(LeapRelation):
+    """A unary atom over a sorted list: the stub the intersection loop is
+    held against. It is never bound — its variable is always its last
+    free position — and says so loudly."""
+
+    def __init__(self, var: Var, members) -> None:
+        self.terms = (var,)
+        self._members = sorted(set(members))
+
+    def leap(self, pos: int, lower: int):
+        at = bisect_left(self._members, lower)
+        return self._members[at] if at < len(self._members) else None
+
+    def bind(self, pos: int, value: int) -> bool:
+        raise AssertionError("bind at an atom's last free position")
+
+    def unbind(self, pos: int) -> None:
+        raise AssertionError("unbind at an atom's last free position")
+
+    def estimate(self, pos: int) -> int:
+        return len(self._members)
+
+
+class TestIntersection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 40), max_size=30), min_size=2, max_size=4
+        )
+    )
+    def test_sorted_set_intersection_within_the_leap_bound(self, sets):
+        x = Var("x")
+        engine = LTJEngine([SortedSetRelation(x, m) for m in sets])
+        found = [row[x] for row in engine.evaluate()]
+        assert found == sorted(set.intersection(*map(set, sets)))
+        smallest = min(len(set(members)) for members in sets)
+        assert engine.stats.leap_calls <= len(sets) * (smallest + 1)
+        assert engine.stats.attempts == len(found)
+
+    def disjoint(self, **kwargs):
+        evens = SortedSetRelation(Var("x"), range(0, 200_000, 2))
+        odds = SortedSetRelation(Var("x"), range(1, 200_000, 2))
+        return LTJEngine([evens, odds], **kwargs)
+
+    def test_zero_budget_on_a_rejecting_intersection(self):
+        engine = self.disjoint(timeout=0.0)
+        assert len(engine.evaluate()) == 0
+        assert engine.stats.timed_out
+
+    def test_budget_is_polled_while_nothing_is_found(self, monkeypatch):
+        """No candidate ever comes out of this intersection, so nothing
+        polls per attempt: the 1,024th leap must."""
+
+        class SecondPoll:
+            def __init__(self, budget):
+                self.polls = 0
+
+            def expired(self):
+                self.polls += 1
+                return self.polls >= 2
+
+            def elapsed(self):
+                return 0.0
+
+        monkeypatch.setattr(ltj_engine, "Stopwatch", SecondPoll)
+        engine = self.disjoint(timeout=1.0)
+        assert len(engine.evaluate()) == 0
+        assert engine.stats.timed_out
+        assert (engine.stats.attempts, engine.stats.leap_calls) == (0, 1024)

@@ -151,12 +151,14 @@ def _engine(db, text: str, **kwargs) -> LTJEngine:
     )
 
 
-# text, take -> (solutions, bindings, attempts), leap_calls on the parent
-# commit, and whether the last variable is enumerated (alone in its atom).
+# text, take -> (solutions, bindings, attempts), leap_calls, and whether
+# the last variable is enumerated (alone in its atom). The counts are
+# those of issue 18's parent commit, except the first query's leaps: the
+# cyclic leapfrog of issue 19 needs fewer (36 / 53 / 111 there).
 ABANDONED = [
-    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 1, (1, 6, 6), 36, False),
-    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 3, (3, 10, 10), 53, False),
-    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 7, (7, 21, 21), 111, False),
+    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 1, (1, 6, 6), 29, False),
+    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 3, (3, 10, 10), 45, False),
+    ("(?x, 20, ?y) . knn(?x, ?y, 4)", 7, (7, 21, 21), 98, False),
     ("(?x, 20, ?y) . (?y, 21, ?z)", 1, (1, 3, 3), 4, True),
     ("(?x, 20, ?y) . (?y, 21, ?z)", 3, (3, 7, 7), 11, True),
     ("(?x, 20, ?y) . (?y, 21, ?z)", 7, (7, 12, 12), 17, True),

@@ -2,8 +2,11 @@
 
 :class:`~repro.ltj.plan.JoinPlan` caches one candidate-count estimate
 per (atom, variable) and refreshes only the atoms a ``bind`` touched,
-restoring them on ``unbind``. This machine drives random legal
-bind/unbind sequences over triple, K-NN and distance adapters and checks
+restoring them on ``unbind``, and it passes over an atom when the slot
+is the atom's last free variable: ``leap`` already admitted the value.
+This machine drives random legal bind/unbind sequences over triple, K-NN
+and distance adapters — legal means the value is one every passed-over
+atom leaps to; the atoms that are asked may still refuse it — and checks
 after every step that
 
 * every cached estimate equals a fresh ``estimate()`` of the live atom,
@@ -14,14 +17,18 @@ after every step that
 * what an atom resolved when it was bound — a clause's leap range, a
   triple pattern's frame — is what the structures' public methods
   compute from scratch for the same binding, its ``leap`` is their leap,
-  and an ``unbind`` took it away again;
+  and an ``unbind`` took it away again — where "bound" is what the model
+  says the plan really bound in that atom, so a passed-over atom must
+  still hold the frame or range it had, and every ``unbind`` and every
+  refused ``bind`` must leave atoms and plan exactly as they were;
 * the contract the engine's last level rests on: whatever ``leap``
   returns for an atom's last free position, ``bind`` accepts (so a
   candidate of the last unbound variable is a solution without being
   bound) — for any free position, in fact, but the root of a distance
-  clause; ``values`` is the ``leap`` loop, for every adapter, dispatch
-  and state, including an atom left failed by a rejected bind; and an
-  enumeration counts as one leap.
+  clause; ``values`` is the ``leap`` loop, and ``seeker(pos)`` answers
+  every ``lower`` like ``leap(pos, lower)``, for every adapter, dispatch
+  and state, including an atom left failed by a rejected bind; an
+  enumeration counts as one leap, and a traced seek is a counted leap.
 """
 
 import numpy as np
@@ -118,33 +125,76 @@ class JoinPlanMachine(RuleBasedStateMachine):
     def setup(self, k, exact):
         self.fresh = lambda: JoinPlan(compile_atoms(k, exact))
         self.plan = self.fresh()
-        self.bound: list[tuple[int, int]] = []
+        # (slot, value, snapshot taken before the bind)
+        self.bound: list[tuple[int, int, object]] = []
 
     def unbound_slots(self):
-        taken = {slot for slot, _value in self.bound}
+        taken = {slot for slot, _value, _before in self.bound}
         return [s for s in range(len(self.plan.atoms)) if s not in taken]
 
+    def snapshot(self):
+        """Everything the atoms and the plan hold, by value."""
+        atoms = []
+        for relation in self.plan.relations:
+            if isinstance(relation, RingTripleRelation):
+                atoms.append(list(relation._state._stack))
+            elif isinstance(relation, SixPermTripleRelation):
+                atoms.append(dict(relation._bound_values))
+            else:
+                atoms.append(
+                    (list(relation._values), list(relation._ranges),
+                     relation._depth, relation._failed_depth)
+                )
+        state = self.plan.state
+        return atoms, list(self.plan._est), list(state.lx), state.unbound
+
+    def held(self):
+        """Per relation (by ``id``), the values the plan really bound in
+        it, in bind order: an atom is passed over by the bind of its
+        last free variable."""
+        variables = self.plan.state.variables
+        held = {id(relation): {} for relation in self.plan.relations}
+        free = set(variables)
+        for slot, value, _before in self.bound:
+            var = variables[slot]
+            for relation, _pos, _mask in self.plan.atoms[slot]:
+                if relation.variables & free != {var}:
+                    held[id(relation)][var] = value
+            free.discard(var)
+        return held
+
     @precondition(lambda self: self.unbound_slots())
-    @rule(pick=st.integers(0, 4), atom=st.integers(0, 3),
-          lower=st.integers(0, N_NODES))
-    def bind(self, pick, atom, lower):
+    @rule(pick=st.integers(0, 4), member=st.integers(0, N_NODES + 1),
+          strict=st.integers(0, 3))
+    def bind(self, pick, member, strict):
         slots = self.unbound_slots()
         slot = slots[pick % len(slots)]
-        atoms = self.plan.atoms[slot]
-        relation, pos = atoms[atom % len(atoms)]
-        # Mostly values one atom admits (deep, successful descents),
-        # sometimes ones nothing admits (failed binds leave no trace).
-        value = relation.leap(pos, lower)
-        if value is None:
-            value = lower
+        variables = self.plan.state.variables
+        free = {variables[s] for s in slots}
+        # Mostly members of the whole intersection, as the engine binds
+        # (deep, successful descents); sometimes values only the atoms
+        # that will be passed over admit (refused binds leave no trace).
+        pools = [
+            set(relation.values(pos))
+            for relation, pos, _mask in self.plan.atoms[slot]
+            if strict or relation.variables & free == {variables[slot]}
+        ]
+        members = sorted(set.intersection(*pools, set(range(N_NODES + 2))))
+        if not members:
+            return
+        value = members[member % len(members)]
+        before = self.snapshot()
         if self.plan.bind(slot, value):
-            self.bound.append((slot, value))
+            self.bound.append((slot, value, before))
+        else:
+            assert self.snapshot() == before, (slot, value, self.bound)
 
     @precondition(lambda self: self.bound)
     @rule()
     def unbind(self):
-        slot, _value = self.bound.pop()
+        slot, _value, before = self.bound.pop()
         self.plan.unbind(slot)
+        assert self.snapshot() == before, (slot, self.bound)
 
     @invariant()
     def cache_is_current(self):
@@ -152,33 +202,33 @@ class JoinPlanMachine(RuleBasedStateMachine):
         slots = self.unbound_slots()
         assert plan.state.unbound == sum(1 << s for s in slots)
         for slot in slots:
-            live = [rel.estimate(pos) for rel, pos in plan.atoms[slot]]
+            live = [rel.estimate(pos) for rel, pos, _m in plan.atoms[slot]]
             assert plan.estimates(slot) == live, (slot, self.bound)
             assert plan.state.lx[slot] == min(live), (slot, self.bound)
 
     @invariant()
     def replay_on_fresh_atoms_agrees(self):
         replayed = self.fresh()
-        for slot, value in self.bound:
+        for slot, value, _before in self.bound:
             assert replayed.bind(slot, value)
         for slot in self.unbound_slots():
             assert replayed.estimates(slot) == self.plan.estimates(slot)
             pairs = zip(self.plan.atoms[slot], replayed.atoms[slot])
-            for (live, pos), (fresh, fresh_pos) in pairs:
-                assert pos == fresh_pos
+            for (live, pos, mask), (fresh, fresh_pos, fresh_mask) in pairs:
+                assert (pos, mask) == (fresh_pos, fresh_mask)
                 for lower in LOWERS:
                     assert live.leap(pos, lower) == fresh.leap(pos, lower)
 
     @invariant()
     def resolved_ranges_are_current(self):
-        variables = self.plan.state.variables
-        values = {variables[slot]: value for slot, value in self.bound}
-
-        def value_of(term):
-            return values.get(term) if isinstance(term, Var) else term
-
+        held = self.held()
         for relation in self.plan.relations:
             where = (relation, self.bound)
+            values = held[id(relation)]
+
+            def value_of(term, values=values):
+                return values.get(term) if isinstance(term, Var) else term
+
             if isinstance(relation, RingTripleRelation):
                 self.check_frame(relation, values, where)
                 continue
@@ -202,7 +252,7 @@ class JoinPlanMachine(RuleBasedStateMachine):
         variables = self.plan.state.variables
         free = {variables[slot] for slot in self.unbound_slots()}
         for slot in self.unbound_slots():
-            for relation, pos in self.plan.atoms[slot]:
+            for relation, pos, _mask in self.plan.atoms[slot]:
                 where = (relation, pos, self.bound)
                 others = [
                     p for p, term in enumerate(relation.terms)
@@ -219,6 +269,7 @@ class JoinPlanMachine(RuleBasedStateMachine):
                 if not relation.bind(pos, N_NODES + 7):
                     for other in others:
                         assert relation.leap(other, 0) is None, where
+                        assert relation.seeker(other)(0) is None, where
                         assert list(relation.values(other)) == [], where
                 relation.unbind(pos)
 
@@ -231,12 +282,17 @@ class JoinPlanMachine(RuleBasedStateMachine):
             relation.unbind(pos)
             value = relation.leap(pos, value + 1)
         assert loop == sorted(set(loop)), where
+        seek = relation.seeker(pos)
+        for lower in range(N_NODES + 2):
+            assert seek(lower) == relation.leap(pos, lower), (lower, where)
         relation.obs = counters = RelationCounters("atom", "test")
         try:
             assert list(relation.values(pos)) == loop, where
+            assert counters.leaps == 1, where
+            relation.seeker(pos)(0)
+            assert counters.leaps == 2, where
         finally:
             relation.obs = None
-        assert counters.leaps == 1, where
 
     def check_frame(self, relation, values, where):
         """The pattern's frame against a fresh state bound to the same
