@@ -252,7 +252,6 @@ RESOURCE_CALLS: frozenset[str] = frozenset(
         "IndexStore",
         "Attachment",
         "StructureShm",
-        "ScratchBuffer",
         # Multi-value helper returning ``(mapping, header)``; resource-
         # returning helpers put the resource FIRST by convention (the
         # rule tracks the first name of a tuple target).

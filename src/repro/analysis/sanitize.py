@@ -23,8 +23,8 @@ the mapping, ``unlink`` removes the OS object); an attachment owes only
 Sanctioned owners: the executor's ``_POOLS`` LRU deliberately keeps
 pools (and their segments) alive across tests — that is a cache, not a
 leak. :func:`_owned_serials` walks the registry so cached ownership is
-exempted *transitively* (the pool, its structure segment, its scratch
-buffer), while an unregistered pool still trips the check.
+exempted *transitively* (the pool and its structure segment), while an
+unregistered pool still trips the check.
 
 Patching happens in the parent test process only: spawn-start workers
 re-import clean modules, and fork children inherit an (unchecked) copy
@@ -241,20 +241,19 @@ def _owned_serials() -> set[int]:
     """Ledger entries owned by a sanctioned cross-test cache.
 
     The executor's ``_POOLS`` LRU is the one registry allowed to hold
-    resources across tests; everything it transitively owns (the pool,
-    the flattened structure segment, the scratch buffer's segment) is
-    exempt from the per-test check — ``shutdown_pools`` releases them
-    at session end.
+    resources across tests; everything it transitively owns (the pool
+    and the flattened structure segment) is exempt from the per-test
+    check — ``shutdown_pools`` releases them at session end.
     """
     import repro.parallel.executor as executor
 
     owned: set[int] = set()
     for pool in executor._POOLS.values():
         candidates: list[Any] = [pool]
-        for holder in (pool._shm, pool._scratch):
-            if holder is not None:
-                candidates.append(holder)
-                candidates.append(getattr(holder, "_shm", None))
+        holder = pool._shm
+        if holder is not None:
+            candidates.append(holder)
+            candidates.append(getattr(holder, "_shm", None))
         for obj in candidates:
             serial = _serial_of(obj)
             if serial is not None:

@@ -15,7 +15,6 @@ from repro.cache.canonical import (
 from repro.cache.store import (
     CacheConfig,
     DEFAULT_MAX_BYTES,
-    FirstLevelHit,
     QueryCache,
     database_epoch,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "CanonicalQuery",
     "CanonicalizationError",
     "DEFAULT_MAX_BYTES",
-    "FirstLevelHit",
     "QueryCache",
     "canonicalize",
     "database_epoch",

@@ -34,13 +34,7 @@ canonical form of :mod:`repro.cache.canonical`:
   lookup; a bumped epoch or a hot-swapped index file silently
   invalidates on first probe.
 
-A second, first-level table caches the leading variable and its
-candidate list for the domain-sharded parallel executor — the subplan
-granularity of Mhedhbi & Salihoglu — together with the leapfrog
-counter deltas the computation would have added, so replaying a hit
-keeps merged op counts byte-identical to a cold run.
-
-All counters and tables are guarded by one lock: the serve layer
+All counters and the table are guarded by one lock: the serve layer
 mutates the cache from its dispatch thread while ``/metrics`` scrapes
 :meth:`QueryCache.stats` from the asyncio loop thread.
 """
@@ -61,7 +55,7 @@ from repro.cache.canonical import (
 )
 from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
-from repro.query.model import ExtendedBGP, Var
+from repro.query.model import ExtendedBGP
 
 #: Default byte budget for packed solution matrices (32 MiB).
 DEFAULT_MAX_BYTES = 32 << 20
@@ -87,9 +81,6 @@ class CacheConfig:
     """A single entry larger than this fraction of ``max_bytes`` is
     inadmissible outright (it would evict half the cache)."""
 
-    first_level_entries: int = 256
-    """LRU capacity of the first-level candidate/subplan table."""
-
 
 @dataclass
 class _Entry:
@@ -106,25 +97,6 @@ class _Entry:
     hits: int = 0
 
 
-@dataclass
-class FirstLevelHit:
-    """A cached leading-variable subplan, remapped to the probe query."""
-
-    variable: Var
-    candidates: tuple[int, ...]
-    attempts: int
-    leap_calls: int
-
-
-@dataclass
-class _FirstLevelEntry:
-    epoch: int
-    variable_rank: int
-    candidates: tuple[int, ...]
-    attempts: int
-    leap_calls: int
-
-
 def database_epoch(db) -> int:
     """Mutation epoch of ``db`` (0 for objects that predate epochs)."""
     epoch = getattr(db, "epoch", None)
@@ -138,7 +110,6 @@ class QueryCache:
         self.config = config or CacheConfig()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
-        self._first_level: OrderedDict[tuple, _FirstLevelEntry] = OrderedDict()
         self._bytes = 0
         self._tick = 0
         self._hits = 0
@@ -147,8 +118,6 @@ class QueryCache:
         self._evictions = 0
         self._invalidations = 0
         self._inadmissible = 0
-        self._first_level_hits = 0
-        self._first_level_misses = 0
 
     # -- canonical forms -------------------------------------------------
     def _canonical(self, query: ExtendedBGP):
@@ -343,73 +312,11 @@ class QueryCache:
         age = self._tick - entry.last_used + 1
         return entry.cost_s / age
 
-    # -- first-level subplan cache -----------------------------------------
-    def first_level_probe(
-        self, db, query: ExtendedBGP, engine: str
-    ) -> FirstLevelHit | None:
-        """Cached leading variable + candidates for the parallel executor."""
-        form = self._canonical(query)
-        if form is None:
-            return None
-        key = (form.signature, form.profile, engine)
-        epoch = database_epoch(db)
-        with self._lock:
-            entry = self._first_level.get(key)
-            if entry is not None and entry.epoch != epoch:
-                del self._first_level[key]
-                self._invalidations += 1
-                entry = None
-            if entry is None:
-                self._first_level_misses += 1
-                return None
-            self._first_level.move_to_end(key)
-            self._first_level_hits += 1
-            return FirstLevelHit(
-                variable=form.variables[entry.variable_rank],
-                candidates=entry.candidates,
-                attempts=entry.attempts,
-                leap_calls=entry.leap_calls,
-            )
-
-    def first_level_fill(
-        self,
-        db,
-        query: ExtendedBGP,
-        engine: str,
-        variable: Var,
-        candidates,
-        *,
-        attempts: int,
-        leap_calls: int,
-    ) -> bool:
-        form = self._canonical(query)
-        if form is None:
-            return False
-        try:
-            rank = form.variables.index(variable)
-        except ValueError:
-            return False
-        key = (form.signature, form.profile, engine)
-        entry = _FirstLevelEntry(
-            epoch=database_epoch(db),
-            variable_rank=rank,
-            candidates=tuple(int(c) for c in candidates),
-            attempts=int(attempts),
-            leap_calls=int(leap_calls),
-        )
-        with self._lock:
-            self._first_level[key] = entry
-            self._first_level.move_to_end(key)
-            while len(self._first_level) > self.config.first_level_entries:
-                self._first_level.popitem(last=False)
-        return True
-
     # -- maintenance --------------------------------------------------------
     def clear(self) -> None:
         """Drop every entry (counters are kept — they are lifetime totals)."""
         with self._lock:
             self._entries.clear()
-            self._first_level.clear()
             self._bytes = 0
 
     def stats(self) -> dict[str, int]:
@@ -422,10 +329,7 @@ class QueryCache:
                 "evictions": self._evictions,
                 "invalidations": self._invalidations,
                 "inadmissible": self._inadmissible,
-                "first_level_hits": self._first_level_hits,
-                "first_level_misses": self._first_level_misses,
                 "entries": len(self._entries),
-                "first_level_entries": len(self._first_level),
                 "bytes": self._bytes,
                 "max_bytes": self.config.max_bytes,
             }

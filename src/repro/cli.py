@@ -43,7 +43,6 @@ from repro.engines.baseline import BaselineEngine
 from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.materialize import MaterializeEngine
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.experiments.figure2 import FIGURE2_HEADERS, figure2_rows, run_figure2
 from repro.experiments.figure3 import FIGURE3_HEADERS, figure3_rows, run_figure3
@@ -58,20 +57,10 @@ ENGINES = {
     "auto": AutoEngine,
     "ring-knn": RingKnnEngine,
     "ring-knn-s": RingKnnSEngine,
-    "parallel-knn": ParallelRingKnnEngine,
     "baseline": BaselineEngine,
     "materialize": MaterializeEngine,
     "sixperm-knn": ClassicSixPermEngine,
 }
-
-
-def _make_engine(name: str, db: GraphDatabase, workers: int = 1):
-    """Instantiate an engine, threading ``--workers`` where it applies."""
-    if name == "parallel-knn":
-        return ParallelRingKnnEngine(db, workers=max(2, workers))
-    if name == "auto" and workers >= 2:
-        return AutoEngine(db, workers=workers)
-    return ENGINES[name](db)
 
 
 def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,7 +129,7 @@ def _db_from_args(args: argparse.Namespace) -> GraphDatabase:
         raise ValidationError(
             f"engine {engine!r} needs the raw graph tables, which a "
             "persistent index does not carry; use --data, or one of the "
-            "Ring engines (ring-knn, ring-knn-s, parallel-knn, auto)"
+            "Ring engines (ring-knn, ring-knn-s, auto)"
         )
     try:
         return GraphDatabase.from_index(from_index, verify=not args.no_verify)
@@ -187,7 +176,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     db = _db_from_args(args)
     try:
         query = parse_query(args.query)
-        engine = _make_engine(args.engine, db, workers=args.workers)
+        engine = ENGINES[args.engine](db)
         result = engine.evaluate(
             query, timeout=args.timeout, limit=args.limit
         )
@@ -209,8 +198,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         return 0
     finally:
-        # A per-invocation database owns its pools and (for
-        # --from-index) the file mapping; release both even on error.
+        # A per-invocation database owns (for --from-index) the file
+        # mapping; release it even on error.
         db.close()
 
 
@@ -229,7 +218,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             engine=args.engine,
             analyze=args.analyze,
             timeout=args.timeout,
-            workers=args.workers,
             cache=cache,
         )
         print(report.format())
@@ -283,7 +271,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         scheduler = QueryScheduler(
             db,
             workers=args.workers,
-            parallel_threshold=args.parallel_threshold,
             cache=cache,
         )
         try:
@@ -303,7 +290,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             print(
                 f"[{plan.index}] {len(result.solutions)} solutions in "
                 f"{result.elapsed:.3f}s via {result.engine} "
-                f"[{plan.route}: {plan.reason}]{flag}"
+                f"[{plan.route}, estimate {plan.estimate}]{flag}"
             )
             if args.verbose:
                 print(f"      {text}")
@@ -335,7 +322,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         capacity=args.capacity,
-        parallel_threshold=args.parallel_threshold,
         default_timeout=args.timeout,
         drain_grace=args.drain_grace,
         debug_faults=args.debug_faults,
@@ -387,7 +373,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             scheduler = QueryScheduler(
                 db,
                 workers=args.workers,
-                parallel_threshold=args.parallel_threshold,
                 cache=cache,
             )
             try:
@@ -410,7 +395,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     db = _db_from_args(args)
     try:
         query = parse_query(args.query)
-        engine = _make_engine(args.engine, db, workers=args.workers)
+        engine = ENGINES[args.engine](db)
         trace = QueryTrace(query=args.query)
         engine.evaluate(
             query, timeout=args.timeout, limit=args.limit, trace=trace
@@ -695,12 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--print-limit", type=int, default=20)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker pool size for parallel-knn (and auto with >= 2)",
-    )
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("explain", help="explain a query plan")
@@ -708,14 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument(
         "--engine",
-        choices=["ring-knn", "ring-knn-s", "parallel-knn"],
+        choices=["ring-knn", "ring-knn-s"],
         default="ring-knn",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="pool size of the parallel-knn analyze run",
     )
     p.add_argument(
         "--analyze",
@@ -743,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", default=None, help="write JSON here (else stdout)")
     p.add_argument("--indent", type=int, default=2)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker pool size for parallel-knn (and auto with >= 2)",
-    )
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
@@ -762,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="text file, one query per line ('#' comments allowed)",
     )
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=256,
-        help="first-level estimate above which a query is domain-sharded",
-    )
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument(
@@ -800,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="admission window; beyond it queries shed with 429",
-    )
-    p.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=256,
-        help="first-level estimate above which a query is domain-sharded",
     )
     p.add_argument(
         "--timeout",
@@ -878,12 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="times to replay the workload (>= 2 exercises warm hits)",
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=256,
-        help="first-level estimate above which a query is domain-sharded",
-    )
     p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=_cmd_cache)
 

@@ -10,8 +10,6 @@
 * :class:`MaterializeEngine` — the Sec. 3.2 strawman that materializes
   each ``kNN(.,.)`` relation into triples and re-indexes before running
   plain LTJ (used by the materialization-cost experiment).
-* :class:`ParallelRingKnnEngine` — domain-sharded execution of the Ring
-  engines over a multiprocessing pool (byte-identical results).
 * :func:`evaluate_k_star` — the Sec. 7 "k* best results" semantics.
 
 All engines operate on a shared :class:`GraphDatabase`, which owns the
@@ -24,7 +22,6 @@ from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.kstar import KStarResult, evaluate_k_star
 from repro.engines.materialize import MaterializeEngine
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.result import QueryResult, Solutions
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 
@@ -38,7 +35,6 @@ __all__ = [
     "MaterializeEngine",
     "ClassicSixPermEngine",
     "AutoEngine",
-    "ParallelRingKnnEngine",
     "evaluate_k_star",
     "KStarResult",
 ]

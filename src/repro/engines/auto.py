@@ -25,13 +25,7 @@ from repro.query.model import ExtendedBGP
 
 
 class AutoEngine:
-    """Pick Ring-KNN or Ring-KNN-S per query, per the Sec. 6.2 summary.
-
-    With ``workers >= 2`` the selected strategy runs domain-sharded over
-    a worker pool (:class:`~repro.engines.parallel_knn.ParallelRingKnnEngine`
-    wrapping it); the strategy selection itself is unchanged, and so are
-    the results — sharded execution is byte-identical.
-    """
+    """Pick Ring-KNN or Ring-KNN-S per query, per the Sec. 6.2 summary."""
 
     name = "auto"
 
@@ -39,15 +33,11 @@ class AutoEngine:
         self,
         db: GraphDatabase,
         exact_estimates: bool = False,
-        workers: int = 1,
         cache: object | None = None,
     ) -> None:
         self._db = db
-        self._exact_estimates = exact_estimates
         self._ring_knn = RingKnnEngine(db, exact_estimates=exact_estimates)
         self._ring_knn_s = RingKnnSEngine(db, exact_estimates=exact_estimates)
-        self.workers = int(workers)
-        self._parallel: dict[str, object] = {}
         self._owned_store: object | None = None
         #: Optional :class:`repro.cache.QueryCache` probed before and
         #: filled after every full (un-limited) evaluation.
@@ -58,44 +48,21 @@ class AutoEngine:
         cls,
         path: str,
         exact_estimates: bool = False,
-        workers: int = 1,
         verify: bool = True,
     ) -> "AutoEngine":
         """Construct an engine over an mmap-loaded persistent index.
 
         The engine owns the store it loaded: :meth:`close` releases the
-        mapping along with any worker pools. With ``workers >= 2`` the
-        pools attach their spawn workers directly to the index file —
-        warm-up skips the flatten-into-shared-memory step entirely.
+        mapping.
         """
         db = GraphDatabase.from_index(path, verify=verify)
-        engine = cls(db, exact_estimates=exact_estimates, workers=workers)
+        engine = cls(db, exact_estimates=exact_estimates)
         engine._owned_store = db.store
         return engine
 
-    def _parallel_for(self, base: str):
-        """Cached sharding wrapper around the selected serial engine."""
-        engine = self._parallel.get(base)
-        if engine is None:
-            from repro.engines.parallel_knn import ParallelRingKnnEngine
-
-            engine = ParallelRingKnnEngine(
-                self._db,
-                workers=self.workers,
-                exact_estimates=self._exact_estimates,
-                base=base,
-            )
-            self._parallel[base] = engine
-        return engine
-
     def close(self) -> None:
-        """Release any worker pools (and shm segments) for this
-        database, plus the index-store mapping when this engine was
-        built via :meth:`from_index`. No-op when nothing parallel ever
-        ran and no store is owned."""
-        from repro.parallel.executor import close_pools_for
-
-        close_pools_for(self._db)
+        """Release the index-store mapping when this engine was built
+        via :meth:`from_index`; a no-op otherwise."""
         store = self._owned_store
         self._owned_store = None
         if store is not None:
@@ -150,12 +117,7 @@ class AutoEngine:
                     trace.finish(hit.stats)
                     hit.trace = trace
                 return hit
-        if self.workers >= 2:
-            engine = self._parallel_for(selected)
-            result = engine.evaluate(
-                query, timeout=timeout, limit=limit, trace=trace
-            )
-        elif selected == self._ring_knn_s.name:
+        if selected == self._ring_knn_s.name:
             result = self._ring_knn_s.evaluate(
                 query, timeout=timeout, limit=limit, trace=trace
             )

@@ -15,6 +15,8 @@ Owns the graph and its indexes:
 
 from __future__ import annotations
 
+import sys
+
 from repro.graph.triples import GraphData
 from repro.knn.adjacency import KnnAdjacency
 from repro.knn.distance_index import DistanceRangeIndex
@@ -145,9 +147,11 @@ class GraphDatabase:
         last reference leaks the mapping until process exit, which is
         exactly what the ``REPRO_SANITIZE=1`` test mode flags.
         """
-        from repro.parallel.executor import close_pools_for
-
-        close_pools_for(self)
+        # Pools exist only once the executor has been imported; a
+        # process that never pooled does not load it to find that out.
+        executor = sys.modules.get("repro.parallel.executor")
+        if executor is not None:
+            executor.close_pools_for(self)
         store = getattr(self, "_store", None)
         if store is not None:
             self._store = None

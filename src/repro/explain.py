@@ -152,9 +152,6 @@ def _format_analysis(trace: QueryTrace) -> list[str]:
             "decisions not shown"
         )
     for key, value in trace.meta.items():
-        if key == "parallel":
-            lines.extend(_format_parallel_meta(value))
-            continue
         if key == "cache":
             lines.append(_format_cache_meta(value))
             continue
@@ -185,23 +182,6 @@ def _format_cache_meta(meta: dict) -> str:
     return line
 
 
-def _format_parallel_meta(meta: dict) -> list[str]:
-    """Render ``trace.meta["parallel"]`` (domain-sharded execution)."""
-    first = meta.get("first_variable")
-    lines = [
-        f"    parallel: {meta.get('workers')} workers "
-        f"({meta.get('mode')}), "
-        f"?{first} sharded over {meta.get('candidates')} candidates"
-    ]
-    for shard in meta.get("shards", []):
-        lines.append(
-            f"      shard {shard['shard']}: {shard['candidates']} "
-            f"candidates -> {shard['solutions']} solutions "
-            f"in {shard['elapsed_s']:.4f}s"
-        )
-    return lines
-
-
 def explain(
     db: GraphDatabase,
     query: ExtendedBGP,
@@ -209,7 +189,6 @@ def explain(
     probe: bool = True,
     analyze: bool = False,
     timeout: float | None = None,
-    workers: int = 2,
     cache: object | None = None,
 ) -> PlanReport:
     """Analyze a query — statically, or (``analyze``) by executing it.
@@ -217,36 +196,22 @@ def explain(
     Args:
         db: the indexed database.
         query: the extended BGP.
-        engine: ``"ring-knn"``, ``"ring-knn-s"`` or ``"parallel-knn"``
-            (domain-sharded Ring-KNN; static analysis is the base
-            engine's, the ``analyze`` run executes sharded and reports
-            per-shard timings).
+        engine: ``"ring-knn"`` or ``"ring-knn-s"``.
         probe: run a limit-1 evaluation to capture the actual first
             elimination order (cheap for non-pathological queries).
         analyze: EXPLAIN ANALYZE — run the query to completion under a
             :class:`QueryTrace` and attach the observed counters as
             ``report.analysis`` (rendered by ``format()``).
         timeout: time budget for the ``analyze`` run.
-        workers: pool size of the ``parallel-knn`` analyze run.
         cache: optional :class:`repro.cache.QueryCache`; the analyze
             run probes it before executing, fills it after, and the
             report renders the outcome (hit / miss / inadmissible plus
             the canonical signature) from ``trace.meta["cache"]``.
     """
-    parallel = engine == "parallel-knn"
-    base = "ring-knn" if parallel else engine
     engine_cls = {"ring-knn": RingKnnEngine, "ring-knn-s": RingKnnSEngine}[
-        base
+        engine
     ]
     driver = engine_cls(db)
-    if parallel:
-        from repro.engines.parallel_knn import ParallelRingKnnEngine
-
-        analyze_driver: object = ParallelRingKnnEngine(
-            db, workers=workers, base=base
-        )
-    else:
-        analyze_driver = driver
     relations = driver.compile(query)
     ltj = LTJEngine(relations, ordering=driver._ordering(query))
 
@@ -258,9 +223,8 @@ def explain(
     else:
         constraint_class = "general-cyclic"
     # Thm. 2 covers acyclic, Thm. 3 single 2-cyclic, both under the
-    # constraint-aware ordering (Ring-KNN; domain-sharding preserves the
-    # ordering, so parallel-knn inherits its base engine's guarantee).
-    wco = base == "ring-knn" and constraint_class in (
+    # constraint-aware ordering (Ring-KNN).
+    wco = engine == "ring-knn" and constraint_class in (
         "acyclic",
         "single-2-cyclic",
     )
@@ -283,7 +247,7 @@ def explain(
             domain_size=max(db.ring.domain_size, 2),
         )
         q_star = bound.q_star
-    if base == "ring-knn-s" and constraint_class != "acyclic":
+    if engine == "ring-knn-s" and constraint_class != "acyclic":
         notes.append(
             "Ring-KNN-S may bind constraint targets early; expect higher "
             "variance on cyclic constraint graphs (Sec. 6.2)"
@@ -312,24 +276,22 @@ def explain(
     if analyze:
         trace = QueryTrace(query=repr(query))
         if cache is None:
-            analyze_driver.evaluate(query, timeout=timeout, trace=trace)
+            driver.evaluate(query, timeout=timeout, trace=trace)
         else:
-            # Key on the serial base strategy: sharded execution is
-            # byte-identical to it, so parallel-knn shares its entries.
             cache_info: dict[str, object] = {}
             hit = cache.probe(  # type: ignore[attr-defined]
-                db, query, engine=base, meta=cache_info
+                db, query, engine=engine, meta=cache_info
             )
             if hit is not None:
                 if trace.engine is None:
                     trace.engine = hit.engine
                 trace.finish(hit.stats)
             else:
-                result = analyze_driver.evaluate(
+                result = driver.evaluate(
                     query, timeout=timeout, trace=trace
                 )
                 cache.fill(  # type: ignore[attr-defined]
-                    db, query, result, engine=base, meta=cache_info
+                    db, query, result, engine=engine, meta=cache_info
                 )
             trace.meta["cache"] = cache_info
         report.analysis = trace

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import cycle
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from repro.ltj.relation import LeapRelation
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import Var
-from repro.utils.errors import QueryError
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,19 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # (which may produce no candidate at all), between timeout polls.
 _TIMEOUT_CHECK_INTERVAL = 256
 _TIMEOUT_CHECK_LEAPS = 1024
-
-
-@dataclass(frozen=True)
-class FirstLevelPlan:
-    """Outcome of :meth:`LTJEngine.first_level`: the first variable the
-    ordering chose and its full leapfrog-intersected candidate list.
-
-    ``variable`` is ``None`` when some relation is statically empty —
-    the search space is empty and there is nothing to shard.
-    """
-
-    variable: Var | None
-    candidates: tuple[int, ...]
 
 
 class LTJEngine:
@@ -105,8 +90,8 @@ class LTJEngine:
         # unbound slot holds whatever it held last).
         self._row = [0] * len(self._variables)
         # Emitted rows, flat; the search hands control up whenever it
-        # holds `_block` values (one row for `run`, never for the bulk
-        # entry points, which take everything at once).
+        # holds `_block` values (one row for `run`, never for
+        # `evaluate`, which takes everything at once).
         self._out = array("q")
         self._block = sys.maxsize
         self.stats = EvaluationStats(sim_variables=self._sim_variables)
@@ -124,8 +109,8 @@ class LTJEngine:
     # evaluation
     # ------------------------------------------------------------------
     @contextmanager
-    def _evaluation(self, finish_trace: bool = True) -> Iterator[bool]:
-        """The prologue and epilogue every entry point shares.
+    def _evaluation(self) -> Iterator[bool]:
+        """The prologue and epilogue :meth:`run` and :meth:`evaluate` share.
 
         Resets ``stats``, starts the budget and, for the duration of the
         block, attaches a per-query memo to every wavelet tree reachable
@@ -161,8 +146,7 @@ class LTJEngine:
                 tree.end_query_memo()
             self.stats.elapsed = self._stopwatch.elapsed()
             if self._trace is not None:
-                if finish_trace:
-                    self._trace.finish(self.stats)
+                self._trace.finish(self.stats)
 
     def run(self) -> Iterator[dict[Var, int]]:
         """Enumerate solutions as variable -> constant dictionaries,
@@ -184,22 +168,13 @@ class LTJEngine:
                     del self._out[:]
 
     def evaluate(self) -> Solutions:
-        """All solutions (see :meth:`run`), as one row block."""
-        return self._all(self._search if self._variables else self._trivial)
-
-    def _trivial(self, first_descent: bool) -> Iterator[None]:
-        """The search of a query without variables: its atoms hold (none
-        is empty), so the empty assignment is the one solution."""
-        self.stats.solutions += 1
-        yield
-
-    def _all(self, search: Callable[..., Iterator[None]], *start: Any) -> Solutions:
-        """Run ``search(*start, True)`` as one evaluation, taking every
-        row it emits — also those emitted before a budget expired."""
+        """All solutions (see :meth:`run`), as one row block — also those
+        emitted before a budget expired."""
+        search = self._search if self._variables else self._trivial
         self._block = sys.maxsize
         with self._evaluation() as searchable:
             if searchable:
-                for _ in search(*start, True):
+                for _ in search(True):
                     pass
         rows = np.frombuffer(self._out, dtype=np.int64)
         return Solutions(
@@ -209,63 +184,11 @@ class LTJEngine:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # domain-sharded evaluation (see repro.parallel)
-    # ------------------------------------------------------------------
-    def first_level(self) -> FirstLevelPlan:
-        """Serial-identical depth-0 prologue of a domain-sharded run.
-
-        Performs exactly the work the serial :meth:`run` does before the
-        first bind: resets stats, attaches the per-query memos, checks
-        relation emptiness, lets the ordering choose the first variable,
-        and enumerates that variable's full leapfrog intersection
-        *without binding any candidate*. ``leap`` is pure given the
-        current (empty) binding stack, so the candidate list — and every
-        counter recorded along the way (attempts, per-variable candidate
-        and leap counts, the depth-0 ordering decision, wavelet op
-        counts) — is identical to the serial run's depth-0 contribution.
-        A sharded execution that hands a partition of the candidates to
-        :meth:`run_prebound` workers therefore sums to the serial totals
-        exactly, for any partition.
-
-        The trace (if any) is *not* finished here: the caller merges the
-        workers' counters first and finalizes the trace itself. On an
-        expired budget the candidates found so far are returned.
-        """
-        if not self._variables:
-            raise QueryError(
-                "first_level requires at least one variable to shard on"
-            )
-        variable = None
-        candidates: list[int] = []
-        with self._evaluation(finish_trace=False) as searchable:
-            if searchable:
-                slot, vc = self._choose(first_descent=True)
-                variable = self._variables[slot]
-                candidates.extend(self._candidates(slot, vc))
-        return FirstLevelPlan(variable, tuple(candidates))
-
-    def run_prebound(self, var: Var, candidates: Sequence[int]) -> Solutions:
-        """Resume the search below pre-enumerated first-level candidates.
-
-        The worker half of a domain-sharded run: ``var`` is the first
-        variable a :meth:`first_level` call chose (on an identically
-        compiled engine) and ``candidates`` a contiguous slice of the
-        candidate list it enumerated — only values that intersection
-        produced, because an atom with no other variable is not asked
-        about them again. Each candidate is bound as the serial run
-        binds it and the ordinary recursive search continues at depth 1.
-        Depth-0 work — the ordering decision, the candidate attempts,
-        the leapfrog ``leap`` calls — is *not* re-recorded here, because
-        the parent already counted it; what is recorded (bindings,
-        failed bindings, all depth >= 1 counters) is precisely the
-        serial run's share for these candidates.
-        """
-        if var not in self._variables:
-            raise QueryError(f"unknown first variable {var!r}")
-        slot = self._variables.index(var)
-        vc = self._trace.var(var) if self._trace is not None else None
-        return self._all(self._descend, slot, candidates, vc)
+    def _trivial(self, first_descent: bool) -> Iterator[None]:
+        """The search of a query without variables: its atoms hold (none
+        is empty), so the empty assignment is the one solution."""
+        self.stats.solutions += 1
+        yield
 
     # ------------------------------------------------------------------
     def _choose(self, first_descent: bool) -> tuple[int, VarCounters | None]:

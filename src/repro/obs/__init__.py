@@ -7,7 +7,6 @@ traces across runs.
 """
 
 from repro.obs.diff import CounterDelta, diff_traces, flatten_counters, format_diff
-from repro.obs.merge import merge_shard_traces
 from repro.obs.schema import (
     TRACE_SCHEMA,
     TraceSchemaError,
@@ -39,7 +38,6 @@ __all__ = [
     "flatten_counters",
     "format_diff",
     "instrument_relations",
-    "merge_shard_traces",
     "validate_document",
     "validate_trace",
     "wavelet_targets",

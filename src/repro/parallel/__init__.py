@@ -1,22 +1,26 @@
-"""Domain-sharded parallel LTJ execution and batched query scheduling.
+"""A worker pool that runs whole queries, and the batched scheduler
+over it.
 
 Submodules:
 
-* :mod:`repro.parallel.executor` — intra-query parallelism: shard the
-  first variable's leapfrog-intersected candidate range across a
-  multiprocessing pool, merge shard streams in shard order so results
-  and trace op counts are byte-identical to the serial engines.
-* :mod:`repro.parallel.scheduler` — inter-query batching: classify a
-  batch via the ``auto`` engine's estimates and multiplex it over the
-  same pool.
+* :mod:`repro.parallel.executor` — the pool: processes that attach one
+  database (a shared segment, or the index file of a store-backed one)
+  and answer :class:`QueryBatchTask` round trips; large results stream
+  back in chunks.
+* :mod:`repro.parallel.scheduler` — inter-query batching: select each
+  query's strategy with the ``auto`` rule, group the batch LPT-style by
+  estimated (then measured) cost and multiplex it over the pool.
 * :mod:`repro.parallel.worker` — the code that runs inside pool workers.
 * :mod:`repro.parallel.shm` — the shared-memory segments that carry the
   flattened indexes (:mod:`repro.store.layout`) to the workers, which
   rebuild them zero-copy, no pickling.
 
-This package initializer is deliberately import-light: the engines
-import the executor, which imports the engines — eager re-exports here
-would close that cycle. Public names resolve lazily (PEP 562).
+There is no intra-query parallelism: first-variable sharding was
+measured at 0.84x of serial on two cores and deleted
+(``docs/parallelism.md``).
+
+Public names resolve lazily (PEP 562), so importing the package does
+not import :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -25,28 +29,20 @@ from typing import Any
 
 _EXPORTS = {
     "DEFAULT_WORKERS": "repro.parallel.executor",
-    "ParallelOutcome": "repro.parallel.executor",
-    "SHARDS_PER_WORKER": "repro.parallel.executor",
     "WorkerPool": "repro.parallel.executor",
     "close_pools_for": "repro.parallel.executor",
-    "evaluate_parallel": "repro.parallel.executor",
     "pool_for": "repro.parallel.executor",
     "shutdown_pools": "repro.parallel.executor",
-    "DEFAULT_PARALLEL_THRESHOLD": "repro.parallel.scheduler",
     "MAX_BATCH_SIZE": "repro.parallel.scheduler",
     "QueryScheduler": "repro.parallel.scheduler",
     "ScheduledQuery": "repro.parallel.scheduler",
     "QueryBatchTask": "repro.parallel.worker",
     "QueryOutcome": "repro.parallel.worker",
     "QueryTask": "repro.parallel.worker",
-    "ShardOutcome": "repro.parallel.worker",
-    "ShardTask": "repro.parallel.worker",
     "run_query": "repro.parallel.worker",
     "run_query_batch": "repro.parallel.worker",
-    "run_shard": "repro.parallel.worker",
     "ENV_START_METHOD": "repro.parallel.executor",
     "forced_start_method": "repro.parallel.executor",
-    "ScratchBuffer": "repro.parallel.shm",
     "StructureShm": "repro.parallel.shm",
     "active_segments": "repro.parallel.shm",
     "attach": "repro.parallel.shm",

@@ -1,42 +1,22 @@
-"""Domain-sharded parallel LTJ execution over a multiprocessing pool.
+"""The worker pool: processes that attach one database and run whole
+queries over it.
 
-The decomposition (Mhedhbi & Salihoglu, VLDB 2019; the LogicBlox
-"old dog" line): LTJ's search tree is embarrassingly parallel at the
-first variable. The parent process replays the serial engine's depth-0
-work verbatim — ordering choice, full leapfrog intersection of the first
-variable — then splits the candidate list into contiguous shards and
-hands each to a pool worker, which binds its candidates and searches
-depth >= 1 with the identical compile order and ordering strategy.
-Merging shard solution streams *in shard order* reproduces the serial
-solution list byte for byte, and summing shard counters with the
-parent's reproduces the serial stats and trace op counts for any pool
-size (see :mod:`repro.obs.merge` for the invariance argument).
-
-Transport is zero-copy (:mod:`repro.parallel.shm`): when a pool starts,
-the database's succinct structures are flattened once into a shared
-segment that workers attach; tasks carry ``(segment, start, stop)``
-candidate spans through a reusable scratch segment; results come back
-as packed int64 matrices, streamed in fixed-size chunks through a
-queue when large. Nothing per-dispatch scales with the index size.
+A :class:`WorkerPool` is bound to one database. Starting it ships that
+database to the workers without copying it per dispatch
+(:mod:`repro.parallel.shm`): a built database is flattened once into a
+shared segment the workers attach; a store-backed one creates no segment
+at all — the workers map the index file it was loaded from. After that a
+dispatch is a :class:`~repro.parallel.worker.QueryBatchTask` (a few
+parsed queries) going out and packed int64 solution matrices coming
+back, streamed in fixed-size chunks through a queue when large. Nothing
+per-dispatch scales with the index size.
 
 Pools are cached per (database, pool size): the cache holds a strong
 reference to the database (so the id-based key can never alias a
-collected object) and each pool owns its shared segments, unlinking
-them on ``close`` — including the error path where a worker raised
-mid-shard (the pool survives a task exception; the segments are only
-torn down with the pool itself).
-
-Known, documented divergences from the serial engine:
-
-* under a ``timeout``, partial results may differ (shards poll their
-  own budgets);
-* under a ``limit``, the returned solutions are identical but the
-  stats may over-count (shards cap at ``limit`` each, the serial
-  engine stops globally) — except ``limit=0``, which searches nothing
-  on either route.
-
-Full enumerations — the differential/equivalence suites — are
-byte-identical.
+collected object) and each pool owns its shared segment, unlinking it on
+``close`` — including the error path where a worker raised mid-batch
+(the pool survives a task exception; the segment is only torn down with
+the pool itself).
 """
 
 from __future__ import annotations
@@ -45,49 +25,29 @@ import atexit
 import multiprocessing
 import os
 import queue as queue_mod
-import time
 from collections import OrderedDict
-from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.ltj.engine import FirstLevelPlan, LTJEngine
-from repro.ltj.solutions import Solutions, raw_limit
-from repro.ltj.stats import EvaluationStats
-from repro.obs.merge import merge_shard_traces
-from repro.obs.trace import (
-    attach_wavelets,
-    instrument_relations,
-    wavelet_targets,
-)
-from repro.parallel.shm import ScratchBuffer, StructureShm
+from repro.parallel.shm import StructureShm
 from repro.parallel.worker import (
     QueryBatchTask,
     QueryOutcome,
-    ShardOutcome,
-    ShardTask,
     _init_worker,
     run_query_batch,
-    run_shard,
 )
-from repro.query.model import ExtendedBGP, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.database import GraphDatabase
 
-#: Default pool size of the parallel engine and the scheduler.
+#: Default pool size of the scheduler.
 DEFAULT_WORKERS = 2
-
-#: Contiguous shards handed out per worker. Finer than the pool size for
-#: load balancing; any split yields the same merged results/counters.
-SHARDS_PER_WORKER = 2
 
 #: Environment variable pinning the pool start method (``fork`` or
 #: ``spawn``). Unset or unrecognized values fall back to the platform
-#: default (fork where available). The CI ``parallel-shm`` job forces
-#: ``spawn`` to prove the shm transport works without copy-on-write
+#: default (fork where available). The CI ``store`` job forces
+#: ``spawn`` to prove the transport works without copy-on-write
 #: inheritance.
 ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
 
@@ -110,11 +70,11 @@ class WorkerPool:
     """A lazily started multiprocessing pool bound to one database.
 
     Starting the pool flattens the database into a shared-memory
-    segment (:class:`StructureShm`); workers attach it in their
-    initializer, so the per-dispatch payload is a descriptor, never an
-    index. The pool also owns the scratch segment candidate spans are
-    published through and the queue large results stream back on — all
-    three are torn down together in :meth:`close`.
+    segment (:class:`StructureShm`) unless it is store-backed; workers
+    attach the carrier in their initializer, so the per-dispatch payload
+    is a descriptor, never an index. The pool also owns the queue large
+    results stream back on — both are torn down together in
+    :meth:`close`.
     """
 
     def __init__(self, db: "GraphDatabase", workers: int) -> None:
@@ -123,10 +83,10 @@ class WorkerPool:
         self.start_method = "unstarted"
         self._pool: Any = None
         self._shm: StructureShm | None = None
-        self._scratch: ScratchBuffer | None = None
         self._chunks: Any = None
         self._chunk_buf: dict[int, dict[int, np.ndarray]] = {}
         self._uid = 0
+        self._dropped_uid = 0
 
     def next_uid(self) -> int:
         """Pool-unique task id (correlates streamed chunks to tasks)."""
@@ -153,7 +113,6 @@ class WorkerPool:
             else:
                 self._shm = StructureShm.create(self._db)
                 manifest = self._shm.manifest
-            self._scratch = ScratchBuffer()
             self._chunks = ctx.Queue()
             self._pool = ctx.Pool(
                 self.workers,
@@ -168,25 +127,6 @@ class WorkerPool:
         # A no-op barrier: one trivial task per worker forces all the
         # initializers (segment attach included) to finish.
         pool.map(_noop, range(self.workers), chunksize=1)
-
-    def publish_candidates(self, candidates: Sequence[int]) -> str:
-        """Publish a candidate list to the scratch segment; returns the
-        segment name tasks should carry in their spans."""
-        self._start()
-        assert self._scratch is not None
-        name, _n = self._scratch.publish(candidates)
-        return name
-
-    def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
-        """Run shard tasks, returning outcomes in task (shard) order."""
-        pool = self._start()
-        try:
-            outcomes = list(pool.map(run_shard, tasks, chunksize=1))
-        except Exception:
-            self._drop_pending_chunks()
-            raise
-        self.reconcile(outcomes)
-        return outcomes
 
     def submit_batch(self, batch: QueryBatchTask) -> Any:
         """Submit one whole-query batch; returns an ``AsyncResult``
@@ -208,9 +148,7 @@ class WorkerPool:
         pool = self._start()
         pool.apply(_injected_worker_fault)
 
-    def reconcile(
-        self, outcomes: Sequence[ShardOutcome | QueryOutcome]
-    ) -> None:
+    def reconcile(self, outcomes: Sequence[QueryOutcome]) -> None:
         """Fill in ``packed`` for outcomes whose solutions streamed back
         through the chunk queue rather than the result pipe."""
         needed = {
@@ -238,14 +176,17 @@ class WorkerPool:
                 raise RuntimeError(
                     "worker pool stopped streaming announced chunks"
                 ) from None
-            self._chunk_buf.setdefault(uid, {})[seq] = chunk
+            if uid > self._dropped_uid:
+                self._chunk_buf.setdefault(uid, {})[seq] = chunk
 
-    def _drop_pending_chunks(self) -> None:
-        """Best-effort drain after a task exception, so chunks from
-        sibling shards of the failed dispatch cannot satisfy a later
-        reconcile by uid collision (uids are unique, so dropping is
-        purely hygiene — it bounds the buffer)."""
+    def drop_pending_chunks(self) -> None:
+        """Forget every chunk of the tasks issued so far — for a caller
+        that gave up on a dispatch after its tasks all finished. What
+        has arrived is drained; a chunk still in a worker's queue feeder
+        (it can trail the task's own outcome) is discarded by uid when
+        a later :meth:`reconcile` meets it."""
         self._chunk_buf.clear()
+        self._dropped_uid = self._uid
         if self._chunks is None:
             return
         while True:
@@ -264,9 +205,6 @@ class WorkerPool:
             self._chunks.close()
             self._chunks = None
         self._chunk_buf.clear()
-        if self._scratch is not None:
-            self._scratch.close()
-            self._scratch = None
         if self._shm is not None:
             self._shm.close()
             self._shm = None
@@ -320,224 +258,3 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
-
-
-# ----------------------------------------------------------------------
-# sharded evaluation
-# ----------------------------------------------------------------------
-@dataclass
-class ParallelOutcome:
-    """Merged outcome of a domain-sharded evaluation."""
-
-    solutions: Solutions
-    stats: EvaluationStats
-    meta: dict[str, Any] = field(default_factory=dict)
-    """Execution shape: workers, start method, per-shard breakdown."""
-
-
-def _bounds(n: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal ``(start, stop)`` slices of ``range(n)``."""
-    base, extra = divmod(n, n_shards)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def evaluate_parallel(
-    driver,
-    query: ExtendedBGP,
-    *,
-    workers: int = DEFAULT_WORKERS,
-    timeout: float | None = None,
-    limit: int | None = None,
-    project: list | None = None,
-    distinct: bool = False,
-    trace=None,
-    shards_per_worker: int = SHARDS_PER_WORKER,
-    subplan_cache=None,
-) -> ParallelOutcome | None:
-    """Evaluate ``query`` domain-sharded, using ``driver``'s compile
-    order and ordering strategy (``driver`` is a serial Ring engine).
-
-    Returns ``None`` when there is nothing to shard — the query has no
-    variables, or ``limit`` is 0 — in which case the caller should
-    evaluate serially.
-    The caller owns the trace's ``engine``/``query`` labels; this
-    function records counters, shard metadata (``meta["parallel"]``)
-    and finalizes the trace from the merged stats.
-
-    ``subplan_cache`` is an optional :class:`repro.cache.QueryCache`
-    whose first-level table short-circuits the leading-variable
-    leapfrog intersection on repeat shapes; a hit replays the cached
-    candidates *and* the leapfrog counter deltas the computation would
-    have produced, so merged stats stay byte-identical to a cold run.
-    Only untraced runs use it — traced runs must surface real per-op
-    counters.
-    """
-    db = driver._db
-    relations = driver.compile(query)
-    engine = LTJEngine(
-        relations,
-        ordering=driver._ordering(query),
-        timeout=timeout,
-        trace=trace,
-    )
-    if not engine.variables or limit == 0:
-        return None
-    started = time.perf_counter()
-    if trace is None:
-        attached = nullcontext()
-    else:
-        if trace.query is None:
-            trace.query = repr(query)
-        instrument_relations(trace, relations)
-        attached = attach_wavelets(wavelet_targets(trace, db, query))
-    first_level_hit = None
-    if subplan_cache is not None and trace is None:
-        first_level_hit = subplan_cache.first_level_probe(
-            db, query, driver.name
-        )
-    if first_level_hit is not None:
-        # Replay the cached subplan: the fresh engine's stats carry the
-        # structural fields (sim_variables) from construction; the
-        # counters and descent entry below are exactly what
-        # ``first_level()`` would have added.
-        parent = engine.stats
-        parent.attempts = first_level_hit.attempts
-        parent.leap_calls = first_level_hit.leap_calls
-        parent.first_descent_order.append(first_level_hit.variable)
-        plan = FirstLevelPlan(
-            first_level_hit.variable, first_level_hit.candidates
-        )
-    else:
-        with attached:
-            plan = engine.first_level()
-        parent = engine.stats
-        if (
-            subplan_cache is not None
-            and trace is None
-            and plan.variable is not None
-            and not parent.timed_out
-        ):
-            subplan_cache.first_level_fill(
-                db,
-                query,
-                driver.name,
-                plan.variable,
-                plan.candidates,
-                attempts=parent.attempts,
-                leap_calls=parent.leap_calls,
-            )
-
-    bounds: list[tuple[int, int]] = []
-    outcomes: list[ShardOutcome] = []
-    mode = "empty"
-    engine_limit = raw_limit(limit, project, distinct)
-    if plan.variable is not None and plan.candidates and not parent.timed_out:
-        n_shards = min(
-            len(plan.candidates), max(1, workers) * max(1, shards_per_worker)
-        )
-        bounds = _bounds(len(plan.candidates), n_shards)
-        remaining = None
-        if timeout is not None:
-            remaining = max(timeout - (time.perf_counter() - started), 0.0)
-        if workers <= 1:
-            mode = "inline"
-            tasks = [
-                ShardTask(
-                    uid=0,
-                    index=i,
-                    query=query,
-                    engine=driver.name,
-                    exact_estimates=driver._exact_estimates,
-                    variable=plan.variable.name,
-                    span=None,
-                    candidates=tuple(plan.candidates[start:stop]),
-                    budget=remaining,
-                    limit=engine_limit,
-                    traced=trace is not None,
-                )
-                for i, (start, stop) in enumerate(bounds)
-            ]
-            outcomes = [run_shard(task, db=db) for task in tasks]
-        else:
-            pool = pool_for(db, workers)
-            segment = pool.publish_candidates(plan.candidates)
-            tasks = [
-                ShardTask(
-                    uid=pool.next_uid(),
-                    index=i,
-                    query=query,
-                    engine=driver.name,
-                    exact_estimates=driver._exact_estimates,
-                    variable=plan.variable.name,
-                    span=(segment, start, stop),
-                    candidates=None,
-                    budget=remaining,
-                    limit=engine_limit,
-                    traced=trace is not None,
-                )
-                for i, (start, stop) in enumerate(bounds)
-            ]
-            outcomes = pool.map_shards(tasks)
-            mode = pool.start_method
-
-    # ------------------------------------------------------------------
-    # merge (shard order == candidate order == serial order)
-    # ------------------------------------------------------------------
-    merged = EvaluationStats()
-    merged.sim_variables = parent.sim_variables
-    merged.attempts = parent.attempts
-    merged.leap_calls = parent.leap_calls
-    merged.timed_out = parent.timed_out
-    order: list[Var] = list(parent.first_descent_order)
-    blocks: list[np.ndarray] = []
-    shards_meta: list[dict[str, Any]] = []
-    for outcome in outcomes:
-        merged.solutions += outcome.solutions_found
-        merged.bindings += outcome.bindings
-        merged.attempts += outcome.attempts
-        merged.leap_calls += outcome.leap_calls
-        merged.timed_out = merged.timed_out or outcome.timed_out
-        if len(order) == 1 and outcome.first_descent:
-            order.extend(Var(name) for name in outcome.first_descent)
-        blocks.append(outcome.packed)
-        start, stop = bounds[outcome.index]
-        shards_meta.append(
-            {
-                "shard": outcome.index,
-                "candidates": stop - start,
-                "solutions": outcome.solutions_found,
-                "streamed_chunks": outcome.n_chunks,
-                "elapsed_s": outcome.elapsed,
-            }
-        )
-    merged.first_descent_order = order
-    merged.elapsed = time.perf_counter() - started
-    meta: dict[str, Any] = {
-        "workers": workers,
-        "mode": mode,
-        "first_variable": (
-            None if plan.variable is None else plan.variable.name
-        ),
-        "candidates": len(plan.candidates),
-        "shards": shards_meta,
-    }
-    # Every shard compiled the same plan, so the blocks share the
-    # parent engine's slot order.
-    width = len(engine.variables)
-    rows = np.concatenate(blocks) if blocks else np.empty((0, width), "<i8")
-    final = Solutions(engine.variables, rows).select(project, distinct, limit)
-    if trace is not None:
-        merge_shard_traces(
-            trace,
-            [o.trace for o in outcomes if o.trace is not None],
-        )
-        trace.meta["parallel"] = meta
-        trace.add_phase("evaluate", merged.elapsed)
-        trace.finish(merged)
-    return ParallelOutcome(solutions=final, stats=merged, meta=meta)

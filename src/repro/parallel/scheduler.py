@@ -1,30 +1,24 @@
 """Batched query scheduling over the shared worker pool.
 
-Inter-query batching complements the executor's intra-query sharding:
-given a batch of extended BGPs, the scheduler classifies each query —
-using the same ``auto`` strategy selection and the compiled relations'
-``l_x`` estimates the serial engines already expose — as either
-*parallel-worthy* (its first-variable candidate range is large enough
-that domain-sharding pays for the pool round trip) or *small* (the
-whole query is cheaper than the dispatch overhead of sharding it).
-
-Parallel-worthy queries are domain-sharded one at a time so each gets
-the full pool; small queries are *grouped* — many queries per worker
-round trip (:class:`QueryBatchTask`) — with the groups filled LPT-style
-(descending cost, round-robin) so one expensive query cannot serialize
-a whole group behind it. The LPT cost starts as the optimizer's
-first-level estimate, but every completed batch feeds its measured
-per-query wall times back into the scheduler: queries with the same
-*shape signature* (selected engine, triple/similarity/distance clause
-counts) as an already-served query are costed by an exponential moving
-average of the observed seconds instead, and unseen shapes scale their
-estimate by the observed seconds-per-estimate-unit ratio. A
-long-running server therefore converges to grouping by how long
-queries actually take, not by how long the estimates guessed. The pool itself is warm and shared:
-its shm segments are created once per database and reused across
-``run_batch`` calls, which is what :meth:`QueryScheduler.warmup` plus
-the bench harness's warmup/steady split measure. Results come back in
-input order and each is the byte-identical :class:`QueryResult` the
+Given a batch of extended BGPs, the scheduler selects each query's
+strategy with the same ``auto`` rule the serial engines use and runs it
+*whole* in one pool worker (or, for a pool of one, in its own process).
+Queries are *grouped* — many per worker round trip
+(:class:`QueryBatchTask`) — with the groups filled LPT-style (descending
+cost, round-robin) so one expensive query cannot serialize a whole group
+behind it. The LPT cost starts as the optimizer's estimate (the smallest
+``l_x`` the compiled relations report), but every completed batch feeds
+its measured per-query wall times back into the scheduler: queries with
+the same *shape signature* (selected engine, triple/similarity/distance
+clause counts) as an already-served query are costed by an exponential
+moving average of the observed seconds instead, and unseen shapes scale
+their estimate by the observed seconds-per-estimate-unit ratio. A
+long-running server therefore converges to grouping by how long queries
+actually take, not by how long the estimates guessed. The pool itself is
+warm and shared: its carrier is created once per database and reused
+across ``run_batch`` calls, which is what :meth:`QueryScheduler.warmup`
+plus the bench harness's warmup/steady split measure. Results come back
+in input order and each is the byte-identical :class:`QueryResult` the
 serial ``auto`` engine would have produced for that query.
 """
 
@@ -41,7 +35,6 @@ from repro.ltj.stats import EvaluationStats
 from repro.parallel.executor import (
     DEFAULT_WORKERS,
     close_pools_for,
-    evaluate_parallel,
     pool_for,
 )
 from repro.parallel.worker import (
@@ -53,10 +46,6 @@ from repro.query.model import ExtendedBGP, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.database import GraphDatabase
-
-#: First-variable candidate estimate above which a query is worth
-#: domain-sharding. Below it, pool dispatch overhead dominates.
-DEFAULT_PARALLEL_THRESHOLD = 256
 
 #: Ceiling on queries served per worker round trip. Groups are also
 #: capped in *number* (>= 2x pool size) so short batches still spread
@@ -101,17 +90,16 @@ class ScheduledQuery:
 
     index: int
     route: str
-    """``"parallel"`` (domain-sharded), ``"pooled"`` (whole query in one
-    worker) or ``"serial"`` (evaluated in the scheduler's process)."""
+    """``"pooled"`` (whole query in one worker) or ``"serial"``
+    (evaluated in the scheduler's process: a pool of one)."""
 
     engine: str
     """Serial strategy selected by ``auto`` for this query."""
 
     estimate: int
     """Smallest per-variable candidate estimate — an upper bound on the
-    first leapfrog level's size under either ordering."""
-
-    reason: str
+    first leapfrog level's size under either ordering, and the LPT
+    weight of a shape nothing has been measured for."""
 
     signature: tuple[str, int, int, int] = ("", 0, 0, 0)
     """Shape bucket (:func:`query_signature`) that observed wall times
@@ -125,7 +113,6 @@ class QueryScheduler:
         self,
         db: "GraphDatabase",
         workers: int = DEFAULT_WORKERS,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
         exact_estimates: bool = False,
         max_pending: int | None = None,
         cache: object | None = None,
@@ -134,7 +121,6 @@ class QueryScheduler:
         self._auto = AutoEngine(db, exact_estimates=exact_estimates)
         self._exact_estimates = exact_estimates
         self.workers = int(workers)
-        self.parallel_threshold = parallel_threshold
         self.max_pending = (
             max_pending if max_pending is not None else 2 * max(1, workers)
         )
@@ -218,57 +204,31 @@ class QueryScheduler:
         close_pools_for(self._db)
 
     def classify(self, query: ExtendedBGP, index: int = 0) -> ScheduledQuery:
-        """Route one query using the serial engines' own estimates.
+        """Select one query's strategy and weigh it by the serial
+        engines' own estimates.
 
-        The routing statistic is the minimum over variables of the
-        smallest participating relation's ``estimate`` — the size the
-        adaptive orderings minimize when choosing the first variable,
-        hence an upper bound on the shardable candidate range.
+        The estimate is the minimum over variables of the smallest
+        participating relation's ``estimate`` — the size the adaptive
+        orderings minimize when choosing the first variable. The route
+        does not depend on the query: a pool of one evaluates in this
+        process, any larger pool runs every query whole in a worker.
         """
         engine = self._auto.select(query)
-        signature = query_signature(engine, query)
         relations = self._driver(engine).compile(query)
-        variables: set[Var] = set()
-        for relation in relations:
-            variables |= relation.variables
-        if not variables:
-            return ScheduledQuery(
-                index=index,
-                route="pooled",
-                engine=engine,
-                estimate=0,
-                reason="no variables to shard",
-                signature=signature,
-            )
         estimate = min(
-            min(
+            (
                 relation.estimate(relation.position(var))
                 for relation in relations
-                if var in relation.variables
-            )
-            for var in sorted(variables, key=lambda v: v.name)
+                for var in relation.variables
+            ),
+            default=0,
         )
-        if self.workers <= 1:
-            route, reason = "serial", "pool size 1"
-        elif estimate >= self.parallel_threshold:
-            route = "parallel"
-            reason = (
-                f"first-level estimate {estimate} >= "
-                f"threshold {self.parallel_threshold}"
-            )
-        else:
-            route = "pooled"
-            reason = (
-                f"first-level estimate {estimate} < "
-                f"threshold {self.parallel_threshold}"
-            )
         return ScheduledQuery(
             index=index,
-            route=route,
+            route="serial" if self.workers <= 1 else "pooled",
             engine=engine,
             estimate=estimate,
-            reason=reason,
-            signature=signature,
+            signature=query_signature(engine, query),
         )
 
     def _group_pooled(
@@ -361,8 +321,8 @@ class QueryScheduler:
             return [result for result in results if result is not None]
         plan_by_index = {plan.index: plan for plan in plans}
 
-        # Small queries first: fill the pool with grouped whole-query
-        # round trips through a bounded pending window...
+        # Fill the pool with grouped whole-query round trips through a
+        # bounded pending window.
         pool = pool_for(self._db, self.workers)
         pending: list[object] = []
 
@@ -384,56 +344,37 @@ class QueryScheduler:
                         plan.signature,
                     )
 
-        pooled = [plan for plan in plans if plan.route == "pooled"]
-        for group in self._group_pooled(pooled):
-            batch = QueryBatchTask(
-                tasks=tuple(
-                    QueryTask(
-                        uid=pool.next_uid(),
-                        index=plan.index,
-                        query=queries[plan.index],
-                        engine=plan.engine,
-                        exact_estimates=self._exact_estimates,
-                        timeout=budgets[plan.index],
-                        limit=limit,
+        try:
+            for group in self._group_pooled(plans):
+                batch = QueryBatchTask(
+                    tasks=tuple(
+                        QueryTask(
+                            uid=pool.next_uid(),
+                            index=plan.index,
+                            query=queries[plan.index],
+                            engine=plan.engine,
+                            exact_estimates=self._exact_estimates,
+                            timeout=budgets[plan.index],
+                            limit=limit,
+                        )
+                        for plan in group
                     )
-                    for plan in group
                 )
-            )
-            if len(pending) >= self.max_pending:
+                if len(pending) >= self.max_pending:
+                    _drain(pending.pop(0))
+                pending.append(pool.submit_batch(batch))
+            while pending:
                 _drain(pending.pop(0))
-            pending.append(pool.submit_batch(batch))
-        # ...then shard the big ones one at a time, each getting the
-        # whole pool, while the small tail drains.
-        for plan in plans:
-            if plan.route != "parallel":
-                continue
-            driver = self._driver(plan.engine)
-            outcome = evaluate_parallel(
-                driver,
-                queries[plan.index],
-                workers=self.workers,
-                timeout=budgets[plan.index],
-                limit=limit,
-                subplan_cache=cache,
-            )
-            if outcome is None:
-                result = driver.evaluate(
-                    queries[plan.index], timeout=budgets[plan.index],
-                    limit=limit,
-                )
-            else:
-                result = QueryResult(
-                    driver.name, outcome.solutions, outcome.stats
-                )
-                result.phase_seconds["evaluate"] = outcome.stats.elapsed
-            results[plan.index] = result
-            if cache is not None:
-                self._fill_cache(
-                    queries[plan.index], result, plan.engine, plan.signature
-                )
-        for handle in pending:
-            _drain(handle)
+        except Exception:
+            # One group failed: the others are still running, and the
+            # chunks they stream would sit in the pool's buffer under
+            # uids nobody reconciles. Wait them out (each is bounded by
+            # its queries' timeouts; their own errors are not news),
+            # then drop what was streamed.
+            for handle in pending:
+                handle.wait()  # type: ignore[attr-defined]
+            pool.drop_pending_chunks()
+            raise
         return [result for result in results if result is not None]
 
     def _fill_cache(

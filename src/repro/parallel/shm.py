@@ -8,46 +8,40 @@ index file carries behind its header) plus a tiny picklable
 :func:`attach`: they map the same segment and rebuild the structures as
 zero-copy numpy views over it, so the canonical buffers are shared
 pages that cost no per-worker copy. This module is the creator's side:
-making the segment, tracking it, unlinking it — and the reusable
-:class:`ScratchBuffer` candidate spans are published through.
+making the segment, tracking it, unlinking it. (A store-backed database
+needs none of it: its workers map the index file.)
 
 Lifecycle: the *creator* (the parent process that owns the pool) is the
 only party that ever ``unlink``\\ s a segment. Creation registers the
 segment in a process-local registry (:func:`active_segments`), unlink
 removes it — the shm-lifecycle leak tests assert the registry is empty
-and ``/dev/shm`` is clean after an engine closes, after a worker raises
-mid-shard, and after ``serve-batch`` finishes. Workers only ``close``
+and ``/dev/shm`` is clean after a pool closes, after a worker raises
+mid-batch, and after ``serve-batch`` finishes. Workers only ``close``
 their attachment (and tolerate a late close while views are alive: the
 OS unmaps everything at process exit anyway). POSIX resource-tracker
 accounting stays balanced because registrations are a *set*: the
 creator's register and any number of attach-side registrations collapse
-to one entry, removed by the creator's single unlink. That holds for a
-segment created before the workers were (they inherit its creator's
-tracker); the scratch buffer can come later, so workers attach it
-untracked (``repro.parallel.worker._attach_untracked``).
+to one entry, removed by the creator's single unlink — the segment is
+created before the workers are, so they inherit its creator's tracker.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Sequence
-
-import numpy as np
 
 from repro.store.io import attach
 from repro.store.layout import Manifest, SegmentBuilder, flatten
 
 __all__ = [
     "StructureShm",
-    "ScratchBuffer",
     "attach",
     "active_segments",
 ]
 
 # Every segment this process *created* and has not yet unlinked. The
-# lifecycle tests assert this is empty after engines/pools close; the
+# lifecycle tests assert this is empty after pools close; the
 # atexit pool shutdown drains it even on abnormal paths.
-_CREATED: dict[str, "StructureShm | ScratchBuffer"] = {}
+_CREATED: dict[str, "StructureShm"] = {}
 
 
 def active_segments() -> tuple[str, ...]:
@@ -101,58 +95,3 @@ class StructureShm:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         _CREATED.pop(self.manifest.segment, None)
-
-
-# ----------------------------------------------------------------------
-# scratch buffer (shard-range candidate transport)
-# ----------------------------------------------------------------------
-class ScratchBuffer:
-    """Reusable shared int64 buffer for first-variable candidate lists.
-
-    ``evaluate_parallel`` publishes each query's candidate list here
-    once; shard tasks then carry only ``(segment name, start, stop)``
-    descriptors. Publications are strictly serialized with the shard
-    maps that read them (the executor publishes, dispatches, and joins
-    before the next publish), so overwriting from offset 0 is safe. The
-    buffer grows geometrically and re-registers under a new name when
-    it does; replaced segments are unlinked immediately (attached
-    workers keep their mapping — POSIX keeps unlinked segments alive
-    until the last map goes away — and never see the stale name again
-    because tasks name the segment current at publish time).
-    """
-
-    def __init__(self) -> None:
-        self._shm: shared_memory.SharedMemory | None = None
-        self._capacity = 0
-
-    @property
-    def name(self) -> str | None:
-        return None if self._shm is None else self._shm.name
-
-    def publish(self, values: Sequence[int]) -> tuple[str, int]:
-        """Write ``values``; returns ``(segment name, length)``."""
-        n = len(values)
-        if self._shm is None or self._capacity < n:
-            self.close()
-            self._capacity = max(2 * n, 4096)
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=self._capacity * 8
-            )
-            _CREATED[self._shm.name] = self
-        view = np.frombuffer(self._shm.buf, dtype="<i8", count=n)
-        view[:] = np.asarray(values, dtype="<i8")
-        del view
-        return (self._shm.name, n)
-
-    def close(self) -> None:
-        shm = self._shm
-        self._shm = None
-        self._capacity = 0
-        if shm is not None:
-            name = shm.name
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            _CREATED.pop(name, None)

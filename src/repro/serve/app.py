@@ -100,7 +100,6 @@ class ServeConfig:
     """Admission window: queued-plus-evaluating queries beyond this shed
     with 429."""
 
-    parallel_threshold: int = 256
     default_timeout: float | None = 60.0
     """Per-query deadline when the request does not set one."""
 
@@ -178,13 +177,11 @@ class ReproServer:
         self._scheduler = QueryScheduler(
             db,
             workers=config.workers,
-            parallel_threshold=config.parallel_threshold,
             cache=self.cache,
         )
-        # Direct route: `auto` inherits the scheduler's pool (same
-        # (db, workers) cache key) so traced requests reuse the warm
-        # workers; pinned engines are the serial strategies themselves.
-        self._auto = AutoEngine(db, workers=config.workers, cache=self.cache)
+        # Direct route: `auto` and the pinned serial strategies all
+        # evaluate on the dispatch thread.
+        self._auto = AutoEngine(db, cache=self.cache)
         self._serial = {
             engine.name: engine
             for engine in (RingKnnEngine(db), RingKnnSEngine(db))
@@ -492,7 +489,6 @@ class ReproServer:
             engine=request.engine,
             analyze=request.analyze,
             timeout=remaining,
-            workers=self.config.workers,
             cache=self.cache,
         )
         trace_document = None

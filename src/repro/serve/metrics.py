@@ -37,13 +37,11 @@ _STAT_FIELDS = ("solutions", "bindings", "attempts", "leap_calls")
 #: snapshot (rendered as Prometheus counters).
 _CACHE_EVENT_FIELDS = (
     "hits", "misses", "fills", "evictions", "invalidations",
-    "inadmissible", "first_level_hits", "first_level_misses",
+    "inadmissible",
 )
 
 #: Occupancy fields of the same snapshot (rendered as gauges).
-_CACHE_GAUGE_FIELDS = (
-    "entries", "first_level_entries", "bytes", "max_bytes",
-)
+_CACHE_GAUGE_FIELDS = ("entries", "bytes", "max_bytes")
 
 
 def _escape_label(value: str) -> str:

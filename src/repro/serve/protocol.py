@@ -59,7 +59,7 @@ EXPLAIN_REQUEST_SCHEMA: dict[str, Any] = {
         "query": {"type": "string"},
         "engine": {
             "type": "string",
-            "enum": ["ring-knn", "ring-knn-s", "parallel-knn"],
+            "enum": ["ring-knn", "ring-knn-s"],
         },
         "analyze": {"type": "boolean"},
         "timeout": {"type": ["number", "null"], "minimum": 0},

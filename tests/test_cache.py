@@ -365,27 +365,6 @@ class TestQueryCacheUnit:
         assert stats["entries"] == 0 and stats["bytes"] == 0
         assert stats["hits"] == 1 and stats["fills"] == 1
 
-    def test_first_level_round_trip_and_lru_bound(self, small_db):
-        cache = QueryCache(CacheConfig(first_level_entries=2))
-        queries = [
-            ExtendedBGP([TriplePattern(X, 20 + i, Y)]) for i in range(3)
-        ]
-        for q in queries:
-            assert cache.first_level_fill(
-                small_db, q, "ring-knn", X, (1, 2, 3),
-                attempts=4, leap_calls=9,
-            )
-        assert cache.stats()["first_level_entries"] == 2
-        # Oldest entry fell off; the others replay, remapped to the
-        # probing query's own variable name.
-        assert cache.first_level_probe(small_db, queries[0], "ring-knn") is None
-        renamed = _rename(queries[2], {X: Var("a"), Y: Var("b")})
-        hit = cache.first_level_probe(small_db, renamed, "ring-knn")
-        assert hit is not None
-        assert hit.variable == Var("a")
-        assert hit.candidates == (1, 2, 3)
-        assert (hit.attempts, hit.leap_calls) == (4, 9)
-
 
 # ----------------------------------------------------------------------
 # epoch invalidation across a hot index replace
@@ -559,7 +538,6 @@ def test_observed_cost_table_is_lru_bounded(small_db):
             route="pooled",
             engine="ring-knn",
             estimate=10,
-            reason="test",
             signature=("ring-knn", i, 0, 0),
         )
         for i in range(MAX_OBSERVED_SHAPES + 40)

@@ -359,6 +359,22 @@ class TestParser:
                 ["query", "--data", "x", "--query", "y", "--engine", "magic"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--data", "x", "--query", "y", "--engine", "parallel-knn"],
+            ["explain", "--data", "x", "--query", "y", "--engine", "parallel-knn"],
+            ["query", "--data", "x", "--query", "y", "--workers", "2"],
+            ["serve-batch", "--data", "x", "--queries", "q", "--parallel-threshold", "9"],
+            ["serve", "--from-index", "i", "--parallel-threshold", "9"],
+            ["cache", "stats", "--data", "x", "--queries", "q", "--parallel-threshold", "9"],
+        ],
+    )
+    def test_removed_sharding_surface_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
     def test_serve_subcommand_flags(self):
         args = build_parser().parse_args(
             [

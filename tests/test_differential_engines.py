@@ -23,12 +23,12 @@ from repro.engines.baseline import BaselineEngine
 from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.materialize import MaterializeEngine
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
+from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DistClause,
     ExtendedBGP,
@@ -131,12 +131,12 @@ def _check_one(data) -> None:
         got = engine.evaluate(query).sorted_solutions()
         assert got == expected, (engine.name, query)
 
-    # Domain-sharded execution must not only agree with the oracle but
-    # reproduce the serial Ring-KNN solution *order* exactly.
-    serial = RingKnnEngine(db).evaluate(query)
-    parallel = ParallelRingKnnEngine(db, workers=2).evaluate(query)
-    assert parallel.sorted_solutions() == expected, ("parallel-knn", query)
-    assert parallel.solutions == serial.solutions, ("parallel-knn", query)
+    # The pool (the path `repro serve` runs) must not only agree with
+    # the oracle but reproduce the serial solution *order* exactly.
+    serial = AutoEngine(db).evaluate(query)
+    (pooled,) = QueryScheduler(db, workers=2).run_batch([query])
+    assert pooled.sorted_solutions() == expected, ("pooled", query)
+    assert pooled.solutions == serial.solutions, ("pooled", query)
 
     # The baseline rejects clause graphs disconnected from the triples
     # (the paper's Sec. 5.3 restriction) — only compare when supported.
@@ -218,7 +218,6 @@ def test_shared_variable_shapes(shape):
             RingKnnSEngine(db),
             ClassicSixPermEngine(db),
             AutoEngine(db),
-            ParallelRingKnnEngine(db, workers=2),
         )
         for engine in everyone:
             assert engine.evaluate(query).sorted_solutions() == expected, (
@@ -238,11 +237,19 @@ def test_shared_variable_shapes(shape):
             got = engine.evaluate(query, project=[x], distinct=True)
             assert _projected(got.solutions, [x]) == _projected(truth, [x])
             assert len(got.solutions) == len(_projected(truth, [x]))
-        sharded = ParallelRingKnnEngine(db, workers=2)
+        # The pool: the same answers, the serial engine's first two
+        # under a limit, a flagged prefix under a spent budget.
+        scheduler = QueryScheduler(db, workers=2)
+        (pooled,) = scheduler.run_batch([query])
+        assert pooled.sorted_solutions() == expected, ("pooled", shape)
+        (limited,) = scheduler.run_batch([query], limit=2)
         assert (
-            sharded.evaluate(query, limit=2).solutions
-            == serial.evaluate(query, limit=2).solutions
+            limited.solutions
+            == AutoEngine(db).evaluate(query, limit=2).solutions
         )
+        (expired,) = scheduler.run_batch([query], timeout=0)
+        assert expired.timed_out, ("pooled", shape)
+        assert set(expired.sorted_solutions()) <= set(expected)
     assert answered, f"{shape} has no answer on any pool database"
 
 
@@ -290,11 +297,10 @@ def test_last_variable_shapes(shape):
             assert engine.evaluate(query).sorted_solutions() == expected, (
                 engine.name, shape)
         assert serial.sorted_solutions() == expected, shape
-        # first_level + run_prebound: the same rows in the same order,
-        # and counters that sum to the serial ones (inline and pooled).
-        for workers in (1, 2):
-            sharded = ParallelRingKnnEngine(db, workers=workers).evaluate(query)
-            assert sharded.solutions == serial.solutions, (shape, workers)
-            assert _counters(sharded.stats) == _counters(serial.stats), (
-                shape, workers)
+        # A pool worker: the same rows in the same order, the same
+        # counters.
+        auto = AutoEngine(db).evaluate(query)
+        (pooled,) = QueryScheduler(db, workers=2).run_batch([query])
+        assert pooled.solutions == auto.solutions, shape
+        assert _counters(pooled.stats) == _counters(auto.stats), shape
     assert answered, f"{shape} has no answer on any pool database"

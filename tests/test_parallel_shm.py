@@ -4,14 +4,16 @@ Two layers of acceptance for :mod:`repro.parallel.shm` (the per-structure
 flatten → attach round trips live in ``tests/test_layout.py``, one
 battery over both carriers):
 
-* **Golden sweep** — on the Figure-2 workload, solutions and merged
-  traced op counts are byte-identical to serial for pool sizes 1, 2, 4
-  under *both* fork and spawn start methods (spawn proves the transport
-  carries everything — nothing rides copy-on-write inheritance).
-* **Lifecycle** — every created segment is unlinked after an engine
-  closes, after a worker raises mid-shard, and after a ``serve-batch``
-  run finishes; a subprocess asserts a full create/evaluate/exit cycle
-  emits no ``resource_tracker`` warnings.
+* **Golden sweep** — on the Figure-2 workload, ``QueryScheduler.run_batch``
+  returns the serial engine's solutions in the serial order, with the
+  serial counters, for pool sizes 1, 2, 4 under *both* fork and spawn
+  start methods (spawn proves the transport carries everything — nothing
+  rides copy-on-write inheritance).
+* **Lifecycle** — every created segment is unlinked after a pool closes,
+  after a worker raises mid-batch, and after a ``serve-batch`` run
+  finishes; a subprocess asserts a full create/evaluate/exit cycle —
+  over a built database and over a store-backed one — emits no
+  ``resource_tracker`` warnings.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import _build
-from repro.engines.parallel_knn import ParallelRingKnnEngine
-from repro.engines.ring_knn import RingKnnEngine
-from repro.obs import QueryTrace, validate_trace
+from repro.engines.auto import AutoEngine
 from repro.parallel.executor import (
     ENV_START_METHOD,
     close_pools_for,
@@ -33,45 +33,17 @@ from repro.parallel.executor import (
     shutdown_pools,
 )
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import ScratchBuffer, active_segments
-from repro.parallel.worker import ShardTask
+from repro.parallel.shm import active_segments
+from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from tests.test_golden_opcounts import CONFIG
 
 WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")
 
-#: Trace-document keys that legitimately differ between serial and
-#: sharded runs (wall times, phase breakdown, execution metadata, and
-#: the engine label itself).
-_EXCLUDED = frozenset({"elapsed", "phases", "meta", "engine"})
 
-
-def _comparable(trace: QueryTrace) -> dict:
-    doc = trace.to_dict()
-    validate_trace(doc)
-    return {key: doc[key] for key in doc if key not in _EXCLUDED}
-
-
-def test_scratch_buffer_publish_grow_and_reuse():
-    scratch = ScratchBuffer()
-    try:
-        name1, n1 = scratch.publish(list(range(100)))
-        assert n1 == 100
-        assert name1 in active_segments()
-        # Re-publishing within capacity reuses the same segment.
-        name2, n2 = scratch.publish([7, 8, 9])
-        assert (name2, n2) == (name1, 3)
-        # Growing past capacity re-registers under a new name and
-        # unlinks the old segment.
-        name3, n3 = scratch.publish(list(range(10_000)))
-        assert name3 != name1
-        assert n3 == 10_000
-        assert name1 not in active_segments()
-        assert name3 in active_segments()
-    finally:
-        scratch.close()
-    assert scratch.name is None
+def _counts(stats):
+    return (stats.solutions, stats.bindings, stats.attempts, stats.leap_calls)
 
 
 # ----------------------------------------------------------------------
@@ -85,19 +57,10 @@ def figure2():
         for _family, family_queries in sorted(workload.items())
         for query in family_queries
     ]
-    serial = RingKnnEngine(db)
-    expected = []
-    for query in queries:
-        trace = QueryTrace()
-        result = serial.evaluate(query, trace=trace)
-        expected.append((result.solutions, _comparable(trace)))
     # The scheduler routes through the auto engine, whose per-query
     # strategy choice (ring-knn vs ring-knn-s) fixes the solution order.
-    from repro.engines.auto import AutoEngine
-
     auto = AutoEngine(db)
-    auto_expected = [auto.evaluate(query).solutions for query in queries]
-    return db, queries, expected, auto_expected
+    return db, queries, [auto.evaluate(query) for query in queries]
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
@@ -105,26 +68,18 @@ def figure2():
 def test_sweep_byte_identical_to_serial(
     figure2, monkeypatch, workers, start_method
 ):
-    db, queries, expected, _auto_expected = figure2
+    db, queries, expected = figure2
     monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()  # force a fresh pool under this start method
+    scheduler = QueryScheduler(db, workers=workers)
     try:
-        parallel = ParallelRingKnnEngine(db, workers=workers)
-        for query, (expected_solutions, expected_doc) in zip(
-            queries, expected
-        ):
-            trace = QueryTrace()
-            got = parallel.evaluate(query, trace=trace)
-            assert got.solutions == expected_solutions, (
-                workers,
-                start_method,
-                query,
-            )
-            assert _comparable(trace) == expected_doc, (
-                workers,
-                start_method,
-                query,
-            )
+        results = scheduler.run_batch(queries)
+        assert len(results) == len(queries)
+        for query, got, want in zip(queries, results, expected):
+            where = (workers, start_method, query)
+            assert got.solutions == want.solutions, where
+            assert got.engine == want.engine, where
+            assert _counts(got.stats) == _counts(want.stats), where
         if workers >= 2:
             assert pool_for(db, workers).start_method == start_method
     finally:
@@ -135,7 +90,7 @@ def test_sweep_byte_identical_to_serial(
 def test_scheduler_batch_byte_identical_both_methods(
     figure2, monkeypatch, start_method
 ):
-    db, queries, _expected, auto_expected = figure2
+    db, queries, expected = figure2
     monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()
     scheduler = QueryScheduler(db, workers=2)
@@ -143,8 +98,8 @@ def test_scheduler_batch_byte_identical_both_methods(
         scheduler.warmup()
         results = scheduler.run_batch(queries)
         assert len(results) == len(queries)
-        for result, expected_solutions in zip(results, auto_expected):
-            assert result.solutions == expected_solutions
+        for got, want in zip(results, expected):
+            assert got.solutions == want.solutions
     finally:
         scheduler.close()
     assert active_segments() == ()
@@ -153,46 +108,41 @@ def test_scheduler_batch_byte_identical_both_methods(
 # ----------------------------------------------------------------------
 # shm lifecycle: nothing leaks
 # ----------------------------------------------------------------------
-def test_segments_unlinked_after_engine_close(figure2):
-    db, queries, _expected, _auto_expected = figure2
-    engine = ParallelRingKnnEngine(db, workers=2)
-    engine.evaluate(queries[0])
-    assert active_segments(), "a warm pool must hold shared segments"
-    engine.close()
+def test_segments_unlinked_after_pool_close(figure2):
+    db, queries, expected = figure2
+    scheduler = QueryScheduler(db, workers=2)
+    scheduler.run_batch(queries[:1])
+    assert active_segments(), "a warm pool must hold its shared segment"
+    scheduler.close()
     assert active_segments() == ()
-    # The engine transparently restarts a pool on the next evaluation.
-    result = engine.evaluate(queries[0])
-    assert result.engine == "parallel-knn"
-    engine.close()
+    # The scheduler transparently restarts a pool on the next batch.
+    (result,) = scheduler.run_batch(queries[:1])
+    assert result.solutions == expected[0].solutions
+    scheduler.close()
     assert active_segments() == ()
 
 
-def test_segments_unlinked_after_worker_raises_mid_shard(small_db):
+def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
+    query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
     pool = pool_for(small_db, 2)
-    segment = pool.publish_candidates([1, 2, 3, 4])
-    bad = ShardTask(
-        uid=pool.next_uid(),
-        index=0,
-        query=ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))]),
-        engine="no-such-engine",
-        exact_estimates=False,
-        variable="x",
-        span=(segment, 0, 4),
-        candidates=None,
-        budget=None,
-        limit=None,
-        traced=False,
+    bad = QueryBatchTask(
+        tasks=(
+            QueryTask(
+                uid=pool.next_uid(),
+                index=0,
+                query=query,
+                engine="no-such-engine",
+                exact_estimates=False,
+                timeout=None,
+                limit=None,
+            ),
+        )
     )
     with pytest.raises(KeyError):
-        pool.map_shards([bad])
+        pool.submit_batch(bad).get()
     # The pool survives a task exception and still answers correctly...
-    expected = RingKnnEngine(small_db).evaluate(
-        ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
-    )
-    got = ParallelRingKnnEngine(small_db, workers=2).evaluate(
-        ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
-    )
-    assert got.solutions == expected.solutions
+    (got,) = QueryScheduler(small_db, workers=2).run_batch([query])
+    assert got.solutions == AutoEngine(small_db).evaluate(query).solutions
     # ...and closing it unlinks every segment it created.
     close_pools_for(small_db)
     assert active_segments() == ()
@@ -227,13 +177,15 @@ def test_segments_unlinked_after_serve_batch(tmp_path, small_db, small_graph, sm
 
 
 _EXIT_SCRIPT = """
+import sys
 import numpy as np
 from repro.engines.database import GraphDatabase
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.parallel.scheduler import QueryScheduler
+from repro.parallel.shm import active_segments
 from repro.query.model import ExtendedBGP, TriplePattern, Var
+from repro.store import save
 
 rng = np.random.default_rng(7)
 triples = [
@@ -244,10 +196,13 @@ triples = [
 points = np.random.default_rng(11).normal(size=(20, 2))
 db = GraphDatabase(GraphData(triples), build_knn_graph_bruteforce(points, K=5))
 query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
-engine = ParallelRingKnnEngine(db, workers=2)
-engine.evaluate(query)
-scheduler = QueryScheduler(db, workers=2)
-scheduler.run_batch([query, query])
+built = QueryScheduler(db, workers=2).run_batch([query, query])
+assert active_segments(), "a built database rides a shared segment"
+save(db, sys.argv[1])
+mapped_db = GraphDatabase.from_index(sys.argv[1])
+mapped = QueryScheduler(mapped_db, workers=2).run_batch([query, query])
+assert len(active_segments()) == 1, "a store-backed pool creates none"
+assert [r.solutions for r in mapped] == [r.solutions for r in built]
 # Deliberately no close(): the atexit pool shutdown must unlink all
 # segments, leaving nothing for the resource tracker to complain about.
 print("OK")
@@ -255,7 +210,7 @@ print("OK")
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-def test_no_resource_tracker_warnings_on_exit(start_method):
+def test_no_resource_tracker_warnings_on_exit(start_method, tmp_path):
     repo_src = Path(__file__).parents[1] / "src"
     env = {
         "PYTHONPATH": str(repo_src),
@@ -263,7 +218,7 @@ def test_no_resource_tracker_warnings_on_exit(start_method):
         ENV_START_METHOD: start_method,
     }
     proc = subprocess.run(
-        [sys.executable, "-c", _EXIT_SCRIPT],
+        [sys.executable, "-c", _EXIT_SCRIPT, str(tmp_path / "exit.idx")],
         capture_output=True,
         text=True,
         timeout=120,

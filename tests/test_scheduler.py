@@ -2,8 +2,8 @@
 
 ``QueryScheduler.run_batch`` must hand back, in input order, exactly
 the :class:`QueryResult` solutions the serial ``auto`` engine produces
-for each query — whether a query was domain-sharded, multiplexed whole
-into a pool worker, or evaluated serially.
+for each query — whether it was multiplexed whole into a pool worker or
+evaluated in the scheduler's own process (a pool of one).
 """
 
 from __future__ import annotations
@@ -11,8 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.engines.auto import AutoEngine
+from repro.parallel import worker
+from repro.parallel.executor import (
+    ENV_START_METHOD,
+    close_pools_for,
+    pool_for,
+)
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
+from tests.test_parallel_shm import _counts
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -35,19 +42,16 @@ def expected(small_db):
     return [auto.evaluate(query) for query in BATCH]
 
 
-def test_classify_routes_by_estimate(small_db):
-    scheduler = QueryScheduler(small_db, workers=2, parallel_threshold=10)
+def test_classify_pools_every_query_and_weighs_it(small_db):
+    scheduler = QueryScheduler(small_db, workers=2)
     plans = [scheduler.classify(q, i) for i, q in enumerate(BATCH)]
     assert [plan.index for plan in plans] == list(range(len(BATCH)))
-    routes = {plan.route for plan in plans}
-    assert routes <= {"parallel", "pooled"}
+    assert {plan.route for plan in plans} == {"pooled"}
     # The open two-variable scan is big on this graph, the
-    # constant-subject probe is small: both routes must be exercised.
-    assert plans[0].route == "parallel"
-    assert plans[3].route == "pooled"
+    # constant-subject probe is small: the LPT weight tells them apart.
+    assert plans[0].estimate > plans[3].estimate > 0
     for plan in plans:
         assert plan.engine in ("ring-knn", "ring-knn-s")
-        assert plan.reason
 
 
 def test_classify_serial_with_one_worker(small_db):
@@ -55,17 +59,16 @@ def test_classify_serial_with_one_worker(small_db):
     assert scheduler.classify(BATCH[0]).route == "serial"
 
 
-@pytest.mark.parametrize("threshold", [1, 10, 10_000])
-def test_run_batch_matches_serial(small_db, expected, threshold):
-    # Across thresholds every query flips between the parallel and
-    # pooled routes; results must be identical either way.
-    scheduler = QueryScheduler(
-        small_db, workers=2, parallel_threshold=threshold
-    )
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_batch_matches_serial(small_db, expected, workers):
+    # Serial order, serial counters — in this process or in a worker.
+    scheduler = QueryScheduler(small_db, workers=workers)
     results = scheduler.run_batch(BATCH)
     assert len(results) == len(BATCH)
     for got, want in zip(results, expected):
         assert got.solutions == want.solutions
+        assert got.engine == want.engine
+        assert _counts(got.stats) == _counts(want.stats)
 
 
 def test_run_batch_serial_pool_of_one(small_db, expected):
@@ -77,9 +80,7 @@ def test_run_batch_serial_pool_of_one(small_db, expected):
 
 def test_run_batch_bounded_pending_window(small_db, expected):
     # A pending window smaller than the batch forces mid-batch drains.
-    scheduler = QueryScheduler(
-        small_db, workers=2, parallel_threshold=10_000, max_pending=2
-    )
+    scheduler = QueryScheduler(small_db, workers=2, max_pending=2)
     big_batch = BATCH * 3
     results = scheduler.run_batch(big_batch)
     assert len(results) == len(big_batch)
@@ -89,7 +90,7 @@ def test_run_batch_bounded_pending_window(small_db, expected):
 
 def test_run_batch_respects_limit(small_db):
     auto = AutoEngine(small_db)
-    scheduler = QueryScheduler(small_db, workers=2, parallel_threshold=10)
+    scheduler = QueryScheduler(small_db, workers=2)
     results = scheduler.run_batch(BATCH, limit=3)
     for got, query in zip(results, BATCH):
         want = auto.evaluate(query, limit=3)
@@ -108,7 +109,6 @@ def _plan(index, estimate, signature):
         route="pooled",
         engine="ring-knn",
         estimate=estimate,
-        reason="test",
         signature=signature,
     )
 
@@ -161,17 +161,71 @@ def test_feedback_reorders_lpt_grouping(small_db):
 
 
 def test_run_batch_feeds_observed_costs_back(small_db, expected):
-    scheduler = QueryScheduler(
-        small_db, workers=2, parallel_threshold=10_000
-    )
+    scheduler = QueryScheduler(small_db, workers=2)
     try:
         results = scheduler.run_batch(BATCH)
     finally:
         scheduler.close()
     for got, want in zip(results, expected):
         assert got.solutions == want.solutions
-    # Every query was pooled (huge threshold), so every shape got a
+    # Every query was pooled, so every shape got a
     # measured cost and the estimate-to-seconds bridge is primed.
     plans = [scheduler.classify(q, i) for i, q in enumerate(BATCH)]
     assert all(scheduler.observed_cost(p) is not None for p in plans)
     assert scheduler._seconds_per_unit is not None
+
+
+# ----------------------------------------------------------------------
+# large results stream back in chunks
+# ----------------------------------------------------------------------
+@pytest.fixture
+def tiny_chunks(small_db, monkeypatch):
+    """A fresh forked pool whose workers stream anything over 4 rows
+    (the constant is read in the worker, so it must be lowered before
+    the pool forks — and a spawned worker would re-import the default)."""
+    monkeypatch.setenv(ENV_START_METHOD, "fork")
+    monkeypatch.setattr(worker, "CHUNK_SOLUTIONS", 4)
+    close_pools_for(small_db)
+    yield pool_for(small_db, 2)
+    close_pools_for(small_db)
+
+
+def test_streamed_result_equals_serial_row_for_row(
+    small_db, expected, tiny_chunks, monkeypatch
+):
+    streamed = []
+    reconcile = tiny_chunks.reconcile
+
+    def spy(outcomes):
+        streamed.extend(o.n_chunks for o in outcomes if o.packed is None)
+        reconcile(outcomes)
+
+    monkeypatch.setattr(tiny_chunks, "reconcile", spy)
+    results = QueryScheduler(small_db, workers=2).run_batch(BATCH)
+    assert streamed and max(streamed) > 1
+    for got, want in zip(results, expected):
+        assert got.solutions == want.solutions
+        assert _counts(got.stats) == _counts(want.stats)
+    assert tiny_chunks._chunk_buf == {}
+
+
+def test_failed_batch_leaves_no_chunks_behind(
+    small_db, expected, tiny_chunks, monkeypatch
+):
+    scheduler = QueryScheduler(small_db, workers=2)
+    select = scheduler._auto.select
+    # One task names an engine no worker knows; its siblings stream.
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            scheduler._auto,
+            "select",
+            lambda q: "no-such-engine" if q is BATCH[3] else select(q),
+        )
+        with pytest.raises(KeyError):
+            scheduler.run_batch(BATCH)
+    assert tiny_chunks._chunk_buf == {}
+    # The same pool, the next batch: right answers, nothing stale.
+    results = scheduler.run_batch(BATCH)
+    for got, want in zip(results, expected):
+        assert got.solutions == want.solutions
+    assert tiny_chunks._chunk_buf == {}

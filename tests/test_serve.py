@@ -34,10 +34,10 @@ from hypothesis import strategies as st
 from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine
 from repro.obs import QueryTrace
 from repro.parallel.executor import shutdown_pools
+from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DEFAULT_RELATION,
     ExtendedBGP,
@@ -48,7 +48,7 @@ from repro.serve import protocol
 from repro.serve.app import ReproServer, ServeConfig, ServerThread
 from repro.store import save
 from tests.test_golden_opcounts import CONFIG
-from tests.test_parallel_shm import _comparable
+from tests.test_store import _comparable
 
 # ----------------------------------------------------------------------
 # helpers
@@ -329,19 +329,20 @@ class TestGoldenWorkload:
         zeros = {"solutions": 0, "bindings": 0, "attempts": 0, "leap_calls": 0}
         db = GraphDatabase.from_index(golden.store_path)
         try:
-            engines = (
-                RingKnnEngine(db),
-                ParallelRingKnnEngine(db, workers=1),
-                ParallelRingKnnEngine(db, workers=2),
-            )
-            for engine in engines:
-                for select in ({}, {"project": [query.variables[0]], "distinct": True}):
-                    result = engine.evaluate(query, limit=0, **select)
-                    assert result.solutions == [], (engine.name, family, select)
-                    assert not result.timed_out
-                    stats = result.stats
-                    assert {k: getattr(stats, k) for k in zeros} == zeros, (
-                        engine.name, family, select)
+            engine = RingKnnEngine(db)
+            results = {}
+            for select in ({}, {"project": [query.variables[0]], "distinct": True}):
+                results[f"serial {select}"] = engine.evaluate(
+                    query, limit=0, **select)
+            for workers in (1, 2):
+                (results[f"pool of {workers}"],) = QueryScheduler(
+                    db, workers=workers).run_batch([query], limit=0)
+            for how, result in results.items():
+                assert result.solutions == [], (family, how)
+                assert not result.timed_out
+                stats = result.stats
+                assert {k: getattr(stats, k) for k in zeros} == zeros, (
+                    family, how)
         finally:
             db.close()
         for pinned in ({}, {"engine": "ring-knn"}, {"engine": "ring-knn", "trace": True}):
@@ -404,6 +405,8 @@ class TestServedCache:
         assert 'repro_cache_events_total{event="hits"}' in text_body
         assert "repro_cache_bytes" in text_body
         assert "repro_queries_cached_total" in text_body
+        assert not [name for name in cache if name.startswith("first_level")]
+        assert "first_level" not in text_body
 
     def test_healthz_reports_cache_enabled(self, golden):
         _, _, body = _get(golden.handle, "/healthz")
@@ -437,6 +440,16 @@ class TestRequestValidation:
         )
         assert status == 400
         assert body["error"]["type"] == "ValidationError"
+
+    def test_removed_sharded_engine_rejected_by_explain(self, golden):
+        status, _, body = _post(
+            golden.handle,
+            "/explain",
+            {"query": "(?x, 0, ?y)", "engine": "parallel-knn"},
+        )
+        assert status == 400
+        protocol.validate_error_response(body)
+        assert "engine" in body["error"]["message"]
 
     def test_non_json_body_rejected(self, golden):
         conn = HTTPConnection(golden.handle.host, golden.handle.port,
@@ -485,8 +498,7 @@ _QUERY_REQUEST_DOCS = st.fixed_dictionaries(
 _EXPLAIN_REQUEST_DOCS = st.fixed_dictionaries(
     {"query": st.text(min_size=1, max_size=80)},
     optional={
-        "engine": st.sampled_from(("ring-knn", "ring-knn-s",
-                                   "parallel-knn")),
+        "engine": st.sampled_from(("ring-knn", "ring-knn-s")),
         "analyze": st.booleans(),
         "timeout": st.one_of(
             st.none(),

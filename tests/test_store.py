@@ -29,9 +29,8 @@ import repro.store.io as store_io
 from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
-from repro.engines.parallel_knn import ParallelRingKnnEngine
 from repro.engines.ring_knn import RingKnnEngine
-from repro.obs import QueryTrace
+from repro.obs import QueryTrace, validate_trace
 from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
 from repro.parallel.shm import active_segments
@@ -59,9 +58,19 @@ from repro.utils.errors import (
     StoreVersionError,
 )
 from tests.test_golden_opcounts import CONFIG
-from tests.test_parallel_shm import _comparable
+from tests.test_parallel_shm import _counts
 
 START_METHODS = ("fork", "spawn")
+
+#: Trace-document keys that legitimately differ between two runs of one
+#: query (wall times, phase breakdown, execution metadata, the label).
+_EXCLUDED = frozenset({"elapsed", "phases", "meta", "engine"})
+
+
+def _comparable(trace: QueryTrace) -> dict:
+    doc = trace.to_dict()
+    validate_trace(doc)
+    return {key: doc[key] for key in doc if key not in _EXCLUDED}
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +304,7 @@ def fig2_store(tmp_path_factory):
         trace = QueryTrace()
         result = serial.evaluate(query, trace=trace)
         expected.append((result.solutions, _comparable(trace)))
-    auto_expected = [AutoEngine(db).evaluate(q).solutions for q in queries]
+    auto_expected = [AutoEngine(db).evaluate(q) for q in queries]
     path = str(tmp_path_factory.mktemp("store") / "fig2.idx")
     save(db, path)
     return queries, expected, auto_expected, path
@@ -318,29 +327,29 @@ def test_mapped_serial_byte_identical(fig2_store):
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("workers", (1, 2, 4))
 def test_mapped_pool_sweep_byte_identical(
     fig2_store, monkeypatch, workers, start_method
 ):
-    queries, expected, _auto_expected, path = fig2_store
+    queries, _expected, auto_expected, path = fig2_store
     monkeypatch.setenv(ENV_START_METHOD, start_method)
     shutdown_pools()
     store = load(path)
     try:
         db = store.database
-        engine = ParallelRingKnnEngine(db, workers=workers)
-        for query, (expected_solutions, expected_doc) in zip(
-            queries, expected
-        ):
-            trace = QueryTrace()
-            got = engine.evaluate(query, trace=trace)
-            assert got.solutions == expected_solutions, (workers, start_method)
-            assert _comparable(trace) == expected_doc, (workers, start_method)
-        pool = pool_for(db, workers)
-        assert pool.start_method == start_method
-        # The perf point of the format: workers attached to the file
-        # mapping directly — no shm segment was ever flattened.
-        assert pool._shm is None
+        results = QueryScheduler(db, workers=workers).run_batch(queries)
+        assert len(results) == len(queries)
+        for got, want in zip(results, auto_expected):
+            assert got.solutions == want.solutions, (workers, start_method)
+            assert got.engine == want.engine, (workers, start_method)
+            assert _counts(got.stats) == _counts(want.stats)
+        if workers >= 2:
+            pool = pool_for(db, workers)
+            assert pool.start_method == start_method
+            # The perf point of the format: workers attached to the
+            # file mapping directly — no shm segment was ever flattened.
+            assert pool._shm is None
+            assert active_segments() == ()
     finally:
         shutdown_pools()
         store.close()
@@ -356,7 +365,9 @@ def test_mapped_scheduler_batch(fig2_store, monkeypatch):
         scheduler.warmup()
         assert pool_for(store.database, 2)._shm is None
         results = scheduler.run_batch(queries)
-        assert [r.solutions for r in results] == auto_expected
+        assert [r.solutions for r in results] == [
+            want.solutions for want in auto_expected
+        ]
     finally:
         scheduler.close()
         store.close()
@@ -441,7 +452,7 @@ def test_from_index_classmethods(fig2_store):
     engine = AutoEngine.from_index(path)
     try:
         got = engine.evaluate(queries[0])
-        assert got.solutions == auto_expected[0]
+        assert got.solutions == auto_expected[0].solutions
     finally:
         engine.close()
     db.store.close()
@@ -475,10 +486,9 @@ def test_cli_build_and_from_index(tmp_path, capsys):
 
 @pytest.mark.parametrize("start_method", START_METHODS)
 def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
-    """A store-backed pool creates its first shared segment (the scratch
-    buffer) after its workers exist. A worker that attached it through a
-    resource tracker of its own made that tracker warn about a 'leaked'
-    segment and try to unlink it at exit; only a fresh process shows it.
+    """A store-backed pool creates no shared segment at all, so neither
+    the parent nor a worker has anything for a resource tracker to warn
+    about at exit; only a fresh process shows it.
     """
     import subprocess
 
@@ -504,14 +514,17 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
         "--misc-triples", "200", "--K", "6",
     ).returncode == 0
     assert cli("build", "--data", bundle, "--out", index).returncode == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("(?e, 0, ?img) . knn(?img, ?other, 4)\n")
     done = cli(
-        "query", "--from-index", index, "--engine", "parallel-knn",
-        "--workers", "2", "--query", "(?e, 0, ?img) . knn(?img, ?other, 4)",
+        "serve-batch", "--from-index", index, "--workers", "2",
+        "--queries", str(queries), "--no-cache",
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    # Shards ran: an empty first level would never publish candidates.
-    assert not done.stdout.splitlines()[-1].startswith("0 solutions")
+    # A worker answered, and found something.
+    assert "[pooled" in done.stdout
+    assert "[0] 0 solutions" not in done.stdout
 
 
 def test_cli_from_index_rejects_graph_engines(tmp_path, capsys):
