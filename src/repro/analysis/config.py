@@ -137,19 +137,19 @@ OBS_SEGMENTS: frozenset[str] = frozenset(
 # ----------------------------------------------------------------------
 # RPL004 — determinism of the traced op-count pass.
 #
-# The bench harness re-runs every query under a trace and diffs the op
-# counts *exactly* across machines, so code reachable from the traced
-# pass must not consult wall-clock time or unseeded randomness, and
+# The golden fixtures (tests/golden/) re-run every query of the
+# Figure-2 setup under a trace and compare the op counts *exactly*
+# across machines, so code reachable from that setup and from the
+# engines must not consult wall-clock time or unseeded randomness, and
 # must not let set iteration order leak into results.
 # ----------------------------------------------------------------------
 DETERMINISM_ROOTS: tuple[str, ...] = (
-    "repro.bench.harness",
+    "repro.experiments",
     "repro.engines",
 )
 
 #: Wall-clock reads banned in reachable code (``time.perf_counter`` is
-#: allowed: it only ever feeds wall-time fields, never op counts, and
-#: the bench diff normalizes wall times instead of comparing exactly).
+#: allowed: it only ever feeds wall-time fields, never op counts).
 WALL_CLOCK_CALLS: frozenset[str] = frozenset(
     {"time.time", "time.time_ns", "datetime.now", "datetime.utcnow",
      "datetime.datetime.now", "datetime.datetime.utcnow"}

@@ -4,7 +4,7 @@ RPL004 bans wall-clock and unseeded-randomness calls in any code
 "reachable from the traced op-count pass". That reachability is
 computed here: parse every project module's import statements, keep the
 edges that stay inside the project, and BFS from the configured roots
-(the bench harness and the engine entry points).
+(the Figure-2 setup and the engine entry points).
 
 The walker is intentionally syntactic — it reads ``import``/``from``
 statements, it does not execute anything. Conditional and

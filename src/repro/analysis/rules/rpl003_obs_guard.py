@@ -3,11 +3,10 @@
 PR-1's observability layer is opt-in: engines and indexes carry
 ``trace``/``obs``/``ops`` references that default to ``None`` and are
 only populated when the caller asks for instrumentation. The
-zero-overhead-when-disabled guarantee (bench harness measures < noise
-when tracing is off) holds because every counter bump and trace call
-sits behind an ``is not None`` guard. This rule enforces that shape
-everywhere outside ``repro.obs`` (which *is* the recorder and may touch
-freely).
+zero-overhead-when-disabled guarantee holds because every counter bump
+and trace call sits behind an ``is not None`` guard. This rule enforces
+that shape everywhere outside ``repro.obs`` (which *is* the recorder and
+may touch freely).
 
 A "touch" is a method call, attribute read or attribute write *through*
 an observability reference — a dotted chain whose non-final segment is

@@ -1,14 +1,15 @@
 """RPL004 — determinism of the traced op-count pass.
 
-The bench harness replays every query under a trace and diffs the
-logical op counts *exactly* — across runs, machines and Python
-versions. Anything reachable from that pass (computed over the import
-graph from ``repro.bench.harness`` and ``repro.engines``) therefore
+The golden fixtures replay every query of the Figure-2 setup under a
+trace and compare the logical op counts *exactly* — across runs,
+machines and Python versions. Anything reachable from that pass
+(computed over the import graph from ``repro.experiments`` — the setup
+and its dataset/workload generators — and ``repro.engines``) therefore
 must not:
 
 * consult wall-clock time (``time.time``, ``datetime.now`` — only
-  ``time.perf_counter`` is sanctioned, and only for wall-time fields
-  the diff normalizes away),
+  ``time.perf_counter`` is sanctioned, and only for wall-time fields,
+  which nothing compares exactly),
 * iterate a ``set`` where the order can leak into results
   (``for x in set(...)``, ``list({...})`` — sort first).
 

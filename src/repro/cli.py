@@ -10,11 +10,7 @@ Subcommands::
     repro serve-batch --data bench.npz --queries q.txt [--workers N --no-cache]
     repro serve     --from-index bench.idx [--port P --workers N --no-cache ...]
     repro cache     stats [--server http://host:port | --data ... --queries ...]
-    repro figure2   --timeout 15 [--scale flags]
-    repro figure3   [--dataset anuran|drybean --scale 0.12 --K 40]
-    repro space     [--scale flags]
-    repro bench     [--out BENCH.json --scale flags --baseline OLD.json]
-    repro bench     --diff OLD.json NEW.json [--tolerance 0.2]
+    repro experiments [--only E6,E8 --out benchmarks/results]
     repro lint      [paths...] [--format text|json|sarif --changed ...]
 
 ``generate`` writes an ``.npz`` bundle (see :mod:`repro.graph.io`);
@@ -24,9 +20,10 @@ zero deserialization. ``query``/``explain``/``trace`` read either a
 bundle (``--data``) or a built index (``--from-index``). ``trace`` evaluates the query
 under a :class:`~repro.obs.trace.QueryTrace` and emits the
 schema-validated JSON document (:mod:`repro.obs.schema`) that
-:mod:`repro.obs.diff` can compare across runs. The figure subcommands
-regenerate the paper artifacts at a configurable scale and print the
-tables.
+:mod:`repro.obs.diff` can compare across runs. ``experiments``
+regenerates the paper's tables at the one recorded scale and checks
+every claim EXPERIMENTS.md makes about them
+(:mod:`repro.experiments.registry`).
 """
 
 from __future__ import annotations
@@ -35,19 +32,13 @@ import argparse
 import json
 import sys
 
-from repro.datasets.classification import make_anuran_like, make_drybean_like
 from repro.datasets.wikimedia import WikimediaConfig, generate_benchmark
-from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.engines.auto import AutoEngine
 from repro.engines.baseline import BaselineEngine
 from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.materialize import MaterializeEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
-from repro.experiments.figure2 import FIGURE2_HEADERS, figure2_rows, run_figure2
-from repro.experiments.figure3 import FIGURE3_HEADERS, figure3_rows, run_figure3
-from repro.experiments.report import format_table
-from repro.experiments.space import SPACE_HEADERS, run_space_comparison
 from repro.graph.io import load_bundle, save_bundle
 from repro.explain import explain
 from repro.obs import QueryTrace, validate_trace
@@ -63,16 +54,8 @@ ENGINES = {
 }
 
 
-def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--entities", type=int, default=600)
-    parser.add_argument("--images", type=int, default=250)
-    parser.add_argument("--misc-triples", type=int, default=4000)
-    parser.add_argument("--K", type=int, default=16, dest="big_k")
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def _benchmark_from_args(args: argparse.Namespace):
-    return generate_benchmark(
+def _cmd_generate(args: argparse.Namespace) -> int:
+    bench = generate_benchmark(
         WikimediaConfig(
             n_entities=args.entities,
             n_images=args.images,
@@ -81,10 +64,6 @@ def _benchmark_from_args(args: argparse.Namespace):
             seed=args.seed,
         )
     )
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    bench = _benchmark_from_args(args)
     save_bundle(args.out, bench.graph, bench.knn_graph, bench.points)
     print(
         f"wrote {args.out}: {bench.graph.num_edges} triples, "
@@ -414,140 +393,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         db.close()
 
 
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    bench = _benchmark_from_args(args)
-    db = GraphDatabase(bench.graph, bench.knn_graph)
-    workload = generate_workload(
-        bench,
-        WorkloadConfig(
-            k=args.k,
-            n_q1=args.queries,
-            n_q2=max(1, args.queries // 2),
-            n_q3=args.queries,
-            n_q4=max(1, args.queries // 2),
-            n_q5=args.queries,
-            seed=2,
-        ),
-    )
-    engines = [BaselineEngine(db), RingKnnEngine(db), RingKnnSEngine(db)]
-    results = run_figure2(db, workload, engines, timeout=args.timeout)
-    print(
-        format_table(
-            FIGURE2_HEADERS,
-            figure2_rows(results),
-            title="Figure 2: query time distribution per family (seconds)",
-        )
-    )
-    return 0
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    maker = {"anuran": make_anuran_like, "drybean": make_drybean_like}[
-        args.dataset
-    ]
-    points, labels = maker(seed=10, scale=args.scale)
-    rows = run_figure3(
-        points, labels, K=args.knn_k, ks=list(range(5, args.knn_k + 1, 5))
-    )
-    print(
-        format_table(
-            FIGURE3_HEADERS,
-            figure3_rows(rows),
-            title=f"Figure 3 ({args.dataset}-like): average Precision@k",
-        )
-    )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.bench.harness import (
-        BenchConfig,
-        default_filename,
-        diff_bench,
-        format_diff,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.diff:
-        before = load_bench(args.diff[0])
-        after = load_bench(args.diff[1])
-        diff = diff_bench(
-            before,
-            after,
-            tolerance=args.tolerance,
-            use_calibration=not args.no_calibration,
-            min_seconds=args.min_seconds,
-        )
-        print(format_diff(diff, args.tolerance))
-        return 0 if diff.ok else 1
-
-    parallel_workers: tuple[int, ...] = ()
-    if not args.no_parallel:
-        parallel_workers = tuple(
-            int(w) for w in args.parallel_workers.split(",") if w.strip()
-        )
-    config = BenchConfig(
-        entities=args.entities,
-        images=args.images,
-        misc_triples=args.misc_triples,
-        big_k=args.big_k,
-        seed=args.seed,
-        k=args.k,
-        queries=args.queries,
-        timeout=args.timeout,
-        engines=tuple(args.engines.split(",")),
-        micro=not args.no_micro,
-        parallel_workers=parallel_workers,
-        store=not args.no_store,
-        cache=args.cache,
-        label=args.label,
-    )
-    date = _time.strftime("%Y-%m-%d")
-    doc = run_bench(config, date=date)
-    out = args.out or default_filename(date)
-    write_bench(doc, out)
-    totals = doc["totals"]
-    print(
-        f"wrote {out}: figure2 {totals['figure2_wall_s']:.2f}s, "
-        f"micro {totals['micro_wall_s']:.2f}s, "
-        f"{totals['wavelet_ops']} wavelet ops"
-    )
-    store = doc.get("store") or {}
-    if store:
-        print(
-            "store: load-to-first-query "
-            f"{store['load_first_query']['total_s'] * 1e3:.1f}ms vs build "
-            f"{store['build_first_query']['total_s'] * 1e3:.1f}ms "
-            f"({store['load_first_query']['speedup_vs_build']:.0f}x), "
-            "mapped steady-state "
-            f"{store['mapped_steady']['parity_vs_built']:.2f}x of built"
-        )
-    cache = doc.get("cache") or {}
-    if cache:
-        warm = cache["warm"]
-        print(
-            f"cache: warm pass {warm['speedup_vs_cold']:.1f}x faster "
-            f"than cold, hit rate {warm['hit_rate']:.0%} "
-            f"({warm['hits']}/{warm['queries']} warm hits)"
-        )
-    if args.baseline:
-        baseline = load_bench(args.baseline)
-        diff = diff_bench(
-            baseline,
-            doc,
-            tolerance=args.tolerance,
-            use_calibration=not args.no_calibration,
-            min_seconds=args.min_seconds,
-        )
-        print(format_diff(diff, args.tolerance))
-        return 0 if diff.ok else 1
-    return 0
-
-
 def _changed_python_files() -> list[str] | None:
     """Repo-relative ``.py`` paths that differ from ``HEAD``.
 
@@ -626,6 +471,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.graph.stats import STATS_HEADERS, compute_graph_stats
 
     graph, knn_graph, _points = load_bundle(args.data)
@@ -639,18 +485,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_space(args: argparse.Namespace) -> int:
-    bench = _benchmark_from_args(args)
-    db = GraphDatabase(bench.graph, bench.knn_graph)
-    report = run_space_comparison(db)
-    print(
-        format_table(
-            SPACE_HEADERS,
-            report.rows(),
-            title="Sec 6.2: index space",
-        )
-    )
-    return 0
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.experiments.registry import run_experiments
+
+    report = run_experiments(args.only.split(",") if args.only else None)
+    print(report.claims_table())
+    print(f"wrote {report.write(Path(args.out))} files under {args.out}")
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -661,7 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a benchmark bundle")
-    _add_scale_flags(p)
+    p.add_argument("--entities", type=int, default=600)
+    p.add_argument("--images", type=int, default=250)
+    p.add_argument("--misc-triples", type=int, default=4000)
+    p.add_argument("--K", type=int, default=16, dest="big_k")
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -836,101 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=_cmd_cache)
 
-    p = sub.add_parser("figure2", help="regenerate Figure 2")
-    _add_scale_flags(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--queries", type=int, default=4)
-    p.add_argument("--timeout", type=float, default=15.0)
-    p.set_defaults(func=_cmd_figure2)
-
-    p = sub.add_parser("figure3", help="regenerate one Figure 3 panel")
-    p.add_argument(
-        "--dataset", choices=["anuran", "drybean"], default="anuran"
-    )
-    p.add_argument("--scale", type=float, default=0.12)
-    p.add_argument("--K", type=int, default=40, dest="knn_k")
-    p.set_defaults(func=_cmd_figure3)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the benchmark-regression harness (or diff two results)",
-    )
-    _add_scale_flags(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--queries", type=int, default=4)
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="per-query budget of the timed pass (the traced op-count "
-        "pass always runs to completion for determinism)",
-    )
-    p.add_argument(
-        "--engines",
-        default="baseline,ring-knn,ring-knn-s",
-        help="comma-separated engine subset",
-    )
-    p.add_argument("--no-micro", action="store_true")
-    p.add_argument(
-        "--no-store",
-        action="store_true",
-        help="skip the persistent-index build-vs-load cold-start section",
-    )
-    p.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run (default) or skip (--no-cache) the cross-query cache "
-        "cold/fill/warm section",
-    )
-    p.add_argument(
-        "--parallel-workers",
-        default="1,2,4",
-        help="comma-separated pool sizes of the parallel scaling curve",
-    )
-    p.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="skip the parallel scaling pass",
-    )
-    p.add_argument("--label", default="", help="free-form run label")
-    p.add_argument(
-        "--out", default=None, help="output path (default BENCH_<date>.json)"
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="after running, diff against this BENCH_*.json and exit "
-        "non-zero on regression",
-    )
-    p.add_argument(
-        "--diff",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help="compare two existing BENCH_*.json files instead of running",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed relative wall-time regression (default 0.2 = 20%%)",
-    )
-    p.add_argument(
-        "--no-calibration",
-        action="store_true",
-        help="skip cross-machine wall-time normalization when diffing",
-    )
-    p.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.05,
-        help="absolute noise floor: a wall-time entry only counts as a "
-        "regression when it also exceeds the baseline by this many "
-        "seconds (default 0.05)",
-    )
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser(
         "lint",
         help="run the reprolint invariant checks (RPL001-RPL010)",
@@ -968,13 +720,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_lint)
 
+    p = sub.add_parser(
+        "experiments",
+        help="regenerate the paper's tables and check its claims "
+        "(exit 1 if one fails; see EXPERIMENTS.md)",
+    )
+    p.add_argument(
+        "--only",
+        default=None,
+        help="comma-separated experiment ids, e.g. E6,E8 (default: all)",
+    )
+    p.add_argument(
+        "--out",
+        default="benchmarks/results",
+        help="directory for the *.txt tables and claims.txt",
+    )
+    p.set_defaults(func=_cmd_experiments)
+
     p = sub.add_parser("stats", help="describe a data bundle")
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("space", help="regenerate the space comparison")
-    _add_scale_flags(p)
-    p.set_defaults(func=_cmd_space)
 
     return parser
 

@@ -1,31 +1,8 @@
 """Experiment harnesses regenerating every figure and measurement of
-Sec. 6 (and the Sec. 3.2 motivation numbers). See DESIGN.md's
-per-experiment index (E1-E10) for the mapping to paper artifacts.
+Sec. 6 (and the Sec. 3.2 motivation numbers).
 
-Each harness is a plain function returning structured rows; the
-``benchmarks/`` suite calls them and prints paper-style tables, so the
-same code path serves tests (small scale) and benchmark runs.
+Each harness module is a plain function returning structured rows;
+:mod:`repro.experiments.registry` runs them all (``repro experiments``)
+and checks the paper's claims against what they return. See DESIGN.md's
+per-experiment index (E1-E13) for the mapping to paper artifacts.
 """
-
-from repro.experiments.bounds_ablation import run_bounds_ablation
-from repro.experiments.figure2 import FamilyResult, run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.materialization import run_materialization_comparison
-from repro.experiments.orientation import run_orientation_comparison
-from repro.experiments.report import format_table
-from repro.experiments.space import run_space_comparison
-from repro.experiments.tuple_cost import run_tuple_cost
-from repro.experiments.violin import render_family_violins
-
-__all__ = [
-    "run_figure2",
-    "FamilyResult",
-    "run_figure3",
-    "run_space_comparison",
-    "run_materialization_comparison",
-    "run_orientation_comparison",
-    "run_bounds_ablation",
-    "format_table",
-    "run_tuple_cost",
-    "render_family_violins",
-]

@@ -1,6 +1,6 @@
 """Diff two JSON query traces across runs.
 
-The benchmark harness records one trace per (query, engine) pair; after
+``repro trace`` records one document per (query, engine) pair; after
 an optimization (or a regression) the interesting question is *which
 counters moved* — did a new ordering cut the number of ``leap`` calls,
 did the Ring open more ranges, did a phase get slower.``diff_traces``

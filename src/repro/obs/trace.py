@@ -21,8 +21,8 @@ exactly those quantities during one evaluation, grouped by
 Zero overhead when disabled: tracing is off unless a ``QueryTrace`` is
 passed to an engine, and every producer guards its recording with a
 single ``is not None`` test (there is no always-on recorder object in
-any hot path). ``benchmarks/test_bench_trace_overhead.py`` verifies the
-disabled-path cost on the Figure-2 workload.
+any hot path). The repo benchmark reports what enabling it costs as
+``obs.trace_overhead_ratio``.
 
 The JSON form (:meth:`QueryTrace.to_dict`) follows the machine-readable
 schema in :mod:`repro.obs.schema`; :func:`repro.obs.diff.diff_traces`

@@ -17,7 +17,7 @@ long-running server therefore converges to grouping by how long queries
 actually take, not by how long the estimates guessed. The pool itself is
 warm and shared: its carrier is created once per database and reused
 across ``run_batch`` calls, which is what :meth:`QueryScheduler.warmup`
-plus the bench harness's warmup/steady split measure. Results come back
+pays ahead of the first batch. Results come back
 in input order and each is the byte-identical :class:`QueryResult` the
 serial ``auto`` engine would have produced for that query.
 """

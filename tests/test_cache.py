@@ -425,10 +425,10 @@ class TestHotReloadInvalidation:
 
 @pytest.fixture(scope="module")
 def figure2():
-    from repro.bench.harness import _build
-    from tests.test_golden_opcounts import CONFIG
+    from repro.experiments.registry import figure2_setup
+    from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
-    db, workload = _build(CONFIG)
+    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     queries = [
         query
         for _family, family_queries in sorted(workload.items())
@@ -471,19 +471,6 @@ class TestGoldenFigure2Sweep:
         stats = cache.stats()
         assert stats["hits"] >= len(queries)
         assert stats["fills"] >= 1
-
-    def test_bench_cache_section_rates_the_warm_sweep_alone(self):
-        """``repro bench`` used to divide by the cache's lifetime probes,
-        so the fill pass's misses halved an all-hit warm pass to 0.5."""
-        from repro.bench.harness import _build, _cache_pass
-        from tests.test_golden_opcounts import CONFIG
-
-        db, workload = _build(CONFIG)
-        section = _cache_pass(db, workload, CONFIG)
-        warm = section["warm"]
-        assert section["stats"]["misses"] > 0  # the fill pass's
-        assert warm["hits"] == warm["queries"]
-        assert warm["hit_rate"] == 1.0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_scheduler_warm_batches_are_byte_identical(

@@ -200,55 +200,23 @@ class TestCacheCommands:
 
 
 class TestExperimentCommands:
-    def test_figure3_table(self, capsys):
-        code = main(
-            ["figure3", "--dataset", "anuran", "--scale", "0.01", "--K", "10"]
-        )
+    def test_selected_experiments_write_their_tables(self, tmp_path, capsys):
+        code = main(["experiments", "--only", "E6,E10", "--out", str(tmp_path)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Precision@k" in out
-        assert "intersection" in out
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "bounds.txt", "claims.txt", "ordering_contrast.txt", "space.txt",
+        ]
+        claims = (tmp_path / "claims.txt").read_text()
+        assert "E6" in claims and "E10" in claims and "NO" not in claims
+        assert "E6" in capsys.readouterr().out
 
-    def test_space_table(self, capsys):
-        code = main(
-            [
-                "space",
-                "--entities",
-                "60",
-                "--images",
-                "30",
-                "--misc-triples",
-                "200",
-                "--K",
-                "5",
-            ]
-        )
-        assert code == 0
-        assert "ring" in capsys.readouterr().out
-
-    def test_figure2_small(self, capsys):
-        code = main(
-            [
-                "figure2",
-                "--entities",
-                "60",
-                "--images",
-                "30",
-                "--misc-triples",
-                "200",
-                "--K",
-                "5",
-                "--k",
-                "3",
-                "--queries",
-                "1",
-                "--timeout",
-                "10",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Q1" in out and "ring-knn" in out
+    def test_unknown_experiment_id_is_a_typed_error(self, tmp_path, capsys):
+        code = main(["experiments", "--only", "E6,E99", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "E99" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestServeBatchErrorPaths:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.datasets.classification import make_gaussian_mixture
 from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.engines.baseline import BaselineEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.experiments import registry
 from repro.experiments.bounds_ablation import BOUNDS_HEADERS, bounds_rows, run_bounds_ablation
 from repro.experiments.figure2 import FIGURE2_HEADERS, figure2_rows, run_figure2
 from repro.experiments.figure3 import FIGURE3_HEADERS, figure3_rows, run_figure3
@@ -14,6 +16,7 @@ from repro.experiments.materialization import run_materialization_comparison
 from repro.experiments.report import format_table
 from repro.experiments.space import run_space_comparison
 from repro.utils.errors import ValidationError
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +137,7 @@ class TestMaterializationHarness:
         regardless of the query's selectivity, so the number of
         materialized pairs grows with k while the integrated engine
         only touches what the query needs. (The wall-clock dominance
-        shape is exercised at benchmark scale in
-        benchmarks/test_bench_materialization.py.)"""
+        shape is experiment E7 of ``repro experiments``.)"""
         from repro.engines.materialize import MaterializeEngine
         from repro.query.parser import parse_query
 
@@ -182,3 +184,40 @@ class TestReportFormatting:
     def test_empty_rows(self):
         text = format_table(["h1", "h2"], [])
         assert "h1" in text
+
+
+class TestRegistry:
+    """``repro experiments`` through its function API, at the golden scale."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        ctx = registry.Context(GOLDEN_DATA, GOLDEN_WORKLOAD, timeout=30.0)
+        return registry.run_experiments(ctx=ctx)
+
+    def test_every_experiment_yields_its_tables_and_claims(self, report):
+        assert set(report.tables) == {
+            "figure2", "figure2_violins", "bind_position", "space",
+            "materialization", "figure3_anuran", "figure3_drybean", "bounds",
+            "ordering_contrast", "orientation", "tuple_cost",
+        }
+        assert all(text.strip() for text in report.tables.values())
+        assert {claim.id for claim in report.claims} == set(registry.EXPERIMENTS)
+        assert len(report.claims) == 32  # one per legacy shape assertion
+        for claim in report.claims:
+            assert claim.claim and claim.measured
+            assert isinstance(claim.holds, bool)
+        # Wall-clock shapes may flip at this scale; the exact ones may not.
+        exact = [c for c in report.claims if c.id in ("E6", "E8", "E9", "E10")]
+        assert all(c.holds for c in exact), [c for c in exact if not c.holds]
+
+    def test_a_false_claim_flips_the_exit_status(self, monkeypatch, tmp_path):
+        def refuted(_ctx):
+            return registry.Report(
+                {"refuted": "table"},
+                [registry.Claim("E99", "2 + 2 = 5", "4", False)],
+            )
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "E99", refuted)
+        out = tmp_path / "out"
+        assert main(["experiments", "--only", "E99", "--out", str(out)]) == 1
+        assert "NO" in (out / "claims.txt").read_text()

@@ -32,7 +32,10 @@ import pathlib
 
 import pytest
 
-from repro.bench.harness import _ENGINES, BenchConfig, _build, collect_opcounts
+from repro.datasets.wikimedia import WikimediaConfig
+from repro.datasets.workload import WorkloadConfig
+from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.experiments.registry import figure2_setup
 from repro.obs import QueryTrace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure2_opcounts.json"
@@ -42,39 +45,62 @@ DECISIONS_PATH = GOLDEN_PATH.with_name("figure2_decisions.json")
 # enough that every family issues thousands of wavelet ops. The baseline
 # engine is omitted only for runtime; it shares the same succinct
 # structures, so its ops are covered by the Ring/K-NN counters here.
-CONFIG = BenchConfig(
-    entities=120,
-    images=60,
-    misc_triples=600,
-    big_k=8,
-    seed=7,
-    k=5,
-    queries=2,
-    workload_seed=2,
-    engines=("ring-knn", "ring-knn-s"),
-    micro=False,
+GOLDEN_DATA = WikimediaConfig(
+    n_entities=120, n_images=60, n_misc_triples=600, K=8, seed=7
 )
+GOLDEN_WORKLOAD = WorkloadConfig(
+    k=5, n_q1=2, n_q2=1, n_q3=2, n_q4=1, n_q5=2, seed=2
+)
+ENGINES = {"ring-knn": RingKnnEngine, "ring-knn-s": RingKnnSEngine}
+
+_STAT_KEYS = ("solutions", "bindings", "attempts", "leap_calls")
 
 
 @pytest.fixture(scope="module")
 def built():
-    return _build(CONFIG)
+    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
+    return db, workload
 
 
 @pytest.fixture(scope="module")
 def observed(built) -> dict:
-    db, workload = built
-    return collect_opcounts(db, workload, CONFIG.engines)
+    return collect_opcounts(*built)
 
 
-def collect_decisions(db, workload, engines: tuple[str, ...]) -> dict[str, list]:
+def collect_opcounts(db, workload) -> dict[str, dict]:
+    """Per ``family/engine``: summed engine stats plus the per-structure
+    wavelet op counters of a traced pass without timeout, so the counts
+    depend only on code and seeds."""
+    out: dict[str, dict] = {}
+    for family, queries in sorted(workload.items()):
+        for name, engine_class in ENGINES.items():
+            engine = engine_class(db)
+            stats = {key: 0 for key in _STAT_KEYS}
+            wavelets: dict[str, dict[str, int]] = {}
+            for query in queries:
+                trace = QueryTrace(query=repr(query), engine=name)
+                engine.evaluate(query, timeout=None, trace=trace)
+                for key in _STAT_KEYS:
+                    stats[key] += int(trace.stats.get(key, 0))
+                for label, ops in trace.wavelets.items():
+                    bucket = wavelets.setdefault(label, {})
+                    for op, count in ops.as_dict().items():
+                        bucket[op] = bucket.get(op, 0) + int(count)
+            out[f"{family}/{name}"] = {
+                "stats": stats,
+                "wavelets": {k: wavelets[k] for k in sorted(wavelets)},
+            }
+    return out
+
+
+def collect_decisions(db, workload) -> dict[str, list]:
     """Per ``family/engine`` and query: the ordering's recorded choices
     ``[depth, variable, estimates]`` (first ``MAX_DECISIONS`` of them)
     and the first-descent variable order."""
     out: dict[str, list] = {}
     for family, queries in sorted(workload.items()):
-        for name in engines:
-            engine = _ENGINES[name](db)
+        for name, engine_class in ENGINES.items():
+            engine = engine_class(db)
             per_query = []
             for query in queries:
                 trace = QueryTrace(query=repr(query), engine=name)
@@ -115,8 +141,7 @@ def test_golden_decisions_match_fixture(built):
     """The variable ordering is pinned too: same choices, from the same
     ``l_x`` values, at the same depths — equal op counts alone would not
     catch two orderings that happen to cost the same."""
-    db, workload = built
-    seen = collect_decisions(db, workload, CONFIG.engines)
+    seen = collect_decisions(*built)
     if os.environ.get("REGEN_GOLDEN"):
         rows = (
             f"{json.dumps(key)}: {json.dumps(seen[key], sort_keys=True)}"

@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import _build
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
+from repro.experiments.registry import figure2_setup
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
@@ -42,7 +42,7 @@ from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import Array, Child
 from repro.succinct.wavelet_tree import WaveletTree
-from tests.test_golden_opcounts import CONFIG
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 CARRIERS = ("shm", "file")
 both_carriers = pytest.mark.parametrize("carrier", CARRIERS)
@@ -244,6 +244,8 @@ def _check_distance_index(got, original):
                 u, d
             )
             assert got.count_within(u, d) == original.count_within(u, d)
+            for low in original.members[::3].tolist():
+                assert got.leap_within(u, d, low) == original.leap_within(u, d, low)
 
 
 @both_carriers
@@ -300,7 +302,7 @@ def test_figure2_index_bytes_are_pinned(tmp_path):
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
     assert FORMAT_VERSION == pinned["format_version"] == 1
-    db, _workload = _build(CONFIG)
+    _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     path = str(tmp_path / "fig2.idx")
     assert save(db, path) == pinned["nbytes"]
     with open(path, "rb") as handle:

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
+from repro.experiments.registry import figure2_setup
 from repro.parallel.executor import (
     ENV_START_METHOD,
     close_pools_for,
@@ -36,7 +36,7 @@ from repro.parallel.scheduler import QueryScheduler
 from repro.parallel.shm import active_segments
 from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
-from tests.test_golden_opcounts import CONFIG
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")
@@ -51,7 +51,7 @@ def _counts(stats):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def figure2():
-    db, workload = _build(CONFIG)
+    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     queries = [
         query
         for _family, family_queries in sorted(workload.items())

@@ -31,10 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
+from repro.experiments.registry import figure2_setup
 from repro.obs import QueryTrace
 from repro.parallel.executor import shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
@@ -47,7 +47,7 @@ from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.app import ReproServer, ServeConfig, ServerThread
 from repro.store import save
-from tests.test_golden_opcounts import CONFIG
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 from tests.test_store import _comparable
 
 # ----------------------------------------------------------------------
@@ -135,7 +135,7 @@ class _Golden:
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    db, workload = _build(CONFIG)
+    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     queries = [
         (family, query)
         for family, family_queries in sorted(workload.items())
@@ -583,7 +583,7 @@ class TestProtocolRoundTrip:
 
 class TestLifecycle:
     def test_double_shutdown_is_idempotent(self, tmp_path):
-        db, _workload = _build(CONFIG)
+        _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
         handle = ServerThread(
             db, ServeConfig(workers=1, capacity=4)
         ).start()

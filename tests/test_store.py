@@ -26,10 +26,10 @@ from types import SimpleNamespace
 import pytest
 
 import repro.store.io as store_io
-from repro.bench.harness import _build
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
+from repro.experiments.registry import figure2_setup
 from repro.obs import QueryTrace, validate_trace
 from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
@@ -57,7 +57,7 @@ from repro.utils.errors import (
     StoreFormatError,
     StoreVersionError,
 )
-from tests.test_golden_opcounts import CONFIG
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 from tests.test_parallel_shm import _counts
 
 START_METHODS = ("fork", "spawn")
@@ -292,7 +292,7 @@ def test_database_property_requires_database_root(small_index):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig2_store(tmp_path_factory):
-    db, workload = _build(CONFIG)
+    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     queries = [
         query
         for _family, family_queries in sorted(workload.items())
