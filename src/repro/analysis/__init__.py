@@ -30,7 +30,6 @@ from repro.analysis.core import (
     Project,
     format_findings,
     format_json,
-    format_sarif,
     lint,
 )
 from repro.analysis.rules import ALL_RULES, get_rules, rule_catalog
@@ -43,7 +42,6 @@ __all__ = [
     "lint",
     "format_findings",
     "format_json",
-    "format_sarif",
     "ALL_RULES",
     "get_rules",
     "rule_catalog",

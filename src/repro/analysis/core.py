@@ -292,79 +292,3 @@ def format_json(result: LintResult) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-def format_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report (GitHub code-scanning annotations).
-
-    Only unsuppressed findings become results — suppressed ones carry a
-    reviewed justification and would otherwise resurface as alerts on
-    every push. Paths are emitted as relative POSIX URIs so GitHub can
-    anchor annotations against the checkout root.
-    """
-    from repro.analysis.rules import rule_catalog
-
-    catalog = {code: (name, summary) for code, name, summary in rule_catalog()}
-    catalog.setdefault(
-        "RPL000",
-        (
-            "unjustified-suppression",
-            "inline suppressions must record why the invariant "
-            "does not apply",
-        ),
-    )
-    seen_codes = sorted(
-        {f.code for f in result.findings} | set(result.rules_run)
-    )
-    rules = []
-    for code in seen_codes:
-        name, summary = catalog.get(code, (code.lower(), code))
-        rules.append(
-            {
-                "id": code,
-                "name": name,
-                "shortDescription": {"text": summary},
-            }
-        )
-    rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    results = []
-    for finding in result.findings:
-        uri = Path(finding.path).as_posix()
-        results.append(
-            {
-                "ruleId": finding.code,
-                "ruleIndex": rule_index[finding.code],
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": uri},
-                            "region": {
-                                "startLine": finding.line,
-                                "startColumn": finding.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    doc = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.query.model import ExtendedBGP
 from repro.utils.errors import QueryError, ValidationError
@@ -65,6 +64,10 @@ def agm_bound(
         if not covered:
             raise QueryError(f"variable {var!r} occurs in no atom")
         rows.append(-row)
+    # Imported here: only explain and the experiments solve an LP, and
+    # scipy.optimize is most of what a query process would pay to import.
+    from scipy.optimize import linprog
+
     result = linprog(
         c=objective,
         A_ub=np.array(rows),

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.bounds.constraint_graph import ConstraintGraph
 from repro.query.model import ExtendedBGP, Var, is_var
@@ -198,6 +197,10 @@ def solve_size_bound(
         row[d_idx(j)] -= 1.0
         rows.append(-row)
         rhs.append(0.0)
+
+    # Imported here: only explain and the experiments solve an LP, and
+    # scipy.optimize is most of what a query process would pay to import.
+    from scipy.optimize import linprog
 
     result = linprog(
         c=objective,

@@ -45,6 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -56,6 +57,9 @@ from repro.cache.canonical import (
 from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import ExtendedBGP
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import QueryTrace
 
 #: Default byte budget for packed solution matrices (32 MiB).
 DEFAULT_MAX_BYTES = 32 << 20
@@ -127,6 +131,42 @@ class QueryCache:
             return None
 
     # -- result cache -----------------------------------------------------
+    def evaluate(
+        self,
+        db,
+        query: ExtendedBGP,
+        *,
+        engine: str,
+        run: Callable[[], QueryResult],
+        trace: QueryTrace | None = None,
+    ) -> QueryResult:
+        """Answer ``query`` from the cache, else ``run()`` it and admit
+        the result.
+
+        The one probe → evaluate → fill sequence: ``AutoEngine.evaluate``
+        and ``explain(analyze=True)`` call it, and every single-query
+        door (CLI, the scheduler's pool of one, the server's direct
+        route) goes through those. ``run`` evaluates cold under
+        ``engine`` (and under ``trace``, when the caller has one). On a
+        hit the trace is finished from the replayed counters — never
+        silent zeros; either way ``trace.meta["cache"]`` records the
+        outcome (``hit`` / ``miss`` / ``inadmissible``, the signature,
+        and after a miss whether the result was stored).
+        """
+        info: dict[str, object] = {}
+        result = self.probe(db, query, engine=engine, meta=info)
+        if result is None:
+            result = run()
+            self.fill(db, query, result, engine=engine, meta=info)
+        elif trace is not None:
+            if trace.engine is None:
+                trace.engine = result.engine
+            trace.finish(result.stats)
+            result.trace = trace
+        if trace is not None:
+            trace.meta["cache"] = info
+        return result
+
     def probe(
         self,
         db,

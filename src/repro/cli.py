@@ -7,11 +7,10 @@ Subcommands::
     repro query     --data bench.npz --query "(?x, 0, ?y) . knn(?x, ?y, 5)"
     repro explain   --data bench.npz --query "..." [--engine ring-knn --analyze]
     repro trace     --data bench.npz --query "..." [--engine auto --out t.json]
-    repro serve-batch --data bench.npz --queries q.txt [--workers N --no-cache]
     repro serve     --from-index bench.idx [--port P --workers N --no-cache ...]
-    repro cache     stats [--server http://host:port | --data ... --queries ...]
     repro experiments [--only E6,E8 --out benchmarks/results]
-    repro lint      [paths...] [--format text|json|sarif --changed ...]
+    repro lint      [paths...] [--format text|json --rules RPL001,...]
+    repro stats     --data bench.npz
 
 ``generate`` writes an ``.npz`` bundle (see :mod:`repro.graph.io`);
 ``build`` indexes a bundle once and writes the persistent index file
@@ -23,7 +22,9 @@ schema-validated JSON document (:mod:`repro.obs.schema`) that
 :mod:`repro.obs.diff` can compare across runs. ``experiments``
 regenerates the paper's tables at the one recorded scale and checks
 every claim EXPERIMENTS.md makes about them
-(:mod:`repro.experiments.registry`).
+(:mod:`repro.experiments.registry`). Batches and cache counters are the
+server's: ``repro serve`` micro-batches concurrent requests over one
+pool, and ``GET /metrics?format=json`` carries the cache counters.
 """
 
 from __future__ import annotations
@@ -31,27 +32,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.datasets.wikimedia import WikimediaConfig, generate_benchmark
-from repro.engines.auto import AutoEngine
-from repro.engines.baseline import BaselineEngine
-from repro.engines.classic import ClassicSixPermEngine
+from repro.engines import ENGINES, INDEX_ENGINES, RING_ENGINES
 from repro.engines.database import GraphDatabase
-from repro.engines.materialize import MaterializeEngine
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.io import load_bundle, save_bundle
 from repro.explain import explain
 from repro.obs import QueryTrace, validate_trace
 from repro.query.parser import parse_query
-
-ENGINES = {
-    "auto": AutoEngine,
-    "ring-knn": RingKnnEngine,
-    "ring-knn-s": RingKnnSEngine,
-    "baseline": BaselineEngine,
-    "materialize": MaterializeEngine,
-    "sixperm-knn": ClassicSixPermEngine,
-}
+from repro.utils.errors import ReproError, ValidationError
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -77,13 +68,11 @@ def _load_db(path: str) -> GraphDatabase:
     return GraphDatabase(graph, knn_graph)
 
 
-# Engines that need the raw graph/K-NN tables, which a persistent index
-# deliberately does not carry (it holds the succinct structures only).
-_GRAPH_REQUIRED = {"baseline", "materialize", "sixperm-knn"}
-
-
-def _db_from_args(args: argparse.Namespace) -> GraphDatabase:
-    """Open the database from ``--data`` (build) or ``--from-index`` (mmap).
+@contextmanager
+def _open_db(args: argparse.Namespace) -> Iterator[GraphDatabase]:
+    """The database of ``--data`` (build) or ``--from-index`` (mmap),
+    closed on the way out — a per-invocation database owns (for
+    ``--from-index``) the file mapping, released even on error.
 
     OS-level open failures are re-raised as typed
     :class:`~repro.utils.errors.ValidationError` so ``main`` turns them
@@ -91,31 +80,37 @@ def _db_from_args(args: argparse.Namespace) -> GraphDatabase:
     bad index files already raise the typed ``Store*`` family from
     :mod:`repro.store`.
     """
-    from repro.utils.errors import ValidationError
-
-    from_index = getattr(args, "from_index", None)
-    if not from_index:
+    if not args.from_index:
         try:
-            return _load_db(args.data)
+            db = _load_db(args.data)
         except OSError as exc:
             raise ValidationError(
                 f"cannot read data bundle {args.data!r}: {exc}"
             ) from exc
-    # Reject graph-requiring engines before mapping the file: the check
-    # is static, and bailing afterwards would strand the open mapping.
-    engine = getattr(args, "engine", None)
-    if engine in _GRAPH_REQUIRED:
-        raise ValidationError(
-            f"engine {engine!r} needs the raw graph tables, which a "
-            "persistent index does not carry; use --data, or one of the "
-            "Ring engines (ring-knn, ring-knn-s, auto)"
-        )
+    else:
+        # Reject graph-requiring engines before mapping the file: the
+        # check is static, and bailing afterwards would strand the open
+        # mapping. A persistent index deliberately carries the succinct
+        # structures only.
+        engine = getattr(args, "engine", None)
+        if engine is not None and engine not in INDEX_ENGINES:
+            raise ValidationError(
+                f"engine {engine!r} needs the raw graph tables, which a "
+                "persistent index does not carry; use --data, or one of "
+                f"{', '.join(INDEX_ENGINES)}"
+            )
+        try:
+            db = GraphDatabase.from_index(
+                args.from_index, verify=not args.no_verify
+            )
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot open index file {args.from_index!r}: {exc}"
+            ) from exc
     try:
-        return GraphDatabase.from_index(from_index, verify=not args.no_verify)
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot open index file {from_index!r}: {exc}"
-        ) from exc
+        yield db
+    finally:
+        db.close()
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -152,8 +147,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    db = _db_from_args(args)
-    try:
+    with _open_db(args) as db:
         query = parse_query(args.query)
         engine = ENGINES[args.engine](db)
         result = engine.evaluate(
@@ -175,11 +169,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"{len(result.solutions)} solutions in {result.elapsed:.3f}s "
             f"via {engine.name}{flag}"
         )
-        return 0
-    finally:
-        # A per-invocation database owns (for --from-index) the file
-        # mapping; release it even on error.
-        db.close()
+    return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -188,111 +178,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         from repro.cache import QueryCache
 
         cache = QueryCache()
-    db = _db_from_args(args)
-    try:
-        query = parse_query(args.query)
+    with _open_db(args) as db:
         report = explain(
             db,
-            query,
+            parse_query(args.query),
             engine=args.engine,
             analyze=args.analyze,
             timeout=args.timeout,
             cache=cache,
         )
         print(report.format())
-        return 0
-    finally:
-        db.close()
-
-
-def _read_query_file(path: str) -> tuple[list[str], list]:
-    """Parse a one-query-per-line file (``#`` comments allowed).
-
-    Returns ``(texts, queries)``; raises typed errors naming the
-    offending line so ``main`` renders them without a traceback.
-    """
-    from repro.utils.errors import QueryError, ValidationError
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            texts = [
-                line.strip()
-                for line in handle
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read query file {path!r}: {exc}"
-        ) from exc
-    queries = []
-    for number, text in enumerate(texts, start=1):
-        try:
-            queries.append(parse_query(text))
-        except (QueryError, ValidationError) as exc:
-            raise QueryError(
-                f"{path}: malformed query on non-comment "
-                f"line {number}: {text!r}: {exc}"
-            ) from exc
-    return texts, queries
-
-
-def _cmd_serve_batch(args: argparse.Namespace) -> int:
-    from repro.parallel.scheduler import QueryScheduler
-
-    cache = None
-    if args.cache:
-        from repro.cache import QueryCache
-
-        cache = QueryCache()
-    db = _db_from_args(args)
-    try:
-        texts, queries = _read_query_file(args.queries)
-        scheduler = QueryScheduler(
-            db,
-            workers=args.workers,
-            cache=cache,
-        )
-        try:
-            plans = [
-                scheduler.classify(query, index)
-                for index, query in enumerate(queries)
-            ]
-            results = scheduler.run_batch(
-                queries, timeout=args.timeout, limit=args.limit
-            )
-        finally:
-            # Always unlink the shared-memory segments the pool
-            # published, even when a worker raised mid-batch.
-            scheduler.close()
-        for text, plan, result in zip(texts, plans, results):
-            flag = " (TIMED OUT)" if result.timed_out else ""
-            print(
-                f"[{plan.index}] {len(result.solutions)} solutions in "
-                f"{result.elapsed:.3f}s via {result.engine} "
-                f"[{plan.route}, estimate {plan.estimate}]{flag}"
-            )
-            if args.verbose:
-                print(f"      {text}")
-        total = sum(len(result.solutions) for result in results)
-        print(
-            f"{len(results)} queries, {total} solutions "
-            f"({args.workers} workers)"
-        )
-        if cache is not None:
-            stats = cache.stats()
-            print(
-                f"cache: {stats['hits']} hits, {stats['misses']} misses, "
-                f"{stats['fills']} fills, {stats['bytes']} bytes"
-            )
-        return 0
-    finally:
-        db.close()
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, run_server
 
-    db = _db_from_args(args)
     overrides = {}
     if args.cache_bytes is not None:
         overrides["cache_bytes"] = args.cache_bytes
@@ -307,120 +208,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=args.cache,
         **overrides,
     )
-    try:
+    with _open_db(args) as db:
         return run_server(db, config)
-    finally:
-        db.close()
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """``repro cache stats``: scrape a server or replay a workload."""
-    from repro.utils.errors import ValidationError
-
-    if args.server:
-        from urllib.request import urlopen
-
-        url = args.server.rstrip("/") + "/metrics?format=json"
-        try:
-            with urlopen(url, timeout=args.timeout) as response:
-                document = json.loads(response.read().decode("utf-8"))
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot scrape {url!r}: {exc}"
-            ) from exc
-        stats = document.get("cache")
-        if stats is None:
-            print(
-                "repro cache: the server runs without a cache "
-                "(started with --no-cache)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        if not (args.data or args.from_index) or not args.queries:
-            raise ValidationError(
-                "repro cache stats needs --server URL, or a database "
-                "(--data/--from-index) plus --queries to replay locally"
-            )
-        from repro.cache import QueryCache
-        from repro.parallel.scheduler import QueryScheduler
-
-        db = _db_from_args(args)
-        try:
-            _texts, queries = _read_query_file(args.queries)
-            cache = QueryCache()
-            scheduler = QueryScheduler(
-                db,
-                workers=args.workers,
-                cache=cache,
-            )
-            try:
-                for _ in range(max(1, args.repeat)):
-                    scheduler.run_batch(queries, timeout=args.timeout)
-            finally:
-                scheduler.close()
-            stats = dict(cache.stats())
-        finally:
-            db.close()
-    probes = stats.get("hits", 0) + stats.get("misses", 0)
-    stats["hit_rate"] = (
-        round(stats.get("hits", 0) / probes, 4) if probes else 0.0
-    )
-    print(json.dumps(stats, indent=2, sort_keys=True))
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    db = _db_from_args(args)
-    try:
-        query = parse_query(args.query)
-        engine = ENGINES[args.engine](db)
+    with _open_db(args) as db:
         trace = QueryTrace(query=args.query)
-        engine.evaluate(
-            query, timeout=args.timeout, limit=args.limit, trace=trace
+        ENGINES[args.engine](db).evaluate(
+            parse_query(args.query),
+            timeout=args.timeout,
+            limit=args.limit,
+            trace=trace,
         )
         document = trace.to_dict()
-        validate_trace(document)
-        text = json.dumps(document, indent=args.indent, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            print(text)
-        return 0
-    finally:
-        db.close()
-
-
-def _changed_python_files() -> list[str] | None:
-    """Repo-relative ``.py`` paths that differ from ``HEAD``.
-
-    Staged, unstaged and untracked files all count — the pre-commit
-    path lints what is about to land, not what already did. Returns
-    ``None`` when git is unavailable or the cwd is not a work tree.
-    """
-    import subprocess
-    from pathlib import Path
-
-    def git(*argv: str) -> str:
-        return subprocess.run(
-            ["git", *argv], capture_output=True, text=True, check=True
-        ).stdout
-
-    try:
-        top = Path(git("rev-parse", "--show-toplevel").strip())
-        listed = set(git("diff", "--name-only", "HEAD").splitlines())
-        listed |= set(
-            git("ls-files", "--others", "--exclude-standard").splitlines()
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return [
-        str(top / rel)
-        for rel in sorted(listed)
-        if rel.endswith(".py") and (top / rel).is_file()
-    ]
+    validate_trace(document)
+    text = json.dumps(document, indent=args.indent, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+    else:
+        print(text)
+    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -430,7 +240,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Project,
         format_findings,
         format_json,
-        format_sarif,
         get_rules,
         lint,
         rule_catalog,
@@ -441,30 +250,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{code}  {name:<20} {summary}")
         return 0
 
-    paths = args.paths
-    if args.changed:
-        changed = _changed_python_files()
-        if changed is None:
-            print(
-                "repro lint: --changed requires git and a work tree",
-                file=sys.stderr,
-            )
-            return 2
-        paths = changed
-    elif not paths:
-        # Default target: the installed repro package itself.
-        paths = [str(Path(__file__).resolve().parent)]
+    # Default target: the installed repro package itself.
+    paths = args.paths or [str(Path(__file__).resolve().parent)]
     try:
         rules = get_rules(args.rules.split(",") if args.rules else None)
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    fmt = "sarif" if args.sarif else args.format
     result = lint(Project.from_paths(paths), rules)
-    if fmt == "json":
+    if args.format == "json":
         print(format_json(result))
-    elif fmt == "sarif":
-        print(format_sarif(result))
     else:
         print(format_findings(result, verbose=args.verbose))
     return 0 if result.ok else 1
@@ -532,11 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="explain a query plan")
     _add_source_flags(p)
     p.add_argument("--query", required=True)
-    p.add_argument(
-        "--engine",
-        choices=["ring-knn", "ring-knn-s"],
-        default="ring-knn",
-    )
+    p.add_argument("--engine", choices=list(RING_ENGINES), default="ring-knn")
     p.add_argument(
         "--analyze",
         action="store_true",
@@ -564,31 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON here (else stdout)")
     p.add_argument("--indent", type=int, default=2)
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "serve-batch",
-        help="schedule a batch of queries over one worker pool",
-    )
-    _add_source_flags(p)
-    p.add_argument(
-        "--queries",
-        required=True,
-        help="text file, one query per line ('#' comments allowed)",
-    )
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share a cross-query result cache across the batch "
-        "(repeated/renamed queries answer from it)",
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="echo each query text"
-    )
-    p.set_defaults(func=_cmd_serve_batch)
 
     p = sub.add_parser(
         "serve",
@@ -643,47 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
-        "cache",
-        help="inspect the cross-query cache (see docs/caching.md)",
-    )
-    p.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints hit/miss/fill/eviction counters as JSON",
-    )
-    p.add_argument(
-        "--server",
-        default=None,
-        help="scrape a running 'repro serve' (http://host:port); "
-        "otherwise replay --queries locally against --data/--from-index",
-    )
-    group = p.add_mutually_exclusive_group(required=False)
-    group.add_argument("--data", help=".npz bundle (indexed on load)")
-    group.add_argument(
-        "--from-index",
-        help="persistent index file from 'repro build' (mmap)",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the --from-index payload checksum",
-    )
-    p.add_argument(
-        "--queries",
-        default=None,
-        help="text file, one query per line ('#' comments allowed)",
-    )
-    p.add_argument(
-        "--repeat",
-        type=int,
-        default=2,
-        help="times to replay the workload (>= 2 exercises warm hits)",
-    )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.set_defaults(func=_cmd_cache)
-
-    p = sub.add_parser(
         "lint",
         help="run the reprolint invariant checks (RPL001-RPL010)",
     )
@@ -692,19 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="files/directories to lint (default: the repro package)",
     )
-    p.add_argument("--format", choices=["text", "json", "sarif"], default="text")
-    p.add_argument(
-        "--sarif",
-        action="store_true",
-        help="shorthand for --format sarif (GitHub code-scanning upload)",
-    )
-    p.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only .py files that differ from git HEAD (staged, "
-        "unstaged or untracked) — the pre-commit fast path; exits 0 "
-        "when nothing changed, 2 when git is unavailable",
-    )
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument(
         "--rules",
         default=None,
@@ -752,8 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     become a typed one-line message on stderr and exit code 2, never a
     traceback. Genuine bugs still propagate.
     """
-    from repro.utils.errors import ReproError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,6 +14,11 @@
 
 All engines operate on a shared :class:`GraphDatabase`, which owns the
 indexes, and return :class:`QueryResult` objects.
+
+The engine *names* live here and nowhere else: :data:`ENGINES`,
+:data:`INDEX_ENGINES` and :data:`RING_ENGINES` are what the CLI's
+``choices``, the wire schema's enums, the pool workers, the server and
+``explain`` all read.
 """
 
 from repro.engines.auto import AutoEngine
@@ -23,9 +28,30 @@ from repro.engines.database import GraphDatabase
 from repro.engines.kstar import KStarResult, evaluate_k_star
 from repro.engines.materialize import MaterializeEngine
 from repro.engines.result import QueryResult, Solutions
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.engines.ring_knn import (
+    RING_ENGINES,
+    RingKnnEngine,
+    RingKnnSEngine,
+)
+
+#: Engines that answer from the succinct index alone — all a persistent
+#: index file (``--from-index``), a pool worker or the server can run.
+INDEX_ENGINES = {AutoEngine.name: AutoEngine, **RING_ENGINES}
+
+#: Every engine by name. Those not in :data:`INDEX_ENGINES` read the raw
+#: graph / K-NN tables, which only a bundle-built database carries.
+ENGINES = {
+    **INDEX_ENGINES,
+    **{
+        cls.name: cls
+        for cls in (BaselineEngine, MaterializeEngine, ClassicSixPermEngine)
+    },
+}
 
 __all__ = [
+    "ENGINES",
+    "INDEX_ENGINES",
+    "RING_ENGINES",
     "GraphDatabase",
     "QueryResult",
     "Solutions",

@@ -17,11 +17,17 @@ guarantees where they apply).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.bounds.constraint_graph import ConstraintGraph
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.engines.ring_knn import RING_ENGINES, RingKnnEngine, RingKnnSEngine
 from repro.query.model import ExtendedBGP
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache import QueryCache
+    from repro.obs.trace import QueryTrace
 
 
 class AutoEngine:
@@ -30,33 +36,26 @@ class AutoEngine:
     name = "auto"
 
     def __init__(
-        self,
-        db: GraphDatabase,
-        exact_estimates: bool = False,
-        cache: object | None = None,
+        self, db: GraphDatabase, cache: QueryCache | None = None
     ) -> None:
         self._db = db
-        self._ring_knn = RingKnnEngine(db, exact_estimates=exact_estimates)
-        self._ring_knn_s = RingKnnSEngine(db, exact_estimates=exact_estimates)
+        self._strategies = {
+            name: cls(db) for name, cls in RING_ENGINES.items()
+        }
         self._owned_store: object | None = None
         #: Optional :class:`repro.cache.QueryCache` probed before and
         #: filled after every full (un-limited) evaluation.
         self.cache = cache
 
     @classmethod
-    def from_index(
-        cls,
-        path: str,
-        exact_estimates: bool = False,
-        verify: bool = True,
-    ) -> "AutoEngine":
+    def from_index(cls, path: str, verify: bool = True) -> "AutoEngine":
         """Construct an engine over an mmap-loaded persistent index.
 
         The engine owns the store it loaded: :meth:`close` releases the
         mapping.
         """
         db = GraphDatabase.from_index(path, verify=verify)
-        engine = cls(db, exact_estimates=exact_estimates)
+        engine = cls(db)
         engine._owned_store = db.store
         return engine
 
@@ -72,15 +71,15 @@ class AutoEngine:
         """Return the chosen engine name for ``query``."""
         n_constraints = len(query.clauses) + len(query.dist_clauses)
         if n_constraints <= 1 and ConstraintGraph(query).is_acyclic():
-            return self._ring_knn_s.name
-        return self._ring_knn.name
+            return RingKnnSEngine.name
+        return RingKnnEngine.name
 
     def evaluate(
         self,
         query: ExtendedBGP,
         timeout: float | None = None,
         limit: int | None = None,
-        trace: object | None = None,
+        trace: QueryTrace | None = None,
     ) -> QueryResult:
         """Evaluate with the per-query selected strategy.
 
@@ -88,12 +87,10 @@ class AutoEngine:
         with ``trace``, the selection and its reason land in
         ``trace.meta["auto"]``.
 
-        When a :attr:`cache` is attached and no ``limit`` is set, the
-        cache is probed before execution and filled afterwards; a hit
-        returns the replayed result (``cached=True``) and, with
-        ``trace``, records a ``cache_hit`` event in
-        ``trace.meta["cache"]`` with the replayed counters — never
-        silent zeros.
+        When a :attr:`cache` is attached and no ``limit`` is set (a
+        truncated result must not be replayed as the full one), the
+        evaluation goes through :meth:`repro.cache.QueryCache.evaluate`:
+        a hit returns the replayed result (``cached=True``).
         """
         selected = self.select(query)
         if trace is not None:
@@ -103,32 +100,15 @@ class AutoEngine:
                 "constraints": n_constraints,
                 "acyclic": ConstraintGraph(query).is_acyclic(),
             }
-        cache = self.cache if limit is None else None
-        cache_info: dict[str, object] = {}
-        if cache is not None:
-            hit = cache.probe(  # type: ignore[attr-defined]
-                self._db, query, engine=selected, meta=cache_info
-            )
-            if hit is not None:
-                if trace is not None:
-                    if trace.engine is None:
-                        trace.engine = hit.engine
-                    trace.meta["cache"] = cache_info
-                    trace.finish(hit.stats)
-                    hit.trace = trace
-                return hit
-        if selected == self._ring_knn_s.name:
-            result = self._ring_knn_s.evaluate(
+        strategy = self._strategies[selected]
+        if self.cache is None or limit is not None:
+            return strategy.evaluate(
                 query, timeout=timeout, limit=limit, trace=trace
             )
-        else:
-            result = self._ring_knn.evaluate(
-                query, timeout=timeout, limit=limit, trace=trace
-            )
-        if cache is not None:
-            cache.fill(  # type: ignore[attr-defined]
-                self._db, query, result, engine=selected, meta=cache_info
-            )
-            if trace is not None:
-                trace.meta["cache"] = cache_info
-        return result
+        return self.cache.evaluate(
+            self._db,
+            query,
+            engine=selected,
+            run=lambda: strategy.evaluate(query, timeout=timeout, trace=trace),
+            trace=trace,
+        )

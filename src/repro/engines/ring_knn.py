@@ -33,18 +33,12 @@ from repro.query.model import ExtendedBGP
 
 
 class _RingEngineBase:
-    """Shared compile-and-run logic of the two Ring variants.
-
-    ``exact_estimates=True`` switches the per-pattern ``l_x`` values
-    from range sizes to exact distinct counts where available (an
-    ablation of the Sec. 5 estimation choice).
-    """
+    """Shared compile-and-run logic of the two Ring variants."""
 
     name = "ring-base"
 
-    def __init__(self, db: GraphDatabase, exact_estimates: bool = False) -> None:
+    def __init__(self, db: GraphDatabase) -> None:
         self._db = db
-        self._exact_estimates = exact_estimates
 
     def _ordering(self, query: ExtendedBGP) -> OrderingStrategy:
         raise NotImplementedError
@@ -53,10 +47,7 @@ class _RingEngineBase:
         """Build the leapfrog relations for a query (fresh state)."""
         self._db.validate_query(query)
         relations: list[object] = [
-            RingTripleRelation(
-                self._db.ring, t, exact_estimates=self._exact_estimates
-            )
-            for t in query.triples
+            RingTripleRelation(self._db.ring, t) for t in query.triples
         ]
         relations.extend(
             KnnClauseRelation(self._db.knn_ring_for(c.relation), c)
@@ -129,3 +120,8 @@ class RingKnnSEngine(_RingEngineBase):
 
     def _ordering(self, query: ExtendedBGP) -> OrderingStrategy:
         return MinCandidatesOrdering()
+
+
+#: The two LTJ strategies by name: what ``auto`` chooses between, what a
+#: pool task names and what ``explain`` can plan.
+RING_ENGINES = {cls.name: cls for cls in (RingKnnEngine, RingKnnSEngine)}

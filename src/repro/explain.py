@@ -29,14 +29,18 @@ operation counts; phase timings; the ordering decisions actually taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.bounds.constraint_graph import ConstraintGraph
 from repro.bounds.linear_program import solve_size_bound
 from repro.engines.database import GraphDatabase
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.engines.ring_knn import RING_ENGINES
 from repro.ltj.engine import LTJEngine
 from repro.obs.trace import QueryTrace
 from repro.query.model import ExtendedBGP, Var
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache import QueryCache
 
 
 @dataclass
@@ -189,7 +193,7 @@ def explain(
     probe: bool = True,
     analyze: bool = False,
     timeout: float | None = None,
-    cache: object | None = None,
+    cache: QueryCache | None = None,
 ) -> PlanReport:
     """Analyze a query — statically, or (``analyze``) by executing it.
 
@@ -208,10 +212,7 @@ def explain(
             report renders the outcome (hit / miss / inadmissible plus
             the canonical signature) from ``trace.meta["cache"]``.
     """
-    engine_cls = {"ring-knn": RingKnnEngine, "ring-knn-s": RingKnnSEngine}[
-        engine
-    ]
-    driver = engine_cls(db)
+    driver = RING_ENGINES[engine](db)
     relations = driver.compile(query)
     ltj = LTJEngine(relations, ordering=driver._ordering(query))
 
@@ -275,24 +276,13 @@ def explain(
         report.probe_solutions_found = len(solutions)
     if analyze:
         trace = QueryTrace(query=repr(query))
+
+        def run():
+            return driver.evaluate(query, timeout=timeout, trace=trace)
+
         if cache is None:
-            driver.evaluate(query, timeout=timeout, trace=trace)
+            run()
         else:
-            cache_info: dict[str, object] = {}
-            hit = cache.probe(  # type: ignore[attr-defined]
-                db, query, engine=engine, meta=cache_info
-            )
-            if hit is not None:
-                if trace.engine is None:
-                    trace.engine = hit.engine
-                trace.finish(hit.stats)
-            else:
-                result = driver.evaluate(
-                    query, timeout=timeout, trace=trace
-                )
-                cache.fill(  # type: ignore[attr-defined]
-                    db, query, result, engine=engine, meta=cache_info
-                )
-            trace.meta["cache"] = cache_info
+            cache.evaluate(db, query, engine=engine, run=run, trace=trace)
         report.analysis = trace
     return report

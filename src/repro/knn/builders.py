@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.knn.graph import KnnGraph
 from repro.utils.errors import ValidationError
@@ -104,6 +103,8 @@ def build_knn_graph_kdtree(
     points: np.ndarray, K: int, members: np.ndarray | None = None
 ) -> KnnGraph:
     """Exact Euclidean K-NN graph via a KD-tree (scipy ``cKDTree``)."""
+    from scipy.spatial import cKDTree
+
     points, members = _check_inputs(points, members, K)
     tree = cKDTree(points)
     # Query K+1 to drop each point itself.

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.ltj.relation import LeapRelation
 from repro.query.model import TriplePattern, Var
-from repro.ring.index import PREV_COORD, RingIndex
+from repro.ring.index import RingIndex
 from repro.ring.pattern import RingPatternState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,22 +28,10 @@ class RingTripleRelation(LeapRelation):
 
     Positions index the pattern's distinct variables in ``s, p, o``
     order; the coordinates each one occupies are resolved here, once.
-
-    ``exact_estimates`` switches :meth:`estimate` from the paper's
-    range-size heuristic (Sec. 5: "we use the size e - b + 1 of the
-    range") to the exact distinct-value count via ``range_symbols``
-    (Sec. 2.3) where the free coordinate is the arc's stored column —
-    an ablation of the cardinality-estimation choice.
     """
 
-    def __init__(
-        self,
-        ring: RingIndex,
-        pattern: TriplePattern,
-        exact_estimates: bool = False,
-    ) -> None:
+    def __init__(self, ring: RingIndex, pattern: TriplePattern) -> None:
         self._ring = ring
-        self._exact_estimates = exact_estimates
         self._pattern = pattern
         self.terms = pattern.variables
         self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
@@ -150,30 +138,13 @@ class RingTripleRelation(LeapRelation):
             state.obs.unbinds += 1
 
     def estimate(self, pos: int) -> int:
-        """Candidate-count estimate for the variable at ``pos``.
-
-        Default: the size of the pattern's current range (Sec. 5, "we
-        use the size e - b + 1 of the range"). With ``exact_estimates``,
-        the distinct-value count of the stored column is used when the
-        variable sits exactly there (a single coordinate that is the
-        stored column of the current arc); other positions keep the
-        range-size bound, which remains a valid upper estimate.
-        """
+        """Candidate-count estimate for the variable at ``pos``: the
+        size of the pattern's current range, whichever variable is asked
+        about (Sec. 5, "we use the size e - b + 1 of the range")."""
         state = self._state
         if state.obs is not None:
             state.obs.estimates += 1
-        count = state.count()
-        coords = self._coords[pos]
-        if not self._exact_estimates or len(coords) != 1:
-            return count
-        frame = state.frame
-        if frame.arc_first is None or len(frame.bound) == 3:
-            return count
-        if coords[0] != PREV_COORD[frame.arc_first]:
-            return count
-        return self._ring.distinct_in_range(
-            frame.arc_first, frame.lo, frame.hi, cap=count
-        )
+        return state.count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingTripleRelation({self._pattern!r})"

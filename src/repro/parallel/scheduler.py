@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.engines.auto import AutoEngine
+from repro.engines import RING_ENGINES, AutoEngine
 from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.parallel.executor import (
@@ -45,12 +45,18 @@ from repro.parallel.worker import (
 from repro.query.model import ExtendedBGP, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache import QueryCache
     from repro.engines.database import GraphDatabase
 
 #: Ceiling on queries served per worker round trip. Groups are also
 #: capped in *number* (>= 2x pool size) so short batches still spread
 #: across all workers.
 MAX_BATCH_SIZE = 8
+
+#: Submitted-but-undrained groups allowed per worker: enough that no
+#: worker idles while the parent drains, few enough that a long batch
+#: never piles every result up in the pool's buffers at once.
+PENDING_PER_WORKER = 2
 
 #: Smoothing factor of the observed-cost moving averages: each new
 #: measurement moves the per-signature EWMA 30% of the way to itself,
@@ -113,20 +119,18 @@ class QueryScheduler:
         self,
         db: "GraphDatabase",
         workers: int = DEFAULT_WORKERS,
-        exact_estimates: bool = False,
-        max_pending: int | None = None,
-        cache: object | None = None,
+        cache: QueryCache | None = None,
     ) -> None:
         self._db = db
-        self._auto = AutoEngine(db, exact_estimates=exact_estimates)
-        self._exact_estimates = exact_estimates
         self.workers = int(workers)
-        self.max_pending = (
-            max_pending if max_pending is not None else 2 * max(1, workers)
-        )
         #: Optional :class:`repro.cache.QueryCache` probed before any
         #: classification/dispatch and filled from completed results.
         self.cache = cache
+        #: The one ``auto`` engine of this process. It selects every
+        #: query's strategy, evaluates a pool of one's queries here, and
+        #: is what the server's direct route evaluates with — one
+        #: instance, so one cached-evaluation path.
+        self.auto = AutoEngine(db, cache=cache)
         #: EWMA of observed per-query seconds, keyed by shape signature
         #: and LRU-bounded at :data:`MAX_OBSERVED_SHAPES` (least
         #: recently updated shape evicted first).
@@ -136,11 +140,6 @@ class QueryScheduler:
         #: EWMA of observed seconds per estimate unit, the bridge that
         #: prices still-unseen shapes in the same currency.
         self._seconds_per_unit: float | None = None
-
-    def _driver(self, name: str):
-        if name == self._auto._ring_knn_s.name:
-            return self._auto._ring_knn_s
-        return self._auto._ring_knn
 
     # ------------------------------------------------------------------
     # measured-cost feedback
@@ -213,8 +212,8 @@ class QueryScheduler:
         does not depend on the query: a pool of one evaluates in this
         process, any larger pool runs every query whole in a worker.
         """
-        engine = self._auto.select(query)
-        relations = self._driver(engine).compile(query)
+        engine = self.auto.select(query)
+        relations = RING_ENGINES[engine](self._db).compile(query)
         estimate = min(
             (
                 relation.estimate(relation.position(var))
@@ -274,10 +273,13 @@ class QueryScheduler:
         different remaining budgets); it overrides the uniform
         ``timeout`` position for position.
 
-        With a :attr:`cache` attached and no ``limit``, every query is
-        probed *before* classification and dispatch — a hit skips the
-        pool entirely — and every completed (un-timed-out) result fills
-        the cache with the shape's observed EWMA cost as its admission
+        A pool of one is ``self.auto.evaluate`` per query — the cached
+        evaluation every other single-query door uses. A real pool is
+        the one place a batch needs probe and fill *apart*: with a
+        :attr:`cache` attached and no ``limit``, every query is probed
+        before classification and dispatch — a hit skips the pool
+        entirely — and every completed result fills the cache as it
+        drains, with the shape's observed EWMA cost as its admission
         weight.
         """
         if timeouts is not None and len(timeouts) != len(queries):
@@ -289,29 +291,18 @@ class QueryScheduler:
             list(timeouts) if timeouts is not None
             else [timeout] * len(queries)
         )
+        if self.workers <= 1:
+            return [
+                self.auto.evaluate(query, timeout=budget, limit=limit)
+                for query, budget in zip(queries, budgets)
+            ]
         results: list[QueryResult | None] = [None] * len(queries)
         cache = self.cache if limit is None else None
         if cache is not None:
             for index, query in enumerate(queries):
-                results[index] = cache.probe(  # type: ignore[attr-defined]
-                    self._db, query, engine=self._auto.select(query)
+                results[index] = cache.probe(
+                    self._db, query, engine=self.auto.select(query)
                 )
-        if self.workers <= 1:
-            for index, query in enumerate(queries):
-                if results[index] is not None:
-                    continue
-                outcome = self._auto.evaluate(
-                    query, timeout=budgets[index], limit=limit
-                )
-                results[index] = outcome
-                if cache is not None:
-                    self._fill_cache(
-                        query,
-                        outcome,
-                        outcome.engine,
-                        query_signature(outcome.engine, query),
-                    )
-            return [result for result in results if result is not None]
         plans = [
             self.classify(query, index)
             for index, query in enumerate(queries)
@@ -337,11 +328,12 @@ class QueryScheduler:
                 plan = plan_by_index[outcome.index]
                 self.record_elapsed(plan, outcome.elapsed)
                 if cache is not None:
-                    self._fill_cache(
+                    cache.fill(
+                        self._db,
                         queries[outcome.index],
                         result,
-                        plan.engine,
-                        plan.signature,
+                        engine=plan.engine,
+                        cost_s=self.observed_cost(plan),
                     )
 
         try:
@@ -353,14 +345,13 @@ class QueryScheduler:
                             index=plan.index,
                             query=queries[plan.index],
                             engine=plan.engine,
-                            exact_estimates=self._exact_estimates,
                             timeout=budgets[plan.index],
                             limit=limit,
                         )
                         for plan in group
                     )
                 )
-                if len(pending) >= self.max_pending:
+                if len(pending) >= PENDING_PER_WORKER * self.workers:
                     _drain(pending.pop(0))
                 pending.append(pool.submit_batch(batch))
             while pending:
@@ -376,23 +367,6 @@ class QueryScheduler:
             pool.drop_pending_chunks()
             raise
         return [result for result in results if result is not None]
-
-    def _fill_cache(
-        self,
-        query: ExtendedBGP,
-        result: QueryResult,
-        engine: str,
-        signature: tuple[str, int, int, int],
-    ) -> None:
-        """Admit a completed result, weighted by the shape's EWMA cost."""
-        cache = self.cache
-        if cache is None:
-            return
-        observed = self._observed_s.get(signature)
-        cost = observed if observed is not None else result.elapsed
-        cache.fill(  # type: ignore[attr-defined]
-            self._db, query, result, engine=engine, cost_s=cost
-        )
 
 
 def _result_from_outcome(outcome: QueryOutcome) -> QueryResult:

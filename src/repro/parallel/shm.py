@@ -15,8 +15,8 @@ Lifecycle: the *creator* (the parent process that owns the pool) is the
 only party that ever ``unlink``\\ s a segment. Creation registers the
 segment in a process-local registry (:func:`active_segments`), unlink
 removes it — the shm-lifecycle leak tests assert the registry is empty
-and ``/dev/shm`` is clean after a pool closes, after a worker raises
-mid-batch, and after ``serve-batch`` finishes. Workers only ``close``
+and ``/dev/shm`` is clean after a pool closes and after a worker raises
+mid-batch. Workers only ``close``
 their attachment (and tolerate a late close while views are alive: the
 OS unmaps everything at process exit anyway). POSIX resource-tracker
 accounting stays balanced because registrations are a *set*: the

@@ -24,9 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.engines.auto import AutoEngine
+from repro.engines import INDEX_ENGINES
 from repro.engines.database import GraphDatabase
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.query.model import ExtendedBGP
 from repro.store import Attachment, Manifest, attach, prime
 
@@ -55,12 +54,6 @@ def _init_worker(manifest: Manifest, chunk_queue: Any) -> None:
     _WORKER_DB = _WORKER_ATTACHMENT.structure
     prime(_WORKER_DB)
     _CHUNK_QUEUE = chunk_queue
-
-
-#: The serial engines a task may name.
-_ENGINES = {
-    cls.name: cls for cls in (RingKnnEngine, RingKnnSEngine, AutoEngine)
-}
 
 
 def _emit(uid: int, packed: "np.ndarray") -> tuple["np.ndarray | None", int]:
@@ -92,7 +85,8 @@ class QueryTask:
     index: int
     query: ExtendedBGP
     engine: str
-    exact_estimates: bool
+    """A name in :data:`repro.engines.INDEX_ENGINES`."""
+
     timeout: float | None
     limit: int | None
 
@@ -135,10 +129,7 @@ def run_query(task: QueryTask) -> QueryOutcome:
     """
     if _WORKER_DB is None:
         raise RuntimeError("worker pool used before initialization")
-    driver = _ENGINES[task.engine](
-        _WORKER_DB, exact_estimates=task.exact_estimates
-    )
-    result = driver.evaluate(
+    result = INDEX_ENGINES[task.engine](_WORKER_DB).evaluate(
         task.query, timeout=task.timeout, limit=task.limit
     )
     stats = result.stats

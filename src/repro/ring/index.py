@@ -218,12 +218,3 @@ class RingIndex:
             return 0
         lo, hi = self._blocks[coord].range_of(value)
         return max(0, hi - lo + 1)
-
-    def distinct_in_range(
-        self, arc_first: str, lo: int, hi: int, cap: int | None = None
-    ) -> int:
-        """Distinct values of the stored coordinate within a range
-        (the exact ``|t(x)|`` alternative to the range-size estimate)."""
-        if lo > hi:
-            return 0
-        return self._columns[PREV_COORD[arc_first]].count_distinct(lo, hi, cap)

@@ -49,9 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.cache import CacheConfig, DEFAULT_MAX_BYTES, QueryCache
-from repro.engines.auto import AutoEngine
+from repro.engines import INDEX_ENGINES, AutoEngine
 from repro.engines.database import GraphDatabase
-from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.explain import explain as explain_plan
 from repro.obs import QueryTrace, validate_trace
 from repro.parallel.executor import close_pools_for, pool_for
@@ -72,6 +71,16 @@ from repro.utils.errors import (
 #: Longest ``sleep:<s>`` fault a debug request may inject.
 MAX_DEBUG_SLEEP = 30.0
 
+#: Hard ceiling (seconds) on any requested deadline.
+MAX_TIMEOUT = 600.0
+
+#: Most queries per scheduler round trip (one dispatcher wakeup may
+#: issue several).
+MICROBATCH = 8
+
+#: Largest request body accepted, in bytes (beyond it: a typed 400).
+MAX_BODY = 1 << 20
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -87,7 +96,7 @@ _REASONS = {
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables of one server process (all have CLI flags)."""
+    """Tunables of one server process: each is a ``repro serve`` flag."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -103,17 +112,9 @@ class ServeConfig:
     default_timeout: float | None = 60.0
     """Per-query deadline when the request does not set one."""
 
-    max_timeout: float = 600.0
-    """Hard ceiling on any requested deadline."""
-
     drain_grace: float = 30.0
     """Seconds a drain waits for in-flight queries before giving up."""
 
-    microbatch: int = 8
-    """Most queries per scheduler round trip (one dispatcher wakeup may
-    issue several)."""
-
-    max_body: int = 1 << 20
     debug_faults: bool = False
     """Allow the ``debug`` request field (fault-injection battery)."""
 
@@ -153,6 +154,23 @@ class _Pending:
 #: Queue sentinel ending the dispatcher loop.
 _STOP = object()
 
+#: Body parser of each dispatched endpoint, by :attr:`_Pending.kind`.
+_REQUEST_PARSERS = {
+    "query": protocol.parse_query_request,
+    "explain": protocol.parse_explain_request,
+}
+
+
+def _remaining(item: _Pending, now: float) -> float | None:
+    """The engine ``timeout`` for ``item`` dispatched at ``now``: what is
+    left of its end-to-end budget (time queued counts against it).
+    ``None`` is no deadline; ``0.0`` is expired — answer 504, do not
+    dispatch; a live budget is never handed on as less than 1 ms."""
+    if item.deadline_at is None:
+        return None
+    left = item.deadline_at - now
+    return max(1e-3, left) if left > 0 else 0.0
+
 
 class ReproServer:
     """One server instance bound to one database."""
@@ -164,8 +182,8 @@ class ReproServer:
         self.admission = AdmissionController(
             config.capacity, parallelism=max(1, config.workers)
         )
-        # One cache for every route: the batched scheduler path, the
-        # direct (traced / pinned) path, and /explain --analyze all
+        # One cache for every route: the scheduler (whose `auto` engine
+        # the direct route also evaluates with) and /explain --analyze
         # probe and fill the same table. QueryCache is internally
         # locked, so the /metrics scrape from the event loop is safe
         # against fills on the dispatch thread.
@@ -179,13 +197,6 @@ class ReproServer:
             workers=config.workers,
             cache=self.cache,
         )
-        # Direct route: `auto` and the pinned serial strategies all
-        # evaluate on the dispatch thread.
-        self._auto = AutoEngine(db, cache=self.cache)
-        self._serial = {
-            engine.name: engine
-            for engine in (RingKnnEngine(db), RingKnnSEngine(db))
-        }
         self._dispatch_pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-dispatch"
         )
@@ -279,7 +290,7 @@ class ReproServer:
     def _batchable(item: _Pending) -> bool:
         return (
             item.kind == "query"
-            and item.request.engine == "auto"
+            and item.request.engine == AutoEngine.name
             and not item.request.trace
             and item.request.debug is None
         )
@@ -305,13 +316,12 @@ class ReproServer:
                     groups.setdefault(entry.request.limit, []).append(entry)
                 else:
                     direct.append(entry)
-            size = max(1, self.config.microbatch)
             for group in groups.values():
-                for start in range(0, len(group), size):
+                for start in range(0, len(group), MICROBATCH):
                     await self._loop.run_in_executor(
                         self._dispatch_pool,
                         self._run_batched,
-                        group[start:start + size],
+                        group[start:start + MICROBATCH],
                     )
             for entry in direct:
                 await self._loop.run_in_executor(
@@ -401,15 +411,14 @@ class ReproServer:
         live: list[_Pending] = []
         budgets: list[float | None] = []
         for item in chunk:
-            if item.deadline_at is not None and item.deadline_at <= now:
-                self._resolve(item, self._deadline_response(item, "batched", now))
+            remaining = _remaining(item, now)
+            if remaining == 0.0:
+                self._resolve(
+                    item, self._deadline_response(item, "batched", now)
+                )
             else:
                 live.append(item)
-                budgets.append(
-                    None
-                    if item.deadline_at is None
-                    else max(1e-3, item.deadline_at - now)
-                )
+                budgets.append(remaining)
         if not live:
             return
         try:
@@ -430,35 +439,43 @@ class ReproServer:
         """Evaluate one traced / pinned / debug / explain request
         (dispatch thread)."""
         route = "explain" if item.kind == "explain" else "direct"
-        now = time.monotonic()
-        if item.deadline_at is not None and item.deadline_at <= now:
-            self._resolve(item, self._deadline_response(item, route, now))
-            return
+        request = item.request
         try:
-            if item.kind == "explain":
-                self._resolve(item, self._run_explain(item, now))
-                return
-            request = item.request
-            if request.debug is not None:
-                self._apply_debug(request.debug)
+            now = time.monotonic()
+            remaining = _remaining(item, now)
+            debug = getattr(request, "debug", None)  # /query only
+            if remaining != 0.0 and debug is not None:
+                self._apply_debug(debug)
                 now = time.monotonic()
-                if item.deadline_at is not None and item.deadline_at <= now:
-                    self._resolve(
-                        item, self._deadline_response(item, route, now)
-                    )
-                    return
-            remaining = (
-                None
-                if item.deadline_at is None
-                else max(1e-3, item.deadline_at - now)
-            )
+                remaining = _remaining(item, now)
+            if remaining == 0.0:
+                self._resolve(item, self._deadline_response(item, route, now))
+                return
+            if item.kind == "explain":
+                report = explain_plan(
+                    self._db,
+                    item.query,
+                    engine=request.engine,
+                    analyze=request.analyze,
+                    timeout=remaining,
+                    cache=self.cache,
+                )
+                body = protocol.explain_response(
+                    report.engine,
+                    report.format(),
+                    trace=self._trace_document(report.analysis),
+                )
+                self._resolve(item, _HttpResponse(200, body))
+                return
             query_trace = (
                 QueryTrace(query=request.query) if request.trace else None
             )
+            # `auto` is the scheduler's own engine — the one that holds
+            # the cache; a pinned strategy evaluates cold, uncached.
             engine = (
-                self._auto
-                if request.engine == "auto"
-                else self._serial[request.engine]
+                self._scheduler.auto
+                if request.engine == AutoEngine.name
+                else INDEX_ENGINES[request.engine](self._db)
             )
             result = engine.evaluate(
                 item.query,
@@ -466,41 +483,23 @@ class ReproServer:
                 limit=request.limit,
                 trace=query_trace,
             )
-            trace_document = None
-            if query_trace is not None:
-                trace_document = query_trace.to_dict()
-                validate_trace(trace_document)
-                self.metrics.observe_trace_document(trace_document)
-            self._finish_result(item, result, route, trace_document)
+            self._finish_result(
+                item, result, route, self._trace_document(query_trace)
+            )
         except Exception as exc:
             self._recycle_pools()
             self._resolve(item, self._failure_response(exc))
 
-    def _run_explain(self, item: _Pending, now: float) -> _HttpResponse:
-        request = item.request
-        remaining = (
-            None
-            if item.deadline_at is None
-            else max(1e-3, item.deadline_at - now)
-        )
-        report = explain_plan(
-            self._db,
-            item.query,
-            engine=request.engine,
-            analyze=request.analyze,
-            timeout=remaining,
-            cache=self.cache,
-        )
-        trace_document = None
-        analysis = report.analysis
-        if analysis is not None:
-            trace_document = analysis.to_dict()
-            validate_trace(trace_document)
-            self.metrics.observe_trace_document(trace_document)
-        body = protocol.explain_response(
-            report.engine, report.format(), trace=trace_document
-        )
-        return _HttpResponse(200, body)
+    def _trace_document(
+        self, trace: QueryTrace | None
+    ) -> dict[str, Any] | None:
+        """Export, schema-check and count a finished trace."""
+        if trace is None:
+            return None
+        document = trace.to_dict()
+        validate_trace(document)
+        self.metrics.observe_trace_document(document)
+        return document
 
     def _apply_debug(self, directive: str) -> None:
         """Execute a fault-injection directive (``debug_faults`` only)."""
@@ -558,16 +557,21 @@ class ReproServer:
             "inflight": self.admission.inflight,
             "capacity": self.admission.capacity,
             "workers": self.config.workers,
-            "engines": ["auto", *sorted(self._serial)],
+            "engines": sorted(INDEX_ENGINES),
             "store": None if backing is None else backing.describe(),
             "cache": self.cache is not None,
         }
 
-    async def _handle_query(self, body: bytes) -> _HttpResponse:
+    async def _handle(self, kind: str, body: bytes) -> _HttpResponse:
+        """``/query`` and ``/explain``: parse, admit, set the deadline,
+        enqueue for the dispatcher, await its response."""
         t0 = time.monotonic()
         try:
-            request = protocol.parse_query_request(body)
-            if request.debug is not None and not self.config.debug_faults:
+            request = _REQUEST_PARSERS[kind](body)
+            if (
+                getattr(request, "debug", None) is not None
+                and not self.config.debug_faults
+            ):
                 raise ValidationError(
                     "debug directives require --debug-faults"
                 )
@@ -597,56 +601,10 @@ class ReproServer:
             else self.config.default_timeout
         )
         if budget is not None:
-            budget = min(float(budget), self.config.max_timeout)
+            budget = min(float(budget), MAX_TIMEOUT)
         assert self._loop is not None and self._queue is not None
         item = _Pending(
-            kind="query",
-            request=request,
-            query=query,
-            admitted_at=t0,
-            deadline_at=None if budget is None else t0 + budget,
-            future=self._loop.create_future(),
-        )
-        try:
-            await self._queue.put(item)
-            return await item.future
-        finally:
-            self.admission.release(time.monotonic() - t0)
-
-    async def _handle_explain(self, body: bytes) -> _HttpResponse:
-        t0 = time.monotonic()
-        try:
-            request = protocol.parse_explain_request(body)
-            query = parse_query(request.query)
-        except ReproError as exc:
-            return _HttpResponse(
-                400, protocol.error_response(type(exc).__name__, str(exc))
-            )
-        try:
-            self.admission.admit()
-        except AdmissionRejected as exc:
-            self.metrics.observe_shed()
-            return _HttpResponse(
-                429,
-                protocol.error_response(
-                    "AdmissionRejected", str(exc), retry_after=exc.retry_after
-                ),
-                headers={"Retry-After": str(exc.retry_after)},
-            )
-        except ServerDraining as exc:
-            return _HttpResponse(
-                503, protocol.error_response("ServerDraining", str(exc))
-            )
-        budget = (
-            request.timeout
-            if request.timeout is not None
-            else self.config.default_timeout
-        )
-        if budget is not None:
-            budget = min(float(budget), self.config.max_timeout)
-        assert self._loop is not None and self._queue is not None
-        item = _Pending(
-            kind="explain",
+            kind=kind,
             request=request,
             query=query,
             admitted_at=t0,
@@ -663,14 +621,10 @@ class ReproServer:
         self, method: str, target: str, body: bytes
     ) -> _HttpResponse:
         path, _, query_string = target.partition("?")
-        if path == "/query":
+        if path[1:] in _REQUEST_PARSERS:
             if method != "POST":
                 return _method_not_allowed("POST")
-            return await self._handle_query(body)
-        if path == "/explain":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            return await self._handle_explain(body)
+            return await self._handle(path[1:], body)
         if path == "/healthz":
             if method != "GET":
                 return _method_not_allowed("GET")
@@ -710,7 +664,7 @@ class ReproServer:
         try:
             while True:
                 try:
-                    request = await _read_request(reader, self.config.max_body)
+                    request = await _read_request(reader)
                 except ValidationError as exc:
                     await _write_response(
                         writer,
@@ -768,7 +722,7 @@ def _method_not_allowed(allowed: str) -> _HttpResponse:
 
 
 async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
+    reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one HTTP/1.1 request; None at clean EOF.
 
@@ -795,9 +749,9 @@ async def _read_request(
         length = int(headers.get("content-length", "0") or "0")
     except ValueError as exc:
         raise ValidationError("malformed Content-Length") from exc
-    if length < 0 or length > max_body:
+    if length < 0 or length > MAX_BODY:
         raise ValidationError(
-            f"request body of {length} bytes exceeds the {max_body} limit"
+            f"request body of {length} bytes exceeds the {MAX_BODY} limit"
         )
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body

@@ -24,16 +24,12 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.engines import INDEX_ENGINES, RING_ENGINES
 from repro.obs.schema import TRACE_SCHEMA, TraceSchemaError, validate_document
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ltj.solutions import Solutions
-
-#: Engine names a request may pin. ``auto`` (the default) routes through
-#: the scheduler's strategy selection; the two Ring engines force one
-#: serial strategy for that request.
-SERVE_ENGINES: tuple[str, ...] = ("auto", "ring-knn", "ring-knn-s")
 
 _COUNTER = {"type": "integer", "minimum": 0}
 
@@ -43,7 +39,9 @@ QUERY_REQUEST_SCHEMA: dict[str, Any] = {
     "required": ["query"],
     "properties": {
         "query": {"type": "string"},
-        "engine": {"type": "string", "enum": list(SERVE_ENGINES)},
+        # ``auto`` (the default) routes through the scheduler's strategy
+        # selection; a Ring engine forces that one strategy.
+        "engine": {"type": "string", "enum": list(INDEX_ENGINES)},
         "timeout": {"type": ["number", "null"], "minimum": 0},
         "limit": {"type": ["integer", "null"], "minimum": 0},
         "trace": {"type": "boolean"},
@@ -57,10 +55,7 @@ EXPLAIN_REQUEST_SCHEMA: dict[str, Any] = {
     "required": ["query"],
     "properties": {
         "query": {"type": "string"},
-        "engine": {
-            "type": "string",
-            "enum": ["ring-knn", "ring-knn-s"],
-        },
+        "engine": {"type": "string", "enum": list(RING_ENGINES)},
         "analyze": {"type": "boolean"},
         "timeout": {"type": ["number", "null"], "minimum": 0},
     },

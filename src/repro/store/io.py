@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import mmap
 import os
-from multiprocessing import shared_memory
 from typing import Any
 
 from repro.store.format import (
@@ -238,6 +237,13 @@ def load(path: str, verify: bool = True) -> IndexStore:
     return IndexStore(path, header, manifest, structure, mapping)
 
 
+#: ``multiprocessing.shared_memory``, imported by the first attach to a
+#: shared segment — a process that only maps an index file (``repro
+#: query --from-index``) never imports :mod:`multiprocessing`. The leak
+#: sanitizer rebinds this name to its recording twin.
+shared_memory: Any = None
+
+
 def attach(manifest: Manifest) -> Attachment:
     """Open the carrier ``manifest`` names and rebuild its structure.
 
@@ -247,8 +253,11 @@ def attach(manifest: Manifest) -> Attachment:
     store, and worker attach must stay near-free; only the cheap
     structural sanity (magic/version/length) is repeated.
     """
+    global shared_memory
     carrier: Any
     if manifest.path is None:
+        if shared_memory is None:
+            from multiprocessing import shared_memory
         carrier = shared_memory.SharedMemory(name=manifest.segment)
         buf = carrier.buf
     else:

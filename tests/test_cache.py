@@ -17,10 +17,16 @@ Three layers of guarantees:
   warm through ``AutoEngine``/``QueryScheduler`` with a shared cache —
   warm solutions, enumeration order, and counters must be byte-identical
   to the cold run, under serial and 2-/4-worker pools; hit traces carry
-  an explicit ``cache_hit`` event.
+  an explicit ``cache_hit`` event. ``test_every_door_one_answer`` sends
+  the same queries twice through every way of running one — engine,
+  scheduler (pool of one, real pool), ``/query`` batched and traced,
+  ``/explain`` analyze — and holds rows, counters and cache accounting
+  to the uncached serial engine's.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -450,7 +456,116 @@ def _comparable(result: QueryResult):
     )
 
 
+DOORS = [
+    "auto", "scheduler-1", "scheduler-2",
+    "/query", "/query+trace", "/explain+analyze",
+]
+
+
+def _answer(result: QueryResult, outcome=None):
+    from repro.serve import protocol
+
+    body = protocol.query_response(result, "-")
+    return body["solutions"], body["stats"], body["cached"], outcome
+
+
+@contextmanager
+def _door(name: str, db):
+    """One way of running queries, over a fresh cache.
+
+    Yields ``(cache, ask)``; ``ask(queries)`` answers each query with
+    ``(rows, counters, cached, outcome)`` — JSON rows (``None`` where
+    the door returns none), the four LTJ counters, whether the answer
+    was served from the cache, and ``trace.meta["cache"]["outcome"]``
+    where the door traces.
+    """
+    from repro.serve.app import ServeConfig, ServerThread
+    from tests.test_serve import _post, _query_text
+
+    if name == "auto":
+        cache = QueryCache()
+        engine = AutoEngine(db, cache=cache)
+
+        def ask(queries):
+            answers = []
+            for query in queries:
+                trace = QueryTrace()
+                result = engine.evaluate(query, trace=trace)
+                answers.append(_answer(result, trace.meta["cache"]["outcome"]))
+            return answers
+
+        yield cache, ask
+    elif name.startswith("scheduler"):
+        cache = QueryCache()
+        scheduler = QueryScheduler(db, workers=int(name[-1]), cache=cache)
+        try:
+            yield cache, lambda queries: [
+                _answer(result) for result in scheduler.run_batch(queries)
+            ]
+        finally:
+            scheduler.close()
+    else:
+        handle = ServerThread(db, ServeConfig(workers=2)).start()
+        select = AutoEngine(db).select
+
+        def ask(queries):
+            answers = []
+            for query in queries:
+                payload = {"query": _query_text(query)}
+                if name == "/explain+analyze":
+                    payload.update(analyze=True, engine=select(query))
+                    status, _h, body = _post(handle, "/explain", payload)
+                    assert status == 200, body
+                    trace = body["trace"]
+                    outcome = trace["meta"]["cache"]["outcome"]
+                    answers.append(
+                        (None, trace["stats"], outcome == "hit", outcome)
+                    )
+                    continue
+                payload["trace"] = name == "/query+trace"
+                status, _h, body = _post(handle, "/query", payload)
+                assert status == 200, body
+                trace = body.get("trace")
+                answers.append(
+                    (
+                        body["solutions"], body["stats"], body["cached"],
+                        trace and trace["meta"]["cache"]["outcome"],
+                    )
+                )
+            return answers
+
+        try:
+            yield handle.server.cache, ask
+        finally:
+            handle.shutdown()
+
+
 class TestGoldenFigure2Sweep:
+    @pytest.mark.parametrize("door", DOORS)
+    def test_every_door_one_answer(self, figure2, door):
+        db, queries = figure2
+        reference = AutoEngine(db)
+        # One query per cache key, so every first ask is a miss.
+        distinct = {}
+        for query in queries:
+            form = canonicalize(query)
+            key = (form.signature, form.profile, reference.select(query))
+            distinct.setdefault(key, query)
+        queries = list(distinct.values())
+        n = len(queries)
+        want = [_answer(reference.evaluate(query)) for query in queries]
+        with _door(door, db) as (cache, ask):
+            first, second = ask(queries), ask(queries)
+            stats = cache.stats()
+        for (rows, counters, _c, _o), cold, warm in zip(want, first, second):
+            for got, replayed in ((cold, False), (warm, True)):
+                got_rows, got_counters, cached, outcome = got
+                assert got_rows is None or got_rows == rows
+                assert got_counters == counters
+                assert cached is replayed
+                assert outcome in (None, "hit" if replayed else "miss")
+        assert (stats["misses"], stats["fills"], stats["hits"]) == (n, n, n)
+
     def test_auto_engine_warm_hits_are_byte_identical(self, figure2):
         db, queries = figure2
         cache = QueryCache()

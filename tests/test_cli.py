@@ -110,40 +110,6 @@ class TestExplain:
 
 
 class TestCacheCommands:
-    def test_cache_stats_replays_a_workload(
-        self, bundle_path, tmp_path, capsys
-    ):
-        import json
-
-        queries = tmp_path / "queries.txt"
-        queries.write_text(
-            "(?e, 0, ?img)\n"
-            "(?e, 0, ?img) . knn(?img, ?other, 3)\n"
-        )
-        code = main(
-            [
-                "cache", "stats", "--data", str(bundle_path),
-                "--queries", str(queries), "--repeat", "2",
-            ]
-        )
-        assert code == 0
-        stats = json.loads(capsys.readouterr().out)
-        # Two passes over two queries: the second pass hits everything
-        # the first admitted.
-        assert stats["fills"] >= 1
-        assert stats["hits"] >= 1
-        assert stats["hit_rate"] == pytest.approx(
-            stats["hits"] / (stats["hits"] + stats["misses"])
-        )
-        assert 0 < stats["bytes"] <= stats["max_bytes"]
-
-    def test_cache_stats_requires_a_source(self, capsys):
-        code = main(["cache", "stats"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "Traceback" not in captured.err
-        assert "ValidationError" in captured.err
-
     def test_explain_analyze_reports_cache_outcome(
         self, bundle_path, capsys
     ):
@@ -169,35 +135,6 @@ class TestCacheCommands:
         assert main(argv) == 0
         assert "cache:" not in capsys.readouterr().out
 
-    def test_serve_batch_prints_cache_summary(
-        self, bundle_path, tmp_path, capsys
-    ):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("(?e, 0, ?img)\n(?e, 0, ?img)\n")
-        code = main(
-            [
-                "serve-batch", "--data", str(bundle_path),
-                "--queries", str(queries), "--workers", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cache:" in out and "fills" in out
-
-    def test_serve_batch_no_cache_runs_without_summary(
-        self, bundle_path, tmp_path, capsys
-    ):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("(?e, 0, ?img)\n")
-        code = main(
-            [
-                "serve-batch", "--data", str(bundle_path),
-                "--queries", str(queries), "--workers", "1", "--no-cache",
-            ]
-        )
-        assert code == 0
-        assert "cache:" not in capsys.readouterr().out
-
 
 class TestExperimentCommands:
     def test_selected_experiments_write_their_tables(self, tmp_path, capsys):
@@ -220,7 +157,8 @@ class TestExperimentCommands:
 
 
 class TestServeBatchErrorPaths:
-    """Typed, traceback-free failures of the batch/server commands."""
+    """Typed, traceback-free failures of the query/server commands (the
+    class keeps its first name so the test ids stay put)."""
 
     def _run(self, argv, capsys):
         code = main(argv)
@@ -228,49 +166,11 @@ class TestServeBatchErrorPaths:
         assert "Traceback" not in captured.err
         return code, captured
 
-    def test_missing_query_file_is_typed_error(self, bundle_path, capsys):
-        code, captured = self._run(
-            [
-                "serve-batch", "--data", str(bundle_path),
-                "--queries", "/nonexistent/queries.txt",
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "ValidationError" in captured.err
-        assert "cannot read query file" in captured.err
-
-    def test_malformed_query_line_is_typed_error(
-        self, bundle_path, tmp_path, capsys
-    ):
-        queries = tmp_path / "queries.txt"
-        queries.write_text(
-            "# a comment\n"
-            "(?x, 0, ?y)\n"
-            "\n"
-            "(?x, 0, ?y) . knn(?broken\n"
-        )
-        code, captured = self._run(
-            [
-                "serve-batch", "--data", str(bundle_path),
-                "--queries", str(queries), "--workers", "1",
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "QueryError" in captured.err
-        # points at the offending non-comment line, 1-based
-        assert "non-comment line 2" in captured.err
-        assert "knn(?broken" in captured.err
-
     def test_missing_index_file_is_typed_error(self, tmp_path, capsys):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("(?x, 0, ?y)\n")
         code, captured = self._run(
             [
-                "serve-batch", "--from-index",
-                str(tmp_path / "missing.idx"),
-                "--queries", str(queries),
+                "query", "--from-index", str(tmp_path / "missing.idx"),
+                "--query", "(?x, 0, ?y)",
             ],
             capsys,
         )
@@ -279,20 +179,38 @@ class TestServeBatchErrorPaths:
         assert "StoreFormatError" in captured.err
         assert "No such file" in captured.err
 
-    def test_corrupt_index_file_is_typed_error(self, tmp_path, capsys):
+    def _corrupt_index(self, tmp_path, capsys, *flags):
         corrupt = tmp_path / "corrupt.idx"
         corrupt.write_bytes(b"this is not an index file at all")
-        queries = tmp_path / "queries.txt"
-        queries.write_text("(?x, 0, ?y)\n")
         code, captured = self._run(
             [
-                "serve-batch", "--from-index", str(corrupt),
-                "--queries", str(queries),
+                "query", "--from-index", str(corrupt), *flags,
+                "--query", "(?x, 0, ?y)",
             ],
             capsys,
         )
         assert code == 2
         assert "Store" in captured.err  # typed Store* family
+
+    def test_corrupt_index_file_is_typed_error(self, tmp_path, capsys):
+        self._corrupt_index(tmp_path, capsys)
+
+    def test_corrupt_index_file_unverified_is_typed_error(
+        self, tmp_path, capsys
+    ):
+        # Skipping the checksum does not skip the structural checks.
+        self._corrupt_index(tmp_path, capsys, "--no-verify")
+
+    def test_malformed_query_is_typed_error(self, bundle_path, capsys):
+        code, captured = self._run(
+            [
+                "query", "--data", str(bundle_path),
+                "--query", "(?x, 0, ?y) . knn(?broken",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "QueryError" in captured.err
 
     def test_serve_missing_index_is_typed_error(self, tmp_path, capsys):
         code, captured = self._run(
@@ -316,6 +234,49 @@ class TestServeBatchErrorPaths:
         assert "cannot read data bundle" in captured.err
 
 
+_IMPORT_BUDGET_SCRIPT = """
+import sys
+import repro.cli
+
+HEAVY = ("scipy", "repro.analysis", "repro.serve", "multiprocessing")
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+assert not loaded(), f"import repro.cli pulled in {loaded()}"
+index, query = sys.argv[1:]
+argv = ["--from-index", index, "--query", query]
+assert repro.cli.main(["query", *argv, "--engine", "auto"]) == 0
+assert not loaded(), f"repro query pulled in {loaded()}"
+# A clause-free BGP: explain solves the size-bound LP, and only then
+# does the solver get imported.
+assert repro.cli.main(["explain", *argv]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_query_process_import_budget(bundle_path, tmp_path):
+    """A `repro query` process imports no LP solver, no linter, no
+    server and no multiprocessing — the cold-start workload pays for
+    whatever `import repro.cli` drags in."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    index = str(tmp_path / "budget.idx")
+    assert main(["build", "--data", str(bundle_path), "--out", index]) == 0
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, index, "(?e, 0, ?img)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "output bound Q*" in done.stdout
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -327,6 +288,18 @@ class TestParser:
                 ["query", "--data", "x", "--query", "y", "--engine", "magic"]
             )
 
+    def test_nine_subcommands(self):
+        (subparsers,) = [
+            action for action in build_parser()._actions if action.choices
+        ]
+        assert list(subparsers.choices) == [
+            "generate", "build", "query", "explain", "trace", "serve",
+            "lint", "experiments", "stats",
+        ]
+
+    # The serve-batch and cache rows name subcommands that are gone
+    # altogether (`repro serve` + `/metrics?format=json` replaced them):
+    # argparse refuses the subcommand itself.
     @pytest.mark.parametrize(
         "argv",
         [

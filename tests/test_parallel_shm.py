@@ -9,9 +9,8 @@ battery over both carriers):
   serial counters, for pool sizes 1, 2, 4 under *both* fork and spawn
   start methods (spawn proves the transport carries everything — nothing
   rides copy-on-write inheritance).
-* **Lifecycle** — every created segment is unlinked after a pool closes,
-  after a worker raises mid-batch, and after a ``serve-batch`` run
-  finishes; a subprocess asserts a full create/evaluate/exit cycle —
+* **Lifecycle** — every created segment is unlinked after a pool closes
+  and after a worker raises mid-batch; a subprocess asserts a full create/evaluate/exit cycle —
   over a built database and over a store-backed one — emits no
   ``resource_tracker`` warnings.
 """
@@ -132,7 +131,6 @@ def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
                 index=0,
                 query=query,
                 engine="no-such-engine",
-                exact_estimates=False,
                 timeout=None,
                 limit=None,
             ),
@@ -145,34 +143,6 @@ def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
     assert got.solutions == AutoEngine(small_db).evaluate(query).solutions
     # ...and closing it unlinks every segment it created.
     close_pools_for(small_db)
-    assert active_segments() == ()
-
-
-def test_segments_unlinked_after_serve_batch(tmp_path, small_db, small_graph, small_knn, small_points):
-    from repro.cli import main as cli_main
-    from repro.graph.io import save_bundle
-
-    bundle = tmp_path / "small.npz"
-    save_bundle(str(bundle), small_graph, small_knn, small_points)
-    queries = tmp_path / "queries.txt"
-    queries.write_text(
-        "(?x, 20, ?y)\n"
-        "(?x, 20, ?y) . (?y, 21, ?z)\n"
-        "# comment\n"
-        "(?x, 22, ?x)\n"
-    )
-    rc = cli_main(
-        [
-            "serve-batch",
-            "--data",
-            str(bundle),
-            "--queries",
-            str(queries),
-            "--workers",
-            "2",
-        ]
-    )
-    assert rc == 0
     assert active_segments() == ()
 
 

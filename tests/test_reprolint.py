@@ -20,7 +20,6 @@ from repro.analysis import (
     Project,
     format_findings,
     format_json,
-    format_sarif,
     get_rules,
     lint,
     rule_catalog,
@@ -444,33 +443,6 @@ class TestFramework:
         text = format_findings(result)
         assert "RPL001: 3" in text.splitlines()[-1]
 
-    def test_sarif_output_shape(self):
-        result = lint_fixture("rpl001_bad.py", ["RPL001"])
-        doc = json.loads(format_sarif(result))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "reprolint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert "RPL001" in rule_ids
-        assert len(run["results"]) == len(result.findings)
-        for sarif_result, finding in zip(run["results"], result.findings):
-            assert sarif_result["ruleId"] == finding.code
-            assert rule_ids[sarif_result["ruleIndex"]] == finding.code
-            assert sarif_result["message"]["text"] == finding.message
-            region = sarif_result["locations"][0]["physicalLocation"]
-            assert region["region"]["startLine"] == finding.line
-            assert region["region"]["startColumn"] == finding.col + 1
-            assert region["artifactLocation"]["uri"].endswith(
-                "rpl001_bad.py"
-            )
-
-    def test_sarif_omits_suppressed_findings(self):
-        result = lint_fixture("suppression_ok.py", ["RPL001"])
-        assert result.suppressed  # the fixture's point
-        doc = json.loads(format_sarif(result))
-        assert doc["runs"][0]["results"] == []
-
     def test_import_graph_and_reachability(self):
         project = Project.from_paths([PACKAGE_DIR])
         graph = build_import_graph(project)
@@ -508,64 +480,6 @@ class TestShippedTree:
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "RPL001" in out and "RPL007" in out and "RPL010" in out
-
-    def test_cli_sarif_flag(self, capsys):
-        rc = cli_main(
-            ["lint", "--sarif", str(FIXTURES / "rpl001_bad.py"),
-             "--rules", "RPL001"]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "reprolint"
-        assert doc["runs"][0]["results"]
-
-    def test_cli_changed_scopes_to_git_diff(self, capsys, tmp_path,
-                                            monkeypatch):
-        import subprocess
-
-        def git(*argv):
-            subprocess.run(
-                ["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                 *argv],
-                cwd=tmp_path, check=True, capture_output=True,
-            )
-
-        git("init", "-q")
-        committed = tmp_path / "committed.py"
-        committed.write_text(
-            "# reprolint-module: repro.ltj.fixture_committed\n"
-            "def f(ring, j):\n"
-            "    return ring._members[j]\n"
-        )
-        git("add", "committed.py")
-        git("commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tmp_path)
-
-        # Clean tree: nothing changed, nothing linted, exit 0.
-        assert cli_main(["lint", "--changed", "--format=json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["modules_checked"] == 0
-
-        # An untracked violating file is picked up without touching
-        # the committed (equally violating) one.
-        changed = tmp_path / "fresh.py"
-        changed.write_text(
-            "# reprolint-module: repro.ltj.fixture_fresh\n"
-            "def g(ring, j):\n"
-            "    return ring._members[j]\n"
-        )
-        assert cli_main(["lint", "--changed", "--format=json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["modules_checked"] == 1
-        assert doc["findings"]
-        assert {f["path"] for f in doc["findings"]} == {str(changed)}
-
-    def test_cli_changed_outside_git_fails_loud(self, capsys, tmp_path,
-                                                monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "--changed"]) == 2
-        assert "--changed requires git" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

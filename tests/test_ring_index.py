@@ -1,7 +1,6 @@
 """Unit tests for Ring construction and primitives, including the
 worked Example 1 of the paper (Figure 1)."""
 
-import numpy as np
 import pytest
 
 from repro.graph.triples import GraphData
@@ -130,14 +129,6 @@ class TestPrimitives:
         ring = RingIndex(GraphData([]))
         assert ring.num_edges == 0
         assert ring.leap_unbound("s", 0) is None
-
-    def test_distinct_in_range(self, small_graph):
-        ring = RingIndex(small_graph)
-        # The stored column of the p-block table (T_POS) holds subjects.
-        lo, hi = ring.block_range("p", 20)
-        expected = len(np.unique(small_graph.matching(None, 20, None)[:, 0]))
-        assert ring.distinct_in_range("p", lo, hi) == expected
-        assert ring.distinct_in_range("p", lo, hi, cap=1) == 1
 
     def test_size_in_bytes(self, small_graph):
         assert RingIndex(small_graph).size_in_bytes() > 0

@@ -8,6 +8,8 @@ evaluated in the scheduler's own process (a pool of one).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.engines.auto import AutoEngine
@@ -78,9 +80,12 @@ def test_run_batch_serial_pool_of_one(small_db, expected):
         assert got.engine == want.engine
 
 
-def test_run_batch_bounded_pending_window(small_db, expected):
+def test_run_batch_bounded_pending_window(small_db, expected, monkeypatch):
     # A pending window smaller than the batch forces mid-batch drains.
-    scheduler = QueryScheduler(small_db, workers=2, max_pending=2)
+    import repro.parallel.scheduler as scheduler_module
+
+    monkeypatch.setattr(scheduler_module, "PENDING_PER_WORKER", 1)
+    scheduler = QueryScheduler(small_db, workers=2)
     big_batch = BATCH * 3
     results = scheduler.run_batch(big_batch)
     assert len(results) == len(big_batch)
@@ -213,14 +218,17 @@ def test_failed_batch_leaves_no_chunks_behind(
     small_db, expected, tiny_chunks, monkeypatch
 ):
     scheduler = QueryScheduler(small_db, workers=2)
-    select = scheduler._auto.select
+    classify = scheduler.classify
+
+    def misnamed(query, index=0):
+        plan = classify(query, index)
+        if query is BATCH[3]:
+            plan = dataclasses.replace(plan, engine="no-such-engine")
+        return plan
+
     # One task names an engine no worker knows; its siblings stream.
     with monkeypatch.context() as patch:
-        patch.setattr(
-            scheduler._auto,
-            "select",
-            lambda q: "no-such-engine" if q is BATCH[3] else select(q),
-        )
+        patch.setattr(scheduler, "classify", misnamed)
         with pytest.raises(KeyError):
             scheduler.run_batch(BATCH)
     assert tiny_chunks._chunk_buf == {}

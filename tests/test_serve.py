@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engines import INDEX_ENGINES
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
@@ -482,7 +483,7 @@ class TestRequestValidation:
 _QUERY_REQUEST_DOCS = st.fixed_dictionaries(
     {"query": st.text(min_size=1, max_size=80)},
     optional={
-        "engine": st.sampled_from(protocol.SERVE_ENGINES),
+        "engine": st.sampled_from(sorted(INDEX_ENGINES)),
         "timeout": st.one_of(
             st.none(),
             st.floats(min_value=0, max_value=1e6, allow_nan=False,

@@ -76,7 +76,7 @@ X, Y, Z, W, P, V, Q = (Var(name) for name in "xyzwpvq")
 LOWERS = (0, N_NODES // 3, N_NODES - 2)
 
 
-def compile_atoms(k: int, exact: bool):
+def compile_atoms(k: int):
     """Every adapter kind, sharing variables in every way the plan has
     to track: two clauses over the same pair, a repeated variable, a
     variable predicate, a constant on either side of a clause (one of
@@ -84,9 +84,9 @@ def compile_atoms(k: int, exact: bool):
     variable, and the six-permutation backend (which reports through
     the base class's ``leap`` loop) over a loop and a plain pattern."""
     return [
-        RingTripleRelation(_RING, TriplePattern(X, 50, Y), exact),
-        RingTripleRelation(_RING, TriplePattern(Y, P, Z), exact),
-        RingTripleRelation(_RING, TriplePattern(Z, 51, Z), exact),
+        RingTripleRelation(_RING, TriplePattern(X, 50, Y)),
+        RingTripleRelation(_RING, TriplePattern(Y, P, Z)),
+        RingTripleRelation(_RING, TriplePattern(Z, 51, Z)),
         KnnClauseRelation(_KNN, SimClause(X, k, Z)),
         KnnClauseRelation(_KNN, SimClause(Z, k, X)),
         KnnClauseRelation(_KNN, SimClause(3, k, Y)),
@@ -121,9 +121,9 @@ def slow_clause(relation, pos: int, anchor: int):
 
 
 class JoinPlanMachine(RuleBasedStateMachine):
-    @initialize(k=st.integers(1, 4), exact=st.booleans())
-    def setup(self, k, exact):
-        self.fresh = lambda: JoinPlan(compile_atoms(k, exact))
+    @initialize(k=st.integers(1, 4))
+    def setup(self, k):
+        self.fresh = lambda: JoinPlan(compile_atoms(k))
         self.plan = self.fresh()
         # (slot, value, snapshot taken before the bind)
         self.bound: list[tuple[int, int, object]] = []

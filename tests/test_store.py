@@ -490,7 +490,12 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
     the parent nor a worker has anything for a resource tracker to warn
     about at exit; only a fresh process shows it.
     """
+    import json
+    import re
+    import signal
     import subprocess
+    import time
+    from http.client import HTTPConnection
 
     import repro
 
@@ -514,17 +519,51 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
         "--misc-triples", "200", "--K", "6",
     ).returncode == 0
     assert cli("build", "--data", bundle, "--out", index).returncode == 0
-    queries = tmp_path / "q.txt"
-    queries.write_text("(?e, 0, ?img) . knn(?img, ?other, 4)\n")
-    done = cli(
-        "serve-batch", "--from-index", index, "--workers", "2",
-        "--queries", str(queries), "--no-cache",
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    # `repro serve` is the CLI's door to the pool: boot it on the index
+    # file, have a worker answer one query, drain it.
+    with open(tmp_path / "serve.out", "w+") as out, open(
+        tmp_path / "serve.err", "w+"
+    ) as err:
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--from-index",
+                index, "--workers", "2", "--port", "0", "--no-cache",
+            ],
+            env=env, stdout=out, stderr=err, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            port = None
+            while port is None and time.monotonic() < deadline:
+                out.seek(0)
+                match = re.search(r"serving on http://[^:]+:(\d+)", out.read())
+                if match:
+                    port = int(match.group(1))
+                elif server.poll() is not None:
+                    break
+                else:
+                    time.sleep(0.1)
+            err.seek(0)
+            assert port is not None, err.read()
+            connection = HTTPConnection("127.0.0.1", port, timeout=120)
+            connection.request(
+                "POST", "/query",
+                body=json.dumps(
+                    {"query": "(?e, 0, ?img) . knn(?img, ?other, 4)"}
+                ),
+            )
+            answer = json.loads(connection.getresponse().read())
+            connection.close()
+        finally:
+            server.send_signal(signal.SIGTERM)
+            returncode = server.wait(timeout=120)
+        err.seek(0)
+        stderr = err.read()
+    assert returncode == 0, stderr
+    assert stderr == ""
     # A worker answered, and found something.
-    assert "[pooled" in done.stdout
-    assert "[0] 0 solutions" not in done.stdout
+    assert answer["route"] == "batched"
+    assert answer["solutions"]
 
 
 def test_cli_from_index_rejects_graph_engines(tmp_path, capsys):
