@@ -46,8 +46,6 @@ VALIDATED_BITVECTOR_OPS: frozenset[str] = frozenset(
 INT_MIRRORED_ARRAY_ATTRS: frozenset[str] = frozenset(
     {
         "_words",
-        "_cum1",
-        "_cum0",
         "_cum",
         "_counts",
         "_members",
@@ -62,7 +60,8 @@ INT_MIRRORED_ARRAY_ATTRS: frozenset[str] = frozenset(
 )
 
 #: Inside the wavelet tree, descents inline the bitvector rank
-#: arithmetic on each level's ``_words_i``/``_cum1_i`` mirrors. The
+#: arithmetic on each level's ``_words_i`` mirror and derived
+#: ``_cum1_i`` table (the per-word counts are not stored). The
 #: sanctioned way to reach another object's mirrors from there is the
 #: level view: the functions named in ``LEVEL_VIEW_BUILDERS`` bind them
 #: once per tree (lazily, so an attached tree rebuilds them on first

@@ -139,8 +139,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     t1 = _time.perf_counter()
     nbytes = save(db, args.out)
     t2 = _time.perf_counter()
+    # What the index stores: distinct triples plus K-NN arcs (the
+    # denominator of the benchmark's index_bytes_per_edge).
+    edges = db.graph.num_edges + sum(
+        int(g.lengths.sum()) for g in db.knn_graphs.values()
+    )
     print(
-        f"wrote {args.out}: {nbytes} bytes "
+        f"wrote {args.out}: {nbytes} bytes, {nbytes / max(edges, 1):.2f} "
+        f"B/edge over {edges} edges "
         f"(index build {t1 - t0:.3f}s, serialize {t2 - t1:.3f}s)"
     )
     return 0

@@ -17,6 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from repro.graph.triples import GraphData
+from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import StructureError
 
 _COORD_INDEX = {"s": 0, "p": 1, "o": 2}
@@ -41,7 +42,7 @@ class SixPermIndex:
         return self._num_edges
 
     def size_in_bytes(self) -> int:
-        return sum(int(t.nbytes) for t in self._tables.values())
+        return sum(int(t.size) for t in self._tables.values()) * INT_BYTES
 
     def table(self, perm: tuple[str, ...]) -> np.ndarray:
         return self._tables[perm]

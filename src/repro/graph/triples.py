@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
 
 Triple = tuple[int, int, int]
@@ -118,8 +119,9 @@ class GraphData:
         return int(self.nodes.size)
 
     def size_in_bytes(self) -> int:
-        """Bytes of the plain edge table (the "raw data" reference size)."""
-        return int(self._spo.nbytes)
+        """Bytes of the plain edge table (the "raw data" reference size),
+        its ids at the width the index stores them."""
+        return int(self._spo.size) * INT_BYTES
 
     # ------------------------------------------------------------------
     # convenience constructors / combinators

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.knn.graph import KnnGraph
+from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
 
 
@@ -50,13 +51,15 @@ class KnnAdjacency:
         return self._K
 
     def size_in_bytes(self) -> int:
+        """Bytes of the plain forward and reverse tables, ids and ranks
+        at the index's width."""
         total = int(
-            self._members.nbytes + self._forward.nbytes + self._lengths.nbytes
+            self._members.size + self._forward.size + self._lengths.size
         )
         for v in self._reverse_nodes:
-            total += int(self._reverse_nodes[v].nbytes)
-            total += int(self._reverse_ranks[v].nbytes)
-        return total
+            total += int(self._reverse_nodes[v].size)
+            total += int(self._reverse_ranks[v].size)
+        return total * INT_BYTES
 
     def _index_of(self, node: int) -> int | None:
         idx = int(np.searchsorted(self._members, node))

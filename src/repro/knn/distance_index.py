@@ -19,7 +19,14 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.succinct.bitvector import BitVector
-from repro.succinct.fields import Array, Child, Layout, LazyMirrors, Scalar
+from repro.succinct.fields import (
+    INT,
+    Array,
+    Child,
+    Layout,
+    LazyMirrors,
+    Scalar,
+)
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
 
@@ -32,7 +39,7 @@ class DistanceRangeIndex(LazyMirrors):
     LAYOUT = Layout(
         "distance_index",
         Scalar("_d_max", float),
-        Array("_members", "<i8", mirrored=True),
+        Array("_members", INT, mirrored=True),
         Array("_distances", "<f8", mirrored=True),
         Child("_D", WaveletTree),
         Child("_B", BitVector),
@@ -138,14 +145,6 @@ class DistanceRangeIndex(LazyMirrors):
     def D(self) -> WaveletTree:
         """The wavelet tree over the concatenated neighborhoods."""
         return self._D
-
-    def size_in_bytes(self) -> int:
-        return (
-            self._D.size_in_bytes()
-            + self._B.size_in_bytes()
-            + self._distances.nbytes
-            + self._members.nbytes
-        )
 
     def _index_of(self, node: int) -> int | None:
         members = self._members_i

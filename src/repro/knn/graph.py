@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
 
 
@@ -155,8 +156,9 @@ class KnnGraph:
         return bool((self._lengths < self.K).any()) if self.num_members else False
 
     def size_in_bytes(self) -> int:
-        return int(
-            self._members.nbytes + self._neighbors.nbytes + self._lengths.nbytes
+        """Bytes of the plain K-NN table, ids at the index's width."""
+        return INT_BYTES * int(
+            self._members.size + self._neighbors.size + self._lengths.size
         )
 
     # ------------------------------------------------------------------

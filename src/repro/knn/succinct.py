@@ -26,7 +26,14 @@ import numpy as np
 
 from repro.knn.graph import KnnGraph
 from repro.succinct.bitvector import BitVector
-from repro.succinct.fields import Array, Child, Layout, LazyMirrors, Scalar
+from repro.succinct.fields import (
+    INT,
+    Array,
+    Child,
+    Layout,
+    LazyMirrors,
+    Scalar,
+)
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
 
@@ -37,8 +44,8 @@ class KnnRing(LazyMirrors):
     LAYOUT = Layout(
         "knn_ring",
         Scalar("_K"),
-        Array("_members", "<i8", mirrored=True),
-        Array("_s_offsets", "<i8", mirrored=True),
+        Array("_members", INT, mirrored=True),
+        Array("_s_offsets", INT, mirrored=True),
         Child("_S", WaveletTree),
         Child("_Sprime", WaveletTree),
         Child("_B", BitVector),
@@ -131,15 +138,6 @@ class KnnRing(LazyMirrors):
     def wavelet_trees(self) -> tuple[WaveletTree, WaveletTree]:
         """``(S, S')`` — for per-query memo attachment."""
         return (self._S, self._Sprime)
-
-    def size_in_bytes(self) -> int:
-        return (
-            self._S.size_in_bytes()
-            + self._Sprime.size_in_bytes()
-            + self._B.size_in_bytes()
-            + self._members.nbytes
-            + self._s_offsets.nbytes
-        )
 
     def _check_k(self, k: int) -> int:
         if not 1 <= k <= self._K:

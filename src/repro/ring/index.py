@@ -95,9 +95,10 @@ class RingIndex:
         return tuple(self._columns.values())
 
     def size_in_bytes(self) -> int:
-        return sum(wt.size_in_bytes() for wt in self._columns.values()) + sum(
-            cc.size_in_bytes() for cc in self._blocks.values()
-        )
+        """Bytes the three columns and three ``A_j`` arrays persist."""
+        from repro.store.layout import persisted_bytes
+
+        return persisted_bytes(self)
 
     def _in_domain(self, value: int) -> bool:
         return 0 <= value < self._domain

@@ -30,7 +30,10 @@ index file is a cache of a deterministic build, so a reader that sees
 any other version refuses with :class:`StoreVersionError` and the
 remedy is ``repro build``, not an in-place upgrade. Anything that
 changes the segment layout, the manifest schema, or a flattened
-structure's fields must bump :data:`FORMAT_VERSION`.
+structure's fields must bump :data:`FORMAT_VERSION`. Version 2 stores
+a bitvector's rank directory per 512-bit block and every count, offset
+and id in four bytes (``docs/persistence.md``); a version-1 file is
+refused like any other skew.
 
 Every validation failure raises a typed :mod:`repro.utils.errors`
 exception (:class:`StoreFormatError`, :class:`StoreVersionError`,
@@ -55,7 +58,7 @@ from repro.utils.errors import (
 )
 
 MAGIC = b"REPROIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Header flag bit: the payload (manifest offsets + segment arrays) is
 #: little-endian. Always set by :func:`pack_header`; readers refuse
@@ -69,7 +72,7 @@ HEADER_SIZE = _HEADER.size
 def require_little_endian_host(action: str) -> None:
     """Refuse to read or write index files on a big-endian host.
 
-    The zero-copy contract maps ``<u8``/``<i8``/``<f8`` buffers
+    The zero-copy contract maps ``<u8``/``<i4``/``<f8`` buffers
     directly into the hot path's plain-int caches; a big-endian host
     would need a byte-swapping copy, which this format deliberately
     does not provide. (``sys.byteorder`` is read at call time so the

@@ -8,8 +8,9 @@ canonical arrays packed back to back at 8-byte-aligned offsets, plus a
 the tree as read-only numpy views over a buffer holding those bytes,
 with nothing deserialized. Which fields a structure persists is
 declared once, on the class (:mod:`repro.succinct.fields`); the walker
-here — :func:`flatten`, :func:`attach_buffer`, :func:`prime` — follows
-the declarations and knows no structure by name.
+here — :func:`flatten`, :func:`attach_buffer`, :func:`prime`,
+:func:`persisted_bytes` — follows the declarations and knows no
+structure by name.
 
 The same bytes travel on two carriers: an anonymous shared-memory
 segment for worker pools (:mod:`repro.parallel.shm`) and, behind a
@@ -81,9 +82,23 @@ class SegmentBuilder:
     def entries(self) -> tuple[Entry, ...]:
         return tuple(self._entries)
 
-    def put(self, array: np.ndarray, dtype: str) -> int:
-        """Register one canonical array; returns its manifest index."""
-        arr = np.ascontiguousarray(np.asarray(array)).astype(dtype, copy=False)
+    def put(self, array: np.ndarray, dtype: str, field: str) -> int:
+        """Register one canonical array; returns its manifest index.
+
+        The array is stored as ``dtype``; ``field`` names it in the
+        error raised when a value does not fit (``astype`` would wrap).
+        """
+        arr = np.ascontiguousarray(np.asarray(array))
+        if arr.dtype != dtype:
+            if arr.size and np.dtype(dtype).kind == "i":
+                info = np.iinfo(dtype)
+                low, high = int(arr.min()), int(arr.max())
+                if low < info.min or high > info.max:
+                    raise StructureError(
+                        f"{field} holds values in [{low}, {high}], which "
+                        f"do not fit its declared dtype {dtype!r}"
+                    )
+            arr = arr.astype(dtype)
         offset = _align8(self._size)
         self._entries.append((offset, dtype, tuple(arr.shape)))
         self._pending.append((offset, arr))
@@ -126,7 +141,7 @@ class SegmentView:
                 f"expected {dtype!r}"
             )
         count = math.prod(shape)
-        end = offset + count * 8  # every declarable dtype is 8 bytes wide
+        end = offset + count * np.dtype(dtype).itemsize
         if offset < 0 or min(shape, default=0) < 0 or end > manifest.nbytes:
             raise StoreFormatError(
                 f"{self.carrier}: {kind}.{key} spans bytes [{offset}, {end}) "
@@ -169,7 +184,7 @@ def flatten(structure: object, builder: SegmentBuilder) -> dict[str, Any]:
     for key, spec in layout.persisted:
         value = getattr(structure, spec.name)
         if isinstance(spec, Array):
-            value = builder.put(value, spec.dtype)
+            value = builder.put(value, spec.dtype, f"{layout.kind}.{key}")
         elif isinstance(spec, Child):
             value = _map_children(
                 spec, value, lambda child: flatten(child, builder)
@@ -259,14 +274,40 @@ def attach_buffer(manifest: Manifest, buf: Any) -> Any:
 def prime(structure: object) -> None:
     """Materialize every plain-scalar mirror of an attached tree.
 
-    Attached structures start without their ``_*_i`` mirrors and rebuild
-    each lazily (one ``tolist()``) on first touch — mid-query. Calling
+    Attached structures start without their ``_*_i`` mirrors and derived
+    tables and rebuild each lazily on first touch — mid-query. Calling
     this at the attach boundary (worker initializer, store warm-up)
     moves that cost into the explicit one-time warm-up instead.
     Idempotent, and free on built structures, whose mirrors exist.
     """
-    for _key, spec in _layout_of(structure).persisted:
+    layout = _layout_of(structure)
+    for name in layout.derived:
+        getattr(structure, name)
+    for _key, spec in layout.persisted:
         if isinstance(spec, Array) and spec.mirrored:
             getattr(structure, spec.name + "_i")
         elif isinstance(spec, Child):
             _map_children(spec, getattr(structure, spec.name), prime)
+
+
+def persisted_bytes(structure: object) -> int:
+    """Bytes of a structure tree's arrays in their declared dtypes.
+
+    What :func:`flatten` packs, less alignment padding and the manifest
+    — the one source of every ``size_in_bytes()``, so the space
+    experiment and the index file count the same fields at the same
+    widths.
+    """
+    total = 0
+
+    def add(child: object) -> None:
+        nonlocal total
+        total += persisted_bytes(child)
+
+    for _key, spec in _layout_of(structure).persisted:
+        value = getattr(structure, spec.name)
+        if isinstance(spec, Array):
+            total += int(value.size) * np.dtype(spec.dtype).itemsize
+        elif isinstance(spec, Child):
+            _map_children(spec, value, add)
+    return total

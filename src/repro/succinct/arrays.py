@@ -17,7 +17,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.succinct.fields import Array, Layout, LazyMirrors, Scalar
+from repro.succinct.fields import INT, Array, Layout, LazyMirrors, Scalar
 from repro.utils.errors import ValidationError
 
 
@@ -28,7 +28,7 @@ class CumulativeCounts(LazyMirrors):
         "cumcounts",
         Scalar("_n"),
         Scalar("_sigma"),
-        Array("_cum", "<i8", mirrored=True),
+        Array("_cum", INT, mirrored=True),
     )
 
     def __init__(self, column: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
@@ -69,9 +69,6 @@ class CumulativeCounts(LazyMirrors):
     @property
     def alphabet_size(self) -> int:
         return self._sigma
-
-    def size_in_bytes(self) -> int:
-        return self._cum.nbytes
 
     def before(self, c: int) -> int:
         """``A[c]``: number of entries strictly smaller than ``c``."""

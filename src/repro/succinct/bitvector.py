@@ -2,17 +2,20 @@
 
 The representation mirrors SDSL's plain ``bit_vector`` with rank/select
 supports (the structures the paper's implementation uses, Sec. 5): bits
-are packed into 64-bit words, and cumulative popcounts per word give
-``rank`` in constant time and ``select`` by binary search over the
-cumulative array plus an in-word bit scan. Total overhead is ~2 bits per
-bit — keeping the whole index within a small constant of the
-information-theoretic size, which the space experiment (Sec. 6.2)
-depends on.
+are packed into 64-bit words, and what is stored beside them is a rank
+directory sampled once per 512-bit block — a 4-byte count of the ones
+before each block, plus the total: 6.25 % on top of the bits, keeping
+the whole index within a small constant of the information-theoretic
+size, which the space experiment (Sec. 6.2) depends on.
 
-Hot-path layout (see ``docs/performance.md``): alongside the canonical
-numpy buffers the constructor materializes *word caches* — plain Python
-``list``\\ s of the words and cumulative counts — so the per-call kernel
-never unboxes a numpy scalar; in-word select uses the precomputed 16-bit
+Hot-path layout (see ``docs/performance.md``): the kernels read *word
+caches* — plain Python ``list``\\ s of the words and of the ones (for
+``select0``, zeros) before each word — so the per-call kernel never
+unboxes a numpy scalar. The per-word counts are never stored: they are
+recounted from the words (``numpy.bitwise_count``) on first touch and
+held against the stored directory at every block boundary and at the
+total, so a flipped bit in either is a :class:`StoreFormatError` there
+and never a wrong rank. In-word select uses the precomputed 16-bit
 popcount/select tables of :mod:`repro.succinct.tables`; and every public
 operation validates once, then delegates to an unchecked ``_*_u``
 variant that internal callers (:class:`~repro.succinct.wavelet_tree.
@@ -32,9 +35,32 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.succinct.fields import Array, Layout, LazyMirrors, Scalar
+from repro.succinct.fields import (
+    INT,
+    Array,
+    Derived,
+    Layout,
+    LazyMirrors,
+    Scalar,
+)
 from repro.succinct.tables import select_in_word
-from repro.utils.errors import StructureError, ValidationError
+from repro.utils.errors import (
+    StoreFormatError,
+    StructureError,
+    ValidationError,
+)
+
+#: Words per rank-directory block: one stored count per 512 bits.
+_BLOCK_WORDS = 8
+
+
+def _count_ones(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cum1, blocks)`` of packed words: the ones before each word and
+    then the total, and that table sampled at every block start (the
+    total kept) — the directory a bitvector stores."""
+    cum1 = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=cum1[1:])
+    return cum1, np.append(cum1[:-1:_BLOCK_WORDS], cum1[-1])
 
 
 class BitVector(LazyMirrors):
@@ -44,8 +70,9 @@ class BitVector(LazyMirrors):
         "bitvector",
         Scalar("_n"),
         Array("_words", "<u8", mirrored=True),
-        Array("_cum1", "<i8", mirrored=True),
-        Array("_cum0", "<i8", mirrored=True),
+        Array("_blocks", INT),
+        Derived("_cum1_i", "_ones_before_words"),
+        Derived("_cum0_i", "_zeros_before_words"),
     )
 
     def __init__(self, bits: Iterable[int] | np.ndarray) -> None:
@@ -56,28 +83,42 @@ class BitVector(LazyMirrors):
         if arr.size and arr.max() > 1:
             raise ValidationError("bits must contain only 0s and 1s")
         self._n = int(arr.size)
-        n_words = (self._n + 63) // 64
-        padded = np.zeros(n_words * 64, dtype=np.uint8)
-        padded[: self._n] = arr
-        words = padded.reshape(n_words, 64)
-        weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        self._words = (words.astype(np.uint64) * weights).sum(
-            axis=1, dtype=np.uint64
-        )
-        per_word = words.sum(axis=1, dtype=np.int64)
-        # _cum1[w] = set bits before word w; _cum0 analogous for clear
-        # bits (padding past n is excluded).
-        self._cum1 = np.concatenate(([0], np.cumsum(per_word)))
-        boundaries = np.minimum(
-            64 * np.arange(n_words + 1, dtype=np.int64), self._n
-        )
-        self._cum0 = boundaries - self._cum1
+        packed = np.zeros(((self._n + 63) // 64) * 8, dtype=np.uint8)
+        packed[: (self._n + 7) // 8] = np.packbits(arr, bitorder="little")
+        self._words = packed.view("<u8")
+        cum1, self._blocks = _count_ones(self._words)
         # Hot-path word caches: plain Python ints, so rank/select avoid
-        # numpy scalar boxing entirely (the numpy buffers above remain
-        # the canonical representation and what size_in_bytes reports).
+        # numpy scalar boxing entirely. _cum1_i[w] = set bits before
+        # word w; _cum0_i, its twin for clear bits, waits for the first
+        # select0.
         self._words_i: list[int] = self._words.tolist()
-        self._cum1_i: list[int] = self._cum1.tolist()
-        self._cum0_i: list[int] = self._cum0.tolist()
+        self._cum1_i: list[int] = cum1.tolist()
+
+    def _recount(self) -> np.ndarray:
+        """Ones before each word, recounted from the words and held
+        against the stored directory."""
+        cum1, blocks = _count_ones(self._words)
+        if self._words.size != (self._n + 63) >> 6 or not np.array_equal(
+            blocks, self._blocks
+        ):
+            raise StoreFormatError(
+                f"bitvector of {self._n} bits: the words and the stored "
+                "rank directory disagree; the index is corrupt — rebuild "
+                "it with 'repro build'"
+            )
+        return cum1
+
+    def _ones_before_words(self) -> list[int]:
+        cum1_i: list[int] = self._recount().tolist()
+        return cum1_i
+
+    def _zeros_before_words(self) -> list[int]:
+        # Positions before word w, less its ones (padding past n is
+        # not a position).
+        cum1 = self._recount()
+        starts = np.minimum(64 * np.arange(cum1.size, dtype=np.int64), self._n)
+        cum0_i: list[int] = (starts - cum1).tolist()
+        return cum0_i
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -103,10 +144,6 @@ class BitVector(LazyMirrors):
     def n_zeros(self) -> int:
         """Total number of clear bits."""
         return self._n - self._cum1_i[-1]
-
-    def size_in_bytes(self) -> int:
-        """Bytes used by the underlying numpy buffers."""
-        return self._words.nbytes + self._cum1.nbytes + self._cum0.nbytes
 
     # ------------------------------------------------------------------
     # core operations
@@ -203,10 +240,6 @@ class BitVector(LazyMirrors):
 
     def to_array(self) -> np.ndarray:
         """Materialize the bits as a ``uint8`` numpy array (testing aid)."""
-        if not self._n:
-            return np.empty(0, dtype=np.uint8)
-        weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        expanded = (
-            (self._words[:, None] & weights[None, :]) > 0
-        ).astype(np.uint8)
-        return expanded.reshape(-1)[: self._n]
+        return np.unpackbits(
+            self._words.view(np.uint8), count=self._n, bitorder="little"
+        )

@@ -3,10 +3,15 @@
 Each index structure names its persisted state once, as a class-level
 :class:`Layout` written next to its constructor. That single declaration
 drives everything that used to enumerate the fields by hand: flattening
-into a segment, zero-copy attachment, cache priming
+into a segment, zero-copy attachment, cache priming, space accounting
 (:mod:`repro.store.layout`) and the lazy plain-int mirrors
 (:class:`LazyMirrors`). Adding a persisted field to a structure is one
 line in that structure's own file.
+
+Widths are declared, not negotiated: a count, offset or id array is
+``<i4`` in every file (:data:`INT`), so there is one reader and the
+byte layout is a function of the declarations alone. A value that does
+not fit is refused when the structure is flattened.
 
 A field's manifest key is its attribute name without the leading
 underscore; fields flatten in declaration order, which fixes the byte
@@ -17,6 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, ClassVar, Literal
+
+#: The stored dtype of every count, offset and node id, and its width:
+#: 2^31 positions is far past what a pure-Python index can hold.
+INT: Literal["<i4"] = "<i4"
+INT_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -31,14 +41,15 @@ class Scalar:
 class Array:
     """A canonical numpy array stored in the segment.
 
-    ``dtype`` is an explicit little-endian string (``<u8``/``<i8``/
-    ``<f8``). ``mirrored`` arrays carry a plain-scalar ``<name>_i``
-    list, never persisted and rebuilt on first touch, so hot paths
-    never unbox a numpy scalar.
+    ``dtype`` is an explicit little-endian string: ``<u8`` bit words,
+    ``<i4`` counts/offsets/ids (:data:`INT`), ``<f8`` distances.
+    ``mirrored`` arrays carry a plain-scalar ``<name>_i`` list, never
+    persisted and rebuilt on first touch, so hot paths never unbox a
+    numpy scalar.
     """
 
     name: str
-    dtype: Literal["<u8", "<i8", "<f8"]
+    dtype: Literal["<u8", "<i4", "<f8"]
     mirrored: bool = False
 
 
@@ -64,15 +75,29 @@ class Transient:
     reset: Any = None
 
 
-Field = Scalar | Array | Child | Transient
+@dataclass(frozen=True)
+class Derived:
+    """A plain-scalar table recomputed from the persisted fields.
+
+    Never persisted and absent after attach; the first touch (or
+    ``prime``) calls the structure's method ``build`` and keeps what it
+    returns.
+    """
+
+    name: str
+    build: str
+
+
+Field = Scalar | Array | Child | Transient | Derived
 
 
 class Layout:
     """The declared fields of one structure class.
 
     ``persisted`` pairs each persisted field with its manifest key, in
-    flatten order; ``transients`` are the rest; ``mirrored`` names the
-    arrays that carry a ``<name>_i`` mirror.
+    flatten order; ``transients`` are reset on attach; ``mirrored``
+    names the arrays that carry a ``<name>_i`` mirror and ``derived``
+    maps each derived table to the method that builds it.
     """
 
     def __init__(self, kind: str, *fields: Field) -> None:
@@ -81,26 +106,41 @@ class Layout:
         self.persisted = tuple(
             (f.name.lstrip("_"), f)
             for f in fields
-            if not isinstance(f, Transient)
+            if isinstance(f, (Scalar, Array, Child))
         )
         self.mirrored = frozenset(
             f.name for f in fields if isinstance(f, Array) and f.mirrored
         )
+        self.derived = {
+            f.name: f.build for f in fields if isinstance(f, Derived)
+        }
 
 
 class LazyMirrors:
-    """Rebuilds a declared ``<array>_i`` mirror on first touch.
+    """Rebuilds a declared mirror or derived table on first touch.
 
-    Constructors build the mirrors eagerly; an attached structure starts
-    without them, so ``__getattr__`` (reached only on a miss) fills one
-    in with a single ``tolist()`` and caches it on the instance.
+    An attached structure starts without them, so ``__getattr__``
+    (reached only on a miss) fills one in — a mirror with a single
+    ``tolist()``, a derived table with its declared method — and caches
+    it on the instance.
     """
 
     LAYOUT: ClassVar[Layout]
 
     def __getattr__(self, name: str) -> Any:
-        if name.endswith("_i") and name[:-2] in self.LAYOUT.mirrored:
+        layout = self.LAYOUT
+        if name.endswith("_i") and name[:-2] in layout.mirrored:
             value = getattr(self, name[:-2]).tolist()
-            self.__dict__[name] = value
-            return value
-        raise AttributeError(name)
+        elif name in layout.derived:
+            value = getattr(self, layout.derived[name])()
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def size_in_bytes(self) -> int:
+        """Bytes this structure persists, in its declared dtypes."""
+        # Imported here: the walker's module imports every structure.
+        from repro.store.layout import persisted_bytes
+
+        return persisted_bytes(self)

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
+    INT,
     Array,
     Child,
     Layout,
@@ -72,7 +73,7 @@ class WaveletTree(LazyMirrors):
         Scalar("_sigma"),
         Scalar("_height"),
         Child("_levels", BitVector, "list"),
-        Array("_counts", "<i8", mirrored=True),
+        Array("_counts", INT, mirrored=True),
         Transient("ops"),
         Transient("_memo_users", 0),
         Transient("_memo_rank"),
@@ -139,10 +140,6 @@ class WaveletTree(LazyMirrors):
     @property
     def height(self) -> int:
         return self._height
-
-    def size_in_bytes(self) -> int:
-        """Bytes used by the level bitvectors and the count table."""
-        return sum(bv.size_in_bytes() for bv in self._levels) + self._counts.nbytes
 
     def total_count(self, c: int) -> int:
         """Total occurrences of symbol ``c`` in the whole sequence."""

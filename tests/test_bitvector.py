@@ -59,6 +59,30 @@ class TestBasics:
     def test_size_in_bytes_positive(self):
         assert BitVector([1, 0, 1]).size_in_bytes() > 0
 
+    def test_size_in_bytes_is_words_plus_block_directory(self):
+        # 1000 bits: 16 words of 8 bytes, 2 block starts + the total
+        # at 4 bytes each.
+        assert BitVector([1, 0] * 500).size_in_bytes() == 16 * 8 + 3 * 4
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 511, 512, 513, 1000])
+    def test_packing_matches_the_multiply_and_sum_reference(self, n):
+        bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+        bv = BitVector(bits)
+        n_words = (n + 63) // 64
+        padded = np.zeros(n_words * 64, dtype=np.uint8)
+        padded[:n] = bits
+        rows = padded.reshape(n_words, 64)
+        weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        words = (rows.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+        cum1 = np.concatenate(([0], np.cumsum(rows.sum(axis=1, dtype=np.int64))))
+        assert bv._words.dtype == np.uint64
+        assert np.array_equal(bv._words, words)
+        assert bv._cum1_i == cum1.tolist()
+        assert bv._blocks.tolist() == cum1[:-1:8].tolist() + [int(cum1[-1])]
+        assert "_cum0_i" not in vars(bv)  # waits for the first select0
+        starts = np.minimum(64 * np.arange(n_words + 1), n)
+        assert bv._cum0_i == (starts - cum1).tolist()
+
 
 class TestRank:
     def test_rank1_prefixes(self):

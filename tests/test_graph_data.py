@@ -61,7 +61,7 @@ class TestDerivedQuantities:
 
     def test_size_in_bytes(self):
         g = GraphData([(0, 1, 2)])
-        assert g.size_in_bytes() == 3 * 8
+        assert g.size_in_bytes() == 3 * 4  # ids at the index's stored width
 
 
 class TestMatchingAndUnion:

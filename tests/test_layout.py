@@ -7,10 +7,13 @@
   segment and a real index file. Every trip also checks the attach
   contract: mirrors absent then rebuilt identically, transient state
   reset, views read-only.
+* **Walker bounds** — an entry is bounds-checked at its own dtype's
+  width, and a value too wide for a field's declared dtype is refused
+  at flatten time, by field name, instead of wrapping.
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
-  ``FORMAT_VERSION`` at 1; a shared segment holds the file's segment
+  ``FORMAT_VERSION`` at 2; a shared segment holds the file's segment
   bytes.
 """
 
@@ -37,11 +40,13 @@ from repro.knn.distance_index import DistanceRangeIndex
 from repro.knn.succinct import KnnRing
 from repro.parallel.shm import StructureShm, active_segments, attach
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
-from repro.store import FORMAT_VERSION, load, save
+from repro.store import FORMAT_VERSION, Manifest, load, save
+from repro.store.layout import SegmentView
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import Array, Child
 from repro.succinct.wavelet_tree import WaveletTree
+from repro.utils.errors import StoreFormatError, StructureError
 from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 CARRIERS = ("shm", "file")
@@ -85,13 +90,19 @@ def _check_attach_contract(got, original):
     """What attaching promises of every node, whatever its class."""
     assert type(got) is type(original)
     layout = type(original).LAYOUT
-    # The declaration is complete: apart from the mirrors, every
-    # attribute a constructor sets is declared, so attach restores it
-    # (a loaded database also carries its store's back-reference).
-    mirrors = {name + "_i" for name in layout.mirrored}
-    assert (set(vars(got)) - {"_store"}) | mirrors == set(vars(original))
+    # The declaration is complete: apart from the mirrors and derived
+    # tables, every attribute a constructor sets is declared, so attach
+    # restores it (a loaded database also carries its store's
+    # back-reference).
+    lazy = {name + "_i" for name in layout.mirrored} | set(layout.derived)
+    assert (set(vars(got)) - {"_store"}) | lazy == set(vars(original)) | lazy
     for spec in layout.transients:
         assert getattr(got, spec.name) == spec.reset
+    for name in layout.derived:
+        # Never persisted; recomputed on first touch, and identically.
+        assert name not in vars(got)
+        assert getattr(got, name) == getattr(original, name)
+        assert name in vars(got)
     for _key, spec in layout.persisted:
         name = spec.name
         if isinstance(spec, Array):
@@ -295,13 +306,45 @@ def test_graph_database_roundtrip_query_equality(carrier):
 
 
 # ----------------------------------------------------------------------
+# walker bounds: widths come from the declared dtype
+# ----------------------------------------------------------------------
+def test_entry_bounds_use_the_dtype_itemsize():
+    segment = bytearray(16)
+
+    def get(count):
+        manifest = Manifest(
+            entries=((8, "<i4", (count,)),), root={}, nbytes=len(segment)
+        )
+        return SegmentView(manifest, segment).get(0, "<i4", "node", "field")
+
+    assert get(2).shape == (2,)  # ends exactly where the segment does
+    with pytest.raises(StoreFormatError, match=r"node\.field spans bytes \[8, 20\)"):
+        get(3)
+
+
+def test_value_past_the_declared_width_is_refused_at_save(tmp_path):
+    counts = CumulativeCounts.from_counts(np.array([2**31 - 1, 1]))
+    path = str(tmp_path / "wide.idx")
+    with pytest.raises(StructureError, match=r"cumcounts\.cum .* '<i4'"):
+        save(counts, path)
+    assert not os.path.exists(path)
+    # One less fits, and reads back as written.
+    save(CumulativeCounts.from_counts(np.array([2**31 - 1])), path)
+    store = load(path)
+    try:
+        assert store.structure.before(1) == 2**31 - 1
+    finally:
+        store.close()
+
+
+# ----------------------------------------------------------------------
 # pinned bytes: the format did not move
 # ----------------------------------------------------------------------
 def test_figure2_index_bytes_are_pinned(tmp_path):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
-    assert FORMAT_VERSION == pinned["format_version"] == 1
+    assert FORMAT_VERSION == pinned["format_version"] == 2
     _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     path = str(tmp_path / "fig2.idx")
     assert save(db, path) == pinned["nbytes"]

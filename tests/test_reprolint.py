@@ -113,11 +113,20 @@ class TestRPL001HotPathPurity:
     def test_mirrored_attrs_match_the_declared_layouts(self):
         # The rule's list is config, the truth is each structure's own
         # declaration: an array declared mirrored must be patrolled.
-        from repro.analysis.config import INT_MIRRORED_ARRAY_ATTRS
+        from repro.analysis.config import (
+            BITVECTOR_MIRROR_ATTRS,
+            INT_MIRRORED_ARRAY_ATTRS,
+        )
         from repro.store.layout import KINDS
 
         declared = set().union(*(cls.LAYOUT.mirrored for cls in KINDS.values()))
         assert declared == INT_MIRRORED_ARRAY_ATTRS
+        # ... and so must the word caches a bitvector's kernels read:
+        # its one mirror plus the tables it derives instead of storing.
+        bitvector = KINDS["bitvector"].LAYOUT
+        assert BITVECTOR_MIRROR_ATTRS == {
+            name + "_i" for name in bitvector.mirrored
+        } | set(bitvector.derived)
 
 
 class TestRPL002CounterBeforeMemo:
