@@ -16,7 +16,11 @@ pool:
   same thread individually. The scheduler and the shared
   :class:`~repro.parallel.executor.WorkerPool` are not thread-safe;
   funnelling every evaluation through this one thread is what makes the
-  warm pool shareable across concurrent HTTP clients.
+  warm pool shareable across concurrent HTTP clients. The same thread
+  builds a ``/query`` reply's body bytes
+  (:func:`repro.serve.protocol.query_response`); the loop only writes
+  them, so a large reply does not stall ``/healthz`` or another
+  connection while it is encoded.
 * **Deadlines are end-to-end**: a request's budget starts at admission,
   so time spent queued counts against it. At dispatch the remaining
   budget becomes the engine ``timeout``, which the existing timeout
@@ -59,7 +63,7 @@ from repro.query.model import ExtendedBGP
 from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
-from repro.serve.metrics import ServerMetrics
+from repro.serve.metrics import ENDPOINTS, ServerMetrics
 from repro.utils.errors import (
     AdmissionRejected,
     ReproError,
@@ -131,7 +135,7 @@ class ServeConfig:
 class _HttpResponse:
     code: int
     body: Any
-    """dict → JSON; str → preformatted text."""
+    """dict → JSON; str → preformatted text; bytes → a finished body."""
 
     content_type: str = "application/json"
     headers: Mapping[str, str] = field(default_factory=dict)
@@ -379,16 +383,15 @@ class ReproServer:
         route: str,
         trace_document: Mapping[str, Any] | None,
     ) -> None:
-        """Map a QueryResult to HTTP: flagged timeout → typed 504."""
-        body = protocol.query_response(result, route, trace=trace_document)
-        self.metrics.observe_query(
-            route,
-            result.elapsed,
-            body["stats"],
-            timed_out=result.timed_out,
-            cached=bool(getattr(result, "cached", False)),
-        )
+        """Map a QueryResult to HTTP: flagged timeout → typed 504 (its
+        partial rows are never encoded); otherwise the reply's bytes,
+        built here on the dispatch thread so the loop only writes."""
+        stats = protocol.query_stats(result.stats)
+        cached = bool(getattr(result, "cached", False))
         if result.timed_out:
+            self.metrics.observe_query(
+                route, result.elapsed, stats, timed_out=True, cached=cached
+            )
             reason = TimeoutExceeded(result.elapsed, len(result.solutions))
             self._resolve(
                 item,
@@ -402,6 +405,17 @@ class ReproServer:
                 ),
             )
             return
+        started = time.perf_counter()
+        body = protocol.query_response(result, route, trace=trace_document)
+        self.metrics.observe_query(
+            route,
+            result.elapsed,
+            stats,
+            timed_out=False,
+            cached=cached,
+            response_bytes=len(body),
+            encode_seconds=time.perf_counter() - started,
+        )
         self._resolve(item, _HttpResponse(200, body))
 
     def _run_batched(self, chunk: list[_Pending]) -> None:
@@ -647,8 +661,7 @@ class ReproServer:
             404,
             protocol.error_response(
                 "NotFound",
-                f"no endpoint {path!r} "
-                "(have: /query, /explain, /metrics, /healthz)",
+                f"no endpoint {path!r} (have: {', '.join(ENDPOINTS)})",
             ),
         )
 
@@ -760,7 +773,9 @@ async def _read_request(
 async def _write_response(
     writer: asyncio.StreamWriter, response: _HttpResponse, close: bool
 ) -> None:
-    if isinstance(response.body, str):
+    if isinstance(response.body, bytes):
+        payload = response.body
+    elif isinstance(response.body, str):
         payload = response.body.encode("utf-8")
     else:
         payload = (
@@ -775,7 +790,10 @@ async def _write_response(
     ]
     for name, value in response.headers.items():
         head.append(f"{name}: {value}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload)
+    # Two writes, not `head + payload`: that is a second copy of a body
+    # that can be a megabyte (and 3.11's `writelines` joins too).
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+    writer.write(payload)
     await writer.drain()
 
 

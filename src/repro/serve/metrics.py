@@ -25,6 +25,11 @@ from typing import Any, Mapping
 
 from repro.obs.trace import OpCounters
 
+#: The server's endpoints. Requests are counted under these labels and
+#: every other path under ``other``: the path is the client's text, and
+#: a label per distinct path would let a client grow the table forever.
+ENDPOINTS = ("/query", "/explain", "/metrics", "/healthz")
+
 #: OpCounters fields accumulated from trace documents ("total" is
 #: derived, never stored).
 _OP_FIELDS = ("rank", "select", "access", "range_next", "range_count",
@@ -69,6 +74,9 @@ class ServerMetrics:
         self._stat_totals: dict[str, int] = {f: 0 for f in _STAT_FIELDS}
         self._query_seconds_total = 0.0
         self._query_seconds_max = 0.0
+        #: 200 ``/query`` bodies: their bytes, the seconds building them.
+        self._response_bytes_total = 0
+        self._encode_seconds_total = 0.0
         self._traced_queries = 0
         #: structure label -> merged OpCounters (the repro.obs dataclass).
         self._wavelets: dict[str, OpCounters] = {}
@@ -76,8 +84,8 @@ class ServerMetrics:
     # ------------------------------------------------------------------
     # observation (called by the app / dispatcher)
     # ------------------------------------------------------------------
-    def observe_request(self, endpoint: str, code: int) -> None:
-        key = (endpoint, int(code))
+    def observe_request(self, path: str, code: int) -> None:
+        key = (path if path in ENDPOINTS else "other", int(code))
         with self._lock:
             self._requests[key] = self._requests.get(key, 0) + 1
 
@@ -96,8 +104,12 @@ class ServerMetrics:
         stats: Mapping[str, int],
         timed_out: bool,
         cached: bool = False,
+        response_bytes: int = 0,
+        encode_seconds: float = 0.0,
     ) -> None:
-        """Fold one completed evaluation into the totals."""
+        """Fold one completed evaluation into the totals, with the size
+        of its reply body and the time spent encoding it (a timed-out
+        evaluation has neither: its rows are not encoded)."""
         elapsed = max(0.0, float(elapsed))
         with self._lock:
             self._queries_by_route[route] = (
@@ -114,6 +126,8 @@ class ServerMetrics:
             self._query_seconds_total += elapsed
             if elapsed > self._query_seconds_max:
                 self._query_seconds_max = elapsed
+            self._response_bytes_total += response_bytes
+            self._encode_seconds_total += encode_seconds
 
     def observe_trace_document(self, document: Mapping[str, Any]) -> None:
         """Merge a finished trace document's wavelet op counts.
@@ -173,6 +187,8 @@ class ServerMetrics:
                     "total": self._query_seconds_total,
                     "max": self._query_seconds_max,
                 },
+                "response_bytes_total": self._response_bytes_total,
+                "encode_seconds_total": self._encode_seconds_total,
                 "wavelet_ops": {
                     label: counters.as_dict()
                     for label, counters in sorted(self._wavelets.items())
@@ -267,6 +283,19 @@ class ServerMetrics:
                 "Largest single evaluation wall time.",
                 "gauge",
                 [("", self._query_seconds_max)],
+            )
+            metric(
+                "repro_response_bytes_total",
+                "Bytes of the 200 /query reply bodies built.",
+                "counter",
+                [("", float(self._response_bytes_total))],
+            )
+            metric(
+                "repro_encode_seconds_total",
+                "Wall seconds spent encoding those bodies (dispatch "
+                "thread).",
+                "counter",
+                [("", self._encode_seconds_total)],
             )
             metric(
                 "repro_traced_queries_total",

@@ -221,38 +221,74 @@ def encode_solutions(solutions: Solutions) -> list[dict[str, int]]:
     """Solutions as JSON rows, variable names sorted within each row.
 
     The *list* order is preserved exactly — it is the serial engine's
-    enumeration order, which the byte-identical contract compares.
+    enumeration order, which the byte-identical contract compares. This
+    is the decoded form clients and tests compare with; the server
+    writes the same rows as bytes (:func:`query_response`).
     """
     ordered = sorted(solutions.variables, key=lambda var: var.name)
     names = [var.name for var in ordered]
     return [dict(zip(names, row)) for row in solutions.columns(ordered).tolist()]
 
 
+def _solution_rows(solutions: Solutions) -> bytes:
+    """The inside of a reply's ``solutions`` array, byte for byte what
+    ``json.dumps(encode_solutions(solutions), sort_keys=True)`` puts
+    between its brackets, formatted from the int64 block in one ``%``
+    over one template — no dict per row. A variable name is JSON-escaped
+    and then ``%``-escaped, so no name can act as a conversion."""
+    ordered = sorted(solutions.variables, key=lambda var: var.name)
+    row = "{%s}" % ", ".join(
+        json.dumps(var.name).replace("%", "%%") + ": %d" for var in ordered
+    )
+    values = solutions.columns(ordered)
+    return b", ".join([row.encode("ascii")] * len(values)) % tuple(
+        values.ravel().tolist()
+    )
+
+
+def query_stats(stats: Any) -> dict[str, int]:
+    """The four evaluation counters a ``/query`` reply and ``/metrics``
+    report."""
+    return {
+        "solutions": int(stats.solutions),
+        "bindings": int(stats.bindings),
+        "attempts": int(stats.attempts),
+        "leap_calls": int(stats.leap_calls),
+    }
+
+
 def query_response(
     result: Any,
     route: str,
     trace: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Build the ``/query`` success body from a ``QueryResult``."""
-    stats = result.stats
-    document: dict[str, Any] = {
-        "status": "ok",
+) -> bytes:
+    """The finished body of a 200 ``/query`` reply for a ``QueryResult``:
+    ``json.dumps(document, sort_keys=True) + "\\n"`` as bytes, where
+    ``document["solutions"]`` is ``encode_solutions(result.solutions)``.
+
+    ``json`` writes the small envelope in two halves — the keys that
+    sort before ``"solutions"`` and those that sort after — and the rows
+    go between them, so nothing is searched for and no text a request
+    echoes (a trace document carries the query) can move the seam.
+    """
+    before = {
+        "cached": bool(getattr(result, "cached", False)),
+        "elapsed": max(0.0, float(result.elapsed)),
         "engine": result.engine,
         "route": route,
-        "solutions": encode_solutions(result.solutions),
-        "elapsed": max(0.0, float(result.elapsed)),
+    }
+    after: dict[str, Any] = {
+        "stats": query_stats(result.stats),
+        "status": "ok",
         "timed_out": bool(result.timed_out),
-        "cached": bool(getattr(result, "cached", False)),
-        "stats": {
-            "solutions": int(stats.solutions),
-            "bindings": int(stats.bindings),
-            "attempts": int(stats.attempts),
-            "leap_calls": int(stats.leap_calls),
-        },
     }
     if trace is not None:
-        document["trace"] = dict(trace)
-    return document
+        after["trace"] = dict(trace)
+    return b'%s, "solutions": [%s], %s\n' % (
+        json.dumps(before, sort_keys=True).encode("ascii")[:-1],
+        _solution_rows(result.solutions),
+        json.dumps(after, sort_keys=True).encode("ascii")[1:],
+    )
 
 
 def explain_response(

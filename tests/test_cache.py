@@ -26,6 +26,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -465,7 +466,7 @@ DOORS = [
 def _answer(result: QueryResult, outcome=None):
     from repro.serve import protocol
 
-    body = protocol.query_response(result, "-")
+    body = json.loads(protocol.query_response(result, "-"))
     return body["solutions"], body["stats"], body["cached"], outcome
 
 

@@ -27,6 +27,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,14 +35,18 @@ from hypothesis import strategies as st
 from repro.engines import INDEX_ENGINES
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
+from repro.engines.result import QueryResult
 from repro.engines.ring_knn import RingKnnEngine
 from repro.experiments.registry import figure2_setup
+from repro.ltj.solutions import Solutions
+from repro.ltj.stats import EvaluationStats
 from repro.obs import QueryTrace
 from repro.parallel.executor import shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DEFAULT_RELATION,
     ExtendedBGP,
+    Var,
     is_var,
 )
 from repro.query.parser import parse_query
@@ -88,8 +93,10 @@ def _query_text(query: ExtendedBGP) -> str:
     return " . ".join(atoms)
 
 
-def _request(host: str, port: int, method: str, path: str, payload=None):
-    """One HTTP exchange; returns ``(status, headers, decoded body)``."""
+def _request(host: str, port: int, method: str, path: str, payload=None,
+             raw_body: bool = False):
+    """One HTTP exchange; returns ``(status, headers, decoded body)`` —
+    or the body's bytes as they came, with ``raw_body``."""
     conn = HTTPConnection(host, port, timeout=120)
     try:
         body = None
@@ -100,6 +107,8 @@ def _request(host: str, port: int, method: str, path: str, payload=None):
         conn.request(method, path, body=body, headers=headers)
         response = conn.getresponse()
         raw = response.read()
+        if raw_body:
+            return response.status, dict(response.headers), raw
         content_type = response.headers.get("Content-Type", "")
         decoded = (
             json.loads(raw)
@@ -117,6 +126,24 @@ def _post(handle, path: str, payload):
 
 def _get(handle, path: str):
     return _request(handle.host, handle.port, "GET", path)
+
+
+def _canonical(document) -> bytes:
+    """The body the server wrote before it had an encoder of its own."""
+    return (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _post_query_raw(handle, payload, solutions):
+    """POST ``/query`` and hold the **raw** 200 body against the
+    reference rows: it must be, byte for byte, the canonical JSON of
+    itself with ``solutions`` put in. Returns the decoded document."""
+    status, _, raw = _request(
+        handle.host, handle.port, "POST", "/query", payload, raw_body=True
+    )
+    assert status == 200, (payload, raw)
+    document = json.loads(raw)
+    assert raw == _canonical(dict(document, solutions=solutions)), payload
+    return document
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +255,68 @@ class TestOperationalEndpoints:
             name, _, value = line.rpartition(" ")
             assert name and float(value) is not None
 
+    def test_metrics_count_reply_bytes_and_encode_time(self, golden):
+        """Each 200 /query body adds its length to
+        ``response_bytes_total`` and its build time to
+        ``encode_seconds_total``, in both expositions."""
+        _, _, before = _get(golden.handle, "/metrics?format=json")
+        status, _, raw = _request(
+            golden.handle.host, golden.handle.port, "POST", "/query",
+            {"query": golden.cases[0][1]}, raw_body=True,
+        )
+        assert status == 200
+        _, _, after = _get(golden.handle, "/metrics?format=json")
+        assert (
+            after["response_bytes_total"] - before["response_bytes_total"]
+            == len(raw)
+        )
+        assert after["encode_seconds_total"] > before["encode_seconds_total"]
+        _, _, text = _get(golden.handle, "/metrics")
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        assert int(samples["repro_response_bytes_total"]) >= len(raw)
+        assert float(samples["repro_encode_seconds_total"]) > 0
+
+    def test_unknown_paths_share_one_requests_label(self, golden):
+        """The request table is keyed by endpoint, not by whatever path
+        a client sends: 1,000 distinct 404s add one key and one sample
+        (none, if an earlier test already drew a 404)."""
+        def sample_lines():
+            _, _, text = _get(golden.handle, "/metrics")
+            return {
+                line.rsplit(" ", 1)[0]
+                for line in text.splitlines()
+                if line.startswith("repro_requests_total{")
+            }
+
+        _get(golden.handle, "/metrics?format=json")  # its own key exists
+        _, _, before = _get(golden.handle, "/metrics?format=json")
+        lines_before = sample_lines()
+        conn = HTTPConnection(golden.handle.host, golden.handle.port,
+                              timeout=120)
+        try:
+            for number in range(1000):
+                conn.request("GET", f"/a{number}?x={number}")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 404
+        finally:
+            conn.close()
+        _, _, after = _get(golden.handle, "/metrics?format=json")
+        assert set(after["requests"]) - set(before["requests"]) <= {
+            "other 404"
+        }
+        assert (
+            after["requests"]["other 404"]
+            - before["requests"].get("other 404", 0)
+        ) == 1000
+        assert sample_lines() - lines_before <= {
+            'repro_requests_total{endpoint="other",code="404"}'
+        }
+
     def test_unknown_path_404_and_method_405(self, golden):
         status, _, body = _get(golden.handle, "/nope")
         assert status == 404
@@ -247,34 +336,27 @@ class TestGoldenWorkload:
     def test_solutions_byte_identical_to_serial(self, golden):
         """Every Figure-2 query served (batched route) returns the
         serial engine's solutions in the serial enumeration order."""
-        for family, text, auto_solutions, _serial, _doc in golden.cases:
-            status, _, body = _post(
-                golden.handle, "/query", {"query": text}
+        for _family, text, auto_solutions, _serial, _doc in golden.cases:
+            body = _post_query_raw(
+                golden.handle, {"query": text}, auto_solutions
             )
-            assert status == 200, (family, body)
             protocol.validate_query_response(body)
             assert body["route"] == "batched"
             assert body["timed_out"] is False
-            assert body["solutions"] == auto_solutions, (
-                f"{family}: served solutions diverged from serial "
-                f"reference for {text!r}"
-            )
             assert body["stats"]["solutions"] == len(auto_solutions)
 
     def test_traced_opcounts_byte_identical_to_serial(self, golden):
         """Pinned + traced requests reproduce the serial trace document
         exactly — logical op counts included."""
         for family, text, _auto, serial_solutions, serial_doc in golden.cases:
-            status, _, body = _post(
+            body = _post_query_raw(
                 golden.handle,
-                "/query",
                 {"query": text, "engine": "ring-knn", "trace": True},
+                serial_solutions,
             )
-            assert status == 200, (family, body)
             protocol.validate_query_response(body)
             assert body["route"] == "direct"
             assert body["engine"] == "ring-knn"
-            assert body["solutions"] == serial_solutions
             served_doc = {
                 key: value
                 for key, value in body["trace"].items()
@@ -308,21 +390,19 @@ class TestGoldenWorkload:
             )
 
     def test_limit_is_applied(self, golden):
-        family, text, _auto, serial_solutions, _doc = max(
+        _family, text, _auto, serial_solutions, _doc = max(
             golden.cases, key=lambda case: len(case[3])
         )
         if len(serial_solutions) < 2:
             pytest.skip("workload produced no multi-solution query")
         # Pin the serial engine: with a limit the answer must be the
         # exact prefix of the serial enumeration order.
-        status, _, body = _post(
+        body = _post_query_raw(
             golden.handle,
-            "/query",
             {"query": text, "limit": 1, "engine": "ring-knn"},
+            serial_solutions[:1],
         )
-        assert status == 200, (family, body)
-        assert len(body["solutions"]) == 1
-        assert body["solutions"][0] == serial_solutions[0]
+        assert body["route"] == "direct"
 
     def test_limit_zero_is_no_rows_and_no_search_on_every_route(self, golden):
         family, text, *_rest = max(golden.cases, key=lambda case: len(case[3]))
@@ -347,12 +427,11 @@ class TestGoldenWorkload:
         finally:
             db.close()
         for pinned in ({}, {"engine": "ring-knn"}, {"engine": "ring-knn", "trace": True}):
-            status, _, body = _post(
-                golden.handle, "/query", {"query": text, "limit": 0, **pinned}
+            body = _post_query_raw(
+                golden.handle, {"query": text, "limit": 0, **pinned}, []
             )
-            assert status == 200, (family, body)
             protocol.validate_query_response(body)
-            assert body["solutions"] == [] and body["stats"] == zeros, pinned
+            assert body["stats"] == zeros, pinned
             assert body["timed_out"] is False
 
     def test_explain_endpoint_with_analysis(self, golden):
@@ -375,17 +454,12 @@ class TestGoldenWorkload:
 class TestServedCache:
     def test_repeat_query_served_from_cache_byte_identical(self, golden):
         family, text, auto_solutions, _serial, _doc = golden.cases[1]
-        first_status, _, first = _post(
-            golden.handle, "/query", {"query": text}
+        first, second = (
+            _post_query_raw(golden.handle, {"query": text}, auto_solutions)
+            for _ in range(2)
         )
-        status, _, second = _post(golden.handle, "/query", {"query": text})
-        assert first_status == 200 and status == 200, (family, second)
         protocol.validate_query_response(second)
-        assert second["cached"] is True
-        assert first["solutions"] == auto_solutions
-        assert second["solutions"] == auto_solutions, (
-            f"{family}: warm hit diverged from the cold serial answer"
-        )
+        assert second["cached"] is True, family
         assert second["stats"] == first["stats"]
 
     def test_metrics_expose_cache_counters(self, golden):
@@ -509,8 +583,79 @@ _EXPLAIN_REQUEST_DOCS = st.fixed_dictionaries(
     },
 )
 
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+#: Variable names that would break a careless formatter: ``%``
+#: conversions, JSON's own escapes, blanks, non-ASCII, astral.
+_NAMES = st.one_of(
+    st.sampled_from(["%", "%d", "%%s", "%(a)d", '"', "\\", "a b", "", "é",
+                     "\u2028", "𝔁", '", "solutions": [', "{}"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _solution_blocks(draw):
+    """A ``Solutions`` of 0–5 variables; 0, 1 or many rows."""
+    names = draw(st.lists(_NAMES, max_size=5, unique=True))
+    n_rows = draw(st.sampled_from([0, 1, 1, 2, 7, 40]))
+    rows = draw(
+        st.lists(
+            st.lists(_INT64, min_size=len(names), max_size=len(names)),
+            min_size=n_rows, max_size=n_rows,
+        )
+    )
+    matrix = np.array(rows, dtype="<i8").reshape(n_rows, len(names))
+    return Solutions([Var(name) for name in names], matrix)
+
 
 class TestProtocolRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        solutions=_solution_blocks(),
+        route=st.sampled_from(["batched", "direct"]),
+        elapsed=st.floats(min_value=0, max_value=1e3, allow_nan=False),
+        cached=st.booleans(),
+        trace=st.one_of(
+            st.none(),
+            st.dictionaries(st.text(max_size=12), st.text(max_size=30),
+                            max_size=3),
+            st.just({"query": '"}, "solutions": [{"x": 1}], "stats": {',
+                     "solutions": "\"solutions\": ["}),
+        ),
+    )
+    def test_query_response_bytes_equal_json_dumps_of_the_rows(
+        self, solutions, route, elapsed, cached, trace
+    ):
+        """The reply's bytes are ``json.dumps(document, sort_keys=True)
+        + "\\n"`` of the document built with ``encode_solutions`` — for
+        every name, every int64, the zero-variable query's ``{}`` rows,
+        and a trace that echoes text shaped like the envelope."""
+        counters = dict(solutions=len(solutions), bindings=3, attempts=5,
+                        leap_calls=8)
+        result = QueryResult(
+            engine="ring-knn",
+            solutions=solutions,
+            stats=EvaluationStats(elapsed=elapsed, **counters),
+            cached=cached,
+        )
+        document = {
+            "status": "ok",
+            "engine": "ring-knn",
+            "route": route,
+            "solutions": protocol.encode_solutions(solutions),
+            "elapsed": elapsed,
+            "timed_out": False,
+            "cached": cached,
+            "stats": counters,
+        }
+        if trace is not None:
+            document["trace"] = trace
+        body = protocol.query_response(result, route, trace=trace)
+        assert body == _canonical(document)
+        if trace is None:  # an invented trace is not a trace document
+            protocol.validate_query_response(json.loads(body))
+
     @settings(max_examples=200, deadline=None)
     @given(document=_QUERY_REQUEST_DOCS)
     def test_query_request_round_trip(self, document):

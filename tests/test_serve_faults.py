@@ -38,10 +38,14 @@ import numpy as np
 import pytest
 
 from repro.engines.database import GraphDatabase
+from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
+from repro.ltj.stats import EvaluationStats
 from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
-from repro.serve.app import ServeConfig, ServerThread
+from repro.query.model import Var
+from repro.serve import protocol
+from repro.serve.app import ReproServer, ServeConfig, ServerThread
 from repro.store import save
 
 START_METHODS = ("fork", "spawn")
@@ -163,6 +167,38 @@ class TestDeadlines:
         blocker.join()
         assert status == 504, body
         assert body["error"]["type"] == "TimeoutExceeded"
+
+    def test_timed_out_result_is_504_and_its_rows_are_not_encoded(
+        self, monkeypatch
+    ):
+        """A flagged-timeout result carries partial rows; the 504 holds
+        none of them, so no reply body is built for it."""
+        server = ReproServer(_make_db(), ServeConfig(workers=1))
+        sent = []
+        monkeypatch.setattr(
+            server, "_resolve", lambda item, response: sent.append(response)
+        )
+        monkeypatch.setattr(
+            protocol, "query_response",
+            lambda *args, **kwargs: pytest.fail("encoded a timed-out result"),
+        )
+        result = QueryResult(
+            engine="ring-knn",
+            solutions=[{Var("x"): 1}, {Var("x"): 2}],
+            stats=EvaluationStats(solutions=2, elapsed=0.3, timed_out=True),
+        )
+        try:
+            server._finish_result(None, result, "direct", None)
+        finally:
+            server._dispatch_pool.shutdown()
+        (response,) = sent
+        assert response.code == 504
+        protocol.validate_error_response(response.body)
+        assert response.body["error"]["type"] == "TimeoutExceeded"
+        totals = server.metrics.as_dict()
+        assert totals["queries"]["timeout"] == 1
+        assert totals["engine_stats"]["solutions"] == 2
+        assert totals["response_bytes_total"] == 0
 
 
 class TestAdmission:
