@@ -5,13 +5,14 @@ survive in this codebase as *coding conventions*: hot-path modules must
 call the unchecked ``_*_u`` succinct kernels, logical op counters must
 be bumped before memo lookups so traced op counts stay deterministic,
 observability must be zero-overhead when disabled, the traced pass must
-be bit-for-bit reproducible, and every engine must honour the relation
-and result contracts. ``repro.analysis`` turns those conventions into
-machine-checked rules (RPL001-RPL010) run as ``repro lint`` and as a CI
-gate — see ``docs/static-analysis.md`` for the rule catalogue and the
-invariant each protects. RPL008-RPL010 are flow-sensitive: they run on
-the per-function CFGs of :mod:`repro.analysis.cfg` via the forward
-dataflow engine in :mod:`repro.analysis.dataflow`.
+be bit-for-bit reproducible, every engine must honour the relation and
+result contracts, and worker pools must get the index through the
+declared shared layout, never by pickling. ``repro.analysis`` turns
+those conventions into six syntactic rules (RPL001-RPL005, RPL007) run
+as ``repro lint`` and as a CI gate — see ``docs/static-analysis.md``
+for the rule catalogue, the invariant each protects, and where the
+checks of the deleted rules are held now. Resource lifecycles are
+checked at run time instead, by :mod:`repro.analysis.sanitize`.
 
 Public API::
 

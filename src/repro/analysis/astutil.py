@@ -43,10 +43,6 @@ def dotted(node: ast.AST) -> str | None:
     return None
 
 
-def last_segment(chain: str) -> str:
-    return chain.rsplit(".", 1)[-1]
-
-
 def enclosing_function(node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
     for anc in ancestors(node):
         if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -120,19 +116,3 @@ def is_none_check(test: ast.expr) -> tuple[str, bool] | None:
 def call_name(node: ast.Call) -> str | None:
     """Dotted name of the called object, if it is a plain chain."""
     return dotted(node.func)
-
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def class_of(node: ast.AST) -> ast.ClassDef | None:
-    for anc in ancestors(node):
-        if isinstance(anc, ast.ClassDef):
-            return anc
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Keep climbing: methods live inside the class body.
-            continue
-    return None

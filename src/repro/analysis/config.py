@@ -219,130 +219,6 @@ STATE_DUNDERS: frozenset[str] = frozenset(
     {"__getstate__", "__setstate__", "__reduce__", "__reduce_ex__"}
 )
 
-# ----------------------------------------------------------------------
-# RPL008 — resource lifecycle (flow-sensitive).
-#
-# The runtime machinery around the LTJ core acquires OS-visible
-# resources: shm segments, mmap mappings, worker pools, server sockets,
-# mmap-backed stores. RPL008 runs a may-leak dataflow over each
-# function's CFG: a local variable bound to one of these constructors
-# must be released, stored, or handed off on *every* path — including
-# the exception edges, where leaks actually hide.
-# ----------------------------------------------------------------------
-RESOURCE_PREFIXES: tuple[str, ...] = (
-    "repro.parallel",
-    "repro.store",
-    "repro.serve",
-    # The cache stands up stores/engines in its CLI stats workload path
-    # and may grow spill files; its acquisitions are leak-checked too.
-    "repro.cache",
-)
-
-#: Call-name *last segments* whose return value is a leak-checked
-#: resource when bound to a local name. ``mmap`` covers ``mmap.mmap``;
-#: ``socket`` covers ``socket.socket``.
-RESOURCE_CALLS: frozenset[str] = frozenset(
-    {
-        "SharedMemory",
-        "mmap",
-        "WorkerPool",
-        "socket",
-        "create_server",
-        "IndexStore",
-        "Attachment",
-        "StructureShm",
-        # Multi-value helper returning ``(mapping, header)``; resource-
-        # returning helpers put the resource FIRST by convention (the
-        # rule tracks the first name of a tuple target).
-        "_open_file",
-    }
-)
-
-#: Method calls on the bound name that release (or adopt) the resource.
-RESOURCE_RELEASE_METHODS: frozenset[str] = frozenset(
-    {"close", "unlink", "terminate", "shutdown", "join", "stop", "release"}
-)
-
-# ----------------------------------------------------------------------
-# RPL009 — no blocking calls reachable from the asyncio loop.
-#
-# The server runs one asyncio loop; every blocking operation must cross
-# the dispatch-thread boundary (a callable handed *by reference* to
-# ``run_in_executor``/``asyncio.to_thread`` — reference-passing is the
-# sanctioned hand-off and is invisible to the call graph by design).
-# An ``async def`` in ``repro.serve`` that *calls* its way to a
-# blocking primitive stalls every connected client.
-# ----------------------------------------------------------------------
-ASYNC_PREFIXES: tuple[str, ...] = ("repro.serve",)
-
-#: Dotted call names that block the calling thread outright.
-BLOCKING_CALLS: frozenset[str] = frozenset(
-    {"time.sleep", "os.waitpid", "subprocess.run", "selectors.select"}
-)
-
-#: Call-name last segments that block regardless of receiver: scheduler
-#: round trips, pool/future synchronisation, raw socket/file IO.
-BLOCKING_METHODS: frozenset[str] = frozenset(
-    {
-        "run_batch",
-        "result",
-        "shutdown",
-        "join",
-        "acquire",
-        "recv",
-        "accept",
-        "sendall",
-        "readinto",
-    }
-)
-
-# ----------------------------------------------------------------------
-# RPL010 — thread/fork shared-state ownership.
-#
-# One asyncio loop thread + one dispatch thread + forked workers share
-# module- and instance-level state. Mutable state written on one side
-# and touched on the other must be lock-guarded, queue-mediated, or
-# declared below with its safety argument.
-# ----------------------------------------------------------------------
-THREAD_STATE_PREFIXES: tuple[str, ...] = ("repro.serve", "repro.parallel")
-
-#: Call-name last segments that move a callable onto another thread;
-#: their callable arguments become dispatch-side roots.
-THREAD_SPAWN_CALLS: frozenset[str] = frozenset(
-    {"run_in_executor", "to_thread", "submit", "Thread"}
-)
-
-#: ``(class name, attribute)`` handoffs that are safe without a lock,
-#: with the ownership argument reviewed here once instead of at every
-#: use site. An entry of ``("*", attr)`` declares the attribute safe in
-#: every class.
-DECLARED_THREAD_SAFE: frozenset[tuple[str, str]] = frozenset(
-    {
-        # Frozen-after-start: ``start()`` binds the loop before any
-        # work is handed to the dispatch thread, and nothing rebinds
-        # it afterwards — the dispatch side (``_resolve``) only ever
-        # reads it to call ``call_soon_threadsafe``, which is itself
-        # the documented thread-safe entry point of asyncio.
-        ("ReproServer", "_loop"),
-    }
-)
-
-#: Worker-side modules: functions defined here run post-fork in pool
-#: workers; module globals they write are per-process and must not be
-#: written by parent-side code too.
-FORK_SIDE_MODULES: tuple[str, ...] = ("repro.parallel.worker",)
-
-# ----------------------------------------------------------------------
-# RPL006 — strict-typing gate (in-repo approximation of the CI
-# ``mypy --strict`` job: every def fully annotated).
-# ----------------------------------------------------------------------
-TYPED_PREFIXES: tuple[str, ...] = (
-    "repro.succinct",
-    "repro.ltj",
-    "repro.ring",
-    "repro.bounds",
-)
-
 
 def in_scope(module_name: str, prefixes: tuple[str, ...]) -> bool:
     """Whether ``module_name`` falls under one of the dotted prefixes."""

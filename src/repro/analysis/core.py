@@ -9,7 +9,7 @@ Suppressions are inline and must carry a justification::
 
     foo.rank1(i)  # reprolint: disable=RPL001 -- construction-time, not hot
 
-    # reprolint: disable-file=RPL006 -- fixture exercising RPL001 only
+    # reprolint: disable-file=RPL004 -- fixture exercising RPL001 only
 
 A ``disable`` comment applies to its own physical line (or, when a line
 holds only the comment, to the following line). A disable *without* the
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.astutil import attach_parents
+from repro.utils.errors import ValidationError
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable|disable-file)\s*=\s*"
@@ -147,14 +148,25 @@ class Project:
     # ------------------------------------------------------------------
     @classmethod
     def from_paths(cls, paths: list[str | Path]) -> "Project":
-        """Discover ``.py`` files under the given files/directories."""
+        """Discover ``.py`` files under the given files/directories.
+
+        A path that does not exist, or paths that hold no module at
+        all, raise :class:`ValidationError`: a mistyped path must not
+        lint nothing and pass.
+        """
         files: list[Path] = []
         for raw in paths:
             path = Path(raw)
             if path.is_dir():
                 files.extend(sorted(path.rglob("*.py")))
+            elif not path.exists():
+                raise ValidationError(f"{path}: no such file or directory")
             elif path.suffix == ".py":
                 files.append(path)
+        if not files:
+            raise ValidationError(
+                f"no Python modules under {', '.join(map(str, paths))}"
+            )
         modules = []
         seen: set[Path] = set()
         for file in files:

@@ -12,11 +12,7 @@ from repro.analysis.rules.rpl002_counter_memo import CounterBeforeMemo
 from repro.analysis.rules.rpl003_obs_guard import ObsGuard
 from repro.analysis.rules.rpl004_determinism import Determinism
 from repro.analysis.rules.rpl005_engine_contract import EngineContract
-from repro.analysis.rules.rpl006_typing import StrictTyping
 from repro.analysis.rules.rpl007_transport import ShmOnlyTransport
-from repro.analysis.rules.rpl008_lifecycle import ResourceLifecycle
-from repro.analysis.rules.rpl009_async import NoBlockingInAsync
-from repro.analysis.rules.rpl010_shared_state import ThreadForkSharedState
 
 ALL_RULES: tuple[Rule, ...] = (
     HotPathPurity(),
@@ -24,11 +20,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ObsGuard(),
     Determinism(),
     EngineContract(),
-    StrictTyping(),
     ShmOnlyTransport(),
-    ResourceLifecycle(),
-    NoBlockingInAsync(),
-    ThreadForkSharedState(),
 )
 
 _BY_CODE = {rule.code: rule for rule in ALL_RULES}

@@ -1,7 +1,8 @@
 """Runtime resource-leak sanitizer (``REPRO_SANITIZE=1``).
 
-The flow-sensitive rules (RPL008-RPL010) prove lifecycle properties
-*statically*; this module is the dynamic half of the same contract. When
+This is the repo's one resource-lifecycle check. No lint rule reasons
+about acquire/release paths; the tests that drive those paths, the
+exception paths included, run under this ledger. When
 ``REPRO_SANITIZE=1`` is set, :func:`install` swaps the process-wide
 resource primitives the runtime layers acquire — shm segments
 (``repro.parallel.shm``), their attachments and file mappings

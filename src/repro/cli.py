@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the reprolint invariant checks (RPL001-RPL010)",
+        help="run the reprolint invariant checks (RPL001-RPL005, RPL007)",
     )
     p.add_argument(
         "paths",

@@ -74,7 +74,8 @@ class StructureShm:
         except BaseException:
             # A failed flatten must not strand the OS segment: nobody
             # else holds its name yet, so close-and-unlink here is the
-            # only release point (surfaced by RPL008).
+            # only release point (held by tests/test_layout.py::
+            # test_failed_segment_write_strands_no_segment).
             shm.close()
             shm.unlink()
             raise

@@ -204,6 +204,10 @@ class ReproServer:
         self._dispatch_pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-dispatch"
         )
+        # Frozen after start(): bound before any work reaches the
+        # dispatch thread and never rebound. Off the loop it is read
+        # only to call call_soon_threadsafe (_resolve, request_shutdown),
+        # asyncio's thread-safe entry point, so it needs no lock.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -274,10 +278,10 @@ class ReproServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if clean:
-            # reprolint: disable=RPL009 -- post-drain the dispatcher task has exited and the queue is empty, so the single dispatch worker is idle: shutdown(wait=True) returns without blocking on query work
+            # The dispatcher has exited and the queue is empty, so the
+            # one dispatch thread is idle: this join does not block.
             self._dispatch_pool.shutdown(wait=True)
         else:  # pragma: no cover - a query outlived the drain grace
-            # reprolint: disable=RPL009 -- wait=False never joins the worker thread; cancel_futures only flips pending futures, a bounded O(queue) loop-safe operation
             self._dispatch_pool.shutdown(wait=False, cancel_futures=True)
         self._scheduler.close()
         self._closed_event.set()

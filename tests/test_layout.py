@@ -10,6 +10,10 @@
 * **Walker bounds** — an entry is bounds-checked at its own dtype's
   width, and a value too wide for a field's declared dtype is refused
   at flatten time, by field name, instead of wrapping.
+* **Failure paths** — an attach that fails mid-walk closes its carrier
+  (an ``mmap`` or an attached ``SharedMemory``: the sanitizer's ledger
+  is left clean), and a flatten whose segment write fails unlinks the
+  segment it created.
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
@@ -19,18 +23,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import mmap
 import os
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.store.io as store_io
+from repro.analysis import sanitize
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.experiments.registry import figure2_setup
@@ -41,7 +51,7 @@ from repro.knn.succinct import KnnRing
 from repro.parallel.shm import StructureShm, active_segments, attach
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
 from repro.store import FORMAT_VERSION, Manifest, load, save
-from repro.store.layout import SegmentView
+from repro.store.layout import SegmentBuilder, SegmentView
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import Array, Child
@@ -335,6 +345,90 @@ def test_value_past_the_declared_width_is_refused_at_save(tmp_path):
         assert store.structure.before(1) == 2**31 - 1
     finally:
         store.close()
+
+
+# ----------------------------------------------------------------------
+# failure paths: a failed attach or flatten strands no resource
+# ----------------------------------------------------------------------
+@pytest.fixture
+def recorded_carriers(monkeypatch):
+    """Route ``repro.store.io``'s carriers through the sanitizer's
+    ledger-recording twins, whether or not ``REPRO_SANITIZE`` is set;
+    returns the list of every carrier opened."""
+    opened = []
+
+    def record(cls):
+        def open_carrier(*args, **kwargs):
+            opened.append(cls(*args, **kwargs))
+            return opened[-1]
+
+        return open_carrier
+
+    monkeypatch.setattr(
+        store_io,
+        "shared_memory",
+        SimpleNamespace(SharedMemory=record(sanitize._SanitizedSharedMemory)),
+    )
+    monkeypatch.setattr(
+        store_io,
+        "mmap",
+        SimpleNamespace(
+            mmap=record(sanitize._SanitizedMmap), ACCESS_READ=mmap.ACCESS_READ
+        ),
+    )
+    return opened
+
+
+@both_carriers
+def test_failed_attach_leaves_no_live_mapping(
+    carrier, recorded_carriers, tmp_path
+):
+    structure = WaveletTree([3, 1, 4, 1, 5, 2, 6, 5, 3, 5], 7)
+    owner = None
+    if carrier == "shm":
+        owner = StructureShm.create(structure)
+        manifest = owner.manifest
+    else:
+        path = str(tmp_path / "structure.idx")
+        save(structure, path)
+        store = load(path)
+        manifest = store.manifest
+        store.close()
+    # Cut the segment one byte short of its furthest array: the walk
+    # attaches views of the earlier arrays, then fails.
+    end = max(
+        offset + math.prod(shape) * np.dtype(dtype).itemsize
+        for offset, dtype, shape in manifest.entries
+    )
+    bad = dataclasses.replace(manifest, nbytes=end - 1)
+    live = set(sanitize.LEDGER.live())
+    opened = len(recorded_carriers)
+    try:
+        with pytest.raises(StoreFormatError, match="spans bytes"):
+            store_io.attach(bad)
+        assert len(recorded_carriers) == opened + 1
+        mapping = recorded_carriers[-1]
+        closed = mapping.closed if carrier == "file" else mapping.buf is None
+        assert closed, "the failed attach left its carrier open"
+        assert set(sanitize.LEDGER.live()) <= live
+    finally:
+        if owner is not None:
+            owner.close()
+
+
+def test_failed_segment_write_strands_no_segment(monkeypatch):
+    def fail(self, buf):
+        raise RuntimeError("injected segment write failure")
+
+    monkeypatch.setattr(SegmentBuilder, "write", fail)
+    segments = active_segments()
+    dev_shm = Path("/dev/shm")
+    listing = set(os.listdir(dev_shm)) if dev_shm.is_dir() else set()
+    with pytest.raises(RuntimeError, match="injected"):
+        StructureShm.create(BitVector([1, 0, 1, 1]))
+    assert active_segments() == segments
+    if dev_shm.is_dir():
+        assert set(os.listdir(dev_shm)) <= listing
 
 
 # ----------------------------------------------------------------------

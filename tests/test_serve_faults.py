@@ -10,6 +10,8 @@ parallel suite uses):
   once the in-flight query finishes;
 * an injected worker fault (a *real* exception inside a pool process)
   costs that request a typed 500, never the server;
+* a slow query holds the dispatch thread, not the event loop:
+  ``/healthz`` and ``/metrics`` keep answering meanwhile;
 * a draining server refuses new queries with a typed 503 while letting
   the in-flight one finish;
 * SIGTERM against a real ``repro serve --from-index`` subprocess drains
@@ -275,6 +277,43 @@ class TestWorkerFaults:
         assert status == 500, body
         assert body["error"]["type"] == "RuntimeError"
         assert "Traceback" not in json.dumps(body)
+
+
+class TestEventLoop:
+    def test_health_and_metrics_answer_while_dispatch_is_busy(self):
+        """Evaluation runs on the dispatch thread, never on the event
+        loop: while a slow query holds that thread, /healthz and
+        /metrics still answer at once."""
+        handle = ServerThread(
+            _make_db(), ServeConfig(workers=1, debug_faults=True)
+        ).start()
+        replies: Queue = Queue()
+        try:
+            slow = threading.Thread(
+                target=lambda: replies.put(
+                    _post(handle, "/query",
+                          {"query": QUERY, "debug": "sleep:1.5"})
+                ),
+            )
+            slow.start()
+            time.sleep(0.3)  # the slow query now holds the dispatch thread
+            for path in ("/healthz", "/metrics"):
+                started = time.monotonic()
+                status, _, body = _request(
+                    handle.host, handle.port, "GET", path, timeout=10
+                )
+                elapsed = time.monotonic() - started
+                assert status == 200, body
+                assert elapsed < 0.5, f"GET {path} took {elapsed:.2f} s"
+                assert replies.empty(), f"GET {path} waited for the query"
+                if path == "/healthz":
+                    assert body["inflight"] == 1
+            slow.join(timeout=30)
+            assert not slow.is_alive()
+            status, _, body = replies.get(timeout=30)
+            assert status == 200, body
+        finally:
+            handle.shutdown()
 
 
 class TestDrain:
