@@ -25,6 +25,7 @@ from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import MinCandidatesOrdering
 from repro.ltj.stats import EvaluationStats
 from repro.ltj.triple_relation import RingTripleRelation
+from repro.obs.spans import now
 from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
 from repro.query.model import DistClause, ExtendedBGP, SimClause, Var, is_var
 from repro.utils.errors import QueryError
@@ -87,7 +88,7 @@ class BaselineEngine:
         """Run both phases, sharing one time budget.
 
         With ``trace``, the BGP phase records the usual LTJ counters and
-        the split between the two phases lands in ``trace.phases`` (the
+        the split between the two phases lands in ``trace.spans`` (the
         post-processing phase does no leapfrog work, so its cost shows
         up there and nowhere else).
         """
@@ -156,8 +157,10 @@ class BaselineEngine:
         stats.solutions = len(solutions)
         stats.elapsed = stopwatch.elapsed()
         if trace is not None:
-            trace.add_phase("bgp", phase1)
-            trace.add_phase("postprocess", stats.elapsed - phase1)
+            ended = now()
+            started = ended - stats.elapsed
+            trace.spans.add("bgp", started, started + phase1)
+            trace.spans.add("postprocess", started + phase1, ended)
             trace.meta["base_solutions"] = base_count
             trace.finish(stats)
         return QueryResult(

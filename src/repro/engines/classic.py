@@ -76,7 +76,7 @@ class ClassicSixPermEngine:
         # Six-permutation triple patterns run over sorted arrays, not
         # wavelet trees, so only the K-NN/distance structures apply.
         pairs = wavelet_targets(trace, self._db, query, include_ring=False)
-        with attach_wavelets(pairs), trace.phase("evaluate"):
+        with attach_wavelets(pairs), trace.spans.span("evaluate"):
             solutions = engine.evaluate()
         return QueryResult(self.name, solutions, engine.stats, trace=trace)
 

@@ -102,7 +102,7 @@ class MaterializeEngine:
             trace.engine = self.name
             if trace.query is None:
                 trace.query = repr(query)
-            trace.add_phase("materialize", materialize_seconds)
+            trace.spans.add("materialize", started, started + materialize_seconds)
             trace.meta["materialized_pairs"] = len(extra_triples)
             instrument_relations(trace, relations)
             # Two Rings are live here: the data Ring and the fresh Ring
@@ -115,7 +115,7 @@ class MaterializeEngine:
                 (knn_ring.column(c), trace.wavelet("materialized_ring"))
                 for c in "spo"
             )
-            with attach_wavelets(pairs), trace.phase("query"):
+            with attach_wavelets(pairs), trace.spans.span("query"):
                 solutions = engine.evaluate()
         stats = engine.stats
         stats.elapsed += materialize_seconds

@@ -98,7 +98,10 @@ class _RingEngineBase:
             instrument_relations(trace, relations)
             attached = attach_wavelets(wavelet_targets(trace, self._db, query))
         with attached:
-            timed = nullcontext() if trace is None else trace.phase("evaluate")
+            timed = (
+                nullcontext() if trace is None
+                else trace.spans.span("evaluate")
+            )
             with timed:
                 solutions = engine.evaluate().select(project, distinct, limit)
         return QueryResult(self.name, solutions, engine.stats, trace=trace)

@@ -15,8 +15,9 @@ exactly those quantities during one evaluation, grouped by
   ``range_next_value`` operation counts per structure (the Ring
   columns, each K-NN relation's ``S``/``S'``, the distance sequence
   ``D``);
-* **phase** — wall-clock per engine phase (compile/evaluate,
-  bgp/postprocess, materialize/query).
+* **phase** — wall-clock per engine phase (evaluate, bgp/postprocess,
+  materialize/query): the per-name sums of the engine's spans
+  (:mod:`repro.obs.spans`).
 
 Zero overhead when disabled: tracing is off unless a ``QueryTrace`` is
 passed to an engine, and every producer guards its recording with a
@@ -31,11 +32,11 @@ compares two such documents across runs.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.obs.spans import Spans
 from repro.query.model import Var
 
 TRACE_VERSION = 1
@@ -166,9 +167,18 @@ class QueryTrace:
     Create one, pass it as ``trace=`` to any engine's ``evaluate``, then
     read the counters (or :meth:`to_dict` for the JSON form). A trace
     accumulates; use a fresh instance per evaluation you want isolated.
+
+    Engines record their phases into ``spans``. Pass a request's
+    recorder to nest them under the span open at construction; the
+    document's ``phases`` sum the spans directly under that one.
     """
 
-    def __init__(self, query: str | None = None, engine: str | None = None) -> None:
+    def __init__(
+        self,
+        query: str | None = None,
+        engine: str | None = None,
+        spans: Spans | None = None,
+    ) -> None:
         self.query = query
         self.engine = engine
         self.solutions = 0
@@ -181,7 +191,9 @@ class QueryTrace:
         self.relations: list[RelationCounters] = []
         self.decisions: list[OrderingDecision] = []
         self.decisions_dropped = 0
-        self.phases: dict[str, float] = {}
+        self.spans = Spans() if spans is None else spans
+        self.root = self.spans.current
+        """The span the engine's spans nest under (``None``: top level)."""
         self.wavelets: dict[str, OpCounters] = {}
         self.meta: dict[str, object] = {}
         """Free-form engine annotations (auto's selection, k* search...)."""
@@ -231,20 +243,6 @@ class QueryTrace:
             )
         )
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate wall-clock time of a named phase."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phases[name] = self.phases.get(name, 0.0) + (
-                time.perf_counter() - started
-            )
-
-    def add_phase(self, name: str, seconds: float) -> None:
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
-
     def finish(self, stats) -> None:
         """Copy an :class:`EvaluationStats` snapshot into the trace."""
         self.solutions = stats.solutions
@@ -270,7 +268,7 @@ class QueryTrace:
             "elapsed": self.elapsed,
             "timed_out": self.timed_out,
             "stats": dict(self.stats),
-            "phases": dict(self.phases),
+            "phases": self.spans.totals(self.root),
             "variables": {
                 v.name: c.as_dict() for v, c in self.variables.items()
             },

@@ -12,8 +12,9 @@ One warm worker pool, many concurrent HTTP clients:
 * :mod:`repro.serve.admission` — the bounded admission window (429 +
   ``Retry-After`` shedding, drain support).
 * :mod:`repro.serve.metrics` — process-lifetime counters built on the
-  ``repro.obs`` :class:`~repro.obs.trace.OpCounters`, exported at
-  ``/metrics`` as Prometheus text or JSON.
+  ``repro.obs`` :class:`~repro.obs.trace.OpCounters` and span
+  histograms (:mod:`repro.obs.spans`), exported at ``/metrics`` as one
+  JSON document or its Prometheus text.
 * :mod:`repro.serve.smoke` — a stdlib HTTP client smoke battery
   (``python -m repro.serve.smoke``) the CI serve job runs against a
   freshly booted server.
@@ -21,35 +22,6 @@ One warm worker pool, many concurrent HTTP clients:
 See ``docs/serving.md`` for endpoint and semantics documentation.
 """
 
-from repro.serve.admission import AdmissionController
 from repro.serve.app import ReproServer, ServeConfig, ServerThread, run_server
-from repro.serve.metrics import ServerMetrics
-from repro.serve.protocol import (
-    ERROR_RESPONSE_SCHEMA,
-    EXPLAIN_REQUEST_SCHEMA,
-    EXPLAIN_RESPONSE_SCHEMA,
-    QUERY_REQUEST_SCHEMA,
-    QUERY_RESPONSE_SCHEMA,
-    ExplainRequest,
-    QueryRequest,
-    parse_explain_request,
-    parse_query_request,
-)
 
-__all__ = [
-    "AdmissionController",
-    "ERROR_RESPONSE_SCHEMA",
-    "EXPLAIN_REQUEST_SCHEMA",
-    "EXPLAIN_RESPONSE_SCHEMA",
-    "ExplainRequest",
-    "QUERY_REQUEST_SCHEMA",
-    "QUERY_RESPONSE_SCHEMA",
-    "QueryRequest",
-    "ReproServer",
-    "ServeConfig",
-    "ServerMetrics",
-    "ServerThread",
-    "parse_explain_request",
-    "parse_query_request",
-    "run_server",
-]
+__all__ = ["ReproServer", "ServeConfig", "ServerThread", "run_server"]

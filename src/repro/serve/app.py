@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import json
 import os
 import signal
@@ -57,13 +58,14 @@ from repro.engines import INDEX_ENGINES, AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.explain import explain as explain_plan
 from repro.obs import QueryTrace, validate_trace
+from repro.obs.spans import Span, Spans, now
 from repro.parallel.executor import close_pools_for, pool_for
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP
 from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
-from repro.serve.metrics import ENDPOINTS, ServerMetrics
+from repro.serve.metrics import ENDPOINTS, ServerMetrics, render_text
 from repro.utils.errors import (
     AdmissionRejected,
     ReproError,
@@ -84,6 +86,10 @@ MICROBATCH = 8
 
 #: Largest request body accepted, in bytes (beyond it: a typed 400).
 MAX_BODY = 1 << 20
+
+#: Request ids of this process: each ``/query`` and ``/explain`` takes
+#: the next one, and its reply carries it as ``X-Request-Id``.
+_REQUEST_IDS = itertools.count(1)
 
 _REASONS = {
     200: "OK",
@@ -138,7 +144,7 @@ class _HttpResponse:
     """dict → JSON; str → preformatted text; bytes → a finished body."""
 
     content_type: str = "application/json"
-    headers: Mapping[str, str] = field(default_factory=dict)
+    headers: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -150,7 +156,8 @@ class _Pending:
 
     request: Any
     query: ExtendedBGP
-    admitted_at: float
+    spans: Spans
+    root: Span  # the open `request` span; it starts at admission
     deadline_at: float | None
     future: "asyncio.Future[_HttpResponse]"
 
@@ -338,9 +345,23 @@ class ReproServer:
             if stop:
                 return
 
-    def _resolve(self, item: _Pending, response: _HttpResponse) -> None:
-        """Deliver a response back to the waiting handler (thread-safe)."""
+    def _resolve(
+        self,
+        item: _Pending,
+        route: str,
+        response: _HttpResponse,
+        stats: Mapping[str, int] | None = None,
+        cached: bool = False,
+    ) -> None:
+        """End the request's spans, observe it — every dispatched outcome
+        ends here, once — and hand its response back (thread-safe)."""
         assert self._loop is not None
+        item.root.end = now()
+        seconds = {"request": item.root.seconds,
+                   **item.spans.totals(item.root.id)}
+        body = response.body
+        self.metrics.observe(route, response.code, seconds, stats, cached,
+                             len(body) if isinstance(body, bytes) else 0)
 
         def _set() -> None:
             if not item.future.done():
@@ -356,11 +377,16 @@ class ReproServer:
         """
         close_pools_for(self._db)
 
-    def _deadline_response(
-        self, item: _Pending, route: str, now: float
-    ) -> _HttpResponse:
-        elapsed = max(0.0, now - item.admitted_at)
-        self.metrics.observe_query(route, elapsed, {}, timed_out=True)
+    @staticmethod
+    def _dispatched(item: _Pending) -> float:
+        """Close the request's ``queue`` span; the dispatch time."""
+        at = now()
+        item.spans.add("queue", item.root.start, at, parent=item.root.id)
+        return at
+
+    @staticmethod
+    def _deadline_response(item: _Pending, at: float) -> _HttpResponse:
+        elapsed = max(0.0, at - item.root.start)
         return _HttpResponse(
             504,
             protocol.error_response(
@@ -371,8 +397,8 @@ class ReproServer:
             ),
         )
 
-    def _failure_response(self, exc: BaseException) -> _HttpResponse:
-        self.metrics.observe_error()
+    @staticmethod
+    def _failure_response(exc: BaseException) -> _HttpResponse:
         return _HttpResponse(
             500,
             protocol.error_response(
@@ -393,65 +419,58 @@ class ReproServer:
         stats = protocol.query_stats(result.stats)
         cached = bool(getattr(result, "cached", False))
         if result.timed_out:
-            self.metrics.observe_query(
-                route, result.elapsed, stats, timed_out=True, cached=cached
-            )
             reason = TimeoutExceeded(result.elapsed, len(result.solutions))
-            self._resolve(
-                item,
-                _HttpResponse(
-                    504,
-                    protocol.error_response(
-                        "TimeoutExceeded",
-                        str(reason),
-                        elapsed=max(0.0, float(result.elapsed)),
-                    ),
+            response = _HttpResponse(
+                504,
+                protocol.error_response(
+                    "TimeoutExceeded",
+                    str(reason),
+                    elapsed=max(0.0, float(result.elapsed)),
                 ),
             )
-            return
-        started = time.perf_counter()
-        body = protocol.query_response(result, route, trace=trace_document)
-        self.metrics.observe_query(
-            route,
-            result.elapsed,
-            stats,
-            timed_out=False,
-            cached=cached,
-            response_bytes=len(body),
-            encode_seconds=time.perf_counter() - started,
-        )
-        self._resolve(item, _HttpResponse(200, body))
+        else:
+            with item.spans.span("encode", parent=item.root.id):
+                body = protocol.query_response(
+                    result, route, trace=trace_document
+                )
+            response = _HttpResponse(200, body)
+        self._resolve(item, route, response, stats=stats, cached=cached)
 
     def _run_batched(self, chunk: list[_Pending]) -> None:
         """Evaluate one micro-batch through the scheduler (dispatch
         thread)."""
-        now = time.monotonic()
         live: list[_Pending] = []
         budgets: list[float | None] = []
         for item in chunk:
-            remaining = _remaining(item, now)
+            dispatched = self._dispatched(item)
+            remaining = _remaining(item, dispatched)
             if remaining == 0.0:
                 self._resolve(
-                    item, self._deadline_response(item, "batched", now)
+                    item, "batched", self._deadline_response(item, dispatched)
                 )
             else:
                 live.append(item)
                 budgets.append(remaining)
         if not live:
             return
+        started = now()
         try:
-            results = self._scheduler.run_batch(
+            results: list[Any] = self._scheduler.run_batch(
                 [item.query for item in live],
                 limit=live[0].request.limit,
                 timeouts=budgets,
             )
         except Exception as exc:
             self._recycle_pools()
-            for item in live:
-                self._resolve(item, self._failure_response(exc))
-            return
+            results = [self._failure_response(exc) for _ in live]
+        ended = now()
         for item, result in zip(live, results):
-            self._finish_result(item, result, "batched", None)
+            # The batch's bounds: a request shows the batch it waited for.
+            item.spans.add("evaluate", started, ended, parent=item.root.id)
+            if isinstance(result, _HttpResponse):
+                self._resolve(item, "batched", result)
+            else:
+                self._finish_result(item, result, "batched", None)
 
     def _run_direct(self, item: _Pending) -> None:
         """Evaluate one traced / pinned / debug / explain request
@@ -459,35 +478,34 @@ class ReproServer:
         route = "explain" if item.kind == "explain" else "direct"
         request = item.request
         try:
-            now = time.monotonic()
-            remaining = _remaining(item, now)
+            at = self._dispatched(item)
+            remaining = _remaining(item, at)
             debug = getattr(request, "debug", None)  # /query only
             if remaining != 0.0 and debug is not None:
                 self._apply_debug(debug)
-                now = time.monotonic()
-                remaining = _remaining(item, now)
+                at = now()
+                remaining = _remaining(item, at)
             if remaining == 0.0:
-                self._resolve(item, self._deadline_response(item, route, now))
+                self._resolve(item, route, self._deadline_response(item, at))
                 return
+            evaluate = item.spans.span("evaluate", parent=item.root.id)
             if item.kind == "explain":
-                report = explain_plan(
-                    self._db,
-                    item.query,
-                    engine=request.engine,
-                    analyze=request.analyze,
-                    timeout=remaining,
-                    cache=self.cache,
-                )
+                with evaluate:
+                    report = explain_plan(
+                        self._db,
+                        item.query,
+                        engine=request.engine,
+                        analyze=request.analyze,
+                        timeout=remaining,
+                        cache=self.cache,
+                    )
                 body = protocol.explain_response(
                     report.engine,
                     report.format(),
                     trace=self._trace_document(report.analysis),
                 )
-                self._resolve(item, _HttpResponse(200, body))
+                self._resolve(item, route, _HttpResponse(200, body))
                 return
-            query_trace = (
-                QueryTrace(query=request.query) if request.trace else None
-            )
             # `auto` is the scheduler's own engine — the one that holds
             # the cache; a pinned strategy evaluates cold, uncached.
             engine = (
@@ -495,18 +513,24 @@ class ReproServer:
                 if request.engine == AutoEngine.name
                 else INDEX_ENGINES[request.engine](self._db)
             )
-            result = engine.evaluate(
-                item.query,
-                timeout=remaining,
-                limit=request.limit,
-                trace=query_trace,
-            )
+            with evaluate:
+                # Opened inside `evaluate`, the trace's spans nest in it.
+                query_trace = (
+                    QueryTrace(query=request.query, spans=item.spans)
+                    if request.trace else None
+                )
+                result = engine.evaluate(
+                    item.query,
+                    timeout=remaining,
+                    limit=request.limit,
+                    trace=query_trace,
+                )
             self._finish_result(
                 item, result, route, self._trace_document(query_trace)
             )
         except Exception as exc:
             self._recycle_pools()
-            self._resolve(item, self._failure_response(exc))
+            self._resolve(item, route, self._failure_response(exc))
 
     def _trace_document(
         self, trace: QueryTrace | None
@@ -580,10 +604,13 @@ class ReproServer:
             "cache": self.cache is not None,
         }
 
-    async def _handle(self, kind: str, body: bytes) -> _HttpResponse:
+    async def _handle(
+        self, kind: str, body: bytes, spans: Spans
+    ) -> _HttpResponse:
         """``/query`` and ``/explain``: parse, admit, set the deadline,
         enqueue for the dispatcher, await its response."""
-        t0 = time.monotonic()
+        root = spans.open("request")
+        t0 = root.start
         try:
             request = _REQUEST_PARSERS[kind](body)
             if (
@@ -625,7 +652,8 @@ class ReproServer:
             kind=kind,
             request=request,
             query=query,
-            admitted_at=t0,
+            spans=spans,
+            root=root,
             deadline_at=None if budget is None else t0 + budget,
             future=self._loop.create_future(),
         )
@@ -633,7 +661,7 @@ class ReproServer:
             await self._queue.put(item)
             return await item.future
         finally:
-            self.admission.release(time.monotonic() - t0)
+            self.admission.release(now() - t0)
 
     async def _route(
         self, method: str, target: str, body: bytes
@@ -642,7 +670,10 @@ class ReproServer:
         if path[1:] in _REQUEST_PARSERS:
             if method != "POST":
                 return _method_not_allowed("POST")
-            return await self._handle(path[1:], body)
+            spans = Spans(next(_REQUEST_IDS))
+            response = await self._handle(path[1:], body, spans)
+            response.headers["X-Request-Id"] = str(spans.request)
+            return response
         if path == "/healthz":
             if method != "GET":
                 return _method_not_allowed("GET")
@@ -650,15 +681,15 @@ class ReproServer:
         if path == "/metrics":
             if method != "GET":
                 return _method_not_allowed("GET")
-            gauges = self._gauges()
-            cache_stats = None if self.cache is None else self.cache.stats()
+            document = self.metrics.as_dict(
+                self._gauges(),
+                cache=None if self.cache is None else self.cache.stats(),
+            )
             if "format=json" in query_string:
-                return _HttpResponse(
-                    200, self.metrics.as_dict(gauges, cache=cache_stats)
-                )
+                return _HttpResponse(200, document)
             return _HttpResponse(
                 200,
-                self.metrics.render_text(gauges, cache=cache_stats),
+                render_text(document),
                 content_type="text/plain; version=0.0.4",
             )
         return _HttpResponse(

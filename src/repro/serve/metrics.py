@@ -2,13 +2,15 @@
 
 :class:`ServerMetrics` is the cumulative, process-lifetime counterpart
 of a per-query :class:`~repro.obs.trace.QueryTrace`: request/outcome
-counters for the HTTP surface, evaluation-stat totals, and — for every
-traced query — the per-structure wavelet-tree operation counts merged
-into the *same* :class:`~repro.obs.trace.OpCounters` dataclass the
-trace recorder uses. ``/metrics`` renders them in the Prometheus text
-exposition format (the shape of openGauss-DBMind's exporters), and
-``as_dict`` returns the identical numbers as JSON for programmatic
-scrapes.
+counters for the HTTP surface, evaluation-stat totals, latency
+histograms of the server's request spans (:mod:`repro.obs.spans`), and
+— for every traced query — the per-structure wavelet-tree operation
+counts merged into the *same* :class:`~repro.obs.trace.OpCounters`
+dataclass the trace recorder uses. :meth:`ServerMetrics.as_dict` is the
+one document; :func:`render_text` writes it in the Prometheus text
+exposition format (the shape of openGauss-DBMind's exporters) through
+the declared :data:`EXPOSITION` table, so both forms hold the same
+numbers by construction.
 
 Thread safety: query outcomes are observed from the dispatcher's
 executor thread while scrapes run on the event loop, so every mutation
@@ -21,14 +23,20 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
+from repro.obs.spans import Histogram
 from repro.obs.trace import OpCounters
 
 #: The server's endpoints. Requests are counted under these labels and
 #: every other path under ``other``: the path is the client's text, and
 #: a label per distinct path would let a client grow the table forever.
 ENDPOINTS = ("/query", "/explain", "/metrics", "/healthz")
+
+#: The server spans of one dispatched request and the routes it can
+#: take: the two fixed label sets of the latency histogram table.
+SPANS = ("request", "queue", "evaluate", "encode")
+ROUTES = ("batched", "direct", "explain")
 
 #: OpCounters fields accumulated from trace documents ("total" is
 #: derived, never stored).
@@ -38,15 +46,43 @@ _OP_FIELDS = ("rank", "select", "access", "range_next", "range_count",
 #: Evaluation-stat totals accumulated from query results.
 _STAT_FIELDS = ("solutions", "bindings", "attempts", "leap_calls")
 
-#: Lifetime-event fields of a :meth:`repro.cache.QueryCache.stats`
-#: snapshot (rendered as Prometheus counters).
-_CACHE_EVENT_FIELDS = (
-    "hits", "misses", "fills", "evictions", "invalidations",
-    "inadmissible",
+#: The text exposition, declared once over the :meth:`as_dict` document:
+#: (name, kind, path, help). A ``{label}`` path segment iterates the
+#: keys there as the values of ``label`` (``{a b}`` splits a key
+#: ``"x y"`` over two labels); ``{label:k1,k2}`` takes only those keys,
+#: in that order; a ``{}`` segment puts the key into the name and help
+#: instead. A histogram's path ends at its ``{count, sum, buckets}``.
+EXPOSITION = (
+    ("repro_requests_total", "counter", "requests.{endpoint code}",
+     "HTTP requests served, by endpoint and status code."),
+    ("repro_queries_total", "counter",
+     "queries.{outcome:ok,timeout,error,shed}",
+     "Completed query evaluations by outcome."),
+    ("repro_queries_cached_total", "counter", "queries.cached",
+     "Completed query evaluations answered from the cross-query cache."),
+    ("repro_queries_by_route_total", "counter", "queries.by_route.{route}",
+     "Completed query evaluations by scheduler route."),
+    ("repro_engine_stat_total", "counter", "engine_stats.{stat}",
+     "Evaluation-stat totals (repro.ltj.stats fields)."),
+    ("repro_span_seconds", "histogram", "spans.{span}.{route}",
+     "Wall seconds of a dispatched request's server spans, by route."),
+    ("repro_response_bytes_total", "counter", "response_bytes_total",
+     "Bytes of the 200 /query reply bodies built."),
+    ("repro_traced_queries_total", "counter", "queries.traced",
+     "Queries evaluated under a repro.obs trace."),
+    ("repro_wavelet_ops_total", "counter",
+     f"wavelet_ops.{{structure}}.{{op:{','.join(_OP_FIELDS)}}}",
+     "Succinct-structure operation counts merged from traced queries "
+     "(repro.obs OpCounters)."),
+    ("repro_uptime_seconds", "gauge", "uptime_seconds",
+     "Seconds since the server process started."),
+    ("repro_{}", "gauge", "gauges.{}", "Server gauge: {}."),
+    ("repro_cache_events_total", "counter",
+     "cache.{event:hits,misses,fills,evictions,invalidations,inadmissible}",
+     "Cross-query cache lifetime events (repro.cache.QueryCache.stats)."),
+    ("repro_cache_{}", "gauge", "cache.{:entries,bytes,max_bytes}",
+     "Cross-query cache occupancy: {}."),
 )
-
-#: Occupancy fields of the same snapshot (rendered as gauges).
-_CACHE_GAUGE_FIELDS = ("entries", "bytes", "max_bytes")
 
 
 def _escape_label(value: str) -> str:
@@ -64,7 +100,7 @@ class ServerMetrics:
         self._started = time.monotonic()
         #: (endpoint, status code) -> count.
         self._requests: dict[tuple[str, int], int] = {}
-        #: route ("batched" | "direct" | ...) -> completed queries.
+        #: route ("batched" | "direct" | "explain") -> dispatched requests.
         self._queries_by_route: dict[str, int] = {}
         self._queries_ok = 0
         self._queries_timeout = 0
@@ -72,11 +108,10 @@ class ServerMetrics:
         self._queries_shed = 0
         self._queries_cached = 0
         self._stat_totals: dict[str, int] = {f: 0 for f in _STAT_FIELDS}
-        self._query_seconds_total = 0.0
-        self._query_seconds_max = 0.0
-        #: 200 ``/query`` bodies: their bytes, the seconds building them.
+        #: span -> route -> latency histogram; both labels are fixed.
+        self._spans: dict[str, dict[str, Histogram]] = {}
+        #: Bytes of the 200 ``/query`` bodies.
         self._response_bytes_total = 0
-        self._encode_seconds_total = 0.0
         self._traced_queries = 0
         #: structure label -> merged OpCounters (the repro.obs dataclass).
         self._wavelets: dict[str, OpCounters] = {}
@@ -93,48 +128,45 @@ class ServerMetrics:
         with self._lock:
             self._queries_shed += 1
 
-    def observe_error(self) -> None:
-        with self._lock:
-            self._queries_error += 1
-
-    def observe_query(
+    def observe(
         self,
         route: str,
-        elapsed: float,
-        stats: Mapping[str, int],
-        timed_out: bool,
+        code: int,
+        seconds: Mapping[str, float],
+        stats: Mapping[str, int] | None = None,
         cached: bool = False,
         response_bytes: int = 0,
-        encode_seconds: float = 0.0,
     ) -> None:
-        """Fold one completed evaluation into the totals, with the size
-        of its reply body and the time spent encoding it (a timed-out
-        evaluation has neither: its rows are not encoded)."""
-        elapsed = max(0.0, float(elapsed))
+        """Fold in one dispatched request, once, whatever its outcome:
+        ``code`` 200 is ok, 504 a timeout, anything else an error.
+        ``seconds`` holds its server spans' durations by name."""
         with self._lock:
             self._queries_by_route[route] = (
                 self._queries_by_route.get(route, 0) + 1
             )
-            if timed_out:
+            if code == 200:
+                self._queries_ok += 1
+            elif code == 504:
                 self._queries_timeout += 1
             else:
-                self._queries_ok += 1
+                self._queries_error += 1
             if cached:
                 self._queries_cached += 1
             for field in _STAT_FIELDS:
-                self._stat_totals[field] += int(stats.get(field, 0))
-            self._query_seconds_total += elapsed
-            if elapsed > self._query_seconds_max:
-                self._query_seconds_max = elapsed
+                self._stat_totals[field] += int((stats or {}).get(field, 0))
+            for name, elapsed in seconds.items():
+                if name in SPANS and route in ROUTES:
+                    by_route = self._spans.setdefault(name, {})
+                    if route not in by_route:
+                        by_route[route] = Histogram()
+                    by_route[route].observe(max(0.0, elapsed))
             self._response_bytes_total += response_bytes
-            self._encode_seconds_total += encode_seconds
 
     def observe_trace_document(self, document: Mapping[str, Any]) -> None:
         """Merge a finished trace document's wavelet op counts.
 
-        Accepts the JSON form (:meth:`QueryTrace.to_dict`) so it works
-        identically for serial traces and the merged documents the
-        parallel executor produces.
+        Accepts the JSON form (:meth:`QueryTrace.to_dict`), the form the
+        ``/query`` and ``/explain`` replies embed.
         """
         wavelets = document.get("wavelets") or {}
         with self._lock:
@@ -158,7 +190,7 @@ class ServerMetrics:
         gauges: Mapping[str, float] | None = None,
         cache: Mapping[str, int] | None = None,
     ) -> dict:
-        """JSON snapshot (the same numbers the text exposition renders).
+        """The metrics document (:func:`render_text` writes it as text).
 
         ``cache`` is a :meth:`repro.cache.QueryCache.stats` snapshot;
         None means the server runs without a cache and the section is
@@ -183,12 +215,11 @@ class ServerMetrics:
                     "traced": self._traced_queries,
                 },
                 "engine_stats": dict(self._stat_totals),
-                "query_seconds": {
-                    "total": self._query_seconds_total,
-                    "max": self._query_seconds_max,
+                "spans": {
+                    name: {route: h.as_dict() for route, h in by_route.items()}
+                    for name, by_route in self._spans.items()
                 },
                 "response_bytes_total": self._response_bytes_total,
-                "encode_seconds_total": self._encode_seconds_total,
                 "wavelet_ops": {
                     label: counters.as_dict()
                     for label, counters in sorted(self._wavelets.items())
@@ -200,157 +231,59 @@ class ServerMetrics:
             document["cache"] = {k: int(cache[k]) for k in sorted(cache)}
         return document
 
-    def render_text(
-        self,
-        gauges: Mapping[str, float] | None = None,
-        cache: Mapping[str, int] | None = None,
-    ) -> str:
-        """Prometheus text exposition (format 0.0.4)."""
-        lines: list[str] = []
 
-        def metric(name: str, help_text: str, kind: str,
-                   samples: list[tuple[str, float]]) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, value in samples:
-                rendered = (
-                    value if value % 1 else int(value)
-                )
-                lines.append(f"{name}{labels} {rendered}")
+def _leaves(
+    node: Any, segments: list[str], labels: tuple = (), key: str = ""
+) -> Iterator[tuple[tuple, str, Any]]:
+    """(labels, name key, value) of every leaf an EXPOSITION path
+    selects."""
+    if not segments:
+        yield labels, key, node
+        return
+    head, rest = segments[0], segments[1:]
+    if not isinstance(node, Mapping):
+        return
+    if not head.startswith("{"):
+        if head in node:
+            yield from _leaves(node[head], rest, labels, key)
+        return
+    names, _, only = head[1:-1].partition(":")
+    for k in only.split(",") if only else node:
+        if k in node:
+            pairs = tuple(zip(names.split(), k.split(" ")))
+            yield from _leaves(node[k], rest, labels + pairs,
+                               key if names else k)
 
-        with self._lock:
-            metric(
-                "repro_requests_total",
-                "HTTP requests served, by endpoint and status code.",
-                "counter",
-                [
-                    (
-                        f'{{endpoint="{_escape_label(endpoint)}",'
-                        f'code="{code}"}}',
-                        float(count),
-                    )
-                    for (endpoint, code), count in sorted(
-                        self._requests.items()
-                    )
-                ],
-            )
-            metric(
-                "repro_queries_total",
-                "Completed query evaluations by outcome.",
-                "counter",
-                [
-                    ('{outcome="ok"}', float(self._queries_ok)),
-                    ('{outcome="timeout"}', float(self._queries_timeout)),
-                    ('{outcome="error"}', float(self._queries_error)),
-                    ('{outcome="shed"}', float(self._queries_shed)),
-                ],
-            )
-            metric(
-                "repro_queries_cached_total",
-                "Completed query evaluations answered from the "
-                "cross-query cache.",
-                "counter",
-                [("", float(self._queries_cached))],
-            )
-            metric(
-                "repro_queries_by_route_total",
-                "Completed query evaluations by scheduler route.",
-                "counter",
-                [
-                    (f'{{route="{_escape_label(route)}"}}', float(count))
-                    for route, count in sorted(
-                        self._queries_by_route.items()
-                    )
-                ],
-            )
-            metric(
-                "repro_engine_stat_total",
-                "Evaluation-stat totals (repro.ltj.stats fields).",
-                "counter",
-                [
-                    (f'{{stat="{field}"}}', float(self._stat_totals[field]))
-                    for field in _STAT_FIELDS
-                ],
-            )
-            metric(
-                "repro_query_seconds_total",
-                "Total evaluation wall seconds.",
-                "counter",
-                [("", self._query_seconds_total)],
-            )
-            metric(
-                "repro_query_seconds_max",
-                "Largest single evaluation wall time.",
-                "gauge",
-                [("", self._query_seconds_max)],
-            )
-            metric(
-                "repro_response_bytes_total",
-                "Bytes of the 200 /query reply bodies built.",
-                "counter",
-                [("", float(self._response_bytes_total))],
-            )
-            metric(
-                "repro_encode_seconds_total",
-                "Wall seconds spent encoding those bodies (dispatch "
-                "thread).",
-                "counter",
-                [("", self._encode_seconds_total)],
-            )
-            metric(
-                "repro_traced_queries_total",
-                "Queries evaluated under a repro.obs trace.",
-                "counter",
-                [("", float(self._traced_queries))],
-            )
-            wavelet_samples: list[tuple[str, float]] = []
-            for label, counters in sorted(self._wavelets.items()):
-                for field in _OP_FIELDS:
-                    wavelet_samples.append(
-                        (
-                            f'{{structure="{_escape_label(label)}",'
-                            f'op="{field}"}}',
-                            float(getattr(counters, field)),
-                        )
-                    )
-            metric(
-                "repro_wavelet_ops_total",
-                "Succinct-structure operation counts merged from traced "
-                "queries (repro.obs OpCounters).",
-                "counter",
-                wavelet_samples,
-            )
-            uptime = time.monotonic() - self._started
-        metric(
-            "repro_uptime_seconds",
-            "Seconds since the server process started.",
-            "gauge",
-            [("", uptime)],
-        )
-        for name in sorted(gauges or {}):
-            metric(
-                f"repro_{name}",
-                f"Server gauge: {name.replace('_', ' ')}.",
-                "gauge",
-                [("", float(gauges[name]))],  # type: ignore[index]
-            )
-        if cache is not None:
-            metric(
-                "repro_cache_events_total",
-                "Cross-query cache lifetime events "
-                "(repro.cache.QueryCache.stats).",
-                "counter",
-                [
-                    (f'{{event="{field}"}}', float(cache.get(field, 0)))
-                    for field in _CACHE_EVENT_FIELDS
-                ],
-            )
-            for field in _CACHE_GAUGE_FIELDS:
-                metric(
-                    f"repro_cache_{field}",
-                    f"Cross-query cache occupancy: "
-                    f"{field.replace('_', ' ')}.",
-                    "gauge",
-                    [("", float(cache.get(field, 0)))],
+
+def render_text(document: Mapping[str, Any]) -> str:
+    """Prometheus text exposition (format 0.0.4) of an :meth:`as_dict`
+    document, one family per :data:`EXPOSITION` row (and per key of a
+    ``{}`` row); a family with no samples is left out."""
+    lines: list[str] = []
+    for name, kind, path, help_text in EXPOSITION:
+        families: dict[str, tuple[str, list[str]]] = {}
+        for labels, key, leaf in _leaves(document, path.split(".")):
+            family = name.format(key)
+            samples = families.setdefault(family, (key, []))[1]
+            series = [("", (), leaf)] if kind != "histogram" else [
+                *(("_bucket", (("le", le),), n)
+                  for le, n in leaf["buckets"].items()),
+                ("_sum", (), leaf["sum"]), ("_count", (), leaf["count"]),
+            ]
+            for suffix, extra, value in series:
+                rendered = ",".join(
+                    f'{label}="{_escape_label(str(v))}"'
+                    for label, v in labels + extra
                 )
-        return "\n".join(lines) + "\n"
+                number = value if value % 1 else int(value)
+                samples.append(
+                    f"{family}{suffix}{{{rendered}}} {number}" if rendered
+                    else f"{family}{suffix} {number}"
+                )
+        for family, (key, samples) in families.items():
+            lines.append(
+                f"# HELP {family} {help_text.format(key.replace('_', ' '))}"
+            )
+            lines.append(f"# TYPE {family} {kind}")
+            lines.extend(samples)
+    return "\n".join(lines) + "\n"

@@ -5,13 +5,15 @@ it in any environment the server runs in. Exercises the whole surface:
 
 1. ``GET /healthz`` — server is up, reports its store and pool shape;
 2. ``POST /query`` — solutions come back, response body validates
-   against :data:`repro.serve.protocol.QUERY_RESPONSE_SCHEMA`;
+   against :data:`repro.serve.protocol.QUERY_RESPONSE_SCHEMA`, and the
+   reply carries an ``X-Request-Id``;
 3. ``POST /query`` with ``trace`` — the embedded trace document
    validates against the trace schema;
 4. ``POST /explain`` with ``analyze`` — plan text plus validated trace;
 5. malformed request — typed 400, never a traceback;
 6. ``GET /metrics`` — Prometheus text scrape (optionally written to
-   ``--out`` as the CI artifact) and the JSON form agree on the query
+   ``--out`` as the CI artifact) counts the batched query in its
+   ``request`` span histogram, and the JSON form agrees on the query
    counter.
 
 Exit code 0 when every step passes::
@@ -86,10 +88,11 @@ def run_smoke(
     log(f"healthz ok: workers={health['workers']}, store={health['store']}")
 
     # 2. plain query
-    code, _headers, raw = _request(
+    code, headers, raw = _request(
         host, port, "POST", "/query", {"query": query}
     )
     _check(code == 200, f"/query returned {code}: {raw[:200]!r}")
+    _check("x-request-id" in headers, "/query reply has no X-Request-Id")
     plain = json.loads(raw)
     validate_query_response(plain)
     log(
@@ -140,6 +143,10 @@ def run_smoke(
         "repro_queries_total" in text and "repro_wavelet_ops_total" in text,
         "metrics exposition is missing expected families",
     )
+    batched = 'repro_span_seconds_count{span="request",route="batched"} '
+    counted = [int(line[len(batched):]) for line in text.splitlines()
+               if line.startswith(batched)]
+    _check(counted[:1] >= [1], f"{counted} batched requests counted, sent 1")
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1,30 +1,2 @@
-"""Shared utilities: errors, timing, validation, and RNG helpers."""
-
-from repro.utils.errors import (
-    QueryError,
-    ReproError,
-    StructureError,
-    TimeoutExceeded,
-    ValidationError,
-)
-from repro.utils.timing import Stopwatch, Timer
-from repro.utils.validation import (
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_range,
-)
-
-__all__ = [
-    "ReproError",
-    "StructureError",
-    "QueryError",
-    "ValidationError",
-    "TimeoutExceeded",
-    "Stopwatch",
-    "Timer",
-    "check_index",
-    "check_nonnegative",
-    "check_positive",
-    "check_range",
-]
+"""Shared utilities: errors (:mod:`.errors`), the query-timeout
+stopwatch (:mod:`.timing`) and argument checks (:mod:`.validation`)."""

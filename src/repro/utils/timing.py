@@ -1,9 +1,8 @@
-"""Timing helpers used by engines and the benchmark harnesses."""
+"""The query-timeout stopwatch (span timing lives in :mod:`repro.obs.spans`)."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class Stopwatch:
@@ -29,36 +28,3 @@ class Stopwatch:
     def restart(self) -> None:
         """Reset the stopwatch to zero elapsed time."""
         self._start = time.monotonic()
-
-
-@dataclass
-class Timer:
-    """Accumulating timer for instrumenting phases of an experiment.
-
-    Use as a context manager; ``total`` accumulates across uses so one
-    Timer can measure a phase that occurs inside a loop::
-
-        t = Timer("leap")
-        for _ in work:
-            with t:
-                leap(...)
-        print(t.total)
-    """
-
-    name: str = ""
-    total: float = 0.0
-    count: int = 0
-    _started: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.total += time.perf_counter() - self._started
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        """Average seconds per timed block (0.0 if never used)."""
-        return self.total / self.count if self.count else 0.0

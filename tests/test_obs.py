@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.engines.auto import AutoEngine
+from repro.engines.baseline import BaselineEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.kstar import evaluate_k_star
 from repro.engines.materialize import MaterializeEngine
@@ -25,6 +26,7 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.schema import main as schema_main
+from repro.obs.spans import Spans
 from repro.query.parser import parse_query
 
 
@@ -153,7 +155,7 @@ class TestEngineIntegration:
             parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)"), trace=trace
         )
         assert trace.meta["materialized_pairs"] > 0
-        assert "materialize" in trace.phases
+        assert "materialize" in trace.to_dict()["phases"]
         assert trace.wavelets["materialized_ring"].total > 0
         assert trace.solutions == len(result.solutions)
         validate_trace(trace.to_dict())
@@ -171,6 +173,68 @@ class TestEngineIntegration:
         assert trace.meta["kstar"]["evaluations"] == result.evaluations
         assert trace.stats, "winning k must have been re-run traced"
         validate_trace(trace.to_dict())
+
+
+# ----------------------------------------------------------------------
+# phases are the engine's spans
+# ----------------------------------------------------------------------
+#: The top-level keys of a trace document (TRACE_VERSION 1).
+TRACE_KEYS = {
+    "version", "engine", "query", "solutions", "elapsed", "timed_out",
+    "stats", "phases", "variables", "ordering", "ordering_dropped",
+    "relations", "wavelets", "meta",
+}
+
+
+class TestSpans:
+    @pytest.mark.parametrize(
+        "engine_class, names",
+        [
+            (BaselineEngine, {"bgp", "postprocess"}),
+            (MaterializeEngine, {"materialize", "query"}),
+        ],
+    )
+    def test_phases_are_per_name_span_sums(self, db, engine_class, names):
+        trace = QueryTrace()
+        engine_class(db).evaluate(
+            parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)"), trace=trace
+        )
+        sums: dict[str, float] = {}
+        for span in trace.spans.records:
+            sums[span.name] = sums.get(span.name, 0.0) + span.seconds
+        phases = trace.to_dict()["phases"]
+        assert set(phases) == names
+        assert phases == pytest.approx(sums)
+
+    def test_shared_recorder_nests_engine_spans(self, db):
+        """A trace opened inside a request's span sums only the engine's
+        spans, which nest under that span."""
+        spans = Spans(request=7)
+        with spans.span("evaluate") as outer:
+            trace = QueryTrace(spans=spans)
+            RingKnnEngine(db).evaluate(
+                parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)"), trace=trace
+            )
+        inner = [s for s in spans.records if s.parent == outer.id]
+        assert [s.name for s in inner] == ["evaluate"]
+        assert inner[0].request == 7
+        assert inner[0].seconds <= outer.seconds
+        assert trace.to_dict()["phases"] == {"evaluate": inner[0].seconds}
+
+    def test_figure2_trace_documents_keep_their_keys(self):
+        from repro.experiments.registry import figure2_setup
+        from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
+
+        _bench, golden_db, workload = figure2_setup(
+            GOLDEN_DATA, GOLDEN_WORKLOAD
+        )
+        for family, queries in sorted(workload.items()):
+            trace = QueryTrace()
+            RingKnnEngine(golden_db).evaluate(queries[0], trace=trace)
+            document = trace.to_dict()
+            assert set(document) == TRACE_KEYS, family
+            assert set(document["phases"]) == {"evaluate"}, family
+            validate_trace(document)
 
 
 # ----------------------------------------------------------------------

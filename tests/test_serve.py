@@ -23,6 +23,7 @@ the JSON surface cannot drift from its documented contract.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -52,6 +53,7 @@ from repro.query.model import (
 from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.app import ReproServer, ServeConfig, ServerThread
+from repro.serve.metrics import EXPOSITION, render_text
 from repro.store import save
 from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 from tests.test_store import _comparable
@@ -131,6 +133,41 @@ def _get(handle, path: str):
 def _canonical(document) -> bytes:
     """The body the server wrote before it had an encoder of its own."""
     return (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _declared_value(document, name: str, labels: dict[str, str]):
+    """The document value behind one text sample, found by reading the
+    EXPOSITION table backwards: the sample's name picks a row, its
+    labels fill the row's path."""
+    for pattern, kind, path, _help in EXPOSITION:
+        suffix = "(_bucket|_sum|_count)" if kind == "histogram" else "()"
+        match = re.fullmatch(
+            re.escape(pattern).replace(r"\{\}", "(.+)") + suffix, name
+        )
+        if match is None:
+            continue
+        unused = dict(labels)
+        node = document
+        try:  # `repro_{}` matches every name: a wrong row has no path
+            for segment in path.split("."):
+                if not segment.startswith("{"):
+                    node = node[segment]
+                    continue
+                names = segment[1:-1].partition(":")[0]
+                node = node[
+                    " ".join(unused.pop(n) for n in names.split())
+                    if names else match.group(1)
+                ]
+        except KeyError:
+            continue
+        part = match.groups()[-1]
+        if part == "_bucket":
+            node = node["buckets"][unused.pop("le")]
+        elif part:
+            node = node[part[1:]]
+        assert not unused, (name, unused)
+        return node
+    raise AssertionError(f"no EXPOSITION row declares {name}")
 
 
 def _post_query_raw(handle, payload, solutions):
@@ -257,8 +294,13 @@ class TestOperationalEndpoints:
 
     def test_metrics_count_reply_bytes_and_encode_time(self, golden):
         """Each 200 /query body adds its length to
-        ``response_bytes_total`` and its build time to
-        ``encode_seconds_total``, in both expositions."""
+        ``response_bytes_total`` and one observation of its build time
+        to the ``encode`` span histogram, in both expositions."""
+        def encode(document):
+            return document["spans"].get("encode", {}).get(
+                "batched", {"count": 0, "sum": 0.0}
+            )
+
         _, _, before = _get(golden.handle, "/metrics?format=json")
         status, _, raw = _request(
             golden.handle.host, golden.handle.port, "POST", "/query",
@@ -270,7 +312,8 @@ class TestOperationalEndpoints:
             after["response_bytes_total"] - before["response_bytes_total"]
             == len(raw)
         )
-        assert after["encode_seconds_total"] > before["encode_seconds_total"]
+        assert encode(after)["count"] == encode(before)["count"] + 1
+        assert encode(after)["sum"] > encode(before)["sum"]
         _, _, text = _get(golden.handle, "/metrics")
         samples = dict(
             line.rsplit(" ", 1)
@@ -278,7 +321,79 @@ class TestOperationalEndpoints:
             if not line.startswith("#")
         )
         assert int(samples["repro_response_bytes_total"]) >= len(raw)
-        assert float(samples["repro_encode_seconds_total"]) > 0
+        assert int(
+            samples['repro_span_seconds_count{span="encode",route="batched"}']
+        ) >= 1
+        assert float(
+            samples['repro_span_seconds_sum{span="encode",route="batched"}']
+        ) > 0
+
+    def test_explain_is_observed_exactly_once(self, golden):
+        """A good /explain counts once under its route and once in the
+        ``request`` histogram (only its failures used to count)."""
+        def observed(document):
+            return (
+                document["queries"]["by_route"].get("explain", 0),
+                document["spans"].get("request", {}).get(
+                    "explain", {"count": 0}
+                )["count"],
+            )
+
+        _, _, before = _get(golden.handle, "/metrics?format=json")
+        status, _, _body = _post(
+            golden.handle, "/explain", {"query": golden.cases[0][1]}
+        )
+        assert status == 200
+        _, _, after = _get(golden.handle, "/metrics?format=json")
+        by_route, requests = observed(before)
+        assert observed(after) == (by_route + 1, requests + 1)
+        assert after["queries"]["ok"] == before["queries"]["ok"] + 1
+
+    def test_text_samples_equal_document_values(self, golden):
+        """Every text sample is the document's value at the path its
+        EXPOSITION row declares, and no family the server exposed
+        before the span histogram went missing."""
+        text = golden.cases[0][1]
+        for path, payload in (
+            ("/query", {"query": text}),
+            ("/query", {"query": text, "engine": "ring-knn", "trace": True}),
+            ("/explain", {"query": text, "analyze": True}),
+        ):
+            assert _post(golden.handle, path, payload)[0] == 200
+        server = golden.handle.server
+        document = server.metrics.as_dict(
+            server._gauges(), cache=server.cache.stats()
+        )
+        exposition = render_text(document)
+        families = set()
+        count = 0
+        for line in exposition.splitlines():
+            if line.startswith("#"):
+                continue
+            sample, _, value = line.rpartition(" ")
+            name, _, label_text = sample.partition("{")
+            labels = dict(re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"',
+                                     label_text))
+            assert float(value) == float(
+                _declared_value(document, name, labels)
+            ), line
+            families.add(name)
+            count += 1
+        assert count > 100
+        for family in (
+            "repro_requests_total", "repro_queries_total",
+            "repro_queries_cached_total", "repro_queries_by_route_total",
+            "repro_engine_stat_total", "repro_response_bytes_total",
+            "repro_traced_queries_total", "repro_wavelet_ops_total",
+            "repro_uptime_seconds", "repro_inflight",
+            "repro_cache_events_total", "repro_cache_bytes",
+            "repro_span_seconds_bucket", "repro_span_seconds_sum",
+            "repro_span_seconds_count",
+        ):
+            assert family in families, family
+        for gone in ("repro_query_seconds_total", "repro_query_seconds_max",
+                     "repro_encode_seconds_total"):
+            assert gone not in families
 
     def test_unknown_paths_share_one_requests_label(self, golden):
         """The request table is keyed by endpoint, not by whatever path
@@ -388,6 +503,39 @@ class TestGoldenWorkload:
                 f"{family}: concurrent response was not this client's "
                 "answer"
             )
+
+    def test_every_reply_carries_a_request_id(self, golden):
+        """/query and /explain replies, 400s included, carry
+        ``X-Request-Id``; one client's ids increase."""
+        text = golden.cases[0][1]
+        ids = []
+        for path, payload in (
+            ("/query", {"query": text}),
+            ("/explain", {"query": text}),
+            ("/query", {"query": "(?x"}),
+            ("/query", {"query": text, "engine": "ring-knn", "trace": True}),
+        ):
+            _status, headers, _body = _post(golden.handle, path, payload)
+            ids.append(int(headers["X-Request-Id"]))
+        assert ids == sorted(set(ids))
+
+    def test_request_ids_unique_across_concurrent_clients(self, golden):
+        text = golden.cases[0][1]
+
+        def client(_n):
+            return [
+                int(_post(golden.handle, "/query", {"query": text})[1][
+                    "X-Request-Id"
+                ])
+                for _ in range(4)
+            ]
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            per_client = list(pool.map(client, range(6)))
+        for ids in per_client:
+            assert ids == sorted(ids)
+        every = [i for ids in per_client for i in ids]
+        assert len(set(every)) == len(every) == 24
 
     def test_limit_is_applied(self, golden):
         _family, text, _auto, serial_solutions, _doc = max(

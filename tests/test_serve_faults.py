@@ -24,6 +24,7 @@ test pins that the CLI flag wires it through end to end.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -44,10 +45,11 @@ from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.ltj.stats import EvaluationStats
+from repro.obs.spans import Spans
 from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
 from repro.query.model import Var
 from repro.serve import protocol
-from repro.serve.app import ReproServer, ServeConfig, ServerThread
+from repro.serve.app import ReproServer, ServeConfig, ServerThread, _Pending
 from repro.store import save
 
 START_METHODS = ("fork", "spawn")
@@ -125,18 +127,20 @@ class TestDeadlines:
     def test_timeout_is_typed_504_and_pool_survives(self, faulty_server):
         """Slow query blows its deadline -> 504 TimeoutExceeded; the
         very next query must succeed on the same (unpoisoned) pool."""
-        status, _, body = _post(
+        status, headers, body = _post(
             faulty_server,
             "/query",
             {"query": QUERY, "debug": "sleep:2", "timeout": 0.2},
         )
         assert status == 504, body
+        timed_out_id = int(headers["X-Request-Id"])
         assert body["status"] == "error"
         assert body["error"]["type"] == "TimeoutExceeded"
         assert body["error"]["elapsed"] >= 0.2
 
-        status, _, body = _post(faulty_server, "/query", {"query": QUERY})
+        status, headers, body = _post(faulty_server, "/query", {"query": QUERY})
         assert status == 200, body
+        assert int(headers["X-Request-Id"]) > timed_out_id
         assert body["timed_out"] is False
         assert len(body["solutions"]) > 0
 
@@ -176,10 +180,6 @@ class TestDeadlines:
         """A flagged-timeout result carries partial rows; the 504 holds
         none of them, so no reply body is built for it."""
         server = ReproServer(_make_db(), ServeConfig(workers=1))
-        sent = []
-        monkeypatch.setattr(
-            server, "_resolve", lambda item, response: sent.append(response)
-        )
         monkeypatch.setattr(
             protocol, "query_response",
             lambda *args, **kwargs: pytest.fail("encoded a timed-out result"),
@@ -189,11 +189,20 @@ class TestDeadlines:
             solutions=[{Var("x"): 1}, {Var("x"): 2}],
             stats=EvaluationStats(solutions=2, elapsed=0.3, timed_out=True),
         )
+        loop = asyncio.new_event_loop()
+        spans = Spans(1)
+        item = _Pending(
+            kind="query", request=None, query=None, spans=spans,
+            root=spans.open("request"), deadline_at=None,
+            future=loop.create_future(),
+        )
+        server._loop = loop
         try:
-            server._finish_result(None, result, "direct", None)
+            server._finish_result(item, result, "direct", None)
+            response = loop.run_until_complete(item.future)
         finally:
+            loop.close()
             server._dispatch_pool.shutdown()
-        (response,) = sent
         assert response.code == 504
         protocol.validate_error_response(response.body)
         assert response.body["error"]["type"] == "TimeoutExceeded"
@@ -201,6 +210,8 @@ class TestDeadlines:
         assert totals["queries"]["timeout"] == 1
         assert totals["engine_stats"]["solutions"] == 2
         assert totals["response_bytes_total"] == 0
+        assert "encode" not in totals["spans"]
+        assert totals["spans"]["request"]["direct"]["count"] == 1
 
 
 class TestAdmission:

@@ -11,7 +11,7 @@ from repro.utils.errors import (
     TimeoutExceeded,
     ValidationError,
 )
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_index,
     check_nonnegative,
@@ -48,20 +48,6 @@ class TestStopwatch:
         first = sw.elapsed()
         sw.restart()
         assert sw.elapsed() < first
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer("phase")
-        for _ in range(3):
-            with t:
-                pass
-        assert t.count == 3
-        assert t.total >= 0
-        assert t.mean == pytest.approx(t.total / 3)
-
-    def test_mean_of_unused_timer(self):
-        assert Timer().mean == 0.0
 
 
 class TestValidation:
