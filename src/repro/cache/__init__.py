@@ -13,14 +13,12 @@ from repro.cache.canonical import (
     profile_of,
 )
 from repro.cache.store import (
-    CacheConfig,
     DEFAULT_MAX_BYTES,
     QueryCache,
     database_epoch,
 )
 
 __all__ = [
-    "CacheConfig",
     "CanonicalQuery",
     "CanonicalizationError",
     "DEFAULT_MAX_BYTES",

@@ -17,16 +17,16 @@ canonical form of :mod:`repro.cache.canonical`:
   variables recorded as first-seen *ranks* so a hit can rebuild
   byte-identical stats under the probing query's own variable names.
 
-* **Admission** — cost-aware: an entry is admitted only when its
-  observed cost (EWMA seconds fed back from
-  ``QueryScheduler.record_elapsed``, or the measured elapsed time)
-  clears ``CacheConfig.min_cost_s``, it did not time out, and it fits
-  the byte budget. Timed-out results are never cached (they are
-  truncated at a wall-clock-dependent point).
+* **Admission** — a completed result is admitted unless it timed out
+  (it is truncated at a wall-clock-dependent point), its query has no
+  canonical form, a variable is unbound in its rows (a projection), or
+  it would take more than :data:`MAX_ENTRY_FRACTION` of the byte
+  budget.
 
 * **Eviction** — cost×recency: when the byte budget overflows, the
-  entry with the lowest ``cost / age`` score goes first, so cheap
-  stale entries make room before expensive recent ones.
+  entry with the lowest ``elapsed / age`` score goes first, where
+  ``elapsed`` is the entry's own cold evaluation time, so cheap stale
+  entries make room before expensive recent ones.
 
 * **Invalidation** — every entry is stamped with the database's
   mutation epoch (:attr:`repro.engines.database.GraphDatabase.epoch`,
@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -56,6 +55,7 @@ from repro.cache.canonical import (
 )
 from repro.engines.result import QueryResult, Solutions
 from repro.ltj.stats import EvaluationStats
+from repro.obs.spans import Spans, now
 from repro.query.model import ExtendedBGP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,26 +64,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default byte budget for packed solution matrices (32 MiB).
 DEFAULT_MAX_BYTES = 32 << 20
 
+#: A single entry larger than this fraction of the byte budget is
+#: inadmissible outright (it would evict half the cache).
+MAX_ENTRY_FRACTION = 0.5
+
 #: Fixed per-entry overhead charged against the byte budget (keys,
 #: counters, dict slots) on top of the packed matrix itself.
 ENTRY_OVERHEAD_BYTES = 512
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Sizing and admission policy of one :class:`QueryCache`."""
-
-    max_bytes: int = DEFAULT_MAX_BYTES
-    """Byte budget over all packed solution matrices."""
-
-    min_cost_s: float = 0.0
-    """Observed-cost admission floor in seconds (0 admits everything
-    that completed; a server can raise it to keep only queries worth
-    remembering)."""
-
-    max_entry_fraction: float = 0.5
-    """A single entry larger than this fraction of ``max_bytes`` is
-    inadmissible outright (it would evict half the cache)."""
 
 
 @dataclass
@@ -95,7 +82,7 @@ class _Entry:
     descent_ranks: tuple[int, ...]
     sim_ranks: tuple[int, ...]
     epoch: int
-    cost_s: float
+    elapsed: float  # the cold run's seconds: the eviction weight
     nbytes: int
     last_used: int = 0
     hits: int = 0
@@ -110,8 +97,9 @@ def database_epoch(db) -> int:
 class QueryCache:
     """Size-bounded semantic result cache shared across queries."""
 
-    def __init__(self, config: CacheConfig | None = None) -> None:
-        self.config = config or CacheConfig()
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+        #: Byte budget over all packed solution matrices.
+        self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._bytes = 0
@@ -154,7 +142,8 @@ class QueryCache:
         and after a miss whether the result was stored).
         """
         info: dict[str, object] = {}
-        result = self.probe(db, query, engine=engine, meta=info)
+        result = self.probe(db, query, engine=engine, meta=info,
+                            spans=None if trace is None else trace.spans)
         if result is None:
             result = run()
             self.fill(db, query, result, engine=engine, meta=info)
@@ -174,15 +163,17 @@ class QueryCache:
         *,
         engine: str,
         meta: dict | None = None,
+        spans: Spans | None = None,
     ) -> QueryResult | None:
         """Look up ``query`` for ``engine``; rebuild the result on a hit.
 
         The returned :class:`QueryResult` carries ``cached=True``,
         solutions byte-identical to the producing cold run (remapped to
         this query's variable names), the producer's replayed counters,
-        and the real retrieval time as ``elapsed``.
+        and the real retrieval time as ``elapsed`` — the ``cache_probe``
+        span it records into ``spans`` (a fresh recorder by default).
         """
-        started = perf_counter()
+        started = now()
         form = self._canonical(query)
         if form is None:
             if meta is not None:
@@ -223,17 +214,18 @@ class QueryCache:
         stats.sim_variables = frozenset(
             variables[rank] for rank in entry.sim_ranks
         )
-        stats.elapsed = perf_counter() - started
         if meta is not None:
             meta["event"] = "cache_hit"
             meta["outcome"] = "hit"
             meta["signature"] = form.signature
             meta["engine"] = entry.engine
+        spans = Spans() if spans is None else spans
+        stats.elapsed = spans.add("cache_probe", started, now()).seconds
         return QueryResult(
             engine=entry.engine,
             solutions=Solutions(variables, entry.packed),
             stats=stats,
-            phase_seconds={"cache": stats.elapsed},
+            spans=spans,
             cached=True,
         )
 
@@ -244,14 +236,11 @@ class QueryCache:
         result: QueryResult,
         *,
         engine: str | None = None,
-        cost_s: float | None = None,
         meta: dict | None = None,
     ) -> bool:
         """Admit a cold ``result`` if the policy allows; returns success.
 
-        ``cost_s`` is the observed cost driving admission and eviction —
-        pass the scheduler's EWMA estimate when one exists, else the
-        measured ``result.elapsed`` is used.
+        The entry's eviction weight is the result's own ``elapsed``.
         """
         engine_name = engine if engine is not None else result.engine
 
@@ -273,11 +262,6 @@ class QueryCache:
             return note(False, "uncanonical")
         if meta is not None:
             meta.setdefault("signature", form.signature)
-        cost = float(cost_s) if cost_s is not None else float(result.elapsed)
-        if cost < self.config.min_cost_s:
-            with self._lock:
-                self._inadmissible += 1
-            return note(False, "below cost floor")
         variables = form.variables
         try:
             packed = result.solutions.columns(variables)
@@ -288,7 +272,7 @@ class QueryCache:
             return note(False, "unbound variable")
         packed.flags.writeable = False  # hits hand this very matrix out
         nbytes = int(packed.nbytes) + ENTRY_OVERHEAD_BYTES
-        if nbytes > self.config.max_bytes * self.config.max_entry_fraction:
+        if nbytes > self.max_bytes * MAX_ENTRY_FRACTION:
             with self._lock:
                 self._inadmissible += 1
             return note(False, "over byte budget")
@@ -318,7 +302,7 @@ class QueryCache:
                 )
             ),
             epoch=database_epoch(db),
-            cost_s=cost,
+            elapsed=float(result.elapsed),
             nbytes=nbytes,
         )
         key = (form.signature, form.profile, engine_name)
@@ -339,7 +323,7 @@ class QueryCache:
         self._bytes -= entry.nbytes
 
     def _evict_locked(self, incoming: int) -> None:
-        while self._entries and self._bytes + incoming > self.config.max_bytes:
+        while self._entries and self._bytes + incoming > self.max_bytes:
             victim_key = min(
                 self._entries,
                 key=lambda k: self._score_locked(self._entries[k]),
@@ -350,7 +334,7 @@ class QueryCache:
 
     def _score_locked(self, entry: _Entry) -> float:
         age = self._tick - entry.last_used + 1
-        return entry.cost_s / age
+        return entry.elapsed / age
 
     # -- maintenance --------------------------------------------------------
     def clear(self) -> None:
@@ -371,7 +355,7 @@ class QueryCache:
                 "inadmissible": self._inadmissible,
                 "entries": len(self._entries),
                 "bytes": self._bytes,
-                "max_bytes": self.config.max_bytes,
+                "max_bytes": self.max_bytes,
             }
 
     def __len__(self) -> int:

@@ -130,15 +130,14 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    import time as _time
-
+    from repro.obs.spans import now
     from repro.store import save
 
-    t0 = _time.perf_counter()
+    t0 = now()
     db = _load_db(args.data)
-    t1 = _time.perf_counter()
+    t1 = now()
     nbytes = save(db, args.out)
-    t2 = _time.perf_counter()
+    t2 = now()
     # What the index stores: distinct triples plus K-NN arcs (the
     # denominator of the benchmark's index_bytes_per_edge).
     edges = db.graph.num_edges + sum(

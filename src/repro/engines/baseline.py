@@ -25,11 +25,10 @@ from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import MinCandidatesOrdering
 from repro.ltj.stats import EvaluationStats
 from repro.ltj.triple_relation import RingTripleRelation
-from repro.obs.spans import now
+from repro.obs.spans import Stopwatch, now
 from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
 from repro.query.model import DistClause, ExtendedBGP, SimClause, Var, is_var
 from repro.utils.errors import QueryError
-from repro.utils.timing import Stopwatch
 
 
 class BaselineEngine:
@@ -87,10 +86,10 @@ class BaselineEngine:
     ) -> QueryResult:
         """Run both phases, sharing one time budget.
 
-        With ``trace``, the BGP phase records the usual LTJ counters and
-        the split between the two phases lands in ``trace.spans`` (the
-        post-processing phase does no leapfrog work, so its cost shows
-        up there and nowhere else).
+        The split between the two phases lands in ``result.spans``
+        (``trace.spans`` when traced, where the BGP phase also records
+        the usual LTJ counters): the post-processing phase does no
+        leapfrog work, so its cost shows up there and nowhere else.
         """
         self._check_supported(query)
         stopwatch = Stopwatch(timeout)
@@ -148,32 +147,23 @@ class BaselineEngine:
             run.close()
             if wavelets is not None:
                 wavelets.__exit__(None, None, None)
-        phase1 = ltj.stats.elapsed
+        ended = now()
+        stats.elapsed = ended - stopwatch.start
         stats.timed_out = stats.timed_out or ltj.stats.timed_out
         stats.bindings = ltj.stats.bindings
         stats.attempts = ltj.stats.attempts
         stats.leap_calls = ltj.stats.leap_calls
         stats.first_descent_order = ltj.stats.first_descent_order
         stats.solutions = len(solutions)
-        stats.elapsed = stopwatch.elapsed()
         if trace is not None:
-            ended = now()
-            started = ended - stats.elapsed
-            trace.spans.add("bgp", started, started + phase1)
-            trace.spans.add("postprocess", started + phase1, ended)
             trace.meta["base_solutions"] = base_count
             trace.finish(stats)
-        return QueryResult(
-            self.name,
-            solutions,
-            stats,
-            phase_seconds={
-                "bgp": phase1,
-                "postprocess": stats.elapsed - phase1,
-                "base_solutions": float(base_count),
-            },
-            trace=trace,
-        )
+        result = QueryResult(self.name, solutions, stats, trace=trace)
+        bgp_end = stopwatch.start + ltj.stats.elapsed
+        bgp = result.spans.add("bgp", stopwatch.start, bgp_end)
+        bgp.attrs["base_solutions"] = base_count
+        result.spans.add("postprocess", bgp_end, ended)
+        return result
 
     # ------------------------------------------------------------------
     def _postprocess(

@@ -15,14 +15,13 @@ comparison.
 
 from __future__ import annotations
 
-import time
-
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
 from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import MinCandidatesOrdering
 from repro.ltj.triple_relation import RingTripleRelation
+from repro.obs.spans import now
 from repro.obs.trace import attach_wavelets, instrument_relations
 from repro.query.model import ExtendedBGP, TriplePattern
 from repro.ring.index import RingIndex
@@ -50,7 +49,7 @@ class MaterializeEngine:
                 "materialization strawman only covers <|_k clauses"
             )
 
-        started = time.perf_counter()
+        started = now()
         # Phase 1: extract the k-prefixes of the K-NN lists per clause
         # and sort/index them as the relation kNN(.,.) under a fresh
         # predicate id (one per distinct k, since the pairs depend on
@@ -76,13 +75,13 @@ class MaterializeEngine:
                         extra_triples.append((u, pred, int(v)))
             clause_patterns.append(TriplePattern(clause.x, pred, clause.y))
         knn_ring = RingIndex(GraphData(extra_triples))
-        materialize_seconds = time.perf_counter() - started
+        materialized = now()
 
         # Phase 2: classic LTJ; data patterns run over the existing data
         # Ring, the rewritten clause patterns over the kNN-pairs Ring.
         remaining = None
         if timeout is not None:
-            remaining = max(0.0, timeout - materialize_seconds)
+            remaining = max(0.0, timeout - (materialized - started))
         relations = [
             RingTripleRelation(self._db.ring, t) for t in query.triples
         ]
@@ -102,7 +101,6 @@ class MaterializeEngine:
             trace.engine = self.name
             if trace.query is None:
                 trace.query = repr(query)
-            trace.spans.add("materialize", started, started + materialize_seconds)
             trace.meta["materialized_pairs"] = len(extra_triples)
             instrument_relations(trace, relations)
             # Two Rings are live here: the data Ring and the fresh Ring
@@ -115,20 +113,15 @@ class MaterializeEngine:
                 (knn_ring.column(c), trace.wavelet("materialized_ring"))
                 for c in "spo"
             )
-            with attach_wavelets(pairs), trace.spans.span("query"):
+            with attach_wavelets(pairs):
                 solutions = engine.evaluate()
+        ended = now()
         stats = engine.stats
-        stats.elapsed += materialize_seconds
+        stats.elapsed = ended - started
         if trace is not None:
             trace.finish(stats)
-        return QueryResult(
-            self.name,
-            solutions,
-            stats,
-            phase_seconds={
-                "materialize": materialize_seconds,
-                "query": stats.elapsed - materialize_seconds,
-                "materialized_pairs": float(len(extra_triples)),
-            },
-            trace=trace,
-        )
+        result = QueryResult(self.name, solutions, stats, trace=trace)
+        setup = result.spans.add("materialize", started, materialized)
+        setup.attrs["materialized_pairs"] = len(extra_triples)
+        result.spans.add("query", materialized, ended)
+        return result

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
+from repro.obs.spans import Spans
 
 __all__ = ["QueryResult", "Solutions"]
 
@@ -25,8 +26,10 @@ class QueryResult:
     stats: EvaluationStats
     """LTJ counters (bindings, attempts, elapsed, timed_out, ...)."""
 
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    """Per-phase wall-clock breakdown (e.g. ``materialize`` vs ``query``)."""
+    spans: Spans = field(default_factory=Spans)
+    """The evaluation's phases as spans (``bgp``/``postprocess``,
+    ``materialize``/``query``, a cache hit's ``cache_probe``): the
+    recorder of ``trace`` when the call was traced, else its own."""
 
     trace: object | None = None
     """The :class:`~repro.obs.trace.QueryTrace` passed to ``evaluate``
@@ -40,6 +43,8 @@ class QueryResult:
     def __post_init__(self) -> None:
         if not isinstance(self.solutions, Solutions):
             self.solutions = Solutions.from_dicts(self.solutions)
+        if self.trace is not None:
+            self.spans = self.trace.spans  # type: ignore[attr-defined]
 
     @property
     def elapsed(self) -> float:

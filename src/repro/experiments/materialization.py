@@ -78,8 +78,9 @@ def run_materialization_comparison(
     integrated_total: list[float] = []
     for query in queries:
         outcome = strawman.evaluate(query, timeout=timeout)
-        mat_setup.append(outcome.phase_seconds["materialize"])
-        mat_query.append(outcome.phase_seconds["query"])
+        phases = outcome.spans.totals()
+        mat_setup.append(phases["materialize"])
+        mat_query.append(phases["query"])
         reference = integrated.evaluate(query, timeout=timeout)
         integrated_total.append(reference.elapsed)
         assert reference.sorted_solutions() == outcome.sorted_solutions() or (

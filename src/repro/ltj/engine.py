@@ -32,8 +32,8 @@ from repro.ltj.plan import Atom, JoinPlan
 from repro.ltj.relation import LeapRelation
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
+from repro.obs.spans import Stopwatch
 from repro.query.model import Var
-from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import QueryTrace, VarCounters

@@ -2,12 +2,15 @@
 
 A span is ``(request id, span id, parent span id, name, start, end,
 attributes)``, stamped with :func:`now`. Engines record their phases
-into ``QueryTrace.spans`` (a trace document's ``phases`` are their
-per-name sums); the server records ``request``, ``queue``, ``evaluate``
-and ``encode`` per request and counts their durations into the
-fixed-bucket :class:`Histogram` s of ``/metrics``. A ``span()`` block's
-parent defaults to the innermost block still open on the recorder, so
-an engine's ``evaluate`` nests under the server's when they share one.
+into ``QueryResult.spans`` — the ``QueryTrace.spans`` recorder when the
+call is traced (a trace document's ``phases`` are their per-name sums);
+the server records ``request``, ``queue``, ``evaluate`` and ``encode``
+per request and counts their durations into the fixed-bucket
+:class:`Histogram` s of ``/metrics``. A ``span()`` block's parent
+defaults to the innermost block still open on the recorder, so an
+engine's ``evaluate`` nests under the server's when they share one.
+Query budgets (:class:`Stopwatch`) read the same clock: this module is
+the only one in the package that reads one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,30 @@ now = time.perf_counter
 #: from 0.5 ms to 30 s; a last ``+Inf`` bucket takes the rest.
 BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
            0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
+
+
+class Stopwatch:
+    """A query's time budget on the span clock; ``None`` is unlimited.
+
+    Starts on construction; :meth:`expired` is cheap enough to be polled
+    inside the LTJ main loop every few thousand steps.
+    """
+
+    def __init__(self, budget: float | None = None) -> None:
+        self.budget = budget
+        self.start = now()
+
+    def elapsed(self) -> float:
+        """Seconds since construction (or the last :meth:`restart`)."""
+        return now() - self.start
+
+    def expired(self) -> bool:
+        """Whether the budget (if any) has been exhausted."""
+        return self.budget is not None and self.elapsed() > self.budget
+
+    def restart(self) -> None:
+        """Reset the stopwatch to zero elapsed time."""
+        self.start = now()
 
 
 @dataclass
@@ -99,6 +126,10 @@ class Histogram:
     def __init__(self) -> None:
         self.counts = [0] * (len(BUCKETS) + 1)
         self.sum = 0.0
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
 
     def observe(self, seconds: float) -> None:
         self.counts[bisect_left(BUCKETS, seconds)] += 1

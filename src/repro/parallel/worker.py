@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.engines import INDEX_ENGINES
 from repro.engines.database import GraphDatabase
+from repro.ltj.stats import EvaluationStats
 from repro.query.model import ExtendedBGP
 from repro.store import Attachment, Manifest, attach, prime
 
@@ -113,12 +114,8 @@ class QueryOutcome:
     var_names: tuple[str, ...]
     packed: "np.ndarray | None"
     n_chunks: int
-    solutions_found: int
-    bindings: int
-    attempts: int
-    leap_calls: int
-    timed_out: bool
-    elapsed: float
+    stats: EvaluationStats
+    """The evaluation's stats whole, as the serial engine reports them."""
 
 
 def run_query(task: QueryTask) -> QueryOutcome:
@@ -132,7 +129,6 @@ def run_query(task: QueryTask) -> QueryOutcome:
     result = INDEX_ENGINES[task.engine](_WORKER_DB).evaluate(
         task.query, timeout=task.timeout, limit=task.limit
     )
-    stats = result.stats
     payload, n_chunks = _emit(task.uid, result.solutions.rows)
     return QueryOutcome(
         uid=task.uid,
@@ -141,12 +137,7 @@ def run_query(task: QueryTask) -> QueryOutcome:
         var_names=tuple(v.name for v in result.solutions.variables),
         packed=payload,
         n_chunks=n_chunks,
-        solutions_found=stats.solutions,
-        bindings=stats.bindings,
-        attempts=stats.attempts,
-        leap_calls=stats.leap_calls,
-        timed_out=stats.timed_out,
-        elapsed=stats.elapsed,
+        stats=result.stats,
     )
 
 

@@ -7,11 +7,11 @@ a bounded queue keeps tail latency flat and tells clients when to come
 back, which is the behaviour the ROADMAP's "heavy traffic" north star
 needs (and what the openGauss-DBMind exporter apps model).
 
-The ``Retry-After`` hint is derived from observed service times: an
-exponential moving average of per-query seconds (the same smoothing
-the scheduler's cost feedback uses) times the number of queries ahead
-of the rejected one, divided by the effective parallelism. Before any
-query completes the hint falls back to one second.
+The ``Retry-After`` hint is derived from measured service times: the
+mean seconds of a completed request — read by the caller from the
+server's ``request`` span histograms and passed to :meth:`admit` — times
+the number of queries ahead of the rejected one, divided by the
+effective parallelism. Before any request completes it is one second.
 
 Everything here runs on the asyncio event loop thread — admission is a
 control-plane decision — so no locking is needed; completions arriving
@@ -24,10 +24,6 @@ from __future__ import annotations
 import math
 
 from repro.utils.errors import AdmissionRejected, ServerDraining
-
-#: Smoothing factor of the service-time EWMA (matches the scheduler's
-#: cost-feedback alpha).
-EWMA_ALPHA = 0.3
 
 
 class AdmissionController:
@@ -44,17 +40,18 @@ class AdmissionController:
         self.admitted_total = 0
         self.shed_total = 0
         self.rejected_draining_total = 0
-        self._service_ewma: float | None = None
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def admit(self) -> None:
+    def admit(self, seconds: float | None = None) -> None:
         """Claim one admission slot or raise a typed rejection.
 
         Raises :class:`ServerDraining` once a shutdown has begun (the
         caller maps it to 503) and :class:`AdmissionRejected` when the
-        window is full (mapped to 429 with ``Retry-After``).
+        window is full (mapped to 429 with ``Retry-After``). ``seconds``
+        is the mean service time measured so far (None: nothing has
+        completed yet).
         """
         if self.draining:
             self.rejected_draining_total += 1
@@ -67,24 +64,16 @@ class AdmissionController:
             raise AdmissionRejected(
                 f"admission queue full ({self.inflight} in flight, "
                 f"capacity {self.capacity}); retry later",
-                retry_after=self.retry_after(),
+                retry_after=self.retry_after(seconds),
             )
         self.inflight += 1
         self.admitted_total += 1
 
-    def release(self, elapsed: float | None = None) -> None:
-        """Return one slot, optionally folding the observed service time
-        into the Retry-After estimate."""
+    def release(self) -> None:
+        """Return one slot."""
         if self.inflight <= 0:
             raise RuntimeError("admission release without a matching admit")
         self.inflight -= 1
-        if elapsed is not None and elapsed > 0.0:
-            previous = self._service_ewma
-            self._service_ewma = (
-                elapsed
-                if previous is None
-                else previous + EWMA_ALPHA * (elapsed - previous)
-            )
 
     # ------------------------------------------------------------------
     # drain
@@ -101,18 +90,14 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def retry_after(self) -> int:
+    def retry_after(self, seconds: float | None) -> int:
         """Suggested client back-off in whole seconds, >= 1.
 
-        ``EWMA service seconds x queries ahead / parallelism``, rounded
+        ``mean service seconds x queries ahead / parallelism``, rounded
         up and clamped to [1, 60] so a misbehaving estimate can never
-        tell clients to wait arbitrarily long.
+        tell clients to wait arbitrarily long; 1 with no measurement.
         """
-        if self._service_ewma is None:
+        if seconds is None:
             return 1
-        estimate = self._service_ewma * self.inflight / self.parallelism
+        estimate = seconds * self.inflight / self.parallelism
         return max(1, min(60, math.ceil(estimate)))
-
-    def service_seconds(self) -> float | None:
-        """The observed service-time EWMA (None before first release)."""
-        return self._service_ewma

@@ -11,7 +11,7 @@ pool:
   consumes. Each wakeup it drains whatever is queued, micro-batches the
   compatible requests (``auto`` engine, no trace) and hands each batch
   to :meth:`repro.parallel.scheduler.QueryScheduler.run_batch` — the
-  LPT-grouped, feedback-costed batched executor — on a one-thread
+  LPT-grouped batched executor — on a one-thread
   executor. Traced, engine-pinned, or ``/explain`` requests run on the
   same thread individually. The scheduler and the shared
   :class:`~repro.parallel.executor.WorkerPool` are not thread-safe;
@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.cache import CacheConfig, DEFAULT_MAX_BYTES, QueryCache
+from repro.cache import DEFAULT_MAX_BYTES, QueryCache
 from repro.engines import INDEX_ENGINES, AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.explain import explain as explain_plan
@@ -199,9 +199,7 @@ class ReproServer:
         # locked, so the /metrics scrape from the event loop is safe
         # against fills on the dispatch thread.
         self.cache: QueryCache | None = (
-            QueryCache(CacheConfig(max_bytes=config.cache_bytes))
-            if config.cache
-            else None
+            QueryCache(config.cache_bytes) if config.cache else None
         )
         self._scheduler = QueryScheduler(
             db,
@@ -264,8 +262,8 @@ class ReproServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_grace
-        while self.admission.inflight > 0 and time.monotonic() < deadline:
+        deadline = now() + self.config.drain_grace
+        while self.admission.inflight > 0 and now() < deadline:
             await asyncio.sleep(0.02)
         # Let just-resolved responses flush before connections close.
         await asyncio.sleep(0.05)
@@ -575,7 +573,7 @@ class ReproServer:
     # ------------------------------------------------------------------
     def _gauges(self) -> dict[str, float]:
         assert self._queue is not None
-        gauges = {
+        return {
             "inflight": float(self.admission.inflight),
             "admission_capacity": float(self.admission.capacity),
             "admitted_total": float(self.admission.admitted_total),
@@ -587,10 +585,6 @@ class ReproServer:
             "queue_depth": float(self._queue.qsize()),
             "pool_workers": float(self.config.workers),
         }
-        ewma = self.admission.service_seconds()
-        if ewma is not None:
-            gauges["service_seconds_ewma"] = float(ewma)
-        return gauges
 
     def _health_doc(self) -> dict[str, Any]:
         backing = self._db.store
@@ -610,7 +604,6 @@ class ReproServer:
         """``/query`` and ``/explain``: parse, admit, set the deadline,
         enqueue for the dispatcher, await its response."""
         root = spans.open("request")
-        t0 = root.start
         try:
             request = _REQUEST_PARSERS[kind](body)
             if (
@@ -626,7 +619,7 @@ class ReproServer:
                 400, protocol.error_response(type(exc).__name__, str(exc))
             )
         try:
-            self.admission.admit()
+            self.admission.admit(self.metrics.mean_request_seconds())
         except AdmissionRejected as exc:
             self.metrics.observe_shed()
             return _HttpResponse(
@@ -654,14 +647,14 @@ class ReproServer:
             query=query,
             spans=spans,
             root=root,
-            deadline_at=None if budget is None else t0 + budget,
+            deadline_at=None if budget is None else root.start + budget,
             future=self._loop.create_future(),
         )
         try:
             await self._queue.put(item)
             return await item.future
         finally:
-            self.admission.release(now() - t0)
+            self.admission.release()
 
     async def _route(
         self, method: str, target: str, body: bytes

@@ -22,10 +22,9 @@ contract of the recorder is untouched.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Iterator, Mapping
 
-from repro.obs.spans import Histogram
+from repro.obs.spans import Histogram, now
 from repro.obs.trace import OpCounters
 
 #: The server's endpoints. Requests are counted under these labels and
@@ -97,11 +96,9 @@ class ServerMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._started = time.monotonic()
+        self._started = now()
         #: (endpoint, status code) -> count.
         self._requests: dict[tuple[str, int], int] = {}
-        #: route ("batched" | "direct" | "explain") -> dispatched requests.
-        self._queries_by_route: dict[str, int] = {}
         self._queries_ok = 0
         self._queries_timeout = 0
         self._queries_error = 0
@@ -141,9 +138,6 @@ class ServerMetrics:
         ``code`` 200 is ok, 504 a timeout, anything else an error.
         ``seconds`` holds its server spans' durations by name."""
         with self._lock:
-            self._queries_by_route[route] = (
-                self._queries_by_route.get(route, 0) + 1
-            )
             if code == 200:
                 self._queries_ok += 1
             elif code == 504:
@@ -185,6 +179,15 @@ class ServerMetrics:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
+    def mean_request_seconds(self) -> float | None:
+        """Mean seconds of a dispatched request over every route — the
+        ``request`` histograms' total sum over their total count — or
+        None before the first one completes."""
+        with self._lock:
+            histograms = self._spans.get("request", {}).values()
+            count = sum(h.count for h in histograms)
+            return sum(h.sum for h in histograms) / count if count else None
+
     def as_dict(
         self,
         gauges: Mapping[str, float] | None = None,
@@ -198,7 +201,7 @@ class ServerMetrics:
         """
         with self._lock:
             document: dict[str, Any] = {
-                "uptime_seconds": time.monotonic() - self._started,
+                "uptime_seconds": now() - self._started,
                 "requests": {
                     f"{endpoint} {code}": count
                     for (endpoint, code), count in sorted(
@@ -211,7 +214,11 @@ class ServerMetrics:
                     "error": self._queries_error,
                     "shed": self._queries_shed,
                     "cached": self._queries_cached,
-                    "by_route": dict(sorted(self._queries_by_route.items())),
+                    # Every dispatched request ends its `request` span.
+                    "by_route": {
+                        route: h.count for route, h in sorted(
+                            self._spans.get("request", {}).items())
+                    },
                     "traced": self._traced_queries,
                 },
                 "engine_stats": dict(self._stat_totals),

@@ -14,7 +14,8 @@ it in any environment the server runs in. Exercises the whole surface:
 6. ``GET /metrics`` — Prometheus text scrape (optionally written to
    ``--out`` as the CI artifact) counts the batched query in its
    ``request`` span histogram, and the JSON form agrees on the query
-   counter.
+   counter and counts each route's requests once: ``queries.by_route``
+   equals the ``request`` histogram counts.
 
 Exit code 0 when every step passes::
 
@@ -159,6 +160,13 @@ def run_smoke(
     _check(
         doc["queries"]["ok"] >= 2,
         f"expected >= 2 completed queries, metrics say {doc['queries']}",
+    )
+    requests = {route: histogram["count"] for route, histogram
+                in doc["spans"]["request"].items()}
+    _check(
+        doc["queries"]["by_route"] == requests,
+        f"queries by route {doc['queries']['by_route']} disagree with "
+        f"the request span counts {requests}",
     )
     log(f"metrics ok: {doc['queries']['ok']} queries served")
 

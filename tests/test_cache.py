@@ -7,8 +7,8 @@ Three layers of guarantees:
   additionally preserves the profile (the key that gates byte-identical
   reuse); structurally distinct queries get distinct signatures.
 
-* **QueryCache unit**: admission rejections (timeout, cost floor, byte
-  budget, unbound variables), cost/age eviction order, epoch
+* **QueryCache unit**: admission rejections (timeout, byte budget,
+  unbound variables), elapsed/age eviction order, epoch
   invalidation on ``bump_epoch`` *and* on a hot index-file replace
   (different store checksum behind the same path), and the
   byte-identical probe round trip under renamed variables.
@@ -35,7 +35,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
-    CacheConfig,
     QueryCache,
     canonicalize,
     database_epoch,
@@ -48,7 +47,7 @@ from repro.engines.result import QueryResult
 from repro.engines.ring_knn import RingKnnEngine
 from repro.ltj.stats import EvaluationStats
 from repro.obs import QueryTrace
-from repro.parallel.scheduler import MAX_OBSERVED_SHAPES, QueryScheduler
+from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DistClause,
     ExtendedBGP,
@@ -260,7 +259,9 @@ class TestQueryCacheUnit:
         reference = engine.evaluate(RENAMED)
         assert hit.solutions == reference.solutions
         assert hit.engine == "ring-knn"
-        assert "cache" in hit.phase_seconds
+        (probe,) = hit.spans.records
+        assert probe.name == "cache_probe"
+        assert hit.elapsed == probe.seconds
         for field in ("solutions", "bindings", "attempts", "leap_calls"):
             assert getattr(hit.stats, field) == getattr(cold.stats, field)
         # Replayed descent order is the cold order mapped through ranks.
@@ -300,17 +301,8 @@ class TestQueryCacheUnit:
         assert cache.stats()["inadmissible"] == 1
         assert len(cache) == 0
 
-    def test_cost_floor_rejects_cheap_results(self, small_db):
-        cache = QueryCache(CacheConfig(min_cost_s=10.0))
-        meta: dict = {}
-        cheap = _result([{X: 1, Y: 2, Z: 3}], elapsed=0.001)
-        assert not cache.fill(small_db, QUERY, cheap, meta=meta)
-        assert meta["store_reason"] == "below cost floor"
-        # An explicit observed cost above the floor overrides elapsed.
-        assert cache.fill(small_db, QUERY, cheap, cost_s=11.0)
-
     def test_oversized_entry_is_inadmissible(self, small_db):
-        cache = QueryCache(CacheConfig(max_bytes=1024))
+        cache = QueryCache(max_bytes=1024)
         meta: dict = {}
         big = _result([{X: i, Y: i, Z: i} for i in range(1000)])
         assert not cache.fill(small_db, QUERY, big, meta=meta)
@@ -325,12 +317,10 @@ class TestQueryCacheUnit:
 
     def test_eviction_prefers_cheap_stale_entries(self, small_db):
         # Budget fits two entries; the third fill evicts the cheapest
-        # (cost/age score), not simply the oldest.
+        # (elapsed/age score), not simply the oldest.
         row = [{X: 1, Y: 2, Z: 3}]
         nbytes = 3 * 8 + 512
-        cache = QueryCache(
-            CacheConfig(max_bytes=2 * nbytes + 1, max_entry_fraction=1.0)
-        )
+        cache = QueryCache(max_bytes=2 * nbytes + 1)
         queries = [
             ExtendedBGP(
                 [TriplePattern(X, 20 + i, Y), TriplePattern(Y, 21, Z)],
@@ -338,9 +328,9 @@ class TestQueryCacheUnit:
             )
             for i in range(3)
         ]
-        cache.fill(small_db, queries[0], _result(row), cost_s=50.0)
-        cache.fill(small_db, queries[1], _result(row), cost_s=0.01)
-        cache.fill(small_db, queries[2], _result(row), cost_s=5.0)
+        cache.fill(small_db, queries[0], _result(row, elapsed=50.0))
+        cache.fill(small_db, queries[1], _result(row, elapsed=0.01))
+        cache.fill(small_db, queries[2], _result(row, elapsed=5.0))
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["entries"] == 2
@@ -597,9 +587,14 @@ class TestGoldenFigure2Sweep:
         scheduler = QueryScheduler(db, workers=workers, cache=cache)
         cold = scheduler.run_batch(queries)
         warm = scheduler.run_batch(queries)
+        serial = AutoEngine(db)
         for q, c, w in zip(queries, cold, warm):
             assert w.solutions == c.solutions, (workers, q)
             assert w.engine == c.engine, (workers, q)
+            if w.cached:
+                # The entry a pool filled replays the serial run's
+                # stats whole, first descent included.
+                assert _comparable(w) == _comparable(serial.evaluate(q))
         assert any(w.cached for w in warm), "no warm hit in second batch"
         assert cache.stats()["hits"] >= 1
 
@@ -625,29 +620,3 @@ class TestGoldenFigure2Sweep:
         assert not limited.cached
         assert len(limited.solutions) <= 1
 
-
-# ----------------------------------------------------------------------
-# scheduler cost-table bound (satellite: bounded EWMA memory)
-# ----------------------------------------------------------------------
-
-
-def test_observed_cost_table_is_lru_bounded(small_db):
-    from repro.parallel.scheduler import ScheduledQuery
-
-    scheduler = QueryScheduler(small_db, workers=1)
-    plans = [
-        ScheduledQuery(
-            index=i,
-            route="pooled",
-            engine="ring-knn",
-            estimate=10,
-            signature=("ring-knn", i, 0, 0),
-        )
-        for i in range(MAX_OBSERVED_SHAPES + 40)
-    ]
-    for plan in plans:
-        scheduler.record_elapsed(plan, 0.5)
-    assert len(scheduler._observed_s) == MAX_OBSERVED_SHAPES
-    # Least-recently-touched shapes were dropped, newest kept.
-    assert scheduler.observed_cost(plans[0]) is None
-    assert scheduler.observed_cost(plans[-1]) == 0.5

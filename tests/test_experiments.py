@@ -148,8 +148,13 @@ class TestMaterializationHarness:
         small = engine.evaluate(parse_query(text.format(k=1)), timeout=60)
         large = engine.evaluate(parse_query(text.format(k=8)), timeout=60)
         n = bench.knn_graph.num_members
-        assert small.phase_seconds["materialized_pairs"] == 1 * n
-        assert large.phase_seconds["materialized_pairs"] == 8 * n
+        def pairs(result):
+            (setup,) = [s for s in result.spans.records
+                        if s.name == "materialize"]
+            return setup.attrs["materialized_pairs"]
+
+        assert pairs(small) == 1 * n
+        assert pairs(large) == 8 * n
 
 
 class TestBoundsHarness:

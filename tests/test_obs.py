@@ -221,6 +221,46 @@ class TestSpans:
         assert inner[0].seconds <= outer.seconds
         assert trace.to_dict()["phases"] == {"evaluate": inner[0].seconds}
 
+    def test_result_spans_are_the_trace_recorder(self, db):
+        query = parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)")
+        trace = QueryTrace()
+        traced = BaselineEngine(db).evaluate(query, trace=trace)
+        assert traced.spans is trace.spans
+        plain = BaselineEngine(db).evaluate(query)
+        assert plain.spans is not trace.spans
+        assert set(plain.spans.totals()) == {"bgp", "postprocess"}
+
+    def test_one_clock(self):
+        """Only the span module reads a clock: every other duration in
+        the package is stamped by ``spans.now``."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        clocks = {"perf_counter", "perf_counter_ns", "monotonic",
+                  "monotonic_ns", "time", "time_ns"}
+        root = Path(repro.__file__).parent
+        readers = set()
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            modules = {"time"} | {
+                alias.asname for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "time"
+            }
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr in clocks
+                ) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "time"
+                    and any(a.name in clocks for a in node.names)
+                ):
+                    readers.add(path.relative_to(root).as_posix())
+        assert readers == {"obs/spans.py"}
+
     def test_figure2_trace_documents_keep_their_keys(self):
         from repro.experiments.registry import figure2_setup
         from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD

@@ -48,7 +48,6 @@ def test_classify_pools_every_query_and_weighs_it(small_db):
     scheduler = QueryScheduler(small_db, workers=2)
     plans = [scheduler.classify(q, i) for i, q in enumerate(BATCH)]
     assert [plan.index for plan in plans] == list(range(len(BATCH)))
-    assert {plan.route for plan in plans} == {"pooled"}
     # The open two-variable scan is big on this graph, the
     # constant-subject probe is small: the LPT weight tells them apart.
     assert plans[0].estimate > plans[3].estimate > 0
@@ -57,8 +56,9 @@ def test_classify_pools_every_query_and_weighs_it(small_db):
 
 
 def test_classify_serial_with_one_worker(small_db):
-    scheduler = QueryScheduler(small_db, workers=1)
-    assert scheduler.classify(BATCH[0]).route == "serial"
+    # Where a query runs is the pool's size, not the query's plan.
+    serial = QueryScheduler(small_db, workers=1).classify(BATCH[0])
+    assert serial == QueryScheduler(small_db, workers=2).classify(BATCH[0])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -104,80 +104,23 @@ def test_run_batch_respects_limit(small_db):
 
 
 # ----------------------------------------------------------------------
-# measured-cost feedback into LPT grouping
+# LPT grouping on the compiled estimate
 # ----------------------------------------------------------------------
-def _plan(index, estimate, signature):
+def test_lpt_groups_by_estimate(small_db):
     from repro.parallel.scheduler import ScheduledQuery
 
-    return ScheduledQuery(
-        index=index,
-        route="pooled",
-        engine="ring-knn",
-        estimate=estimate,
-        signature=signature,
-    )
-
-
-def test_lpt_cost_falls_back_to_estimate(small_db):
-    scheduler = QueryScheduler(small_db, workers=2)
-    plan = scheduler.classify(BATCH[0])
-    assert plan.signature[0] == plan.engine
-    assert scheduler.observed_cost(plan) is None
-    assert scheduler._lpt_cost(plan) == float(plan.estimate)
-
-
-def test_record_elapsed_is_an_ewma(small_db):
-    from repro.parallel.scheduler import FEEDBACK_ALPHA
-
-    scheduler = QueryScheduler(small_db, workers=2)
-    plan = _plan(0, 100, ("ring-knn", 1, 0, 0))
-    scheduler.record_elapsed(plan, 2.0)
-    assert scheduler.observed_cost(plan) == 2.0
-    scheduler.record_elapsed(plan, 4.0)
-    assert scheduler.observed_cost(plan) == pytest.approx(
-        2.0 + FEEDBACK_ALPHA * 2.0
-    )
-    # Non-positive measurements (clock hiccups) are ignored.
-    scheduler.record_elapsed(plan, 0.0)
-    assert scheduler.observed_cost(plan) == pytest.approx(
-        2.0 + FEEDBACK_ALPHA * 2.0
-    )
-
-
-def test_feedback_reorders_lpt_grouping(small_db):
     scheduler = QueryScheduler(small_db, workers=1)
-    cheap_shape = ("ring-knn", 1, 0, 0)
-    heavy_shape = ("ring-knn", 2, 1, 0)
-    # The estimates say plan 0 is the big one...
     plans = [
-        _plan(0, 1_000, cheap_shape),
-        _plan(1, 10, heavy_shape),
-        _plan(2, 500, cheap_shape),
+        ScheduledQuery(index=0, engine="ring-knn", estimate=1_000),
+        ScheduledQuery(index=1, engine="ring-knn", estimate=10),
+        ScheduledQuery(index=2, engine="ring-knn", estimate=500),
     ]
-    before = scheduler._group_pooled(plans)
-    assert before[0][0].index == 0
-    # ...but measurement says the low-estimate shape dominates.
-    scheduler.record_elapsed(plans[0], 0.001)
-    scheduler.record_elapsed(plans[1], 5.0)
-    after = scheduler._group_pooled(plans)
-    assert after[0][0].index == 1
-    # The unmeasured sibling of the cheap shape rides its EWMA too.
-    assert scheduler._lpt_cost(plans[2]) == pytest.approx(0.001)
-
-
-def test_run_batch_feeds_observed_costs_back(small_db, expected):
-    scheduler = QueryScheduler(small_db, workers=2)
-    try:
-        results = scheduler.run_batch(BATCH)
-    finally:
-        scheduler.close()
-    for got, want in zip(results, expected):
-        assert got.solutions == want.solutions
-    # Every query was pooled, so every shape got a
-    # measured cost and the estimate-to-seconds bridge is primed.
-    plans = [scheduler.classify(q, i) for i, q in enumerate(BATCH)]
-    assert all(scheduler.observed_cost(p) is not None for p in plans)
-    assert scheduler._seconds_per_unit is not None
+    groups = scheduler._group_pooled(plans)
+    # Two groups (twice the pool): descending estimates dealt
+    # round-robin, so the biggest leads the first group.
+    assert [[plan.index for plan in group] for group in groups] == [
+        [0, 1], [2]
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -49,8 +50,10 @@ from repro.obs.spans import Spans
 from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
 from repro.query.model import Var
 from repro.serve import protocol
+from repro.serve.admission import AdmissionController
 from repro.serve.app import ReproServer, ServeConfig, ServerThread, _Pending
 from repro.store import save
+from repro.utils.errors import AdmissionRejected
 
 START_METHODS = ("fork", "spawn")
 
@@ -214,13 +217,56 @@ class TestDeadlines:
         assert totals["spans"]["request"]["direct"]["count"] == 1
 
 
+def _retry_after(metrics):
+    """Retry-After from a ``/metrics?format=json`` document: the mean
+    ``request`` span over every route x queries in flight / workers,
+    rounded up into [1, 60]; 1 before any request completed."""
+    requests = metrics["spans"].get("request", {}).values()
+    count = sum(histogram["count"] for histogram in requests)
+    if not count:
+        return 1
+    mean = sum(histogram["sum"] for histogram in requests) / count
+    gauges = metrics["gauges"]
+    ahead = mean * gauges["inflight"] / gauges["pool_workers"]
+    return max(1, min(60, math.ceil(ahead)))
+
+
 class TestAdmission:
+    def test_retry_after_is_mean_service_time_times_queue(self):
+        admission = AdmissionController(capacity=2, parallelism=1)
+        admission.admit()
+        admission.admit(3.0)
+        with pytest.raises(AdmissionRejected) as measured:
+            admission.admit(3.0)
+        assert measured.value.retry_after == 6  # 3 s x 2 ahead / 1
+        with pytest.raises(AdmissionRejected) as unmeasured:
+            admission.admit()
+        assert unmeasured.value.retry_after == 1
+        assert admission.shed_total == 2
+
+    def test_shed_reads_the_request_histogram(self):
+        """The server passes the ``request`` span mean to admission."""
+        server = ReproServer(_make_db(), ServeConfig(workers=1, capacity=1))
+        try:
+            server.metrics.observe("direct", 200, {"request": 5.0})
+            server.metrics.observe("batched", 200, {"request": 1.0})
+            server.admission.admit()
+            response = asyncio.run(server._handle(
+                "query", json.dumps({"query": QUERY}).encode(), Spans(1)
+            ))
+        finally:
+            server._dispatch_pool.shutdown()
+        assert response.code == 429
+        assert response.headers["Retry-After"] == "3"  # 3 s x 1 ahead / 1
+
     def test_full_window_sheds_429_with_retry_after(self, start_method):
         handle = ServerThread(
             _make_db(),
             ServeConfig(workers=2, capacity=1, debug_faults=True),
         ).start()
         try:
+            # One measured request, so the hint comes from the histogram.
+            assert _post(handle, "/query", {"query": QUERY})[0] == 200
             results: Queue = Queue()
             slow = threading.Thread(
                 target=lambda: results.put(
@@ -231,13 +277,16 @@ class TestAdmission:
             slow.start()
             time.sleep(0.3)  # let the slow query occupy the window
 
+            _, _, scraped = _request(
+                handle.host, handle.port, "GET", "/metrics?format=json"
+            )
             status, headers, body = _post(
                 handle, "/query", {"query": QUERY}
             )
             assert status == 429, body
             assert body["error"]["type"] == "AdmissionRejected"
             retry_after = int(headers["Retry-After"])
-            assert retry_after >= 1
+            assert retry_after == _retry_after(scraped)
             assert body["error"]["retry_after"] == retry_after
 
             slow.join()

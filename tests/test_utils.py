@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.obs.spans import Stopwatch
 from repro.utils.errors import (
     QueryError,
     ReproError,
@@ -11,7 +12,6 @@ from repro.utils.errors import (
     TimeoutExceeded,
     ValidationError,
 )
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_index,
     check_nonnegative,
