@@ -11,6 +11,9 @@ paper's theory distinguishes:
 * *single 2-cyclic* graphs (Def. 12, Thm. 3): at most one cycle, of the
   form ``{x <|_k y, y <|_k x}``, and neither ``x`` nor ``y`` has an
   outgoing edge to a third variable.
+
+:meth:`ConstraintGraph.constraint_class` names the class; it is the one
+place that says which theorem applies.
 """
 
 from __future__ import annotations
@@ -131,6 +134,15 @@ class ConstraintGraph:
             if x in pair and y not in pair:
                 return False
         return True
+
+    def constraint_class(self) -> str:
+        """Which premise holds: ``acyclic`` (Thm. 2), ``single-2-cyclic``
+        (Def. 12, Thm. 3) or ``general-cyclic`` (neither theorem)."""
+        if self.is_acyclic():
+            return "acyclic"
+        if self.is_single_2_cyclic():
+            return "single-2-cyclic"
+        return "general-cyclic"
 
     def topological_order(self) -> tuple[Var, ...]:
         """A topological order of the variables (Kahn); requires

@@ -1,18 +1,20 @@
-"""Strategy auto-selection based on the paper's Sec. 6.2 findings.
+"""Strategy auto-selection: constraint marks only where a theorem backs them.
 
-The evaluation's summary: "In simpler cases (Q1), Ring-KNN-S is more
-effective by exploiting the opportunity of binding the variables
-involved in similarity clauses earlier ... As the queries get more
-complicated, however, with more similarity constraints or with
-constraints involved in cycles (Q2 onwards), the careful variable
-ordering of Ring-KNN protects it against bad cases."
+The paper's Sec. 6.2 summary favours Ring-KNN's careful ordering once
+queries carry "more similarity constraints or ... constraints involved
+in cycles (Q2 onwards)". Its guarantees are narrower: Thm. 2 covers an
+acyclic constraint graph and Thm. 3 a single 2-cyclic one (Def. 12).
+Beyond them the marks are a heuristic, and at this repository's scale a
+costly one: on two 2-cycles (Q2b) or a 3-cycle (Q2t) they bind three
+entity stars, a cross product, before any similarity variable, while the
+unmarked min-``l_x`` order binds a star, its image and that image's
+``<= k`` neighbour first (``docs/performance.md``, "The order").
 
-:class:`AutoEngine` encodes that decision rule: queries with at most one
-similarity clause and an acyclic constraint graph run under the
-unrestricted Ring-KNN-S ordering; everything else — multiple clauses,
-2-cycles from the symmetric operator, general cycles — runs under the
-constraint-aware Ring-KNN ordering (which also carries the Thm. 2/3 wco
-guarantees where they apply).
+:class:`AutoEngine` therefore runs Ring-KNN exactly when a query has at
+least two constraints and its constraint graph meets Thm. 2's or Thm.
+3's premise (:meth:`ConstraintGraph.constraint_class`). Every other
+query runs under Ring-KNN-S: one constraint or none, as the summary's
+Q1 finding asks, and cycles beyond Def. 12, where no theorem holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class AutoEngine:
-    """Pick Ring-KNN or Ring-KNN-S per query, per the Sec. 6.2 summary."""
+    """Pick Ring-KNN where Thm. 2 or 3 backs its marks, else Ring-KNN-S."""
 
     name = "auto"
 
@@ -69,10 +71,19 @@ class AutoEngine:
 
     def select(self, query: ExtendedBGP) -> str:
         """Return the chosen engine name for ``query``."""
+        return self._decide(query)["selected"]
+
+    @staticmethod
+    def _decide(query: ExtendedBGP) -> dict:
+        """The choice and what it was read from (``trace.meta["auto"]``)."""
         n_constraints = len(query.clauses) + len(query.dist_clauses)
-        if n_constraints <= 1 and ConstraintGraph(query).is_acyclic():
-            return RingKnnSEngine.name
-        return RingKnnEngine.name
+        constraint_class = ConstraintGraph(query).constraint_class()
+        theorem = n_constraints >= 2 and constraint_class != "general-cyclic"
+        return {
+            "selected": RingKnnEngine.name if theorem else RingKnnSEngine.name,
+            "constraints": n_constraints,
+            "constraint_class": constraint_class,
+        }
 
     def evaluate(
         self,
@@ -92,14 +103,10 @@ class AutoEngine:
         evaluation goes through :meth:`repro.cache.QueryCache.evaluate`:
         a hit returns the replayed result (``cached=True``).
         """
-        selected = self.select(query)
+        decision = self._decide(query)
+        selected = decision["selected"]
         if trace is not None:
-            n_constraints = len(query.clauses) + len(query.dist_clauses)
-            trace.meta["auto"] = {
-                "selected": selected,
-                "constraints": n_constraints,
-                "acyclic": ConstraintGraph(query).is_acyclic(),
-            }
+            trace.meta["auto"] = decision
         strategy = self._strategies[selected]
         if self.cache is None or limit is not None:
             return strategy.evaluate(

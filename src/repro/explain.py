@@ -216,19 +216,8 @@ def explain(
     relations = driver.compile(query)
     ltj = LTJEngine(relations, ordering=driver._ordering(query))
 
-    graph = ConstraintGraph(query)
-    if graph.is_acyclic():
-        constraint_class = "acyclic"
-    elif graph.is_single_2_cyclic():
-        constraint_class = "single-2-cyclic"
-    else:
-        constraint_class = "general-cyclic"
-    # Thm. 2 covers acyclic, Thm. 3 single 2-cyclic, both under the
-    # constraint-aware ordering (Ring-KNN).
-    wco = engine == "ring-knn" and constraint_class in (
-        "acyclic",
-        "single-2-cyclic",
-    )
+    constraint_class = ConstraintGraph(query).constraint_class()
+    wco = engine == "ring-knn" and constraint_class != "general-cyclic"
 
     notes: list[str] = []
     q_star: float | None = None

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bounds.constraint_graph import ConstraintGraph
 from repro.engines.auto import AutoEngine
 from repro.engines.ring_knn import RingKnnEngine
+from repro.experiments.registry import figure2_setup
 from repro.graph.stats import compute_graph_stats
 from repro.graph.triples import GraphData
+from repro.ltj.ordering import ConstraintAwareOrdering
+from repro.obs import QueryTrace
 from repro.query.parser import parse_query
+from tests.test_differential_engines import _POOL, extended_bgps
+from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 
 class TestAutoEngine:
@@ -35,6 +43,22 @@ class TestAutoEngine:
         q = parse_query("(?x, 20, ?y)")
         assert auto.select(q) == "ring-knn-s"
 
+    @pytest.mark.parametrize("text", [
+        "(?x, 20, ?y) . sim(?x, ?y, 2) . sim(?y, ?z, 2)",
+        "(?x, 20, ?y) . knn(?x, ?y, 2) . knn(?y, ?z, 2) . knn(?z, ?x, 2)",
+    ])
+    def test_cycles_beyond_the_theorems_use_ring_knn_s(self, small_db, text):
+        auto = AutoEngine(small_db)
+        q = parse_query(text)
+        trace = QueryTrace()
+        result = auto.evaluate(q, trace=trace)
+        assert result.engine == "ring-knn-s"
+        assert trace.meta["auto"] == {
+            "selected": "ring-knn-s",
+            "constraints": len(q.clauses),
+            "constraint_class": "general-cyclic",
+        }
+
     def test_answers_match_explicit_engines(self, small_db):
         auto = AutoEngine(small_db)
         reference = RingKnnEngine(small_db)
@@ -47,6 +71,84 @@ class TestAutoEngine:
                 auto.evaluate(q).sorted_solutions()
                 == reference.evaluate(q).sorted_solutions()
             )
+
+
+class _RecordingOrdering(ConstraintAwareOrdering):
+    """Ring-KNN's ordering, noting each decision beside the regular pool
+    and the unmarked part of it that the decision was made from."""
+
+    def __init__(self, decisions: list) -> None:
+        self._decisions = decisions
+
+    def choose(self, state):
+        chosen = super().choose(state)
+        pool = state.regular()
+        unmarked = pool & ~state.targets(state.edges)
+        self._decisions.append((pool, unmarked, chosen))
+        return chosen
+
+
+class _RecordingRingKnn(RingKnnEngine):
+    def __init__(self, db) -> None:
+        super().__init__(db)
+        self.decisions: list = []
+
+    def _ordering(self, query):
+        return _RecordingOrdering(self.decisions)
+
+
+def _assert_fenced(db, query) -> int:
+    """The Thm. 2/3 fence on one query.
+
+    ``auto`` runs Ring-KNN exactly when the query has >= 2 constraints
+    and its constraint graph is acyclic or single 2-cyclic. Wherever a
+    premise holds, every Ring-KNN decision binds a variable that is not
+    the target of a current edge whenever the regular pool has one.
+    Returns how many decisions the marks narrowed.
+    """
+    graph = ConstraintGraph(query)
+    premise = graph.is_acyclic() or graph.is_single_2_cyclic()
+    assert (graph.constraint_class() != "general-cyclic") == premise
+    constraints = len(query.clauses) + len(query.dist_clauses)
+    expected = "ring-knn" if constraints >= 2 and premise else "ring-knn-s"
+    assert AutoEngine(db).select(query) == expected, query
+    if not premise:
+        return 0
+    engine = _RecordingRingKnn(db)
+    engine.evaluate(query)
+    for _pool, unmarked, chosen in engine.decisions:
+        assert not unmarked or unmarked >> chosen & 1, (query, chosen)
+    return sum(
+        1 for pool, unmarked, _ in engine.decisions if 0 < unmarked != pool
+    )
+
+
+class TestTheoremFence:
+    def test_figure2_families(self):
+        _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
+        narrowed = sum(
+            _assert_fenced(db, query)
+            for queries in workload.values()
+            for query in queries
+        )
+        assert narrowed > 0
+        classes = {
+            family: {ConstraintGraph(q).constraint_class() for q in queries}
+            for family, queries in workload.items()
+        }
+        assert classes["Q1b"] == {"single-2-cyclic"}
+        assert classes["Q2"] == {"acyclic"}
+        assert classes["Q2b"] == classes["Q2t"] == {"general-cyclic"}
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_generated_queries(self, data):
+        db = _POOL[data.draw(st.integers(0, len(_POOL) - 1), label="db")][0]
+        _assert_fenced(db, data.draw(extended_bgps(), label="query"))
 
 
 class TestGraphStats:

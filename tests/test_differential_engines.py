@@ -6,9 +6,8 @@ K-NN and distance structures) and a random extended BGP — triples with
 mixed variables/constants, ``<|_k`` clauses (including 2-cycles and
 constants), ``dist`` clauses — and checks that all engines return the
 same solution multiset as :func:`repro.graph.naive.evaluate_naive`.
-
-The unmarked test keeps CI fast; the ``slow``-marked test runs the
-full generation budget (deselect with ``-m "not slow"``).
+Up to four ``<|_k`` clauses reach constraint graphs beyond Thm. 2/3's
+premises (two 2-cycles, 3-cycles), which ``auto`` runs under Ring-KNN-S.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from repro.query.model import (
     SimClause,
     TriplePattern,
     Var,
+    is_var,
+    sym_clauses,
 )
 from repro.utils.errors import QueryError
 
@@ -100,9 +101,20 @@ def extended_bgps(draw) -> ExtendedBGP:
         y = draw(st.sampled_from([s for s in sides if s != x]))
         return x, y
 
-    sim_clauses = []
-    for _ in range(draw(st.integers(0, 2))):
-        x, y = side_pair()
+    # A clause may instead close a cycle over earlier ones: back along an
+    # edge (a 2-cycle) or from the end of a two-edge path (a 3-cycle).
+    sim_clauses: list[SimClause] = []
+    for _ in range(draw(st.integers(0, 4))):
+        edges = [
+            (c.x, c.y) for c in sim_clauses if is_var(c.x) and is_var(c.y)
+        ]
+        closing = [(b, a) for a, b in edges] + [
+            (c, a) for a, b in edges for b2, c in edges if b == b2 and c != a
+        ]
+        if closing and draw(st.booleans()):
+            x, y = draw(st.sampled_from(closing))
+        else:
+            x, y = side_pair()
         sim_clauses.append(SimClause(x, draw(st.integers(1, K)), y))
     dist_clauses = []
     for _ in range(draw(st.integers(0, 1))):
@@ -160,11 +172,10 @@ def _check_one(data) -> None:
 )
 @given(st.data())
 def test_differential_engines_quick(data):
-    """CI-sized slice of the differential property."""
+    """A small slice of the differential property (60 queries)."""
     _check_one(data)
 
 
-@pytest.mark.slow
 @settings(
     max_examples=200,
     deadline=None,
@@ -172,7 +183,7 @@ def test_differential_engines_quick(data):
 )
 @given(st.data())
 def test_differential_engines_thorough(data):
-    """The full local budget (>= 200 generated queries)."""
+    """Every engine, serial and pooled, equals the oracle (200 queries)."""
     _check_one(data)
 
 
@@ -183,7 +194,7 @@ def test_differential_engines_thorough(data):
 # variables. The random generator above hits them only by chance.
 # ----------------------------------------------------------------------
 def _shared_variable_shapes() -> dict[str, ExtendedBGP]:
-    x, y, p = Var("x"), Var("y"), Var("p")
+    x, y, z, p = Var("x"), Var("y"), Var("z"), Var("p")
     return {
         "loop-const-predicate": ExtendedBGP(
             [TriplePattern(x, 50, x), TriplePattern(x, 51, y)]
@@ -195,6 +206,15 @@ def _shared_variable_shapes() -> dict[str, ExtendedBGP]:
         "loop-inside-knn-2-cycle": ExtendedBGP(
             [TriplePattern(x, p, x)],
             [SimClause(x, K, y), SimClause(y, K, x)],
+        ),
+        # Q2b's and Q2t's constraint graphs: beyond Thm. 2/3's premises.
+        "two-2-cycles-chain": ExtendedBGP(
+            [TriplePattern(x, 50, p)],
+            [*sym_clauses(x, K, y), *sym_clauses(y, K, z)],
+        ),
+        "3-cycle": ExtendedBGP(
+            [TriplePattern(x, 50, p)],
+            [SimClause(x, K, y), SimClause(y, K, z), SimClause(z, K, x)],
         ),
     }
 
