@@ -42,12 +42,13 @@ VALIDATED_BITVECTOR_OPS: frozenset[str] = frozenset(
 #: build`` indexes), where the canonical arrays are views over a shared
 #: buffer and the mirrors are the coercion boundary that keeps numpy
 #: scalars out of query evaluation. Slice reads are fine — they stay
-#: arrays and feed vectorized code.
+#: arrays and feed vectorized code. A mirror is either declared
+#: (``Array(..., mirrored=True)``) or a ``Derived`` table that checks
+#: the array's structure as it copies it.
 INT_MIRRORED_ARRAY_ATTRS: frozenset[str] = frozenset(
     {
         "_words",
         "_cum",
-        "_counts",
         "_members",
         "_s_offsets",
         # Float-valued, but mirrored for the same reason: the distance

@@ -139,7 +139,7 @@ class HotPathPurity(Rule):
         yield module.finding(
             self.code,
             f"BitVector mirror '.{node.attr}' read outside the level "
-            "view; descents read each level's (words, cum1) pair from "
+            "view; descents read each level's (words, cum1, z) from "
             "the view its builder binds once per tree",
             node,
         )
@@ -149,7 +149,7 @@ class HotPathPurity(Rule):
     ) -> Iterator["Finding"]:
         """Flag element reads of canonical arrays that have ``_i`` mirrors.
 
-        ``x._counts[c]`` yields a ``numpy.int64`` that re-enters numpy
+        ``x._cum[c]`` yields a ``numpy.int64`` that re-enters numpy
         dispatch on every later arithmetic op — and on shm/mmap-attached
         structures the canonical array is a view over a shared buffer,
         making the ``_i`` mirror the coercion boundary that keeps numpy

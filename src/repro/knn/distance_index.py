@@ -23,9 +23,11 @@ from repro.succinct.fields import (
     INT,
     Array,
     Child,
+    Derived,
     Layout,
     LazyMirrors,
     Scalar,
+    checked_ids,
 )
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
@@ -39,10 +41,11 @@ class DistanceRangeIndex(LazyMirrors):
     LAYOUT = Layout(
         "distance_index",
         Scalar("_d_max", float),
-        Array("_members", INT, mirrored=True),
+        Array("_members", INT),
         Array("_distances", "<f8", mirrored=True),
         Child("_D", WaveletTree),
         Child("_B", BitVector),
+        Derived("_members_i", "_checked_members"),
     )
 
     def __init__(
@@ -73,8 +76,8 @@ class DistanceRangeIndex(LazyMirrors):
             mem = np.asarray(members, dtype=np.int64)
             if mem.shape != (n,):
                 raise ValidationError("members must be parallel to points")
-            if not np.array_equal(mem, np.sort(mem)):
-                raise ValidationError("members must be sorted")
+            if (np.diff(mem) <= 0).any():
+                raise ValidationError("members must be sorted and distinct")
         if d_max <= 0:
             raise ValidationError("d_max must be positive")
         self._members = mem
@@ -132,6 +135,11 @@ class DistanceRangeIndex(LazyMirrors):
         )
         bits[one_positions] = 1
         self._B = BitVector(bits)
+
+    def _checked_members(self) -> list[int]:
+        return checked_ids(
+            "distance-index members", self._members, self._D.alphabet_size
+        )
 
     @property
     def members(self) -> np.ndarray:

@@ -30,9 +30,12 @@ from repro.succinct.fields import (
     INT,
     Array,
     Child,
+    Derived,
     Layout,
     LazyMirrors,
     Scalar,
+    checked_ids,
+    checked_offsets,
 )
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
@@ -44,11 +47,13 @@ class KnnRing(LazyMirrors):
     LAYOUT = Layout(
         "knn_ring",
         Scalar("_K"),
-        Array("_members", INT, mirrored=True),
-        Array("_s_offsets", INT, mirrored=True),
+        Array("_members", INT),
+        Array("_s_offsets", INT),
         Child("_S", WaveletTree),
         Child("_Sprime", WaveletTree),
         Child("_B", BitVector),
+        Derived("_members_i", "_checked_members"),
+        Derived("_s_offsets_i", "_checked_s_offsets"),
     )
 
     def __init__(self, graph: KnnGraph) -> None:
@@ -109,6 +114,17 @@ class KnnRing(LazyMirrors):
         # next_member bisect and forward_range offsets).
         self._members_i: list[int] = self._members.tolist()
         self._s_offsets_i: list[int] = self._s_offsets.tolist()
+
+    def _checked_members(self) -> list[int]:
+        return checked_ids(
+            "K-NN members", self._members, self._S.alphabet_size
+        )
+
+    def _checked_s_offsets(self) -> list[int]:
+        return checked_offsets(
+            "K-NN row offsets", self._s_offsets, self._members.size + 1,
+            len(self._S),
+        )
 
     # ------------------------------------------------------------------
     # introspection

@@ -30,10 +30,11 @@ index file is a cache of a deterministic build, so a reader that sees
 any other version refuses with :class:`StoreVersionError` and the
 remedy is ``repro build``, not an in-place upgrade. Anything that
 changes the segment layout, the manifest schema, or a flattened
-structure's fields must bump :data:`FORMAT_VERSION`. Version 2 stores
+structure's fields must bump :data:`FORMAT_VERSION`. Version 2 stored
 a bitvector's rank directory per 512-bit block and every count, offset
-and id in four bytes (``docs/persistence.md``); a version-1 file is
-refused like any other skew.
+and id in four bytes (``docs/persistence.md``); version 3 lays each
+wavelet sequence out as a wavelet matrix and drops its per-symbol count
+table. A version-1 or version-2 file is refused like any other skew.
 
 Every validation failure raises a typed :mod:`repro.utils.errors`
 exception (:class:`StoreFormatError`, :class:`StoreVersionError`,
@@ -58,7 +59,7 @@ from repro.utils.errors import (
 )
 
 MAGIC = b"REPROIDX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Header flag bit: the payload (manifest offsets + segment arrays) is
 #: little-endian. Always set by :func:`pack_header`; readers refuse

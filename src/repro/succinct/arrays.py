@@ -17,7 +17,15 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.succinct.fields import INT, Array, Layout, LazyMirrors, Scalar
+from repro.succinct.fields import (
+    INT,
+    Array,
+    Derived,
+    Layout,
+    LazyMirrors,
+    Scalar,
+    checked_offsets,
+)
 from repro.utils.errors import ValidationError
 
 
@@ -28,7 +36,8 @@ class CumulativeCounts(LazyMirrors):
         "cumcounts",
         Scalar("_n"),
         Scalar("_sigma"),
-        Array("_cum", INT, mirrored=True),
+        Array("_cum", INT),
+        Derived("_cum_i", "_checked_cum"),
     )
 
     def __init__(self, column: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
@@ -62,6 +71,12 @@ class CumulativeCounts(LazyMirrors):
         obj._n = int(counts.sum())
         obj._sigma = int(counts.size)
         return obj
+
+    def _checked_cum(self) -> list[int]:
+        return checked_offsets(
+            f"cumulative counts of {self._sigma} symbols",
+            self._cum, self._sigma + 1, self._n,
+        )
 
     def __len__(self) -> int:
         return self._n

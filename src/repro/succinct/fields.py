@@ -23,6 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Literal
 
+import numpy as np
+
+from repro.utils.errors import StoreFormatError
+
 #: The stored dtype of every count, offset and node id, and its width:
 #: 2^31 positions is far past what a pure-Python index can hold.
 INT: Literal["<i4"] = "<i4"
@@ -89,6 +93,46 @@ class Derived:
 
 
 Field = Scalar | Array | Child | Transient | Derived
+
+
+def _corrupt(what: str, rule: str) -> StoreFormatError:
+    return StoreFormatError(
+        f"{what} {rule}; the index is corrupt — rebuild it with "
+        "'repro build'"
+    )
+
+
+def checked_offsets(
+    what: str, array: np.ndarray, size: int, total: int
+) -> list[int]:
+    """A stored offsets table as plain ints, once it is ``size``
+    offsets that do not decrease from 0 to ``total``.
+
+    The build of a derived mirror, in the idiom of the bitvector's
+    recount: a flipped bit that breaks this structure is a
+    :class:`StoreFormatError` here, never an ``IndexError`` or a range
+    past the data later; one that keeps it is the checksum's to catch.
+    """
+    if (
+        array.size != size
+        or array[0] != 0
+        or array[-1] != total
+        or (np.diff(array) < 0).any()
+    ):
+        raise _corrupt(what, f"are not {size} offsets from 0 up to {total}")
+    offsets: list[int] = array.tolist()
+    return offsets
+
+
+def checked_ids(what: str, array: np.ndarray, bound: int) -> list[int]:
+    """A stored sorted id table as plain ints, once its ids strictly
+    increase inside ``[0, bound)`` (see :func:`checked_offsets`)."""
+    if array.size and (
+        array[0] < 0 or array[-1] >= bound or (np.diff(array) <= 0).any()
+    ):
+        raise _corrupt(what, f"are not strictly increasing ids in [0, {bound})")
+    ids: list[int] = array.tolist()
+    return ids
 
 
 class Layout:

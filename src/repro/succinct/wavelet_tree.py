@@ -1,4 +1,5 @@
-"""Pointerless (level-wise) wavelet tree over an integer sequence.
+"""Wavelet matrix over an integer sequence (the class keeps the name
+``WaveletTree``: it answers the same operations).
 
 Supports the operation set of Sec. 2.3 of the paper:
 
@@ -12,10 +13,16 @@ Supports the operation set of Sec. 2.3 of the paper:
   in increasing order (one range-report traversal, visiting only the
   nodes the range reaches).
 
-The construction performs a stable radix partition level by level, so the
-bits of level ``l`` are laid out exactly as in the textbook pointerless
-wavelet tree: the children of a node occupy the node's own position span
-on the next level, zeros before ones.
+The layout is the wavelet matrix ("The wavelet matrix: an efficient
+wavelet tree for large alphabets", Information Systems 47, 2015):
+level ``l`` holds bit ``l`` (from the top) of every symbol, and the
+next level stably partitions the *whole* sequence by that bit, zeros
+first. A range
+``[lo, hi]`` therefore maps down with two ranks at its own ends and the
+level's zero count ``z`` — to ``[lo - x, hi - y]`` on a 0 bit and to
+``[z + x, z + y - 1]`` on a 1 bit — and never needs its node's bounds.
+``z`` is not stored: it is the level bitvector's own checked total. Nor
+is a per-symbol count: a symbol's count is the size of its leaf range.
 
 Hot-path notes (see ``docs/performance.md``): arguments are validated
 once at this public boundary, after which every descent is one
@@ -40,8 +47,6 @@ import numpy as np
 
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
-    INT,
-    Array,
     Child,
     Layout,
     LazyMirrors,
@@ -62,7 +67,7 @@ _MISS = object()
 
 
 class WaveletTree(LazyMirrors):
-    """Immutable wavelet tree over a sequence of ints in ``[0, sigma)``."""
+    """Immutable wavelet matrix over a sequence of ints in ``[0, sigma)``."""
 
     # The op-counter hook and the per-query memo are evaluation-scoped
     # recorder state, and the level view is rebuilt from the levels'
@@ -73,7 +78,6 @@ class WaveletTree(LazyMirrors):
         Scalar("_sigma"),
         Scalar("_height"),
         Child("_levels", BitVector, "list"),
-        Array("_counts", INT, mirrored=True),
         Transient("ops"),
         Transient("_memo_users", 0),
         Transient("_memo_rank"),
@@ -101,21 +105,12 @@ class WaveletTree(LazyMirrors):
         self._levels: list[BitVector] = []
         current = seq
         for level in range(self._height):
-            shift = self._height - 1 - level
-            bits = (current >> shift) & 1
-            self._levels.append(BitVector(bits.astype(np.uint8)))
+            ones = ((current >> (self._height - 1 - level)) & 1).astype(bool)
+            self._levels.append(BitVector(ones.view(np.uint8)))
             if level + 1 < self._height:
-                # Stable partition by the top (level+1) bits keeps each
-                # node's span contiguous on the next level.
-                prefix = current >> shift
-                order = np.argsort(prefix, kind="stable")
-                current = current[order]
-        # Per-symbol totals allow O(1) total-count queries and power select.
-        counts = np.bincount(seq, minlength=alphabet_size) if seq.size else (
-            np.zeros(alphabet_size, dtype=np.int64)
-        )
-        self._counts = counts.astype(np.int64)
-        self._counts_i: list[int] = self._counts.tolist()
+                # The next level is the whole sequence stably
+                # partitioned by this level's bit, zeros first.
+                current = np.concatenate((current[~ones], current[ones]))
         self.ops: OpCounters | None = None
         """Optional :class:`repro.obs.trace.OpCounters`. ``None`` (the
         default) disables op counting entirely; a traced evaluation
@@ -125,7 +120,7 @@ class WaveletTree(LazyMirrors):
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
         self._memo_values: dict[tuple[int, int], tuple[int, ...]] | None = None
-        self._lv: list[tuple[list[int], list[int]]] | None = None
+        self._lv: list[tuple[list[int], list[int], int]] | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -141,11 +136,16 @@ class WaveletTree(LazyMirrors):
     def height(self) -> int:
         return self._height
 
-    def total_count(self, c: int) -> int:
-        """Total occurrences of symbol ``c`` in the whole sequence."""
+    def _check_symbol(self, c: int) -> None:
         if not 0 <= c < self._sigma:
             raise ValidationError(f"symbol {c} out of range [0, {self._sigma})")
-        return self._counts_i[c]
+
+    def total_count(self, c: int) -> int:
+        """Total occurrences of symbol ``c`` in the whole sequence: the
+        size of its leaf range."""
+        self._check_symbol(c)
+        lo, hi = self._descend(c, 0, self._n - 1)
+        return hi - lo + 1
 
     # ------------------------------------------------------------------
     # per-query memoization (attached by the LTJ engine)
@@ -177,25 +177,59 @@ class WaveletTree(LazyMirrors):
     # descents
     #
     # Every operation below is one iterative walk down the levels that
-    # keeps the current node as a closed span ``[nlo, nhi]`` and ranks
-    # with the arithmetic inlined on the level's plain-int mirrors:
-    # ones before ``i`` are ``cum[i >> 6]`` plus the popcount of word
-    # ``i >> 6`` under ``(1 << (i & 63)) - 1``; ones up to and including
-    # ``i`` use the mask ``(2 << (i & 63)) - 1``. Span starts take the
-    # first form and span ends the second, so both index a word that
-    # exists whenever the span is non-empty — no branch for ``i == n``.
-    # A level costs at most four ranks: the node's two ends, which give
-    # its zero count (where its right child starts), and the query's.
+    # keeps a closed range ``[lo, hi]`` and ranks its two ends with the
+    # arithmetic inlined on the level's plain-int mirrors: ``x``, the
+    # ones before ``lo``, is ``cum[lo >> 6]`` plus the popcount of word
+    # ``lo >> 6`` under ``(1 << (lo & 63)) - 1``; ``y``, the ones up to
+    # and including ``hi``, uses the mask ``(2 << (hi & 63)) - 1``. Both
+    # index a word that exists whenever the range is non-empty — no
+    # branch for ``lo == n``. The range's zeros go to ``[lo - x, hi - y]``
+    # and its ones to ``[z + x, z + y - 1]``: two ranks a level.
     # ------------------------------------------------------------------
-    def _level_view(self) -> list[tuple[list[int], list[int]]]:
-        """Each level's ``(words, cum1)`` mirrors, top level first.
+    def _level_view(self) -> list[tuple[list[int], list[int], int]]:
+        """Each level's ``(words, cum1, z)``, top level first.
 
         Built on first use from the bitvectors' own mirrors (it holds
         references, not copies) and declared transient: an attached
-        tree starts without it.
+        tree starts without it. ``z``, the level's zero count, is the
+        bitvector's checked total, so it is derived and never stored.
         """
-        view = self._lv = [(bv._words_i, bv._cum1_i) for bv in self._levels]
+        view = self._lv = [
+            (bv._words_i, bv._cum1_i, bv.n_zeros) for bv in self._levels
+        ]
         return view
+
+    def _descend(self, c: int, lo: int, hi: int) -> tuple[int, int]:
+        """Map ``[lo, hi]`` down ``c``'s bits: the leaf range of the
+        occurrences of ``c`` in it, empty (``hi == lo - 1``) if none."""
+        shift = self._height
+        for words, cum, z in self._lv or self._level_view():
+            if lo > hi:
+                break
+            shift -= 1
+            w = lo >> 6
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
+            w = hi >> 6
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
+            if (c >> shift) & 1:
+                lo = z + x
+                hi = z + y - 1
+            else:
+                lo -= x
+                hi -= y
+        return lo, hi
+
+    def _lift(self, c: int, i: int) -> int:
+        """Map leaf position ``i`` of ``c``'s range back up to ``S``,
+        one bitvector select a level."""
+        levels = self._lv or self._level_view()
+        for level in range(self._height - 1, -1, -1):
+            bv = self._levels[level]
+            if (c >> (self._height - 1 - level)) & 1:
+                i = bv._select1_u(i - levels[level][2] + 1)
+            else:
+                i = bv._select0_u(i + 1)
+        return i
 
     def access(self, i: int) -> int:
         """Return ``S[i]``."""
@@ -203,26 +237,17 @@ class WaveletTree(LazyMirrors):
             self.ops.access += 1
         if not 0 <= i < self._n:
             raise ValidationError(f"access index {i} out of range [0, {self._n})")
-        nlo, nhi = 0, self._n - 1
         value = 0
-        for words, cum in self._lv or self._level_view():
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
+        for words, cum, z in self._lv or self._level_view():
             w = i >> 6
             word = words[w]
             bit = i & 63
-            x = cum[w] + (word & ((1 << bit) - 1)).bit_count() - a
+            x = cum[w] + (word & ((1 << bit) - 1)).bit_count()
             if (word >> bit) & 1:
                 value = (value << 1) | 1
-                nlo += zeros
-                i = nlo + x
+                i = z + x
             else:
                 value <<= 1
-                nhi = nlo + zeros - 1
                 i -= x
         return value
 
@@ -230,8 +255,7 @@ class WaveletTree(LazyMirrors):
         """Occurrences of ``c`` in positions ``[0, i)``."""
         if self.ops is not None:
             self.ops.rank += 1
-        if not 0 <= c < self._sigma:
-            raise ValidationError(f"symbol {c} out of range [0, {self._sigma})")
+        self._check_symbol(c)
         if not 0 <= i <= self._n:
             raise ValidationError(f"rank index {i} out of range [0, {self._n}]")
         memo = self._memo_rank
@@ -240,35 +264,13 @@ class WaveletTree(LazyMirrors):
             hit = memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
-        result = self._rank_u(c, i)
+        lo, hi = self._descend(c, 0, i - 1)
+        result = hi - lo + 1
         if memo is not None:
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[key] = result
         return result
-
-    def _rank_u(self, c: int, i: int) -> int:
-        nlo, nhi = 0, self._n - 1
-        shift = self._height
-        for words, cum in self._lv or self._level_view():
-            if i <= nlo:
-                return 0
-            shift -= 1
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
-            w = (i - 1) >> 6
-            x = cum[w] + (words[w] & ((2 << ((i - 1) & 63)) - 1)).bit_count() - a
-            if (c >> shift) & 1:
-                nlo += zeros
-                i = nlo + x
-            else:
-                nhi = nlo + zeros - 1
-                i -= x
-        return i - nlo
 
     def rank_range(self, c: int, lo: int, hi: int) -> int:
         """Occurrences of ``c`` in the closed range ``[lo, hi]``."""
@@ -280,49 +282,32 @@ class WaveletTree(LazyMirrors):
         """Position of the ``j``-th occurrence of ``c`` (``j`` from 1)."""
         if self.ops is not None:
             self.ops.select += 1
-        if not 0 <= c < self._sigma:
-            raise ValidationError(f"symbol {c} out of range [0, {self._sigma})")
-        if not 1 <= j <= self._counts_i[c]:
+        self._check_symbol(c)
+        lo, hi = self._descend(c, 0, self._n - 1)
+        if not 1 <= j <= hi - lo + 1:
             raise StructureError(
-                f"select({c}, {j}) out of range: {self._counts_i[c]} occurrences"
+                f"select({c}, {j}) out of range: {hi - lo + 1} occurrences"
             )
-        # Descend to c's leaf noting each node's start and the ones
-        # before it, then map the leaf offset back up with one bitvector
-        # select per level. c occurs, so no node on its path is empty.
-        path: list[tuple[int, int]] = []
-        nlo, nhi = 0, self._n - 1
-        shift = self._height
-        for words, cum in self._lv or self._level_view():
-            shift -= 1
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            path.append((nlo, a))
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
-            if (c >> shift) & 1:
-                nlo += zeros
-            else:
-                nhi = nlo + zeros - 1
-        offset = j - 1  # 0-based offset inside the leaf's span
-        for level in range(self._height - 1, -1, -1):
-            nlo, a = path[level]
-            bv = self._levels[level]
-            if (c >> (self._height - 1 - level)) & 1:
-                offset = bv._select1_u(a + offset + 1) - nlo
-            else:
-                offset = bv._select0_u(nlo - a + offset + 1) - nlo
-        return offset
+        return self._lift(c, lo + j - 1)
 
     def select_next(self, c: int, start: int) -> int | None:
-        """First position ``>= start`` holding symbol ``c``, or ``None``."""
+        """First position ``>= start`` holding symbol ``c``, or ``None``.
+
+        Counted as the ``rank`` of ``start`` and, when there is such a
+        position, the ``select`` that finds it; done as one descent of
+        ``[start, n - 1]``, whose leaf range starts at the answer.
+        """
         if start >= self._n:
             return None
-        r = self.rank(c, max(start, 0))
-        if r + 1 > self._counts_i[c]:
+        if self.ops is not None:
+            self.ops.rank += 1
+        self._check_symbol(c)
+        lo, hi = self._descend(c, max(start, 0), self._n - 1)
+        if lo > hi:
             return None
-        return self.select(c, r + 1)
+        if self.ops is not None:
+            self.ops.select += 1
+        return self._lift(c, lo)
 
     # ------------------------------------------------------------------
     # range operations (Sec. 2.3 extended set)
@@ -368,42 +353,29 @@ class WaveletTree(LazyMirrors):
         """The descent behind :meth:`range_next_value`, for a non-empty
         ``[lo, hi]`` and ``0 <= c < sigma``, in two phases.
 
-        First follow ``c``'s bits. Wherever ``c`` turns left, the right
-        sibling holds only larger symbols; the deepest sibling the range
-        reaches holds the smallest of them, so only that one is kept.
+        First follow ``c``'s bits. Wherever ``c`` turns left, the range's
+        ones hold only larger symbols; the deepest such range that is
+        non-empty holds the smallest of them, so only that one is kept.
         Arriving at ``c``'s leaf with the range non-empty means ``c``
         itself occurs. Otherwise the answer is the minimum of the kept
-        sibling: from there, take the leftmost child the range reaches.
+        range: from there, follow the range's zeros wherever it has any.
         """
         levels = self._lv or self._level_view()
         height = self._height
-        nlo, nhi = 0, self._n - 1
         sibling = None
         shift = height
-        for words, cum in levels:
+        for words, cum, z in levels:
             shift -= 1
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
             w = lo >> 6
-            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
             w = hi >> 6
-            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
-            # x, y: ones of the node before lo and up to hi. The range
-            # maps to [lo - x, hi - y] on the left, [mid + x, mid + y - 1]
-            # on the right, where mid is the right child's start.
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
             if (c >> shift) & 1:
-                nlo += zeros
-                lo = nlo + x
-                hi = nlo + y - 1
+                lo = z + x
+                hi = z + y - 1
             else:
                 if y > x:
-                    mid = nlo + zeros
-                    sibling = (shift, mid, nhi, mid + x, mid + y - 1)
-                nhi = nlo + zeros - 1
+                    sibling = (shift, z + x, z + y - 1)
                 lo -= x
                 hi -= y
             if lo > hi:
@@ -412,29 +384,21 @@ class WaveletTree(LazyMirrors):
             return c
         if sibling is None:
             return None
-        shift, nlo, nhi, lo, hi = sibling
+        shift, lo, hi = sibling
         value = (c >> shift) | 1
-        for words, cum in levels[height - shift:]:
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
+        for words, cum, z in levels[height - shift:]:
             w = lo >> 6
-            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
             w = hi >> 6
-            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
             if hi - y >= lo - x:
                 value <<= 1
-                nhi = nlo + zeros - 1
                 lo -= x
                 hi -= y
             else:
                 value = (value << 1) | 1
-                nlo += zeros
-                lo = nlo + x
-                hi = nlo + y - 1
+                lo = z + x
+                hi = z + y - 1
         return value
 
     def range_count(self, lo: int, hi: int, a: int, b: int) -> int:
@@ -458,31 +422,22 @@ class WaveletTree(LazyMirrors):
     def _count_below(self, lo: int, hi: int, v: int) -> int:
         """Positions of a non-empty ``[lo, hi]`` holding a symbol
         ``< v``, for ``0 <= v <= sigma``: follow ``v``'s bits, taking in
-        the whole left child wherever ``v`` turns right."""
+        the range's zeros wherever ``v`` turns right."""
         if v >> self._height:
             return hi - lo + 1
-        nlo, nhi = 0, self._n - 1
         count = 0
         shift = self._height
-        for words, cum in self._lv or self._level_view():
+        for words, cum, z in self._lv or self._level_view():
             shift -= 1
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
             w = lo >> 6
-            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
             w = hi >> 6
-            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
             if (v >> shift) & 1:
                 count += (hi - y) - (lo - x) + 1
-                nlo += zeros
-                lo = nlo + x
-                hi = nlo + y - 1
+                lo = z + x
+                hi = z + y - 1
             else:
-                nhi = nlo + zeros - 1
                 lo -= x
                 hi -= y
             if lo > hi:
@@ -503,31 +458,22 @@ class WaveletTree(LazyMirrors):
             raise ValidationError(
                 f"quantile index {j} outside [1, {hi - lo + 1}]"
             )
-        nlo, nhi = 0, self._n - 1
         value = 0
-        for words, cum in self._lv or self._level_view():
-            w = nlo >> 6
-            a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-            w = nhi >> 6
-            zeros = nhi - nlo + 1 + a - cum[w] - (
-                words[w] & ((2 << (nhi & 63)) - 1)
-            ).bit_count()
+        for words, cum, z in self._lv or self._level_view():
             w = lo >> 6
-            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+            x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
             w = hi >> 6
-            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+            y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
             zeros_in_range = (hi - y) - (lo - x) + 1
             if j <= zeros_in_range:
                 value <<= 1
-                nhi = nlo + zeros - 1
                 lo -= x
                 hi -= y
             else:
                 j -= zeros_in_range
                 value = (value << 1) | 1
-                nlo += zeros
-                lo = nlo + x
-                hi = nlo + y - 1
+                lo = z + x
+                hi = z + y - 1
         return value
 
     def _range_values_u(self, lo: int, hi: int) -> tuple[int, ...]:
@@ -535,7 +481,7 @@ class WaveletTree(LazyMirrors):
         one ``range_next`` — a whole enumeration is one leap), memoized
         and unchecked like :meth:`_range_next_value_u`.
 
-        One range-report traversal: depth-first, left child first, over
+        One range-report traversal: depth-first, zeros first, over
         exactly the nodes the range reaches — ``O(d log(sigma / d))``
         nodes for ``d`` reported symbols, where leaping value by value
         walks ``d + 1`` root-to-leaf paths.
@@ -553,38 +499,27 @@ class WaveletTree(LazyMirrors):
         levels = self._lv or self._level_view()
         height = self._height
         found: list[int] = []
-        # (level, node start, node end, range start, range end, prefix)
-        stack = [(0, 0, self._n - 1, lo, hi, 0)]
+        # (level, range start, range end, prefix)
+        stack = [(0, lo, hi, 0)]
         while stack:
-            level, nlo, nhi, lo, hi, value = stack.pop()
+            level, lo, hi, value = stack.pop()
             while level < height:
-                words, cum = levels[level]
+                words, cum, z = levels[level]
                 level += 1
-                w = nlo >> 6
-                a = cum[w] + (words[w] & ((1 << (nlo & 63)) - 1)).bit_count()
-                w = nhi >> 6
-                zeros = nhi - nlo + 1 + a - cum[w] - (
-                    words[w] & ((2 << (nhi & 63)) - 1)
-                ).bit_count()
                 w = lo >> 6
-                x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count() - a
+                x = cum[w] + (words[w] & ((1 << (lo & 63)) - 1)).bit_count()
                 w = hi >> 6
-                y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count() - a
+                y = cum[w] + (words[w] & ((2 << (hi & 63)) - 1)).bit_count()
                 value <<= 1
-                mid = nlo + zeros
                 if hi - y >= lo - x:
-                    if y > x:  # the right child waits its turn
-                        stack.append(
-                            (level, mid, nhi, mid + x, mid + y - 1, value | 1)
-                        )
-                    nhi = mid - 1
+                    if y > x:  # the ones wait their turn
+                        stack.append((level, z + x, z + y - 1, value | 1))
                     lo -= x
                     hi -= y
                 else:
                     value |= 1
-                    nlo = mid
-                    lo = mid + x
-                    hi = mid + y - 1
+                    lo = z + x
+                    hi = z + y - 1
             found.append(value)
         result = tuple(found)
         if memo is not None:

@@ -101,3 +101,8 @@ class TestDistanceIndex:
             DistanceRangeIndex(np.zeros((3, 2)), d_max=0.0)
         with pytest.raises(ValidationError):
             DistanceRangeIndex(np.zeros(3), d_max=1.0)
+        # members are what an attached index checks: strictly increasing
+        with pytest.raises(ValidationError, match="sorted and distinct"):
+            DistanceRangeIndex(
+                np.zeros((3, 1)), d_max=1.0, members=np.array([1, 1, 2])
+            )

@@ -17,7 +17,7 @@
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
-  ``FORMAT_VERSION`` at 2; a shared segment holds the file's segment
+  ``FORMAT_VERSION`` at 3; a shared segment holds the file's segment
   bytes.
 """
 
@@ -178,9 +178,10 @@ def _check_wavelet(got, original, sequence, sigma):
                 original.range_next_value(lo, hi, c)
             )
     # The descents above rebuilt the level view, over the attached
-    # tree's own mirrors.
-    assert [words for words, _cum in got._lv] == [
-        level._words_i for level in got._levels
+    # tree's own mirrors; each level's zero count is derived from its
+    # bitvector's total, not stored.
+    assert [(words, z) for words, _cum, z in got._lv] == [
+        (level._words_i, len(level) - level.n_ones) for level in got._levels
     ]
     assert got._lv == original._lv
 
@@ -438,7 +439,7 @@ def test_figure2_index_bytes_are_pinned(tmp_path):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
-    assert FORMAT_VERSION == pinned["format_version"] == 2
+    assert FORMAT_VERSION == pinned["format_version"] == 3
     _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
     path = str(tmp_path / "fig2.idx")
     assert save(db, path) == pinned["nbytes"]

@@ -108,14 +108,25 @@ class TestRPL001HotPathPurity:
 
     def test_mirrored_attrs_match_the_declared_layouts(self):
         # The rule's list is config, the truth is each structure's own
-        # declaration: an array declared mirrored must be patrolled.
+        # declaration: an array with a plain-int twin — declared
+        # mirrored, or a derived ``<name>_i`` table — must be patrolled.
         from repro.analysis.config import (
             BITVECTOR_MIRROR_ATTRS,
             INT_MIRRORED_ARRAY_ATTRS,
         )
         from repro.store.layout import KINDS
+        from repro.succinct.fields import Array
 
-        declared = set().union(*(cls.LAYOUT.mirrored for cls in KINDS.values()))
+        declared = set()
+        for cls in KINDS.values():
+            layout = cls.LAYOUT
+            arrays = {
+                spec.name
+                for _key, spec in layout.persisted
+                if isinstance(spec, Array)
+            }
+            twins = {name[:-2] for name in layout.derived} & arrays
+            declared |= layout.mirrored | twins
         assert declared == INT_MIRRORED_ARRAY_ATTRS
         # ... and so must the word caches a bitvector's kernels read:
         # its one mirror plus the tables it derives instead of storing.

@@ -5,12 +5,13 @@ Mirrors the shared-memory transport's layers
 per-structure round trips live in ``tests/test_layout.py``, one battery
 over both carriers:
 
-* **Failure modes** — truncation, bad magic, version skew (a
-  version-1 file included), checksum corruption, endianness (file flag
+* **Failure modes** — truncation, bad magic, version skew (version-1
+  and version-2 files included), checksum corruption, endianness (file flag
   and host) each raise their typed :mod:`repro.utils.errors` exception;
   ``verify=False`` skips only the checksum — and even then one flipped
   bit in a bitvector's words or rank directory is a typed error at
-  first touch, never a wrong rank.
+  first touch, never a wrong rank, and one in an offsets or sorted-id
+  table is a typed error unless the table keeps its structure.
 * **Space budget** — the Figure-2 graph's index file stays within the
   bytes-per-edge budget of ``docs/performance.md``.
 * **Golden sweep** — on the Figure-2 workload, an mmap-loaded database
@@ -27,6 +28,7 @@ import struct
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.experiments.registry import Context, figure2_setup
+from repro.knn.distance_index import DistanceRangeIndex
 from repro.obs import QueryTrace, validate_trace
 from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
@@ -135,17 +138,19 @@ def test_version_skew(small_index):
     _rewrite(small_index, 8, struct.pack("<I", FORMAT_VERSION + 1))
     with pytest.raises(StoreVersionError, match="repro build"):
         load(small_index)
-    # A version-1 header as format 1 wrote it (same struct, magic, flag
-    # and consistent lengths): refused by its version alone — there is
-    # no reader kept for it.
-    version_1 = struct.pack(
-        "<8sIIQQII", MAGIC, 1, 1, header.manifest_len, header.segment_len,
-        header.checksum, 0,
-    )
-    _rewrite(small_index, 0, version_1)
-    for verify in (True, False):
-        with pytest.raises(StoreVersionError, match="version 1 != 2.*repro build"):
-            load(small_index, verify=verify)
+    # Version-1 and version-2 headers as those formats wrote them (same
+    # struct, magic, flag and consistent lengths): refused by their
+    # version alone — there is no reader kept for either.
+    for old in (1, 2):
+        _rewrite(small_index, 0, struct.pack(
+            "<8sIIQQII", MAGIC, old, 1, header.manifest_len,
+            header.segment_len, header.checksum, 0,
+        ))
+        for verify in (True, False):
+            with pytest.raises(
+                StoreVersionError, match=f"version {old} != 3.*repro build"
+            ):
+                load(small_index, verify=verify)
 
 
 def test_big_endian_file_flag(small_index):
@@ -410,78 +415,145 @@ def test_prime_materializes_hot_caches(fig2_store):
         primed.close()
 
 
-def _bitvector_arrays(node):
-    """Manifest indices of every bitvector's words and rank directory."""
+#: The ``<i4`` tables whose plain-int mirror is a derived table that
+#: checks their structure, by manifest kind.
+_CHECKED_TABLES = {
+    "cumcounts": ("cum",),
+    "knn_ring": ("members", "s_offsets"),
+    "distance_index": ("members",),
+}
+
+
+def _stored_arrays(node):
+    """``(group, manifest index)`` of every bitvector's words and rank
+    directory and of every checked ``<i4`` table."""
     if isinstance(node, dict):
-        if node.get("kind") == "bitvector":
-            yield node["words"]
-            yield node["blocks"]
+        kind = node.get("kind")
+        if kind == "bitvector":
+            yield "bitvector", node["words"]
+            yield "bitvector", node["blocks"]
+        for key in _CHECKED_TABLES.get(kind, ()):
+            yield f"{kind}.{key}", node[key]
         for child in node.values():
-            yield from _bitvector_arrays(child)
+            yield from _stored_arrays(child)
     elif isinstance(node, list):
         for child in node:
-            yield from _bitvector_arrays(child)
+            yield from _stored_arrays(child)
 
 
 @pytest.fixture(scope="module")
-def fig2_bitvector_spans(fig2_store):
-    """The saved Figure-2 file's bytes, and the ``(start, nbytes)`` file
-    span of each bitvector array in it."""
-    *_ignored, path = fig2_store
+def flip_target(tmp_path_factory):
+    """The Figure-2 database with a distance index beside it, saved:
+    the file's bytes and path, and the ``(start, nbytes)`` file span of
+    each stored array, by group."""
+    _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
+    points = np.random.default_rng(5).normal(size=(40, 2))
+    db.distance_index = DistanceRangeIndex(points, d_max=1.0)
+    path = str(tmp_path_factory.mktemp("flip") / "fig2.idx")
+    save(db, path)
     store = load(path)
     manifest = store.manifest
     store.close()
-    spans = []
-    for index in _bitvector_arrays(manifest.root):
+    spans: dict[str, list[tuple[int, int]]] = {}
+    for group, index in _stored_arrays(manifest.root):
         offset, dtype, (count,) = manifest.entries[index]
-        spans.append((manifest.base + offset, count * int(dtype[2:])))
+        spans.setdefault(group, []).append(
+            (manifest.base + offset, count * int(dtype[2:]))
+        )
+    assert set(spans) == {"bitvector"} | {
+        f"{kind}.{key}" for kind, keys in _CHECKED_TABLES.items() for key in keys
+    }
     with open(path, "rb") as handle:
-        return handle.read(), spans
+        return handle.read(), spans, path
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
-    fig2_store, fig2_bitvector_spans, data
-):
-    """Past the checksum (``verify=False``) the per-word counts are
-    recounted from the words and held against the stored directory, so
-    one flipped bit in either is caught when the mirror is derived."""
-    raw, spans = fig2_bitvector_spans
-    start, nbytes = data.draw(st.sampled_from(spans))
-    bit = data.draw(st.integers(0, nbytes * 8 - 1))
-    flipped = bytearray(raw)
-    flipped[start + bit // 8] ^= 1 << (bit % 8)
-    path = fig2_store[-1] + ".flipped"
+def _primed_error(raw: bytes, path: str) -> str | None:
+    """Write ``raw`` to ``path``; check that the checksum refuses it,
+    then load it without verifying and prime it: the message of the
+    :class:`StoreFormatError` that raises, or ``None``."""
     with open(path, "wb") as handle:
-        handle.write(flipped)
-
+        handle.write(raw)
     with pytest.raises(StoreChecksumError):
         load(path)
     store = load(path, verify=False)
     try:
-        try:
-            prime(store.structure)
-        except StoreFormatError as exc:
-            # Read here: a kept traceback would pin views of the mapping.
-            message = str(exc)
-        else:
-            message = None
-        assert message is not None and "rank directory" in message
+        prime(store.structure)
+    except StoreFormatError as exc:
+        # Read here: a kept traceback would pin views of the mapping.
+        return str(exc)
     finally:
         store.close()
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
+    flip_target, data
+):
+    """Past the checksum (``verify=False``) a bitvector's per-word
+    counts are recounted from the words and held against the stored
+    directory, so one flipped bit in either is caught when the mirror
+    is derived. A checked ``<i4`` table is held to its structure as its
+    mirror is derived: a flip there is caught, or leaves offsets that
+    still rise from 0 to the total and ids that still strictly increase
+    below the bound — what only the checksum can catch."""
+    raw, spans, path = flip_target
+    group = data.draw(st.sampled_from(sorted(spans)))
+    start, nbytes = data.draw(st.sampled_from(spans[group]))
+    bit = data.draw(st.integers(0, nbytes * 8 - 1))
+    flipped = bytearray(raw)
+    flipped[start + bit // 8] ^= 1 << (bit % 8)
+    message = _primed_error(bytes(flipped), path + ".flipped")
+    if group == "bitvector":
+        assert message is not None and "rank directory" in message
+    elif message is not None:
+        assert "rebuild it with 'repro build'" in message
+    else:
+        before = np.frombuffer(raw, "<i4", nbytes // 4, start)
+        after = np.frombuffer(bytes(flipped), "<i4", nbytes // 4, start)
+        steps = np.diff(after)
+        if group.endswith("members"):
+            # the bound, the sequences' sigma, is the largest member + 1
+            assert after[0] >= 0 and after[-1] <= before[-1]
+            assert (steps > 0).all()
+        else:
+            assert after[0] == 0 and after[-1] == before[-1]
+            assert (steps >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "group, element, bit, names",
+    [
+        # an offset past its successor, a last id past the bound
+        ("cumcounts.cum", 1, 30, "cumulative counts"),
+        ("knn_ring.s_offsets", 1, 30, "K-NN row offsets"),
+        ("knn_ring.members", -1, 30, "K-NN members"),
+        ("distance_index.members", -1, 30, "distance-index members"),
+    ],
+)
+def test_flip_that_breaks_a_checked_table_is_a_format_error(
+    flip_target, group, element, bit, names
+):
+    raw, spans, path = flip_target
+    start, nbytes = spans[group][0]
+    at = start + (element % (nbytes // 4)) * 4 + bit // 8
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << (bit % 8)
+    message = _primed_error(bytes(flipped), path + ".broken")
+    assert message is not None and names in message
 
 
 def test_index_bytes_per_edge_budget(tmp_path):
     """The index stays succinct in fact: at the recorded Figure-2 scale
     (the benchmark's query graph) the whole file — header, manifest,
-    segment — costs at most 9.5 bytes per stored edge."""
+    segment — costs at most 6.5 bytes per stored edge."""
     from repro.datasets.wikimedia import generate_benchmark
 
     bench = generate_benchmark(Context().data)
     db = GraphDatabase(bench.graph, bench.knn_graph)
     edges = bench.graph.num_edges + int(bench.knn_graph.lengths.sum())
-    assert save(db, str(tmp_path / "fig2.idx")) / edges <= 9.5
+    assert save(db, str(tmp_path / "fig2.idx")) / edges <= 6.5
 
 
 def test_attached_ops_return_plain_ints(fig2_store):

@@ -9,9 +9,10 @@ kernel change.
 Edge cases exercised explicitly (beyond random generation): the empty
 sequence, all-zeros, all-ones, a single-symbol alphabet (``sigma = 1``),
 and lengths that are not multiples of the 64-bit word size. A
-deterministic battery at the end walks the wavelet tree's iterative
-descents over word and node boundaries at ``sigma`` in ``{1, 2, 2^h,
-2^h + 1}``, with the per-query memo off, cold and warm.
+deterministic battery at the end walks the wavelet matrix's iterative
+descents over word and node boundaries and over levels of one bit value
+at ``sigma`` in ``{1, 2, 2^h, 2^h + 1}``, with the per-query memo off,
+cold and warm.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_tree import WaveletTree
+from repro.utils.errors import StructureError
 
 # ----------------------------------------------------------------------
 # naive reference models
@@ -65,6 +67,10 @@ class RefSeq:
 
     def select(self, c: int, j: int) -> int:
         return [p for p, v in enumerate(self.seq) if v == c][j - 1]
+
+    def select_next(self, c: int, start: int) -> int | None:
+        hits = (p for p, v in enumerate(self.seq) if v == c and p >= start)
+        return next(hits, None)
 
     def range_next_value(self, lo: int, hi: int, c: int) -> int | None:
         window = [v for v in self.seq[lo : hi + 1] if v >= c]
@@ -289,17 +295,22 @@ def test_wavelet_sigma_one_alphabet(seq):
 # boundary battery for the iterative descents
 # ----------------------------------------------------------------------
 def _boundary_cases(sigma: int):
-    """Sequences whose spans put the descents' rank arguments on every
+    """Sequences whose ranges put the descents' rank arguments on every
     edge they special-case nowhere: lengths around the 64-bit word, a
     sorted sequence (a node's span at every level is a run of it, so
-    positions on run boundaries are node boundaries), the largest symbol
-    alone (the rightmost path, whose spans all end at ``n``), and noise.
+    positions on run boundaries are node boundaries), noise, and
+    single-symbol sequences, whose levels are all zeros (``z = n``) or
+    all ones (``z = 0``): the smallest symbol, a middle one, and the
+    largest (the rightmost path, whose ranges all end at ``n``; at
+    ``sigma = 2^h + 1`` the only symbol ``>= 2^h``).
     """
     rng = np.random.default_rng(sigma)
     for n in (63, 64, 130):
         noise = rng.integers(0, sigma, n).tolist()
         yield sorted(noise)
         yield noise
+        yield [0] * n
+        yield [sigma // 2] * n
         yield [sigma - 1] * n
         yield [0] * (n - 1) + [sigma - 1]
 
@@ -328,10 +339,19 @@ def test_wavelet_descents_on_word_and_node_boundaries(sigma):
         edges = _edges(seq)
         assert [wt.access(i) for i in range(n)] == seq
         for c in range(sigma):
+            count = seq.count(c)  # 0 for an absent symbol
+            assert wt.total_count(c) == count, (seq, c)
             for i in edges + [n]:
                 assert wt.rank(c, i) == ref.rank(c, i), (seq, c, i)
-            for j in range(1, seq.count(c) + 1):
+            for j in range(1, count + 1):
                 assert wt.select(c, j) == ref.select(c, j), (seq, c, j)
+            with pytest.raises(StructureError, match=f": {count} occurrences"):
+                wt.select(c, count + 1)
+            # edges hold 0 and n - 1; then n and past it
+            for start in [-1] + edges + [n, n + 3]:
+                assert wt.select_next(c, start) == ref.select_next(
+                    c, start
+                ), (seq, c, start)
         for lo in edges:
             for hi in edges:
                 if hi < lo:
@@ -371,13 +391,14 @@ def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
             got = [wt.range_next_value(*q) for q in queries]
             got += [wt._range_next_value_u(*q) for q in queries]
             got += [wt.rank(q[2] % sigma, q[1] + 1) for q in queries]
+            got += [wt.select_next(q[2] % sigma, q[0]) for q in queries]
             counts = wt.ops.as_dict()
             wt.ops = None
             return got, counts
 
         expected = [ref.range_next_value(*q) for q in queries] * 2 + [
             ref.rank(q[2] % sigma, q[1] + 1) for q in queries
-        ]
+        ] + [ref.select_next(q[2] % sigma, q[0]) for q in queries]
         plain = sweep()
         wt.begin_query_memo()
         cold, warm = sweep(), sweep()
@@ -385,6 +406,11 @@ def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
         assert plain[0] == cold[0] == warm[0] == expected
         assert plain[1] == cold[1] == warm[1]
         assert plain[1]["range_next"] == 2 * len(queries)
+        # select_next counts the rank of its start, and the select that
+        # finds a position when there is one
+        found = sum(v is not None for v in expected[-len(queries):])
+        assert plain[1]["rank"] == 2 * len(queries)
+        assert plain[1]["select"] == found
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 9])
