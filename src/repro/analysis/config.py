@@ -38,9 +38,9 @@ VALIDATED_BITVECTOR_OPS: frozenset[str] = frozenset(
 #: array: a raw element read yields a ``numpy.int64`` scalar whose
 #: arithmetic re-enters numpy dispatch on every later use — the
 #: scalar-leak tax the PR-3 plain-int caches eliminated. This matters
-#: doubly for shm/mmap-attached structures (worker pools, ``repro
-#: build`` indexes), where the canonical arrays are views over a shared
-#: buffer and the mirrors are the coercion boundary that keeps numpy
+#: doubly for mmap-loaded structures (worker pools, ``repro build``
+#: indexes), where the canonical arrays are views over a mapped file
+#: and the mirrors are the coercion boundary that keeps numpy
 #: scalars out of query evaluation. Slice reads are fine — they stay
 #: arrays and feed vectorized code. A mirror is either declared
 #: (``Array(..., mirrored=True)``) or a ``Derived`` table that checks
@@ -196,15 +196,15 @@ ENGINE_RESULT_FACTORIES: frozenset[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# RPL007 — shm-only index transport in the parallel package.
+# RPL007 — file-only index transport in the parallel package.
 #
-# PR-6 replaced pickle-the-index dispatch with flatten/attach over
-# shared memory (now ``repro.store.layout``, carried by
-# ``repro.parallel.shm``); the 0.66-0.84x scaling of the pickling
-# transport must not creep back. Inside ``repro.parallel``, serializing
+# Structures reach pool workers through the index file (``repro.store``:
+# each worker ``load``s a path); the 0.66-0.84x scaling of the
+# pickle-the-index transport it replaced must not creep back. Inside
+# ``repro.parallel``, serializing
 # an index — importing pickle-family modules, calling their dump/load
 # entry points, or (re)defining the ``__getstate__``-family dunders —
-# is banned; the declared layout is the only sanctioned path for index
+# is banned; the index file is the only sanctioned path for index
 # bytes.
 # ----------------------------------------------------------------------
 PARALLEL_TRANSPORT_PREFIXES: tuple[str, ...] = ("repro.parallel",)

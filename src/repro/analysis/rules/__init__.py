@@ -12,7 +12,7 @@ from repro.analysis.rules.rpl002_counter_memo import CounterBeforeMemo
 from repro.analysis.rules.rpl003_obs_guard import ObsGuard
 from repro.analysis.rules.rpl004_determinism import Determinism
 from repro.analysis.rules.rpl005_engine_contract import EngineContract
-from repro.analysis.rules.rpl007_transport import ShmOnlyTransport
+from repro.analysis.rules.rpl007_transport import FileOnlyTransport
 
 ALL_RULES: tuple[Rule, ...] = (
     HotPathPurity(),
@@ -20,7 +20,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ObsGuard(),
     Determinism(),
     EngineContract(),
-    ShmOnlyTransport(),
+    FileOnlyTransport(),
 )
 
 _BY_CODE = {rule.code: rule for rule in ALL_RULES}

@@ -150,8 +150,8 @@ class HotPathPurity(Rule):
         """Flag element reads of canonical arrays that have ``_i`` mirrors.
 
         ``x._cum[c]`` yields a ``numpy.int64`` that re-enters numpy
-        dispatch on every later arithmetic op — and on shm/mmap-attached
-        structures the canonical array is a view over a shared buffer,
+        dispatch on every later arithmetic op — and on mmap-loaded
+        structures the canonical array is a view over the mapped file,
         making the ``_i`` mirror the coercion boundary that keeps numpy
         scalars out of the hot path. Slices and writes stay vectorized
         and are exempt.

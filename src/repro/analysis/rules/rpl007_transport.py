@@ -1,13 +1,13 @@
-"""RPL007 — shm-only index transport inside ``repro.parallel``.
+"""RPL007 — file-only index transport inside ``repro.parallel``.
 
-The PR-5 worker pool shipped the succinct indexes to workers by
+An early worker pool shipped the succinct indexes to workers by
 pickling them (directly, or implicitly via fork-less ``Pool`` initargs
 carrying the database through ``__getstate__``), which made the
-parallel executor *slower* than serial at every pool size. PR-6
-replaced that transport with flatten/attach over shared memory (the
-declared layout of :mod:`repro.store.layout`, carried by
-:mod:`repro.parallel.shm`): workers rebuild the structures zero-copy
-over segments, and nothing per-dispatch scales with index size.
+parallel executor *slower* than serial at every pool size. Structures
+now reach workers through the index file (:mod:`repro.store`, the
+declared layout of :mod:`repro.store.layout`): each worker is given a
+path and opens it with ``load``, rebuilding the structures zero-copy
+over the mapping, and nothing per-dispatch scales with index size.
 
 This rule keeps the pickling transport from creeping back. Inside the
 ``repro.parallel`` package it flags:
@@ -43,13 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _PICKLE_ENTRY_POINTS = frozenset({"dump", "dumps", "load", "loads"})
 
 
-class ShmOnlyTransport(Rule):
+class FileOnlyTransport(Rule):
     code = "RPL007"
-    name = "shm-only-transport"
+    name = "file-only-transport"
     summary = (
         "repro.parallel must not pickle indexes: no pickle-family "
-        "imports/calls or __getstate__-family dunders (the declared "
-        "layout is the sanctioned transport)"
+        "imports/calls or __getstate__-family dunders (the index file, "
+        "repro.store, is the sanctioned transport)"
     )
 
     def check(self, module: "ModuleInfo", project: "Project") -> Iterator["Finding"]:
@@ -63,8 +63,8 @@ class ShmOnlyTransport(Rule):
                         yield module.finding(
                             self.code,
                             f"import of '{alias.name}' in the parallel "
-                            "package; index transport must go through "
-                            "the repro.store.layout declarations",
+                            "package; structures reach workers through "
+                            "the index file (repro.store)",
                             node,
                         )
             elif isinstance(node, ast.ImportFrom):
@@ -73,8 +73,8 @@ class ShmOnlyTransport(Rule):
                     yield module.finding(
                         self.code,
                         f"import from '{node.module}' in the parallel "
-                        "package; index transport must go through the "
-                        "repro.store.layout declarations",
+                        "package; structures reach workers through the "
+                        "index file (repro.store)",
                         node,
                     )
             elif isinstance(node, ast.Call):
@@ -90,8 +90,8 @@ class ShmOnlyTransport(Rule):
                     yield module.finding(
                         self.code,
                         f"'{chain}()' serializes an object graph in the "
-                        "parallel package; flatten/attach it through "
-                        "its declared layout (repro.store.layout) instead",
+                        "parallel package; hand workers an index file "
+                        "(repro.store save/load) instead",
                         node,
                     )
                 elif segments[-1] in STATE_DUNDERS:
@@ -99,8 +99,8 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"explicit '{segments[-1]}()' call in the "
                         "parallel package; pickle-based index transport "
-                        "is banned (declare the structure's layout for "
-                        "repro.store.layout instead)",
+                        "is banned (structures reach workers through the "
+                        "index file, repro.store)",
                         node,
                     )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -109,7 +109,7 @@ class ShmOnlyTransport(Rule):
                         self.code,
                         f"definition of '{node.name}' in the parallel "
                         "package re-introduces pickle-based transport; "
-                        "declare the structure's persisted fields for "
-                        "repro.store.layout instead",
+                        "structures reach workers through the index "
+                        "file (repro.store)",
                         node,
                     )

@@ -4,27 +4,24 @@ This is the repo's one resource-lifecycle check. No lint rule reasons
 about acquire/release paths; the tests that drive those paths, the
 exception paths included, run under this ledger. When
 ``REPRO_SANITIZE=1`` is set, :func:`install` swaps the process-wide
-resource primitives the runtime layers acquire — shm segments
-(``repro.parallel.shm``), their attachments and file mappings
-(``repro.store.io``), worker
-pools (``repro.parallel.executor``), the test server thread
-(``repro.serve.app``) — for instrumented twins that record every
-acquisition with its full allocation stack in a process-local
-:class:`Ledger` and strike it out on release.
+resource primitives the runtime layers acquire — index-file mappings
+(``repro.store.io``), worker pools (``repro.parallel.executor``), the
+test server thread (``repro.serve.app``) — for instrumented twins that
+record every acquisition with its full allocation stack in a
+process-local :class:`Ledger` and strike it out on release.
 
 ``tests/conftest.py`` wraps each test in :func:`test_leak_check`: a
 resource acquired during a test and still live when the test ends fails
 *that test*, printing the allocation traceback — the exact thing a
-"CI is out of shm space" post-mortem never has.
+"too many open mappings" post-mortem never has.
 
-Facets: a creator-side shm segment owes *two* releases (``close`` drops
-the mapping, ``unlink`` removes the OS object); an attachment owes only
-``close``. An entry stays live until every facet is released.
+Facets: each entry names the releases it owes (``close`` for a mapping
+or a pool, ``shutdown`` for the server thread) and stays live until
+every facet is released.
 
 Sanctioned owners: the executor's ``_POOLS`` LRU deliberately keeps
-pools (and their segments) alive across tests — that is a cache, not a
-leak. :func:`_owned_serials` walks the registry so cached ownership is
-exempted *transitively* (the pool and its structure segment), while an
+pools alive across tests — that is a cache, not a leak.
+:func:`_owned_serials` exempts the pools it holds, while an
 unregistered pool still trips the check.
 
 Patching happens in the parent test process only: spawn-start workers
@@ -40,13 +37,12 @@ import os
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory as _shared_memory
 from types import SimpleNamespace
 from typing import Any, Iterator
 
 #: Attribute stashed on instrumented instances linking them to their
-#: ledger entry (survives subclassing; never pickled by the transport —
-#: manifests travel, resource handles do not).
+#: ledger entry (survives subclassing; never pickled — workers get a
+#: path, not a resource handle).
 _SERIAL_ATTR = "_repro_sanitize_serial"
 
 
@@ -114,34 +110,6 @@ def _serial_of(obj: Any) -> int | None:
 # ----------------------------------------------------------------------
 # instrumented primitives
 # ----------------------------------------------------------------------
-class _SanitizedSharedMemory(_shared_memory.SharedMemory):
-    """``SharedMemory`` recording its close (and, for creators, unlink)
-    obligations."""
-
-    def __init__(
-        self, name: str | None = None, create: bool = False, size: int = 0
-    ) -> None:
-        super().__init__(name, create, size)
-        facets = {"close"} | ({"unlink"} if create else set())
-        setattr(
-            self,
-            _SERIAL_ATTR,
-            LEDGER.acquire(
-                "shm-segment" if create else "shm-attachment",
-                f"name={self.name} create={create} size={size}",
-                facets,
-            ),
-        )
-
-    def close(self) -> None:
-        LEDGER.release(_serial_of(self), "close")
-        super().close()
-
-    def unlink(self) -> None:
-        LEDGER.release(_serial_of(self), "unlink")
-        super().unlink()
-
-
 class _SanitizedMmap(_mmap_mod.mmap):
     """``mmap.mmap`` recording its close obligation."""
 
@@ -212,10 +180,10 @@ def install() -> None:
     """Swap the runtime layers' resource primitives for recorded twins.
 
     Idempotent; patches only this process. Module-attribute patching is
-    deliberate: the runtime modules name their primitives through their
-    own namespaces (``shared_memory.SharedMemory``, ``mmap.mmap``), so
-    rebinding *those* attributes instruments every acquisition the
-    repro tree makes without touching the stdlib for other libraries.
+    deliberate: ``repro.store.io`` names its primitive through its own
+    namespace (``mmap.mmap``), so rebinding *that* attribute instruments
+    every mapping the repro tree makes without touching the stdlib for
+    other libraries.
     """
     global _installed
     if _installed:
@@ -223,14 +191,9 @@ def install() -> None:
     _installed = True
 
     import repro.parallel.executor as executor
-    import repro.parallel.shm as shm
     import repro.serve.app as app
     import repro.store.io as io
 
-    # Creator side (repro.parallel.shm) and attach side (repro.store.io).
-    shm.shared_memory = io.shared_memory = SimpleNamespace(  # type: ignore[assignment]
-        SharedMemory=_SanitizedSharedMemory
-    )
     io.mmap = SimpleNamespace(  # type: ignore[assignment]
         mmap=_SanitizedMmap, ACCESS_READ=_mmap_mod.ACCESS_READ
     )
@@ -242,24 +205,16 @@ def _owned_serials() -> set[int]:
     """Ledger entries owned by a sanctioned cross-test cache.
 
     The executor's ``_POOLS`` LRU is the one registry allowed to hold
-    resources across tests; everything it transitively owns (the pool
-    and the flattened structure segment) is exempt from the per-test
+    resources across tests; its pools are exempt from the per-test
     check — ``shutdown_pools`` releases them at session end.
     """
     import repro.parallel.executor as executor
 
-    owned: set[int] = set()
-    for pool in executor._POOLS.values():
-        candidates: list[Any] = [pool]
-        holder = pool._shm
-        if holder is not None:
-            candidates.append(holder)
-            candidates.append(getattr(holder, "_shm", None))
-        for obj in candidates:
-            serial = _serial_of(obj)
-            if serial is not None:
-                owned.add(serial)
-    return owned
+    return {
+        serial
+        for serial in map(_serial_of, executor._POOLS.values())
+        if serial is not None
+    }
 
 
 @contextmanager

@@ -87,12 +87,11 @@ class GraphDatabase:
 
         The returned database carries only the succinct structures (the
         raw ``graph``/``knn_graphs`` tables are not part of the
-        artifact — the same contract as shared-memory worker
-        attachment), so the Ring/K-NN engines work but the baseline
-        family does not. The backing :class:`~repro.store.IndexStore`
-        is reachable as ``db._store`` and owns the mapping's lifetime;
-        worker pools detect it and attach spawn workers directly to the
-        file instead of flattening into a fresh shared segment.
+        artifact — what every pool worker opens too), so the Ring/K-NN
+        engines work but the baseline family does not. The backing
+        :class:`~repro.store.IndexStore` is reachable as ``db._store``
+        and owns the mapping's lifetime; worker pools detect it and
+        hand their workers this file instead of saving a scratch copy.
         """
         from repro.store import load
 
@@ -115,8 +114,9 @@ class GraphDatabase:
         file behind the same server — invalidates every cached entry on
         first lookup) and 0 for an in-memory build; each
         :meth:`bump_epoch` call adds one on top. ``getattr`` defaults
-        keep both accessors safe on instances attached without running
-        ``__init__`` (the shm/store attach paths).
+        keep both accessors safe on instances rebuilt without running
+        ``__init__`` (every :func:`repro.store.load`, a pool worker's
+        included).
         """
         base = 0
         store = getattr(self, "_store", None)
@@ -140,7 +140,7 @@ class GraphDatabase:
         """Release runtime resources bound to this database.
 
         Closes every cached worker pool keyed on this instance (their
-        processes and shared segments) and, for a store-backed
+        processes and scratch files) and, for a store-backed
         database, the backing mmap. Idempotent; an in-memory database
         with no pools is a no-op. Owners that open a database per
         request (the CLI, embedders) must call this — dropping the

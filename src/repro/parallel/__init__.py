@@ -3,17 +3,15 @@ over it.
 
 Submodules:
 
-* :mod:`repro.parallel.executor` — the pool: processes that attach one
-  database (a shared segment, or the index file of a store-backed one)
-  and answer :class:`QueryBatchTask` round trips; large results stream
-  back in chunks.
+* :mod:`repro.parallel.executor` — the pool: processes that load one
+  database from an index file (the one a store-backed database came
+  from, or a scratch file the pool saves) and answer
+  :class:`QueryBatchTask` round trips; large results stream back in
+  chunks.
 * :mod:`repro.parallel.scheduler` — inter-query batching: select each
   query's strategy with the ``auto`` rule, group the batch LPT-style by
   estimated (then measured) cost and multiplex it over the pool.
 * :mod:`repro.parallel.worker` — the code that runs inside pool workers.
-* :mod:`repro.parallel.shm` — the shared-memory segments that carry the
-  flattened indexes (:mod:`repro.store.layout`) to the workers, which
-  rebuild them zero-copy, no pickling.
 
 There is no intra-query parallelism: first-variable sharding was
 measured at 0.84x of serial on two cores and deleted
@@ -43,9 +41,6 @@ _EXPORTS = {
     "run_query_batch": "repro.parallel.worker",
     "ENV_START_METHOD": "repro.parallel.executor",
     "forced_start_method": "repro.parallel.executor",
-    "StructureShm": "repro.parallel.shm",
-    "active_segments": "repro.parallel.shm",
-    "attach": "repro.parallel.shm",
 }
 
 __all__ = sorted(_EXPORTS)

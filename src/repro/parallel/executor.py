@@ -1,42 +1,45 @@
-"""The worker pool: processes that attach one database and run whole
+"""The worker pool: processes that load one database and run whole
 queries over it.
 
-A :class:`WorkerPool` is bound to one database. Starting it ships that
-database to the workers without copying it per dispatch
-(:mod:`repro.parallel.shm`): a built database is flattened once into a
-shared segment the workers attach; a store-backed one creates no segment
-at all — the workers map the index file it was loaded from. After that a
-dispatch is a :class:`~repro.parallel.worker.QueryBatchTask` (a few
-parsed queries) going out and packed int64 solution matrices coming
-back, streamed in fixed-size chunks through a queue when large. Nothing
-per-dispatch scales with the index size.
+A :class:`WorkerPool` is bound to one database. Starting it hands the
+workers an index file to :func:`repro.store.load`: a store-backed
+database passes the file it was loaded from; a built one is first saved
+once to a private scratch file (``repro-pool-*.idx`` in the temp dir)
+that the pool owns. After that a dispatch is a
+:class:`~repro.parallel.worker.QueryBatchTask` (a few parsed queries)
+going out and packed int64 solution matrices coming back, streamed in
+fixed-size chunks through a queue when large. Nothing per-dispatch
+scales with the index size.
 
 Pools are cached per (database, pool size): the cache holds a strong
 reference to the database (so the id-based key can never alias a
-collected object) and each pool owns its shared segment, unlinking it on
-``close`` — including the error path where a worker raised mid-batch
-(the pool survives a task exception; the segment is only torn down with
-the pool itself).
+collected object) and each pool unlinks its scratch file on ``close`` —
+including after a worker raised mid-batch (the pool survives a task
+exception; the file goes only with the pool itself) and at exit, through
+:func:`shutdown_pools`.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
 import queue as queue_mod
+import tempfile
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.parallel.shm import StructureShm
 from repro.parallel.worker import (
     QueryBatchTask,
     QueryOutcome,
     _init_worker,
+    ready,
     run_query_batch,
 )
+from repro.store.io import write_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.database import GraphDatabase
@@ -69,12 +72,11 @@ def forced_start_method() -> str | None:
 class WorkerPool:
     """A lazily started multiprocessing pool bound to one database.
 
-    Starting the pool flattens the database into a shared-memory
-    segment (:class:`StructureShm`) unless it is store-backed; workers
-    attach the carrier in their initializer, so the per-dispatch payload
-    is a descriptor, never an index. The pool also owns the queue large
-    results stream back on — both are torn down together in
-    :meth:`close`.
+    Starting the pool saves the database to a scratch index file unless
+    it is store-backed; workers load the file in their initializer, so
+    the per-dispatch payload is a descriptor, never an index. The pool
+    also owns the queue large results stream back on — both are torn
+    down together in :meth:`close`.
     """
 
     def __init__(self, db: "GraphDatabase", workers: int) -> None:
@@ -82,7 +84,7 @@ class WorkerPool:
         self.workers = max(2, int(workers))
         self.start_method = "unstarted"
         self._pool: Any = None
-        self._shm: StructureShm | None = None
+        self._scratch: str | None = None
         self._chunks: Any = None
         self._chunk_buf: dict[int, dict[int, np.ndarray]] = {}
         self._uid = 0
@@ -106,27 +108,35 @@ class WorkerPool:
             self.start_method = method
             store = getattr(self._db, "_store", None)
             if store is not None:
-                # Store-backed database: workers attach the persistent
-                # file's mapping directly — no flatten, no shared
-                # segment, pool warm-up is near-free.
-                manifest = store.manifest
+                # Store-backed database: workers load the file it was
+                # loaded from, and refuse it if it has been replaced.
+                path, checksum = store.manifest.path, store.header.checksum
             else:
-                self._shm = StructureShm.create(self._db)
-                manifest = self._shm.manifest
+                fd, path = tempfile.mkstemp(
+                    prefix="repro-pool-", suffix=".idx"
+                )
+                os.close(fd)
+                self._scratch = path
+                try:
+                    checksum = write_index(self._db, path).checksum
+                except BaseException:
+                    self.close()
+                    raise
             self._chunks = ctx.Queue()
             self._pool = ctx.Pool(
                 self.workers,
                 initializer=_init_worker,
-                initargs=(manifest, self._chunks),
+                initargs=(path, checksum, self._chunks),
             )
         return self._pool
 
     def warmup(self) -> None:
-        """Start the pool and wait until every worker has attached."""
+        """Start the pool and wait until every worker has loaded the
+        index file; raises the error of a worker that could not."""
         pool = self._start()
-        # A no-op barrier: one trivial task per worker forces all the
-        # initializers (segment attach included) to finish.
-        pool.map(_noop, range(self.workers), chunksize=1)
+        # A barrier: one trivial task per worker forces all the
+        # initializers (the file's load included) to finish.
+        pool.map(ready, range(self.workers), chunksize=1)
 
     def submit_batch(self, batch: QueryBatchTask) -> Any:
         """Submit one whole-query batch; returns an ``AsyncResult``
@@ -196,7 +206,7 @@ class WorkerPool:
                 break
 
     def close(self) -> None:
-        """Tear down the pool and unlink every owned shared segment."""
+        """Tear down the pool and unlink its scratch file, if any."""
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
@@ -205,15 +215,11 @@ class WorkerPool:
             self._chunks.close()
             self._chunks = None
         self._chunk_buf.clear()
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
+        scratch, self._scratch = self._scratch, None
+        if scratch is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(scratch)
         self.start_method = "unstarted"
-
-
-def _noop(_: int) -> None:
-    """Warmup barrier task (must be a module-level picklable)."""
-    return None
 
 
 def _injected_worker_fault() -> None:
@@ -225,7 +231,7 @@ _POOLS: "OrderedDict[tuple[int, int], WorkerPool]" = OrderedDict()
 
 #: Cached pools (each holds ``workers`` processes). Small LRU so runs
 #: that churn through many databases (test suites) do not
-#: accumulate processes or shared segments.
+#: accumulate processes or scratch files.
 _MAX_POOLS = 4
 
 
@@ -245,7 +251,8 @@ def pool_for(db: "GraphDatabase", workers: int) -> WorkerPool:
 
 
 def close_pools_for(db: "GraphDatabase") -> None:
-    """Close (and unlink the segments of) every pool bound to ``db``."""
+    """Close (and unlink the scratch files of) every pool bound to
+    ``db``."""
     for key in [k for k in _POOLS if k[0] == id(db)]:
         _POOLS.pop(key).close()
 

@@ -8,9 +8,10 @@ Queries are *grouped* — many per worker round trip
 cost, round-robin) so one expensive query cannot serialize a whole group
 behind it. The cost is the index's own estimate: the smallest ``l_x``
 the compiled relations report, the quantity the paper's orderings
-(Sec. 5) read. The pool itself is warm and shared: its carrier is
-created once per database and reused across ``run_batch`` calls, which
-is what :meth:`QueryScheduler.warmup` pays ahead of the first batch.
+(Sec. 5) read. The pool itself is warm and shared: its workers load
+the database's index file once and are reused across ``run_batch``
+calls, which is what :meth:`QueryScheduler.warmup` pays ahead of the
+first batch.
 Results come back in input order and each is the byte-identical
 :class:`QueryResult` — solutions and stats — the serial ``auto`` engine
 would have produced for that query.
@@ -86,14 +87,14 @@ class QueryScheduler:
         self.auto = AutoEngine(db, cache=cache)
 
     def warmup(self) -> None:
-        """Start the pool, flatten the database into shared memory and
-        wait for every worker to attach — the one-time cost ``serve``
-        pays before steady-state batches."""
+        """Start the pool (saving a built database to its scratch file)
+        and wait for every worker to load the index — the one-time cost
+        ``serve`` pays before steady-state batches."""
         if self.workers >= 2:
             pool_for(self._db, self.workers).warmup()
 
     def close(self) -> None:
-        """Release the pools (and their shm segments) for this
+        """Release the pools (and their scratch files) for this
         scheduler's database."""
         close_pools_for(self._db)
 

@@ -1,13 +1,12 @@
 """Worker-side execution of batched whole queries.
 
 Everything in this module runs inside :mod:`multiprocessing` pool
-workers. The pool initializer receives only a tiny picklable
-:class:`~repro.store.layout.Manifest` and a chunk queue: it attaches the
-carrier the manifest names — the shared-memory segment published by the
-parent, or the index file a store-backed database was loaded from — and
-rebuilds the read-only :class:`GraphDatabase` zero-copy over it (see
-:mod:`repro.store.layout`) — no index bytes ever cross the pipe, under
-fork *or* spawn.
+workers. The pool initializer receives only an index file's path, the
+checksum the parent expects of it, and a chunk queue: it opens the file
+with :func:`repro.store.load`, as any other process opening an index
+does, and so rebuilds the read-only :class:`GraphDatabase` zero-copy
+over its mapping — no index bytes ever cross the pipe, under fork *or*
+spawn.
 
 A :class:`QueryBatchTask` carries many small queries per round trip.
 Solutions travel back as the engine emitted them — the variable names
@@ -28,33 +27,72 @@ from repro.engines import INDEX_ENGINES
 from repro.engines.database import GraphDatabase
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import ExtendedBGP
-from repro.store import Attachment, Manifest, attach, prime
+from repro.store import load, prime
+from repro.utils.errors import StoreFormatError
 
 #: Fixed chunk size (solution rows) for streaming large results back
 #: through the chunk queue instead of the pool's result pipe.
 CHUNK_SOLUTIONS = 8192
 
 _WORKER_DB: GraphDatabase | None = None
-_WORKER_ATTACHMENT: Attachment | None = None
+_WORKER_ERROR: Exception | None = None
 _CHUNK_QUEUE: Any = None
 
 
-def _init_worker(manifest: Manifest, chunk_queue: Any) -> None:
-    """Pool initializer: attach the shared database, keep the mapping.
+def _init_worker(path: str, checksum: int, chunk_queue: Any) -> None:
+    """Pool initializer: load the index file, keep the database.
 
-    The attachment is held in a module global for the worker's whole
-    life; rebuilt structures start with recorder state detached (no op
-    counters, no memos) by construction, so nothing inherited from the
-    parent's evaluations can leak into task counts. The plain-int
-    hot-path caches are primed here — at the attach boundary, inside
-    the warm-up the caller already pays — so a worker's first query
-    never stalls on a lazy ``tolist`` rebuild mid-evaluation.
+    The database (and through its ``_store`` the mapping) is held in a
+    module global for the worker's whole life; loaded structures start
+    with recorder state detached (no op counters, no memos) by
+    construction, so nothing inherited from the parent's evaluations
+    can leak into task counts. The plain-int hot-path caches are primed
+    here — inside the warm-up the caller already pays — so a worker's
+    first query never stalls on a lazy ``tolist`` rebuild
+    mid-evaluation.
+
+    This never raises: a raising initializer makes the pool respawn
+    the worker without end. A file that cannot be opened, or whose
+    checksum is not the one the parent meant (it was replaced since),
+    is kept as the worker's error, and every task re-raises it. Its
+    traceback is dropped: the frames of a failed load hold views of the
+    mapping, which would keep it from being closed.
     """
-    global _WORKER_DB, _WORKER_ATTACHMENT, _CHUNK_QUEUE
-    _WORKER_ATTACHMENT = attach(manifest)
-    _WORKER_DB = _WORKER_ATTACHMENT.structure
-    prime(_WORKER_DB)
+    global _WORKER_DB, _WORKER_ERROR, _CHUNK_QUEUE
     _CHUNK_QUEUE = chunk_queue
+    try:
+        store = load(path, verify=False)
+        try:
+            if store.header.checksum != checksum:
+                raise StoreFormatError(
+                    f"{path}: index file was replaced since the pool's "
+                    f"database was opened (checksum "
+                    f"{store.header.checksum:#010x}, expected "
+                    f"{checksum:#010x}); reopen the database"
+                )
+            prime(store.database)
+        except BaseException:
+            store.close()
+            raise
+    except Exception as exc:
+        _WORKER_ERROR = exc.with_traceback(None)
+        return
+    _WORKER_DB = store.database
+
+
+def _database() -> GraphDatabase:
+    """This worker's database, or the initializer's error raised."""
+    if _WORKER_DB is None:
+        if _WORKER_ERROR is not None:
+            raise _WORKER_ERROR.with_traceback(None)
+        raise RuntimeError("worker pool used before initialization")
+    return _WORKER_DB
+
+
+def ready(_: int) -> None:
+    """Warm-up barrier task: fails as a query would on a worker that
+    could not open its index file."""
+    _database()
 
 
 def _emit(uid: int, packed: "np.ndarray") -> tuple["np.ndarray | None", int]:
@@ -124,9 +162,7 @@ def run_query(task: QueryTask) -> QueryOutcome:
     The LTJ engine opens and closes its own per-query wavelet memo per
     evaluation, so multiplexed queries never share memo state.
     """
-    if _WORKER_DB is None:
-        raise RuntimeError("worker pool used before initialization")
-    result = INDEX_ENGINES[task.engine](_WORKER_DB).evaluate(
+    result = INDEX_ENGINES[task.engine](_database()).evaluate(
         task.query, timeout=task.timeout, limit=task.limit
     )
     payload, n_chunks = _emit(task.uid, result.solutions.rows)

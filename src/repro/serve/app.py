@@ -232,8 +232,8 @@ class ReproServer:
         self._queue = asyncio.Queue()
         self._closed_event = asyncio.Event()
         if self.config.workers >= 2:
-            # Ready means *warm*: flatten/attach happens before the
-            # first client can connect, not under it.
+            # Ready means *warm*: every worker has loaded the index
+            # before the first client can connect, not under it.
             await self._loop.run_in_executor(
                 self._dispatch_pool, self._scheduler.warmup
             )

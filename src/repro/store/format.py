@@ -15,15 +15,15 @@ An index file is::
     | manifest JSON (UTF-8), zero-padded to an 8-byte boundary     |
     +--------------------------------------------------------------+
     | segment: the 8-byte-aligned array pack of                    |
-    | repro.store.layout (identical bytes to a shared segment)     |
+    | repro.store.layout                                           |
     +--------------------------------------------------------------+
 
 The manifest JSON carries the ``entries`` and ``root`` of a
 :class:`~repro.store.layout.Manifest` — the ``(offset, dtype, shape)``
-entry table and the nested structure tree — so attaching a file is
-exactly the shared-segment attach over a different buffer. The segment
-start is aligned so every array keeps the 8-byte alignment the flatten
-layer guarantees.
+entry table and the nested structure tree — so loading a file is the
+layout walker's attach over the mapped segment. The segment start is
+aligned so every array keeps the 8-byte alignment the flatten layer
+guarantees.
 
 Versioning policy: the format is versioned without migration shims. An
 index file is a cache of a deterministic build, so a reader that sees

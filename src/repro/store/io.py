@@ -1,4 +1,4 @@
-"""Index files and carrier attachments: save, load, attach.
+"""Index files: save and load.
 
 :func:`save` flattens a structure tree (:func:`repro.store.layout.
 flatten`) and writes header + manifest + segment atomically (temp file
@@ -9,22 +9,16 @@ at the target path.
 read-only, optionally verifies the payload checksum, and rebuilds the
 structures as zero-copy numpy views over the mapping
 (:func:`repro.store.layout.attach_buffer`). Nothing is deserialized:
-until a page is touched, it is not even read.
+until a page is touched, it is not even read. A pool worker opens its
+database the same way, with ``verify=False``.
 
-:func:`attach` is what a pool worker does with the picklable
-:class:`~repro.store.layout.Manifest` it was started with: open the
-carrier it names — a shared-memory segment or an index file — and
-rebuild the same structures over it.
-
-Lifecycle: an :class:`Attachment` (and so an :class:`IndexStore`) owns
-its mapping. The attached structures hold numpy views *into* it, so the
-mapping must outlive every structure reference; ``close`` drops the
-attachment's own structure reference first and tolerates a caller who
-kept views alive (the OS unmaps at process exit regardless). An attacher
-never unlinks a shared segment — its creator owns that. An
-already-attached file mapping survives even deletion of the file, so a
-parent may rebuild an index while a warm pool is still serving the old
-one.
+Lifecycle: an :class:`IndexStore` owns its mapping. The attached
+structures hold numpy views *into* it, so the mapping must outlive every
+structure reference; ``close`` drops the store's own structure
+reference first and tolerates a caller who kept views alive (the OS
+unmaps at process exit regardless). An open mapping survives even
+deletion of the file, so a parent may rebuild an index while a warm
+pool is still serving the old one.
 """
 
 from __future__ import annotations
@@ -58,11 +52,18 @@ def save(structure: object, path: str) -> int:
     """Write ``structure`` as a versioned index file; returns its size.
 
     Any structure declaring a layout is accepted — the whole
-    :class:`~repro.engines.database.GraphDatabase` for ``repro build``,
-    or a single succinct structure in tests. Only the succinct
-    structures travel: for a database, the raw graph and K-NN tables
-    are not part of the artifact (exactly as with worker attachment).
+    :class:`~repro.engines.database.GraphDatabase` for ``repro build``
+    and for a worker pool's scratch file, or a single succinct
+    structure in tests. Only the succinct structures travel: for a
+    database, the raw graph and K-NN tables are not part of the
+    artifact.
     """
+    return write_index(structure, path).total_size
+
+
+def write_index(structure: object, path: str) -> Header:
+    """:func:`save`, returning the header written (its checksum names
+    this file's contents)."""
     require_little_endian_host("write")
     builder = SegmentBuilder()
     root = flatten(structure, builder)
@@ -71,11 +72,17 @@ def save(structure: object, path: str) -> int:
     manifest = encode_manifest(builder.entries, root)
     pad_len = _align8(HEADER_SIZE + len(manifest)) - HEADER_SIZE - len(manifest)
     pad = b"\0" * pad_len
-    checksum = checksum_parts(manifest, pad, segment)
+    header = Header(
+        len(manifest), len(segment), checksum_parts(manifest, pad, segment)
+    )
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(pack_header(len(manifest), len(segment), checksum))
+            handle.write(
+                pack_header(
+                    header.manifest_len, header.segment_len, header.checksum
+                )
+            )
             handle.write(manifest)
             handle.write(pad)
             handle.write(segment)
@@ -83,9 +90,9 @@ def save(structure: object, path: str) -> int:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):  # pragma: no cover - error path only
+        if os.path.exists(tmp):
             os.unlink(tmp)
-    return HEADER_SIZE + len(manifest) + len(pad) + len(segment)
+    return header
 
 
 def _open_file(path: str, verify: bool) -> tuple[mmap.mmap, Header]:
@@ -127,37 +134,12 @@ def _open_file(path: str, verify: bool) -> tuple[mmap.mmap, Header]:
         return mapping, header
 
 
-class Attachment:
-    """A structure rebuilt zero-copy over a carrier, plus the carrier.
+class IndexStore:
+    """One loaded index file: the structure rebuilt zero-copy over the
+    file's mapping, plus the file's facts.
 
-    ``carrier`` is the open mapping (an ``mmap`` or an attached
-    ``SharedMemory``); ``structure`` holds views into it.
+    ``structure`` holds views into the mapping, which the store owns.
     """
-
-    def __init__(self, manifest: Manifest, structure: Any, carrier: Any) -> None:
-        self.manifest = manifest
-        self.structure = structure
-        self._carrier = carrier
-
-    def close(self) -> None:
-        """Drop the rebuilt structure and the mapping.
-
-        The structure reference is dropped first so CPython refcounting
-        frees the numpy views immediately; a caller who kept a view
-        alive only defers the unmap to process exit.
-        """
-        self.structure = None
-        carrier = self._carrier
-        self._carrier = None
-        if carrier is not None:
-            try:
-                carrier.close()
-            except BufferError:  # pragma: no cover - caller kept views
-                pass
-
-
-class IndexStore(Attachment):
-    """One loaded index file: its attachment plus the file's facts."""
 
     def __init__(
         self,
@@ -167,13 +149,30 @@ class IndexStore(Attachment):
         structure: Any,
         mapping: mmap.mmap,
     ) -> None:
-        super().__init__(manifest, structure, mapping)
         self.path = path
         self.header = header
+        self.manifest = manifest
+        self.structure = structure
+        self._mapping: mmap.mmap | None = mapping
         if manifest.root.get("kind") == "database":
-            # Back-reference so worker pools can detect a store-backed
-            # database and attach workers to the file mapping directly.
+            # Back-reference so a worker pool hands its workers this
+            # file instead of saving a scratch copy of the database.
             structure._store = self
+
+    def close(self) -> None:
+        """Drop the rebuilt structure and the mapping.
+
+        The structure reference is dropped first so CPython refcounting
+        frees the numpy views immediately; a caller who kept a view
+        alive only defers the unmap to process exit.
+        """
+        self.structure = None
+        mapping, self._mapping = self._mapping, None
+        if mapping is not None:
+            try:
+                mapping.close()
+            except BufferError:  # pragma: no cover - caller kept views
+                pass
 
     @property
     def database(self) -> Any:
@@ -203,7 +202,7 @@ class IndexStore(Attachment):
             "segment_bytes": self.header.segment_len,
             "checksum": f"{self.header.checksum:#010x}",
             "entries": len(self.manifest.entries),
-            "mapped": self._carrier is not None,
+            "mapped": self._mapping is not None,
         }
 
 
@@ -235,40 +234,3 @@ def load(path: str, verify: bool = True) -> IndexStore:
         mapping.close()
         raise
     return IndexStore(path, header, manifest, structure, mapping)
-
-
-#: ``multiprocessing.shared_memory``, imported by the first attach to a
-#: shared segment — a process that only maps an index file (``repro
-#: query --from-index``) never imports :mod:`multiprocessing`. The leak
-#: sanitizer rebinds this name to its recording twin.
-shared_memory: Any = None
-
-
-def attach(manifest: Manifest) -> Attachment:
-    """Open the carrier ``manifest`` names and rebuild its structure.
-
-    This is the worker side of both carriers: a shared segment is
-    attached by name, an index file is memory-mapped. No checksum
-    verification — the parent verified the file when it loaded the
-    store, and worker attach must stay near-free; only the cheap
-    structural sanity (magic/version/length) is repeated.
-    """
-    global shared_memory
-    carrier: Any
-    if manifest.path is None:
-        if shared_memory is None:
-            from multiprocessing import shared_memory
-        carrier = shared_memory.SharedMemory(name=manifest.segment)
-        buf = carrier.buf
-    else:
-        require_little_endian_host("attach")
-        carrier, _header = _open_file(manifest.path, verify=False)
-        buf = carrier
-    try:
-        structure = attach_buffer(manifest, buf)
-    except Exception:
-        # No owner exists yet: a failed attach must close the mapping
-        # here or it leaks.
-        carrier.close()
-        raise
-    return Attachment(manifest, structure, carrier)

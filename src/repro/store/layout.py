@@ -12,11 +12,11 @@ here — :func:`flatten`, :func:`attach_buffer`, :func:`prime`,
 :func:`persisted_bytes` — follows the declarations and knows no
 structure by name.
 
-The same bytes travel on two carriers: an anonymous shared-memory
-segment for worker pools (:mod:`repro.parallel.shm`) and, behind a
-checksummed header, the persistent index file (:mod:`repro.store.io`).
-Dtypes are explicit little-endian strings, so a manifest is valid
-regardless of the attaching interpreter's native byte order.
+The bytes have one carrier: the index file (:mod:`repro.store.io`),
+where they follow a checksummed header. A worker pool hands its workers
+such a file too. Dtypes are explicit little-endian strings, so a
+manifest is valid regardless of the attaching interpreter's native byte
+order.
 """
 
 from __future__ import annotations
@@ -41,27 +41,24 @@ def _align8(offset: int) -> int:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Picklable description of one flattened structure tree.
+    """Description of one flattened structure tree.
 
     ``entries[i]`` locates array ``i`` inside the segment as ``(byte
     offset, little-endian dtype string, shape)``; ``root`` is the nested
-    structure meta whose leaves reference arrays by index. The carrier
-    is either a shared-memory ``segment`` name or an index file ``path``
-    whose segment starts at byte ``base``. Pool workers receive this
-    through their initializer and attach the carrier directly.
+    structure meta whose leaves reference arrays by index. The segment
+    starts at byte ``base`` of the index file at ``path``.
     """
 
     entries: tuple[Entry, ...]
     root: dict[str, Any] = field(hash=False)
     nbytes: int
-    segment: str | None = None
     path: str | None = None
     base: int = 0
 
     @property
     def carrier(self) -> str:
-        """The carrier's name, for error messages."""
-        return self.path or f"shm segment {self.segment}"
+        """What holds the bytes, for error messages."""
+        return self.path or "in-memory segment"
 
 
 class SegmentBuilder:
@@ -74,8 +71,8 @@ class SegmentBuilder:
 
     @property
     def nbytes(self) -> int:
-        """Segment length in bytes (never zero: neither carrier maps an
-        empty buffer)."""
+        """Segment length in bytes (at least one, as the format has
+        always written it)."""
         return max(self._size, 1)
 
     @property
@@ -248,8 +245,8 @@ def _attach(cls: type, meta: Any, view: SegmentView) -> Any:
 def attach_buffer(manifest: Manifest, buf: Any) -> Any:
     """Rebuild a flattened structure zero-copy over ``buf``.
 
-    ``buf`` holds the carrier's bytes (a shared segment's ``.buf`` or a
-    whole memory-mapped index file). The caller owns its lifetime and
+    ``buf`` holds the carrier's bytes (a whole memory-mapped index
+    file). The caller owns its lifetime and
     must keep it alive while the structure is in use — numpy views into
     it are handed out, never copies. A structurally bad manifest raises
     :class:`StoreFormatError` with no view left behind, so the caller
@@ -276,7 +273,7 @@ def prime(structure: object) -> None:
 
     Attached structures start without their ``_*_i`` mirrors and derived
     tables and rebuild each lazily on first touch — mid-query. Calling
-    this at the attach boundary (worker initializer, store warm-up)
+    this at the load boundary (worker initializer, store warm-up)
     moves that cost into the explicit one-time warm-up instead.
     Idempotent, and free on built structures, whose mirrors exist.
     """

@@ -20,7 +20,8 @@ from repro.knn.graph import KnnGraph
 if sanitize.enabled():
     # Patch the runtime resource primitives before any test module
     # imports them; see repro/analysis/sanitize.py. The CI ``sanitize``
-    # job runs the shm/store/serve batteries under REPRO_SANITIZE=1.
+    # job runs the layout/pool/store/serve batteries under
+    # REPRO_SANITIZE=1.
     sanitize.install()
 
 

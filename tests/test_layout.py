@@ -2,28 +2,24 @@
 
 * **Round trips** — Hypothesis properties per declared structure
   (BitVector, WaveletTree, CumulativeCounts, KnnRing,
-  DistanceRangeIndex, GraphDatabase): flatten → attach → query answers
-  exactly as the original, over both carriers — a genuinely shared
-  segment and a real index file. Every trip also checks the attach
-  contract: mirrors absent then rebuilt identically, transient state
-  reset, views read-only.
+  DistanceRangeIndex, GraphDatabase): save → load → query answers
+  exactly as the original, over the one carrier, a real index file.
+  Every trip also checks the attach contract: mirrors absent then
+  rebuilt identically, transient state reset, views read-only.
 * **Walker bounds** — an entry is bounds-checked at its own dtype's
   width, and a value too wide for a field's declared dtype is refused
   at flatten time, by field name, instead of wrapping.
-* **Failure paths** — an attach that fails mid-walk closes its carrier
-  (an ``mmap`` or an attached ``SharedMemory``: the sanitizer's ledger
-  is left clean), and a flatten whose segment write fails unlinks the
-  segment it created.
+* **Failure paths** — a load that fails mid-walk closes its mapping
+  (the sanitizer's ledger is left clean), and a pool start whose
+  scratch save fails leaves no file behind.
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
-  ``FORMAT_VERSION`` at 3; a shared segment holds the file's segment
-  bytes.
+  ``FORMAT_VERSION`` at 3.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -48,10 +44,11 @@ from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.knn.succinct import KnnRing
-from repro.parallel.shm import StructureShm, active_segments, attach
+from repro.parallel.executor import WorkerPool
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
 from repro.store import FORMAT_VERSION, Manifest, load, save
-from repro.store.layout import SegmentBuilder, SegmentView
+from repro.store.format import pack_header
+from repro.store.layout import SegmentView
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import Array, Child
@@ -59,29 +56,27 @@ from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StoreFormatError, StructureError
 from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
-CARRIERS = ("shm", "file")
-both_carriers = pytest.mark.parametrize("carrier", CARRIERS)
+#: The one carrier of the layout. Kept as a parameter so each test's id
+#: still names what carried its bytes.
+CARRIERS = ("file",)
+by_carrier = pytest.mark.parametrize("carrier", CARRIERS)
 
 
 class _RoundTrip:
-    """Flatten + attach a structure over a real carrier, with
+    """Save + load a structure through a real index file, with
     guaranteed release (leak-checked per example).
 
-    Assertions against the attachment run inside :meth:`check` so no
+    Assertions against the loaded store run inside :meth:`check` so no
     test-frame local keeps a numpy view alive when :meth:`close` drops
     the mapping — a lingering view would turn the close into a leak.
     """
 
-    def __init__(self, structure: object, carrier: str) -> None:
+    def __init__(self, structure: object) -> None:
         self._structure = structure
-        if carrier == "shm":
-            self._owner = StructureShm.create(structure)
-            self.attached = attach(self._owner.manifest)
-        else:
-            self._dir = tempfile.mkdtemp(prefix="repro-layout-test-")
-            self.path = os.path.join(self._dir, "structure.idx")
-            self.nbytes = save(structure, self.path)
-            self.attached = load(self.path)
+        self._dir = tempfile.mkdtemp(prefix="repro-layout-test-")
+        self.path = os.path.join(self._dir, "structure.idx")
+        self.nbytes = save(structure, self.path)
+        self.attached = load(self.path)
 
     def check(self, checker, *args) -> None:
         _check_attach_contract(self.attached.structure, self._structure)
@@ -89,11 +84,7 @@ class _RoundTrip:
 
     def close(self) -> None:
         self.attached.close()
-        if hasattr(self, "_owner"):
-            self._owner.close()
-            assert self._owner.name not in active_segments()
-        else:
-            shutil.rmtree(self._dir, ignore_errors=True)
+        shutil.rmtree(self._dir, ignore_errors=True)
 
 
 def _check_attach_contract(got, original):
@@ -147,14 +138,13 @@ def _check_bitvector(got, original, bits):
         assert got.select0(j) == original.select0(j)
 
 
-@both_carriers
+@by_carrier
 @settings(max_examples=30, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=160))
 def test_bitvector_roundtrip(carrier, bits):
-    trip = _RoundTrip(BitVector(bits), carrier)
+    trip = _RoundTrip(BitVector(bits))
     try:
-        if carrier == "file":
-            assert trip.nbytes == os.path.getsize(trip.path)
+        assert trip.nbytes == os.path.getsize(trip.path)
         trip.check(_check_bitvector, bits)
     finally:
         trip.close()
@@ -186,7 +176,7 @@ def _check_wavelet(got, original, sequence, sigma):
     assert got._lv == original._lv
 
 
-@both_carriers
+@by_carrier
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), sigma=st.integers(1, 12))
 def test_wavelet_tree_roundtrip(carrier, data, sigma):
@@ -202,7 +192,7 @@ def test_wavelet_tree_roundtrip(carrier, data, sigma):
     assert original._lv is not None
     original.ops = object()
     original.begin_query_memo()
-    trip = _RoundTrip(original, carrier)
+    trip = _RoundTrip(original)
     original.ops = None
     original.end_query_memo()
     try:
@@ -218,14 +208,14 @@ def _check_cumcounts(got, original, sigma):
         assert got.before(c) == original.before(c)
 
 
-@both_carriers
+@by_carrier
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), sigma=st.integers(1, 12))
 def test_cumulative_counts_roundtrip(carrier, data, sigma):
     column = data.draw(
         st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
     )
-    trip = _RoundTrip(CumulativeCounts(column, sigma), carrier)
+    trip = _RoundTrip(CumulativeCounts(column, sigma))
     try:
         trip.check(_check_cumcounts, sigma)
     finally:
@@ -245,12 +235,12 @@ def _check_knn_ring(got, original):
             assert got.forward_range(u, k) == original.forward_range(u, k)
 
 
-@both_carriers
+@by_carrier
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
 def test_knn_ring_roundtrip(carrier, seed, n):
     points = np.random.default_rng(seed).normal(size=(n, 3))
-    trip = _RoundTrip(KnnRing(build_knn_graph_bruteforce(points, K=3)), carrier)
+    trip = _RoundTrip(KnnRing(build_knn_graph_bruteforce(points, K=3)))
     try:
         trip.check(_check_knn_ring)
     finally:
@@ -270,12 +260,12 @@ def _check_distance_index(got, original):
                 assert got.leap_within(u, d, low) == original.leap_within(u, d, low)
 
 
-@both_carriers
+@by_carrier
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
 def test_distance_range_index_roundtrip(carrier, seed, n):
     points = np.random.default_rng(seed).normal(size=(n, 3))
-    trip = _RoundTrip(DistanceRangeIndex(points, d_max=2.5), carrier)
+    trip = _RoundTrip(DistanceRangeIndex(points, d_max=2.5))
     try:
         trip.check(_check_distance_index)
     finally:
@@ -296,7 +286,7 @@ def _check_database(got, original):
     assert result.stats.bindings == expected.stats.bindings
 
 
-@both_carriers
+@by_carrier
 def test_graph_database_roundtrip_query_equality(carrier):
     rng = np.random.default_rng(11)
     triples = [
@@ -309,7 +299,7 @@ def test_graph_database_roundtrip_query_equality(carrier):
         build_knn_graph_bruteforce(points, K=3),
         distance_index=DistanceRangeIndex(points, d_max=1.5),
     )
-    trip = _RoundTrip(db, carrier)
+    trip = _RoundTrip(db)
     try:
         trip.check(_check_database)
     finally:
@@ -349,87 +339,73 @@ def test_value_past_the_declared_width_is_refused_at_save(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# failure paths: a failed attach or flatten strands no resource
+# failure paths: a failed load or scratch save strands no resource
 # ----------------------------------------------------------------------
 @pytest.fixture
-def recorded_carriers(monkeypatch):
-    """Route ``repro.store.io``'s carriers through the sanitizer's
-    ledger-recording twins, whether or not ``REPRO_SANITIZE`` is set;
-    returns the list of every carrier opened."""
+def recorded_mappings(monkeypatch):
+    """Route ``repro.store.io``'s mappings through the sanitizer's
+    ledger-recording twin, whether or not ``REPRO_SANITIZE`` is set;
+    returns the list of every mapping opened."""
     opened = []
 
-    def record(cls):
-        def open_carrier(*args, **kwargs):
-            opened.append(cls(*args, **kwargs))
-            return opened[-1]
+    def open_mapping(*args, **kwargs):
+        opened.append(sanitize._SanitizedMmap(*args, **kwargs))
+        return opened[-1]
 
-        return open_carrier
-
-    monkeypatch.setattr(
-        store_io,
-        "shared_memory",
-        SimpleNamespace(SharedMemory=record(sanitize._SanitizedSharedMemory)),
-    )
     monkeypatch.setattr(
         store_io,
         "mmap",
-        SimpleNamespace(
-            mmap=record(sanitize._SanitizedMmap), ACCESS_READ=mmap.ACCESS_READ
-        ),
+        SimpleNamespace(mmap=open_mapping, ACCESS_READ=mmap.ACCESS_READ),
     )
     return opened
 
 
-@both_carriers
+@by_carrier
 def test_failed_attach_leaves_no_live_mapping(
-    carrier, recorded_carriers, tmp_path
+    carrier, recorded_mappings, tmp_path
 ):
-    structure = WaveletTree([3, 1, 4, 1, 5, 2, 6, 5, 3, 5], 7)
-    owner = None
-    if carrier == "shm":
-        owner = StructureShm.create(structure)
-        manifest = owner.manifest
-    else:
-        path = str(tmp_path / "structure.idx")
-        save(structure, path)
-        store = load(path)
-        manifest = store.manifest
-        store.close()
-    # Cut the segment one byte short of its furthest array: the walk
-    # attaches views of the earlier arrays, then fails.
+    path = str(tmp_path / "structure.idx")
+    save(WaveletTree([3, 1, 4, 1, 5, 2, 6, 5, 3, 5], 7), path)
+    store = load(path)
+    manifest, header = store.manifest, store.header
+    store.close()
+    # Have the header claim a segment one byte short of its furthest
+    # array: the walk attaches views of the earlier arrays, then fails.
     end = max(
         offset + math.prod(shape) * np.dtype(dtype).itemsize
         for offset, dtype, shape in manifest.entries
     )
-    bad = dataclasses.replace(manifest, nbytes=end - 1)
+    with open(path, "r+b") as handle:
+        handle.write(
+            pack_header(header.manifest_len, end - 1, header.checksum)
+        )
     live = set(sanitize.LEDGER.live())
-    opened = len(recorded_carriers)
+    opened = len(recorded_mappings)
+    with pytest.raises(StoreFormatError, match="spans bytes"):
+        load(path, verify=False)
+    assert len(recorded_mappings) == opened + 1
+    assert recorded_mappings[-1].closed, "the failed load left it open"
+    assert set(sanitize.LEDGER.live()) <= live
+
+
+def test_failed_scratch_save_strands_no_file(monkeypatch, tmp_path, small_db):
+    """A pool over a built database saves it to a scratch file first;
+    when that save fails, the start raises and leaves neither the
+    scratch file nor ``save``'s temporary behind."""
+
+    def fail(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "fsync", fail)
+    pool = WorkerPool(small_db, 2)
     try:
-        with pytest.raises(StoreFormatError, match="spans bytes"):
-            store_io.attach(bad)
-        assert len(recorded_carriers) == opened + 1
-        mapping = recorded_carriers[-1]
-        closed = mapping.closed if carrier == "file" else mapping.buf is None
-        assert closed, "the failed attach left its carrier open"
-        assert set(sanitize.LEDGER.live()) <= live
+        with pytest.raises(OSError, match="injected"):
+            pool.warmup()
+        assert os.listdir(tmp_path) == []
+        assert pool.start_method == "unstarted"
     finally:
-        if owner is not None:
-            owner.close()
-
-
-def test_failed_segment_write_strands_no_segment(monkeypatch):
-    def fail(self, buf):
-        raise RuntimeError("injected segment write failure")
-
-    monkeypatch.setattr(SegmentBuilder, "write", fail)
-    segments = active_segments()
-    dev_shm = Path("/dev/shm")
-    listing = set(os.listdir(dev_shm)) if dev_shm.is_dir() else set()
-    with pytest.raises(RuntimeError, match="injected"):
-        StructureShm.create(BitVector([1, 0, 1, 1]))
-    assert active_segments() == segments
-    if dev_shm.is_dir():
-        assert set(os.listdir(dev_shm)) <= listing
+        pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -446,19 +422,3 @@ def test_figure2_index_bytes_are_pinned(tmp_path):
     with open(path, "rb") as handle:
         raw = handle.read()
     assert hashlib.sha256(raw).hexdigest() == pinned["sha256"]
-    # An shm segment is the same bytes, minus header and manifest.
-    store = load(path)
-    owner = StructureShm.create(db)
-    try:
-        file_manifest, shm_manifest = store.manifest, owner.manifest
-        assert shm_manifest.entries == file_manifest.entries
-        assert shm_manifest.root == file_manifest.root
-        assert shm_manifest.nbytes == file_manifest.nbytes
-        start = file_manifest.base
-        assert (
-            bytes(owner._shm.buf[: shm_manifest.nbytes])
-            == raw[start : start + file_manifest.nbytes]
-        )
-    finally:
-        owner.close()
-        store.close()

@@ -1,23 +1,28 @@
-"""Pool-size-sweep battery for the shared-memory zero-copy transport.
+"""Pool-size-sweep battery for the worker pool's index-file transport.
 
-Two layers of acceptance for :mod:`repro.parallel.shm` (the per-structure
-flatten → attach round trips live in ``tests/test_layout.py``, one
-battery over both carriers):
+Two layers of acceptance for :mod:`repro.parallel.executor` (the
+per-structure save → load round trips live in ``tests/test_layout.py``):
 
 * **Golden sweep** — on the Figure-2 workload, ``QueryScheduler.run_batch``
   returns the serial engine's solutions in the serial order, with the
   serial counters, for pool sizes 1, 2, 4 under *both* fork and spawn
   start methods (spawn proves the transport carries everything — nothing
   rides copy-on-write inheritance).
-* **Lifecycle** — every created segment is unlinked after a pool closes
-  and after a worker raises mid-batch; a subprocess asserts a full create/evaluate/exit cycle —
-  over a built database and over a store-backed one — emits no
-  ``resource_tracker`` warnings.
+* **Lifecycle** — a pool over a built database unlinks its scratch index
+  file after it closes and after a worker raises mid-batch; a subprocess
+  asserts a full create/evaluate/exit cycle — over a built database and
+  over a store-backed one — leaves no scratch file and emits no
+  ``resource_tracker`` output.
+* **A broken index is a typed error, not a hang** — workers whose index
+  file was replaced or deleted since the database was opened fail every
+  batch with a :class:`StoreFormatError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +38,6 @@ from repro.parallel.executor import (
     shutdown_pools,
 )
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import active_segments
 from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
@@ -98,30 +102,42 @@ def test_scheduler_batch_byte_identical_both_methods(
     scheduler = QueryScheduler(db, workers=2)
     try:
         scheduler.warmup()
+        scratch = pool_for(db, 2)._scratch
         results = scheduler.run_batch(queries)
         assert len(results) == len(queries)
         for got, want in zip(results, expected):
             assert got.solutions == want.solutions
     finally:
         scheduler.close()
-    assert active_segments() == ()
+    assert not os.path.exists(scratch)
 
 
 # ----------------------------------------------------------------------
-# shm lifecycle: nothing leaks
+# lifecycle: the scratch file goes with the pool
 # ----------------------------------------------------------------------
+def _warm_scratch(db, workers=2):
+    """The scratch file of ``db``'s warm pool, which must exist."""
+    scratch = pool_for(db, workers)._scratch
+    assert scratch is not None and os.path.exists(scratch), (
+        "a warm pool over a built database holds its scratch file"
+    )
+    assert os.path.basename(scratch).startswith("repro-pool-")
+    return scratch
+
+
 def test_segments_unlinked_after_pool_close(figure2):
     db, queries, expected = figure2
     scheduler = QueryScheduler(db, workers=2)
     scheduler.run_batch(queries[:1])
-    assert active_segments(), "a warm pool must hold its shared segment"
+    scratch = _warm_scratch(db)
     scheduler.close()
-    assert active_segments() == ()
+    assert not os.path.exists(scratch)
     # The scheduler transparently restarts a pool on the next batch.
     (result,) = scheduler.run_batch(queries[:1])
     assert result.solutions == expected[0].solutions
+    scratch = _warm_scratch(db)
     scheduler.close()
-    assert active_segments() == ()
+    assert not os.path.exists(scratch)
 
 
 def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
@@ -144,60 +160,114 @@ def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
     # The pool survives a task exception and still answers correctly...
     (got,) = QueryScheduler(small_db, workers=2).run_batch([query])
     assert got.solutions == AutoEngine(small_db).evaluate(query).solutions
-    # ...and closing it unlinks every segment it created.
+    # ...and closing it unlinks its scratch file.
+    scratch = _warm_scratch(small_db)
     close_pools_for(small_db)
-    assert active_segments() == ()
+    assert not os.path.exists(scratch)
 
 
-_EXIT_SCRIPT = """
-import sys
+#: A small database and one query, for the subprocess scripts below.
+_SCRIPT_DB = """
+import glob, os, sys, tempfile
 import numpy as np
 from repro.engines.database import GraphDatabase
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import active_segments
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from repro.store import save
 
-rng = np.random.default_rng(7)
-triples = [
-    (int(rng.integers(0, 20)), int(20 + rng.integers(0, 3)),
-     int(rng.integers(0, 20)))
-    for _ in range(120)
-]
-points = np.random.default_rng(11).normal(size=(20, 2))
-db = GraphDatabase(GraphData(triples), build_knn_graph_bruteforce(points, K=5))
+def small_db(seed):
+    rng = np.random.default_rng(seed)
+    triples = [
+        (int(rng.integers(0, 20)), int(20 + rng.integers(0, 3)),
+         int(rng.integers(0, 20)))
+        for _ in range(120)
+    ]
+    points = np.random.default_rng(11).normal(size=(20, 2))
+    return GraphDatabase(
+        GraphData(triples), build_knn_graph_bruteforce(points, K=5)
+    )
+
 query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
+"""
+
+_EXIT_SCRIPT = _SCRIPT_DB + """
+scratch = os.path.join(tempfile.gettempdir(), "repro-pool-*")
+db = small_db(7)
 built = QueryScheduler(db, workers=2).run_batch([query, query])
-assert active_segments(), "a built database rides a shared segment"
+assert len(glob.glob(scratch)) == 1, "a built database rides a scratch file"
 save(db, sys.argv[1])
 mapped_db = GraphDatabase.from_index(sys.argv[1])
 mapped = QueryScheduler(mapped_db, workers=2).run_batch([query, query])
-assert len(active_segments()) == 1, "a store-backed pool creates none"
+assert len(glob.glob(scratch)) == 1, "a store-backed pool creates none"
 assert [r.solutions for r in mapped] == [r.solutions for r in built]
-# Deliberately no close(): the atexit pool shutdown must unlink all
-# segments, leaving nothing for the resource tracker to complain about.
+# Deliberately no close(): the atexit pool shutdown must unlink the
+# scratch file and leave nothing for the resource tracker to report.
 print("OK")
 """
 
 
-@pytest.mark.parametrize("start_method", START_METHODS)
-def test_no_resource_tracker_warnings_on_exit(start_method, tmp_path):
+def _run_script(script, start_method, tmp_path, *args, timeout=120):
+    """Run ``script`` in a fresh interpreter whose temp dir is
+    ``tmp_path/tmp``; returns the finished process."""
     repo_src = Path(__file__).parents[1] / "src"
+    (tmp_path / "tmp").mkdir(exist_ok=True)
     env = {
         "PYTHONPATH": str(repo_src),
         "PATH": "/usr/bin:/bin",
+        "TMPDIR": str(tmp_path / "tmp"),
         ENV_START_METHOD: start_method,
     }
-    proc = subprocess.run(
-        [sys.executable, "-c", _EXIT_SCRIPT, str(tmp_path / "exit.idx")],
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         env=env,
+    )
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_no_resource_tracker_warnings_on_exit(start_method, tmp_path):
+    proc = _run_script(
+        _EXIT_SCRIPT, start_method, tmp_path, tmp_path / "exit.idx"
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
     assert "resource_tracker" not in proc.stderr, proc.stderr
-    assert "leaked shared_memory" not in proc.stderr, proc.stderr
+    assert glob.glob(str(tmp_path / "tmp" / "repro-pool-*")) == []
+
+
+_BROKEN_INDEX_SCRIPT = _SCRIPT_DB + """
+from repro.utils.errors import StoreFormatError
+
+path, how = sys.argv[1], sys.argv[2]
+save(small_db(7), path)
+db = GraphDatabase.from_index(path)
+if how == "replaced":
+    save(small_db(8), path)  # `repro build` over the same path
+else:
+    os.unlink(path)
+try:
+    QueryScheduler(db, workers=2).run_batch([query])
+except StoreFormatError as exc:
+    print("StoreFormatError:", exc)
+"""
+
+
+@pytest.mark.parametrize("how", ("replaced", "deleted"))
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_broken_index_fails_the_batch_typed(start_method, how, tmp_path):
+    """Workers that cannot open the index the parent meant keep the
+    error and fail each batch with it. A raising initializer would make
+    the pool respawn its workers without end, and the batch would never
+    return."""
+    proc = _run_script(
+        _BROKEN_INDEX_SCRIPT, start_method, tmp_path,
+        tmp_path / "db.idx", how, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = "was replaced" if how == "replaced" else "cannot read"
+    assert "StoreFormatError:" in proc.stdout, proc.stdout
+    assert expected in proc.stdout, proc.stdout

@@ -278,8 +278,10 @@ class TestRPL005EngineContract:
         assert "BadCachingEngine" in result.findings[0].message
 
 
-class TestRPL007ShmOnlyTransport:
+class TestRPL007FileOnlyTransport:
     def test_flags_each_transport_kind(self):
+        (rule,) = get_rules(["RPL007"])
+        assert rule.name == "file-only-transport"
         result = lint_fixture("rpl007_bad.py", ["RPL007"])
         messages = [f.message for f in result.findings]
         assert len(result.findings) == 7
@@ -295,7 +297,7 @@ class TestRPL007ShmOnlyTransport:
             "definition of '__setstate__'" in m for m in messages
         )
         # Every message points at the sanctioned path.
-        assert all("repro.store.layout" in m for m in messages)
+        assert all("index file" in m and "repro.store" in m for m in messages)
 
     def test_out_of_scope_module_ignored(self, tmp_path):
         source = FIXTURES / "rpl007_bad.py"
@@ -309,8 +311,8 @@ class TestRPL007ShmOnlyTransport:
         assert result.ok
 
     def test_shipped_parallel_package_is_clean(self):
-        # No module is exempt any more: the whole shipped parallel
-        # package (shm included) must be RPL007-clean.
+        # No module is exempt: the whole shipped parallel package must
+        # be RPL007-clean.
         parallel_dir = PACKAGE_DIR / "parallel"
         result = lint(
             Project.from_paths([parallel_dir]), get_rules(["RPL007"])

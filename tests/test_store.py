@@ -1,9 +1,8 @@
 """Acceptance battery for the persistent on-disk index format.
 
-Mirrors the shared-memory transport's layers
-(``tests/test_parallel_shm.py``) for :mod:`repro.store`; the
-per-structure round trips live in ``tests/test_layout.py``, one battery
-over both carriers:
+Mirrors the worker pool's layers (``tests/test_parallel_shm.py``) for
+:mod:`repro.store`; the per-structure round trips live in
+``tests/test_layout.py``:
 
 * **Failure modes** — truncation, bad magic, version skew (version-1
   and version-2 files included), checksum corruption, endianness (file flag
@@ -17,8 +16,8 @@ over both carriers:
 * **Golden sweep** — on the Figure-2 workload, an mmap-loaded database
   answers byte-identically to the in-memory build (solutions and
   traced op counts), serially and over worker pools under both fork
-  and spawn — with the pools attaching workers to the index file
-  directly (no shm segment).
+  and spawn — with the pools handing workers the index file itself
+  (no scratch copy).
 """
 
 from __future__ import annotations
@@ -42,12 +41,10 @@ from repro.knn.distance_index import DistanceRangeIndex
 from repro.obs import QueryTrace, validate_trace
 from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.shm import active_segments
 from repro.store import (
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
-    attach,
     load,
     prime,
     save,
@@ -370,10 +367,9 @@ def test_mapped_pool_sweep_byte_identical(
         if workers >= 2:
             pool = pool_for(db, workers)
             assert pool.start_method == start_method
-            # The perf point of the format: workers attached to the
-            # file mapping directly — no shm segment was ever flattened.
-            assert pool._shm is None
-            assert active_segments() == ()
+            # The perf point of the format: workers load the file
+            # itself — no scratch copy of the database was ever saved.
+            assert pool._scratch is None
     finally:
         shutdown_pools()
         store.close()
@@ -387,7 +383,7 @@ def test_mapped_scheduler_batch(fig2_store, monkeypatch):
     scheduler = QueryScheduler(store.database, workers=2)
     try:
         scheduler.warmup()
-        assert pool_for(store.database, 2)._shm is None
+        assert pool_for(store.database, 2)._scratch is None
         results = scheduler.run_batch(queries)
         assert [r.solutions for r in results] == [
             want.solutions for want in auto_expected
@@ -395,7 +391,7 @@ def test_mapped_scheduler_batch(fig2_store, monkeypatch):
     finally:
         scheduler.close()
         store.close()
-    assert active_segments() == ()
+    assert os.path.exists(path)  # the pool never owned the store's file
 
 
 def test_prime_materializes_hot_caches(fig2_store):
@@ -597,15 +593,20 @@ def test_attached_ops_return_plain_ints(fig2_store):
 
 
 def test_store_manifest_attaches_same_answers(fig2_store):
+    """What a pool worker does with the path it is given — a second,
+    unverified, primed ``load`` of a file this process already has
+    open — answers like the build."""
     queries, expected, _auto_expected, path = fig2_store
     store = load(path)
-    attached = attach(store.manifest)
+    worker = load(path, verify=False)
     try:
-        engine = RingKnnEngine(attached.structure)
+        prime(worker.database)
+        assert worker.header == store.header
+        engine = RingKnnEngine(worker.database)
         got = engine.evaluate(queries[0])
         assert got.solutions == expected[0][0]
     finally:
-        attached.close()
+        worker.close()
         store.close()
 
 
@@ -651,9 +652,9 @@ def test_cli_build_and_from_index(tmp_path, capsys):
 
 @pytest.mark.parametrize("start_method", START_METHODS)
 def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
-    """A store-backed pool creates no shared segment at all, so neither
-    the parent nor a worker has anything for a resource tracker to warn
-    about at exit; only a fresh process shows it.
+    """A store-backed pool saves no scratch file and holds no
+    process-shared resource, so neither the parent nor a worker has
+    anything to warn about at exit; only a fresh process shows it.
     """
     import json
     import re
@@ -670,6 +671,7 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
     env = {
         **os.environ,
         "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        "TMPDIR": str(tmp_path),
         ENV_START_METHOD: start_method,
     }
 
@@ -726,6 +728,8 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
         stderr = err.read()
     assert returncode == 0, stderr
     assert stderr == ""
+    # The workers were handed the index file itself: no scratch copy.
+    assert not [n for n in os.listdir(tmp_path) if n.startswith("repro-pool-")]
     # A worker answered, and found something.
     assert answer["route"] == "batched"
     assert answer["solutions"]
