@@ -198,7 +198,9 @@ class RingIndex:
         nondecreasing block order. The smallest qualifying value ``>=
         lower`` is therefore found by jumping to the first occurrence of
         ``arc_value`` at or after the start of ``lower``'s block and
-        locating that position's block.
+        locating that position's block. The jump is the column's
+        ``select_next``, which is memoized per query: a leap the search
+        repeats within a query is a memo hit.
         """
         nxt = NEXT_COORD[arc_first]
         if lower >= self._domain or not self._in_domain(arc_value):

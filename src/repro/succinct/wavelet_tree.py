@@ -30,12 +30,15 @@ iterative loop over the levels with the bitvector rank arithmetic
 inlined; and an optional *per-query memo*
 (:meth:`begin_query_memo` / :meth:`end_query_memo`, attached by
 :class:`repro.ltj.engine.LTJEngine` for the duration of one evaluation)
-caches ``rank``, ``range_next_value`` and range-report traversals, which
-leapfrog intersections repeat heavily while backtracking. The structure is
+caches ``rank``, ``range_next_value``, range-report traversals and
+``select_next`` (the Ring's leap on a 1-arc), which leapfrog
+intersections repeat heavily while backtracking. The structure is
 immutable, so cached answers can never go stale; the query scoping only
 bounds the memo's memory. Op counters (``self.ops``) count *logical*
-operations and are incremented before any memo lookup, so traced
-operation counts are identical with and without memoization.
+operations and are incremented before any memo lookup (a remembered
+``select_next`` bumps ``select`` only when its answer is a position, as
+a fresh one does), so traced operation counts are identical with and
+without memoization.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import OpCounters
 
 # Per-memo entry cap: a query that somehow accumulates more distinct
-# (rank / range_next_value) argument tuples than this simply restarts
-# the dictionary, keeping worst-case memory bounded.
+# (rank / range_next_value / range report / select_next) argument tuples
+# than this simply restarts the dictionary, keeping worst-case memory
+# bounded.
 _MEMO_CAP = 1 << 15
 
 _MISS = object()
@@ -83,6 +87,7 @@ class WaveletTree(LazyMirrors):
         Transient("_memo_rank"),
         Transient("_memo_next"),
         Transient("_memo_values"),
+        Transient("_memo_select"),
         Transient("_lv"),
     )
 
@@ -120,6 +125,7 @@ class WaveletTree(LazyMirrors):
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
         self._memo_values: dict[tuple[int, int], tuple[int, ...]] | None = None
+        self._memo_select: dict[tuple[int, int], int | None] | None = None
         self._lv: list[tuple[list[int], list[int], int]] | None = None
 
     # ------------------------------------------------------------------
@@ -151,7 +157,7 @@ class WaveletTree(LazyMirrors):
     # per-query memoization (attached by the LTJ engine)
     # ------------------------------------------------------------------
     def begin_query_memo(self) -> None:
-        """Enable (or share) the per-query rank/leap memo.
+        """Enable (or share) the per-query rank/leap/select memo.
 
         Reference-counted so overlapping evaluations over shared index
         structures compose: the memo is dropped when the last evaluation
@@ -162,6 +168,7 @@ class WaveletTree(LazyMirrors):
             self._memo_rank = {}
             self._memo_next = {}
             self._memo_values = {}
+            self._memo_select = {}
         self._memo_users += 1
 
     def end_query_memo(self) -> None:
@@ -172,6 +179,7 @@ class WaveletTree(LazyMirrors):
                 self._memo_rank = None
                 self._memo_next = None
                 self._memo_values = None
+                self._memo_select = None
 
     # ------------------------------------------------------------------
     # descents
@@ -295,19 +303,34 @@ class WaveletTree(LazyMirrors):
 
         Counted as the ``rank`` of ``start`` and, when there is such a
         position, the ``select`` that finds it; done as one descent of
-        ``[start, n - 1]``, whose leaf range starts at the answer.
+        ``[start, n - 1]``, whose leaf range starts at the answer. A
+        ``start`` at or past the end answers ``None`` without counting a
+        rank. Memoized per query, keyed ``(c, start)``; a hit counts
+        exactly as the descent it replaces.
         """
         if start >= self._n:
             return None
-        if self.ops is not None:
-            self.ops.rank += 1
+        ops = self.ops
+        if ops is not None:
+            ops.rank += 1
         self._check_symbol(c)
-        lo, hi = self._descend(c, max(start, 0), self._n - 1)
-        if lo > hi:
+        memo = self._memo_select
+        result = _MISS
+        if memo is not None:
+            key = (c, start)
+            result = memo.get(key, _MISS)
+        if result is _MISS:
+            lo, hi = self._descend(c, max(start, 0), self._n - 1)
+            result = self._lift(c, lo) if lo <= hi else None
+            if memo is not None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                memo[key] = result
+        if result is None:
             return None
-        if self.ops is not None:
-            self.ops.select += 1
-        return self._lift(c, lo)
+        if ops is not None:
+            ops.select += 1
+        return result
 
     # ------------------------------------------------------------------
     # range operations (Sec. 2.3 extended set)

@@ -190,21 +190,22 @@ def test_run_and_evaluate_emit_the_same_rows(small_db):
         assert list(_engine(small_db, text).run()) == _engine(small_db, text).evaluate()
 
 
+class ThirdPoll:
+    """A budget that runs out at the third poll: the entry check,
+    attempt 256, attempt 512."""
+
+    def __init__(self, budget):
+        self.polls = 0
+
+    def expired(self):
+        self.polls += 1
+        return self.polls >= 3
+
+    def elapsed(self):
+        return 0.0
+
+
 def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
-    class ThirdPoll:
-        """A budget that runs out at the third poll: the entry check,
-        attempt 256, attempt 512."""
-
-        def __init__(self, budget):
-            self.polls = 0
-
-        def expired(self):
-            self.polls += 1
-            return self.polls >= 3
-
-        def elapsed(self):
-            return 0.0
-
     text = "(?a, ?p, ?b) . (?b, ?q, ?c)"
     full = RingKnnEngine(small_db).evaluate(parse_query(text))
     monkeypatch.setattr(ltj_engine, "Stopwatch", ThirdPoll)
@@ -215,3 +216,82 @@ def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
     assert (stats.solutions, stats.bindings, stats.attempts) == (223, 511, 512)
     assert len(cut.solutions) == 223
     assert cut.solutions == full.solutions[:223]
+
+
+# ----------------------------------------------------------------------
+# the per-query memo leaves with its query
+# ----------------------------------------------------------------------
+MEMOS = ("_memo_rank", "_memo_next", "_memo_values", "_memo_select")
+# Ring and K-NN trees both; with one end of a pattern bound, the other
+# end leaps on a 1-arc (the Ring's `select_next`), so all four memos fill.
+MEMO_QUERY = "(?x, 20, ?y) . (?z, 21, ?y) . knn(?x, ?z, 5)"
+
+
+def _memo_released(engine: LTJEngine) -> bool:
+    return all(
+        tree._memo_users == 0 and all(getattr(tree, m) is None for m in MEMOS)
+        for tree in engine._trees
+    )
+
+
+def _complete(engine):
+    engine.evaluate()
+
+
+def _closed_after_first_row(engine):
+    run = engine.run()
+    next(run)
+    run.close()
+
+
+def _consumer_raises(engine):
+    with pytest.raises(KeyError):
+        for row in engine.run():
+            raise KeyError(row)
+
+
+@pytest.mark.parametrize(
+    "kwargs, consume",
+    [
+        ({}, _complete),
+        ({}, _closed_after_first_row),
+        ({"timeout": 0}, _complete),
+        ({"limit": 1}, _complete),
+        ({"limit": 1}, lambda engine: list(engine.run())),
+        ({}, _consumer_raises),
+    ],
+    ids=["evaluate", "run-closed", "timeout-0", "limit-1", "run-limit-1", "raises"],
+)
+def test_memo_leaves_with_its_query(small_db, kwargs, consume):
+    engine = _engine(small_db, MEMO_QUERY, **kwargs)
+    assert engine._trees and _memo_released(engine)
+    consume(engine)
+    assert _memo_released(engine)
+    assert engine.stats.timed_out == ("timeout" in kwargs)
+
+
+def test_memo_leaves_when_the_budget_expires_mid_search(small_db, monkeypatch):
+    monkeypatch.setattr(ltj_engine, "Stopwatch", ThirdPoll)
+    engine = _engine(small_db, "(?a, ?p, ?b) . (?b, ?q, ?c)", timeout=1.0)
+    engine.evaluate()
+    assert engine.stats.timed_out and engine.stats.solutions
+    assert _memo_released(engine)
+
+
+def test_overlapping_runs_share_the_memo_until_the_last_one_ends(small_db):
+    first = _engine(small_db, MEMO_QUERY)
+    second = _engine(small_db, MEMO_QUERY)
+    shared = [tree for tree in first._trees if tree in second._trees]
+    assert shared
+    run_a, run_b = first.run(), second.run()
+    next(run_a)
+    rows = [next(run_b)]
+    assert all(tree._memo_users == 2 for tree in shared)
+    assert any(tree._memo_select for tree in shared)
+    held = [(tree, m, getattr(tree, m)) for tree in second._trees for m in MEMOS]
+    run_a.close()
+    assert all(getattr(tree, m) is memo for tree, m, memo in held)
+    assert all(tree._memo_users == 1 for tree in shared)
+    rows += list(run_b)
+    assert rows == _engine(small_db, MEMO_QUERY).evaluate()
+    assert _memo_released(second)

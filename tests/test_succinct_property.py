@@ -414,6 +414,85 @@ def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 9])
+def test_wavelet_select_next_memo_on_boundaries(sigma):
+    """``select_next`` memo off, cold and warm: the same answers and, call
+    by call, the same ``rank``/``select`` counts — at starts -1, 0,
+    ``n - 1``, ``n`` and ``n + 1`` and on every edge, for every symbol
+    (absent ones, and ones whose occurrences all lie before ``start``),
+    each asked twice in a row, so a remembered ``None`` is asked again
+    within one sweep. A start at or past the end counts nothing."""
+    from repro.obs.trace import OpCounters
+
+    none_after_an_occurrence = False
+    for seq in _boundary_cases(sigma):
+        wt = WaveletTree(seq, sigma)
+        ref = RefSeq(seq)
+        n = len(seq)
+        starts = sorted({-1, 0, n - 1, n, n + 1, *_edges(seq)})
+        calls = [(c, s) for c in range(sigma) for s in starts for _ in (0, 1)]
+        expected = [ref.select_next(c, s) for c, s in calls]
+        none_after_an_occurrence |= any(
+            a is None and s < n and c in seq[:s]
+            for (c, s), a in zip(calls, expected)
+        )
+
+        def sweep():
+            wt.ops = ops = OpCounters()
+            return [(wt.select_next(c, s), ops.rank, ops.select) for c, s in calls]
+
+        plain = sweep()
+        wt.begin_query_memo()
+        cold, warm = sweep(), sweep()
+        assert len(wt._memo_select) == len(
+            {(c, s) for c, s in calls if s < n}
+        )
+        wt.end_query_memo()
+        assert wt._memo_select is None
+        assert plain == cold == warm, seq
+        assert [answer for answer, _, _ in plain] == expected, seq
+        # one rank per start inside the sequence, one select per position
+        assert plain[-1][1:] == (
+            sum(s < n for _, s in calls),
+            sum(a is not None for a in expected),
+        )
+    if sigma > 1:
+        assert none_after_an_occurrence
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq_and_sigma, st.data())
+def test_wavelet_select_next_memo_property(seq_sigma, data):
+    """Random sequences and random orders of ``select_next`` calls, each
+    call asked at least twice: with and without the memo, every call gives
+    the same answer and leaves the same ``rank``/``select`` counts."""
+    from repro.obs.trace import OpCounters
+
+    seq, sigma = seq_sigma
+    n = len(seq)
+    calls = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, sigma - 1), st.integers(-2, n + 2)),
+            max_size=40,
+        )
+    )
+    calls = data.draw(st.permutations(calls * 2))
+
+    def trace(wt):
+        wt.ops = ops = OpCounters()
+        return [(wt.select_next(c, s), ops.rank, ops.select) for c, s in calls]
+
+    plain = trace(WaveletTree(seq, sigma))
+    memoized = WaveletTree(seq, sigma)
+    memoized.begin_query_memo()
+    assert trace(memoized) == plain
+    memoized.end_query_memo()
+    ref = RefSeq(seq)
+    assert [answer for answer, _, _ in plain] == [
+        ref.select_next(c, s) for c, s in calls
+    ]
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
 def test_wavelet_range_report_on_boundaries_with_and_without_memo(sigma):
     """``_range_values_u`` is the set of the range, ascending — which is
     what leaping through it value by value finds — on word- and
