@@ -9,7 +9,7 @@ baseline, the output-size linear programs, and the full experimental
 harness (Figures 2-3 plus the space and materialization measurements).
 
 Start with the worked examples rather than inline snippets — they stay
-runnable (and seeded, per the RPL004 determinism rule)::
+runnable (and seeded, like every dataset builder)::
 
     python examples/quickstart.py        # graph + K-NN + one mixed query
     python examples/query_plans.py       # EXPLAIN / EXPLAIN ANALYZE tour

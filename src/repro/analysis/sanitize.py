@@ -1,14 +1,14 @@
 """Runtime resource-leak sanitizer (``REPRO_SANITIZE=1``).
 
-This is the repo's one resource-lifecycle check. No lint rule reasons
-about acquire/release paths; the tests that drive those paths, the
-exception paths included, run under this ledger. When
-``REPRO_SANITIZE=1`` is set, :func:`install` swaps the process-wide
-resource primitives the runtime layers acquire — index-file mappings
-(``repro.store.io``), worker pools (``repro.parallel.executor``), the
-test server thread (``repro.serve.app``) — for instrumented twins that
-record every acquisition with its full allocation stack in a
-process-local :class:`Ledger` and strike it out on release.
+This is the repo's one resource-lifecycle check: the tests that drive
+acquire/release paths, the exception paths included, run under this
+ledger. When ``REPRO_SANITIZE=1`` is set, :func:`install` swaps the
+process-wide resource primitives the runtime layers acquire —
+index-file mappings (``repro.store.io``), worker pools
+(``repro.parallel.executor``), the test server thread
+(``repro.serve.app``) — for instrumented twins that record every
+acquisition with its full allocation stack in a process-local
+:class:`Ledger` and strike it out on release.
 
 ``tests/conftest.py`` wraps each test in :func:`test_leak_check`: a
 resource acquired during a test and still live when the test ends fails

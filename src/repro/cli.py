@@ -9,7 +9,6 @@ Subcommands::
     repro trace     --data bench.npz --query "..." [--engine auto --out t.json]
     repro serve     --from-index bench.idx [--port P --workers N --no-cache ...]
     repro experiments [--only E6,E8 --out benchmarks/results]
-    repro lint      [paths...] [--format text|json --rules RPL001,...]
     repro stats     --data bench.npz
 
 ``generate`` writes an ``.npz`` bundle (see :mod:`repro.graph.io`);
@@ -238,38 +237,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import (
-        Project,
-        format_findings,
-        format_json,
-        get_rules,
-        lint,
-        rule_catalog,
-    )
-
-    if args.list_rules:
-        for code, name, summary in rule_catalog():
-            print(f"{code}  {name:<20} {summary}")
-        return 0
-
-    # Default target: the installed repro package itself.
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    try:
-        rules = get_rules(args.rules.split(",") if args.rules else None)
-    except KeyError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
-    result = lint(Project.from_paths(paths), rules)
-    if args.format == "json":
-        print(format_json(result))
-    else:
-        print(format_findings(result, verbose=args.verbose))
-    return 0 if result.ok else 1
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.graph.stats import STATS_HEADERS, compute_graph_stats
@@ -412,31 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 32 MiB)",
     )
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "lint",
-        help="run the reprolint invariant checks (RPL001-RPL005, RPL007)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to lint (default: the repro package)",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule subset, e.g. RPL001,RPL003",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog"
-    )
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also show suppressed findings with their justifications",
-    )
-    p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
         "experiments",

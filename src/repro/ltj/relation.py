@@ -124,8 +124,9 @@ class LeapRelation(abc.ABC):
 
         The engine scopes per-query memo tables to these trees and the
         tracer attaches op counters to them, so adapters backed by
-        succinct structures must override this (RPL005 enforces it);
-        returning ``()`` opts out of both, which is correct only when
-        the atom really owns no trees (e.g. the six-permutation
-        backend)."""
+        succinct structures must override this; returning ``()`` opts
+        out of both, which is correct only when the atom really owns no
+        trees (e.g. the six-permutation backend).
+        ``tests/test_distance_relation.py`` checks that every counted
+        tree operation the search reaches runs under a memo."""
         return ()

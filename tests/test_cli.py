@@ -256,7 +256,7 @@ assert "scipy.optimize" in sys.modules
 
 
 def test_query_process_import_budget(bundle_path, tmp_path):
-    """A `repro query` process imports no LP solver, no linter, no
+    """A `repro query` process imports no LP solver, no sanitizer, no
     server and no multiprocessing — the cold-start workload pays for
     whatever `import repro.cli` drags in."""
     import os
@@ -288,14 +288,17 @@ class TestParser:
                 ["query", "--data", "x", "--query", "y", "--engine", "magic"]
             )
 
-    def test_nine_subcommands(self):
+    def test_eight_subcommands(self):
         (subparsers,) = [
             action for action in build_parser()._actions if action.choices
         ]
         assert list(subparsers.choices) == [
             "generate", "build", "query", "explain", "trace", "serve",
-            "lint", "experiments", "stats",
+            "experiments", "stats",
         ]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["lint"])
+        assert exit_info.value.code == 2
 
     # The serve-batch and cache rows name subcommands that are gone
     # altogether (`repro serve` + `/metrics?format=json` replaced them):

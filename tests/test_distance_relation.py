@@ -11,6 +11,8 @@ from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.query.parser import parse_query
+from repro.succinct.bitvector import BitVector
+from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import QueryError
 
 
@@ -82,3 +84,54 @@ def test_distance_predicate_is_symmetric(dist_db):
     a = RingKnnEngine(db).evaluate(parse_query("(?x, 30, ?y) . dist(?x, ?y, 0.4)"))
     b = RingKnnEngine(db).evaluate(parse_query("(?x, 30, ?y) . dist(?y, ?x, 0.4)"))
     assert a.sorted_solutions() == b.sorted_solutions()
+
+
+# Forward, reverse and 2-hop K-NN leaps beside the distance leaps: with
+# DIST_QUERIES they reach every relation kind the Ring engines build.
+HOT_QUERIES = DIST_QUERIES + [
+    "(?x, 30, ?y) . knn(?x, ?y, 3)",
+    "(?x, 30, ?y) . knn(?y, ?x, 3)",
+    "knn(?x, ?y, 3) . knn(?y, ?z, 2)",
+]
+
+
+def _evaluate_hot_queries(db) -> int:
+    solutions = 0
+    for text in HOT_QUERIES:
+        query = parse_query(text)
+        for engine_cls in (RingKnnEngine, RingKnnSEngine):
+            solutions += len(engine_cls(db).evaluate(query).solutions)
+    return solutions
+
+
+def test_hot_path_calls_no_validated_kernel(dist_db, monkeypatch):
+    """Leaps run on the unchecked ``_*_u`` kernels (Sec. 2.4): their
+    arguments are in range by construction, so a validated BitVector op
+    or a numpy binary search per leap is a tax on every query."""
+
+    def banned(*_args, **_kwargs):
+        raise AssertionError("validated kernel called while searching")
+
+    for name in ("rank1", "rank0", "select1", "select0", "next_one", "rank1_range"):
+        monkeypatch.setattr(BitVector, name, banned)
+    monkeypatch.setattr(np, "searchsorted", banned)
+    assert _evaluate_hot_queries(dist_db[0]) > 0
+
+
+def test_counted_tree_entries_run_under_the_query_memo(dist_db, monkeypatch):
+    """Every counted WaveletTree entry the search reaches runs on a tree
+    its relation declared through ``wavelet_trees()``, so the engine
+    attached the per-query memo (and the tracer its counters) to it."""
+    seen = set()
+    for name in (
+        "rank", "select", "select_next", "access",
+        "_range_next_value_u", "_range_values_u",
+    ):
+        def checked(tree, *args, _entry=getattr(WaveletTree, name), _name=name):
+            assert tree._memo_users > 0, f"{_name} outside a query memo"
+            seen.add(_name)
+            return _entry(tree, *args)
+
+        monkeypatch.setattr(WaveletTree, name, checked)
+    assert _evaluate_hot_queries(dist_db[0]) > 0
+    assert {"rank", "select_next", "_range_next_value_u", "_range_values_u"} <= seen

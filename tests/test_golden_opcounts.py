@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -182,3 +184,36 @@ def test_golden_engines_agree_on_solutions(observed):
             if key.startswith(f"{family}/")
         }
         assert len(set(counts.values())) == 1, counts
+
+
+_HASH_SEED_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden_opcounts as golden
+from repro.experiments.registry import figure2_setup
+_, db, workload = figure2_setup(golden.GOLDEN_DATA, golden.GOLDEN_WORKLOAD)
+print(json.dumps([golden.collect_opcounts(db, workload),
+                  golden.collect_decisions(db, workload)]))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_golden_fixtures_hold_under_every_hash_seed(hash_seed):
+    """Set iteration order must reach no count and no decision: a fresh
+    process per ``PYTHONHASHSEED`` replays both fixtures, whatever seed
+    this process was started under."""
+    import repro
+
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT, str(GOLDEN_PATH.parents[1])],
+        env={
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1]),
+        },
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    opcounts, decisions = json.loads(done.stdout)
+    assert opcounts == json.loads(GOLDEN_PATH.read_text())
+    assert decisions == json.loads(DECISIONS_PATH.read_text())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import glob
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,41 @@ def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
     scratch = _warm_scratch(small_db)
     close_pools_for(small_db)
     assert not os.path.exists(scratch)
+
+
+def test_pool_ships_a_path_not_an_index(figure2, monkeypatch):
+    """Workers load the index file: the initializer's arguments and every
+    task the parent pickles into the pool are descriptors, a fraction of
+    the file (a pickled database is four times its size)."""
+    from multiprocessing import pool as mp_pool
+    from multiprocessing import queues, reduction
+
+    db, queries, _expected = figure2
+    initargs, sent = [], []
+    pool_init, dumps = mp_pool.Pool.__init__, reduction.ForkingPickler.dumps
+
+    def init(self, processes, initializer, args, *rest, **kwargs):
+        initargs.extend(a for a in args if not isinstance(a, queues.Queue))
+        pool_init(self, processes, initializer, args, *rest, **kwargs)
+
+    def recording_dumps(cls, obj, protocol=None):
+        sent.append(len(data := dumps(obj, protocol)))
+        return data
+
+    monkeypatch.setattr(mp_pool.Pool, "__init__", init)
+    monkeypatch.setattr(
+        reduction.ForkingPickler, "dumps", classmethod(recording_dumps)
+    )
+    shutdown_pools()  # a fresh pool, so its initializer runs here
+    scheduler = QueryScheduler(db, workers=2)
+    try:
+        scheduler.run_batch(queries)
+        file_bytes = os.path.getsize(_warm_scratch(db))
+    finally:
+        scheduler.close()
+    assert initargs and sent
+    assert len(pickle.dumps(initargs)) < file_bytes / 100
+    assert max(sent) < file_bytes / 4, (max(sent), file_bytes)
 
 
 #: A small database and one query, for the subprocess scripts below.

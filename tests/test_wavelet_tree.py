@@ -1,10 +1,14 @@
 """Unit and property tests for the wavelet tree (Sec. 2.3 operations)."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.succinct import wavelet_tree
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StructureError, ValidationError
 
@@ -232,3 +236,20 @@ def test_quantile_property(seq, data):
     hi = data.draw(st.integers(lo, len(seq) - 1))
     j = data.draw(st.integers(1, hi - lo + 1))
     assert wt.quantile(lo, hi, j) == sorted(seq[lo : hi + 1])[j - 1]
+
+
+def test_bitvector_mirrors_are_read_only_by_the_level_view():
+    """Descents inline rank on each level's ``(words, cum1, z)`` view,
+    bound once per tree by ``_level_view``. A bitvector mirror read
+    anywhere else is an attribute chase per level that no answer or
+    count shows, and a second place that decides when an attached
+    tree's mirrors get built, so the source is checked instead."""
+    readers = {
+        function.name
+        for function in ast.walk(ast.parse(inspect.getsource(wavelet_tree)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("_words_i", "_cum1_i", "_cum0_i")
+    }
+    assert readers == {"_level_view"}
