@@ -12,7 +12,6 @@ resolves and ``leap``/``estimate`` read it back until ``unbind``.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.knn.distance_index import DistanceRangeIndex
@@ -87,7 +86,7 @@ class DistanceClauseRelation(LeapRelation):
         span = self._ranges[pos]
         if self.obs is not None or span is None:
             return super().seeker(pos)
-        return partial(self._tree._range_next_value_u, *span)
+        return self._tree.seeker(*span)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]

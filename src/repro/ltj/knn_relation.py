@@ -16,7 +16,6 @@ anyway — and every ``leap`` and ``estimate`` until the matching
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.knn.succinct import KnnRing
@@ -105,7 +104,7 @@ class KnnClauseRelation(LeapRelation):
         span = self._ranges[pos]
         if self.obs is not None or span is None:
             return super().seeker(pos)
-        return partial(self._trees[pos]._range_next_value_u, *span)
+        return self._trees[pos].seeker(*span)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]

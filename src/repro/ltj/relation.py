@@ -74,7 +74,10 @@ class LeapRelation(abc.ABC):
         bindings are those of this call (binds undone again in between
         do not matter) and is dead after any other bind or unbind.
         Overrides bypass ``leap`` only while ``obs`` is ``None``, so
-        traced counts stay exact."""
+        traced counts stay exact; an atom that holds the range of a
+        wavelet tree returns the tree's own ``seeker(lo, hi)``, which
+        alone decides whether a leap descends or bisects the range's
+        report."""
         return partial(self.leap, pos)
 
     def values(self, pos: int) -> Sequence[int]:

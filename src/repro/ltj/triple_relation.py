@@ -10,7 +10,6 @@ candidates from one coordinate while probing the others.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.ltj.relation import LeapRelation
@@ -99,7 +98,7 @@ class RingTripleRelation(LeapRelation):
         if column is None or self._coords[pos] != (frame.stored,):
             return super().seeker(pos)
         # The arc's stored column: a leap is the kernel call itself.
-        return partial(column._range_next_value_u, frame.lo, frame.hi)
+        return column.seeker(frame.lo, frame.hi)
 
     def values(self, pos: int) -> Sequence[int]:
         coords = self._coords[pos]

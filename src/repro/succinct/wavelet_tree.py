@@ -39,11 +39,20 @@ operations and are incremented before any memo lookup (a remembered
 ``select_next`` bumps ``select`` only when its answer is a position, as
 a fresh one does), so traced operation counts are identical with and
 without memoization.
+
+A leapfrog intersection leaps through :meth:`seeker`, the leap over one
+range as a function of ``c``: under the memo a range of at most
+``_SHORT`` positions is reported once per query and each leap bisects
+its distinct symbols (``O(_SHORT log sigma)`` once, still
+``O(log sigma)``); a longer range takes the memoized descent per leap.
+Either way a leap counts one ``range_next``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,10 +71,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import OpCounters
 
 # Per-memo entry cap: a query that somehow accumulates more distinct
-# (rank / range_next_value / range report / select_next) argument tuples
-# than this simply restarts the dictionary, keeping worst-case memory
-# bounded.
+# (rank / range_next_value / select_next) argument tuples than this
+# simply restarts the dictionary, keeping worst-case memory bounded.
 _MEMO_CAP = 1 << 15
+
+# The range-report memo is capped by the symbols its reports hold
+# together, not by entries (a report holds up to sigma of them): a
+# report that would take the total past this restarts the dictionary,
+# and one larger than the cap alone is not kept. Every kept report
+# holds at least one symbol, so this also caps its entries.
+_MEMO_SYMBOLS = 1 << 15
+
+# A leap over a range of at most this many positions, under the query
+# memo, bisects the range's memoized report instead of descending:
+# O(_SHORT log sigma) once per range and query, still O(log sigma).
+_SHORT = 128
 
 _MISS = object()
 
@@ -87,6 +107,7 @@ class WaveletTree(LazyMirrors):
         Transient("_memo_rank"),
         Transient("_memo_next"),
         Transient("_memo_values"),
+        Transient("_memo_held", 0),
         Transient("_memo_select"),
         Transient("_lv"),
     )
@@ -125,6 +146,7 @@ class WaveletTree(LazyMirrors):
         self._memo_rank: dict[tuple[int, int], int] | None = None
         self._memo_next: dict[tuple[int, int, int], int | None] | None = None
         self._memo_values: dict[tuple[int, int], tuple[int, ...]] | None = None
+        self._memo_held = 0  # symbols held by ``_memo_values``
         self._memo_select: dict[tuple[int, int], int | None] | None = None
         self._lv: list[tuple[list[int], list[int], int]] | None = None
 
@@ -168,6 +190,7 @@ class WaveletTree(LazyMirrors):
             self._memo_rank = {}
             self._memo_next = {}
             self._memo_values = {}
+            self._memo_held = 0
             self._memo_select = {}
         self._memo_users += 1
 
@@ -179,6 +202,7 @@ class WaveletTree(LazyMirrors):
                 self._memo_rank = None
                 self._memo_next = None
                 self._memo_values = None
+                self._memo_held = 0
                 self._memo_select = None
 
     # ------------------------------------------------------------------
@@ -372,6 +396,28 @@ class WaveletTree(LazyMirrors):
             memo[key] = result
         return result
 
+    def seeker(self, lo: int, hi: int) -> Callable[[int], int | None]:
+        """:meth:`_range_next_value_u` over ``[lo, hi]`` as a function of
+        ``c``, counted the same: one ``range_next`` per call.
+
+        Under the query memo a range of at most ``_SHORT`` positions is
+        reported once (uncounted, memoized per query) and each call
+        bisects its distinct symbols; a longer range, or one asked with
+        no memo attached, calls :meth:`_range_next_value_u`.
+        """
+        if self._memo_values is None or hi - lo >= _SHORT:
+            return partial(self._range_next_value_u, lo, hi)
+        values = self._report(lo, hi)
+        end = len(values)
+
+        def seek(c: int) -> int | None:
+            if self.ops is not None:
+                self.ops.range_next += 1
+            i = bisect_left(values, c)
+            return values[i] if i < end else None
+
+        return seek
+
     def _next_value(self, lo: int, hi: int, c: int) -> int | None:
         """The descent behind :meth:`range_next_value`, for a non-empty
         ``[lo, hi]`` and ``0 <= c < sigma``, in two phases.
@@ -511,6 +557,11 @@ class WaveletTree(LazyMirrors):
         """
         if self.ops is not None:
             self.ops.range_next += 1
+        return self._report(lo, hi)
+
+    def _report(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The traversal behind :meth:`_range_values_u`, uncounted and
+        memoized per query (capped by ``_MEMO_SYMBOLS``)."""
         if lo > hi:
             return ()
         memo = self._memo_values
@@ -545,10 +596,13 @@ class WaveletTree(LazyMirrors):
                     hi = z + y - 1
             found.append(value)
         result = tuple(found)
-        if memo is not None:
-            if len(memo) >= _MEMO_CAP:
+        if memo is not None and len(result) <= _MEMO_SYMBOLS:
+            held = self._memo_held + len(result)
+            if held > _MEMO_SYMBOLS:
                 memo.clear()
+                held = len(result)
             memo[key] = result
+            self._memo_held = held
         return result
 
     def count_distinct(self, lo: int, hi: int, cap: int | None = None) -> int:

@@ -12,6 +12,9 @@ premises (two 2-cycles, 3-cycles), which ``auto`` runs under Ring-KNN-S.
 
 from __future__ import annotations
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +30,7 @@ from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
+from repro.obs.trace import QueryTrace, attach_wavelets, wavelet_targets
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DistClause,
@@ -37,6 +41,7 @@ from repro.query.model import (
     is_var,
     sym_clauses,
 )
+from repro.succinct import wavelet_tree
 from repro.utils.errors import QueryError
 
 N_NODES = 10
@@ -324,3 +329,47 @@ def test_last_variable_shapes(shape):
         assert pooled.solutions == auto.solutions, shape
         assert _counters(pooled.stats) == _counters(auto.stats), shape
     assert answered, f"{shape} has no answer on any pool database"
+
+
+# ----------------------------------------------------------------------
+# ``WaveletTree.seeker`` answers a leap over a short range from the
+# range's memoized report and a longer one by descending. The threshold
+# decides how a leap is answered, never what it answers or what it
+# counts: at 0 every leap over a non-empty range descends, above any
+# range every leap bisects.
+# Wavelet counters are attached without a trace, so the relations leap
+# through their seekers (a traced relation leaps through ``leap``).
+# ----------------------------------------------------------------------
+THRESHOLDS = (0, wavelet_tree._SHORT, 1 << 62)
+
+
+def _run_at_threshold(engine_cls, db, query, short):
+    trace = QueryTrace()
+    with mock.patch.object(wavelet_tree, "_SHORT", short):
+        with attach_wavelets(wavelet_targets(trace, db, query)):
+            result = engine_cls(db).evaluate(query)
+        traced = QueryTrace()
+        engine_cls(db).evaluate(query, trace=traced)
+    ops = {name: c.as_dict() for name, c in sorted(trace.wavelets.items())}
+    traced_ops = {
+        name: c.as_dict() for name, c in sorted(traced.wavelets.items())
+    }
+    stats = dataclasses.replace(result.stats, elapsed=0.0)
+    return result.solutions, stats, ops, traced_ops
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_short_range_threshold_changes_no_answer_and_no_count(data):
+    db = _POOL[data.draw(st.integers(0, len(_POOL) - 1), label="db")][0]
+    query = data.draw(extended_bgps(), label="query")
+    for engine_cls in (RingKnnEngine, RingKnnSEngine, AutoEngine):
+        runs = [
+            _run_at_threshold(engine_cls, db, query, short)
+            for short in THRESHOLDS
+        ]
+        assert runs[0] == runs[1] == runs[2], (engine_cls.name, query)

@@ -88,10 +88,13 @@ def test_distance_predicate_is_symmetric(dist_db):
 
 # Forward, reverse and 2-hop K-NN leaps beside the distance leaps: with
 # DIST_QUERIES they reach every relation kind the Ring engines build.
+# The repeated variable leaps through the Ring's own leap, not a
+# relation's seeker: every range here is short, so no seeker descends.
 HOT_QUERIES = DIST_QUERIES + [
     "(?x, 30, ?y) . knn(?x, ?y, 3)",
     "(?x, 30, ?y) . knn(?y, ?x, 3)",
     "knn(?x, ?y, 3) . knn(?y, ?z, 2)",
+    "(?x, 30, ?x) . (?x, 31, ?y)",
 ]
 
 
@@ -124,7 +127,7 @@ def test_counted_tree_entries_run_under_the_query_memo(dist_db, monkeypatch):
     attached the per-query memo (and the tracer its counters) to it."""
     seen = set()
     for name in (
-        "rank", "select", "select_next", "access",
+        "rank", "select", "select_next", "access", "seeker",
         "_range_next_value_u", "_range_values_u",
     ):
         def checked(tree, *args, _entry=getattr(WaveletTree, name), _name=name):
@@ -134,4 +137,6 @@ def test_counted_tree_entries_run_under_the_query_memo(dist_db, monkeypatch):
 
         monkeypatch.setattr(WaveletTree, name, checked)
     assert _evaluate_hot_queries(dist_db[0]) > 0
-    assert {"rank", "select_next", "_range_next_value_u", "_range_values_u"} <= seen
+    assert {
+        "rank", "select_next", "seeker", "_range_next_value_u", "_range_values_u",
+    } <= seen

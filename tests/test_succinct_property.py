@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.succinct import wavelet_tree
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StructureError
@@ -533,3 +534,73 @@ def test_wavelet_range_report_on_boundaries_with_and_without_memo(sigma):
         assert plain[1] == cold[1] == warm[1]
         assert plain[1]["range_next"] == plain[1]["total"] == 2 * len(ranges)
         assert wt._memo_values is None
+
+
+# Sequences long enough to hold a range of ``_SHORT + 1`` positions.
+long_seq_and_sigma = st.integers(1, 40).flatmap(
+    lambda sigma: st.tuples(
+        st.lists(
+            st.integers(0, sigma - 1),
+            min_size=wavelet_tree._SHORT + 1,
+            max_size=wavelet_tree._SHORT + 80,
+        ),
+        st.just(sigma),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_seq_and_sigma, st.data())
+def test_wavelet_seeker_matches_reference(seq_sigma, data):
+    """``seeker(lo, hi)(c)`` is ``range_next_value(lo, hi, c)`` on ranges
+    of 1, ``_SHORT``, ``_SHORT + 1`` and ``n`` positions and an empty
+    one, for ``c`` below 0, in the alphabet and at or past ``sigma``,
+    asked in increasing and in arbitrary order, with the memo off, cold
+    and warm; each call counts one ``range_next`` and nothing else, and
+    making a seeker counts nothing."""
+    from repro.obs.trace import OpCounters
+
+    seq, sigma = seq_sigma
+    n = len(seq)
+    short = wavelet_tree._SHORT
+    lo = data.draw(st.integers(0, n - short - 1), label="lo")
+    ranges = [
+        (lo, lo),
+        (lo, lo + short - 1),
+        (lo, lo + short),
+        (0, n - 1),
+        (lo + 1, lo),  # empty
+    ]
+    c_values = st.one_of(
+        st.integers(-3, -1), st.integers(0, sigma - 1), st.integers(sigma, sigma + 3)
+    )
+    arbitrary = data.draw(st.lists(c_values, min_size=1, max_size=12), label="cs")
+    orders = [sorted(arbitrary), arbitrary]
+    ref = RefSeq(seq)
+    expected = [
+        ref.range_next_value(a, b, c) for a, b in ranges for cs in orders for c in cs
+    ]
+    wt = WaveletTree(seq, sigma)
+
+    def sweep():
+        wt.ops = ops = OpCounters()
+        got = []
+        for a, b in ranges:
+            for cs in orders:
+                seek = wt.seeker(a, b)
+                assert ops.total == len(got)
+                for c in cs:
+                    got.append(seek(c))
+                    assert ops.range_next == ops.total == len(got)
+        wt.ops = None
+        return got
+
+    assert sweep() == expected
+    wt.begin_query_memo()
+    assert sweep() == expected  # cold
+    # the short ranges were answered from their reports, the long ones
+    # by descents
+    assert (lo, lo + short - 1) in wt._memo_values
+    assert (lo, lo + short) not in wt._memo_values
+    assert sweep() == expected  # warm
+    wt.end_query_memo()

@@ -253,3 +253,46 @@ def test_bitvector_mirrors_are_read_only_by_the_level_view():
         and node.attr in ("_words_i", "_cum1_i", "_cum0_i")
     }
     assert readers == {"_level_view"}
+
+
+@pytest.mark.parametrize("oversized", [False, True])
+def test_range_report_memo_is_bounded_by_the_symbols_it_holds(
+    oversized, monkeypatch
+):
+    """Reports of up to sigma symbols each would take an entry-capped
+    memo far past ``_MEMO_SYMBOLS``: the memo restarts instead, so the
+    symbols it holds never exceed the cap, and answers and counts are
+    those of a tree without the memo. A report larger than the cap on
+    its own (``oversized``) is not kept at all."""
+    from repro.obs.trace import OpCounters
+
+    sigma = wavelet_tree._MEMO_SYMBOLS // 4 + 3
+    if oversized:
+        monkeypatch.setattr(wavelet_tree, "_MEMO_SYMBOLS", sigma - 1)
+    cap = wavelet_tree._MEMO_SYMBOLS
+    seq = np.arange(2 * sigma) % sigma
+    ranges = [(lo, lo + sigma - 1) for lo in range(0, 70, 7)]
+    ranges += [(0, 2 * sigma - 1), (0, 0), (5, 9)] * 2
+    assert sum(hi - lo + 1 for lo, hi in ranges) > 2 * cap
+
+    def sweep(wt):
+        wt.ops = ops = OpCounters()
+        got = []
+        for lo, hi in ranges:
+            got.append(wt._range_values_u(lo, hi))
+            if wt._memo_values is not None:
+                held = sum(map(len, wt._memo_values.values()))
+                assert held == wt._memo_held <= cap
+            got.append(wt.seeker(lo, hi)(sigma // 2))
+        wt.ops = None
+        return got, ops.as_dict()
+
+    plain = sweep(WaveletTree(seq, sigma))
+    memoized = WaveletTree(seq, sigma)
+    memoized.begin_query_memo()
+    assert sweep(memoized) == plain
+    assert (0, 0) in memoized._memo_values
+    assert ((0, 2 * sigma - 1) in memoized._memo_values) is not oversized
+    memoized.end_query_memo()
+    assert memoized._memo_held == 0
+    assert plain[0][0] == tuple(range(sigma))
