@@ -16,9 +16,10 @@ module maps an :class:`~repro.query.model.ExtendedBGP` to a
   Two queries share a profile iff one is a pure variable renaming of
   the other (same atoms, same order). This is the key that gates
   actual result reuse, because the engines' variable-ordering
-  tie-break is *positional* (``OrderingStrategy._min_estimate`` breaks
-  estimate ties by position in the unbound list, never by name), so a
-  pure renaming provably enumerates solutions in the same order —
+  tie-break is *positional*: :class:`~repro.ltj.plan.JoinPlan` numbers
+  its slots by first occurrence in the atoms' terms, never by name,
+  and ``SlotState.argmin`` breaks estimate ties by slot. So a pure
+  renaming provably enumerates solutions in the same order —
   byte-identical read-out is guaranteed. Atom-*permuted* probes still
   collide on the signature (shared stats, shared admission history)
   but fill their own profile variant rather than risking a

@@ -1,7 +1,10 @@
 """The per-query plan: everything about a conjunction of atoms that does
 not change while it is searched, resolved once.
 
-Variables become dense int slots in stable query order. Per slot the
+Variables become dense int slots in order of first occurrence in the
+atoms' terms, never by name: estimate ties break by slot
+(:meth:`~repro.ltj.ordering.SlotState.argmin`), so a pure renaming of a
+query enumerates its solutions in the same order. Per slot the
 plan fixes the atoms containing it — an atom has a variable free exactly
 when the search has not bound it, so nothing is ever asked of the atoms
 about that — and each ``(atom, variable)`` pair owns one cell of a flat
@@ -43,8 +46,9 @@ class JoinPlan:
         self.relations = list(relations)
         slots: dict[Var, int] = {}
         for relation in self.relations:
-            for var in sorted(relation.variables):
-                slots.setdefault(var, len(slots))
+            for term in relation.terms:
+                if isinstance(term, Var):
+                    slots.setdefault(term, len(slots))
         self.atoms: list[list[Atom]] = [[] for _ in slots]
         """Per slot, the atoms containing it, in query order."""
         self._cells: list[list[int]] = [[] for _ in slots]

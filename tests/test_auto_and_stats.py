@@ -2,20 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.bounds.constraint_graph import ConstraintGraph
 from repro.engines.auto import AutoEngine
 from repro.engines.ring_knn import RingKnnEngine
-from repro.experiments.registry import figure2_setup
 from repro.graph.stats import compute_graph_stats
 from repro.graph.triples import GraphData
 from repro.ltj.ordering import ConstraintAwareOrdering
 from repro.obs import QueryTrace
 from repro.query.parser import parse_query
-from tests.test_differential_engines import _POOL, extended_bgps
-from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 
 class TestAutoEngine:
@@ -124,31 +119,18 @@ def _assert_fenced(db, query) -> int:
 
 
 class TestTheoremFence:
-    def test_figure2_families(self):
-        _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
+    def test_figure2_families(self, figure2):
         narrowed = sum(
-            _assert_fenced(db, query)
-            for queries in workload.values()
-            for query in queries
+            _assert_fenced(figure2.db, query) for query in figure2.queries
         )
         assert narrowed > 0
         classes = {
             family: {ConstraintGraph(q).constraint_class() for q in queries}
-            for family, queries in workload.items()
+            for family, queries in figure2.workload.items()
         }
         assert classes["Q1b"] == {"single-2-cyclic"}
         assert classes["Q2"] == {"acyclic"}
         assert classes["Q2b"] == classes["Q2t"] == {"general-cyclic"}
-
-    @settings(
-        max_examples=100,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(st.data())
-    def test_generated_queries(self, data):
-        db = _POOL[data.draw(st.integers(0, len(_POOL) - 1), label="db")][0]
-        _assert_fenced(db, data.draw(extended_bgps(), label="query"))
 
 
 class TestGraphStats:

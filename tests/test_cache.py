@@ -13,27 +13,20 @@ Three layers of guarantees:
   (different store checksum behind the same path), and the
   byte-identical probe round trip under renamed variables.
 
-* **Integration**: the golden Figure-2 workload evaluated cold, then
-  warm through ``AutoEngine``/``QueryScheduler`` with a shared cache —
-  warm solutions, enumeration order, and counters must be byte-identical
-  to the cold run, under serial and 2-/4-worker pools; hit traces carry
-  an explicit ``cache_hit`` event. ``test_every_door_one_answer`` sends
-  the same queries twice through every way of running one — engine,
-  scheduler (pool of one, real pool), ``/query`` batched and traced,
-  ``/explain`` analyze — and holds rows, counters and cache accounting
-  to the uncached serial engine's.
+* **Events**: on the golden Figure-2 workload a hit's trace carries an
+  explicit ``cache_hit`` event, and a ``limit`` bypasses the cache.
+  That every door's hit returns the cold run's rows, order and counters
+  — engine, scheduler, ``/query``, ``/explain``, and a hit by a pure
+  renaming — is held in ``tests/test_matrix.py``.
 """
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import _rename
 from repro.cache import (
     QueryCache,
     canonicalize,
@@ -47,7 +40,6 @@ from repro.engines.result import QueryResult
 from repro.engines.ring_knn import RingKnnEngine
 from repro.ltj.stats import EvaluationStats
 from repro.obs import QueryTrace
-from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import (
     DistClause,
     ExtendedBGP,
@@ -61,22 +53,6 @@ W, X, Y, Z = Var("w"), Var("x"), Var("y"), Var("z")
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-
-
-def _rename(query: ExtendedBGP, mapping: dict[Var, Var]) -> ExtendedBGP:
-    """Apply a variable renaming, keeping atoms in their written order."""
-
-    def ren(term):
-        return mapping.get(term, term) if isinstance(term, Var) else term
-
-    return ExtendedBGP(
-        [TriplePattern(ren(t.s), t.p, ren(t.o)) for t in query.triples],
-        [
-            SimClause(ren(c.x), c.k, ren(c.y), c.relation)
-            for c in query.clauses
-        ],
-        [DistClause(ren(c.x), c.d, ren(c.y)) for c in query.dist_clauses],
-    )
 
 
 def _result(
@@ -416,195 +392,18 @@ class TestHotReloadInvalidation:
 
 
 # ----------------------------------------------------------------------
-# engine + scheduler integration: golden Figure-2 cached-vs-cold sweep
+# cache events on the golden Figure-2 workload (what a hit returns is
+# held door by door in tests/test_matrix.py)
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def figure2():
-    from repro.experiments.registry import figure2_setup
-    from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
-
-    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    queries = [
-        query
-        for _family, family_queries in sorted(workload.items())
-        for query in family_queries
-    ]
-    return db, queries
-
-
-def _comparable(result: QueryResult):
-    stats = result.stats
-    return (
-        result.solutions,
-        stats.solutions,
-        stats.bindings,
-        stats.attempts,
-        stats.leap_calls,
-        stats.first_descent_order,
-        sorted(stats.sim_variables),
-    )
-
-
-DOORS = [
-    "auto", "scheduler-1", "scheduler-2",
-    "/query", "/query+trace", "/explain+analyze",
-]
-
-
-def _answer(result: QueryResult, outcome=None):
-    from repro.serve import protocol
-
-    body = json.loads(protocol.query_response(result, "-"))
-    return body["solutions"], body["stats"], body["cached"], outcome
-
-
-@contextmanager
-def _door(name: str, db):
-    """One way of running queries, over a fresh cache.
-
-    Yields ``(cache, ask)``; ``ask(queries)`` answers each query with
-    ``(rows, counters, cached, outcome)`` — JSON rows (``None`` where
-    the door returns none), the four LTJ counters, whether the answer
-    was served from the cache, and ``trace.meta["cache"]["outcome"]``
-    where the door traces.
-    """
-    from repro.serve.app import ServeConfig, ServerThread
-    from tests.test_serve import _post, _query_text
-
-    if name == "auto":
-        cache = QueryCache()
-        engine = AutoEngine(db, cache=cache)
-
-        def ask(queries):
-            answers = []
-            for query in queries:
-                trace = QueryTrace()
-                result = engine.evaluate(query, trace=trace)
-                answers.append(_answer(result, trace.meta["cache"]["outcome"]))
-            return answers
-
-        yield cache, ask
-    elif name.startswith("scheduler"):
-        cache = QueryCache()
-        scheduler = QueryScheduler(db, workers=int(name[-1]), cache=cache)
-        try:
-            yield cache, lambda queries: [
-                _answer(result) for result in scheduler.run_batch(queries)
-            ]
-        finally:
-            scheduler.close()
-    else:
-        handle = ServerThread(db, ServeConfig(workers=2)).start()
-        select = AutoEngine(db).select
-
-        def ask(queries):
-            answers = []
-            for query in queries:
-                payload = {"query": _query_text(query)}
-                if name == "/explain+analyze":
-                    payload.update(analyze=True, engine=select(query))
-                    status, _h, body = _post(handle, "/explain", payload)
-                    assert status == 200, body
-                    trace = body["trace"]
-                    outcome = trace["meta"]["cache"]["outcome"]
-                    answers.append(
-                        (None, trace["stats"], outcome == "hit", outcome)
-                    )
-                    continue
-                payload["trace"] = name == "/query+trace"
-                status, _h, body = _post(handle, "/query", payload)
-                assert status == 200, body
-                trace = body.get("trace")
-                answers.append(
-                    (
-                        body["solutions"], body["stats"], body["cached"],
-                        trace and trace["meta"]["cache"]["outcome"],
-                    )
-                )
-            return answers
-
-        try:
-            yield handle.server.cache, ask
-        finally:
-            handle.shutdown()
-
-
 class TestGoldenFigure2Sweep:
-    @pytest.mark.parametrize("door", DOORS)
-    def test_every_door_one_answer(self, figure2, door):
-        db, queries = figure2
-        reference = AutoEngine(db)
-        # One query per cache key, so every first ask is a miss.
-        distinct = {}
-        for query in queries:
-            form = canonicalize(query)
-            key = (form.signature, form.profile, reference.select(query))
-            distinct.setdefault(key, query)
-        queries = list(distinct.values())
-        n = len(queries)
-        want = [_answer(reference.evaluate(query)) for query in queries]
-        with _door(door, db) as (cache, ask):
-            first, second = ask(queries), ask(queries)
-            stats = cache.stats()
-        for (rows, counters, _c, _o), cold, warm in zip(want, first, second):
-            for got, replayed in ((cold, False), (warm, True)):
-                got_rows, got_counters, cached, outcome = got
-                assert got_rows is None or got_rows == rows
-                assert got_counters == counters
-                assert cached is replayed
-                assert outcome in (None, "hit" if replayed else "miss")
-        assert (stats["misses"], stats["fills"], stats["hits"]) == (n, n, n)
-
-    def test_auto_engine_warm_hits_are_byte_identical(self, figure2):
-        db, queries = figure2
-        cache = QueryCache()
-        cold_engine = AutoEngine(db)
-        warm_engine = AutoEngine(db, cache=cache)
-        cold = [cold_engine.evaluate(q) for q in queries]
-        first = [warm_engine.evaluate(q) for q in queries]
-        warm = [warm_engine.evaluate(q) for q in queries]
-        hits = 0
-        for q, c, f, w in zip(queries, cold, first, warm):
-            assert f.solutions == c.solutions, q
-            if w.cached:
-                hits += 1
-                assert _comparable(w) == _comparable(c), q
-        # Every admissible query must come back warm (only uncanonical
-        # shapes may legitimately miss; the workload has none).
-        assert hits == len(queries)
-        stats = cache.stats()
-        assert stats["hits"] >= len(queries)
-        assert stats["fills"] >= 1
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_scheduler_warm_batches_are_byte_identical(
-        self, figure2, workers
-    ):
-        db, queries = figure2
-        cache = QueryCache()
-        scheduler = QueryScheduler(db, workers=workers, cache=cache)
-        cold = scheduler.run_batch(queries)
-        warm = scheduler.run_batch(queries)
-        serial = AutoEngine(db)
-        for q, c, w in zip(queries, cold, warm):
-            assert w.solutions == c.solutions, (workers, q)
-            assert w.engine == c.engine, (workers, q)
-            if w.cached:
-                # The entry a pool filled replays the serial run's
-                # stats whole, first descent included.
-                assert _comparable(w) == _comparable(serial.evaluate(q))
-        assert any(w.cached for w in warm), "no warm hit in second batch"
-        assert cache.stats()["hits"] >= 1
-
     def test_trace_records_cache_hit_event(self, figure2):
-        db, queries = figure2
-        cache = QueryCache()
-        engine = AutoEngine(db, cache=cache)
-        engine.evaluate(queries[0])
+        query = figure2.queries[0]
+        engine = AutoEngine(figure2.db, cache=QueryCache())
+        engine.evaluate(query)
         trace = QueryTrace()
-        result = engine.evaluate(queries[0], trace=trace)
+        result = engine.evaluate(query, trace=trace)
         assert result.cached
         assert trace.meta["cache"]["event"] == "cache_hit"
         assert trace.meta["cache"]["outcome"] == "hit"
@@ -612,11 +411,9 @@ class TestGoldenFigure2Sweep:
         assert trace.solutions == len(result.solutions)
 
     def test_limit_bypasses_the_cache(self, figure2):
-        db, queries = figure2
-        cache = QueryCache()
-        engine = AutoEngine(db, cache=cache)
-        engine.evaluate(queries[0])  # fills
-        limited = engine.evaluate(queries[0], limit=1)
+        query = figure2.queries[0]
+        engine = AutoEngine(figure2.db, cache=QueryCache())
+        engine.evaluate(query)  # fills
+        limited = engine.evaluate(query, limit=1)
         assert not limited.cached
         assert len(limited.solutions) <= 1
-

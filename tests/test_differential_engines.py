@@ -1,13 +1,13 @@
 """Differential testing: every engine agrees with brute force on
-randomly generated graphs and extended BGPs.
+small random graphs, on hand-picked query shapes.
 
-Hypothesis draws a database from a prebuilt pool (small graphs with
-K-NN and distance structures) and a random extended BGP — triples with
-mixed variables/constants, ``<|_k`` clauses (including 2-cycles and
-constants), ``dist`` clauses — and checks that all engines return the
-same solution multiset as :func:`repro.graph.naive.evaluate_naive`.
-Up to four ``<|_k`` clauses reach constraint graphs beyond Thm. 2/3's
-premises (two 2-cycles, 3-cycles), which ``auto`` runs under Ring-KNN-S.
+The pool of databases (small graphs with K-NN and distance structures)
+and the random extended BGP strategy — triples with mixed
+variables/constants, ``<|_k`` clauses (including 2-cycles, 3-cycles
+and constants), ``dist`` clauses — live here; ``tests/test_matrix.py``
+runs the random queries through every door against
+:func:`repro.graph.naive.evaluate_naive`. This module holds the shapes
+the generator hits only by chance, and the short-range threshold.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engines.auto import AutoEngine
-from repro.engines.baseline import BaselineEngine
 from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
-from repro.engines.materialize import MaterializeEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
@@ -42,7 +40,6 @@ from repro.query.model import (
     sym_clauses,
 )
 from repro.succinct import wavelet_tree
-from repro.utils.errors import QueryError
 
 N_NODES = 10
 K = 3
@@ -130,66 +127,6 @@ def extended_bgps(draw) -> ExtendedBGP:
     if not triples and not sim_clauses and not dist_clauses:
         sim_clauses.append(SimClause(Var("x"), 2, Var("y")))
     return ExtendedBGP(triples, sim_clauses, dist_clauses)
-
-
-def _check_one(data) -> None:
-    db, graph, knn, distances = _POOL[
-        data.draw(st.integers(0, len(_POOL) - 1), label="db")
-    ]
-    query = data.draw(extended_bgps(), label="query")
-    expected = canonical(evaluate_naive(query, graph, knn, distances))
-
-    for engine in (
-        RingKnnEngine(db),
-        RingKnnSEngine(db),
-        ClassicSixPermEngine(db),
-        AutoEngine(db),
-    ):
-        got = engine.evaluate(query).sorted_solutions()
-        assert got == expected, (engine.name, query)
-
-    # The pool (the path `repro serve` runs) must not only agree with
-    # the oracle but reproduce the serial solution *order* exactly.
-    serial = AutoEngine(db).evaluate(query)
-    (pooled,) = QueryScheduler(db, workers=2).run_batch([query])
-    assert pooled.sorted_solutions() == expected, ("pooled", query)
-    assert pooled.solutions == serial.solutions, ("pooled", query)
-
-    # The baseline rejects clause graphs disconnected from the triples
-    # (the paper's Sec. 5.3 restriction) — only compare when supported.
-    try:
-        got = BaselineEngine(db).evaluate(query).sorted_solutions()
-    except QueryError:
-        pass
-    else:
-        assert got == expected, ("baseline", query)
-
-    # The materialization strawman covers <|_k clauses only.
-    if not query.dist_clauses:
-        got = MaterializeEngine(db).evaluate(query).sorted_solutions()
-        assert got == expected, ("materialize", query)
-
-
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(st.data())
-def test_differential_engines_quick(data):
-    """A small slice of the differential property (60 queries)."""
-    _check_one(data)
-
-
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(st.data())
-def test_differential_engines_thorough(data):
-    """Every engine, serial and pooled, equals the oracle (200 queries)."""
-    _check_one(data)
 
 
 # ----------------------------------------------------------------------

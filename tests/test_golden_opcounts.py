@@ -37,7 +37,6 @@ import pytest
 from repro.datasets.wikimedia import WikimediaConfig
 from repro.datasets.workload import WorkloadConfig
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
-from repro.experiments.registry import figure2_setup
 from repro.obs import QueryTrace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure2_opcounts.json"
@@ -59,9 +58,8 @@ _STAT_KEYS = ("solutions", "bindings", "attempts", "leap_calls")
 
 
 @pytest.fixture(scope="module")
-def built():
-    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    return db, workload
+def built(figure2):
+    return figure2.db, figure2.workload
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,6 @@ import repro.store.io as store_io
 from repro.analysis import sanitize
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
-from repro.experiments.registry import figure2_setup
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
@@ -54,7 +53,6 @@ from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import Array, Child
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StoreFormatError, StructureError
-from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
 #: The one carrier of the layout. Kept as a parameter so each test's id
 #: still names what carried its bytes.
@@ -411,14 +409,13 @@ def test_failed_scratch_save_strands_no_file(monkeypatch, tmp_path, small_db):
 # ----------------------------------------------------------------------
 # pinned bytes: the format did not move
 # ----------------------------------------------------------------------
-def test_figure2_index_bytes_are_pinned(tmp_path):
+def test_figure2_index_bytes_are_pinned(figure2):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
     assert FORMAT_VERSION == pinned["format_version"] == 3
-    _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    path = str(tmp_path / "fig2.idx")
-    assert save(db, path) == pinned["nbytes"]
+    path = figure2.index_path
+    assert os.path.getsize(path) == pinned["nbytes"]
     with open(path, "rb") as handle:
         raw = handle.read()
     assert hashlib.sha256(raw).hexdigest() == pinned["sha256"]

@@ -1,0 +1,347 @@
+"""One differential matrix: every way of answering a query, one harness.
+
+A door is a way of getting an answer: the serial engines, the cached
+``AutoEngine``, ``QueryScheduler.run_batch`` in this process or over a
+pool (fork or spawn), and the HTTP server's routes; each over a built
+database or one mapped from its index file. Two inputs go through them:
+
+* **The golden Figure-2 workload.** Each door is asked every distinct
+  query twice over a fresh cache — the first ask misses, the second
+  hits — and must return the serial ``auto`` run's ordered rows, engine
+  and counters both times. A pinned, traced ``ring-knn`` request runs
+  uncached and must return the serial traced document, op counts
+  included. A thin pool
+  sweep (2 and 4 workers, fork and spawn, built and mapped) holds the
+  pool's answers and its scratch-file lifecycle.
+* **Hypothesis extended BGPs.** Every engine's multiset equals
+  :func:`repro.graph.naive.evaluate_naive`; the pool, the cache (cold,
+  warm, and hit by a pure renaming) and the server return the serial
+  run's ordered rows; no answer outgrows the LP bound ``Q*``
+  (Eqs. 1-2) and the Thm. 2/3 ordering fence holds.
+
+A new door is a new row here, not a new file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import _comparable, _counts, _post, _query_text, _rename, _request
+from repro.bounds.linear_program import solve_size_bound
+from repro.cache import QueryCache, canonicalize
+from repro.engines.auto import AutoEngine
+from repro.engines.baseline import BaselineEngine
+from repro.engines.classic import ClassicSixPermEngine
+from repro.engines.database import GraphDatabase
+from repro.engines.materialize import MaterializeEngine
+from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
+from repro.graph.naive import evaluate_naive
+from repro.obs import QueryTrace
+from repro.parallel.executor import ENV_START_METHOD, close_pools_for, pool_for
+from repro.parallel.scheduler import QueryScheduler
+from repro.query.model import Var
+from repro.query.parser import parse_query
+from repro.serve import protocol
+from repro.serve.app import ServeConfig, ServerThread
+from repro.utils.errors import QueryError
+from tests.test_auto_and_stats import _assert_fenced
+from tests.test_differential_engines import (
+    _POOL,
+    VARS,
+    canonical,
+    extended_bgps,
+)
+
+
+def _in_process(result):
+    return result.solutions, result.engine, _counts(result.stats)
+
+
+def _on_the_wire(result):
+    return (
+        protocol.encode_solutions(result.solutions),
+        result.engine,
+        protocol.query_stats(result.stats),
+    )
+
+
+def _explained(result):
+    """What ``/explain`` shows of a run: no rows."""
+    return None, *_on_the_wire(result)[1:]
+
+
+# ----------------------------------------------------------------------
+# the golden Figure-2 workload through every door
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mapped(figure2):
+    """The Figure-2 database mapped from its index file."""
+    db = GraphDatabase.from_index(figure2.index_path)
+    yield db
+    db.close()
+
+
+def _backing(figure2, mapped, backing):
+    return figure2.db if backing == "built" else mapped
+
+
+def _ask_http(handle, door, select):
+    """``ask`` for an HTTP door: ``/query`` (the batched route),
+    ``/query+trace`` (traced, so the direct route), ``/query+ring-knn``
+    (pinned and traced) or ``/explain`` (``analyze``, under ``auto``'s
+    choice)."""
+
+    def ask_one(query):
+        payload = {"query": _query_text(query)}
+        if door == "/explain":
+            payload.update(analyze=True, engine=select(query))
+            status, _h, body = _post(handle, "/explain", payload)
+            assert status == 200, body
+            protocol.validate_explain_response(body)
+            trace = body["trace"]
+            hit = trace["meta"]["cache"]["outcome"] == "hit"
+            return (None, body["engine"], trace["stats"]), hit, None
+        if door != "/query":
+            payload["trace"] = True
+        if door == "/query+ring-knn":
+            payload["engine"] = "ring-knn"
+        status, _h, raw = _request(
+            handle.host, handle.port, "POST", "/query", payload,
+            raw_body=True,
+        )
+        assert status == 200, raw
+        body = json.loads(raw)
+        # The reply is hand-formatted: it must be its own canonical JSON.
+        assert raw == (json.dumps(body, sort_keys=True) + "\n").encode()
+        protocol.validate_query_response(body)
+        assert body["route"] == ("direct" if "trace" in payload else "batched")
+        assert body["timed_out"] is False
+        trace = body.get("trace")
+        if trace is not None and "cache" in trace["meta"]:
+            outcome = trace["meta"]["cache"]["outcome"]
+            assert outcome == ("hit" if body["cached"] else "miss")
+        view = (body["solutions"], body["engine"], body["stats"])
+        return view, body["cached"], trace and _comparable(trace)
+
+    return lambda queries: [ask_one(query) for query in queries]
+
+
+@contextmanager
+def _door(door, db):
+    """One way of asking, over a fresh cache: yields ``(cache, ask,
+    view)``. ``ask(queries)`` answers each query with ``(what the door
+    shows, whether it was served from the cache, the comparable trace
+    document or None)``; ``view`` turns a serial result into what the
+    door shows."""
+    if door == "auto":
+        cache = QueryCache()
+        engine = AutoEngine(db, cache=cache)
+
+        def ask_one(query):
+            trace = QueryTrace()
+            result = engine.evaluate(query, trace=trace)
+            outcome = trace.meta["cache"]["outcome"]
+            assert outcome == ("hit" if result.cached else "miss")
+            return _in_process(result), result.cached, None
+
+        yield cache, lambda queries: [ask_one(q) for q in queries], _in_process
+    elif door.startswith("pool"):
+        cache = QueryCache()
+        scheduler = QueryScheduler(db, workers=int(door[-1]), cache=cache)
+        try:
+            yield cache, lambda queries: [
+                (_in_process(result), result.cached, None)
+                for result in scheduler.run_batch(queries)
+            ], _in_process
+        finally:
+            scheduler.close()
+    else:
+        handle = ServerThread(db, ServeConfig(workers=2)).start()
+        try:
+            yield (
+                handle.server.cache,
+                _ask_http(handle, door, AutoEngine(db).select),
+                _explained if door == "/explain" else _on_the_wire,
+            )
+        finally:
+            handle.shutdown()
+            close_pools_for(db)
+
+
+DOORS = [
+    ("auto", "built"),
+    ("auto", "mapped"),
+    ("pool-1", "built"),
+    ("pool-2", "built"),
+    ("pool-2", "mapped"),
+    ("/query", "mapped"),
+    ("/query+trace", "mapped"),
+    ("/query+ring-knn", "mapped"),
+    ("/explain", "mapped"),
+]
+
+
+@pytest.mark.parametrize("door, backing", DOORS)
+def test_figure2_door(figure2, mapped, door, backing):
+    db = _backing(figure2, mapped, backing)
+    select = AutoEngine(figure2.db).select
+    # One query per cache key, so every first ask misses.
+    keys: dict[tuple, int] = {}
+    for i, query in enumerate(figure2.queries):
+        form = canonicalize(query)
+        keys.setdefault((form.signature, form.profile, select(query)), i)
+    picked = list(keys.values())
+    # A pinned strategy runs cold and uncached, so its reference is the
+    # serial traced ring-knn run and it never touches the cache.
+    pinned = door == "/query+ring-knn"
+    reference = figure2.ring if pinned else figure2.auto
+    n = len(picked)
+    with _door(door, db) as (cache, ask, view):
+        for replay in (False, True):
+            answers = ask([figure2.queries[i] for i in picked])
+            for i, (shown, cached, doc) in zip(picked, answers):
+                where = (door, backing, figure2.families[i], replay)
+                assert shown == view(reference[i]), where
+                assert cached is (replay and not pinned), where
+                if pinned:
+                    assert doc == figure2.traces[i], where
+        stats = cache.stats()
+    counts = (stats["misses"], stats["fills"], stats["hits"])
+    assert counts == ((0, 0, 0) if pinned else (n, n, n))
+
+
+@pytest.mark.parametrize("start_method", ("fork", "spawn"))
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("backing", ("built", "mapped"))
+def test_pool_sweep(figure2, mapped, monkeypatch, backing, workers,
+                    start_method):
+    """Pooled answers equal serial ones under either start method (spawn
+    proves the index file carries everything: nothing rides
+    copy-on-write). A mapped database's workers load its own file; a
+    built one's pool saves a scratch copy and unlinks it on close."""
+    db = _backing(figure2, mapped, backing)
+    monkeypatch.setenv(ENV_START_METHOD, start_method)
+    close_pools_for(db)  # a fresh pool under this start method
+    scheduler = QueryScheduler(db, workers=workers)
+    try:
+        results = scheduler.run_batch(figure2.queries)
+        pool = pool_for(db, workers)
+        assert pool.start_method == start_method
+        scratch = pool._scratch
+    finally:
+        scheduler.close()
+    assert [_in_process(r) for r in results] == [
+        _in_process(r) for r in figure2.auto
+    ]
+    if backing == "mapped":
+        assert scratch is None
+        assert os.path.exists(figure2.index_path)
+    else:
+        assert os.path.basename(scratch).startswith("repro-pool-")
+        assert not os.path.exists(scratch)
+
+
+# ----------------------------------------------------------------------
+# random extended BGPs through every door
+# ----------------------------------------------------------------------
+#: Names a renaming draws from: the generator's own four and four fresh.
+NAMES = ("x", "y", "z", "w", "a", "b", "c", "d")
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """One server per pool database, over the databases themselves."""
+    handles = [
+        ServerThread(db, ServeConfig(workers=2)).start() for db, *_ in _POOL
+    ]
+    try:
+        yield handles
+    finally:
+        for handle in handles:
+            handle.shutdown()
+        for db, *_ in _POOL:
+            close_pools_for(db)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    which=st.integers(0, len(_POOL) - 1),
+    query=extended_bgps(),
+    names=st.permutations(NAMES),
+)
+# A pure renaming that swaps the two variables: numbering plan slots by
+# name made the cache replay the other query's order.
+@example(which=0, query=parse_query("knn(?z, ?x, 1)"), names=tuple("zyxwabcd"))
+def test_random_query_every_door(servers, which, query, names):
+    db, graph, knn, distances = _POOL[which]
+    expected = canonical(evaluate_naive(query, graph, knn, distances))
+    for engine in (
+        RingKnnEngine(db),
+        RingKnnSEngine(db),
+        ClassicSixPermEngine(db),
+    ):
+        got = engine.evaluate(query).sorted_solutions()
+        assert got == expected, (engine.name, query)
+    serial = AutoEngine(db).evaluate(query)
+    assert serial.sorted_solutions() == expected, ("auto", query)
+    # The baseline rejects clause graphs disconnected from the triples
+    # (the paper's Sec. 5.3 restriction) — only compare when supported.
+    try:
+        got = BaselineEngine(db).evaluate(query).sorted_solutions()
+    except QueryError:
+        pass
+    else:
+        assert got == expected, ("baseline", query)
+    if not query.dist_clauses:
+        # The materialization strawman covers <|_k clauses only, and so
+        # does the LP bound (which no empty answer can break).
+        got = MaterializeEngine(db).evaluate(query).sorted_solutions()
+        assert got == expected, ("materialize", query)
+        if expected:
+            bound = solve_size_bound(
+                query,
+                max(db.ring.num_edges, 1),
+                domain_size=max(db.ring.domain_size, 2),
+            )
+            assert len(expected) <= bound.q_star * (1 + 1e-9), query
+    _assert_fenced(db, query)
+
+    # The pool (the path `repro serve` runs) reproduces the serial order.
+    (pooled,) = QueryScheduler(db, workers=2).run_batch([query])
+    assert _in_process(pooled) == _in_process(serial), ("pooled", query)
+
+    # Cold, warm, and hit by a pure renaming: each the serial run of
+    # the query it answers.
+    renamed = _rename(query, dict(zip(VARS, map(Var, names))))
+    renamed_serial = AutoEngine(db).evaluate(renamed)
+    cached = AutoEngine(db, cache=QueryCache())
+    trace = QueryTrace()
+    cold = cached.evaluate(query, trace=trace)
+    stored = trace.meta["cache"]["stored"]
+    for result, want, hit in (
+        (cold, serial, False),
+        (cached.evaluate(query), serial, stored),
+        (cached.evaluate(renamed), renamed_serial, stored),
+    ):
+        assert result.cached is hit, (query, renamed)
+        assert _in_process(result) == _in_process(want), (query, renamed)
+
+    # Over HTTP, through one long-lived cache.
+    for asked, want in ((query, serial), (renamed, renamed_serial)):
+        status, _h, body = _post(
+            servers[which], "/query", {"query": _query_text(asked)}
+        )
+        assert status == 200, body
+        assert body["solutions"] == protocol.encode_solutions(
+            want.solutions
+        ), ("http", asked)

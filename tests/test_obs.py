@@ -261,16 +261,10 @@ class TestSpans:
                     readers.add(path.relative_to(root).as_posix())
         assert readers == {"obs/spans.py"}
 
-    def test_figure2_trace_documents_keep_their_keys(self):
-        from repro.experiments.registry import figure2_setup
-        from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
-
-        _bench, golden_db, workload = figure2_setup(
-            GOLDEN_DATA, GOLDEN_WORKLOAD
-        )
-        for family, queries in sorted(workload.items()):
+    def test_figure2_trace_documents_keep_their_keys(self, figure2):
+        for family, queries in sorted(figure2.workload.items()):
             trace = QueryTrace()
-            RingKnnEngine(golden_db).evaluate(queries[0], trace=trace)
+            RingKnnEngine(figure2.db).evaluate(queries[0], trace=trace)
             document = trace.to_dict()
             assert set(document) == TRACE_KEYS, family
             assert set(document["phases"]) == {"evaluate"}, family

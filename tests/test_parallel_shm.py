@@ -1,13 +1,10 @@
-"""Pool-size-sweep battery for the worker pool's index-file transport.
+"""Lifecycle battery for the worker pool's index-file transport.
 
-Two layers of acceptance for :mod:`repro.parallel.executor` (the
-per-structure save → load round trips live in ``tests/test_layout.py``):
+What :mod:`repro.parallel.executor` answers is held with every other
+door in ``tests/test_matrix.py`` (2 and 4 workers under fork and spawn);
+the per-structure save → load round trips live in
+``tests/test_layout.py``. Here:
 
-* **Golden sweep** — on the Figure-2 workload, ``QueryScheduler.run_batch``
-  returns the serial engine's solutions in the serial order, with the
-  serial counters, for pool sizes 1, 2, 4 under *both* fork and spawn
-  start methods (spawn proves the transport carries everything — nothing
-  rides copy-on-write inheritance).
 * **Lifecycle** — a pool over a built database unlinks its scratch index
   file after it closes and after a worker raises mid-batch; a subprocess
   asserts a full create/evaluate/exit cycle — over a built database and
@@ -20,7 +17,6 @@ per-structure save → load round trips live in ``tests/test_layout.py``):
 
 from __future__ import annotations
 
-import dataclasses
 import glob
 import os
 import pickle
@@ -31,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.engines.auto import AutoEngine
-from repro.experiments.registry import figure2_setup
 from repro.parallel.executor import (
     ENV_START_METHOD,
     close_pools_for,
@@ -41,76 +36,8 @@ from repro.parallel.executor import (
 from repro.parallel.scheduler import QueryScheduler
 from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
-from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
 
-WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")
-
-
-def _counts(stats):
-    """Everything a result's stats say but its wall time: the counters,
-    the timeout flag, the first descent and the similarity variables."""
-    return dataclasses.replace(stats, elapsed=0.0)
-
-
-# ----------------------------------------------------------------------
-# golden Figure-2 sweep: workers x start methods, byte-identical
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def figure2():
-    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    queries = [
-        query
-        for _family, family_queries in sorted(workload.items())
-        for query in family_queries
-    ]
-    # The scheduler routes through the auto engine, whose per-query
-    # strategy choice (ring-knn vs ring-knn-s) fixes the solution order.
-    auto = AutoEngine(db)
-    return db, queries, [auto.evaluate(query) for query in queries]
-
-
-@pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_sweep_byte_identical_to_serial(
-    figure2, monkeypatch, workers, start_method
-):
-    db, queries, expected = figure2
-    monkeypatch.setenv(ENV_START_METHOD, start_method)
-    shutdown_pools()  # force a fresh pool under this start method
-    scheduler = QueryScheduler(db, workers=workers)
-    try:
-        results = scheduler.run_batch(queries)
-        assert len(results) == len(queries)
-        for query, got, want in zip(queries, results, expected):
-            where = (workers, start_method, query)
-            assert got.solutions == want.solutions, where
-            assert got.engine == want.engine, where
-            assert _counts(got.stats) == _counts(want.stats), where
-        if workers >= 2:
-            assert pool_for(db, workers).start_method == start_method
-    finally:
-        shutdown_pools()
-
-
-@pytest.mark.parametrize("start_method", START_METHODS)
-def test_scheduler_batch_byte_identical_both_methods(
-    figure2, monkeypatch, start_method
-):
-    db, queries, expected = figure2
-    monkeypatch.setenv(ENV_START_METHOD, start_method)
-    shutdown_pools()
-    scheduler = QueryScheduler(db, workers=2)
-    try:
-        scheduler.warmup()
-        scratch = pool_for(db, 2)._scratch
-        results = scheduler.run_batch(queries)
-        assert len(results) == len(queries)
-        for got, want in zip(results, expected):
-            assert got.solutions == want.solutions
-    finally:
-        scheduler.close()
-    assert not os.path.exists(scratch)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +54,7 @@ def _warm_scratch(db, workers=2):
 
 
 def test_segments_unlinked_after_pool_close(figure2):
-    db, queries, expected = figure2
+    db, queries = figure2.db, figure2.queries
     scheduler = QueryScheduler(db, workers=2)
     scheduler.run_batch(queries[:1])
     scratch = _warm_scratch(db)
@@ -135,7 +62,7 @@ def test_segments_unlinked_after_pool_close(figure2):
     assert not os.path.exists(scratch)
     # The scheduler transparently restarts a pool on the next batch.
     (result,) = scheduler.run_batch(queries[:1])
-    assert result.solutions == expected[0].solutions
+    assert result.solutions == figure2.auto[0].solutions
     scratch = _warm_scratch(db)
     scheduler.close()
     assert not os.path.exists(scratch)
@@ -174,7 +101,7 @@ def test_pool_ships_a_path_not_an_index(figure2, monkeypatch):
     from multiprocessing import pool as mp_pool
     from multiprocessing import queues, reduction
 
-    db, queries, _expected = figure2
+    db, queries = figure2.db, figure2.queries
     initargs, sent = [], []
     pool_init, dumps = mp_pool.Pool.__init__, reduction.ForkingPickler.dumps
 

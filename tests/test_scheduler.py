@@ -1,9 +1,10 @@
-"""The batched query scheduler returns serial-identical results.
+"""The batched query scheduler: classification, LPT grouping, a bounded
+pending window, limits, and large results streamed back in chunks.
 
-``QueryScheduler.run_batch`` must hand back, in input order, exactly
-the :class:`QueryResult` solutions the serial ``auto`` engine produces
-for each query — whether it was multiplexed whole into a pool worker or
-evaluated in the scheduler's own process (a pool of one).
+That ``QueryScheduler.run_batch`` hands back, in input order, the serial
+``auto`` engine's solutions and counters — in a pool worker or in the
+scheduler's own process (a pool of one) — is held with every other door
+in ``tests/test_matrix.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from conftest import _counts
 from repro.engines.auto import AutoEngine
 from repro.parallel import worker
 from repro.parallel.executor import (
@@ -21,7 +23,6 @@ from repro.parallel.executor import (
 )
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
-from tests.test_parallel_shm import _counts
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -59,25 +60,6 @@ def test_classify_serial_with_one_worker(small_db):
     # Where a query runs is the pool's size, not the query's plan.
     serial = QueryScheduler(small_db, workers=1).classify(BATCH[0])
     assert serial == QueryScheduler(small_db, workers=2).classify(BATCH[0])
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_run_batch_matches_serial(small_db, expected, workers):
-    # Serial order, serial counters — in this process or in a worker.
-    scheduler = QueryScheduler(small_db, workers=workers)
-    results = scheduler.run_batch(BATCH)
-    assert len(results) == len(BATCH)
-    for got, want in zip(results, expected):
-        assert got.solutions == want.solutions
-        assert got.engine == want.engine
-        assert _counts(got.stats) == _counts(want.stats)
-
-
-def test_run_batch_serial_pool_of_one(small_db, expected):
-    results = QueryScheduler(small_db, workers=1).run_batch(BATCH)
-    for got, want in zip(results, expected):
-        assert got.solutions == want.solutions
-        assert got.engine == want.engine
 
 
 def test_run_batch_bounded_pending_window(small_db, expected, monkeypatch):

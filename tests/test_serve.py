@@ -1,19 +1,14 @@
 """End-to-end battery for the ``repro serve`` query server.
 
 One module-scoped server runs against a **store-backed** database (the
-golden Figure-2 bundle saved with ``repro.store.save`` and reopened via
-``GraphDatabase.from_index``) — the deployment shape ``repro serve
---from-index`` uses. Before the server boots, the same queries are
-evaluated with the serial engines on the built database; the battery
-then asserts the HTTP responses are **byte-identical** to those serial
-references:
-
-* plain ``/query`` (auto engine, batched through the scheduler) returns
-  the serial solutions in the serial enumeration order;
-* traced, engine-pinned ``/query`` returns the exact serial trace
-  document (op counts included) minus only the wall-time/metadata keys
-  the parallel suite also excludes;
-* concurrent clients each get *their own* query's answer back.
+golden Figure-2 index file of the session's ``figure2`` fixture, opened
+via ``GraphDatabase.from_index``) — the deployment shape ``repro serve
+--from-index`` uses. The battery holds the operational surface
+(``/healthz``, ``/metrics``, request ids, limits, typed 400s) and that
+concurrent clients each get *their own* query's answer back. That every
+route returns the serial engines' rows in their order, and a pinned
+traced request the serial trace document, is held with every other
+door in ``tests/test_matrix.py``.
 
 The wire protocol is pinned separately: Hypothesis round-trips request
 documents through ``parse_*`` / ``to_dict`` against the schemas, so
@@ -33,101 +28,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _get, _post, _query_text, _request
 from repro.engines import INDEX_ENGINES
-from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.engines.ring_knn import RingKnnEngine
-from repro.experiments.registry import figure2_setup
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
-from repro.obs import QueryTrace
 from repro.parallel.executor import shutdown_pools
 from repro.parallel.scheduler import QueryScheduler
-from repro.query.model import (
-    DEFAULT_RELATION,
-    ExtendedBGP,
-    Var,
-    is_var,
-)
+from repro.query.model import Var
 from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.app import ReproServer, ServeConfig, ServerThread
 from repro.serve.metrics import EXPOSITION, render_text
-from repro.store import save
-from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
-from tests.test_store import _comparable
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-
-
-def _term_text(term) -> str:
-    return f"?{term.name}" if is_var(term) else str(int(term))
-
-
-def _query_text(query: ExtendedBGP) -> str:
-    """Serialize a workload query back into the textual grammar.
-
-    The fixture asserts the round trip (``parse_query(_query_text(q)) ==
-    q``) so the server evaluates *exactly* the query the serial
-    reference ran.
-    """
-    atoms = [
-        f"({_term_text(t.s)}, {_term_text(t.p)}, {_term_text(t.o)})"
-        for t in query.triples
-    ]
-    for clause in query.clauses:
-        tag = (
-            ""
-            if clause.relation == DEFAULT_RELATION
-            else f":{clause.relation}"
-        )
-        atoms.append(
-            f"knn{tag}({_term_text(clause.x)}, {_term_text(clause.y)}, "
-            f"{clause.k})"
-        )
-    for dist in query.dist_clauses:
-        atoms.append(
-            f"dist({_term_text(dist.x)}, {_term_text(dist.y)}, {dist.d})"
-        )
-    return " . ".join(atoms)
-
-
-def _request(host: str, port: int, method: str, path: str, payload=None,
-             raw_body: bool = False):
-    """One HTTP exchange; returns ``(status, headers, decoded body)`` —
-    or the body's bytes as they came, with ``raw_body``."""
-    conn = HTTPConnection(host, port, timeout=120)
-    try:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        raw = response.read()
-        if raw_body:
-            return response.status, dict(response.headers), raw
-        content_type = response.headers.get("Content-Type", "")
-        decoded = (
-            json.loads(raw)
-            if content_type.startswith("application/json")
-            else raw.decode("utf-8")
-        )
-        return response.status, dict(response.headers), decoded
-    finally:
-        conn.close()
-
-
-def _post(handle, path: str, payload):
-    return _request(handle.host, handle.port, "POST", path, payload)
-
-
-def _get(handle, path: str):
-    return _request(handle.host, handle.port, "GET", path)
 
 
 def _canonical(document) -> bytes:
@@ -192,56 +110,33 @@ class _Golden:
     def __init__(self, handle, cases, store_path):
         self.handle = handle
         self.cases = cases
-        """List of ``(family, text, auto_solutions, serial_solutions,
-        serial_trace_doc)`` — encoded solutions, comparable trace."""
+        """List of ``(family, text, auto_solutions, serial_solutions)``:
+        the serial ``auto`` and ``ring-knn`` rows, encoded."""
 
         self.store_path = store_path
 
 
 @pytest.fixture(scope="module")
-def golden(tmp_path_factory):
-    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    queries = [
-        (family, query)
-        for family, family_queries in sorted(workload.items())
-        for query in family_queries
+def golden(figure2):
+    cases = [
+        (
+            family,
+            _query_text(query),
+            protocol.encode_solutions(auto.solutions),
+            protocol.encode_solutions(ring.solutions),
+        )
+        for family, query, auto, ring in zip(
+            figure2.families, figure2.queries, figure2.auto, figure2.ring
+        )
     ]
-
-    # Serial references on the *built* database, before any server.
-    auto_serial = AutoEngine(db)  # workers=1: serial strategy selection
-    ring = RingKnnEngine(db)
-    cases = []
-    for family, query in queries:
-        text = _query_text(query)
-        assert parse_query(text) == query, (
-            f"query text round-trip failed for {family}: {text!r}"
-        )
-        auto_solutions = protocol.encode_solutions(
-            auto_serial.evaluate(query).solutions
-        )
-        trace = QueryTrace(query=text)
-        serial = ring.evaluate(query, trace=trace)
-        cases.append(
-            (
-                family,
-                text,
-                auto_solutions,
-                protocol.encode_solutions(serial.solutions),
-                _comparable(trace),
-            )
-        )
-
-    # The served database is store-backed: save + mmap reopen.
-    store_path = str(tmp_path_factory.mktemp("serve") / "figure2.idx")
-    save(db, store_path)
-    served_db = GraphDatabase.from_index(store_path)
-
+    # The served database is store-backed: mapped from the saved index.
+    served_db = GraphDatabase.from_index(figure2.index_path)
     handle = ServerThread(
         served_db,
         ServeConfig(workers=2, capacity=64, default_timeout=120.0),
     ).start()
     try:
-        yield _Golden(handle, cases, store_path)
+        yield _Golden(handle, cases, figure2.index_path)
     finally:
         handle.shutdown()
         shutdown_pools()
@@ -448,39 +343,6 @@ class TestOperationalEndpoints:
 
 
 class TestGoldenWorkload:
-    def test_solutions_byte_identical_to_serial(self, golden):
-        """Every Figure-2 query served (batched route) returns the
-        serial engine's solutions in the serial enumeration order."""
-        for _family, text, auto_solutions, _serial, _doc in golden.cases:
-            body = _post_query_raw(
-                golden.handle, {"query": text}, auto_solutions
-            )
-            protocol.validate_query_response(body)
-            assert body["route"] == "batched"
-            assert body["timed_out"] is False
-            assert body["stats"]["solutions"] == len(auto_solutions)
-
-    def test_traced_opcounts_byte_identical_to_serial(self, golden):
-        """Pinned + traced requests reproduce the serial trace document
-        exactly — logical op counts included."""
-        for family, text, _auto, serial_solutions, serial_doc in golden.cases:
-            body = _post_query_raw(
-                golden.handle,
-                {"query": text, "engine": "ring-knn", "trace": True},
-                serial_solutions,
-            )
-            protocol.validate_query_response(body)
-            assert body["route"] == "direct"
-            assert body["engine"] == "ring-knn"
-            served_doc = {
-                key: value
-                for key, value in body["trace"].items()
-                if key not in {"elapsed", "phases", "meta", "engine"}
-            }
-            assert served_doc == serial_doc, (
-                f"{family}: served trace diverged for {text!r}"
-            )
-
     def test_concurrent_clients_get_their_own_answers(self, golden):
         """N clients fire distinct queries at once; each response must
         correspond to *that* client's query."""
@@ -488,7 +350,7 @@ class TestGoldenWorkload:
         barrier = threading.Barrier(len(cases))
 
         def client(case):
-            family, text, auto_solutions, _serial, _doc = case
+            family, text, auto_solutions, _serial = case
             barrier.wait(timeout=60)
             status, _, body = _post(
                 golden.handle, "/query", {"query": text}
@@ -538,7 +400,7 @@ class TestGoldenWorkload:
         assert len(set(every)) == len(every) == 24
 
     def test_limit_is_applied(self, golden):
-        _family, text, _auto, serial_solutions, _doc = max(
+        _family, text, _auto, serial_solutions = max(
             golden.cases, key=lambda case: len(case[3])
         )
         if len(serial_solutions) < 2:
@@ -601,7 +463,7 @@ class TestGoldenWorkload:
 
 class TestServedCache:
     def test_repeat_query_served_from_cache_byte_identical(self, golden):
-        family, text, auto_solutions, _serial, _doc = golden.cases[1]
+        family, text, auto_solutions, _serial = golden.cases[1]
         first, second = (
             _post_query_raw(golden.handle, {"query": text}, auto_solutions)
             for _ in range(2)
@@ -876,10 +738,9 @@ class TestProtocolRoundTrip:
 
 
 class TestLifecycle:
-    def test_double_shutdown_is_idempotent(self, tmp_path):
-        _bench, db, _workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
+    def test_double_shutdown_is_idempotent(self, figure2):
         handle = ServerThread(
-            db, ServeConfig(workers=1, capacity=4)
+            figure2.db, ServeConfig(workers=1, capacity=4)
         ).start()
         try:
             status, _, body = _get(handle, "/healthz")

@@ -41,6 +41,7 @@ from queue import Empty, Queue
 import numpy as np
 import pytest
 
+from conftest import _post, _request
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
@@ -75,31 +76,6 @@ def _make_db() -> GraphDatabase:
     return GraphDatabase(
         GraphData(triples), build_knn_graph_bruteforce(points, K=5)
     )
-
-
-def _request(host, port, method, path, payload=None, timeout=120):
-    conn = HTTPConnection(host, port, timeout=timeout)
-    try:
-        body = None
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-        conn.request(method, path, body=body)
-        response = conn.getresponse()
-        raw = response.read()
-        content_type = response.headers.get("Content-Type", "")
-        decoded = (
-            json.loads(raw)
-            if content_type.startswith("application/json")
-            else raw.decode("utf-8")
-        )
-        return response.status, dict(response.headers), decoded
-    finally:
-        conn.close()
-
-
-def _post(handle, path, payload, timeout=120):
-    return _request(handle.host, handle.port, "POST", path, payload,
-                    timeout=timeout)
 
 
 @pytest.fixture(params=START_METHODS)

@@ -212,10 +212,11 @@ def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
     cut = RingKnnEngine(small_db).evaluate(parse_query(text), timeout=1.0)
     assert cut.timed_out and not full.timed_out
     stats = cut.stats
-    # Pinned on the parent commit: the 512th attempt is counted, not tried.
-    assert (stats.solutions, stats.bindings, stats.attempts) == (223, 511, 512)
-    assert len(cut.solutions) == 223
-    assert cut.solutions == full.solutions[:223]
+    # The 512th attempt is counted, not tried. Slots are numbered by first
+    # occurrence, so ``?p`` is searched before ``?b`` (249 rows by then).
+    assert (stats.solutions, stats.bindings, stats.attempts) == (249, 511, 512)
+    assert len(cut.solutions) == 249
+    assert cut.solutions == full.solutions[:249]
 
 
 # ----------------------------------------------------------------------

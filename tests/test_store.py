@@ -13,11 +13,11 @@ Mirrors the worker pool's layers (``tests/test_parallel_shm.py``) for
   table is a typed error unless the table keeps its structure.
 * **Space budget** — the Figure-2 graph's index file stays within the
   bytes-per-edge budget of ``docs/performance.md``.
-* **Golden sweep** — on the Figure-2 workload, an mmap-loaded database
-  answers byte-identically to the in-memory build (solutions and
-  traced op counts), serially and over worker pools under both fork
-  and spawn — with the pools handing workers the index file itself
-  (no scratch copy).
+* **Attached reads** — an mmap-loaded Figure-2 database hands back
+  plain ints, and ``prime`` materializes its mirrors. That it answers
+  like the in-memory build (solutions and traced op counts), serially
+  and over worker pools under both fork and spawn, is held with every
+  other door in ``tests/test_matrix.py``.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ from hypothesis import strategies as st
 import repro.store.io as store_io
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
-from repro.engines.ring_knn import RingKnnEngine
 from repro.experiments.registry import Context, figure2_setup
 from repro.knn.distance_index import DistanceRangeIndex
-from repro.obs import QueryTrace, validate_trace
-from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
-from repro.parallel.scheduler import QueryScheduler
+from repro.parallel.executor import ENV_START_METHOD
 from repro.store import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -64,19 +61,8 @@ from repro.utils.errors import (
     StoreVersionError,
 )
 from tests.test_golden_opcounts import GOLDEN_DATA, GOLDEN_WORKLOAD
-from tests.test_parallel_shm import _counts
 
 START_METHODS = ("fork", "spawn")
-
-#: Trace-document keys that legitimately differ between two runs of one
-#: query (wall times, phase breakdown, execution metadata, the label).
-_EXCLUDED = frozenset({"elapsed", "phases", "meta", "engine"})
-
-
-def _comparable(trace: QueryTrace) -> dict:
-    doc = trace.to_dict()
-    validate_trace(doc)
-    return {key: doc[key] for key in doc if key not in _EXCLUDED}
 
 
 # ----------------------------------------------------------------------
@@ -308,94 +294,8 @@ def test_database_property_requires_database_root(small_index):
         store.close()
 
 
-# ----------------------------------------------------------------------
-# golden Figure-2 sweep: mapped == built, serial and pooled
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def fig2_store(tmp_path_factory):
-    _bench, db, workload = figure2_setup(GOLDEN_DATA, GOLDEN_WORKLOAD)
-    queries = [
-        query
-        for _family, family_queries in sorted(workload.items())
-        for query in family_queries
-    ]
-    serial = RingKnnEngine(db)
-    expected = []
-    for query in queries:
-        trace = QueryTrace()
-        result = serial.evaluate(query, trace=trace)
-        expected.append((result.solutions, _comparable(trace)))
-    auto_expected = [AutoEngine(db).evaluate(q) for q in queries]
-    path = str(tmp_path_factory.mktemp("store") / "fig2.idx")
-    save(db, path)
-    return queries, expected, auto_expected, path
-
-
-def test_mapped_serial_byte_identical(fig2_store):
-    queries, expected, _auto_expected, path = fig2_store
-    store = load(path)
-    try:
-        engine = RingKnnEngine(store.database)
-        for query, (expected_solutions, expected_doc) in zip(
-            queries, expected
-        ):
-            trace = QueryTrace()
-            got = engine.evaluate(query, trace=trace)
-            assert got.solutions == expected_solutions
-            assert _comparable(trace) == expected_doc
-    finally:
-        store.close()
-
-
-@pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_mapped_pool_sweep_byte_identical(
-    fig2_store, monkeypatch, workers, start_method
-):
-    queries, _expected, auto_expected, path = fig2_store
-    monkeypatch.setenv(ENV_START_METHOD, start_method)
-    shutdown_pools()
-    store = load(path)
-    try:
-        db = store.database
-        results = QueryScheduler(db, workers=workers).run_batch(queries)
-        assert len(results) == len(queries)
-        for got, want in zip(results, auto_expected):
-            assert got.solutions == want.solutions, (workers, start_method)
-            assert got.engine == want.engine, (workers, start_method)
-            assert _counts(got.stats) == _counts(want.stats)
-        if workers >= 2:
-            pool = pool_for(db, workers)
-            assert pool.start_method == start_method
-            # The perf point of the format: workers load the file
-            # itself — no scratch copy of the database was ever saved.
-            assert pool._scratch is None
-    finally:
-        shutdown_pools()
-        store.close()
-
-
-def test_mapped_scheduler_batch(fig2_store, monkeypatch):
-    queries, _expected, auto_expected, path = fig2_store
-    monkeypatch.setenv(ENV_START_METHOD, "fork")
-    shutdown_pools()
-    store = load(path)
-    scheduler = QueryScheduler(store.database, workers=2)
-    try:
-        scheduler.warmup()
-        assert pool_for(store.database, 2)._scratch is None
-        results = scheduler.run_batch(queries)
-        assert [r.solutions for r in results] == [
-            want.solutions for want in auto_expected
-        ]
-    finally:
-        scheduler.close()
-        store.close()
-    assert os.path.exists(path)  # the pool never owned the store's file
-
-
-def test_prime_materializes_hot_caches(fig2_store):
-    _queries, _expected, _auto_expected, path = fig2_store
+def test_prime_materializes_hot_caches(figure2):
+    path = figure2.index_path
     lazy = load(path)
     primed = load(path)
     try:
@@ -552,7 +452,7 @@ def test_index_bytes_per_edge_budget(tmp_path):
     assert save(db, str(tmp_path / "fig2.idx")) / edges <= 6.5
 
 
-def test_attached_ops_return_plain_ints(fig2_store):
+def test_attached_ops_return_plain_ints(figure2):
     """No numpy scalars may escape mmap-attached hot-path operations.
 
     The canonical arrays are views over the mapping; the plain-int
@@ -565,8 +465,7 @@ def test_attached_ops_return_plain_ints(fig2_store):
     def plain_int(value):
         return type(value) is int
 
-    _queries, _expected, _auto_expected, path = fig2_store
-    store = load(path)
+    store = load(figure2.index_path)
     try:
         db = store.database
         ring = db.knn_ring
@@ -592,33 +491,14 @@ def test_attached_ops_return_plain_ints(fig2_store):
         store.close()
 
 
-def test_store_manifest_attaches_same_answers(fig2_store):
-    """What a pool worker does with the path it is given — a second,
-    unverified, primed ``load`` of a file this process already has
-    open — answers like the build."""
-    queries, expected, _auto_expected, path = fig2_store
-    store = load(path)
-    worker = load(path, verify=False)
-    try:
-        prime(worker.database)
-        assert worker.header == store.header
-        engine = RingKnnEngine(worker.database)
-        got = engine.evaluate(queries[0])
-        assert got.solutions == expected[0][0]
-    finally:
-        worker.close()
-        store.close()
-
-
-def test_from_index_classmethods(fig2_store):
-    queries, _expected, auto_expected, path = fig2_store
-    db = GraphDatabase.from_index(path)
+def test_from_index_classmethods(figure2):
+    db = GraphDatabase.from_index(figure2.index_path)
     assert db.graph is None  # raw tables deliberately not carried
     assert db.store is not None
-    engine = AutoEngine.from_index(path)
+    engine = AutoEngine.from_index(figure2.index_path)
     try:
-        got = engine.evaluate(queries[0])
-        assert got.solutions == auto_expected[0].solutions
+        got = engine.evaluate(figure2.queries[0])
+        assert got.solutions == figure2.auto[0].solutions
     finally:
         engine.close()
     db.store.close()
