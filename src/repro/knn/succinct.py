@@ -151,10 +151,6 @@ class KnnRing(LazyMirrors):
         """The wavelet tree over ``S'`` (rank-ordered reverse lists)."""
         return self._Sprime
 
-    def wavelet_trees(self) -> tuple[WaveletTree, WaveletTree]:
-        """``(S, S')`` — for per-query memo attachment."""
-        return (self._S, self._Sprime)
-
     def _check_k(self, k: int) -> int:
         if not 1 <= k <= self._K:
             raise ValidationError(

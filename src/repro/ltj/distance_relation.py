@@ -20,7 +20,6 @@ from repro.query.model import DistClause, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
-    from repro.succinct.wavelet_tree import WaveletTree
 
 
 class DistanceClauseRelation(LeapRelation):
@@ -56,10 +55,6 @@ class DistanceClauseRelation(LeapRelation):
     @property
     def clause(self) -> DistClause:
         return self._clause
-
-    def wavelet_trees(self) -> tuple[WaveletTree, ...]:
-        """Trees touched by this relation (engine memo hook)."""
-        return (self._tree,)
 
     def is_empty(self) -> bool:
         return self._failed_depth is not None

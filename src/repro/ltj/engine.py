@@ -82,10 +82,6 @@ class LTJEngine:
         self._sim_variables = frozenset(
             v for r in relations if hasattr(r, "clause") for v in r.variables
         )
-        # Deduplicated wavelet trees reachable from the relations.
-        self._trees = list(
-            {id(t): t for r in relations for t in r.wavelet_trees()}.values()
-        )
         # The current branch, slot-indexed (a bound slot's value; an
         # unbound slot holds whatever it held last).
         self._row = [0] * len(self._variables)
@@ -112,14 +108,7 @@ class LTJEngine:
     def _evaluation(self) -> Iterator[bool]:
         """The prologue and epilogue :meth:`run` and :meth:`evaluate` share.
 
-        Resets ``stats``, starts the budget and, for the duration of the
-        block, attaches a per-query memo to every wavelet tree reachable
-        through a relation's ``wavelet_trees()`` hook (see
-        :meth:`WaveletTree.begin_query_memo`): backtracking repeats many
-        identical rank/leap traversals, and the trees are immutable, so
-        caching them within one evaluation is free of staleness. The
-        memo changes only the cost of operations — logical op counts
-        (and therefore traces) are unchanged. Yields whether there is
+        Resets ``stats`` and starts the budget. Yields whether there is
         anything to search: no atom is statically empty, the budget is
         not spent already and the limit is not zero. A budget expiring
         inside the block ends it with ``stats.timed_out`` set; stats are
@@ -129,8 +118,6 @@ class LTJEngine:
         self._stopwatch = Stopwatch(self._timeout)
         self.stats = EvaluationStats(sim_variables=self._sim_variables)
         self._out = array("q")
-        for tree in self._trees:
-            tree.begin_query_memo()
         try:
             if self._stopwatch.expired():
                 self.stats.timed_out = True
@@ -142,8 +129,6 @@ class LTJEngine:
         except _Expired:
             self.stats.timed_out = True
         finally:
-            for tree in self._trees:
-                tree.end_query_memo()
             self.stats.elapsed = self._stopwatch.elapsed()
             if self._trace is not None:
                 self._trace.finish(self.stats)

@@ -24,7 +24,6 @@ from repro.query.model import SimClause, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
-    from repro.succinct.wavelet_tree import WaveletTree
 
 
 class KnnClauseRelation(LeapRelation):
@@ -65,10 +64,6 @@ class KnnClauseRelation(LeapRelation):
     @property
     def clause(self) -> SimClause:
         return self._clause
-
-    def wavelet_trees(self) -> tuple[WaveletTree, WaveletTree]:
-        """Trees touched by this relation (engine memo hook)."""
-        return self._knn.wavelet_trees()
 
     def is_empty(self) -> bool:
         return self._failed_depth is not None

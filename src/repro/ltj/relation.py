@@ -29,7 +29,6 @@ from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
-    from repro.succinct.wavelet_tree import WaveletTree
 
 
 class LeapRelation(abc.ABC):
@@ -122,14 +121,3 @@ class LeapRelation(abc.ABC):
         """Whether the atom admits no completion (default: never)."""
         return False
 
-    def wavelet_trees(self) -> tuple[WaveletTree, ...]:
-        """Wavelet trees this atom's leaps traverse (default: none).
-
-        The engine scopes per-query memo tables to these trees and the
-        tracer attaches op counters to them, so adapters backed by
-        succinct structures must override this; returning ``()`` opts
-        out of both, which is correct only when the atom really owns no
-        trees (e.g. the six-permutation backend).
-        ``tests/test_distance_relation.py`` checks that every counted
-        tree operation the search reaches runs under a memo."""
-        return ()

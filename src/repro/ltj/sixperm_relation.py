@@ -19,7 +19,6 @@ from repro.query.model import TriplePattern, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
-    from repro.succinct.wavelet_tree import WaveletTree
 
 
 class SixPermTripleRelation(LeapRelation):
@@ -47,10 +46,6 @@ class SixPermTripleRelation(LeapRelation):
     @property
     def pattern(self) -> TriplePattern:
         return self._pattern
-
-    def wavelet_trees(self) -> tuple[WaveletTree, ...]:
-        """Engine memo hook: the six tries hold no wavelet trees."""
-        return ()
 
     def _count(self) -> int:
         if self._count_cache is None:

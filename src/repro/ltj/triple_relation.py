@@ -19,7 +19,6 @@ from repro.ring.pattern import RingPatternState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
-    from repro.succinct.wavelet_tree import WaveletTree
 
 
 class RingTripleRelation(LeapRelation):
@@ -59,10 +58,6 @@ class RingTripleRelation(LeapRelation):
     @property
     def pattern(self) -> TriplePattern:
         return self._pattern
-
-    def wavelet_trees(self) -> tuple[WaveletTree, ...]:
-        """Trees touched by this relation (engine memo hook)."""
-        return self._ring.wavelet_trees()
 
     def is_empty(self) -> bool:
         return self._state.is_empty()

@@ -44,12 +44,12 @@ def _init_worker(path: str, checksum: int, chunk_queue: Any) -> None:
 
     The database (and through its ``_store`` the mapping) is held in a
     module global for the worker's whole life; loaded structures start
-    with recorder state detached (no op counters, no memos) by
-    construction, so nothing inherited from the parent's evaluations
-    can leak into task counts. The plain-int hot-path caches are primed
-    here — inside the warm-up the caller already pays — so a worker's
-    first query never stalls on a lazy ``tolist`` rebuild
-    mid-evaluation.
+    with recorder state detached (no op counters) and empty wavelet
+    memos by construction, so nothing inherited from the parent's
+    evaluations can leak into task counts. The plain-int hot-path
+    caches are primed here — inside the warm-up the caller already
+    pays — so a worker's first query never stalls on a lazy ``tolist``
+    rebuild mid-evaluation.
 
     This never raises: a raising initializer makes the pool respawn
     the worker without end. A file that cannot be opened, or whose
@@ -159,8 +159,8 @@ class QueryOutcome:
 def run_query(task: QueryTask) -> QueryOutcome:
     """Evaluate one whole query serially inside a worker.
 
-    The LTJ engine opens and closes its own per-query wavelet memo per
-    evaluation, so multiplexed queries never share memo state.
+    The worker's wavelet trees keep their memos across tasks; a memo
+    changes what an operation costs, never an answer or a count.
     """
     result = INDEX_ENGINES[task.engine](_database()).evaluate(
         task.query, timeout=task.timeout, limit=task.limit

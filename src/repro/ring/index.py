@@ -90,10 +90,6 @@ class RingIndex:
         """The cumulative array ``A_coord``."""
         return self._blocks[coord]
 
-    def wavelet_trees(self) -> tuple[WaveletTree, ...]:
-        """The three column trees (for per-query memo attachment)."""
-        return tuple(self._columns.values())
-
     def size_in_bytes(self) -> int:
         """Bytes the three columns and three ``A_j`` arrays persist."""
         from repro.store.layout import persisted_bytes
@@ -199,8 +195,8 @@ class RingIndex:
         lower`` is therefore found by jumping to the first occurrence of
         ``arc_value`` at or after the start of ``lower``'s block and
         locating that position's block. The jump is the column's
-        ``select_next``, which is memoized per query: a leap the search
-        repeats within a query is a memo hit.
+        ``select_next``, which the column memoizes: a leap asked before,
+        in this query or an earlier one, is a memo hit.
         """
         nxt = NEXT_COORD[arc_first]
         if lower >= self._domain or not self._in_domain(arc_value):

@@ -27,25 +27,25 @@ is a per-symbol count: a symbol's count is the size of its leaf range.
 Hot-path notes (see ``docs/performance.md``): arguments are validated
 once at this public boundary, after which every descent is one
 iterative loop over the levels with the bitvector rank arithmetic
-inlined; and an optional *per-query memo*
-(:meth:`begin_query_memo` / :meth:`end_query_memo`, attached by
-:class:`repro.ltj.engine.LTJEngine` for the duration of one evaluation)
-caches ``rank``, ``range_next_value``, range-report traversals and
-``select_next`` (the Ring's leap on a 1-arc), which leapfrog
-intersections repeat heavily while backtracking. The structure is
-immutable, so cached answers can never go stale; the query scoping only
-bounds the memo's memory. Op counters (``self.ops``) count *logical*
+inlined; and each tree keeps a *memo* of ``rank``,
+``range_next_value``, range-report traversals and ``select_next`` (the
+Ring's leap on a 1-arc), which leapfrog intersections repeat heavily
+while backtracking and queries repeat across each other. The structure
+is immutable, so a remembered answer never goes stale: the memo lives
+as long as the tree, and only its caps (``_MEMO_CAP`` entries a dict,
+``_MEMO_SYMBOLS`` report symbols) bound its memory, each dict
+restarting when full. Op counters (``self.ops``) count *logical*
 operations and are incremented before any memo lookup (a remembered
 ``select_next`` bumps ``select`` only when its answer is a position, as
-a fresh one does), so traced operation counts are identical with and
-without memoization.
+a fresh one does), so traced operation counts are the same on a fresh
+tree and on one that has answered everything before.
 
 A leapfrog intersection leaps through :meth:`seeker`, the leap over one
-range as a function of ``c``: under the memo a range of at most
-``_SHORT`` positions is reported once per query and each leap bisects
-its distinct symbols (``O(_SHORT log sigma)`` once, still
-``O(log sigma)``); a longer range takes the memoized descent per leap.
-Either way a leap counts one ``range_next``.
+range as a function of ``c``: a range of at most ``_SHORT`` positions
+is reported once (memoized) and each leap bisects its distinct symbols
+(``O(_SHORT log sigma)`` once, still ``O(log sigma)``); a longer range
+takes the memoized descent per leap. Either way a leap counts one
+``range_next``.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ from repro.utils.errors import StructureError, ValidationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import OpCounters
 
-# Per-memo entry cap: a query that somehow accumulates more distinct
-# (rank / range_next_value / select_next) argument tuples than this
-# simply restarts the dictionary, keeping worst-case memory bounded.
+# Per-memo entry cap: a (rank / range_next_value / select_next) memo
+# that reaches this many argument tuples restarts, keeping the memory of
+# a memo that lives as long as its tree bounded.
 _MEMO_CAP = 1 << 15
 
 # The range-report memo is capped by the symbols its reports hold
@@ -82,9 +82,9 @@ _MEMO_CAP = 1 << 15
 # holds at least one symbol, so this also caps its entries.
 _MEMO_SYMBOLS = 1 << 15
 
-# A leap over a range of at most this many positions, under the query
-# memo, bisects the range's memoized report instead of descending:
-# O(_SHORT log sigma) once per range and query, still O(log sigma).
+# A leap over a range of at most this many positions bisects the
+# range's memoized report instead of descending: O(_SHORT log sigma)
+# once per range, still O(log sigma).
 _SHORT = 128
 
 _MISS = object()
@@ -93,8 +93,9 @@ _MISS = object()
 class WaveletTree(LazyMirrors):
     """Immutable wavelet matrix over a sequence of ints in ``[0, sigma)``."""
 
-    # The op-counter hook and the per-query memo are evaluation-scoped
-    # recorder state, and the level view is rebuilt from the levels'
+    # The op-counter hook is evaluation-scoped recorder state, the memo
+    # belongs to this process's copy of the tree (every attach gets its
+    # own empty dicts), and the level view is rebuilt from the levels'
     # own mirrors: none of them crosses a process or file boundary.
     LAYOUT = Layout(
         "wavelet",
@@ -103,12 +104,11 @@ class WaveletTree(LazyMirrors):
         Scalar("_height"),
         Child("_levels", BitVector, "list"),
         Transient("ops"),
-        Transient("_memo_users", 0),
-        Transient("_memo_rank"),
-        Transient("_memo_next"),
-        Transient("_memo_values"),
+        Transient("_memo_rank", {}),
+        Transient("_memo_next", {}),
+        Transient("_memo_values", {}),
         Transient("_memo_held", 0),
-        Transient("_memo_select"),
+        Transient("_memo_select", {}),
         Transient("_lv"),
     )
 
@@ -142,12 +142,11 @@ class WaveletTree(LazyMirrors):
         default) disables op counting entirely; a traced evaluation
         attaches counters for its duration (see
         :func:`repro.obs.trace.attach_wavelets`)."""
-        self._memo_users = 0
-        self._memo_rank: dict[tuple[int, int], int] | None = None
-        self._memo_next: dict[tuple[int, int, int], int | None] | None = None
-        self._memo_values: dict[tuple[int, int], tuple[int, ...]] | None = None
+        self._memo_rank: dict[tuple[int, int], int] = {}
+        self._memo_next: dict[tuple[int, int, int], int | None] = {}
+        self._memo_values: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo_held = 0  # symbols held by ``_memo_values``
-        self._memo_select: dict[tuple[int, int], int | None] | None = None
+        self._memo_select: dict[tuple[int, int], int | None] = {}
         self._lv: list[tuple[list[int], list[int], int]] | None = None
 
     # ------------------------------------------------------------------
@@ -174,36 +173,6 @@ class WaveletTree(LazyMirrors):
         self._check_symbol(c)
         lo, hi = self._descend(c, 0, self._n - 1)
         return hi - lo + 1
-
-    # ------------------------------------------------------------------
-    # per-query memoization (attached by the LTJ engine)
-    # ------------------------------------------------------------------
-    def begin_query_memo(self) -> None:
-        """Enable (or share) the per-query rank/leap/select memo.
-
-        Reference-counted so overlapping evaluations over shared index
-        structures compose: the memo is dropped when the last evaluation
-        ends. Cached entries are always valid (the tree is immutable);
-        scoping them to a query merely bounds memory.
-        """
-        if self._memo_users == 0:
-            self._memo_rank = {}
-            self._memo_next = {}
-            self._memo_values = {}
-            self._memo_held = 0
-            self._memo_select = {}
-        self._memo_users += 1
-
-    def end_query_memo(self) -> None:
-        """Release one memo user (see :meth:`begin_query_memo`)."""
-        if self._memo_users > 0:
-            self._memo_users -= 1
-            if self._memo_users == 0:
-                self._memo_rank = None
-                self._memo_next = None
-                self._memo_values = None
-                self._memo_held = 0
-                self._memo_select = None
 
     # ------------------------------------------------------------------
     # descents
@@ -291,17 +260,15 @@ class WaveletTree(LazyMirrors):
         if not 0 <= i <= self._n:
             raise ValidationError(f"rank index {i} out of range [0, {self._n}]")
         memo = self._memo_rank
-        if memo is not None:
-            key = (c, i)
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
+        key = (c, i)
+        hit = memo.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
         lo, hi = self._descend(c, 0, i - 1)
         result = hi - lo + 1
-        if memo is not None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[key] = result
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = result
         return result
 
     def rank_range(self, c: int, lo: int, hi: int) -> int:
@@ -329,8 +296,8 @@ class WaveletTree(LazyMirrors):
         position, the ``select`` that finds it; done as one descent of
         ``[start, n - 1]``, whose leaf range starts at the answer. A
         ``start`` at or past the end answers ``None`` without counting a
-        rank. Memoized per query, keyed ``(c, start)``; a hit counts
-        exactly as the descent it replaces.
+        rank. Memoized, keyed ``(c, start)``; a hit counts exactly as the
+        descent it replaces.
         """
         if start >= self._n:
             return None
@@ -339,17 +306,14 @@ class WaveletTree(LazyMirrors):
             ops.rank += 1
         self._check_symbol(c)
         memo = self._memo_select
-        result = _MISS
-        if memo is not None:
-            key = (c, start)
-            result = memo.get(key, _MISS)
+        key = (c, start)
+        result = memo.get(key, _MISS)
         if result is _MISS:
             lo, hi = self._descend(c, max(start, 0), self._n - 1)
             result = self._lift(c, lo) if lo <= hi else None
-            if memo is not None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                memo[key] = result
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = result
         if result is None:
             return None
         if ops is not None:
@@ -384,28 +348,25 @@ class WaveletTree(LazyMirrors):
         if c < 0:
             c = 0
         memo = self._memo_next
-        if memo is not None:
-            key = (lo, hi, c)
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
+        key = (lo, hi, c)
+        hit = memo.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
         result = self._next_value(lo, hi, c)
-        if memo is not None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[key] = result
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = result
         return result
 
     def seeker(self, lo: int, hi: int) -> Callable[[int], int | None]:
         """:meth:`_range_next_value_u` over ``[lo, hi]`` as a function of
         ``c``, counted the same: one ``range_next`` per call.
 
-        Under the query memo a range of at most ``_SHORT`` positions is
-        reported once (uncounted, memoized per query) and each call
-        bisects its distinct symbols; a longer range, or one asked with
-        no memo attached, calls :meth:`_range_next_value_u`.
+        A range of at most ``_SHORT`` positions is reported once
+        (uncounted, memoized) and each call bisects its distinct symbols;
+        a longer range calls :meth:`_range_next_value_u`.
         """
-        if self._memo_values is None or hi - lo >= _SHORT:
+        if hi - lo >= _SHORT:
             return partial(self._range_next_value_u, lo, hi)
         values = self._report(lo, hi)
         end = len(values)
@@ -561,15 +522,14 @@ class WaveletTree(LazyMirrors):
 
     def _report(self, lo: int, hi: int) -> tuple[int, ...]:
         """The traversal behind :meth:`_range_values_u`, uncounted and
-        memoized per query (capped by ``_MEMO_SYMBOLS``)."""
+        memoized (capped by ``_MEMO_SYMBOLS``)."""
         if lo > hi:
             return ()
         memo = self._memo_values
-        if memo is not None:
-            key = (lo, hi)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = (lo, hi)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         levels = self._lv or self._level_view()
         height = self._height
         found: list[int] = []
@@ -596,7 +556,7 @@ class WaveletTree(LazyMirrors):
                     hi = z + y - 1
             found.append(value)
         result = tuple(found)
-        if memo is not None and len(result) <= _MEMO_SYMBOLS:
+        if len(result) <= _MEMO_SYMBOLS:
             held = self._memo_held + len(result)
             if held > _MEMO_SYMBOLS:
                 memo.clear()

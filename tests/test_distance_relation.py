@@ -1,5 +1,7 @@
 """Tests for distance-clause evaluation (Sec. 3.3 extension), end to end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,7 @@ from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import QueryError
 
 
-@pytest.fixture(scope="module")
-def dist_db():
+def _build_dist_db():
     rng = np.random.default_rng(61)
     n = 15
     triples = [
@@ -38,6 +39,11 @@ def dist_db():
         (i, j): float(dist[i, j]) for i in range(n) for j in range(n) if i != j
     }
     return GraphDatabase(graph, knn, index), graph, knn, distances
+
+
+@pytest.fixture(scope="module")
+def dist_db():
+    return _build_dist_db()
 
 
 def canonical(solutions):
@@ -121,22 +127,39 @@ def test_hot_path_calls_no_validated_kernel(dist_db, monkeypatch):
     assert _evaluate_hot_queries(dist_db[0]) > 0
 
 
-def test_counted_tree_entries_run_under_the_query_memo(dist_db, monkeypatch):
-    """Every counted WaveletTree entry the search reaches runs on a tree
-    its relation declared through ``wavelet_trees()``, so the engine
-    attached the per-query memo (and the tracer its counters) to it."""
-    seen = set()
-    for name in (
-        "rank", "select", "select_next", "access", "seeker",
-        "_range_next_value_u", "_range_values_u",
-    ):
-        def checked(tree, *args, _entry=getattr(WaveletTree, name), _name=name):
-            assert tree._memo_users > 0, f"{_name} outside a query memo"
-            seen.add(_name)
+def test_a_repeated_search_is_answered_from_the_tree_memo(monkeypatch):
+    """Each wavelet tree keeps its memo for its whole life, so a second
+    evaluation of the same queries over one database makes no
+    traversal at all (no cap is reached at this size) and reports the
+    same solutions and stats; the first one, on a fresh database, does
+    traverse."""
+    db = _build_dist_db()[0]
+    traversals = []
+    for name in ("_descend", "_next_value"):
+        def counted(tree, *args, _entry=getattr(WaveletTree, name), _name=name):
+            traversals.append(_name)
             return _entry(tree, *args)
 
-        monkeypatch.setattr(WaveletTree, name, checked)
-    assert _evaluate_hot_queries(dist_db[0]) > 0
-    assert {
-        "rank", "select_next", "seeker", "_range_next_value_u", "_range_values_u",
-    } <= seen
+        monkeypatch.setattr(WaveletTree, name, counted)
+
+    def report(tree, lo, hi, _entry=WaveletTree._report):
+        # `_report` looks its memo up itself: only a miss traverses
+        if lo <= hi and (lo, hi) not in tree._memo_values:
+            traversals.append("_report")
+        return _entry(tree, lo, hi)
+
+    monkeypatch.setattr(WaveletTree, "_report", report)
+
+    def evaluate_all():
+        return [
+            (result.solutions.rows.tolist(), dataclasses.replace(result.stats, elapsed=0.0))
+            for text in HOT_QUERIES
+            for engine_cls in (RingKnnEngine, RingKnnSEngine)
+            for result in [engine_cls(db).evaluate(parse_query(text))]
+        ]
+
+    first = evaluate_all()
+    assert {"_descend", "_next_value", "_report"} <= set(traversals)
+    traversals.clear()
+    assert evaluate_all() == first
+    assert traversals == []

@@ -97,6 +97,12 @@ def _check_attach_contract(got, original):
     assert (set(vars(got)) - {"_store"}) | lazy == set(vars(original)) | lazy
     for spec in layout.transients:
         assert getattr(got, spec.name) == spec.reset
+        if isinstance(spec.reset, dict):
+            # Each attach gets its own, shared with no other node (a
+            # wavelet memo shared by two trees would answer one tree's
+            # question with the other's).
+            assert getattr(got, spec.name) is not spec.reset
+            assert getattr(got, spec.name) is not getattr(original, spec.name)
     for name in layout.derived:
         # Never persisted; recomputed on first touch, and identically.
         assert name not in vars(got)
@@ -182,17 +188,24 @@ def test_wavelet_tree_roundtrip(carrier, data, sigma):
         st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)
     )
     original = WaveletTree(sequence, sigma)
-    # A live recorder, memo and level view on the original must not
-    # cross the boundary (the attach contract asserts that every
-    # declared transient arrives reset).
+    # A live recorder, a filled memo and the level view on the original
+    # must not cross the boundary (the attach contract asserts that
+    # every declared transient arrives reset, each memo an empty dict of
+    # the loaded tree's own).
     assert "_lv" in {spec.name for spec in WaveletTree.LAYOUT.transients}
-    original.access(0)
-    assert original._lv is not None
+    n = len(sequence)
+    original.rank(0, n)
+    original.select_next(0, 0)
+    original.range_next_value(0, n - 1, 0)
+    original.seeker(0, n - 1)(0)
+    assert original._lv is not None and original._memo_held
+    assert all(
+        getattr(original, name)
+        for name in ("_memo_rank", "_memo_select", "_memo_next", "_memo_values")
+    )
     original.ops = object()
-    original.begin_query_memo()
     trip = _RoundTrip(original)
     original.ops = None
-    original.end_query_memo()
     try:
         trip.check(_check_wavelet, sequence, sigma)
     finally:

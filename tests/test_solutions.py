@@ -9,17 +9,23 @@ attempts must not move; ``leap_calls`` may, where the last variable is
 alone in its atom and is enumerated in one leap.
 """
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import repro.ltj.engine as ltj_engine
 from repro.cache import QueryCache
+from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.engines.result import QueryResult, Solutions
 from repro.ltj.engine import LTJEngine
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import Var
 from repro.query.parser import parse_query
+from repro.succinct import wavelet_tree
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 ROWS = [[1, 2], [3, 4], [1, 2], [5, 6]]
@@ -220,79 +226,94 @@ def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the per-query memo leaves with its query
+# the memo lives as long as its tree
 # ----------------------------------------------------------------------
 MEMOS = ("_memo_rank", "_memo_next", "_memo_values", "_memo_select")
-# Ring and K-NN trees both; with one end of a pattern bound, the other
-# end leaps on a 1-arc (the Ring's `select_next`), so all four memos fill.
-MEMO_QUERY = "(?x, 20, ?y) . (?z, 21, ?y) . knn(?x, ?z, 5)"
+# 57 distinct queries over Ring and K-NN trees both; with one end of a
+# pattern bound, the other end leaps on a 1-arc (the Ring's
+# `select_next`), so the rank, report and select memos fill.
+P = (20, 21, 22)
+MANY_QUERIES = (
+    [f"(?x, {p}, ?y) . knn(?x, ?z, {k})" for p in P for k in range(1, 6)]
+    + [f"(?x, {p}, ?y) . knn(?y, ?x, {k})" for p in P for k in range(1, 6)]
+    + [f"(?x, {p}, ?y) . (?y, {q}, ?z)" for p in P for q in P]
+    + [
+        f"(?x, {p}, ?y) . (?z, {q}, ?y) . knn(?x, ?z, {k})"
+        for p in P
+        for q in P
+        for k in (2, 5)
+    ]
+)
 
 
-def _memo_released(engine: LTJEngine) -> bool:
-    return all(
-        tree._memo_users == 0 and all(getattr(tree, m) is None for m in MEMOS)
-        for tree in engine._trees
+def _trees(db) -> list:
+    trees = [db.ring.column(coord) for coord in "spo"]
+    for knn_ring in db.knn_rings.values():
+        trees += [knn_ring.S, knn_ring.Sprime]
+    return trees
+
+
+def _answer(db, text: str):
+    result = RingKnnEngine(db).evaluate(parse_query(text))
+    return result.solutions.rows.tolist(), dataclasses.replace(
+        result.stats, elapsed=0.0
     )
 
 
-def _complete(engine):
-    engine.evaluate()
+def test_the_caps_bound_a_memo_that_never_ends(small_graph, small_knn, monkeypatch):
+    """No query drops the memo any more, so only the caps bound it:
+    with them small, every dict of every tree stays within its cap after
+    each of many distinct queries, ``_memo_held`` is the symbols the
+    report memo holds, and every answer and count is the uncapped one."""
+    uncapped = GraphDatabase(small_graph, small_knn)
+    expected = [_answer(uncapped, text) for text in MANY_QUERIES]
+    cap, symbols = 16, 24
+    # the uncapped memos outgrew both caps, so the capped ones restarted
+    assert max(len(getattr(t, m)) for t in _trees(uncapped) for m in MEMOS) > cap
+    assert max(t._memo_held for t in _trees(uncapped)) > symbols
+    monkeypatch.setattr(wavelet_tree, "_MEMO_CAP", cap)
+    monkeypatch.setattr(wavelet_tree, "_MEMO_SYMBOLS", symbols)
+    db = GraphDatabase(small_graph, small_knn)
+    for text, want in zip(MANY_QUERIES, expected):
+        assert _answer(db, text) == want, text
+        for tree in _trees(db):
+            assert all(len(getattr(tree, m)) <= cap for m in MEMOS)
+            assert tree._memo_held == sum(map(len, tree._memo_values.values()))
+            assert tree._memo_held <= symbols
 
 
-def _closed_after_first_row(engine):
-    run = engine.run()
-    next(run)
-    run.close()
+def test_threads_share_one_database_and_its_memos(small_graph, small_knn, monkeypatch):
+    """Four threads (more than the cores CI has) evaluate different
+    queries over one database, round after round, switching often and
+    with caps small enough that one thread's restart lands in the middle
+    of another's search: each result is the serial answer with the
+    serial counters."""
+    reference = GraphDatabase(small_graph, small_knn)
+    shares = [MANY_QUERIES[i::4] for i in range(4)]
+    expected = [[_answer(reference, text) for text in share] for share in shares]
+    monkeypatch.setattr(wavelet_tree, "_MEMO_CAP", 64)
+    monkeypatch.setattr(wavelet_tree, "_MEMO_SYMBOLS", 96)
+    db = GraphDatabase(small_graph, small_knn)
+    wrong = []
 
+    def loop(queries, want):
+        for _ in range(3):
+            for text, answer in zip(queries, want):
+                try:
+                    if _answer(db, text) != answer:
+                        wrong.append(text)
+                except Exception as exc:  # a thread's error fails the test
+                    wrong.append((text, repr(exc)))
 
-def _consumer_raises(engine):
-    with pytest.raises(KeyError):
-        for row in engine.run():
-            raise KeyError(row)
-
-
-@pytest.mark.parametrize(
-    "kwargs, consume",
-    [
-        ({}, _complete),
-        ({}, _closed_after_first_row),
-        ({"timeout": 0}, _complete),
-        ({"limit": 1}, _complete),
-        ({"limit": 1}, lambda engine: list(engine.run())),
-        ({}, _consumer_raises),
-    ],
-    ids=["evaluate", "run-closed", "timeout-0", "limit-1", "run-limit-1", "raises"],
-)
-def test_memo_leaves_with_its_query(small_db, kwargs, consume):
-    engine = _engine(small_db, MEMO_QUERY, **kwargs)
-    assert engine._trees and _memo_released(engine)
-    consume(engine)
-    assert _memo_released(engine)
-    assert engine.stats.timed_out == ("timeout" in kwargs)
-
-
-def test_memo_leaves_when_the_budget_expires_mid_search(small_db, monkeypatch):
-    monkeypatch.setattr(ltj_engine, "Stopwatch", ThirdPoll)
-    engine = _engine(small_db, "(?a, ?p, ?b) . (?b, ?q, ?c)", timeout=1.0)
-    engine.evaluate()
-    assert engine.stats.timed_out and engine.stats.solutions
-    assert _memo_released(engine)
-
-
-def test_overlapping_runs_share_the_memo_until_the_last_one_ends(small_db):
-    first = _engine(small_db, MEMO_QUERY)
-    second = _engine(small_db, MEMO_QUERY)
-    shared = [tree for tree in first._trees if tree in second._trees]
-    assert shared
-    run_a, run_b = first.run(), second.run()
-    next(run_a)
-    rows = [next(run_b)]
-    assert all(tree._memo_users == 2 for tree in shared)
-    assert any(tree._memo_select for tree in shared)
-    held = [(tree, m, getattr(tree, m)) for tree in second._trees for m in MEMOS]
-    run_a.close()
-    assert all(getattr(tree, m) is memo for tree, m, memo in held)
-    assert all(tree._memo_users == 1 for tree in shared)
-    rows += list(run_b)
-    assert rows == _engine(small_db, MEMO_QUERY).evaluate()
-    assert _memo_released(second)
+    threads = [threading.Thread(target=loop, args=pair) for pair in zip(shares, expected)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

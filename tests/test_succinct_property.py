@@ -2,7 +2,7 @@
 
 These tests pin the *semantics* of the succinct kernel against
 straightforward Python reference models, so the hot-path implementation
-(lookup tables, unchecked fast paths, per-query memoization) can be
+(lookup tables, unchecked fast paths, the per-tree memo) can be
 swapped freely: the battery must pass identically before and after any
 kernel change.
 
@@ -11,8 +11,8 @@ sequence, all-zeros, all-ones, a single-symbol alphabet (``sigma = 1``),
 and lengths that are not multiples of the 64-bit word size. A
 deterministic battery at the end walks the wavelet matrix's iterative
 descents over word and node boundaries and over levels of one bit value
-at ``sigma`` in ``{1, 2, 2^h, 2^h + 1}``, with the per-query memo off,
-cold and warm.
+at ``sigma`` in ``{1, 2, 2^h, 2^h + 1}``, on a fresh tree (memo cold)
+and on the same tree again (memo warm).
 """
 
 from __future__ import annotations
@@ -369,14 +369,40 @@ def test_wavelet_descents_on_word_and_node_boundaries(sigma):
                     assert wt.quantile(lo, hi, j) == ref.quantile(lo, hi, j)
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
-def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
-    """Memo off, memo cold and memo warm give the same answers and bump
-    the same counters, through the public entry and the unchecked one."""
+def _per_call(wt, calls):
+    """Each call's answer and the ``(rank, select, range_next)`` counts
+    it added, in order; a call is an entry's name and its arguments."""
     from repro.obs.trace import OpCounters
 
+    wt.ops = ops = OpCounters()
+    out = []
+    for name, args in calls:
+        before = ops.rank, ops.select, ops.range_next
+        answer = getattr(wt, name)(*args)
+        out.append((
+            answer,
+            ops.rank - before[0],
+            ops.select - before[1],
+            ops.range_next - before[2],
+        ))
+    wt.ops = None
+    return out
+
+
+def _cold_and_warm(seq, sigma, calls):
+    """The calls on a fresh tree, whose memo starts empty (cold), then
+    on the same tree again, every answer remembered (warm)."""
+    wt = WaveletTree(seq, sigma)
+    return wt, _per_call(wt, calls), _per_call(wt, calls)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 8, 9])
+def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
+    """A fresh tree and the same tree again give, call by call, the
+    reference's answers and the counts of the counting rule, through
+    the public entry and the unchecked one: a remembered answer counts
+    as the descent it replaces."""
     for seq in _boundary_cases(sigma):
-        wt = WaveletTree(seq, sigma)
         ref = RefSeq(seq)
         edges = _edges(seq)
         queries = [
@@ -386,76 +412,46 @@ def test_wavelet_memo_changes_no_answer_and_no_count(sigma):
             if lo <= hi
             for c in (-1, 0, sigma - 1, sigma)
         ]
-
-        def sweep():
-            wt.ops = OpCounters()
-            got = [wt.range_next_value(*q) for q in queries]
-            got += [wt._range_next_value_u(*q) for q in queries]
-            got += [wt.rank(q[2] % sigma, q[1] + 1) for q in queries]
-            got += [wt.select_next(q[2] % sigma, q[0]) for q in queries]
-            counts = wt.ops.as_dict()
-            wt.ops = None
-            return got, counts
-
-        expected = [ref.range_next_value(*q) for q in queries] * 2 + [
-            ref.rank(q[2] % sigma, q[1] + 1) for q in queries
-        ] + [ref.select_next(q[2] % sigma, q[0]) for q in queries]
-        plain = sweep()
-        wt.begin_query_memo()
-        cold, warm = sweep(), sweep()
-        wt.end_query_memo()
-        assert plain[0] == cold[0] == warm[0] == expected
-        assert plain[1] == cold[1] == warm[1]
-        assert plain[1]["range_next"] == 2 * len(queries)
+        calls = [("range_next_value", q) for q in queries]
+        calls += [("_range_next_value_u", q) for q in queries]
+        calls += [("rank", (q[2] % sigma, q[1] + 1)) for q in queries]
+        calls += [("select_next", (q[2] % sigma, q[0])) for q in queries]
+        expected = [(ref.range_next_value(*q), 0, 0, 1) for q in queries] * 2
+        expected += [(ref.rank(q[2] % sigma, q[1] + 1), 1, 0, 0) for q in queries]
         # select_next counts the rank of its start, and the select that
         # finds a position when there is one
-        found = sum(v is not None for v in expected[-len(queries):])
-        assert plain[1]["rank"] == 2 * len(queries)
-        assert plain[1]["select"] == found
+        for q in queries:
+            answer = ref.select_next(q[2] % sigma, q[0])
+            expected.append((answer, 1, int(answer is not None), 0))
+        _, cold, warm = _cold_and_warm(seq, sigma, calls)
+        assert cold == warm == expected, seq
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 9])
 def test_wavelet_select_next_memo_on_boundaries(sigma):
-    """``select_next`` memo off, cold and warm: the same answers and, call
-    by call, the same ``rank``/``select`` counts — at starts -1, 0,
-    ``n - 1``, ``n`` and ``n + 1`` and on every edge, for every symbol
-    (absent ones, and ones whose occurrences all lie before ``start``),
-    each asked twice in a row, so a remembered ``None`` is asked again
-    within one sweep. A start at or past the end counts nothing."""
-    from repro.obs.trace import OpCounters
-
+    """``select_next`` on a fresh tree and on the same tree again: the
+    reference's answers and, call by call, the same ``rank``/``select``
+    counts — at starts -1, 0, ``n - 1``, ``n`` and ``n + 1`` and on every
+    edge, for every symbol (absent ones, and ones whose occurrences all
+    lie before ``start``), each asked twice in a row, so a remembered
+    ``None`` is asked again within one sweep. A start at or past the end
+    counts nothing and is not remembered."""
     none_after_an_occurrence = False
     for seq in _boundary_cases(sigma):
-        wt = WaveletTree(seq, sigma)
         ref = RefSeq(seq)
         n = len(seq)
         starts = sorted({-1, 0, n - 1, n, n + 1, *_edges(seq)})
-        calls = [(c, s) for c in range(sigma) for s in starts for _ in (0, 1)]
-        expected = [ref.select_next(c, s) for c, s in calls]
-        none_after_an_occurrence |= any(
-            a is None and s < n and c in seq[:s]
-            for (c, s), a in zip(calls, expected)
-        )
-
-        def sweep():
-            wt.ops = ops = OpCounters()
-            return [(wt.select_next(c, s), ops.rank, ops.select) for c, s in calls]
-
-        plain = sweep()
-        wt.begin_query_memo()
-        cold, warm = sweep(), sweep()
-        assert len(wt._memo_select) == len(
-            {(c, s) for c, s in calls if s < n}
-        )
-        wt.end_query_memo()
-        assert wt._memo_select is None
-        assert plain == cold == warm, seq
-        assert [answer for answer, _, _ in plain] == expected, seq
-        # one rank per start inside the sequence, one select per position
-        assert plain[-1][1:] == (
-            sum(s < n for _, s in calls),
-            sum(a is not None for a in expected),
-        )
+        calls = [
+            ("select_next", (c, s)) for c in range(sigma) for s in starts for _ in (0, 1)
+        ]
+        expected = []
+        for _, (c, s) in calls:
+            answer = ref.select_next(c, s)
+            expected.append((answer, int(s < n), int(answer is not None), 0))
+            none_after_an_occurrence |= answer is None and s < n and c in seq[:s]
+        wt, cold, warm = _cold_and_warm(seq, sigma, calls)
+        assert len(wt._memo_select) == len({args for _, args in calls if args[1] < n})
+        assert cold == warm == expected, seq
     if sigma > 1:
         assert none_after_an_occurrence
 
@@ -464,10 +460,9 @@ def test_wavelet_select_next_memo_on_boundaries(sigma):
 @given(seq_and_sigma, st.data())
 def test_wavelet_select_next_memo_property(seq_sigma, data):
     """Random sequences and random orders of ``select_next`` calls, each
-    call asked at least twice: with and without the memo, every call gives
-    the same answer and leaves the same ``rank``/``select`` counts."""
-    from repro.obs.trace import OpCounters
-
+    call asked at least twice: on a fresh tree and on the same tree
+    again, every call gives the reference's answer and the same
+    ``rank``/``select`` counts."""
     seq, sigma = seq_sigma
     n = len(seq)
     calls = data.draw(
@@ -476,32 +471,24 @@ def test_wavelet_select_next_memo_property(seq_sigma, data):
             max_size=40,
         )
     )
-    calls = data.draw(st.permutations(calls * 2))
-
-    def trace(wt):
-        wt.ops = ops = OpCounters()
-        return [(wt.select_next(c, s), ops.rank, ops.select) for c, s in calls]
-
-    plain = trace(WaveletTree(seq, sigma))
-    memoized = WaveletTree(seq, sigma)
-    memoized.begin_query_memo()
-    assert trace(memoized) == plain
-    memoized.end_query_memo()
+    calls = [("select_next", call) for call in data.draw(st.permutations(calls * 2))]
     ref = RefSeq(seq)
-    assert [answer for answer, _, _ in plain] == [
-        ref.select_next(c, s) for c, s in calls
-    ]
+    expected = []
+    for _, (c, s) in calls:
+        answer = ref.select_next(c, s)
+        expected.append((answer, int(s < n), int(answer is not None), 0))
+    _, cold, warm = _cold_and_warm(seq, sigma, calls)
+    assert cold == warm == expected
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 8, 9])
 def test_wavelet_range_report_on_boundaries_with_and_without_memo(sigma):
     """``_range_values_u`` is the set of the range, ascending — which is
     what leaping through it value by value finds — on word- and
-    node-boundary ranges and the empty one; memo off, cold and warm
-    give the same tuples, and every report counts as one ``range_next``.
+    node-boundary ranges and the empty one; a fresh tree (no memo entry
+    yet) and the same tree again (every report remembered) give the
+    same tuples, and every report counts as one ``range_next``.
     """
-    from repro.obs.trace import OpCounters
-
     for seq in _boundary_cases(sigma):
         wt = WaveletTree(seq, sigma)
         edges = _edges(seq)
@@ -515,25 +502,17 @@ def test_wavelet_range_report_on_boundaries_with_and_without_memo(sigma):
                 c = value + 1
             return tuple(found)
 
-        expected = [tuple(sorted(set(seq[lo : hi + 1]))) for lo, hi in ranges]
-        assert [leap_loop(lo, hi) for lo, hi in ranges] == expected, seq
-
-        def sweep():
-            wt.ops = OpCounters()
-            got = [wt._range_values_u(lo, hi) for lo, hi in ranges]
-            got += [tuple(wt.distinct_values(lo, hi)) for lo, hi in ranges]
-            counts = wt.ops.as_dict()
-            wt.ops = None
-            return got, counts
-
-        plain = sweep()
-        wt.begin_query_memo()
-        cold, warm = sweep(), sweep()
-        wt.end_query_memo()
-        assert plain[0] == cold[0] == warm[0] == expected * 2, seq
-        assert plain[1] == cold[1] == warm[1]
-        assert plain[1]["range_next"] == plain[1]["total"] == 2 * len(ranges)
-        assert wt._memo_values is None
+        reports = [tuple(sorted(set(seq[lo : hi + 1]))) for lo, hi in ranges]
+        assert [leap_loop(lo, hi) for lo, hi in ranges] == reports, seq
+        calls = [("_range_values_u", r) for r in ranges]
+        calls += [("distinct_values", r) for r in ranges]
+        expected = [(report, 0, 0, 1) for report in reports] * 2
+        _, cold, warm = _cold_and_warm(seq, sigma, calls)
+        cold, warm = (
+            [(tuple(answer), *counts) for answer, *counts in rows]
+            for rows in (cold, warm)
+        )
+        assert cold == warm == expected, seq
 
 
 # Sequences long enough to hold a range of ``_SHORT + 1`` positions.
@@ -555,9 +534,9 @@ def test_wavelet_seeker_matches_reference(seq_sigma, data):
     """``seeker(lo, hi)(c)`` is ``range_next_value(lo, hi, c)`` on ranges
     of 1, ``_SHORT``, ``_SHORT + 1`` and ``n`` positions and an empty
     one, for ``c`` below 0, in the alphabet and at or past ``sigma``,
-    asked in increasing and in arbitrary order, with the memo off, cold
-    and warm; each call counts one ``range_next`` and nothing else, and
-    making a seeker counts nothing."""
+    asked in increasing and in arbitrary order, on a fresh tree and on
+    the same tree again; each call counts one ``range_next`` and nothing
+    else, and making a seeker counts nothing."""
     from repro.obs.trace import OpCounters
 
     seq, sigma = seq_sigma
@@ -595,12 +574,9 @@ def test_wavelet_seeker_matches_reference(seq_sigma, data):
         wt.ops = None
         return got
 
-    assert sweep() == expected
-    wt.begin_query_memo()
     assert sweep() == expected  # cold
     # the short ranges were answered from their reports, the long ones
     # by descents
     assert (lo, lo + short - 1) in wt._memo_values
     assert (lo, lo + short) not in wt._memo_values
     assert sweep() == expected  # warm
-    wt.end_query_memo()

@@ -261,9 +261,10 @@ def test_range_report_memo_is_bounded_by_the_symbols_it_holds(
 ):
     """Reports of up to sigma symbols each would take an entry-capped
     memo far past ``_MEMO_SYMBOLS``: the memo restarts instead, so the
-    symbols it holds never exceed the cap, and answers and counts are
-    those of a tree without the memo. A report larger than the cap on
-    its own (``oversized``) is not kept at all."""
+    symbols it holds never exceed the cap, and a fresh tree and the same
+    tree again give, call by call, the reference's answers and counts. A
+    report larger than the cap on its own (``oversized``) is not kept at
+    all."""
     from repro.obs.trace import OpCounters
 
     sigma = wavelet_tree._MEMO_SYMBOLS // 4 + 3
@@ -274,25 +275,28 @@ def test_range_report_memo_is_bounded_by_the_symbols_it_holds(
     ranges = [(lo, lo + sigma - 1) for lo in range(0, 70, 7)]
     ranges += [(0, 2 * sigma - 1), (0, 0), (5, 9)] * 2
     assert sum(hi - lo + 1 for lo, hi in ranges) > 2 * cap
+    expected = []
+    for lo, hi in ranges:
+        report = tuple(sorted(set(seq[lo : hi + 1].tolist())))
+        seek = next((v for v in report if v >= sigma // 2), None)
+        expected += [(report, 1), (seek, 1)]
 
     def sweep(wt):
         wt.ops = ops = OpCounters()
         got = []
         for lo, hi in ranges:
-            got.append(wt._range_values_u(lo, hi))
-            if wt._memo_values is not None:
-                held = sum(map(len, wt._memo_values.values()))
-                assert held == wt._memo_held <= cap
-            got.append(wt.seeker(lo, hi)(sigma // 2))
+            before = ops.total
+            got.append((wt._range_values_u(lo, hi), ops.total - before))
+            held = sum(map(len, wt._memo_values.values()))
+            assert held == wt._memo_held <= cap
+            before = ops.total
+            got.append((wt.seeker(lo, hi)(sigma // 2), ops.total - before))
         wt.ops = None
-        return got, ops.as_dict()
+        return got
 
-    plain = sweep(WaveletTree(seq, sigma))
     memoized = WaveletTree(seq, sigma)
-    memoized.begin_query_memo()
-    assert sweep(memoized) == plain
+    assert sweep(memoized) == expected  # cold
     assert (0, 0) in memoized._memo_values
     assert ((0, 2 * sigma - 1) in memoized._memo_values) is not oversized
-    memoized.end_query_memo()
-    assert memoized._memo_held == 0
-    assert plain[0][0] == tuple(range(sigma))
+    assert sweep(memoized) == expected  # warm
+    assert expected[0][0] == tuple(range(sigma))
