@@ -4,8 +4,8 @@
 of :meth:`repro.obs.trace.QueryTrace.to_dict`; :func:`validate_trace`
 checks a trace against it with a small self-contained validator (no
 third-party dependency), raising :class:`TraceSchemaError` with the
-offending path. The benchmarks and the CI smoke job validate every
-emitted trace so the schema stays in sync with the recorder.
+offending path. The benchmarks and the tests validate every emitted
+trace so the schema stays in sync with the recorder.
 
 Run as a module to validate a trace file::
 
@@ -203,5 +203,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by the CI smoke job
+if __name__ == "__main__":  # pragma: no cover - main() is tested directly
     sys.exit(main())

@@ -17,6 +17,13 @@ collected object) and each pool unlinks its scratch file on ``close`` —
 including after a worker raised mid-batch (the pool survives a task
 exception; the file goes only with the pool itself) and at exit, through
 :func:`shutdown_pools`.
+
+A worker that *dies* (SIGKILL, the OOM killer) is another matter:
+``multiprocessing.Pool`` quietly replaces it, and the task it held is
+never answered. Every wait on the pool therefore re-checks its workers
+every :data:`LIVENESS_POLL` seconds; a death closes the pool and raises
+:class:`~repro.utils.errors.WorkerLost`, and the next dispatch starts a
+fresh one.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import multiprocessing
+import multiprocessing.pool
 import os
 import queue as queue_mod
 import tempfile
@@ -40,6 +48,7 @@ from repro.parallel.worker import (
     run_query_batch,
 )
 from repro.store.io import write_index
+from repro.utils.errors import WorkerLost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.database import GraphDatabase
@@ -49,15 +58,14 @@ DEFAULT_WORKERS = 2
 
 #: Environment variable pinning the pool start method (``fork`` or
 #: ``spawn``). Unset or unrecognized values fall back to the platform
-#: default (fork where available). The CI ``store`` job forces
-#: ``spawn`` to prove the transport works without copy-on-write
+#: default (fork where available). On Linux it is how a test reaches
+#: ``spawn``, which proves the transport works without copy-on-write
 #: inheritance.
 ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
 
-#: Seconds to wait for an announced-but-missing streamed chunk before
-#: declaring the pool wedged. Generous: chunks are announced only after
-#: they were put on the queue, so this only fires on a dead worker.
-CHUNK_TIMEOUT = 120.0
+#: Seconds between checks of the workers' liveness while the parent
+#: waits on the pool: the bound on how long a dead worker goes unseen.
+LIVENESS_POLL = 0.2
 
 
 def forced_start_method() -> str | None:
@@ -84,6 +92,7 @@ class WorkerPool:
         self.workers = max(2, int(workers))
         self.start_method = "unstarted"
         self._pool: Any = None
+        self._processes: tuple[Any, ...] = ()
         self._scratch: str | None = None
         self._chunks: Any = None
         self._chunk_buf: dict[int, dict[int, np.ndarray]] = {}
@@ -128,7 +137,50 @@ class WorkerPool:
                 initializer=_init_worker,
                 initargs=(path, checksum, self._chunks),
             )
+            # The workers as started (``Pool._pool`` is the stdlib's own
+            # list): the pool swaps a dead one out of that list, while
+            # these objects keep its exit code.
+            self._processes = tuple(self._pool._pool)
         return self._pool
+
+    def _lost_worker(self) -> bool:
+        """Whether a worker of the running pool has died."""
+        return any(process.exitcode is not None
+                   for process in self._processes)
+
+    def _await(self, get: Any, empty: type[Exception]) -> Any:
+        """``get(timeout=...)`` asked again every :data:`LIVENESS_POLL`
+        seconds until it answers (``empty`` is its nothing-yet error).
+        A worker's death meanwhile closes the pool and raises
+        :class:`WorkerLost`: the task it held will never be answered."""
+        while self._pool is not None and not self._lost_worker():
+            try:
+                return get(timeout=LIVENESS_POLL)
+            except empty:
+                pass
+        codes = [process.exitcode for process in self._processes]
+        self.close()
+        raise WorkerLost(
+            f"the pool lost a worker (exit codes {codes}) or was closed "
+            "under a wait; it restarts for the next batch"
+        )
+
+    def result(self, handle: Any) -> Any:
+        """``handle.get()`` for a handle of :meth:`submit_batch`, raising
+        :class:`WorkerLost` if a worker dies first."""
+        return self._await(handle.get, multiprocessing.TimeoutError)
+
+    def abandon(self, handles: Sequence[Any]) -> None:
+        """Wait out dispatched batches whose answers nobody will read
+        (their own errors are not news), then forget what they streamed.
+        A pool that loses a worker meanwhile is closed instead, and
+        whatever it still ran goes with it."""
+        for handle in handles:
+            if self._pool is None:
+                break
+            with contextlib.suppress(Exception):
+                self.result(handle)
+        self.drop_pending_chunks()
 
     def warmup(self) -> None:
         """Start the pool and wait until every worker has loaded the
@@ -136,11 +188,11 @@ class WorkerPool:
         pool = self._start()
         # A barrier: one trivial task per worker forces all the
         # initializers (the file's load included) to finish.
-        pool.map(ready, range(self.workers), chunksize=1)
+        self.result(pool.map_async(ready, range(self.workers), chunksize=1))
 
     def submit_batch(self, batch: QueryBatchTask) -> Any:
-        """Submit one whole-query batch; returns an ``AsyncResult``
-        whose ``get()`` yields ``list[QueryOutcome]``."""
+        """Submit one whole-query batch; :meth:`result` waits for the
+        handle's ``list[QueryOutcome]``."""
         pool = self._start()
         return pool.apply_async(run_query_batch, (batch,))
 
@@ -150,13 +202,13 @@ class WorkerPool:
         Exercises the task-exception path end to end — the exception
         crosses the process boundary and re-raises here, while the pool
         itself survives (see the class docstring) and keeps serving.
-        The query server's fault battery uses this to prove a crashed
-        worker yields one failed request, not a poisoned pool. A
-        genuine ``SIGKILL`` of a pool worker would wedge ``get()``
-        instead, which is why injection happens as a raising task.
+        The query server's fault battery uses this to prove a raising
+        worker yields one failed request, not a poisoned pool; a worker
+        that dies is the :class:`WorkerLost` path, which that battery
+        drives with a real ``SIGKILL``.
         """
         pool = self._start()
-        pool.apply(_injected_worker_fault)
+        self.result(pool.apply_async(_injected_worker_fault))
 
     def reconcile(self, outcomes: Sequence[QueryOutcome]) -> None:
         """Fill in ``packed`` for outcomes whose solutions streamed back
@@ -180,12 +232,9 @@ class WorkerPool:
                 )
             if not needed:
                 break
-            try:
-                uid, seq, chunk = self._chunks.get(timeout=CHUNK_TIMEOUT)
-            except queue_mod.Empty:  # pragma: no cover - dead worker
-                raise RuntimeError(
-                    "worker pool stopped streaming announced chunks"
-                ) from None
+            # Announced chunks were put before their outcome returned:
+            # only a dead worker leaves one missing.
+            uid, seq, chunk = self._await(self._chunks.get, queue_mod.Empty)
             if uid > self._dropped_uid:
                 self._chunk_buf.setdefault(uid, {})[seq] = chunk
 
@@ -205,12 +254,39 @@ class WorkerPool:
             except (queue_mod.Empty, OSError, ValueError):
                 break
 
+    def _release_dead_locks(self) -> None:
+        """Make a pool that lost a worker safe to terminate.
+
+        A worker killed while it waited for a task dies holding the task
+        queue's read lock; one killed while it sent a result, the result
+        queue's write lock. ``Pool.terminate`` takes both, so either
+        would wedge it. The pool is stopped from replacing workers and
+        every worker is killed; then each lock is taken with a bound and
+        given back: past the bound its holder is dead, and the release
+        is on its behalf. (``_worker_handler``, ``_change_notifier``,
+        ``_pool``, ``_inqueue`` and ``_outqueue`` are the stdlib pool's
+        own attributes.)
+        """
+        pool = self._pool
+        pool._worker_handler._state = multiprocessing.pool.TERMINATE
+        pool._change_notifier.put(None)
+        pool._worker_handler.join()
+        for process in pool._pool:
+            process.kill()
+            process.join()
+        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+            lock.acquire(timeout=LIVENESS_POLL)
+            lock.release()
+
     def close(self) -> None:
         """Tear down the pool and unlink its scratch file, if any."""
         if self._pool is not None:
+            if self._lost_worker():
+                self._release_dead_locks()
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+        self._processes = ()
         if self._chunks is not None:
             self._chunks.close()
             self._chunks = None
@@ -247,6 +323,10 @@ def pool_for(db: "GraphDatabase", workers: int) -> WorkerPool:
             evicted.close()
     else:
         _POOLS.move_to_end(key)
+        if pool._lost_worker():
+            # A worker died between batches: nothing was lost, but a
+            # wait would take it for a death under this batch.
+            pool.close()
     return pool
 
 

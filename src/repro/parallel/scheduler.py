@@ -165,7 +165,10 @@ class QueryScheduler:
         :attr:`cache` attached and no ``limit``, every query is probed
         before classification and dispatch — a hit skips the pool
         entirely — and every completed result fills the cache as it
-        drains.
+        drains. A pool worker that dies under the batch fails it with
+        :class:`~repro.utils.errors.WorkerLost` within about
+        :data:`~repro.parallel.executor.LIVENESS_POLL` seconds; the
+        next batch gets a fresh pool.
         """
         if timeouts is not None and len(timeouts) != len(queries):
             raise ValueError(
@@ -202,7 +205,7 @@ class QueryScheduler:
         pending: list[object] = []
 
         def _drain(handle: object) -> None:
-            outcomes: list[QueryOutcome] = handle.get()  # type: ignore[attr-defined]
+            outcomes: list[QueryOutcome] = pool.result(handle)
             pool.reconcile(outcomes)
             for outcome in outcomes:
                 solutions = Solutions(map(Var, outcome.var_names),
@@ -236,11 +239,8 @@ class QueryScheduler:
             # One group failed: the others are still running, and the
             # chunks they stream would sit in the pool's buffer under
             # uids nobody reconciles. Wait them out (each is bounded by
-            # its queries' timeouts; their own errors are not news),
-            # then drop what was streamed.
-            for handle in pending:
-                handle.wait()  # type: ignore[attr-defined]
-            pool.drop_pending_chunks()
+            # its queries' timeouts), then drop what was streamed.
+            pool.abandon(pending)
             raise
         return [result for result in results if result is not None]
 

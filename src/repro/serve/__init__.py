@@ -15,9 +15,11 @@ One warm worker pool, many concurrent HTTP clients:
   ``repro.obs`` :class:`~repro.obs.trace.OpCounters` and span
   histograms (:mod:`repro.obs.spans`), exported at ``/metrics`` as one
   JSON document or its Prometheus text.
-* :mod:`repro.serve.smoke` — a stdlib HTTP client smoke battery
-  (``python -m repro.serve.smoke``) the CI serve job runs against a
-  freshly booted server.
+
+``tests/test_serve.py`` drives the surface in process;
+``tests/test_serve_faults.py`` boots a real ``repro serve
+--from-index`` under fork and spawn, queries it and drains it with
+SIGTERM.
 
 See ``docs/serving.md`` for endpoint and semantics documentation.
 """

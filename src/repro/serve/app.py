@@ -84,8 +84,15 @@ MAX_TIMEOUT = 600.0
 #: issue several).
 MICROBATCH = 8
 
-#: Largest request body accepted, in bytes (beyond it: a typed 400).
+#: Largest request body accepted, in bytes (beyond it: a typed 413).
 MAX_BODY = 1 << 20
+
+#: Most header lines one request may carry (beyond it: a typed 431).
+MAX_HEADER_LINES = 100
+
+#: Largest request head, request line and header lines together, in
+#: bytes (beyond it: a typed 431).
+MAX_HEAD = 64 << 10
 
 #: Request ids of this process: each ``/query`` and ``/explain`` takes
 #: the next one, and its reply carries it as ``X-Request-Id``.
@@ -98,6 +105,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -145,6 +153,17 @@ class _HttpResponse:
 
     content_type: str = "application/json"
     headers: dict[str, str] = field(default_factory=dict)
+
+
+class _Refused(Exception):
+    """A request answered before it is routed, and its connection
+    closed: malformed framing (400) or a head or body over its cap."""
+
+    def __init__(self, code: int, error_type: str, message: str) -> None:
+        super().__init__(message)
+        self.response = _HttpResponse(
+            code, protocol.error_response(error_type, message)
+        )
 
 
 @dataclass
@@ -706,23 +725,11 @@ class ReproServer:
             while True:
                 try:
                     request = await _read_request(reader)
-                except ValidationError as exc:
-                    await _write_response(
-                        writer,
-                        _HttpResponse(
-                            400,
-                            protocol.error_response(
-                                "ValidationError", str(exc)
-                            ),
-                        ),
-                        close=True,
-                    )
+                except _Refused as refused:
+                    await _write_response(writer, refused.response,
+                                          close=True)
                     break
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    ValueError,
-                ):
+                except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 if request is None:
                     break
@@ -767,32 +774,63 @@ async def _read_request(
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one HTTP/1.1 request; None at clean EOF.
 
-    Raises :class:`ValidationError` on malformed framing (mapped to a
-    400 and connection close by the caller).
+    Raises :class:`_Refused` on malformed framing, on a head past
+    :data:`MAX_HEAD` bytes or :data:`MAX_HEADER_LINES` lines, and on a
+    ``Content-Length`` past :data:`MAX_BODY`; the caller answers it and
+    closes the connection. No more of the request is read after that.
     """
-    line = await reader.readline()
+    head = 0
+
+    async def next_line() -> bytes:
+        nonlocal head
+        try:
+            line = await reader.readline()
+        except ValueError:  # one line past the stream's own buffer
+            head = MAX_HEAD + 1
+        else:
+            head += len(line)
+        if head > MAX_HEAD:
+            raise _Refused(
+                431, "HeaderTooLarge",
+                f"request head exceeds the {MAX_HEAD}-byte limit",
+            )
+        return line
+
+    line = await next_line()
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ValidationError(f"malformed request line {line!r}")
+        raise _Refused(400, "ValidationError",
+                       f"malformed request line {line!r}")
     method, target, _version = parts
     headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
+    for _ in range(MAX_HEADER_LINES + 1):
+        raw = await next_line()
         if raw in (b"\r\n", b"\n", b""):
             break
         name, sep, value = raw.decode("latin-1").partition(":")
         if not sep:
-            raise ValidationError(f"malformed header line {raw!r}")
+            raise _Refused(400, "ValidationError",
+                           f"malformed header line {raw!r}")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _Refused(
+            431, "HeaderTooLarge",
+            f"request has more than {MAX_HEADER_LINES} header lines",
+        )
     try:
         length = int(headers.get("content-length", "0") or "0")
-    except ValueError as exc:
-        raise ValidationError("malformed Content-Length") from exc
-    if length < 0 or length > MAX_BODY:
-        raise ValidationError(
-            f"request body of {length} bytes exceeds the {MAX_BODY} limit"
+    except ValueError:
+        raise _Refused(400, "ValidationError",
+                       "malformed Content-Length") from None
+    if length < 0:
+        raise _Refused(400, "ValidationError",
+                       f"negative Content-Length {length}")
+    if length > MAX_BODY:
+        raise _Refused(
+            413, "PayloadTooLarge",
+            f"request body of {length} bytes exceeds the {MAX_BODY} limit",
         )
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body

@@ -315,7 +315,7 @@ def error_response(
 
 
 def validate_query_response(document: Mapping[str, Any]) -> None:
-    """Schema-check a ``/query`` success body (tests, smoke clients)."""
+    """Schema-check a ``/query`` success body (tests, clients)."""
     validate_document(dict(document), QUERY_RESPONSE_SCHEMA, "$")
 
 

@@ -51,6 +51,14 @@ class StoreEndiannessError(StoreError):
     """The index file or host violates the little-endian contract."""
 
 
+class WorkerLost(ReproError):
+    """A worker-pool process died while the parent waited on the pool.
+
+    The task it held is never answered, so the batch fails with this
+    error; the pool is closed and restarts for the next batch.
+    """
+
+
 class ServeError(ReproError):
     """Base class for long-running query-server (``repro.serve``) failures."""
 

@@ -4,13 +4,18 @@ and the golden Figure-2 setup with its serial answers.
 Session-scoped where construction is non-trivial; all randomness is
 seeded so failures reproduce. The helpers below the fixtures
 (``_counts``, ``_comparable``, ``_rename``, ``_query_text``,
-``_request``, ``_post``, ``_get``) are imported by test modules as ``from conftest import ...``.
+``_within``, ``_under_killed_workers``, ``_request``, ``_post``, ``_get``) are
+imported by test modules as ``from conftest import ...``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from http.client import HTTPConnection
 
@@ -28,6 +33,7 @@ from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.graph import KnnGraph
 from repro.ltj.stats import EvaluationStats
 from repro.obs import QueryTrace, validate_trace
+from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
 from repro.query.model import (
     DEFAULT_RELATION,
     DistClause,
@@ -57,6 +63,22 @@ def _sanitize_leak_check(request):
         return
     with sanitize.test_leak_check(request.node.nodeid):
         yield
+
+
+@pytest.fixture(params=("fork", "spawn"))
+def start_method(request, monkeypatch):
+    """Run the test under each pool start method, on fresh pools.
+
+    Spawn is reached through ``REPRO_PARALLEL_START_METHOD``; it proves
+    a worker gets everything from the index file, since nothing rides
+    copy-on-write inheritance."""
+    method = request.param
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} unavailable")
+    monkeypatch.setenv(ENV_START_METHOD, method)
+    shutdown_pools()
+    yield method
+    shutdown_pools()
 
 
 @pytest.fixture(scope="session")
@@ -256,6 +278,44 @@ def _query_text(query: ExtendedBGP) -> str:
     text = " . ".join(atoms)
     assert parse_query(text) == query, text
     return text
+
+
+# ----------------------------------------------------------------------
+# killing a pool worker
+# ----------------------------------------------------------------------
+#: Four open hops on the Figure-2 graph: a worker is still busy with it
+#: (it runs to its timeout) when a test kills one.
+LONG_QUERY = "(?a, ?p, ?b) . (?b, ?q, ?c) . (?c, ?r, ?d) . (?d, ?s, ?e)"
+
+
+def _within(call, seconds=10.0):
+    """Run ``call()`` on a daemon thread and return what it returned or
+    raised; fails, rather than hangs, if it is still running after
+    ``seconds``."""
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"still running after {seconds} s"
+    return outcome[0]
+
+
+def _under_killed_workers(pool, call, victims=1, after=0.2, within=10.0):
+    """:func:`_within` for ``call()``, with the first ``victims`` of
+    ``pool``'s running workers SIGKILLed ``after`` seconds in; fails if
+    ``call`` is still running ``within`` seconds after the kill."""
+    pids = [process.pid for process in pool._processes[:victims]]
+    threading.Timer(
+        after, lambda: [os.kill(pid, signal.SIGKILL) for pid in pids]
+    ).start()
+    return _within(call, after + within)
 
 
 # ----------------------------------------------------------------------

@@ -17,13 +17,19 @@ database or one mapped from its index file. Two inputs go through them:
   :func:`repro.graph.naive.evaluate_naive`; the pool, the cache (cold,
   warm, and hit by a pure renaming) and the server return the serial
   run's ordered rows; no answer outgrows the LP bound ``Q*``
-  (Eqs. 1-2) and the Thm. 2/3 ordering fence holds.
+  (Eqs. 1-2) and the Thm. 2/3 ordering fence holds. Metamorphic rows
+  relate each query's answer to those of its variants: its atoms
+  reordered, a ``sim`` over one of its clauses, a wider ``k`` or ``d``,
+  a projection and a limit.
+* **A query too symmetric to canonicalize** is a cache miss through
+  every cached door, answered with the serial rows.
 
 A new door is a new row here, not a new file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -32,9 +38,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _comparable, _counts, _post, _query_text, _rename, _request
+from conftest import (
+    _comparable,
+    _counts,
+    _post,
+    _query_text,
+    _rename,
+    _request,
+    _term_text,
+)
 from repro.bounds.linear_program import solve_size_bound
-from repro.cache import QueryCache, canonicalize
+from repro.cache import CanonicalizationError, QueryCache, canonicalize
 from repro.engines.auto import AutoEngine
 from repro.engines.baseline import BaselineEngine
 from repro.engines.classic import ClassicSixPermEngine
@@ -45,7 +59,7 @@ from repro.graph.naive import evaluate_naive
 from repro.obs import QueryTrace
 from repro.parallel.executor import ENV_START_METHOD, close_pools_for, pool_for
 from repro.parallel.scheduler import QueryScheduler
-from repro.query.model import Var
+from repro.query.model import ExtendedBGP, Var
 from repro.query.parser import parse_query
 from repro.serve import protocol
 from repro.serve.app import ServeConfig, ServerThread
@@ -53,6 +67,8 @@ from repro.utils.errors import QueryError
 from tests.test_auto_and_stats import _assert_fenced
 from tests.test_differential_engines import (
     _POOL,
+    D_MAX,
+    K,
     VARS,
     canonical,
     extended_bgps,
@@ -269,6 +285,62 @@ def servers():
             close_pools_for(db)
 
 
+def _assert_metamorphic(db, knn, query, serial, expected):
+    """Relations between the answers of related queries, each of which
+    the oracle above only checks one query at a time."""
+    auto = AutoEngine(db)
+
+    def rows(asked):
+        return auto.evaluate(asked).sorted_solutions()
+
+    # Conjunction commutes: reordering the atoms changes no answer.
+    assert rows(ExtendedBGP(query.triples[::-1], query.clauses[::-1],
+                            query.dist_clauses[::-1])) == expected, query
+
+    # x ~_k y is x <|_k y and y <|_k x (Sec. 3.1): adding sim over a
+    # clause keeps exactly the rows whose reverse arc also holds.
+    def value(solution, term):
+        return solution[term] if isinstance(term, Var) else term
+
+    for c in query.clauses[:1]:
+        mutual = rows(parse_query(
+            f"{_query_text(query)} . "
+            f"sim({_term_text(c.x)}, {_term_text(c.y)}, {c.k})"
+        ))
+        assert mutual == canonical(
+            s for s in serial.solutions
+            if knn.is_knn(value(s, c.y), value(s, c.x), c.k)
+        ), query
+
+    # Monotone answers: a wider k, or a wider d, loses no row.
+    wider_k = tuple(
+        dataclasses.replace(c, k=min(c.k + 1, K)) for c in query.clauses
+    )
+    wider_d = tuple(
+        dataclasses.replace(c, d=D_MAX) for c in query.dist_clauses
+    )
+    for wider in (
+        ExtendedBGP(query.triples, wider_k, query.dist_clauses),
+        ExtendedBGP(query.triples, query.clauses, wider_d),
+    ):
+        if wider != query:
+            assert set(expected) <= set(rows(wider)), (query, wider)
+
+    # project= is the serial rows' columns; limit=n their first n rows.
+    ring = RingKnnEngine(db)
+    variables = serial.solutions.variables
+    kept = list(variables[: (len(variables) + 1) // 2])
+    full = ring.evaluate(query).solutions
+    projected = ring.evaluate(query, project=kept).solutions
+    assert projected.variables == tuple(kept), query
+    assert projected.rows.tolist() == [
+        [solution[var] for var in kept] for solution in full
+    ], query
+    n = len(serial.solutions) // 2
+    limited = auto.evaluate(query, limit=n)
+    assert limited.solutions == serial.solutions[:n], (query, n)
+
+
 @settings(
     max_examples=200,
     deadline=None,
@@ -294,6 +366,7 @@ def test_random_query_every_door(servers, which, query, names):
         assert got == expected, (engine.name, query)
     serial = AutoEngine(db).evaluate(query)
     assert serial.sorted_solutions() == expected, ("auto", query)
+    _assert_metamorphic(db, knn, query, serial, expected)
     # The baseline rejects clause graphs disconnected from the triples
     # (the paper's Sec. 5.3 restriction) — only compare when supported.
     try:
@@ -345,3 +418,37 @@ def test_random_query_every_door(servers, which, query, names):
         assert body["solutions"] == protocol.encode_solutions(
             want.solutions
         ), ("http", asked)
+
+
+def test_uncanonical_query_is_served_as_a_miss(servers):
+    """A query too symmetric to canonicalize (8 interchangeable atoms on
+    one hub: 8! labelings, past ``MAX_LABELINGS``) is a cache miss on
+    every ask, through a cached ``AutoEngine`` and over HTTP: answered
+    with the serial rows, never filled, never an error."""
+    db, *_ = _POOL[0]
+    text = " . ".join(f"(0, 50, ?a{i})" for i in range(8))
+    query = parse_query(text)
+    with pytest.raises(CanonicalizationError):
+        canonicalize(query)
+    serial = AutoEngine(db).evaluate(query)
+    assert len(serial.solutions) == 2**8
+
+    cache = QueryCache()
+    cached = AutoEngine(db, cache=cache)
+    http = servers[0].server.cache
+    before = http.stats()
+    for _ask in range(2):
+        result = cached.evaluate(query)
+        assert not result.cached
+        assert _in_process(result) == _in_process(serial)
+        status, _h, body = _post(servers[0], "/query", {"query": text})
+        assert status == 200, body
+        assert body["cached"] is False
+        assert body["solutions"] == protocol.encode_solutions(
+            serial.solutions
+        )
+    for stats, was in ((cache.stats(), None), (http.stats(), before)):
+        for counter in ("hits", "misses", "fills", "entries"):
+            assert stats[counter] == (0 if was is None else was[counter])
+        assert stats["inadmissible"] > (0 if was is None else
+                                        was["inadmissible"])

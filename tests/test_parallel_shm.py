@@ -13,6 +13,17 @@ the per-structure save → load round trips live in
 * **A broken index is a typed error, not a hang** — workers whose index
   file was replaced or deleted since the database was opened fail every
   batch with a :class:`StoreFormatError`.
+* **A dead worker is a typed error, not a hang** — a worker killed
+  mid-batch fails the batch with :class:`WorkerLost` within seconds,
+  and the next batch runs on a fresh pool; one killed between batches
+  fails none.
+
+Each of these runs under fork and spawn, since a pool's processes,
+scratch file and index load differ between the two, with two
+exceptions on the default method: the transport-size check (the pickles
+it measures are the tasks the parent sends, the same under either) and
+the worker killed between batches (a death is seen the same way under
+either).
 """
 
 from __future__ import annotations
@@ -20,12 +31,15 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import LONG_QUERY, _under_killed_workers, _within
 from repro.engines.auto import AutoEngine
 from repro.parallel.executor import (
     ENV_START_METHOD,
@@ -36,6 +50,8 @@ from repro.parallel.executor import (
 from repro.parallel.scheduler import QueryScheduler
 from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
+from repro.query.parser import parse_query
+from repro.utils.errors import WorkerLost
 
 START_METHODS = ("fork", "spawn")
 
@@ -53,7 +69,7 @@ def _warm_scratch(db, workers=2):
     return scratch
 
 
-def test_segments_unlinked_after_pool_close(figure2):
+def test_segments_unlinked_after_pool_close(figure2, start_method):
     db, queries = figure2.db, figure2.queries
     scheduler = QueryScheduler(db, workers=2)
     scheduler.run_batch(queries[:1])
@@ -68,7 +84,9 @@ def test_segments_unlinked_after_pool_close(figure2):
     assert not os.path.exists(scratch)
 
 
-def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
+def test_segments_unlinked_after_worker_raises_mid_batch(
+    small_db, start_method
+):
     query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
     pool = pool_for(small_db, 2)
     bad = QueryBatchTask(
@@ -84,7 +102,7 @@ def test_segments_unlinked_after_worker_raises_mid_batch(small_db):
         )
     )
     with pytest.raises(KeyError):
-        pool.submit_batch(bad).get()
+        pool.result(pool.submit_batch(bad))
     # The pool survives a task exception and still answers correctly...
     (got,) = QueryScheduler(small_db, workers=2).run_batch([query])
     assert got.solutions == AutoEngine(small_db).evaluate(query).solutions
@@ -129,6 +147,51 @@ def test_pool_ships_a_path_not_an_index(figure2, monkeypatch):
     assert max(sent) < file_bytes / 4, (max(sent), file_bytes)
 
 
+def test_killed_worker_fails_the_batch_typed(figure2, start_method):
+    """A worker SIGKILLed mid-batch loses its task; the batch fails with
+    a typed error within seconds instead of waiting for it forever, and
+    the next batch runs on a fresh pool."""
+    db = figure2.db
+    scheduler = QueryScheduler(db, workers=2)
+    try:
+        scheduler.warmup()
+        pool = pool_for(db, 2)
+        error = _under_killed_workers(
+            pool,
+            lambda: scheduler.run_batch([parse_query(LONG_QUERY)] * 4,
+                                        timeout=20),
+        )
+        assert isinstance(error, WorkerLost), error
+        assert pool._pool is None, "the pool that lost a worker is closed"
+        (result,) = scheduler.run_batch(figure2.queries[:1])
+        assert result.solutions == figure2.auto[0].solutions
+        assert pool.start_method == start_method
+    finally:
+        scheduler.close()
+
+
+def test_worker_killed_between_batches_fails_no_batch(figure2):
+    """A worker that dies idle loses no task: the next batch gets a
+    fresh pool and the right answers, not a WorkerLost. An idle worker
+    may hold the task queue's read lock while it waits; the old pool's
+    teardown must release it before it terminates. A death is seen the
+    same way under either start method, so this runs on the default."""
+    db = figure2.db
+    scheduler = QueryScheduler(db, workers=2)
+    scheduler.warmup()
+    pool = pool_for(db, 2)
+    victim = pool._processes[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while victim.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    results = _within(lambda: scheduler.run_batch(figure2.queries[:1]))
+    assert not isinstance(results, Exception), results
+    assert results[0].solutions == figure2.auto[0].solutions
+    assert victim not in pool._processes, "the pool was restarted"
+    scheduler.close()
+
+
 #: A small database and one query, for the subprocess scripts below.
 _SCRIPT_DB = """
 import glob, os, sys, tempfile
@@ -138,6 +201,8 @@ from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP, TriplePattern, Var
+from repro.query.parser import parse_query
+from repro.utils.errors import WorkerLost
 from repro.store import save
 
 def small_db(seed):

@@ -5,6 +5,12 @@ That ``QueryScheduler.run_batch`` hands back, in input order, the serial
 ``auto`` engine's solutions and counters — in a pool worker or in the
 scheduler's own process (a pool of one) — is held with every other door
 in ``tests/test_matrix.py``.
+
+The pending window runs under fork and spawn, since it waits on the
+pool's processes. The rest stay on the default method: classification
+and grouping start no pool, a limit travels in the task whatever
+started the worker, and the streaming tests patch the chunk size before
+the pool forks, which a spawned worker would not see.
 """
 
 from __future__ import annotations
@@ -62,8 +68,11 @@ def test_classify_serial_with_one_worker(small_db):
     assert serial == QueryScheduler(small_db, workers=2).classify(BATCH[0])
 
 
-def test_run_batch_bounded_pending_window(small_db, expected, monkeypatch):
-    # A pending window smaller than the batch forces mid-batch drains.
+def test_run_batch_bounded_pending_window(
+    small_db, expected, monkeypatch, start_method
+):
+    # A pending window smaller than the batch forces mid-batch drains,
+    # which wait on the pool's processes: under either start method.
     import repro.parallel.scheduler as scheduler_module
 
     monkeypatch.setattr(scheduler_module, "PENDING_PER_WORKER", 1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -40,7 +41,14 @@ from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import Var
 from repro.query.parser import parse_query
 from repro.serve import protocol
-from repro.serve.app import ReproServer, ServeConfig, ServerThread
+from repro.serve.app import (
+    MAX_BODY,
+    MAX_HEAD,
+    MAX_HEADER_LINES,
+    ReproServer,
+    ServeConfig,
+    ServerThread,
+)
 from repro.serve.metrics import EXPOSITION, render_text
 
 # ----------------------------------------------------------------------
@@ -86,6 +94,35 @@ def _declared_value(document, name: str, labels: dict[str, str]):
         assert not unused, (name, unused)
         return node
     raise AssertionError(f"no EXPOSITION row declares {name}")
+
+
+def _raw_exchange(handle, request: bytes):
+    """Send ``request`` bytes over a fresh socket and read until the
+    server closes it; returns ``(status, lower-cased headers, decoded
+    JSON body)``."""
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(1 << 16):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def _assert_serving(golden):
+    """The server answers ``/healthz`` and a query."""
+    status, _, body = _get(golden.handle, "/healthz")
+    assert status == 200 and body["status"] == "ok", body
+    _family, text, solutions, _serial = golden.cases[0]
+    status, _, body = _post(golden.handle, "/query", {"query": text})
+    assert status == 200, body
+    assert body["solutions"] == solutions
 
 
 def _post_query_raw(handle, payload, solutions):
@@ -547,6 +584,51 @@ class TestRequestValidation:
             conn.close()
         assert response.status == 400
         assert body["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "lines, width",
+        [(MAX_HEADER_LINES + 1, 16), (40, MAX_HEAD // 32), (1, MAX_HEAD)],
+        ids=("lines", "bytes", "one-line"),
+    )
+    def test_head_over_its_cap_is_typed_431(self, golden, lines, width):
+        """A head past ``MAX_HEADER_LINES`` lines or ``MAX_HEAD`` bytes
+        is refused once the cap is crossed, not read to its end; the
+        server answers the next client."""
+        pad = "p" * width
+        head = "".join(f"X-Pad-{i}: {pad}\r\n" for i in range(lines))
+        status, headers, body = _raw_exchange(
+            golden.handle, f"POST /query HTTP/1.1\r\n{head}\r\n".encode()
+        )
+        assert status == 431, body
+        assert headers["connection"] == "close"
+        protocol.validate_error_response(body)
+        assert body["error"]["type"] == "HeaderTooLarge"
+        _assert_serving(golden)
+
+    def test_body_over_max_body_is_typed_413(self, golden):
+        status, headers, body = _raw_exchange(
+            golden.handle,
+            b"POST /query HTTP/1.1\r\n"
+            + f"Content-Length: {MAX_BODY + 1}\r\n\r\n".encode(),
+        )
+        assert status == 413, body
+        assert headers["connection"] == "close"
+        protocol.validate_error_response(body)
+        assert body["error"]["type"] == "PayloadTooLarge"
+        _assert_serving(golden)
+
+    def test_stalled_body_holds_only_its_connection(self, golden):
+        """A client that stops mid-body holds its own connection: the
+        server answers others meanwhile, and after it hangs up."""
+        with socket.create_connection(
+            (golden.handle.host, golden.handle.port), timeout=30
+        ) as stalled:
+            stalled.sendall(
+                b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                b'{"query": '
+            )
+            _assert_serving(golden)
+        _assert_serving(golden)
 
     def test_debug_requires_flag(self, golden):
         """The fixture server runs without --debug-faults: directives

@@ -9,13 +9,16 @@ parallel suite uses):
 * a full admission window sheds with 429 + ``Retry-After`` and recovers
   once the in-flight query finishes;
 * an injected worker fault (a *real* exception inside a pool process)
-  costs that request a typed 500, never the server;
+  costs that request a typed 500, never the server; so does a pool
+  worker SIGKILLed mid-query, within seconds;
 * a slow query holds the dispatch thread, not the event loop:
   ``/healthz`` and ``/metrics`` keep answering meanwhile;
 * a draining server refuses new queries with a typed 503 while letting
   the in-flight one finish;
-* SIGTERM against a real ``repro serve --from-index`` subprocess drains
-  the in-flight query, prints ``drained, exiting`` and exits 0.
+* a real ``repro serve --from-index`` subprocess boots and answers
+  (``/healthz``, a canonical-JSON ``/query`` reply, ``/metrics``), and
+  SIGTERM drains its in-flight query, prints ``drained, exiting`` and
+  exits 0.
 
 The in-process tests run the servers with ``debug_faults=True`` — the
 only mode in which the ``debug`` request field is honoured; the last
@@ -41,14 +44,20 @@ from queue import Empty, Queue
 import numpy as np
 import pytest
 
-from conftest import _post, _request
+from conftest import (
+    LONG_QUERY,
+    _post,
+    _query_text,
+    _request,
+    _under_killed_workers,
+)
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.ltj.stats import EvaluationStats
 from repro.obs.spans import Spans
-from repro.parallel.executor import ENV_START_METHOD, shutdown_pools
+from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
 from repro.query.model import Var
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
@@ -76,17 +85,6 @@ def _make_db() -> GraphDatabase:
     return GraphDatabase(
         GraphData(triples), build_knn_graph_bruteforce(points, K=5)
     )
-
-
-@pytest.fixture(params=START_METHODS)
-def start_method(request, monkeypatch):
-    method = request.param
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {method!r} unavailable")
-    monkeypatch.setenv(ENV_START_METHOD, method)
-    shutdown_pools()
-    yield method
-    shutdown_pools()
 
 
 @pytest.fixture
@@ -306,6 +304,39 @@ class TestWorkerFaults:
         )
         assert metrics["queries"]["error"] >= 1
 
+    def test_killed_worker_is_typed_500_then_recovery(
+        self, figure2, start_method
+    ):
+        """Both pool workers SIGKILLed under a batched query cost that
+        request a typed 500 within seconds; the next request is
+        answered by a fresh pool. One worker held the query, the other
+        waited for a task: it dies holding the task queue's read lock,
+        which the pool's teardown must release before it terminates."""
+        handle = ServerThread(
+            figure2.db, ServeConfig(workers=2, drain_grace=5.0)
+        ).start()
+        try:
+            status, _, body = _under_killed_workers(
+                pool_for(figure2.db, 2),
+                lambda: _post(handle, "/query",
+                              {"query": LONG_QUERY, "timeout": 20}),
+                victims=2,
+            )
+            assert status == 500, body
+            protocol.validate_error_response(body)
+            assert body["error"]["type"] == "WorkerLost"
+
+            query = figure2.queries[0]
+            status, _, body = _post(
+                handle, "/query", {"query": _query_text(query)}
+            )
+            assert status == 200, body
+            assert body["solutions"] == protocol.encode_solutions(
+                figure2.auto[0].solutions
+            )
+        finally:
+            handle.shutdown()
+
     def test_inline_fault_does_not_leak_traceback(self, faulty_server):
         status, _, body = _post(
             faulty_server, "/query", {"query": QUERY, "debug": "raise"}
@@ -421,7 +452,8 @@ def _read_until(lines: Queue, needle: str, timeout: float) -> str:
 class TestSigterm:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_sigterm_drains_then_exits_zero(self, method, tmp_path):
-        """The real thing: ``repro serve --from-index`` in a subprocess,
+        """The real thing: ``repro serve --from-index`` in a subprocess
+        boots, answers ``/healthz``, a query and ``/metrics``; then
         SIGTERM mid-query, in-flight answer delivered, exit code 0."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable")
@@ -458,6 +490,23 @@ class TestSigterm:
         try:
             banner = _read_until(lines, "serving on http://", timeout=120)
             port = int(banner.split("http://")[1].split()[0].rsplit(":", 1)[1])
+
+            # Booted: healthy, answering, and counting what it answers.
+            status, _, health = _request("127.0.0.1", port, "GET", "/healthz")
+            assert status == 200 and health["status"] == "ok", health
+            status, _, raw = _request(
+                "127.0.0.1", port, "POST", "/query", {"query": QUERY},
+                raw_body=True,
+            )
+            assert status == 200, raw
+            # The reply's bytes are hand-formatted: they must be the
+            # canonical JSON of what they decode to.
+            assert raw == (
+                json.dumps(json.loads(raw), sort_keys=True) + "\n"
+            ).encode()
+            assert json.loads(raw)["solutions"]
+            status, _, text = _request("127.0.0.1", port, "GET", "/metrics")
+            assert status == 200 and "repro_queries_total" in text, text
 
             results: Queue = Queue()
             slow = threading.Thread(

@@ -22,6 +22,7 @@ Mirrors the worker pool's layers (``tests/test_parallel_shm.py``) for
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import sys
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.store.io as store_io
+from conftest import _comparable
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.experiments.registry import Context, figure2_setup
@@ -521,13 +523,25 @@ def test_cli_build_and_from_index(tmp_path, capsys):
     assert os.path.exists(index)
     capsys.readouterr()
 
-    query = "(?x, 0, ?y) . knn(?x, ?y, 3)"
+    query = "(?e, 0, ?img) . knn(?img, ?other, 5)"
     assert main(["query", "--data", bundle, "--query", query]) == 0
     built_out = capsys.readouterr().out
     assert main(["query", "--from-index", index, "--query", query]) == 0
     mapped_out = capsys.readouterr().out
     # Identical solutions; only the summary line may differ in timing.
+    assert not built_out.splitlines()[-1].startswith("0 solutions")
     assert built_out.splitlines()[:-1] == mapped_out.splitlines()[:-1]
+    # And identical traces: solutions, plan, and every traced op count.
+    documents = []
+    for source in (["--data", bundle], ["--from-index", index]):
+        out = str(tmp_path / f"trace{len(documents)}.json")
+        assert main(["trace", *source, "--query", query,
+                     "--engine", "ring-knn", "--out", out]) == 0
+        with open(out) as handle:
+            documents.append(_comparable(json.load(handle)))
+    built_trace, mapped_trace = documents
+    assert built_trace["solutions"] > 0
+    assert built_trace == mapped_trace
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
@@ -536,7 +550,6 @@ def test_cli_from_index_pool_leaves_stderr_empty(tmp_path, start_method):
     process-shared resource, so neither the parent nor a worker has
     anything to warn about at exit; only a fresh process shows it.
     """
-    import json
     import re
     import signal
     import subprocess
