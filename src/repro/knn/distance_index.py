@@ -6,6 +6,9 @@ member ``u``, all nodes within distance ``d_max`` of ``u`` in increasing
 distance order, concatenated into a sequence ``D`` represented as a
 wavelet tree, with a bitvector marking each member's region and a
 parallel array of distances for the binary search of the ``<= d`` prefix.
+As in :mod:`repro.knn.succinct`, ``D`` holds member ranks, not node ids:
+its alphabet is the ``n`` members, and the sorted member array maps a
+rank back to its node.
 
 Since metric distances are symmetric, one structure serves both
 directions of a clause.
@@ -41,6 +44,7 @@ class DistanceRangeIndex(LazyMirrors):
     LAYOUT = Layout(
         "distance_index",
         Scalar("_d_max", float),
+        Scalar("_id_bound"),
         Array("_members", INT),
         Array("_distances", "<f8", mirrored=True),
         Child("_D", WaveletTree),
@@ -86,6 +90,9 @@ class DistanceRangeIndex(LazyMirrors):
         # numpy array in the LTJ inner loop boxes a fresh scalar per
         # probe (see KnnRing, which keeps the same mirror).
         self._members_i: list[int] = mem.tolist()
+        # What an attached member table's ids are checked against (``D``
+        # holds ranks, so its alphabet bounds none).
+        self._id_bound = int(mem[-1]) + 1 if n else 0
         self._d_max = float(d_max)
 
         if metric is None:
@@ -107,7 +114,7 @@ class DistanceRangeIndex(LazyMirrors):
             within = np.flatnonzero(dist[i] <= self._d_max)
             order = np.lexsort((within, dist[i][within]))
             chosen = within[order]
-            seq_parts.append(mem[chosen])
+            seq_parts.append(chosen)
             dist_parts.append(dist[i][chosen])
             lengths[i] = chosen.size
         seq = (
@@ -125,8 +132,7 @@ class DistanceRangeIndex(LazyMirrors):
         # at ~7-9% of the whole leap_within loop on mmap-attached
         # structures. bisect on the list mirror is allocation-free.
         self._distances_i: list[float] = self._distances.tolist()
-        sigma = int(mem.max()) + 1 if n else 1
-        self._D = WaveletTree(seq, sigma)
+        self._D = WaveletTree(seq, max(n, 1))
         # Region marks: 1 0^{len_0} 1 0^{len_1} ... as in B of Def. 8.
         total = int(lengths.sum())
         bits = np.zeros(n + total, dtype=np.uint8)
@@ -138,7 +144,7 @@ class DistanceRangeIndex(LazyMirrors):
 
     def _checked_members(self) -> list[int]:
         return checked_ids(
-            "distance-index members", self._members, self._D.alphabet_size
+            "distance-index members", self._members, self._id_bound
         )
 
     @property
@@ -151,7 +157,8 @@ class DistanceRangeIndex(LazyMirrors):
 
     @property
     def D(self) -> WaveletTree:
-        """The wavelet tree over the concatenated neighborhoods."""
+        """The wavelet tree over the concatenated neighborhoods, as
+        member ranks: ``members[D[i]]`` is the node."""
         return self._D
 
     def _index_of(self, node: int) -> int | None:
@@ -198,7 +205,8 @@ class DistanceRangeIndex(LazyMirrors):
     def neighbors_within(self, u: int, d: float) -> list[int]:
         """All ``v`` with ``dist(u, v) <= d``, nearest first."""
         lo, hi = self.range_within(u, d)
-        return [self._D.access(i) for i in range(lo, hi + 1)]
+        members = self._members_i
+        return [members[self._D.access(i)] for i in range(lo, hi + 1)]
 
     def count_within(self, u: int, d: float) -> int:
         """Number of nodes within distance ``d`` of ``u`` (the per-binding
@@ -211,18 +219,19 @@ class DistanceRangeIndex(LazyMirrors):
         lo, hi = self.range_within(u, d)
         if lo > hi:
             return None
-        return self._D.range_next_value(lo, hi, lower)
+        return self._D._range_next_id_u(self._members_i, lo, hi, lower)
 
     def contains(self, u: int, v: int, d: float) -> bool:
         """The predicate ``dist(u, v) <= d`` answered on the index.
 
-        Values outside the alphabet (beyond the largest member id) are
-        never within range.
+        A non-member ``v`` has no rank in ``D`` and is never within
+        range.
         """
-        if not 0 <= v < self._D.alphabet_size:
+        vi = self._index_of(v)
+        if vi is None:
             return False
         lo, hi = self.range_within(u, d)
-        return lo <= hi and self._D.rank_range(v, lo, hi) > 0
+        return lo <= hi and self._D.rank_range(vi, lo, hi) > 0
 
     def next_member(self, lower: int) -> int | None:
         """Smallest member id ``>= lower``."""

@@ -1,13 +1,14 @@
 """Succinct K-NN graph: sequences ``S``, ``S'`` and bitvector ``B``.
 
 This is the structure of Defs. 7-8 of the paper. With members identified
-by their dense index ``ui`` in the sorted member array:
+by their dense index ``ui`` (their *rank*) in the sorted member array:
 
-* ``S[ui*K + j]`` (0-based ``j``) is the ``(j+1)``-th nearest neighbor of
-  member ``ui`` — the concatenation ``S_1 S_2 ... S_n`` of Def. 7;
-* ``S'`` concatenates, per member ``v``, the nodes ``u`` having ``v`` in
-  their ``K``-NN list, sorted by the rank ``j_u`` at which ``v`` appears
-  (Def. 8);
+* ``S[ui*K + j]`` (0-based ``j``) is the rank of the ``(j+1)``-th nearest
+  neighbor of member ``ui`` — the concatenation ``S_1 S_2 ... S_n`` of
+  Def. 7;
+* ``S'`` concatenates, per member ``v``, the ranks of the nodes ``u``
+  having ``v`` in their ``K``-NN list, sorted by the rank ``j_u`` at
+  which ``v`` appears (Def. 8);
 * ``B = B_1 ... B_n`` with ``B_v = 1 0^{s_1} 1 0^{s_2} ... 1 0^{s_K}``
   marks, in unary, how many entries of ``S'_v`` come from each rank.
 
@@ -16,6 +17,11 @@ and participate in leapfrog intersections), and ``B`` is a plain
 bitvector with constant-time select — mirroring the SDSL layout of
 Sec. 5. Lemma 1 gives the position arithmetic implemented in
 :meth:`KnnRing.backward_range`.
+
+The sequences hold member ranks, not node ids, so their alphabet is the
+``n`` members, not the largest id: the sorted member array is the
+monotone map back, and a node id crosses it once on the way in (a
+bisect) and once on the way out (a subscript).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class KnnRing(LazyMirrors):
     LAYOUT = Layout(
         "knn_ring",
         Scalar("_K"),
+        Scalar("_id_bound"),
         Array("_members", INT),
         Array("_s_offsets", INT),
         Child("_S", WaveletTree),
@@ -62,7 +69,9 @@ class KnnRing(LazyMirrors):
         self._K = graph.K
         n = graph.num_members
         K = self._K
-        sigma = int(self._members.max()) + 1 if n else 1
+        # The sequences' alphabet, n, bounds ranks; an attached member
+        # table's ids are checked against this bound instead.
+        self._id_bound = int(self._members[-1]) + 1 if n else 0
 
         # S: concatenation of the valid neighbor prefixes (Def. 7). With
         # full rows this is the plain row-major flattening and regions
@@ -81,19 +90,16 @@ class KnnRing(LazyMirrors):
             valid_ranks = np.concatenate(
                 [np.arange(le, dtype=np.int64) for le in lengths]
             ) if n else np.empty(0, dtype=np.int64)
-            sources = np.repeat(self._members, lengths)
         else:
             s_seq = table.reshape(-1)
             valid_ranks = np.tile(np.arange(K, dtype=np.int64), n)
-            sources = np.repeat(self._members, K)
+        sources = np.repeat(np.arange(n, dtype=np.int64), lengths)
 
+        # S holds each neighbor's member rank (neighbors are members).
+        targets = np.searchsorted(self._members, s_seq)
         # S' and B (Def. 8): for each member v, the sources u that list v,
         # ordered by the rank at which they list it; B marks rank groups
         # in unary. Built with one stable sort over all (v, rank, u).
-        member_index = {int(m): i for i, m in enumerate(self._members)}
-        targets = np.array(
-            [member_index[int(v)] for v in s_seq], dtype=np.int64
-        )
         order = np.lexsort((sources, valid_ranks, targets))
         sprime_seq = sources[order]
         # counts[v, t] = number of u with K-NN(u)[t] == member v.
@@ -107,8 +113,8 @@ class KnnRing(LazyMirrors):
         one_positions = np.arange(n * K, dtype=np.int64) + zeros_before
         bits = np.zeros(n * K + int(flat_counts.sum()), dtype=np.uint8)
         bits[one_positions] = 1
-        self._S = WaveletTree(s_seq, sigma)
-        self._Sprime = WaveletTree(sprime_seq, sigma)
+        self._S = WaveletTree(targets, max(n, 1))
+        self._Sprime = WaveletTree(sprime_seq, max(n, 1))
         self._B = BitVector(bits)
         # Plain-int mirrors for the per-call hot paths (index_of /
         # next_member bisect and forward_range offsets).
@@ -116,9 +122,7 @@ class KnnRing(LazyMirrors):
         self._s_offsets_i: list[int] = self._s_offsets.tolist()
 
     def _checked_members(self) -> list[int]:
-        return checked_ids(
-            "K-NN members", self._members, self._S.alphabet_size
-        )
+        return checked_ids("K-NN members", self._members, self._id_bound)
 
     def _checked_s_offsets(self) -> list[int]:
         return checked_offsets(
@@ -143,12 +147,14 @@ class KnnRing(LazyMirrors):
 
     @property
     def S(self) -> WaveletTree:
-        """The wavelet tree over ``S`` (forward neighbor lists)."""
+        """The wavelet tree over ``S`` (forward neighbor lists, as member
+        ranks: ``members[S[i]]`` is the node)."""
         return self._S
 
     @property
     def Sprime(self) -> WaveletTree:
-        """The wavelet tree over ``S'`` (rank-ordered reverse lists)."""
+        """The wavelet tree over ``S'`` (rank-ordered reverse lists, as
+        member ranks)."""
         return self._Sprime
 
     def _check_k(self, k: int) -> int:
@@ -222,13 +228,14 @@ class KnnRing(LazyMirrors):
     def contains(self, u: int, v: int, k: int) -> bool:
         """The predicate ``v in k-NN(u)`` answered on the succinct form.
 
-        Values outside the structure's alphabet (non-members beyond the
-        largest member id) are simply never similar.
+        A non-member ``v`` has no rank in ``S`` and is simply never
+        similar.
         """
-        if not 0 <= v < self._S.alphabet_size:
+        vi = self.index_of(v)
+        if vi is None:
             return False
         lo, hi = self.forward_range(u, k)
-        return self._S.rank_range(v, lo, hi) > 0
+        return self._S.rank_range(vi, lo, hi) > 0
 
     def neighbors_of(self, u: int, k: int | None = None) -> list[int]:
         """Recover ``k``-NN(``u``) in distance order from ``S``.
@@ -238,23 +245,29 @@ class KnnRing(LazyMirrors):
         """
         k = self._K if k is None else self._check_k(k)
         lo, hi = self.forward_range(u, max(k, 1)) if k else (0, -1)
-        return [self._S.access(i) for i in range(lo, hi + 1)]
+        members = self._members_i
+        return [members[self._S.access(i)] for i in range(lo, hi + 1)]
 
     def reverse_neighbors_of(self, v: int, k: int | None = None) -> list[int]:
         """All ``u`` with ``v in k-NN(u)``, in increasing rank order."""
         k = self._K if k is None else self._check_k(k)
         lo, hi = self.backward_range(v, k)
-        return [self._Sprime.access(i) for i in range(lo, hi + 1)]
+        members = self._members_i
+        return [members[self._Sprime.access(i)] for i in range(lo, hi + 1)]
 
     def leap_forward(self, u: int, k: int, lower: int) -> int | None:
         """Smallest ``v >= lower`` with ``v in k-NN(u)`` (leap in ``S``)."""
         lo, hi = self.forward_range(u, k)
-        return self._S.range_next_value(lo, hi, lower) if lo <= hi else None
+        if lo > hi:
+            return None
+        return self._S._range_next_id_u(self._members_i, lo, hi, lower)
 
     def leap_backward(self, v: int, k: int, lower: int) -> int | None:
         """Smallest ``u >= lower`` with ``v in k-NN(u)`` (leap in ``S'``)."""
         lo, hi = self.backward_range(v, k)
-        return self._Sprime.range_next_value(lo, hi, lower) if lo <= hi else None
+        if lo > hi:
+            return None
+        return self._Sprime._range_next_id_u(self._members_i, lo, hi, lower)
 
     def next_member(self, lower: int) -> int | None:
         """Smallest member id ``>= lower`` (candidates for an unbound x)."""

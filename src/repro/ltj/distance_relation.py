@@ -6,7 +6,8 @@ and binary-searches the prefix within distance ``d``; the resulting
 range participates in leapfrog intersections exactly like a ``S``/``S'``
 range. Because metric distance is symmetric, both sides use the same
 index. As in :mod:`repro.ltj.knn_relation`, ``bind`` keeps the range it
-resolves and ``leap``/``estimate`` read it back until ``unbind``.
+resolves and ``leap``/``estimate`` read it back until ``unbind``, and
+``D``'s member ranks are mapped to node ids the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class DistanceClauseRelation(LeapRelation):
         # The tree leaps descend and, per position, the closed range of
         # it they are confined to while the other side is bound.
         self._tree = index.D
+        self._ids = index._members_i
         self._ranges: list[tuple[int, int] | None] = [
             None if anchor is None else index.range_within(anchor, self._d)
             for anchor in reversed(self._values)
@@ -72,7 +74,7 @@ class DistanceClauseRelation(LeapRelation):
             lo, hi = span
             if lo > hi:
                 return None
-            return self._tree._range_next_value_u(lo, hi, lower)
+            return self._tree._range_next_id_u(self._ids, lo, hi, lower)
         if obs is not None:
             obs.bump("leap_member")
         return self._index.next_member(lower)
@@ -81,7 +83,7 @@ class DistanceClauseRelation(LeapRelation):
         span = self._ranges[pos]
         if self.obs is not None or span is None:
             return super().seeker(pos)
-        return self._tree.seeker(*span)
+        return self._tree.seeker(*span, self._ids)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]
@@ -94,7 +96,8 @@ class DistanceClauseRelation(LeapRelation):
         lo, hi = span
         if lo > hi:
             return ()
-        return self._tree._range_values_u(lo, hi)
+        ranks = self._tree._range_values_u(lo, hi)
+        return list(map(self._ids.__getitem__, ranks))
 
     def bind(self, pos: int, value: int) -> bool:
         anchor = self._values[1 - pos]

@@ -11,6 +11,8 @@ A side's range depends only on the value bound on the other side, so it
 is resolved there — in ``bind``, which needs it for its emptiness test
 anyway — and every ``leap`` and ``estimate`` until the matching
 ``unbind`` reads it back — and ``values`` reports it in one traversal.
+``S`` and ``S'`` hold member ranks: a leap maps its ``lower`` to a rank
+and its answer back to a node id through the sorted member list.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class KnnClauseRelation(LeapRelation):
         # Per position, the tree its leaps descend and, while the other
         # side is bound, the closed range of it they are confined to.
         self._trees = (knn.Sprime, knn.S)
+        self._ids = knn._members_i
         x, y = self._values
         self._ranges: list[tuple[int, int] | None] = [
             None if y is None else knn.backward_range(y, self._k),
@@ -84,7 +87,7 @@ class KnnClauseRelation(LeapRelation):
             lo, hi = span
             if lo > hi:
                 return None
-            return self._trees[pos]._range_next_value_u(lo, hi, lower)
+            return self._trees[pos]._range_next_id_u(self._ids, lo, hi, lower)
         if pos:
             # Root of T_yx: any member with a non-empty reverse range.
             if obs is not None:
@@ -99,7 +102,7 @@ class KnnClauseRelation(LeapRelation):
         span = self._ranges[pos]
         if self.obs is not None or span is None:
             return super().seeker(pos)
-        return self._trees[pos].seeker(*span)
+        return self._trees[pos].seeker(*span, self._ids)
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]
@@ -112,7 +115,8 @@ class KnnClauseRelation(LeapRelation):
         lo, hi = span
         if lo > hi:
             return ()
-        return self._trees[pos]._range_values_u(lo, hi)
+        ranks = self._trees[pos]._range_values_u(lo, hi)
+        return list(map(self._ids.__getitem__, ranks))
 
     def bind(self, pos: int, value: int) -> bool:
         values = self._values

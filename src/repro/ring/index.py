@@ -5,6 +5,14 @@ and keep the last column (``C_O``); rotate to OSP order and keep ``C_P``;
 rotate to POS order and keep ``C_S``. Each column is a wavelet tree; each
 ``A_j`` a cumulative-count array.
 
+Each coordinate ``c`` has its own alphabet ``[0, sigma_c)``, ``sigma_c``
+being 1 + the largest value ``c`` takes, and ``C_c`` and ``A_c`` are both
+built over it: a graph with a handful of predicates among thousands of
+nodes keeps a wavelet level per bit of its predicates, not of its
+domain. A value past ``sigma_c`` cannot occur at ``c``, so every
+primitive answers it empty (or ``None``) before it touches a structure;
+``sigma_c`` is read off ``A_c`` into a derived table, not stored twice.
+
 Coordinate cycle and naming. With the cycle ``s -> p -> o -> s``:
 
 * a *1-arc* ``{f}`` (one bound coordinate, value ``x``) is the block
@@ -25,7 +33,7 @@ import numpy as np
 
 from repro.graph.triples import GraphData
 from repro.succinct.arrays import CumulativeCounts
-from repro.succinct.fields import Child, Layout, Scalar
+from repro.succinct.fields import Child, Derived, Layout, LazyMirrors, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StructureError
 
@@ -33,7 +41,7 @@ NEXT_COORD = {"s": "p", "p": "o", "o": "s"}
 PREV_COORD = {"s": "o", "p": "s", "o": "p"}
 
 
-class RingIndex:
+class RingIndex(LazyMirrors):
     """Succinct triple index supporting LTJ over all six trie orders."""
 
     LAYOUT = Layout(
@@ -42,13 +50,17 @@ class RingIndex:
         Scalar("_domain"),
         Child("_columns", WaveletTree, "dict", keys=("s", "p", "o")),
         Child("_blocks", CumulativeCounts, "dict", keys=("s", "p", "o")),
+        Derived("_sigma", "_alphabets"),
     )
 
     def __init__(self, graph: GraphData) -> None:
         self._num_edges = graph.num_edges
         self._domain = graph.domain_size
-        sigma = max(self._domain, 1)
         spo = graph.spo
+        sigma = {
+            coord: int(spo[:, j].max()) + 1 if spo.size else 1
+            for j, coord in enumerate("spo")
+        }
         # T_SPO is the graph's native order; C_O is its object column.
         c_o = spo[:, 2]
         # T_OSP: rotate object to the front, re-sort; C_P is its last column.
@@ -59,15 +71,20 @@ class RingIndex:
         c_s = spo[pos_order, 0]
 
         self._columns: dict[str, WaveletTree] = {
-            "s": WaveletTree(c_s, sigma),
-            "p": WaveletTree(c_p, sigma),
-            "o": WaveletTree(c_o, sigma),
+            "s": WaveletTree(c_s, sigma["s"]),
+            "p": WaveletTree(c_p, sigma["p"]),
+            "o": WaveletTree(c_o, sigma["o"]),
         }
         self._blocks: dict[str, CumulativeCounts] = {
-            "s": CumulativeCounts(spo[:, 0], sigma),
-            "p": CumulativeCounts(spo[:, 1], sigma),
-            "o": CumulativeCounts(spo[:, 2], sigma),
+            coord: CumulativeCounts(spo[:, j], sigma[coord])
+            for j, coord in enumerate("spo")
         }
+        self._sigma: dict[str, int] = sigma
+
+    def _alphabets(self) -> dict[str, int]:
+        """``sigma_c`` per coordinate: the values ``c`` can take are
+        ``[0, sigma_c)``."""
+        return {c: blocks.alphabet_size for c, blocks in self._blocks.items()}
 
     # ------------------------------------------------------------------
     # introspection
@@ -90,21 +107,12 @@ class RingIndex:
         """The cumulative array ``A_coord``."""
         return self._blocks[coord]
 
-    def size_in_bytes(self) -> int:
-        """Bytes the three columns and three ``A_j`` arrays persist."""
-        from repro.store.layout import persisted_bytes
-
-        return persisted_bytes(self)
-
-    def _in_domain(self, value: int) -> bool:
-        return 0 <= value < self._domain
-
     # ------------------------------------------------------------------
     # arc ranges (binding)
     # ------------------------------------------------------------------
     def block_range(self, coord: str, value: int) -> tuple[int, int]:
         """Row range of the 1-arc ``coord = value`` (possibly empty)."""
-        if not self._in_domain(value):
+        if not 0 <= value < self._sigma[coord]:
             return (0, -1)
         return self._blocks[coord].range_of(value)
 
@@ -119,7 +127,10 @@ class RingIndex:
         is re-based at ``A_first[first_value]``.
         """
         second = NEXT_COORD[first]
-        if not (self._in_domain(first_value) and self._in_domain(second_value)):
+        sigma = self._sigma
+        if not (0 <= first_value < sigma[first]) or not (
+            0 <= second_value < sigma[second]
+        ):
             return (0, -1)
         blo, bhi = self._blocks[second].range_of(second_value)
         if blo > bhi:
@@ -153,9 +164,10 @@ class RingIndex:
     ) -> int:
         """Number of triples in a 2-arc range whose remaining coordinate
         (``prev(arc_first)``) equals ``remaining_value``."""
-        if lo > hi or not self._in_domain(remaining_value):
+        remaining = PREV_COORD[arc_first]
+        if lo > hi or not 0 <= remaining_value < self._sigma[remaining]:
             return 0
-        return self._columns[PREV_COORD[arc_first]].rank_range(
+        return self._columns[remaining].rank_range(
             remaining_value, lo, hi
         )
 
@@ -199,7 +211,8 @@ class RingIndex:
         in this query or an earlier one, is a memo hit.
         """
         nxt = NEXT_COORD[arc_first]
-        if lower >= self._domain or not self._in_domain(arc_value):
+        sigma = self._sigma
+        if lower >= sigma[nxt] or not 0 <= arc_value < sigma[arc_first]:
             return None
         col = self._columns[arc_first]
         start = self._blocks[nxt].before(max(lower, 0))
@@ -213,7 +226,7 @@ class RingIndex:
     # ------------------------------------------------------------------
     def block_count(self, coord: str, value: int) -> int:
         """Number of triples with ``coord = value``."""
-        if not self._in_domain(value):
+        if not 0 <= value < self._sigma[coord]:
             return 0
         lo, hi = self._blocks[coord].range_of(value)
         return max(0, hi - lo + 1)

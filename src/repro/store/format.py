@@ -34,7 +34,13 @@ structure's fields must bump :data:`FORMAT_VERSION`. Version 2 stored
 a bitvector's rank directory per 512-bit block and every count, offset
 and id in four bytes (``docs/persistence.md``); version 3 lays each
 wavelet sequence out as a wavelet matrix and drops its per-symbol count
-table. A version-1 or version-2 file is refused like any other skew.
+table; version 4 builds each Ring column and its ``A_j`` over that
+column's own alphabet (``sigma_c`` = 1 + its largest value, not the
+domain), and stores member ranks instead of node ids in the K-NN
+sequences ``S``/``S'`` and the distance sequence ``D``, with each
+member table's id bound kept as a scalar. A version-1, -2 or -3 file is
+refused like any other skew: read by this reader, a version-3 file's
+node ids would pass for ranks and answer wrongly.
 
 Every validation failure raises a typed :mod:`repro.utils.errors`
 exception (:class:`StoreFormatError`, :class:`StoreVersionError`,
@@ -59,7 +65,7 @@ from repro.utils.errors import (
 )
 
 MAGIC = b"REPROIDX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Header flag bit: the payload (manifest offsets + segment arrays) is
 #: little-endian. Always set by :func:`pack_header`; readers refuse

@@ -1,6 +1,6 @@
 """Cumulative-count arrays, the ``A_j`` structures of the Ring (Sec. 2.4).
 
-For a column ``C_j`` over an alphabet ``[0, D)``, the paper defines
+For a column ``C_j`` over an alphabet ``[0, sigma)``, the paper defines
 ``A_j[c] = |{ i : C_j[i] < c }|``.  :class:`CumulativeCounts` stores that
 array and answers the two questions the Ring needs:
 
@@ -30,7 +30,7 @@ from repro.utils.errors import ValidationError
 
 
 class CumulativeCounts(LazyMirrors):
-    """Cumulative occurrence counts of symbols ``[0, D)`` in a column."""
+    """Cumulative occurrence counts of symbols ``[0, sigma)`` in a column."""
 
     LAYOUT = Layout(
         "cumcounts",
@@ -53,7 +53,7 @@ class CumulativeCounts(LazyMirrors):
                 f"got range [{col.min()}, {col.max()}]"
             )
         counts = np.bincount(col, minlength=alphabet_size)
-        # _cum[c] = number of entries with value < c; length D + 1.
+        # _cum[c] = number of entries with value < c; length sigma + 1.
         self._cum = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         # Plain-int cache so the hot lookups (block_of / next_nonempty in
         # every Ring leap) are a list subscript + bisect, not numpy calls.

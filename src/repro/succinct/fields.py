@@ -21,7 +21,7 @@ layout of the segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Literal
+from typing import TYPE_CHECKING, Any, ClassVar, Literal
 
 import numpy as np
 
@@ -160,27 +160,51 @@ class Layout:
         }
 
 
+class _Lazy:
+    """A mirror (``source.tolist()``) or derived table (``source()``),
+    built on first read and then kept in the instance ``__dict__``,
+    which shadows this non-data descriptor from then on."""
+
+    def __init__(self, name: str, source: str, derived: bool) -> None:
+        self._name = name
+        self._source = source
+        self._derived = derived
+
+    def __get__(self, obj: Any, objtype: type | None = None) -> Any:
+        if obj is None:
+            return self
+        source = getattr(obj, self._source)
+        value = source() if self._derived else source.tolist()
+        obj.__dict__[self._name] = value
+        return value
+
+
 class LazyMirrors:
     """Rebuilds a declared mirror or derived table on first touch.
 
-    An attached structure starts without them, so ``__getattr__``
-    (reached only on a miss) fills one in — a mirror with a single
+    An attached structure starts without them: each is a descriptor on
+    the class that fills one in on first read — a mirror with a single
     ``tolist()``, a derived table with its declared method — and caches
-    it on the instance.
+    it on the instance, where later reads find it first. A descriptor,
+    not ``__getattr__``: a class with ``__getattr__`` gets no
+    specialized attribute reads, and these are the hot path's objects.
     """
 
     LAYOUT: ClassVar[Layout]
 
-    def __getattr__(self, name: str) -> Any:
-        layout = self.LAYOUT
-        if name.endswith("_i") and name[:-2] in layout.mirrored:
-            value = getattr(self, name[:-2]).tolist()
-        elif name in layout.derived:
-            value = getattr(self, layout.derived[name])()
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
+    if TYPE_CHECKING:  # the lazy names are not declared attributes
+
+        def __getattr__(self, name: str) -> Any: ...
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        layout = cls.__dict__.get("LAYOUT")
+        if layout is None:
+            return
+        for name in layout.mirrored:
+            setattr(cls, name + "_i", _Lazy(name + "_i", name, False))
+        for name, build in layout.derived.items():
+            setattr(cls, name, _Lazy(name, build, True))
 
     def size_in_bytes(self) -> int:
         """Bytes this structure persists, in its declared dtypes."""

@@ -51,7 +51,7 @@ takes the memoized descent per leap. Either way a leap counts one
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -358,17 +358,36 @@ class WaveletTree(LazyMirrors):
         memo[key] = result
         return result
 
-    def seeker(self, lo: int, hi: int) -> Callable[[int], int | None]:
+    def _range_next_id_u(
+        self, ids: list[int], lo: int, hi: int, c: int
+    ) -> int | None:
+        """:meth:`_range_next_value_u` over a sequence of ranks into the
+        sorted ``ids`` (the member ranks a K-NN or distance sequence
+        holds): ``c`` and the answer are ids. A ``c`` between two ids
+        leaps from the rank of the larger; one past the last id is
+        past the alphabet, counted and ``None`` as before it."""
+        r = self._range_next_value_u(lo, hi, bisect_left(ids, c))
+        return None if r is None else ids[r]
+
+    def seeker(
+        self, lo: int, hi: int, ids: list[int] | None = None
+    ) -> Callable[[int], int | None]:
         """:meth:`_range_next_value_u` over ``[lo, hi]`` as a function of
-        ``c``, counted the same: one ``range_next`` per call.
+        ``c``, counted the same: one ``range_next`` per call; with
+        ``ids``, :meth:`_range_next_id_u`.
 
         A range of at most ``_SHORT`` positions is reported once
-        (uncounted, memoized) and each call bisects its distinct symbols;
-        a longer range calls :meth:`_range_next_value_u`.
+        (uncounted, memoized; mapped to ``ids`` once) and each call
+        bisects its distinct symbols; a longer range calls
+        :meth:`_range_next_value_u` (or :meth:`_range_next_id_u`).
         """
         if hi - lo >= _SHORT:
-            return partial(self._range_next_value_u, lo, hi)
-        values = self._report(lo, hi)
+            if ids is None:
+                return partial(self._range_next_value_u, lo, hi)
+            return partial(self._range_next_id_u, ids, lo, hi)
+        values: Sequence[int] = self._report(lo, hi)
+        if ids is not None:
+            values = list(map(ids.__getitem__, values))
         end = len(values)
 
         def seek(c: int) -> int | None:

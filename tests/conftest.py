@@ -242,7 +242,7 @@ def _rename(query: ExtendedBGP, mapping: dict[Var, Var]) -> ExtendedBGP:
         return mapping.get(term, term) if isinstance(term, Var) else term
 
     return ExtendedBGP(
-        [TriplePattern(ren(t.s), t.p, ren(t.o)) for t in query.triples],
+        [TriplePattern(ren(t.s), ren(t.p), ren(t.o)) for t in query.triples],
         [
             SimClause(ren(c.x), c.k, ren(c.y), c.relation)
             for c in query.clauses

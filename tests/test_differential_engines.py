@@ -46,6 +46,12 @@ K = 3
 D_MAX = 1.5
 PREDICATES = (50, 51)
 VARS = (Var("x"), Var("y"), Var("z"), Var("w"))
+#: The sparse instance's K-NN and distance members: offset and sparse,
+#: so no member's rank is its id, and above the predicates, so a node
+#: bound at a triple's predicate lands past ``C_P``'s alphabet.
+SPARSE_MEMBERS = (53, 54, 56, 59, 60, 62, 65, 67, 70, 74)
+#: Its graph nodes that are no member: one between two members.
+SPARSE_OTHERS = (55, 61)
 
 
 def canonical(solutions):
@@ -54,49 +60,66 @@ def canonical(solutions):
     )
 
 
-def _build_instance(seed: int):
+def _build_instance(
+    seed: int,
+    members: tuple[int, ...] = tuple(range(N_NODES)),
+    others: tuple[int, ...] = (),
+):
     rng = np.random.default_rng(seed)
+    nodes = np.array(sorted(members + others))
     triples = [
         (
-            int(rng.integers(0, N_NODES)),
+            int(rng.choice(nodes)),
             int(rng.choice(PREDICATES)),
-            int(rng.integers(0, N_NODES)),
+            int(rng.choice(nodes)),
         )
         for _ in range(30)
     ]
     graph = GraphData(triples)
-    points = rng.normal(size=(N_NODES, 2))
-    knn = build_knn_graph_bruteforce(points, K=K)
-    index = DistanceRangeIndex(points, d_max=D_MAX)
+    ids = np.array(members)
+    points = rng.normal(size=(ids.size, 2))
+    knn = build_knn_graph_bruteforce(points, K=K, members=ids)
+    index = DistanceRangeIndex(points, d_max=D_MAX, members=ids)
     distances = {
-        (i, j): float(np.linalg.norm(points[i] - points[j]))
-        for i in range(N_NODES)
-        for j in range(i + 1, N_NODES)
+        (members[i], members[j]): float(np.linalg.norm(points[i] - points[j]))
+        for i in range(ids.size)
+        for j in range(i + 1, ids.size)
     }
     db = GraphDatabase(graph, knn, distance_index=index)
     return db, graph, knn, distances
 
 
 # A small pool so hypothesis varies the data too, without paying index
-# construction per example.
-_POOL = [_build_instance(seed) for seed in (3, 17, 91)]
+# construction per example. Three instances number their nodes 0..9,
+# all of them members; the fourth is the sparse one.
+_POOL = [_build_instance(seed) for seed in (3, 17, 91)] + [
+    _build_instance(29, SPARSE_MEMBERS, SPARSE_OTHERS)
+]
 
 
 @st.composite
 def extended_bgps(draw) -> ExtendedBGP:
-    """A random extended BGP over the pool databases' vocabulary."""
-    terms = list(VARS) + [0, 3, 7]
+    """A random extended BGP over the pool databases' vocabulary.
+
+    Past each Ring column's alphabet: a subject or object constant may be
+    a predicate id (50), and a predicate may be a variable shared with a
+    subject or object (bound to a sparse-instance node, it is past the
+    predicates). A clause side may be a constant that is no member: 55
+    lies between two sparse members and past the dense ones; 56 and 60
+    are sparse members, each the other's nearest neighbour."""
+    terms = list(VARS) + [0, 3, 7, 50, 60]
+    predicates = list(PREDICATES) + list(VARS)
     triples = [
         TriplePattern(
             draw(st.sampled_from(terms)),
-            draw(st.sampled_from(PREDICATES)),
+            draw(st.sampled_from(predicates)),
             draw(st.sampled_from(terms)),
         )
         for _ in range(draw(st.integers(0, 3)))
     ]
     # Clause sides: variables (shared with the triples or fresh) and
     # the occasional constant; Def. 5 requires x != y.
-    sides = list(VARS) + [2, 5]
+    sides = list(VARS) + [2, 5, 55, 56, 60]
 
     def side_pair():
         x = draw(st.sampled_from(sides))

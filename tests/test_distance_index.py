@@ -96,6 +96,28 @@ class TestDistanceIndex:
         assert index.neighbors_within(10, 1.5) == [20]
         assert sorted(index.neighbors_within(20, 2.5)) == [10, 30]
 
+    def test_sparse_members_at_every_lower(self):
+        """Sparse, offset members: ``D`` holds ranks (its alphabet is the
+        member count), and each leap, ``contains`` and neighborhood maps
+        through the member ids — a ``lower`` below the first member, on
+        one, between two and past the last included."""
+        rng = np.random.default_rng(8)
+        members = np.array([10, 14, 15, 30, 42, 57])
+        points = rng.uniform(size=(6, 2))
+        index = DistanceRangeIndex(points, d_max=0.8, members=members)
+        assert index.D.alphabet_size == 6
+        ids = members.tolist()
+        for i, u in enumerate(ids):
+            near = sorted(
+                v for j, v in enumerate(ids)
+                if j != i and np.linalg.norm(points[i] - points[j]) <= 0.8
+            )
+            assert sorted(index.neighbors_within(u, 0.8)) == near
+            for lower in range(-1, ids[-1] + 3):
+                want = next((v for v in near if v >= lower), None)
+                assert index.leap_within(u, 0.8, lower) == want
+                assert index.contains(u, lower, 0.8) == (lower in near)
+
     def test_invalid_construction(self):
         with pytest.raises(ValidationError):
             DistanceRangeIndex(np.zeros((3, 2)), d_max=0.0)

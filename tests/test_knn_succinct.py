@@ -41,10 +41,12 @@ def example2() -> tuple[KnnGraph, KnnRing]:
 class TestExample2:
     def test_s_concatenation(self, example2):
         graph, ring = example2
-        # S = S_1 . S_2 ... ; Def. 7.
+        # S = S_1 . S_2 ... ; Def. 7, over member ranks (the example's
+        # ids are 1..7, its ranks 0..6): members maps each rank back.
         expected = graph.neighbor_table.reshape(-1)
-        got = [ring.S.access(i) for i in range(len(ring.S))]
-        assert got == expected.tolist()
+        ranks = [ring.S.access(i) for i in range(len(ring.S))]
+        assert ranks == [int(v) - 1 for v in expected]
+        assert [int(ring.members[r]) for r in ranks] == expected.tolist()
 
     def test_sprime_of_node_4(self, example2):
         _graph, ring = example2
@@ -72,8 +74,10 @@ class TestExample2:
             for k in (1, 2, 3):
                 lo, hi = ring.forward_range(int(u), k)
                 assert hi - lo + 1 == k
-                values = [ring.S.access(i) for i in range(lo, hi + 1)]
+                ranks = [ring.S.access(i) for i in range(lo, hi + 1)]
+                values = [int(ring.members[r]) for r in ranks]
                 assert values == graph.neighbors_of(int(u), k).tolist()
+                assert ranks == [ring.index_of(v) for v in values]
 
 
 class TestLemmas:
@@ -98,12 +102,12 @@ class TestLemmas:
                 continue
             k = int(rng.integers(1, 7))
             truth = graph.is_knn(u, v, k)
-            # (b): v occurs in S[(u)K .. (u)K + k - 1]
+            # (b): v occurs in S[(u)K .. (u)K + k - 1] (as its rank)
             lo, hi = ring.forward_range(u, k)
-            in_s = ring.S.rank_range(v, lo, hi) > 0
+            in_s = ring.S.rank_range(ring.index_of(v), lo, hi) > 0
             # (c): u occurs in S'[p_v(1) .. p_v(k+1) - 1]
             lo2, hi2 = ring.backward_range(v, k)
-            in_sprime = ring.Sprime.rank_range(u, lo2, hi2) > 0
+            in_sprime = ring.Sprime.rank_range(ring.index_of(u), lo2, hi2) > 0
             assert truth == in_s == in_sprime, (u, v, k)
             assert ring.contains(u, v, k) == truth
 
@@ -218,3 +222,54 @@ def test_lemma2_property_random_knn_graphs(n, K, data):
                 if v == u:
                     continue
                 assert ring.contains(u, v, k) == (v in rows[u][:k])
+
+
+class TestSparseMembers:
+    """Members that are sparse and offset, so a rank is never its id:
+    ``S``/``S'`` hold ranks, and every leap maps ``lower`` in and its
+    answer out. Each ``lower`` below the first member, on one, between
+    two and past the last answers as the K-NN table does."""
+
+    MEMBERS = [10, 14, 15, 30, 42, 57]
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        rng = np.random.default_rng(3)
+        rows = []
+        for m in self.MEMBERS:
+            others = [v for v in self.MEMBERS if v != m]
+            rows.append(list(rng.permutation(others)[:3]))
+        graph = KnnGraph(np.array(self.MEMBERS), np.array(rows))
+        return graph, KnnRing(graph)
+
+    def test_sequences_hold_ranks(self, sparse):
+        graph, ring = sparse
+        assert ring.S.alphabet_size == ring.Sprime.alphabet_size == 6
+        assert ring.S.height == 3
+        ranks = [ring.S.access(i) for i in range(len(ring.S))]
+        assert [self.MEMBERS[r] for r in ranks] == (
+            graph.neighbor_table.reshape(-1).tolist()
+        )
+
+    def test_leaps_and_contains_at_every_lower(self, sparse):
+        graph, ring = sparse
+        lowers = range(-1, self.MEMBERS[-1] + 3)  # below, on, between, past
+        for node in self.MEMBERS:
+            for k in (1, 2, 3):
+                forward = sorted(graph.neighbors_of(node, k).tolist())
+                backward = sorted(
+                    u for u in self.MEMBERS if graph.is_knn(u, node, k)
+                )
+                for lower in lowers:
+                    want = next((v for v in forward if v >= lower), None)
+                    assert ring.leap_forward(node, k, lower) == want
+                    want = next((u for u in backward if u >= lower), None)
+                    assert ring.leap_backward(node, k, lower) == want
+                    assert ring.contains(node, lower, k) == (lower in forward)
+                    assert ring.contains(lower, node, k) == (
+                        lower in backward
+                    )
+                assert ring.neighbors_of(node, k) == (
+                    graph.neighbors_of(node, k).tolist()
+                )
+                assert sorted(ring.reverse_neighbors_of(node, k)) == backward

@@ -15,7 +15,9 @@
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
-  ``FORMAT_VERSION`` at 3.
+  ``FORMAT_VERSION`` at 4. Version 4 builds each Ring column over its
+  own alphabet and stores member ranks in ``S``, ``S'`` and ``D``; it
+  re-pinned the file at 9,548 bytes (11,908 under version 3).
 """
 
 from __future__ import annotations
@@ -426,7 +428,7 @@ def test_figure2_index_bytes_are_pinned(figure2):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
-    assert FORMAT_VERSION == pinned["format_version"] == 3
+    assert FORMAT_VERSION == pinned["format_version"] == 4
     path = figure2.index_path
     assert os.path.getsize(path) == pinned["nbytes"]
     with open(path, "rb") as handle:

@@ -354,6 +354,21 @@ def _assert_metamorphic(db, knn, query, serial, expected):
 # A pure renaming that swaps the two variables: numbering plan slots by
 # name made the cache replay the other query's order.
 @example(which=0, query=parse_query("knn(?z, ?x, 1)"), names=tuple("zyxwabcd"))
+# On the sparse instance, where no member's rank is its id: clauses of
+# constants that hold, a leapfrog of a triple with an S range, and the
+# last variable reported from D.
+@example(
+    which=3,
+    query=parse_query(
+        "(?x, 50, ?y) . knn(?x, ?y, 3) . knn(56, 60, 1) . dist(60, 56, 0.4)"
+    ),
+    names=tuple("yxzwabcd"),
+)
+@example(
+    which=3,
+    query=parse_query("(?x, 51, ?y) . dist(?y, ?w, 0.9)"),
+    names=tuple("wzyxabcd"),
+)
 def test_random_query_every_door(servers, which, query, names):
     db, graph, knn, distances = _POOL[which]
     expected = canonical(evaluate_naive(query, graph, knn, distances))

@@ -101,16 +101,21 @@ class TestExample3:
 
     def test_ranges_of_example3(self, figure1_db, figure1_knn):
         """The specific ranges the paper walks through for y := 4:
-        S_4[1..2] for 4 <|_2 z and S'_4[1..3] for z <|_2 4."""
+        S_4[1..2] for 4 <|_2 z and S'_4[1..3] for z <|_2 4. ``S`` and
+        ``S'`` hold member ranks, which ``members`` maps back to the
+        paper's node ids."""
         ring = figure1_db.knn_ring
+        members = ring.members.tolist()
         lo, hi = ring.forward_range(4, 2)
         assert hi - lo + 1 == 2
-        values = {ring.S.access(i) for i in range(lo, hi + 1)}
-        assert values == {6, 7}  # 2-NN(4)
+        ranks = {ring.S.access(i) for i in range(lo, hi + 1)}
+        assert {members[r] for r in ranks} == {6, 7}  # 2-NN(4)
+        assert ranks == {ring.index_of(6), ring.index_of(7)}
         lo, hi = ring.backward_range(4, 2)
         assert hi - lo + 1 == 3  # S'_4[1..3] per B_4 = 100101000
-        values = {ring.Sprime.access(i) for i in range(lo, hi + 1)}
-        assert values == {6, 7, 5}
+        ranks = {ring.Sprime.access(i) for i in range(lo, hi + 1)}
+        assert {members[r] for r in ranks} == {6, 7, 5}
+        assert ranks == {ring.index_of(v) for v in (6, 7, 5)}
 
 
 class TestExample2Identities:

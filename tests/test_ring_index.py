@@ -1,9 +1,11 @@
 """Unit tests for Ring construction and primitives, including the
 worked Example 1 of the paper (Figure 1)."""
 
+import numpy as np
 import pytest
 
 from repro.graph.triples import GraphData
+from repro.obs.trace import OpCounters, attach_wavelets
 from repro.ring.index import NEXT_COORD, PREV_COORD, RingIndex
 from repro.utils.errors import StructureError
 
@@ -132,3 +134,92 @@ class TestPrimitives:
 
     def test_size_in_bytes(self, small_graph):
         assert RingIndex(small_graph).size_in_bytes() > 0
+
+
+def _sigma(graph, coord):
+    return int(graph.spo[:, "spo".index(coord)].max()) + 1
+
+
+def _gap(graph, coord):
+    """The values ``coord`` cannot take, from its alphabet to past ``D``."""
+    return range(_sigma(graph, coord), graph.domain_size + 2)
+
+
+class TestPerColumnAlphabet:
+    """Each coordinate's column and ``A_j`` span ``[0, sigma_c)``, sigma_c
+    being 1 + its largest value. A value in ``[sigma_c, D)`` is a graph
+    constant that cannot occur at ``c``: every primitive answers it empty
+    (or ``None``) before any counted wavelet operation, and never raises.
+    The two graphs leave such a gap at every coordinate: predicates are
+    0..2 in both, subjects are low in one and objects in the other."""
+
+    @pytest.fixture(
+        scope="class", params=["subjects-low", "objects-low"]
+    )
+    def ring_and_graph(self, request):
+        rng = np.random.default_rng(11)
+        low = rng.integers(0, 10, 80)
+        high = rng.integers(20, 40, 80)
+        preds = rng.integers(0, 3, 80)
+        s, o = (low, high) if request.param == "subjects-low" else (high, low)
+        graph = GraphData(np.stack([s, preds, o], axis=1))
+        return RingIndex(graph), graph
+
+    def test_each_column_has_its_own_alphabet(self, ring_and_graph):
+        ring, graph = ring_and_graph
+        assert ring.domain_size == graph.domain_size == 40
+        for coord in "spo":
+            sigma = _sigma(graph, coord)
+            assert ring.column(coord).alphabet_size == sigma
+            assert ring.blocks(coord).alphabet_size == sigma
+        assert _sigma(graph, "p") == 3
+        assert ring.column("p").height == 2
+        assert any(_sigma(graph, c) < ring.domain_size for c in "so")
+
+    def test_every_value_answers_as_the_edge_table(self, ring_and_graph):
+        ring, graph = ring_and_graph
+        everything = range(-1, ring.domain_size + 2)
+        for j, coord in enumerate("spo"):
+            for value in everything:
+                truth = int((graph.spo[:, j] == value).sum())
+                assert ring.block_count(coord, value) == truth
+                lo, hi = ring.block_range(coord, value)
+                assert hi - lo + 1 == truth or (truth == 0 and lo > hi)
+        for s, p, o in [(1, 0, 25), (25, 1, 3), (39, 2, 39), (5, 39, 5)]:
+            assert ring.contains(s, p, o) == ((s, p, o) in graph)
+
+    def test_gap_values_are_empty_and_uncounted(self, ring_and_graph):
+        ring, graph = ring_and_graph
+        # Per arc start: a stored triple's own values and its 2-arc.
+        arcs = {}
+        for first in "spo":
+            value = int(graph.spo[0, "spo".index(first)])
+            nxt = int(graph.spo[0, "spo".index(NEXT_COORD[first])])
+            lo, hi = ring.pair_range(first, value, nxt)
+            assert lo <= hi
+            arcs[first] = value, nxt, lo, hi
+        ops = OpCounters()
+        with attach_wavelets([(ring.column(c), ops) for c in "spo"]):
+            for first, (value, nxt, lo, hi) in arcs.items():
+                for gap in _gap(graph, first):
+                    glo, ghi = ring.block_range(first, gap)
+                    assert glo > ghi
+                    assert ring.block_count(first, gap) == 0
+                    glo, ghi = ring.pair_range(first, gap, nxt)
+                    assert glo > ghi
+                    assert ring.leap_ahead(first, gap, 0) is None
+                    assert ring.leap_unbound(first, gap) is None
+                for gap in _gap(graph, NEXT_COORD[first]):
+                    glo, ghi = ring.pair_range(first, value, gap)
+                    assert glo > ghi
+                    assert ring.leap_ahead(first, value, gap) is None
+                for gap in _gap(graph, PREV_COORD[first]):
+                    assert ring.triple_count(first, lo, hi, gap) == 0
+            assert ops.total == 0
+            # The stored column answers a lower past its alphabet with a
+            # counted None, as it answered one past D.
+            for first, (_value, _nxt, lo, hi) in arcs.items():
+                for gap in _gap(graph, PREV_COORD[first]):
+                    assert ring.leap_stored(first, lo, hi, gap) is None
+                    ops.range_next -= 1
+            assert ops.total == 0

@@ -123,17 +123,18 @@ def test_version_skew(small_index):
     _rewrite(small_index, 8, struct.pack("<I", FORMAT_VERSION + 1))
     with pytest.raises(StoreVersionError, match="repro build"):
         load(small_index)
-    # Version-1 and version-2 headers as those formats wrote them (same
+    # Version-1, -2 and -3 headers as those formats wrote them (same
     # struct, magic, flag and consistent lengths): refused by their
-    # version alone — there is no reader kept for either.
-    for old in (1, 2):
+    # version alone — there is no reader kept for any. A version-3
+    # file's K-NN sequences hold node ids where version 4 reads ranks.
+    for old in (1, 2, 3):
         _rewrite(small_index, 0, struct.pack(
             "<8sIIQQII", MAGIC, old, 1, header.manifest_len,
             header.segment_len, header.checksum, 0,
         ))
         for verify in (True, False):
             with pytest.raises(
-                StoreVersionError, match=f"version {old} != 3.*repro build"
+                StoreVersionError, match=f"version {old} != 4.*repro build"
             ):
                 load(small_index, verify=verify)
 
@@ -412,7 +413,7 @@ def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
         after = np.frombuffer(bytes(flipped), "<i4", nbytes // 4, start)
         steps = np.diff(after)
         if group.endswith("members"):
-            # the bound, the sequences' sigma, is the largest member + 1
+            # the bound, the stored id_bound, is the largest member + 1
             assert after[0] >= 0 and after[-1] <= before[-1]
             assert (steps > 0).all()
         else:
@@ -445,13 +446,14 @@ def test_flip_that_breaks_a_checked_table_is_a_format_error(
 def test_index_bytes_per_edge_budget(tmp_path):
     """The index stays succinct in fact: at the recorded Figure-2 scale
     (the benchmark's query graph) the whole file — header, manifest,
-    segment — costs at most 6.5 bytes per stored edge."""
+    segment — costs at most 5 bytes per stored edge (4.58 since format
+    4 sized each column's alphabet to that column)."""
     from repro.datasets.wikimedia import generate_benchmark
 
     bench = generate_benchmark(Context().data)
     db = GraphDatabase(bench.graph, bench.knn_graph)
     edges = bench.graph.num_edges + int(bench.knn_graph.lengths.sum())
-    assert save(db, str(tmp_path / "fig2.idx")) / edges <= 6.5
+    assert save(db, str(tmp_path / "fig2.idx")) / edges <= 5.0
 
 
 def test_attached_ops_return_plain_ints(figure2):
