@@ -12,15 +12,19 @@ The query is compiled once, into a :class:`~repro.ltj.plan.JoinPlan`;
 the loop below only leaps, binds and asks the ordering. The last
 variable of a branch is not bound at all: ``leap`` returns only values
 that leave its atom non-empty, so every member of the last intersection
-is a solution, and is appended — the branch's slot-indexed ``row`` — to
-one flat int64 buffer that becomes the :class:`Solutions` matrix.
+is a solution, and its row — the branch's slot-indexed ``row`` — goes
+into one flat int64 buffer that becomes the :class:`Solutions` matrix.
+A last variable alone in its atom is one ``values`` report, and the
+report goes in as a block: copies of ``row`` with the report written
+down the variable's column, cut where a poll, the block handed to
+:meth:`run` or the limit falls.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from itertools import cycle
 from typing import TYPE_CHECKING
@@ -42,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # (which may produce no candidate at all), between timeout polls.
 _TIMEOUT_CHECK_INTERVAL = 256
 _TIMEOUT_CHECK_LEAPS = 1024
+# A leaf chunk shorter than this is emitted row by row: below it the
+# loop is cheaper than the fixed cost of building two arrays.
+_LOOP_ROWS = 4
 
 
 class LTJEngine:
@@ -202,36 +209,9 @@ class LTJEngine:
     def _search(self, first_descent: bool) -> Iterator[None]:
         """One elimination step: choose, intersect, bind and descend."""
         slot, vc = self._choose(first_descent)
-        return self._descend(
-            slot, self._candidates(slot, vc), vc, first_descent
-        )
-
-    def _candidates(self, slot: int, vc: VarCounters | None) -> Iterator[int]:
-        """The leapfrog intersection of ``slot``'s atoms under the current
-        bindings, in increasing order. The consumer may bind ``slot``
-        between two candidates as long as it unbinds it again.
-
-        The last unbound variable, when it sits in one atom, needs no
-        leapfrog: its candidates are that atom's ``values``, one leap.
-        """
-        atoms = self._plan.atoms[slot]
-        stats = self.stats
-        if len(atoms) == 1 and self._plan.state.unbound == 1 << slot:
-            stats.leap_calls += 1
-            if vc is not None:
-                vc.leaps += 1
-            relation, pos, _mask = atoms[0]
-            members: Iterable[int] = relation.values(pos)
-        else:
-            members = self._intersection(atoms, vc)
-        for candidate in members:
-            stats.attempts += 1
-            if vc is not None:
-                vc.candidates += 1
-            if stats.attempts % _TIMEOUT_CHECK_INTERVAL == 0:
-                if self._stopwatch.expired():
-                    raise _Expired()
-            yield candidate
+        if self._plan.state.unbound == 1 << slot:
+            return self._leaf(slot, vc)
+        return self._descend(slot, vc, first_descent)
 
     def _intersection(
         self, atoms: list[Atom], vc: VarCounters | None
@@ -243,7 +223,11 @@ class LTJEngine:
         a member, and the search goes on from the next value with the
         next atom. Every seek moves its atom forward, so the loop costs
         at most ``k * (min |atom| + 1)`` leaps, and it polls the budget
-        by leap count — also while nothing is found."""
+        by leap count — also while nothing is found — and at every
+        ``_TIMEOUT_CHECK_INTERVAL``-th member, which is counted as an
+        attempt and not yielded when the budget is spent. The consumer
+        may bind the variable between two members as long as it unbinds
+        it again."""
         stats = self.stats
         seeks = [relation.seeker(pos) for relation, pos, _mask in atoms]
         k = len(seeks)
@@ -262,41 +246,28 @@ class LTJEngine:
                 agree = 0
             agree += 1
             if agree == k:
+                attempts = stats.attempts = stats.attempts + 1
+                if vc is not None:
+                    vc.candidates += 1
+                if (
+                    not attempts % _TIMEOUT_CHECK_INTERVAL
+                    and self._stopwatch.expired()
+                ):
+                    raise _Expired()
                 yield bound
                 bound += 1
                 agree = 0
 
     def _descend(
-        self,
-        slot: int,
-        candidates: Iterable[int],
-        vc: VarCounters | None,
-        first_descent: bool,
+        self, slot: int, vc: VarCounters | None, first_descent: bool
     ) -> Iterator[None]:
-        """Bind each candidate of ``slot`` and search below it; with no
-        variable left below, the candidate completes a solution as it
-        stands (see :meth:`LeapRelation.leap`) and the row is emitted.
-        Yields whenever a block of rows is ready."""
+        """Bind each member of ``slot``'s intersection and search below
+        it. Yields whenever a block of rows is ready."""
         plan = self._plan
         stats = self.stats
         row = self._row
         limit = self._limit
-        if plan.state.unbound == 1 << slot:
-            out = self._out
-            block = self._block
-            for candidate in candidates:
-                stats.bindings += 1
-                stats.solutions += 1
-                if vc is not None:
-                    vc.bindings += 1
-                row[slot] = candidate
-                out.extend(row)
-                if len(out) >= block:
-                    yield
-                if limit is not None and stats.solutions >= limit:
-                    return
-            return
-        for candidate in candidates:
+        for candidate in self._intersection(plan.atoms[slot], vc):
             ok = plan.bind(slot, candidate)
             if vc is not None:
                 if ok:
@@ -310,6 +281,79 @@ class LTJEngine:
             yield from self._search(first_descent)
             first_descent = False
             plan.unbind(slot)
+            if limit is not None and stats.solutions >= limit:
+                return
+
+    def _leaf(self, slot: int, vc: VarCounters | None) -> Iterator[None]:
+        """The last unbound variable: each candidate completes a solution
+        as it stands (see :meth:`LeapRelation.leap`), so its row is
+        emitted without a bind. Yields whenever a block of rows is ready.
+
+        Alone in its atom, the variable needs no leapfrog: its candidates
+        are the atom's ``values``, one leap, and they become rows a chunk
+        at a time — copies of ``row`` with the chunk written down the
+        slot's column. A chunk ends at the next budget poll, at the block
+        and at the limit, so every count, cut and yield is that of
+        emitting one row at a time. The report may be the memo's own: it
+        is read by offset, never changed or kept.
+        """
+        atoms = self._plan.atoms[slot]
+        stats = self.stats
+        row = self._row
+        out = self._out
+        block = self._block
+        limit = self._limit
+        if len(atoms) > 1:
+            for candidate in self._intersection(atoms, vc):
+                stats.bindings += 1
+                stats.solutions += 1
+                if vc is not None:
+                    vc.bindings += 1
+                row[slot] = candidate
+                out.extend(row)
+                if len(out) >= block:
+                    yield
+                if limit is not None and stats.solutions >= limit:
+                    return
+            return
+        stats.leap_calls += 1
+        if vc is not None:
+            vc.leaps += 1
+        relation, pos, _mask = atoms[0]
+        members = relation.values(pos)
+        width = len(row)
+        every = _TIMEOUT_CHECK_INTERVAL
+        done, total = 0, len(members)
+        while done < total:
+            to_poll = every - stats.attempts % every
+            tried = min(
+                total - done, to_poll, (block - len(out) - 1) // width + 1
+            )
+            if limit is not None:  # a negative limit lets one row out
+                tried = min(tried, max(limit - stats.solutions, 1))
+            n = tried
+            if tried == to_poll and self._stopwatch.expired():
+                n -= 1  # the poll's attempt is counted, not emitted
+            chunk = members[done : done + n]
+            if n < _LOOP_ROWS:
+                for value in chunk:
+                    row[slot] = value
+                    out.extend(row)
+            else:
+                start = len(out)
+                out.extend(array("q", row) * n)
+                out[start + slot :: width] = array("q", chunk)
+            stats.attempts += tried
+            stats.bindings += n
+            stats.solutions += n
+            if vc is not None:
+                vc.candidates += tried
+                vc.bindings += n
+            if n < tried:
+                raise _Expired()
+            done += n
+            if len(out) >= block:
+                yield
             if limit is not None and stats.solutions >= limit:
                 return
 

@@ -6,7 +6,9 @@ The pinned counters were taken on the commit before the last level
 stopped binding (``run()`` abandoned after ``take`` solutions, and a
 budget that runs out at the third poll): solutions, bindings and
 attempts must not move; ``leap_calls`` may, where the last variable is
-alone in its atom and is enumerated in one leap.
+alone in its atom and is enumerated in one leap. A 600-value leaf
+pins where a limit, an abandoned ``run()`` and a spent budget cut a
+report that is emitted in blocks.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from repro.cache import QueryCache
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.engines.result import QueryResult, Solutions
+from repro.graph.triples import GraphData
 from repro.ltj.engine import LTJEngine
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import Var
@@ -226,6 +229,86 @@ def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# a long lonely leaf: every cut point falls inside one report
+# ----------------------------------------------------------------------
+# Subject 1 has 600 objects on predicate 20 and subject 0 three. Under
+# ``(1, 20, ?y)`` the leaf is the whole search; under ``(?x, 20, ?y)``
+# (``?x`` first) the leaf of ``?x = 1`` starts at attempt 6, so neither
+# a poll nor a limit falls on a chunk boundary by accident. The counts
+# (solutions, bindings, attempts, leap_calls) are those of the commit
+# before leaves emitted as blocks.
+WIDE = ("(1, 20, ?y)", "(?x, 20, ?y)")
+WIDE_LIMIT = {
+    1: ((1, 1, 1, 1), (1, 2, 2, 2)),
+    255: ((255, 255, 255, 1), (255, 257, 257, 4)),
+    256: ((256, 256, 256, 1), (256, 258, 258, 4)),
+    257: ((257, 257, 257, 1), (257, 259, 259, 4)),
+    599: ((599, 599, 599, 1), (599, 601, 601, 4)),
+}
+WIDE_TAKE = {
+    1: ((1, 1, 1, 1), (1, 2, 2, 2)),
+    256: ((256, 256, 256, 1), (256, 258, 258, 4)),
+    300: ((300, 300, 300, 1), (300, 302, 302, 4)),
+}
+
+
+class SecondPoll(ThirdPoll):
+    """A budget that runs out at the second poll: attempt 256."""
+
+    def expired(self):
+        return super().expired() or self.polls >= 2
+
+
+# a budget that runs out at attempt 256 or 512
+WIDE_POLL = {
+    SecondPoll: ((255, 255, 256, 1), (253, 255, 256, 4)),
+    ThirdPoll: ((511, 511, 512, 1), (509, 511, 512, 4)),
+}
+
+
+@pytest.fixture(scope="module")
+def wide_db() -> GraphDatabase:
+    triples = [(0, 20, o) for o in (700, 701, 702)]
+    triples += [(1, 20, o) for o in range(2, 602)]
+    return GraphDatabase(GraphData(triples))
+
+
+def _counts(stats: EvaluationStats) -> tuple[int, int, int, int]:
+    return stats.solutions, stats.bindings, stats.attempts, stats.leap_calls
+
+
+@pytest.mark.parametrize("which", range(len(WIDE)))
+def test_a_long_leaf_is_cut_where_one_row_at_a_time_was(wide_db, which, monkeypatch):
+    """A limit, an abandoned ``run()`` and an expired budget stop a long
+    leaf at the very row, and with the very counts, of emitting it one
+    row at a time; the 256th attempt of a spent budget is counted, not
+    emitted."""
+    text = WIDE[which]
+    engine = _engine(wide_db, text)
+    full = engine.evaluate()
+    assert len(full) == (600, 603)[which]
+    assert engine.stats.first_descent_order == [X, Y][1 - which :]
+    for limit, counts in WIDE_LIMIT.items():
+        engine = _engine(wide_db, text, limit=limit)
+        assert engine.evaluate() == full[:limit]
+        assert _counts(engine.stats) == counts[which], limit
+    for take, counts in WIDE_TAKE.items():
+        engine = _engine(wide_db, text)
+        run = engine.run()
+        taken = [next(run) for _ in range(take)]
+        run.close()
+        assert taken == full[:take]
+        assert _counts(engine.stats) == counts[which], take
+    for budget, counts in WIDE_POLL.items():
+        monkeypatch.setattr(ltj_engine, "Stopwatch", budget)
+        engine = _engine(wide_db, text, timeout=1.0)
+        cut = engine.evaluate()
+        assert engine.stats.timed_out
+        assert _counts(engine.stats) == counts[which], budget
+        assert cut == full[: counts[which][0]]
+
+
+# ----------------------------------------------------------------------
 # the memo lives as long as its tree
 # ----------------------------------------------------------------------
 MEMOS = ("_memo_rank", "_memo_next", "_memo_values", "_memo_select")
@@ -317,3 +400,20 @@ def test_threads_share_one_database_and_its_memos(small_graph, small_knn, monkey
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_a_leaf_neither_keeps_nor_changes_the_memo_report(wide_db):
+    """The leaf reads the tree's memoized report in place: evaluating
+    twice leaves the same object in the memo, with the same symbols."""
+    _engine(wide_db, WIDE[0]).evaluate()
+    reports = [
+        (memo, key, report, list(report))
+        for memo in (wide_db.ring.column(c)._memo_values for c in "spo")
+        for key, report in memo.items()
+        if len(report) == 600
+    ]
+    assert reports
+    _engine(wide_db, WIDE[0]).evaluate()
+    for memo, key, report, symbols in reports:
+        assert memo[key] is report
+        assert list(report) == symbols
