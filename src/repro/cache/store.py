@@ -171,7 +171,8 @@ class QueryCache:
         solutions byte-identical to the producing cold run (remapped to
         this query's variable names), the producer's replayed counters,
         and the real retrieval time as ``elapsed`` — the ``cache_probe``
-        span it records into ``spans`` (a fresh recorder by default).
+        span it records into ``spans`` (a fresh recorder by default). A
+        miss records its ``cache_probe`` span only into given ``spans``.
         """
         started = now()
         form = self._canonical(query)
@@ -181,6 +182,8 @@ class QueryCache:
                 meta["reason"] = "uncanonical"
             with self._lock:
                 self._inadmissible += 1
+            if spans is not None:
+                spans.add("cache_probe", started, now())
             return None
         key = (form.signature, form.profile, engine)
         epoch = database_epoch(db)
@@ -193,13 +196,17 @@ class QueryCache:
                 entry = None
             if entry is None:
                 self._misses += 1
-                if meta is not None:
-                    meta["outcome"] = "miss"
-                    meta["signature"] = form.signature
-                return None
-            entry.last_used = self._tick
-            entry.hits += 1
-            self._hits += 1
+            else:
+                entry.last_used = self._tick
+                entry.hits += 1
+                self._hits += 1
+        if entry is None:
+            if meta is not None:
+                meta["outcome"] = "miss"
+                meta["signature"] = form.signature
+            if spans is not None:
+                spans.add("cache_probe", started, now())
+            return None
         variables = form.variables
         stats = EvaluationStats()
         (

@@ -34,10 +34,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.datasets.wikimedia import WikimediaConfig, generate_benchmark
 from repro.engines import ENGINES, INDEX_ENGINES, RING_ENGINES
 from repro.engines.database import GraphDatabase
-from repro.graph.io import load_bundle, save_bundle
 from repro.explain import explain
 from repro.obs import QueryTrace, validate_trace
 from repro.query.parser import parse_query
@@ -45,6 +43,9 @@ from repro.utils.errors import ReproError, ValidationError
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets.wikimedia import WikimediaConfig, generate_benchmark
+    from repro.graph.io import save_bundle
+
     bench = generate_benchmark(
         WikimediaConfig(
             n_entities=args.entities,
@@ -63,6 +64,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_db(path: str) -> GraphDatabase:
+    from repro.graph.io import load_bundle
+
     graph, knn_graph, _points = load_bundle(path)
     return GraphDatabase(graph, knn_graph)
 
@@ -239,6 +242,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
+    from repro.graph.io import load_bundle
     from repro.graph.stats import STATS_HEADERS, compute_graph_stats
 
     graph, knn_graph, _points = load_bundle(args.data)

@@ -14,7 +14,7 @@ They differ *only* in the variable-ordering strategy:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
@@ -30,6 +30,12 @@ from repro.ltj.solutions import raw_limit
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
 from repro.query.model import ExtendedBGP
+
+
+def _no_span(name: str) -> AbstractContextManager[None]:
+    """What an untraced evaluation opens where a traced one opens a
+    span."""
+    return nullcontext()
 
 
 class _RingEngineBase:
@@ -79,31 +85,34 @@ class _RingEngineBase:
             distinct: deduplicate the (projected) solutions.
             trace: optional :class:`~repro.obs.trace.QueryTrace`. When
                 given, per-variable/relation/wavelet counters are
-                recorded and the trace is attached to the result.
+                recorded, an ``evaluate`` span holds a ``compile`` and a
+                ``leapfrog`` span, and the trace is attached to the
+                result.
         """
-        relations = self.compile(query)
-        engine = LTJEngine(
-            relations,
-            ordering=self._ordering(query),
-            timeout=timeout,
-            limit=raw_limit(limit, project, distinct),
-            trace=trace,
-        )
-        if trace is None:
-            attached = nullcontext()
-        else:
-            trace.engine = self.name
-            if trace.query is None:
-                trace.query = repr(query)
-            instrument_relations(trace, relations)
-            attached = attach_wavelets(wavelet_targets(trace, self._db, query))
-        with attached:
-            timed = (
-                nullcontext() if trace is None
-                else trace.spans.span("evaluate")
-            )
-            with timed:
-                solutions = engine.evaluate().select(project, distinct, limit)
+        phase = _no_span if trace is None else trace.spans.span
+        with phase("evaluate"):
+            with phase("compile"):
+                relations = self.compile(query)
+                engine = LTJEngine(
+                    relations,
+                    ordering=self._ordering(query),
+                    timeout=timeout,
+                    limit=raw_limit(limit, project, distinct),
+                    trace=trace,
+                )
+            if trace is None:
+                attached = nullcontext()
+            else:
+                trace.engine = self.name
+                if trace.query is None:
+                    trace.query = repr(query)
+                instrument_relations(trace, relations)
+                attached = attach_wavelets(
+                    wavelet_targets(trace, self._db, query)
+                )
+            with attached, phase("leapfrog"):
+                solutions = engine.evaluate()
+        solutions = solutions.select(project, distinct, limit)
         return QueryResult(self.name, solutions, engine.stats, trace=trace)
 
 

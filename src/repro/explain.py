@@ -122,7 +122,7 @@ def _format_analysis(trace: QueryTrace) -> list[str]:
             f"candidates={stats.get('attempts', 0)} "
             f"bindings={stats.get('bindings', 0)}"
         )
-    for name, seconds in trace.spans.totals(trace.root).items():
+    for name, seconds in trace.spans.totals(trace.root, nested=True).items():
         lines.append(f"    phase {name}: {seconds:.4f}s")
     for v, c in trace.variables.items():
         lines.append(

@@ -77,7 +77,8 @@ class LTJEngine:
                 recording site is guarded by a single ``is not None``
                 test so the disabled path stays hot-loop cheap.
         """
-        self._plan = JoinPlan(relations)
+        # Only a trace's decision record reads a forced choice's l_x.
+        self._plan = JoinPlan(relations, estimate_forced=trace is not None)
         self._variables = self._plan.state.variables
         self._ordering = ordering or MinCandidatesOrdering()
         self._ordering.prepare(self._variables)
@@ -119,8 +120,10 @@ class LTJEngine:
         anything to search: no atom is statically empty, the budget is
         not spent already and the limit is not zero. A budget expiring
         inside the block ends it with ``stats.timed_out`` set; stats are
-        finalized on every way out, including a consumer abandoning the
-        generator the block runs in.
+        finalized, and every slot the search left bound is unbound, on
+        every way out, including a consumer abandoning the generator the
+        block runs in — so the next evaluation starts from the compiled
+        plan.
         """
         self._stopwatch = Stopwatch(self._timeout)
         self.stats = EvaluationStats(sim_variables=self._sim_variables)
@@ -136,6 +139,7 @@ class LTJEngine:
         except _Expired:
             self.stats.timed_out = True
         finally:
+            self._plan.reset()
             self.stats.elapsed = self._stopwatch.elapsed()
             if self._trace is not None:
                 self._trace.finish(self.stats)
@@ -232,31 +236,42 @@ class LTJEngine:
         seeks = [relation.seeker(pos) for relation, pos, _mask in atoms]
         k = len(seeks)
         bound = agree = 0
+        # A local leap count, written back to `stats` (and `vc`) before
+        # every yield, return and raise, and read back after a yield.
+        leaps = stats.leap_calls
+        expired = False
         for seek in cycle(seeks):
-            leaps = stats.leap_calls = stats.leap_calls + 1
-            if vc is not None:
-                vc.leaps += 1
+            leaps += 1
             if not leaps % _TIMEOUT_CHECK_LEAPS and self._stopwatch.expired():
-                raise _Expired()
+                expired = True
+                break
             value = seek(bound)
             if value is None:
-                return
+                break
             if value != bound:
                 bound = value
                 agree = 0
             agree += 1
             if agree == k:
-                attempts = stats.attempts = stats.attempts + 1
                 if vc is not None:
+                    vc.leaps += leaps - stats.leap_calls
                     vc.candidates += 1
+                stats.leap_calls = leaps
+                attempts = stats.attempts = stats.attempts + 1
                 if (
                     not attempts % _TIMEOUT_CHECK_INTERVAL
                     and self._stopwatch.expired()
                 ):
                     raise _Expired()
                 yield bound
+                leaps = stats.leap_calls
                 bound += 1
                 agree = 0
+        if vc is not None:
+            vc.leaps += leaps - stats.leap_calls
+        stats.leap_calls = leaps
+        if expired:
+            raise _Expired()
 
     def _descend(
         self, slot: int, vc: VarCounters | None, first_descent: bool
@@ -268,14 +283,12 @@ class LTJEngine:
         row = self._row
         limit = self._limit
         for candidate in self._intersection(plan.atoms[slot], vc):
-            ok = plan.bind(slot, candidate)
-            if vc is not None:
-                if ok:
-                    vc.bindings += 1
-                else:
+            if not plan.bind(slot, candidate):
+                if vc is not None:
                     vc.failed_bindings += 1
-            if not ok:
                 continue
+            if vc is not None:
+                vc.bindings += 1
             stats.bindings += 1
             row[slot] = candidate
             yield from self._search(first_descent)

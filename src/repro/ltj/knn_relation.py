@@ -11,6 +11,8 @@ A side's range depends only on the value bound on the other side, so it
 is resolved there — in ``bind``, which needs it for its emptiness test
 anyway — and every ``leap`` and ``estimate`` until the matching
 ``unbind`` reads it back — and ``values`` reports it in one traversal.
+So does the span's seeker: built on first use, it is kept until the
+other side is unbound.
 ``S`` and ``S'`` hold member ranks: a leap maps its ``lower`` to a rank
 and its answer back to a node id through the sorted member list.
 """
@@ -59,6 +61,7 @@ class KnnClauseRelation(LeapRelation):
             None if y is None else knn.backward_range(y, self._k),
             None if x is None else knn.forward_range(x, self._k),
         ]
+        self._seekers: list[Callable[[int], int | None] | None] = [None, None]
         if x is not None and y is not None and not knn.contains(x, y, self._k):
             # Fully constant clause: a static filter.
             self._failed_depth = 0
@@ -102,7 +105,12 @@ class KnnClauseRelation(LeapRelation):
         span = self._ranges[pos]
         if self.obs is not None or span is None:
             return super().seeker(pos)
-        return self._trees[pos].seeker(*span, self._ids)
+        seek = self._seekers[pos]
+        if seek is None:
+            seek = self._seekers[pos] = self._trees[pos].seeker(
+                *span, self._ids
+            )
+        return seek
 
     def values(self, pos: int) -> Sequence[int]:
         span = self._ranges[pos]
@@ -163,6 +171,7 @@ class KnnClauseRelation(LeapRelation):
             self.obs.unbinds += 1
         self._values[pos] = None
         self._ranges[1 - pos] = None
+        self._seekers[1 - pos] = None
         if self._failed_depth is not None and self._failed_depth > self._depth:
             self._failed_depth = None
 

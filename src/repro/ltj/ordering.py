@@ -73,6 +73,8 @@ class SlotState:
     def argmin(self, pool: int) -> int:
         """Slot of ``pool`` with the smallest ``l_x``; ties go to the
         earliest in query order."""
+        if not pool & (pool - 1):  # one slot (a forced choice): no l_x read
+            return pool.bit_length() - 1
         lx = self.lx
         best = -1
         for slot in range(pool.bit_length()):

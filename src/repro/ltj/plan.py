@@ -11,8 +11,11 @@ about that — and each ``(atom, variable)`` pair owns one cell of a flat
 estimate array. :meth:`JoinPlan.bind` passes over the atoms the slot is
 the last free variable of (their ``leap`` already admitted the value and
 nothing will be asked of them below), refreshes only the cells of the
-atoms it touched and recomputes ``l_x`` only for their other variables;
-:meth:`JoinPlan.unbind` puts the previous arrays back. The search loop
+atoms it touched and recomputes ``l_x`` only for their other variables
+(a bind that leaves one variable unbound may skip even that: the next
+choice is forced); :meth:`JoinPlan.unbind` puts the previous arrays
+back, and :meth:`JoinPlan.reset` undoes every bind still in force. The
+search loop
 (:mod:`repro.ltj.engine`) and the ordering strategies
 (:mod:`repro.ltj.ordering`) read this state; they build none of it.
 """
@@ -40,7 +43,11 @@ cells its ``l_x`` is the minimum of."""
 class JoinPlan:
     """Slots, per-slot atom lists and incrementally kept estimates."""
 
-    def __init__(self, relations: Sequence[LeapRelation]) -> None:
+    def __init__(
+        self, relations: Sequence[LeapRelation], estimate_forced: bool = True
+    ) -> None:
+        """With ``estimate_forced`` false, a bind that leaves one variable
+        unbound leaves its ``l_x`` stale: the next choice is forced."""
         if not relations:
             raise QueryError("LTJ requires at least one relation")
         self.relations = list(relations)
@@ -89,7 +96,9 @@ class JoinPlan:
             ]
             for neighbours in shared
         ]
-        self._saved: list[tuple[list[int], list[int]]] = []
+        self._estimate_forced = estimate_forced
+        # Per bind in force: its slot and the estimate arrays it replaced.
+        self._saved: list[tuple[int, list[int], list[int]]] = []
         self.state = SlotState(
             variables=tuple(slots),
             lonely=sum(
@@ -129,8 +138,10 @@ class JoinPlan:
                         relation.unbind(pos)
                 return False
         unbound = state.unbound = unbound & ~own
-        if unbound:  # the last variable leaves nothing to re-estimate
-            self._saved.append((self._est, state.lx))
+        self._saved.append((slot, self._est, state.lx))
+        # Nothing to re-estimate after the last variable or (unless
+        # asked) before a forced last choice.
+        if unbound & (unbound - 1) or unbound and self._estimate_forced:
             self._est = est = self._est[:]
             state.lx = lx = state.lx[:]
             for bit, other, triples, cells in self._refresh[slot]:
@@ -145,9 +156,14 @@ class JoinPlan:
         ``slot``."""
         state = self.state
         own = 1 << slot
-        if state.unbound:
-            self._est, state.lx = self._saved.pop()
+        _slot, self._est, state.lx = self._saved.pop()
         unbound = state.unbound = state.unbound | own
         for relation, pos, mask in reversed(self.atoms[slot]):
             if mask & unbound != own:
                 relation.unbind(pos)
+
+    def reset(self) -> None:
+        """Undo every bind still in force, innermost first: the plan and
+        its atoms are as compiled again."""
+        while self._saved:
+            self.unbind(self._saved[-1][0])

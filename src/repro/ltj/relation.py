@@ -71,12 +71,14 @@ class LeapRelation(abc.ABC):
         it reads from the current binding resolved once — for the span
         of one intersection. It answers like ``leap`` while the atom's
         bindings are those of this call (binds undone again in between
-        do not matter) and is dead after any other bind or unbind.
-        Overrides bypass ``leap`` only while ``obs`` is ``None``, so
-        traced counts stay exact; an atom that holds the range of a
-        wavelet tree returns the tree's own ``seeker(lo, hi)``, which
-        alone decides whether a leap descends or bisects the range's
-        report."""
+        do not matter) and is dead after any other bind or unbind. An
+        adapter may keep it with what it was resolved against — a Ring
+        frame, a clause's span — and hand the same one out whenever that
+        is current again. Overrides bypass ``leap`` only while ``obs``
+        is ``None``, so traced counts stay exact; an atom that holds the
+        range of a wavelet tree returns the tree's own ``seeker(lo,
+        hi)``, which alone decides whether a leap descends or bisects
+        the range's report."""
         return partial(self.leap, pos)
 
     def values(self, pos: int) -> Sequence[int]:

@@ -33,6 +33,10 @@ class RingTripleRelation(LeapRelation):
         self._pattern = pattern
         self.terms = pattern.variables
         self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
+        # Per position, its coordinate when it has only one (else None).
+        self._single = tuple(
+            c[0] if len(c) == 1 else None for c in self._coords
+        )
         self._state = RingPatternState(
             ring,
             {
@@ -88,12 +92,14 @@ class RingTripleRelation(LeapRelation):
             candidate += 1
 
     def seeker(self, pos: int) -> Callable[[int], int | None]:
-        frame = self._state.frame
-        column = frame.column if self._state.obs is None else None
-        if column is None or self._coords[pos] != (frame.stored,):
-            return super().seeker(pos)
-        # The arc's stored column: a leap is the kernel call itself.
-        return column.seeker(frame.lo, frame.hi)
+        coord = self._single[pos]
+        state = self._state
+        if coord is not None and state.obs is None:
+            # Kept on the frame, however many intersections it sits under.
+            seek = state.seeker(coord)
+            if seek is not None:
+                return seek
+        return super().seeker(pos)
 
     def values(self, pos: int) -> Sequence[int]:
         coords = self._coords[pos]
@@ -114,8 +120,8 @@ class RingTripleRelation(LeapRelation):
     def bind(self, pos: int, value: int) -> bool:
         state = self._state
         for coord in self._coords[pos]:
-            state.bind(coord, value)
-        ok = not state.is_empty()
+            matches = state.bind(coord, value)
+        ok = matches != 0
         obs = state.obs
         if obs is not None:
             if ok:

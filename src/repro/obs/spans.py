@@ -3,7 +3,8 @@
 A span is ``(request id, span id, parent span id, name, start, end,
 attributes)``, stamped with :func:`now`. Engines record their phases
 into ``QueryResult.spans`` — the ``QueryTrace.spans`` recorder when the
-call is traced (a trace document's ``phases`` are their per-name sums);
+call is traced (a trace document's ``phases`` are their per-name sums,
+nested spans included);
 the server records ``request``, ``queue``, ``evaluate`` and ``encode``
 per request and counts their durations into the fixed-bucket
 :class:`Histogram` s of ``/metrics``. A ``span()`` block's parent
@@ -110,13 +111,20 @@ class Spans:
             self._open.pop()
             span.end = now()
 
-    def totals(self, parent: int | None = None) -> dict[str, float]:
+    def totals(
+        self, parent: int | None = None, nested: bool = False
+    ) -> dict[str, float]:
         """Seconds per name of the closed spans directly under
-        ``parent`` (``None``: the top-level spans)."""
+        ``parent`` (``None``: the top-level spans) — with ``nested``,
+        of every span below it, at any depth."""
+        inside = {parent}
         sums: dict[str, float] = {}
-        for span in self.records:
-            if span.parent == parent and span.end is not None:
-                sums[span.name] = sums.get(span.name, 0.0) + span.seconds
+        for span in self.records:  # a parent is recorded before its children
+            if span.parent in inside:
+                if nested:
+                    inside.add(span.id)
+                if span.end is not None:
+                    sums[span.name] = sums.get(span.name, 0.0) + span.seconds
         return sums
 
 

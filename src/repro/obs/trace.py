@@ -15,8 +15,9 @@ exactly those quantities during one evaluation, grouped by
   ``range_next_value`` operation counts per structure (the Ring
   columns, each K-NN relation's ``S``/``S'``, the distance sequence
   ``D``);
-* **phase** — wall-clock per engine phase (evaluate, bgp/postprocess,
-  materialize/query): the per-name sums of the engine's spans
+* **phase** — wall-clock per engine phase (evaluate and, inside it,
+  compile/leapfrog; bgp/postprocess; materialize/query; a cache's
+  cache_probe): the per-name sums of the engine's spans at any depth
   (:mod:`repro.obs.spans`).
 
 Zero overhead when disabled: tracing is off unless a ``QueryTrace`` is
@@ -170,7 +171,7 @@ class QueryTrace:
 
     Engines record their phases into ``spans``. Pass a request's
     recorder to nest them under the span open at construction; the
-    document's ``phases`` sum the spans directly under that one.
+    document's ``phases`` sum the spans below that one, at any depth.
     """
 
     def __init__(
@@ -268,7 +269,7 @@ class QueryTrace:
             "elapsed": self.elapsed,
             "timed_out": self.timed_out,
             "stats": dict(self.stats),
-            "phases": self.spans.totals(self.root),
+            "phases": self.spans.totals(self.root, nested=True),
             "variables": {
                 v.name: c.as_dict() for v, c in self.variables.items()
             },

@@ -29,6 +29,9 @@ All ranges are 0-based and closed; empty ranges satisfy ``lo > hi``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.graph.triples import GraphData
@@ -114,7 +117,8 @@ class RingIndex(LazyMirrors):
         """Row range of the 1-arc ``coord = value`` (possibly empty)."""
         if not 0 <= value < self._sigma[coord]:
             return (0, -1)
-        return self._blocks[coord].range_of(value)
+        cum = self._blocks[coord]._cum_i
+        return cum[value], cum[value + 1] - 1
 
     def pair_range(
         self, first: str, first_value: int, second_value: int
@@ -132,15 +136,16 @@ class RingIndex(LazyMirrors):
             0 <= second_value < sigma[second]
         ):
             return (0, -1)
-        blo, bhi = self._blocks[second].range_of(second_value)
-        if blo > bhi:
+        cum = self._blocks[second]._cum_i
+        blo, bend = cum[second_value], cum[second_value + 1]
+        if blo == bend:
             return (0, -1)
         col = self._columns[first]
         r0 = col.rank(first_value, blo)
-        r1 = col.rank(first_value, bhi + 1)
+        r1 = col.rank(first_value, bend)
         if r1 == r0:
             return (0, -1)
-        base = self._blocks[first].before(first_value)
+        base = self._blocks[first]._cum_i[first_value]
         return (base + r0, base + r1 - 1)
 
     @staticmethod
@@ -198,7 +203,14 @@ class RingIndex(LazyMirrors):
     def leap_ahead(
         self, arc_first: str, arc_value: int, lower: int
     ) -> int | None:
-        """Leap on the coordinate ``next(arc_first)`` of a 1-arc.
+        """Leap on the coordinate ``next(arc_first)`` of a 1-arc."""
+        return self.ahead_seeker(arc_first, arc_value)(lower)
+
+    def ahead_seeker(
+        self, arc_first: str, arc_value: int
+    ) -> Callable[[int], int | None]:
+        """:meth:`leap_ahead` on the 1-arc ``arc_first = arc_value`` as a
+        function of ``lower``, with the arc resolved once.
 
         The rows of the arc's table are, under the ``F`` maps, the
         occurrences of ``arc_value`` in column ``C_{arc_first}`` — whose
@@ -210,16 +222,20 @@ class RingIndex(LazyMirrors):
         ``select_next``, which the column memoizes: a leap asked before,
         in this query or an earlier one, is a memo hit.
         """
+        if not 0 <= arc_value < self._sigma[arc_first]:
+            return lambda lower: None
         nxt = NEXT_COORD[arc_first]
-        sigma = self._sigma
-        if lower >= sigma[nxt] or not 0 <= arc_value < sigma[arc_first]:
-            return None
-        col = self._columns[arc_first]
-        start = self._blocks[nxt].before(max(lower, 0))
-        pos = col.select_next(arc_value, start)
-        if pos is None:
-            return None
-        return self._blocks[nxt].block_of(pos)
+        end = self._sigma[nxt]
+        select_next = self._columns[arc_first].select_next
+        cum = self._blocks[nxt]._cum_i
+
+        def seek(lower: int) -> int | None:
+            if lower >= end:
+                return None
+            pos = select_next(arc_value, cum[lower] if lower > 0 else 0)
+            return None if pos is None else bisect_right(cum, pos) - 1
+
+        return seek
 
     # ------------------------------------------------------------------
     # cardinalities

@@ -12,12 +12,14 @@ answers:
 * ``bind(coord, value)`` / ``unbind()`` — descend/ascend in the virtual
   trie;
 * ``count()`` — number of matching triples (the range size, used both
-  for emptiness tests and for the ``l_x`` ordering estimates).
+  for emptiness tests and for the ``l_x`` ordering estimates);
+* ``seeker(coord)`` — ``leap`` as a function of ``lower``, kept on the frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.ring.index import NEXT_COORD, PREV_COORD, RingIndex
@@ -27,10 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
+_Seeker = Callable[[int], int | None]
+
 
 @dataclass(slots=True)
 class _Frame:
-    """One level of the virtual-trie descent (never mutated once pushed).
+    """One level of the virtual-trie descent.
 
     ``bound`` lists the ``(coordinate, value)`` pairs in bind order. For
     1- and 2-arcs, ``arc_first``/``lo``/``hi`` describe the row range;
@@ -40,7 +44,9 @@ class _Frame:
     names the one whose values the row range exposes and ``column`` is
     its wavelet tree, so a leap on it is ``column``'s
     ``range_next_value`` over ``[lo, hi]``. Everything ``leap``/``bind``
-    dispatch on is read off the frame; nothing is rebuilt per call.
+    dispatch on is read off the frame; nothing is rebuilt per call. The
+    two seekers are caches :meth:`RingPatternState.seeker` fills on first
+    use; equality ignores them.
     """
 
     bound: tuple[tuple[str, int], ...]
@@ -50,6 +56,8 @@ class _Frame:
     matches: int
     stored: str | None = None
     column: WaveletTree | None = None
+    stored_seek: _Seeker | None = field(default=None, compare=False)
+    ahead_seek: _Seeker | None = field(default=None, compare=False)
 
 
 class RingPatternState:
@@ -105,8 +113,8 @@ class RingPatternState:
     # ------------------------------------------------------------------
     # descent / ascent
     # ------------------------------------------------------------------
-    def bind(self, coord: str, value: int) -> None:
-        """Bind one coordinate and push the refined state."""
+    def bind(self, coord: str, value: int) -> int:
+        """Bind one coordinate, push the refined state, return its count."""
         frame = self._stack[-1]
         bound = frame.bound
         ring = self._ring
@@ -116,7 +124,7 @@ class RingPatternState:
                 obs.bump("range_1arc")
             first = coord
             lo, hi = ring.block_range(coord, value)
-            matches = max(0, hi - lo + 1)
+            matches = hi - lo + 1  # an empty range ends at lo - 1
         elif len(bound) == 1:
             (other, other_value), = bound
             if coord == other:
@@ -131,7 +139,7 @@ class RingPatternState:
             else:
                 first = coord
                 lo, hi = ring.pair_range(coord, value, other_value)
-            matches = max(0, hi - lo + 1)
+            matches = hi - lo + 1  # an empty range ends at lo - 1
         elif len(bound) == 2:
             assert frame.arc_first is not None
             first = frame.arc_first
@@ -147,9 +155,10 @@ class RingPatternState:
         self._stack.append(
             _Frame(
                 bound + ((coord, value),), first, lo, hi, matches,
-                stored, ring.column(stored) if stored else None,
+                stored, ring._columns[stored] if stored else None,
             )
         )
+        return matches
 
     def unbind(self) -> None:
         """Pop the most recent bind (backtracking)."""
@@ -189,8 +198,28 @@ class RingPatternState:
                 return None
             if obs is not None:
                 obs.bump("leap_ahead")
-            return self._ring.leap_ahead(first, frame.bound[0][1], lower)
+            seek = self.seeker(coord)
+            assert seek is not None
+            return seek(lower)
         raise StructureError(f"leap on bound coordinate {coord!r}")
+
+    def seeker(self, coord: str) -> _Seeker | None:
+        """:meth:`leap` on a free ``coord`` as a function of ``lower``, kept
+        on the frame (``None`` at the root); it bumps no ``obs`` detail."""
+        frame = self._stack[-1]
+        if coord == frame.stored:
+            if frame.stored_seek is None:
+                assert frame.column is not None
+                frame.stored_seek = frame.column.seeker(frame.lo, frame.hi)
+            return frame.stored_seek
+        if len(frame.bound) != 1 or coord == frame.arc_first:
+            return None
+        if frame.ahead_seek is None:
+            assert frame.arc_first is not None
+            frame.ahead_seek = self._ring.ahead_seeker(
+                frame.arc_first, frame.bound[0][1]
+            )
+        return frame.ahead_seek
 
     def probe(self, assignments: dict[str, int]) -> bool:
         """Check non-emptiness if the given coords were bound (no state

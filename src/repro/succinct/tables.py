@@ -1,7 +1,7 @@
 """Precomputed 16-bit popcount/select lookup tables for the hot kernel.
 
-Built once at import (vectorized, a few milliseconds) and stored as
-plain Python lists so the per-call cost in :mod:`repro.succinct.bitvector`
+Built once at import, in pure Python (a few milliseconds), and stored
+as plain lists so the per-call cost in :mod:`repro.succinct.bitvector`
 is a single ``list`` subscript — no numpy scalar boxing on the hot path.
 
 * ``POPCOUNT16[w]`` — number of set bits of the 16-bit word ``w``.
@@ -17,25 +17,17 @@ byte-at-a-time loop with an inner per-bit scan.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def _build_tables() -> tuple[list[int], list[int]]:
-    codes = np.arange(1 << 16, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1).astype(
-        np.uint8
-    )
-    popcount = bits.sum(axis=1).astype(np.int64)
-    # ranks[w, p] = number of set bits of w among positions [0, p].
-    ranks = bits.cumsum(axis=1).astype(np.uint64)
-    packed = np.zeros(1 << 16, dtype=np.uint64)
-    # Pack position p into nibble j = rank-1 of every word whose bit p is
-    # set; 16 fully-vectorized passes beat a half-million-element scatter.
-    for p in range(16):
-        mask = bits[:, p].astype(bool)
-        nibble = (ranks[mask, p] - 1) << np.uint64(2)
-        packed[mask] |= np.uint64(p) << nibble
-    return popcount.tolist(), packed.tolist()
+    # Doubling: the words with top bit ``bit`` are ``2**bit + w`` for the
+    # words ``w`` already built. Their extra set bit is the highest, so
+    # its position goes into nibble ``popcount(w)`` of ``w``'s answers.
+    popcount = [0]
+    packed = [0]
+    for bit in range(16):
+        packed += [p | bit << (c << 2) for p, c in zip(packed, popcount)]
+        popcount += [c + 1 for c in popcount]
+    return popcount, packed
 
 
 POPCOUNT16, SELECT16 = _build_tables()

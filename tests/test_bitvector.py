@@ -260,3 +260,17 @@ def test_iteration_equals_to_array_tolist():
         bits = rng.integers(0, 2, n)
         bv = BitVector(bits)
         assert list(bv) == bv.to_array().tolist()
+
+
+def test_word_tables_match_a_per_bit_reference():
+    """The 16-bit popcount and packed-select tables, against the bits of
+    every word read one at a time."""
+    from repro.succinct.tables import POPCOUNT16, SELECT16
+
+    assert len(POPCOUNT16) == len(SELECT16) == 1 << 16
+    for word in range(1 << 16):
+        ones = [bit for bit in range(16) if word >> bit & 1]
+        assert POPCOUNT16[word] == len(ones), word
+        assert SELECT16[word] == sum(
+            bit << (4 * j) for j, bit in enumerate(ones)
+        ), word

@@ -238,7 +238,8 @@ _IMPORT_BUDGET_SCRIPT = """
 import sys
 import repro.cli
 
-HEAVY = ("scipy", "repro.analysis", "repro.serve", "multiprocessing")
+HEAVY = ("scipy", "repro.analysis", "repro.serve", "multiprocessing",
+         "repro.datasets", "repro.graph.io")
 
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -257,8 +258,9 @@ assert "scipy.optimize" in sys.modules
 
 def test_query_process_import_budget(bundle_path, tmp_path):
     """A `repro query` process imports no LP solver, no sanitizer, no
-    server and no multiprocessing — the cold-start workload pays for
-    whatever `import repro.cli` drags in."""
+    server, no multiprocessing, no dataset generator and no bundle
+    reader — the cold-start workload pays for whatever `import
+    repro.cli` drags in."""
     import os
     import subprocess
     import sys

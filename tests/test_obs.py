@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cache import QueryCache
 from repro.cli import main
 from repro.engines.auto import AutoEngine
 from repro.engines.baseline import BaselineEngine
@@ -219,7 +220,40 @@ class TestSpans:
         assert [s.name for s in inner] == ["evaluate"]
         assert inner[0].request == 7
         assert inner[0].seconds <= outer.seconds
-        assert trace.to_dict()["phases"] == {"evaluate": inner[0].seconds}
+        phases = trace.to_dict()["phases"]
+        assert set(phases) == {"evaluate", "compile", "leapfrog"}
+        assert phases["evaluate"] == inner[0].seconds
+
+    def test_evaluate_holds_compile_and_leapfrog(self, db):
+        trace = QueryTrace()
+        RingKnnEngine(db).evaluate(
+            parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)"), trace=trace
+        )
+        (evaluate,) = [s for s in trace.spans.records if s.name == "evaluate"]
+        assert evaluate.parent is None
+        assert [
+            s.name for s in trace.spans.records if s.parent == evaluate.id
+        ] == ["compile", "leapfrog"]
+        phases = trace.to_dict()["phases"]
+        assert set(phases) == {"evaluate", "compile", "leapfrog"}
+        assert phases["compile"] + phases["leapfrog"] <= phases["evaluate"]
+
+    def test_auto_probes_the_cache_on_a_miss_and_on_a_hit(self, db):
+        auto = AutoEngine(db, cache=QueryCache())
+        query = parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)")
+        for outcome, names in (
+            ("miss", {"cache_probe", "evaluate", "compile", "leapfrog"}),
+            ("hit", {"cache_probe"}),
+        ):
+            trace = QueryTrace()
+            auto.evaluate(query, trace=trace)
+            assert trace.meta["cache"]["outcome"] == outcome
+            phases = trace.to_dict()["phases"]
+            assert set(phases) == names, outcome
+            assert phases.get("compile", 0.0) + phases.get(
+                "leapfrog", 0.0
+            ) <= phases.get("evaluate", 0.0)
+            validate_trace(trace.to_dict())
 
     def test_result_spans_are_the_trace_recorder(self, db):
         query = parse_query("(?x, 20, ?y) . knn(?x, ?y, 3)")
@@ -267,7 +301,9 @@ class TestSpans:
             RingKnnEngine(figure2.db).evaluate(queries[0], trace=trace)
             document = trace.to_dict()
             assert set(document) == TRACE_KEYS, family
-            assert set(document["phases"]) == {"evaluate"}, family
+            assert set(document["phases"]) == {
+                "evaluate", "compile", "leapfrog"
+            }, family
             validate_trace(document)
 
 

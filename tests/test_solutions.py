@@ -228,6 +228,35 @@ def test_timed_out_run_returns_the_prefix_emitted_so_far(small_db, monkeypatch):
     assert cut.solutions == full.solutions[:249]
 
 
+def test_a_reused_engine_starts_from_the_compiled_plan(small_db, monkeypatch):
+    """An abandoned ``run()`` and a spent budget leave the search deep in
+    its plan; the engine's next evaluation must not start from there."""
+
+    def answer(engine):
+        rows = engine.evaluate()
+        stats = dataclasses.replace(engine.stats, elapsed=0.0)
+        return rows, stats
+
+    text = "(?x, 20, ?y) . knn(?x, ?y, 4)"
+    fresh = answer(_engine(small_db, text))
+    engine = _engine(small_db, text)
+    run = engine.run()
+    for _ in range(2):
+        next(run)
+    run.close()
+    assert answer(engine) == fresh
+    assert list(engine.run()) == fresh[0]
+
+    text = "(?a, ?p, ?b) . (?b, ?q, ?c)"
+    fresh = answer(_engine(small_db, text, timeout=60.0))
+    engine = _engine(small_db, text, timeout=60.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(ltj_engine, "Stopwatch", ThirdPoll)
+        engine.evaluate()
+        assert engine.stats.timed_out
+    assert answer(engine) == fresh
+
+
 # ----------------------------------------------------------------------
 # a long lonely leaf: every cut point falls inside one report
 # ----------------------------------------------------------------------

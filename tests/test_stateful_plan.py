@@ -28,7 +28,11 @@ after every step that
   clause; ``values`` is the ``leap`` loop, and ``seeker(pos)`` answers
   every ``lower`` like ``leap(pos, lower)``, for every adapter, dispatch
   and state, including an atom left failed by a rejected bind; an
-  enumeration counts as one leap, and a traced seek is a counted leap.
+  enumeration counts as one leap, and a traced seek is a counted leap;
+* a seeker an adapter keeps — on a Ring frame, for its stored column or
+  a 1-arc's ahead coordinate, or on a K-NN clause's span — is handed out
+  again once a bind and unbind elsewhere bring the atom back to that
+  frame or span, and still answers every ``lower`` like ``leap``.
 """
 
 import numpy as np
@@ -120,6 +124,19 @@ def slow_clause(relation, pos: int, anchor: int):
     )
 
 
+def kept(relation, pos: int) -> bool:
+    """Whether the adapter keeps the seeker of its free ``pos`` for as
+    long as its state lasts: a triple pattern below the root, on a
+    coordinate of its own, and a clause side whose span is resolved."""
+    if isinstance(relation, RingTripleRelation):
+        return len(relation._coords[pos]) == 1 and bool(
+            relation._state.frame.bound
+        )
+    if isinstance(relation, KnnClauseRelation):
+        return relation._ranges[pos] is not None
+    return False
+
+
 class JoinPlanMachine(RuleBasedStateMachine):
     @initialize(k=st.integers(1, 4))
     def setup(self, k):
@@ -195,6 +212,37 @@ class JoinPlanMachine(RuleBasedStateMachine):
         slot, _value, before = self.bound.pop()
         self.plan.unbind(slot)
         assert self.snapshot() == before, (slot, self.bound)
+
+    @precondition(lambda self: len(self.unbound_slots()) >= 2)
+    @rule(pick=st.integers(0, 4), via=st.integers(0, 4),
+          member=st.integers(0, N_NODES + 1))
+    def seekers_are_kept_and_stay_true(self, pick, via, member):
+        """A seeker kept on a Ring frame (its stored column or a 1-arc's
+        ahead coordinate) or on a clause's span answers like ``leap``
+        for every ``lower``, and is the one handed out again after a
+        bind and unbind of another variable brought the atom back."""
+        slots = self.unbound_slots()
+        slot = slots[pick % len(slots)]
+        atoms = self.plan.atoms[slot]
+        before = [relation.seeker(pos) for relation, pos, _mask in atoms]
+        rest = [s for s in slots if s != slot]
+        other = rest[via % len(rest)]
+        members = sorted(set.intersection(*(
+            set(relation.values(pos))
+            for relation, pos, _mask in self.plan.atoms[other]
+        )))
+        if members and self.plan.bind(other, members[member % len(members)]):
+            for relation, pos, _mask in atoms:  # a deeper frame or span
+                seek = relation.seeker(pos)
+                for lower in range(N_NODES + 2):
+                    assert seek(lower) == relation.leap(pos, lower)
+            self.plan.unbind(other)
+        for (relation, pos, _mask), seek in zip(atoms, before):
+            where = (relation, pos, self.bound)
+            if kept(relation, pos):
+                assert relation.seeker(pos) is seek, where
+            for lower in range(N_NODES + 2):
+                assert seek(lower) == relation.leap(pos, lower), where
 
     @invariant()
     def cache_is_current(self):
