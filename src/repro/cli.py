@@ -17,8 +17,7 @@ Subcommands::
 zero deserialization. ``query``/``explain``/``trace`` read either a
 bundle (``--data``) or a built index (``--from-index``). ``trace`` evaluates the query
 under a :class:`~repro.obs.trace.QueryTrace` and emits the
-schema-validated JSON document (:mod:`repro.obs.schema`) that
-:mod:`repro.obs.diff` can compare across runs. ``experiments``
+schema-validated JSON document (:mod:`repro.obs.schema`). ``experiments``
 regenerates the paper's tables at the one recorded scale and checks
 every claim EXPERIMENTS.md makes about them
 (:mod:`repro.experiments.registry`). Batches and cache counters are the
@@ -344,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="0 binds an ephemeral port (printed on the ready line)",
     )
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="1 evaluates in the server's dispatch thread; N >= 2 "
+        "starts a pool of N worker processes",
+    )
     p.add_argument(
         "--capacity",
         type=int,

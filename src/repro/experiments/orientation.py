@@ -42,14 +42,6 @@ class OrientationReport:
     """|exact ∩ approx| / |approx| per query (1.0 when approx empty)."""
 
     @property
-    def mean_symmetric(self) -> float:
-        return float(np.mean(self.symmetric_seconds))
-
-    @property
-    def mean_directed(self) -> float:
-        return float(np.mean(self.directed_seconds))
-
-    @property
     def symmetric_ms_per_tuple(self) -> float:
         total = sum(self.symmetric_solutions)
         return 1000.0 * sum(self.symmetric_seconds) / max(total, 1)

@@ -1,15 +1,8 @@
-"""Persistence for graphs, dictionaries, and K-NN graphs.
+"""Persistence for graphs and K-NN graphs.
 
-Two formats:
-
-* a line-based text format for authoring small graphs by hand —
-  whitespace-separated ``subject predicate object`` terms per line, with
-  ``#`` comments; terms are interned through a
-  :class:`~repro.graph.dictionary.TermDictionary` unless they are all
-  integers;
-* a binary ``.npz`` bundle for benchmark-scale data: the edge table,
-  the K-NN member/neighbor arrays, and optional descriptor points,
-  round-tripping exactly.
+A binary ``.npz`` bundle for benchmark-scale data: the edge table, the
+K-NN member/neighbor arrays, and optional descriptor points,
+round-tripping exactly.
 """
 
 from __future__ import annotations
@@ -18,75 +11,10 @@ import pathlib
 
 import numpy as np
 
-from repro.graph.dictionary import TermDictionary
 from repro.graph.triples import GraphData
 from repro.knn.graph import KnnGraph
-from repro.utils.errors import ValidationError
 
 
-# ----------------------------------------------------------------------
-# text format
-# ----------------------------------------------------------------------
-def parse_triples_text(
-    text: str, dictionary: TermDictionary | None = None
-) -> tuple[GraphData, TermDictionary | None]:
-    """Parse the line-based triple format.
-
-    If every term in the file is an integer, terms are used as ids
-    directly and the returned dictionary is ``None`` (unless one was
-    passed in). Otherwise all terms are interned in ``dictionary``
-    (created on demand).
-    """
-    rows: list[tuple[str, str, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValidationError(
-                f"line {line_no}: expected 3 terms, got {len(parts)}"
-            )
-        rows.append((parts[0], parts[1], parts[2]))
-    all_numeric = all(
-        term.isdigit() for row in rows for term in row
-    )
-    if all_numeric and dictionary is None:
-        triples = [(int(s), int(p), int(o)) for s, p, o in rows]
-        return GraphData(triples), None
-    if dictionary is None:
-        dictionary = TermDictionary()
-    return GraphData(dictionary.encode_triples(rows)), dictionary
-
-
-def load_triples_text(
-    path: str | pathlib.Path, dictionary: TermDictionary | None = None
-) -> tuple[GraphData, TermDictionary | None]:
-    """Load the text format from a file."""
-    return parse_triples_text(
-        pathlib.Path(path).read_text(), dictionary
-    )
-
-
-def dump_triples_text(
-    graph: GraphData, dictionary: TermDictionary | None = None
-) -> str:
-    """Serialize a graph to the text format (ids, or dictionary terms)."""
-    lines = []
-    for s, p, o in graph:
-        if dictionary is not None:
-            lines.append(
-                f"{dictionary.term_of(s)} {dictionary.term_of(p)} "
-                f"{dictionary.term_of(o)}"
-            )
-        else:
-            lines.append(f"{s} {p} {o}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
-# binary bundles
-# ----------------------------------------------------------------------
 def save_bundle(
     path: str | pathlib.Path,
     graph: GraphData,

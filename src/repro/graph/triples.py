@@ -123,28 +123,6 @@ class GraphData:
         its ids at the width the index stores them."""
         return int(self._spo.size) * INT_BYTES
 
-    # ------------------------------------------------------------------
-    # convenience constructors / combinators
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(
-        cls, subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray
-    ) -> "GraphData":
-        """Build from three parallel 1-D arrays."""
-        stacked = np.stack(
-            [
-                np.asarray(subjects, dtype=np.int64),
-                np.asarray(predicates, dtype=np.int64),
-                np.asarray(objects, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        return cls(stacked)
-
-    def union(self, other: "GraphData") -> "GraphData":
-        """Graph with the edges of both inputs (used by materialization)."""
-        return GraphData(np.concatenate((self._spo, other._spo), axis=0))
-
     def matching(
         self, s: int | None, p: int | None, o: int | None
     ) -> np.ndarray:

@@ -129,7 +129,7 @@ class DistanceRangeIndex(LazyMirrors):
         # range_within() binary-searches one region, and doing that
         # with np.searchsorted on a slice of the canonical array costs
         # a view allocation plus numpy dispatch per *leap* — measured
-        # at ~7-9% of the whole leap_within loop on mmap-attached
+        # at ~7-9% of the distance relation's leap loop on mmap-attached
         # structures. bisect on the list mirror is allocation-free.
         self._distances_i: list[float] = self._distances.tolist()
         self._D = WaveletTree(seq, max(n, 1))
@@ -207,19 +207,6 @@ class DistanceRangeIndex(LazyMirrors):
         lo, hi = self.range_within(u, d)
         members = self._members_i
         return [members[self._D.access(i)] for i in range(lo, hi + 1)]
-
-    def count_within(self, u: int, d: float) -> int:
-        """Number of nodes within distance ``d`` of ``u`` (the per-binding
-        ``k`` the paper notes could steer variable ordering)."""
-        lo, hi = self.range_within(u, d)
-        return max(0, hi - lo + 1)
-
-    def leap_within(self, u: int, d: float, lower: int) -> int | None:
-        """Smallest ``v >= lower`` with ``dist(u, v) <= d``."""
-        lo, hi = self.range_within(u, d)
-        if lo > hi:
-            return None
-        return self._D._range_next_id_u(self._members_i, lo, hi, lower)
 
     def contains(self, u: int, v: int, d: float) -> bool:
         """The predicate ``dist(u, v) <= d`` answered on the index.

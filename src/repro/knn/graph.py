@@ -14,7 +14,7 @@ explicitly allows two relaxations (Sec. 3.1):
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -92,34 +92,6 @@ class KnnGraph:
         self._lengths = lens
         self._lengths.setflags(write=False)
 
-    @classmethod
-    def from_lists(
-        cls,
-        members: np.ndarray | Iterable[int],
-        lists: Sequence[Sequence[int]],
-        K: int,
-    ) -> "KnnGraph":
-        """Build from per-member variable-length neighbor lists.
-
-        Rows shorter than ``K`` are padded (the padding values are never
-        read); rows longer than ``K`` are rejected.
-        """
-        mem = np.asarray(
-            list(members) if not isinstance(members, np.ndarray) else members,
-            dtype=np.int64,
-        )
-        if len(lists) != mem.size:
-            raise ValidationError("lists must be parallel to members")
-        lengths = np.array([len(row) for row in lists], dtype=np.int64)
-        if lengths.size and lengths.max() > K:
-            raise ValidationError(f"a list exceeds K={K}")
-        table = np.zeros((mem.size, K), dtype=np.int64)
-        if mem.size:
-            table[:] = mem[0]  # arbitrary member id as padding
-        for i, row in enumerate(lists):
-            table[i, : len(row)] = row
-        return cls(mem, table, lengths)
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -164,21 +136,12 @@ class KnnGraph:
     # ------------------------------------------------------------------
     # membership and lookups
     # ------------------------------------------------------------------
-    def is_member(self, node: int) -> bool:
-        idx = np.searchsorted(self._members, node)
-        return idx < self._members.size and self._members[idx] == node
-
     def index_of(self, node: int) -> int | None:
         """Dense member index of ``node``, or ``None`` if not a member."""
         idx = int(np.searchsorted(self._members, node))
         if idx < self._members.size and self._members[idx] == node:
             return idx
         return None
-
-    def length_of(self, node: int) -> int:
-        """Number of stored neighbors of ``node`` (0 for non-members)."""
-        idx = self.index_of(node)
-        return int(self._lengths[idx]) if idx is not None else 0
 
     def neighbors_of(self, node: int, k: int | None = None) -> np.ndarray:
         """``k``-NN(``node``) in distance order; empty for non-members.

@@ -290,14 +290,3 @@ class KnnRing(LazyMirrors):
                 return v
             idx += 1
         return None
-
-    def forward_count(self, u: int, k: int) -> int:
-        """Number of candidates for ``y`` given ``x = u`` (exactly ``k``
-        for members, 0 otherwise) — used for the ``l_x`` estimates."""
-        lo, hi = self.forward_range(u, k)
-        return max(0, hi - lo + 1)
-
-    def backward_count(self, v: int, k: int) -> int:
-        """Number of candidates for ``x`` given ``y = v``."""
-        lo, hi = self.backward_range(v, k)
-        return max(0, hi - lo + 1)

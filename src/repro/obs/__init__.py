@@ -1,12 +1,10 @@
-"""Query observability: tracing, trace schema, and trace diffing.
+"""Query observability: tracing and the trace schema.
 
 See :mod:`repro.obs.trace` for the recorder design (and its
-zero-overhead-when-disabled contract), :mod:`repro.obs.schema` for the
-machine-readable trace format, and :mod:`repro.obs.diff` for comparing
-traces across runs.
+zero-overhead-when-disabled contract) and :mod:`repro.obs.schema` for
+the machine-readable trace format.
 """
 
-from repro.obs.diff import CounterDelta, diff_traces, flatten_counters, format_diff
 from repro.obs.schema import (
     TRACE_SCHEMA,
     TraceSchemaError,
@@ -25,7 +23,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "CounterDelta",
     "OpCounters",
     "OrderingDecision",
     "QueryTrace",
@@ -34,9 +31,6 @@ __all__ = [
     "TraceSchemaError",
     "VarCounters",
     "attach_wavelets",
-    "diff_traces",
-    "flatten_counters",
-    "format_diff",
     "instrument_relations",
     "validate_document",
     "validate_trace",

@@ -44,16 +44,12 @@ class Stopwatch:
         self.start = now()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return now() - self.start
 
     def expired(self) -> bool:
         """Whether the budget (if any) has been exhausted."""
         return self.budget is not None and self.elapsed() > self.budget
-
-    def restart(self) -> None:
-        """Reset the stopwatch to zero elapsed time."""
-        self.start = now()
 
 
 @dataclass

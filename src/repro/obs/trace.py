@@ -27,8 +27,7 @@ any hot path). The repo benchmark reports what enabling it costs as
 ``obs.trace_overhead_ratio``.
 
 The JSON form (:meth:`QueryTrace.to_dict`) follows the machine-readable
-schema in :mod:`repro.obs.schema`; :func:`repro.obs.diff.diff_traces`
-compares two such documents across runs.
+schema in :mod:`repro.obs.schema`.
 """
 
 from __future__ import annotations

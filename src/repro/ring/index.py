@@ -15,9 +15,10 @@ primitive answers it empty (or ``None``) before it touches a structure;
 
 Coordinate cycle and naming. With the cycle ``s -> p -> o -> s``:
 
-* a *1-arc* ``{f}`` (one bound coordinate, value ``x``) is the block
-  ``A_f.range_of(x)`` — a row range of the table sorted starting at
-  ``f`` (``s``: ``T_SPO``, ``p``: ``T_POS``, ``o``: ``T_OSP``);
+* a *1-arc* ``{f}`` (one bound coordinate, value ``x``) is the block of
+  ``x`` in ``A_f`` (:meth:`RingIndex.block_range`) — a row range of the
+  table sorted starting at ``f`` (``s``: ``T_SPO``, ``p``: ``T_POS``,
+  ``o``: ``T_OSP``);
 * a *2-arc* ``{f, next(f)}`` is obtained from the ``next(f)``-block by
   one backward-search step through column ``C_f``
   (:meth:`RingIndex.pair_range`);
@@ -38,7 +39,6 @@ from repro.graph.triples import GraphData
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.fields import Child, Derived, Layout, LazyMirrors, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
-from repro.utils.errors import StructureError
 
 NEXT_COORD = {"s": "p", "p": "o", "o": "s"}
 PREV_COORD = {"s": "o", "p": "s", "o": "p"}
@@ -148,22 +148,6 @@ class RingIndex(LazyMirrors):
         base = self._blocks[first]._cum_i[first_value]
         return (base + r0, base + r1 - 1)
 
-    @staticmethod
-    def arc_start(bound_coords: frozenset[str] | set[str]) -> str:
-        """First coordinate of the (unique) arc covering a bound set.
-
-        For a single coordinate the arc starts there; for two, it starts
-        at the one whose cyclic successor is the other.
-        """
-        coords = set(bound_coords)
-        if len(coords) == 1:
-            return next(iter(coords))
-        if len(coords) == 2:
-            for f in sorted(coords):
-                if NEXT_COORD[f] in coords:
-                    return f
-        raise StructureError(f"no arc for bound set {sorted(coords)}")
-
     def triple_count(
         self, arc_first: str, lo: int, hi: int, remaining_value: int
     ) -> int:
@@ -189,28 +173,12 @@ class RingIndex(LazyMirrors):
         triple (leap for a pattern with no bound coordinate)."""
         return self._blocks[coord].next_nonempty(lower)
 
-    def leap_stored(
-        self, arc_first: str, lo: int, hi: int, lower: int
-    ) -> int | None:
-        """Leap on the coordinate ``prev(arc_first)``, which is the stored
-        column of the arc's table: a single ``range_next_value``."""
-        if lo > hi:
-            return None
-        return self._columns[PREV_COORD[arc_first]].range_next_value(
-            lo, hi, lower
-        )
-
-    def leap_ahead(
-        self, arc_first: str, arc_value: int, lower: int
-    ) -> int | None:
-        """Leap on the coordinate ``next(arc_first)`` of a 1-arc."""
-        return self.ahead_seeker(arc_first, arc_value)(lower)
-
     def ahead_seeker(
         self, arc_first: str, arc_value: int
     ) -> Callable[[int], int | None]:
-        """:meth:`leap_ahead` on the 1-arc ``arc_first = arc_value`` as a
-        function of ``lower``, with the arc resolved once.
+        """The leap on the coordinate ``next(arc_first)`` of the 1-arc
+        ``arc_first = arc_value``, as a function of ``lower``, with the
+        arc resolved once.
 
         The rows of the arc's table are, under the ``F`` maps, the
         occurrences of ``arc_value`` in column ``C_{arc_first}`` — whose
@@ -236,13 +204,3 @@ class RingIndex(LazyMirrors):
             return None if pos is None else bisect_right(cum, pos) - 1
 
         return seek
-
-    # ------------------------------------------------------------------
-    # cardinalities
-    # ------------------------------------------------------------------
-    def block_count(self, coord: str, value: int) -> int:
-        """Number of triples with ``coord = value``."""
-        if not 0 <= value < self._sigma[coord]:
-            return 0
-        lo, hi = self._blocks[coord].range_of(value)
-        return max(0, hi - lo + 1)

@@ -95,10 +95,6 @@ class RingPatternState:
     def frame(self) -> _Frame:
         return self._stack[-1]
 
-    @property
-    def bound_coords(self) -> frozenset[str]:
-        return frozenset(coord for coord, _v in self.frame.bound)
-
     def count(self) -> int:
         """Number of triples matching the current partial binding."""
         return self._stack[-1].matches

@@ -82,11 +82,6 @@ class AdmissionController:
         """Stop admitting; already-admitted queries keep their slots."""
         self.draining = True
 
-    @property
-    def drained(self) -> bool:
-        """True once draining has begun and nothing is in flight."""
-        return self.draining and self.inflight == 0
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -120,8 +120,9 @@ class ServeConfig:
     port: int = 0
     """0 = ephemeral: the kernel picks, :attr:`ReproServer.port` tells."""
 
-    workers: int = 2
-    """Worker-pool size; 1 disables the pool (serial evaluation)."""
+    workers: int = 1
+    """Worker-pool size; 1 evaluates in the dispatch thread, with no
+    pool (see ``docs/serving.md`` for why that is the default)."""
 
     capacity: int = 16
     """Admission window: queued-plus-evaluating queries beyond this shed
@@ -143,6 +144,20 @@ class ServeConfig:
 
     cache_bytes: int = DEFAULT_MAX_BYTES
     """Byte budget of the shared cache's packed solution matrices."""
+
+    def __post_init__(self) -> None:
+        # Each field comes from a flag: refuse a value the server cannot
+        # honour before any file is mapped or socket bound.
+        for name, least in (
+            ("workers", 1),
+            ("capacity", 1),
+            ("default_timeout", 0),
+            ("drain_grace", 0),
+            ("cache_bytes", 0),
+        ):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +225,7 @@ class ReproServer:
         self.config = config
         self.metrics = ServerMetrics()
         self.admission = AdmissionController(
-            config.capacity, parallelism=max(1, config.workers)
+            config.capacity, parallelism=config.workers
         )
         # One cache for every route: the scheduler (whose `auto` engine
         # the direct route also evaluates with) and /explain --analyze

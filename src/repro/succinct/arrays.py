@@ -2,12 +2,11 @@
 
 For a column ``C_j`` over an alphabet ``[0, sigma)``, the paper defines
 ``A_j[c] = |{ i : C_j[i] < c }|``.  :class:`CumulativeCounts` stores that
-array and answers the two questions the Ring needs:
-
-* the row range of a value's block (``range_of``), and
-* which block a given row belongs to (``block_of`` — the "locate the
-  ``A_P`` block of a select position" step used when leaping a variable
-  that is neither the stored column nor the backward neighbor).
+array. On its hot path the Ring reads the plain-int table ``_cum_i``
+directly: a value's block is ``[_cum_i[c], _cum_i[c + 1])``, and a
+``bisect`` finds the block of a select position when it leaps a variable
+that is neither the stored column nor the backward neighbor
+(:meth:`repro.ring.index.RingIndex.ahead_seeker`).
 """
 
 from __future__ import annotations
@@ -55,22 +54,11 @@ class CumulativeCounts(LazyMirrors):
         counts = np.bincount(col, minlength=alphabet_size)
         # _cum[c] = number of entries with value < c; length sigma + 1.
         self._cum = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        # Plain-int cache so the hot lookups (block_of / next_nonempty in
-        # every Ring leap) are a list subscript + bisect, not numpy calls.
+        # Plain-int cache so the hot lookups (block ranges / next_nonempty
+        # in every Ring leap) are a list subscript + bisect, not numpy calls.
         self._cum_i: list[int] = self._cum.tolist()
         self._n = int(col.size)
         self._sigma = alphabet_size
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "CumulativeCounts":
-        """Build directly from a per-symbol count array."""
-        obj = cls.__new__(cls)
-        counts = np.asarray(counts, dtype=np.int64)
-        obj._cum = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        obj._cum_i = obj._cum.tolist()
-        obj._n = int(counts.sum())
-        obj._sigma = int(counts.size)
-        return obj
 
     def _checked_cum(self) -> list[int]:
         return checked_offsets(
@@ -96,22 +84,6 @@ class CumulativeCounts(LazyMirrors):
         if not 0 <= c < self._sigma:
             raise ValidationError(f"symbol {c} out of range [0, {self._sigma})")
         return self._cum_i[c + 1] - self._cum_i[c]
-
-    def range_of(self, c: int) -> tuple[int, int]:
-        """Closed 0-based row range ``[lo, hi]`` of symbol ``c``'s block.
-
-        Empty blocks yield ``lo > hi``.
-        """
-        if not 0 <= c < self._sigma:
-            raise ValidationError(f"symbol {c} out of range [0, {self._sigma})")
-        return self._cum_i[c], self._cum_i[c + 1] - 1
-
-    def block_of(self, row: int) -> int:
-        """Symbol whose block contains sorted-table ``row`` (0-based)."""
-        if not 0 <= row < self._n:
-            raise ValidationError(f"row {row} out of range [0, {self._n})")
-        # _cum is nondecreasing; find rightmost c with _cum[c] <= row.
-        return bisect_right(self._cum_i, row) - 1
 
     def next_nonempty(self, c: int) -> int | None:
         """Smallest symbol ``>= c`` whose block is non-empty, or ``None``."""

@@ -154,10 +154,6 @@ class BitVector(LazyMirrors):
             raise ValidationError(f"access index {i} out of range [0, {self._n})")
         return (self._words_i[i >> 6] >> (i & 63)) & 1
 
-    def _access_u(self, i: int) -> int:
-        """Unchecked :meth:`access` (``0 <= i < n`` is the caller's bond)."""
-        return (self._words_i[i >> 6] >> (i & 63)) & 1
-
     def rank1(self, i: int) -> int:
         """Number of 1-bits in positions ``[0, i)``; ``i`` in ``[0, n]``."""
         if not 0 <= i <= self._n:
@@ -179,13 +175,6 @@ class BitVector(LazyMirrors):
                 self._words_i[w] & ((1 << rem) - 1)
             ).bit_count()
         return self._cum1_i[i >> 6]
-
-    def rank0(self, i: int) -> int:
-        """Number of 0-bits in positions ``[0, i)``."""
-        return i - self.rank1(i)
-
-    def _rank0_u(self, i: int) -> int:
-        return i - self._rank1_u(i)
 
     def select1(self, j: int) -> int:
         """Position of the ``j``-th 1-bit (``j`` counted from 1)."""
@@ -219,24 +208,6 @@ class BitVector(LazyMirrors):
             valid = 64
         inverted = ~self._words_i[w] & ((1 << valid) - 1)
         return (w << 6) + select_in_word(inverted, j - self._cum0_i[w])
-
-    # ------------------------------------------------------------------
-    # derived conveniences
-    # ------------------------------------------------------------------
-    def next_one(self, i: int) -> int | None:
-        """Position of the first 1-bit at position >= ``i``, or ``None``."""
-        if i >= self._n:
-            return None
-        r = self._rank1_u(i if i > 0 else 0)
-        if r + 1 > self._cum1_i[-1]:
-            return None
-        return self._select1_u(r + 1)
-
-    def rank1_range(self, lo: int, hi: int) -> int:
-        """Number of 1-bits in the closed range ``[lo, hi]``."""
-        if lo > hi:
-            return 0
-        return self.rank1(hi + 1) - self.rank1(lo)
 
     def to_array(self) -> np.ndarray:
         """Materialize the bits as a ``uint8`` numpy array (testing aid)."""

@@ -7,11 +7,9 @@ Supports the operation set of Sec. 2.3 of the paper:
   in ``O(log sigma)`` bitvector operations;
 * ``range_next_value(lo, hi, c)`` — smallest symbol ``>= c`` occurring in
   ``S[lo..hi]`` (the primitive behind ``leap`` in LTJ);
-* ``count_distinct(lo, hi)`` — the ``range_symbols`` operation used to
-  bound the number of candidate bindings of a variable;
 * ``distinct_values(lo, hi)`` — enumerate the distinct symbols of a range
-  in increasing order (one range-report traversal, visiting only the
-  nodes the range reaches).
+  in increasing order (the ``range_symbols`` operation: one range-report
+  traversal, visiting only the nodes the range reaches).
 
 The layout is the wavelet matrix ("The wavelet matrix: an efficient
 wavelet tree for large alphabets", Information Systems 47, 2015):
@@ -583,13 +581,6 @@ class WaveletTree(LazyMirrors):
             memo[key] = result
             self._memo_held = held
         return result
-
-    def count_distinct(self, lo: int, hi: int, cap: int | None = None) -> int:
-        """Number of distinct symbols in ``S[lo..hi]`` (closed range),
-        or ``cap`` if that is smaller (cardinality estimation only needs
-        "at least this many")."""
-        count = len(list(self.distinct_values(lo, hi)))
-        return count if cap is None else min(count, cap)
 
     def distinct_values(self, lo: int, hi: int) -> Iterator[int]:
         """The distinct symbols of ``S[lo..hi]`` in increasing order."""

@@ -1,3 +1,3 @@
-"""Shared utilities: errors (:mod:`.errors`) and argument checks
-(:mod:`.validation`); the query-timeout stopwatch lives on the span
-clock (:class:`repro.obs.spans.Stopwatch`)."""
+"""Shared utilities: the typed errors (:mod:`.errors`); the
+query-timeout stopwatch lives on the span clock
+(:class:`repro.obs.spans.Stopwatch`)."""

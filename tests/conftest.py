@@ -3,7 +3,7 @@ and the golden Figure-2 setup with its serial answers.
 
 Session-scoped where construction is non-trivial; all randomness is
 seeded so failures reproduce. The helpers below the fixtures
-(``_counts``, ``_comparable``, ``_rename``, ``_query_text``,
+(``_counts``, ``_size``, ``_comparable``, ``_rename``, ``_query_text``,
 ``_within``, ``_under_killed_workers``, ``_request``, ``_post``, ``_get``) are
 imported by test modules as ``from conftest import ...``.
 """
@@ -221,6 +221,12 @@ def _counts(stats: EvaluationStats) -> EvaluationStats:
     """Everything a result's stats say but its wall time: the counters,
     the timeout flag, the first descent and the similarity variables."""
     return dataclasses.replace(stats, elapsed=0.0)
+
+
+def _size(closed_range):
+    """Entries in a closed ``(lo, hi)`` range; empty when ``lo > hi``."""
+    lo, hi = closed_range
+    return max(0, hi - lo + 1)
 
 
 #: Trace-document keys that legitimately differ between two runs of one

@@ -30,19 +30,16 @@ class TestBasics:
         assert len(bv) == 0
         assert bv.n_ones == 0
         assert bv.rank1(0) == 0
-        assert bv.next_one(0) is None
 
     def test_all_ones(self):
         bv = BitVector([1] * 100)
         assert bv.rank1(100) == 100
         assert bv.select1(100) == 99
-        assert bv.rank0(100) == 0
 
     def test_all_zeros(self):
         bv = BitVector([0] * 100)
         assert bv.rank1(100) == 0
         assert bv.select0(1) == 0
-        assert bv.next_one(0) is None
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
@@ -91,11 +88,6 @@ class TestRank:
         for i in range(len(bits) + 1):
             assert bv.rank1(i) == sum(bits[:i])
 
-    def test_rank0_complements_rank1(self):
-        bv = BitVector([1, 0, 1, 1, 0, 0, 1])
-        for i in range(8):
-            assert bv.rank0(i) + bv.rank1(i) == i
-
     def test_rank_across_word_boundary(self):
         bits = [1] * 63 + [0] + [1] * 63 + [0, 1]
         bv = BitVector(bits)
@@ -110,13 +102,6 @@ class TestRank:
             bv.rank1(3)
         with pytest.raises(ValidationError):
             bv.rank1(-1)
-
-    def test_rank1_range_closed(self):
-        bv = BitVector([1, 0, 1, 1, 0])
-        assert bv.rank1_range(0, 4) == 3
-        assert bv.rank1_range(1, 1) == 0
-        assert bv.rank1_range(2, 3) == 2
-        assert bv.rank1_range(3, 2) == 0  # empty range
 
 
 class TestSelect:
@@ -147,19 +132,6 @@ class TestSelect:
         for j in range(1, bv.n_ones + 1):
             assert bv.rank1(bv.select1(j)) == j - 1
             assert bv.access(bv.select1(j)) == 1
-
-
-class TestNextOne:
-    def test_next_one_finds_forward(self):
-        bv = BitVector([0, 0, 1, 0, 1])
-        assert bv.next_one(0) == 2
-        assert bv.next_one(2) == 2
-        assert bv.next_one(3) == 4
-        assert bv.next_one(5) is None
-
-    def test_next_one_negative_start_clamped(self):
-        bv = BitVector([0, 1])
-        assert bv.next_one(-5) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,25 +205,6 @@ class TestWordBoundarySelect:
         bv = BitVector(bits)
         assert bv.select1(1) == 63
         assert bv.select0(63) == 62
-
-
-class TestNextOneBoundaries:
-    def test_next_one_at_last_position(self):
-        bv = BitVector([0] * 99 + [1])
-        assert bv.next_one(99) == 99
-        bv = BitVector([1] * 99 + [0])
-        assert bv.next_one(99) is None
-
-    def test_next_one_at_zero(self):
-        assert BitVector([1, 0]).next_one(0) == 0
-        assert BitVector([0, 1]).next_one(0) == 1
-        assert BitVector([0, 0]).next_one(0) is None
-
-    def test_next_one_past_the_end(self):
-        bv = BitVector([1] * 10)
-        assert bv.next_one(10) is None
-        assert bv.next_one(1000) is None
-        assert BitVector([]).next_one(0) is None
 
 
 def test_iteration_equals_to_array_tolist():

@@ -221,6 +221,30 @@ class TestServeBatchErrorPaths:
         assert "StoreFormatError" in captured.err
         assert "No such file" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--capacity", "0", "capacity"),
+            ("--workers", "0", "workers"),
+            ("--workers", "-3", "workers"),
+            ("--timeout", "-1", "default_timeout"),
+            ("--drain-grace", "-0.5", "drain_grace"),
+            ("--cache-bytes", "-1", "cache_bytes"),
+        ],
+    )
+    def test_serve_out_of_range_flag_is_typed_error(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        # The bundle does not exist: the flag is refused before any file
+        # is read or socket bound.
+        code, captured = self._run(
+            ["serve", "--data", str(tmp_path / "missing.npz"), flag, value],
+            capsys,
+        )
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert f"ValidationError: {field} must be >= " in captured.err
+
     def test_missing_data_bundle_is_typed_error(self, tmp_path, capsys):
         code, captured = self._run(
             [
@@ -333,6 +357,12 @@ class TestParser:
         assert args.workers == 4
         assert args.capacity == 32
         assert args.debug_faults is True
+
+    def test_serve_evaluates_in_thread_by_default(self):
+        from repro.serve import ServeConfig
+
+        args = build_parser().parse_args(["serve", "--from-index", "i"])
+        assert args.workers == ServeConfig().workers == 1
 
     def test_serve_requires_exactly_one_source(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,5 @@
 """Tests for the A_j cumulative-count arrays."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +26,6 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             CumulativeCounts([], alphabet_size=0)
 
-    def test_from_counts(self):
-        cc = CumulativeCounts.from_counts(np.array([2, 0, 3]))
-        assert len(cc) == 5
-        assert cc.before(0) == 0
-        assert cc.before(1) == 2
-        assert cc.before(2) == 2
-        assert cc.before(3) == 5
-
 
 class TestQueries:
     def test_before_is_strictly_smaller_count(self):
@@ -44,25 +35,6 @@ class TestQueries:
         assert cc.before(2) == 3
         assert cc.before(3) == 3
         assert cc.before(4) == 6
-
-    def test_range_of_blocks(self):
-        cc = CumulativeCounts([0, 0, 1, 3, 3, 3], alphabet_size=4)
-        assert cc.range_of(0) == (0, 1)
-        assert cc.range_of(1) == (2, 2)
-        lo, hi = cc.range_of(2)  # empty block
-        assert lo > hi
-        assert cc.range_of(3) == (3, 5)
-
-    def test_block_of_every_row(self):
-        seq = [0, 0, 1, 3, 3, 3]
-        cc = CumulativeCounts(seq, alphabet_size=4)
-        for row, value in enumerate(sorted(seq)):
-            assert cc.block_of(row) == value
-
-    def test_block_of_out_of_range(self):
-        cc = CumulativeCounts([0], alphabet_size=1)
-        with pytest.raises(ValidationError):
-            cc.block_of(1)
 
     def test_next_nonempty(self):
         cc = CumulativeCounts([1, 1, 4], alphabet_size=6)
@@ -95,8 +67,7 @@ def test_blocks_partition_rows(values):
     cc = CumulativeCounts(values, alphabet_size=10)
     total = 0
     for c in range(10):
-        lo, hi = cc.range_of(c)
-        size = max(0, hi - lo + 1)
-        assert size == values.count(c)
+        size = cc.before(c + 1) - cc.before(c)
+        assert size == cc.count(c) == values.count(c)
         total += size
     assert total == len(values)

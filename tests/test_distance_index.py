@@ -50,7 +50,7 @@ class TestDistanceIndex:
     def test_count_within(self, setup):
         _points, index, dist = setup
         for u in range(0, 30, 5):
-            assert index.count_within(u, 0.2) == int(
+            assert len(index.neighbors_within(u, 0.2)) == int(
                 ((dist[u] <= 0.2).sum()) - (dist[u, u] <= 0.2)
             )
 
@@ -60,8 +60,9 @@ class TestDistanceIndex:
         expected = sorted(v for v in range(30) if v != u and dist[u, v] <= 0.4)
         got = []
         lower = 0
+        seek = index.D.seeker(*index.range_within(u, 0.4), index._members_i)
         while True:
-            nxt = index.leap_within(u, 0.4, lower)
+            nxt = seek(lower)
             if nxt is None:
                 break
             got.append(nxt)
@@ -113,9 +114,15 @@ class TestDistanceIndex:
                 if j != i and np.linalg.norm(points[i] - points[j]) <= 0.8
             )
             assert sorted(index.neighbors_within(u, 0.8)) == near
+            # The two leaps the distance relation runs: traced, and by
+            # its seeker.
+            lo, hi = index.range_within(u, 0.8)
+            seek = index.D.seeker(lo, hi, index._members_i)
             for lower in range(-1, ids[-1] + 3):
                 want = next((v for v in near if v >= lower), None)
-                assert index.leap_within(u, 0.8, lower) == want
+                if lo <= hi:
+                    assert index.D._range_next_id_u(ids, lo, hi, lower) == want
+                assert seek(lower) == want
                 assert index.contains(u, lower, 0.8) == (lower in near)
 
     def test_invalid_construction(self):

@@ -21,12 +21,6 @@ class TestConstruction:
         assert g.nodes.size == 0
         assert g.predicates.size == 0
 
-    def test_from_arrays(self):
-        g = GraphData.from_arrays(
-            np.array([1, 0]), np.array([5, 5]), np.array([2, 3])
-        )
-        assert list(g) == [(0, 5, 3), (1, 5, 2)]
-
     def test_negative_constants_rejected(self):
         with pytest.raises(ValidationError):
             GraphData([(0, -1, 2)])
@@ -71,10 +65,3 @@ class TestMatchingAndUnion:
         assert len(g.matching(None, None, 2)) == 3
         assert len(g.matching(None, None, None)) == 4
         assert len(g.matching(9, None, None)) == 0
-
-    def test_union_dedups(self):
-        a = GraphData([(0, 1, 2)])
-        b = GraphData([(0, 1, 2), (3, 4, 5)])
-        u = a.union(b)
-        assert len(u) == 2
-        assert (3, 4, 5) in u

@@ -1,68 +1,10 @@
-"""Tests for graph/K-NN persistence."""
+"""Tests for graph/K-NN bundle persistence."""
 
 import numpy as np
-import pytest
 
-from repro.graph.dictionary import TermDictionary
-from repro.graph.io import (
-    dump_triples_text,
-    load_bundle,
-    load_triples_text,
-    parse_triples_text,
-    save_bundle,
-)
+from repro.graph.io import load_bundle, save_bundle
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
-from repro.utils.errors import ValidationError
-
-
-class TestTextFormat:
-    def test_numeric_roundtrip(self):
-        graph = GraphData([(0, 1, 2), (3, 1, 0)])
-        text = dump_triples_text(graph)
-        parsed, dictionary = parse_triples_text(text)
-        assert dictionary is None
-        assert list(parsed) == list(graph)
-
-    def test_named_terms_interned(self):
-        text = """
-        # people
-        alice knows bob
-        bob knows carol
-        """
-        graph, dictionary = parse_triples_text(text)
-        assert dictionary is not None
-        assert len(graph) == 2
-        assert dictionary.id_of("alice") == 0
-
-    def test_existing_dictionary_reused(self):
-        d = TermDictionary(["alice"])
-        graph, d2 = parse_triples_text("alice knows bob", d)
-        assert d2 is d
-        assert d.id_of("alice") == 0
-        assert len(graph) == 1
-
-    def test_comments_and_blank_lines(self):
-        graph, _ = parse_triples_text("# nothing\n\n1 2 3  # trailing\n")
-        assert list(graph) == [(1, 2, 3)]
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValidationError, match="line 1"):
-            parse_triples_text("1 2")
-
-    def test_dump_with_dictionary(self):
-        d = TermDictionary()
-        graph = GraphData(d.encode_triples([("a", "p", "b")]))
-        assert dump_triples_text(graph, d) == "a p b\n"
-
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("7 8 9\n1 8 7\n")
-        graph, _ = load_triples_text(path)
-        assert len(graph) == 2
-
-    def test_dump_empty(self):
-        assert dump_triples_text(GraphData([])) == ""
 
 
 class TestBundles:

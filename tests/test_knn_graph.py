@@ -52,8 +52,7 @@ class TestValidation:
 class TestQueries:
     def test_membership(self):
         g = tiny_graph()
-        assert g.is_member(20)
-        assert not g.is_member(25)
+        assert g.index_of(20) == 1
         assert g.index_of(30) == 2
         assert g.index_of(5) is None
 

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _size
 from repro.knn.adjacency import KnnAdjacency
 from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
@@ -17,13 +18,13 @@ def knn_tables(draw):
     """Arbitrary valid (possibly truncated) K-NN tables over 0..n-1."""
     n = draw(st.integers(3, 10))
     K = draw(st.integers(1, min(4, n - 1)))
-    lists = []
+    table, lengths = [], []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        perm = list(draw(st.permutations(others)))
-        length = draw(st.integers(0, K))
-        lists.append(perm[:length])
-    return KnnGraph.from_lists(np.arange(n), lists, K)
+        table.append(list(draw(st.permutations(others)))[:K])
+        lengths.append(draw(st.integers(0, K)))
+    # Entries past a row's length are padding, never read.
+    return KnnGraph(np.arange(n), np.array(table), np.array(lengths))
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,9 +56,9 @@ def test_counts_are_consistent(graph):
     k = graph.K
     # Total forward entries == total backward entries == valid pairs.
     forward_total = sum(
-        ring.forward_count(int(u), k) for u in graph.members
+        _size(ring.forward_range(int(u), k)) for u in graph.members
     )
     backward_total = sum(
-        ring.backward_count(int(v), k) for v in graph.members
+        _size(ring.backward_range(int(v), k)) for v in graph.members
     )
     assert forward_total == backward_total == int(graph.lengths.sum())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _size
 from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
 from repro.utils.errors import ValidationError
@@ -117,7 +118,7 @@ class TestLemmas:
         # k-prefixes: total backward count = k * n.
         for k in (1, 3, 6):
             total = sum(
-                ring.backward_count(int(v), k) for v in ring.members
+                _size(ring.backward_range(int(v), k)) for v in ring.members
             )
             assert total == k * ring.num_members
 
@@ -192,7 +193,7 @@ class TestNonMembersAndBounds:
         expected = [
             int(m)
             for m in ring.members
-            if ring.backward_count(int(m), 3) > 0
+            if _size(ring.backward_range(int(m), 3)) > 0
         ]
         assert got == expected
 

@@ -137,7 +137,6 @@ def _check_bitvector(got, original, bits):
     assert list(got) == list(original)
     for i in range(len(bits) + 1):
         assert got.rank1(i) == original.rank1(i)
-        assert got.rank0(i) == original.rank0(i)
     for j in range(1, original.n_ones + 1):
         assert got.select1(j) == original.select1(j)
     for j in range(1, original.n_zeros + 1):
@@ -244,7 +243,6 @@ def _check_knn_ring(got, original):
             assert got.reverse_neighbors_of(
                 u, k
             ) == original.reverse_neighbors_of(u, k)
-            assert got.forward_count(u, k) == original.forward_count(u, k)
             assert got.forward_range(u, k) == original.forward_range(u, k)
 
 
@@ -268,9 +266,16 @@ def _check_distance_index(got, original):
             assert got.neighbors_within(u, d) == original.neighbors_within(
                 u, d
             )
-            assert got.count_within(u, d) == original.count_within(u, d)
+            lo, hi = span = got.range_within(u, d)
+            assert span == original.range_within(u, d)
+            near = original.neighbors_within(u, d)
             for low in original.members[::3].tolist():
-                assert got.leap_within(u, d, low) == original.leap_within(u, d, low)
+                want = min((v for v in near if v >= low), default=None)
+                got_next = (
+                    got.D._range_next_id_u(got._members_i, lo, hi, low)
+                    if lo <= hi else None
+                )
+                assert got_next == want
 
 
 @by_carrier
@@ -336,14 +341,23 @@ def test_entry_bounds_use_the_dtype_itemsize():
         get(3)
 
 
+def _counts_table(cum):
+    """A ``CumulativeCounts`` holding the stored table ``cum``: a column
+    of 2**31 entries is too large to build in a test."""
+    counts = CumulativeCounts([0], alphabet_size=1)
+    counts._cum = np.array(cum, dtype=np.int64)
+    counts._n, counts._sigma = cum[-1], len(cum) - 1
+    return counts
+
+
 def test_value_past_the_declared_width_is_refused_at_save(tmp_path):
-    counts = CumulativeCounts.from_counts(np.array([2**31 - 1, 1]))
+    counts = _counts_table([0, 2**31 - 1, 2**31])
     path = str(tmp_path / "wide.idx")
     with pytest.raises(StructureError, match=r"cumcounts\.cum .* '<i4'"):
         save(counts, path)
     assert not os.path.exists(path)
     # One less fits, and reads back as written.
-    save(CumulativeCounts.from_counts(np.array([2**31 - 1])), path)
+    save(_counts_table([0, 2**31 - 1]), path)
     store = load(path)
     try:
         assert store.structure.before(1) == 2**31 - 1

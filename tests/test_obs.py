@@ -1,4 +1,4 @@
-"""The observability surfaces: trace schema, trace diffing, the
+"""The observability surfaces: trace schema, repeatable traces, the
 ``repro trace`` CLI subcommand, and EXPLAIN ANALYZE."""
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from repro.engines.ring_knn import RingKnnEngine
 from repro.explain import explain
 from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
-from repro.obs import (
-    QueryTrace,
-    TraceSchemaError,
-    diff_traces,
-    format_diff,
-    validate_trace,
-)
+from repro.obs import QueryTrace, TraceSchemaError, validate_trace
 from repro.obs.schema import main as schema_main
 from repro.obs.spans import Spans
 from repro.query.parser import parse_query
@@ -103,39 +97,24 @@ class TestSchema:
 
 
 # ----------------------------------------------------------------------
-# diffing
+# repeatability
 # ----------------------------------------------------------------------
 class TestDiff:
-    def test_identical_traces_diff_empty(self, trace_doc):
-        same = json.loads(json.dumps(trace_doc))
-        assert diff_traces(trace_doc, same, ignore_timings=True) == []
-        assert "identical" in format_diff([])
-
-    def test_diff_detects_changed_counters(self, db, trace_doc):
-        other = QueryTrace()
-        RingKnnEngine(db).evaluate(
-            parse_query("(?x, 20, ?y) . knn(?x, ?y, 2)"), trace=other
-        )
-        deltas = diff_traces(
-            trace_doc, other.to_dict(), ignore_timings=True
-        )
-        assert deltas, "changing k must move some counter"
-        paths = {d.path for d in deltas}
-        assert any("leap" in p or "candidates" in p for p in paths)
-        rendered = format_diff(deltas)
-        assert "counters changed" in rendered
-
     def test_ignore_timings_drops_phase_noise(self, db, trace_doc):
         rerun = QueryTrace()
         RingKnnEngine(db).evaluate(
             parse_query("(?x, 20, ?y) . knn(?x, ?y, 4)"), trace=rerun
         )
-        deltas = diff_traces(
-            trace_doc, rerun.to_dict(), ignore_timings=True
-        )
+
+        def untimed(document):
+            return {
+                key: value for key, value in document.items()
+                if key not in ("elapsed", "phases")
+            }
+
         # Same query, same engine, deterministic counters: only the
-        # timings could differ, and those are suppressed.
-        assert deltas == []
+        # timings may differ.
+        assert untimed(rerun.to_dict()) == untimed(trace_doc)
 
 
 # ----------------------------------------------------------------------

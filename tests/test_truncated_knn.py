@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import _size
 from repro.engines.database import GraphDatabase
 from repro.engines.baseline import BaselineEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
@@ -19,27 +20,25 @@ from repro.utils.errors import ValidationError
 @pytest.fixture(scope="module")
 def truncated():
     """A 3-NN graph where some rows keep fewer than 3 neighbors."""
-    graph = KnnGraph.from_lists(
+    # Entries past a row's length are padding (0 here), never read.
+    graph = KnnGraph(
         members=np.array([0, 1, 2, 3, 4]),
-        lists=[
+        neighbors=np.array([
             [1, 2, 3],   # full
-            [0],         # only one close neighbor
-            [3, 1],      # two
-            [],          # isolated: no neighbors within range
+            [0, 0, 0],   # only one close neighbor
+            [3, 1, 0],   # two
+            [0, 0, 0],   # isolated: no neighbors within range
             [3, 2, 0],
-        ],
-        K=3,
+        ]),
+        lengths=np.array([3, 1, 2, 0, 3]),
     )
     return graph, KnnRing(graph), KnnAdjacency(graph)
 
 
 class TestModel:
-    def test_from_lists_lengths(self, truncated):
+    def test_is_truncated(self, truncated):
         graph, _ring, _adj = truncated
-        assert graph.lengths.tolist() == [3, 1, 2, 0, 3]
         assert graph.is_truncated
-        assert graph.length_of(1) == 1
-        assert graph.length_of(99) == 0
 
     def test_neighbors_respect_lengths(self, truncated):
         graph, _ring, _adj = truncated
@@ -60,10 +59,6 @@ class TestModel:
         reverse = graph.reverse_lists()
         # 3 is listed by 2 (rank 1) and 4 (rank 1) and 0 (rank 3).
         assert {u for _r, u in reverse[3]} == {0, 2, 4}
-
-    def test_too_long_list_rejected(self):
-        with pytest.raises(ValidationError):
-            KnnGraph.from_lists(np.array([0, 1]), [[1, 1, 1]], K=1)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValidationError):
@@ -99,9 +94,9 @@ class TestSuccinctAndAdjacency:
 
     def test_forward_count_capped_by_length(self, truncated):
         _graph, ring, _adj = truncated
-        assert ring.forward_count(1, 3) == 1
-        assert ring.forward_count(3, 2) == 0
-        assert ring.forward_count(0, 2) == 2
+        assert _size(ring.forward_range(1, 3)) == 1
+        assert _size(ring.forward_range(3, 2)) == 0
+        assert _size(ring.forward_range(0, 2)) == 2
 
 
 class TestBuilderTruncation:

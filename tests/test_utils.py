@@ -1,8 +1,6 @@
-"""Tests for timing, validation helpers, and the error hierarchy."""
+"""Tests for the query stopwatch and the error hierarchy."""
 
 import time
-
-import pytest
 
 from repro.obs.spans import Stopwatch
 from repro.utils.errors import (
@@ -11,12 +9,6 @@ from repro.utils.errors import (
     StructureError,
     TimeoutExceeded,
     ValidationError,
-)
-from repro.utils.validation import (
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_range,
 )
 
 
@@ -42,38 +34,3 @@ class TestStopwatch:
         time.sleep(0.001)
         assert sw.expired()
 
-    def test_restart(self):
-        sw = Stopwatch(budget=100.0)
-        time.sleep(0.001)
-        first = sw.elapsed()
-        sw.restart()
-        assert sw.elapsed() < first
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive("n", 3) == 3
-        with pytest.raises(ValidationError):
-            check_positive("n", 0)
-        with pytest.raises(ValidationError):
-            check_positive("n", True)
-        with pytest.raises(ValidationError):
-            check_positive("n", 1.5)
-
-    def test_check_nonnegative(self):
-        assert check_nonnegative("n", 0) == 0
-        with pytest.raises(ValidationError):
-            check_nonnegative("n", -1)
-
-    def test_check_index(self):
-        assert check_index("i", 2, 3) == 2
-        with pytest.raises(ValidationError):
-            check_index("i", 3, 3)
-
-    def test_check_range(self):
-        assert check_range("r", 1, 2, 5) == (1, 2)
-        assert check_range("r", 3, 2, 5) == (3, 2)  # empty allowed
-        with pytest.raises(ValidationError):
-            check_range("r", -1, 2, 5)
-        with pytest.raises(ValidationError):
-            check_range("r", 0, 5, 5)

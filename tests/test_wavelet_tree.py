@@ -121,15 +121,8 @@ class TestDistinct:
     def test_distinct_subrange(self, wt):
         assert list(wt.distinct_values(0, 3)) == [1, 3, 4]
 
-    def test_count_distinct(self, wt):
-        assert wt.count_distinct(0, 9) == len(set(SEQ))
-
-    def test_count_distinct_with_cap(self, wt):
-        assert wt.count_distinct(0, 9, cap=2) == 2
-
     def test_distinct_empty_range(self, wt):
         assert list(wt.distinct_values(3, 2)) == []
-        assert wt.count_distinct(3, 2) == 0
 
 
 # ----------------------------------------------------------------------
