@@ -19,6 +19,8 @@ distance-range index (an extension beyond the paper's baseline).
 
 from __future__ import annotations
 
+from contextlib import closing, nullcontext
+
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.ltj.engine import LTJEngine
@@ -26,7 +28,7 @@ from repro.ltj.ordering import MinCandidatesOrdering
 from repro.ltj.stats import EvaluationStats
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs.spans import Stopwatch, now
-from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
+from repro.obs.trace import wavelet_targets
 from repro.query.model import DistClause, ExtendedBGP, SimClause, Var, is_var
 from repro.utils.errors import QueryError
 
@@ -112,22 +114,12 @@ class BaselineEngine:
             for clause in (*query.clauses, *query.dist_clauses)
             for v in clause.variables
         )
-        if trace is not None:
-            trace.engine = self.name
-            if trace.query is None:
-                trace.query = repr(query)
-            instrument_relations(trace, relations)
         solutions: list[dict[Var, int]] = []
         base_count = 0
-        wavelets = (
-            attach_wavelets(wavelet_targets(trace, self._db, query))
-            if trace is not None
-            else None
+        observed = nullcontext() if trace is None else trace.observe(
+            self.name, query, wavelet_targets(self._db, query)
         )
-        run = ltj.run()
-        try:
-            if wavelets is not None:
-                wavelets.__enter__()
+        with observed, closing(ltj.run()) as run:
             for base in run:
                 base_count += 1
                 self._postprocess(
@@ -143,10 +135,6 @@ class BaselineEngine:
                     break
                 if limit is not None and len(solutions) >= limit:
                     break
-        finally:
-            run.close()
-            if wavelets is not None:
-                wavelets.__exit__(None, None, None)
         ended = now()
         stats.elapsed = ended - stopwatch.start
         stats.timed_out = stats.timed_out or ltj.stats.timed_out

@@ -19,7 +19,7 @@ from repro.ltj.engine import LTJEngine
 from repro.ltj.knn_relation import KnnClauseRelation
 from repro.ltj.ordering import ConstraintAwareOrdering
 from repro.ltj.sixperm_relation import SixPermTripleRelation
-from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
+from repro.obs.trace import wavelet_targets
 from repro.query.model import ExtendedBGP
 
 
@@ -69,14 +69,13 @@ class ClassicSixPermEngine:
         if trace is None:
             solutions = engine.evaluate()
             return QueryResult(self.name, solutions, engine.stats)
-        trace.engine = self.name
-        if trace.query is None:
-            trace.query = repr(query)
-        instrument_relations(trace, relations)
         # Six-permutation triple patterns run over sorted arrays, not
         # wavelet trees, so only the K-NN/distance structures apply.
-        pairs = wavelet_targets(trace, self._db, query, include_ring=False)
-        with attach_wavelets(pairs), trace.spans.span("evaluate"):
+        observed = trace.observe(
+            self.name, query,
+            wavelet_targets(self._db, query, include_ring=False),
+        )
+        with observed, trace.spans.span("evaluate"):
             solutions = engine.evaluate()
         return QueryResult(self.name, solutions, engine.stats, trace=trace)
 

@@ -22,7 +22,6 @@ from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import MinCandidatesOrdering
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs.spans import now
-from repro.obs.trace import attach_wavelets, instrument_relations
 from repro.query.model import ExtendedBGP, TriplePattern
 from repro.ring.index import RingIndex
 from repro.utils.errors import QueryError
@@ -98,22 +97,14 @@ class MaterializeEngine:
         if trace is None:
             solutions = engine.evaluate()
         else:
-            trace.engine = self.name
-            if trace.query is None:
-                trace.query = repr(query)
             trace.meta["materialized_pairs"] = len(extra_triples)
-            instrument_relations(trace, relations)
             # Two Rings are live here: the data Ring and the fresh Ring
             # over the materialized kNN pairs.
-            pairs = [
-                (self._db.ring.column(c), trace.wavelet("ring"))
-                for c in "spo"
-            ]
-            pairs.extend(
-                (knn_ring.column(c), trace.wavelet("materialized_ring"))
-                for c in "spo"
+            wavelets = [(self._db.ring.column(c), "ring") for c in "spo"]
+            wavelets.extend(
+                (knn_ring.column(c), "materialized_ring") for c in "spo"
             )
-            with attach_wavelets(pairs):
+            with trace.observe(self.name, query, wavelets):
                 solutions = engine.evaluate()
         ended = now()
         stats = engine.stats

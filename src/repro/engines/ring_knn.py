@@ -28,7 +28,7 @@ from repro.ltj.ordering import (
 )
 from repro.ltj.solutions import raw_limit
 from repro.ltj.triple_relation import RingTripleRelation
-from repro.obs.trace import attach_wavelets, instrument_relations, wavelet_targets
+from repro.obs.trace import wavelet_targets
 from repro.query.model import ExtendedBGP
 
 
@@ -100,17 +100,10 @@ class _RingEngineBase:
                     limit=raw_limit(limit, project, distinct),
                     trace=trace,
                 )
-            if trace is None:
-                attached = nullcontext()
-            else:
-                trace.engine = self.name
-                if trace.query is None:
-                    trace.query = repr(query)
-                instrument_relations(trace, relations)
-                attached = attach_wavelets(
-                    wavelet_targets(trace, self._db, query)
-                )
-            with attached, phase("leapfrog"):
+            observed = nullcontext() if trace is None else trace.observe(
+                self.name, query, wavelet_targets(self._db, query)
+            )
+            with observed, phase("leapfrog"):
                 solutions = engine.evaluate()
         solutions = solutions.select(project, distinct, limit)
         return QueryResult(self.name, solutions, engine.stats, trace=trace)

@@ -10,7 +10,7 @@ intersections as triple patterns, which is the core idea of Sec. 3.3.
 
 The query is compiled once, into a :class:`~repro.ltj.plan.JoinPlan`;
 the loop below only leaps, binds and asks the ordering. The last
-variable of a branch is not bound at all: ``leap`` returns only values
+variable of a branch is not bound at all: a seeker returns only values
 that leave its atom non-empty, so every member of the last intersection
 is a solution, and its row — the branch's slot-indexed ``row`` — goes
 into one flat int64 buffer that becomes the :class:`Solutions` matrix.
@@ -73,10 +73,14 @@ class LTJEngine:
             limit: optional cap on the number of solutions.
             trace: optional :class:`repro.obs.trace.QueryTrace` recording
                 per-variable leap/candidate/binding counters and ordering
-                decisions. ``None`` (default) disables tracing; every
-                recording site is guarded by a single ``is not None``
-                test so the disabled path stays hot-loop cheap.
+                decisions, and each relation's work: every relation is
+                wrapped in the trace's counting relation, which leaps
+                through the relation's own seekers. ``None`` (default)
+                disables tracing; every recording site in the search is
+                guarded by a single ``is not None`` test.
         """
+        if trace is not None:
+            relations = [trace.counting(r) for r in relations]
         # Only a trace's decision record reads a forced choice's l_x.
         self._plan = JoinPlan(relations, estimate_forced=trace is not None)
         self._variables = self._plan.state.variables
@@ -86,9 +90,8 @@ class LTJEngine:
         self._limit = limit
         self._trace = trace
         self._stopwatch = Stopwatch(timeout)
-        # Duck-typed: clause relations carry a `clause` attribute.
         self._sim_variables = frozenset(
-            v for r in relations if hasattr(r, "clause") for v in r.variables
+            v for r in relations if r.kind != "triple" for v in r.variables
         )
         # The current branch, slot-indexed (a bound slot's value; an
         # unbound slot holds whatever it held last).
@@ -299,7 +302,7 @@ class LTJEngine:
 
     def _leaf(self, slot: int, vc: VarCounters | None) -> Iterator[None]:
         """The last unbound variable: each candidate completes a solution
-        as it stands (see :meth:`LeapRelation.leap`), so its row is
+        as it stands (see :meth:`LeapRelation.seeker`), so its row is
         emitted without a bind. Yields whenever a block of rows is ready.
 
         Alone in its atom, the variable needs no leapfrog: its candidates

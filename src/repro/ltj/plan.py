@@ -9,7 +9,7 @@ plan fixes the atoms containing it — an atom has a variable free exactly
 when the search has not bound it, so nothing is ever asked of the atoms
 about that — and each ``(atom, variable)`` pair owns one cell of a flat
 estimate array. :meth:`JoinPlan.bind` passes over the atoms the slot is
-the last free variable of (their ``leap`` already admitted the value and
+the last free variable of (their seeker already admitted the value and
 nothing will be asked of them below), refreshes only the cells of the
 atoms it touched and recomputes ``l_x`` only for their other variables
 (a bind that leaves one variable unbound may skip even that: the next
@@ -82,11 +82,10 @@ class JoinPlan:
                         shared[slot].setdefault(other, []).append(
                             (relation, pos, cell)
                         )
-            clause = getattr(relation, "clause", None)
-            if clause is not None and len(here) == 2:
+            if relation.kind != "triple" and len(here) == 2:
                 x, y = here[0][0], here[1][0]
                 edges.append((x, y))
-                if not hasattr(clause, "k"):
+                if relation.kind == "dist":
                     # Distance clauses are symmetric: both directions.
                     edges.append((y, x))
         self._refresh: list[list[_Refresh]] = [

@@ -11,24 +11,27 @@ position needs (which coordinates, which side of a clause). The engine
 resolves ``Var -> position`` once per query (:meth:`position`) and the
 navigation methods take that small int — they hash no ``Var``, scan
 nothing and build no sets. They are also *unchecked*: the caller keeps
-binds properly nested, never leaps on a bound position, binds only
-values the atom's own ``leap`` returned and never binds an atom's last
-free position (``leap`` already answered there, and a fully bound atom
-is asked nothing more) — which the engine does by construction.
+binds properly nested, never seeks on a bound position, binds only
+values the atom's own seeker returned and never binds an atom's last
+free position (its seeker already answered there, and a fully bound
+atom is asked nothing more) — which the engine does by construction.
+
+The one navigation primitive is :meth:`LeapRelation.seeker`, traced or
+not: a traced evaluation wraps each atom in the trace's counting
+relation, which hands out the atom's own seekers with a count around
+each and names its backend counters through
+:meth:`LeapRelation.detail_keys`.
 """
 
 from __future__ import annotations
 
 import abc
 from collections.abc import Callable, Sequence
-from functools import partial
-from typing import TYPE_CHECKING
 
 from repro.query.model import Term, Var
 from repro.utils.errors import StructureError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RelationCounters
+Seeker = Callable[[int], int | None]
 
 
 class LeapRelation(abc.ABC):
@@ -38,9 +41,8 @@ class LeapRelation(abc.ABC):
     """What sits at each position: a variable, or (clause sides only)
     the constant that was bound at construction."""
 
-    obs: RelationCounters | None = None
-    """Optional :class:`repro.obs.trace.RelationCounters` (``None`` when
-    tracing is off)."""
+    kind: str
+    """``"triple"``, ``"knn"`` or ``"dist"``: which sort of atom."""
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -55,46 +57,42 @@ class LeapRelation(abc.ABC):
         raise StructureError(f"{var!r} does not occur in {self!r}")
 
     @abc.abstractmethod
-    def leap(self, pos: int, lower: int) -> int | None:
-        """Smallest candidate value ``>= lower`` for the free variable at
-        ``pos``, or ``None``. When ``pos`` is the atom's only free
-        position the returned value is admissible: binding it leaves
-        the atom non-empty. The engine relies on that: it does not call
-        ``bind`` for an atom's last free position at all, and a candidate
-        of the last unbound variable is emitted as a solution as it
-        stands. (With another position still free a value may yet be
-        rejected by ``bind``: a distance clause leaps over all members,
-        and one may have nobody within ``d``.)"""
+    def seeker(self, pos: int) -> Seeker:
+        """The leap at the free position ``pos``: a function from
+        ``lower`` to the smallest candidate value ``>= lower``, or
+        ``None``, with whatever it reads from the current binding
+        resolved once — for the span of one intersection.
 
-    def seeker(self, pos: int) -> Callable[[int], int | None]:
-        """``leap`` at ``pos`` as a function of ``lower``, with whatever
-        it reads from the current binding resolved once — for the span
-        of one intersection. It answers like ``leap`` while the atom's
-        bindings are those of this call (binds undone again in between
-        do not matter) and is dead after any other bind or unbind. An
-        adapter may keep it with what it was resolved against — a Ring
-        frame, a clause's span — and hand the same one out whenever that
-        is current again. Overrides bypass ``leap`` only while ``obs``
-        is ``None``, so traced counts stay exact; an atom that holds the
-        range of a wavelet tree returns the tree's own ``seeker(lo,
-        hi)``, which alone decides whether a leap descends or bisects
-        the range's report."""
-        return partial(self.leap, pos)
+        When ``pos`` is the atom's only free position the returned value
+        is admissible: binding it leaves the atom non-empty. The engine
+        relies on that: it does not call ``bind`` for an atom's last
+        free position at all, and a candidate of the last unbound
+        variable is emitted as a solution as it stands. (With another
+        position still free a value may yet be rejected by ``bind``: a
+        distance clause leaps over all members, and one may have nobody
+        within ``d``.)
+
+        It answers so while the atom's bindings are those of this call
+        (binds undone again in between do not matter) and is dead after
+        any other bind or unbind. An adapter may keep it with what it
+        was resolved against — a Ring frame, a clause's span — and hand
+        the same one out whenever that is current again; an atom that
+        holds the range of a wavelet tree returns the tree's own
+        ``seeker(lo, hi)``, which alone decides whether a leap descends
+        or bisects the range's report."""
 
     def values(self, pos: int) -> Sequence[int]:
         """Every candidate of the free variable at ``pos`` under the
-        current binding, ascending — what leaping from 0 until ``None``
-        returns. An enumeration counts as *one* leap however it is
-        answered; adapters that hold the range of a wavelet tree answer
-        it with one range report, the rest with this loop."""
+        current binding, ascending — what seeking from 0 until ``None``
+        returns, and by default that loop. An enumeration counts as
+        *one* leap however it is answered; adapters that hold the range
+        of a wavelet tree answer it with one range report."""
+        seek = self.seeker(pos)
         found: list[int] = []
-        value = self.leap(pos, 0)
+        value = seek(0)
         while value is not None:
             found.append(value)
-            value = self.leap(pos, value + 1)
-        obs = self.obs
-        if obs is not None:
-            obs.leaps -= len(found)  # of the len + 1 leaps, one counts
+            value = seek(value + 1)
         return found
 
     @abc.abstractmethod
@@ -103,7 +101,7 @@ class LeapRelation(abc.ABC):
         stays non-empty. The state is pushed even when the result is
         ``False`` so that :meth:`unbind` stays symmetric. Never called
         for the atom's last free position, nor by the engine with a
-        value this atom's ``leap`` did not return."""
+        value this atom's seeker did not return."""
 
     @abc.abstractmethod
     def unbind(self, pos: int) -> None:
@@ -123,3 +121,9 @@ class LeapRelation(abc.ABC):
         """Whether the atom admits no completion (default: never)."""
         return False
 
+    def detail_keys(self, pos: int) -> tuple[str | None, str | None]:
+        """The backend counters a seek at ``pos`` and a bind of ``pos``
+        count under the current binding — which primitive answers them
+        (``None``: no counter). Only a traced evaluation's counting
+        relation asks."""
+        return None, None

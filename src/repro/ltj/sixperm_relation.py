@@ -11,14 +11,11 @@ one (see ``tests/test_sixperm.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
 
 from repro.graph.sixperm import SixPermIndex
-from repro.ltj.relation import LeapRelation
+from repro.ltj.relation import LeapRelation, Seeker
 from repro.query.model import TriplePattern, Var
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RelationCounters
 
 
 class SixPermTripleRelation(LeapRelation):
@@ -28,12 +25,11 @@ class SixPermTripleRelation(LeapRelation):
     order, as in :class:`~repro.ltj.triple_relation.RingTripleRelation`.
     """
 
+    kind = "triple"
+
     def __init__(self, index: SixPermIndex, pattern: TriplePattern) -> None:
         self._index = index
         self._pattern = pattern
-        self.obs: RelationCounters | None = None
-        """Optional :class:`repro.obs.trace.RelationCounters` (None when
-        tracing is off)."""
         self.terms = pattern.variables
         self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
         self._bound_values: dict[str, int] = {
@@ -55,52 +51,36 @@ class SixPermTripleRelation(LeapRelation):
     def is_empty(self) -> bool:
         return self._count() == 0
 
-    def leap(self, pos: int, lower: int) -> int | None:
+    def seeker(self, pos: int) -> Seeker:
         coords = self._coords[pos]
-        if self.obs is not None:
-            self.obs.leaps += 1
-        if self._count() == 0:
-            return None
+        index = self._index
+        bound = self._bound_values
         if len(coords) == 1:
-            return self._index.leap(self._bound_values, coords[0], lower)
+            return partial(index.leap, bound, coords[0])
         # Repeated variable: generate from the first coordinate, verify
         # by counting with all coordinates bound.
-        candidate: int | None = lower
-        while True:
-            candidate = self._index.leap(
-                self._bound_values, coords[0], candidate
-            )
-            if candidate is None:
-                return None
-            probe = dict(self._bound_values)
-            for coord in coords:
-                probe[coord] = candidate
-            if self._index.count(probe) > 0:
-                return candidate
-            candidate += 1
+        def repeated(lower: int) -> int | None:
+            candidate = index.leap(bound, coords[0], lower)
+            while candidate is not None and not index.count(
+                {**bound, **dict.fromkeys(coords, candidate)}
+            ):
+                candidate = index.leap(bound, coords[0], candidate + 1)
+            return candidate
+
+        return repeated
 
     def bind(self, pos: int, value: int) -> bool:
         for coord in self._coords[pos]:
             self._bound_values[coord] = value
         self._count_cache = None
-        ok = self._count() > 0
-        if self.obs is not None:
-            if ok:
-                self.obs.binds += 1
-            else:
-                self.obs.failed_binds += 1
-        return ok
+        return self._count() > 0
 
     def unbind(self, pos: int) -> None:
         for coord in self._coords[pos]:
             del self._bound_values[coord]
         self._count_cache = None
-        if self.obs is not None:
-            self.obs.unbinds += 1
 
     def estimate(self, pos: int) -> int:
-        if self.obs is not None:
-            self.obs.estimates += 1
         return self._count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,22 +3,21 @@
 Wraps a :class:`~repro.ring.pattern.RingPatternState`, translating
 position-level operations into coordinate-level ones. A variable may
 occupy several coordinates of the same pattern (e.g. ``(?x, p, ?x)``);
-``bind`` then descends once per coordinate and ``leap`` generates
+``bind`` then descends once per coordinate and the seeker generates
 candidates from one coordinate while probing the others.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Sequence
 
-from repro.ltj.relation import LeapRelation
+from repro.ltj.relation import LeapRelation, Seeker
 from repro.query.model import TriplePattern, Var
 from repro.ring.index import RingIndex
 from repro.ring.pattern import RingPatternState
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RelationCounters
+# The Ring primitive a bind calls, by the number of coordinates bound.
+_RANGE_KEYS = ("range_1arc", "range_2arc", "triple_count")
 
 
 class RingTripleRelation(LeapRelation):
@@ -28,15 +27,12 @@ class RingTripleRelation(LeapRelation):
     order; the coordinates each one occupies are resolved here, once.
     """
 
+    kind = "triple"
+
     def __init__(self, ring: RingIndex, pattern: TriplePattern) -> None:
-        self._ring = ring
         self._pattern = pattern
         self.terms = pattern.variables
         self._coords = tuple(pattern.coordinates_of(v) for v in self.terms)
-        # Per position, its coordinate when it has only one (else None).
-        self._single = tuple(
-            c[0] if len(c) == 1 else None for c in self._coords
-        )
         self._state = RingPatternState(
             ring,
             {
@@ -48,58 +44,32 @@ class RingTripleRelation(LeapRelation):
 
     # ------------------------------------------------------------------
     @property
-    def obs(self) -> RelationCounters | None:
-        """Optional :class:`repro.obs.trace.RelationCounters` (None when
-        tracing is off). Setting it also instruments the underlying
-        :class:`RingPatternState`, whose detail counters record which
-        Ring primitives answered each call."""
-        return self._state.obs
-
-    @obs.setter
-    def obs(self, counters: RelationCounters | None) -> None:
-        self._state.obs = counters
-
-    @property
     def pattern(self) -> TriplePattern:
         return self._pattern
 
     def is_empty(self) -> bool:
         return self._state.is_empty()
 
-    def count(self) -> int:
-        """Number of triples matching the current partial binding."""
-        return self._state.count()
-
     # ------------------------------------------------------------------
-    def leap(self, pos: int, lower: int) -> int | None:
+    def seeker(self, pos: int) -> Seeker:
         coords = self._coords[pos]
         state = self._state
-        obs = state.obs
-        if obs is not None:
-            obs.leaps += 1
+        # Kept on the frame, however many intersections it sits under.
+        seek = state.seeker(coords[0])
         if len(coords) == 1:
-            return state.leap(coords[0], lower)
-        # Repeated variable: generate candidates from the first free
+            return seek
+        # Repeated variable: generate candidates from the first
         # coordinate and verify that binding *all* of them keeps the
         # pattern non-empty. Each verification is O(log) binds.
-        candidate: int | None = lower
-        while True:
-            candidate = state.leap(coords[0], candidate)
-            if candidate is None:
-                return None
-            if state.probe({coord: candidate for coord in coords}):
-                return candidate
-            candidate += 1
+        def repeated(lower: int) -> int | None:
+            candidate = seek(lower)
+            while candidate is not None and not state.probe(
+                dict.fromkeys(coords, candidate)
+            ):
+                candidate = seek(candidate + 1)
+            return candidate
 
-    def seeker(self, pos: int) -> Callable[[int], int | None]:
-        coord = self._single[pos]
-        state = self._state
-        if coord is not None and state.obs is None:
-            # Kept on the frame, however many intersections it sits under.
-            seek = state.seeker(coord)
-            if seek is not None:
-                return seek
-        return super().seeker(pos)
+        return repeated
 
     def values(self, pos: int) -> Sequence[int]:
         coords = self._coords[pos]
@@ -108,43 +78,39 @@ class RingTripleRelation(LeapRelation):
             return super().values(pos)
         # The arc's stored column (always the case for the last free
         # coordinate of a pattern): one report over the frame's range.
-        obs = self._state.obs
-        if obs is not None:
-            obs.leaps += 1
-        if frame.matches == 0:
-            return ()
-        if obs is not None:
-            obs.bump("leap_stored")
         return frame.column._range_values_u(frame.lo, frame.hi)
 
     def bind(self, pos: int, value: int) -> bool:
         state = self._state
         for coord in self._coords[pos]:
             matches = state.bind(coord, value)
-        ok = matches != 0
-        obs = state.obs
-        if obs is not None:
-            if ok:
-                obs.binds += 1
-            else:
-                obs.failed_binds += 1
-        return ok
+        return matches != 0
 
     def unbind(self, pos: int) -> None:
         state = self._state
         for _ in self._coords[pos]:
             state.unbind()
-        if state.obs is not None:
-            state.obs.unbinds += 1
 
     def estimate(self, pos: int) -> int:
         """Candidate-count estimate for the variable at ``pos``: the
         size of the pattern's current range, whichever variable is asked
         about (Sec. 5, "we use the size e - b + 1 of the range")."""
-        state = self._state
-        if state.obs is not None:
-            state.obs.estimates += 1
-        return state.count()
+        return self._state.count()
+
+    def detail_keys(self, pos: int) -> tuple[str | None, str | None]:
+        """The leap's dispatch (``leap_stored``, ``leap_ahead`` or, with
+        nothing bound, ``leap_unbound``) and the range a bind opens
+        (``range_1arc``, ``range_2arc`` or ``triple_count``); a repeated
+        variable names those of its first coordinate."""
+        frame = self._state.frame
+        coord = self._coords[pos][0]
+        if coord == frame.stored:
+            seek = "leap_stored"
+        elif frame.arc_first is None:
+            seek = "leap_unbound"
+        else:
+            seek = "leap_ahead"
+        return seek, _RANGE_KEYS[len(frame.bound)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingTripleRelation({self._pattern!r})"

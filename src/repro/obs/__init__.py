@@ -1,7 +1,7 @@
 """Query observability: tracing and the trace schema.
 
-See :mod:`repro.obs.trace` for the recorder design (and its
-zero-overhead-when-disabled contract) and :mod:`repro.obs.schema` for
+See :mod:`repro.obs.trace` for the recorder design (a traced run
+searches as an untraced one does) and :mod:`repro.obs.schema` for
 the machine-readable trace format.
 """
 
@@ -18,7 +18,6 @@ from repro.obs.trace import (
     RelationCounters,
     VarCounters,
     attach_wavelets,
-    instrument_relations,
     wavelet_targets,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "TraceSchemaError",
     "VarCounters",
     "attach_wavelets",
-    "instrument_relations",
     "validate_document",
     "validate_trace",
     "wavelet_targets",

@@ -20,10 +20,14 @@ exactly those quantities during one evaluation, grouped by
   cache_probe): the per-name sums of the engine's spans at any depth
   (:mod:`repro.obs.spans`).
 
-Zero overhead when disabled: tracing is off unless a ``QueryTrace`` is
-passed to an engine, and every producer guards its recording with a
-single ``is not None`` test (there is no always-on recorder object in
-any hot path). The repo benchmark reports what enabling it costs as
+A traced run searches as an untraced one does: the LTJ engine wraps each
+atom in a :class:`CountingRelation`, which counts the calls of the
+atom's own seekers, and :meth:`QueryTrace.observe` attaches op counters
+to the wavelet trees for the calling thread only (threads sharing a
+tree each count into their own trace, one without a trace into
+nothing). Tracing is off unless a ``QueryTrace`` is passed to an
+engine; with no trace alive, a count site costs one ``is not None``
+test. The repo benchmark reports what enabling it costs as
 ``obs.trace_overhead_ratio``.
 
 The JSON form (:meth:`QueryTrace.to_dict`) follows the machine-readable
@@ -32,10 +36,12 @@ schema in :mod:`repro.obs.schema`.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields
 
+from repro.ltj.relation import LeapRelation, Seeker
 from repro.obs.spans import Spans
 from repro.query.model import Var
 
@@ -127,8 +133,10 @@ class RelationCounters:
     """Backend-specific counters, e.g. ``leap_stored`` (Ring),
     ``leap_forward_S`` (K-NN), ``leap_within`` (distance)."""
 
-    def bump(self, key: str, n: int = 1) -> None:
-        self.detail[key] = self.detail.get(key, 0) + n
+    def bump(self, key: str | None) -> None:
+        """Count one call under ``key`` (``None``: none)."""
+        if key is not None:
+            self.detail[key] = self.detail.get(key, 0) + 1
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -199,8 +207,8 @@ class QueryTrace:
         """Free-form engine annotations (auto's selection, k* search...)."""
 
     # ------------------------------------------------------------------
-    # recording API (called by engines/relations, always behind an
-    # `is not None` guard on their side)
+    # recording API (called by engines, always behind an `is not None`
+    # guard on their side)
     # ------------------------------------------------------------------
     def var(self, v: Var) -> VarCounters:
         """Get-or-create the counters of one variable."""
@@ -209,11 +217,31 @@ class QueryTrace:
             counters = self.variables[v] = VarCounters()
         return counters
 
-    def relation(self, label: str, kind: str) -> RelationCounters:
-        """Create (and register) counters for one atom."""
-        counters = RelationCounters(label=label, kind=kind)
+    def counting(self, relation: LeapRelation) -> CountingRelation:
+        """``relation`` wrapped to count into new counters registered on
+        this trace, labelled with its triple pattern or clause."""
+        kind = relation.kind
+        atom = relation.pattern if kind == "triple" else relation.clause
+        counters = RelationCounters(repr(atom), kind)
         self.relations.append(counters)
-        return counters
+        return CountingRelation(relation, counters)
+
+    @contextmanager
+    def observe(
+        self,
+        engine: str,
+        query: object,
+        wavelets: Iterable[tuple[object, str]],
+    ) -> Iterator[None]:
+        """Name the evaluation (``query`` unless one is named already)
+        and, for its duration on this thread, count the ``(wavelet
+        tree, label)`` pairs' operations into :meth:`wavelet`."""
+        self.engine = engine
+        if self.query is None:
+            self.query = repr(query)
+        pairs = [(tree, self.wavelet(label)) for tree, label in wavelets]
+        with attach_wavelets(pairs):
+            yield
 
     def wavelet(self, label: str) -> OpCounters:
         """Get-or-create the op counters of one succinct structure."""
@@ -282,69 +310,157 @@ class QueryTrace:
         }
 
 
-# ----------------------------------------------------------------------
-# wiring helpers used by the engines
-# ----------------------------------------------------------------------
-def instrument_relations(trace: QueryTrace, relations) -> None:
-    """Attach per-atom counters to compiled leapfrog relations.
+class CountingRelation(LeapRelation):
+    """An atom whose calls a traced evaluation counts.
 
-    Every relation adapter exposes an ``obs`` attribute (``None`` by
-    default); attaching replaces it with a :class:`RelationCounters`
-    registered on the trace.
+    Answers as the wrapped relation does, through its own seekers and
+    reports; :class:`RelationCounters` record one leap per seek and per
+    ``values``, each bind (ok or failed), unbind and estimate, and in
+    ``detail`` the backend keys the relation's
+    :meth:`~repro.ltj.relation.LeapRelation.detail_keys` name for the
+    binding the call was made under.
     """
-    for rel in relations:
-        clause = getattr(rel, "clause", None)
-        if clause is None:
-            kind = "triple"
-            label = repr(getattr(rel, "pattern", rel))
-        elif hasattr(clause, "k"):
-            kind = "knn"
-            label = repr(clause)
+
+    def __init__(
+        self, relation: LeapRelation, counters: RelationCounters
+    ) -> None:
+        self._relation = relation
+        self.counters = counters
+        self.terms = relation.terms
+        self.kind = relation.kind
+
+    def is_empty(self) -> bool:
+        return self._relation.is_empty()
+
+    def seeker(self, pos: int) -> Seeker:
+        seek = self._relation.seeker(pos)
+        counters = self.counters
+        key = self._relation.detail_keys(pos)[0]
+
+        def counted(lower: int) -> int | None:
+            counters.leaps += 1
+            counters.bump(key)
+            return seek(lower)
+
+        return counted
+
+    def values(self, pos: int) -> Sequence[int]:
+        self.counters.leaps += 1
+        self.counters.bump(self._relation.detail_keys(pos)[0])
+        return self._relation.values(pos)
+
+    def bind(self, pos: int, value: int) -> bool:
+        self.counters.bump(self._relation.detail_keys(pos)[1])
+        ok = self._relation.bind(pos, value)
+        if ok:
+            self.counters.binds += 1
         else:
-            kind = "dist"
-            label = repr(clause)
-        rel.obs = trace.relation(label, kind)
+            self.counters.failed_binds += 1
+        return ok
+
+    def unbind(self, pos: int) -> None:
+        self.counters.unbinds += 1
+        self._relation.unbind(pos)
+
+    def estimate(self, pos: int) -> int:
+        self.counters.estimates += 1
+        return self._relation.estimate(pos)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"CountingRelation({self._relation!r})"
+
+
+# ----------------------------------------------------------------------
+# wavelet-tree counters, per thread
+# ----------------------------------------------------------------------
+_ATTACH = threading.Lock()
+
+
+class _ThreadOps:
+    """What a wavelet tree's ``ops`` holds while some thread traces it:
+    each counter is a property that resolves to the calling thread's
+    attached :class:`OpCounters`, or for a thread without a trace to a
+    sink nobody reads, so the tree's count sites (``ops.rank += 1``)
+    stay as they are."""
+
+    __slots__ = ("by_thread", "sink")
+
+    def __init__(self) -> None:
+        self.by_thread: dict[int, OpCounters] = {}
+        self.sink = OpCounters()
+
+
+def _route(name: str) -> property:
+    def get(routed: _ThreadOps) -> int:
+        ops = routed.by_thread.get(threading.get_ident(), routed.sink)
+        return getattr(ops, name)
+
+    def put(routed: _ThreadOps, value: int) -> None:
+        ops = routed.by_thread.get(threading.get_ident(), routed.sink)
+        setattr(ops, name, value)
+
+    return property(get, put)
+
+
+for _field in fields(OpCounters):
+    setattr(_ThreadOps, _field.name, _route(_field.name))
 
 
 def wavelet_targets(
-    trace: QueryTrace,
     db,
     query,
     include_ring: bool = True,
-) -> list[tuple[object, OpCounters]]:
-    """(wavelet tree, counters) pairs for the structures a query touches.
+) -> list[tuple[object, str]]:
+    """(wavelet tree, counter label) pairs for the structures a query
+    touches.
 
     The three Ring columns share one ``"ring"`` counter group; each K-NN
     relation used by the query contributes ``knn:<name>.S`` and
     ``knn:<name>.S'``; a distance index contributes ``dist.D``.
     """
-    pairs: list[tuple[object, OpCounters]] = []
+    pairs: list[tuple[object, str]] = []
     if include_ring:
-        ring_ops = trace.wavelet("ring")
-        for coord in "spo":
-            pairs.append((db.ring.column(coord), ring_ops))
+        pairs.extend((db.ring.column(coord), "ring") for coord in "spo")
     for name in sorted({c.relation for c in query.clauses}):
         knn_ring = db.knn_rings.get(name)
         if knn_ring is None:
             continue
-        pairs.append((knn_ring.S, trace.wavelet(f"knn:{name}.S")))
-        pairs.append((knn_ring.Sprime, trace.wavelet(f"knn:{name}.S'")))
+        pairs.append((knn_ring.S, f"knn:{name}.S"))
+        pairs.append((knn_ring.Sprime, f"knn:{name}.S'"))
     if query.dist_clauses and db.distance_index is not None:
-        pairs.append((db.distance_index.D, trace.wavelet("dist.D")))
+        pairs.append((db.distance_index.D, "dist.D"))
     return pairs
 
 
 @contextmanager
 def attach_wavelets(pairs: list[tuple[object, OpCounters]]) -> Iterator[None]:
-    """Temporarily attach op counters to wavelet trees.
+    """Count the trees' operations into the paired counters, for the
+    calling thread and the duration of the block.
 
-    Detaches in a ``finally`` so shared index structures never keep a
-    recorder past the traced evaluation.
+    A tree traced by any thread holds a :class:`_ThreadOps` that routes
+    each count to the calling thread's counters (a nested attach on the
+    same thread wins until it ends); the last thread to detach sets its
+    ``ops`` back to ``None``, in a ``finally``, so shared index
+    structures never keep a recorder past the traced evaluations.
     """
-    for tree, ops in pairs:
-        tree.ops = ops
+    thread = threading.get_ident()
+    saved = []
+    with _ATTACH:
+        for tree, ops in pairs:
+            routed = tree.ops
+            if routed is None:
+                routed = tree.ops = _ThreadOps()
+            saved.append(routed.by_thread.get(thread))
+            routed.by_thread[thread] = ops
     try:
         yield
     finally:
-        for tree, _ops in pairs:
-            tree.ops = None
+        with _ATTACH:
+            for (tree, _ops), previous in zip(pairs[::-1], saved[::-1]):
+                routed = tree.ops
+                if previous is not None:
+                    routed.by_thread[thread] = previous
+                    continue
+                del routed.by_thread[thread]
+                if not routed.by_thread:
+                    tree.ops = None

@@ -7,26 +7,26 @@ associated with some range C_j[b..e]"). :class:`RingPatternState`
 maintains that state with a stack so the engine can backtrack, and
 answers:
 
-* ``leap(coord, lower)`` — smallest value ``>= lower`` the coordinate can
-  take among the triples still matching the pattern;
+* ``seeker(coord)`` — the leap on a free coordinate as a function of
+  ``lower``: the smallest value ``>= lower`` the coordinate can take
+  among the triples still matching the pattern, kept on the frame;
 * ``bind(coord, value)`` / ``unbind()`` — descend/ascend in the virtual
   trie;
 * ``count()`` — number of matching triples (the range size, used both
-  for emptiness tests and for the ``l_x`` ordering estimates);
-* ``seeker(coord)`` — ``leap`` as a function of ``lower``, kept on the frame.
+  for emptiness tests and for the ``l_x`` ordering estimates).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.ring.index import NEXT_COORD, PREV_COORD, RingIndex
 from repro.utils.errors import StructureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RelationCounters
     from repro.succinct.wavelet_tree import WaveletTree
 
 _Seeker = Callable[[int], int | None]
@@ -43,7 +43,7 @@ class _Frame:
     of matching triples. While a coordinate is still free, ``stored``
     names the one whose values the row range exposes and ``column`` is
     its wavelet tree, so a leap on it is ``column``'s
-    ``range_next_value`` over ``[lo, hi]``. Everything ``leap``/``bind``
+    ``range_next_value`` over ``[lo, hi]``. Everything ``seeker``/``bind``
     dispatch on is read off the frame; nothing is rebuilt per call. The
     two seekers are caches :meth:`RingPatternState.seeker` fills on first
     use; equality ignores them.
@@ -72,11 +72,6 @@ class RingPatternState:
                 positions (e.g. ``{"p": 5}`` for ``(?x, 5, ?y)``).
         """
         self._ring = ring
-        self.obs: RelationCounters | None = None
-        """Optional :class:`repro.obs.trace.RelationCounters`; when set,
-        each navigation primitive bumps a ``detail`` counter recording
-        which Ring operation answered it (ranges opened per arc kind,
-        leap dispatch)."""
         root = _Frame(
             bound=(), arc_first=None, lo=0, hi=ring.num_edges - 1,
             matches=ring.num_edges,
@@ -114,10 +109,7 @@ class RingPatternState:
         frame = self._stack[-1]
         bound = frame.bound
         ring = self._ring
-        obs = self.obs
         if not bound:
-            if obs is not None:
-                obs.bump("range_1arc")
             first = coord
             lo, hi = ring.block_range(coord, value)
             matches = hi - lo + 1  # an empty range ends at lo - 1
@@ -125,8 +117,6 @@ class RingPatternState:
             (other, other_value), = bound
             if coord == other:
                 raise StructureError(f"coordinate {coord!r} already bound")
-            if obs is not None:
-                obs.bump("range_2arc")
             # The 2-arc starts at the coordinate whose cyclic successor
             # is the other one (s -> p -> o -> s).
             if NEXT_COORD[other] == coord:
@@ -141,8 +131,6 @@ class RingPatternState:
             first = frame.arc_first
             if coord != PREV_COORD[first]:
                 raise StructureError(f"coordinate {coord!r} already bound")
-            if obs is not None:
-                obs.bump("triple_count")
             lo, hi = frame.lo, frame.hi
             matches = ring.triple_count(first, lo, hi, value)
         else:
@@ -165,63 +153,40 @@ class RingPatternState:
     # ------------------------------------------------------------------
     # leap
     # ------------------------------------------------------------------
-    def leap(self, coord: str, lower: int) -> int | None:
-        """Smallest value ``>= lower`` for an unbound ``coord``, or None.
+    def seeker(self, coord: str) -> _Seeker:
+        """The leap on a free ``coord`` as a function of ``lower``: the
+        smallest value ``>= lower`` it takes among the matching triples,
+        or ``None``, kept on the frame.
 
         Dispatches to the Ring primitive matching the coordinate's
-        position relative to the current arc (Sec. 2.4 / DESIGN.md).
+        position relative to the current arc (Sec. 2.4 / DESIGN.md): the
+        arc's stored column, a 1-arc's coordinate ahead, or, with
+        nothing bound, every value the coordinate takes.
         """
-        frame = self._stack[-1]
-        obs = self.obs
-        column = frame.column
-        if column is not None and coord == frame.stored:
-            # The arc's stored column: the only free coordinate of a
-            # 2-arc, one of the two of a 1-arc.
-            if frame.matches == 0:
-                return None
-            if obs is not None:
-                obs.bump("leap_stored")
-            return column._range_next_value_u(frame.lo, frame.hi, lower)
-        first = frame.arc_first
-        if first is None:
-            if frame.matches == 0:
-                return None
-            if obs is not None:
-                obs.bump("leap_unbound")
-            return self._ring.leap_unbound(coord, lower)
-        if len(frame.bound) == 1 and coord != first:
-            if frame.matches == 0:
-                return None
-            if obs is not None:
-                obs.bump("leap_ahead")
-            seek = self.seeker(coord)
-            assert seek is not None
-            return seek(lower)
-        raise StructureError(f"leap on bound coordinate {coord!r}")
-
-    def seeker(self, coord: str) -> _Seeker | None:
-        """:meth:`leap` on a free ``coord`` as a function of ``lower``, kept
-        on the frame (``None`` at the root); it bumps no ``obs`` detail."""
         frame = self._stack[-1]
         if coord == frame.stored:
             if frame.stored_seek is None:
                 assert frame.column is not None
                 frame.stored_seek = frame.column.seeker(frame.lo, frame.hi)
             return frame.stored_seek
-        if len(frame.bound) != 1 or coord == frame.arc_first:
-            return None
+        first = frame.arc_first
+        if first is None:
+            return partial(self._ring.leap_unbound, coord)
+        if len(frame.bound) != 1 or coord == first:
+            raise StructureError(f"leap on bound coordinate {coord!r}")
         if frame.ahead_seek is None:
-            assert frame.arc_first is not None
             frame.ahead_seek = self._ring.ahead_seeker(
-                frame.arc_first, frame.bound[0][1]
+                first, frame.bound[0][1]
             )
         return frame.ahead_seek
+
+    def leap(self, coord: str, lower: int) -> int | None:
+        """One call of :meth:`seeker`'s function."""
+        return self.seeker(coord)(lower)
 
     def probe(self, assignments: dict[str, int]) -> bool:
         """Check non-emptiness if the given coords were bound (no state
         change). Used for variables occupying several coordinates."""
-        if self.obs is not None:
-            self.obs.bump("probe")
         for coord, value in assignments.items():
             self.bind(coord, value)
         nonempty = not self.is_empty()

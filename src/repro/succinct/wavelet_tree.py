@@ -138,8 +138,9 @@ class WaveletTree(LazyMirrors):
         self.ops: OpCounters | None = None
         """Optional :class:`repro.obs.trace.OpCounters`. ``None`` (the
         default) disables op counting entirely; a traced evaluation
-        attaches counters for its duration (see
-        :func:`repro.obs.trace.attach_wavelets`)."""
+        attaches counters for its duration and its thread (see
+        :func:`repro.obs.trace.attach_wavelets`), so a count site reads
+        ``ops`` once: another thread may detach between two reads."""
         self._memo_rank: dict[tuple[int, int], int] = {}
         self._memo_next: dict[tuple[int, int, int], int | None] = {}
         self._memo_values: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -232,8 +233,8 @@ class WaveletTree(LazyMirrors):
 
     def access(self, i: int) -> int:
         """Return ``S[i]``."""
-        if self.ops is not None:
-            self.ops.access += 1
+        if (ops := self.ops) is not None:
+            ops.access += 1
         if not 0 <= i < self._n:
             raise ValidationError(f"access index {i} out of range [0, {self._n})")
         value = 0
@@ -252,8 +253,8 @@ class WaveletTree(LazyMirrors):
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of ``c`` in positions ``[0, i)``."""
-        if self.ops is not None:
-            self.ops.rank += 1
+        if (ops := self.ops) is not None:
+            ops.rank += 1
         self._check_symbol(c)
         if not 0 <= i <= self._n:
             raise ValidationError(f"rank index {i} out of range [0, {self._n}]")
@@ -277,8 +278,8 @@ class WaveletTree(LazyMirrors):
 
     def select(self, c: int, j: int) -> int:
         """Position of the ``j``-th occurrence of ``c`` (``j`` from 1)."""
-        if self.ops is not None:
-            self.ops.select += 1
+        if (ops := self.ops) is not None:
+            ops.select += 1
         self._check_symbol(c)
         lo, hi = self._descend(c, 0, self._n - 1)
         if not 1 <= j <= hi - lo + 1:
@@ -339,8 +340,8 @@ class WaveletTree(LazyMirrors):
         The entry for callers whose range is in ``[0, n)`` by
         construction — an atom that resolved it when it was bound.
         """
-        if self.ops is not None:
-            self.ops.range_next += 1
+        if (ops := self.ops) is not None:
+            ops.range_next += 1
         if lo > hi or c >= self._sigma:
             return None
         if c < 0:
@@ -389,8 +390,8 @@ class WaveletTree(LazyMirrors):
         end = len(values)
 
         def seek(c: int) -> int | None:
-            if self.ops is not None:
-                self.ops.range_next += 1
+            if (ops := self.ops) is not None:
+                ops.range_next += 1
             i = bisect_left(values, c)
             return values[i] if i < end else None
 
@@ -454,8 +455,8 @@ class WaveletTree(LazyMirrors):
         The classic 2-D dominance counting on a wavelet tree, in
         ``O(log sigma)``: those below ``b + 1`` less those below ``a``.
         """
-        if self.ops is not None:
-            self.ops.range_count += 1
+        if (ops := self.ops) is not None:
+            ops.range_count += 1
         if lo > hi or a > b or self._n == 0:
             return 0
         if not (0 <= lo and hi < self._n):
@@ -495,8 +496,8 @@ class WaveletTree(LazyMirrors):
         """The ``j``-th smallest symbol of ``S[lo..hi]`` (``j`` from 1,
         counting multiplicity) — the classic wavelet-tree quantile query
         in ``O(log sigma)``."""
-        if self.ops is not None:
-            self.ops.quantile += 1
+        if (ops := self.ops) is not None:
+            ops.quantile += 1
         if lo > hi or self._n == 0:
             raise ValidationError("quantile on an empty range")
         if not (0 <= lo and hi < self._n):
@@ -533,8 +534,8 @@ class WaveletTree(LazyMirrors):
         nodes for ``d`` reported symbols, where leaping value by value
         walks ``d + 1`` root-to-leaf paths.
         """
-        if self.ops is not None:
-            self.ops.range_next += 1
+        if (ops := self.ops) is not None:
+            ops.range_next += 1
         return self._report(lo, hi)
 
     def _report(self, lo: int, hi: int) -> tuple[int, ...]:

@@ -297,8 +297,8 @@ def test_last_variable_shapes(shape):
 # decides how a leap is answered, never what it answers or what it
 # counts: at 0 every leap over a non-empty range descends, above any
 # range every leap bisects.
-# Wavelet counters are attached without a trace, so the relations leap
-# through their seekers (a traced relation leaps through ``leap``).
+# Wavelet counters are attached to an untraced run as well as counted
+# by a traced one: both leap through the relations' seekers.
 # ----------------------------------------------------------------------
 THRESHOLDS = (0, wavelet_tree._SHORT, 1 << 62)
 
@@ -306,7 +306,11 @@ THRESHOLDS = (0, wavelet_tree._SHORT, 1 << 62)
 def _run_at_threshold(engine_cls, db, query, short):
     trace = QueryTrace()
     with mock.patch.object(wavelet_tree, "_SHORT", short):
-        with attach_wavelets(wavelet_targets(trace, db, query)):
+        pairs = [
+            (tree, trace.wavelet(label))
+            for tree, label in wavelet_targets(db, query)
+        ]
+        with attach_wavelets(pairs):
             result = engine_cls(db).evaluate(query)
         traced = QueryTrace()
         engine_cls(db).evaluate(query, trace=traced)

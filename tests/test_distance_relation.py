@@ -13,6 +13,7 @@ from repro.graph.triples import GraphData
 from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.query.parser import parse_query
+from repro.succinct import wavelet_tree
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import QueryError
@@ -132,7 +133,19 @@ def test_a_repeated_search_is_answered_from_the_tree_memo(monkeypatch):
     evaluation of the same queries over one database makes no
     traversal at all (no cap is reached at this size) and reports the
     same solutions and stats; the first one, on a fresh database, does
-    traverse."""
+    traverse. Every range here is short, so its leaps bisect the range's
+    report; at a threshold of 0 they descend, and that memo is held
+    too."""
+    for short, kinds in (
+        (wavelet_tree._SHORT, {"_descend", "_report"}),
+        (0, {"_descend", "_next_value", "_report"}),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(wavelet_tree, "_SHORT", short)
+            _check_repeated_search(patched, kinds)
+
+
+def _check_repeated_search(monkeypatch, kinds: set[str]) -> None:
     db = _build_dist_db()[0]
     traversals = []
     for name in ("_descend", "_next_value"):
@@ -159,7 +172,7 @@ def test_a_repeated_search_is_answered_from_the_tree_memo(monkeypatch):
         ]
 
     first = evaluate_all()
-    assert {"_descend", "_next_value", "_report"} <= set(traversals)
+    assert kinds <= set(traversals)
     traversals.clear()
     assert evaluate_all() == first
     assert traversals == []

@@ -22,6 +22,11 @@ values it was made from, and each query's first-descent order. It was
 generated on the commit *before* the engine learnt to keep ``l_x``
 incrementally, so it certifies that the cached values are the ones a
 full per-step recomputation produced.
+
+``tests/golden/figure2_relations.json`` (same switch) pins what every
+atom of every query did: its ``leaps``, ``binds``, ``failed_binds``,
+``unbinds``, ``estimates`` and backend ``detail`` counters, so a change
+to how a traced run counts its relations cannot go unnoticed either.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.obs import QueryTrace
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure2_opcounts.json"
 DECISIONS_PATH = GOLDEN_PATH.with_name("figure2_decisions.json")
+RELATIONS_PATH = GOLDEN_PATH.with_name("figure2_relations.json")
 
 # Canonical tiny-scale setup: small enough for the tier-1 suite, large
 # enough that every family issues thousands of wavelet ops. The baseline
@@ -118,6 +124,22 @@ def collect_decisions(db, workload) -> dict[str, list]:
     return out
 
 
+def collect_relations(db, workload) -> dict[str, list]:
+    """Per ``family/engine`` and query: each atom's relation counters,
+    in query order."""
+    out: dict[str, list] = {}
+    for family, queries in sorted(workload.items()):
+        for name, engine_class in ENGINES.items():
+            engine = engine_class(db)
+            per_query = []
+            for query in queries:
+                trace = QueryTrace(query=repr(query), engine=name)
+                engine.evaluate(query, timeout=None, trace=trace)
+                per_query.append([r.as_dict() for r in trace.relations])
+            out[f"{family}/{name}"] = per_query
+    return out
+
+
 def test_golden_opcounts_match_fixture(observed):
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_PATH.parent.mkdir(exist_ok=True)
@@ -154,6 +176,24 @@ def test_golden_decisions_match_fixture(built):
     for key in sorted(golden):
         assert seen[key] == golden[key], f"ordering decisions diverged for {key}"
     assert all(q["decisions"] for qs in seen.values() for q in qs)
+
+
+def test_golden_relation_counters_match_fixture(built):
+    """Every atom's leaps, binds, failed binds, unbinds, estimates and
+    detail counters, per query."""
+    seen = collect_relations(*built)
+    if os.environ.get("REGEN_GOLDEN"):
+        rows = (
+            f"{json.dumps(key)}: {json.dumps(seen[key], sort_keys=True)}"
+            for key in sorted(seen)
+        )
+        RELATIONS_PATH.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+        pytest.skip(f"regenerated {RELATIONS_PATH}")
+    golden = json.loads(RELATIONS_PATH.read_text())
+    assert seen.keys() == golden.keys()
+    for key in sorted(golden):
+        assert seen[key] == golden[key], f"relation counters moved for {key}"
+    assert all(r["leaps"] for qs in seen.values() for q in qs for r in q)
 
 
 def test_golden_counts_are_nontrivial(observed):

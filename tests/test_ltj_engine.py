@@ -165,13 +165,20 @@ class SortedSetRelation(LeapRelation):
     held against. It is never bound — its variable is always its last
     free position — and says so loudly."""
 
+    kind = "triple"
+
     def __init__(self, var: Var, members) -> None:
         self.terms = (var,)
         self._members = sorted(set(members))
 
-    def leap(self, pos: int, lower: int):
-        at = bisect_left(self._members, lower)
-        return self._members[at] if at < len(self._members) else None
+    def seeker(self, pos: int):
+        members = self._members
+
+        def seek(lower: int):
+            at = bisect_left(members, lower)
+            return members[at] if at < len(members) else None
+
+        return seek
 
     def bind(self, pos: int, value: int) -> bool:
         raise AssertionError("bind at an atom's last free position")

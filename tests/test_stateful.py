@@ -110,7 +110,7 @@ class KnnRelationMachine(RuleBasedStateMachine):
     def leap_matches_reference(self, var, lower):
         if var in self.values or self.rel.is_empty():
             return
-        got = self.rel.leap(self.rel.position(var), lower)
+        got = self.rel.seeker(self.rel.position(var))(lower)
         if var == Y and X in self.values:
             candidates = [
                 int(v)

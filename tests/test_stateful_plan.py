@@ -11,28 +11,30 @@ after every step that
 
 * every cached estimate equals a fresh ``estimate()`` of the live atom,
   and ``l_x`` is their minimum;
-* the live atoms answer ``leap`` and ``estimate`` exactly like freshly
-  constructed atoms that replay the same bindings — backtracking left
-  nothing behind;
+* the live atoms' seekers and ``estimate`` answer exactly like those of
+  freshly constructed atoms that replay the same bindings — backtracking
+  left nothing behind;
 * what an atom resolved when it was bound — a clause's leap range, a
   triple pattern's frame — is what the structures' public methods
-  compute from scratch for the same binding, its ``leap`` is their leap,
+  compute from scratch for the same binding, its seeker is their leap,
   and an ``unbind`` took it away again — where "bound" is what the model
   says the plan really bound in that atom, so a passed-over atom must
   still hold the frame or range it had, and every ``unbind`` and every
   refused ``bind`` must leave atoms and plan exactly as they were;
-* the contract the engine's last level rests on: whatever ``leap``
+* the contract the engine's last level rests on: whatever the seeker
   returns for an atom's last free position, ``bind`` accepts (so a
   candidate of the last unbound variable is a solution without being
   bound) — for any free position, in fact, but the root of a distance
-  clause; ``values`` is the ``leap`` loop, and ``seeker(pos)`` answers
-  every ``lower`` like ``leap(pos, lower)``, for every adapter, dispatch
-  and state, including an atom left failed by a rejected bind; an
-  enumeration counts as one leap, and a traced seek is a counted leap;
+  clause; ``values`` is the seeker's loop, and ``seeker(pos)`` answers
+  every ``lower`` like a brute-force leap over the raw triples, the
+  K-NN graph or the distance neighborhoods (:func:`slow_leap`), for
+  every adapter, dispatch and state; an atom left failed by a rejected
+  bind seeks and reports nothing; under a trace's counting relation an
+  enumeration counts as one leap, and a seek is a counted leap;
 * a seeker an adapter keeps — on a Ring frame, for its stored column or
-  a 1-arc's ahead coordinate, or on a K-NN clause's span — is handed out
+  a 1-arc's ahead coordinate, or on a clause's span — is handed out
   again once a bind and unbind elsewhere bring the atom back to that
-  frame or span, and still answers every ``lower`` like ``leap``.
+  frame or span, and still answers every ``lower`` like the brute force.
 """
 
 import numpy as np
@@ -56,7 +58,7 @@ from repro.ltj.knn_relation import KnnClauseRelation
 from repro.ltj.plan import JoinPlan
 from repro.ltj.sixperm_relation import SixPermTripleRelation
 from repro.ltj.triple_relation import RingTripleRelation
-from repro.obs.trace import RelationCounters
+from repro.obs.trace import CountingRelation, RelationCounters
 from repro.query.model import DistClause, SimClause, TriplePattern, Var
 from repro.ring.index import RingIndex
 from repro.ring.pattern import RingPatternState
@@ -73,7 +75,8 @@ _GRAPH = GraphData(
 _RING = RingIndex(_GRAPH)
 _SIX = SixPermIndex(_GRAPH)
 _POINTS = _RNG.normal(size=(N_NODES, 2))
-_KNN = KnnRing(build_knn_graph_bruteforce(_POINTS, K=4))
+_KNN_GRAPH = build_knn_graph_bruteforce(_POINTS, K=4)
+_KNN = KnnRing(_KNN_GRAPH)
 _DIST = DistanceRangeIndex(_POINTS, d_max=1.5)
 
 X, Y, Z, W, P, V, Q = (Var(name) for name in "xyzwpvq")
@@ -86,7 +89,7 @@ def compile_atoms(k: int):
     variable predicate, a constant on either side of a clause (one of
     them no member of the K-NN graph: an empty range), a lonely
     variable, and the six-permutation backend (which reports through
-    the base class's ``leap`` loop) over a loop and a plain pattern."""
+    the base class's seeker loop) over a loop and a plain pattern."""
     return [
         RingTripleRelation(_RING, TriplePattern(X, 50, Y)),
         RingTripleRelation(_RING, TriplePattern(Y, P, Z)),
@@ -137,6 +140,43 @@ def slow_clause(relation, pos: int, anchor: int):
     )
 
 
+def slow_leap(relation, pos: int, values: dict, lower: int):
+    """The leap at ``pos`` with the atom's variables in ``values`` bound,
+    by brute force: a scan of the raw triples the pattern selects (all
+    coordinates of a repeated variable equal), or the clause's range
+    from :func:`slow_clause`, or with the other side free every node a
+    side can take."""
+
+    def value_of(term):
+        return values.get(term) if isinstance(term, Var) else term
+
+    if isinstance(relation, (RingTripleRelation, SixPermTripleRelation)):
+        pattern = relation.pattern
+        rows = _GRAPH.spo
+        for col, term in enumerate(pattern.terms):
+            if value_of(term) is not None:
+                rows = rows[rows[:, col] == value_of(term)]
+        var = relation.terms[pos]
+        cols = ["spo".index(c) for c in pattern.coordinates_of(var)]
+        rows = rows[np.all(rows[:, cols] == rows[:, cols[:1]], axis=1)]
+        column = rows[:, cols[0]]
+        column = column[column >= lower]
+        return int(column.min()) if column.size else None
+    anchor = value_of(relation.terms[1 - pos])
+    if anchor is not None:
+        return slow_clause(relation, pos, anchor)[1](lower)
+    if isinstance(relation, KnnClauseRelation) and pos:
+        k = relation.clause.k
+        nodes = {
+            int(v)
+            for u in range(N_NODES)
+            for v in _KNN_GRAPH.neighbors_of(u, k)
+        }
+    else:
+        nodes = range(N_NODES)
+    return min((v for v in nodes if v >= lower), default=None)
+
+
 def kept(relation, pos: int) -> bool:
     """Whether the adapter keeps the seeker of its free ``pos`` for as
     long as its state lasts: a triple pattern below the root, on a
@@ -145,7 +185,7 @@ def kept(relation, pos: int) -> bool:
         return len(relation._coords[pos]) == 1 and bool(
             relation._state.frame.bound
         )
-    if isinstance(relation, KnnClauseRelation):
+    if isinstance(relation, (KnnClauseRelation, DistanceClauseRelation)):
         return relation._ranges[pos] is not None
     return False
 
@@ -231,8 +271,9 @@ class JoinPlanMachine(RuleBasedStateMachine):
           member=st.integers(0, N_NODES + 1))
     def seekers_are_kept_and_stay_true(self, pick, via, member):
         """A seeker kept on a Ring frame (its stored column or a 1-arc's
-        ahead coordinate) or on a clause's span answers like ``leap``
-        for every ``lower``, and is the one handed out again after a
+        ahead coordinate) or on a clause's span answers like
+        :func:`slow_leap` for every ``lower``, and is the one handed out
+        again after a
         bind and unbind of another variable brought the atom back."""
         slots = self.unbound_slots()
         slot = slots[pick % len(slots)]
@@ -244,18 +285,27 @@ class JoinPlanMachine(RuleBasedStateMachine):
             set(relation.values(pos))
             for relation, pos, _mask in self.plan.atoms[other]
         )))
-        if members and self.plan.bind(other, members[member % len(members)]):
+        value = members[member % len(members)] if members else None
+        if value is not None and self.plan.bind(other, value):
+            self.bound.append((other, value, None))
+            held = self.held()
             for relation, pos, _mask in atoms:  # a deeper frame or span
                 seek = relation.seeker(pos)
                 for lower in range(N_NODES + 2):
-                    assert seek(lower) == relation.leap(pos, lower)
+                    assert seek(lower) == slow_leap(
+                        relation, pos, held[id(relation)], lower
+                    )
+            self.bound.pop()
             self.plan.unbind(other)
+        held = self.held()
         for (relation, pos, _mask), seek in zip(atoms, before):
             where = (relation, pos, self.bound)
             if kept(relation, pos):
                 assert relation.seeker(pos) is seek, where
             for lower in range(N_NODES + 2):
-                assert seek(lower) == relation.leap(pos, lower), where
+                assert seek(lower) == slow_leap(
+                    relation, pos, held[id(relation)], lower
+                ), where
 
     @invariant()
     def cache_is_current(self):
@@ -277,8 +327,9 @@ class JoinPlanMachine(RuleBasedStateMachine):
             pairs = zip(self.plan.atoms[slot], replayed.atoms[slot])
             for (live, pos, mask), (fresh, fresh_pos, fresh_mask) in pairs:
                 assert (pos, mask) == (fresh_pos, fresh_mask)
+                live_seek, fresh_seek = live.seeker(pos), fresh.seeker(pos)
                 for lower in LOWERS:
-                    assert live.leap(pos, lower) == fresh.leap(pos, lower)
+                    assert live_seek(lower) == fresh_seek(lower)
 
     @invariant()
     def resolved_ranges_are_current(self):
@@ -305,11 +356,13 @@ class JoinPlanMachine(RuleBasedStateMachine):
                 (lo, hi), slow_leap = slow_clause(relation, pos, anchor)
                 assert relation._ranges[pos] == (lo, hi), where
                 assert relation.estimate(pos) == max(0, hi - lo + 1), where
+                seek = relation.seeker(pos)
                 for lower in LOWERS:
-                    assert relation.leap(pos, lower) == slow_leap(lower), where
+                    assert seek(lower) == slow_leap(lower), where
 
     @invariant()
     def leaps_are_admissible_and_values_is_their_loop(self):
+        held = self.held()
         variables = self.plan.state.variables
         free = {variables[slot] for slot in self.unbound_slots()}
         for slot in self.unbound_slots():
@@ -324,36 +377,37 @@ class JoinPlanMachine(RuleBasedStateMachine):
                 admissible = not (
                     others and isinstance(relation, DistanceClauseRelation)
                 )
-                self.check_enumeration(relation, pos, admissible, where)
+                self.check_enumeration(
+                    relation, pos, held[id(relation)], admissible, where
+                )
                 # A rejected bind leaves the atom failed until it is
                 # undone: nothing leaps, nothing is reported.
                 if not relation.bind(pos, N_NODES + 7):
                     for other in others:
-                        assert relation.leap(other, 0) is None, where
                         assert relation.seeker(other)(0) is None, where
                         assert list(relation.values(other)) == [], where
                 relation.unbind(pos)
 
-    def check_enumeration(self, relation, pos, admissible, where):
+    def check_enumeration(self, relation, pos, values, admissible, where):
+        seek = relation.seeker(pos)
+        for lower in range(N_NODES + 2):
+            assert seek(lower) == slow_leap(relation, pos, values, lower), (
+                lower, where
+            )
         loop = []
-        value = relation.leap(pos, 0)
+        value = seek(0)
         while value is not None:
             loop.append(value)
             assert relation.bind(pos, value) or not admissible, (value, where)
             relation.unbind(pos)
-            value = relation.leap(pos, value + 1)
+            value = seek(value + 1)
         assert loop == sorted(set(loop)), where
-        seek = relation.seeker(pos)
-        for lower in range(N_NODES + 2):
-            assert seek(lower) == relation.leap(pos, lower), (lower, where)
-        relation.obs = counters = RelationCounters("atom", "test")
-        try:
-            assert list(relation.values(pos)) == loop, where
-            assert counters.leaps == 1, where
-            relation.seeker(pos)(0)
-            assert counters.leaps == 2, where
-        finally:
-            relation.obs = None
+        counters = RelationCounters("atom", relation.kind)
+        counted = CountingRelation(relation, counters)
+        assert list(counted.values(pos)) == loop, where
+        assert counters.leaps == 1, where
+        counted.seeker(pos)(0)
+        assert counters.leaps == 2, where
 
     def check_frame(self, relation, values, where):
         """The pattern's frame against a fresh state bound to the same
@@ -376,8 +430,9 @@ class JoinPlanMachine(RuleBasedStateMachine):
             coords = pattern.coordinates_of(var)
             if var in values or len(coords) != 1:
                 continue
+            seek = relation.seeker(pos)
             for lower in LOWERS:
-                found = relation.leap(pos, lower)
+                found = seek(lower)
                 assert found == fresh.leap(coords[0], lower), where
                 if coords[0] == frame.stored and frame.matches:
                     assert found == _stored_leap(frame, lower), where

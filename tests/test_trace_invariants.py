@@ -18,6 +18,9 @@ Three families:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,8 @@ from repro.ltj.engine import LTJEngine
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.obs import QueryTrace, validate_trace
 from repro.query.parser import parse_query
+from repro.ring.index import RingIndex
+from repro.succinct.wavelet_tree import WaveletTree
 
 TRACED_ENGINES = [
     RingKnnEngine,
@@ -146,10 +151,7 @@ def test_tracing_does_not_change_results_or_stats(db, text):
 
 def test_disabled_run_attaches_no_recorders(db):
     query = parse_query(MIXED_QUERIES[0])
-    engine = RingKnnEngine(db)
-    relations = engine.compile(query)
-    assert all(rel.obs is None for rel in relations)
-    engine.evaluate(query)
+    RingKnnEngine(db).evaluate(query)
     for coord in "spo":
         assert db.ring.column(coord).ops is None
     assert db.knn_ring.S.ops is None
@@ -216,3 +218,96 @@ def test_projection_distinct_limit_finalizes_stats(db):
     assert len(result.solutions) == 1
     assert result.stats.elapsed > 0.0
     assert trace.elapsed > 0.0
+
+
+# ----------------------------------------------------------------------
+# a trace observes the search that runs, on its own thread
+# ----------------------------------------------------------------------
+def _wavelet_counts(trace: QueryTrace) -> dict:
+    return {label: ops.as_dict() for label, ops in trace.wavelets.items()}
+
+
+def test_threads_count_wavelets_into_their_own_traces(figure2):
+    """Traced evaluations on three threads sharing one database each
+    count exactly what the serial traced run counts, while a fourth
+    thread's untraced evaluations count into none of them; afterwards
+    no tree holds a recorder."""
+    db, queries = figure2.db, figure2.queries
+    serial = [_wavelet_counts(result.trace) for result in figure2.ring]
+    stop = threading.Event()
+    seen: list[list[dict]] = [[] for _ in range(3)]
+    errors: list[BaseException] = []
+
+    def untraced() -> None:
+        try:
+            while not stop.is_set():
+                for query in queries:
+                    RingKnnEngine(db).evaluate(query)
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    def traced(out: list[dict]) -> None:
+        try:
+            for _ in range(3):
+                for query in queries:
+                    trace = QueryTrace()
+                    RingKnnEngine(db).evaluate(query, trace=trace)
+                    out.append(_wavelet_counts(trace))
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        background = threading.Thread(target=untraced)
+        workers = [threading.Thread(target=traced, args=(o,)) for o in seen]
+        background.start()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=300)
+        stop.set()
+        background.join(timeout=300)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in (background, *workers))
+    assert not errors, errors
+    for out in seen:
+        assert out == serial * 3
+    trees = [db.ring.column(coord) for coord in "spo"]
+    trees += [db.knn_ring.S, db.knn_ring.Sprime]
+    assert all(tree.ops is None for tree in trees)
+
+
+def test_a_traced_run_builds_the_seekers_an_untraced_run_builds(
+    figure2, monkeypatch
+):
+    """Tracing wraps the relations; it does not change how they leap:
+    per query, a traced evaluation asks ``WaveletTree.seeker`` and
+    ``RingIndex.ahead_seeker`` for as many seekers as an untraced one."""
+    built = {"wavelet": 0, "ahead": 0}
+
+    def counting(key, method):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        WaveletTree, "seeker", counting("wavelet", WaveletTree.seeker)
+    )
+    monkeypatch.setattr(
+        RingIndex, "ahead_seeker", counting("ahead", RingIndex.ahead_seeker)
+    )
+    for engine_cls in (RingKnnEngine, RingKnnSEngine):
+        for query in figure2.queries:
+            runs = []
+            for trace in (None, QueryTrace()):
+                built.update(wavelet=0, ahead=0)
+                engine_cls(figure2.db).evaluate(query, trace=trace)
+                runs.append(dict(built))
+            plain, traced = runs
+            assert plain == traced, (engine_cls.name, query)
+            assert plain["wavelet"] > 0, (engine_cls.name, query)
