@@ -272,12 +272,16 @@ def prime(structure: object) -> None:
     """Materialize every plain-scalar mirror of an attached tree.
 
     Attached structures start without their ``_*_i`` mirrors and derived
-    tables and rebuild each lazily on first touch — mid-query. Calling
-    this at the load boundary (worker initializer, store warm-up)
-    moves that cost into the explicit one-time warm-up instead.
-    Idempotent, and free on built structures, whose mirrors exist.
+    tables and rebuild each lazily on first touch — mid-query; a
+    bitvector reads the mapping until it promotes. Calling this at the
+    load boundary (worker initializer, store warm-up) promotes every
+    bitvector through its full recount and moves all of that cost into
+    the explicit one-time warm-up instead. Idempotent, and free on built
+    structures, whose mirrors exist.
     """
     layout = _layout_of(structure)
+    if layout.promote is not None:
+        getattr(structure, layout.promote)()
     for name in layout.derived:
         getattr(structure, name)
     for _key, spec in layout.persisted:

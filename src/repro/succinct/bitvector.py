@@ -11,16 +11,27 @@ size, which the space experiment (Sec. 6.2) depends on.
 Hot-path layout (see ``docs/performance.md``): the kernels read *word
 caches* — plain Python ``list``\\ s of the words and of the ones (for
 ``select0``, zeros) before each word — so the per-call kernel never
-unboxes a numpy scalar. The per-word counts are never stored: they are
-recounted from the words (``numpy.bitwise_count``) on first touch and
-held against the stored directory at every block boundary and at the
-total, so a flipped bit in either is a :class:`StoreFormatError` there
-and never a wrong rank. In-word select uses the precomputed 16-bit
-popcount/select tables of :mod:`repro.succinct.tables`; and every public
-operation validates once, then delegates to an unchecked ``_*_u``
-variant that internal callers (:class:`~repro.succinct.wavelet_tree.
-WaveletTree`, the Ring, the K-NN structures) may invoke directly when
-their arguments are in-range by construction.
+unboxes a numpy scalar. The per-word counts are never stored. A built
+vector counts them at construction. An attached one answers its first
+reads from the mapping instead (:class:`_ColdOnes`): a word is read from
+the mapped words, and the ones before it are its block's stored count
+plus the popcounts of the words before it in the block. Its level total
+is checked once, at the vector's first read, with one popcount of all
+its words; each 512-bit block is checked against the directory at that
+block's first read. Once those reads have cost about what a full
+derivation costs — 64 reads plus one per stored block — the vector
+*promotes*: the word and count lists are derived in full
+(``numpy.bitwise_count``) and held against the whole stored directory,
+as :func:`repro.store.layout.prime` does for every vector up front. So a flipped bit in the
+words or the directory is a :class:`StoreFormatError` at the first read
+that depends on it, and never a wrong rank.
+
+In-word select uses the precomputed 16-bit popcount/select tables of
+:mod:`repro.succinct.tables`; and every public operation validates
+once, then delegates to an unchecked ``_*_u`` variant that internal
+callers (:class:`~repro.succinct.wavelet_tree.WaveletTree`, the Ring,
+the K-NN structures) may invoke directly when their arguments are
+in-range by construction.
 
 Conventions (0-based, half-open):
 
@@ -30,8 +41,10 @@ Conventions (0-based, half-open):
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +55,7 @@ from repro.succinct.fields import (
     Layout,
     LazyMirrors,
     Scalar,
+    Transient,
 )
 from repro.succinct.tables import select_in_word
 from repro.utils.errors import (
@@ -63,16 +77,124 @@ def _count_ones(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cum1, np.append(cum1[:-1:_BLOCK_WORDS], cum1[-1])
 
 
+#: The fixed part of a promotion's cost in cold reads: deriving a level's
+#: lists costs about 25 us plus 50 ns a word (2-core host), a cold read
+#: 0.25 us (1.7 us when it checks its block). With one read per stored
+#: block, a level promotes once its reads have cost about that much.
+_FIXED_READS = 64
+
+
+class _ColdOnes:
+    """The ones before each word of an attached bitvector, read from the
+    mapping: entry ``w`` is the stored count of its block (``w >> 3``: a
+    block is ``_BLOCK_WORDS`` = 8 words) plus the popcounts of the words
+    before it in the block.
+
+    A block's counts are derived, and checked against the directory's
+    next entry, at the block's first read and kept. Every read is
+    counted; after ``_FIXED_READS`` plus one a directory entry — about
+    what deriving every word's count costs — the vector promotes
+    (:meth:`BitVector._promote`). A reader kept past that still
+    answers, from the blocks it has checked.
+    """
+
+    __slots__ = (
+        "_n", "_words", "_blocks", "_seen", "_left", "_size", "_owner"
+    )
+
+    def __init__(self, bv: BitVector, words: Sequence[int]) -> None:
+        self._n = bv._n
+        self._words = words
+        self._blocks = memoryview(bv._blocks).cast("B").cast("i")
+        self._seen: dict[int, tuple[int, ...]] = {}
+        self._left = _FIXED_READS + len(self._blocks)
+        self._size = len(words) + 1
+        # Weak: the vector holds this reader, and a cycle would keep the
+        # mapping's views alive past the store's close.
+        self._owner = weakref.ref(bv)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(self._size))
+
+    def __getitem__(self, w: int) -> int:
+        if w < 0:
+            w += self._size
+        counts = self._seen.get(w >> 3)
+        if counts is None:
+            counts = self._check(w >> 3)
+        self._left -= 1
+        if self._left <= 0:
+            owner = self._owner()
+            if owner is not None:
+                owner._promote()
+        return counts[w & 7]
+
+    def _check(self, b: int) -> tuple[int, ...]:
+        """Block ``b``'s count before each of its words (the last block
+        only as far as its words go), held against the stored count of
+        the next block."""
+        blocks = self._blocks
+        counts = tuple(
+            accumulate(
+                map(int.bit_count, self._words[b << 3 : (b + 1) << 3]),
+                initial=blocks[b],
+            )
+        )
+        if b + 1 < len(blocks) and blocks[b + 1] != counts[-1]:
+            raise _disagree(self._n)
+        self._seen[b] = counts
+        return counts
+
+
+class _ColdZeros:
+    """The zeros before each word, from a :class:`_ColdOnes` (positions
+    before word ``w``, less its ones; padding past ``n`` is not a
+    position)."""
+
+    __slots__ = ("_ones", "_n")
+
+    def __init__(self, ones: _ColdOnes) -> None:
+        self._ones = ones
+        self._n = ones._n
+
+    def __len__(self) -> int:
+        return len(self._ones)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(len(self._ones)))
+
+    def __getitem__(self, w: int) -> int:
+        if w < 0:
+            w += len(self._ones)
+        return min(w << 6, self._n) - self._ones[w]
+
+
+def _disagree(n: int) -> StoreFormatError:
+    return StoreFormatError(
+        f"bitvector of {n} bits: the words and the stored rank directory "
+        "disagree; the index is corrupt — rebuild it with 'repro build'"
+    )
+
+
 class BitVector(LazyMirrors):
     """Immutable bit sequence supporting access, rank and select."""
 
+    # ``_words_i``/``_cum1_i`` start cold after attach (the mapped words
+    # and a :class:`_ColdOnes`) and are lists once the vector promotes;
+    # ``_on_promote`` is what the owning wavelet tree asks to hear then.
     LAYOUT = Layout(
         "bitvector",
         Scalar("_n"),
-        Array("_words", "<u8", mirrored=True),
+        Array("_words", "<u8"),
         Array("_blocks", INT),
-        Derived("_cum1_i", "_ones_before_words"),
+        Derived("_words_i", "_cold_words"),
+        Derived("_cum1_i", "_cold_ones"),
         Derived("_cum0_i", "_zeros_before_words"),
+        Transient("_on_promote"),
+        promote="_promote",
     )
 
     def __init__(self, bits: Iterable[int] | np.ndarray) -> None:
@@ -91,8 +213,41 @@ class BitVector(LazyMirrors):
         # numpy scalar boxing entirely. _cum1_i[w] = set bits before
         # word w; _cum0_i, its twin for clear bits, waits for the first
         # select0.
-        self._words_i: list[int] = self._words.tolist()
-        self._cum1_i: list[int] = cum1.tolist()
+        self._words_i: Sequence[int] = self._words.tolist()
+        self._cum1_i: Sequence[int] = cum1.tolist()
+        self._on_promote: Callable[[], None] | None = None
+
+    def _cold_words(self) -> Sequence[int]:
+        """An attached vector's words, read from the mapping."""
+        return memoryview(self._words).cast("B").cast("Q")
+
+    def _cold_ones(self) -> Sequence[int]:
+        """An attached vector's :class:`_ColdOnes`, once its shape and
+        its level total hold."""
+        words, blocks = self._words, self._blocks
+        n_words = (self._n + 63) >> 6
+        if (
+            words.size != n_words
+            or blocks.size != -(-n_words // _BLOCK_WORDS) + 1
+            or int(np.bitwise_count(words).sum()) != int(blocks[-1])
+        ):
+            raise _disagree(self._n)
+        return _ColdOnes(self, self._words_i)
+
+    def _promote(self) -> None:
+        """Derive the word and count lists in full, held against the
+        whole stored directory (free on a vector that has them), and
+        tell the owner. A reader still in its view after that (another
+        thread built the view as this promoted) lands here on its next
+        read, and so drops the view again."""
+        if type(vars(self).get("_cum1_i")) is not list:
+            cum1 = self._recount()
+            self._words_i = self._words.tolist()
+            self._cum1_i = cum1.tolist()
+            # A cold zeros reader: the next select0 derives the list.
+            vars(self).pop("_cum0_i", None)
+        if self._on_promote is not None:
+            self._on_promote()
 
     def _recount(self) -> np.ndarray:
         """Ones before each word, recounted from the words and held
@@ -101,18 +256,13 @@ class BitVector(LazyMirrors):
         if self._words.size != (self._n + 63) >> 6 or not np.array_equal(
             blocks, self._blocks
         ):
-            raise StoreFormatError(
-                f"bitvector of {self._n} bits: the words and the stored "
-                "rank directory disagree; the index is corrupt — rebuild "
-                "it with 'repro build'"
-            )
+            raise _disagree(self._n)
         return cum1
 
-    def _ones_before_words(self) -> list[int]:
-        cum1_i: list[int] = self._recount().tolist()
-        return cum1_i
-
-    def _zeros_before_words(self) -> list[int]:
+    def _zeros_before_words(self) -> Sequence[int]:
+        ones = self._cum1_i
+        if isinstance(ones, _ColdOnes):
+            return _ColdZeros(ones)
         # Positions before word w, less its ones (padding past n is
         # not a position).
         cum1 = self._recount()

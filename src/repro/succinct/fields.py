@@ -141,11 +141,17 @@ class Layout:
     ``persisted`` pairs each persisted field with its manifest key, in
     flatten order; ``transients`` are reset on attach; ``mirrored``
     names the arrays that carry a ``<name>_i`` mirror and ``derived``
-    maps each derived table to the method that builds it.
+    maps each derived table to the method that builds it. A structure
+    whose derived tables start as readers over the mapping names in
+    ``promote`` the method that replaces them by the full tables;
+    ``prime`` calls it first.
     """
 
-    def __init__(self, kind: str, *fields: Field) -> None:
+    def __init__(
+        self, kind: str, *fields: Field, promote: str | None = None
+    ) -> None:
         self.kind = kind
+        self.promote = promote
         self.transients = tuple(f for f in fields if isinstance(f, Transient))
         self.persisted = tuple(
             (f.name.lstrip("_"), f)

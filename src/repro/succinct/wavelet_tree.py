@@ -48,6 +48,7 @@ takes the memoized descent per leap. Either way a leap counts one
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
@@ -86,6 +87,17 @@ _MEMO_SYMBOLS = 1 << 15
 _SHORT = 128
 
 _MISS = object()
+
+#: One level of the view: its words, the ones before each word, ``z``.
+_Level = tuple[Sequence[int], Sequence[int], int]
+
+
+def _drop_view(tree: weakref.ref[WaveletTree]) -> None:
+    """A level of ``tree`` promoted: its next descent rebuilds the level
+    view over the lists. Held weakly — the level belongs to the tree."""
+    owner = tree()
+    if owner is not None:
+        owner._lv = None
 
 
 class WaveletTree(LazyMirrors):
@@ -146,7 +158,7 @@ class WaveletTree(LazyMirrors):
         self._memo_values: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo_held = 0  # symbols held by ``_memo_values``
         self._memo_select: dict[tuple[int, int], int | None] = {}
-        self._lv: list[tuple[list[int], list[int], int]] | None = None
+        self._lv: list[_Level] | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -186,17 +198,25 @@ class WaveletTree(LazyMirrors):
     # branch for ``lo == n``. The range's zeros go to ``[lo - x, hi - y]``
     # and its ones to ``[z + x, z + y - 1]``: two ranks a level.
     # ------------------------------------------------------------------
-    def _level_view(self) -> list[tuple[list[int], list[int], int]]:
+    def _level_view(self) -> list[_Level]:
         """Each level's ``(words, cum1, z)``, top level first.
 
         Built on first use from the bitvectors' own mirrors (it holds
         references, not copies) and declared transient: an attached
         tree starts without it. ``z``, the level's zero count, is the
         bitvector's checked total, so it is derived and never stored.
+        An attached level's mirrors are readers over the mapping until
+        the level promotes; the promotion drops this view, and the next
+        descent builds it again over the level's lists.
         """
-        view = self._lv = [
-            (bv._words_i, bv._cum1_i, bv.n_zeros) for bv in self._levels
-        ]
+        view: list[_Level] = []
+        for bv in self._levels:
+            z = bv.n_zeros  # first: a cold level's read may promote it
+            cum = bv._cum1_i
+            if type(cum) is not list:
+                bv._on_promote = partial(_drop_view, weakref.ref(self))
+            view.append((bv._words_i, cum, z))
+        self._lv = view
         return view
 
     def _descend(self, c: int, lo: int, hi: int) -> tuple[int, int]:

@@ -51,7 +51,7 @@ from repro.store import FORMAT_VERSION, Manifest, load, save
 from repro.store.format import pack_header
 from repro.store.layout import SegmentView
 from repro.succinct.arrays import CumulativeCounts
-from repro.succinct.bitvector import BitVector
+from repro.succinct.bitvector import _FIXED_READS, BitVector
 from repro.succinct.fields import Array, Child
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StoreFormatError, StructureError
@@ -106,9 +106,11 @@ def _check_attach_contract(got, original):
             assert getattr(got, spec.name) is not spec.reset
             assert getattr(got, spec.name) is not getattr(original, spec.name)
     for name in layout.derived:
-        # Never persisted; recomputed on first touch, and identically.
+        # Never persisted; recomputed on first touch, and identically
+        # (an attached bitvector's tables read the mapping until it
+        # promotes, so they are compared entry by entry).
         assert name not in vars(got)
-        assert getattr(got, name) == getattr(original, name)
+        assert [*getattr(got, name)] == [*getattr(original, name)]
         assert name in vars(got)
     for _key, spec in layout.persisted:
         name = spec.name
@@ -155,6 +157,142 @@ def test_bitvector_roundtrip(carrier, bits):
         trip.close()
 
 
+#: Bit sequences at the cold reader's edges: empty and shorter than a
+#: word, longer than a block but not a multiple of one, all ones, all
+#: zeros — as ``(n, seed, density)``, the bits drawn from the seed.
+edge_bits = st.one_of(
+    st.tuples(st.integers(0, 63), st.integers(0, 2**16), st.floats(0, 1)),
+    st.tuples(
+        st.integers(513, 2100).filter(lambda n: n % 512),
+        st.integers(0, 2**16),
+        st.floats(0, 1),
+    ),
+    st.tuples(st.integers(0, 1100), st.just(0), st.sampled_from([0.0, 1.0])),
+)
+
+
+def _bits(n, seed, density):
+    rng = np.random.default_rng(seed)
+    return (rng.random(n) < density).astype(np.uint8)
+
+
+def _promoted(bv):
+    """Whether an attached bitvector holds its full lists."""
+    return type(vars(bv).get("_cum1_i")) is list
+
+
+#: Every read of one kind, over a bitvector's whole domain.
+BITVECTOR_READS = {
+    "rank1": lambda bv: [bv.rank1(i) for i in range(len(bv) + 1)],
+    "select1": lambda bv: [bv.select1(j) for j in range(1, bv.n_ones + 1)],
+    "select0": lambda bv: [bv.select0(j) for j in range(1, bv.n_zeros + 1)],
+    "access": lambda bv: [bv.access(i) for i in range(len(bv))],
+}
+
+
+def _check_cold_bitvector(path, original):
+    """Each kind of read, from a fresh unprimed attach, answers as the
+    built vector: on the mapping, and after the vector promotes. A pass
+    of ``rank1`` reads the counts ``n + 1`` times, so at most the
+    vector's budget of passes promotes it."""
+    want = {kind: reads(original) for kind, reads in BITVECTOR_READS.items()}
+    for kind, reads in BITVECTOR_READS.items():
+        store = load(path, verify=False)
+        try:
+            got = store.structure
+            assert not _promoted(got)
+            assert reads(got) == want[kind]
+            for _ in range(_FIXED_READS + got._blocks.size):
+                if _promoted(got):
+                    break
+                assert BITVECTOR_READS["rank1"](got) == want["rank1"]
+            assert _promoted(got)
+            assert {k: r(got) for k, r in BITVECTOR_READS.items()} == want
+        finally:
+            got = None
+            store.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=edge_bits)
+def test_attached_bitvector_reads_as_built_before_and_after_promotion(shape):
+    trip = _RoundTrip(BitVector(_bits(*shape)))
+    try:
+        _check_cold_bitvector(trip.path, trip._structure)
+    finally:
+        trip.close()
+
+
+def _tree_reads(tree, sigma):
+    """Access, rank, select_next and the range report of ``tree``,
+    each answered by a descent (the memo emptied first)."""
+    for memo in ("_memo_rank", "_memo_next", "_memo_values", "_memo_select"):
+        getattr(tree, memo).clear()
+    tree._memo_held = 0
+    n = len(tree)
+    step = max(1, n // 40)
+    return (
+        [tree.access(i) for i in range(n)],
+        [tree.rank(c, i) for c in range(sigma) for i in range(0, n + 1, step)],
+        [
+            tree.select_next(c, i)
+            for c in range(sigma)
+            for i in range(0, n, step)
+        ],
+        [
+            tuple(tree.distinct_values(lo, min(n - 1, lo + width)))
+            for lo in range(0, n, step)
+            for width in (0, 7, 200)
+        ],
+    )
+
+
+def _check_cold_wavelet(path, original, sigma):
+    """An unprimed tree answers as the built one while its levels read
+    the mapping and as they promote; once all have, the level view
+    holds the levels' own lists, so a hot level runs exactly the built
+    tree's loop."""
+    want = _tree_reads(original, sigma)
+    store = load(path, verify=False)
+    try:
+        got = store.structure
+        assert not any(map(_promoted, got._levels))
+        assert _tree_reads(got, sigma) == want
+        # An access reads every level once: at most a level's budget of
+        # passes promotes them all.
+        budget = _FIXED_READS + max(lv._blocks.size for lv in got._levels)
+        for _ in range(budget):
+            assert [got.access(i) for i in range(len(got))] == want[0]
+            if all(map(_promoted, got._levels)):
+                break
+        assert all(map(_promoted, got._levels))
+        assert _tree_reads(got, sigma) == want
+        for (words, cum, _z), level in zip(got._lv, got._levels, strict=True):
+            assert type(words) is list and words is level._words_i
+            assert type(cum) is list and cum is level._cum1_i
+    finally:
+        got = None
+        store.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=edge_bits, sigma=st.integers(1, 12))
+def test_attached_wavelet_tree_reads_as_built_before_and_after_promotion(
+    shape, sigma
+):
+    """Over sequences of the edge lengths: a random symbol where the
+    bits are set, 0 elsewhere (all zeros, all random)."""
+    n, seed, density = shape
+    n = max(n, 1)
+    symbols = np.random.default_rng(seed).integers(0, sigma, n)
+    sequence = np.where(_bits(n, seed, density), symbols, 0)
+    trip = _RoundTrip(WaveletTree(sequence, sigma))
+    try:
+        _check_cold_wavelet(trip.path, trip._structure, sigma)
+    finally:
+        trip.close()
+
+
 def _check_wavelet(got, original, sequence, sigma):
     assert len(got) == len(original)
     assert got.alphabet_size == original.alphabet_size
@@ -172,13 +310,17 @@ def _check_wavelet(got, original, sequence, sigma):
             assert got.range_next_value(lo, hi, c) == (
                 original.range_next_value(lo, hi, c)
             )
-    # The descents above rebuilt the level view, over the attached
-    # tree's own mirrors; each level's zero count is derived from its
+    # The level view the next descent reads (a level that promoted
+    # dropped it; the descent rebuilds it) is over the attached tree's
+    # own mirrors; each level's zero count is derived from its
     # bitvector's total, not stored.
-    assert [(words, z) for words, _cum, z in got._lv] == [
+    view = got._lv or got._level_view()
+    assert [(words, z) for words, _cum, z in view] == [
         (level._words_i, len(level) - level.n_ones) for level in got._levels
     ]
-    assert got._lv == original._lv
+    # Entry by entry: a level that has not promoted holds readers over
+    # the mapping.
+    assert [(list(w), list(c), z) for w, c, z in view] == original._lv
 
 
 @by_carrier

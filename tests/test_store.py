@@ -8,9 +8,11 @@ Mirrors the worker pool's layers (``tests/test_parallel_shm.py``) for
   and version-2 files included), checksum corruption, endianness (file flag
   and host) each raise their typed :mod:`repro.utils.errors` exception;
   ``verify=False`` skips only the checksum — and even then one flipped
-  bit in a bitvector's words or rank directory is a typed error at
-  first touch, never a wrong rank, and one in an offsets or sorted-id
-  table is a typed error unless the table keeps its structure.
+  bit in a bitvector's words or rank directory is a typed error, never
+  a wrong rank: the vector's total is checked at its first read, each
+  block at the block's first read, and the full recount runs when the
+  vector promotes or at ``prime``. One in an offsets or sorted-id table
+  is a typed error unless the table keeps its structure.
 * **Space budget** — the Figure-2 graph's index file stays within the
   bytes-per-edge budget of ``docs/performance.md``.
 * **Attached reads** — an mmap-loaded Figure-2 database hands back
@@ -26,6 +28,7 @@ import json
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +43,7 @@ from repro.engines.database import GraphDatabase
 from repro.experiments.registry import Context, figure2_setup
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.parallel.executor import ENV_START_METHOD
+from repro.query.parser import parse_query
 from repro.store import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -314,6 +318,48 @@ def test_prime_materializes_hot_caches(figure2):
         primed.close()
 
 
+def _bitvectors(node):
+    """Every :class:`BitVector` of an attached structure tree."""
+    if isinstance(node, BitVector):
+        yield node
+        return
+    for value in vars(node).values():
+        if isinstance(value, dict):
+            value = list(value.values())
+        for child in value if isinstance(value, list) else [value]:
+            if hasattr(type(child), "LAYOUT"):
+                yield from _bitvectors(child)
+
+
+def test_a_lookup_derives_no_ring_level_and_prime_derives_them_all(figure2):
+    """A first answer reads only the blocks it touches: one
+    single-pattern lookup on the attached Figure-2 index leaves no Ring
+    bitvector holding a full ``list`` of its words or counts, while
+    ``prime`` still builds every mirror. Whole-level derivation coming
+    back on the first read would show here and in no answer."""
+    subject, predicate, _o = (int(x) for x in figure2.db.graph.spo[0])
+    query = parse_query(f"({subject}, {predicate}, ?o)")
+    store = load(figure2.index_path)
+    try:
+        got = AutoEngine(store.database).evaluate(query).solutions
+        assert got == AutoEngine(figure2.db).evaluate(query).solutions
+        ring = list(_bitvectors(store.database.ring))
+        assert ring and any("_cum1_i" in vars(bv) for bv in ring)
+        tables = ("_words_i", "_cum1_i", "_cum0_i")
+        assert not any(
+            type(vars(bv).get(name)) is list for bv in ring for name in tables
+        )
+        prime(store.structure)
+        assert all(
+            type(vars(bv)[name]) is list
+            for bv in _bitvectors(store.structure)
+            for name in tables
+        )
+    finally:
+        ring = None
+        store.close()
+
+
 #: The ``<i4`` tables whose plain-int mirror is a derived table that
 #: checks their structure, by manifest kind.
 _CHECKED_TABLES = {
@@ -390,10 +436,10 @@ def _primed_error(raw: bytes, path: str) -> str | None:
 def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
     flip_target, data
 ):
-    """Past the checksum (``verify=False``) a bitvector's per-word
-    counts are recounted from the words and held against the stored
-    directory, so one flipped bit in either is caught when the mirror
-    is derived. A checked ``<i4`` table is held to its structure as its
+    """Past the checksum (``verify=False``) ``prime`` promotes every
+    bitvector: its per-word counts are recounted from the words and held
+    against the stored directory, so one flipped bit in either is
+    caught there. A checked ``<i4`` table is held to its structure as its
     mirror is derived: a flip there is caught, or leaves offsets that
     still rise from 0 to the total and ids that still strictly increase
     below the bound — what only the checksum can catch."""
@@ -419,6 +465,138 @@ def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
         else:
             assert after[0] == 0 and after[-1] == before[-1]
             assert (steps >= 0).all()
+
+
+@pytest.fixture(scope="module")
+def ring_flip_target(figure2):
+    """The golden Figure-2 index file's bytes and the ``(start,
+    nbytes)`` file span of each bitvector's words and rank directory."""
+    store = load(figure2.index_path)
+    manifest = store.manifest
+    store.close()
+    spans = []
+    for group, index in _stored_arrays(manifest.root):
+        offset, dtype, (count,) = manifest.entries[index]
+        if group == "bitvector" and count:
+            spans.append((manifest.base + offset, count * int(dtype[2:])))
+    with open(figure2.index_path, "rb") as handle:
+        return handle.read(), spans
+
+
+def _unprimed_answers(raw: bytes, path: str, queries) -> list:
+    """Write ``raw`` to ``path``, attach it without verifying and without
+    ``prime``, and ask each query: its solutions, or the message of the
+    :class:`StoreFormatError` it raised."""
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    store = load(path, verify=False)
+    answers: list = []
+    try:
+        engine = AutoEngine(store.database)
+        for query in queries:
+            try:
+                result = engine.evaluate(query)
+            except StoreFormatError as exc:
+                # Read here: a kept traceback would pin views of the mapping.
+                answers.append(str(exc))
+            else:
+                answers.append(result.solutions)
+    finally:
+        engine = None
+        store.close()
+    return answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flipped_bitvector_bit_answers_or_is_typed_unprimed(
+    ring_flip_target, figure2, data
+):
+    """Without ``prime`` an attached bitvector reads the mapping: its
+    level total is checked at its first read and each block at the
+    block's first read. So with one bit of a bitvector's words or rank
+    directory flipped, every golden query still answers as the built
+    database does or raises a :class:`StoreFormatError` naming the rank
+    directory — never another answer, an ``IndexError`` or another
+    exception."""
+    raw, spans = ring_flip_target
+    start, nbytes = data.draw(st.sampled_from(spans))
+    bit = data.draw(st.integers(0, nbytes * 8 - 1))
+    flipped = bytearray(raw)
+    flipped[start + bit // 8] ^= 1 << (bit % 8)
+    answers = _unprimed_answers(
+        bytes(flipped), figure2.index_path + ".flipped", figure2.queries
+    )
+    for got, want in zip(answers, figure2.auto, strict=True):
+        if isinstance(got, str):
+            assert "rank directory" in got
+        else:
+            assert got == want.solutions
+
+
+def test_threads_sharing_an_unprimed_index_answer_as_built(figure2):
+    """Cold reads count, check blocks and promote levels on whatever
+    thread reads: four threads (more than the cores) asking the golden
+    queries of one unprimed attached database, switching every
+    microsecond, each get the built database's answers."""
+    store = load(figure2.index_path)
+    db = store.database
+    want = [result.solutions for result in figure2.auto]
+
+    def ask():
+        engine = AutoEngine(db)
+        return [engine.evaluate(query).solutions for query in figure2.queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(ask) for _ in range(4)]
+            answers = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        db = None
+        store.close()
+    assert answers == [want] * 4
+
+
+@pytest.mark.parametrize(
+    "field, element",
+    [("words", 0), ("words", -1), ("blocks", -1), ("blocks", 1)],
+)
+def test_a_flip_is_caught_at_the_first_read_that_depends_on_it(
+    tmp_path, field, element
+):
+    """Unprimed, a bitvector's total is checked at its first read, with
+    one popcount of all its words: a flip in a word of a block no read
+    reaches, or in the stored total (which a vector of whole blocks
+    never checks with a block), is a typed error at the first read of
+    any entry. A flip in a block's own entry is caught at that block's
+    first read."""
+    bits = np.random.default_rng(3).integers(0, 2, 4 * 512)
+    path = str(tmp_path / "bv.idx")
+    save(BitVector(bits), path)
+    store = load(path)
+    offset, dtype, (count,) = store.manifest.entries[
+        store.manifest.root[field]
+    ]
+    at = store.manifest.base + offset + (element % count) * int(dtype[2:])
+    store.close()
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        byte = handle.read(1)[0]
+        handle.seek(at)
+        handle.write(bytes([byte ^ 4]))
+    store = load(path, verify=False)
+    message = None
+    try:
+        # block 1 alone: a flipped word is in block 0 or 3
+        store.structure.rank1(8 * 64 + 5)
+    except StoreFormatError as exc:
+        message = str(exc)  # read here: a kept traceback pins the mapping
+    finally:
+        store.close()
+    assert message is not None and "rank directory" in message
 
 
 @pytest.mark.parametrize(
