@@ -17,8 +17,10 @@ runnable (and seeded, like every dataset builder)::
 ``examples/`` also covers multimedia search, social recommendation and
 geo range joins; the public API surface is re-exported below. Every
 engine returns a ``QueryResult`` whose ``solutions`` is a ``Solutions``
-— it reads like a list of ``{Var: int}`` dicts and is one int64 row
-matrix (``solutions.variables``, ``solutions.rows``).
+— it reads like a list of ``{Var: int}`` dicts, holds the search's rows
+as one flat int64 buffer (no numpy needed to read them), and builds the
+``(n, len(solutions.variables))`` matrix ``solutions.rows`` on first
+ask.
 """
 
 from repro.engines import (

@@ -123,8 +123,10 @@ class _SanitizedMmap(_mmap_mod.mmap):
         return obj
 
     def close(self) -> None:
-        LEDGER.release(_serial_of(self), "close")
+        # Released only once the mapping is closed: a close refused with
+        # BufferError (a view of the mapping still alive) stays a leak.
         super().close()
+        LEDGER.release(_serial_of(self), "close")
 
 
 def _wrap_pool_class(pool_cls: type) -> None:

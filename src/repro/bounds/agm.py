@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.query.model import ExtendedBGP
 from repro.utils.errors import QueryError, ValidationError
 
@@ -32,6 +30,8 @@ def agm_bound(
     into account); pass ``clause_cardinalities`` to override (e.g.
     ``k * n`` per clause).
     """
+    import numpy as np
+
     if num_edges < 1:
         raise ValidationError("num_edges must be >= 1")
     atoms: list[tuple[tuple, float]] = []

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.bounds.constraint_graph import ConstraintGraph
 from repro.query.model import ExtendedBGP, Var, is_var
 from repro.utils.errors import QueryError, ValidationError
@@ -118,6 +116,8 @@ def solve_size_bound(
     Returns:
         The optimal weights and ``rho*`` (log2 scale).
     """
+    import numpy as np
+
     if query.dist_clauses:
         raise QueryError("size bounds cover only <|_k clauses")
     if num_edges < 1:

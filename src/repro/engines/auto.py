@@ -44,7 +44,7 @@ class AutoEngine:
         self._strategies = {
             name: cls(db) for name, cls in RING_ENGINES.items()
         }
-        self._owned_store: object | None = None
+        self._owned_db: GraphDatabase | None = None
         #: Optional :class:`repro.cache.QueryCache` probed before and
         #: filled after every full (un-limited) evaluation.
         self.cache = cache
@@ -58,16 +58,16 @@ class AutoEngine:
         """
         db = GraphDatabase.from_index(path, verify=verify)
         engine = cls(db)
-        engine._owned_store = db.store
+        engine._owned_db = db
         return engine
 
     def close(self) -> None:
         """Release the index-store mapping when this engine was built
         via :meth:`from_index`; a no-op otherwise."""
-        store = self._owned_store
-        self._owned_store = None
-        if store is not None:
-            store.close()  # type: ignore[attr-defined]
+        db = self._owned_db
+        self._owned_db = None
+        if db is not None:
+            db.close()
 
     def select(self, query: ExtendedBGP) -> str:
         """Return the chosen engine name for ``query``."""

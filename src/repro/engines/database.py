@@ -155,6 +155,12 @@ class GraphDatabase:
         store = getattr(self, "_store", None)
         if store is not None:
             self._store = None
+            # The structures are views of the mapping, and whoever calls
+            # this holds the database: they go first, or the mapping
+            # cannot close.
+            self.ring = None  # type: ignore[assignment]
+            self.knn_rings = {}
+            self.distance_index = None
             store.close()
 
     # ------------------------------------------------------------------

@@ -13,12 +13,14 @@ eliminates — and serves two purposes here:
 from __future__ import annotations
 
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.graph.triples import GraphData
 from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import StructureError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 _COORD_INDEX = {"s": 0, "p": 1, "o": 2}
 
@@ -27,6 +29,8 @@ class SixPermIndex:
     """Edge table under all six sort orders, with range navigation."""
 
     def __init__(self, graph: GraphData) -> None:
+        import numpy as np
+
         spo = graph.spo
         self._num_edges = graph.num_edges
         self._tables: dict[tuple[str, ...], np.ndarray] = {}
@@ -51,6 +55,8 @@ class SixPermIndex:
     def _locate(self, bound: dict[str, int]) -> tuple[tuple[str, ...], int, int]:
         """Pick a permutation whose prefix covers ``bound`` and return the
         matching half-open row range."""
+        import numpy as np
+
         for perm in self._tables:
             if set(perm[: len(bound)]) == set(bound):
                 break
@@ -78,6 +84,8 @@ class SixPermIndex:
         Uses a permutation whose prefix is the bound set followed by
         ``coord``, so candidate values are sorted within the range.
         """
+        import numpy as np
+
         if coord in bound:
             raise StructureError(f"leap on bound coordinate {coord!r}")
         for perm in self._tables:

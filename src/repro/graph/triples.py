@@ -13,11 +13,13 @@ exposes the quantities the paper reasons with:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 Triple = tuple[int, int, int]
 
@@ -30,6 +32,8 @@ class GraphData:
     """
 
     def __init__(self, triples: Iterable[Triple] | np.ndarray) -> None:
+        import numpy as np
+
         if isinstance(triples, np.ndarray):
             arr = np.asarray(triples, dtype=np.int64)
         else:
@@ -102,6 +106,8 @@ class GraphData:
     @property
     def nodes(self) -> np.ndarray:
         """``V``: sorted array of constants used as subject or object."""
+        import numpy as np
+
         if not self._spo.shape[0]:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate((self._spo[:, 0], self._spo[:, 2])))
@@ -109,6 +115,8 @@ class GraphData:
     @property
     def predicates(self) -> np.ndarray:
         """Sorted array of constants used as predicate."""
+        import numpy as np
+
         if not self._spo.shape[0]:
             return np.empty(0, dtype=np.int64)
         return np.unique(self._spo[:, 1])
@@ -131,6 +139,8 @@ class GraphData:
         ``None`` positions are wildcards. Returns an ``(m, 3)`` array.
         A linear scan — only meant for tests and the naive evaluator.
         """
+        import numpy as np
+
         mask = np.ones(self._spo.shape[0], dtype=bool)
         if s is not None:
             mask &= self._spo[:, 0] == s

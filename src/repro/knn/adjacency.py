@@ -8,17 +8,22 @@ its footprint with :class:`~repro.knn.succinct.KnnRing`.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.knn.graph import KnnGraph
 from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class KnnAdjacency:
     """Direct + reverse K-NN adjacency in plain arrays."""
 
     def __init__(self, graph: KnnGraph) -> None:
+        import numpy as np
+
         self._members = graph.members.copy()
         self._members.setflags(write=False)
         self._K = graph.K
@@ -62,6 +67,8 @@ class KnnAdjacency:
         return total * INT_BYTES
 
     def _index_of(self, node: int) -> int | None:
+        import numpy as np
+
         idx = int(np.searchsorted(self._members, node))
         if idx < self._members.size and self._members[idx] == node:
             return idx
@@ -74,6 +81,8 @@ class KnnAdjacency:
 
     def neighbors_of(self, u: int, k: int) -> np.ndarray:
         """``k``-NN(``u``) from the direct graph; empty for non-members."""
+        import numpy as np
+
         self._check_k(k)
         idx = self._index_of(u)
         if idx is None:
@@ -82,6 +91,8 @@ class KnnAdjacency:
 
     def reverse_neighbors_of(self, v: int, k: int) -> np.ndarray:
         """All ``u`` with ``v in k-NN(u)`` from the reverse graph."""
+        import numpy as np
+
         self._check_k(k)
         nodes = self._reverse_nodes.get(v)
         if nodes is None:

@@ -20,16 +20,20 @@ while keeping construction deterministic and testable.
 from __future__ import annotations
 
 from collections.abc import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.knn.graph import KnnGraph
 from repro.utils.errors import ValidationError
 
-Metric = Callable[[np.ndarray, np.ndarray], float]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+Metric = Callable[["np.ndarray", "np.ndarray"], float]
 
 
 def _check_inputs(points: np.ndarray, members: np.ndarray | None, K: int):
+    import numpy as np
+
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-D array (n, dim)")
@@ -71,6 +75,8 @@ def build_knn_graph_bruteforce(
             default) — the Sec. 3.1 relaxation "to disregard neighbors
             that are too far away".
     """
+    import numpy as np
+
     points, members, = _check_inputs(points, members, K)
     n = points.shape[0]
     if metric is None:
@@ -103,6 +109,8 @@ def build_knn_graph_kdtree(
     points: np.ndarray, K: int, members: np.ndarray | None = None
 ) -> KnnGraph:
     """Exact Euclidean K-NN graph via a KD-tree (scipy ``cKDTree``)."""
+    import numpy as np
+
     from scipy.spatial import cKDTree
 
     points, members = _check_inputs(points, members, K)
@@ -136,6 +144,8 @@ def build_knn_graph_nn_descent(
     iteration produces no updates or ``max_iters`` is hit. Works with any
     distance callable; defaults to squared Euclidean.
     """
+    import numpy as np
+
     points, members = _check_inputs(points, members, K)
     n = points.shape[0]
     rng = np.random.default_rng(seed)

@@ -17,9 +17,8 @@ directions of a clause.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
-
-import numpy as np
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
@@ -35,7 +34,10 @@ from repro.succinct.fields import (
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
 
-Metric = Callable[[np.ndarray, np.ndarray], float]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+Metric = Callable[["np.ndarray", "np.ndarray"], float]
 
 
 class DistanceRangeIndex(LazyMirrors):
@@ -50,6 +52,7 @@ class DistanceRangeIndex(LazyMirrors):
         Child("_D", WaveletTree),
         Child("_B", BitVector),
         Derived("_members_i", "_checked_members"),
+        promote="_promote",
     )
 
     def __init__(
@@ -68,6 +71,8 @@ class DistanceRangeIndex(LazyMirrors):
             members: node ids (default ``0..n-1``), sorted and distinct.
             metric: distance callable; defaults to Euclidean.
         """
+        import numpy as np
+
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValidationError("points must be (n, dim)")
@@ -89,7 +94,7 @@ class DistanceRangeIndex(LazyMirrors):
         # Plain-int mirror for the per-leap bisect lookups: indexing a
         # numpy array in the LTJ inner loop boxes a fresh scalar per
         # probe (see KnnRing, which keeps the same mirror).
-        self._members_i: list[int] = mem.tolist()
+        self._members_i: Sequence[int] = mem.tolist()
         # What an attached member table's ids are checked against (``D``
         # holds ranks, so its alphabet bounds none).
         self._id_bound = int(mem[-1]) + 1 if n else 0
@@ -142,13 +147,15 @@ class DistanceRangeIndex(LazyMirrors):
         bits[one_positions] = 1
         self._B = BitVector(bits)
 
-    def _checked_members(self) -> list[int]:
+    def _checked_members(self) -> Sequence[int]:
         return checked_ids(
-            "distance-index members", self._members, self._id_bound
+            self, "distance-index members", self._members, self._id_bound
         )
 
     @property
-    def members(self) -> np.ndarray:
+    def members(self) -> Sequence[int]:
+        """The sorted member ids: a numpy array when built, a read-only
+        ``memoryview`` of the mapping when attached."""
         return self._members
 
     @property

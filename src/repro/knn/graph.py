@@ -15,11 +15,13 @@ explicitly allows two relaxations (Sec. 3.1):
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.succinct.fields import INT_BYTES
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class KnnGraph:
@@ -42,6 +44,8 @@ class KnnGraph:
             lengths: per-row valid-prefix lengths (default: all ``K``).
                 Entries at positions ``>= lengths[i]`` are padding.
         """
+        import numpy as np
+
         mem = np.asarray(
             list(members) if not isinstance(members, np.ndarray) else members,
             dtype=np.int64,
@@ -138,6 +142,8 @@ class KnnGraph:
     # ------------------------------------------------------------------
     def index_of(self, node: int) -> int | None:
         """Dense member index of ``node``, or ``None`` if not a member."""
+        import numpy as np
+
         idx = int(np.searchsorted(self._members, node))
         if idx < self._members.size and self._members[idx] == node:
             return idx
@@ -148,6 +154,8 @@ class KnnGraph:
 
         Truncated rows return at most their stored length.
         """
+        import numpy as np
+
         idx = self.index_of(node)
         if idx is None:
             return np.empty(0, dtype=np.int64)
@@ -161,6 +169,8 @@ class KnnGraph:
 
         ``rank_of(u, v) <= k`` is exactly the predicate ``v in k-NN(u)``.
         """
+        import numpy as np
+
         idx = self.index_of(u)
         if idx is None:
             return None

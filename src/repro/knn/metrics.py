@@ -19,9 +19,12 @@ the ``Metric`` callable signature of :mod:`repro.knn.builders`.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
@@ -32,16 +35,22 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     """``||a - b||``."""
+    import numpy as np
+
     return float(np.sqrt(squared_euclidean(a, b)))
 
 
 def manhattan(a: np.ndarray, b: np.ndarray) -> float:
     """L1 distance ``sum |a_i - b_i|``."""
+    import numpy as np
+
     return float(np.abs(a - b).sum())
 
 
 def chebyshev(a: np.ndarray, b: np.ndarray) -> float:
     """L-infinity distance ``max |a_i - b_i|``."""
+    import numpy as np
+
     return float(np.abs(a - b).max())
 
 
@@ -51,6 +60,8 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     Not a metric — used to exercise the paper's claim that any k-NN
     relation works. Raises on zero vectors (undefined direction).
     """
+    import numpy as np
+
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -60,6 +71,8 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def hamming(a: np.ndarray, b: np.ndarray) -> float:
     """Number of positions where the vectors differ."""
+    import numpy as np
+
     return float(np.count_nonzero(a != b))
 
 

@@ -27,8 +27,7 @@ bisect) and once on the way out (a subscript).
 from __future__ import annotations
 
 from bisect import bisect_left
-
-import numpy as np
+from collections.abc import Sequence
 
 from repro.knn.graph import KnnGraph
 from repro.succinct.bitvector import BitVector
@@ -61,9 +60,12 @@ class KnnRing(LazyMirrors):
         Child("_B", BitVector),
         Derived("_members_i", "_checked_members"),
         Derived("_s_offsets_i", "_checked_s_offsets"),
+        promote="_promote",
     )
 
     def __init__(self, graph: KnnGraph) -> None:
+        import numpy as np
+
         self._members = graph.members.copy()
         self._members.setflags(write=False)
         self._K = graph.K
@@ -118,15 +120,15 @@ class KnnRing(LazyMirrors):
         self._B = BitVector(bits)
         # Plain-int mirrors for the per-call hot paths (index_of /
         # next_member bisect and forward_range offsets).
-        self._members_i: list[int] = self._members.tolist()
-        self._s_offsets_i: list[int] = self._s_offsets.tolist()
+        self._members_i: Sequence[int] = self._members.tolist()
+        self._s_offsets_i: Sequence[int] = self._s_offsets.tolist()
 
-    def _checked_members(self) -> list[int]:
-        return checked_ids("K-NN members", self._members, self._id_bound)
+    def _checked_members(self) -> Sequence[int]:
+        return checked_ids(self, "K-NN members", self._members, self._id_bound)
 
-    def _checked_s_offsets(self) -> list[int]:
+    def _checked_s_offsets(self) -> Sequence[int]:
         return checked_offsets(
-            "K-NN row offsets", self._s_offsets, self._members.size + 1,
+            self, "K-NN row offsets", self._s_offsets, len(self._members) + 1,
             len(self._S),
         )
 
@@ -134,12 +136,14 @@ class KnnRing(LazyMirrors):
     # introspection
     # ------------------------------------------------------------------
     @property
-    def members(self) -> np.ndarray:
+    def members(self) -> Sequence[int]:
+        """The sorted member ids: a numpy array when built, a read-only
+        ``memoryview`` of the mapping when attached."""
         return self._members
 
     @property
     def num_members(self) -> int:
-        return int(self._members.size)
+        return len(self._members)
 
     @property
     def K(self) -> int:

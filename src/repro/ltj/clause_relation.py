@@ -45,7 +45,7 @@ class ClauseRelation(LeapRelation):
         self,
         clause: SimClause | DistClause,
         trees: tuple[WaveletTree, WaveletTree],
-        ids: list[int],
+        ids: Sequence[int],
         roots: tuple[Seeker, Seeker],
         num_members: int,
     ) -> None:

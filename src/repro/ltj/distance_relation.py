@@ -37,7 +37,7 @@ class DistanceClauseRelation(ClauseRelation):
             (index.D, index.D),
             index._members_i,
             (index.next_member, index.next_member),
-            int(index.members.size),
+            len(index.members),
         )
 
     def _range(self, pos: int, anchor: int) -> Span:

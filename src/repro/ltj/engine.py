@@ -29,8 +29,6 @@ from contextlib import contextmanager
 from itertools import cycle
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.ltj.ordering import MinCandidatesOrdering, OrderingStrategy
 from repro.ltj.plan import Atom, JoinPlan
 from repro.ltj.relation import LeapRelation
@@ -175,12 +173,8 @@ class LTJEngine:
             if searchable:
                 for _ in search(True):
                     pass
-        rows = np.frombuffer(self._out, dtype=np.int64)
-        return Solutions(
-            self._variables,
-            rows.astype("<i8", copy=False).reshape(
-                self.stats.solutions, len(self._variables)
-            ),
+        return Solutions.from_flat(
+            self._variables, self._out, self.stats.solutions
         )
 
     def _trivial(self, first_descent: bool) -> Iterator[None]:

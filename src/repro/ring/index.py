@@ -33,8 +33,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.graph.triples import GraphData
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.fields import Child, Derived, Layout, LazyMirrors, Scalar
@@ -57,6 +55,8 @@ class RingIndex(LazyMirrors):
     )
 
     def __init__(self, graph: GraphData) -> None:
+        import numpy as np
+
         self._num_edges = graph.num_edges
         self._domain = graph.domain_size
         spo = graph.spo
@@ -195,11 +195,14 @@ class RingIndex(LazyMirrors):
         nxt = NEXT_COORD[arc_first]
         end = self._sigma[nxt]
         select_next = self._columns[arc_first].select_next
-        cum = self._blocks[nxt]._cum_i
+        blocks = self._blocks[nxt]
 
         def seek(lower: int) -> int | None:
             if lower >= end:
                 return None
+            # Read at each call: a seeker can outlive a query's promotion
+            # of the table, and then reads the list, not the reader.
+            cum = blocks._cum_i
             pos = select_next(arc_value, cum[lower] if lower > 0 else 0)
             return None if pos is None else bisect_right(cum, pos) - 1
 

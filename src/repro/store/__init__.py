@@ -5,10 +5,11 @@ writes them to a versioned index file — a fixed header (magic, format
 version, endianness flag, checksum, JSON manifest) followed by the
 8-byte-aligned little-endian segment of :mod:`repro.store.layout` — and
 :func:`load` memory-maps that file and rebuilds the structures as
-read-only numpy views over it with zero deserialization. Cold start
-becomes O(page faults) instead of O(index build). The index file is the
-only way the structures leave a process: worker pools hand their
-workers a path, and each worker opens it with :func:`load`.
+read-only ``memoryview`` views over it with zero deserialization and no
+numpy. Cold start becomes O(page faults) instead of O(index build).
+The index file is the only way the structures leave a process: worker
+pools hand their workers a path, and each worker opens it with
+:func:`load`.
 
 See ``docs/persistence.md`` for the format layout, the versioning
 policy, and the mmap lifecycle rules.

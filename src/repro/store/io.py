@@ -7,16 +7,17 @@ at the target path.
 
 :func:`load` validates the header, memory-maps the whole file
 read-only, optionally verifies the payload checksum, and rebuilds the
-structures as zero-copy numpy views over the mapping
+structures as zero-copy read-only ``memoryview`` views over the mapping
 (:func:`repro.store.layout.attach_buffer`). Nothing is deserialized:
 until a page is touched, it is not even read. A pool worker opens its
 database the same way, with ``verify=False``.
 
 Lifecycle: an :class:`IndexStore` owns its mapping. The attached
-structures hold numpy views *into* it, so the mapping must outlive every
-structure reference; ``close`` drops the store's own structure
-reference first and tolerates a caller who kept views alive (the OS
-unmaps at process exit regardless). An open mapping survives even
+structures hold ``memoryview`` views *into* it, so the mapping must
+outlive every structure reference; ``close`` drops the store's own
+structure reference first and tolerates a caller who kept views alive
+(the OS unmaps at process exit regardless; under ``REPRO_SANITIZE=1``
+such a mapping is reported as a leak). An open mapping survives even
 deletion of the file, so a parent may rebuild an index while a warm
 pool is still serving the old one.
 """
@@ -163,8 +164,8 @@ class IndexStore:
         """Drop the rebuilt structure and the mapping.
 
         The structure reference is dropped first so CPython refcounting
-        frees the numpy views immediately; a caller who kept a view
-        alive only defers the unmap to process exit.
+        frees the views immediately; a caller who kept a view alive only
+        defers the unmap to process exit.
         """
         self.structure = None
         mapping, self._mapping = self._mapping, None

@@ -5,12 +5,12 @@ whole :class:`GraphDatabase` — *flattens* into one segment: its
 canonical arrays packed back to back at 8-byte-aligned offsets, plus a
 :class:`Manifest` of ``(offset, dtype, shape)`` entries and a nested
 ``root`` dict of plain scalars and array indices. *Attaching* rebuilds
-the tree as read-only numpy views over a buffer holding those bytes,
-with nothing deserialized. Which fields a structure persists is
-declared once, on the class (:mod:`repro.succinct.fields`); the walker
-here — :func:`flatten`, :func:`attach_buffer`, :func:`prime`,
-:func:`persisted_bytes` — follows the declarations and knows no
-structure by name.
+the tree as read-only ``memoryview``\\ s over a buffer holding those
+bytes, with nothing deserialized and no numpy imported. Which fields a
+structure persists is declared once, on the class
+(:mod:`repro.succinct.fields`); the walker here — :func:`flatten`,
+:func:`attach_buffer`, :func:`prime`, :func:`persisted_bytes` — follows
+the declarations and knows no structure by name.
 
 The bytes have one carrier: the index file (:mod:`repro.store.io`),
 where they follow a checksummed header. A worker pool hands its workers
@@ -22,15 +22,22 @@ order.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engines.database import GraphDatabase
-from repro.succinct.fields import Array, Child, Layout, Scalar, Transient
+from repro.succinct.fields import (
+    FORMATS,
+    Array,
+    Child,
+    Layout,
+    Scalar,
+    Transient,
+)
 from repro.utils.errors import StoreFormatError, StructureError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 Entry = tuple[int, str, tuple[int, ...]]
 
@@ -85,6 +92,8 @@ class SegmentBuilder:
         The array is stored as ``dtype``; ``field`` names it in the
         error raised when a value does not fit (``astype`` would wrap).
         """
+        import numpy as np
+
         arr = np.ascontiguousarray(np.asarray(array))
         if arr.dtype != dtype:
             if arr.size and np.dtype(dtype).kind == "i":
@@ -105,23 +114,20 @@ class SegmentBuilder:
     def write(self, buf: Any) -> None:
         """Write every registered array into ``buf`` at its offset."""
         for offset, arr in self._pending:
-            view = np.frombuffer(
-                buf, dtype=arr.dtype, count=arr.size, offset=offset
-            )
-            view[:] = arr.reshape(-1)
-            del view
+            buf[offset : offset + arr.nbytes] = arr.tobytes()
 
 
 class SegmentView:
-    """Validated read-only numpy views over one attached buffer."""
+    """Validated read-only ``memoryview``\\ s over one attached buffer."""
 
     def __init__(self, manifest: Manifest, buf: Any) -> None:
         self._manifest = manifest
-        self._buf = buf
+        self._bytes = memoryview(buf).toreadonly()
         self.carrier = manifest.carrier
 
-    def get(self, index: Any, dtype: str, kind: str, key: str) -> np.ndarray:
-        """Array ``index`` of the manifest, which must hold ``dtype``.
+    def get(self, index: Any, dtype: str, kind: str, key: str) -> memoryview:
+        """Array ``index`` of the manifest, which must hold ``dtype`` in
+        one dimension.
 
         ``kind``/``key`` name the referring field in error messages.
         """
@@ -137,20 +143,20 @@ class SegmentView:
                 f"{self.carrier}: {kind}.{key} is stored as {got!r}, "
                 f"expected {dtype!r}"
             )
-        count = math.prod(shape)
-        end = offset + count * np.dtype(dtype).itemsize
-        if offset < 0 or min(shape, default=0) < 0 or end > manifest.nbytes:
+        if len(shape) != 1:
+            raise StoreFormatError(
+                f"{self.carrier}: {kind}.{key} has shape {shape}, not one "
+                "dimension"
+            )
+        code, width = FORMATS[dtype]
+        end = offset + shape[0] * width
+        if offset < 0 or shape[0] < 0 or end > manifest.nbytes:
             raise StoreFormatError(
                 f"{self.carrier}: {kind}.{key} spans bytes [{offset}, {end}) "
                 f"of a {manifest.nbytes}-byte segment"
             )
-        arr = np.frombuffer(
-            self._buf, dtype=dtype, count=count, offset=manifest.base + offset
-        )
-        if len(shape) != 1:  # frombuffer is already 1-D
-            arr = arr.reshape(shape)
-        arr.setflags(write=False)
-        return arr
+        base = manifest.base
+        return self._bytes[base + offset : base + end].cast(code)
 
 
 def _layout_of(structure: object) -> Layout:
@@ -246,9 +252,9 @@ def attach_buffer(manifest: Manifest, buf: Any) -> Any:
     """Rebuild a flattened structure zero-copy over ``buf``.
 
     ``buf`` holds the carrier's bytes (a whole memory-mapped index
-    file). The caller owns its lifetime and
-    must keep it alive while the structure is in use — numpy views into
-    it are handed out, never copies. A structurally bad manifest raises
+    file). The caller owns its lifetime and must keep it alive while the
+    structure is in use — read-only ``memoryview``\\ s into it are handed
+    out, never copies. A structurally bad manifest raises
     :class:`StoreFormatError` with no view left behind, so the caller
     can still close the buffer.
     """
@@ -273,11 +279,13 @@ def prime(structure: object) -> None:
 
     Attached structures start without their ``_*_i`` mirrors and derived
     tables and rebuild each lazily on first touch — mid-query; a
-    bitvector reads the mapping until it promotes. Calling this at the
+    bitvector and a checked table read the mapping until they promote
+    (:class:`~repro.succinct.fields.ColdReader`). Calling this at the
     load boundary (worker initializer, store warm-up) promotes every
-    bitvector through its full recount and moves all of that cost into
-    the explicit one-time warm-up instead. Idempotent, and free on built
-    structures, whose mirrors exist.
+    bitvector through its full recount and every checked table through
+    its whole check, and moves all of that cost into the explicit
+    one-time warm-up instead. Idempotent, and free on built structures,
+    whose mirrors exist.
     """
     layout = _layout_of(structure)
     if layout.promote is not None:
@@ -308,7 +316,7 @@ def persisted_bytes(structure: object) -> int:
     for _key, spec in _layout_of(structure).persisted:
         value = getattr(structure, spec.name)
         if isinstance(spec, Array):
-            total += int(value.size) * np.dtype(spec.dtype).itemsize
+            total += len(value) * FORMATS[spec.dtype][1]
         elif isinstance(spec, Child):
             _map_children(spec, value, add)
     return total

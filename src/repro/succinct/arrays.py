@@ -6,15 +6,16 @@ array. On its hot path the Ring reads the plain-int table ``_cum_i``
 directly: a value's block is ``[_cum_i[c], _cum_i[c + 1])``, and a
 ``bisect`` finds the block of a select position when it leaps a variable
 that is neither the stored column nor the backward neighbor
-(:meth:`repro.ring.index.RingIndex.ahead_seeker`).
+(:meth:`repro.ring.index.RingIndex.ahead_seeker`). Attached, ``_cum_i``
+reads the mapping through a :class:`~repro.succinct.fields.ColdTable`
+until the structure promotes (``_promote``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
-
-import numpy as np
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.succinct.fields import (
     INT,
@@ -27,6 +28,9 @@ from repro.succinct.fields import (
 )
 from repro.utils.errors import ValidationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 
 class CumulativeCounts(LazyMirrors):
     """Cumulative occurrence counts of symbols ``[0, sigma)`` in a column."""
@@ -37,9 +41,12 @@ class CumulativeCounts(LazyMirrors):
         Scalar("_sigma"),
         Array("_cum", INT),
         Derived("_cum_i", "_checked_cum"),
+        promote="_promote",
     )
 
     def __init__(self, column: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
+        import numpy as np
+
         col = np.asarray(
             list(column) if not isinstance(column, np.ndarray) else column,
             dtype=np.int64,
@@ -56,13 +63,13 @@ class CumulativeCounts(LazyMirrors):
         self._cum = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         # Plain-int cache so the hot lookups (block ranges / next_nonempty
         # in every Ring leap) are a list subscript + bisect, not numpy calls.
-        self._cum_i: list[int] = self._cum.tolist()
+        self._cum_i: Sequence[int] = self._cum.tolist()
         self._n = int(col.size)
         self._sigma = alphabet_size
 
-    def _checked_cum(self) -> list[int]:
+    def _checked_cum(self) -> Sequence[int]:
         return checked_offsets(
-            f"cumulative counts of {self._sigma} symbols",
+            self, f"cumulative counts of {self._sigma} symbols",
             self._cum, self._sigma + 1, self._n,
         )
 

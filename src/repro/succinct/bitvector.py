@@ -17,14 +17,16 @@ reads from the mapping instead (:class:`_ColdOnes`): a word is read from
 the mapped words, and the ones before it are its block's stored count
 plus the popcounts of the words before it in the block. Its level total
 is checked once, at the vector's first read, with one popcount of all
-its words; each 512-bit block is checked against the directory at that
-block's first read. Once those reads have cost about what a full
-derivation costs — 64 reads plus one per stored block — the vector
-*promotes*: the word and count lists are derived in full
-(``numpy.bitwise_count``) and held against the whole stored directory,
-as :func:`repro.store.layout.prime` does for every vector up front. So a flipped bit in the
-words or the directory is a :class:`StoreFormatError` at the first read
-that depends on it, and never a wrong rank.
+its words (``int.from_bytes(words, "little").bit_count()``); each
+512-bit block is checked against the directory at that block's first
+read. Once those reads have cost about what a full derivation costs —
+64 reads plus one per stored block — the vector *promotes*: the word
+and count lists are derived in full (``int.bit_count`` per word) and
+held against the whole stored directory, as
+:func:`repro.store.layout.prime` does for every vector up front. So a
+flipped bit in the words or the directory is a :class:`StoreFormatError`
+at the first read that depends on it, and never a wrong rank. None of
+this needs numpy, which only a build imports.
 
 In-word select uses the precomputed 16-bit popcount/select tables of
 :mod:`repro.succinct.tables`; and every public operation validates
@@ -41,16 +43,15 @@ Conventions (0-based, half-open):
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.succinct.fields import (
     INT,
     Array,
+    ColdReader,
     Derived,
     Layout,
     LazyMirrors,
@@ -64,54 +65,37 @@ from repro.utils.errors import (
     ValidationError,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 #: Words per rank-directory block: one stored count per 512 bits.
 _BLOCK_WORDS = 8
 
 
-def _count_ones(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(cum1, blocks)`` of packed words: the ones before each word and
-    then the total, and that table sampled at every block start (the
-    total kept) — the directory a bitvector stores."""
-    cum1 = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=cum1[1:])
-    return cum1, np.append(cum1[:-1:_BLOCK_WORDS], cum1[-1])
-
-
-#: The fixed part of a promotion's cost in cold reads: deriving a level's
-#: lists costs about 25 us plus 50 ns a word (2-core host), a cold read
-#: 0.25 us (1.7 us when it checks its block). With one read per stored
-#: block, a level promotes once its reads have cost about that much.
-_FIXED_READS = 64
-
-
-class _ColdOnes:
+class _ColdOnes(ColdReader):
     """The ones before each word of an attached bitvector, read from the
-    mapping: entry ``w`` is the stored count of its block (``w >> 3``: a
-    block is ``_BLOCK_WORDS`` = 8 words) plus the popcounts of the words
-    before it in the block.
+    mapping (a :class:`~repro.succinct.fields.ColdReader`): entry ``w``
+    is the stored count of its block (``w >> 3``: a block is
+    ``_BLOCK_WORDS`` = 8 words) plus the popcounts of the words before
+    it in the block.
 
     A block's counts are derived, and checked against the directory's
-    next entry, at the block's first read and kept. Every read is
-    counted; after ``_FIXED_READS`` plus one a directory entry — about
-    what deriving every word's count costs — the vector promotes
-    (:meth:`BitVector._promote`). A reader kept past that still
-    answers, from the blocks it has checked.
+    next entry, at the block's first read and kept. Its budget is one
+    read per directory entry: a cold read costs about 0.25 us (1.7 us
+    when it checks its block), a derivation about 25 us plus 50 ns a
+    word (2-core host); then the vector promotes
+    (:meth:`BitVector._promote`).
     """
 
-    __slots__ = (
-        "_n", "_words", "_blocks", "_seen", "_left", "_size", "_owner"
-    )
+    __slots__ = ("_n", "_words", "_blocks", "_seen", "_size")
 
     def __init__(self, bv: BitVector, words: Sequence[int]) -> None:
+        super().__init__(bv, len(bv._blocks))
         self._n = bv._n
         self._words = words
-        self._blocks = memoryview(bv._blocks).cast("B").cast("i")
+        self._blocks = bv._blocks
         self._seen: dict[int, tuple[int, ...]] = {}
-        self._left = _FIXED_READS + len(self._blocks)
         self._size = len(words) + 1
-        # Weak: the vector holds this reader, and a cycle would keep the
-        # mapping's views alive past the store's close.
-        self._owner = weakref.ref(bv)
 
     def __len__(self) -> int:
         return self._size
@@ -120,6 +104,9 @@ class _ColdOnes:
         return map(self.__getitem__, range(self._size))
 
     def __getitem__(self, w: int) -> int:
+        hot = self._hot
+        if hot is not None:
+            return hot[w]
         if w < 0:
             w += self._size
         counts = self._seen.get(w >> 3)
@@ -127,9 +114,7 @@ class _ColdOnes:
             counts = self._check(w >> 3)
         self._left -= 1
         if self._left <= 0:
-            owner = self._owner()
-            if owner is not None:
-                owner._promote()
+            self._spent()
         return counts[w & 7]
 
     def _check(self, b: int) -> tuple[int, ...]:
@@ -147,6 +132,14 @@ class _ColdOnes:
             raise _disagree(self._n)
         self._seen[b] = counts
         return counts
+
+    def _derive(self) -> list[int]:
+        """Every word's count, recounted and held against the whole
+        stored directory."""
+        cum1 = list(accumulate(map(int.bit_count, self._words), initial=0))
+        if [*cum1[:-1:_BLOCK_WORDS], cum1[-1]] != self._blocks.tolist():
+            raise _disagree(self._n)
+        return cum1
 
 
 class _ColdZeros:
@@ -198,6 +191,8 @@ class BitVector(LazyMirrors):
     )
 
     def __init__(self, bits: Iterable[int] | np.ndarray) -> None:
+        import numpy as np
+
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
         if arr.ndim != 1:
             raise ValidationError("bits must be one-dimensional")
@@ -208,7 +203,9 @@ class BitVector(LazyMirrors):
         packed = np.zeros(((self._n + 63) // 64) * 8, dtype=np.uint8)
         packed[: (self._n + 7) // 8] = np.packbits(arr, bitorder="little")
         self._words = packed.view("<u8")
-        cum1, self._blocks = _count_ones(self._words)
+        cum1 = np.zeros(self._words.size + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(self._words), dtype=np.int64, out=cum1[1:])
+        self._blocks = np.append(cum1[:-1:_BLOCK_WORDS], cum1[-1])
         # Hot-path word caches: plain Python ints, so rank/select avoid
         # numpy scalar boxing entirely. _cum1_i[w] = set bits before
         # word w; _cum0_i, its twin for clear bits, waits for the first
@@ -219,7 +216,7 @@ class BitVector(LazyMirrors):
 
     def _cold_words(self) -> Sequence[int]:
         """An attached vector's words, read from the mapping."""
-        return memoryview(self._words).cast("B").cast("Q")
+        return self._words
 
     def _cold_ones(self) -> Sequence[int]:
         """An attached vector's :class:`_ColdOnes`, once its shape and
@@ -227,37 +224,25 @@ class BitVector(LazyMirrors):
         words, blocks = self._words, self._blocks
         n_words = (self._n + 63) >> 6
         if (
-            words.size != n_words
-            or blocks.size != -(-n_words // _BLOCK_WORDS) + 1
-            or int(np.bitwise_count(words).sum()) != int(blocks[-1])
+            len(words) != n_words
+            or len(blocks) != -(-n_words // _BLOCK_WORDS) + 1
+            or int.from_bytes(words, "little").bit_count() != blocks[-1]
         ):
             raise _disagree(self._n)
         return _ColdOnes(self, self._words_i)
 
     def _promote(self) -> None:
-        """Derive the word and count lists in full, held against the
-        whole stored directory (free on a vector that has them), and
-        tell the owner. A reader still in its view after that (another
-        thread built the view as this promoted) lands here on its next
-        read, and so drops the view again."""
-        if type(vars(self).get("_cum1_i")) is not list:
-            cum1 = self._recount()
+        """Put the word list and the full count list (its
+        :class:`_ColdOnes`' checked derivation) in place of the readers,
+        then tell the owner; free on a vector that has the lists."""
+        ones = self._cum1_i
+        if isinstance(ones, _ColdOnes):
             self._words_i = self._words.tolist()
-            self._cum1_i = cum1.tolist()
+            self._cum1_i = ones.full()
             # A cold zeros reader: the next select0 derives the list.
             vars(self).pop("_cum0_i", None)
         if self._on_promote is not None:
             self._on_promote()
-
-    def _recount(self) -> np.ndarray:
-        """Ones before each word, recounted from the words and held
-        against the stored directory."""
-        cum1, blocks = _count_ones(self._words)
-        if self._words.size != (self._n + 63) >> 6 or not np.array_equal(
-            blocks, self._blocks
-        ):
-            raise _disagree(self._n)
-        return cum1
 
     def _zeros_before_words(self) -> Sequence[int]:
         ones = self._cum1_i
@@ -265,10 +250,8 @@ class BitVector(LazyMirrors):
             return _ColdZeros(ones)
         # Positions before word w, less its ones (padding past n is
         # not a position).
-        cum1 = self._recount()
-        starts = np.minimum(64 * np.arange(cum1.size, dtype=np.int64), self._n)
-        cum0_i: list[int] = (starts - cum1).tolist()
-        return cum0_i
+        n = self._n
+        return [min(w << 6, n) - c for w, c in enumerate(ones)]
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -361,6 +344,10 @@ class BitVector(LazyMirrors):
 
     def to_array(self) -> np.ndarray:
         """Materialize the bits as a ``uint8`` numpy array (testing aid)."""
+        import numpy as np
+
         return np.unpackbits(
-            self._words.view(np.uint8), count=self._n, bitorder="little"
+            np.frombuffer(self._words, dtype=np.uint8),
+            count=self._n,
+            bitorder="little",
         )

@@ -20,10 +20,11 @@ layout of the segment.
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from operator import le, lt
 from typing import TYPE_CHECKING, Any, ClassVar, Literal
-
-import numpy as np
 
 from repro.utils.errors import StoreFormatError
 
@@ -31,6 +32,13 @@ from repro.utils.errors import StoreFormatError
 #: 2^31 positions is far past what a pure-Python index can hold.
 INT: Literal["<i4"] = "<i4"
 INT_BYTES = 4
+
+#: Per stored dtype: the ``memoryview`` format an attached array is read
+#: through (the host is little-endian, as the index file is) and the
+#: width of one item.
+FORMATS: dict[str, tuple[str, int]] = {
+    "<u8": ("Q", 8), INT: ("i", INT_BYTES), "<f8": ("d", 8)
+}
 
 
 @dataclass(frozen=True)
@@ -43,13 +51,14 @@ class Scalar:
 
 @dataclass(frozen=True)
 class Array:
-    """A canonical numpy array stored in the segment.
+    """A one-dimensional array stored in the segment: a numpy array
+    on a built structure, a read-only ``memoryview`` of the mapping on
+    an attached one.
 
     ``dtype`` is an explicit little-endian string: ``<u8`` bit words,
     ``<i4`` counts/offsets/ids (:data:`INT`), ``<f8`` distances.
     ``mirrored`` arrays carry a plain-scalar ``<name>_i`` list, never
-    persisted and rebuilt on first touch, so hot paths never unbox a
-    numpy scalar.
+    persisted and rebuilt on first touch, so hot paths read a list.
     """
 
     name: str
@@ -85,7 +94,8 @@ class Derived:
 
     Never persisted and absent after attach; the first touch (or
     ``prime``) calls the structure's method ``build`` and keeps what it
-    returns.
+    returns. What it returns may be a :class:`ColdReader` over the
+    mapping, which the structure's promotion replaces by the full table.
     """
 
     name: str
@@ -103,36 +113,169 @@ def _corrupt(what: str, rule: str) -> StoreFormatError:
 
 
 def checked_offsets(
-    what: str, array: np.ndarray, size: int, total: int
-) -> list[int]:
-    """A stored offsets table as plain ints, once it is ``size``
-    offsets that do not decrease from 0 to ``total``.
+    owner: LazyMirrors, what: str, table: Sequence[int], size: int, total: int
+) -> Sequence[int]:
+    """``owner``'s stored offsets table that must hold ``size`` offsets
+    that do not decrease from 0 to ``total``, as a :class:`ColdTable`
+    over it.
 
-    The build of a derived mirror, in the idiom of the bitvector's
-    recount: a flipped bit that breaks this structure is a
-    :class:`StoreFormatError` here, never an ``IndexError`` or a range
-    past the data later; one that keeps it is the checksum's to catch.
+    A flipped bit that breaks this structure is a
+    :class:`StoreFormatError` at the first read of an entry it breaks,
+    never an ``IndexError`` or a range past the data later; one that
+    keeps it is the checksum's to catch.
     """
-    if (
-        array.size != size
-        or array[0] != 0
-        or array[-1] != total
-        or (np.diff(array) < 0).any()
-    ):
+    if len(table) != size:
         raise _corrupt(what, f"are not {size} offsets from 0 up to {total}")
-    offsets: list[int] = array.tolist()
-    return offsets
+    return ColdTable(owner, what, table, 0, total, 0, True)
 
 
-def checked_ids(what: str, array: np.ndarray, bound: int) -> list[int]:
-    """A stored sorted id table as plain ints, once its ids strictly
-    increase inside ``[0, bound)`` (see :func:`checked_offsets`)."""
-    if array.size and (
-        array[0] < 0 or array[-1] >= bound or (np.diff(array) <= 0).any()
-    ):
-        raise _corrupt(what, f"are not strictly increasing ids in [0, {bound})")
-    ids: list[int] = array.tolist()
-    return ids
+def checked_ids(
+    owner: LazyMirrors, what: str, table: Sequence[int], bound: int
+) -> Sequence[int]:
+    """``owner``'s stored sorted id table whose ids must strictly
+    increase inside ``[0, bound)``, as a :class:`ColdTable` over it (see
+    :func:`checked_offsets`)."""
+    return ColdTable(owner, what, table, 0, bound - 1, 1, False)
+
+
+#: The fixed part of a promotion's cost, in cold reads: a derivation
+#: costs about 25 us plus its per-entry part, a cold read a fraction of
+#: a microsecond (2-core host; ``docs/performance.md``).
+FIXED_READS = 64
+
+#: A checked table's per-entry part, in entries a cold read pays for: a
+#: cold read costs about 0.35 us, the whole check about 50 ns an entry.
+#: Long unprimed queries measured no different from 0 to one read an
+#: entry (``docs/performance.md``, "Long unprimed queries").
+_ENTRIES_PER_READ = 8
+
+
+class ColdReader:
+    """A derived table of an attached structure read from the mapping,
+    in its owner's place until the owner *promotes*.
+
+    It pays while an unprimed attach reads few of its entries — a
+    lookup, a first answer. Every read is counted, and once the reads
+    have cost about what the full list costs (:data:`FIXED_READS` plus
+    ``budget``), the reader derives its full, checked list once and
+    calls its owner's promotion (``_promote``, which the owner's
+    ``Layout(..., promote=...)`` names for ``prime``), which puts that
+    list in the reader's place. A reader kept past that — a
+    seeker's closure, a relation's field — answers from the same list
+    without checks or counts, and never derives again. ``prime`` calls
+    the promotion up front.
+    """
+
+    __slots__ = ("_left", "_owner", "_hot")
+
+    def __init__(self, owner: LazyMirrors, budget: int) -> None:
+        self._left = FIXED_READS + budget
+        # Weak: the owner holds this reader, and a cycle would keep the
+        # mapping's views alive past the store's close.
+        self._owner = weakref.ref(owner)
+        self._hot: list[int] | None = None
+
+    def _derive(self) -> list[int]:
+        """The whole table as a checked plain-int list."""
+        raise NotImplementedError
+
+    def full(self) -> list[int]:
+        """The whole table as a checked plain-int list, derived once."""
+        hot = self._hot
+        if hot is None:
+            hot = self._hot = self._derive()
+        return hot
+
+    def _spent(self) -> None:
+        """The budget is spent: derive the list, then promote the owner."""
+        self.full()
+        owner = self._owner()
+        if owner is not None:
+            owner._promote()
+
+
+class ColdTable(ColdReader):
+    """A stored ``<i4`` table of an attached structure, read from the
+    mapping (a :class:`ColdReader`): each entry a read touches is
+    checked against its bounds ``[low, high]`` and against its
+    neighbours (each at least ``gap`` above the one before), and with
+    ``pinned`` the first entry must be ``low`` and the last ``high``.
+    Its budget is one read per ``_ENTRIES_PER_READ`` entries.
+    """
+
+    __slots__ = ("_what", "_table", "_low", "_high", "_gap", "_pinned", "_size")
+
+    def __init__(
+        self,
+        owner: LazyMirrors,
+        what: str,
+        table: Sequence[int],
+        low: int,
+        high: int,
+        gap: int,
+        pinned: bool,
+    ) -> None:
+        super().__init__(owner, len(table) // _ENTRIES_PER_READ)
+        self._what = what
+        self._table = table
+        self._low = low
+        self._high = high
+        self._gap = gap
+        self._pinned = pinned
+        self._size = len(table)
+
+    def _broken(self) -> StoreFormatError:
+        if self._gap:
+            rule = f"are not strictly increasing ids in [0, {self._high + 1})"
+        else:
+            rule = f"are not {self._size} offsets from 0 up to {self._high}"
+        return _corrupt(self._what, rule)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(self._size))
+
+    def __getitem__(self, i: int) -> int:
+        hot = self._hot
+        if hot is not None:
+            return hot[i]
+        size = self._size
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"entry {i} of a {size}-entry table")
+        table = self._table
+        value = table[i]
+        gap = self._gap
+        if not self._low <= value <= self._high:
+            raise self._broken()
+        if i:
+            if table[i - 1] + gap > value:
+                raise self._broken()
+        elif self._pinned and value != self._low:
+            raise self._broken()
+        if i + 1 < size:
+            if value + gap > table[i + 1]:
+                raise self._broken()
+        elif self._pinned and value != self._high:
+            raise self._broken()
+        self._left -= 1
+        if self._left <= 0:
+            self._spent()
+        return value
+
+    def _derive(self) -> list[int]:
+        values: list[int] = self._table.tolist()  # type: ignore[attr-defined]
+        low, high = self._low, self._high
+        if values and (
+            not low <= values[0] <= values[-1] <= high
+            or (self._pinned and (values[0], values[-1]) != (low, high))
+            or not all(map(lt if self._gap else le, values, values[1:]))
+        ):
+            raise self._broken()
+        return values
 
 
 class Layout:
@@ -143,8 +286,9 @@ class Layout:
     names the arrays that carry a ``<name>_i`` mirror and ``derived``
     maps each derived table to the method that builds it. A structure
     whose derived tables start as readers over the mapping names in
-    ``promote`` the method that replaces them by the full tables;
-    ``prime`` calls it first.
+    ``promote`` the method that replaces them by the full tables
+    (:meth:`LazyMirrors._promote` does it for each :class:`ColdReader`);
+    ``prime`` calls it first, and so does a reader whose budget is spent.
     """
 
     def __init__(
@@ -211,6 +355,15 @@ class LazyMirrors:
             setattr(cls, name + "_i", _Lazy(name + "_i", name, False))
         for name, build in layout.derived.items():
             setattr(cls, name, _Lazy(name, build, True))
+
+    def _promote(self) -> None:
+        """Put the full list of each derived table that is a
+        :class:`ColdReader` in its place (a structure that names this in
+        ``Layout(..., promote=...)``)."""
+        for name in self.LAYOUT.derived:
+            table = getattr(self, name)
+            if isinstance(table, ColdReader):
+                setattr(self, name, table.full())
 
     def size_in_bytes(self) -> int:
         """Bytes this structure persists, in its declared dtypes."""

@@ -54,8 +54,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
     Child,
@@ -67,6 +65,8 @@ from repro.succinct.fields import (
 from repro.utils.errors import StructureError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.obs.trace import OpCounters
 
 # Per-memo entry cap: a (rank / range_next_value / select_next) memo
@@ -123,6 +123,8 @@ class WaveletTree(LazyMirrors):
     )
 
     def __init__(self, sequence: Iterable[int] | np.ndarray, alphabet_size: int) -> None:
+        import numpy as np
+
         seq = np.asarray(
             list(sequence) if not isinstance(sequence, np.ndarray) else sequence,
             dtype=np.int64,
@@ -207,7 +209,9 @@ class WaveletTree(LazyMirrors):
         bitvector's checked total, so it is derived and never stored.
         An attached level's mirrors are readers over the mapping until
         the level promotes; the promotion drops this view, and the next
-        descent builds it again over the level's lists.
+        descent builds it again over the level's lists. A level that
+        promoted while this view was built (another thread's read) may
+        have dropped the view before it was kept, so it is dropped again.
         """
         view: list[_Level] = []
         for bv in self._levels:
@@ -217,6 +221,9 @@ class WaveletTree(LazyMirrors):
                 bv._on_promote = partial(_drop_view, weakref.ref(self))
             view.append((bv._words_i, cum, z))
         self._lv = view
+        for bv, (_, cum, _) in zip(self._levels, view):
+            if cum is not bv._cum1_i:
+                self._lv = None
         return view
 
     def _descend(self, c: int, lo: int, hi: int) -> tuple[int, int]:
@@ -378,7 +385,7 @@ class WaveletTree(LazyMirrors):
         return result
 
     def _range_next_id_u(
-        self, ids: list[int], lo: int, hi: int, c: int
+        self, ids: Sequence[int], lo: int, hi: int, c: int
     ) -> int | None:
         """:meth:`_range_next_value_u` over a sequence of ranks into the
         sorted ``ids`` (the member ranks a K-NN or distance sequence
@@ -389,7 +396,7 @@ class WaveletTree(LazyMirrors):
         return None if r is None else ids[r]
 
     def seeker(
-        self, lo: int, hi: int, ids: list[int] | None = None
+        self, lo: int, hi: int, ids: Sequence[int] | None = None
     ) -> Callable[[int], int | None]:
         """:meth:`_range_next_value_u` over ``[lo, hi]`` as a function of
         ``c``, counted the same: one ``range_next`` per call; with
@@ -613,4 +620,6 @@ class WaveletTree(LazyMirrors):
 
     def to_array(self) -> np.ndarray:
         """Reconstruct the full sequence (testing aid, O(n log sigma))."""
+        import numpy as np
+
         return np.array([self.access(i) for i in range(self._n)], dtype=np.int64)

@@ -262,7 +262,7 @@ _IMPORT_BUDGET_SCRIPT = """
 import sys
 import repro.cli
 
-HEAVY = ("scipy", "repro.analysis", "repro.serve", "multiprocessing",
+HEAVY = ("numpy", "scipy", "repro.analysis", "repro.serve", "multiprocessing",
          "repro.datasets", "repro.graph.io")
 
 def loaded():
@@ -273,19 +273,21 @@ index, query = sys.argv[1:]
 argv = ["--from-index", index, "--query", query]
 assert repro.cli.main(["query", *argv, "--engine", "auto"]) == 0
 assert not loaded(), f"repro query pulled in {loaded()}"
-# A clause-free BGP: explain solves the size-bound LP, and only then
-# does the solver get imported.
+# explain solves the size-bound LP, and only then do the solver and
+# numpy get imported.
 assert repro.cli.main(["explain", *argv]) == 0
 assert "scipy.optimize" in sys.modules
 """
 
 
 def test_query_process_import_budget(bundle_path, tmp_path):
-    """A `repro query` process imports no LP solver, no sanitizer, no
-    server, no multiprocessing, no dataset generator and no bundle
-    reader — the cold-start workload pays for whatever `import
-    repro.cli` drags in."""
+    """A `repro query` process imports no numpy, no LP solver, no
+    sanitizer, no server, no multiprocessing, no dataset generator and
+    no bundle reader — the cold-start workload pays for whatever `import
+    repro.cli` drags in. Its query has a K-NN clause, so the Ring's C
+    tables and the K-NN tables are read in the process without numpy."""
     import os
+    import re
     import subprocess
     import sys
 
@@ -295,11 +297,15 @@ def test_query_process_import_budget(bundle_path, tmp_path):
     assert main(["build", "--data", str(bundle_path), "--out", index]) == 0
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, index, "(?e, 0, ?img)"],
+        [
+            sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, index,
+            "(?e, 0, ?img) . knn(?img, ?y, 3)",
+        ],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert re.search(r"^[1-9]\d* solutions in", done.stdout, re.MULTILINE)
     assert "output bound Q*" in done.stdout
 
 

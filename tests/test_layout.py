@@ -51,8 +51,8 @@ from repro.store import FORMAT_VERSION, Manifest, load, save
 from repro.store.format import pack_header
 from repro.store.layout import SegmentView
 from repro.succinct.arrays import CumulativeCounts
-from repro.succinct.bitvector import _FIXED_READS, BitVector
-from repro.succinct.fields import Array, Child
+from repro.succinct.bitvector import BitVector
+from repro.succinct.fields import FIXED_READS, Array, Child
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import StoreFormatError, StructureError
 
@@ -115,12 +115,15 @@ def _check_attach_contract(got, original):
     for _key, spec in layout.persisted:
         name = spec.name
         if isinstance(spec, Array):
-            assert not getattr(got, name).flags.writeable
+            # A read-only view of the mapping, holding what was built.
+            assert getattr(got, name).readonly
+            assert [*getattr(got, name)] == [*getattr(original, name)]
             if spec.mirrored:
                 # Never persisted; rebuilt lazily, and identically.
-                assert name + "_i" not in vars(got)
-                assert getattr(got, name + "_i") == getattr(original, name + "_i")
-                assert name + "_i" in vars(got)
+                mirror = name + "_i"
+                assert mirror not in vars(got)
+                assert [*getattr(got, mirror)] == [*getattr(original, mirror)]
+                assert mirror in vars(got)
         elif isinstance(spec, Child):
             children = getattr(got, name), getattr(original, name)
             if spec.many == "list":
@@ -202,7 +205,7 @@ def _check_cold_bitvector(path, original):
             got = store.structure
             assert not _promoted(got)
             assert reads(got) == want[kind]
-            for _ in range(_FIXED_READS + got._blocks.size):
+            for _ in range(FIXED_READS + len(got._blocks)):
                 if _promoted(got):
                     break
                 assert BITVECTOR_READS["rank1"](got) == want["rank1"]
@@ -260,7 +263,7 @@ def _check_cold_wavelet(path, original, sigma):
         assert _tree_reads(got, sigma) == want
         # An access reads every level once: at most a level's budget of
         # passes promotes them all.
-        budget = _FIXED_READS + max(lv._blocks.size for lv in got._levels)
+        budget = FIXED_READS + max(len(lv._blocks) for lv in got._levels)
         for _ in range(budget):
             assert [got.access(i) for i in range(len(got))] == want[0]
             if all(map(_promoted, got._levels)):
@@ -271,7 +274,7 @@ def _check_cold_wavelet(path, original, sigma):
             assert type(words) is list and words is level._words_i
             assert type(cum) is list and cum is level._cum1_i
     finally:
-        got = None
+        got = level = None
         store.close()
 
 

@@ -28,6 +28,7 @@ import json
 import os
 import struct
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -59,7 +60,8 @@ from repro.store.format import (
     pack_header,
     unpack_header,
 )
-from repro.succinct.bitvector import BitVector
+from repro.succinct.bitvector import BitVector, _ColdOnes
+from repro.succinct.fields import FIXED_READS, ColdReader, ColdTable
 from repro.utils.errors import (
     StoreChecksumError,
     StoreEndiannessError,
@@ -314,6 +316,7 @@ def test_prime_materializes_hot_caches(figure2):
         assert "_cum1_i" in vars(primed_bv)
         assert "_members_i" in vars(primed.database.knn_ring)
     finally:
+        lazy_bv = primed_bv = None
         lazy.close()
         primed.close()
 
@@ -357,6 +360,112 @@ def test_a_lookup_derives_no_ring_level_and_prime_derives_them_all(figure2):
         )
     finally:
         ring = None
+        store.close()
+
+
+def _knn_lookups(db, count):
+    """``(s, p, ?img) . knn(?img, ?y, k)`` for the ``count`` subject and
+    predicate pairs with the fewest K-NN members as objects: the shape
+    of the cold-start lookups, which mostly find one image."""
+    knn = db.knn_ring
+    members = set(knn.members.tolist())
+    images = Counter(
+        (s, p) for s, p, o in db.graph.spo.tolist() if o in members
+    )
+    fewest = sorted(images, key=lambda pair: (images[pair], pair))[:count]
+    k = min(3, knn.K)
+    return [
+        parse_query(f"({s}, {p}, ?img) . knn(?img, ?y, {k})")
+        for s, p in fewest
+    ]
+
+
+def _checked_tables(db):
+    """``(structure, name)`` of the Ring's C tables and of each K-NN
+    ring's member and row-offset tables."""
+    tables = [(cum, "_cum_i") for cum in db.ring._blocks.values()]
+    for knn in db.knn_rings.values():
+        tables += [(knn, "_members_i"), (knn, "_s_offsets_i")]
+    return tables
+
+
+def test_a_knn_lookup_derives_no_table_and_prime_derives_them_all(figure2):
+    """The twin of the test above for the tables a K-NN lookup reads:
+    after one lookup on the attached, unprimed Figure-2 index, no Ring C
+    table and no K-NN member or row-offset table is a full ``list`` (the
+    lookup read them through their cold readers), while ``prime``
+    derives every one. A whole table derived and checked at its first
+    touch would show here and in no answer."""
+    (query,) = _knn_lookups(figure2.db, 1)
+    store = load(figure2.index_path)
+    try:
+        got = AutoEngine(store.database).evaluate(query).solutions
+        assert got and got == AutoEngine(figure2.db).evaluate(query).solutions
+        tables = _checked_tables(store.database)
+        read = [vars(owner).get(name) for owner, name in tables]
+        assert any(isinstance(table, ColdTable) for table in read)
+        assert not any(type(table) is list for table in read)
+        prime(store.structure)
+        assert all(type(vars(owner)[name]) is list for owner, name in tables)
+    finally:
+        tables = read = None
+        store.close()
+
+
+def _reader_of(db, kind):
+    """``(owner, name)`` of one cold reader of each kind: the Ring C
+    table of the largest alphabet, a K-NN member or row-offset table, or
+    the ones before each word of the Ring's longest level."""
+    if kind == "C":
+        coord = max("spo", key=lambda c: db.ring._blocks[c].alphabet_size)
+        return db.ring._blocks[coord], "_cum_i"
+    if kind == "level":
+        return max(_bitvectors(db.ring), key=len), "_cum1_i"
+    return db.knn_ring, kind
+
+
+@pytest.mark.parametrize("kind", ["C", "_members_i", "_s_offsets_i", "level"])
+def test_a_reader_kept_past_its_budget_promotes_once(figure2, monkeypatch, kind):
+    """Read past its budget, a cold reader derives its full list once
+    and promotes its owner once, which then holds that list; a
+    reference kept to the reader (a seeker's closure keeps one for a
+    whole query) answers every later read as built from the same list,
+    without checks, counts, a second promotion or a second derivation,
+    which would make a long unprimed query quadratic in the table's
+    length."""
+    calls = Counter()
+
+    def counted(cls, method):
+        real = getattr(cls, method)
+
+        def counting(self):
+            calls[method, id(self)] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, method, counting)
+
+    counted(ColdTable, "_derive")
+    counted(_ColdOnes, "_derive")
+    built, name = _reader_of(figure2.db, kind)
+    want = getattr(built, name)
+    store = load(figure2.index_path)
+    try:
+        owner, _name = _reader_of(store.database, kind)
+        counted(type(owner), "_promote")
+        reader = getattr(owner, name)
+        assert isinstance(reader, ColdReader)
+        reads = 0
+        while type(vars(owner)[name]) is not list:
+            assert reads <= FIXED_READS + len(reader)
+            assert reader[reads % len(want)] == want[reads % len(want)]
+            reads += 1
+        assert vars(owner)[name] == want
+        for _ in range(3):
+            assert [*reader] == want
+        assert calls["_derive", id(reader)] == 1
+        assert calls["_promote", id(owner)] == 1
+    finally:
+        owner = reader = None
         store.close()
 
 
@@ -455,16 +564,24 @@ def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
     elif message is not None:
         assert "rebuild it with 'repro build'" in message
     else:
-        before = np.frombuffer(raw, "<i4", nbytes // 4, start)
-        after = np.frombuffer(bytes(flipped), "<i4", nbytes // 4, start)
-        steps = np.diff(after)
-        if group.endswith("members"):
-            # the bound, the stored id_bound, is the largest member + 1
-            assert after[0] >= 0 and after[-1] <= before[-1]
-            assert (steps > 0).all()
-        else:
-            assert after[0] == 0 and after[-1] == before[-1]
-            assert (steps >= 0).all()
+        assert _keeps_its_rule(group, raw, flipped, start, nbytes)
+
+
+def _keeps_its_rule(group, raw, flipped, start, nbytes) -> bool:
+    """Whether the checked ``<i4`` table at ``[start, start + nbytes)``
+    still holds its rule after the flip: ids that strictly increase
+    below the bound, or offsets that rise from 0 to the total."""
+    before = np.frombuffer(raw, "<i4", nbytes // 4, start)
+    after = np.frombuffer(bytes(flipped), "<i4", nbytes // 4, start)
+    steps = np.diff(after)
+    if group.endswith("members"):
+        # the bound, the stored id_bound, is the largest member + 1
+        return bool(
+            after[0] >= 0 and after[-1] <= before[-1] and (steps > 0).all()
+        )
+    return bool(
+        after[0] == 0 and after[-1] == before[-1] and (steps >= 0).all()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +649,60 @@ def test_flipped_bitvector_bit_answers_or_is_typed_unprimed(
             assert "rank directory" in got
         else:
             assert got == want.solutions
+
+
+@pytest.fixture(scope="module")
+def table_flip_target(figure2):
+    """The golden Figure-2 index file's bytes and the ``(start,
+    nbytes)`` file span of each Ring C table and K-NN member and
+    row-offset table, by group."""
+    store = load(figure2.index_path)
+    manifest = store.manifest
+    store.close()
+    spans: dict[str, list[tuple[int, int]]] = {}
+    for group, index in _stored_arrays(manifest.root):
+        offset, dtype, (count,) = manifest.entries[index]
+        if group != "bitvector" and count:
+            spans.setdefault(group, []).append(
+                (manifest.base + offset, count * int(dtype[2:]))
+            )
+    assert set(spans) == {
+        "cumcounts.cum", "knn_ring.members", "knn_ring.s_offsets"
+    }
+    with open(figure2.index_path, "rb") as handle:
+        return handle.read(), spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flipped_table_bit_answers_or_is_typed_unprimed(
+    table_flip_target, figure2, data
+):
+    """Without ``prime`` a Ring C table or a K-NN member or row-offset
+    table reads the mapping, each entry a read touches held to its
+    bounds and its neighbours. So with one bit of such a table flipped,
+    each of a few K-NN lookups on a fresh attach answers as the built
+    database does or raises a :class:`StoreFormatError` — never an
+    ``IndexError`` or another exception, which would end this test — or
+    the flip kept the table's rule, which only the checksum can catch.
+    The lookups are small enough that no table promotes, so the readers'
+    own checks are what is tested."""
+    raw, spans = table_flip_target
+    group = data.draw(st.sampled_from(sorted(spans)))
+    start, nbytes = data.draw(st.sampled_from(spans[group]))
+    bit = data.draw(st.integers(0, nbytes * 8 - 1))
+    flipped = bytearray(raw)
+    flipped[start + bit // 8] ^= 1 << (bit % 8)
+    kept = _keeps_its_rule(group, raw, flipped, start, nbytes)
+    engine = AutoEngine(figure2.db)
+    for lookup in _knn_lookups(figure2.db, 16):
+        (got,) = _unprimed_answers(
+            bytes(flipped), figure2.index_path + ".tables", [lookup]
+        )
+        if isinstance(got, str):
+            assert "rebuild it with 'repro build'" in got
+        elif not kept:
+            assert got == engine.evaluate(lookup).solutions
 
 
 def test_threads_sharing_an_unprimed_index_answer_as_built(figure2):
@@ -669,6 +840,7 @@ def test_attached_ops_return_plain_ints(figure2):
         assert plain_int(wt.select(wt.access(0), 1))
         assert plain_int(wt.total_count(wt.access(0)))
     finally:
+        db = ring = bv = wt = None
         store.close()
 
 
@@ -682,7 +854,7 @@ def test_from_index_classmethods(figure2):
         assert got.solutions == figure2.auto[0].solutions
     finally:
         engine.close()
-    db.store.close()
+    db.close()
 
 
 # ----------------------------------------------------------------------
