@@ -10,14 +10,19 @@
   for plain BGPs, for comparison (Example 4's ``N^{3/2}`` vs ``kN``).
 """
 
-from repro.bounds.agm import agm_bound
-from repro.bounds.constraint_graph import ConstraintGraph
-from repro.bounds.linear_program import LPBound, solve_size_bound, verify_weights
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ConstraintGraph",
-    "LPBound",
-    "solve_size_bound",
-    "verify_weights",
-    "agm_bound",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bounds.agm import agm_bound
+    from repro.bounds.constraint_graph import ConstraintGraph
+    from repro.bounds.linear_program import LPBound, solve_size_bound, verify_weights
+
+__all__ = ["ConstraintGraph", "LPBound", "solve_size_bound", "verify_weights", "agm_bound"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "agm": ("agm_bound",),
+    "constraint_graph": ("ConstraintGraph",),
+    "linear_program": ("LPBound", "solve_size_bound", "verify_weights"),
+})

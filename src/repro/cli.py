@@ -33,10 +33,9 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.engines import ENGINES, INDEX_ENGINES, RING_ENGINES
+from repro import engines
+from repro.engines import ENGINE_NAMES, INDEX_ENGINES, RING_ENGINES
 from repro.engines.database import GraphDatabase
-from repro.explain import explain
-from repro.obs import QueryTrace, validate_trace
 from repro.query.parser import parse_query
 from repro.utils.errors import ReproError, ValidationError
 
@@ -114,6 +113,12 @@ def _open_db(args: argparse.Namespace) -> Iterator[GraphDatabase]:
         db.close()
 
 
+def _engine_class(name: str) -> type:
+    """The engine class ``name``; :data:`~repro.engines.ENGINES` (whose
+    bundle-only engines the index path never imports) only for those."""
+    return INDEX_ENGINES.get(name) or engines.ENGINES[name]
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     """``--data`` / ``--from-index``: exactly one input source."""
     group = p.add_mutually_exclusive_group(required=True)
@@ -155,7 +160,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     with _open_db(args) as db:
         query = parse_query(args.query)
-        engine = ENGINES[args.engine](db)
+        engine = _engine_class(args.engine)(db)
         result = engine.evaluate(
             query, timeout=args.timeout, limit=args.limit
         )
@@ -179,6 +184,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.explain import explain
+
     cache = None
     if args.analyze and args.cache:
         from repro.cache import QueryCache
@@ -219,9 +226,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs import QueryTrace, validate_trace
+
     with _open_db(args) as db:
         trace = QueryTrace(query=args.query)
-        ENGINES[args.engine](db).evaluate(
+        _engine_class(args.engine)(db).evaluate(
             parse_query(args.query),
             timeout=args.timeout,
             limit=args.limit,
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="evaluate an extended BGP")
     _add_source_flags(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--engine", choices=sorted(ENGINES), default="ring-knn")
+    p.add_argument("--engine", choices=sorted(ENGINE_NAMES), default="ring-knn")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--print-limit", type=int, default=20)
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_source_flags(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--engine", choices=sorted(ENGINES), default="auto")
+    p.add_argument("--engine", choices=sorted(ENGINE_NAMES), default="auto")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", default=None, help="write JSON here (else stdout)")

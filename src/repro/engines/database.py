@@ -16,16 +16,19 @@ Owns the graph and its indexes:
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
 
-from repro.graph.triples import GraphData
-from repro.knn.adjacency import KnnAdjacency
 from repro.knn.distance_index import DistanceRangeIndex
-from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
 from repro.query.model import DEFAULT_RELATION, ExtendedBGP
 from repro.ring.index import RingIndex
 from repro.succinct.fields import Child, Layout, Transient
 from repro.utils.errors import QueryError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.triples import GraphData
+    from repro.knn.adjacency import KnnAdjacency
+    from repro.knn.graph import KnnGraph
 
 
 class GraphDatabase:
@@ -186,6 +189,8 @@ class GraphDatabase:
         if relation not in self.knn_graphs:
             raise QueryError(f"database has no K-NN relation {relation!r}")
         if relation not in self._adjacency:
+            from repro.knn.adjacency import KnnAdjacency
+
             self._adjacency[relation] = KnnAdjacency(
                 self.knn_graphs[relation]
             )

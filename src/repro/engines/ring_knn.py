@@ -28,7 +28,6 @@ from repro.ltj.ordering import (
 )
 from repro.ltj.solutions import raw_limit
 from repro.ltj.triple_relation import RingTripleRelation
-from repro.obs.trace import wavelet_targets
 from repro.query.model import ExtendedBGP
 
 
@@ -100,9 +99,13 @@ class _RingEngineBase:
                     limit=raw_limit(limit, project, distinct),
                     trace=trace,
                 )
-            observed = nullcontext() if trace is None else trace.observe(
-                self.name, query, wavelet_targets(self._db, query)
-            )
+            observed: AbstractContextManager[None] = nullcontext()
+            if trace is not None:
+                from repro.obs.trace import wavelet_targets
+
+                observed = trace.observe(
+                    self.name, query, wavelet_targets(self._db, query)
+                )
             with observed, phase("leapfrog"):
                 solutions = engine.evaluate()
         solutions = solutions.select(project, distinct, limit)

@@ -15,7 +15,16 @@ A graph database here follows Def. 1 of the paper: a set of labeled edges
   navigation oracle for the Ring.
 """
 
-from repro.graph.dictionary import TermDictionary
-from repro.graph.triples import GraphData, Triple
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.graph.dictionary import TermDictionary
+    from repro.graph.triples import GraphData, Triple
 
 __all__ = ["GraphData", "Triple", "TermDictionary"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "dictionary": ("TermDictionary",), "triples": ("GraphData", "Triple"),
+})

@@ -18,27 +18,35 @@ Implements Sec. 3 of the paper:
   (``dist(x, y) <= d``).
 """
 
-from repro.knn.adjacency import KnnAdjacency
-from repro.knn.builders import (
-    build_knn_graph,
-    build_knn_graph_bruteforce,
-    build_knn_graph_kdtree,
-    build_knn_graph_nn_descent,
-)
-from repro.knn.distance_index import DistanceRangeIndex
-from repro.knn.graph import KnnGraph
-from repro.knn.metrics import METRICS, metric_by_name
-from repro.knn.succinct import KnnRing
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.knn.adjacency import KnnAdjacency
+    from repro.knn.builders import (
+        build_knn_graph, build_knn_graph_bruteforce, build_knn_graph_kdtree,
+        build_knn_graph_nn_descent,
+    )
+    from repro.knn.distance_index import DistanceRangeIndex
+    from repro.knn.graph import KnnGraph
+    from repro.knn.metrics import METRICS, metric_by_name
+    from repro.knn.succinct import KnnRing
 
 __all__ = [
-    "KnnGraph",
-    "KnnRing",
-    "KnnAdjacency",
-    "DistanceRangeIndex",
-    "build_knn_graph",
-    "build_knn_graph_bruteforce",
-    "build_knn_graph_kdtree",
-    "build_knn_graph_nn_descent",
-    "METRICS",
-    "metric_by_name",
+    "KnnGraph", "KnnRing", "KnnAdjacency", "DistanceRangeIndex", "build_knn_graph",
+    "build_knn_graph_bruteforce", "build_knn_graph_kdtree",
+    "build_knn_graph_nn_descent", "METRICS", "metric_by_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "adjacency": ("KnnAdjacency",),
+    "builders": (
+        "build_knn_graph", "build_knn_graph_bruteforce", "build_knn_graph_kdtree",
+        "build_knn_graph_nn_descent",
+    ),
+    "distance_index": ("DistanceRangeIndex",),
+    "graph": ("KnnGraph",),
+    "metrics": ("METRICS", "metric_by_name"),
+    "succinct": ("KnnRing",),
+})

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.knn.graph import KnnGraph
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
     INT,
@@ -44,6 +44,9 @@ from repro.succinct.fields import (
 )
 from repro.succinct.wavelet_tree import WaveletTree
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.knn.graph import KnnGraph
 
 
 class KnnRing(LazyMirrors):

@@ -21,38 +21,45 @@ Ordering strategies implement Sec. 5: :class:`MinCandidatesOrdering`
 topological and fixed orders used by tests and ablations.
 """
 
-from repro.ltj.distance_relation import DistanceClauseRelation
-from repro.ltj.engine import LTJEngine
-from repro.ltj.knn_relation import KnnClauseRelation
-from repro.ltj.ordering import (
-    ConstraintAwareOrdering,
-    FixedOrdering,
-    MinCandidatesOrdering,
-    OrderingStrategy,
-    SlotState,
-    TopologicalOrdering,
-)
-from repro.ltj.plan import JoinPlan
-from repro.ltj.relation import LeapRelation
-from repro.ltj.sixperm_relation import SixPermTripleRelation
-from repro.ltj.solutions import Solutions
-from repro.ltj.stats import EvaluationStats
-from repro.ltj.triple_relation import RingTripleRelation
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ltj.distance_relation import DistanceClauseRelation
+    from repro.ltj.engine import LTJEngine
+    from repro.ltj.knn_relation import KnnClauseRelation
+    from repro.ltj.ordering import (
+        ConstraintAwareOrdering, FixedOrdering, MinCandidatesOrdering,
+        OrderingStrategy, SlotState, TopologicalOrdering,
+    )
+    from repro.ltj.plan import JoinPlan
+    from repro.ltj.relation import LeapRelation
+    from repro.ltj.sixperm_relation import SixPermTripleRelation
+    from repro.ltj.solutions import Solutions
+    from repro.ltj.stats import EvaluationStats
+    from repro.ltj.triple_relation import RingTripleRelation
 
 __all__ = [
-    "LeapRelation",
-    "RingTripleRelation",
-    "SixPermTripleRelation",
-    "KnnClauseRelation",
-    "DistanceClauseRelation",
-    "LTJEngine",
-    "JoinPlan",
-    "SlotState",
-    "EvaluationStats",
-    "Solutions",
-    "OrderingStrategy",
-    "MinCandidatesOrdering",
-    "ConstraintAwareOrdering",
-    "TopologicalOrdering",
+    "LeapRelation", "RingTripleRelation", "SixPermTripleRelation",
+    "KnnClauseRelation", "DistanceClauseRelation", "LTJEngine", "JoinPlan",
+    "SlotState", "EvaluationStats", "Solutions", "OrderingStrategy",
+    "MinCandidatesOrdering", "ConstraintAwareOrdering", "TopologicalOrdering",
     "FixedOrdering",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "distance_relation": ("DistanceClauseRelation",),
+    "engine": ("LTJEngine",),
+    "knn_relation": ("KnnClauseRelation",),
+    "ordering": (
+        "ConstraintAwareOrdering", "FixedOrdering", "MinCandidatesOrdering",
+        "OrderingStrategy", "SlotState", "TopologicalOrdering",
+    ),
+    "plan": ("JoinPlan",),
+    "relation": ("LeapRelation",),
+    "sixperm_relation": ("SixPermTripleRelation",),
+    "solutions": ("Solutions",),
+    "stats": ("EvaluationStats",),
+    "triple_relation": ("RingTripleRelation",),
+})

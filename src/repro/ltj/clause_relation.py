@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.ltj.relation import LeapRelation, Seeker
 from repro.query.model import DistClause, SimClause, Var
 from repro.succinct.wavelet_tree import WaveletTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.knn.distance_index import DistanceRangeIndex
+    from repro.knn.succinct import KnnRing
 
 Span = tuple[int, int]
 
@@ -45,14 +50,15 @@ class ClauseRelation(LeapRelation):
         self,
         clause: SimClause | DistClause,
         trees: tuple[WaveletTree, WaveletTree],
-        ids: Sequence[int],
+        owner: KnnRing | DistanceRangeIndex,
         roots: tuple[Seeker, Seeker],
         num_members: int,
     ) -> None:
         """Per position, ``trees`` and ``roots`` give the tree its leaps
         descend while the other side is bound and its seeker while that
-        is free; ``ids`` is the sorted member list the trees' ranks
-        index, ``num_members`` its length."""
+        is free; ``owner._members_i`` is the sorted member list the
+        trees' ranks index, read anew for each range (once an attached
+        owner promotes it, as a plain list), ``num_members`` its length."""
         self._clause = clause
         self.terms = (clause.x, clause.y)
         # Current bindings of the two sides (None = unbound). Constants
@@ -63,7 +69,7 @@ class ClauseRelation(LeapRelation):
         self._depth = 0
         self._failed_depth: int | None = None
         self._trees = trees
-        self._ids = ids
+        self._owner = owner
         self._roots = roots
         self._num_members = num_members
         x, y = self._values
@@ -106,7 +112,7 @@ class ClauseRelation(LeapRelation):
             lo, hi = span
             seek = self._seekers[pos] = (
                 _nothing if lo > hi
-                else self._trees[pos].seeker(lo, hi, self._ids)
+                else self._trees[pos].seeker(lo, hi, self._owner._members_i)
             )
         return seek
 
@@ -118,7 +124,7 @@ class ClauseRelation(LeapRelation):
         if lo > hi:
             return ()
         ranks = self._trees[pos]._range_values_u(lo, hi)
-        return list(map(self._ids.__getitem__, ranks))
+        return list(map(self._owner._members_i.__getitem__, ranks))
 
     def bind(self, pos: int, value: int) -> bool:
         values = self._values

@@ -35,7 +35,7 @@ class DistanceClauseRelation(ClauseRelation):
         super().__init__(
             clause,
             (index.D, index.D),
-            index._members_i,
+            index,
             (index.next_member, index.next_member),
             len(index.members),
         )

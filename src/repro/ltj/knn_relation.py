@@ -40,7 +40,7 @@ class KnnClauseRelation(ClauseRelation):
         super().__init__(
             clause,
             (knn.Sprime, knn.S),
-            knn._members_i,
+            knn,
             (knn.next_member, partial(knn.next_reverse_nonempty, self._k)),
             knn.num_members,
         )

@@ -17,42 +17,24 @@ There is no intra-query parallelism: first-variable sharding was
 measured at 0.84x of serial on two cores and deleted
 (``docs/parallelism.md``).
 
-Public names resolve lazily (PEP 562), so importing the package does
-not import :mod:`multiprocessing`.
+Public names resolve lazily (:mod:`repro.utils.lazy`), so importing
+the package does not import :mod:`multiprocessing`.
 """
 
-from __future__ import annotations
+from repro.utils.lazy import lazy_exports
 
-from typing import Any
+__all__ = [
+    "DEFAULT_WORKERS", "ENV_START_METHOD", "MAX_BATCH_SIZE", "QueryBatchTask",
+    "QueryOutcome", "QueryScheduler", "QueryTask", "ScheduledQuery", "WorkerPool",
+    "close_pools_for", "forced_start_method", "pool_for", "run_query",
+    "run_query_batch", "shutdown_pools",
+]
 
-_EXPORTS = {
-    "DEFAULT_WORKERS": "repro.parallel.executor",
-    "WorkerPool": "repro.parallel.executor",
-    "close_pools_for": "repro.parallel.executor",
-    "pool_for": "repro.parallel.executor",
-    "shutdown_pools": "repro.parallel.executor",
-    "MAX_BATCH_SIZE": "repro.parallel.scheduler",
-    "QueryScheduler": "repro.parallel.scheduler",
-    "ScheduledQuery": "repro.parallel.scheduler",
-    "QueryBatchTask": "repro.parallel.worker",
-    "QueryOutcome": "repro.parallel.worker",
-    "QueryTask": "repro.parallel.worker",
-    "run_query": "repro.parallel.worker",
-    "run_query_batch": "repro.parallel.worker",
-    "ENV_START_METHOD": "repro.parallel.executor",
-    "forced_start_method": "repro.parallel.executor",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(name)
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "executor": (
+        "DEFAULT_WORKERS", "ENV_START_METHOD", "WorkerPool", "close_pools_for",
+        "forced_start_method", "pool_for", "shutdown_pools",
+    ),
+    "scheduler": ("MAX_BATCH_SIZE", "QueryScheduler", "ScheduledQuery"),
+    "worker": ("QueryBatchTask", "QueryOutcome", "QueryTask", "run_query", "run_query_batch"),
+})

@@ -23,8 +23,8 @@ Bare (non-numeric, non-``?``) terms are resolved through an optional
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
-from repro.graph.dictionary import TermDictionary
 from repro.query.model import (
     DEFAULT_RELATION,
     DistClause,
@@ -36,6 +36,9 @@ from repro.query.model import (
     sym_clauses,
 )
 from repro.utils.errors import QueryError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.dictionary import TermDictionary
 
 _TRIPLE_RE = re.compile(r"^\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)$")
 _FUNC_RE = re.compile(

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-from repro.graph.triples import GraphData
 from repro.succinct.arrays import CumulativeCounts
 from repro.succinct.fields import Child, Derived, Layout, LazyMirrors, Scalar
 from repro.succinct.wavelet_tree import WaveletTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.triples import GraphData
 
 NEXT_COORD = {"s": "p", "p": "o", "o": "s"}
 PREV_COORD = {"s": "o", "p": "s", "o": "p"}

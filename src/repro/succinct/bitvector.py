@@ -28,8 +28,8 @@ flipped bit in the words or the directory is a :class:`StoreFormatError`
 at the first read that depends on it, and never a wrong rank. None of
 this needs numpy, which only a build imports.
 
-In-word select uses the precomputed 16-bit popcount/select tables of
-:mod:`repro.succinct.tables`; and every public operation validates
+In-word select uses ``int.bit_count`` and the 8-bit popcount/select
+tables of :mod:`repro.succinct.tables`; and every public operation validates
 once, then delegates to an unchecked ``_*_u`` variant that internal
 callers (:class:`~repro.succinct.wavelet_tree.WaveletTree`, the Ring,
 the K-NN structures) may invoke directly when their arguments are

@@ -216,14 +216,37 @@ def test_iteration_equals_to_array_tolist():
 
 
 def test_word_tables_match_a_per_bit_reference():
-    """The 16-bit popcount and packed-select tables, against the bits of
-    every word read one at a time."""
-    from repro.succinct.tables import POPCOUNT16, SELECT16
+    """The 8-bit popcount and packed-select tables, against the bits of
+    every byte read one at a time."""
+    from repro.succinct.tables import POPCOUNT8, SELECT8
 
-    assert len(POPCOUNT16) == len(SELECT16) == 1 << 16
-    for word in range(1 << 16):
-        ones = [bit for bit in range(16) if word >> bit & 1]
-        assert POPCOUNT16[word] == len(ones), word
-        assert SELECT16[word] == sum(
+    assert len(POPCOUNT8) == len(SELECT8) == 1 << 8
+    for word in range(1 << 8):
+        ones = [bit for bit in range(8) if word >> bit & 1]
+        assert POPCOUNT8[word] == len(ones), word
+        assert SELECT8[word] == sum(
             bit << (4 * j) for j, bit in enumerate(ones)
         ), word
+
+
+def _select_words():
+    """Random dense and sparse 64-bit words, every single-bit word and
+    the all-ones word."""
+    rng = np.random.default_rng(5)
+    for density in (0.03, 0.2, 0.5, 0.8, 0.97):
+        for _ in range(100):
+            bits = np.flatnonzero(rng.random(64) < density)
+            yield sum(1 << int(b) for b in bits)
+    yield from (1 << p for p in range(64))
+    yield (1 << 64) - 1
+
+
+def test_select_in_word_matches_a_per_bit_reference():
+    """``select_in_word`` answers every ``need`` of each word with the
+    position of that set bit, counted one bit at a time."""
+    from repro.succinct.tables import select_in_word
+
+    for word in _select_words():
+        ones = [bit for bit in range(64) if word >> bit & 1]
+        got = [select_in_word(word, need) for need in range(1, len(ones) + 1)]
+        assert got == ones, hex(word)

@@ -263,7 +263,12 @@ import sys
 import repro.cli
 
 HEAVY = ("numpy", "scipy", "repro.analysis", "repro.serve", "multiprocessing",
-         "repro.datasets", "repro.graph.io")
+         "repro.datasets", "repro.graph.io", "repro.explain",
+         "repro.engines.baseline", "repro.engines.classic", "repro.engines.kstar",
+         "repro.engines.materialize", "repro.bounds.linear_program",
+         "repro.bounds.agm", "repro.knn.builders", "repro.knn.adjacency",
+         "repro.knn.metrics", "repro.obs.trace", "repro.obs.schema",
+         "repro.query.rewrite", "repro.graph.sixperm", "repro.ltj.sixperm_relation")
 
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -273,19 +278,26 @@ index, query = sys.argv[1:]
 argv = ["--from-index", index, "--query", query]
 assert repro.cli.main(["query", *argv, "--engine", "auto"]) == 0
 assert not loaded(), f"repro query pulled in {loaded()}"
+# No 65,536-entry table is built at import: the select tables are 8-bit.
+tables = vars(sys.modules["repro.succinct.tables"]).values()
+assert max(len(t) for t in tables if isinstance(t, list)) <= 256
 # explain solves the size-bound LP, and only then do the solver and
 # numpy get imported.
 assert repro.cli.main(["explain", *argv]) == 0
 assert "scipy.optimize" in sys.modules
+assert {"repro.explain", "repro.bounds.linear_program"} <= set(sys.modules)
 """
 
 
 def test_query_process_import_budget(bundle_path, tmp_path):
     """A `repro query` process imports no numpy, no LP solver, no
     sanitizer, no server, no multiprocessing, no dataset generator and
-    no bundle reader — the cold-start workload pays for whatever `import
-    repro.cli` drags in. Its query has a K-NN clause, so the Ring's C
-    tables and the K-NN tables are read in the process without numpy."""
+    no bundle reader, and none of the `repro` modules the index path
+    never runs (`explain`, the engines an index cannot run, the K-NN
+    builders, the trace and its schema) — the cold-start workload pays
+    for whatever `import repro.cli` drags in. Its query has a K-NN
+    clause, so the Ring's C tables and the K-NN tables are read in the
+    process without numpy."""
     import os
     import re
     import subprocess

@@ -43,7 +43,9 @@ from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
 from repro.experiments.registry import Context, figure2_setup
 from repro.knn.distance_index import DistanceRangeIndex
+from repro.ltj.knn_relation import KnnClauseRelation
 from repro.parallel.executor import ENV_START_METHOD
+from repro.query.model import SimClause, Var
 from repro.query.parser import parse_query
 from repro.store import (
     FORMAT_VERSION,
@@ -466,6 +468,49 @@ def test_a_reader_kept_past_its_budget_promotes_once(figure2, monkeypatch, kind)
         assert calls["_promote", id(owner)] == 1
     finally:
         owner = reader = None
+        store.close()
+
+
+def test_a_clause_reads_its_member_list_once_promoted(figure2, monkeypatch):
+    """A K-NN clause relation built on an unprimed attach, while its
+    member table is still a cold reader, reads every range it resolves
+    after the owner promotes from the promoted list: its seeker and
+    ``values`` make no cold read. A relation that kept the reader from
+    its construction would answer each read of a long query through a
+    Python call."""
+    built = figure2.db.knn_ring
+    clause = SimClause(Var("x"), min(3, built.K), Var("y"))
+    anchor = int(built.members[0])
+    want = KnnClauseRelation(built, clause)
+    assert want.bind(0, anchor)
+    want_values = list(want.values(1))
+    assert want_values
+    store = load(figure2.index_path)
+    try:
+        knn = store.database.knn_ring
+        relation = KnnClauseRelation(knn, clause)
+        assert isinstance(knn._members_i, ColdTable)
+        knn._promote()
+        assert type(vars(knn)["_members_i"]) is list
+        cold_reads = Counter()
+        real = ColdTable.__getitem__
+
+        def counting(self, i):
+            cold_reads[id(self)] += 1
+            return real(self, i)
+
+        monkeypatch.setattr(ColdTable, "__getitem__", counting)
+        assert relation.bind(0, anchor)
+        assert list(relation.values(1)) == want_values
+        seek, got = relation.seeker(1), []
+        value = seek(0)
+        while value is not None:
+            got.append(value)
+            value = seek(value + 1)
+        assert got == want_values
+        assert not cold_reads
+    finally:
+        knn = relation = seek = None
         store.close()
 
 
