@@ -4,8 +4,8 @@
   acyclicity and SCC analysis, cyclic-constraint detection, and the
   "single 2-cyclic" class of Def. 12.
 * :mod:`repro.bounds.linear_program` — the linear programs (1) (safe
-  queries) and (2) (general, with ``Dom(x)`` weights), solved with
-  ``scipy.optimize.linprog``; ``Q* = 2^{rho*}`` bounds ``|Q(G)|``.
+  queries) and (2) (general, with ``Dom(x)`` weights), solved by a
+  stdlib covering-LP simplex; ``Q* = 2^{rho*}`` bounds ``|Q(G)|``.
 * :mod:`repro.bounds.agm` — the classic AGM fractional-edge-cover bound
   for plain BGPs, for comparison (Example 4's ``N^{3/2}`` vs ``kN``).
 """

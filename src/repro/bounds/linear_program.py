@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.bounds.constraint_graph import ConstraintGraph
-from repro.query.model import ExtendedBGP, Var, is_var
+from repro.query.model import ExtendedBGP, Term, is_var
 from repro.utils.errors import QueryError, ValidationError
 
 
@@ -70,6 +70,64 @@ def verify_weights(
     return True
 
 
+#: Below this a reduced cost or pivot entry counts as zero.
+_EPS = 1e-9
+
+
+def _min_cover(
+    costs: list[float], rows: list[list[float]], rhs: list[float]
+) -> tuple[float, list[float]]:
+    """Minimise ``costs . x`` subject to ``rows x >= rhs`` and ``x >= 0``.
+
+    Solves the dual packing program ``max rhs . y`` subject to
+    ``rows^T y <= costs`` and ``y >= 0`` on a dense tableau. Every cost is
+    a log-size (``>= 0``), so the origin is feasible and no phase one is
+    needed; Bland's rule makes degenerate pivots terminate. The primal
+    weights are the final objective row's entries under the slack
+    columns. Returns ``(optimum, x)``; an unbounded dual means an
+    infeasible primal and raises :class:`QueryError`.
+    """
+    n, m = len(costs), len(rhs)
+    # Tableau row j: sum_i rows[i][j] y_i + t_j = costs[j]; the columns
+    # are y_0..y_{m-1}, the slacks t_0..t_{n-1}, then the right-hand side.
+    tableau = [
+        [row[j] for row in rows] + [float(i == j) for i in range(n)] + [costs[j]]
+        for j in range(n)
+    ]
+    objective = [-b for b in rhs] + [0.0] * (n + 1)
+    basis = list(range(m, m + n))
+    while True:
+        entering = next((c for c in range(m + n) if objective[c] < -_EPS), None)
+        if entering is None:
+            return objective[-1], [max(v, 0.0) for v in objective[m:-1]]
+        ratios = [
+            (tableau[r][-1] / tableau[r][entering], basis[r], r)
+            for r in range(n)
+            if tableau[r][entering] > _EPS
+        ]
+        if not ratios:
+            raise QueryError("covering LP infeasible: a row no weight can cover")
+        least = min(ratios)[0]
+        _basic, leaving = min((b, r) for q, b, r in ratios if q <= least + _EPS)
+        pivot = tableau[leaving]
+        scale = pivot[entering]
+        pivot[:] = [v / scale for v in pivot]
+        for other in (*tableau, objective):
+            factor = other[entering]
+            if other is not pivot and factor:
+                other[:] = [a - factor * b for a, b in zip(other, pivot)]
+        basis[leaving] = entering
+
+
+def _saturating_pow2(rho: float) -> float:
+    """``2**rho``, or ``math.inf`` when that is not a finite float (still
+    an upper bound on the output size)."""
+    try:
+        return 2.0**rho
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class LPBound:
     """Solution of the size-bound linear program."""
@@ -89,139 +147,66 @@ class LPBound:
     @property
     def q_star(self) -> float:
         """The bound ``Q* = 2^{rho*}`` on the output size."""
-        return 2.0**self.rho
+        return _saturating_pow2(self.rho)
 
 
 def solve_size_bound(
-    query: ExtendedBGP,
-    num_edges: int,
-    domain_size: int | None = None,
-    pattern_cardinalities: list[int] | None = None,
-    program: str = "auto",
+    query: ExtendedBGP, num_edges: int, domain_size: int | None = None
 ) -> LPBound:
-    """Solve program (1) or (2) for a query over an ``N``-edge graph.
+    """Solve program (1) when the query is safe, else (2), over an
+    ``N``-edge graph.
 
     Args:
         query: the extended BGP (distance clauses are not part of the
             paper's programs and are rejected).
         num_edges: ``N``.
-        domain_size: ``D``; required for program (2). Defaults to ``3N``
-            (the paper's ``D <= 3N``).
-        pattern_cardinalities: optional per-triple-pattern sizes
-            ``|t_i|`` for the sharper instance-specific bound used in the
-            proofs of Thms. 2-3; defaults to ``N`` for every pattern.
-        program: ``"1"`` (safe queries only), ``"2"``, or ``"auto"``
-            (program (1) when the query is safe, else (2)).
+        domain_size: ``D``, the ``Dom(x)`` size of program (2). Defaults
+            to ``3N`` (the paper's ``D <= 3N``).
 
     Returns:
         The optimal weights and ``rho*`` (log2 scale).
     """
-    import numpy as np
-
     if query.dist_clauses:
         raise QueryError("size bounds cover only <|_k clauses")
     if num_edges < 1:
         raise ValidationError("num_edges must be >= 1")
     if domain_size is None:
         domain_size = 3 * num_edges
-    safe = query.is_safe()
-    if program == "auto":
-        program = "1" if safe else "2"
-    if program == "1" and not safe:
-        raise QueryError("program (1) requires a safe query (Sec. 4.1)")
-    if program not in ("1", "2"):
-        raise ValidationError(f"unknown program {program!r}")
-    allow_dom = program == "2"
-
-    triples = query.triples
-    clauses = query.clauses
-    if pattern_cardinalities is None:
-        pattern_cardinalities = [num_edges] * len(triples)
-    if len(pattern_cardinalities) != len(triples):
-        raise ValidationError("pattern_cardinalities must match the triples")
-
-    graph = ConstraintGraph(query)
-
-    # LP variable layout: [w_0..w_{M-1}, delta_0..delta_{C-1}, s_0..s_{C-1}]
-    n_w = len(triples)
-    n_c = len(clauses)
-    n_vars = n_w + (2 if allow_dom else 1) * n_c
-
-    def w_idx(i: int) -> int:
-        return i
-
-    def d_idx(j: int) -> int:
-        return n_w + j
-
-    def s_idx(j: int) -> int:
-        return n_w + n_c + j
-
-    objective = np.zeros(n_vars)
-    for i, size in enumerate(pattern_cardinalities):
-        objective[w_idx(i)] = math.log2(max(size, 1))
-    for j, clause in enumerate(clauses):
-        objective[d_idx(j)] = math.log2(max(clause.k, 1))
-        if allow_dom:
-            objective[s_idx(j)] = math.log2(max(domain_size, 2))
-
-    # scipy's linprog uses A_ub @ x <= b_ub; our constraints are >=.
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    # Cover constraint per variable.
-    for var in query.variables:
-        row = np.zeros(n_vars)
-        for i, t in enumerate(triples):
-            if var in t.variables:
-                row[w_idx(i)] = 1.0
-        for j, clause in enumerate(clauses):
-            if is_var(clause.y) and clause.y == var:
-                row[d_idx(j)] = 1.0
-            if allow_dom and is_var(clause.x) and clause.x == var:
-                row[s_idx(j)] = 1.0
-        rows.append(-row)
-        rhs.append(-1.0)
-
-    # Cyclic-constraint restriction per cyclic clause.
-    for j, clause in enumerate(clauses):
-        if not graph.is_cyclic_constraint(clause):
-            continue
-        row = np.zeros(n_vars)
-        for i, t in enumerate(triples):
-            if clause.x in t.variables:
-                row[w_idx(i)] = 1.0
-        if allow_dom:
-            for j2, other in enumerate(clauses):
-                if is_var(other.x) and other.x == clause.x:
-                    row[s_idx(j2)] = 1.0
-        row[d_idx(j)] -= 1.0
-        rows.append(-row)
-        rhs.append(0.0)
-
-    # Imported here: only explain and the experiments solve an LP, and
-    # scipy.optimize is most of what a query process would pay to import.
-    from scipy.optimize import linprog
-
-    result = linprog(
-        c=objective,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rhs else None,
-        bounds=[(0, None)] * n_vars,
-        method="highs",
+    triples, clauses = query.triples, query.clauses
+    n_w, n_c = len(triples), len(clauses)
+    # Columns: w per triple, delta per clause, and s per clause under (2).
+    n_s = 0 if query.is_safe() else n_c
+    costs = (
+        [math.log2(num_edges)] * n_w
+        + [math.log2(max(clause.k, 1)) for clause in clauses]
+        + [math.log2(max(domain_size, 2))] * n_s
     )
-    if not result.success:
-        raise QueryError(
-            f"size-bound LP infeasible or failed: {result.message} "
-            "(an unsafe query under program (1)?)"
+
+    def cover(x: Term, deltas: list[float]) -> list[float]:
+        """The w of each triple holding ``x``, ``deltas``, and the s of
+        each clause ``x <|_k z``."""
+        return (
+            [1.0 if x in t.variables else 0.0 for t in triples]
+            + deltas
+            + [1.0 if clause.x == x else 0.0 for clause in clauses[:n_s]]
         )
-    x = result.x
+
+    rows = [
+        cover(var, [1.0 if clause.y == var else 0.0 for clause in clauses])
+        for var in query.variables
+    ]
+    rhs = [1.0] * len(rows)
+    graph = ConstraintGraph(query)
+    for j, clause in enumerate(clauses):
+        if graph.is_cyclic_constraint(clause):
+            deltas = [-1.0 if i == j else 0.0 for i in range(n_c)]
+            rows.append(cover(clause.x, deltas))
+            rhs.append(0.0)
+
+    rho, x = _min_cover(costs, rows, rhs)
     return LPBound(
-        rho=float(result.fun),
-        triple_weights={i: float(x[w_idx(i)]) for i in range(n_w)},
-        delta_weights={j: float(x[d_idx(j)]) for j in range(n_c)},
-        dom_weights=(
-            {j: float(x[s_idx(j)]) for j in range(n_c)}
-            if allow_dom
-            else {j: 0.0 for j in range(n_c)}
-        ),
+        rho=rho,
+        triple_weights=dict(enumerate(x[:n_w])),
+        delta_weights=dict(enumerate(x[n_w : n_w + n_c])),
+        dom_weights=dict(enumerate(x[n_w + n_c :] or [0.0] * n_c)),
     )

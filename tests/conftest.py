@@ -286,6 +286,15 @@ def _query_text(query: ExtendedBGP) -> str:
     return text
 
 
+def _knn_fan(clauses: int) -> str:
+    """``(?a, 1, ?b)`` and ``clauses`` unsafe ``knn(?u_i, ?b, 5)``: only
+    its ``Dom`` weight covers each ``?u_i``, so ``rho*`` grows by
+    ``log2 D`` a clause and passes 1024, where ``2**rho`` stops being a
+    finite float, at 200 clauses on any graph with ``D >= 64``."""
+    knns = [f"knn(?u{i}, ?b, 5)" for i in range(clauses)]
+    return " . ".join(["(?a, 1, ?b)", *knns])
+
+
 # ----------------------------------------------------------------------
 # killing a pool worker
 # ----------------------------------------------------------------------

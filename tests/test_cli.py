@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import _knn_fan
 from repro.cli import build_parser, main
 
 
@@ -107,6 +108,12 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "single-2-cyclic" in out
         assert "plan for" in out
+
+    def test_explain_saturated_bound(self, bundle_path, capsys):
+        # rho* passes 1024: Q* reads inf, not an OverflowError traceback.
+        argv = ["explain", "--data", str(bundle_path), "--query", _knn_fan(200)]
+        assert main(argv) == 0
+        assert "output bound Q*: inf" in capsys.readouterr().out
 
 
 class TestCacheCommands:
@@ -281,10 +288,9 @@ assert not loaded(), f"repro query pulled in {loaded()}"
 # No 65,536-entry table is built at import: the select tables are 8-bit.
 tables = vars(sys.modules["repro.succinct.tables"]).values()
 assert max(len(t) for t in tables if isinstance(t, list)) <= 256
-# explain solves the size-bound LP, and only then do the solver and
-# numpy get imported.
+# explain solves the size-bound LP in the stdlib: still no numpy or scipy.
 assert repro.cli.main(["explain", *argv]) == 0
-assert "scipy.optimize" in sys.modules
+assert not {"numpy", "scipy"} & set(sys.modules), "repro explain pulled in numpy/scipy"
 assert {"repro.explain", "repro.bounds.linear_program"} <= set(sys.modules)
 """
 
@@ -297,7 +303,8 @@ def test_query_process_import_budget(bundle_path, tmp_path):
     builders, the trace and its schema) — the cold-start workload pays
     for whatever `import repro.cli` drags in. Its query has a K-NN
     clause, so the Ring's C tables and the K-NN tables are read in the
-    process without numpy."""
+    process without numpy. A `repro explain` after it solves the size
+    bound and still loads neither numpy nor scipy."""
     import os
     import re
     import subprocess

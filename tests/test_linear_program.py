@@ -1,11 +1,13 @@
 """Tests for the size-bound linear programs (Sec. 4.1, Eqs. (1)-(2))."""
 
 import math
+import random
 
 import pytest
 
+from conftest import _knn_fan
 from repro.bounds.agm import agm_bound
-from repro.bounds.linear_program import solve_size_bound
+from repro.bounds.linear_program import _min_cover, solve_size_bound, verify_weights
 from repro.query.parser import parse_query
 from repro.utils.errors import QueryError, ValidationError
 
@@ -83,42 +85,12 @@ class TestClauses:
         assert bound.q_star == pytest.approx(N * 1000, rel=1e-6)
         assert any(v > 0 for v in bound.dom_weights.values())
 
-    def test_unsafe_query_rejected_by_program1(self):
-        q = parse_query("(?x, 1, ?y) . knn(?w, ?x, 5)")
-        with pytest.raises(QueryError):
-            solve_size_bound(q, N, program="1")
-
-    def test_safe_query_program2_matches_program1(self):
-        q = parse_query("(?x, 1, ?y) . knn(?x, ?y, 5)")
-        one = solve_size_bound(q, N, program="1")
-        two = solve_size_bound(q, N, domain_size=N, program="2")
-        assert one.q_star == pytest.approx(two.q_star, rel=1e-6)
-
-
-class TestPatternCardinalities:
-    def test_instance_sizes_tighten_bound(self):
-        q = parse_query("(?x, 1, ?y) . (?y, 2, ?z)")
-        loose = solve_size_bound(q, N)
-        tight = solve_size_bound(q, N, pattern_cardinalities=[10, 20])
-        assert tight.q_star == pytest.approx(200, rel=1e-6)
-        assert tight.q_star < loose.q_star
-
-    def test_mismatched_cardinalities_rejected(self):
-        q = parse_query("(?x, 1, ?y)")
-        with pytest.raises(ValidationError):
-            solve_size_bound(q, N, pattern_cardinalities=[1, 2])
-
 
 class TestValidation:
     def test_distance_clauses_rejected(self):
         q = parse_query("(?x, 1, ?y) . dist(?x, ?y, 0.5)")
         with pytest.raises(QueryError):
             solve_size_bound(q, N)
-
-    def test_bad_program_name(self):
-        q = parse_query("(?x, 1, ?y)")
-        with pytest.raises(ValidationError):
-            solve_size_bound(q, N, program="3")
 
     def test_nonpositive_edges(self):
         q = parse_query("(?x, 1, ?y)")
@@ -150,8 +122,6 @@ class TestBoundIsActuallyAnUpperBound:
 
 class TestVerifyWeights:
     def test_optimal_solutions_verify(self):
-        from repro.bounds.linear_program import verify_weights
-
         for text in (
             "(?x, 100, ?y) . (?y, 101, ?z) . knn(?x, ?z, 10)",
             "(?a, 1, ?x) . sim(?x, ?y, 8)",
@@ -162,8 +132,6 @@ class TestVerifyWeights:
             assert verify_weights(q, bound), text
 
     def test_tampered_weights_fail(self):
-        from repro.bounds.linear_program import verify_weights
-
         q = parse_query("(?x, 100, ?y) . (?y, 101, ?z) . knn(?x, ?z, 10)")
         bound = solve_size_bound(q, N)
         bound.triple_weights[0] = 0.0
@@ -171,11 +139,86 @@ class TestVerifyWeights:
         assert not verify_weights(q, bound)
 
     def test_cyclic_restriction_checked(self):
-        from repro.bounds.linear_program import verify_weights
-
         q = parse_query("(?a, 1, ?x) . sim(?x, ?y, 8)")
         bound = solve_size_bound(q, N)
         # Inflate a cyclic delta beyond its covering weights.
         for j in bound.delta_weights:
             bound.delta_weights[j] = 50.0
         assert not verify_weights(q, bound)
+
+
+class TestSaturation:
+    """Past ``rho = 1024`` ``2**rho`` is not a finite float: ``Q*`` and
+    the AGM bound are ``inf``, which is still an upper bound."""
+
+    def test_q_star_and_agm_saturate(self):
+        q = parse_query(_knn_fan(120))
+        bound = solve_size_bound(q, 8_109)
+        assert bound.rho > 1024
+        assert bound.q_star == math.inf
+        assert agm_bound(q, 8_109) == math.inf
+
+
+#: ``rho*`` of each Figure-2 golden query, in ``figure2.queries`` order,
+#: as ``scipy.optimize.linprog(method="highs")`` solved it.
+FIGURE2_RHO = [
+    28.969274589833343, 19.312849726555562,  # Q1
+    19.312849726555562, 19.312849726555562,  # Q1b
+    28.969274589833343,  # Q2
+    31.291202684720705,  # Q2b
+    28.969274589833343,  # Q2t
+    11.978352958165143, 11.978352958165143,  # Q3
+    11.978352958165143,  # Q4
+    19.312849726555562, 19.312849726555562,  # Q5
+]
+
+
+class TestMinCover:
+    """The stdlib simplex against HiGHS, and ``rho*`` pinned to it."""
+
+    def test_matches_highs_on_random_programs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(47)
+        infeasible = 0
+        for _ in range(400):
+            n, m = rng.randint(1, 7), rng.randint(0, 7)
+            # Zero costs, and -1 entries as the cyclic rows have.
+            costs = [rng.choice((0.0, rng.uniform(0.0, 20.0))) for _ in range(n)]
+            rows = [
+                [rng.choice((0.0, 0.0, 1.0, 1.0, -1.0)) for _ in range(n)]
+                for _ in range(m)
+            ]
+            rhs = [rng.choice((0.0, 1.0)) for _ in range(m)]
+            reference = linprog(
+                costs,
+                A_ub=[[-a for a in row] for row in rows] or None,
+                b_ub=[-b for b in rhs] or None,
+                bounds=[(0, None)] * n,
+                method="highs",
+            )
+            if reference.status == 2:
+                infeasible += 1
+                with pytest.raises(QueryError):
+                    _min_cover(costs, rows, rhs)
+                continue
+            assert reference.status == 0, reference.message
+            value, x = _min_cover(costs, rows, rhs)
+            assert value == pytest.approx(reference.fun, abs=1e-9)
+            assert len(x) == n and min(x) >= 0.0
+            assert sum(c * v for c, v in zip(costs, x)) == pytest.approx(
+                value, abs=1e-9
+            )
+            for row, b in zip(rows, rhs):
+                assert sum(a * v for a, v in zip(row, x)) >= b - 1e-9
+        assert 0 < infeasible < 200
+
+    def test_figure2_rho_unchanged(self, figure2):
+        db = figure2.db
+        for query, rho in zip(figure2.queries, FIGURE2_RHO, strict=True):
+            bound = solve_size_bound(
+                query,
+                max(db.ring.num_edges, 1),
+                domain_size=max(db.ring.domain_size, 2),
+            )
+            assert bound.rho == pytest.approx(rho, abs=1e-9), query
+            assert verify_weights(query, bound), query

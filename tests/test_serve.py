@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _get, _post, _query_text, _request
+from conftest import _get, _knn_fan, _post, _query_text, _request
 from repro.engines import INDEX_ENGINES
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
@@ -491,6 +491,70 @@ class TestGoldenWorkload:
         assert body["engine"] == "ring-knn"
         assert "plan" in body["report"]
         assert body["trace"] is not None
+
+    def test_explain_saturated_bound(self, golden):
+        # rho* passes 1024: Q* reads inf, not a 500 OverflowError.
+        status, _, body = _post(
+            golden.handle, "/explain", {"query": _knn_fan(200)}
+        )
+        assert status == 200, body
+        assert "output bound Q*: inf" in body["report"]
+
+    def test_first_explain_imports_nothing(self, golden):
+        """An in-thread server's first ``/explain`` (and ``analyze``)
+        loads no module its first ``/query`` did not: the size bound is
+        solved in the stdlib. A fresh interpreter, so no other test has
+        imported anything for it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [
+                sys.executable, "-c", _FIRST_EXPLAIN_SCRIPT,
+                golden.store_path, golden.cases[0][1],
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+_FIRST_EXPLAIN_SCRIPT = """
+import json
+import sys
+from http.client import HTTPConnection
+
+from repro.engines.database import GraphDatabase
+from repro.serve.app import ServeConfig, ServerThread
+
+
+def post(path, document):
+    conn = HTTPConnection(handle.host, handle.port, timeout=120)
+    try:
+        conn.request("POST", path, body=json.dumps(document).encode())
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+index, query = sys.argv[1:]
+handle = ServerThread(GraphDatabase.from_index(index), ServeConfig()).start()
+try:
+    assert post("/query", {"query": query}) == 200
+    before = set(sys.modules)
+    assert post("/explain", {"query": query}) == 200
+    assert post("/explain", {"query": query, "analyze": True}) == 200
+    gained = sorted(set(sys.modules) - before)
+    assert not gained, f"the first /explain imported {len(gained)}: {gained[:20]}"
+finally:
+    handle.shutdown()
+"""
 
 
 # ----------------------------------------------------------------------
