@@ -30,8 +30,8 @@ from itertools import cycle
 from typing import TYPE_CHECKING
 
 from repro.ltj.ordering import MinCandidatesOrdering, OrderingStrategy
-from repro.ltj.plan import Atom, JoinPlan
-from repro.ltj.relation import LeapRelation
+from repro.ltj.plan import JoinPlan
+from repro.ltj.relation import LeapRelation, SeekerGetter
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.obs.spans import Stopwatch
@@ -208,14 +208,22 @@ class LTJEngine:
         return slot, vc
 
     def _search(self, first_descent: bool) -> Iterator[None]:
-        """One elimination step: choose, intersect, bind and descend."""
+        """One elimination step: choose, intersect, bind and descend. An
+        untraced run takes a forced last variable without asking the
+        ordering (every strategy picks from ``unbound``)."""
+        unbound = self._plan.state.unbound
+        if self._trace is None and not unbound & (unbound - 1):
+            slot = unbound.bit_length() - 1
+            if first_descent:
+                self.stats.first_descent_order.append(self._variables[slot])
+            return self._leaf(slot, None)
         slot, vc = self._choose(first_descent)
         if self._plan.state.unbound == 1 << slot:
             return self._leaf(slot, vc)
         return self._descend(slot, vc, first_descent)
 
     def _intersection(
-        self, atoms: list[Atom], vc: VarCounters | None
+        self, getters: list[SeekerGetter], vc: VarCounters | None
     ) -> Iterator[int]:
         """Veldhuizen's leapfrog search and next as one loop: seek the
         atoms round-robin to ``bound``, the largest value any of them
@@ -230,7 +238,7 @@ class LTJEngine:
         may bind the variable between two members as long as it unbinds
         it again."""
         stats = self.stats
-        seeks = [relation.seeker(pos) for relation, pos, _mask in atoms]
+        seeks = [get() for get in getters]
         k = len(seeks)
         bound = agree = 0
         # A local leap count, written back to `stats` (and `vc`) before
@@ -279,7 +287,7 @@ class LTJEngine:
         stats = self.stats
         row = self._row
         limit = self._limit
-        for candidate in self._intersection(plan.atoms[slot], vc):
+        for candidate in self._intersection(plan.seekers[slot], vc):
             if not plan.bind(slot, candidate):
                 if vc is not None:
                     vc.failed_bindings += 1
@@ -314,7 +322,7 @@ class LTJEngine:
         block = self._block
         limit = self._limit
         if len(atoms) > 1:
-            for candidate in self._intersection(atoms, vc):
+            for candidate in self._intersection(self._plan.seekers[slot], vc):
                 stats.bindings += 1
                 stats.solutions += 1
                 if vc is not None:

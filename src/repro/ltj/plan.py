@@ -8,15 +8,17 @@ query enumerates its solutions in the same order. Per slot the
 plan fixes the atoms containing it — an atom has a variable free exactly
 when the search has not bound it, so nothing is ever asked of the atoms
 about that — and each ``(atom, variable)`` pair owns one cell of a flat
-estimate array. :meth:`JoinPlan.bind` passes over the atoms the slot is
-the last free variable of (their seeker already admitted the value and
-nothing will be asked of them below), refreshes only the cells of the
-atoms it touched and recomputes ``l_x`` only for their other variables
-(a bind that leaves one variable unbound may skip even that: the next
-choice is forced); :meth:`JoinPlan.unbind` puts the previous arrays
-back, and :meth:`JoinPlan.reset` undoes every bind still in force. The
-search loop
-(:mod:`repro.ltj.engine`) and the ordering strategies
+estimate array and the seeker getter, bind, unbind and estimate that
+:meth:`~repro.ltj.relation.LeapRelation.resolve` returned for it, so
+the search calls them and dispatches on nothing. :meth:`JoinPlan.bind`
+passes over the atoms the slot is the last free variable of (their
+seeker already admitted the value and nothing will be asked of them
+below), refreshes only the cells of the atoms it touched and recomputes
+``l_x`` only for their other variables (a bind that leaves one variable
+unbound may skip even that: the next choice is forced);
+:meth:`JoinPlan.unbind` puts the previous arrays back, and
+:meth:`JoinPlan.reset` undoes every bind still in force. The search
+loop (:mod:`repro.ltj.engine`) and the ordering strategies
 (:mod:`repro.ltj.ordering`) read this state; they build none of it.
 """
 
@@ -25,7 +27,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.ltj.ordering import SlotState
-from repro.ltj.relation import LeapRelation
+from repro.ltj.relation import (
+    Binder, Estimator, LeapRelation, Resolved, SeekerGetter, Unbinder,
+)
 from repro.query.model import Var
 from repro.utils.errors import QueryError
 
@@ -34,10 +38,10 @@ Atom = tuple[LeapRelation, int, int]
 that variable has in it, and the slot mask of all the atom's
 variables."""
 
-_Refresh = tuple[int, int, list[tuple[LeapRelation, int, int]], list[int]]
+_Refresh = tuple[int, int, list[tuple[Estimator, int]], list[int]]
 """Work a bind leaves for one neighbouring variable: its bit and slot,
-the ``(relation, position, cell)`` triples to re-estimate, and all the
-cells its ``l_x`` is the minimum of."""
+the ``(estimate, cell)`` pairs to re-estimate, and all the cells its
+``l_x`` is the minimum of."""
 
 
 class JoinPlan:
@@ -58,29 +62,39 @@ class JoinPlan:
                     slots.setdefault(term, len(slots))
         self.atoms: list[list[Atom]] = [[] for _ in slots]
         """Per slot, the atoms containing it, in query order."""
+        self.seekers: list[list[SeekerGetter]] = [[] for _ in slots]
+        """Per slot, its atoms' seeker getters, parallel to :attr:`atoms`."""
+        # Per slot, (mask, bind) of its atoms, and (mask, unbind) in the
+        # reverse order, which they undo in.
+        self._binds: list[list[tuple[int, Binder]]] = [[] for _ in slots]
+        self._unbinds: list[list[tuple[int, Unbinder]]] = [[] for _ in slots]
         self._cells: list[list[int]] = [[] for _ in slots]
         self._est: list[int] = []
         edges: list[tuple[int, int]] = []
-        # Per slot and neighbouring slot: the neighbour's (relation,
-        # position, cell) triples in the atoms the two share.
-        shared: list[dict[int, list[tuple[LeapRelation, int, int]]]] = [
+        # Per slot and neighbouring slot: the neighbour's (estimate,
+        # cell) pairs in the atoms the two share.
+        shared: list[dict[int, list[tuple[Estimator, int]]]] = [
             {} for _ in slots
         ]
         for relation in self.relations:
-            here: list[tuple[int, int, int]] = []
+            here: list[tuple[int, int, int, Resolved]] = []
             for pos, term in enumerate(relation.terms):
                 if isinstance(term, Var):
                     slot = slots[term]
-                    here.append((slot, pos, len(self._est)))
+                    resolved = relation.resolve(pos)
+                    here.append((slot, pos, len(self._est), resolved))
                     self._cells[slot].append(len(self._est))
-                    self._est.append(relation.estimate(pos))
-            mask = sum(1 << slot for slot, _pos, _cell in here)
-            for slot, at, _cell in here:
+                    self._est.append(resolved[3]())
+            mask = sum(1 << slot for slot, _pos, _cell, _res in here)
+            for slot, at, _cell, (seeker, bind, unbind, _est) in here:
                 self.atoms[slot].append((relation, at, mask))
-                for other, pos, cell in here:
+                self.seekers[slot].append(seeker)
+                self._binds[slot].append((mask, bind))
+                self._unbinds[slot].insert(0, (mask, unbind))
+                for other, _pos, cell, resolved in here:
                     if other != slot:
                         shared[slot].setdefault(other, []).append(
-                            (relation, pos, cell)
+                            (resolved[3], cell)
                         )
             if relation.kind != "triple" and len(here) == 2:
                 x, y = here[0][0], here[1][0]
@@ -90,8 +104,8 @@ class JoinPlan:
                     edges.append((y, x))
         self._refresh: list[list[_Refresh]] = [
             [
-                (1 << other, other, triples, self._cells[other])
-                for other, triples in neighbours.items()
+                (1 << other, other, pairs, self._cells[other])
+                for other, pairs in neighbours.items()
             ]
             for neighbours in shared
         ]
@@ -129,12 +143,12 @@ class JoinPlan:
         state = self.state
         own = 1 << slot
         unbound = state.unbound
-        atoms = self.atoms[slot]
-        for done, (relation, pos, mask) in enumerate(atoms):
-            if mask & unbound != own and not relation.bind(pos, value):
-                for relation, pos, mask in reversed(atoms[:done + 1]):
+        binds = self._binds[slot]
+        for done, (mask, bind) in enumerate(binds, 1):
+            if mask & unbound != own and not bind(value):
+                for mask, unbind in self._unbinds[slot][len(binds) - done:]:
                     if mask & unbound != own:
-                        relation.unbind(pos)
+                        unbind()
                 return False
         unbound = state.unbound = unbound & ~own
         self._saved.append((slot, self._est, state.lx))
@@ -143,11 +157,11 @@ class JoinPlan:
         if unbound & (unbound - 1) or unbound and self._estimate_forced:
             self._est = est = self._est[:]
             state.lx = lx = state.lx[:]
-            for bit, other, triples, cells in self._refresh[slot]:
+            for bit, other, pairs, cells in self._refresh[slot]:
                 if unbound & bit:
-                    for relation, pos, cell in triples:
-                        est[cell] = relation.estimate(pos)
-                    lx[other] = min([est[cell] for cell in cells])
+                    for estimate, cell in pairs:
+                        est[cell] = estimate()
+                    lx[other] = min(map(est.__getitem__, cells))
         return True
 
     def unbind(self, slot: int) -> None:
@@ -157,9 +171,9 @@ class JoinPlan:
         own = 1 << slot
         _slot, self._est, state.lx = self._saved.pop()
         unbound = state.unbound = state.unbound | own
-        for relation, pos, mask in reversed(self.atoms[slot]):
+        for mask, unbind in self._unbinds[slot]:
             if mask & unbound != own:
-                relation.unbind(pos)
+                unbind()
 
     def reset(self) -> None:
         """Undo every bind still in force, innermost first: the plan and

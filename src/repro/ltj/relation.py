@@ -17,8 +17,11 @@ free position (its seeker already answered there, and a fully bound
 atom is asked nothing more) — which the engine does by construction.
 
 The one navigation primitive is :meth:`LeapRelation.seeker`, traced or
-not: a traced evaluation wraps each atom in the trace's counting
-relation, which hands out the atom's own seekers with a count around
+not, and the search reaches it, ``bind``, ``unbind`` and ``estimate``
+through the one resolution hook, :meth:`LeapRelation.resolve`, which
+the plan asks once per ``(atom, position)`` when it is compiled. A
+traced evaluation wraps each atom in the trace's counting relation,
+whose ``resolve`` wraps the atom's own callables with a count around
 each and names its backend counters through
 :meth:`LeapRelation.detail_keys`.
 """
@@ -27,11 +30,17 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Callable, Sequence
+from functools import partial
 
 from repro.query.model import Term, Var
 from repro.utils.errors import StructureError
 
 Seeker = Callable[[int], int | None]
+SeekerGetter = Callable[[], Seeker]
+Binder = Callable[[int], bool]
+Unbinder = Callable[[], object]
+Estimator = Callable[[], int]
+Resolved = tuple[SeekerGetter, Binder, Unbinder, Estimator]
 
 
 class LeapRelation(abc.ABC):
@@ -116,6 +125,20 @@ class LeapRelation(abc.ABC):
         range size in ``S``/``S'``. It changes only when a variable of
         this atom is bound or unbound, which is what lets the engine
         cache it."""
+
+    def resolve(self, pos: int) -> Resolved:
+        """``seeker``, ``bind``, ``unbind`` and ``estimate`` with ``pos``
+        applied: each answers as its method does under the binding
+        current when it is called. The plan asks once, and calls the
+        bind only where :meth:`bind` may be called (never at the atom's
+        last free position), so an adapter may fix there whatever that
+        leaves fixed; by default they are the methods."""
+        return (
+            partial(self.seeker, pos),
+            partial(self.bind, pos),
+            partial(self.unbind, pos),
+            partial(self.estimate, pos),
+        )
 
     def is_empty(self) -> bool:
         """Whether the atom admits no completion (default: never)."""

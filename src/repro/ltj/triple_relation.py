@@ -10,8 +10,9 @@ candidates from one coordinate while probing the others.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
-from repro.ltj.relation import LeapRelation, Seeker
+from repro.ltj.relation import LeapRelation, Resolved, Seeker
 from repro.query.model import TriplePattern, Var
 from repro.ring.index import RingIndex
 from repro.ring.pattern import RingPatternState
@@ -80,11 +81,28 @@ class RingTripleRelation(LeapRelation):
         # coordinate of a pattern): one report over the frame's range.
         return frame.column._range_values_u(frame.lo, frame.hi)
 
+    def resolve(self, pos: int) -> Resolved:
+        """The state's own seeker, bind, unbind and count. The plan binds
+        a position only while another is free, so in a pattern of at
+        most two variables each binds its coordinate on the constants'
+        frame alone, and its binder is fixed now; one of three looks its
+        binder up at each bind, and a repeated variable binds through
+        :meth:`bind`."""
+        coords = self._coords[pos]
+        if len(coords) > 1:
+            return super().resolve(pos)
+        state, coord = self._state, coords[0]
+        if len(self.terms) < 3:
+            bind = state.binder(coord)
+        else:
+            bind = partial(state.bind, coord)
+        return partial(state.seeker, coord), bind, state.unbind, state.count
+
     def bind(self, pos: int, value: int) -> bool:
         state = self._state
         for coord in self._coords[pos]:
-            matches = state.bind(coord, value)
-        return matches != 0
+            ok = state.bind(coord, value)
+        return ok
 
     def unbind(self, pos: int) -> None:
         state = self._state

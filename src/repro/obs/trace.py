@@ -41,7 +41,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
-from repro.ltj.relation import LeapRelation, Seeker
+from repro.ltj.relation import LeapRelation, Resolved, Seeker
 from repro.obs.spans import Spans
 from repro.query.model import Var
 
@@ -313,10 +313,12 @@ class QueryTrace:
 class CountingRelation(LeapRelation):
     """An atom whose calls a traced evaluation counts.
 
-    Answers as the wrapped relation does, through its own seekers and
-    reports; :class:`RelationCounters` record one leap per seek and per
-    ``values``, each bind (ok or failed), unbind and estimate, and in
-    ``detail`` the backend keys the relation's
+    Answers as the wrapped relation does, through the callables the
+    relation resolved (:meth:`resolve`, which the per-call methods go
+    through too), so a traced search runs the seekers and binds an
+    untraced one runs; :class:`RelationCounters` record one leap per
+    seek and per ``values``, each bind (ok or failed), unbind and
+    estimate, and in ``detail`` the backend keys the relation's
     :meth:`~repro.ltj.relation.LeapRelation.detail_keys` name for the
     binding the call was made under.
     """
@@ -332,17 +334,41 @@ class CountingRelation(LeapRelation):
     def is_empty(self) -> bool:
         return self._relation.is_empty()
 
+    def resolve(self, pos: int) -> Resolved:
+        seeker, bind, unbind, estimate = self._relation.resolve(pos)
+        counters, keys = self.counters, self._relation.detail_keys
+
+        def counted_seeker() -> Seeker:
+            seek, key = seeker(), keys(pos)[0]
+
+            def counted(lower: int) -> int | None:
+                counters.leaps += 1
+                counters.bump(key)
+                return seek(lower)
+
+            return counted
+
+        def counted_bind(value: int) -> bool:
+            counters.bump(keys(pos)[1])
+            ok = bind(value)
+            if ok:
+                counters.binds += 1
+            else:
+                counters.failed_binds += 1
+            return ok
+
+        def counted_unbind() -> None:
+            counters.unbinds += 1
+            unbind()
+
+        def counted_estimate() -> int:
+            counters.estimates += 1
+            return estimate()
+
+        return counted_seeker, counted_bind, counted_unbind, counted_estimate
+
     def seeker(self, pos: int) -> Seeker:
-        seek = self._relation.seeker(pos)
-        counters = self.counters
-        key = self._relation.detail_keys(pos)[0]
-
-        def counted(lower: int) -> int | None:
-            counters.leaps += 1
-            counters.bump(key)
-            return seek(lower)
-
-        return counted
+        return self.resolve(pos)[0]()
 
     def values(self, pos: int) -> Sequence[int]:
         self.counters.leaps += 1
@@ -350,21 +376,13 @@ class CountingRelation(LeapRelation):
         return self._relation.values(pos)
 
     def bind(self, pos: int, value: int) -> bool:
-        self.counters.bump(self._relation.detail_keys(pos)[1])
-        ok = self._relation.bind(pos, value)
-        if ok:
-            self.counters.binds += 1
-        else:
-            self.counters.failed_binds += 1
-        return ok
+        return self.resolve(pos)[1](value)
 
     def unbind(self, pos: int) -> None:
-        self.counters.unbinds += 1
-        self._relation.unbind(pos)
+        self.resolve(pos)[2]()
 
     def estimate(self, pos: int) -> int:
-        self.counters.estimates += 1
-        return self._relation.estimate(pos)
+        return self.resolve(pos)[3]()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CountingRelation({self._relation!r})"

@@ -131,25 +131,15 @@ class RingIndex(LazyMirrors):
         One backward-search step (cf. the ``F_j`` maps of Sec. 2.4): the
         occurrences of ``first_value`` in column ``C_first`` inside the
         ``second_value``-block are counted with two ranks, and the result
-        is re-based at ``A_first[first_value]``.
+        is re-based at ``A_first[first_value]``. This is the range a
+        pattern state binding the two holds: the 2-arc has that one
+        implementation (:meth:`RingPatternState.binder`).
         """
-        second = NEXT_COORD[first]
-        sigma = self._sigma
-        if not (0 <= first_value < sigma[first]) or not (
-            0 <= second_value < sigma[second]
-        ):
-            return (0, -1)
-        cum = self._blocks[second]._cum_i
-        blo, bend = cum[second_value], cum[second_value + 1]
-        if blo == bend:
-            return (0, -1)
-        col = self._columns[first]
-        r0 = col.rank(first_value, blo)
-        r1 = col.rank(first_value, bend)
-        if r1 == r0:
-            return (0, -1)
-        base = self._blocks[first]._cum_i[first_value]
-        return (base + r0, base + r1 - 1)
+        from repro.ring.pattern import RingPatternState
+
+        bound = {first: first_value, NEXT_COORD[first]: second_value}
+        frame = RingPatternState(self, bound).frame
+        return frame.lo, frame.hi
 
     def triple_count(
         self, arc_first: str, lo: int, hi: int, remaining_value: int

@@ -224,6 +224,25 @@ def test_golden_engines_agree_on_solutions(observed):
         assert len(set(counts.values())) == 1, counts
 
 
+def test_traced_runs_return_the_untraced_solutions_in_order(built):
+    """A traced run searches as an untraced one does (its counting
+    relations wrap the binders and seekers the atoms resolved), so on
+    every Figure-2 golden query it returns the same rows in the same
+    order."""
+    db, workload = built
+    for family, queries in sorted(workload.items()):
+        for name, engine_class in ENGINES.items():
+            engine = engine_class(db)
+            for query in queries:
+                plain = engine.evaluate(query, timeout=None)
+                traced = engine.evaluate(
+                    query, timeout=None, trace=QueryTrace()
+                )
+                where = (family, name, repr(query))
+                assert traced.solutions.variables == plain.solutions.variables
+                assert list(traced.solutions) == list(plain.solutions), where
+
+
 _HASH_SEED_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

@@ -1,22 +1,32 @@
 """Tests for the LTJ engine on plain BGPs (classic behavior, Sec. 2.2)."""
 
+import hashlib
+import itertools
+import json
 from bisect import bisect_left
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engines.database import GraphDatabase
+from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
+from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.distance_index import DistanceRangeIndex
 from repro.ltj import engine as ltj_engine
 from repro.ltj.engine import LTJEngine
 from repro.ltj.ordering import FixedOrdering
+from repro.ltj.plan import JoinPlan
 from repro.ltj.relation import LeapRelation
 from repro.ltj.triple_relation import RingTripleRelation
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from repro.query.parser import parse_query
-from repro.ring.index import RingIndex
+from repro.ring.index import NEXT_COORD, PREV_COORD, RingIndex
 from repro.utils.errors import QueryError
 
 
@@ -236,3 +246,122 @@ class TestIntersection:
         assert len(engine.evaluate()) == 0
         assert engine.stats.timed_out
         assert (engine.stats.attempts, engine.stats.leap_calls) == (0, 1024)
+
+
+# ----------------------------------------------------------------------
+# every bind case under every order
+# ----------------------------------------------------------------------
+BIND_CASES = (
+    # Patterns with no, one and two constants: the first binds a 1-arc,
+    # then a 2-arc either way round; the second its one fixed 2-arc; the
+    # third is only leaped (its one variable is never bound).
+    "(?x, ?p, ?y) . (?y, 30, ?z) . (?z, 31, 4)",
+    # A repeated variable: a 1-arc then a 2-arc, or a 2-arc then a count.
+    "(?x, 30, ?x) . (?x, ?p, ?y)",
+    # Q5's lonely (?y, ?l1, ?l2) beside a K-NN clause.
+    "(?x, 30, ?y) . (?x, 30, ?v) . knn(?y, ?v, 3) . (?y, ?l1, ?l2)",
+    "(?x, 31, ?y) . dist(?y, ?z, 0.4) . (?z, 30, ?w)",
+)
+# Per case and order: the number of Ring binds and a digest of their
+# frames, recorded from the branching bind that preceded the resolved
+# binders. Not to be regenerated from the code it checks.
+BIND_FRAMES = Path(__file__).parent / "golden" / "bind_frames.json"
+
+
+@pytest.fixture(scope="module")
+def bind_case_db():
+    rng = np.random.default_rng(48)
+    n = 12
+    graph = GraphData(
+        [
+            (int(rng.integers(0, n)), int(30 + rng.integers(0, 2)),
+             int(rng.integers(0, n)))
+            for _ in range(60)
+        ]
+    )
+    points = rng.uniform(size=(n, 2))
+    knn = build_knn_graph_bruteforce(points, K=4)
+    distances = {
+        (i, j): float(np.hypot(*(points[i] - points[j])))
+        for i in range(n) for j in range(n) if i != j
+    }
+    db = GraphDatabase(graph, knn, DistanceRangeIndex(points, d_max=0.8))
+    return db, graph, knn, distances
+
+
+def slow_frame(spo, tables, bound):
+    """A Ring frame's (bound, arc_first, lo, hi, matches, stored) for the
+    coordinates ``bound`` in bind order, from the raw triples: the arc's
+    rows in ``tables[first]``, the triples rotated to start at the arc's
+    first coordinate and sorted."""
+    coords = [coord for coord, _value in bound]
+    first = coords[0]
+    if len(coords) > 1 and NEXT_COORD[coords[1]] == coords[0]:
+        first = coords[1]
+    table = tables[first]
+    values = dict(bound)
+    arc = tuple(values[c] for c in (first, NEXT_COORD[first])[:len(coords)])
+    lo = bisect_left(table, arc)
+    hi = bisect_left(table, (*arc, 1 << 62)) - 1
+    if hi < lo:
+        lo, hi = 0, -1
+    matches = sum(
+        all(row["spo".index(c)] == v for c, v in bound) for row in spo
+    )
+    stored = PREV_COORD[first] if len(bound) < 3 else None
+    return [[list(pair) for pair in bound], first, lo, hi, matches, stored]
+
+
+def test_every_bind_case_under_every_order(bind_case_db):
+    """Each FixedOrdering of the bind cases answers as the naive oracle,
+    and each Ring bind the plan makes (through the binder its relation
+    resolved) leaves the frame the raw triples give — the same frames,
+    bind for bind, that the branching bind made before the binders were
+    resolved once (their digests are pinned)."""
+    db, graph, knn, distances = bind_case_db
+    spo = [tuple(int(v) for v in row) for row in graph.spo]
+    tables = {
+        first: sorted(
+            tuple(row[("spo".index(first) + i) % 3] for i in range(3))
+            for row in spo
+        )
+        for first in "spo"
+    }
+    pinned = json.loads(BIND_FRAMES.read_text())
+    for text in BIND_CASES:
+        query = parse_query(text)
+        expected = canonical(evaluate_naive(query, graph, knn, distances))
+        variables = JoinPlan(RingKnnEngine(db).compile(query)).state.variables
+        for order in itertools.permutations(variables):
+            relations = RingKnnEngine(db).compile(query)
+            frames: list[list] = []
+            for relation in relations:
+                if isinstance(relation, RingTripleRelation):
+                    relation.resolve = partial(
+                        _recording, relation, relation.resolve, frames
+                    )
+            engine = LTJEngine(relations, ordering=FixedOrdering(order))
+            where = (text, [v.name for v in order])
+            assert canonical(engine.evaluate()) == expected, where
+            for frame in frames:
+                assert frame == slow_frame(spo, tables, frame[0]), where
+            blob = json.dumps(frames, separators=(",", ":")).encode()
+            digest = f"{len(frames)}:{hashlib.sha256(blob).hexdigest()[:16]}"
+            assert digest == pinned[text][" ".join(where[1])], where
+
+
+def _recording(relation, resolve, frames, pos):
+    """``relation.resolve`` with each bind followed by a copy of the
+    pattern's frame."""
+    seeker, bind, unbind, estimate = resolve(pos)
+
+    def recorded(value):
+        ok = bind(value)
+        f = relation._state.frame
+        frames.append(
+            [[list(pair) for pair in f.bound], f.arc_first, f.lo, f.hi,
+             f.matches, f.stored]
+        )
+        return ok
+
+    return seeker, recorded, unbind, estimate

@@ -311,3 +311,32 @@ def test_a_traced_run_builds_the_seekers_an_untraced_run_builds(
             plain, traced = runs
             assert plain == traced, (engine_cls.name, query)
             assert plain["wavelet"] > 0, (engine_cls.name, query)
+
+
+class _ResolvedOnly(RingTripleRelation):
+    """A triple pattern whose per-call bind, unbind and estimate fail:
+    only the callables it resolved may be used."""
+
+    def bind(self, pos, value):
+        raise AssertionError("per-call bind")
+
+    def unbind(self, pos):
+        raise AssertionError("per-call unbind")
+
+    def estimate(self, pos):
+        raise AssertionError("per-call estimate")
+
+
+@pytest.mark.parametrize("text", MIXED_QUERIES[:2] + MIXED_QUERIES[4:])
+def test_traced_search_runs_the_resolved_binders(db, text):
+    """The counting relation wraps the callables its atom resolved, not
+    the per-call methods beside them: a traced search binds, unbinds and
+    estimates a triple pattern exactly as an untraced one does."""
+    query = parse_query(text)
+    relations = RingKnnEngine(db).compile(query)
+    for relation in relations:
+        if isinstance(relation, RingTripleRelation):
+            relation.__class__ = _ResolvedOnly
+    plain = LTJEngine(RingKnnEngine(db).compile(query)).evaluate()
+    traced = LTJEngine(relations, trace=QueryTrace(query=text)).evaluate()
+    assert list(traced) == list(plain)
