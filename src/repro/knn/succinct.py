@@ -16,7 +16,8 @@ Both sequences are wavelet trees (so they support ``range_next_value``
 and participate in leapfrog intersections), and ``B`` is a plain
 bitvector with constant-time select — mirroring the SDSL layout of
 Sec. 5. Lemma 1 gives the position arithmetic implemented in
-:meth:`KnnRing.backward_range`.
+:meth:`KnnRing.backward_range`; the structure is immutable, so, as a
+wavelet tree does, a ring keeps the ranges it placed for its lifetime.
 
 The sequences hold member ranks, not node ids, so their alphabet is the
 ``n`` members, not the largest id: the sorted member array is the
@@ -30,6 +31,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.succinct import wavelet_tree
 from repro.succinct.bitvector import BitVector
 from repro.succinct.fields import (
     INT,
@@ -39,6 +41,7 @@ from repro.succinct.fields import (
     Layout,
     LazyMirrors,
     Scalar,
+    Transient,
     checked_ids,
     checked_offsets,
 )
@@ -63,6 +66,8 @@ class KnnRing(LazyMirrors):
         Child("_B", BitVector),
         Derived("_members_i", "_checked_members"),
         Derived("_s_offsets_i", "_checked_s_offsets"),
+        Transient("_memo_backward", {}),
+        Transient("_reverse_members", {}),
         promote="_promote",
     )
 
@@ -125,6 +130,9 @@ class KnnRing(LazyMirrors):
         # next_member bisect and forward_range offsets).
         self._members_i: Sequence[int] = self._members.tolist()
         self._s_offsets_i: Sequence[int] = self._s_offsets.tolist()
+        # Lifetime memos, empty after every attach (docs/data-structures.md).
+        self._memo_backward: dict[tuple[int, int], tuple[int, int]] = {}
+        self._reverse_members: dict[int, list[int]] = {}
 
     def _checked_members(self) -> Sequence[int]:
         return checked_ids(self, "K-NN members", self._members, self._id_bound)
@@ -219,15 +227,22 @@ class KnnRing(LazyMirrors):
         """Closed 0-based range of ``S'`` listing ``{u : v in k-NN(u)}``.
 
         Lemma 2(c): ``v in k-NN(u)`` iff ``u`` occurs in
-        ``S'[p_v(1) .. p_v(k+1) - 1]``. Empty for non-members.
+        ``S'[p_v(1) .. p_v(k+1) - 1]``. Empty for non-members. Memoized,
+        keyed ``(v, k)``.
         """
         self._check_k(k)
-        vi = self.index_of(v)
-        if vi is None:
-            return (0, -1)
-        lo = self._sprime_boundary(vi, 1)
-        hi = self._sprime_boundary(vi, k + 1) - 1
-        return (lo, hi)
+        memo = self._memo_backward
+        span = memo.get((v, k))
+        if span is None:
+            vi = self.index_of(v)
+            span = (0, -1) if vi is None else (
+                self._sprime_boundary(vi, 1),
+                self._sprime_boundary(vi, k + 1) - 1,
+            )
+            if len(memo) >= wavelet_tree._MEMO_CAP:
+                memo.clear()
+            memo[v, k] = span
+        return span
 
     # ------------------------------------------------------------------
     # predicates and enumeration on top of the ranges
@@ -286,14 +301,15 @@ class KnnRing(LazyMirrors):
 
     def next_reverse_nonempty(self, k: int, lower: int) -> int | None:
         """Smallest member ``v >= lower`` with a non-empty backward
-        ``k``-range (candidates for ``y`` when ``x`` is still unbound)."""
+        ``k``-range (candidates for ``y`` when ``x`` is still unbound): one
+        bisect of those members, listed at the first call with ``k``."""
         self._check_k(k)
-        members = self._members_i
-        idx = bisect_left(members, lower)
-        while idx < len(members):
-            v = members[idx]
-            lo, hi = self.backward_range(v, k)
-            if lo <= hi:
-                return v
-            idx += 1
-        return None
+        ids = self._reverse_members.get(k)
+        if ids is None:
+            boundary = self._sprime_boundary
+            ids = self._reverse_members[k] = [
+                v for vi, v in enumerate(self._members_i)
+                if boundary(vi, k + 1) > boundary(vi, 1)
+            ]
+        idx = bisect_left(ids, lower)
+        return ids[idx] if idx < len(ids) else None

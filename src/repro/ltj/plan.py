@@ -13,9 +13,10 @@ estimate array and the seeker getter, bind, unbind and estimate that
 the search calls them and dispatches on nothing. :meth:`JoinPlan.bind`
 passes over the atoms the slot is the last free variable of (their
 seeker already admitted the value and nothing will be asked of them
-below), refreshes only the cells of the atoms it touched and recomputes
-``l_x`` only for their other variables (a bind that leaves one variable
-unbound may skip even that: the next choice is forced);
+below; one whose only variable it is keeps no bind at all), refreshes
+only the cells of the atoms it touched and recomputes ``l_x`` only for
+their other variables (a bind that leaves one variable unbound may skip
+even that: the next choice is forced);
 :meth:`JoinPlan.unbind` puts the previous arrays back, and
 :meth:`JoinPlan.reset` undoes every bind still in force. The search
 loop (:mod:`repro.ltj.engine`) and the ordering strategies
@@ -64,8 +65,8 @@ class JoinPlan:
         """Per slot, the atoms containing it, in query order."""
         self.seekers: list[list[SeekerGetter]] = [[] for _ in slots]
         """Per slot, its atoms' seeker getters, parallel to :attr:`atoms`."""
-        # Per slot, (mask, bind) of its atoms, and (mask, unbind) in the
-        # reverse order, which they undo in.
+        # Per slot, (mask, bind) of its atoms with another variable, and
+        # (mask, unbind) in the reverse order, which they undo in.
         self._binds: list[list[tuple[int, Binder]]] = [[] for _ in slots]
         self._unbinds: list[list[tuple[int, Unbinder]]] = [[] for _ in slots]
         self._cells: list[list[int]] = [[] for _ in slots]
@@ -89,8 +90,9 @@ class JoinPlan:
             for slot, at, _cell, (seeker, bind, unbind, _est) in here:
                 self.atoms[slot].append((relation, at, mask))
                 self.seekers[slot].append(seeker)
-                self._binds[slot].append((mask, bind))
-                self._unbinds[slot].insert(0, (mask, unbind))
+                if mask != 1 << slot:  # else never bound: see bind
+                    self._binds[slot].append((mask, bind))
+                    self._unbinds[slot].insert(0, (mask, unbind))
                 for other, _pos, cell, resolved in here:
                     if other != slot:
                         shared[slot].setdefault(other, []).append(

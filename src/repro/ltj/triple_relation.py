@@ -83,16 +83,17 @@ class RingTripleRelation(LeapRelation):
 
     def resolve(self, pos: int) -> Resolved:
         """The state's own seeker, bind, unbind and count. The plan binds
-        a position only while another is free, so in a pattern of at
-        most two variables each binds its coordinate on the constants'
-        frame alone, and its binder is fixed now; one of three looks its
-        binder up at each bind, and a repeated variable binds through
+        a position only while another is free, so in a pattern of two
+        variables each binds its coordinate on the constants' frame
+        alone, and its binder is fixed now; one of three looks its
+        binder up at each bind, a pattern's only variable is never bound
+        and resolves no binder, and a repeated variable binds through
         :meth:`bind`."""
         coords = self._coords[pos]
         if len(coords) > 1:
             return super().resolve(pos)
         state, coord = self._state, coords[0]
-        if len(self.terms) < 3:
+        if len(self.terms) == 2:
             bind = state.binder(coord)
         else:
             bind = partial(state.bind, coord)

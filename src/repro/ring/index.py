@@ -153,11 +153,6 @@ class RingIndex(LazyMirrors):
             remaining_value, lo, hi
         )
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        """Whether the triple ``(s, p, o)`` is in the graph."""
-        lo, hi = self.pair_range("s", s, p)
-        return self.triple_count("s", lo, hi, o) > 0
-
     # ------------------------------------------------------------------
     # leap primitives
     # ------------------------------------------------------------------

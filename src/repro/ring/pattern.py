@@ -105,10 +105,6 @@ class RingPatternState:
     def is_empty(self) -> bool:
         return self._stack[-1].matches == 0
 
-    def depth(self) -> int:
-        """Number of bound coordinates."""
-        return len(self._stack[-1].bound)
-
     # ------------------------------------------------------------------
     # descent / ascent
     # ------------------------------------------------------------------

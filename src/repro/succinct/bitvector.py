@@ -299,16 +299,6 @@ class BitVector(LazyMirrors):
             ).bit_count()
         return self._cum1_i[i >> 6]
 
-    def _rank1_u(self, i: int) -> int:
-        """Unchecked :meth:`rank1` (``0 <= i <= n`` is the caller's bond)."""
-        rem = i & 63
-        if rem:
-            w = i >> 6
-            return self._cum1_i[w] + (
-                self._words_i[w] & ((1 << rem) - 1)
-            ).bit_count()
-        return self._cum1_i[i >> 6]
-
     def select1(self, j: int) -> int:
         """Position of the ``j``-th 1-bit (``j`` counted from 1)."""
         if not 1 <= j <= self.n_ones:

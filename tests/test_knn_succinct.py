@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _size
+from repro.knn.builders import build_knn_graph_bruteforce
 from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
+from repro.store import load, save
 from repro.utils.errors import ValidationError
+from test_truncated_knn import truncated_graph
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +277,133 @@ class TestSparseMembers:
                     graph.neighbors_of(node, k).tolist()
                 )
                 assert sorted(ring.reverse_neighbors_of(node, k)) == backward
+
+
+def _memo_graphs() -> dict[str, KnnGraph]:
+    """Full rows over ids ``1..7`` (Example 2's shape), sparse offset ids,
+    and two truncated tables: the hand-written one of
+    ``test_truncated_knn`` and a capped brute-force build."""
+    rng = np.random.default_rng(11)
+    ids = [10, 14, 15, 30, 42, 57]
+    sparse = [list(rng.permutation([v for v in ids if v != m])[:3]) for m in ids]
+    capped = build_knn_graph_bruteforce(
+        rng.uniform(size=(15, 2)), K=4, max_distance=0.08
+    )
+    assert capped.is_truncated
+    return {
+        "full": KnnGraph(
+            np.arange(1, 8),
+            np.array([[3, 2, 4], [1, 3, 4], [2, 1, 4], [5, 6, 7], [6, 4, 7],
+                      [4, 7, 5], [4, 6, 5]]),
+        ),
+        "sparse": KnnGraph(np.array(ids), np.array(sparse)),
+        "truncated": truncated_graph(),
+        "capped": capped,
+    }
+
+
+def _reverse_lists(graph: KnnGraph) -> dict[tuple[int, int], list[int]]:
+    """Per member ``v`` and ``k``: the sources listing ``v`` among their
+    first ``k`` stored neighbors, in ``S'`` order (by the rank they list
+    it at, then by id), read off the raw K-NN table."""
+    members = graph.members.tolist()
+    rows = [
+        row[:length] for row, length in
+        zip(graph.neighbor_table.tolist(), graph.lengths.tolist())
+    ]
+    return {
+        (v, k): [
+            u for _j, u in sorted(
+                (j, u) for u, row in zip(members, rows)
+                for j, w in enumerate(row[:k]) if w == v
+            )
+        ]
+        for v in members for k in range(1, graph.K + 1)
+    }
+
+
+class TestBackwardMemos:
+    """``backward_range`` (memoized per ``(v, k)``) and
+    ``next_reverse_nonempty`` (one bisect of a per-``k`` member list)
+    answer as a brute force over the raw K-NN lists, for every ``k``,
+    on a built ring and on a freshly attached, unprimed one."""
+
+    @pytest.fixture(params=["full", "sparse", "truncated", "capped"])
+    def graph(self, request):
+        return _memo_graphs()[request.param]
+
+    @pytest.fixture(params=["built", "attached"])
+    def ring(self, request, graph, tmp_path):
+        ring = KnnRing(graph)
+        if request.param == "built":
+            yield ring
+            return
+        path = str(tmp_path / "knn.idx")
+        save(ring, path)
+        store = load(path)
+        try:
+            yield store.structure
+        finally:
+            store.close()
+
+    def test_every_k_matches_the_knn_lists(self, graph, ring):
+        truth = _reverse_lists(graph)
+        members = graph.members.tolist()
+        K = graph.K
+        lowers = range(members[0] - 2, members[-1] + 3)
+        strangers = [i for i in lowers if i not in members] + [-7, 10**6]
+        # Up through every k and down again: no k answers from another's.
+        for k in [*range(1, K + 1), *range(K, 0, -1)]:
+            for lower in lowers:  # below, on, between and past the members
+                want = next(
+                    (v for v in members if v >= lower and truth[v, k]), None
+                )
+                assert ring.next_reverse_nonempty(k, lower) == want, (k, lower)
+            for v in members:
+                lo, hi = ring.backward_range(v, k)
+                assert hi - lo + 1 == len(truth[v, k])
+                assert ring.reverse_neighbors_of(v, k) == truth[v, k]
+            for v in strangers:
+                assert _size(ring.backward_range(v, k)) == 0
+                assert ring.reverse_neighbors_of(v, k) == []
+        assert sorted(ring._reverse_members) == list(range(1, K + 1))
+
+    def test_invalid_k_is_rejected_on_every_call(self, graph, ring):
+        v = int(graph.members[0])
+        for _ in range(2):  # a second call finds nothing memoized for it
+            for k in (0, graph.K + 1):
+                with pytest.raises(ValidationError):
+                    ring.backward_range(v, k)
+                with pytest.raises(ValidationError):
+                    ring.next_reverse_nonempty(k, v)
+
+
+def test_attach_starts_with_empty_memos(tmp_path):
+    graph = _memo_graphs()["full"]
+    ring = KnnRing(graph)
+    assert ring._memo_backward == {} and ring._reverse_members == {}
+    ring.next_reverse_nonempty(1, 0)
+    ring.backward_range(4, 2)
+    assert ring._memo_backward and ring._reverse_members
+    path = str(tmp_path / "knn.idx")
+    save(ring, path)
+    store = load(path)
+    try:
+        attached = store.structure
+        assert attached._memo_backward == {}
+        assert attached._reverse_members == {}
+    finally:
+        attached = None
+        store.close()
+
+
+def test_k_then_another_k_answers_each_from_its_own_list():
+    """In Example 2's shape node 7 is nobody's nearest neighbor but is
+    in three 3-NN lists: a root reverse leap from 7 tells ``k`` apart."""
+    ring = KnnRing(_memo_graphs()["full"])
+    assert ring.next_reverse_nonempty(1, 7) is None
+    assert ring.next_reverse_nonempty(3, 7) == 7
+    assert ring.next_reverse_nonempty(1, 7) is None
+    assert ring.backward_range(7, 1) != ring.backward_range(7, 3)
+    assert ring.reverse_neighbors_of(7, 1) == []
+    assert ring.reverse_neighbors_of(7, 3) == [6, 4, 5]  # by rank: 2, 3, 3

@@ -73,7 +73,7 @@ class TestStateMachine:
         state.unbind()
         state.unbind()
         assert state.count() == before
-        assert state.depth() == 0
+        assert len(state.frame.bound) == 0
 
     def test_cannot_bind_twice(self, indexed):
         _graph, ring, _oracle = indexed
@@ -96,10 +96,10 @@ class TestStateMachine:
     def test_probe_leaves_state_unchanged(self, indexed):
         _graph, ring, _oracle = indexed
         state = RingPatternState(ring, {"p": 4})
-        depth = state.depth()
+        depth = len(state.frame.bound)
         count = state.count()
         state.probe({"s": 2, "o": 2})
-        assert state.depth() == depth
+        assert len(state.frame.bound) == depth
         assert state.count() == count
 
     def test_probe_matches_contains(self, indexed):

@@ -341,13 +341,15 @@ def test_a_long_leaf_is_cut_where_one_row_at_a_time_was(wide_db, which, monkeypa
 # the memo lives as long as its tree
 # ----------------------------------------------------------------------
 MEMOS = ("_memo_rank", "_memo_next", "_memo_values", "_memo_select")
-# 57 distinct queries over Ring and K-NN trees both; with one end of a
+# 72 distinct queries over Ring and K-NN trees both; with one end of a
 # pattern bound, the other end leaps on a 1-arc (the Ring's
-# `select_next`), so the rank, report and select memos fill.
+# `select_next`), so the rank, report and select memos fill, and a
+# clause whose lonely `x` is bound last places backward ranges.
 P = (20, 21, 22)
 MANY_QUERIES = (
     [f"(?x, {p}, ?y) . knn(?x, ?z, {k})" for p in P for k in range(1, 6)]
     + [f"(?x, {p}, ?y) . knn(?y, ?x, {k})" for p in P for k in range(1, 6)]
+    + [f"(?x, {p}, ?y) . knn(?z, ?y, {k})" for p in P for k in range(1, 6)]
     + [f"(?x, {p}, ?y) . (?y, {q}, ?z)" for p in P for q in P]
     + [
         f"(?x, {p}, ?y) . (?z, {q}, ?y) . knn(?x, ?z, {k})"
@@ -374,15 +376,17 @@ def _answer(db, text: str):
 
 def test_the_caps_bound_a_memo_that_never_ends(small_graph, small_knn, monkeypatch):
     """No query drops the memo any more, so only the caps bound it:
-    with them small, every dict of every tree stays within its cap after
-    each of many distinct queries, ``_memo_held`` is the symbols the
-    report memo holds, and every answer and count is the uncapped one."""
+    with them small, every dict of every tree and each K-NN ring's
+    backward-range memo stay within the cap after each of many distinct
+    queries, ``_memo_held`` is the symbols the report memo holds, and
+    every answer and count is the uncapped one."""
     uncapped = GraphDatabase(small_graph, small_knn)
     expected = [_answer(uncapped, text) for text in MANY_QUERIES]
     cap, symbols = 16, 24
     # the uncapped memos outgrew both caps, so the capped ones restarted
     assert max(len(getattr(t, m)) for t in _trees(uncapped) for m in MEMOS) > cap
     assert max(t._memo_held for t in _trees(uncapped)) > symbols
+    assert max(len(r._memo_backward) for r in uncapped.knn_rings.values()) > cap
     monkeypatch.setattr(wavelet_tree, "_MEMO_CAP", cap)
     monkeypatch.setattr(wavelet_tree, "_MEMO_SYMBOLS", symbols)
     db = GraphDatabase(small_graph, small_knn)
@@ -392,14 +396,16 @@ def test_the_caps_bound_a_memo_that_never_ends(small_graph, small_knn, monkeypat
             assert all(len(getattr(tree, m)) <= cap for m in MEMOS)
             assert tree._memo_held == sum(map(len, tree._memo_values.values()))
             assert tree._memo_held <= symbols
+        for ring in db.knn_rings.values():
+            assert len(ring._memo_backward) <= cap
 
 
 def test_threads_share_one_database_and_its_memos(small_graph, small_knn, monkeypatch):
     """Four threads (more than the cores CI has) evaluate different
     queries over one database, round after round, switching often and
-    with caps small enough that one thread's restart lands in the middle
-    of another's search: each result is the serial answer with the
-    serial counters."""
+    with caps small enough that one thread's restart of a tree's memo or
+    a K-NN ring's backward-range memo lands in the middle of another's
+    search: each result is the serial answer with the serial counters."""
     reference = GraphDatabase(small_graph, small_knn)
     shares = [MANY_QUERIES[i::4] for i in range(4)]
     expected = [[_answer(reference, text) for text in share] for share in shares]

@@ -17,11 +17,10 @@ from repro.query.parser import parse_query
 from repro.utils.errors import ValidationError
 
 
-@pytest.fixture(scope="module")
-def truncated():
+def truncated_graph() -> KnnGraph:
     """A 3-NN graph where some rows keep fewer than 3 neighbors."""
     # Entries past a row's length are padding (0 here), never read.
-    graph = KnnGraph(
+    return KnnGraph(
         members=np.array([0, 1, 2, 3, 4]),
         neighbors=np.array([
             [1, 2, 3],   # full
@@ -32,6 +31,11 @@ def truncated():
         ]),
         lengths=np.array([3, 1, 2, 0, 3]),
     )
+
+
+@pytest.fixture(scope="module")
+def truncated():
+    graph = truncated_graph()
     return graph, KnnRing(graph), KnnAdjacency(graph)
 
 
