@@ -19,9 +19,9 @@ geo range joins; the public API surface is re-exported below, each
 name imported at its first use (:mod:`repro.utils.lazy`). Every engine
 returns a ``QueryResult`` whose ``solutions`` is a ``Solutions``
 — it reads like a list of ``{Var: int}`` dicts, holds the search's rows
-as one flat int64 buffer (no numpy needed to read them), and builds the
-``(n, len(solutions.variables))`` matrix ``solutions.rows`` on first
-ask.
+as one flat int64 ``array('q')`` (no numpy needed to read them), and
+``solutions.columns(order)`` copies them out with the columns in
+``order``.
 """
 
 import sys

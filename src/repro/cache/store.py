@@ -10,12 +10,13 @@ canonical form of :mod:`repro.cache.canonical`:
   engine name keeps ``ring-knn`` and ``ring-knn-s`` entries apart
   (they enumerate in different orders).
 
-* **Payload** — the result's little-endian ``int64`` row matrix (the
-  representation the search loop emits and the worker pipe ships),
-  its columns permuted to the variables' first-seen order,
-  plus the :class:`~repro.ltj.stats.EvaluationStats` counters with
-  variables recorded as first-seen *ranks* so a hit can rebuild
-  byte-identical stats under the probing query's own variable names.
+* **Payload** — the result's ``int64`` rows, flat (the form the
+  search loop emits and the worker pipe ships), their columns permuted
+  to the variables' first-seen order and frozen as ``bytes`` — a hit
+  copies them out, so no reader can change an entry — plus the
+  :class:`~repro.ltj.stats.EvaluationStats` counters with variables
+  recorded as first-seen *ranks* so a hit can rebuild byte-identical
+  stats under the probing query's own variable names.
 
 * **Admission** — a completed result is admitted unless it timed out
   (it is truncated at a wall-clock-dependent point), its query has no
@@ -42,11 +43,10 @@ mutates the cache from its dispatch thread while ``/metrics`` scrapes
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.cache.canonical import (
     CanonicalizationError,
@@ -61,7 +61,7 @@ from repro.query.model import ExtendedBGP
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import QueryTrace
 
-#: Default byte budget for packed solution matrices (32 MiB).
+#: Default byte budget for the entries' packed rows (32 MiB).
 DEFAULT_MAX_BYTES = 32 << 20
 
 #: A single entry larger than this fraction of the byte budget is
@@ -69,15 +69,15 @@ DEFAULT_MAX_BYTES = 32 << 20
 MAX_ENTRY_FRACTION = 0.5
 
 #: Fixed per-entry overhead charged against the byte budget (keys,
-#: counters, dict slots) on top of the packed matrix itself.
+#: counters, dict slots) on top of the packed rows themselves.
 ENTRY_OVERHEAD_BYTES = 512
 
 
 @dataclass
 class _Entry:
     engine: str
-    packed: np.ndarray  # (solutions, variables) little-endian int64
-    n_vars: int
+    packed: bytes  # the rows, flat, as native int64
+    n_rows: int
     stat_counters: tuple[int, int, int, int]  # solutions/bindings/attempts/leaps
     descent_ranks: tuple[int, ...]
     sim_ranks: tuple[int, ...]
@@ -98,7 +98,7 @@ class QueryCache:
     """Size-bounded semantic result cache shared across queries."""
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        #: Byte budget over all packed solution matrices.
+        #: Byte budget over all entries' packed rows.
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
@@ -230,7 +230,9 @@ class QueryCache:
         stats.elapsed = spans.add("cache_probe", started, now()).seconds
         return QueryResult(
             engine=entry.engine,
-            solutions=Solutions(variables, entry.packed),
+            solutions=Solutions.from_flat(
+                variables, array("q", entry.packed), entry.n_rows
+            ),
             stats=stats,
             spans=spans,
             cached=True,
@@ -271,14 +273,13 @@ class QueryCache:
             meta.setdefault("signature", form.signature)
         variables = form.variables
         try:
-            packed = result.solutions.columns(variables)
+            packed = result.solutions.columns(variables).tobytes()
         except KeyError:
             # A projected/partial solution set cannot be replayed.
             with self._lock:
                 self._inadmissible += 1
             return note(False, "unbound variable")
-        packed.flags.writeable = False  # hits hand this very matrix out
-        nbytes = int(packed.nbytes) + ENTRY_OVERHEAD_BYTES
+        nbytes = len(packed) + ENTRY_OVERHEAD_BYTES
         if nbytes > self.max_bytes * MAX_ENTRY_FRACTION:
             with self._lock:
                 self._inadmissible += 1
@@ -289,7 +290,7 @@ class QueryCache:
         entry = _Entry(
             engine=engine_name,
             packed=packed,
-            n_vars=len(variables),
+            n_rows=len(result.solutions),
             stat_counters=(
                 int(stats.solutions),
                 int(stats.bindings),

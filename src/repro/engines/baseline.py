@@ -104,8 +104,9 @@ class BaselineEngine:
             ordering=MinCandidatesOrdering(),
             timeout=timeout,
             # The clause phase drops and multiplies base solutions, so
-            # the only cap that carries over to this one is "none".
-            limit=0 if limit == 0 else None,
+            # the only cap that carries over to this one is "none" (and
+            # a negative one, which it refuses).
+            limit=None if (limit or 0) > 0 else limit,
             trace=trace,
         )
         stats = EvaluationStats()

@@ -13,7 +13,7 @@ the loop below only leaps, binds and asks the ordering. The last
 variable of a branch is not bound at all: a seeker returns only values
 that leave its atom non-empty, so every member of the last intersection
 is a solution, and its row — the branch's slot-indexed ``row`` — goes
-into one flat int64 buffer that becomes the :class:`Solutions` matrix.
+into one flat int64 buffer that becomes the :class:`Solutions`.
 A last variable alone in its atom is one ``values`` report, and the
 report goes in as a block: copies of ``row`` with the report written
 down the variable's column, cut where a poll, the block handed to
@@ -36,6 +36,7 @@ from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.obs.spans import Stopwatch
 from repro.query.model import Var
+from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import QueryTrace, VarCounters
@@ -68,7 +69,8 @@ class LTJEngine:
                 adaptive min-``l_x`` rule.
             timeout: optional wall-clock budget in seconds. On expiry the
                 run stops and ``stats.timed_out`` is set (no exception).
-            limit: optional cap on the number of solutions.
+            limit: optional cap on the number of solutions; a negative
+                one raises :class:`ValidationError`.
             trace: optional :class:`repro.obs.trace.QueryTrace` recording
                 per-variable leap/candidate/binding counters and ordering
                 decisions, and each relation's work: every relation is
@@ -77,6 +79,8 @@ class LTJEngine:
                 disables tracing; every recording site in the search is
                 guarded by a single ``is not None`` test.
         """
+        if limit is not None and limit < 0:
+            raise ValidationError(f"limit must be >= 0, got {limit}")
         if trace is not None:
             relations = [trace.counting(r) for r in relations]
         # Only a trace's decision record reads a forced choice's l_x.
@@ -347,8 +351,8 @@ class LTJEngine:
             tried = min(
                 total - done, to_poll, (block - len(out) - 1) // width + 1
             )
-            if limit is not None:  # a negative limit lets one row out
-                tried = min(tried, max(limit - stats.solutions, 1))
+            if limit is not None:
+                tried = min(tried, limit - stats.solutions)
             n = tried
             if tried == to_poll and self._stopwatch.expired():
                 n -= 1  # the poll's attempt is counted, not emitted

@@ -2,11 +2,12 @@
 
 The search loop appends each solution as one row of a flat
 ``array('q')``; this is that buffer, carried unchanged to whoever reads
-the answer. To its readers it is the ``list[dict[Var, int]]`` it
-replaces — indexing, slicing, iterating and comparing give dicts, built
-on demand without numpy. The callers that want a matrix — the result
-cache, the worker pipe, the JSON encoder — ask for :attr:`Solutions.rows`
-(or :meth:`Solutions.columns`), which is built on the first ask.
+the answer, and the only form an answer takes. To its readers it is the
+``list[dict[Var, int]]`` it replaces — indexing, slicing, iterating and
+comparing give dicts, built on demand. The result cache, the worker pipe
+and the JSON encoder read the rows themselves: :meth:`Solutions.columns`
+gives them flat, columns in the order asked for, and
+:meth:`Solutions.from_flat` takes them back.
 """
 
 from __future__ import annotations
@@ -15,44 +16,36 @@ from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 from operator import index as as_index
-from typing import TYPE_CHECKING
 
 from repro.query.model import Var
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 def raw_limit(limit: int | None, project: object, distinct: bool) -> int | None:
     """The cap ``limit`` puts on the *enumeration*: projecting and
     deduplicating can merge rows, so only then the search must run on
-    until ``limit`` distinct rows exist (none at all for ``limit=0``)."""
-    return None if (limit and project and distinct) else limit
+    until ``limit`` distinct rows exist (none at all for ``limit=0``; a
+    negative limit reaches the engine, which refuses it)."""
+    return None if (project and distinct and (limit or 0) > 0) else limit
 
 
 class Solutions(Sequence):
     """Solution ``i`` gives ``variables[j]`` the constant at ``[i, j]``
     of the rows, in enumeration order."""
 
-    __slots__ = ("variables", "_flat", "_n", "_rows")
-
-    def __init__(self, variables: Iterable[Var], rows: np.ndarray) -> None:
-        """Solutions held as an ``(n, len(variables))`` little-endian
-        int64 matrix (a cache entry's, a worker's reply)."""
-        self.variables = tuple(variables)
-        self._rows: np.ndarray | None = rows
-        self._flat: array[int] | None = None
-        self._n = len(rows)
+    __slots__ = ("variables", "_flat", "_n")
+    variables: tuple[Var, ...]
+    _flat: array[int]
+    _n: int
 
     @classmethod
     def from_flat(
         cls, variables: Iterable[Var], flat: array[int], n: int
     ) -> Solutions:
         """``n`` solutions held as their rows back to back in ``flat``
-        (the search loop's buffer, taken as it is)."""
+        (the search loop's buffer, a cache entry's copy, a worker's
+        reply — taken as it is)."""
         solutions = cls.__new__(cls)
         solutions.variables = tuple(variables)
-        solutions._rows = None
         solutions._flat = flat
         solutions._n = n
         return solutions
@@ -75,43 +68,29 @@ class Solutions(Sequence):
         return cls.from_flat(variables, flat, len(solutions))
 
     # ------------------------------------------------------------------
-    @property
-    def rows(self) -> np.ndarray:
-        """The ``(n, len(variables))`` little-endian int64 matrix, built
-        over the flat rows on first ask."""
-        if self._rows is None:
-            import numpy as np
-
-            flat = np.frombuffer(self._values(), dtype="<i8")
-            self._rows = flat.reshape(self._n, len(self.variables))
-        return self._rows
-
-    def _values(self) -> array[int]:
-        """The rows back to back."""
-        if self._flat is None:
-            assert self._rows is not None
-            self._flat = array("q", self._rows.tobytes())
-        return self._flat
-
     def _tuples(self) -> Iterator[tuple[int, ...]]:
         """Each row as a tuple, in order."""
         width = len(self.variables)
         if not width:
             return repeat((), self._n)
-        return zip(*[iter(self._values())] * width)
+        return zip(*[iter(self._flat)] * width)
 
-    def columns(self, variables: Iterable[Var]) -> np.ndarray:
-        """The rows with their columns in the order of ``variables``
-        (a copy). An unknown variable raises ``KeyError`` — unless there
-        is no row to miss it in (an empty answer built from an empty
-        list of dicts does not know its variables)."""
-        import numpy as np
-
-        variables = tuple(variables)
+    def columns(self, variables: Iterable[Var]) -> array[int]:
+        """The rows, flat, with their columns in the order of
+        ``variables`` (a copy). An unknown variable raises ``KeyError``
+        — unless there is no row to miss it in (an empty answer built
+        from an empty list of dicts does not know its variables)."""
         if not self._n:
-            return np.empty((0, len(variables)), dtype="<i8")
+            return array("q")
         position = {var: col for col, var in enumerate(self.variables)}
-        return self.rows[:, [position[var] for var in variables]]
+        picks = [position[var] for var in variables]
+        flat, width, out_width = self._flat, len(self.variables), len(picks)
+        if picks == list(range(width)):
+            return flat[:]
+        out = array("q", [0]) * (self._n * out_width)
+        for col, pick in enumerate(picks):
+            out[col::out_width] = flat[pick::width]
+        return out
 
     def select(
         self,
@@ -147,7 +126,7 @@ class Solutions(Sequence):
 
     def __getitem__(self, index: int | slice) -> dict[Var, int] | Solutions:
         width = len(self.variables)
-        values = self._values()
+        values = self._flat
         if isinstance(index, slice):
             start, stop, step = index.indices(self._n)
             if step == 1:
@@ -174,7 +153,7 @@ class Solutions(Sequence):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Solutions) and other.variables == self.variables:
-            return self._n == other._n and self._values() == other._values()
+            return self._n == other._n and self._flat == other._flat
         if isinstance(other, (Solutions, list)):
             return len(other) == len(self) and all(
                 mine == theirs for mine, theirs in zip(self, other)

@@ -7,8 +7,8 @@ database passes the file it was loaded from; a built one is first saved
 once to a private scratch file (``repro-pool-*.idx`` in the temp dir)
 that the pool owns. After that a dispatch is a
 :class:`~repro.parallel.worker.QueryBatchTask` (a few parsed queries)
-going out and packed int64 solution matrices coming back, streamed in
-fixed-size chunks through a queue when large. Nothing per-dispatch
+going out and flat ``array('q')`` solution rows coming back, streamed
+in fixed-size chunks through a queue when large. Nothing per-dispatch
 scales with the index size.
 
 Pools are cached per (database, pool size): the cache holds a strong
@@ -35,10 +35,9 @@ import multiprocessing.pool
 import os
 import queue as queue_mod
 import tempfile
+from array import array
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
 
 from repro.parallel.worker import (
     QueryBatchTask,
@@ -95,7 +94,7 @@ class WorkerPool:
         self._processes: tuple[Any, ...] = ()
         self._scratch: str | None = None
         self._chunks: Any = None
-        self._chunk_buf: dict[int, dict[int, np.ndarray]] = {}
+        self._chunk_buf: dict[int, dict[int, array[int]]] = {}
         self._uid = 0
         self._dropped_uid = 0
 
@@ -227,9 +226,9 @@ class WorkerPool:
             for uid in done:
                 outcome = needed.pop(uid)
                 parts = self._chunk_buf.pop(uid)
-                outcome.packed = np.concatenate(
-                    [parts[seq] for seq in range(outcome.n_chunks)]
-                )
+                outcome.packed = array("q")
+                for seq in range(outcome.n_chunks):
+                    outcome.packed.extend(parts[seq])
             if not needed:
                 break
             # Announced chunks were put before their outcome returned:

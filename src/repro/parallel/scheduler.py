@@ -208,8 +208,9 @@ class QueryScheduler:
             outcomes: list[QueryOutcome] = pool.result(handle)
             pool.reconcile(outcomes)
             for outcome in outcomes:
-                solutions = Solutions(map(Var, outcome.var_names),
-                                      outcome.packed)
+                solutions = Solutions.from_flat(
+                    map(Var, outcome.var_names), outcome.packed, outcome.n_rows
+                )
                 result = QueryResult(outcome.engine, solutions, outcome.stats)
                 results[outcome.index] = result
                 if cache is not None:

@@ -9,8 +9,8 @@ over its mapping — no index bytes ever cross the pipe, under fork *or*
 spawn.
 
 A :class:`QueryBatchTask` carries many small queries per round trip.
-Solutions travel back as the engine emitted them — the variable names
-plus the ``int64`` row matrix of a
+Solutions travel back as the engine emitted them — the variable names,
+the row count and the flat ``array('q')`` rows of a
 :class:`~repro.ltj.solutions.Solutions` — and large results stream
 through the chunk queue in fixed-size chunks instead of riding the
 result pipe whole.
@@ -18,12 +18,11 @@ result pipe whole.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from repro.engines import INDEX_ENGINES
+from repro.engines import INDEX_ENGINES, Solutions
 from repro.engines.database import GraphDatabase
 from repro.ltj.stats import EvaluationStats
 from repro.query.model import ExtendedBGP
@@ -95,22 +94,22 @@ def ready(_: int) -> None:
     _database()
 
 
-def _emit(uid: int, packed: "np.ndarray") -> tuple["np.ndarray | None", int]:
-    """Return a row matrix inline, or stream it in fixed chunks.
+def _emit(uid: int, solutions: Solutions) -> tuple[array[int] | None, int]:
+    """Return the flat rows inline, or stream them in fixed chunks.
 
     Small results ride the pool's result pipe with the outcome; large
     ones go through the chunk queue in ``CHUNK_SOLUTIONS``-row pieces so
     no single pipe message carries an unbounded payload. Returns
     ``(inline payload, number of chunks streamed)``.
     """
-    if len(packed) <= CHUNK_SOLUTIONS:
-        return packed, 0
-    n_chunks = 0
-    for start in range(0, len(packed), CHUNK_SOLUTIONS):
-        chunk = np.ascontiguousarray(packed[start : start + CHUNK_SOLUTIONS])
-        _CHUNK_QUEUE.put((uid, n_chunks, chunk))
-        n_chunks += 1
-    return None, n_chunks
+    flat = solutions.columns(solutions.variables)
+    if len(solutions) <= CHUNK_SOLUTIONS:
+        return flat, 0
+    step = len(solutions.variables) * CHUNK_SOLUTIONS
+    starts = range(0, len(flat), step)
+    for seq, start in enumerate(starts):
+        _CHUNK_QUEUE.put((uid, seq, flat[start : start + step]))
+    return None, len(starts)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +149,10 @@ class QueryOutcome:
     index: int
     engine: str
     var_names: tuple[str, ...]
-    packed: "np.ndarray | None"
+    n_rows: int
+    packed: array[int] | None
+    """The rows, flat; ``None`` until streamed chunks are joined."""
+
     n_chunks: int
     stats: EvaluationStats
     """The evaluation's stats whole, as the serial engine reports them."""
@@ -165,12 +167,14 @@ def run_query(task: QueryTask) -> QueryOutcome:
     result = INDEX_ENGINES[task.engine](_database()).evaluate(
         task.query, timeout=task.timeout, limit=task.limit
     )
-    payload, n_chunks = _emit(task.uid, result.solutions.rows)
+    solutions = result.solutions
+    payload, n_chunks = _emit(task.uid, solutions)
     return QueryOutcome(
         uid=task.uid,
         index=task.index,
         engine=result.engine,
-        var_names=tuple(v.name for v in result.solutions.variables),
+        var_names=tuple(v.name for v in solutions.variables),
+        n_rows=len(solutions),
         packed=payload,
         n_chunks=n_chunks,
         stats=result.stats,

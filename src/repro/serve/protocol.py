@@ -227,22 +227,24 @@ def encode_solutions(solutions: Solutions) -> list[dict[str, int]]:
     """
     ordered = sorted(solutions.variables, key=lambda var: var.name)
     names = [var.name for var in ordered]
-    return [dict(zip(names, row)) for row in solutions.columns(ordered).tolist()]
+    # zip stops at the last name, so each row takes its own values
+    values = iter(solutions.columns(ordered))
+    return [dict(zip(names, values)) for _ in range(len(solutions))]
 
 
 def _solution_rows(solutions: Solutions) -> bytes:
     """The inside of a reply's ``solutions`` array, byte for byte what
     ``json.dumps(encode_solutions(solutions), sort_keys=True)`` puts
-    between its brackets, formatted from the int64 block in one ``%``
-    over one template — no dict per row. A variable name is JSON-escaped
-    and then ``%``-escaped, so no name can act as a conversion."""
+    between its brackets, formatted from the flat int64 rows in one
+    ``%`` over one template — no dict per row. A variable name is
+    JSON-escaped and then ``%``-escaped, so no name can act as a
+    conversion."""
     ordered = sorted(solutions.variables, key=lambda var: var.name)
     row = "{%s}" % ", ".join(
         json.dumps(var.name).replace("%", "%%") + ": %d" for var in ordered
     )
-    values = solutions.columns(ordered)
-    return b", ".join([row.encode("ascii")] * len(values)) % tuple(
-        values.ravel().tolist()
+    return b", ".join([row.encode("ascii")] * len(solutions)) % tuple(
+        solutions.columns(ordered)
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from conftest import _knn_fan
@@ -252,6 +254,35 @@ class TestServeBatchErrorPaths:
         assert captured.err.count("\n") == 1
         assert f"ValidationError: {field} must be >= " in captured.err
 
+    def test_negative_limit_is_refused_by_every_engine_and_command(
+        self, bundle_path, capsys
+    ):
+        """A negative limit used to search and emit one row, then
+        return none of it (``stats.solutions`` read 1): every engine
+        refuses it before searching, and both commands that take
+        ``--limit`` exit 2 with one line."""
+        from repro import engines
+        from repro.cli import _load_db
+        from repro.query.parser import parse_query
+        from repro.utils.errors import ValidationError
+
+        text = "(?e, 0, ?img) . knn(?img, ?other, 3)"
+        query = parse_query(text)
+        db = _load_db(str(bundle_path))
+        for engine in engines.ENGINES.values():
+            with pytest.raises(ValidationError, match="limit must be >= 0"):
+                engine(db).evaluate(query, limit=-1)
+            assert not engine(db).evaluate(query, limit=0).solutions
+        for command in ("query", "trace"):
+            code, captured = self._run(
+                [command, "--data", str(bundle_path), "--query", text,
+                 "--limit=-1"],
+                capsys,
+            )
+            assert code == 2, command
+            assert captured.err.count("\n") == 1
+            assert "ValidationError: limit must be >= 0" in captured.err
+
     def test_missing_data_bundle_is_typed_error(self, tmp_path, capsys):
         code, captured = self._run(
             [
@@ -326,6 +357,94 @@ def test_query_process_import_budget(bundle_path, tmp_path):
     assert done.returncode == 0, done.stderr
     assert re.search(r"^[1-9]\d* solutions in", done.stdout, re.MULTILINE)
     assert "output bound Q*" in done.stdout
+
+
+def _mapped_numpy(pid: int) -> bool:
+    """Whether process ``pid`` has a numpy file mapped (its C extension
+    is mapped from the first ``import numpy`` on)."""
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+        return "/numpy/" in maps.read()
+
+
+def _children(pid: int) -> list[int]:
+    """The live child processes of ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"),
+    reason="reads the processes' memory maps",
+)
+@pytest.mark.parametrize("workers", [2, 1])
+def test_served_index_process_loads_no_numpy(bundle_path, tmp_path, workers):
+    """`repro serve --from-index` answers from the index file without
+    numpy: a pooled reply longer than ``CHUNK_SOLUTIONS`` rows streams
+    back in chunks, the same query again is a cache hit, and neither the
+    server nor any pool worker has numpy mapped — in a pool of two and
+    in-thread."""
+    import re
+    import signal
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    from conftest import _request
+    from repro.parallel.worker import CHUNK_SOLUTIONS
+
+    index = str(tmp_path / "fence.idx")
+    assert main(["build", "--data", str(bundle_path), "--out", index]) == 0
+    src = str(Path(__file__).parents[1] / "src")
+    log = tmp_path / "serve.log"
+    with open(log, "w", encoding="utf-8") as out:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--from-index", index, "--port", "0",
+                "--workers", str(workers),
+            ],
+            stdout=out, stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    try:
+        deadline = time.monotonic() + 120
+        while not (banner := re.search(r"serving on http://[^:]+:(\d+)",
+                                       log.read_text(encoding="utf-8"))):
+            assert proc.poll() is None and time.monotonic() < deadline, (
+                log.read_text(encoding="utf-8")
+            )
+            time.sleep(0.1)
+        port = int(banner.group(1))
+        query = {"query": "knn(?a, ?b, 4) . knn(?c, ?d, 3)"}
+        replies = [
+            _request("127.0.0.1", port, "POST", "/query", query)
+            for _ in range(2)
+        ]
+        assert [status for status, _, _ in replies] == [200, 200], replies
+        bodies = [body for _, _, body in replies]
+        assert [body["cached"] for body in bodies] == [False, True]
+        assert len(bodies[0]["solutions"]) > CHUNK_SOLUTIONS
+        assert bodies[1]["solutions"] == bodies[0]["solutions"]
+        processes = [proc.pid, *_children(proc.pid)]
+        if workers > 1:
+            assert len(processes) > workers  # the pool's workers
+        assert [pid for pid in processes if _mapped_numpy(pid)] == []
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=30)
 
 
 class TestParser:

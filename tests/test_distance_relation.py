@@ -165,7 +165,7 @@ def _check_repeated_search(monkeypatch, kinds: set[str]) -> None:
 
     def evaluate_all():
         return [
-            (result.solutions.rows.tolist(), dataclasses.replace(result.stats, elapsed=0.0))
+            (list(result.solutions), dataclasses.replace(result.stats, elapsed=0.0))
             for text in HOT_QUERIES
             for engine_cls in (RingKnnEngine, RingKnnSEngine)
             for result in [engine_cls(db).evaluate(parse_query(text))]

@@ -333,8 +333,8 @@ def _assert_metamorphic(db, knn, query, serial, expected):
     full = ring.evaluate(query).solutions
     projected = ring.evaluate(query, project=kept).solutions
     assert projected.variables == tuple(kept), query
-    assert projected.rows.tolist() == [
-        [solution[var] for var in kept] for solution in full
+    assert projected.columns(kept).tolist() == [
+        solution[var] for solution in full for var in kept
     ], query
     n = len(serial.solutions) // 2
     limited = auto.evaluate(query, limit=n)

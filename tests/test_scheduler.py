@@ -20,6 +20,7 @@ import dataclasses
 import pytest
 
 from conftest import _counts
+from repro.cache import QueryCache
 from repro.engines.auto import AutoEngine
 from repro.parallel import worker
 from repro.parallel.executor import (
@@ -129,9 +130,20 @@ def tiny_chunks(small_db, monkeypatch):
     close_pools_for(small_db)
 
 
+#: Zero-variable queries over the conftest graph: one holds (its triple
+#: is the graph's first), one does not.
+HOLDS = ExtendedBGP([TriplePattern(18, 21, 13)])
+FAILS = ExtendedBGP([TriplePattern(0, 999, 0)])
+
+
 def test_streamed_result_equals_serial_row_for_row(
     small_db, expected, tiny_chunks, monkeypatch
 ):
+    """Streamed answers are cut and joined back whole — the second
+    query's three columns over a row count that is no multiple of the
+    chunk size among them — and zero-variable answers come back through
+    the pool and then through the cache, each equal to the serial
+    answer."""
     streamed = []
     reconcile = tiny_chunks.reconcile
 
@@ -140,11 +152,23 @@ def test_streamed_result_equals_serial_row_for_row(
         reconcile(outcomes)
 
     monkeypatch.setattr(tiny_chunks, "reconcile", spy)
-    results = QueryScheduler(small_db, workers=2).run_batch(BATCH)
+    batch = [*BATCH, HOLDS, FAILS]
+    auto = AutoEngine(small_db)
+    serial = [*expected, auto.evaluate(HOLDS), auto.evaluate(FAILS)]
+    cut = serial[1].solutions
+    assert len(cut.variables) == 3 and len(cut) % worker.CHUNK_SOLUTIONS
+    assert [len(want.solutions) for want in serial[-2:]] == [1, 0]
+    scheduler = QueryScheduler(small_db, workers=2, cache=QueryCache())
+    pooled = scheduler.run_batch(batch)
     assert streamed and max(streamed) > 1
-    for got, want in zip(results, expected):
-        assert got.solutions == want.solutions
-        assert _counts(got.stats) == _counts(want.stats)
+    cached = scheduler.run_batch(batch)
+    assert not any(result.cached for result in pooled)
+    assert all(result.cached for result in cached)
+    for results in (pooled, cached):
+        for got, want in zip(results, serial):
+            assert got.solutions.variables == want.solutions.variables
+            assert got.solutions == want.solutions
+            assert _counts(got.stats) == _counts(want.stats)
     assert tiny_chunks._chunk_buf == {}
 
 

@@ -21,10 +21,10 @@ import json
 import re
 import socket
 import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -761,8 +761,8 @@ def _solution_blocks(draw):
             min_size=n_rows, max_size=n_rows,
         )
     )
-    matrix = np.array(rows, dtype="<i8").reshape(n_rows, len(names))
-    return Solutions([Var(name) for name in names], matrix)
+    flat = array("q", [value for row in rows for value in row])
+    return Solutions.from_flat([Var(name) for name in names], flat, n_rows)
 
 
 class TestProtocolRoundTrip:

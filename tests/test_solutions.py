@@ -1,5 +1,5 @@
-"""``Solutions``: the row matrix an evaluation emits, read as the list of
-binding dicts it replaced — and what the engine's three ways of handing
+"""``Solutions``: the flat int64 rows an evaluation emits, read as the list
+of binding dicts it replaced — and what the engine's three ways of handing
 rows out (whole, one at a time, until the budget ran out) leave behind.
 
 The pinned counters were taken on the commit before the last level
@@ -14,8 +14,8 @@ report that is emitted in blocks.
 import dataclasses
 import sys
 import threading
+from array import array
 
-import numpy as np
 import pytest
 
 import repro.ltj.engine as ltj_engine
@@ -32,12 +32,13 @@ from repro.succinct import wavelet_tree
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 ROWS = [[1, 2], [3, 4], [1, 2], [5, 6]]
+FLAT = array("q", [value for row in ROWS for value in row])
 DICTS = [{X: a, Y: b} for a, b in ROWS]
 
 
 @pytest.fixture()
 def solutions() -> Solutions:
-    return Solutions((X, Y), np.array(ROWS, dtype="<i8"))
+    return Solutions.from_flat((X, Y), array("q", FLAT), len(ROWS))
 
 
 class TestSequenceOfDicts:
@@ -71,9 +72,9 @@ class TestSequenceOfDicts:
         assert solutions != DICTS[:3]
         assert DICTS[::-1] != solutions
         # Column order is representation, not content.
-        swapped = Solutions((Y, X), np.array(ROWS, dtype="<i8")[:, ::-1])
+        swapped = Solutions.from_flat((Y, X), solutions.columns((Y, X)), 4)
         assert swapped == solutions
-        assert solutions != Solutions((X, Z), np.array(ROWS, dtype="<i8"))
+        assert solutions != Solutions.from_flat((X, Z), FLAT, 4)
         assert solutions != "not a sequence of dicts"
 
     def test_repr_is_the_list_of_dicts(self, solutions):
@@ -83,7 +84,7 @@ class TestSequenceOfDicts:
     def test_from_dicts_round_trips_and_misses_loudly(self):
         packed = Solutions.from_dicts([{Y: 2, X: 1}, {X: 3, Y: 4}])
         assert packed.variables == (Y, X)
-        assert packed.rows.dtype == np.dtype("<i8")
+        assert packed.columns((X, Y)) == array("q", [1, 2, 3, 4])
         assert packed == [{X: 1, Y: 2}, {X: 3, Y: 4}]
         with pytest.raises(KeyError):
             Solutions.from_dicts([{X: 1, Y: 2}, {X: 3}])
@@ -99,13 +100,15 @@ class TestSequenceOfDicts:
         engine = RingKnnEngine(small_db)
         none = engine.evaluate(parse_query("(?x, 20, ?y) . (?y, 20, ?x) . (?x, 21, ?x)"))
         assert none.solutions == [] and none.solutions.variables == (X, Y)
-        assert none.solutions.rows.shape == (0, 2)
+        assert none.solutions.columns((Y, X)) == array("q")
         triple = small_db.graph.spo[0].tolist()
         holds = engine.evaluate(parse_query("({}, {}, {})".format(*triple)))
-        assert holds.solutions == [{}] and holds.solutions.rows.shape == (1, 0)
+        assert holds.solutions == [{}] and len(holds.solutions) == 1
+        assert holds.solutions.variables == ()
+        assert holds.solutions.columns(()) == array("q")
         assert holds.solutions[0] == {} and list(holds.solutions) == [{}]
         fails = engine.evaluate(parse_query("(0, 999, 0)"))
-        assert fails.solutions == [] and fails.solutions.rows.shape == (0, 0)
+        assert fails.solutions == [] and fails.solutions.variables == ()
 
 
 class TestSelect:
@@ -133,20 +136,34 @@ class TestSelect:
             solutions.select(project=[Z])
 
 
-def test_cache_hit_hands_out_the_stored_matrix_read_only(small_db):
+def test_columns_permute_and_copy_the_rows(solutions):
+    assert solutions.columns((Y, X)) == array("q", [2, 1, 4, 3, 2, 1, 6, 5])
+    assert solutions.columns((Y,)) == array("q", [2, 4, 2, 6])
+    assert solutions.columns(()) == array("q")
+    same = solutions.columns((X, Y))
+    assert same == FLAT
+    same[0] = 99
+    assert solutions[0] == {X: 1, Y: 2}
+    with pytest.raises(KeyError):
+        solutions.columns((X, Z))
+    # an empty answer has no row to miss a variable in
+    assert Solutions.from_dicts([]).columns((X, Z)) == array("q")
+
+
+def test_a_cache_hit_cannot_change_the_stored_entry(small_db):
+    """A hit cannot change the stored entry, and the filling result keeps
+    its own rows: neither a hit's nor the filler's buffer is the
+    entry's."""
     query = parse_query("(?x, 20, ?y) . knn(?x, ?y, 4)")
     cold = RingKnnEngine(small_db).evaluate(query)
+    kept = list(cold.solutions)
     cache = QueryCache()
     assert cache.fill(small_db, query, cold)
+    cold.solutions._flat[0] += 99  # the filling result writes its rows
     hit = cache.probe(small_db, query, engine="ring-knn")
-    again = cache.probe(small_db, query, engine="ring-knn")
-    assert hit.solutions == cold.solutions
-    assert hit.solutions.rows is again.solutions.rows
-    assert not hit.solutions.rows.flags.writeable
-    with pytest.raises(ValueError):
-        hit.solutions.rows[0, 0] = 99
-    # The filling result keeps its own, untouched rows.
-    assert cold.solutions.rows is not hit.solutions.rows
+    assert hit.solutions == kept != cold.solutions
+    hit.solutions._flat[0] += 99  # so does a reader of the hit
+    assert cache.probe(small_db, query, engine="ring-knn").solutions == kept
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +386,7 @@ def _trees(db) -> list:
 
 def _answer(db, text: str):
     result = RingKnnEngine(db).evaluate(parse_query(text))
-    return result.solutions.rows.tolist(), dataclasses.replace(
+    return list(result.solutions), dataclasses.replace(
         result.stats, elapsed=0.0
     )
 
