@@ -24,7 +24,7 @@ from repro import (
     parse_query,
     symmetric_to_directed,
 )
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 
 N_SONGS = 100
 BY_ARTIST = N_SONGS          # predicate: song -> artist
@@ -42,10 +42,10 @@ def build_catalog(seed: int = 21) -> GraphDatabase:
     graph = GraphData(triples)
     # Two independent similarity relations over the same song ids; the
     # lyrics one truncated so far-apart lyrics are not neighbors at all.
-    tonality = build_knn_graph_bruteforce(
+    tonality = build_knn_graph(
         rng.normal(size=(N_SONGS, 4)), K=8
     )
-    lyrics = build_knn_graph_bruteforce(
+    lyrics = build_knn_graph(
         rng.normal(size=(N_SONGS, 12)), K=8, max_distance=18.0
     )
     print(

@@ -5,9 +5,9 @@ Implements Sec. 3 of the paper:
 * :mod:`repro.knn.graph` — the :class:`KnnGraph` model (Def. 4): for every
   participating node ``u``, an ordered list ``K-NN(u)`` of its ``K``
   closest other nodes.
-* :mod:`repro.knn.builders` — exact construction (brute force for any
-  metric, ``scipy`` KD-tree for Euclidean) and the approximate NN-Descent
-  algorithm the paper cites for scalable construction.
+* :mod:`repro.knn.builders` — :func:`build_knn_graph`, the one exact
+  (Euclidean) builder; a relation under any other measure comes in as a
+  prebuilt :class:`KnnGraph`.
 * :mod:`repro.knn.succinct` — :class:`KnnRing`: the sequences ``S`` and
   ``S'`` plus bitvector ``B`` of Defs. 7-8, with the range computations of
   Lemmas 1-2 that let LTJ treat ``x <|_k y`` as trie ranges.
@@ -24,29 +24,19 @@ from repro.utils.lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.knn.adjacency import KnnAdjacency
-    from repro.knn.builders import (
-        build_knn_graph, build_knn_graph_bruteforce, build_knn_graph_kdtree,
-        build_knn_graph_nn_descent,
-    )
+    from repro.knn.builders import build_knn_graph
     from repro.knn.distance_index import DistanceRangeIndex
     from repro.knn.graph import KnnGraph
-    from repro.knn.metrics import METRICS, metric_by_name
     from repro.knn.succinct import KnnRing
 
 __all__ = [
     "KnnGraph", "KnnRing", "KnnAdjacency", "DistanceRangeIndex", "build_knn_graph",
-    "build_knn_graph_bruteforce", "build_knn_graph_kdtree",
-    "build_knn_graph_nn_descent", "METRICS", "metric_by_name",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "adjacency": ("KnnAdjacency",),
-    "builders": (
-        "build_knn_graph", "build_knn_graph_bruteforce", "build_knn_graph_kdtree",
-        "build_knn_graph_nn_descent",
-    ),
+    "builders": ("build_knn_graph",),
     "distance_index": ("DistanceRangeIndex",),
     "graph": ("KnnGraph",),
-    "metrics": ("METRICS", "metric_by_name"),
     "succinct": ("KnnRing",),
 })

@@ -10,14 +10,14 @@ As in :mod:`repro.knn.succinct`, ``D`` holds member ranks, not node ids:
 its alphabet is the ``n`` members, and the sorted member array maps a
 rank back to its node.
 
-Since metric distances are symmetric, one structure serves both
-directions of a clause.
+Euclidean distance is symmetric, so one structure serves both directions
+of a clause.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.succinct.bitvector import BitVector
@@ -36,8 +36,6 @@ from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-Metric = Callable[["np.ndarray", "np.ndarray"], float]
 
 
 class DistanceRangeIndex(LazyMirrors):
@@ -60,7 +58,6 @@ class DistanceRangeIndex(LazyMirrors):
         points: np.ndarray,
         d_max: float,
         members: np.ndarray | None = None,
-        metric: Metric | None = None,
     ) -> None:
         """Precompute, per member, the ``d_max``-neighborhood by distance.
 
@@ -69,7 +66,6 @@ class DistanceRangeIndex(LazyMirrors):
             d_max: maximum distance of interest; queries must use
                 ``d <= d_max``.
             members: node ids (default ``0..n-1``), sorted and distinct.
-            metric: distance callable; defaults to Euclidean.
         """
         import numpy as np
 
@@ -100,16 +96,10 @@ class DistanceRangeIndex(LazyMirrors):
         self._id_bound = int(mem[-1]) + 1 if n else 0
         self._d_max = float(d_max)
 
-        if metric is None:
-            sq = (pts**2).sum(axis=1)
-            dist = np.sqrt(
-                np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
-            )
-        else:
-            dist = np.empty((n, n), dtype=np.float64)
-            for i in range(n):
-                for j in range(n):
-                    dist[i, j] = metric(pts[i], pts[j])
+        sq = (pts**2).sum(axis=1)
+        dist = np.sqrt(
+            np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
+        )
         np.fill_diagonal(dist, np.inf)
 
         seq_parts: list[np.ndarray] = []

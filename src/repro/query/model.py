@@ -136,8 +136,8 @@ class DistClause:
     """Range-based similarity clause ``dist(x, y) <= d`` (Sec. 3.3).
 
     An extension over the core ``<|_k`` operator: both sides must be
-    within distance ``d`` under the metric the
-    :class:`~repro.knn.distance_index.DistanceRangeIndex` was built with.
+    within Euclidean distance ``d`` of each other, as the
+    :class:`~repro.knn.distance_index.DistanceRangeIndex` measures it.
     The predicate is symmetric.
     """
 

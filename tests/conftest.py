@@ -29,7 +29,7 @@ from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.graph import KnnGraph
 from repro.ltj.stats import EvaluationStats
 from repro.obs import QueryTrace, validate_trace
@@ -129,7 +129,7 @@ def small_points() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def small_knn(small_points) -> KnnGraph:
-    return build_knn_graph_bruteforce(small_points, K=5)
+    return build_knn_graph(small_points, K=5)
 
 
 @pytest.fixture(scope="session")

@@ -183,11 +183,11 @@ class TestCliStats:
     def test_stats_subcommand(self, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.io import save_bundle
-        from repro.knn.builders import build_knn_graph_bruteforce
+        from repro.knn.builders import build_knn_graph
 
         rng = np.random.default_rng(0)
         graph = GraphData([(0, 5, 1), (1, 5, 2), (2, 5, 0)])
-        knn = build_knn_graph_bruteforce(rng.normal(size=(3, 2)), K=1)
+        knn = build_knn_graph(rng.normal(size=(3, 2)), K=1)
         path = tmp_path / "b.npz"
         save_bundle(path, graph, knn)
         assert main(["stats", "--data", str(path)]) == 0

@@ -305,7 +305,7 @@ HEAVY = ("numpy", "scipy", "repro.analysis", "repro.serve", "multiprocessing",
          "repro.engines.baseline", "repro.engines.classic", "repro.engines.kstar",
          "repro.engines.materialize", "repro.bounds.linear_program",
          "repro.bounds.agm", "repro.knn.builders", "repro.knn.adjacency",
-         "repro.knn.metrics", "repro.obs.trace", "repro.obs.schema",
+         "repro.obs.trace", "repro.obs.schema",
          "repro.query.rewrite", "repro.graph.sixperm", "repro.ltj.sixperm_relation")
 
 def loaded():

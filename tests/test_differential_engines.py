@@ -26,7 +26,7 @@ from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.obs.trace import QueryTrace, attach_wavelets, wavelet_targets
 from repro.parallel.scheduler import QueryScheduler
@@ -78,7 +78,7 @@ def _build_instance(
     graph = GraphData(triples)
     ids = np.array(members)
     points = rng.normal(size=(ids.size, 2))
-    knn = build_knn_graph_bruteforce(points, K=K, members=ids)
+    knn = build_knn_graph(points, K=K, members=ids)
     index = DistanceRangeIndex(points, d_max=D_MAX, members=ids)
     distances = {
         (members[i], members[j]): float(np.linalg.norm(points[i] - points[j]))

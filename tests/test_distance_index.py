@@ -89,11 +89,7 @@ class TestDistanceIndex:
     def test_custom_members_and_metric(self):
         points = np.array([[0.0], [1.0], [3.0]])
         members = np.array([10, 20, 30])
-
-        def l1(a, b):
-            return float(np.abs(a - b).sum())
-
-        index = DistanceRangeIndex(points, d_max=2.5, members=members, metric=l1)
+        index = DistanceRangeIndex(points, d_max=2.5, members=members)
         assert index.neighbors_within(10, 1.5) == [20]
         assert sorted(index.neighbors_within(20, 2.5)) == [10, 30]
 

@@ -10,7 +10,7 @@ from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.query.parser import parse_query
 from repro.succinct import wavelet_tree
@@ -32,7 +32,7 @@ def _build_dist_db():
     ]
     graph = GraphData(triples)
     points = rng.uniform(size=(n, 2))
-    knn = build_knn_graph_bruteforce(points, K=4)
+    knn = build_knn_graph(points, K=4)
     index = DistanceRangeIndex(points, d_max=0.8)
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))

@@ -12,7 +12,7 @@ from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.engines.database import GraphDatabase
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
 from repro.query.parser import parse_query
 
@@ -58,7 +58,7 @@ def db_and_graph():
     ]
     graph = GraphData(triples)
     points = np.random.default_rng(11).normal(size=(20, 2))
-    knn = build_knn_graph_bruteforce(points, K=5)
+    knn = build_knn_graph(points, K=5)
     return GraphDatabase(graph, knn), graph, knn
 
 
@@ -127,7 +127,7 @@ def test_random_extended_bgps_property(data):
     ]
     graph = GraphData(triples)
     points = rng.normal(size=(n_nodes, 2))
-    knn = build_knn_graph_bruteforce(points, K=3)
+    knn = build_knn_graph(points, K=3)
     db = GraphDatabase(graph, knn)
 
     variables = [Var("x"), Var("y"), Var("z")]

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.graph.io import load_bundle, save_bundle
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 
 
 class TestBundles:
@@ -19,7 +19,7 @@ class TestBundles:
     def test_roundtrip_full(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(12, 3))
-        knn = build_knn_graph_bruteforce(pts, K=3)
+        knn = build_knn_graph(pts, K=3)
         graph = GraphData([(0, 20, 1)])
         path = tmp_path / "full.npz"
         save_bundle(path, graph, knn, pts)
@@ -36,7 +36,7 @@ class TestBundles:
 
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 2))
-        knn = build_knn_graph_bruteforce(pts, K=3)
+        knn = build_knn_graph(pts, K=3)
         graph = GraphData(
             [(i, 20, (i + 1) % 10) for i in range(10)]
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.knn.adjacency import KnnAdjacency
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.succinct import KnnRing
 from repro.utils.errors import ValidationError
 
@@ -13,7 +13,7 @@ from repro.utils.errors import ValidationError
 def setup():
     rng = np.random.default_rng(31)
     points = rng.normal(size=(25, 2))
-    graph = build_knn_graph_bruteforce(points, K=5)
+    graph = build_knn_graph(points, K=5)
     return graph, KnnAdjacency(graph)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.succinct import KnnRing
 from repro.ltj.knn_relation import KnnClauseRelation
 from repro.query.model import SimClause, Var
@@ -17,7 +17,7 @@ PX, PY = 0, 1  # positions: the x side and the y side of a clause
 def ring():
     rng = np.random.default_rng(51)
     points = rng.normal(size=(20, 2))
-    graph = build_knn_graph_bruteforce(points, K=5)
+    graph = build_knn_graph(points, K=5)
     return graph, KnnRing(graph)
 
 

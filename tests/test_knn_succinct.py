@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _size
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
 from repro.store import load, save
@@ -91,9 +91,7 @@ class TestLemmas:
     def random_ring(self):
         rng = np.random.default_rng(23)
         points = rng.normal(size=(30, 2))
-        from repro.knn.builders import build_knn_graph_bruteforce
-
-        graph = build_knn_graph_bruteforce(points, K=6)
+        graph = build_knn_graph(points, K=6)
         return graph, KnnRing(graph)
 
     def test_lemma2_equivalences(self, random_ring):
@@ -286,7 +284,7 @@ def _memo_graphs() -> dict[str, KnnGraph]:
     rng = np.random.default_rng(11)
     ids = [10, 14, 15, 30, 42, 57]
     sparse = [list(rng.permutation([v for v in ids if v != m])[:3]) for m in ids]
-    capped = build_knn_graph_bruteforce(
+    capped = build_knn_graph(
         rng.uniform(size=(15, 2)), K=4, max_distance=0.08
     )
     assert capped.is_truncated
@@ -407,3 +405,22 @@ def test_k_then_another_k_answers_each_from_its_own_list():
     assert ring.backward_range(7, 1) != ring.backward_range(7, 3)
     assert ring.reverse_neighbors_of(7, 1) == []
     assert ring.reverse_neighbors_of(7, 3) == [6, 4, 5]  # by rank: 2, 3, 3
+
+
+class TestNonMetricKnnGraph:
+    def test_cosine_knn_graph_builds(self):
+        """Sec. 3.1: the structures accept any k-NN relation, including
+        ones from non-metric similarities like cosine distance. The table
+        is ranked here and comes in as a prebuilt ``KnnGraph``."""
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(25, 6)) + 0.1
+        unit = points / np.linalg.norm(points, axis=1, keepdims=True)
+        cosine = 1.0 - unit @ unit.T
+        np.fill_diagonal(cosine, np.inf)
+        ids = np.arange(len(points))
+        table = np.array([np.lexsort((ids, row))[:4] for row in cosine])
+        assert not np.array_equal(table, build_knn_graph(points, K=4).neighbor_table)
+        graph = KnnGraph(ids, table)
+        ring = KnnRing(graph)
+        for u in ids.tolist():
+            assert ring.neighbors_of(u) == table[u].tolist()

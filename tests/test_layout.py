@@ -42,7 +42,7 @@ from repro.analysis import sanitize
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.knn.succinct import KnnRing
 from repro.parallel.executor import WorkerPool
@@ -396,7 +396,7 @@ def _check_knn_ring(got, original):
 @given(seed=st.integers(0, 2**16), n=st.integers(5, 14))
 def test_knn_ring_roundtrip(carrier, seed, n):
     points = np.random.default_rng(seed).normal(size=(n, 3))
-    trip = _RoundTrip(KnnRing(build_knn_graph_bruteforce(points, K=3)))
+    trip = _RoundTrip(KnnRing(build_knn_graph(points, K=3)))
     try:
         trip.check(_check_knn_ring)
     finally:
@@ -459,7 +459,7 @@ def test_graph_database_roundtrip_query_equality(carrier):
     points = rng.normal(size=(12, 2))
     db = GraphDatabase(
         GraphData(triples),
-        build_knn_graph_bruteforce(points, K=3),
+        build_knn_graph(points, K=3),
         distance_index=DistanceRangeIndex(points, d_max=1.5),
     )
     trip = _RoundTrip(db)

@@ -1,7 +1,9 @@
 """Tests for the size-bound linear programs (Sec. 4.1, Eqs. (1)-(2))."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -173,38 +175,46 @@ FIGURE2_RHO = [
 ]
 
 
+#: ``scipy.optimize.linprog(method="highs")``'s ``[status, fun]`` on each
+#: of :func:`_random_programs`' programs, in order: status 0 is solved,
+#: 2 infeasible (``fun`` is then ``null``). Written once while scipy was
+#: a dependency, so the comparison runs without it.
+HIGHS_PATH = Path(__file__).parent / "golden" / "highs_min_cover.json"
+
+
+def _random_programs():
+    """400 seeded covering programs ``(costs, rows, rhs)``: zero costs,
+    and -1 entries as the cyclic rows have."""
+    rng = random.Random(47)
+    for _ in range(400):
+        n, m = rng.randint(1, 7), rng.randint(0, 7)
+        costs = [rng.choice((0.0, rng.uniform(0.0, 20.0))) for _ in range(n)]
+        rows = [
+            [rng.choice((0.0, 0.0, 1.0, 1.0, -1.0)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        rhs = [rng.choice((0.0, 1.0)) for _ in range(m)]
+        yield costs, rows, rhs
+
+
 class TestMinCover:
     """The stdlib simplex against HiGHS, and ``rho*`` pinned to it."""
 
     def test_matches_highs_on_random_programs(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = random.Random(47)
+        highs = json.loads(HIGHS_PATH.read_text())
+        programs = list(_random_programs())
+        assert len(highs) == len(programs)
         infeasible = 0
-        for _ in range(400):
-            n, m = rng.randint(1, 7), rng.randint(0, 7)
-            # Zero costs, and -1 entries as the cyclic rows have.
-            costs = [rng.choice((0.0, rng.uniform(0.0, 20.0))) for _ in range(n)]
-            rows = [
-                [rng.choice((0.0, 0.0, 1.0, 1.0, -1.0)) for _ in range(n)]
-                for _ in range(m)
-            ]
-            rhs = [rng.choice((0.0, 1.0)) for _ in range(m)]
-            reference = linprog(
-                costs,
-                A_ub=[[-a for a in row] for row in rows] or None,
-                b_ub=[-b for b in rhs] or None,
-                bounds=[(0, None)] * n,
-                method="highs",
-            )
-            if reference.status == 2:
+        for (costs, rows, rhs), (status, fun) in zip(programs, highs):
+            if status == 2:
                 infeasible += 1
                 with pytest.raises(QueryError):
                     _min_cover(costs, rows, rhs)
                 continue
-            assert reference.status == 0, reference.message
+            assert status == 0
             value, x = _min_cover(costs, rows, rhs)
-            assert value == pytest.approx(reference.fun, abs=1e-9)
-            assert len(x) == n and min(x) >= 0.0
+            assert value == pytest.approx(fun, abs=1e-9)
+            assert len(x) == len(costs) and min(x) >= 0.0
             assert sum(c * v for c, v in zip(costs, x)) == pytest.approx(
                 value, abs=1e-9
             )

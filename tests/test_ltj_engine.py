@@ -16,7 +16,7 @@ from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.ltj import engine as ltj_engine
 from repro.ltj.engine import LTJEngine
@@ -280,7 +280,7 @@ def bind_case_db():
         ]
     )
     points = rng.uniform(size=(n, 2))
-    knn = build_knn_graph_bruteforce(points, K=4)
+    knn = build_knn_graph(points, K=4)
     distances = {
         (i, j): float(np.hypot(*(points[i] - points[j])))
         for i in range(n) for j in range(n) if i != j

@@ -12,7 +12,7 @@ from repro.engines.database import GraphDatabase
 from repro.engines.materialize import MaterializeEngine
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.query.model import Var
 from repro.query.parser import parse_query
 from repro.utils.errors import QueryError, ValidationError
@@ -28,8 +28,8 @@ def two_relation_db():
         for _ in range(80)
     ]
     graph = GraphData(triples)
-    tonality = build_knn_graph_bruteforce(rng.normal(size=(n, 3)), K=5)
-    lyrics = build_knn_graph_bruteforce(rng.normal(size=(n, 6)), K=5)
+    tonality = build_knn_graph(rng.normal(size=(n, 3)), K=5)
+    lyrics = build_knn_graph(rng.normal(size=(n, 6)), K=5)
     db = GraphDatabase(
         graph, knn_graphs={"tonality": tonality, "lyrics": lyrics}
     )
@@ -94,7 +94,7 @@ class TestMultiRelationQueries:
 class TestDatabaseWiring:
     def test_default_plus_named(self, small_graph, small_knn):
         rng = np.random.default_rng(1)
-        other = build_knn_graph_bruteforce(rng.normal(size=(20, 2)), K=4)
+        other = build_knn_graph(rng.normal(size=(20, 2)), K=4)
         db = GraphDatabase(
             small_graph, small_knn, knn_graphs={"geo": other}
         )

@@ -18,7 +18,7 @@ from repro.engines.materialize import MaterializeEngine
 from repro.engines.ring_knn import RingKnnEngine
 from repro.explain import explain
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.obs import QueryTrace, TraceSchemaError, validate_trace
 from repro.obs.schema import main as schema_main
 from repro.obs.spans import Spans
@@ -37,7 +37,7 @@ def db():
         for _ in range(60)
     ]
     points = rng.normal(size=(12, 2))
-    knn = build_knn_graph_bruteforce(points, K=5)
+    knn = build_knn_graph(points, K=5)
     return GraphDatabase(GraphData(triples), knn)
 
 

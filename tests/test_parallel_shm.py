@@ -198,7 +198,7 @@ import glob, os, sys, tempfile
 import numpy as np
 from repro.engines.database import GraphDatabase
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from repro.query.parser import parse_query
@@ -214,7 +214,7 @@ def small_db(seed):
     ]
     points = np.random.default_rng(11).normal(size=(20, 2))
     return GraphDatabase(
-        GraphData(triples), build_knn_graph_bruteforce(points, K=5)
+        GraphData(triples), build_knn_graph(points, K=5)
     )
 
 query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])

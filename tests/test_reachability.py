@@ -45,7 +45,6 @@ KEPT: dict[str, str] = {
         "the paper's orientation of a symmetric clause (docs/theory.md)",
     "datasets.query_log.generate_workload_from_log":
         "builds a workload from a mined log, as Sec. 6.1 does",
-    "knn.metrics.metric_by_name": "looks a distance metric up by its name",
     "engines.database.GraphDatabase.bump_epoch":
         "invalidates the result cache after the data changes",
     "serve.protocol.validate_query_response": "wire schema of a /query reply",

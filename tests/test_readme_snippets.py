@@ -49,12 +49,12 @@ def test_readme_quickstart():
 
 def test_usage_doc_multi_relation_snippet():
     from repro import GraphData, GraphDatabase, RingKnnEngine, parse_query
-    from repro.knn.builders import build_knn_graph_bruteforce
+    from repro.knn.builders import build_knn_graph
 
     rng = np.random.default_rng(1)
     graph = GraphData([(i, 7, (i + 1) % 8) for i in range(8)])
-    g1 = build_knn_graph_bruteforce(rng.normal(size=(8, 2)), K=3)
-    g2 = build_knn_graph_bruteforce(rng.normal(size=(8, 5)), K=3)
+    g1 = build_knn_graph(rng.normal(size=(8, 2)), K=3)
+    g2 = build_knn_graph(rng.normal(size=(8, 5)), K=3)
     db = GraphDatabase(graph, knn_graphs={"tonality": g1, "lyrics": g2})
     q = parse_query(
         "(?x, 7, ?y) . knn:tonality(?x, ?y, 3) . knn:lyrics(?x, ?y, 3)"

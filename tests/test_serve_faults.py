@@ -54,7 +54,7 @@ from conftest import (
 from repro.engines.database import GraphDatabase
 from repro.engines.result import QueryResult
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.ltj.stats import EvaluationStats
 from repro.obs.spans import Spans
 from repro.parallel.executor import ENV_START_METHOD, pool_for, shutdown_pools
@@ -83,7 +83,7 @@ def _make_db() -> GraphDatabase:
     ]
     points = np.random.default_rng(11).normal(size=(20, 2))
     return GraphDatabase(
-        GraphData(triples), build_knn_graph_bruteforce(points, K=5)
+        GraphData(triples), build_knn_graph(points, K=5)
     )
 
 

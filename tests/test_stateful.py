@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.graph.sixperm import SixPermIndex
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.succinct import KnnRing
 from repro.ltj.knn_relation import KnnClauseRelation
 from repro.query.model import SimClause, Var
@@ -33,7 +33,7 @@ _RING = RingIndex(_GRAPH)
 _ORACLE = SixPermIndex(_GRAPH)
 
 _POINTS = np.random.default_rng(3).normal(size=(12, 2))
-_KNN_GRAPH = build_knn_graph_bruteforce(_POINTS, K=4)
+_KNN_GRAPH = build_knn_graph(_POINTS, K=4)
 _KNN_RING = KnnRing(_KNN_GRAPH)
 
 X, Y = Var("x"), Var("y")

@@ -50,7 +50,7 @@ from hypothesis.stateful import (
 
 from repro.graph.sixperm import SixPermIndex
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.knn.succinct import KnnRing
 from repro.ltj.distance_relation import DistanceClauseRelation
@@ -75,7 +75,7 @@ _GRAPH = GraphData(
 _RING = RingIndex(_GRAPH)
 _SIX = SixPermIndex(_GRAPH)
 _POINTS = _RNG.normal(size=(N_NODES, 2))
-_KNN_GRAPH = build_knn_graph_bruteforce(_POINTS, K=4)
+_KNN_GRAPH = build_knn_graph(_POINTS, K=4)
 _KNN = KnnRing(_KNN_GRAPH)
 _DIST = DistanceRangeIndex(_POINTS, d_max=1.5)
 

@@ -29,7 +29,7 @@ from repro.engines.classic import ClassicSixPermEngine
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.ltj.engine import LTJEngine
 from repro.ltj.triple_relation import RingTripleRelation
@@ -68,7 +68,7 @@ def db():
         for _ in range(80)
     ]
     points = rng.normal(size=(15, 2))
-    knn = build_knn_graph_bruteforce(points, K=5)
+    knn = build_knn_graph(points, K=5)
     index = DistanceRangeIndex(points, d_max=2.0)
     return GraphDatabase(GraphData(triples), knn, distance_index=index)
 

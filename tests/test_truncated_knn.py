@@ -10,7 +10,7 @@ from repro.engines.ring_knn import RingKnnEngine, RingKnnSEngine
 from repro.graph.naive import evaluate_naive
 from repro.graph.triples import GraphData
 from repro.knn.adjacency import KnnAdjacency
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.graph import KnnGraph
 from repro.knn.succinct import KnnRing
 from repro.query.parser import parse_query
@@ -107,8 +107,8 @@ class TestBuilderTruncation:
     def test_max_distance_truncates(self):
         rng = np.random.default_rng(5)
         points = rng.uniform(size=(30, 2))
-        full = build_knn_graph_bruteforce(points, K=6)
-        capped = build_knn_graph_bruteforce(points, K=6, max_distance=0.01)
+        full = build_knn_graph(points, K=6)
+        capped = build_knn_graph(points, K=6, max_distance=0.01)
         assert capped.is_truncated
         assert capped.lengths.max() <= 6
         assert capped.lengths.sum() < full.lengths.sum()
@@ -130,7 +130,7 @@ class TestEndToEnd:
         ]
         graph = GraphData(triples)
         points = rng.uniform(size=(n, 2))
-        knn = build_knn_graph_bruteforce(points, K=4, max_distance=0.08)
+        knn = build_knn_graph(points, K=4, max_distance=0.08)
         assert knn.is_truncated
         db = GraphDatabase(graph, knn)
         for text in (

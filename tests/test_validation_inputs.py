@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.knn.builders import build_knn_graph, build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.knn.distance_index import DistanceRangeIndex
 from repro.utils.errors import ValidationError
 
@@ -13,15 +13,13 @@ class TestNonFinitePoints:
         points = np.zeros((10, 2))
         points[3, 1] = np.nan
         with pytest.raises(ValidationError, match="finite"):
-            build_knn_graph_bruteforce(points, K=2)
-        with pytest.raises(ValidationError, match="finite"):
-            build_knn_graph(points, K=2, method="kdtree")
+            build_knn_graph(points, K=2)
 
     def test_inf_points_rejected(self):
         points = np.zeros((10, 2))
         points[0, 0] = np.inf
         with pytest.raises(ValidationError, match="finite"):
-            build_knn_graph_bruteforce(points, K=2)
+            build_knn_graph(points, K=2)
 
     def test_nan_points_rejected_by_distance_index(self):
         points = np.zeros((5, 2))
@@ -34,21 +32,21 @@ class TestMemberValidation:
     def test_unsorted_members_rejected(self):
         points = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ValidationError):
-            build_knn_graph_bruteforce(
+            build_knn_graph(
                 points, K=2, members=np.array([4, 3, 2, 1, 0])
             )
 
     def test_duplicate_members_rejected(self):
         points = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ValidationError):
-            build_knn_graph_bruteforce(
+            build_knn_graph(
                 points, K=2, members=np.array([0, 1, 1, 2, 3])
             )
 
     def test_wrong_length_members_rejected(self):
         points = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ValidationError):
-            build_knn_graph_bruteforce(points, K=2, members=np.arange(4))
+            build_knn_graph(points, K=2, members=np.arange(4))
 
 
 class TestWorkloadGoldenCounts:

@@ -18,7 +18,7 @@ from repro.bounds.linear_program import solve_size_bound
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.triples import GraphData
-from repro.knn.builders import build_knn_graph_bruteforce
+from repro.knn.builders import build_knn_graph
 from repro.query.parser import parse_query
 
 SLACK = 4.0  # constant-factor headroom over the asymptotic bound
@@ -38,7 +38,7 @@ def random_db(request):
     ]
     graph = GraphData(triples)
     points = rng.normal(size=(n, 3))
-    knn = build_knn_graph_bruteforce(points, K=6)
+    knn = build_knn_graph(points, K=6)
     return GraphDatabase(graph, knn)
 
 
