@@ -100,9 +100,7 @@ def _open_db(args: argparse.Namespace) -> Iterator[GraphDatabase]:
                 f"{', '.join(INDEX_ENGINES)}"
             )
         try:
-            db = GraphDatabase.from_index(
-                args.from_index, verify=not args.no_verify
-            )
+            db = GraphDatabase.from_index(args.from_index)
         except OSError as exc:
             raise ValidationError(
                 f"cannot open index file {args.from_index!r}: {exc}"
@@ -126,12 +124,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--from-index",
         help="persistent index file from 'repro build' (mmap, instant load)",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the --from-index payload checksum for the fastest "
-        "possible cold start",
     )
 
 

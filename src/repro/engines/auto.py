@@ -50,13 +50,13 @@ class AutoEngine:
         self.cache = cache
 
     @classmethod
-    def from_index(cls, path: str, verify: bool = True) -> "AutoEngine":
+    def from_index(cls, path: str) -> "AutoEngine":
         """Construct an engine over an mmap-loaded persistent index.
 
         The engine owns the store it loaded: :meth:`close` releases the
         mapping.
         """
-        db = GraphDatabase.from_index(path, verify=verify)
+        db = GraphDatabase.from_index(path)
         engine = cls(db)
         engine._owned_db = db
         return engine

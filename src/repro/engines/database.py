@@ -85,8 +85,12 @@ class GraphDatabase:
     # persistent-store construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_index(cls, path: str, verify: bool = True) -> "GraphDatabase":
+    def from_index(cls, path: str) -> "GraphDatabase":
         """Attach a database zero-copy from a persistent index file.
+
+        Only the header and the manifest are read and checked here; each
+        array is held to its checksum at the first read of the structure
+        that owns it (:func:`repro.store.load`).
 
         The returned database carries only the succinct structures (the
         raw ``graph``/``knn_graphs`` tables are not part of the
@@ -98,7 +102,7 @@ class GraphDatabase:
         """
         from repro.store import load
 
-        return load(path, verify=verify).database
+        return load(path).database
 
     @property
     def store(self) -> object | None:
@@ -112,7 +116,8 @@ class GraphDatabase:
     def epoch(self) -> int:
         """Mutation epoch stamped into :mod:`repro.cache` entries.
 
-        The base is the persistent store's payload checksum when this
+        The base is the persistent store's whole-file checksum (written
+        at build, never verified on load) when this
         database is mmap-backed (so a hot index replace — a different
         file behind the same server — invalidates every cached entry on
         first lookup) and 0 for an in-memory build; each

@@ -29,6 +29,7 @@ from repro.succinct.fields import (
     Layout,
     LazyMirrors,
     Scalar,
+    check_sums,
     checked_ids,
 )
 from repro.succinct.wavelet_tree import WaveletTree
@@ -45,8 +46,10 @@ class DistanceRangeIndex(LazyMirrors):
         "distance_index",
         Scalar("_d_max", float),
         Scalar("_id_bound"),
-        Array("_members", INT),
-        Array("_distances", "<f8", mirrored=True),
+        Array("_members", INT, "distance-index members"),
+        Array(
+            "_distances", "<f8", "distance-index distances", mirrored=True
+        ),
         Child("_D", WaveletTree),
         Child("_B", BitVector),
         Derived("_members_i", "_checked_members"),
@@ -96,21 +99,20 @@ class DistanceRangeIndex(LazyMirrors):
         self._id_bound = int(mem[-1]) + 1 if n else 0
         self._d_max = float(d_max)
 
-        sq = (pts**2).sum(axis=1)
-        dist = np.sqrt(
-            np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
-        )
-        np.fill_diagonal(dist, np.inf)
-
         seq_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
         lengths = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            within = np.flatnonzero(dist[i] <= self._d_max)
-            order = np.lexsort((within, dist[i][within]))
+            # Exact differences, not the expansion |a|^2 + |b|^2 - 2 a.b,
+            # which cancels away the distances of points far from the
+            # origin (the fault the K-NN builder's exact re-rank avoids).
+            dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+            dist[i] = np.inf
+            within = np.flatnonzero(dist <= self._d_max)
+            order = np.lexsort((within, dist[within]))
             chosen = within[order]
             seq_parts.append(chosen)
-            dist_parts.append(dist[i][chosen])
+            dist_parts.append(dist[chosen])
             lengths[i] = chosen.size
         seq = (
             np.concatenate(seq_parts) if seq_parts else np.empty(0, dtype=np.int64)
@@ -145,7 +147,9 @@ class DistanceRangeIndex(LazyMirrors):
     @property
     def members(self) -> Sequence[int]:
         """The sorted member ids: a numpy array when built, a read-only
-        ``memoryview`` of the mapping when attached."""
+        ``memoryview`` of the mapping when attached (held to its
+        checksum first)."""
+        check_sums(self)
         return self._members
 
     @property

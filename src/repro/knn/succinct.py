@@ -42,6 +42,7 @@ from repro.succinct.fields import (
     LazyMirrors,
     Scalar,
     Transient,
+    check_sums,
     checked_ids,
     checked_offsets,
 )
@@ -59,8 +60,8 @@ class KnnRing(LazyMirrors):
         "knn_ring",
         Scalar("_K"),
         Scalar("_id_bound"),
-        Array("_members", INT),
-        Array("_s_offsets", INT),
+        Array("_members", INT, "K-NN members"),
+        Array("_s_offsets", INT, "K-NN row offsets"),
         Child("_S", WaveletTree),
         Child("_Sprime", WaveletTree),
         Child("_B", BitVector),
@@ -149,7 +150,9 @@ class KnnRing(LazyMirrors):
     @property
     def members(self) -> Sequence[int]:
         """The sorted member ids: a numpy array when built, a read-only
-        ``memoryview`` of the mapping when attached."""
+        ``memoryview`` of the mapping when attached (held to its
+        checksum first)."""
+        check_sums(self)
         return self._members
 
     @property

@@ -60,7 +60,7 @@ def _init_worker(path: str, checksum: int, chunk_queue: Any) -> None:
     global _WORKER_DB, _WORKER_ERROR, _CHUNK_QUEUE
     _CHUNK_QUEUE = chunk_queue
     try:
-        store = load(path, verify=False)
+        store = load(path)
         try:
             if store.header.checksum != checksum:
                 raise StoreFormatError(

@@ -10,20 +10,33 @@ An index file is::
     |   manifest_len   u64 bytes of manifest JSON                  |
     |   segment_len    u64 bytes of the flattened segment          |
     |   checksum       u32 crc32 over everything after the header  |
-    |   reserved       u32 zero                                    |
+    |   manifest_crc   u32 crc32 of the manifest JSON              |
     +--------------------------------------------------------------+
     | manifest JSON (UTF-8), zero-padded to an 8-byte boundary     |
+    |   {"entries": [[nbytes, crc32], ...], "root": {...}}         |
     +--------------------------------------------------------------+
     | segment: the 8-byte-aligned array pack of                    |
-    | repro.store.layout                                           |
+    | repro.store.layout; array i starts where array i - 1 ends,   |
+    | rounded up to 8 bytes                                        |
     +--------------------------------------------------------------+
 
 The manifest JSON carries the ``entries`` and ``root`` of a
-:class:`~repro.store.layout.Manifest` — the ``(offset, dtype, shape)``
-entry table and the nested structure tree — so loading a file is the
-layout walker's attach over the mapped segment. The segment start is
-aligned so every array keeps the 8-byte alignment the flatten layer
-guarantees.
+:class:`~repro.store.layout.Manifest` — one ``[nbytes, crc32]`` pair an
+array and the nested structure tree — so loading a file is the layout
+walker's attach over the mapped segment. An entry stores neither its
+offset, which is the 8-byte-aligned running sum of the lengths before
+it (exactly as the flatten layer lays the arrays out), nor its dtype,
+which the referring field declares. The segment start is aligned so
+every array keeps the 8-byte alignment the flatten layer guarantees.
+
+What a load checks: the header, and the manifest against its CRC-32 —
+no payload byte is read at attach. Each array is held to its own CRC-32
+at the first read of the structure node that owns it
+(:func:`repro.succinct.fields.check_sums`), so an attach costs about
+what the query reads. The whole-file ``checksum`` is still written; it
+names the file's contents (:attr:`GraphDatabase.epoch
+<repro.engines.database.GraphDatabase.epoch>`, a pool's check that its
+workers open the file it meant) and is not verified on load.
 
 Versioning policy: the format is versioned without migration shims. An
 index file is a cache of a deterministic build, so a reader that sees
@@ -38,9 +51,12 @@ table; version 4 builds each Ring column and its ``A_j`` over that
 column's own alphabet (``sigma_c`` = 1 + its largest value, not the
 domain), and stores member ranks instead of node ids in the K-NN
 sequences ``S``/``S'`` and the distance sequence ``D``, with each
-member table's id bound kept as a scalar. A version-1, -2 or -3 file is
-refused like any other skew: read by this reader, a version-3 file's
-node ids would pass for ranks and answer wrongly.
+member table's id bound kept as a scalar; version 5 records one CRC-32
+an array in the manifest (with its length; offsets and dtypes are
+derived) and a CRC-32 of the manifest in the header, and reads no
+payload at attach. A file of any earlier version is refused like any
+other skew: read by this reader, a version-3 file's node ids would pass
+for ranks and answer wrongly, and a version-4 manifest has no CRCs.
 
 Every validation failure raises a typed :mod:`repro.utils.errors`
 exception (:class:`StoreFormatError`, :class:`StoreVersionError`,
@@ -65,7 +81,7 @@ from repro.utils.errors import (
 )
 
 MAGIC = b"REPROIDX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Header flag bit: the payload (manifest offsets + segment arrays) is
 #: little-endian. Always set by :func:`pack_header`; readers refuse
@@ -93,11 +109,11 @@ def require_little_endian_host(action: str) -> None:
 
 
 def encode_manifest(entries: tuple[Entry, ...], root: dict[str, Any]) -> bytes:
-    """Serialize the entry table + structure tree to manifest JSON."""
+    """Serialize the entry table + structure tree to manifest JSON: an
+    entry is written as ``[nbytes, crc32]``, its offset left to
+    :func:`decode_manifest`."""
     doc = {
-        "entries": [
-            [offset, dtype, list(shape)] for offset, dtype, shape in entries
-        ],
+        "entries": [[nbytes, crc] for _offset, nbytes, crc in entries],
         "root": root,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(
@@ -108,13 +124,19 @@ def encode_manifest(entries: tuple[Entry, ...], root: dict[str, Any]) -> bytes:
 def decode_manifest(
     raw: bytes, path: str
 ) -> tuple[tuple[Entry, ...], dict[str, Any]]:
-    """Parse manifest JSON back into ``(entries, root)``."""
+    """Parse manifest JSON back into ``(entries, root)``, each entry's
+    offset derived as the segment builder laid it out: where the one
+    before it ends, rounded up to 8 bytes."""
     try:
         doc = json.loads(raw.decode("utf-8"))
-        entries = tuple(
-            (int(offset), str(dtype), tuple(int(d) for d in shape))
-            for offset, dtype, shape in doc["entries"]
-        )
+        entries = []
+        offset = 0
+        for nbytes, crc in doc["entries"]:
+            nbytes, crc = int(nbytes), int(crc)
+            if nbytes < 0 or not 0 <= crc <= 0xFFFFFFFF:
+                raise ValueError(f"entry {len(entries)} is {[nbytes, crc]}")
+            entries.append((offset, nbytes, crc))
+            offset = _align8(offset + nbytes)
         root = doc["root"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise StoreFormatError(
@@ -124,11 +146,11 @@ def decode_manifest(
         raise StoreFormatError(
             f"{path}: index manifest root carries no structure kind"
         )
-    return entries, root
+    return tuple(entries), root
 
 
 def pack_header(
-    manifest_len: int, segment_len: int, checksum: int
+    manifest_len: int, segment_len: int, checksum: int, manifest_crc: int
 ) -> bytes:
     return _HEADER.pack(
         MAGIC,
@@ -137,7 +159,7 @@ def pack_header(
         manifest_len,
         segment_len,
         checksum & 0xFFFFFFFF,
-        0,
+        manifest_crc & 0xFFFFFFFF,
     )
 
 
@@ -148,6 +170,7 @@ class Header:
     manifest_len: int
     segment_len: int
     checksum: int
+    manifest_crc: int
 
     @property
     def segment_offset(self) -> int:
@@ -165,7 +188,7 @@ def unpack_header(raw: bytes, path: str) -> Header:
             f"{path}: truncated index file ({len(raw)} bytes, header "
             f"needs {HEADER_SIZE})"
         )
-    magic, version, flags, manifest_len, segment_len, checksum, _reserved = (
+    magic, version, flags, manifest_len, segment_len, checksum, manifest_crc = (
         _HEADER.unpack_from(raw)
     )
     if magic != MAGIC:
@@ -186,12 +209,8 @@ def unpack_header(raw: bytes, path: str) -> Header:
         manifest_len=int(manifest_len),
         segment_len=int(segment_len),
         checksum=int(checksum),
+        manifest_crc=int(manifest_crc),
     )
-
-
-def payload_checksum(buf: Any, start: int, end: int) -> int:
-    """crc32 over ``buf[start:end]`` without copying the range."""
-    return zlib.crc32(memoryview(buf)[start:end]) & 0xFFFFFFFF
 
 
 def checksum_parts(*parts: Any) -> int:

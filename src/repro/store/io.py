@@ -6,11 +6,12 @@ flatten`) and writes header + manifest + segment atomically (temp file
 at the target path.
 
 :func:`load` validates the header, memory-maps the whole file
-read-only, optionally verifies the payload checksum, and rebuilds the
+read-only, checks the manifest against its CRC-32, and rebuilds the
 structures as zero-copy read-only ``memoryview`` views over the mapping
-(:func:`repro.store.layout.attach_buffer`). Nothing is deserialized:
-until a page is touched, it is not even read. A pool worker opens its
-database the same way, with ``verify=False``.
+(:func:`repro.store.layout.attach_buffer`). Nothing is deserialized and
+no payload byte is read: each array is held to its own CRC-32 at the
+first read of the node that owns it, and until a page is touched, it is
+not even read. A pool worker opens its database the same way.
 
 Lifecycle: an :class:`IndexStore` owns its mapping. The attached
 structures hold ``memoryview`` views *into* it, so the mapping must
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import zlib
 from typing import Any
 
 from repro.store.format import (
@@ -35,7 +37,6 @@ from repro.store.format import (
     decode_manifest,
     encode_manifest,
     pack_header,
-    payload_checksum,
     require_little_endian_host,
     unpack_header,
 )
@@ -74,14 +75,20 @@ def write_index(structure: object, path: str) -> Header:
     pad_len = _align8(HEADER_SIZE + len(manifest)) - HEADER_SIZE - len(manifest)
     pad = b"\0" * pad_len
     header = Header(
-        len(manifest), len(segment), checksum_parts(manifest, pad, segment)
+        len(manifest),
+        len(segment),
+        checksum_parts(manifest, pad, segment),
+        zlib.crc32(manifest),
     )
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
             handle.write(
                 pack_header(
-                    header.manifest_len, header.segment_len, header.checksum
+                    header.manifest_len,
+                    header.segment_len,
+                    header.checksum,
+                    header.manifest_crc,
                 )
             )
             handle.write(manifest)
@@ -96,12 +103,11 @@ def write_index(structure: object, path: str) -> Header:
     return header
 
 
-def _open_file(path: str, verify: bool) -> tuple[mmap.mmap, Header]:
+def _open_file(path: str) -> tuple[mmap.mmap, Header]:
     """Memory-map ``path`` read-only and validate its header.
 
-    Returns ``(mapping, header)``; with ``verify`` the payload checksum
-    is confirmed too. Every failure is a typed store error and leaves
-    nothing mapped.
+    Returns ``(mapping, header)``. Every failure is a typed store error
+    and leaves nothing mapped.
     """
     try:
         size = os.path.getsize(path)
@@ -121,14 +127,6 @@ def _open_file(path: str, verify: bool) -> tuple[mmap.mmap, Header]:
                     f"{path}: truncated index file ({size} bytes, manifest "
                     f"+ segment need {header.total_size})"
                 )
-            if verify:
-                got = payload_checksum(mapping, HEADER_SIZE, header.total_size)
-                if got != header.checksum:
-                    raise StoreChecksumError(
-                        f"{path}: index payload checksum {got:#010x} != "
-                        f"recorded {header.checksum:#010x}; the file is "
-                        "corrupt — rebuild it with 'repro build'"
-                    )
         except Exception:
             mapping.close()
             raise
@@ -210,19 +208,26 @@ class IndexStore:
 def load(path: str, verify: bool = True) -> IndexStore:
     """Memory-map an index file and attach its structures zero-copy.
 
-    With ``verify`` (the default) the payload checksum is confirmed
-    before anything is attached — one streaming read of the file, still
-    orders of magnitude cheaper than an index build. ``verify=False``
-    skips it for the pure O(page faults) cold start. The plain-int
-    mirrors stay lazy; :func:`repro.store.layout.prime` materializes
-    them up front for callers that prefer to pay at load time.
+    With ``verify`` (the default) the checksums are held: the manifest's
+    here, and each array's at the first read of the structure that owns
+    it, before anything reads the array. ``verify=False`` skips them
+    all; the structural checks stay, which is how a crafted file with
+    consistent checksums is tested. The plain-int mirrors stay lazy;
+    :func:`repro.store.layout.prime` materializes them (and so checks
+    every array) up front for callers that prefer to pay at load time.
     """
     require_little_endian_host("read")
-    mapping, header = _open_file(path, verify)
+    mapping, header = _open_file(path)
     try:
-        entries, root = decode_manifest(
-            mapping[HEADER_SIZE : HEADER_SIZE + header.manifest_len], path
-        )
+        raw = mapping[HEADER_SIZE : HEADER_SIZE + header.manifest_len]
+        crc = zlib.crc32(raw) if verify else header.manifest_crc
+        if crc != header.manifest_crc:
+            raise StoreChecksumError(
+                f"{path}: index manifest checksum {crc:#010x} != recorded "
+                f"{header.manifest_crc:#010x}; the file is corrupt — "
+                "rebuild it with 'repro build'"
+            )
+        entries, root = decode_manifest(raw, path)
         manifest = Manifest(
             entries=entries,
             root=root,
@@ -230,7 +235,7 @@ def load(path: str, verify: bool = True) -> IndexStore:
             path=os.path.abspath(path),
             base=header.segment_offset,
         )
-        structure = attach_buffer(manifest, mapping)
+        structure = attach_buffer(manifest, mapping, verify)
     except Exception:
         mapping.close()
         raise

@@ -3,7 +3,7 @@
 A structure tree — anything from a single :class:`BitVector` to the
 whole :class:`GraphDatabase` — *flattens* into one segment: its
 canonical arrays packed back to back at 8-byte-aligned offsets, plus a
-:class:`Manifest` of ``(offset, dtype, shape)`` entries and a nested
+:class:`Manifest` of ``(offset, nbytes, crc32)`` entries and a nested
 ``root`` dict of plain scalars and array indices. *Attaching* rebuilds
 the tree as read-only ``memoryview``\\ s over a buffer holding those
 bytes, with nothing deserialized and no numpy imported. Which fields a
@@ -14,14 +14,17 @@ the declarations and knows no structure by name.
 
 The bytes have one carrier: the index file (:mod:`repro.store.io`),
 where they follow a checksummed header. A worker pool hands its workers
-such a file too. Dtypes are explicit little-endian strings, so a
-manifest is valid regardless of the attaching interpreter's native byte
-order.
+such a file too. An entry records no dtype: each array is read in the
+explicit little-endian dtype its field declares, so a manifest is valid
+regardless of the attaching interpreter's native byte order. Each
+array's CRC-32 is held by the attached node that owns it, and checked
+at that node's first read (:func:`~repro.succinct.fields.check_sums`).
 """
 
 from __future__ import annotations
 
 import copy
+import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -39,7 +42,8 @@ from repro.utils.errors import StoreFormatError, StructureError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-Entry = tuple[int, str, tuple[int, ...]]
+#: One array's place in the segment: ``(byte offset, nbytes, crc32)``.
+Entry = tuple[int, int, int]
 
 
 def _align8(offset: int) -> int:
@@ -51,9 +55,9 @@ class Manifest:
     """Description of one flattened structure tree.
 
     ``entries[i]`` locates array ``i`` inside the segment as ``(byte
-    offset, little-endian dtype string, shape)``; ``root`` is the nested
-    structure meta whose leaves reference arrays by index. The segment
-    starts at byte ``base`` of the index file at ``path``.
+    offset, nbytes, crc32)``; ``root`` is the nested structure meta
+    whose leaves reference arrays by index. The segment starts at byte
+    ``base`` of the index file at ``path``.
     """
 
     entries: tuple[Entry, ...]
@@ -106,7 +110,7 @@ class SegmentBuilder:
                     )
             arr = arr.astype(dtype)
         offset = _align8(self._size)
-        self._entries.append((offset, dtype, tuple(arr.shape)))
+        self._entries.append((offset, arr.nbytes, zlib.crc32(arr)))
         self._pending.append((offset, arr))
         self._size = offset + arr.nbytes
         return len(self._entries) - 1
@@ -118,16 +122,25 @@ class SegmentBuilder:
 
 
 class SegmentView:
-    """Validated read-only ``memoryview``\\ s over one attached buffer."""
+    """Validated read-only ``memoryview``\\ s over one attached buffer.
 
-    def __init__(self, manifest: Manifest, buf: Any) -> None:
+    With ``verify``, the attach hands each node the CRC-32s of its
+    arrays to be checked at the node's first read.
+    """
+
+    def __init__(self, manifest: Manifest, buf: Any, verify: bool) -> None:
         self._manifest = manifest
         self._bytes = memoryview(buf).toreadonly()
         self.carrier = manifest.carrier
+        self.verify = verify
+
+    def crc(self, index: int) -> int:
+        """The recorded CRC-32 of array ``index`` (after :meth:`get`)."""
+        return self._manifest.entries[index][2]
 
     def get(self, index: Any, dtype: str, kind: str, key: str) -> memoryview:
-        """Array ``index`` of the manifest, which must hold ``dtype`` in
-        one dimension.
+        """Array ``index`` of the manifest, read as whole ``dtype``
+        elements.
 
         ``kind``/``key`` name the referring field in error messages.
         """
@@ -137,20 +150,15 @@ class SegmentView:
                 f"{self.carrier}: {kind}.{key} names array {index!r}, "
                 f"outside the {len(manifest.entries)} manifest entries"
             )
-        offset, got, shape = manifest.entries[index]
-        if got != dtype:
-            raise StoreFormatError(
-                f"{self.carrier}: {kind}.{key} is stored as {got!r}, "
-                f"expected {dtype!r}"
-            )
-        if len(shape) != 1:
-            raise StoreFormatError(
-                f"{self.carrier}: {kind}.{key} has shape {shape}, not one "
-                "dimension"
-            )
+        offset, nbytes, _crc = manifest.entries[index]
         code, width = FORMATS[dtype]
-        end = offset + shape[0] * width
-        if offset < 0 or shape[0] < 0 or end > manifest.nbytes:
+        if nbytes % width:
+            raise StoreFormatError(
+                f"{self.carrier}: {kind}.{key} holds {nbytes} bytes, not a "
+                f"whole number of {dtype!r} elements"
+            )
+        end = offset + nbytes
+        if end > manifest.nbytes:
             raise StoreFormatError(
                 f"{self.carrier}: {kind}.{key} spans bytes [{offset}, {end}) "
                 f"of a {manifest.nbytes}-byte segment"
@@ -219,12 +227,14 @@ def _attach(cls: type, meta: Any, view: SegmentView) -> Any:
     obj = cls.__new__(cls)
     for spec in layout.transients:
         setattr(obj, spec.name, copy.copy(spec.reset))
+    crcs = []
     for key, spec in layout.persisted:
         if key not in meta:
             raise StoreFormatError(f"{view.carrier}: {kind} node lacks '{key}'")
         value = meta[key]
         if isinstance(spec, Array):
             value = view.get(value, spec.dtype, kind, key)
+            crcs.append(view.crc(meta[key]))
         elif isinstance(spec, Scalar):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise StoreFormatError(
@@ -245,14 +255,18 @@ def _attach(cls: type, meta: Any, view: SegmentView) -> Any:
                 spec, value, lambda m: _attach(spec.cls, m, view)
             )
         setattr(obj, spec.name, value)
+    if crcs and view.verify:
+        obj._sums = (view.carrier, tuple(crcs))
     return obj
 
 
-def attach_buffer(manifest: Manifest, buf: Any) -> Any:
+def attach_buffer(manifest: Manifest, buf: Any, verify: bool = True) -> Any:
     """Rebuild a flattened structure zero-copy over ``buf``.
 
     ``buf`` holds the carrier's bytes (a whole memory-mapped index
-    file). The caller owns its lifetime and must keep it alive while the
+    file). With ``verify`` each node's arrays are held to their
+    recorded CRC-32s at the node's first read; nothing is read here.
+    The caller owns its lifetime and must keep it alive while the
     structure is in use — read-only ``memoryview``\\ s into it are handed
     out, never copies. A structurally bad manifest raises
     :class:`StoreFormatError` with no view left behind, so the caller
@@ -265,7 +279,7 @@ def attach_buffer(manifest: Manifest, buf: Any) -> Any:
             f"{manifest.carrier}: unknown structure kind {kind!r}"
         )
     try:
-        return _attach(cls, manifest.root, SegmentView(manifest, buf))
+        return _attach(cls, manifest.root, SegmentView(manifest, buf, verify))
     except StoreFormatError as exc:
         message = str(exc)
     # Raised afresh, outside the handler: the original's traceback pins
@@ -281,7 +295,8 @@ def prime(structure: object) -> None:
     tables and rebuild each lazily on first touch — mid-query; a
     bitvector and a checked table read the mapping until they promote
     (:class:`~repro.succinct.fields.ColdReader`). Calling this at the
-    load boundary (worker initializer, store warm-up) promotes every
+    load boundary (worker initializer, store warm-up) holds every array
+    to its checksum (each node's first read does), promotes every
     bitvector through its full recount and every checked table through
     its whole check, and moves all of that cost into the explicit
     one-time warm-up instead. Idempotent, and free on built structures,

@@ -39,7 +39,7 @@ class CumulativeCounts(LazyMirrors):
         "cumcounts",
         Scalar("_n"),
         Scalar("_sigma"),
-        Array("_cum", INT),
+        Array("_cum", INT, "cumulative counts"),
         Derived("_cum_i", "_checked_cum"),
         promote="_promote",
     )

@@ -15,17 +15,21 @@ unboxes a numpy scalar. The per-word counts are never stored. A built
 vector counts them at construction. An attached one answers its first
 reads from the mapping instead (:class:`_ColdOnes`): a word is read from
 the mapped words, and the ones before it are its block's stored count
-plus the popcounts of the words before it in the block. Its level total
-is checked once, at the vector's first read, with one popcount of all
-its words (``int.from_bytes(words, "little").bit_count()``); each
+plus the popcounts of the words before it in the block. Before the
+vector's first read its words and directory are held to their CRC-32s
+from the manifest (:func:`~repro.succinct.fields.check_sums`), a
+:class:`StoreChecksumError` if either differs; an attach that skips the
+checksums checks the level total there instead, with one popcount of
+all its words (``int.from_bytes(words, "little").bit_count()``). Each
 512-bit block is checked against the directory at that block's first
 read. Once those reads have cost about what a full derivation costs —
 64 reads plus one per stored block — the vector *promotes*: the word
 and count lists are derived in full (``int.bit_count`` per word) and
 held against the whole stored directory, as
 :func:`repro.store.layout.prime` does for every vector up front. So a
-flipped bit in the words or the directory is a :class:`StoreFormatError`
-at the first read that depends on it, and never a wrong rank. None of
+flipped bit in the words or the directory is a typed error at the
+vector's first read (a :class:`StoreFormatError` at the first read that
+depends on it, without checksums), and never a wrong rank. None of
 this needs numpy, which only a build imports.
 
 In-word select uses ``int.bit_count`` and the 8-bit popcount/select
@@ -57,6 +61,7 @@ from repro.succinct.fields import (
     LazyMirrors,
     Scalar,
     Transient,
+    check_sums,
 )
 from repro.succinct.tables import select_in_word
 from repro.utils.errors import (
@@ -181,8 +186,11 @@ class BitVector(LazyMirrors):
     LAYOUT = Layout(
         "bitvector",
         Scalar("_n"),
-        Array("_words", "<u8"),
-        Array("_blocks", INT),
+        Array(
+            "_words", "<u8",
+            "words of a bitvector, which its rank directory counts",
+        ),
+        Array("_blocks", INT, "rank directory entries of a bitvector"),
         Derived("_words_i", "_cold_words"),
         Derived("_cum1_i", "_cold_ones"),
         Derived("_cum0_i", "_zeros_before_words"),
@@ -219,14 +227,17 @@ class BitVector(LazyMirrors):
         return self._words
 
     def _cold_ones(self) -> Sequence[int]:
-        """An attached vector's :class:`_ColdOnes`, once its shape and
-        its level total hold."""
+        """An attached vector's :class:`_ColdOnes`, once its shape holds
+        and, when the attach skipped the checksums, its level total."""
         words, blocks = self._words, self._blocks
         n_words = (self._n + 63) >> 6
         if (
             len(words) != n_words
             or len(blocks) != -(-n_words // _BLOCK_WORDS) + 1
-            or int.from_bytes(words, "little").bit_count() != blocks[-1]
+            or (
+                self._sums is None
+                and int.from_bytes(words, "little").bit_count() != blocks[-1]
+            )
         ):
             raise _disagree(self._n)
         return _ColdOnes(self, self._words_i)
@@ -335,6 +346,8 @@ class BitVector(LazyMirrors):
     def to_array(self) -> np.ndarray:
         """Materialize the bits as a ``uint8`` numpy array (testing aid)."""
         import numpy as np
+
+        check_sums(self)
 
         return np.unpackbits(
             np.frombuffer(self._words, dtype=np.uint8),

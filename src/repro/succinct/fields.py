@@ -21,12 +21,13 @@ layout of the segment.
 from __future__ import annotations
 
 import weakref
+import zlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import le, lt
 from typing import TYPE_CHECKING, Any, ClassVar, Literal
 
-from repro.utils.errors import StoreFormatError
+from repro.utils.errors import StoreChecksumError, StoreFormatError
 
 #: The stored dtype of every count, offset and node id, and its width:
 #: 2^31 positions is far past what a pure-Python index can hold.
@@ -57,12 +58,14 @@ class Array:
 
     ``dtype`` is an explicit little-endian string: ``<u8`` bit words,
     ``<i4`` counts/offsets/ids (:data:`INT`), ``<f8`` distances.
+    ``what`` names the array in the error its checksum raises.
     ``mirrored`` arrays carry a plain-scalar ``<name>_i`` list, never
     persisted and rebuilt on first touch, so hot paths read a list.
     """
 
     name: str
     dtype: Literal["<u8", "<i4", "<f8"]
+    what: str
     mirrored: bool = False
 
 
@@ -282,7 +285,8 @@ class Layout:
     """The declared fields of one structure class.
 
     ``persisted`` pairs each persisted field with its manifest key, in
-    flatten order; ``transients`` are reset on attach; ``mirrored``
+    flatten order, and ``arrays`` lists its arrays in that order;
+    ``transients`` are reset on attach; ``mirrored``
     names the arrays that carry a ``<name>_i`` mirror and ``derived``
     maps each derived table to the method that builds it. A structure
     whose derived tables start as readers over the mapping names in
@@ -302,6 +306,7 @@ class Layout:
             for f in fields
             if isinstance(f, (Scalar, Array, Child))
         )
+        self.arrays = tuple(f for f in fields if isinstance(f, Array))
         self.mirrored = frozenset(
             f.name for f in fields if isinstance(f, Array) and f.mirrored
         )
@@ -310,10 +315,34 @@ class Layout:
         }
 
 
+def check_sums(node: LazyMirrors) -> None:
+    """Hold each array of an attached ``node`` to the CRC-32 its
+    manifest entry records, once, before anything reads the array.
+
+    A mismatch is a :class:`StoreChecksumError` naming the array, and
+    stays one: the node keeps its sums, so every later read raises
+    again. Two threads may both check a node; neither reads it first.
+    """
+    sums = node._sums
+    if not sums:
+        return
+    carrier, crcs = sums
+    for spec, crc in zip(node.LAYOUT.arrays, crcs):
+        got = zlib.crc32(getattr(node, spec.name))
+        if got != crc:
+            raise StoreChecksumError(
+                f"{carrier}: the {spec.what} have checksum {got:#010x}, not "
+                f"the recorded {crc:#010x}; the index is corrupt — rebuild "
+                "it with 'repro build'"
+            )
+    node._sums = ()
+
+
 class _Lazy:
     """A mirror (``source.tolist()``) or derived table (``source()``),
     built on first read and then kept in the instance ``__dict__``,
-    which shadows this non-data descriptor from then on."""
+    which shadows this non-data descriptor from then on. The node's
+    arrays are held to their checksums first (:func:`check_sums`)."""
 
     def __init__(self, name: str, source: str, derived: bool) -> None:
         self._name = name
@@ -323,6 +352,8 @@ class _Lazy:
     def __get__(self, obj: Any, objtype: type | None = None) -> Any:
         if obj is None:
             return self
+        if obj._sums:
+            check_sums(obj)
         source = getattr(obj, self._source)
         value = source() if self._derived else source.tolist()
         obj.__dict__[self._name] = value
@@ -341,6 +372,12 @@ class LazyMirrors:
     """
 
     LAYOUT: ClassVar[Layout]
+
+    #: The checksums an attach holds this node's arrays to: ``(carrier,
+    #: one CRC-32 per array of the layout)`` until :func:`check_sums`
+    #: has held them, ``()`` after; ``None`` when there are none to hold
+    #: (a built node, or an attach that skips the checksums).
+    _sums: tuple[str, tuple[int, ...]] | tuple[()] | None = None
 
     if TYPE_CHECKING:  # the lazy names are not declared attributes
 

@@ -188,27 +188,18 @@ class TestServeBatchErrorPaths:
         assert "StoreFormatError" in captured.err
         assert "No such file" in captured.err
 
-    def _corrupt_index(self, tmp_path, capsys, *flags):
+    def test_corrupt_index_file_is_typed_error(self, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.idx"
         corrupt.write_bytes(b"this is not an index file at all")
         code, captured = self._run(
             [
-                "query", "--from-index", str(corrupt), *flags,
+                "query", "--from-index", str(corrupt),
                 "--query", "(?x, 0, ?y)",
             ],
             capsys,
         )
         assert code == 2
         assert "Store" in captured.err  # typed Store* family
-
-    def test_corrupt_index_file_is_typed_error(self, tmp_path, capsys):
-        self._corrupt_index(tmp_path, capsys)
-
-    def test_corrupt_index_file_unverified_is_typed_error(
-        self, tmp_path, capsys
-    ):
-        # Skipping the checksum does not skip the structural checks.
-        self._corrupt_index(tmp_path, capsys, "--no-verify")
 
     def test_malformed_query_is_typed_error(self, bundle_path, capsys):
         code, captured = self._run(

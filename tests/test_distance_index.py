@@ -131,3 +131,26 @@ class TestDistanceIndex:
             DistanceRangeIndex(
                 np.zeros((3, 1)), d_max=1.0, members=np.array([1, 1, 2])
             )
+
+
+def _exact(points, u):
+    """Each point's distance to point ``u``, from exact differences."""
+    return np.sqrt(((points - points[u]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e7])
+def test_rows_are_exact_far_from_the_origin(offset):
+    """Every row lists the points within ``d`` of its member, nearest
+    first and ties by id, as the exact distances order them — also for
+    points far from the origin, where the expansion ``|a|^2 + |b|^2 -
+    2 a.b`` cancels most of a distance away. ``d_max`` is one of the
+    distances, so the inclusive bound is held at an exact tie."""
+    points = np.random.default_rng(7).normal(size=(200, 3)) + offset
+    d_max = float(np.sort(_exact(points, 0))[10])
+    index = DistanceRangeIndex(points, d_max=d_max)
+    for u in range(len(points)):
+        dist = _exact(points, u)
+        for d in (d_max / 2, d_max):
+            within = [v for v in range(len(points)) if v != u and dist[v] <= d]
+            want = sorted(within, key=lambda v: (dist[v], v))
+            assert index.neighbors_within(u, d) == want

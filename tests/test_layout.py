@@ -6,25 +6,27 @@
   exactly as the original, over the one carrier, a real index file.
   Every trip also checks the attach contract: mirrors absent then
   rebuilt identically, transient state reset, views read-only.
-* **Walker bounds** — an entry is bounds-checked at its own dtype's
-  width, and a value too wide for a field's declared dtype is refused
-  at flatten time, by field name, instead of wrapping.
+* **Walker bounds** — an entry's length is bounds-checked against the
+  segment and must be a whole number of its field's declared dtype, and
+  a value too wide for that dtype is refused at flatten time, by field
+  name, instead of wrapping.
 * **Failure paths** — a load that fails mid-walk closes its mapping
   (the sanitizer's ledger is left clean), and a pool start whose
   scratch save fails leaves no file behind.
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
   (``tests/golden/figure2_index.json``), which is what keeps
-  ``FORMAT_VERSION`` at 4. Version 4 builds each Ring column over its
+  ``FORMAT_VERSION`` at 5. Version 4 builds each Ring column over its
   own alphabet and stores member ranks in ``S``, ``S'`` and ``D``; it
-  re-pinned the file at 9,548 bytes (11,908 under version 3).
+  re-pinned the file at 9,548 bytes (11,908 under version 3). Version 5
+  records each array as ``[nbytes, crc32]`` and the manifest's CRC-32 in
+  the header.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import mmap
 import os
 import shutil
@@ -94,9 +96,12 @@ def _check_attach_contract(got, original):
     # The declaration is complete: apart from the mirrors and derived
     # tables, every attribute a constructor sets is declared, so attach
     # restores it (a loaded database also carries its store's
-    # back-reference).
+    # back-reference, and a node with arrays the CRC-32s its first read
+    # holds them to).
     lazy = {name + "_i" for name in layout.mirrored} | set(layout.derived)
-    assert (set(vars(got)) - {"_store"}) | lazy == set(vars(original)) | lazy
+    attached = {"_store", "_sums"}
+    assert (set(vars(got)) - attached) | lazy == set(vars(original)) | lazy
+    assert ("_sums" in vars(got)) == bool(layout.arrays)
     for spec in layout.transients:
         assert getattr(got, spec.name) == spec.reset
         if isinstance(spec.reset, dict):
@@ -135,6 +140,8 @@ def _check_attach_contract(got, original):
                 pairs = [children] if children[1] is not None else []
             for got_child, original_child in pairs:
                 _check_attach_contract(got_child, original_child)
+    # Read, so held to its checksums (and they held).
+    assert not layout.arrays or got._sums == ()
 
 
 def _check_bitvector(got, original, bits):
@@ -475,15 +482,19 @@ def test_graph_database_roundtrip_query_equality(carrier):
 def test_entry_bounds_use_the_dtype_itemsize():
     segment = bytearray(16)
 
-    def get(count):
+    def get(nbytes, dtype="<i4"):
         manifest = Manifest(
-            entries=((8, "<i4", (count,)),), root={}, nbytes=len(segment)
+            entries=((8, nbytes, 0),), root={}, nbytes=len(segment)
         )
-        return SegmentView(manifest, segment).get(0, "<i4", "node", "field")
+        view = SegmentView(manifest, segment, verify=True)
+        return view.get(0, dtype, "node", "field")
 
-    assert get(2).shape == (2,)  # ends exactly where the segment does
+    assert get(8).shape == (2,)  # ends exactly where the segment does
+    assert get(8, "<u8").shape == (1,)
     with pytest.raises(StoreFormatError, match=r"node\.field spans bytes \[8, 20\)"):
-        get(3)
+        get(12)
+    with pytest.raises(StoreFormatError, match=r"node\.field holds 4 bytes, not a whole"):
+        get(4, "<u8")
 
 
 def _counts_table(cum):
@@ -543,13 +554,13 @@ def test_failed_attach_leaves_no_live_mapping(
     store.close()
     # Have the header claim a segment one byte short of its furthest
     # array: the walk attaches views of the earlier arrays, then fails.
-    end = max(
-        offset + math.prod(shape) * np.dtype(dtype).itemsize
-        for offset, dtype, shape in manifest.entries
-    )
+    end = max(offset + nbytes for offset, nbytes, _crc in manifest.entries)
     with open(path, "r+b") as handle:
         handle.write(
-            pack_header(header.manifest_len, end - 1, header.checksum)
+            pack_header(
+                header.manifest_len, end - 1, header.checksum,
+                header.manifest_crc,
+            )
         )
     live = set(sanitize.LEDGER.live())
     opened = len(recorded_mappings)
@@ -587,7 +598,7 @@ def test_figure2_index_bytes_are_pinned(figure2):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "figure2_index.json").read_text()
     )
-    assert FORMAT_VERSION == pinned["format_version"] == 4
+    assert FORMAT_VERSION == pinned["format_version"] == 5
     path = figure2.index_path
     assert os.path.getsize(path) == pinned["nbytes"]
     with open(path, "rb") as handle:

@@ -4,15 +4,20 @@ Mirrors the worker pool's layers (``tests/test_parallel_shm.py``) for
 :mod:`repro.store`; the per-structure round trips live in
 ``tests/test_layout.py``:
 
-* **Failure modes** — truncation, bad magic, version skew (version-1
-  and version-2 files included), checksum corruption, endianness (file flag
-  and host) each raise their typed :mod:`repro.utils.errors` exception;
-  ``verify=False`` skips only the checksum — and even then one flipped
-  bit in a bitvector's words or rank directory is a typed error, never
-  a wrong rank: the vector's total is checked at its first read, each
-  block at the block's first read, and the full recount runs when the
-  vector promotes or at ``prime``. One in an offsets or sorted-id table
-  is a typed error unless the table keeps its structure.
+* **Failure modes** — truncation, bad magic, version skew (files of
+  every earlier version included), checksum corruption, endianness (file
+  flag and host) each raise their typed :mod:`repro.utils.errors`
+  exception. An attach reads no payload: it checks the header and the
+  manifest's CRC-32, and each array is held to its own CRC-32 at the
+  first read of the node that owns it, so a flipped payload bit is a
+  :class:`StoreChecksumError` there (or at ``prime``), never at attach
+  and never a changed answer. ``verify=False`` skips the checksums —
+  and even then one flipped bit in a bitvector's words or rank directory
+  is a typed error, never a wrong rank: the vector's total is checked at
+  its first read, each block at the block's first read, and the full
+  recount runs when the vector promotes or at ``prime``. One in an
+  offsets or sorted-id table is a typed error unless the table keeps
+  its structure.
 * **Space budget** — the Figure-2 graph's index file stays within the
   bytes-per-edge budget of ``docs/performance.md``.
 * **Attached reads** — an mmap-loaded Figure-2 database hands back
@@ -62,8 +67,15 @@ from repro.store.format import (
     pack_header,
     unpack_header,
 )
+from repro.store.layout import KINDS
 from repro.succinct.bitvector import BitVector, _ColdOnes
-from repro.succinct.fields import FIXED_READS, ColdReader, ColdTable
+from repro.succinct.fields import (
+    FIXED_READS,
+    Array,
+    Child,
+    ColdReader,
+    ColdTable,
+)
 from repro.utils.errors import (
     StoreChecksumError,
     StoreEndiannessError,
@@ -131,20 +143,61 @@ def test_version_skew(small_index):
     _rewrite(small_index, 8, struct.pack("<I", FORMAT_VERSION + 1))
     with pytest.raises(StoreVersionError, match="repro build"):
         load(small_index)
-    # Version-1, -2 and -3 headers as those formats wrote them (same
-    # struct, magic, flag and consistent lengths): refused by their
-    # version alone — there is no reader kept for any. A version-3
-    # file's K-NN sequences hold node ids where version 4 reads ranks.
-    for old in (1, 2, 3):
+    # Version-1 to -4 headers as those formats wrote them (same struct,
+    # magic, flag and consistent lengths): refused by their version
+    # alone — there is no reader kept for any. A version-3 file's K-NN
+    # sequences hold node ids where version 4 reads ranks.
+    for old in (1, 2, 3, 4):
         _rewrite(small_index, 0, struct.pack(
             "<8sIIQQII", MAGIC, old, 1, header.manifest_len,
             header.segment_len, header.checksum, 0,
         ))
         for verify in (True, False):
             with pytest.raises(
-                StoreVersionError, match=f"version {old} != 4.*repro build"
+                StoreVersionError,
+                match=f"version {old} != {FORMAT_VERSION}.*repro build",
             ):
                 load(small_index, verify=verify)
+
+
+def test_format_4_file_is_refused(tmp_path):
+    """A whole format-4 file — its manifest entries ``[offset, dtype,
+    [count]]`` and no manifest CRC, over a segment laid out as format 5
+    lays it — is refused by its version, naming the remedy, before its
+    manifest is read."""
+    path = str(tmp_path / "v4.idx")
+    save(BitVector([1, 0, 1, 1, 0, 1]), path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    header = unpack_header(raw[:HEADER_SIZE], path)
+    entries, root = decode_manifest(
+        raw[HEADER_SIZE : HEADER_SIZE + header.manifest_len], path
+    )
+    dtypes = {root["words"]: "<u8", root["blocks"]: "<i4"}
+    manifest = json.dumps(
+        {
+            "entries": [
+                [offset, dtypes[i], [nbytes // int(dtypes[i][2:])]]
+                for i, (offset, nbytes, _crc) in enumerate(entries)
+            ],
+            "root": root,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    pad = b"\0" * (-(HEADER_SIZE + len(manifest)) % 8)
+    segment = raw[header.segment_offset : header.total_size]
+    with open(path, "wb") as handle:
+        handle.write(struct.pack(
+            "<8sIIQQII", MAGIC, 4, 1, len(manifest), len(segment),
+            checksum_parts(manifest, pad, segment), 0,
+        ))
+        handle.write(manifest + pad + segment)
+    for verify in (True, False):
+        with pytest.raises(
+            StoreVersionError, match="version 4 != 5; rebuild .*'repro build'"
+        ):
+            load(path, verify=verify)
 
 
 def test_big_endian_file_flag(small_index):
@@ -153,29 +206,50 @@ def test_big_endian_file_flag(small_index):
         load(small_index)
 
 
+def _first_read_error(store, read) -> str | None:
+    """The message of the store error ``read(store.structure)`` raises,
+    or ``None``; the store is closed after. The message is read inside
+    the handler: a kept traceback would pin views of the mapping."""
+    try:
+        read(store.structure)
+    except (StoreChecksumError, StoreFormatError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        store.close()
+    return None
+
+
 def test_checksum_mismatch(small_index):
     size = os.path.getsize(small_index)
     with open(small_index, "rb") as handle:
         last = handle.read()[-1]
     _rewrite(small_index, size - 1, bytes([last ^ 0xFF]))
-    with pytest.raises(StoreChecksumError, match="rebuild"):
-        load(small_index)
-    # verify=False skips only the checksum — the header still gates.
-    store = load(small_index, verify=False)
-    store.close()
+    # The attach reads no payload; the vector's first read holds its
+    # arrays to their checksums.
+    message = _first_read_error(load(small_index), lambda bv: bv.rank1(3))
+    assert message is not None
+    assert message.startswith("StoreChecksumError") and "rebuild" in message
+    # verify=False skips the checksums — the header still gates, and
+    # the structural checks stay.
+    message = _first_read_error(
+        load(small_index, verify=False), lambda bv: bv.rank1(3)
+    )
+    assert message is not None
+    assert message.startswith("StoreFormatError") and "rank directory" in message
 
 
 def test_malformed_manifest_json(small_index):
-    # Corrupt the manifest bytes, then re-stamp the checksum so the
-    # JSON decode (not the checksum) is what fails.
-    from repro.store.format import payload_checksum
-
+    # Corrupt the manifest bytes, then re-stamp the checksums so the
+    # JSON decode (not the manifest's CRC) is what fails.
     with open(small_index, "rb") as handle:
         raw = bytearray(handle.read())
     header = unpack_header(bytes(raw[:HEADER_SIZE]), small_index)
     raw[HEADER_SIZE : HEADER_SIZE + 8] = b"not json"
-    checksum = payload_checksum(raw, HEADER_SIZE, header.total_size)
-    raw[32:36] = struct.pack("<I", checksum)
+    checksum = checksum_parts(raw[HEADER_SIZE : header.total_size])
+    manifest_crc = checksum_parts(
+        raw[HEADER_SIZE : HEADER_SIZE + header.manifest_len]
+    )
+    raw[32:40] = struct.pack("<II", checksum, manifest_crc)
     with open(small_index, "wb") as handle:
         handle.write(raw)
     with pytest.raises(StoreFormatError, match="manifest"):
@@ -190,14 +264,14 @@ def _array_index_out_of_range(entries, root):
     root["ring"]["blocks"]["s"]["cum"] = len(entries)
 
 
-def _offset_past_segment(entries, root):
-    _offset, dtype, shape = entries[0]
-    entries[0] = (1 << 40, dtype, shape)
+def _length_past_segment(entries, root):
+    offset, _nbytes, crc = entries[0]
+    entries[0] = (offset, 1 << 40, crc)
 
 
-def _bad_dtype(entries, root):
-    offset, _dtype, shape = entries[0]
-    entries[0] = (offset, "<x9", shape)
+def _length_not_whole_elements(entries, root):
+    offset, nbytes, crc = entries[0]  # a bitvector's <u8 words
+    entries[0] = (offset, nbytes + 4, crc)
 
 
 def _missing_key(entries, root):
@@ -209,19 +283,20 @@ def _missing_key(entries, root):
     [
         _unknown_kind,
         _array_index_out_of_range,
-        _offset_past_segment,
-        _bad_dtype,
+        _length_past_segment,
+        _length_not_whole_elements,
         _missing_key,
     ],
 )
 def test_structurally_bad_manifest_is_format_error(
     tmp_path, small_db, monkeypatch, capsys, corrupt
 ):
-    """A wrong manifest behind a *valid* checksum is still a typed error.
+    """A wrong manifest behind *valid* checksums is still a typed error.
 
-    The file is rewritten whole (manifest length, padding and checksum
-    all consistent), so nothing but the structural validation of the
-    attach can catch it — and a failed attach must leave no mapping.
+    The file is rewritten whole (manifest length, padding, checksum and
+    the manifest's CRC all consistent), so nothing but the structural
+    validation of the attach can catch it — and a failed attach must
+    leave no mapping.
     """
     path = str(tmp_path / "bad.idx")
     save(small_db, path)
@@ -242,6 +317,7 @@ def test_structurally_bad_manifest_is_format_error(
                 len(manifest),
                 len(segment),
                 checksum_parts(manifest, pad, segment),
+                checksum_parts(manifest),
             )
         )
         handle.write(manifest + pad + segment)
@@ -555,10 +631,8 @@ def flip_target(tmp_path_factory):
     store.close()
     spans: dict[str, list[tuple[int, int]]] = {}
     for group, index in _stored_arrays(manifest.root):
-        offset, dtype, (count,) = manifest.entries[index]
-        spans.setdefault(group, []).append(
-            (manifest.base + offset, count * int(dtype[2:]))
-        )
+        offset, nbytes, _crc = manifest.entries[index]
+        spans.setdefault(group, []).append((manifest.base + offset, nbytes))
     assert set(spans) == {"bitvector"} | {
         f"{kind}.{key}" for kind, keys in _CHECKED_TABLES.items() for key in keys
     }
@@ -567,22 +641,19 @@ def flip_target(tmp_path_factory):
 
 
 def _primed_error(raw: bytes, path: str) -> str | None:
-    """Write ``raw`` to ``path``; check that the checksum refuses it,
-    then load it without verifying and prime it: the message of the
-    :class:`StoreFormatError` that raises, or ``None``."""
+    """Write ``raw`` to ``path``; check that it attaches and that
+    ``prime`` refuses it by a checksum, then load it without verifying
+    and prime it: the message of the :class:`StoreFormatError` that
+    raises, or ``None``."""
     with open(path, "wb") as handle:
         handle.write(raw)
-    with pytest.raises(StoreChecksumError):
-        load(path)
-    store = load(path, verify=False)
-    try:
-        prime(store.structure)
-    except StoreFormatError as exc:
-        # Read here: a kept traceback would pin views of the mapping.
-        return str(exc)
-    finally:
-        store.close()
-    return None
+    message = _first_read_error(load(path), prime)
+    assert message is not None and message.startswith("StoreChecksumError")
+    message = _first_read_error(load(path, verify=False), prime)
+    if message is None:
+        return None
+    assert message.startswith("StoreFormatError: ")
+    return message.removeprefix("StoreFormatError: ")
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,8 +661,8 @@ def _primed_error(raw: bytes, path: str) -> str | None:
 def test_flipped_bitvector_bit_is_a_typed_error_without_verify(
     flip_target, data
 ):
-    """Past the checksum (``verify=False``) ``prime`` promotes every
-    bitvector: its per-word counts are recounted from the words and held
+    """Under the checksums ``prime`` refuses every such flip. Past them
+    (``verify=False``) ``prime`` promotes every bitvector: its per-word counts are recounted from the words and held
     against the stored directory, so one flipped bit in either is
     caught there. A checked ``<i4`` table is held to its structure as its
     mirror is derived: a flip there is caught, or leaves offsets that
@@ -638,9 +709,9 @@ def ring_flip_target(figure2):
     store.close()
     spans = []
     for group, index in _stored_arrays(manifest.root):
-        offset, dtype, (count,) = manifest.entries[index]
-        if group == "bitvector" and count:
-            spans.append((manifest.base + offset, count * int(dtype[2:])))
+        offset, nbytes, _crc = manifest.entries[index]
+        if group == "bitvector" and nbytes:
+            spans.append((manifest.base + offset, nbytes))
     with open(figure2.index_path, "rb") as handle:
         return handle.read(), spans
 
@@ -706,11 +777,9 @@ def table_flip_target(figure2):
     store.close()
     spans: dict[str, list[tuple[int, int]]] = {}
     for group, index in _stored_arrays(manifest.root):
-        offset, dtype, (count,) = manifest.entries[index]
-        if group != "bitvector" and count:
-            spans.setdefault(group, []).append(
-                (manifest.base + offset, count * int(dtype[2:]))
-            )
+        offset, nbytes, _crc = manifest.entries[index]
+        if group != "bitvector" and nbytes:
+            spans.setdefault(group, []).append((manifest.base + offset, nbytes))
     assert set(spans) == {
         "cumcounts.cum", "knn_ring.members", "knn_ring.s_offsets"
     }
@@ -793,10 +862,9 @@ def test_a_flip_is_caught_at_the_first_read_that_depends_on_it(
     path = str(tmp_path / "bv.idx")
     save(BitVector(bits), path)
     store = load(path)
-    offset, dtype, (count,) = store.manifest.entries[
-        store.manifest.root[field]
-    ]
-    at = store.manifest.base + offset + (element % count) * int(dtype[2:])
+    offset, nbytes, _crc = store.manifest.entries[store.manifest.root[field]]
+    width = {"words": 8, "blocks": 4}[field]
+    at = store.manifest.base + offset + (element % (nbytes // width)) * width
     store.close()
     with open(path, "r+b") as handle:
         handle.seek(at)
@@ -813,6 +881,179 @@ def test_a_flip_is_caught_at_the_first_read_that_depends_on_it(
     finally:
         store.close()
     assert message is not None and "rank directory" in message
+
+
+# ----------------------------------------------------------------------
+# format 5: each array is held to its own CRC-32 at its node's first read
+# ----------------------------------------------------------------------
+def _attached_nodes(node, meta):
+    """``(node, meta)`` of every structure node of an attached tree,
+    beside the manifest meta it was attached from."""
+    yield node, meta
+    for key, spec in type(node).LAYOUT.persisted:
+        if not isinstance(spec, Child) or meta[key] is None:
+            continue
+        value = getattr(node, spec.name)
+        if spec.many == "list":
+            pairs = zip(value, meta[key])
+        elif spec.many == "dict":
+            pairs = ((value[k], meta[key][k]) for k in meta[key])
+        else:
+            pairs = [(value, meta[key])]
+        for child, child_meta in pairs:
+            yield from _attached_nodes(child, child_meta)
+
+
+#: A public read of each kind of node that owns arrays, and the array
+#: keys of that kind with the name its checksum error gives each.
+_FIRST_READS = {
+    "bitvector": lambda bv: bv.rank1(len(bv)),
+    "cumcounts": lambda cum: cum.before(0),
+    "knn_ring": lambda knn: knn.next_member(0),
+    "distance_index": lambda index: index.next_member(0),
+}
+_ARRAY_NAMES = {
+    ("bitvector", "words"): "words of a bitvector",
+    ("bitvector", "blocks"): "rank directory",
+    ("cumcounts", "cum"): "cumulative counts",
+    ("knn_ring", "members"): "K-NN members",
+    ("knn_ring", "s_offsets"): "K-NN row offsets",
+    ("distance_index", "members"): "distance-index members",
+    ("distance_index", "distances"): "distance-index distances",
+}
+
+
+def test_every_array_kind_is_declared_with_its_name():
+    declared = {
+        (kind, key)
+        for kind, cls in KINDS.items()
+        for key, spec in cls.LAYOUT.persisted
+        if isinstance(spec, Array)
+    }
+    assert declared == set(_ARRAY_NAMES)
+    for (kind, key), name in _ARRAY_NAMES.items():
+        (spec,) = [s for k, s in KINDS[kind].LAYOUT.persisted if k == key]
+        assert name in spec.what
+
+
+@pytest.mark.parametrize("kind, key", sorted(_ARRAY_NAMES))
+def test_a_flip_in_any_array_is_a_checksum_error_at_its_nodes_first_read(
+    flip_target, tmp_path, kind, key
+):
+    """One flipped bit in the first non-empty array of each kind: the
+    default load attaches the file without reading it, the node that
+    owns the array holds it to its CRC-32 at its first read, and the
+    :class:`StoreChecksumError` names the array. Another node answers
+    before that."""
+    raw, _spans, path = flip_target
+    store = load(path)
+    manifest = store.manifest
+    index = next(
+        meta[key]
+        for _node, meta in _attached_nodes(store.structure, manifest.root)
+        if meta["kind"] == kind and manifest.entries[meta[key]][1]
+    )
+    store.close()
+    offset, nbytes, _crc = manifest.entries[index]
+    flipped = bytearray(raw)
+    flipped[manifest.base + offset + nbytes // 2] ^= 0x10
+    path = str(tmp_path / "flipped.idx")
+    with open(path, "wb") as handle:
+        handle.write(flipped)
+
+    def nodes(db):
+        """The node that owns the flipped array, and one that does not."""
+        pairs = list(_attached_nodes(db, manifest.root))
+        owner = next(node for node, meta in pairs if meta.get(key) == index)
+        other = next(
+            node for node, meta in pairs
+            if meta["kind"] in _FIRST_READS and node is not owner
+        )
+        return owner, other
+
+    def read(db):
+        owner, other = nodes(db)
+        assert owner._sums, "the attach read the owner"
+        _FIRST_READS[type(other).LAYOUT.kind](other)
+        _FIRST_READS[kind](owner)
+
+    message = _first_read_error(load(path), read)
+    assert message is not None
+    assert message.startswith("StoreChecksumError")
+    assert _ARRAY_NAMES[kind, key] in message and "repro build" in message
+
+
+def test_a_same_popcount_swap_in_an_unread_block_is_caught(tmp_path):
+    """Two bits of a word of block 0 swapped: the word keeps its
+    popcount, so the level total and every block's count still hold,
+    and a read of block 1 alone answers as built when the checksums are
+    skipped. The words' CRC-32 refuses it at the vector's first read."""
+    built = BitVector(np.random.default_rng(3).integers(0, 2, 4 * 512))
+    path = str(tmp_path / "swap.idx")
+    save(built, path)
+    store = load(path)
+    offset, _nbytes, _crc = store.manifest.entries[store.manifest.root["words"]]
+    at = store.manifest.base + offset
+    store.close()
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        word = int.from_bytes(handle.read(8), "little")
+        one = (word & -word).bit_length() - 1  # lowest set bit
+        zero = (~word & -~word).bit_length() - 1  # lowest clear bit
+        swapped = word ^ (1 << one) ^ (1 << zero)
+        assert swapped.bit_count() == word.bit_count() and swapped != word
+        handle.seek(at)
+        handle.write(swapped.to_bytes(8, "little"))
+    position = 8 * 64 + 5  # in block 1
+    unchecked = load(path, verify=False)
+    try:
+        assert unchecked.structure.rank1(position) == built.rank1(position)
+    finally:
+        unchecked.close()
+    message = _first_read_error(load(path), lambda bv: bv.rank1(position))
+    assert message is not None
+    assert message.startswith("StoreChecksumError: ")
+    assert "words of a bitvector" in message
+
+
+def test_a_flipped_manifest_byte_fails_at_attach(figure2, tmp_path):
+    """A digit of the manifest changed to another keeps it well-formed
+    JSON (an array's length, so a structural check may or may not catch
+    it); the manifest's CRC-32 refuses it at attach, before the walk."""
+    with open(figure2.index_path, "rb") as handle:
+        raw = bytearray(handle.read())
+    header = unpack_header(bytes(raw[:HEADER_SIZE]), figure2.index_path)
+    manifest = raw[HEADER_SIZE : HEADER_SIZE + header.manifest_len]
+    at = HEADER_SIZE + manifest.index(b"[[") + 2  # first entry's nbytes
+    raw[at] = ord("1") if raw[at] != ord("1") else ord("2")
+    path = str(tmp_path / "manifest.idx")
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    with pytest.raises(StoreChecksumError, match="manifest checksum"):
+        load(path)
+
+
+def test_every_segment_byte_flipped_still_attaches(figure2, tmp_path):
+    """An attach reads the header and the manifest only: with every
+    segment byte inverted the file still loads and describes itself; the
+    first query is refused by a checksum, and so is ``prime``."""
+    with open(figure2.index_path, "rb") as handle:
+        raw = bytearray(handle.read())
+    header = unpack_header(bytes(raw[:HEADER_SIZE]), figure2.index_path)
+    for at in range(header.segment_offset, header.total_size):
+        raw[at] ^= 0xFF
+    path = str(tmp_path / "inverted.idx")
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    store = load(path)
+    assert store.describe()["mapped"]
+    query = figure2.queries[0]
+    message = _first_read_error(
+        store, lambda db: AutoEngine(db).evaluate(query)
+    )
+    assert message is not None and message.startswith("StoreChecksumError")
+    message = _first_read_error(load(path), prime)
+    assert message is not None and message.startswith("StoreChecksumError")
 
 
 @pytest.mark.parametrize(
