@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.ltj.solutions import Solutions
 from repro.ltj.stats import EvaluationStats
 from repro.obs.spans import Spans
+from repro.utils.record import Record
 
 __all__ = ["QueryResult", "Solutions"]
 
 
-@dataclass
-class QueryResult:
+class QueryResult(Record):
     """Solutions plus instrumentation of one query evaluation."""
+
+    __slots__ = ("engine", "solutions", "stats", "spans", "trace", "cached")
 
     engine: str
     """Engine name: ``ring-knn``, ``ring-knn-s``, ``baseline``, ..."""
@@ -26,25 +26,39 @@ class QueryResult:
     stats: EvaluationStats
     """LTJ counters (bindings, attempts, elapsed, timed_out, ...)."""
 
-    spans: Spans = field(default_factory=Spans)
+    spans: Spans
     """The evaluation's phases as spans (``bgp``/``postprocess``,
     ``materialize``/``query``, a cache hit's ``cache_probe``): the
     recorder of ``trace`` when the call was traced, else its own."""
 
-    trace: object | None = None
+    trace: object | None
     """The :class:`~repro.obs.trace.QueryTrace` passed to ``evaluate``
     (None when tracing was off)."""
 
-    cached: bool = False
+    cached: bool
     """True when this result was served from :mod:`repro.cache` (the
     solutions and counters replay a prior cold run; ``elapsed`` is the
     retrieval time)."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.solutions, Solutions):
-            self.solutions = Solutions.from_dicts(self.solutions)
-        if self.trace is not None:
-            self.spans = self.trace.spans  # type: ignore[attr-defined]
+    def __init__(
+        self,
+        engine: str,
+        solutions: Solutions | list,
+        stats: EvaluationStats,
+        spans: Spans | None = None,
+        trace: object | None = None,
+        cached: bool = False,
+    ) -> None:
+        self.engine = engine
+        if not isinstance(solutions, Solutions):
+            solutions = Solutions.from_dicts(solutions)
+        self.solutions = solutions
+        self.stats = stats
+        if trace is not None:
+            spans = trace.spans  # type: ignore[attr-defined]
+        self.spans = Spans() if spans is None else spans
+        self.trace = trace
+        self.cached = cached
 
     @property
     def elapsed(self) -> float:

@@ -21,14 +21,13 @@ bind may differ on each Q[x -> c]" (Sec. 5).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.query.model import Var
 from repro.utils.errors import QueryError
+from repro.utils.record import Record
 
 
-@dataclass(slots=True)
-class SlotState:
+class SlotState(Record):
     """What a strategy decides on: the engine's plan and search state.
 
     Variables are dense int *slots* in stable query order, sets of them
@@ -37,6 +36,8 @@ class SlotState:
     ``lx`` as it binds and unbinds, so consulting the state costs no
     rebuilding.
     """
+
+    __slots__ = ("variables", "lonely", "edges", "unbound", "lx")
 
     variables: tuple[Var, ...]
     """Slot -> variable."""
@@ -55,6 +56,20 @@ class SlotState:
     lx: list[int]
     """``l_x`` per slot: min candidate-count estimate over the atoms of
     that variable (meaningful for unbound slots only)."""
+
+    def __init__(
+        self,
+        variables: tuple[Var, ...],
+        lonely: int,
+        edges: tuple[tuple[int, int], ...],
+        unbound: int,
+        lx: list[int],
+    ) -> None:
+        self.variables = variables
+        self.lonely = lonely
+        self.edges = edges
+        self.unbound = unbound
+        self.lx = lx
 
     def targets(self, edges: tuple[tuple[int, int], ...]) -> int:
         """Mask of the ``y`` ends of the ``edges`` that are current."""

@@ -19,9 +19,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator
+
+from repro.utils.record import Record
 
 #: The clock every span is stamped with.
 now = time.perf_counter
@@ -52,15 +53,26 @@ class Stopwatch:
         return self.budget is not None and self.elapsed() > self.budget
 
 
-@dataclass
-class Span:
-    request: int
-    id: int
-    parent: int | None
-    name: str
-    start: float
-    end: float | None = None  # None while open
-    attrs: dict[str, object] = field(default_factory=dict)
+class Span(Record):
+    __slots__ = ("request", "id", "parent", "name", "start", "end", "attrs")
+
+    def __init__(
+        self,
+        request: int,
+        id: int,
+        parent: int | None,
+        name: str,
+        start: float,
+        end: float | None = None,  # None while open
+        attrs: dict[str, object] | None = None,
+    ) -> None:
+        self.request = request
+        self.id = id
+        self.parent = parent
+        self.name = name
+        self.start = start
+        self.end = end
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def seconds(self) -> float:

@@ -10,17 +10,50 @@ binding of ``x``".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from repro.utils.errors import QueryError
+from repro.utils.record import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A query variable, identified by name (without any ``?`` sigil)."""
+class Var(Frozen):
+    """A query variable, identified by name (without any ``?`` sigil).
+    Variables order by name."""
 
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    # Written out: variables key every plan and solution dict.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __lt__(self, other: Var) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name < other.name
+
+    def __le__(self, other: Var) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name <= other.name
+
+    def __gt__(self, other: Var) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name > other.name
+
+    def __ge__(self, other: Var) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name >= other.name
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -44,17 +77,18 @@ def _check_term(term: Term, where: str) -> Term:
     return term
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(Frozen):
     """A triple pattern ``(s, p, o)`` of variables and constants."""
 
+    __slots__ = ("s", "p", "o")
     s: Term
     p: Term
     o: Term
 
-    def __post_init__(self) -> None:
-        for pos, term in zip("spo", (self.s, self.p, self.o)):
+    def __init__(self, s: Term, p: Term, o: Term) -> None:
+        for pos, term in zip("spo", (s, p, o)):
             _check_term(term, f"triple pattern position {pos}")
+        self._set(s=s, p=p, o=o)
 
     @property
     def terms(self) -> tuple[Term, Term, Term]:
@@ -93,8 +127,7 @@ DEFAULT_RELATION = "default"
 """Name of the implicit K-NN relation used when none is specified."""
 
 
-@dataclass(frozen=True)
-class SimClause:
+class SimClause(Frozen):
     """Similarity clause ``x <|_k y``: ``y`` is in ``k``-NN(``x``).
 
     Per Def. 5, ``x != y`` and ``k >= 1``. Either side may be a constant.
@@ -103,20 +136,24 @@ class SimClause:
     the default name targets the database's primary K-NN graph.
     """
 
+    __slots__ = ("x", "k", "y", "relation")
     x: Term
     k: int
     y: Term
-    relation: str = DEFAULT_RELATION
+    relation: str
 
-    def __post_init__(self) -> None:
-        _check_term(self.x, "similarity clause x")
-        _check_term(self.y, "similarity clause y")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise QueryError(f"similarity clause requires k >= 1, got {self.k!r}")
-        if self.x == self.y:
+    def __init__(
+        self, x: Term, k: int, y: Term, relation: str = DEFAULT_RELATION
+    ) -> None:
+        _check_term(x, "similarity clause x")
+        _check_term(y, "similarity clause y")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise QueryError(f"similarity clause requires k >= 1, got {k!r}")
+        if x == y:
             raise QueryError("similarity clause requires x != y (Def. 5)")
-        if not self.relation or not isinstance(self.relation, str):
+        if not relation or not isinstance(relation, str):
             raise QueryError("similarity clause relation must be a name")
+        self._set(x=x, k=k, y=y, relation=relation)
 
     @property
     def variables(self) -> tuple[Var, ...]:
@@ -131,8 +168,7 @@ class SimClause:
         return f"{self.x!r} <|_{self.k}{tag} {self.y!r}"
 
 
-@dataclass(frozen=True)
-class DistClause:
+class DistClause(Frozen):
     """Range-based similarity clause ``dist(x, y) <= d`` (Sec. 3.3).
 
     An extension over the core ``<|_k`` operator: both sides must be
@@ -141,17 +177,19 @@ class DistClause:
     The predicate is symmetric.
     """
 
+    __slots__ = ("x", "d", "y")
     x: Term
     d: float
     y: Term
 
-    def __post_init__(self) -> None:
-        _check_term(self.x, "distance clause x")
-        _check_term(self.y, "distance clause y")
-        if not isinstance(self.d, (int, float)) or self.d <= 0:
-            raise QueryError(f"distance clause requires d > 0, got {self.d!r}")
-        if self.x == self.y:
+    def __init__(self, x: Term, d: float, y: Term) -> None:
+        _check_term(x, "distance clause x")
+        _check_term(y, "distance clause y")
+        if not isinstance(d, (int, float)) or d <= 0:
+            raise QueryError(f"distance clause requires d > 0, got {d!r}")
+        if x == y:
             raise QueryError("distance clause requires x != y")
+        self._set(x=x, d=d, y=y)
 
     @property
     def variables(self) -> tuple[Var, ...]:

@@ -70,7 +70,6 @@ import json
 import struct
 import sys
 import zlib
-from dataclasses import dataclass
 from typing import Any
 
 from repro.store.layout import Entry, _align8
@@ -79,6 +78,7 @@ from repro.utils.errors import (
     StoreFormatError,
     StoreVersionError,
 )
+from repro.utils.record import Frozen
 
 MAGIC = b"REPROIDX"
 FORMAT_VERSION = 5
@@ -163,14 +163,25 @@ def pack_header(
     )
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(Frozen):
     """Decoded and validated index-file header."""
 
+    __slots__ = ("manifest_len", "segment_len", "checksum", "manifest_crc")
     manifest_len: int
     segment_len: int
     checksum: int
     manifest_crc: int
+
+    def __init__(
+        self, manifest_len: int, segment_len: int, checksum: int,
+        manifest_crc: int,
+    ) -> None:
+        self._set(
+            manifest_len=manifest_len,
+            segment_len=segment_len,
+            checksum=checksum,
+            manifest_crc=manifest_crc,
+        )
 
     @property
     def segment_offset(self) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import zlib
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engines.database import GraphDatabase
@@ -38,6 +37,7 @@ from repro.succinct.fields import (
     Transient,
 )
 from repro.utils.errors import StoreFormatError, StructureError
+from repro.utils.record import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -50,21 +50,35 @@ def _align8(offset: int) -> int:
     return (offset + 7) & ~7
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(Frozen):
     """Description of one flattened structure tree.
 
     ``entries[i]`` locates array ``i`` inside the segment as ``(byte
     offset, nbytes, crc32)``; ``root`` is the nested structure meta
     whose leaves reference arrays by index. The segment starts at byte
-    ``base`` of the index file at ``path``.
+    ``base`` of the index file at ``path``. The hash leaves ``root``
+    out.
     """
 
+    __slots__ = ("entries", "root", "nbytes", "path", "base")
     entries: tuple[Entry, ...]
-    root: dict[str, Any] = field(hash=False)
+    root: dict[str, Any]
     nbytes: int
-    path: str | None = None
-    base: int = 0
+    path: str | None
+    base: int
+
+    def __init__(
+        self,
+        entries: tuple[Entry, ...],
+        root: dict[str, Any],
+        nbytes: int,
+        path: str | None = None,
+        base: int = 0,
+    ) -> None:
+        self._set(entries=entries, root=root, nbytes=nbytes, path=path, base=base)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.nbytes, self.path, self.base))
 
     @property
     def carrier(self) -> str:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import weakref
 import zlib
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from operator import le, lt
 from typing import TYPE_CHECKING, Any, ClassVar, Literal
 
 from repro.utils.errors import StoreChecksumError, StoreFormatError
+from repro.utils.record import Frozen
 
 #: The stored dtype of every count, offset and node id, and its width:
 #: 2^31 positions is far past what a pure-Python index can hold.
@@ -42,16 +42,18 @@ FORMATS: dict[str, tuple[str, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Frozen):
     """A plain ``int``/``float`` kept in the manifest itself."""
 
+    __slots__ = ("name", "cast")
     name: str
-    cast: type[int] | type[float] = int
+    cast: type[int] | type[float]
+
+    def __init__(self, name: str, cast: type[int] | type[float] = int) -> None:
+        self._set(name=name, cast=cast)
 
 
-@dataclass(frozen=True)
-class Array:
+class Array(Frozen):
     """A one-dimensional array stored in the segment: a numpy array
     on a built structure, a read-only ``memoryview`` of the mapping on
     an attached one.
@@ -63,36 +65,57 @@ class Array:
     persisted and rebuilt on first touch, so hot paths read a list.
     """
 
+    __slots__ = ("name", "dtype", "what", "mirrored")
     name: str
     dtype: Literal["<u8", "<i4", "<f8"]
     what: str
-    mirrored: bool = False
+    mirrored: bool
+
+    def __init__(
+        self,
+        name: str,
+        dtype: Literal["<u8", "<i4", "<f8"],
+        what: str,
+        mirrored: bool = False,
+    ) -> None:
+        self._set(name=name, dtype=dtype, what=what, mirrored=mirrored)
 
 
-@dataclass(frozen=True)
-class Child:
+class Child(Frozen):
     """One nested structure, or a list / dict / optional one of them.
 
     ``keys`` fixes a dict's keys and their flatten order; without it a
     dict flattens in sorted key order.
     """
 
+    __slots__ = ("name", "cls", "many", "keys")
     name: str
     cls: type
-    many: Literal["one", "list", "dict", "optional"] = "one"
-    keys: tuple[str, ...] | None = None
+    many: Literal["one", "list", "dict", "optional"]
+    keys: tuple[str, ...] | None
+
+    def __init__(
+        self,
+        name: str,
+        cls: type,
+        many: Literal["one", "list", "dict", "optional"] = "one",
+        keys: tuple[str, ...] | None = None,
+    ) -> None:
+        self._set(name=name, cls=cls, many=many, keys=keys)
 
 
-@dataclass(frozen=True)
-class Transient:
+class Transient(Frozen):
     """Runtime-only state: never persisted, ``reset`` after attach."""
 
+    __slots__ = ("name", "reset")
     name: str
-    reset: Any = None
+    reset: Any
+
+    def __init__(self, name: str, reset: Any = None) -> None:
+        self._set(name=name, reset=reset)
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(Frozen):
     """A plain-scalar table recomputed from the persisted fields.
 
     Never persisted and absent after attach; the first touch (or
@@ -101,8 +124,12 @@ class Derived:
     mapping, which the structure's promotion replaces by the full table.
     """
 
+    __slots__ = ("name", "build")
     name: str
     build: str
+
+    def __init__(self, name: str, build: str) -> None:
+        self._set(name=name, build=build)
 
 
 Field = Scalar | Array | Child | Transient | Derived

@@ -10,7 +10,6 @@ imported by test modules as ``from conftest import ...``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -220,7 +219,7 @@ def figure2(tmp_path_factory) -> Figure2:
 def _counts(stats: EvaluationStats) -> EvaluationStats:
     """Everything a result's stats say but its wall time: the counters,
     the timeout flag, the first descent and the similarity variables."""
-    return dataclasses.replace(stats, elapsed=0.0)
+    return stats.replace(elapsed=0.0)
 
 
 def _size(closed_range):

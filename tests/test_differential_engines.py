@@ -12,7 +12,6 @@ the generator hits only by chance, and the short-range threshold.
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -318,7 +317,7 @@ def _run_at_threshold(engine_cls, db, query, short):
     traced_ops = {
         name: c.as_dict() for name, c in sorted(traced.wavelets.items())
     }
-    stats = dataclasses.replace(result.stats, elapsed=0.0)
+    stats = result.stats.replace(elapsed=0.0)
     return result.solutions, stats, ops, traced_ops
 
 

@@ -1,6 +1,5 @@
 """Tests for distance-clause evaluation (Sec. 3.3 extension), end to end."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -165,7 +164,7 @@ def _check_repeated_search(monkeypatch, kinds: set[str]) -> None:
 
     def evaluate_all():
         return [
-            (list(result.solutions), dataclasses.replace(result.stats, elapsed=0.0))
+            (list(result.solutions), result.stats.replace(elapsed=0.0))
             for text in HOT_QUERIES
             for engine_cls in (RingKnnEngine, RingKnnSEngine)
             for result in [engine_cls(db).evaluate(parse_query(text))]

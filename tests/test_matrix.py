@@ -29,7 +29,6 @@ A new door is a new row here, not a new file.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -314,10 +313,10 @@ def _assert_metamorphic(db, knn, query, serial, expected):
 
     # Monotone answers: a wider k, or a wider d, loses no row.
     wider_k = tuple(
-        dataclasses.replace(c, k=min(c.k + 1, K)) for c in query.clauses
+        c.replace(k=min(c.k + 1, K)) for c in query.clauses
     )
     wider_d = tuple(
-        dataclasses.replace(c, d=D_MAX) for c in query.dist_clauses
+        c.replace(d=D_MAX) for c in query.dist_clauses
     )
     for wider in (
         ExtendedBGP(query.triples, wider_k, query.dist_clauses),

@@ -11,7 +11,6 @@ pins where a limit, an abandoned ``run()`` and a spent budget cut a
 report that is emitted in blocks.
 """
 
-import dataclasses
 import sys
 import threading
 from array import array
@@ -251,7 +250,7 @@ def test_a_reused_engine_starts_from_the_compiled_plan(small_db, monkeypatch):
 
     def answer(engine):
         rows = engine.evaluate()
-        stats = dataclasses.replace(engine.stats, elapsed=0.0)
+        stats = engine.stats.replace(elapsed=0.0)
         return rows, stats
 
     text = "(?x, 20, ?y) . knn(?x, ?y, 4)"
@@ -386,9 +385,7 @@ def _trees(db) -> list:
 
 def _answer(db, text: str):
     result = RingKnnEngine(db).evaluate(parse_query(text))
-    return list(result.solutions), dataclasses.replace(
-        result.stats, elapsed=0.0
-    )
+    return list(result.solutions), result.stats.replace(elapsed=0.0)
 
 
 def test_the_caps_bound_a_memo_that_never_ends(small_graph, small_knn, monkeypatch):
