@@ -274,7 +274,7 @@ def _attach(cls: type, meta: Any, view: SegmentView) -> Any:
     return obj
 
 
-def attach_buffer(manifest: Manifest, buf: Any, verify: bool = True) -> Any:
+def attach_buffer(manifest: Manifest, buf: Any, verify: bool) -> Any:
     """Rebuild a flattened structure zero-copy over ``buf``.
 
     ``buf`` holds the carrier's bytes (a whole memory-mapped index

@@ -404,7 +404,7 @@ class LazyMirrors:
     #: one CRC-32 per array of the layout)`` until :func:`check_sums`
     #: has held them, ``()`` after; ``None`` when there are none to hold
     #: (a built node, or an attach that skips the checksums).
-    _sums: tuple[str, tuple[int, ...]] | tuple[()] | None = None
+    _sums: tuple[Any, ...] | None = None
 
     if TYPE_CHECKING:  # the lazy names are not declared attributes
 
