@@ -146,7 +146,8 @@ def test_version_skew(small_index):
     # Version-1 to -4 headers as those formats wrote them (same struct,
     # magic, flag and consistent lengths): refused by their version
     # alone — there is no reader kept for any. A version-3 file's K-NN
-    # sequences hold node ids where version 4 reads ranks.
+    # sequences hold node ids where version 4 reads ranks; a version-4
+    # manifest's entries carry offsets and dtypes but no CRC-32.
     for old in (1, 2, 3, 4):
         _rewrite(small_index, 0, struct.pack(
             "<8sIIQQII", MAGIC, old, 1, header.manifest_len,
@@ -158,46 +159,6 @@ def test_version_skew(small_index):
                 match=f"version {old} != {FORMAT_VERSION}.*repro build",
             ):
                 load(small_index, verify=verify)
-
-
-def test_format_4_file_is_refused(tmp_path):
-    """A whole format-4 file — its manifest entries ``[offset, dtype,
-    [count]]`` and no manifest CRC, over a segment laid out as format 5
-    lays it — is refused by its version, naming the remedy, before its
-    manifest is read."""
-    path = str(tmp_path / "v4.idx")
-    save(BitVector([1, 0, 1, 1, 0, 1]), path)
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    header = unpack_header(raw[:HEADER_SIZE], path)
-    entries, root = decode_manifest(
-        raw[HEADER_SIZE : HEADER_SIZE + header.manifest_len], path
-    )
-    dtypes = {root["words"]: "<u8", root["blocks"]: "<i4"}
-    manifest = json.dumps(
-        {
-            "entries": [
-                [offset, dtypes[i], [nbytes // int(dtypes[i][2:])]]
-                for i, (offset, nbytes, _crc) in enumerate(entries)
-            ],
-            "root": root,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    pad = b"\0" * (-(HEADER_SIZE + len(manifest)) % 8)
-    segment = raw[header.segment_offset : header.total_size]
-    with open(path, "wb") as handle:
-        handle.write(struct.pack(
-            "<8sIIQQII", MAGIC, 4, 1, len(manifest), len(segment),
-            checksum_parts(manifest, pad, segment), 0,
-        ))
-        handle.write(manifest + pad + segment)
-    for verify in (True, False):
-        with pytest.raises(
-            StoreVersionError, match="version 4 != 5; rebuild .*'repro build'"
-        ):
-            load(path, verify=verify)
 
 
 def test_big_endian_file_flag(small_index):
