@@ -21,8 +21,8 @@ every facet is released.
 
 Sanctioned owners: the executor's ``_POOLS`` LRU deliberately keeps
 pools alive across tests — that is a cache, not a leak.
-:func:`_owned_serials` exempts the pools it holds, while an
-unregistered pool still trips the check.
+:func:`_owned_serials` exempts the running executors of the pools it
+holds, while a started pool outside it still trips the check.
 
 Patching happens in the parent test process only: spawn-start workers
 re-import clean modules, and fork children inherit an (unchecked) copy
@@ -130,24 +130,32 @@ class _SanitizedMmap(_mmap_mod.mmap):
 
 
 def _wrap_pool_class(pool_cls: type) -> None:
-    orig_init = pool_cls.__init__
+    """Record each executor a pool starts (its processes, and a built
+    database's scratch file), released by the pool's ``close``: a pool
+    restarts after a lost worker, and each start owes its own close."""
+    orig_start = pool_cls._start
     orig_close = pool_cls.close
 
-    def init(self: Any, db: Any, workers: int) -> None:
-        orig_init(self, db, workers)
-        setattr(
-            self,
-            _SERIAL_ATTR,
-            LEDGER.acquire(
-                "worker-pool", f"workers={self.workers}", {"close"}
-            ),
-        )
+    def start(self: Any) -> Any:
+        fresh = self._executor is None
+        executor = orig_start(self)
+        if fresh:
+            setattr(
+                self,
+                _SERIAL_ATTR,
+                LEDGER.acquire(
+                    "worker-pool",
+                    f"workers={self.workers} start={self.start_method}",
+                    {"close"},
+                ),
+            )
+        return executor
 
     def close(self: Any) -> None:
         orig_close(self)
         LEDGER.release(_serial_of(self), "close")
 
-    pool_cls.__init__ = init  # type: ignore[method-assign]
+    pool_cls._start = start  # type: ignore[method-assign]
     pool_cls.close = close  # type: ignore[method-assign]
 
 

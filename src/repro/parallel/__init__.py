@@ -3,14 +3,14 @@ over it.
 
 Submodules:
 
-* :mod:`repro.parallel.executor` — the pool: processes that load one
-  database from an index file (the one a store-backed database came
-  from, or a scratch file the pool saves) and answer
-  :class:`QueryBatchTask` round trips; large results stream back in
-  chunks.
-* :mod:`repro.parallel.scheduler` — inter-query batching: select each
-  query's strategy with the ``auto`` rule, group the batch LPT-style by
-  estimated (then measured) cost and multiplex it over the pool.
+* :mod:`repro.parallel.executor` — the pool, on the stdlib's
+  ``ProcessPoolExecutor``: processes that load one database from an
+  index file (the one a store-backed database came from, or a scratch
+  file the pool saves) and answer one future per query, the reply
+  whole; a worker's death is a typed ``WorkerLost``.
+* :mod:`repro.parallel.scheduler` — inter-query batching: probe the
+  cache, submit each miss to the pool and fill the cache from the
+  replies, in input order.
 * :mod:`repro.parallel.worker` — the code that runs inside pool workers.
 
 There is no intra-query parallelism: first-variable sharding was
@@ -24,10 +24,9 @@ the package does not import :mod:`multiprocessing`.
 from repro.utils.lazy import lazy_exports
 
 __all__ = [
-    "DEFAULT_WORKERS", "ENV_START_METHOD", "MAX_BATCH_SIZE", "QueryBatchTask",
-    "QueryOutcome", "QueryScheduler", "QueryTask", "ScheduledQuery", "WorkerPool",
-    "close_pools_for", "forced_start_method", "pool_for", "run_query",
-    "run_query_batch", "shutdown_pools",
+    "DEFAULT_WORKERS", "ENV_START_METHOD", "QueryScheduler", "ScheduledQuery",
+    "WorkerPool", "close_pools_for", "forced_start_method", "pool_for",
+    "run_query", "shutdown_pools",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -35,6 +34,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "DEFAULT_WORKERS", "ENV_START_METHOD", "WorkerPool", "close_pools_for",
         "forced_start_method", "pool_for", "shutdown_pools",
     ),
-    "scheduler": ("MAX_BATCH_SIZE", "QueryScheduler", "ScheduledQuery"),
-    "worker": ("QueryBatchTask", "QueryOutcome", "QueryTask", "run_query", "run_query_batch"),
+    "scheduler": ("QueryScheduler", "ScheduledQuery"),
+    "worker": ("run_query",),
 })

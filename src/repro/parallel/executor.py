@@ -1,29 +1,29 @@
 """The worker pool: processes that load one database and run whole
 queries over it.
 
-A :class:`WorkerPool` is bound to one database. Starting it hands the
+A :class:`WorkerPool` is bound to one database and runs on a
+:class:`concurrent.futures.ProcessPoolExecutor`. Starting it hands the
 workers an index file to :func:`repro.store.load`: a store-backed
 database passes the file it was loaded from; a built one is first saved
 once to a private scratch file (``repro-pool-*.idx`` in the temp dir)
-that the pool owns. After that a dispatch is a
-:class:`~repro.parallel.worker.QueryBatchTask` (a few parsed queries)
-going out and flat ``array('q')`` solution rows coming back, streamed
-in fixed-size chunks through a queue when large. Nothing per-dispatch
-scales with the index size.
+that the pool owns. After that a query is one future: the parsed query
+with its timeout and limit going out, and its flat ``array('q')`` rows
+coming back whole through the executor's result pipe. Nothing
+per-dispatch scales with the index size.
 
 Pools are cached per (database, pool size): the cache holds a strong
 reference to the database (so the id-based key can never alias a
 collected object) and each pool unlinks its scratch file on ``close`` —
-including after a worker raised mid-batch (the pool survives a task
-exception; the file goes only with the pool itself) and at exit, through
+including after a worker raised (the pool survives a task exception;
+the file goes only with the pool itself) and at exit, through
 :func:`shutdown_pools`.
 
-A worker that *dies* (SIGKILL, the OOM killer) is another matter:
-``multiprocessing.Pool`` quietly replaces it, and the task it held is
-never answered. Every wait on the pool therefore re-checks its workers
-every :data:`LIVENESS_POLL` seconds; a death closes the pool and raises
+A worker that *dies* (SIGKILL, the OOM killer) breaks the executor,
+which fails every pending future with ``BrokenProcessPool`` at once. A
+death under a dispatch closes the pool and raises
 :class:`~repro.utils.errors.WorkerLost`, and the next dispatch starts a
-fresh one.
+fresh one; a death while the pool idled lost no task, so the pool
+restarts and the dispatch goes ahead.
 """
 
 from __future__ import annotations
@@ -31,21 +31,14 @@ from __future__ import annotations
 import atexit
 import contextlib
 import multiprocessing
-import multiprocessing.pool
 import os
-import queue as queue_mod
 import tempfile
-from array import array
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.parallel.worker import (
-    QueryBatchTask,
-    QueryOutcome,
-    _init_worker,
-    ready,
-    run_query_batch,
-)
+from repro.parallel.worker import _init_worker, ready
 from repro.store.io import write_index
 from repro.utils.errors import WorkerLost
 
@@ -62,10 +55,6 @@ DEFAULT_WORKERS = 2
 #: inheritance.
 ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
 
-#: Seconds between checks of the workers' liveness while the parent
-#: waits on the pool: the bound on how long a dead worker goes unseen.
-LIVENESS_POLL = 0.2
-
 
 def forced_start_method() -> str | None:
     """Start method forced via the environment, or ``None``."""
@@ -77,34 +66,22 @@ def forced_start_method() -> str | None:
 # pool lifecycle
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """A lazily started multiprocessing pool bound to one database.
+    """A lazily started process pool bound to one database.
 
     Starting the pool saves the database to a scratch index file unless
     it is store-backed; workers load the file in their initializer, so
-    the per-dispatch payload is a descriptor, never an index. The pool
-    also owns the queue large results stream back on — both are torn
-    down together in :meth:`close`.
+    the per-dispatch payload is a descriptor, never an index.
     """
 
     def __init__(self, db: "GraphDatabase", workers: int) -> None:
         self._db = db  # strong ref: pins id(db) while the pool is cached
         self.workers = max(2, int(workers))
         self.start_method = "unstarted"
-        self._pool: Any = None
-        self._processes: tuple[Any, ...] = ()
+        self._executor: ProcessPoolExecutor | None = None
         self._scratch: str | None = None
-        self._chunks: Any = None
-        self._chunk_buf: dict[int, dict[int, array[int]]] = {}
-        self._uid = 0
-        self._dropped_uid = 0
 
-    def next_uid(self) -> int:
-        """Pool-unique task id (correlates streamed chunks to tasks)."""
-        self._uid += 1
-        return self._uid
-
-    def _start(self) -> Any:
-        if self._pool is None:
+    def _start(self) -> ProcessPoolExecutor:
+        if self._executor is None:
             method = forced_start_method()
             if method is None:
                 try:
@@ -112,7 +89,6 @@ class WorkerPool:
                     method = "fork"
                 except ValueError:  # pragma: no cover - non-fork platforms
                     method = "spawn"
-            ctx = multiprocessing.get_context(method)
             self.start_method = method
             store = getattr(self._db, "_store", None)
             if store is not None:
@@ -130,166 +106,81 @@ class WorkerPool:
                 except BaseException:
                     self.close()
                     raise
-            self._chunks = ctx.Queue()
-            self._pool = ctx.Pool(
+            self._executor = ProcessPoolExecutor(
                 self.workers,
+                mp_context=multiprocessing.get_context(method),
                 initializer=_init_worker,
-                initargs=(path, checksum, self._chunks),
+                initargs=(path, checksum),
             )
-            # The workers as started (``Pool._pool`` is the stdlib's own
-            # list): the pool swaps a dead one out of that list, while
-            # these objects keep its exit code.
-            self._processes = tuple(self._pool._pool)
-        return self._pool
+        return self._executor
 
-    def _lost_worker(self) -> bool:
-        """Whether a worker of the running pool has died."""
-        return any(process.exitcode is not None
-                   for process in self._processes)
+    @property
+    def processes(self) -> list[Any]:
+        """The running pool's worker processes (a read of the executor's
+        own table; a spawning pool fills it as tasks arrive)."""
+        executor = self._executor
+        if executor is None or executor._processes is None:
+            return []
+        return list(executor._processes.values())
 
-    def _await(self, get: Any, empty: type[Exception]) -> Any:
-        """``get(timeout=...)`` asked again every :data:`LIVENESS_POLL`
-        seconds until it answers (``empty`` is its nothing-yet error).
-        A worker's death meanwhile closes the pool and raises
-        :class:`WorkerLost`: the task it held will never be answered."""
-        while self._pool is not None and not self._lost_worker():
-            try:
-                return get(timeout=LIVENESS_POLL)
-            except empty:
-                pass
-        codes = [process.exitcode for process in self._processes]
-        self.close()
-        raise WorkerLost(
-            f"the pool lost a worker (exit codes {codes}) or was closed "
-            "under a wait; it restarts for the next batch"
-        )
+    def run(
+        self, fn: Callable[..., Any], calls: Sequence[tuple[Any, ...]]
+    ) -> list[Any]:
+        """``fn(*args)`` in a worker for each ``args`` of ``calls``, one
+        future each; returns the results in order.
 
-    def result(self, handle: Any) -> Any:
-        """``handle.get()`` for a handle of :meth:`submit_batch`, raising
-        :class:`WorkerLost` if a worker dies first."""
-        return self._await(handle.get, multiprocessing.TimeoutError)
-
-    def abandon(self, handles: Sequence[Any]) -> None:
-        """Wait out dispatched batches whose answers nobody will read
-        (their own errors are not news), then forget what they streamed.
-        A pool that loses a worker meanwhile is closed instead, and
-        whatever it still ran goes with it."""
-        for handle in handles:
-            if self._pool is None:
-                break
-            with contextlib.suppress(Exception):
-                self.result(handle)
-        self.drop_pending_chunks()
+        A task's exception cancels the futures not yet started and is
+        re-raised here; the pool survives it. A worker's death under
+        the dispatch closes the pool and raises :class:`WorkerLost`. A
+        death found at the first submit happened while the pool idled:
+        no task was lost, so the pool restarts and submits again, once.
+        """
+        futures: list[Any] = []
+        try:
+            for args in calls:
+                try:
+                    futures.append(self._start().submit(fn, *args))
+                except BrokenProcessPool:
+                    if futures:
+                        raise
+                    self.close()
+                    futures.append(self._start().submit(fn, *args))
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            codes = [process.exitcode for process in self.processes]
+            self.close()
+            raise WorkerLost(
+                f"a pool worker died under the dispatch (exit codes "
+                f"{codes}); the pool restarts for the next batch"
+            ) from None
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
     def warmup(self) -> None:
-        """Start the pool and wait until every worker has loaded the
+        """Start the pool and wait until its workers have loaded the
         index file; raises the error of a worker that could not."""
-        pool = self._start()
-        # A barrier: one trivial task per worker forces all the
-        # initializers (the file's load included) to finish.
-        self.result(pool.map_async(ready, range(self.workers), chunksize=1))
-
-    def submit_batch(self, batch: QueryBatchTask) -> Any:
-        """Submit one whole-query batch; :meth:`result` waits for the
-        handle's ``list[QueryOutcome]``."""
-        pool = self._start()
-        return pool.apply_async(run_query_batch, (batch,))
+        self.run(ready, [()] * self.workers)
 
     def run_fault_probe(self) -> None:
         """Raise a RuntimeError from inside a real pool worker.
 
         Exercises the task-exception path end to end — the exception
         crosses the process boundary and re-raises here, while the pool
-        itself survives (see the class docstring) and keeps serving.
-        The query server's fault battery uses this to prove a raising
-        worker yields one failed request, not a poisoned pool; a worker
-        that dies is the :class:`WorkerLost` path, which that battery
-        drives with a real ``SIGKILL``.
+        itself survives and keeps serving. The query server's fault
+        battery uses this to prove a raising worker yields one failed
+        request, not a poisoned pool; a worker that dies is the
+        :class:`WorkerLost` path, which that battery drives with a real
+        ``SIGKILL``.
         """
-        pool = self._start()
-        self.result(pool.apply_async(_injected_worker_fault))
-
-    def reconcile(self, outcomes: Sequence[QueryOutcome]) -> None:
-        """Fill in ``packed`` for outcomes whose solutions streamed back
-        through the chunk queue rather than the result pipe."""
-        needed = {
-            outcome.uid: outcome
-            for outcome in outcomes
-            if outcome.packed is None and outcome.n_chunks > 0
-        }
-        while needed:
-            done = [
-                uid
-                for uid, outcome in needed.items()
-                if len(self._chunk_buf.get(uid, {})) == outcome.n_chunks
-            ]
-            for uid in done:
-                outcome = needed.pop(uid)
-                parts = self._chunk_buf.pop(uid)
-                outcome.packed = array("q")
-                for seq in range(outcome.n_chunks):
-                    outcome.packed.extend(parts[seq])
-            if not needed:
-                break
-            # Announced chunks were put before their outcome returned:
-            # only a dead worker leaves one missing.
-            uid, seq, chunk = self._await(self._chunks.get, queue_mod.Empty)
-            if uid > self._dropped_uid:
-                self._chunk_buf.setdefault(uid, {})[seq] = chunk
-
-    def drop_pending_chunks(self) -> None:
-        """Forget every chunk of the tasks issued so far — for a caller
-        that gave up on a dispatch after its tasks all finished. What
-        has arrived is drained; a chunk still in a worker's queue feeder
-        (it can trail the task's own outcome) is discarded by uid when
-        a later :meth:`reconcile` meets it."""
-        self._chunk_buf.clear()
-        self._dropped_uid = self._uid
-        if self._chunks is None:
-            return
-        while True:
-            try:
-                self._chunks.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                break
-
-    def _release_dead_locks(self) -> None:
-        """Make a pool that lost a worker safe to terminate.
-
-        A worker killed while it waited for a task dies holding the task
-        queue's read lock; one killed while it sent a result, the result
-        queue's write lock. ``Pool.terminate`` takes both, so either
-        would wedge it. The pool is stopped from replacing workers and
-        every worker is killed; then each lock is taken with a bound and
-        given back: past the bound its holder is dead, and the release
-        is on its behalf. (``_worker_handler``, ``_change_notifier``,
-        ``_pool``, ``_inqueue`` and ``_outqueue`` are the stdlib pool's
-        own attributes.)
-        """
-        pool = self._pool
-        pool._worker_handler._state = multiprocessing.pool.TERMINATE
-        pool._change_notifier.put(None)
-        pool._worker_handler.join()
-        for process in pool._pool:
-            process.kill()
-            process.join()
-        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
-            lock.acquire(timeout=LIVENESS_POLL)
-            lock.release()
+        self.run(_injected_worker_fault, [()])
 
     def close(self) -> None:
-        """Tear down the pool and unlink its scratch file, if any."""
-        if self._pool is not None:
-            if self._lost_worker():
-                self._release_dead_locks()
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        self._processes = ()
-        if self._chunks is not None:
-            self._chunks.close()
-            self._chunks = None
-        self._chunk_buf.clear()
+        """Shut the executor down and unlink the scratch file, if any."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
         scratch, self._scratch = self._scratch, None
         if scratch is not None:
             with contextlib.suppress(FileNotFoundError):
@@ -322,9 +213,10 @@ def pool_for(db: "GraphDatabase", workers: int) -> WorkerPool:
             evicted.close()
     else:
         _POOLS.move_to_end(key)
-        if pool._lost_worker():
-            # A worker died between batches: nothing was lost, but a
-            # wait would take it for a death under this batch.
+        if any(process.exitcode is not None for process in pool.processes):
+            # A worker died between batches: nothing was lost, but the
+            # executor may not have seen it yet, and would then fail the
+            # next batch's futures as if it died under them.
             pool.close()
     return pool
 

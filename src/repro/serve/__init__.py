@@ -4,7 +4,8 @@ One warm worker pool, many concurrent HTTP clients:
 
 * :mod:`repro.serve.app` — the asyncio server (admission → deadline →
   single-threaded dispatch through the batched
-  :class:`~repro.parallel.scheduler.QueryScheduler` → typed responses),
+  :class:`~repro.parallel.scheduler.QueryScheduler`, one pool future
+  per query → typed responses),
   plus the CLI entry point :func:`run_server` and the in-process
   :class:`ServerThread` the tests drive.
 * :mod:`repro.serve.protocol` — the JSON wire protocol and its schemas

@@ -10,10 +10,11 @@ pool:
 * Admitted queries go onto an in-loop queue that a single **dispatcher**
   consumes. Each wakeup it drains whatever is queued, micro-batches the
   compatible requests (``auto`` engine, no trace) and hands each batch
-  to :meth:`repro.parallel.scheduler.QueryScheduler.run_batch` — the
-  LPT-grouped batched executor — on a one-thread
-  executor. Traced, engine-pinned, or ``/explain`` requests run on the
-  same thread individually. The scheduler and the shared
+  to :meth:`repro.parallel.scheduler.QueryScheduler.run_batch` — one
+  pool future per query — on a one-thread executor. Traced,
+  engine-pinned, or ``/explain`` requests run on the same thread
+  individually. A failed request leaves the warm pool as it is; only a
+  pool that lost a worker restarts. The scheduler and the shared
   :class:`~repro.parallel.executor.WorkerPool` are not thread-safe;
   funnelling every evaluation through this one thread is what makes the
   warm pool shareable across concurrent HTTP clients. The same thread
@@ -59,7 +60,7 @@ from repro.engines.database import GraphDatabase
 from repro.explain import explain as explain_plan
 from repro.obs import QueryTrace, validate_trace
 from repro.obs.spans import Span, Spans, now
-from repro.parallel.executor import close_pools_for, pool_for
+from repro.parallel.executor import pool_for
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP
 from repro.query.parser import parse_query
@@ -401,14 +402,6 @@ class ReproServer:
 
         self._loop.call_soon_threadsafe(_set)
 
-    def _recycle_pools(self) -> None:
-        """Drop the cached worker pools after an unexpected failure.
-
-        Pools are created lazily, so the next request transparently gets
-        a fresh one — a crashed worker costs one 500, not the server.
-        """
-        close_pools_for(self._db)
-
     @staticmethod
     def _dispatched(item: _Pending) -> float:
         """Close the request's ``queue`` span; the dispatch time."""
@@ -493,7 +486,9 @@ class ReproServer:
                 timeouts=budgets,
             )
         except Exception as exc:
-            self._recycle_pools()
+            # A pool that lost a worker closed itself (WorkerLost) and
+            # restarts for the next batch; any other failure left it
+            # warm.
             results = [self._failure_response(exc) for _ in live]
         ended = now()
         for item, result in zip(live, results):
@@ -561,7 +556,6 @@ class ReproServer:
                 item, result, route, self._trace_document(query_trace)
             )
         except Exception as exc:
-            self._recycle_pools()
             self._resolve(item, route, self._failure_response(exc))
 
     def _trace_document(

@@ -325,7 +325,7 @@ def _under_killed_workers(pool, call, victims=1, after=0.2, within=10.0):
     """:func:`_within` for ``call()``, with the first ``victims`` of
     ``pool``'s running workers SIGKILLed ``after`` seconds in; fails if
     ``call`` is still running ``within`` seconds after the kill."""
-    pids = [process.pid for process in pool._processes[:victims]]
+    pids = [process.pid for process in pool.processes[:victims]]
     threading.Timer(
         after, lambda: [os.kill(pid, signal.SIGKILL) for pid in pids]
     ).start()

@@ -379,8 +379,8 @@ def _children(pid: int) -> list[int]:
 @pytest.mark.parametrize("workers", [2, 1])
 def test_served_index_process_loads_no_numpy(bundle_path, tmp_path, workers):
     """`repro serve --from-index` answers from the index file without
-    numpy: a pooled reply longer than ``CHUNK_SOLUTIONS`` rows streams
-    back in chunks, the same query again is a cache hit, and neither the
+    numpy: a pooled reply longer than 8,192 rows comes back whole, the
+    same query again is a cache hit, and neither the
     server nor any pool worker has numpy mapped — in a pool of two and
     in-thread."""
     import re
@@ -391,7 +391,6 @@ def test_served_index_process_loads_no_numpy(bundle_path, tmp_path, workers):
     from pathlib import Path
 
     from conftest import _request
-    from repro.parallel.worker import CHUNK_SOLUTIONS
 
     index = str(tmp_path / "fence.idx")
     assert main(["build", "--data", str(bundle_path), "--out", index]) == 0
@@ -424,7 +423,7 @@ def test_served_index_process_loads_no_numpy(bundle_path, tmp_path, workers):
         assert [status for status, _, _ in replies] == [200, 200], replies
         bodies = [body for _, _, body in replies]
         assert [body["cached"] for body in bodies] == [False, True]
-        assert len(bodies[0]["solutions"]) > CHUNK_SOLUTIONS
+        assert len(bodies[0]["solutions"]) > 8192
         assert bodies[1]["solutions"] == bodies[0]["solutions"]
         processes = [proc.pid, *_children(proc.pid)]
         if workers > 1:

@@ -48,7 +48,6 @@ from repro.parallel.executor import (
     shutdown_pools,
 )
 from repro.parallel.scheduler import QueryScheduler
-from repro.parallel.worker import QueryBatchTask, QueryTask
 from repro.query.model import ExtendedBGP, TriplePattern, Var
 from repro.query.parser import parse_query
 from repro.utils.errors import WorkerLost
@@ -89,20 +88,8 @@ def test_segments_unlinked_after_worker_raises_mid_batch(
 ):
     query = ExtendedBGP([TriplePattern(Var("x"), 20, Var("y"))])
     pool = pool_for(small_db, 2)
-    bad = QueryBatchTask(
-        tasks=(
-            QueryTask(
-                uid=pool.next_uid(),
-                index=0,
-                query=query,
-                engine="no-such-engine",
-                timeout=None,
-                limit=None,
-            ),
-        )
-    )
-    with pytest.raises(KeyError):
-        pool.result(pool.submit_batch(bad))
+    with pytest.raises(RuntimeError, match="injected worker fault"):
+        pool.run_fault_probe()
     # The pool survives a task exception and still answers correctly...
     (got,) = QueryScheduler(small_db, workers=2).run_batch([query])
     assert got.solutions == AutoEngine(small_db).evaluate(query).solutions
@@ -116,26 +103,28 @@ def test_pool_ships_a_path_not_an_index(figure2, monkeypatch):
     """Workers load the index file: the initializer's arguments and every
     task the parent pickles into the pool are descriptors, a fraction of
     the file (a pickled database is four times its size)."""
-    from multiprocessing import pool as mp_pool
-    from multiprocessing import queues, reduction
+    from multiprocessing import reduction
+
+    import repro.parallel.executor as executor
 
     db, queries = figure2.db, figure2.queries
     initargs, sent = [], []
-    pool_init, dumps = mp_pool.Pool.__init__, reduction.ForkingPickler.dumps
+    dumps = reduction.ForkingPickler.dumps
 
-    def init(self, processes, initializer, args, *rest, **kwargs):
-        initargs.extend(a for a in args if not isinstance(a, queues.Queue))
-        pool_init(self, processes, initializer, args, *rest, **kwargs)
+    class RecordingExecutor(executor.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            initargs.extend(kwargs["initargs"])
+            super().__init__(*args, **kwargs)
 
     def recording_dumps(cls, obj, protocol=None):
         sent.append(len(data := dumps(obj, protocol)))
         return data
 
-    monkeypatch.setattr(mp_pool.Pool, "__init__", init)
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(
         reduction.ForkingPickler, "dumps", classmethod(recording_dumps)
     )
-    shutdown_pools()  # a fresh pool, so its initializer runs here
+    shutdown_pools()  # a fresh pool, so its executor starts here
     scheduler = QueryScheduler(db, workers=2)
     try:
         scheduler.run_batch(queries)
@@ -162,7 +151,7 @@ def test_killed_worker_fails_the_batch_typed(figure2, start_method):
                                         timeout=20),
         )
         assert isinstance(error, WorkerLost), error
-        assert pool._pool is None, "the pool that lost a worker is closed"
+        assert pool.processes == [], "the pool that lost a worker is closed"
         (result,) = scheduler.run_batch(figure2.queries[:1])
         assert result.solutions == figure2.auto[0].solutions
         assert pool.start_method == start_method
@@ -172,15 +161,14 @@ def test_killed_worker_fails_the_batch_typed(figure2, start_method):
 
 def test_worker_killed_between_batches_fails_no_batch(figure2):
     """A worker that dies idle loses no task: the next batch gets a
-    fresh pool and the right answers, not a WorkerLost. An idle worker
-    may hold the task queue's read lock while it waits; the old pool's
-    teardown must release it before it terminates. A death is seen the
-    same way under either start method, so this runs on the default."""
+    fresh pool and the right answers, not a WorkerLost. A death is seen
+    the same way under either start method, so this runs on the
+    default."""
     db = figure2.db
     scheduler = QueryScheduler(db, workers=2)
     scheduler.warmup()
     pool = pool_for(db, 2)
-    victim = pool._processes[0]
+    victim = pool.processes[0]
     os.kill(victim.pid, signal.SIGKILL)
     deadline = time.monotonic() + 10
     while victim.exitcode is None and time.monotonic() < deadline:
@@ -188,7 +176,7 @@ def test_worker_killed_between_batches_fails_no_batch(figure2):
     results = _within(lambda: scheduler.run_batch(figure2.queries[:1]))
     assert not isinstance(results, Exception), results
     assert results[0].solutions == figure2.auto[0].solutions
-    assert victim not in pool._processes, "the pool was restarted"
+    assert victim not in pool.processes, "the pool was restarted"
     scheduler.close()
 
 

@@ -1,35 +1,27 @@
-"""The batched query scheduler: classification, LPT grouping, a bounded
-pending window, limits, and large results streamed back in chunks.
+"""The batched query scheduler: classification, limits, replies longer
+than a pipe message's worth of rows, and a query that raises in its
+worker.
 
 That ``QueryScheduler.run_batch`` hands back, in input order, the serial
 ``auto`` engine's solutions and counters — in a pool worker or in the
 scheduler's own process (a pool of one) — is held with every other door
-in ``tests/test_matrix.py``.
-
-The pending window runs under fork and spawn, since it waits on the
-pool's processes. The rest stay on the default method: classification
-and grouping start no pool, a limit travels in the task whatever
-started the worker, and the streaming tests patch the chunk size before
-the pool forks, which a spawned worker would not see.
+in ``tests/test_matrix.py``. These stay on the default start method:
+classification starts no pool, and a limit, a long reply and a task's
+exception travel the same way whatever started the worker.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from conftest import _counts
 from repro.cache import QueryCache
 from repro.engines.auto import AutoEngine
-from repro.parallel import worker
-from repro.parallel.executor import (
-    ENV_START_METHOD,
-    close_pools_for,
-    pool_for,
-)
+from repro.parallel.executor import pool_for
 from repro.parallel.scheduler import QueryScheduler
 from repro.query.model import ExtendedBGP, SimClause, TriplePattern, Var
+from repro.query.parser import parse_query
+from repro.utils.errors import QueryError
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -54,10 +46,9 @@ def expected(small_db):
 
 def test_classify_pools_every_query_and_weighs_it(small_db):
     scheduler = QueryScheduler(small_db, workers=2)
-    plans = [scheduler.classify(q, i) for i, q in enumerate(BATCH)]
-    assert [plan.index for plan in plans] == list(range(len(BATCH)))
+    plans = [scheduler.classify(q) for q in BATCH]
     # The open two-variable scan is big on this graph, the
-    # constant-subject probe is small: the LPT weight tells them apart.
+    # constant-subject probe is small: the estimate tells them apart.
     assert plans[0].estimate > plans[3].estimate > 0
     for plan in plans:
         assert plan.engine in ("ring-knn", "ring-knn-s")
@@ -67,22 +58,6 @@ def test_classify_serial_with_one_worker(small_db):
     # Where a query runs is the pool's size, not the query's plan.
     serial = QueryScheduler(small_db, workers=1).classify(BATCH[0])
     assert serial == QueryScheduler(small_db, workers=2).classify(BATCH[0])
-
-
-def test_run_batch_bounded_pending_window(
-    small_db, expected, monkeypatch, start_method
-):
-    # A pending window smaller than the batch forces mid-batch drains,
-    # which wait on the pool's processes: under either start method.
-    import repro.parallel.scheduler as scheduler_module
-
-    monkeypatch.setattr(scheduler_module, "PENDING_PER_WORKER", 1)
-    scheduler = QueryScheduler(small_db, workers=2)
-    big_batch = BATCH * 3
-    results = scheduler.run_batch(big_batch)
-    assert len(results) == len(big_batch)
-    for got, want in zip(results, expected * 3):
-        assert got.solutions == want.solutions
 
 
 def test_run_batch_respects_limit(small_db):
@@ -95,72 +70,27 @@ def test_run_batch_respects_limit(small_db):
         assert len(got.solutions) <= 3
 
 
-# ----------------------------------------------------------------------
-# LPT grouping on the compiled estimate
-# ----------------------------------------------------------------------
-def test_lpt_groups_by_estimate(small_db):
-    from repro.parallel.scheduler import ScheduledQuery
-
-    scheduler = QueryScheduler(small_db, workers=1)
-    plans = [
-        ScheduledQuery(index=0, engine="ring-knn", estimate=1_000),
-        ScheduledQuery(index=1, engine="ring-knn", estimate=10),
-        ScheduledQuery(index=2, engine="ring-knn", estimate=500),
-    ]
-    groups = scheduler._group_pooled(plans)
-    # Two groups (twice the pool): descending estimates dealt
-    # round-robin, so the biggest leads the first group.
-    assert [[plan.index for plan in group] for group in groups] == [
-        [0, 1], [2]
-    ]
-
-
-# ----------------------------------------------------------------------
-# large results stream back in chunks
-# ----------------------------------------------------------------------
-@pytest.fixture
-def tiny_chunks(small_db, monkeypatch):
-    """A fresh forked pool whose workers stream anything over 4 rows
-    (the constant is read in the worker, so it must be lowered before
-    the pool forks — and a spawned worker would re-import the default)."""
-    monkeypatch.setenv(ENV_START_METHOD, "fork")
-    monkeypatch.setattr(worker, "CHUNK_SOLUTIONS", 4)
-    close_pools_for(small_db)
-    yield pool_for(small_db, 2)
-    close_pools_for(small_db)
-
-
 #: Zero-variable queries over the conftest graph: one holds (its triple
 #: is the graph's first), one does not.
 HOLDS = ExtendedBGP([TriplePattern(18, 21, 13)])
 FAILS = ExtendedBGP([TriplePattern(0, 999, 0)])
 
+#: Two independent K-NN scans at the graph's K: 100 x 100 rows of four
+#: columns, longer than the 8,192 rows a reply once streamed in chunks.
+LONG = parse_query("knn(?a, ?b, 5) . knn(?c, ?d, 5)")
 
-def test_streamed_result_equals_serial_row_for_row(
-    small_db, expected, tiny_chunks, monkeypatch
-):
-    """Streamed answers are cut and joined back whole — the second
-    query's three columns over a row count that is no multiple of the
-    chunk size among them — and zero-variable answers come back through
-    the pool and then through the cache, each equal to the serial
-    answer."""
-    streamed = []
-    reconcile = tiny_chunks.reconcile
 
-    def spy(outcomes):
-        streamed.extend(o.n_chunks for o in outcomes if o.packed is None)
-        reconcile(outcomes)
-
-    monkeypatch.setattr(tiny_chunks, "reconcile", spy)
-    batch = [*BATCH, HOLDS, FAILS]
+def test_long_reply_equals_serial_row_for_row(small_db, expected):
+    """A reply of 10,000 rows comes back whole, and zero-variable
+    answers come back through the pool and then through the cache, each
+    equal to the serial answer."""
+    batch = [*BATCH, LONG, HOLDS, FAILS]
     auto = AutoEngine(small_db)
-    serial = [*expected, auto.evaluate(HOLDS), auto.evaluate(FAILS)]
-    cut = serial[1].solutions
-    assert len(cut.variables) == 3 and len(cut) % worker.CHUNK_SOLUTIONS
+    serial = [*expected, *(auto.evaluate(q) for q in (LONG, HOLDS, FAILS))]
+    assert len(serial[-3].solutions) == 10_000
     assert [len(want.solutions) for want in serial[-2:]] == [1, 0]
     scheduler = QueryScheduler(small_db, workers=2, cache=QueryCache())
     pooled = scheduler.run_batch(batch)
-    assert streamed and max(streamed) > 1
     cached = scheduler.run_batch(batch)
     assert not any(result.cached for result in pooled)
     assert all(result.cached for result in cached)
@@ -169,29 +99,22 @@ def test_streamed_result_equals_serial_row_for_row(
             assert got.solutions.variables == want.solutions.variables
             assert got.solutions == want.solutions
             assert _counts(got.stats) == _counts(want.stats)
-    assert tiny_chunks._chunk_buf == {}
 
 
-def test_failed_batch_leaves_no_chunks_behind(
-    small_db, expected, tiny_chunks, monkeypatch
+def test_query_raising_in_its_worker_fails_the_batch_not_the_pool(
+    small_db, expected
 ):
+    """A query the index refuses (k above the K-NN graph's K) raises in
+    its worker: the batch fails with that error, the pool keeps its
+    workers, and the next batch is answered right on them."""
     scheduler = QueryScheduler(small_db, workers=2)
-    classify = scheduler.classify
-
-    def misnamed(query, index=0):
-        plan = classify(query, index)
-        if query is BATCH[3]:
-            plan = dataclasses.replace(plan, engine="no-such-engine")
-        return plan
-
-    # One task names an engine no worker knows; its siblings stream.
-    with monkeypatch.context() as patch:
-        patch.setattr(scheduler, "classify", misnamed)
-        with pytest.raises(KeyError):
-            scheduler.run_batch(BATCH)
-    assert tiny_chunks._chunk_buf == {}
-    # The same pool, the next batch: right answers, nothing stale.
+    scheduler.warmup()
+    pool = pool_for(small_db, 2)
+    pids = sorted(process.pid for process in pool.processes)
+    refused = parse_query("knn(?a, ?b, 9)")
+    with pytest.raises(QueryError, match="k=9"):
+        scheduler.run_batch([BATCH[0], refused, BATCH[1]])
     results = scheduler.run_batch(BATCH)
     for got, want in zip(results, expected):
         assert got.solutions == want.solutions
-    assert tiny_chunks._chunk_buf == {}
+    assert sorted(process.pid for process in pool.processes) == pids

@@ -280,10 +280,18 @@ class TestAdmission:
             handle.shutdown()
 
 
+def _worker_pids(handle: ServerThread) -> list[int]:
+    """The pids of the server's warm pool, which must have workers."""
+    pids = sorted(p.pid for p in pool_for(handle._db, 2).processes)
+    assert pids, "the server's pool is running"
+    return pids
+
+
 class TestWorkerFaults:
     def test_worker_crash_is_typed_500_then_recovery(self, faulty_server):
-        """A real exception inside a pool worker costs one 500; the
-        recycled pool serves the next request."""
+        """A real exception inside a pool worker costs one 500; the same
+        warm workers serve the next request."""
+        pids = _worker_pids(faulty_server)
         status, _, body = _post(
             faulty_server,
             "/query",
@@ -297,6 +305,7 @@ class TestWorkerFaults:
         status, _, body = _post(faulty_server, "/query", {"query": QUERY})
         assert status == 200, body
         assert len(body["solutions"]) > 0
+        assert _worker_pids(faulty_server) == pids
 
         _, _, metrics = _request(
             faulty_server.host, faulty_server.port, "GET",
@@ -307,11 +316,10 @@ class TestWorkerFaults:
     def test_killed_worker_is_typed_500_then_recovery(
         self, figure2, start_method
     ):
-        """Both pool workers SIGKILLed under a batched query cost that
-        request a typed 500 within seconds; the next request is
-        answered by a fresh pool. One worker held the query, the other
-        waited for a task: it dies holding the task queue's read lock,
-        which the pool's teardown must release before it terminates."""
+        """Both pool workers SIGKILLed under a batched query — one held
+        the query, the other waited for a task — cost that request a
+        typed 500 within seconds; the next request is answered by a
+        fresh pool."""
         handle = ServerThread(
             figure2.db, ServeConfig(workers=2, drain_grace=5.0)
         ).start()
@@ -338,12 +346,18 @@ class TestWorkerFaults:
             handle.shutdown()
 
     def test_inline_fault_does_not_leak_traceback(self, faulty_server):
+        """A fault in the dispatch thread is a typed 500 with no
+        traceback, and leaves the warm pool to the next request."""
+        pids = _worker_pids(faulty_server)
         status, _, body = _post(
             faulty_server, "/query", {"query": QUERY, "debug": "raise"}
         )
         assert status == 500, body
         assert body["error"]["type"] == "RuntimeError"
         assert "Traceback" not in json.dumps(body)
+        status, _, body = _post(faulty_server, "/query", {"query": QUERY})
+        assert status == 200, body
+        assert _worker_pids(faulty_server) == pids
 
 
 class TestEventLoop:
