@@ -153,7 +153,7 @@ class GraphDatabase:
         with no pools is a no-op. Owners that open a database per
         request (the CLI, embedders) must call this — dropping the
         last reference leaks the mapping until process exit, which is
-        exactly what the ``REPRO_SANITIZE=1`` test mode flags.
+        exactly what the test suite's leak check flags.
         """
         # Pools exist only once the executor has been imported; a
         # process that never pooled does not load it to find that out.

@@ -104,6 +104,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    411: "Length Required",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -173,7 +174,7 @@ class _HttpResponse:
 
 class _Refused(Exception):
     """A request answered before it is routed, and its connection
-    closed: malformed framing (400) or a head or body over its cap."""
+    closed: malformed framing (400, 411) or a head or body over its cap."""
 
     def __init__(self, code: int, error_type: str, message: str) -> None:
         super().__init__(message)
@@ -783,10 +784,12 @@ async def _read_request(
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one HTTP/1.1 request; None at clean EOF.
 
-    Raises :class:`_Refused` on malformed framing, on a head past
-    :data:`MAX_HEAD` bytes or :data:`MAX_HEADER_LINES` lines, and on a
-    ``Content-Length`` past :data:`MAX_BODY`; the caller answers it and
-    closes the connection. No more of the request is read after that.
+    Raises :class:`_Refused` on malformed framing (a ``Content-Length``
+    not of ASCII digits or repeated with another value; 411 for any
+    ``Transfer-Encoding``), on a head past :data:`MAX_HEAD` bytes or
+    :data:`MAX_HEADER_LINES` lines, and on a ``Content-Length`` past
+    :data:`MAX_BODY`; the caller answers it and closes the connection.
+    No more of the request is read after that.
     """
     head = 0
 
@@ -822,20 +825,23 @@ async def _read_request(
         if not sep:
             raise _Refused(400, "ValidationError",
                            f"malformed header line {raw!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _Refused(400, "ValidationError", "Content-Length conflicts")
+        headers[name] = value
     else:
         raise _Refused(
             431, "HeaderTooLarge",
             f"request has more than {MAX_HEADER_LINES} header lines",
         )
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
+    if "transfer-encoding" in headers:
+        raise _Refused(411, "LengthRequired",
+                       "send a Content-Length, not a Transfer-Encoding")
+    text = headers.get("content-length", "0")
+    if not (text.isascii() and text.isdigit()):
         raise _Refused(400, "ValidationError",
-                       "malformed Content-Length") from None
-    if length < 0:
-        raise _Refused(400, "ValidationError",
-                       f"negative Content-Length {length}")
+                       f"malformed Content-Length {text!r}")
+    length = int(text)
     if length > MAX_BODY:
         raise _Refused(
             413, "PayloadTooLarge",

@@ -17,8 +17,8 @@ Lifecycle: an :class:`IndexStore` owns its mapping. The attached
 structures hold ``memoryview`` views *into* it, so the mapping must
 outlive every structure reference; ``close`` drops the store's own
 structure reference first and tolerates a caller who kept views alive
-(the OS unmaps at process exit regardless; under ``REPRO_SANITIZE=1``
-such a mapping is reported as a leak). An open mapping survives even
+(the OS unmaps at process exit regardless; the test suite's leak
+check fails a test that leaves such a mapping open). An open mapping survives even
 deletion of the file, so a parent may rebuild an index while a warm
 pool is still serving the old one.
 """

@@ -2,26 +2,35 @@
 and the golden Figure-2 setup with its serial answers.
 
 Session-scoped where construction is non-trivial; all randomness is
-seeded so failures reproduce. The helpers below the fixtures
-(``_counts``, ``_size``, ``_comparable``, ``_rename``, ``_query_text``,
-``_within``, ``_under_killed_workers``, ``_request``, ``_post``, ``_get``) are
-imported by test modules as ``from conftest import ...``.
+seeded so failures reproduce. The autouse ``_leak_check`` fails any
+test that leaves an index mapping, a pool or a server thread live. The
+helpers below the fixtures (``_counts``, ``_size``, ``_comparable``,
+``_rename``, ``_query_text``, ``_within``, ``_under_killed_workers``,
+``_request``, ``_post``, ``_get``) are imported by test modules as
+``from conftest import ...``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
 import multiprocessing
 import os
+import re
 import signal
 import threading
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from http.client import HTTPConnection
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis import sanitize
+import repro.parallel.executor as executor
+import repro.store.io as store_io
 from repro.datasets.wikimedia import WikimediaConfig, generate_benchmark
 from repro.engines.auto import AutoEngine
 from repro.engines.database import GraphDatabase
@@ -46,22 +55,73 @@ from repro.query.parser import parse_query
 from repro.store import save
 
 
-if sanitize.enabled():
-    # Patch the runtime resource primitives before any test module
-    # imports them; see repro/analysis/sanitize.py. The CI ``sanitize``
-    # job runs the layout/pool/store/serve batteries under
-    # REPRO_SANITIZE=1.
-    sanitize.install()
+# ----------------------------------------------------------------------
+# the leak check: a test releases what it acquires
+# ----------------------------------------------------------------------
+_acquired = SimpleNamespace(mappings=[], executors=[])
+
+
+class _RecordedMmap(mmap.mmap):
+    def __new__(cls, *args, **kwargs):
+        mapping = super().__new__(cls, *args, **kwargs)
+        mapping.stack = traceback.extract_stack(limit=24)[:-1]
+        _acquired.mappings.append(mapping)
+        return mapping
+
+
+class _RecordedExecutor(ProcessPoolExecutor):
+    closed = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stack = traceback.extract_stack(limit=24)[:-1]
+        _acquired.executors.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        self.closed = True
+        super().shutdown(*args, **kwargs)
+
+    close = shutdown
+
+
+def _acquired_at(resource):
+    frames = [frame for frame in resource.stack
+              if not re.search("/(_pytest|pluggy)/", frame.filename)]
+    return (f"{type(resource).__name__} acquired at:\n"
+            + "".join(traceback.format_list(frames)))
+
+
+def _serve_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve")}
 
 
 @pytest.fixture(autouse=True)
-def _sanitize_leak_check(request):
-    """Fail any test that acquires a resource it never releases."""
-    if not sanitize.enabled():
-        yield
-        return
-    with sanitize.test_leak_check(request.node.nodeid):
-        yield
+def _leak_check(monkeypatch):
+    """Fail the test if it leaves live an index mapping, an executor no
+    pool in ``executor._POOLS`` owns, or a ``repro-serve`` thread; then
+    close what it can, so one leak fails one test."""
+    global _acquired
+    _acquired = SimpleNamespace(mappings=[], executors=[])
+    monkeypatch.setattr(store_io, "mmap", SimpleNamespace(
+        mmap=_RecordedMmap, ACCESS_READ=mmap.ACCESS_READ))
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", _RecordedExecutor)
+    threads = _serve_threads()
+    yield _acquired
+    owned = {id(pool._executor) for pool in executor._POOLS.values()}
+    report = []
+    for resource in _acquired.mappings + _acquired.executors:
+        if not resource.closed and id(resource) not in owned:
+            report.append(_acquired_at(resource))
+            with contextlib.suppress(BufferError):
+                resource.close()
+    for thread in _serve_threads() - threads:
+        thread.join(5.0)  # a failed start's thread is on its way out
+        if thread.is_alive():
+            report.append(f"server thread {thread.name!r} still running")
+    if report:
+        pytest.fail(f"{len(report)} resource(s) left live:\n"
+                    + "\n".join(report), pytrace=False)
 
 
 @pytest.fixture(params=("fork", "spawn"))

@@ -291,7 +291,7 @@ _IMPORT_BUDGET_SCRIPT = """
 import sys
 import repro.cli
 
-HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "repro.analysis",
+HEAVY = ("numpy", "scipy", "dataclasses", "inspect",
          "repro.serve", "multiprocessing",
          "repro.datasets", "repro.graph.io", "repro.explain",
          "repro.engines.baseline", "repro.engines.classic", "repro.engines.kstar",
@@ -320,8 +320,8 @@ assert {"repro.explain", "repro.bounds.linear_program"} <= set(sys.modules)
 
 def test_query_process_import_budget(bundle_path, tmp_path):
     """A `repro query` process imports no numpy, no `dataclasses` (nor
-    the `inspect` it imports), no LP solver, no sanitizer, no server, no multiprocessing, no dataset generator and
-    no bundle reader, and none of the `repro` modules the index path
+    the `inspect` it imports), no LP solver, no server, no
+    multiprocessing, no dataset generator and no bundle reader, and none of the `repro` modules the index path
     never runs (`explain`, the engines an index cannot run, the K-NN
     builders, the trace and its schema) — the cold-start workload pays
     for whatever `import repro.cli` drags in. Its query has a K-NN

@@ -332,17 +332,23 @@ class TestBackwardMemos:
 
     @pytest.fixture(params=["built", "attached"])
     def ring(self, request, graph, tmp_path):
-        ring = KnnRing(graph)
-        if request.param == "built":
-            yield ring
-            return
-        path = str(tmp_path / "knn.idx")
-        save(ring, path)
-        store = load(path)
-        try:
-            yield store.structure
-        finally:
-            store.close()
+        """Runs a check over the built ring or over one attached from its
+        index file. The store closes once the check returns, so no view
+        of its mapping outlives the close."""
+
+        def run(check):
+            ring = KnnRing(graph)
+            if request.param == "built":
+                return check(ring)
+            path = str(tmp_path / "knn.idx")
+            save(ring, path)
+            store = load(path)
+            try:
+                return check(store.structure)
+            finally:
+                store.close()
+
+        return run
 
     def test_every_k_matches_the_knn_lists(self, graph, ring):
         truth = _reverse_lists(graph)
@@ -350,30 +356,42 @@ class TestBackwardMemos:
         K = graph.K
         lowers = range(members[0] - 2, members[-1] + 3)
         strangers = [i for i in lowers if i not in members] + [-7, 10**6]
-        # Up through every k and down again: no k answers from another's.
-        for k in [*range(1, K + 1), *range(K, 0, -1)]:
-            for lower in lowers:  # below, on, between and past the members
-                want = next(
-                    (v for v in members if v >= lower and truth[v, k]), None
-                )
-                assert ring.next_reverse_nonempty(k, lower) == want, (k, lower)
-            for v in members:
-                lo, hi = ring.backward_range(v, k)
-                assert hi - lo + 1 == len(truth[v, k])
-                assert ring.reverse_neighbors_of(v, k) == truth[v, k]
-            for v in strangers:
-                assert _size(ring.backward_range(v, k)) == 0
-                assert ring.reverse_neighbors_of(v, k) == []
-        assert sorted(ring._reverse_members) == list(range(1, K + 1))
+
+        def check(ring):
+            # Up through every k and down again: no k answers from
+            # another's.
+            for k in [*range(1, K + 1), *range(K, 0, -1)]:
+                for lower in lowers:  # below, on, between, past the members
+                    want = next(
+                        (v for v in members if v >= lower and truth[v, k]),
+                        None,
+                    )
+                    assert ring.next_reverse_nonempty(k, lower) == want, (
+                        k, lower,
+                    )
+                for v in members:
+                    lo, hi = ring.backward_range(v, k)
+                    assert hi - lo + 1 == len(truth[v, k])
+                    assert ring.reverse_neighbors_of(v, k) == truth[v, k]
+                for v in strangers:
+                    assert _size(ring.backward_range(v, k)) == 0
+                    assert ring.reverse_neighbors_of(v, k) == []
+            assert sorted(ring._reverse_members) == list(range(1, K + 1))
+
+        ring(check)
 
     def test_invalid_k_is_rejected_on_every_call(self, graph, ring):
         v = int(graph.members[0])
-        for _ in range(2):  # a second call finds nothing memoized for it
-            for k in (0, graph.K + 1):
-                with pytest.raises(ValidationError):
-                    ring.backward_range(v, k)
-                with pytest.raises(ValidationError):
-                    ring.next_reverse_nonempty(k, v)
+
+        def check(ring):
+            for _ in range(2):  # a second call finds nothing memoized
+                for k in (0, graph.K + 1):
+                    with pytest.raises(ValidationError):
+                        ring.backward_range(v, k)
+                    with pytest.raises(ValidationError):
+                        ring.next_reverse_nonempty(k, v)
+
+        ring(check)
 
 
 def test_attach_starts_with_empty_memos(tmp_path):

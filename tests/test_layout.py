@@ -11,7 +11,7 @@
   a value too wide for that dtype is refused at flatten time, by field
   name, instead of wrapping.
 * **Failure paths** — a load that fails mid-walk closes its mapping
-  (the sanitizer's ledger is left clean), and a pool start whose
+  (the conftest leak check records it), and a pool start whose
   scratch save fails leaves no file behind.
 * **Pinned bytes** — the index file of the golden Figure-2 database is
   byte-identical to the one the format's first writer produced
@@ -27,20 +27,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import shutil
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.store.io as store_io
-from repro.analysis import sanitize
 from repro.engines.database import GraphDatabase
 from repro.engines.ring_knn import RingKnnEngine
 from repro.graph.triples import GraphData
@@ -525,22 +521,10 @@ def test_value_past_the_declared_width_is_refused_at_save(tmp_path):
 # failure paths: a failed load or scratch save strands no resource
 # ----------------------------------------------------------------------
 @pytest.fixture
-def recorded_mappings(monkeypatch):
-    """Route ``repro.store.io``'s mappings through the sanitizer's
-    ledger-recording twin, whether or not ``REPRO_SANITIZE`` is set;
-    returns the list of every mapping opened."""
-    opened = []
-
-    def open_mapping(*args, **kwargs):
-        opened.append(sanitize._SanitizedMmap(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(
-        store_io,
-        "mmap",
-        SimpleNamespace(mmap=open_mapping, ACCESS_READ=mmap.ACCESS_READ),
-    )
-    return opened
+def recorded_mappings(_leak_check):
+    """Every mapping ``repro.store.io`` opened in this test, as the
+    conftest leak check records them."""
+    return _leak_check.mappings
 
 
 @by_carrier
@@ -562,13 +546,13 @@ def test_failed_attach_leaves_no_live_mapping(
                 header.manifest_crc,
             )
         )
-    live = set(sanitize.LEDGER.live())
     opened = len(recorded_mappings)
     with pytest.raises(StoreFormatError, match="spans bytes"):
         load(path, verify=False)
     assert len(recorded_mappings) == opened + 1
-    assert recorded_mappings[-1].closed, "the failed load left it open"
-    assert set(sanitize.LEDGER.live()) <= live
+    assert all(mapping.closed for mapping in recorded_mappings), (
+        "the failed load left it open"
+    )
 
 
 def test_failed_scratch_save_strands_no_file(monkeypatch, tmp_path, small_db):

@@ -28,9 +28,8 @@ SRC = ROOT / "src" / "repro"
 #: Qualified name (module path below ``repro``, then the definition) →
 #: why it stays although nothing outside ``tests/`` calls it.
 KEPT: dict[str, str] = {
-    "analysis.sanitize.enabled": "conftest hook: turns the sanitizer on",
-    "analysis.sanitize.install": "conftest hook: patches the resource primitives",
-    "analysis.sanitize.test_leak_check": "conftest hook: the per-test leak check",
+    "serve.app.ServerThread":
+        "the in-process server the serve tests boot; repro.serve exports it",
     "bounds.constraint_graph.ConstraintGraph.topological_order":
         "Thm. 2's recipe for an acyclic constraint graph; tests pin it",
     "bounds.constraint_graph.ConstraintGraph.scc_id":

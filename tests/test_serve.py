@@ -681,6 +681,39 @@ class TestRequestValidation:
         assert body["error"]["type"] == "PayloadTooLarge"
         _assert_serving(golden)
 
+    @pytest.mark.parametrize(
+        "framing, status, kind",
+        [
+            ("Content-Length: {n_}\r\n", 400, "ValidationError"),
+            ("Content-Length: +{n}\r\n", 400, "ValidationError"),
+            ("Content-Length: 3\r\nContent-Length: {n}\r\n", 400,
+             "ValidationError"),
+            ("Transfer-Encoding: chunked\r\n", 411, "LengthRequired"),
+        ],
+        ids=("underscore", "sign", "conflicting", "chunked"),
+    )
+    def test_loose_framing_is_refused(self, golden, framing, status, kind):
+        """The body is framed by one Content-Length of ASCII digits:
+        ``int()``'s underscores and sign, a second value that differs
+        and a chunked body are refused, and the connection closes, so
+        no body byte is read as the next request."""
+        _family, text, _solutions, _serial = golden.cases[0]
+        body = json.dumps({"query": text}).encode()
+        n = len(body)
+        head = framing.format(n=n, n_="_".join(str(n)))
+        if "chunked" in framing:
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (n, body)
+        got, headers, reply = _raw_exchange(
+            golden.handle,
+            f"POST /query HTTP/1.1\r\nConnection: close\r\n{head}\r\n"
+            .encode() + body,
+        )
+        assert got == status, reply
+        assert reply["error"]["type"] == kind
+        assert headers["connection"] == "close"
+        protocol.validate_error_response(reply)
+        _assert_serving(golden)
+
     def test_stalled_body_holds_only_its_connection(self, golden):
         """A client that stops mid-body holds its own connection: the
         server answers others meanwhile, and after it hangs up."""
